@@ -104,10 +104,10 @@ func TestFlightGroupSharesErrorAndRecovers(t *testing.T) {
 	var g flightGroup
 	boom := fmt.Errorf("boom")
 	calls := 0
-	if _, err := g.do("k", func() (any, error) { calls++; return nil, boom }); err != boom {
+	if _, _, err := g.do("k", func() (any, *cacheEntry, error) { calls++; return nil, nil, boom }); err != boom {
 		t.Fatalf("leader error = %v, want boom", err)
 	}
-	if v, err := g.do("k", func() (any, error) { calls++; return 42, nil }); err != nil || v != 42 {
+	if v, _, err := g.do("k", func() (any, *cacheEntry, error) { calls++; return 42, nil, nil }); err != nil || v != 42 {
 		t.Fatalf("fresh call after error = %v, %v", v, err)
 	}
 	if calls != 2 {
@@ -128,7 +128,7 @@ func TestFlightGroupLeaderPanicReleasesFollowers(t *testing.T) {
 		<-entered
 		g.leaderBarrier = nil
 		close(finish)
-		_, err := g.do("k", func() (any, error) { return nil, nil })
+		_, _, err := g.do("k", func() (any, *cacheEntry, error) { return nil, nil, nil })
 		followerErr <- err
 	}()
 
@@ -138,7 +138,7 @@ func TestFlightGroupLeaderPanicReleasesFollowers(t *testing.T) {
 				t.Error("leader panic did not propagate")
 			}
 		}()
-		_, _ = g.do("k", func() (any, error) { panic("leader died") })
+		_, _, _ = g.do("k", func() (any, *cacheEntry, error) { panic("leader died") })
 	}()
 	// Whether the goroutine coalesced or ran fresh, it must complete.
 	select {

@@ -111,6 +111,12 @@ func (s *Service) registerMetrics() {
 		"Cache entries evicted because a depended-on shard or the key set changed.", &s.cache.inval)
 	s.reg.RegisterCounter("spotlake_cache_coalesced_total",
 		"Cache misses that joined an identical in-flight computation.", &s.flight.coalesced)
+	s.reg.RegisterCounter("spotlake_cache_body_hits_total",
+		"Responses written from a cache entry's stored gzip body, without encoding.", &s.cache.bodyHits)
+	s.reg.GaugeFunc("spotlake_cache_entries",
+		"Entries the result cache holds.", func() float64 { return float64(s.cache.entries()) })
+	s.reg.GaugeFunc("spotlake_cache_body_bytes",
+		"Total size of the gzip response bodies stored on cache entries.", func() float64 { return float64(s.cache.bodyBytes()) })
 	tsdb.RegisterMetrics(s.reg, s.store)
 	s.reg.GaugeFunc("spotlake_replication_epoch",
 		"The serving store's replication epoch (0 on memory-only stores).", func() float64 {
@@ -329,9 +335,17 @@ func matchedKeys(db *tsdb.DB, req QueryRequest) ([]tsdb.SeriesKey, error) {
 // generation capture, via the cache entry the leader publishes) every
 // coalesced caller shares.
 func (s *Service) Query(req QueryRequest) ([]SeriesResult, error) {
+	res, _, err := s.query(req)
+	return res, err
+}
+
+// query is Query plus the cache entry now holding the result, for the
+// HTTP layer to serve stored bytes from; the entry is nil when the
+// result was too large to cache.
+func (s *Service) query(req QueryRequest) ([]SeriesResult, *cacheEntry, error) {
 	from, to, err := s.checkWindow(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Query always returns the full window; zero the page fields so a
 	// caller that set them doesn't fragment the cache.
@@ -339,21 +353,21 @@ func (s *Service) Query(req QueryRequest) ([]SeriesResult, error) {
 	db, epoch := s.storeRef()
 	plan, err := resolveRead(db, &req, from, to)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ck := cacheKey("query", req)
-	if v, ok := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
-		return v.([]SeriesResult), nil
+	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
+		return e.val.([]SeriesResult), e, nil
 	}
-	v, err := s.flight.do(ck, func() (any, error) { return s.queryCold(db, epoch, req, plan, ck, from, to) })
+	v, e, err := s.flight.do(ck, func() (any, *cacheEntry, error) { return s.queryCold(db, epoch, req, plan, ck, from, to) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return v.([]SeriesResult), nil
+	return v.([]SeriesResult), e, nil
 }
 
 // queryCold is the leader's computation for a Query cache miss.
-func (s *Service) queryCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time) (any, error) {
+func (s *Service) queryCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time) (any, *cacheEntry, error) {
 	// Capture the generations before reading: a write racing the fan-out
 	// makes the cached entry stale immediately, never the reverse. The
 	// capture is the leader's own — coalesced followers share it. Rollup
@@ -363,7 +377,7 @@ func (s *Service) queryCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan re
 	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
 	keys, err := matchedKeys(db, req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Fan out across series; slots keep the sorted key order deterministic.
 	slots := make([][]tsdb.Point, len(keys))
@@ -372,7 +386,7 @@ func (s *Service) queryCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan re
 		slots[i], errs[i] = plan.db.Query(plan.key(keys[i]), from, to)
 	})
 	if err := firstErr(errs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([]SeriesResult, 0, len(keys))
 	points := 0
@@ -386,11 +400,11 @@ func (s *Service) queryCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan re
 	// Oversized results are not cached: one-off bulk exports (or clients
 	// polling with a unique moving window) would otherwise pin up to 128
 	// full-archive copies in the LRU without ever hitting.
-	if points <= maxCachedPoints {
-		dep, gens := depGenerations(db, keys, genVec)
-		s.cache.put(ck, epoch, keyGen, dep, gens, out)
+	if points > maxCachedPoints {
+		return out, nil, nil
 	}
-	return out, nil
+	dep, gens := depGenerations(db, keys, genVec)
+	return out, s.cache.put(ck, epoch, keyGen, dep, gens, out), nil
 }
 
 // firstErr returns the first non-nil error of a fan-out's per-slot error
@@ -440,8 +454,14 @@ type LatestEntry struct {
 // shared check keeps a malformed request rejected identically here and
 // in Query.
 func (s *Service) Latest(req QueryRequest) ([]LatestEntry, error) {
+	res, _, err := s.latest(req)
+	return res, err
+}
+
+// latest is Latest plus the cache entry now holding the result.
+func (s *Service) latest(req QueryRequest) ([]LatestEntry, *cacheEntry, error) {
 	if _, _, err := s.checkWindow(req); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Latest ignores the window and the page, so the key must too —
 	// otherwise clients polling with a moving from/to fragment the cache.
@@ -450,22 +470,22 @@ func (s *Service) Latest(req QueryRequest) ([]LatestEntry, error) {
 	filterOnly.Limit, filterOnly.Offset, filterOnly.Cursor = 0, 0, ""
 	ck := cacheKey("latest", filterOnly)
 	db, epoch := s.storeRef()
-	if v, ok := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
-		return v.([]LatestEntry), nil
+	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
+		return e.val.([]LatestEntry), e, nil
 	}
-	v, err := s.flight.do(ck, func() (any, error) { return s.latestCold(db, epoch, req, ck) })
+	v, e, err := s.flight.do(ck, func() (any, *cacheEntry, error) { return s.latestCold(db, epoch, req, ck) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return v.([]LatestEntry), nil
+	return v.([]LatestEntry), e, nil
 }
 
 // latestCold is the leader's computation for a Latest cache miss.
-func (s *Service) latestCold(db *tsdb.DB, epoch uint64, req QueryRequest, ck string) (any, error) {
+func (s *Service) latestCold(db *tsdb.DB, epoch uint64, req QueryRequest, ck string) (any, *cacheEntry, error) {
 	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
 	keys, err := matchedKeys(db, req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	type slot struct {
 		p  tsdb.Point
@@ -478,7 +498,7 @@ func (s *Service) latestCold(db *tsdb.DB, epoch uint64, req QueryRequest, ck str
 		slots[i], errs[i] = slot{p: p, ok: ok}, err
 	})
 	if err := firstErr(errs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([]LatestEntry, 0, len(keys))
 	for i, k := range keys {
@@ -488,8 +508,7 @@ func (s *Service) latestCold(db *tsdb.DB, epoch uint64, req QueryRequest, ck str
 		out = append(out, LatestEntry{Key: k, At: slots[i].p.At, Value: slots[i].p.Value})
 	}
 	dep, gens := depGenerations(db, keys, genVec)
-	s.cache.put(ck, epoch, keyGen, dep, gens, out)
-	return out, nil
+	return out, s.cache.put(ck, epoch, keyGen, dep, gens, out), nil
 }
 
 // APIVersion names the /api/v1 response contract; /api/v1/meta reports

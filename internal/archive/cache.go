@@ -1,8 +1,13 @@
 package archive
 
 import (
+	"bytes"
+	"compress/gzip"
 	"container/list"
+	"errors"
+	"io"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -15,6 +20,11 @@ import (
 // return stale data — but a collection tick that writes only other shards
 // leaves the entry alive, where the old store-wide generation guard would
 // have thrown it away.
+//
+// An entry also holds what a client actually receives: the gzip'd JSON
+// body of its value, encoded by the first response that serves it and
+// written as-is by every later one (see gzipBody). The bytes live and die
+// with the entry, so the guard that keeps values fresh keeps them fresh.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -23,6 +33,9 @@ type resultCache struct {
 	hits  obs.Counter
 	miss  obs.Counter
 	inval obs.Counter
+	// bodyHits counts responses written from an entry's stored bytes,
+	// i.e. without running the encoder.
+	bodyHits obs.Counter
 }
 
 type cacheEntry struct {
@@ -41,6 +54,13 @@ type cacheEntry struct {
 	shards []uint32
 	gens   []uint64
 	val    any
+
+	// body is val's response body, gzip'd; bodyLen repeats its length for
+	// the body-bytes gauge, which reads entries it does not serve.
+	bodyOnce sync.Once
+	body     []byte
+	bodyErr  error
+	bodyLen  atomic.Int64
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -64,16 +84,45 @@ func (e *cacheEntry) valid(epoch, keyGen uint64, genVec []uint64) bool {
 	return true
 }
 
-// get returns the cached value for key if every shard it depends on is
-// still at the generation it was computed at; stale entries are evicted on
-// sight and counted as invalidations.
-func (c *resultCache) get(key string, epoch, keyGen uint64, genVec []uint64) (any, bool) {
+// gzipBody returns the entry's stored response body, running encode into
+// a gzip stream to build it on the first call; concurrent first calls
+// wait for that one encode. built reports whether this call ran the
+// encoder. A failed encode stores no bytes and every call reports the
+// error: the value cannot be rendered, now or later.
+func (e *cacheEntry) gzipBody(encode func(io.Writer) error) (body []byte, built bool, err error) {
+	e.bodyOnce.Do(func() {
+		built = true
+		// Stands if encode panics out of the Once.
+		e.bodyErr = errors.New("archive: response encoder aborted")
+		var buf bytes.Buffer
+		gz := gzipPool.Get().(*gzip.Writer)
+		defer gzipPool.Put(gz)
+		gz.Reset(&buf)
+		encErr := encode(gz)
+		if cerr := gz.Close(); encErr == nil {
+			encErr = cerr
+		}
+		if e.bodyErr = encErr; encErr != nil {
+			return
+		}
+		// An exact-size copy: the buffer's spare capacity would otherwise
+		// stay pinned for the life of the entry.
+		e.body = bytes.Clone(buf.Bytes())
+		e.bodyLen.Store(int64(len(e.body)))
+	})
+	return e.body, built, e.bodyErr
+}
+
+// get returns the entry cached for key if every shard it depends on is
+// still at the generation it was computed at, else nil; stale entries are
+// evicted on sight and counted as invalidations.
+func (c *resultCache) get(key string, epoch, keyGen uint64, genVec []uint64) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
 		c.miss.Add(1)
-		return nil, false
+		return nil
 	}
 	e := el.Value.(*cacheEntry)
 	if !e.valid(epoch, keyGen, genVec) {
@@ -81,28 +130,31 @@ func (c *resultCache) get(key string, epoch, keyGen uint64, genVec []uint64) (an
 		delete(c.m, key)
 		c.inval.Add(1)
 		c.miss.Add(1)
-		return nil, false
+		return nil
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Add(1)
-	return e.val, true
+	return e
 }
 
-func (c *resultCache) put(key string, epoch, keyGen uint64, shards []uint32, gens []uint64, val any) {
+// put installs a fresh entry for key and returns it. An entry already
+// under the key is replaced, never updated in place: requests may still
+// be serving it, and its stored body must not outlive the value and
+// generations it was encoded from.
+func (c *resultCache) put(key string, epoch, keyGen uint64, shards []uint32, gens []uint64, val any) *cacheEntry {
+	e := &cacheEntry{key: key, epoch: epoch, keyGen: keyGen, shards: shards, gens: gens, val: val}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.epoch, e.keyGen, e.shards, e.gens, e.val = epoch, keyGen, shards, gens, val
-		c.ll.MoveToFront(el)
-		return
+		c.ll.Remove(el)
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, epoch: epoch, keyGen: keyGen, shards: shards, gens: gens, val: val})
+	c.m[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		delete(c.m, el.Value.(*cacheEntry).key)
 	}
+	return e
 }
 
 // purge drops every entry. SwapDB calls it so results computed against a
@@ -115,19 +167,46 @@ func (c *resultCache) purge() {
 	clear(c.m)
 }
 
-// CacheStats reports cumulative result-cache counters. Invalidations
-// counts entries evicted because a depended-on shard (or the key set)
-// changed; they are a subset of misses. Coalesced counts misses that
-// joined an identical in-flight computation instead of computing (also
-// a subset of misses — filled in by Service.CacheStats, not here), so
-// Misses - Coalesced is the number of store computations performed.
+// entries reports how many entries the cache holds.
+func (c *resultCache) entries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+// bodyBytes reports the total length of the bodies stored on the
+// cache's entries.
+func (c *resultCache) bodyBytes() (n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*cacheEntry).bodyLen.Load()
+	}
+	return n
+}
+
+// CacheStats reports the result cache's cumulative counters and current
+// size. Invalidations counts entries evicted because a depended-on shard
+// (or the key set) changed; they are a subset of misses. Coalesced counts
+// misses that joined an identical in-flight computation instead of
+// computing (also a subset of misses — filled in by Service.CacheStats,
+// not here), so Misses - Coalesced is the number of store computations
+// performed. BodyHits counts responses written from an entry's stored
+// gzip bytes without encoding; Entries and BodyBytes are what the cache
+// holds now.
 type CacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Invalidations uint64 `json:"invalidations"`
 	Coalesced     uint64 `json:"coalesced"`
+	BodyHits      uint64 `json:"bodyHits"`
+	Entries       int    `json:"entries"`
+	BodyBytes     int64  `json:"bodyBytes"`
 }
 
 func (c *resultCache) stats() CacheStats {
-	return CacheStats{Hits: c.hits.Value(), Misses: c.miss.Value(), Invalidations: c.inval.Value()}
+	return CacheStats{
+		Hits: c.hits.Value(), Misses: c.miss.Value(), Invalidations: c.inval.Value(),
+		BodyHits: c.bodyHits.Value(), Entries: c.entries(), BodyBytes: c.bodyBytes(),
+	}
 }

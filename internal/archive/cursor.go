@@ -138,20 +138,27 @@ type CursorPage struct {
 // appends: the resume position is a fixed (key, timestamp) pair, so
 // concurrent collection can only add points after it, never shift it.
 func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
+	page, _, err := s.queryCursor(req)
+	return page, err
+}
+
+// queryCursor is QueryCursor plus the cache entry now holding the page
+// (nil when the page was too large to cache).
+func (s *Service) queryCursor(req QueryRequest) (*CursorPage, *cacheEntry, error) {
 	if req.Limit < 0 {
-		return nil, badParam("limit", "archive: negative limit")
+		return nil, nil, badParam("limit", "archive: negative limit")
 	}
 	if req.Offset != 0 {
-		return nil, fmt.Errorf("archive: cursor and offset are mutually exclusive")
+		return nil, nil, fmt.Errorf("archive: cursor and offset are mutually exclusive")
 	}
 	from, to, err := s.checkWindow(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	db, epoch := s.storeRef()
 	plan, err := resolveRead(db, &req, from, to)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scope := cursorScope(req)
 	var curKey string
@@ -160,7 +167,7 @@ func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
 	resuming := req.Cursor != ""
 	if resuming {
 		if curKey, curAt, curSeq, err = decodeCursor(req.Cursor, scope); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Genuine tokens are minted from in-window points, so a position
 		// outside [from, to] is tampering (the scope hash is integrity
@@ -168,7 +175,7 @@ func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
 		// primitives resume from the position's timestamp and would
 		// otherwise serve the cursor series' pre-window points.
 		if curAt.Before(from) || curAt.After(to) {
-			return nil, fmt.Errorf("%w: token position lies outside the query window", ErrBadCursor)
+			return nil, nil, fmt.Errorf("%w: token position lies outside the query window", ErrBadCursor)
 		}
 		// A raw-tier token can point into history that retention has since
 		// dropped (rolled up, then aged out). Resuming there would
@@ -179,34 +186,34 @@ func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
 		if plan.res == "raw" {
 			if sk, err := tsdb.ParseSeriesKey(curKey); err == nil {
 				if cut, ok := db.RetentionCut(sk.Dataset); ok && curAt.Before(cut) {
-					return nil, fmt.Errorf("%w: token position precedes dataset %q's raw retention horizon (raw points there have been rolled up and dropped); restart the walk or query resolution=1h/1d", ErrBadCursor, sk.Dataset)
+					return nil, nil, fmt.Errorf("%w: token position precedes dataset %q's raw retention horizon (raw points there have been rolled up and dropped); restart the walk or query resolution=1h/1d", ErrBadCursor, sk.Dataset)
 				}
 			}
 		}
 	}
 	ck := cacheKey("cursor", req)
-	if v, ok := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
-		return v.(*CursorPage), nil
+	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
+		return e.val.(*CursorPage), e, nil
 	}
 	// Concurrent identical cold page requests (many clients replaying the
 	// same walk position) collapse onto one computation.
-	v, err := s.flight.do(ck, func() (any, error) {
+	v, e, err := s.flight.do(ck, func() (any, *cacheEntry, error) {
 		return s.cursorCold(db, epoch, req, plan, ck, from, to, curKey, curAt, curSeq, resuming)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return v.(*CursorPage), nil
+	return v.(*CursorPage), e, nil
 }
 
 // cursorCold is the leader's computation for a QueryCursor cache miss.
-func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time, curKey string, curAt time.Time, curSeq int, resuming bool) (any, error) {
+func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time, curKey string, curAt time.Time, curSeq int, resuming bool) (any, *cacheEntry, error) {
 	// Capture the generations before reading, like every query path.
 	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
 	scope := cursorScope(req)
 	keys, err := matchedKeys(db, req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Seek: binary-search the sorted key list for the cursor's series.
 	// Series before it are already fully delivered and are never counted
@@ -242,7 +249,7 @@ func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan r
 			c, err = plan.db.CountRange(plan.key(rest[i]), from, to)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		counts = append(counts, c)
 		total += c
@@ -285,7 +292,7 @@ func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan r
 		}
 	})
 	if err := firstErr(spanErrs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	page := &CursorPage{
 		Series: make([]SeriesResult, 0, len(spans)),
@@ -324,9 +331,9 @@ func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan r
 		}
 		page.NextCursor = encodeCursor(scope, lastKey, lastAt, uint32(n))
 	}
-	if points <= maxCachedPoints {
-		dep, gens := depGenerations(db, keys, genVec)
-		s.cache.put(ck, epoch, keyGen, dep, gens, page)
+	if points > maxCachedPoints {
+		return page, nil, nil
 	}
-	return page, nil
+	dep, gens := depGenerations(db, keys, genVec)
+	return page, s.cache.put(ck, epoch, keyGen, dep, gens, page), nil
 }

@@ -59,9 +59,15 @@ var gzipPool = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 // handler's WriteHeader is deferred for the same reason — the status is
 // recorded and only sent downstream once the body/no-body question is
 // settled.
+//
+// A handler that has already set Content-Encoding is writing an encoded
+// body of its own (a cache entry's stored gzip bytes): its writes pass
+// through untouched, Content-Length included, and no gzip writer is ever
+// attached.
 type gzipResponseWriter struct {
 	http.ResponseWriter
 	gz     *gzip.Writer
+	raw    bool // the handler's body is already encoded; pass it through
 	status int
 }
 
@@ -72,17 +78,25 @@ func (w *gzipResponseWriter) WriteHeader(status int) {
 }
 
 func (w *gzipResponseWriter) Write(b []byte) (int, error) {
-	if w.gz == nil {
-		w.Header().Set("Content-Encoding", "gzip")
-		// Any pre-set length describes the uncompressed body.
-		w.Header().Del("Content-Length")
+	if w.gz == nil && !w.raw {
 		if w.status == 0 {
 			w.status = http.StatusOK
 		}
-		w.ResponseWriter.WriteHeader(w.status)
-		gz := gzipPool.Get().(*gzip.Writer)
-		gz.Reset(w.ResponseWriter)
-		w.gz = gz
+		if w.Header().Get("Content-Encoding") != "" {
+			w.raw = true
+			w.ResponseWriter.WriteHeader(w.status)
+		} else {
+			w.Header().Set("Content-Encoding", "gzip")
+			// Any pre-set length describes the uncompressed body.
+			w.Header().Del("Content-Length")
+			w.ResponseWriter.WriteHeader(w.status)
+			gz := gzipPool.Get().(*gzip.Writer)
+			gz.Reset(w.ResponseWriter)
+			w.gz = gz
+		}
+	}
+	if w.raw {
+		return w.ResponseWriter.Write(b)
 	}
 	return w.gz.Write(b)
 }
@@ -95,25 +109,27 @@ func (w *gzipResponseWriter) Write(b []byte) (int, error) {
 // bytes emitted decode without waiting for the trailer) and then pushes
 // the underlying writer.
 func (w *gzipResponseWriter) Flush() {
-	if w.gz == nil {
+	if w.gz == nil && !w.raw {
 		return
 	}
-	// A flush error is sticky in the gzip writer: the next Write returns
-	// it, which is where streaming handlers abort.
-	_ = w.gz.Flush()
+	if w.gz != nil {
+		// A flush error is sticky in the gzip writer: the next Write
+		// returns it, which is where streaming handlers abort.
+		_ = w.gz.Flush()
+	}
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
 // finish flushes the compressed stream after the handler returns. With
-// no body written it forwards the bare status (if any); otherwise it
-// closes the gzip stream and reports the close error — which is the
-// only place a failed terminal flush surfaces, since the handler already
-// returned success.
+// no body written it forwards the bare status (if any); a passed-through
+// body is already complete; otherwise it closes the gzip stream and
+// reports the close error — which is the only place a failed terminal
+// flush surfaces, since the handler already returned success.
 func (w *gzipResponseWriter) finish() error {
 	if w.gz == nil {
-		if w.status != 0 {
+		if w.status != 0 && !w.raw {
 			w.ResponseWriter.WriteHeader(w.status)
 		}
 		return nil
@@ -267,9 +283,63 @@ func queryErr(w http.ResponseWriter, err error) {
 	writeErr(w, status, err)
 }
 
+// streamFlushBytes is how much body streamSeriesJSON lets accumulate
+// between flushes. Each flush is a gzip sync-flush plus a chunked socket
+// write, which a flush per series would charge a 160-series, 480-point
+// response 160 times; by bytes, a small response is flushed once, at its
+// end, by net/http, while a large one still reaches the client as it is
+// produced.
+const streamFlushBytes = 32 << 10
+
+// writeSeriesJSON renders series as a JSON array into w, one series at
+// a time: `[`, the elements as json.Encoder writes them (each followed
+// by a newline — interelement whitespace, still one valid JSON array)
+// separated by `,`, then `]` and a newline. With a non-nil flush it
+// calls it whenever streamFlushBytes have been written since the last
+// call. It stops at the first error.
+func writeSeriesJSON(w io.Writer, series []SeriesResult, flush func()) error {
+	if len(series) == 0 {
+		_, err := io.WriteString(w, "[]\n")
+		return err
+	}
+	cw := &countingWriter{w: w}
+	if _, err := io.WriteString(cw, "["); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(cw)
+	for i := range series {
+		if i > 0 {
+			if _, err := io.WriteString(cw, ","); err != nil {
+				return err
+			}
+		}
+		if err := enc.Encode(series[i]); err != nil {
+			return err
+		}
+		if flush != nil && cw.n >= streamFlushBytes {
+			flush()
+			cw.n = 0
+		}
+	}
+	_, err := io.WriteString(cw, "]\n")
+	return err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int
+}
+
+func (c *countingWriter) Write(b []byte) (int, error) {
+	n, err := c.w.Write(b)
+	c.n += n
+	return n, err
+}
+
 // streamSeriesJSON writes a JSON array of series results one series at a
-// time: each element is encoded and flushed to the (possibly gzip'd)
-// response as it is produced, so a multi-megabyte window never
+// time (see writeSeriesJSON), pushing the (possibly gzip'd) response to
+// the client every streamFlushBytes, so a multi-megabyte window never
 // materializes a second time as one contiguous JSON buffer and the
 // client sees the first series without waiting for the last. The body
 // shape is identical to json.Marshal of the slice.
@@ -282,35 +352,50 @@ func queryErr(w http.ResponseWriter, err error) {
 func streamSeriesJSON(w http.ResponseWriter, status int, series []SeriesResult) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	write := func(s string) {
-		if _, err := io.WriteString(w, s); err != nil {
-			panic(http.ErrAbortHandler)
-		}
+	var flush func()
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
-	if len(series) == 0 {
-		write("[]\n")
-		return
+	if err := writeSeriesJSON(w, series, flush); err != nil {
+		panic(http.ErrAbortHandler)
 	}
-	flusher, _ := w.(http.Flusher)
-	write("[")
-	enc := json.NewEncoder(w)
-	for i := range series {
-		if i > 0 {
-			write(",")
-		}
-		// Encode appends a newline — interelement whitespace, still one
-		// valid JSON array.
-		if err := enc.Encode(series[i]); err != nil {
-			panic(http.ErrAbortHandler)
-		}
-		// Push the finished element to the client (through the gzip
-		// layer, which forwards Flush) so a slow fan-out streams page by
-		// page instead of buffering the whole response.
-		if flusher != nil {
-			flusher.Flush()
-		}
+}
+
+// serveStored answers 200 with the gzip body stored on the cache entry
+// holding the response's value, building it with encode if this is the
+// first response to serve the entry: one Write, with a Content-Length.
+// It reports false, having written nothing, when the response must be
+// streamed instead: the result was too large to cache (no entry), or
+// the client refused gzip (w is not the gzip layer's writer). An encode
+// failure aborts the connection, as a failed streaming encode does.
+func (s *Service) serveStored(w http.ResponseWriter, e *cacheEntry, encode func(io.Writer) error) bool {
+	if _, gzipped := w.(*gzipResponseWriter); !gzipped || e == nil {
+		return false
 	}
-	write("]\n")
+	body, built, err := e.gzipBody(encode)
+	if err != nil {
+		panic(http.ErrAbortHandler)
+	}
+	if !built {
+		s.cache.bodyHits.Add(1)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Encoding", "gzip")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		panic(http.ErrAbortHandler)
+	}
+	return true
+}
+
+// serveSeries answers 200 with series as a JSON array: from e's stored
+// bytes when it can, streamed otherwise.
+func (s *Service) serveSeries(w http.ResponseWriter, e *cacheEntry, series []SeriesResult) {
+	if !s.serveStored(w, e, func(w io.Writer) error { return writeSeriesJSON(w, series, nil) }) {
+		streamSeriesJSON(w, http.StatusOK, series)
+	}
 }
 
 // Offset pagination is deprecated in favor of cursors (stable under
@@ -376,7 +461,7 @@ func (s *Service) Handler() http.Handler {
 					fmt.Errorf("archive: cursor and offset are mutually exclusive; walk with one or the other"))
 				return
 			}
-			page, err := s.QueryCursor(req)
+			page, e, err := s.queryCursor(req)
 			if err != nil {
 				queryErr(w, err)
 				return
@@ -384,7 +469,7 @@ func (s *Service) Handler() http.Handler {
 			if page.NextCursor != "" {
 				setNextLink(w, r, "X-Next-Cursor", "cursor", page.NextCursor)
 			}
-			streamSeriesJSON(w, http.StatusOK, page.Series)
+			s.serveSeries(w, e, page.Series)
 			return
 		}
 		// A limit or offset selects the offset-paginated path; the body
@@ -405,7 +490,7 @@ func (s *Service) Handler() http.Handler {
 			streamSeriesJSON(w, http.StatusOK, page.Series)
 			return
 		}
-		res, err := s.Query(req)
+		res, e, err := s.query(req)
 		if err != nil {
 			queryErr(w, err)
 			return
@@ -415,7 +500,7 @@ func (s *Service) Handler() http.Handler {
 			total += len(res[i].Points)
 		}
 		w.Header().Set("X-Total-Points", strconv.Itoa(total))
-		streamSeriesJSON(w, http.StatusOK, res)
+		s.serveSeries(w, e, res)
 	})
 
 	mux.HandleFunc("GET /api/v1/latest", func(w http.ResponseWriter, r *http.Request) {
@@ -424,12 +509,14 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		res, err := s.Latest(req)
+		res, e, err := s.latest(req)
 		if err != nil {
 			queryErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		if !s.serveStored(w, e, func(w io.Writer) error { return json.NewEncoder(w).Encode(res) }) {
+			writeJSON(w, http.StatusOK, res)
+		}
 	})
 
 	mux.HandleFunc("GET /api/v1/meta", func(w http.ResponseWriter, r *http.Request) {

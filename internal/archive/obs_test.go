@@ -69,7 +69,8 @@ func TestMetricsScrapeConcurrentAgreement(t *testing.T) {
 	defer srv.Close()
 
 	var wg sync.WaitGroup
-	// Query traffic: hot repeats and distinct cold windows.
+	// Query traffic: hot repeats (cursor pages, so hits are served from
+	// stored bodies) and distinct cold windows.
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -78,6 +79,8 @@ func TestMetricsScrapeConcurrentAgreement(t *testing.T) {
 				url := srv.URL + "/api/v1/query?dataset=sps&limit=50"
 				if w%2 == 1 {
 					url += "&from=2022-01-01T00:" + []string{"01", "02", "03"}[i%3] + ":00Z"
+				} else {
+					url += "&cursor="
 				}
 				resp, err := http.Get(url)
 				if err != nil {
@@ -158,6 +161,12 @@ func TestMetricsScrapeConcurrentAgreement(t *testing.T) {
 	agree("spotlake_cache_hits_total", float64(m.Cache.Hits))
 	agree("spotlake_cache_misses_total", float64(m.Cache.Misses))
 	agree("spotlake_cache_coalesced_total", float64(m.Cache.Coalesced))
+	agree("spotlake_cache_body_hits_total", float64(m.Cache.BodyHits))
+	agree("spotlake_cache_entries", float64(m.Cache.Entries))
+	agree("spotlake_cache_body_bytes", float64(m.Cache.BodyBytes))
+	if m.Cache.BodyHits == 0 || m.Cache.Entries == 0 || m.Cache.BodyBytes == 0 {
+		t.Errorf("repeated queries left the stored-body figures empty: %+v", m.Cache)
+	}
 	agree("spotlake_store_points", float64(m.Schema.PointCount))
 	agree("spotlake_store_series", float64(m.Schema.SeriesCount))
 	if m.Admission.Admitted == 0 {

@@ -76,12 +76,12 @@ func (s *Service) QueryPaged(req QueryRequest) (*QueryPage, error) {
 		return nil, err
 	}
 	ck := cacheKey("page", req)
-	if v, ok := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
-		return v.(*QueryPage), nil
+	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
+		return e.val.(*QueryPage), nil
 	}
 	// Concurrent identical cold page requests collapse onto one
 	// computation (see singleflight.go).
-	v, err := s.flight.do(ck, func() (any, error) { return s.pageCold(db, epoch, req, plan, ck, from, to) })
+	v, _, err := s.flight.do(ck, func() (any, *cacheEntry, error) { return s.pageCold(db, epoch, req, plan, ck, from, to) })
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +89,11 @@ func (s *Service) QueryPaged(req QueryRequest) (*QueryPage, error) {
 }
 
 // pageCold is the leader's computation for a QueryPaged cache miss.
-func (s *Service) pageCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time) (any, error) {
+func (s *Service) pageCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time) (any, *cacheEntry, error) {
 	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
 	keys, err := matchedKeys(db, req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Pass 1: count in-window points per series (no copying).
 	counts := make([]int, len(keys))
@@ -102,7 +102,7 @@ func (s *Service) pageCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan rea
 		counts[i], errs[i] = plan.db.CountRange(plan.key(keys[i]), from, to)
 	})
 	if err := firstErr(errs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	total := 0
 	for _, c := range counts {
@@ -132,7 +132,7 @@ func (s *Service) pageCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan rea
 		slots[j], spanErrs[j] = plan.db.QueryRange(plan.key(keys[sp.key]), from, to, sp.skip, sp.n)
 	})
 	if err := firstErr(spanErrs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	page := &QueryPage{
 		Series:      make([]SeriesResult, 0, len(spans)),
@@ -156,5 +156,6 @@ func (s *Service) pageCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan rea
 		dep, gens := depGenerations(db, keys, genVec)
 		s.cache.put(ck, epoch, keyGen, dep, gens, page)
 	}
-	return page, nil
+	// No entry: offset pages are always streamed.
+	return page, nil, nil
 }

@@ -12,8 +12,9 @@ package archive
 // is in flight blocks until the leader finishes and shares its result,
 // its error, and — because the leader's compute closure captures the
 // generation vector and publishes through the cache — its generation
-// capture. Coalesced callers are counted in CacheStats.Coalesced, so
-// store computations = Misses - Coalesced.
+// capture and the cache entry it installed, so the HTTP layer encodes
+// the shared result once too. Coalesced callers are counted in
+// CacheStats.Coalesced, so store computations = Misses - Coalesced.
 
 import (
 	"fmt"
@@ -28,6 +29,7 @@ type flightCall struct {
 	done    chan struct{}
 	waiters int
 	val     any
+	entry   *cacheEntry // nil when val was too large to cache
 	err     error
 }
 
@@ -48,7 +50,7 @@ type flightGroup struct {
 
 // do runs compute under singleflight on key: the first caller computes,
 // concurrent callers for the same key wait and share the outcome.
-func (g *flightGroup) do(key string, compute func() (any, error)) (any, error) {
+func (g *flightGroup) do(key string, compute func() (any, *cacheEntry, error)) (any, *cacheEntry, error) {
 	g.mu.Lock()
 	if g.inflight == nil {
 		g.inflight = make(map[string]*flightCall)
@@ -58,7 +60,7 @@ func (g *flightGroup) do(key string, compute func() (any, error)) (any, error) {
 		g.mu.Unlock()
 		g.coalesced.Add(1)
 		<-c.done
-		return c.val, c.err
+		return c.val, c.entry, c.err
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.inflight[key] = c
@@ -80,9 +82,9 @@ func (g *flightGroup) do(key string, compute func() (any, error)) (any, error) {
 	if g.leaderBarrier != nil {
 		g.leaderBarrier(key)
 	}
-	c.val, c.err = compute()
+	c.val, c.entry, c.err = compute()
 	finished = true
-	return c.val, c.err
+	return c.val, c.entry, c.err
 }
 
 // waiters reports how many callers are currently coalesced onto key's

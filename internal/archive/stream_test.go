@@ -2,12 +2,13 @@ package archive
 
 // Regression tests for the HTTP layer's streaming plumbing: the gzip
 // writer must forward Flush (without breaking its lazy commit), the
-// series streamer must push each element and abort the connection on
-// the first write error, next-page Link headers must not alias the
+// series streamer must push the body by bytes and abort the connection
+// on the first write error, next-page Link headers must not alias the
 // handler's parsed query, and malformed time parameters must name
 // themselves in the error.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -91,30 +92,33 @@ func TestGzipFlushForwardsPartialBody(t *testing.T) {
 	}
 }
 
-// flushRecorder counts how often the streamer pushes to the client.
+// flushRecorder records how much body had been written at each push to
+// the client.
 type flushRecorder struct {
 	*httptest.ResponseRecorder
-	flushes int
+	flushedAt []int
 }
 
-func (f *flushRecorder) Flush() { f.flushes++ }
+func (f *flushRecorder) Flush() { f.flushedAt = append(f.flushedAt, f.Body.Len()) }
 
-// TestStreamSeriesJSONFlushesPerSeries: every series element is pushed
-// as it is encoded, and the streamed body is byte-for-byte a valid JSON
+// TestStreamSeriesJSONFlushesByBytes: the streamer pushes to the client
+// once streamFlushBytes have accumulated, not once a series — a large
+// body's first flush arrives before its last series is written and no
+// flush follows another by less than the threshold, a small body is not
+// flushed mid-stream at all — and the streamed body is a valid JSON
 // array equal to marshaling the slice at once.
-func TestStreamSeriesJSONFlushesPerSeries(t *testing.T) {
-	series := sampleSeries(3)
+func TestStreamSeriesJSONFlushesByBytes(t *testing.T) {
+	small := sampleSeries(3)
 	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
-	streamSeriesJSON(rec, http.StatusOK, series)
-
-	if rec.flushes != len(series) {
-		t.Errorf("flushes = %d, want one per series (%d)", rec.flushes, len(series))
+	streamSeriesJSON(rec, http.StatusOK, small)
+	if len(rec.flushedAt) != 0 {
+		t.Errorf("a %d-byte body was flushed mid-stream at %v", rec.Body.Len(), rec.flushedAt)
 	}
 	var got any
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("streamed body is not a JSON array: %v\n%s", err, rec.Body.String())
 	}
-	marshaled, err := json.Marshal(series)
+	marshaled, err := json.Marshal(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +130,30 @@ func TestStreamSeriesJSONFlushesPerSeries(t *testing.T) {
 		t.Errorf("streamed body decoded to %v, want %v", got, want)
 	}
 
+	large := sampleSeries(4 * streamFlushBytes / 100) // each element is over 100 bytes
+	rec = &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	streamSeriesJSON(rec, http.StatusOK, large)
+	lastSeries := bytes.LastIndex(rec.Body.Bytes(), []byte(`{"key"`))
+	if len(rec.flushedAt) < 4 || rec.flushedAt[0] >= lastSeries {
+		t.Fatalf("a %d-byte body was flushed at %v: want the first flush before the last series (byte %d)",
+			rec.Body.Len(), rec.flushedAt, lastSeries)
+	}
+	prev := 0
+	for _, at := range rec.flushedAt {
+		if at-prev < streamFlushBytes {
+			t.Errorf("flush at byte %d follows the one at %d by less than %d", at, prev, streamFlushBytes)
+		}
+		prev = at
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got.([]any)) != len(large) {
+		t.Fatalf("the large streamed body is not a JSON array of %d series: %v", len(large), err)
+	}
+
 	// The empty window stays a plain [] with no flush churn.
 	rec = &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
 	streamSeriesJSON(rec, http.StatusOK, nil)
-	if body := rec.Body.String(); body != "[]\n" {
-		t.Errorf("empty stream body = %q", body)
+	if body := rec.Body.String(); body != "[]\n" || len(rec.flushedAt) != 0 {
+		t.Errorf("empty stream body = %q, flushed at %v", body, rec.flushedAt)
 	}
 }
 

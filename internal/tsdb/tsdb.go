@@ -645,6 +645,27 @@ func validKey(k SeriesKey) error {
 	return nil
 }
 
+// ErrUnencodablePoint is wrapped by every append rejected because no
+// reader could be served the point: a NaN or infinite value, or a
+// timestamp outside years 0–9999, which JSON (RFC 3339) cannot render.
+// Stored, such a point would fail every later response whose window
+// covers it — after its status line is committed — and a NaN would be
+// stored again each tick, since it never equals the last value.
+var ErrUnencodablePoint = errors.New("tsdb: point cannot be encoded")
+
+// validPoint is the append entry points' check on the point itself,
+// beside validKey. WAL replay and snapshot loads do not run it: what an
+// older build stored must still open.
+func validPoint(at time.Time, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: value %v", ErrUnencodablePoint, v)
+	}
+	if y := at.Year(); y < 0 || y > 9999 {
+		return fmt.Errorf("%w: timestamp year %d outside 0..9999", ErrUnencodablePoint, y)
+	}
+	return nil
+}
+
 // appendLocked stores one point into sh, which the caller has write-locked.
 // The WAL write goes to the shard's own segment under the same lock, so
 // durable appends to different shards proceed fully in parallel.
@@ -706,6 +727,9 @@ func (db *DB) Append(k SeriesKey, at time.Time, v float64) error {
 	if err := validKey(k); err != nil {
 		return err
 	}
+	if err := validPoint(at, v); err != nil {
+		return err
+	}
 	db.enforceMaintenance()
 	sh := db.shardFor(k)
 	sh.mu.Lock()
@@ -720,6 +744,9 @@ func (db *DB) Append(k SeriesKey, at time.Time, v float64) error {
 // time-between-changes analysis a direct read of the series.
 func (db *DB) AppendIfChanged(k SeriesKey, at time.Time, v float64) (bool, error) {
 	if err := validKey(k); err != nil {
+		return false, err
+	}
+	if err := validPoint(at, v); err != nil {
 		return false, err
 	}
 	db.enforceMaintenance()
@@ -762,14 +789,18 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 	db.enforceMaintenance()
 	// Stable counting sort of entry indices by shard: input order is
 	// preserved within a shard (so per-series time order survives), and
-	// no per-call maps are allocated. Invalid keys land in bucket ns.
+	// no per-call maps are allocated. Invalid entries land in bucket ns.
 	ns := len(db.shards)
 	var firstErr error
 	shardOf := make([]uint32, len(entries))
 	counts := make([]int, ns+1)
 	for i := range entries {
 		si := uint32(ns)
-		if err := validKey(entries[i].Key); err != nil {
+		err := validKey(entries[i].Key)
+		if err == nil {
+			err = validPoint(entries[i].At, entries[i].Value)
+		}
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}

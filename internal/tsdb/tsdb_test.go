@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -78,6 +79,50 @@ func TestAppendValidation(t *testing.T) {
 	// Equal timestamps are allowed (same collection tick).
 	if err := db.Append(k, t0.Add(time.Hour), 3); err != nil {
 		t.Errorf("equal-time append rejected: %v", err)
+	}
+}
+
+// TestUnencodablePointRejected: a value or timestamp JSON cannot render
+// is refused with ErrUnencodablePoint at all four append entry points,
+// stores nothing (not even the series), and leaves the good entries of
+// the same batch stored.
+func TestUnencodablePointRejected(t *testing.T) {
+	db := mustOpen(t, "")
+	k := key("us-east-1a")
+	bad := []Entry{
+		{Key: k, At: t0, Value: math.NaN()},
+		{Key: k, At: t0, Value: math.Inf(1)},
+		{Key: k, At: t0, Value: math.Inf(-1)},
+		{Key: k, At: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
+		{Key: k, At: time.Date(-1, 12, 31, 0, 0, 0, 0, time.UTC), Value: 1},
+	}
+	for _, e := range bad {
+		if err := db.Append(e.Key, e.At, e.Value); !errors.Is(err, ErrUnencodablePoint) {
+			t.Errorf("Append(%v, %v) = %v, want ErrUnencodablePoint", e.At, e.Value, err)
+		}
+		if stored, err := db.AppendIfChanged(e.Key, e.At, e.Value); stored || !errors.Is(err, ErrUnencodablePoint) {
+			t.Errorf("AppendIfChanged(%v, %v) = %v, %v, want ErrUnencodablePoint", e.At, e.Value, stored, err)
+		}
+		for name, appendBatch := range map[string]func([]Entry) (int, error){
+			"AppendBatch": db.AppendBatch, "AppendBatchIfChanged": db.AppendBatchIfChanged,
+		} {
+			if n, err := appendBatch([]Entry{e}); n != 0 || !errors.Is(err, ErrUnencodablePoint) {
+				t.Errorf("%s(%v, %v) = %d, %v, want ErrUnencodablePoint", name, e.At, e.Value, n, err)
+			}
+		}
+	}
+	if db.PointCount() != 0 || db.SeriesCount() != 0 {
+		t.Fatalf("rejected points left %d points in %d series", db.PointCount(), db.SeriesCount())
+	}
+	// The year bounds themselves are encodable, and a bad entry does not
+	// take its batch down with it.
+	edge := []Entry{
+		{Key: key("a"), At: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
+		{Key: key("b"), At: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), Value: 2},
+		bad[0],
+	}
+	if n, err := db.AppendBatch(edge); n != 2 || !errors.Is(err, ErrUnencodablePoint) {
+		t.Fatalf("AppendBatch(edges + NaN) = %d, %v, want 2 stored and ErrUnencodablePoint", n, err)
 	}
 }
 
