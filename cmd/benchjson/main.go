@@ -57,7 +57,9 @@
 // artifact carries both sides of the measurement.
 // Other lines (headers, PASS, ok) set metadata or are ignored, so the
 // tool can be fed a whole `go test` transcript with a loadgen run
-// appended.
+// appended — except the lines that report a failure (`--- FAIL`, `FAIL`,
+// `panic:`): a transcript with one is missing rows, and benchjson exits
+// non-zero naming the benchmark instead of writing a smaller artifact.
 package main
 
 import (
@@ -183,6 +185,42 @@ var rollupstatLine = regexp.MustCompile(
 var metricLine = regexp.MustCompile(
 	`^metric: name=([a-zA-Z_:][a-zA-Z0-9_:]*) value=([0-9.eE+-]+|\+Inf|-Inf|NaN)$`)
 
+// The lines with which a `go test` transcript reports that a benchmark
+// did not finish: `--- FAIL: <name>`, a panic (go test prints the
+// benchmark's name before it runs it, so the panic may share its line),
+// and the `FAIL` that ends a failed package, bare or with its path. A
+// transcript holding any of them is missing rows, so parse refuses it.
+var (
+	failLine  = regexp.MustCompile(`^--- FAIL: (\S+)`)
+	panicLine = regexp.MustCompile(`^(?:(Benchmark\S+)\s+)?panic: (.*)$`)
+	failedPkg = regexp.MustCompile(`^FAIL(?:\s+(\S+).*)?$`)
+)
+
+// failureIn renders what line reports went wrong, naming the benchmark
+// (or package) it blames; last is the newest result row's benchmark, for
+// a panic that names none. Empty when the line reports no failure.
+func failureIn(line, last string) string {
+	if m := failLine.FindStringSubmatch(line); m != nil {
+		return m[1] + " failed"
+	}
+	if m := panicLine.FindStringSubmatch(line); m != nil {
+		switch {
+		case m[1] != "":
+			return m[1] + " panicked: " + m[2]
+		case last != "":
+			return "panic after " + last + ": " + m[2]
+		}
+		return "panic before any result: " + m[2]
+	}
+	if m := failedPkg.FindStringSubmatch(line); m != nil {
+		if m[1] != "" {
+			return "package " + m[1] + " failed"
+		}
+		return "a package failed"
+	}
+	return ""
+}
+
 // parseRollupstat unpacks a rollupstatLine submatch; the regexp
 // guarantees the numeric fields parse.
 func parseRollupstat(m []string) rollupResult {
@@ -247,8 +285,14 @@ func parse(r io.Reader) (benchFile, error) {
 	out := benchFile{Schema: "spotlake-bench/v5", Benchmarks: []benchResult{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var failures []string
+	last := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if f := failureIn(line, last); f != "" {
+			failures = append(failures, f)
+			continue
+		}
 		if lm := loadgenLine.FindStringSubmatch(line); lm != nil {
 			out.Latency = append(out.Latency, parseLoadgen(lm))
 			continue
@@ -324,6 +368,10 @@ func parse(r io.Reader) (benchFile, error) {
 			res.Extra[xm[2]] = v
 		}
 		out.Benchmarks = append(out.Benchmarks, res)
+		last = full
+	}
+	if len(failures) > 0 {
+		return out, fmt.Errorf("benchjson: the input reports failures, so rows are missing: %s", strings.Join(failures, "; "))
 	}
 	return out, sc.Err()
 }

@@ -45,6 +45,41 @@ ok  	repro/internal/tsdb	12.3s
 	}
 }
 
+// TestParseRefusesFailedRuns: a transcript in which a benchmark failed,
+// panicked, or a package ended in FAIL is refused with an error naming
+// what broke — its rows are missing, and an artifact built from the rest
+// would only look smaller.
+func TestParseRefusesFailedRuns(t *testing.T) {
+	const row = "BenchmarkAppendParallel-4    \t 5000000\t       210.0 ns/op\n"
+	for name, tc := range map[string]struct{ in, want string }{
+		"failed sub-benchmark": {
+			row + "--- FAIL: BenchmarkQueryCursor/cursor\n    bench_test.go:131: archive: invalid cursor\n--- FAIL: BenchmarkQueryCursor\nFAIL\nexit status 1\nFAIL\trepro/internal/archive\t1.204s\n",
+			"BenchmarkQueryCursor/cursor failed",
+		},
+		"bare FAIL":      {row + "FAIL\n", "a package failed"},
+		"failed package": {row + "FAIL\trepro/internal/archive\t1.204s\n", "package repro/internal/archive failed"},
+		"panic on the benchmark's line": {
+			row + "BenchmarkQueryFanOut/shards=8-4 \tpanic: runtime error: index out of range [3] with length 3\n",
+			"BenchmarkQueryFanOut/shards=8-4 panicked: runtime error: index out of range",
+		},
+		"panic on its own line": {row + "panic: boom\n\ngoroutine 1 [running]:\n", "panic after BenchmarkAppendParallel-4: boom"},
+		"panic before any row":  {"goos: linux\npanic: boom\n", "panic before any result: boom"},
+	} {
+		out, err := parse(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
+		}
+		if strings.HasPrefix(tc.in, row) && len(out.Benchmarks) != 1 {
+			t.Errorf("%s: parsed %d rows beside the failure, want 1", name, len(out.Benchmarks))
+		}
+	}
+	// A name that merely contains the words is a result row like any other.
+	out, err := parse(strings.NewReader("BenchmarkFAILover/panic:recover-4 \t 100\t 5.0 ns/op\nPASS\nok  \trepro/x\t1s\n"))
+	if err != nil || len(out.Benchmarks) != 1 {
+		t.Errorf("clean transcript: %d rows, err %v", len(out.Benchmarks), err)
+	}
+}
+
 // TestParseLoadgenRows: spotlake-loadgen result rows interleaved with a
 // bench transcript become the artifact's latency section, with NaN
 // percentiles (no successful request to measure) kept distinguishable

@@ -5,11 +5,13 @@
 // Three traffic classes model the workloads the serving layer is
 // hardened for:
 //
-//   - hot:    the same bounded query over and over — the result-cache
-//     hit path (availability dashboards polling one endpoint).
-//   - cold:   a bounded query whose window differs every request — a
-//     guaranteed cache miss that fans out over the store (broad
-//     historical scans, "Ding-Dong Ditch"-style probing).
+//   - hot:    the same `limit=N` request over and over — the first page
+//     of a cursor walk, never followed: the result-cache hit path
+//     (availability dashboards polling one endpoint).
+//   - cold:   the same first page over a window that differs every
+//     request — a guaranteed cache miss that counts and reads from the
+//     store (broad historical scans, "Ding-Dong Ditch"-style probing).
+//     Like hot, it leaves the X-Next-Cursor the page comes with.
 //   - cursor: keyset-cursor walks following X-Next-Cursor page by page
 //     (bulk exports and analysis clients).
 //
@@ -330,6 +332,8 @@ func main() {
 						time.Sleep(retryPause(resp, time.Until(deadline)))
 					case class == "cursor":
 						// Follow the walk; restart from the head when it ends.
+						// Hot and cold pages carry a next cursor too and
+						// leave it: they measure the first page only.
 						cursor = ""
 						if resp != nil {
 							cursor = resp.Header.Get("X-Next-Cursor")

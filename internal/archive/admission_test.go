@@ -37,7 +37,7 @@ func TestSingleflightColdQueryCoalesces(t *testing.T) {
 	// mirror that so the barrier hooks the right flight.
 	normalized := req
 	normalized.Resolution, normalized.Agg = "raw", "mean"
-	ck := cacheKey("query", normalized)
+	ck := cacheKey("page", normalized)
 
 	// The leader blocks until every follower has provably joined its
 	// flight, so exactly clients-1 coalesce — no timing luck involved.

@@ -230,16 +230,16 @@ func (s *Service) fanOut(n int, fn func(int)) {
 }
 
 // cacheKey renders the (kind, filter, window, resolution, page) tuple
-// canonically. The page window — offset/limit or cursor token — is part
-// of the key: two requests that differ only in their page return
-// different point sets, and a cache that ignored the page would serve
-// page 0 for every page. Resolution and aggregate are included after
-// normalization (resolveRead), so `auto` shares entries with the
-// explicit resolution it picked.
+// canonically. The page — limit and cursor token — is part of the key:
+// two requests that differ only in their page return different point
+// sets, and a cache that ignored the page would serve the first page for
+// every page. Resolution and aggregate are included after normalization
+// (resolveRead), so `auto` shares entries with the explicit resolution it
+// picked.
 func cacheKey(kind string, req QueryRequest) string {
 	return kind + "\x00" + req.Dataset + "\x00" + req.Type + "\x00" + req.Region + "\x00" + req.AZ +
 		"\x00" + strconv.FormatInt(req.From.UnixNano(), 36) + "\x00" + strconv.FormatInt(req.To.UnixNano(), 36) +
-		"\x00" + strconv.Itoa(req.Offset) + "\x00" + strconv.Itoa(req.Limit) + "\x00" + req.Cursor +
+		"\x00" + strconv.Itoa(req.Limit) + "\x00" + req.Cursor +
 		"\x00" + req.Resolution + "\x00" + req.Agg
 }
 
@@ -269,10 +269,9 @@ func (s *Service) DB() *tsdb.DB { return s.store() }
 func (s *Service) Catalog() *catalog.Catalog { return s.cat }
 
 // QueryRequest selects series and a time window. Empty string fields match
-// anything; zero times mean an unbounded window. Limit and Offset select a
-// page of the result's point stream (see QueryPaged); both zero means the
-// full window. Cursor resumes a keyset-cursor walk (see QueryCursor) and
-// is mutually exclusive with Offset.
+// anything; zero times mean an unbounded window. Limit and Cursor select a
+// page of the result's point stream (see QueryCursor): at most Limit
+// points (0 = all) after the position Cursor names (empty = the start).
 type QueryRequest struct {
 	Dataset string
 	Type    string
@@ -281,7 +280,6 @@ type QueryRequest struct {
 	From    time.Time
 	To      time.Time
 	Limit   int
-	Offset  int
 	Cursor  string
 	// Resolution selects the tier serving the points: "raw" (default),
 	// "1h" or "1d" (rollup tiers), or "auto" (picked from the window
@@ -328,83 +326,63 @@ func matchedKeys(db *tsdb.DB, req QueryRequest) ([]tsdb.SeriesKey, error) {
 	return keys, nil
 }
 
-// Query returns every matching series restricted to the window. It fails
-// when the filter matches more than MaxSeriesPerQuery series. Cache
-// misses go through the singleflight group: concurrent identical cold
-// queries collapse onto one store computation whose result (and
+// Query returns every matching series restricted to the window: the
+// cursor page with no cursor and no limit (see QueryCursor), whose cache
+// entry it shares. It fails when the filter matches more than
+// MaxSeriesPerQuery series.
+func (s *Service) Query(req QueryRequest) ([]SeriesResult, error) {
+	// Query always returns the full window, whatever page fields the
+	// caller left set.
+	req.Limit, req.Cursor = 0, ""
+	page, err := s.QueryCursor(req)
+	if err != nil {
+		return nil, err
+	}
+	return page.Series, nil
+}
+
+// cached is the half of the read pipeline every computation shares: it
+// answers from the result cache under ck, and otherwise runs compute over
+// the series req's filter matches in db — the store captured, with its
+// swap epoch, at the request's entry — and publishes what it returns.
+// compute reports the point count of its value; the returned entry is
+// the one now holding the value, for the HTTP layer to serve stored bytes
+// from, or nil when the value was too large to cache.
+//
+// Cache misses go through the singleflight group: concurrent identical
+// cold requests collapse onto one store computation whose result (and
 // generation capture, via the cache entry the leader publishes) every
 // coalesced caller shares.
-func (s *Service) Query(req QueryRequest) ([]SeriesResult, error) {
-	res, _, err := s.query(req)
-	return res, err
-}
-
-// query is Query plus the cache entry now holding the result, for the
-// HTTP layer to serve stored bytes from; the entry is nil when the
-// result was too large to cache.
-func (s *Service) query(req QueryRequest) ([]SeriesResult, *cacheEntry, error) {
-	from, to, err := s.checkWindow(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Query always returns the full window; zero the page fields so a
-	// caller that set them doesn't fragment the cache.
-	req.Limit, req.Offset, req.Cursor = 0, 0, ""
-	db, epoch := s.storeRef()
-	plan, err := resolveRead(db, &req, from, to)
-	if err != nil {
-		return nil, nil, err
-	}
-	ck := cacheKey("query", req)
+func (s *Service) cached(db *tsdb.DB, epoch uint64, ck string, req QueryRequest,
+	compute func(keys []tsdb.SeriesKey) (val any, points int, err error)) (any, *cacheEntry, error) {
 	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
-		return e.val.([]SeriesResult), e, nil
+		return e.val, e, nil
 	}
-	v, e, err := s.flight.do(ck, func() (any, *cacheEntry, error) { return s.queryCold(db, epoch, req, plan, ck, from, to) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.([]SeriesResult), e, nil
-}
-
-// queryCold is the leader's computation for a Query cache miss.
-func (s *Service) queryCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time) (any, *cacheEntry, error) {
-	// Capture the generations before reading: a write racing the fan-out
-	// makes the cached entry stale immediately, never the reverse. The
-	// capture is the leader's own — coalesced followers share it. Rollup
-	// reads are guarded by the RAW store's generations too: rollup series
-	// only change at checkpoint time, and every checkpoint was preceded by
-	// the raw appends (gen bumps) whose points it rolls up.
-	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
-	keys, err := matchedKeys(db, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Fan out across series; slots keep the sorted key order deterministic.
-	slots := make([][]tsdb.Point, len(keys))
-	errs := make([]error, len(keys))
-	s.fanOut(len(keys), func(i int) {
-		slots[i], errs[i] = plan.db.Query(plan.key(keys[i]), from, to)
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, nil, err
-	}
-	out := make([]SeriesResult, 0, len(keys))
-	points := 0
-	for i, k := range keys {
-		if len(slots[i]) == 0 {
-			continue
+	return s.flight.do(ck, func() (any, *cacheEntry, error) {
+		// Capture the generations before reading: a write racing the fan-out
+		// makes the cached entry stale immediately, never the reverse. The
+		// capture is the leader's own — coalesced followers share it. Rollup
+		// reads are guarded by the RAW store's generations too: rollup series
+		// only change at checkpoint time, and every checkpoint was preceded by
+		// the raw appends (gen bumps) whose points it rolls up.
+		keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
+		keys, err := matchedKeys(db, req)
+		if err != nil {
+			return nil, nil, err
 		}
-		points += len(slots[i])
-		out = append(out, SeriesResult{Key: k, Points: slots[i]})
-	}
-	// Oversized results are not cached: one-off bulk exports (or clients
-	// polling with a unique moving window) would otherwise pin up to 128
-	// full-archive copies in the LRU without ever hitting.
-	if points > maxCachedPoints {
-		return out, nil, nil
-	}
-	dep, gens := depGenerations(db, keys, genVec)
-	return out, s.cache.put(ck, epoch, keyGen, dep, gens, out), nil
+		val, points, err := compute(keys)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Oversized results are not cached: one-off bulk exports (or clients
+		// polling with a unique moving window) would otherwise pin up to 128
+		// full-archive copies in the LRU without ever hitting.
+		if points > maxCachedPoints {
+			return val, nil, nil
+		}
+		dep, gens := depGenerations(db, keys, genVec)
+		return val, s.cache.put(ck, epoch, keyGen, dep, gens, val), nil
+	})
 }
 
 // firstErr returns the first non-nil error of a fan-out's per-slot error
@@ -467,48 +445,35 @@ func (s *Service) latest(req QueryRequest) ([]LatestEntry, *cacheEntry, error) {
 	// otherwise clients polling with a moving from/to fragment the cache.
 	filterOnly := req
 	filterOnly.From, filterOnly.To = time.Time{}, time.Time{}
-	filterOnly.Limit, filterOnly.Offset, filterOnly.Cursor = 0, 0, ""
-	ck := cacheKey("latest", filterOnly)
+	filterOnly.Limit, filterOnly.Cursor = 0, ""
 	db, epoch := s.storeRef()
-	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
-		return e.val.([]LatestEntry), e, nil
-	}
-	v, e, err := s.flight.do(ck, func() (any, *cacheEntry, error) { return s.latestCold(db, epoch, req, ck) })
+	v, e, err := s.cached(db, epoch, cacheKey("latest", filterOnly), req, func(keys []tsdb.SeriesKey) (any, int, error) {
+		type slot struct {
+			p  tsdb.Point
+			ok bool
+		}
+		slots := make([]slot, len(keys))
+		errs := make([]error, len(keys))
+		s.fanOut(len(keys), func(i int) {
+			p, ok, err := db.Last(keys[i])
+			slots[i], errs[i] = slot{p: p, ok: ok}, err
+		})
+		if err := firstErr(errs); err != nil {
+			return nil, 0, err
+		}
+		out := make([]LatestEntry, 0, len(keys))
+		for i, k := range keys {
+			if !slots[i].ok {
+				continue
+			}
+			out = append(out, LatestEntry{Key: k, At: slots[i].p.At, Value: slots[i].p.Value})
+		}
+		return out, len(out), nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return v.([]LatestEntry), e, nil
-}
-
-// latestCold is the leader's computation for a Latest cache miss.
-func (s *Service) latestCold(db *tsdb.DB, epoch uint64, req QueryRequest, ck string) (any, *cacheEntry, error) {
-	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
-	keys, err := matchedKeys(db, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	type slot struct {
-		p  tsdb.Point
-		ok bool
-	}
-	slots := make([]slot, len(keys))
-	errs := make([]error, len(keys))
-	s.fanOut(len(keys), func(i int) {
-		p, ok, err := db.Last(keys[i])
-		slots[i], errs[i] = slot{p: p, ok: ok}, err
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, nil, err
-	}
-	out := make([]LatestEntry, 0, len(keys))
-	for i, k := range keys {
-		if !slots[i].ok {
-			continue
-		}
-		out = append(out, LatestEntry{Key: k, At: slots[i].p.At, Value: slots[i].p.Value})
-	}
-	dep, gens := depGenerations(db, keys, genVec)
-	return out, s.cache.put(ck, epoch, keyGen, dep, gens, out), nil
 }
 
 // APIVersion names the /api/v1 response contract; /api/v1/meta reports

@@ -95,12 +95,10 @@ func BenchmarkQueryCached(b *testing.B) {
 }
 
 // BenchmarkQueryCursor measures locating a deep page — the walk is 95%
-// done — via a keyset cursor versus the equivalent-depth offset. The
-// offset page must re-count the entire walked prefix (two binary
-// searches per matched series plus the span scan) on every request; the
-// cursor binary-searches the sorted key list once and touches only the
-// series still ahead of it. Tokens/offsets vary per iteration so the
-// result cache never hits and the located page itself is identical work.
+// done — via a keyset cursor: it binary-searches the sorted key list once
+// and touches only the series still ahead of it. Tokens vary per
+// iteration so the result cache never hits and the located page itself
+// is identical work.
 func BenchmarkQueryCursor(b *testing.B) {
 	db := benchDB(b, tsdb.DefaultShardCount())
 	svc := NewService(db, catalog.Compact(1))
@@ -111,7 +109,6 @@ func BenchmarkQueryCursor(b *testing.B) {
 	}
 	// 200 series x 500 points; position the walk inside series 190, i.e.
 	// 95% through the flattened stream.
-	const depth = 190*500 + 250
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	curKey := keys[190].String()
 	curAt := base.Add(250 * time.Minute)
@@ -131,20 +128,6 @@ func BenchmarkQueryCursor(b *testing.B) {
 			// without moving the page.
 			creq.Cursor = encodeCursor(scope, curKey, curAt.Add(time.Duration(i%1000)), 0)
 			page, err := svc.QueryCursor(creq)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(page.Series) == 0 {
-				b.Fatal("empty page")
-			}
-		}
-	})
-	b.Run("offset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			oreq := req
-			// The same per-iteration skew, as an offset.
-			oreq.Offset = depth + i%1000
-			page, err := svc.QueryPaged(oreq)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -258,7 +258,7 @@ func TestStoredBodyEncodedOncePerEntry(t *testing.T) {
 	s, _ := buildArchive(t)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	ck := cacheKey("query", QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "raw", Agg: "mean"})
+	ck := cacheKey("page", QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "raw", Agg: "mean"})
 	s.flight.leaderBarrier = func(key string) {
 		deadline := time.Now().Add(10 * time.Second)
 		for key == ck && s.flight.waiters(ck) < clients-1 {
@@ -311,7 +311,7 @@ func TestStoredBodyEncodeFailure(t *testing.T) {
 	url := srv.URL + "/api/v1/query?dataset=sps"
 	fetchWire(t, url, false) // streamed: installs the entry, stores no body
 	e := s.cache.ll.Front().Value.(*cacheEntry)
-	series := e.val.([]SeriesResult)
+	series := e.val.(*CursorPage).Series
 	series[0].Points[0].Value = math.NaN()
 
 	for i := 0; i < 2; i++ {

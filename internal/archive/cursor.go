@@ -1,19 +1,33 @@
 package archive
 
-// Keyset-cursor pagination over the query result's point stream.
+// The one query computation: a keyset-cursor page of the result's point
+// stream.
 //
-// Offset pagination (paging.go) windows the flattened stream by counting
-// from its start, so a collector tick that appends points before the
-// client's current offset shifts every later point and the next page
-// re-serves (or skips) data. A cursor instead names a fixed position in
-// the stream — the canonical key and timestamp of the last point already
-// delivered — and the next page resumes strictly after it. Because the
-// archive is append-only and per-series time-ordered, that position
-// never moves: concatenated cursor pages contain every point that
+// A query's result is a deterministic sequence: series in canonical key
+// order (Keys sorts them), points within each series in ascending time
+// (the store's append order). A page is a run of that flattened stream,
+// regrouped under its series keys, so concatenated pages reproduce the
+// unpaginated response exactly and a series whose points straddle a page
+// boundary appears in both pages with disjoint point ranges. The
+// unpaginated response is the page with no cursor and no limit.
+//
+// A cursor names a fixed position in the stream — the canonical key and
+// timestamp of the last point already delivered — and the next page
+// resumes strictly after it. Counting from the stream's start instead (an
+// offset) would shift under a collector tick that appends points before
+// the client's position, and the next page would re-serve or skip data.
+// Because the archive is append-only and per-series time-ordered, a
+// position never moves: concatenated cursor pages contain every point that
 // existed when the walk started exactly once, no matter how many appends
 // land between page requests. This is the keyset/token pattern of the
 // paper backend's own pagination (Timestream-style next tokens) adapted
 // to the flattened (series, time) order the archive serves.
+//
+// The page is located without materializing the window: a count pass
+// sizes the series after the cursor (two binary searches each, no
+// copying) until the page is full, and a fan-out copies only the points
+// the page contains. A huge window queried with limit=1000 therefore
+// allocates ~1000 points, not the window.
 //
 // The token is opaque and URL-safe: a base64url encoding of a version
 // byte, a 64-bit scope hash of the request's filter and window, the
@@ -125,16 +139,25 @@ type CursorPage struct {
 	NextCursor string `json:"nextCursor"`
 	// Limit echoes the request (0 = everything from the cursor on).
 	Limit int `json:"limit"`
+	// Resolution is the tier the points were read from ("raw", "1h",
+	// "1d") — what an `auto` request resolved to against the store that
+	// answered; the HTTP layer echoes it as X-Resolution.
+	Resolution string `json:"resolution"`
+}
+
+// pageSpan maps one slice of the page onto a series: the first n points
+// of rest[key] after its start position (negative n = all of them).
+type pageSpan struct {
+	key int
+	n   int
 }
 
 // QueryCursor returns the page of the query's point stream that starts
 // after req.Cursor's position (or at the stream's start for an empty
-// cursor), holding at most req.Limit points (0 = all remaining). It uses
-// the same span mapping and per-series copy fan-out as QueryPaged (the
-// count pass runs sequentially so it can stop at the page boundary),
-// and the page is cached under the cursor token with the same
+// cursor), holding at most req.Limit points (0 = all remaining). The
+// page is cached under the cursor token and limit with the per-shard
 // generation guard, so a repeated page request hits while any write to
-// a depended-on shard invalidates. Unlike an offset page, the result is stable under live
+// a depended-on shard invalidates. The result is stable under live
 // appends: the resume position is a fixed (key, timestamp) pair, so
 // concurrent collection can only add points after it, never shift it.
 func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
@@ -148,9 +171,6 @@ func (s *Service) queryCursor(req QueryRequest) (*CursorPage, *cacheEntry, error
 	if req.Limit < 0 {
 		return nil, nil, badParam("limit", "archive: negative limit")
 	}
-	if req.Offset != 0 {
-		return nil, nil, fmt.Errorf("archive: cursor and offset are mutually exclusive")
-	}
 	from, to, err := s.checkWindow(req)
 	if err != nil {
 		return nil, nil, err
@@ -160,13 +180,11 @@ func (s *Service) queryCursor(req QueryRequest) (*CursorPage, *cacheEntry, error
 	if err != nil {
 		return nil, nil, err
 	}
-	scope := cursorScope(req)
 	var curKey string
 	var curAt time.Time
 	var curSeq int
-	resuming := req.Cursor != ""
-	if resuming {
-		if curKey, curAt, curSeq, err = decodeCursor(req.Cursor, scope); err != nil {
+	if req.Cursor != "" {
+		if curKey, curAt, curSeq, err = decodeCursor(req.Cursor, cursorScope(req)); err != nil {
 			return nil, nil, err
 		}
 		// Genuine tokens are minted from in-window points, so a position
@@ -191,14 +209,10 @@ func (s *Service) queryCursor(req QueryRequest) (*CursorPage, *cacheEntry, error
 			}
 		}
 	}
-	ck := cacheKey("cursor", req)
-	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
-		return e.val.(*CursorPage), e, nil
-	}
 	// Concurrent identical cold page requests (many clients replaying the
 	// same walk position) collapse onto one computation.
-	v, e, err := s.flight.do(ck, func() (any, *cacheEntry, error) {
-		return s.cursorCold(db, epoch, req, plan, ck, from, to, curKey, curAt, curSeq, resuming)
+	v, e, err := s.cached(db, epoch, cacheKey("page", req), req, func(keys []tsdb.SeriesKey) (any, int, error) {
+		return s.readPage(plan, req, keys, from, to, curKey, curAt, curSeq)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -206,101 +220,86 @@ func (s *Service) queryCursor(req QueryRequest) (*CursorPage, *cacheEntry, error
 	return v.(*CursorPage), e, nil
 }
 
-// cursorCold is the leader's computation for a QueryCursor cache miss.
-func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time, curKey string, curAt time.Time, curSeq int, resuming bool) (any, *cacheEntry, error) {
-	// Capture the generations before reading, like every query path.
-	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
-	scope := cursorScope(req)
-	keys, err := matchedKeys(db, req)
-	if err != nil {
-		return nil, nil, err
-	}
+// readPage computes the page of req (normalized by resolveRead) over
+// keys, the sorted series its filter matched, and reports the page's
+// point count. (curKey, curAt, curSeq) is req.Cursor decoded.
+func (s *Service) readPage(plan readPlan, req QueryRequest, keys []tsdb.SeriesKey, from, to time.Time, curKey string, curAt time.Time, curSeq int) (*CursorPage, int, error) {
 	// Seek: binary-search the sorted key list for the cursor's series.
 	// Series before it are already fully delivered and are never counted
-	// or locked again — a deep cursor page does O(log series) work to
-	// skip the prefix an equivalent offset page would re-count in full.
+	// or locked again — a deep page does O(log series) work to skip the
+	// prefix it has walked.
+	resuming := req.Cursor != ""
 	start := 0
 	if resuming {
 		start = sort.Search(len(keys), func(i int) bool { return keys[i].String() >= curKey })
 	}
 	rest := keys[start:]
 	// Only the first remaining series can be the cursor's own (keys are
-	// sorted unique); decide it once instead of rendering every
-	// remaining key's canonical form in both passes.
+	// sorted unique). It is read from the cursor's position, every later
+	// series from the window's start.
 	cursorOwn := resuming && len(rest) > 0 && rest[0].String() == curKey
-	// Pass 1: count the remaining in-window points per series, in key
-	// order, stopping as soon as the page is provably full (limit points
-	// plus at least one more to decide NextCursor). The cursor's own
-	// series counts only points past the cursor position; later series
-	// count their whole window. Unlike the offset path, no total is
-	// reported — it would be stale the moment it was computed — so a
-	// page never pays to count the series still ahead of it, and each
-	// page of a walk is O(series in the page), not O(series remaining).
-	// A zero limit means "everything after the cursor": that single page
-	// necessarily counts it all.
-	counts := make([]int, 0, len(rest))
-	total := 0
-	for i := range rest {
-		var c int
-		var err error
+	startOf := func(i int) (time.Time, int) {
 		if i == 0 && cursorOwn {
-			c, err = plan.db.CountAfter(plan.key(rest[i]), curAt, curSeq, to)
-		} else {
-			c, err = plan.db.CountRange(plan.key(rest[i]), from, to)
+			return curAt, curSeq
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-		counts = append(counts, c)
-		total += c
-		if req.Limit > 0 && total > req.Limit {
-			break
-		}
+		return from, 0
 	}
-	// The page is the first hi points of the counted stream; spans map
-	// it onto per-series prefixes (the remainder always starts at the
-	// cursor, so no span skips within its series). total > limit is the
-	// "more points exist" signal: the count loop above only stops early
-	// once it has proven it.
-	hi := total
-	if req.Limit > 0 && req.Limit < total {
-		hi = req.Limit
-	}
+	// Pass 1: map the page onto per-series prefixes (the remainder always
+	// starts at the cursor, so no span skips within its series). With no
+	// limit the page is every remaining series read whole, and nothing
+	// needs counting. Otherwise count the remaining in-window points per
+	// series, in key order, stopping as soon as the page is provably full
+	// (limit points plus at least one more to decide NextCursor). No total
+	// is reported — it would be stale the moment it was computed — so a
+	// page never pays to count the series still ahead of it, and each page
+	// of a walk is O(series in the page), not O(series remaining).
 	var spans []pageSpan
-	cum := 0
-	for i, c := range counts {
-		if n := min(hi-cum, c); n > 0 {
-			spans = append(spans, pageSpan{key: i, n: n})
+	more := false
+	if req.Limit == 0 {
+		spans = make([]pageSpan, len(rest))
+		for i := range spans {
+			spans[i] = pageSpan{key: i, n: -1}
 		}
-		cum += c
-		if cum >= hi {
-			break
+	} else {
+		left := req.Limit
+		for i := range rest {
+			at, seq := startOf(i)
+			c, err := plan.db.CountAfter(plan.key(rest[i]), at, seq, to)
+			if err != nil {
+				return nil, 0, err
+			}
+			n := min(c, left)
+			if n > 0 {
+				spans = append(spans, pageSpan{key: i, n: n})
+				left -= n
+			}
+			// A point the page has no room for is the "more points exist"
+			// signal NextCursor needs; counting stops once it is found.
+			if n < c {
+				more = true
+				break
+			}
 		}
 	}
 	// Pass 2: copy only the page's points. Appends racing this pass can
 	// only grow series beyond the counted prefix, so each span still
 	// resolves to exactly the points pass 1 counted.
 	slots := make([][]tsdb.Point, len(spans))
-	spanErrs := make([]error, len(spans))
+	errs := make([]error, len(spans))
 	s.fanOut(len(spans), func(j int) {
 		sp := spans[j]
-		k := plan.key(rest[sp.key])
-		if sp.key == 0 && cursorOwn {
-			slots[j], spanErrs[j] = plan.db.QueryAfter(k, curAt, curSeq, to, sp.n)
-		} else {
-			slots[j], spanErrs[j] = plan.db.QueryRange(k, from, to, 0, sp.n)
-		}
+		at, seq := startOf(sp.key)
+		slots[j], errs[j] = plan.db.QueryAfter(plan.key(rest[sp.key]), at, seq, to, sp.n)
 	})
-	if err := firstErr(spanErrs); err != nil {
-		return nil, nil, err
+	if err := firstErr(errs); err != nil {
+		return nil, 0, err
 	}
 	page := &CursorPage{
-		Series: make([]SeriesResult, 0, len(spans)),
-		Limit:  req.Limit,
+		Series:     make([]SeriesResult, 0, len(spans)),
+		Limit:      req.Limit,
+		Resolution: plan.res,
 	}
 	points := 0
-	var lastKey string
-	var lastAt time.Time
 	var lastSlice []tsdb.Point
 	lastSpan := -1
 	for j, sp := range spans {
@@ -309,12 +308,9 @@ func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan r
 		}
 		points += len(slots[j])
 		page.Series = append(page.Series, SeriesResult{Key: rest[sp.key], Points: slots[j]})
-		lastKey = rest[sp.key].String()
-		lastSlice = slots[j]
-		lastAt = lastSlice[len(lastSlice)-1].At
-		lastSpan = sp.key
+		lastSlice, lastSpan = slots[j], sp.key
 	}
-	if hi < total && points > 0 {
+	if more && points > 0 {
 		// The next position is (lastAt, n): n counts the points at
 		// exactly lastAt already delivered, so a boundary inside an
 		// equal-timestamp run resumes at the run's remainder instead of
@@ -322,6 +318,7 @@ func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan r
 		// page's last slice — plus the incoming cursor's own count when
 		// this page never advanced past the position it resumed at
 		// (same series, same timestamp, whole slice inside the run).
+		lastAt := lastSlice[len(lastSlice)-1].At
 		n := 0
 		for i := len(lastSlice) - 1; i >= 0 && lastSlice[i].At.Equal(lastAt); i-- {
 			n++
@@ -329,11 +326,7 @@ func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan r
 		if n == len(lastSlice) && lastSpan == 0 && cursorOwn && curAt.Equal(lastAt) {
 			n += curSeq
 		}
-		page.NextCursor = encodeCursor(scope, lastKey, lastAt, uint32(n))
+		page.NextCursor = encodeCursor(cursorScope(req), rest[lastSpan].String(), lastAt, uint32(n))
 	}
-	if points > maxCachedPoints {
-		return page, nil, nil
-	}
-	dep, gens := depGenerations(db, keys, genVec)
-	return page, s.cache.put(ck, epoch, keyGen, dep, gens, page), nil
+	return page, points, nil
 }

@@ -2,12 +2,13 @@ package archive
 
 // Tests for keyset-cursor pagination. The two-sided harness the cursor
 // design demands: a differential side (concatenated cursor pages equal
-// the unpaginated response and the offset pages on a quiescent store)
-// and a stability side (a writer appending between every page request —
-// the cursor walk delivers every walk-start point exactly once while the
-// equivalent offset walk provably drifts into duplicates).
+// the unpaginated response and a reference read straight off the store,
+// on a quiescent store) and a stability side (a writer appending between
+// every page request — the cursor walk delivers every walk-start point
+// exactly once, with no duplicates).
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -89,31 +90,52 @@ func cursorWalk(t testing.TB, s *Service, req QueryRequest, limit int, between f
 	}
 }
 
-// offsetWalk pages through the stream via NextOffset with the same
-// between-pages hook, for the drift comparison.
-func offsetWalk(t testing.TB, s *Service, req QueryRequest, limit int, between func(page int)) []flatPoint {
-	t.Helper()
-	var got []flatPoint
-	req.Limit = limit
-	for page, off := 0, 0; ; page++ {
-		if page > 100000 {
-			t.Fatal("offset walk did not terminate")
+// flatPoint is one point of a result rendered as the flattened
+// deterministic point stream: series in canonical key order, points in
+// time order within each.
+type flatPoint struct {
+	key string
+	p   tsdb.Point
+}
+
+func flatten(series []SeriesResult) []flatPoint {
+	var out []flatPoint
+	for _, sr := range series {
+		k := sr.Key.String()
+		for _, p := range sr.Points {
+			out = append(out, flatPoint{key: k, p: p})
 		}
-		preq := req
-		preq.Offset = off
-		qp, err := s.QueryPaged(preq)
-		if err != nil {
-			t.Fatalf("offset page %d: %v", page, err)
-		}
-		got = append(got, flatten(qp.Series)...)
-		if between != nil {
-			between(page)
-		}
-		if qp.NextOffset < 0 {
-			return got
-		}
-		off = qp.NextOffset
 	}
+	return out
+}
+
+// naiveStream is the reference the service's pages are held against: the
+// filter's whole point stream read straight off the store, series by
+// series, with no service code on the way.
+func naiveStream(t testing.TB, db *tsdb.DB, f tsdb.KeyFilter) []flatPoint {
+	t.Helper()
+	var out []flatPoint
+	for _, k := range db.Keys(f) {
+		pts, err := db.Query(k, time.Time{}, time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			out = append(out, flatPoint{key: k.String(), p: p})
+		}
+	}
+	return out
+}
+
+// naivePages slices the reference stream into the pages a walk at limit
+// must deliver.
+func naivePages(stream []flatPoint, limit int) [][]flatPoint {
+	var pages [][]flatPoint
+	for len(stream) > limit {
+		pages = append(pages, stream[:limit])
+		stream = stream[limit:]
+	}
+	return append(pages, stream)
 }
 
 // countOccurrences maps each flattened point to how often it appears.
@@ -128,7 +150,8 @@ func countOccurrences(pts []flatPoint) map[flatPoint]int {
 // TestQueryCursorConcatenationEqualsUnpaginated is the differential
 // side: on a quiescent store, concatenated cursor pages reproduce the
 // unpaginated response exactly, for page sizes from degenerate to
-// oversized, and agree with the offset pages.
+// oversized, and agree page by page with the reference stream sliced at
+// the limit.
 func TestQueryCursorConcatenationEqualsUnpaginated(t *testing.T) {
 	s, _ := buildArchive(t)
 	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore}
@@ -140,6 +163,15 @@ func TestQueryCursorConcatenationEqualsUnpaginated(t *testing.T) {
 	if len(want) < 50 {
 		t.Fatalf("archive too small for a pagination test: %d points", len(want))
 	}
+	naive := naiveStream(t, s.DB(), tsdb.KeyFilter{Dataset: req.Dataset})
+	if len(naive) != len(want) {
+		t.Fatalf("unpaginated query returned %d points, the store holds %d", len(want), len(naive))
+	}
+	for i := range want {
+		if want[i] != naive[i] {
+			t.Fatalf("unpaginated point %d = %+v, the store holds %+v", i, want[i], naive[i])
+		}
+	}
 	for _, limit := range []int{1, 7, 64, len(want) + 10} {
 		got := cursorWalk(t, s, req, limit, nil)
 		if len(got) != len(want) {
@@ -150,14 +182,28 @@ func TestQueryCursorConcatenationEqualsUnpaginated(t *testing.T) {
 				t.Fatalf("limit %d: point %d differs: got %+v want %+v", limit, i, got[i], want[i])
 			}
 		}
-		viaOffset := offsetWalk(t, s, req, limit, nil)
-		if len(viaOffset) != len(got) {
-			t.Fatalf("limit %d: offset walk %d points, cursor walk %d", limit, len(viaOffset), len(got))
-		}
-		for i := range got {
-			if got[i] != viaOffset[i] {
-				t.Fatalf("limit %d: cursor and offset walks diverge at %d on a quiescent store", limit, i)
+		// Page by page against the reference: every page but the last is
+		// full, and a walk takes exactly as many pages as the stream needs.
+		preq := req
+		preq.Limit = limit
+		for pi, wantPage := range naivePages(naive, limit) {
+			cp, err := s.QueryCursor(preq)
+			if err != nil {
+				t.Fatalf("limit %d page %d: %v", limit, pi, err)
 			}
+			gotPage := flatten(cp.Series)
+			if len(gotPage) != len(wantPage) {
+				t.Fatalf("limit %d page %d: %d points, the reference page holds %d", limit, pi, len(gotPage), len(wantPage))
+			}
+			for i := range wantPage {
+				if gotPage[i] != wantPage[i] {
+					t.Fatalf("limit %d page %d point %d = %+v, reference %+v", limit, pi, i, gotPage[i], wantPage[i])
+				}
+			}
+			if last := (pi+1)*limit >= len(naive); last != (cp.NextCursor == "") {
+				t.Fatalf("limit %d page %d: NextCursor %q, last page %v", limit, pi, cp.NextCursor, last)
+			}
+			preq.Cursor = cp.NextCursor
 		}
 	}
 	// Limit 0 = everything after the cursor in one page.
@@ -172,8 +218,8 @@ func TestQueryCursorConcatenationEqualsUnpaginated(t *testing.T) {
 // appends to the lowest-sorting series, which the walk has already
 // passed after the first few pages. The cursor walk must deliver every
 // point that existed at walk start exactly once with no duplicates at
-// all, while the identical offset walk re-reads shifted points — the
-// documented drift this PR exists to fix.
+// all — counting positions from the stream's start would re-read the
+// points those appends shift.
 func TestCursorStableUnderLiveAppends(t *testing.T) {
 	const (
 		nSeries = 6
@@ -217,22 +263,6 @@ func TestCursorStableUnderLiveAppends(t *testing.T) {
 			(got[i].key == got[i-1].key && got[i].p.At.Before(got[i-1].p.At)) {
 			t.Fatalf("cursor walk out of order at %d: %+v after %+v", i, got[i], got[i-1])
 		}
-	}
-
-	// The equivalent offset walk over the identical store + append
-	// schedule drifts: once the walker passes the growing series' block,
-	// every append shifts later points right and the next page re-serves
-	// points it already delivered.
-	s2, db2 := buildCursorStore(t, nSeries, nPoints)
-	gotOffset := offsetWalk(t, s2, req, limit, func(round int) { appendBurst(db2, round) })
-	dups := 0
-	for _, n := range countOccurrences(gotOffset) {
-		if n > 1 {
-			dups++
-		}
-	}
-	if dups == 0 {
-		t.Fatalf("offset walk under live appends delivered %d points with no duplicates — expected drift; is the stream no longer offset-windowed?", len(gotOffset))
 	}
 }
 
@@ -396,13 +426,6 @@ func TestCursorTokenValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadCursor", name, err)
 		}
 	}
-
-	// Cursor and offset name positions in incompatible ways.
-	conflicted := resume
-	conflicted.Offset = 3
-	if _, err := s.QueryCursor(conflicted); err == nil {
-		t.Error("cursor+offset accepted")
-	}
 }
 
 // TestQueryCursorCached: a repeated cursor page is served from the
@@ -527,6 +550,232 @@ func TestQueryCursorHTTP(t *testing.T) {
 		}
 		if !strings.Contains(strings.ToLower(string(body)), "cursor") {
 			t.Errorf("%s: error body %q does not mention the cursor", u, body)
+		}
+	}
+}
+
+// TestQueryPagedConcurrentAppendRace pins a page's two passes (count,
+// then copy) against a concurrent writer: the passes race its appends,
+// and a page must still be exactly the points its position names — the
+// store is append-only, so the first pages of a walk never change
+// however much lands behind them. Run under -race in CI.
+func TestQueryPagedConcurrentAppendRace(t *testing.T) {
+	const (
+		nSeries = 8
+		nPoints = 100
+		rounds  = 300
+	)
+	s, db := buildCursorStore(t, nSeries, nPoints)
+	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			batch := make([]tsdb.Entry, 0, nSeries)
+			at := cursorT0.Add(time.Duration(nPoints+r) * time.Minute)
+			for i := 0; i < nSeries; i++ {
+				batch = append(batch, tsdb.Entry{Key: cursorStoreKey(i), At: at, Value: float64(10_000 + r)})
+			}
+			if _, err := db.AppendBatch(batch); err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+
+	for i := 0; i < 400; i++ {
+		preq := req
+		preq.Limit = 1 + i%17
+		// Two pages from the head of the stream: series 0's first points,
+		// whose values buildCursorStore set to their index.
+		for page := 0; page < 2; page++ {
+			cp, err := s.QueryCursor(preq)
+			if err != nil {
+				t.Fatalf("iteration %d page %d: %v", i, page, err)
+			}
+			got := flatten(cp.Series)
+			if len(got) != preq.Limit {
+				t.Fatalf("iteration %d page %d: %d points, limit %d", i, page, len(got), preq.Limit)
+			}
+			for j, p := range got {
+				if want := float64(page*preq.Limit + j); p.key != cursorStoreKey(0).String() || p.p.Value != want {
+					t.Fatalf("iteration %d page %d point %d = %+v, want series 0 value %v", i, page, j, p, want)
+				}
+			}
+			if cp.NextCursor == "" {
+				t.Fatalf("iteration %d page %d: no next page with %d series still ahead", i, page, nSeries-1)
+			}
+			preq.Cursor = cp.NextCursor
+		}
+	}
+	wg.Wait()
+}
+
+// TestQueryPagedCacheKeyedByPage asserts pages of the same filter never
+// collide in the result cache — not two positions at one limit, not two
+// limits at one position — and that a repeated page request is served
+// from it.
+func TestQueryPagedCacheKeyedByPage(t *testing.T) {
+	s, _ := buildArchive(t)
+	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore, Limit: 5}
+	p0, err := s.QueryCursor(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req1 := req
+	req1.Cursor = p0.NextCursor
+	p1, err := s.QueryCursor(req1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0, f1 := flatten(p0.Series), flatten(p1.Series)
+	if len(f0) == 0 || len(f1) == 0 {
+		t.Fatal("empty pages")
+	}
+	if f0[0] == f1[0] {
+		t.Fatalf("page 0 and page 1 start with the same point %+v: cache key ignores the page position", f0[0])
+	}
+	wider := req
+	wider.Limit = 6
+	p6, err := s.QueryCursor(wider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(flatten(p6.Series)); n != 6 {
+		t.Fatalf("limit 6 from the start returned %d points: cache key ignores the limit", n)
+	}
+	before := s.CacheStats()
+	again, err := s.QueryCursor(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.CacheStats().Hits != before.Hits+1 {
+		t.Fatalf("repeated page request missed the cache: %+v -> %+v", before, s.CacheStats())
+	}
+	if len(flatten(again.Series)) != len(f0) {
+		t.Fatal("cached page differs from the original")
+	}
+}
+
+// TestQueryPagedHTTP: `limit=N` with no cursor parameter is the first
+// page of a walk — the bytes and headers of `limit=N&cursor=` — and
+// following its Link delivers the unpaginated body's points exactly
+// once; a repeated page is written from its entry's stored bytes; only
+// the unpaginated response reports X-Total-Points; malformed page
+// parameters are rejected.
+func TestQueryPagedHTTP(t *testing.T) {
+	s, _ := buildArchive(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	full := fetchWire(t, srv.URL+"/api/v1/query?dataset=sps", true)
+	var fullSeries []SeriesResult
+	if err := json.Unmarshal(full.plain, &fullSeries); err != nil {
+		t.Fatal(err)
+	}
+	want := flatten(fullSeries)
+	if tp, _ := strconv.Atoi(full.header.Get("X-Total-Points")); tp != len(want) || tp == 0 {
+		t.Fatalf("unpaginated X-Total-Points %q, want %d", full.header.Get("X-Total-Points"), len(want))
+	}
+	if full.header.Get("X-Next-Cursor") != "" || full.header.Get("Link") != "" {
+		t.Fatal("the unpaginated response advertises a next page")
+	}
+
+	const limit = 23
+	first := "/api/v1/query?dataset=sps&limit=" + strconv.Itoa(limit)
+	alone := fetchWire(t, srv.URL+first, true)
+	explicit := fetchWire(t, srv.URL+first+"&cursor=", true)
+	if !bytes.Equal(alone.wire, explicit.wire) {
+		t.Error("limit alone and limit with an empty cursor sent different bytes")
+	}
+	for _, h := range []string{"X-Next-Cursor", "X-Resolution", "Content-Type"} {
+		if a, e := alone.header.Get(h), explicit.header.Get(h); a != e || a == "" {
+			t.Errorf("%s: %q with limit alone, %q with an empty cursor", h, a, e)
+		}
+	}
+	if tp := alone.header.Get("X-Total-Points"); tp != "" {
+		t.Errorf("a page reports X-Total-Points %q", tp)
+	}
+
+	// The explicit form was a hit on the entry the first request made; the
+	// repeat of the bare form is written from the bytes that hit stored.
+	bodyHits := func() float64 {
+		t.Helper()
+		v, ok := counterValues(scrapeExposition(t, srv.URL))["spotlake_cache_body_hits_total"]
+		if !ok {
+			t.Fatal("no spotlake_cache_body_hits_total in the exposition")
+		}
+		return v
+	}
+	before := bodyHits()
+	repeat := fetchWire(t, srv.URL+first, true)
+	if repeat.length != int64(len(repeat.wire)) || !bytes.Equal(repeat.wire, alone.wire) {
+		t.Errorf("repeated page: Content-Length %d for %d wire bytes (first response sent %d)", repeat.length, len(repeat.wire), len(alone.wire))
+	}
+	if got := bodyHits(); got != before+1 {
+		t.Errorf("spotlake_cache_body_hits_total went %v -> %v over one repeated page, want +1", before, got)
+	}
+
+	// Walk from the bare limit by following Link.
+	occ := map[flatPoint]int{}
+	var got []flatPoint
+	url := first
+	for pages := 0; ; pages++ {
+		if pages > 10000 {
+			t.Fatal("walk did not terminate")
+		}
+		page := fetchWire(t, srv.URL+url, true)
+		var series []SeriesResult
+		if err := json.Unmarshal(page.plain, &series); err != nil {
+			t.Fatalf("page %d: body not a series array: %v", pages, err)
+		}
+		pts := flatten(series)
+		if len(pts) > limit {
+			t.Fatalf("page %d holds %d points, limit %d", pages, len(pts), limit)
+		}
+		for _, p := range pts {
+			occ[p]++
+		}
+		got = append(got, pts...)
+		if page.header.Get("X-Next-Cursor") == "" {
+			if page.header.Get("Link") != "" {
+				t.Fatalf("page %d: a Link without a next cursor", pages)
+			}
+			break
+		}
+		link := page.header.Get("Link")
+		if !strings.HasSuffix(link, `>; rel="next"`) {
+			t.Fatalf("page %d: next cursor without a Link header (%q)", pages, link)
+		}
+		url = strings.TrimSuffix(strings.TrimPrefix(link, "<"), `>; rel="next"`)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("pages concatenate to %d points, want %d", len(got), len(want))
+	}
+	for i, p := range want {
+		if got[i] != p {
+			t.Fatalf("point %d differs: got %+v want %+v", i, got[i], p)
+		}
+		if occ[p] != 1 {
+			t.Fatalf("point %+v delivered %d times", p, occ[p])
+		}
+	}
+
+	// Malformed page parameters are rejected.
+	for _, u := range []string{
+		"/api/v1/query?dataset=sps&limit=-1",
+		"/api/v1/query?dataset=sps&limit=x",
+		"/api/v1/query?dataset=sps&limit=1.5",
+	} {
+		resp, err := http.Get(srv.URL + u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", u, resp.StatusCode)
 		}
 	}
 }

@@ -25,17 +25,15 @@ import (
 // changes meaning or disappears.
 const (
 	// ErrCodeBadRequest: the request is invalid in a way no single
-	// parameter explains (e.g. cursor and offset presented together).
+	// parameter explains (e.g. a window that ends before it starts).
 	ErrCodeBadRequest = "bad_request"
 	// ErrCodeBadParam: one parameter is invalid; `param` names it.
 	ErrCodeBadParam = "bad_param"
 	// ErrCodeBadCursor: the cursor token is malformed, was minted by a
 	// different query, or its position is no longer servable.
 	ErrCodeBadCursor = "bad_cursor"
-	// ErrCodeOffsetDeprecated is reserved for the sunset of offset
-	// pagination: today offset requests succeed (with Deprecation and
-	// Sunset headers); after the sunset they will fail with this code.
-	// Not yet produced.
+	// ErrCodeOffsetDeprecated: the request carries an `offset`
+	// parameter. Offset pagination is gone; `param` is "offset".
 	ErrCodeOffsetDeprecated = "offset_deprecated"
 	// ErrCodeNotFound: no such endpoint or resource.
 	ErrCodeNotFound = "not_found"
@@ -80,6 +78,9 @@ type apiErrorBody struct {
 	Param   string `json:"param,omitempty"`
 }
 
+// errOffsetRemoved answers any request that presents an offset.
+var errOffsetRemoved = errors.New("archive: offset pagination was removed; page with limit=N and follow the X-Next-Cursor header (cursor=TOKEN)")
+
 // paramError tags an error with the request parameter it faults, so the
 // envelope can carry code=bad_param with `param` set while the error
 // text stays exactly what library callers see.
@@ -111,6 +112,8 @@ func classifyErr(status int, err error) (code, param string) {
 		return ErrCodeBadParam, pe.param
 	case errors.Is(err, ErrBadCursor):
 		return ErrCodeBadCursor, "cursor"
+	case errors.Is(err, errOffsetRemoved):
+		return ErrCodeOffsetDeprecated, "offset"
 	case errors.Is(err, tsdb.ErrColdRead):
 		return ErrCodeColdReadFailed, ""
 	}

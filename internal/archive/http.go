@@ -29,10 +29,9 @@ and spot prices. Query the API:</p>
 <ul>
 <li><code>GET /api/v1/meta</code> — archive summary</li>
 <li><code>GET /api/v1/query?dataset=sps&amp;type=m5.xlarge&amp;region=us-east-1</code> — historical series
-(paginate with <code>&amp;limit=N&amp;cursor=</code> and follow the <code>X-Next-Cursor</code>
-header — stable under live collection and portable across replicas;
-<code>&amp;offset=M</code> pagination is <em>deprecated</em> and scheduled for removal —
-responses carry <code>Deprecation</code>/<code>Sunset</code> headers)</li>
+(paginate with <code>&amp;limit=N</code> and follow the <code>X-Next-Cursor</code>
+header or the <code>Link</code> it comes with — stable under live collection and
+portable across replicas)</li>
 <li><code>GET /api/v1/latest?dataset=if&amp;region=us-east-1</code> — current values</li>
 <li><code>GET /api/v1/catalog/types</code>, <code>GET /api/v1/catalog/regions</code></li>
 </ul>
@@ -257,12 +256,8 @@ func parseQueryRequest(r *http.Request) (QueryRequest, error) {
 		}
 		req.Limit = n
 	}
-	if s := q.Get("offset"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return req, badParam("offset", "archive: offset must be a non-negative integer, got %q", s)
-		}
-		req.Offset = n
+	if q.Has("offset") {
+		return req, errOffsetRemoved
 	}
 	req.Cursor = q.Get("cursor")
 	req.Resolution = q.Get("resolution")
@@ -398,24 +393,6 @@ func (s *Service) serveSeries(w http.ResponseWriter, e *cacheEntry, series []Ser
 	}
 }
 
-// Offset pagination is deprecated in favor of cursors (stable under
-// live collection, portable across replicas). offsetDeprecatedAt is the
-// deprecation instant advertised per RFC 9745 (`@<unix-seconds>`, the
-// date this API version shipped); offsetSunset the planned removal date
-// per RFC 8594. Until the sunset, offset requests keep working and the
-// 400 code ErrCodeOffsetDeprecated stays reserved, unproduced.
-const (
-	offsetDeprecatedAt = "@1786147200" // 2026-08-08T00:00:00Z
-	offsetSunset       = "Sun, 08 Aug 2027 00:00:00 GMT"
-)
-
-// setOffsetDeprecation stamps the deprecation headers on every response
-// served by the offset-paginated path.
-func setOffsetDeprecation(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", offsetDeprecatedAt)
-	w.Header().Set("Sunset", offsetSunset)
-}
-
 // setNextLink advertises the next page of a paginated walk: hdr carries
 // the bare value and Link a ready-to-follow URL with param replaced.
 // The URL is built on a deep copy of the request's parsed query —
@@ -443,64 +420,31 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		// Echo the tier the request resolves to, so `auto` clients know
-		// which resolution answered. Resolution errors surface through
-		// the query call below, with the window validated identically.
-		if res, rerr := s.EffectiveResolution(req); rerr == nil {
-			w.Header().Set("X-Resolution", res)
-		}
-		// A cursor parameter — even an empty one, which starts a walk at
-		// the head of the stream — selects keyset pagination: the page
-		// position is a fixed (series, timestamp) token, so slow walkers
-		// stay consistent under live collection where offsets would
-		// drift. Offset and cursor name positions in incompatible ways,
-		// so presenting both is rejected rather than guessed at.
-		if q := r.URL.Query(); q.Has("cursor") {
-			if q.Has("offset") {
-				writeErr(w, http.StatusBadRequest,
-					fmt.Errorf("archive: cursor and offset are mutually exclusive; walk with one or the other"))
-				return
-			}
-			page, e, err := s.queryCursor(req)
-			if err != nil {
-				queryErr(w, err)
-				return
-			}
-			if page.NextCursor != "" {
-				setNextLink(w, r, "X-Next-Cursor", "cursor", page.NextCursor)
-			}
-			s.serveSeries(w, e, page.Series)
-			return
-		}
-		// A limit or offset selects the offset-paginated path; the body
-		// stays a JSON array of series (the page's slice of the point
-		// stream), with the page metadata in headers so unpaginated
-		// clients keep working unchanged.
-		if req.Limit > 0 || req.Offset > 0 {
-			setOffsetDeprecation(w)
-			page, err := s.QueryPaged(req)
-			if err != nil {
-				queryErr(w, err)
-				return
-			}
-			w.Header().Set("X-Total-Points", strconv.Itoa(page.TotalPoints))
-			if page.NextOffset >= 0 {
-				setNextLink(w, r, "X-Next-Offset", "offset", strconv.Itoa(page.NextOffset))
-			}
-			streamSeriesJSON(w, http.StatusOK, page.Series)
-			return
-		}
-		res, e, err := s.query(req)
+		// One service call answers every shape: with neither limit nor
+		// cursor the page is the whole result, a limit alone is the first
+		// page of a walk, and a cursor — a fixed (series, timestamp)
+		// position, so slow walkers stay consistent under live collection
+		// — resumes one.
+		page, e, err := s.queryCursor(req)
 		if err != nil {
 			queryErr(w, err)
 			return
 		}
-		total := 0
-		for i := range res {
-			total += len(res[i].Points)
+		// The tier that answered, so `auto` clients know which it was.
+		w.Header().Set("X-Resolution", page.Resolution)
+		if page.NextCursor != "" {
+			setNextLink(w, r, "X-Next-Cursor", "cursor", page.NextCursor)
 		}
-		w.Header().Set("X-Total-Points", strconv.Itoa(total))
-		s.serveSeries(w, e, res)
+		// Only the unpaginated response reports a total: a walk's would be
+		// stale before its next page.
+		if req.Limit == 0 && !r.URL.Query().Has("cursor") {
+			total := 0
+			for i := range page.Series {
+				total += len(page.Series[i].Points)
+			}
+			w.Header().Set("X-Total-Points", strconv.Itoa(total))
+		}
+		s.serveSeries(w, e, page.Series)
 	})
 
 	mux.HandleFunc("GET /api/v1/latest", func(w http.ResponseWriter, r *http.Request) {

@@ -485,6 +485,14 @@ func TestErrorEnvelope(t *testing.T) {
 	fsrv := httptest.NewServer(fsvc.Handler())
 	defer fsrv.Close()
 
+	// A synced follower: its reads pass the staleness gate.
+	ssvc, spuller := newFollower(t, psrv.URL, cat, time.Hour)
+	if err := spuller.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	ssrv := httptest.NewServer(ssvc.Handler())
+	defer ssrv.Close()
+
 	// A rate-limited twin of the primary for the 429 case.
 	rlsvc := NewService(db, cat)
 	rlsvc.SetAdmission(NewAdmission(AdmissionConfig{RatePerSec: 1, Burst: 1}))
@@ -514,7 +522,15 @@ func TestErrorEnvelope(t *testing.T) {
 		{name: "bad resolution", base: psrv.URL, path: "/api/v1/query?resolution=5m", status: 400, code: ErrCodeBadParam, param: "resolution"},
 		{name: "bad agg", base: psrv.URL, path: "/api/v1/query?resolution=1h&agg=median", status: 400, code: ErrCodeBadParam, param: "agg"},
 		{name: "bad cursor token", base: psrv.URL, path: "/api/v1/query?cursor=%21%21not-a-token", status: 400, code: ErrCodeBadCursor, param: "cursor"},
-		{name: "cursor plus offset", base: psrv.URL, path: "/api/v1/query?cursor=&offset=3", status: 400, code: ErrCodeBadRequest},
+		{name: "window ends before it starts", base: psrv.URL, path: "/api/v1/query?from=2022-01-02T00:00:00Z&to=2022-01-01T00:00:00Z", status: 400, code: ErrCodeBadRequest},
+		{name: "offset zero", base: psrv.URL, path: "/api/v1/query?offset=0", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
+		{name: "offset", base: psrv.URL, path: "/api/v1/query?dataset=sps&limit=10&offset=3", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
+		{name: "cursor plus offset", base: psrv.URL, path: "/api/v1/query?cursor=&offset=3", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
+		{name: "offset not a number", base: psrv.URL, path: "/api/v1/query?offset=x", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
+		{name: "offset zero on follower", base: ssrv.URL, path: "/api/v1/query?offset=0", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
+		{name: "offset on follower", base: ssrv.URL, path: "/api/v1/query?dataset=sps&limit=10&offset=3", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
+		{name: "cursor plus offset on follower", base: ssrv.URL, path: "/api/v1/query?cursor=&offset=3", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
+		{name: "offset not a number on follower", base: ssrv.URL, path: "/api/v1/query?offset=x", status: 400, code: ErrCodeOffsetDeprecated, param: "offset"},
 		{name: "latest bad dataset", base: psrv.URL, path: "/api/v1/latest?dataset=bogus", status: 400, code: ErrCodeBadParam, param: "dataset"},
 		{name: "unknown path", base: psrv.URL, path: "/api/v1/nope", status: 404, code: ErrCodeNotFound},
 		{name: "write rejected", method: "POST", base: psrv.URL, path: "/api/v1/query", status: 405, code: ErrCodeMethodNotAllowed},
@@ -564,6 +580,7 @@ func TestErrorEnvelope(t *testing.T) {
 			if tc.status == 405 && resp.Header.Get("Allow") == "" {
 				t.Error("405 without Allow header")
 			}
+			noSunsetHeaders(t, resp)
 		})
 	}
 
@@ -603,29 +620,49 @@ func TestErrorEnvelope(t *testing.T) {
 	})
 }
 
-// TestOffsetDeprecationHeaders: the offset-paginated path still works
-// but announces its sunset on every response.
-func TestOffsetDeprecationHeaders(t *testing.T) {
-	psvc, _, _, db := durablePrimary(t, t.TempDir())
+// noSunsetHeaders: offset pagination is gone, and with it the headers
+// that announced its removal.
+func noSunsetHeaders(t *testing.T, resp *http.Response) {
+	t.Helper()
+	for _, h := range []string{"Deprecation", "Sunset", "X-Next-Offset"} {
+		if v := resp.Header.Get(h); v != "" {
+			t.Errorf("%s: response carries %s: %q", resp.Request.URL, h, v)
+		}
+	}
+}
+
+// TestNoSunsetHeadersOnReads: none of the successful read shapes carries
+// a Deprecation, Sunset or X-Next-Offset header, on primary or follower
+// (TestErrorEnvelope checks the same of every error).
+func TestNoSunsetHeadersOnReads(t *testing.T) {
+	psvc, cat, _, db := durablePrimary(t, t.TempDir())
 	defer db.Close()
 	psrv := httptest.NewServer(psvc.Handler())
 	defer psrv.Close()
+	fsvc, puller := newFollower(t, psrv.URL, cat, time.Hour)
+	if err := puller.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	fsrv := httptest.NewServer(fsvc.Handler())
+	defer fsrv.Close()
 
-	resp := noerr2(http.Get(psrv.URL + "/api/v1/query?dataset=sps&limit=10"))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("offset-paginated query: %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") == "" || resp.Header.Get("Sunset") == "" {
-		t.Fatalf("offset page missing Deprecation/Sunset headers: %q / %q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Sunset"))
-	}
-	// Cursor pages carry no deprecation noise.
-	resp2 := noerr2(http.Get(psrv.URL + "/api/v1/query?dataset=sps&limit=10&cursor="))
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.Header.Get("Deprecation") != "" {
-		t.Error("cursor page carries a Deprecation header")
+	for _, base := range []string{psrv.URL, fsrv.URL} {
+		for _, path := range []string{
+			"/api/v1/query?dataset=sps",
+			"/api/v1/query?dataset=sps&limit=10",
+			"/api/v1/query?dataset=sps&limit=10&cursor=",
+			"/api/v1/query?dataset=sps&cursor=",
+			"/api/v1/latest?dataset=sps",
+			"/api/v1/meta",
+			"/",
+		} {
+			resp := noerr2(http.Get(base + path))
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", path, resp.StatusCode)
+			}
+			noSunsetHeaders(t, resp)
+		}
 	}
 }

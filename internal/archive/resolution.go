@@ -39,7 +39,7 @@ const (
 type readPlan struct {
 	db *tsdb.DB
 	// res is the effective resolution ("raw", "1h", "1d") after auto
-	// resolution; echoed in the X-Resolution header.
+	// resolution; the page carries it to the X-Resolution header.
 	res string
 	// rollup is the parsed resolution when res != "raw".
 	rollup time.Duration
@@ -52,22 +52,6 @@ func (p *readPlan) key(k tsdb.SeriesKey) tsdb.SeriesKey {
 		return k
 	}
 	return tsdb.RollupKey(k, p.rollup, p.agg)
-}
-
-// EffectiveResolution reports the tier a request will be served from
-// ("raw", "1h", "1d") after auto resolution, without running the query.
-// The HTTP layer echoes it as X-Resolution so `auto` clients know which
-// tier answered.
-func (s *Service) EffectiveResolution(req QueryRequest) (string, error) {
-	from, to, err := s.checkWindow(req)
-	if err != nil {
-		return "", err
-	}
-	plan, err := resolveRead(s.store(), &req, from, to)
-	if err != nil {
-		return "", err
-	}
-	return plan.res, nil
 }
 
 // resolveRead validates req's Resolution/Agg and resolves auto against

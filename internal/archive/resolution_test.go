@@ -5,12 +5,14 @@ package archive
 // (the rollup tiers only exist when the store seals cold blocks).
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +55,15 @@ func diskArchive(t *testing.T, dir string, opts tsdb.Options, days int) (*Servic
 	return NewService(db, catalog.Compact(2)), db, k
 }
 
+// servedResolution is the tier the page answering req was read from.
+func servedResolution(s *Service, req QueryRequest) (string, error) {
+	page, err := s.QueryCursor(req)
+	if err != nil {
+		return "", err
+	}
+	return page.Resolution, nil
+}
+
 func TestResolutionValidation(t *testing.T) {
 	s, _, _ := diskArchive(t, t.TempDir(), diskOpts(), 3)
 	if _, err := s.Query(QueryRequest{Dataset: tsdb.DatasetPrice, Resolution: "5m"}); err == nil || !strings.Contains(err.Error(), "resolution must be one of") {
@@ -68,7 +79,7 @@ func TestResolutionValidation(t *testing.T) {
 	if _, err := mem.Query(QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "1h"}); err == nil || !strings.Contains(err.Error(), "no rollup tiers") {
 		t.Fatalf("explicit 1h on memory store: err = %v, want rollup-tier error", err)
 	}
-	if res, err := mem.EffectiveResolution(QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "auto"}); err != nil || res != "raw" {
+	if res, err := servedResolution(mem, QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "auto"}); err != nil || res != "raw" {
 		t.Fatalf("auto on memory store = (%q, %v), want raw", res, err)
 	}
 }
@@ -86,13 +97,13 @@ func TestResolutionAutoRule(t *testing.T) {
 		{time.Time{}, "1d"}, // unbounded window spans millennia
 	}
 	for _, c := range cases {
-		res, err := s.EffectiveResolution(QueryRequest{Dataset: tsdb.DatasetPrice, From: e, To: c.to, Resolution: "auto"})
+		res, err := servedResolution(s, QueryRequest{Dataset: tsdb.DatasetPrice, From: e, To: c.to, Resolution: "auto"})
 		if err != nil || res != c.want {
 			t.Errorf("auto with to=%v = (%q, %v), want %q", c.to, res, err, c.want)
 		}
 	}
 	// Empty resolution defaults to raw regardless of span.
-	if res, err := s.EffectiveResolution(QueryRequest{Dataset: tsdb.DatasetPrice}); err != nil || res != "raw" {
+	if res, err := servedResolution(s, QueryRequest{Dataset: tsdb.DatasetPrice}); err != nil || res != "raw" {
 		t.Errorf("default resolution = (%q, %v), want raw", res, err)
 	}
 }
@@ -188,6 +199,108 @@ func TestResolutionHTTP(t *testing.T) {
 	resp, body = get("/api/v1/meta")
 	if resp.StatusCode != 200 || !strings.Contains(body, "rollupTiers") {
 		t.Fatalf("meta: status %d, body %q", resp.StatusCode, body)
+	}
+}
+
+// TestResolutionHeaderNamesTheStoreThatAnswered: a follower's SwapDB
+// between two `auto` requests — a bootstrap store without rollup tiers,
+// then a replica with them — changes the tier that serves, and each
+// response's X-Resolution names the tier its own body was read from.
+func TestResolutionHeaderNamesTheStoreThatAnswered(t *testing.T) {
+	_, disk, k := diskArchive(t, t.TempDir(), diskOpts(), 3)
+	mem, err := tsdb.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := mem.Append(k, simclock.Epoch.Add(time.Duration(i)*time.Minute), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewService(mem, catalog.Compact(2))
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	end := time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
+	daily, err := disk.Rollups().Query(tsdb.RollupKey(k, 24*time.Hour, tsdb.AggMean), time.Time{}, end)
+	if err != nil || len(daily) == 0 || len(daily) == 5 {
+		t.Fatalf("the replica's 1d tier holds %d points (err %v): the two stores' answers cannot be told apart", len(daily), err)
+	}
+	for _, step := range []struct {
+		store   *tsdb.DB
+		res     string
+		wantLen int
+	}{
+		{mem, "raw", 5},
+		{disk, "1d", len(daily)},
+	} {
+		s.SwapDB(step.store)
+		resp, err := http.Get(srv.URL + "/api/v1/query?dataset=price&resolution=auto")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var series []SeriesResult
+		err = json.NewDecoder(resp.Body).Decode(&series)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 || len(series) != 1 {
+			t.Fatalf("auto on the %s store: status %d, %d series, err %v", step.res, resp.StatusCode, len(series), err)
+		}
+		if got := resp.Header.Get("X-Resolution"); got != step.res || len(series[0].Points) != step.wantLen {
+			t.Errorf("X-Resolution %q over a body of %d points, want %q over %d", got, len(series[0].Points), step.res, step.wantLen)
+		}
+	}
+}
+
+// TestQueryIsTheUnlimitedPage: Query and the cursor page with no cursor
+// and no limit are one computation under one cache entry — equal results
+// (held against a read straight off the store) over a window that
+// straddles the cold/hot boundary, and whichever is called second hits
+// the entry the first installed.
+func TestQueryIsTheUnlimitedPage(t *testing.T) {
+	_, db, k := diskArchive(t, t.TempDir(), diskOpts(), 3)
+	hot, cold := int(db.HotPointCount()), int(db.ColdPointCount())
+	if hot == 0 || cold < 30 || hot+cold != 3*144 {
+		t.Fatalf("the store holds %d hot and %d cold points: no boundary to straddle", hot, cold)
+	}
+	window := hot + 30
+	from := simclock.Epoch.Add(time.Duration(3*144-window) * 10 * time.Minute)
+	want, err := db.Query(k, from, time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC))
+	if err != nil || len(want) != window {
+		t.Fatalf("reference read: %d points, err %v", len(want), err)
+	}
+	req := QueryRequest{Dataset: tsdb.DatasetPrice, From: from}
+	viaQuery := func(s *Service) ([]SeriesResult, error) { return s.Query(req) }
+	viaPage := func(s *Service) ([]SeriesResult, error) {
+		page, err := s.QueryCursor(req)
+		if err != nil {
+			return nil, err
+		}
+		return page.Series, nil
+	}
+	for name, calls := range map[string][2]func(*Service) ([]SeriesResult, error){
+		"Query then page": {viaQuery, viaPage},
+		"page then Query": {viaPage, viaQuery},
+	} {
+		s := NewService(db, catalog.Compact(2))
+		first, err := calls[0](s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := s.CacheStats(); st.Misses != 1 || st.Hits != 0 || st.Entries != 1 {
+			t.Fatalf("%s: after the first call %+v, want one miss and one entry", name, st)
+		}
+		second, err := calls[1](s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := s.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+			t.Fatalf("%s: after the second call %+v, want a hit on the first call's entry", name, st)
+		}
+		for _, got := range [][]SeriesResult{first, second} {
+			if len(got) != 1 || got[0].Key != k || !reflect.DeepEqual(got[0].Points, want) {
+				t.Fatalf("%s: result differs from the store's %d points: %+v", name, len(want), got)
+			}
+		}
 	}
 }
 

@@ -192,11 +192,11 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 			// Window reads anchored at points around the tier boundary.
 			for _, i := range []int{0, len(all) / 3, len(all) / 2, len(all) - 1} {
 				from, to := all[i].At, all[min(i+17, len(all)-1)].At
-				if g, w := noerr(db.CountRange(k, from, to)), noerr(mem.CountRange(k, from, to)); g != w {
-					t.Fatalf("%s: %v CountRange[%d] = %d, want %d", stage, k, i, g, w)
+				if g, w := noerr(db.CountAfter(k, from, 0, to)), noerr(mem.CountAfter(k, from, 0, to)); g != w {
+					t.Fatalf("%s: %v window CountAfter[%d] = %d, want %d", stage, k, i, g, w)
 				}
-				if g, w := noerr(db.QueryRange(k, from, to, 3, 11)), noerr(mem.QueryRange(k, from, to, 3, 11)); len(g) != len(w) {
-					t.Fatalf("%s: %v QueryRange[%d] = %d points, want %d", stage, k, i, len(g), len(w))
+				if g, w := noerr(db.QueryAfter(k, from, 0, to, 11)), noerr(mem.QueryAfter(k, from, 0, to, 11)); len(g) != len(w) {
+					t.Fatalf("%s: %v window QueryAfter[%d] = %d points, want %d", stage, k, i, len(g), len(w))
 				}
 				if g, w := noerr(db.CountAfter(k, from, 1, end)), noerr(mem.CountAfter(k, from, 1, end)); g != w {
 					t.Fatalf("%s: %v CountAfter[%d] = %d, want %d", stage, k, i, g, w)

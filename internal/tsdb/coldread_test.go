@@ -70,9 +70,10 @@ func TestColdReadErrorSurfaces(t *testing.T) {
 	if _, err := db.Query(k, time.Time{}, end); !errors.Is(err, ErrColdRead) {
 		t.Fatalf("Query error = %v, want ErrColdRead", err)
 	}
-	// Paged read landing on the damaged block (page 1 of the stream).
-	if _, err := db.QueryRange(k, time.Time{}, end, 0, 10); !errors.Is(err, ErrColdRead) {
-		t.Fatalf("QueryRange error = %v, want ErrColdRead", err)
+	// Paged reads landing on the damaged block (page 1 of the stream),
+	// from an unbounded window and from a position.
+	if _, err := db.QueryAfter(k, time.Time{}, 0, end, 10); !errors.Is(err, ErrColdRead) {
+		t.Fatalf("QueryAfter from the zero time error = %v, want ErrColdRead", err)
 	}
 	if _, err := db.QueryAfter(k, t0, 0, end, 10); !errors.Is(err, ErrColdRead) {
 		t.Fatalf("QueryAfter error = %v, want ErrColdRead", err)
@@ -90,8 +91,8 @@ func TestColdReadErrorSurfaces(t *testing.T) {
 	// Counting never decodes blocks (counts live in the CRC'd index), and
 	// the hot tail is still in memory: both must keep working so the
 	// store degrades read-by-read, not wholesale.
-	if n, err := db.CountRange(k, time.Time{}, end); err != nil || n != len(entries) {
-		t.Fatalf("CountRange = (%d, %v), want (%d, nil)", n, err, len(entries))
+	if n, err := db.CountAfter(k, time.Time{}, 0, end); err != nil || n != len(entries) {
+		t.Fatalf("CountAfter = (%d, %v), want (%d, nil)", n, err, len(entries))
 	}
 	if p, ok, err := db.Last(k); err != nil || !ok || p.Value != 99 {
 		t.Fatalf("Last = (%+v, %v, %v), want the hot-tail point", p, ok, err)

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -126,5 +127,79 @@ func TestQueryAfterEqualTimestampRun(t *testing.T) {
 	// second T point.
 	if got := noerr(db.QueryAfter(k, T, 1, to, 2)); got[0].Value != 1 || got[1].Value != 2 {
 		t.Fatalf("(T,1) page = %+v, want the 2nd and 3rd T points", got)
+	}
+}
+
+// TestQueryRangeWindowing pins a plain window read — the position
+// (from, 0) through CountAfter/QueryAfter, and Query, which is that read
+// to its end — against the appended points filtered by hand: both bounds
+// inclusive, windows hanging over either end of the series, empty
+// windows, and a max capped, zero, unbounded and near MaxInt.
+func TestQueryRangeWindowing(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	k := SeriesKey{Dataset: DatasetPrice, Type: "m5.xlarge", Region: "us-east-1", AZ: "us-east-1a"}
+	const n = 40
+	minute := func(i int) time.Time { return t0.Add(time.Duration(i) * time.Minute) }
+	var all []Point
+	for i := 0; i < n; i++ {
+		p := Point{At: minute(i), Value: float64(i)}
+		if err := db.Append(k, p.At, p.Value); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, p)
+	}
+	for _, w := range []struct {
+		name     string
+		from, to time.Time
+	}{
+		{"inner", minute(5), minute(30)},
+		{"between points", minute(5).Add(time.Second), minute(30).Add(-time.Second)},
+		{"one point", minute(7), minute(7)},
+		{"over the start", minute(-10), minute(3)},
+		{"over the end", minute(35), minute(90)},
+		{"everything", time.Time{}, minute(1000)},
+		{"before the series", minute(-10), minute(-1)},
+		{"after the series", minute(n), minute(n + 5)},
+		{"ends before it starts", minute(20), minute(10)},
+	} {
+		var full []Point
+		for _, p := range all {
+			if !p.At.Before(w.from) && !p.At.After(w.to) {
+				full = append(full, p)
+			}
+		}
+		if got := noerr(db.CountAfter(k, w.from, 0, w.to)); got != len(full) {
+			t.Fatalf("%s: CountAfter %d, want %d", w.name, got, len(full))
+		}
+		for _, tc := range []struct{ max, wantN int }{
+			{-1, len(full)},
+			{7, min(7, len(full))},
+			{100, len(full)},
+			{math.MaxInt, len(full)}, // a huge max must not overflow
+			{0, 0},                   // zero max = empty
+		} {
+			got := noerr(db.QueryAfter(k, w.from, 0, w.to, tc.max))
+			if len(got) != tc.wantN {
+				t.Fatalf("%s: QueryAfter(max=%d): %d points, want %d", w.name, tc.max, len(got), tc.wantN)
+			}
+			for j, p := range got {
+				if p != full[j] {
+					t.Fatalf("%s: QueryAfter(max=%d)[%d] = %+v, want %+v", w.name, tc.max, j, p, full[j])
+				}
+			}
+		}
+		got := noerr(db.Query(k, w.from, w.to))
+		if len(got) != len(full) {
+			t.Fatalf("%s: Query %d points, want %d", w.name, len(got), len(full))
+		}
+		for j, p := range got {
+			if p != full[j] {
+				t.Fatalf("%s: Query[%d] = %+v, want %+v", w.name, j, p, full[j])
+			}
+		}
 	}
 }

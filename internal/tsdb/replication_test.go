@@ -105,8 +105,8 @@ func assertStoresEqual(t *testing.T, a, b *DB) {
 		if oka != okb || (oka && (!la.At.Equal(lb.At) || la.Value != lb.Value)) {
 			t.Fatalf("%v last differs: (%v,%v) vs (%v,%v)", k, la.At, la.Value, lb.At, lb.Value)
 		}
-		ca := noerr(a.CountRange(k, time.Time{}, end))
-		cb := noerr(b.CountRange(k, time.Time{}, end))
+		ca := noerr(a.CountAfter(k, time.Time{}, 0, end))
+		cb := noerr(b.CountAfter(k, time.Time{}, 0, end))
 		if ca != cb {
 			t.Fatalf("%v counts differ: %d vs %d", k, ca, cb)
 		}

@@ -855,17 +855,18 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 	return stored, firstErr
 }
 
-// Query returns the points of a series within [from, to], oldest first.
+// Query returns the points of a series within [from, to], oldest first:
+// a window is the position (from, 0) read to its end.
 func (db *DB) Query(k SeriesKey, from, to time.Time) ([]Point, error) {
-	return db.QueryRange(k, from, to, 0, -1)
+	return db.QueryAfter(k, from, 0, to, -1)
 }
 
 // ErrColdRead marks a read that touched a cold block which failed to
 // decode (bit rot, a vanished or truncated block file). The read APIs
 // return it wrapped around the underlying cause rather than serving a
 // silently truncated result: a window answer with a hole would disagree
-// with CountRange (which locates the same window by block metadata
-// alone), so pagination totals and page contents would drift apart
+// with CountAfter (which locates the same window by block metadata
+// alone), so a page's count pass and its copy pass would drift apart
 // without either side noticing. Callers that can degrade (dedup checks,
 // best-effort tooling) may choose to; serving paths must surface it.
 var ErrColdRead = errors.New("tsdb: cold block read failed")
@@ -1078,75 +1079,6 @@ func (db *DB) lastPointLocked(s *series) (Point, bool, error) {
 	return db.pointAtLocked(s, s.cold.n-1)
 }
 
-// rangeBounds returns the global index window [lo, hi) of the series'
-// points falling within [from, to]. This is the single source of window
-// semantics for every range read — pagination relies on the count pass
-// and the copy pass agreeing exactly, across both tiers. On a cold read
-// error both passes fail identically instead of disagreeing silently.
-func (db *DB) rangeBounds(s *series, from, to time.Time) (lo, hi int, err error) {
-	lo, err = db.searchSeries(s, func(t time.Time) bool { return !t.Before(from) })
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = db.searchSeries(s, func(t time.Time) bool { return t.After(to) })
-	if err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
-}
-
-// CountRange returns how many points of the series fall within [from, to]
-// without copying any of them — two binary searches under the shard's
-// read lock. Pagination uses it to size pages and locate offsets before
-// materializing only the requested window.
-func (db *DB) CountRange(k SeriesKey, from, to time.Time) (int, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return 0, nil
-	}
-	lo, hi, err := db.rangeBounds(s, from, to)
-	if err != nil || lo >= hi {
-		return 0, err
-	}
-	return hi - lo, nil
-}
-
-// QueryRange returns up to max points of the series within [from, to],
-// oldest first, skipping the first skip in-window points. A negative max
-// means "all remaining". Only the returned points are copied, so a
-// paginated reader of a large window allocates one page at a time instead
-// of the full range.
-func (db *DB) QueryRange(k SeriesKey, from, to time.Time, skip, max int) ([]Point, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return nil, nil
-	}
-	lo, hi, err := db.rangeBounds(s, from, to)
-	if err != nil {
-		return nil, err
-	}
-	// Compare skip and max against the remainder rather than adding them
-	// to an index: lo+skip or lo+max overflows for values near MaxInt,
-	// and a wrapped-negative bound would drop (or worse, mis-slice) the
-	// result.
-	if skip > 0 {
-		if skip >= hi-lo {
-			return nil, nil
-		}
-		lo += skip
-	}
-	if max >= 0 && max < hi-lo {
-		hi = lo + max
-	}
-	return db.getPointsLocked(s, lo, hi)
-}
-
 // afterBounds returns the global index window [lo, hi) of the series'
 // points after the position (after, seq) and at or before `to`. The
 // caller holds the owning shard's lock. This is the seek primitive
@@ -1160,7 +1092,11 @@ func (db *DB) QueryRange(k SeriesKey, from, to time.Time, skip, max int) ([]Poin
 // dropping the run's remainder. Positions resolve identically whether
 // the addressed points are hot or have been sealed into cold blocks —
 // sealing never reorders or renumbers, so a cursor taken before a seal
-// resumes exactly where it left off after one.
+// resumes exactly where it left off after one. The position (from, 0) is
+// the plain window [from, to], so this is also the single source of
+// window semantics for range reads: a page's count pass and copy pass
+// agree exactly across both tiers, and a cold read error fails both
+// identically instead of letting them disagree silently.
 func (db *DB) afterBounds(s *series, after time.Time, seq int, to time.Time) (lo, hi int, err error) {
 	lo, err = db.searchSeries(s, func(t time.Time) bool { return !t.Before(after) })
 	if err != nil {
