@@ -1,7 +1,7 @@
 // Command metriclint validates a Prometheus text exposition scrape —
 // the CI gate that keeps GET /api/v1/metrics honest. It reads the
 // exposition from stdin (or a file argument), runs the same strict
-// parser the loadgen scrape uses (internal/obs.ParseExposition: names,
+// parser the benchmark's scrape uses (internal/obs.ParseExposition: names,
 // values, TYPE comments, cumulative ascending histogram buckets ending
 // at +Inf with a matching _count), and exits non-zero with the parse
 // error if anything is malformed.

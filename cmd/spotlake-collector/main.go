@@ -8,11 +8,13 @@
 // tail counts toward -checkpoint-bytes, so the first over-threshold tick
 // of the resumed run folds it into a checkpoint).
 //
-// The -data directory uses the rotated segment layout (MANIFEST, per-shard
-// wal-<shard>-<seq>.log segment chains, checkpoint snapshot); directories
-// written by older builds — a single points.wal, or the one-segment-per-
-// shard v1 layout — are migrated automatically on open. The active segment
-// of each shard seals and rotates past -rotate-bytes.
+// The -data directory is the only persistence, in the store's one layout
+// (MANIFEST, per-shard wal-<shard>-<seq>.log segment chains, checkpoint
+// snapshot, sealed block files — see internal/tsdb/README.md); a
+// directory in any other layout is refused, untouched. The store flags
+// (-rotate-bytes … -retain-raw) are tsdb.BindFlags', shared with
+// spotlake-server. The active segment of each shard seals and rotates
+// past -rotate-bytes.
 //
 // The store maintains itself: a daemon inside the tsdb (polling every
 // -maintenance-interval of wall time) checkpoints whenever the WAL grows
@@ -29,10 +31,10 @@
 //	                   [-seed 22] [-exact] [-checkpoint-interval 24h]
 //	                   [-checkpoint-bytes 67108864] [-rotate-bytes 8388608]
 //	                   [-max-sealed-segments 64] [-maintenance-interval 1s]
-//	                   [-snapshot FILE]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -50,29 +52,28 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spotlake-collector: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is main's body behind an error return, so the deferred db.Close —
+// the flush + fsync of every shard's buffered WAL tail — runs on every
+// exit after the store opens; log.Fatal would skip it.
+func run() error {
 	var (
-		dataDir    = flag.String("data", "", "archive data directory (required; legacy single-WAL dirs migrate automatically)")
+		dataDir    = flag.String("data", "", "archive data directory (required; the only persistence)")
 		days       = flag.Int("days", 30, "simulated days to collect")
 		frac       = flag.Float64("frac", 0.12, "catalog fraction (1.0 = all 547 types)")
 		interval   = flag.Duration("interval", 10*time.Minute, "collection cadence (paper: 10m)")
 		seed       = flag.Uint64("seed", 22, "simulation seed")
 		exact      = flag.Bool("exact", false, "use the exact branch-and-bound query packer instead of FFD")
 		cpInterval = flag.Duration("checkpoint-interval", 24*time.Hour, "simulated time between archive checkpoints (0 disables)")
-		cpBytes    = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint as soon as the WAL grows this many bytes past the last checkpoint (0 disables the size trigger; enforced by the store's maintenance daemon)")
-		rotBytes   = flag.Int64("rotate-bytes", tsdb.DefaultRotateBytes, "seal and rotate a shard's WAL segment past this many bytes (negative disables rotation)")
-		maxSealed  = flag.Int("max-sealed-segments", 64, "checkpoint before any shard accumulates this many sealed WAL segments (0 disables the cap)")
-		maintIv    = flag.Duration("maintenance-interval", tsdb.DefaultMaintenanceInterval, "store maintenance daemon poll period (negative disables the daemon)")
-		hotTail    = flag.Int("hot-tail", 0, "per-series points kept hot (uncompressed) ahead of the sealed block tier; 0 = default, negative disables sealing")
-		blockPts   = flag.Int("block-points", 0, "points per compressed cold block (0 = default)")
-		blockCache = flag.Int64("block-cache-bytes", 0, "decoded cold-block LRU cache budget in bytes (0 = default, negative disables)")
-		sealAfter  = flag.Int64("seal-after-hot-points", 0, "maintenance seals history once this many hot points accumulate past the last seal (0 disables the trigger)")
-		snapshot   = flag.String("snapshot", "", "also export a standalone snapshot to this file (deprecated: the data dir checkpoints itself)")
-		retainRaw  = flag.String("retain-raw", "", "per-dataset raw retention horizons, comma-separated <dataset>=<horizon> (e.g. price=90d,sps=720h); raw points past the horizon are dropped once 1h/1d rollups cover them (requires sealing)")
 	)
+	storeOpts := tsdb.BindFlags(flag.CommandLine)
 	flag.Parse()
 	if *dataDir == "" {
-		log.Fatal("-data DIR is required")
+		return errors.New("-data DIR is required")
 	}
 
 	var cat *catalog.Catalog
@@ -83,26 +84,9 @@ func main() {
 	}
 	clk := simclock.NewAtEpoch()
 	cloud := cloudsim.New(cat, clk, *seed, cloudsim.DefaultParams())
-	var retain map[string]time.Duration
-	if *retainRaw != "" {
-		var err error
-		if retain, err = tsdb.ParseRetainRaw(*retainRaw); err != nil {
-			log.Fatalf("parsing -retain-raw: %v", err)
-		}
-	}
-	db, err := tsdb.OpenWithOptions(*dataDir, tsdb.Options{
-		RotateBytes:          *rotBytes,
-		CheckpointAfterBytes: *cpBytes,
-		MaxSealedSegments:    *maxSealed,
-		MaintenanceInterval:  *maintIv,
-		HotTailPoints:        *hotTail,
-		BlockPoints:          *blockPts,
-		BlockCacheBytes:      *blockCache,
-		SealAfterHotPoints:   *sealAfter,
-		RetainRaw:            retain,
-	})
+	db, err := tsdb.OpenWithOptions(*dataDir, *storeOpts)
 	if err != nil {
-		log.Fatalf("opening %s: %v", *dataDir, err)
+		return fmt.Errorf("opening archive store: %w", err)
 	}
 	defer db.Close()
 
@@ -132,51 +116,46 @@ func main() {
 	cfg.PriceInterval = *interval
 	cfg.ExactPacking = *exact
 	cfg.CheckpointInterval = *cpInterval
-	// Deprecation shim: the byte trigger lives in the store now; the
-	// collector's own copy stands down when the store self-maintains but
-	// keeps old configs working against stores opened without the option.
-	cfg.CheckpointAfterBytes = *cpBytes
 	col, err := collector.New(cloud, db, cfg)
 	if err != nil {
-		log.Fatalf("building collector: %v", err)
+		return fmt.Errorf("building collector: %w", err)
 	}
 	log.Printf("plan: %d optimized queries (naive %d) over %d accounts",
 		len(col.Plan().Queries), col.Plan().NaiveQueries, col.Accounts())
 
 	start := time.Now()
 	if err := col.Run(time.Duration(*days) * 24 * time.Hour); err != nil {
-		log.Fatalf("collection: %v", err)
+		return fmt.Errorf("collection: %w", err)
 	}
 	if err := db.Flush(); err != nil {
-		log.Fatalf("flush: %v", err)
+		return fmt.Errorf("flush: %w", err)
 	}
 	// A final checkpoint folds the run's WAL tail into a snapshot, so the
 	// next open (collector resume or spotlake-server) bulk-loads instead
 	// of replaying the whole collection's log.
 	if err := db.Checkpoint(); err != nil {
-		log.Fatalf("checkpoint: %v", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	st := col.Stats()
 	log.Printf("collected %d simulated days in %v", *days, time.Since(start).Round(time.Millisecond))
 	log.Printf("score ticks %d, advisor ticks %d, price ticks %d", st.ScoreTicks, st.AdvisorTicks, st.PriceTicks)
 	log.Printf("queries issued %d (errors %d), points stored %d", st.QueriesIssued, st.QueryErrors, st.PointsStored)
-	log.Printf("checkpoints: %d periodic + %d size-triggered (%d errors) + %d store-maintenance (%d by-bytes, %d chain-cap, %d errors) + 1 final",
-		st.Checkpoints, st.SizeCheckpoints, st.CheckpointErrors,
+	log.Printf("checkpoints: %d periodic (%d errors) + %d store-maintenance (%d by-bytes, %d chain-cap, %d errors) + 1 final",
+		st.Checkpoints, st.CheckpointErrors,
 		st.MaintenanceCheckpoints, st.ForcedByBytes, st.ForcedByChainLength, st.MaintenanceErrors)
 	log.Printf("archive: %d series, %d points in %s", db.SeriesCount(), db.PointCount(), *dataDir)
-	// One `metric:` row per registry sample on stdout, unprefixed — the
-	// same name=value format spotlake-loadgen emits from scrapes, so
-	// cmd/benchjson folds a collector transcript the same way.
+	// One `metric:` row per registry sample on stdout, unprefixed and
+	// greppable: name=value, histogram buckets left out.
 	for _, sm := range reg.Samples() {
 		if strings.HasSuffix(sm.Name, "_bucket") {
 			continue
 		}
 		fmt.Printf("metric: name=%s value=%g\n", sm.Name, sm.Value)
 	}
-	if *snapshot != "" {
-		if err := db.SaveSnapshot(*snapshot); err != nil {
-			log.Fatalf("snapshot: %v", err)
-		}
-		log.Printf("snapshot saved to %s", *snapshot)
+	// The success path reports Close's own flush + fsync; the deferred
+	// second Close is then a no-op.
+	if err := db.Close(); err != nil {
+		return fmt.Errorf("closing archive store: %w", err)
 	}
+	return nil
 }

@@ -4,18 +4,20 @@
 // background (simulated time advances one collection tick per wall-clock
 // interval, like a live deployment).
 //
-// The -data directory uses the rotated segment layout (MANIFEST, per-shard
-// wal-<shard>-<seq>.log segment chains, checkpoint snapshot); directories
-// written by older builds — a single points.wal, or the one-segment-per-
-// shard v1 layout — are migrated automatically on open. Shard segments
-// rotate past -rotate-bytes. With -data set the store maintains itself:
+// The -data directory is the only persistence: without it the archive
+// lives in memory and a restart bootstraps again. It holds one layout
+// (MANIFEST, per-shard wal-<shard>-<seq>.log segment chains, checkpoint
+// snapshot, sealed block files — see internal/tsdb/README.md); a
+// directory in any other layout is refused at startup, untouched. The
+// store flags (-rotate-bytes … -retain-raw) are tsdb.BindFlags', shared
+// with spotlake-collector. With -data set the store maintains itself:
 // its internal daemon (polling every -maintenance-interval) checkpoints
 // whenever the WAL grows -checkpoint-bytes past the last checkpoint or a
 // shard accumulates -max-sealed-segments sealed segments — covering the
-// bootstrap writer and snapshot restores, not just collection ticks —
-// and the server additionally checkpoints after bootstrap and every
+// bootstrap writer, not just collection ticks — and the server
+// additionally checkpoints after bootstrap and every
 // -checkpoint-interval of simulated time. Restarts bulk-load the
-// snapshot and replay only bounded per-shard chain tails.
+// checkpoint and replay only bounded per-shard chain tails.
 //
 // The HTTP front is hardened for public traffic: the listener runs with
 // read/write/idle timeouts (a slowloris client cannot hold a goroutine
@@ -46,7 +48,7 @@
 //	                [-data DIR] [-tick 2s] [-seed 22]
 //	                [-checkpoint-interval 24h] [-checkpoint-bytes 67108864]
 //	                [-rotate-bytes 8388608] [-max-sealed-segments 64]
-//	                [-maintenance-interval 1s] [-snapshot FILE]
+//	                [-maintenance-interval 1s]
 //	                [-max-in-flight 256] [-queue-wait 100ms]
 //	                [-rate-limit 50] [-rate-burst 100] [-drain-timeout 15s]
 //	spotlake-server -follow http://primary:8080 -data DIR [-addr :8081]
@@ -55,7 +57,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -83,21 +84,11 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		bootstrap  = flag.Int("bootstrap-days", 14, "simulated days to collect before serving")
 		frac       = flag.Float64("frac", 0.12, "catalog fraction (1.0 = all 547 types)")
-		dataDir    = flag.String("data", "", "archive data directory for persistence (empty = memory only; legacy single-WAL dirs migrate automatically)")
+		dataDir    = flag.String("data", "", "archive data directory, the only persistence (empty = memory only: a restart bootstraps again)")
 		tick       = flag.Duration("tick", 2*time.Second, "wall-clock interval per live collection tick")
 		seed       = flag.Uint64("seed", 22, "simulation seed")
 		multiCloud = flag.Bool("multicloud", false, "also collect Azure and GCP spot datasets (Section 7)")
 		cpInterval = flag.Duration("checkpoint-interval", 24*time.Hour, "simulated time between archive checkpoints with -data (0 disables)")
-		cpBytes    = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint as soon as the WAL grows this many bytes past the last checkpoint (0 disables the size trigger)")
-		rotBytes   = flag.Int64("rotate-bytes", tsdb.DefaultRotateBytes, "seal and rotate a shard's WAL segment past this many bytes (negative disables rotation)")
-		maxSealed  = flag.Int("max-sealed-segments", 64, "checkpoint before any shard accumulates this many sealed WAL segments (0 disables the cap)")
-		maintIv    = flag.Duration("maintenance-interval", tsdb.DefaultMaintenanceInterval, "store maintenance daemon poll period (negative disables the daemon)")
-		hotTail    = flag.Int("hot-tail", 0, "per-series points kept hot (uncompressed) ahead of the sealed block tier; 0 = default, negative disables sealing")
-		blockPts   = flag.Int("block-points", 0, "points per compressed cold block (0 = default)")
-		blockCache = flag.Int64("block-cache-bytes", 0, "decoded cold-block LRU cache budget in bytes (0 = default, negative disables)")
-		sealAfter  = flag.Int64("seal-after-hot-points", 0, "maintenance seals history once this many hot points accumulate past the last seal (0 disables the trigger)")
-		retainRaw  = flag.String("retain-raw", "", "per-dataset raw retention horizons, comma-separated <dataset>=<horizon> (e.g. price=90d,sps=720h); raw points past the horizon are dropped once 1h/1d rollups cover them (requires -data and sealing)")
-		snapshot   = flag.String("snapshot", "", "standalone snapshot file: loaded at startup when present (skipping that much bootstrap), saved after bootstrap (deprecated with -data: the data dir checkpoints itself)")
 		maxInFl    = flag.Int("max-in-flight", 256, "cap on concurrently executing requests; the excess queues briefly then is shed with 503 (0 = unlimited)")
 		queueWait  = flag.Duration("queue-wait", 100*time.Millisecond, "how long an over-cap request may wait for an in-flight slot before being shed")
 		rateLimit  = flag.Float64("rate-limit", 50, "per-client sustained requests/sec before 429 + Retry-After (0 disables throttling)")
@@ -107,6 +98,7 @@ func main() {
 		pollIv     = flag.Duration("poll-interval", 2*time.Second, "with -follow, how often the puller lists the primary for new checkpoint artifacts")
 		maxStale   = flag.Duration("max-staleness", 30*time.Second, "with -follow, reads answer 503 stale_replica once this long passes without a confirmed sync (0 = serve however stale)")
 	)
+	storeOpts := tsdb.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	var cat *catalog.Catalog
@@ -120,7 +112,7 @@ func main() {
 		runFollower(followerConfig{
 			addr: *addr, primaryURL: *follow, dataDir: *dataDir,
 			pollInterval: *pollIv, maxStaleness: *maxStale,
-			blockCache: *blockCache, multiCloud: *multiCloud,
+			storeOpts: *storeOpts, multiCloud: *multiCloud,
 			maxInFlight: *maxInFl, queueWait: *queueWait,
 			rateLimit: *rateLimit, rateBurst: *rateBurst,
 			drainTimeout: *drainTO,
@@ -130,43 +122,14 @@ func main() {
 
 	clk := simclock.NewAtEpoch()
 	cloud := cloudsim.New(cat, clk, *seed, cloudsim.DefaultParams())
-	var retain map[string]time.Duration
-	if *retainRaw != "" {
-		var err error
-		if retain, err = tsdb.ParseRetainRaw(*retainRaw); err != nil {
-			log.Fatalf("parsing -retain-raw: %v", err)
-		}
-	}
-	db, err := tsdb.OpenWithOptions(*dataDir, tsdb.Options{
-		RotateBytes:          *rotBytes,
-		CheckpointAfterBytes: *cpBytes,
-		MaxSealedSegments:    *maxSealed,
-		MaintenanceInterval:  *maintIv,
-		HotTailPoints:        *hotTail,
-		BlockPoints:          *blockPts,
-		BlockCacheBytes:      *blockCache,
-		SealAfterHotPoints:   *sealAfter,
-		RetainRaw:            retain,
-	})
+	db, err := tsdb.OpenWithOptions(*dataDir, *storeOpts)
 	if err != nil {
 		log.Fatalf("opening archive store: %v", err)
 	}
 	defer db.Close()
 
-	// A snapshot restores a previous run's archive in one pass. When the
-	// WAL (-data) already replayed the same data on Open, the snapshot is
-	// redundant — loading it would be rejected as overlapping appends.
-	if *snapshot != "" {
-		if db.PointCount() > 0 {
-			log.Printf("store already holds %d points (WAL replay); skipping snapshot load", db.PointCount())
-		} else if n, err := db.LoadSnapshotFile(*snapshot); err == nil {
-			log.Printf("loaded snapshot %s: %d series, %d points", *snapshot, n, db.PointCount())
-		} else if !errors.Is(err, os.ErrNotExist) {
-			log.Fatalf("loading snapshot: %v", err)
-		}
-	}
 	cfg := collector.DefaultConfig()
-	// Restored data (snapshot or WAL) sits in simulated time after the
+	// Recovered data (checkpoint + WAL) sits in simulated time after the
 	// clock's epoch start: fast-forward so collection continues where the
 	// archive left off instead of appending out of order. Land one tick
 	// PAST the last recovered timestamp, not on it: collector.Start
@@ -178,11 +141,6 @@ func main() {
 	}
 
 	cfg.CheckpointInterval = *cpInterval
-	// Deprecation shim: the store's maintenance daemon owns the byte
-	// trigger now; the collector's copy stands down when the store
-	// self-maintains (it does here) and only matters for stores opened
-	// without the option.
-	cfg.CheckpointAfterBytes = *cpBytes
 	col, err := collector.New(cloud, db, cfg)
 	if err != nil {
 		log.Fatalf("building collector: %v", err)
@@ -212,8 +170,9 @@ func main() {
 			log.Fatalf("starting multi-cloud collector: %v", err)
 		}
 	}
-	// Restored data counts toward the bootstrap target: only simulate the
-	// remainder, so a restart with a full snapshot serves immediately.
+	// Recovered data counts toward the bootstrap target: only simulate the
+	// remainder, so a restart over a full -data directory serves
+	// immediately.
 	if d := simclock.Epoch.Add(time.Duration(*bootstrap) * 24 * time.Hour).Sub(clk.Now()); d > 0 {
 		clk.RunFor(d)
 	}
@@ -229,12 +188,6 @@ func main() {
 			log.Fatalf("checkpoint: %v", err)
 		}
 		log.Printf("checkpointed archive in %s", *dataDir)
-	}
-	if *snapshot != "" {
-		if err := db.SaveSnapshot(*snapshot); err != nil {
-			log.Fatalf("saving snapshot: %v", err)
-		}
-		log.Printf("snapshot saved to %s", *snapshot)
 	}
 
 	// Live mode: one goroutine owns the simulation and advances it one
@@ -309,7 +262,7 @@ type followerConfig struct {
 	dataDir      string
 	pollInterval time.Duration
 	maxStaleness time.Duration
-	blockCache   int64
+	storeOpts    tsdb.Options // as parsed from the shared store flags
 	multiCloud   bool
 	maxInFlight  int
 	queueWait    time.Duration
@@ -326,11 +279,11 @@ func runFollower(cfg followerConfig, cat *catalog.Catalog) {
 	if cfg.dataDir == "" {
 		log.Fatalf("-follow requires -data: the replica needs a directory to ship artifacts into")
 	}
-	storeOpts := tsdb.Options{
-		ReadOnly:            true,
-		MaintenanceInterval: -1,
-		BlockCacheBytes:     cfg.blockCache,
-	}
+	// The replica opens with the same store flags a primary would, made
+	// read-only: no daemon, and no retention (a replica never drops what
+	// the primary shipped).
+	storeOpts := cfg.storeOpts
+	storeOpts.ReadOnly, storeOpts.MaintenanceInterval, storeOpts.RetainRaw = true, -1, nil
 	// Reopen an existing replica so restarts serve immediately; a fresh
 	// directory serves empty (gated stale) until the first pull lands.
 	var db *tsdb.DB

@@ -49,22 +49,6 @@ type Config struct {
 	// of simulated time, bounding crash-recovery replay to at most one
 	// interval of collected data. Zero disables periodic checkpoints.
 	CheckpointInterval time.Duration
-	// CheckpointAfterBytes, when positive and the store is durable, fires
-	// a checkpoint as soon as the WAL has grown past this many record
-	// bytes since the last checkpoint, checked after every collection
-	// tick. It bounds crash-recovery replay by bytes written rather than
-	// wall clock — a write-heavy archive checkpoints more often, an idle
-	// one not at all — and composes with CheckpointInterval (whichever
-	// trigger fires first wins; the byte counter resets on every
-	// committed checkpoint either way). Zero disables the size trigger.
-	//
-	// Deprecated shim: when the store was opened with its own
-	// tsdb.Options.CheckpointAfterBytes (it self-maintains), the
-	// collector stands down and leaves the size trigger to the store's
-	// maintenance daemon — setting both does not double-fire. Prefer the
-	// store option: it also covers non-collector writers such as bulk
-	// snapshot restores.
-	CheckpointAfterBytes int64
 }
 
 // DefaultConfig returns the paper's collection configuration.
@@ -82,10 +66,9 @@ func DefaultConfig() Config {
 // Stats are cumulative collection counters. The maintenance fields
 // mirror the store's own counters (tsdb.MaintenanceStats) so one Stats
 // read reports every checkpoint source: collector-driven (Checkpoints,
-// SizeCheckpoints, CheckpointErrors) and store-driven
-// (MaintenanceCheckpoints split by trigger, with MaintenanceErrors
-// counting the store's failed attempts — a climbing value means the
-// replay tail is not actually being bounded).
+// CheckpointErrors) and store-driven (MaintenanceCheckpoints split by
+// trigger, with MaintenanceErrors counting the store's failed attempts —
+// a climbing value means the replay tail is not actually being bounded).
 type Stats struct {
 	ScoreTicks             int
 	AdvisorTicks           int
@@ -94,7 +77,6 @@ type Stats struct {
 	PointsStored           int
 	QueryErrors            int
 	Checkpoints            int
-	SizeCheckpoints        int
 	CheckpointErrors       int
 	MaintenanceCheckpoints uint64
 	ForcedByBytes          uint64
@@ -166,46 +148,14 @@ func (c *Collector) Stats() Stats {
 
 // flush stores one tick's batch of points. Batching lets the store group
 // the entries by shard and take each shard lock once per tick instead of
-// once per point (dedup per AppendIfChanged unless StoreAllSamples).
-// After the batch lands, the size-based checkpoint trigger runs: ticks
-// are the natural trigger points because they are the only writers, so
-// the WAL can only cross the threshold here.
+// once per point (dedup per AppendIfChanged unless StoreAllSamples). The
+// store's own byte trigger (tsdb.Options.CheckpointAfterBytes) runs on
+// this append path, so a tick that crosses it checkpoints before storing.
 func (c *Collector) flush(entries []tsdb.Entry) (int, error) {
-	var (
-		n   int
-		err error
-	)
 	if c.cfg.StoreAllSamples {
-		n, err = c.db.AppendBatch(entries)
-	} else {
-		n, err = c.db.AppendBatchIfChanged(entries)
+		return c.db.AppendBatch(entries)
 	}
-	c.maybeCheckpointBySize()
-	return n, err
-}
-
-// maybeCheckpointBySize checkpoints the archive when the WAL has grown
-// past CheckpointAfterBytes since the last checkpoint. When the store
-// carries its own byte threshold (tsdb.Options.CheckpointAfterBytes) the
-// collector stands down: the store enforces it synchronously on the
-// append path — every tick's batch checks it before storing, daemon or
-// no daemon — so firing here too would just stack redundant snapshots.
-func (c *Collector) maybeCheckpointBySize() {
-	if c.cfg.CheckpointAfterBytes <= 0 || !c.db.Durable() {
-		return
-	}
-	if c.db.CheckpointAfterBytes() > 0 {
-		return
-	}
-	if c.db.WALBytesSinceCheckpoint() < uint64(c.cfg.CheckpointAfterBytes) {
-		return
-	}
-	if err := c.db.Checkpoint(); err != nil {
-		log.Printf("collector: size-triggered checkpoint failed: %v", err)
-		c.stats.CheckpointErrors++
-	} else {
-		c.stats.SizeCheckpoints++
-	}
+	return c.db.AppendBatchIfChanged(entries)
 }
 
 // CollectScoresOnce executes the full placement-score plan once, storing

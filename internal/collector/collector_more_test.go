@@ -196,13 +196,13 @@ func TestSizeBasedCheckpointTrigger(t *testing.T) {
 	clk := simclock.NewAtEpoch()
 	cloud := cloudsim.New(cat, clk, 11, cloudsim.DefaultParams())
 	const threshold = 16 << 10
-	db, err := tsdb.OpenWithOptions(dir, tsdb.Options{RotateBytes: 4096})
+	opts := tsdb.Options{RotateBytes: 4096, CheckpointAfterBytes: threshold}
+	db, err := tsdb.OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.CheckpointInterval = 0 // size trigger only
-	cfg.CheckpointAfterBytes = threshold
 	col, err := New(cloud, db, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,17 +211,17 @@ func TestSizeBasedCheckpointTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := col.Stats()
-	if st.SizeCheckpoints < 2 {
-		t.Fatalf("size-triggered checkpoints fired %d times; the run writes several times the %d-byte threshold", st.SizeCheckpoints, threshold)
+	if m := db.MaintenanceStats(); m.ForcedByBytes < 2 {
+		t.Fatalf("size-triggered checkpoints fired %d times; the run writes several times the %d-byte threshold", m.ForcedByBytes, threshold)
 	}
 	if st.Checkpoints != 0 {
 		t.Fatalf("%d interval checkpoints fired with the interval trigger disabled", st.Checkpoints)
 	}
-	if st.CheckpointErrors != 0 {
-		t.Fatalf("%d checkpoint errors", st.CheckpointErrors)
+	if st.CheckpointErrors != 0 || st.MaintenanceErrors != 0 {
+		t.Fatalf("%d collector + %d store checkpoint errors", st.CheckpointErrors, st.MaintenanceErrors)
 	}
 	// The un-checkpointed tail is at most the threshold plus one tick's
-	// worth of overshoot (the trigger runs after each tick's batch).
+	// worth of overshoot (the trigger runs before each tick's batch).
 	if tail := db.WALBytesSinceCheckpoint(); tail >= 2*threshold {
 		t.Fatalf("WAL tail is %d bytes after the run, want < 2x the %d-byte threshold", tail, threshold)
 	}
@@ -229,7 +229,7 @@ func TestSizeBasedCheckpointTrigger(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := tsdb.OpenWithOptions(dir, tsdb.Options{RotateBytes: 4096})
+	re, err := tsdb.OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package collector
 
-// Tests the deprecation shim around the size-based checkpoint trigger:
-// when the store is opened with its own tsdb.Options.CheckpointAfterBytes
-// (it self-maintains), the collector's identical config stands down and
-// the store's maintenance daemon fires the checkpoints instead — setting
-// both never double-fires.
+// Tests the store's byte-triggered checkpoints
+// (tsdb.Options.CheckpointAfterBytes) under a simulated-time collection
+// run: the collector carries no trigger of its own.
 
 import (
 	"testing"
@@ -16,55 +14,11 @@ import (
 	"repro/internal/tsdb"
 )
 
-func TestCollectorStandsDownForSelfMaintainingStore(t *testing.T) {
-	dir := t.TempDir()
-	cat := catalog.Compact(2)
-	clk := simclock.NewAtEpoch()
-	cloud := cloudsim.New(cat, clk, 11, cloudsim.DefaultParams())
-	const threshold = 16 << 10
-	db, err := tsdb.OpenWithOptions(dir, tsdb.Options{
-		RotateBytes:          4096,
-		CheckpointAfterBytes: threshold,
-		MaintenanceInterval:  time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	cfg := DefaultConfig()
-	cfg.CheckpointInterval = 0
-	cfg.CheckpointAfterBytes = threshold // old config, same threshold: must stand down
-	col, err := New(cloud, db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := col.Run(6 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	// The daemon owns the trigger now: give it a poll or two to drain
-	// whatever tail the run's last ticks left above the threshold.
-	deadline := time.Now().Add(5 * time.Second)
-	for db.WALBytesSinceCheckpoint() >= threshold && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	st := col.Stats()
-	if st.SizeCheckpoints != 0 {
-		t.Fatalf("collector fired %d size checkpoints against a self-maintaining store", st.SizeCheckpoints)
-	}
-	if st.MaintenanceCheckpoints == 0 {
-		t.Fatalf("store maintenance never checkpointed: %+v (wal tail %d)", st, db.WALBytesSinceCheckpoint())
-	}
-	if tail := db.WALBytesSinceCheckpoint(); tail >= threshold {
-		t.Fatalf("WAL tail still %d bytes (threshold %d) after the daemon had time to run", tail, threshold)
-	}
-}
-
 // TestStoreByteTriggerHoldsWithoutDaemon pins the byte bound for
 // simulated-time batch runs: with the daemon disabled (and it being
 // wall-clock anyway, useless against a writer compressing months into
 // seconds), the store's append-path enforcement alone must keep the
-// replay tail bounded by the threshold plus one tick — the bound PR 3's
-// collector-side trigger gave — while the collector stays stood down.
+// replay tail bounded by the threshold plus one tick.
 func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	dir := t.TempDir()
 	cat := catalog.Compact(2)
@@ -74,7 +28,7 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	db, err := tsdb.OpenWithOptions(dir, tsdb.Options{
 		RotateBytes:          4096,
 		CheckpointAfterBytes: threshold,
-		MaintenanceInterval:  -1, // daemon off: the store option is inert
+		MaintenanceInterval:  -1, // daemon off: only the append path enforces
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +36,6 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	defer db.Close()
 	cfg := DefaultConfig()
 	cfg.CheckpointInterval = 0
-	cfg.CheckpointAfterBytes = threshold
 	col, err := New(cloud, db, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,16 +43,11 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	if err := col.Run(6 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	st := col.Stats()
-	if st.SizeCheckpoints != 0 {
-		t.Fatalf("collector fired %d size checkpoints against a store that owns the byte trigger", st.SizeCheckpoints)
-	}
 	if m := db.MaintenanceStats(); m.ForcedByBytes == 0 {
 		t.Fatalf("append-path byte trigger never fired with the daemon disabled: %+v", m)
 	}
 	// The append path checks the threshold before every tick's batch, so
-	// the tail is bounded by threshold + one tick's worth of overshoot —
-	// the same bound the collector-side trigger used to give.
+	// the tail is bounded by threshold + one tick's worth of overshoot.
 	if tail := db.WALBytesSinceCheckpoint(); tail >= 2*threshold {
 		t.Fatalf("WAL tail is %d bytes after the run, want < 2x the %d-byte threshold", tail, threshold)
 	}

@@ -2,8 +2,8 @@ package obs
 
 // A minimal reader for the Prometheus text exposition format — enough
 // for the three consumers in this repo: cmd/metriclint (CI validates
-// every scrape parses), cmd/spotlake-loadgen (folds end-of-run scrapes
-// into `metric:` rows), and the archive tests (meta↔metrics agreement).
+// every scrape parses), the benchmark (bench/ reads the served process's
+// counters through it), and the archive tests (meta↔metrics agreement).
 // It understands exactly what the registry emits: comment lines, bare
 // samples, and histogram samples with a single le label.
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -520,17 +519,11 @@ func BenchmarkColdQuery(b *testing.B) {
 	}
 }
 
-// residentHeapPrinted dedups memstat rows across the b.N calibration
-// reruns (and the -cpu matrix) so each scenario lands in the bench
-// transcript — and the BENCH artifact's memory section — exactly once.
-var residentHeapPrinted sync.Map
-
 // BenchmarkResidentHeap measures the steady-state heap of a recovered
 // archive under the two storage layouts: every point resident ([]Point
 // hot series) versus sealed history (compressed blocks on disk, only the
-// hot tail and block index resident). It prints one machine-readable
-// `memstat:` line per scenario for cmd/benchjson's memory section; the
-// ISSUE target is a >= 4x drop for the cold-dominated layout. The build
+// hot tail and block index resident), reported as heapB/point; the
+// target is a >= 4x drop for the cold-dominated layout. The build
 // runs inside the timed region on purpose: the expensive setup keeps the
 // calibration loop at a handful of iterations.
 func BenchmarkResidentHeap(b *testing.B) {
@@ -574,12 +567,7 @@ func BenchmarkResidentHeap(b *testing.B) {
 				if heap < 0 {
 					heap = 0
 				}
-				perPoint := float64(heap) / float64(points)
-				if _, dup := residentHeapPrinted.LoadOrStore(cfg.name, true); !dup {
-					fmt.Printf("memstat: scenario=%s points=%d heapBytes=%d bytesPerPoint=%.2f\n",
-						cfg.name, points, heap, perPoint)
-				}
-				b.ReportMetric(perPoint, "heapB/point")
+				b.ReportMetric(float64(heap)/float64(points), "heapB/point")
 				if err := db.Close(); err != nil {
 					b.Fatal(err)
 				}
@@ -609,15 +597,10 @@ func rollupBenchFill(b *testing.B, db *DB, days int) SeriesKey {
 	return k
 }
 
-// rollupStatPrinted dedups rollupstat rows across the b.N calibration
-// reruns so each tier lands in the BENCH artifact's rollup section once.
-var rollupStatPrinted sync.Map
-
 // BenchmarkRollupQuery measures the same 90-day window served from each
 // resolution tier of one sealed store: the raw series against its 1h and
-// 1d mean rollups. The printed `rollupstat:` rows carry the scan counts
-// for cmd/benchjson's rollup section — the ISSUE target is the 1h tier
-// scanning >= 50x fewer points than raw.
+// 1d mean rollups. The `scanned` metric carries the scan counts — the
+// target is the 1h tier scanning >= 50x fewer points than raw.
 func BenchmarkRollupQuery(b *testing.B) {
 	const days = 90
 	opts := Options{Shards: 2, RotateBytes: 8 << 20, HotTailPoints: 64, BlockPoints: 512, BlockCacheBytes: 4 << 20}
@@ -655,10 +638,6 @@ func BenchmarkRollupQuery(b *testing.B) {
 			scanned := (tier.db.ScannedPoints() - s0) / uint64(b.N)
 			b.ReportMetric(float64(len(pts)), "points")
 			b.ReportMetric(float64(scanned), "scanned")
-			if _, dup := rollupStatPrinted.LoadOrStore(tier.name, true); !dup {
-				fmt.Printf("rollupstat: tier=%s windowDays=%d points=%d scanned=%d\n",
-					tier.name, days, len(pts), scanned)
-			}
 		})
 	}
 }

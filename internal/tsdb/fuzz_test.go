@@ -54,9 +54,8 @@ func FuzzManifestDecode(f *testing.F) {
 			{Offset: 0, Segs: []segRef{{Seq: 1, Base: 0}}},
 		},
 	})
-	v1, _ := json.Marshal(manifest{Version: 1, Epoch: 1, Segments: 2, Offsets: []uint64{0, 42}})
 	f.Add(v2)
-	f.Add(v1)
+	f.Add([]byte(`{"version":1,"epoch":1,"segments":2,"checkpointSeq":0,"offsets":[0,42]}`)) // pre-rotation manifest: must be rejected
 	f.Add([]byte(`{"version":2,"segments":1,"shards":[]}`))
 	f.Add([]byte(`{"version":2,"segments":1,"shards":[{"offset":0,"segs":[]}]}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))

@@ -7,6 +7,7 @@ package tsdb
 // tail after a bulk snapshot restore.
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -303,8 +304,8 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	if _, err := src.AppendBatch(legacyEntries(2000)); err != nil {
 		t.Fatal(err)
 	}
-	snap := t.TempDir() + "/bulk.snap"
-	if err := src.SaveSnapshot(snap); err != nil {
+	var snap bytes.Buffer
+	if err := src.WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	wantPoints := src.PointCount()
@@ -321,7 +322,7 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadSnapshotFile(snap); err != nil {
+	if _, err := db.LoadSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if db.WALBytesSinceCheckpoint() < threshold {

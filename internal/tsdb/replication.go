@@ -199,17 +199,10 @@ func IsReplicationArtifactName(name string) bool {
 }
 
 // ValidateReplicatedManifest checks that raw parses as a manifest of the
-// current version — the only layout a read-only reopen can serve without
-// migrating, which a follower must never do.
+// current version — the only layout any open can serve.
 func ValidateReplicatedManifest(raw []byte) error {
-	m, err := parseManifest(raw)
-	if err != nil {
-		return err
-	}
-	if m.Version != manifestVersion {
-		return fmt.Errorf("tsdb: replicated manifest has version %d, need %d", m.Version, manifestVersion)
-	}
-	return nil
+	_, err := parseManifest(raw)
+	return err
 }
 
 // CommitReplicatedManifest atomically installs raw as dir's MANIFEST:
@@ -236,11 +229,10 @@ func CommitReplicatedManifest(dir string, raw []byte) error {
 func SyncReplicaDir(dir string) error { return syncDir(dir) }
 
 // HasCommittedManifest reports whether dir holds a committed manifest a
-// read-only open can serve (current version; older layouts need a
-// writable open to migrate first). A follower uses it at startup to
-// decide between reopening an existing replica and serving empty until
-// its first pull lands.
+// read-only open can serve. A follower uses it at startup to decide
+// between reopening an existing replica and serving empty until its first
+// pull lands.
 func HasCommittedManifest(dir string) bool {
-	man, ok, err := readManifest(dir)
-	return err == nil && ok && man.Version == manifestVersion
+	_, ok, err := readManifest(dir)
+	return err == nil && ok
 }

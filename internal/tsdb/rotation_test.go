@@ -3,8 +3,8 @@ package tsdb
 // Tests for the rotating WAL layout: the crash matrix over every durable
 // boundary of the rotation and checkpoint protocols (× crash before/after
 // the boundary's fsync), the zero-rewrite compaction guarantee, the
-// differential recovery property over random schedules, the v1-manifest
-// migration, and the size-based checkpoint trigger's replay-tail bound.
+// differential recovery property over random schedules, and the
+// size-based checkpoint trigger's replay-tail bound.
 
 import (
 	"crypto/sha256"
@@ -451,203 +451,6 @@ func TestRotatedDifferentialRecovery(t *testing.T) {
 			assertSameContents(t, contents(finalSingle), want)
 		})
 	}
-}
-
-// writeV1Layout crafts a PR 2-era (manifest version 1) durable directory:
-// an optional checkpoint snapshot covering cpEntries, plus one
-// non-rotating wal-<i>.log per shard holding segEntries' records at base
-// offsets matching the checkpoint cut. Returns the expected contents.
-func writeV1Layout(t *testing.T, dir string, shards int, cpEntries, segEntries []Entry) map[SeriesKey][]Point {
-	t.Helper()
-	probe, err := OpenSharded("", shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const epoch = 5
-	offsets := make([]uint64, shards)
-	if len(cpEntries) > 0 {
-		// The covered records' byte lengths set each shard's replay offset.
-		for _, e := range cpEntries {
-			offsets[probe.ShardIndexOf(e.Key)] += uint64(4 + 2 + len(e.Key.String()) + 16)
-		}
-		bySeries := make(map[SeriesKey][]Point)
-		var order []SeriesKey
-		for _, e := range cpEntries {
-			if _, ok := bySeries[e.Key]; !ok {
-				order = append(order, e.Key)
-			}
-			bySeries[e.Key] = append(bySeries[e.Key], Point{At: e.At, Value: e.Value})
-		}
-		recs := make([]snapshotSeries, 0, len(order))
-		for _, k := range order {
-			recs = append(recs, snapshotSeries{key: k, points: bySeries[k]})
-		}
-		sortSnapshotSeries(recs)
-		f, err := os.Create(filepath.Join(dir, checkpointName(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := encodeSnapshot(f, recs); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segBytes := make([][]byte, shards)
-	for _, e := range segEntries {
-		si := probe.ShardIndexOf(e.Key)
-		segBytes[si] = appendRecord(segBytes[si], e.Key.String(), e.At, e.Value)
-	}
-	for i := 0; i < shards; i++ {
-		buf := encodeLegacySegHeader(legacySegHeader{index: i, count: shards, epoch: epoch, base: offsets[i]})
-		buf = append(buf, segBytes[i]...)
-		if err := os.WriteFile(filepath.Join(dir, segName(i)), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := manifest{Version: 1, Epoch: epoch, Segments: shards, CheckpointSeq: 1, Offsets: offsets}
-	if len(cpEntries) > 0 {
-		m.Checkpoint = checkpointName(1)
-	}
-	if err := writeManifest(dir, m, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	ref := newRefDB()
-	refApplyAll(t, ref, cpEntries)
-	refApplyAll(t, ref, segEntries)
-	return refContents(ref)
-}
-
-// TestV1ManifestMigration opens PR 2-era directories (manifest version 1,
-// one non-rotating segment per shard) and verifies they migrate to the
-// rotated layout losslessly, re-commit at a new epoch, survive crashes
-// mid-migration idempotently, and never double-apply leftover v1 files.
-func TestV1ManifestMigration(t *testing.T) {
-	cp := legacyEntries(240)
-	tail := laterEntries(120, 50000)
-
-	open := func(t *testing.T, dir string, want map[SeriesKey][]Point) {
-		t.Helper()
-		db, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameContents(t, contents(db), want)
-		if db.man.Version != manifestVersion || db.man.Epoch <= 5 {
-			t.Fatalf("migration committed manifest version %d epoch %d, want version %d at a later epoch",
-				db.man.Version, db.man.Epoch, manifestVersion)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// The v1 segment files must be gone; the rotated ones in place.
-		for i := 0; i < 4; i++ {
-			if _, err := os.Stat(filepath.Join(dir, segName(i))); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("v1 segment %d still present after migration (err=%v)", i, err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, rotSegName(i, 1))); err != nil {
-				t.Errorf("rotated segment %d missing after migration: %v", i, err)
-			}
-		}
-		// Idempotent: a reopen changes nothing, and appends persist.
-		re, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameContents(t, contents(re), want)
-		extra := Entry{Key: cp[0].Key, At: t0.Add(55000 * time.Minute), Value: 9}
-		if err := re.Append(extra.Key, extra.At, extra.Value); err != nil {
-			t.Fatal(err)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re2, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re2.Close()
-		wantExtra := refContents(&refDB{series: want})
-		wantExtra[extra.Key] = append(wantExtra[extra.Key], Point{At: extra.At, Value: extra.Value})
-		assertSameContents(t, contents(re2), wantExtra)
-	}
-
-	t.Run("checkpoint+tails", func(t *testing.T) {
-		dir := t.TempDir()
-		want := writeV1Layout(t, dir, 4, cp, tail)
-		open(t, dir, want)
-	})
-
-	t.Run("tails-only", func(t *testing.T) {
-		dir := t.TempDir()
-		want := writeV1Layout(t, dir, 4, nil, tail)
-		open(t, dir, want)
-	})
-
-	t.Run("crash-before-v2-commit", func(t *testing.T) {
-		// Crash state: the migration died after writing some rotated-layout
-		// files but before the v2 manifest rename — the v1 manifest is
-		// still authoritative and the stale files must be overwritten or
-		// ignored by the redo.
-		dir := t.TempDir()
-		want := writeV1Layout(t, dir, 4, cp, tail)
-		if err := os.WriteFile(filepath.Join(dir, rotSegName(0, 1)), []byte("partial rotated garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, checkpointName(2)), []byte("crashed migration checkpoint"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, checkpointName(2)+".tmp"), []byte("tmp"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		open(t, dir, want)
-	})
-
-	t.Run("crash-after-v2-commit", func(t *testing.T) {
-		// Crash state: the v2 manifest committed but the v1 files were not
-		// yet removed. Reopening must not replay them again.
-		dir := t.TempDir()
-		want := writeV1Layout(t, dir, 4, cp, tail)
-		db, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Resurrect v1 segments with extra trailing records, so a wrongful
-		// replay would be visible as extra points.
-		probe, err := OpenSharded("", 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resurrect := append(append([]Entry(nil), tail...), laterEntries(60, 60000)...)
-		segBytes := make([][]byte, 4)
-		for _, e := range resurrect {
-			si := probe.ShardIndexOf(e.Key)
-			segBytes[si] = appendRecord(segBytes[si], e.Key.String(), e.At, e.Value)
-		}
-		for i := 0; i < 4; i++ {
-			buf := encodeLegacySegHeader(legacySegHeader{index: i, count: 4, epoch: 5, base: 0})
-			buf = append(buf, segBytes[i]...)
-			if err := os.WriteFile(filepath.Join(dir, segName(i)), buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		re, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		assertSameContents(t, contents(re), want)
-		for i := 0; i < 4; i++ {
-			if _, err := os.Stat(filepath.Join(dir, segName(i))); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("stale v1 segment %d not cleaned up (err=%v)", i, err)
-			}
-		}
-	})
 }
 
 // TestCheckpointAfterBytesBoundsReplayTail writes ten times a size

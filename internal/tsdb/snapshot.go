@@ -24,7 +24,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"time"
 )
 
@@ -84,7 +83,7 @@ func (db *DB) capture() []snapshotSeries {
 
 // captureFull collects every series' complete history — sealed blocks
 // decoded and placed ahead of the hot tail — sorted by canonical key.
-// This is the capture behind WriteSnapshot/SaveSnapshot, whose output
+// This is the capture behind WriteSnapshot, whose output
 // must be a self-contained re-loadable archive regardless of how the
 // store tiers it internally. An unreadable cold block fails the whole
 // capture (ErrColdRead): a snapshot with silently missing history would
@@ -191,12 +190,6 @@ func encodeSnapshot(w io.Writer, recs []snapshotSeries) error {
 		return fmt.Errorf("tsdb: snapshot write: %w", err)
 	}
 	return nil
-}
-
-// SaveSnapshot atomically writes the snapshot to path (temp file, fsync,
-// rename, directory fsync).
-func (db *DB) SaveSnapshot(path string) error {
-	return atomicWriteFile(path, db.WriteSnapshot, nil)
 }
 
 // snapshotSeries is one series record, either captured from the store or
@@ -399,14 +392,4 @@ func (db *DB) LoadSnapshot(r io.Reader) (int, error) {
 		sh.mu.Unlock()
 	}
 	return len(all), nil
-}
-
-// LoadSnapshotFile loads the snapshot at path; see LoadSnapshot.
-func (db *DB) LoadSnapshotFile(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("tsdb: snapshot open: %w", err)
-	}
-	defer f.Close()
-	return db.LoadSnapshot(f)
 }

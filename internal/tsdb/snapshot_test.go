@@ -3,7 +3,6 @@ package tsdb
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -69,24 +68,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("snapshot encoding is not deterministic")
-	}
-}
-
-func TestSnapshotSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "archive.snap")
-	db, _ := Open("")
-	populate(t, db, 5, 20)
-	if err := db.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, _ := Open("")
-	if _, err := db2.LoadSnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	sameContents(t, db, db2)
-	if _, err := db2.LoadSnapshotFile(filepath.Join(dir, "missing.snap")); err == nil {
-		t.Error("loading a missing file succeeded")
 	}
 }
 

@@ -180,8 +180,8 @@ type DB struct {
 	// written only while Open owns the store single-threaded, so the
 	// rotation fast path can read it under just a shard lock. readOnly
 	// marks a store opened with Options.ReadOnly: it loads a committed
-	// layout without owning it (no appends, checkpoints, migrations, or
-	// file reclamation).
+	// layout without owning it (no appends, checkpoints, layout commits,
+	// or file reclamation).
 	dir         string
 	readOnly    bool
 	cpMu        sync.Mutex
@@ -368,11 +368,11 @@ type Options struct {
 	RetainRaw map[string]time.Duration
 	// ReadOnly opens an existing durable layout without taking ownership
 	// of it: no segment files are created, truncated, or reclaimed, no
-	// layout migration or checkpoint ever runs, appends and snapshot
+	// layout commit or checkpoint ever runs, appends and snapshot
 	// loads are rejected, and the maintenance daemon stays off. The open
-	// fails if the directory holds no committed (current-version)
-	// manifest. Replication followers use it to serve a replica whose
-	// files a puller replaces between reopens (see replication.go).
+	// fails if the directory holds no committed manifest. Replication
+	// followers use it to serve a replica whose files a puller replaces
+	// between reopens (see replication.go).
 	ReadOnly bool
 	// noRollups marks the nested rollup store itself, which must not
 	// recurse into opening a rollup store of its own.

@@ -18,10 +18,8 @@ package tsdb
 //	                         manifest lists the live ones, and they
 //	                         accumulate (never rewritten) until retention
 //	                         policies exist to drop them
-//	wal-00000.log ...        pre-rotation per-shard segments (manifest v1);
-//	                         migrated to the rotated layout on first open
-//	points.wal               legacy single-stream WAL from the pre-segment
-//	                         layout; migrated on first open, then removed
+//
+// This is the only layout the store reads or writes.
 //
 // # Segment format
 //
@@ -51,13 +49,14 @@ package tsdb
 //
 // # Commit protocol
 //
-// The manifest rename is the only commit point. Every multi-file change
-// (legacy migration, v1-layout migration, shard-count change, checkpoint)
-// follows the same order: write new data files and fsync them, rename the
+// The manifest rename is the only commit point. Its three users — the
+// first open of a fresh directory, a shard-count change, and a checkpoint
+// — follow the same order: write new data files and fsync them, rename the
 // new MANIFEST into place, then clean up. A crash before the rename leaves
-// the old layout fully intact; a crash after it leaves stale files that
-// the next open recognizes (wrong epoch, unreferenced checkpoint, leftover
-// points.wal or v1 segments) and ignores or deletes.
+// the old layout fully intact (or, on a first open, no layout: the next
+// open starts fresh over the leftovers); a crash after it leaves stale
+// files that the next open recognizes (wrong epoch, unreferenced
+// checkpoint) and ignores or deletes.
 //
 // Checkpoint compaction never rewrites a data file: sealed segments whose
 // whole range is covered by the new checkpoint snapshot are unlinked after
@@ -77,6 +76,14 @@ package tsdb
 // durable), and the torn bytes are truncated before the segment reopens
 // for appending. Recovery time is bounded by the bytes written since the
 // last checkpoint, not by the archive's full history.
+//
+// # Unsupported layouts
+//
+// A directory this build cannot read — a MANIFEST whose version is not 2,
+// or a points.wal (the pre-manifest single-stream log) with no MANIFEST
+// beside it — fails Open with an error naming the directory and the
+// layout, before anything in the directory is created, truncated, renamed
+// or removed. It is never migrated and never served as an empty archive.
 //
 // # Crash points
 //
@@ -111,15 +118,9 @@ import (
 const (
 	manifestName    = "MANIFEST"
 	manifestVersion = 2
-	legacyWALName   = "points.wal"
 
-	// v1 (pre-rotation) segment header: magic | u32 shard index |
-	// u32 segment count | u64 epoch | u64 base offset.
-	legacySegMagic     = "SLWALSG1"
-	legacySegHeaderLen = len(legacySegMagic) + 4 + 4 + 8 + 8
-
-	// v2 (rotating) segment header: magic | u32 shard index |
-	// u32 shard count | u64 epoch | u64 seq | u64 base offset.
+	// Segment header: magic | u32 shard index | u32 shard count |
+	// u64 epoch | u64 seq | u64 base offset.
 	rotSegMagic     = "SLWALSG2"
 	rotSegHeaderLen = len(rotSegMagic) + 4 + 4 + 8 + 8 + 8
 )
@@ -191,12 +192,8 @@ type manifest struct {
 	// no checkpoint has been taken in this layout.
 	Checkpoint    string `json:"checkpoint,omitempty"`
 	CheckpointSeq uint64 `json:"checkpointSeq"`
-	// Shards[i] is shard i's replay offset and segment list (version 2).
+	// Shards[i] is shard i's replay offset and segment list.
 	Shards []shardLayout `json:"shards,omitempty"`
-	// Offsets is the version 1 form: one non-rotating segment per shard,
-	// replay resuming at Offsets[i]. Parsed for migration only;
-	// parseManifest normalizes it into Shards.
-	Offsets []uint64 `json:"offsets,omitempty"`
 	// Blocks lists the live compressed block files by sequence number,
 	// ascending — the cold tier's committed contents. BlockSeq is the
 	// last block file sequence ever committed (it only grows, so a
@@ -209,14 +206,6 @@ type manifest struct {
 	// cuts because partially-dead block files stay in Blocks and
 	// re-attach their dropped blocks (see rollup.go).
 	Retain map[string]int64 `json:"retain,omitempty"`
-}
-
-func segName(i int) string { return fmt.Sprintf("wal-%05d.log", i) }
-
-// scanSegIndex parses a v1 segment file name's shard index.
-func scanSegIndex(name string, i *int) bool {
-	n, err := fmt.Sscanf(name, "wal-%05d.log", i)
-	return err == nil && n == 1 && name == segName(*i)
 }
 
 func rotSegName(i int, seq uint64) string { return fmt.Sprintf("wal-%05d-%06d.log", i, seq) }
@@ -248,16 +237,19 @@ func syncDir(dir string) error {
 	return err
 }
 
-// parseManifest decodes and validates a manifest. Version 1 manifests
-// (one non-rotating segment per shard) are accepted and normalized: their
-// per-shard offsets become Shards[i].Offset with an empty segment list,
-// and Version stays 1 so openDurable knows to migrate. The validation
-// must hold for every manifest recovery trusts: hostile or corrupt input
-// errors, never panics, never makes recovery index out of range.
+// parseManifest decodes and validates a manifest. Any version other than
+// manifestVersion is rejected here, so every caller — writable and
+// read-only opens, replication's pre-commit check — refuses an unsupported
+// layout the same way. The validation must hold for every manifest
+// recovery trusts: hostile or corrupt input errors, never panics, never
+// makes recovery index out of range.
 func parseManifest(raw []byte) (manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return manifest{}, fmt.Errorf("tsdb: parsing manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		return manifest{}, fmt.Errorf("tsdb: unsupported manifest version %d (this build reads only version %d)", m.Version, manifestVersion)
 	}
 	if m.Segments <= 0 {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments", m.Segments)
@@ -265,43 +257,27 @@ func parseManifest(raw []byte) (manifest, error) {
 	if m.Checkpoint != "" && (m.Checkpoint != filepath.Base(m.Checkpoint) || !strings.HasPrefix(m.Checkpoint, "checkpoint-")) {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: checkpoint name %q", m.Checkpoint)
 	}
-	switch m.Version {
-	case 1:
-		if len(m.Offsets) != m.Segments {
-			return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments, %d offsets", m.Segments, len(m.Offsets))
+	if len(m.Shards) != m.Segments {
+		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments, %d shard layouts", m.Segments, len(m.Shards))
+	}
+	for si := range m.Shards {
+		segs := m.Shards[si].Segs
+		if len(segs) == 0 {
+			return manifest{}, fmt.Errorf("tsdb: malformed manifest: shard %d has no segments", si)
 		}
-		m.Shards = make([]shardLayout, m.Segments)
-		for i, off := range m.Offsets {
-			m.Shards[i] = shardLayout{Offset: off}
-		}
-		// v1 layouts predate the block tier; a block list (or retention
-		// cuts over it) here is noise.
-		m.Blocks, m.BlockSeq, m.Retain = nil, 0, nil
-	case manifestVersion:
-		if len(m.Shards) != m.Segments {
-			return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments, %d shard layouts", m.Segments, len(m.Shards))
-		}
-		for si := range m.Shards {
-			segs := m.Shards[si].Segs
-			if len(segs) == 0 {
-				return manifest{}, fmt.Errorf("tsdb: malformed manifest: shard %d has no segments", si)
-			}
-			for j := 1; j < len(segs); j++ {
-				if segs[j].Seq <= segs[j-1].Seq || segs[j].Base < segs[j-1].Base {
-					return manifest{}, fmt.Errorf("tsdb: malformed manifest: shard %d segment list not ascending", si)
-				}
+		for j := 1; j < len(segs); j++ {
+			if segs[j].Seq <= segs[j-1].Seq || segs[j].Base < segs[j-1].Base {
+				return manifest{}, fmt.Errorf("tsdb: malformed manifest: shard %d segment list not ascending", si)
 			}
 		}
-		for j := range m.Blocks {
-			if j > 0 && m.Blocks[j] <= m.Blocks[j-1] {
-				return manifest{}, errors.New("tsdb: malformed manifest: block list not ascending")
-			}
-			if m.Blocks[j] > m.BlockSeq {
-				return manifest{}, fmt.Errorf("tsdb: malformed manifest: block %d above blockSeq %d", m.Blocks[j], m.BlockSeq)
-			}
+	}
+	for j := range m.Blocks {
+		if j > 0 && m.Blocks[j] <= m.Blocks[j-1] {
+			return manifest{}, errors.New("tsdb: malformed manifest: block list not ascending")
 		}
-	default:
-		return manifest{}, fmt.Errorf("tsdb: unsupported manifest version %d", m.Version)
+		if m.Blocks[j] > m.BlockSeq {
+			return manifest{}, fmt.Errorf("tsdb: malformed manifest: block %d above blockSeq %d", m.Blocks[j], m.BlockSeq)
+		}
 	}
 	return m, nil
 }
@@ -323,8 +299,8 @@ func readManifest(dir string) (manifest, bool, error) {
 
 // atomicWriteFile atomically replaces path: temp file, fsync, rename,
 // directory fsync. The write callback produces the contents. Every
-// durable file this package replaces (manifest, checkpoint, standalone
-// snapshot) goes through here so the crash-safety sequence is
+// durable file this package replaces (manifest, checkpoint, block
+// file) goes through here so the crash-safety sequence is
 // single-sourced. The optional hook fires at the sequence's internal
 // boundaries ("before-sync": tmp written, unsynced; "synced": tmp durable,
 // not yet renamed; "committed": renamed and directory-synced) — the
@@ -414,86 +390,54 @@ func decodeRotHeader(buf []byte) (rotHeader, bool) {
 	}, true
 }
 
-// legacySegHeader is a decoded v1 (non-rotating) segment header, read only
-// during migration of v1 layouts.
-type legacySegHeader struct {
-	index int
-	count int
-	epoch uint64
-	base  uint64
-}
-
-func encodeLegacySegHeader(h legacySegHeader) []byte {
-	buf := make([]byte, legacySegHeaderLen)
-	copy(buf, legacySegMagic)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(h.index))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(h.count))
-	binary.LittleEndian.PutUint64(buf[16:], h.epoch)
-	binary.LittleEndian.PutUint64(buf[24:], h.base)
-	return buf
-}
-
-func decodeLegacySegHeader(buf []byte) (legacySegHeader, bool) {
-	if len(buf) < legacySegHeaderLen || string(buf[:len(legacySegMagic)]) != legacySegMagic {
-		return legacySegHeader{}, false
-	}
-	return legacySegHeader{
-		index: int(binary.LittleEndian.Uint32(buf[8:])),
-		count: int(binary.LittleEndian.Uint32(buf[12:])),
-		epoch: binary.LittleEndian.Uint64(buf[16:]),
-		base:  binary.LittleEndian.Uint64(buf[24:]),
-	}, true
-}
-
-// openDurable brings up the durable layout for db.dir: it migrates legacy
-// single-WAL directories and v1 (non-rotating) layouts, re-shards when the
-// segment count no longer matches, and otherwise loads the checkpoint and
-// replays per-shard segment chains. It runs single-threaded during Open,
-// before the store is shared.
+// openDurable brings up the durable layout for db.dir: it initializes a
+// fresh directory, re-shards when the segment count no longer matches, and
+// otherwise loads the checkpoint and replays per-shard segment chains. A
+// directory holding a layout this build cannot read is refused before
+// anything in it is touched (see "Unsupported layouts" above). It runs
+// single-threaded during Open, before the store is shared.
 func (db *DB) openDurable() error {
 	man, ok, err := readManifest(db.dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("tsdb: cannot open %s: %w", db.dir, err)
+	}
+	if !ok {
+		// Without a manifest the directory is taken for fresh and its
+		// leftovers overwritten — which would silently discard the
+		// archive a pre-manifest build kept in its single-stream log.
+		if _, err := os.Stat(filepath.Join(db.dir, "points.wal")); !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("tsdb: cannot open %s: unsupported layout: points.wal with no MANIFEST (a pre-manifest single-stream log, which this build does not read)", db.dir)
+		}
 	}
 	if db.readOnly {
 		return db.openReadOnly(man, ok)
 	}
-	legacy := filepath.Join(db.dir, legacyWALName)
 	switch {
 	case !ok:
-		// Fresh directory, or a legacy single-stream layout, or a migration
-		// that crashed before its manifest commit (stale segment/checkpoint
-		// files may exist — commitLayout overwrites them, which is what
-		// makes the migration idempotent).
-		if err := db.replayLegacy(legacy); err != nil {
-			return err
-		}
+		// Fresh directory, or a first open that crashed before its
+		// manifest commit (stale segment/checkpoint temp files may exist
+		// — commitLayout overwrites them and removeStaleFiles reaps the
+		// rest).
 		if err := db.commitLayout(1); err != nil {
 			return err
 		}
-	case man.Version == 1 || man.Segments != len(db.shards):
-		// A v1 (non-rotating) layout, or a shard-count change: load the
-		// full state under the committed layout, then re-commit a fresh
-		// rotated layout at a new epoch. A crash before the new manifest
-		// rename leaves the old manifest authoritative (the redo replays
-		// the same files); a crash after it leaves stale old-layout files
-		// that removeStaleFiles deletes without replaying.
+	case man.Segments != len(db.shards):
+		// A shard-count change: load the full state under the committed
+		// layout, then re-commit a fresh layout at a new epoch. A crash
+		// before the new manifest rename leaves the old manifest
+		// authoritative (the redo replays the same files); a crash after
+		// it leaves stale old-epoch files that removeStaleFiles deletes
+		// without replaying.
 		db.man = man
-		if man.Version == 1 {
-			if err := db.loadV1Layout(man); err != nil {
-				return err
-			}
-		} else {
-			// Blocks attach before the snapshot and WAL tail load: the
-			// cold prefix must be in place before hot points append after
-			// it. Block files are shard-agnostic (series re-hash onto the
-			// current shards at attach), so a re-shard carries them as-is.
-			if err := db.openBlocks(man); err != nil {
-				return err
-			}
-			if _, err := db.loadRotLayout(man, false); err != nil {
-				return err
-			}
+		// Blocks attach before the snapshot and WAL tail load: the cold
+		// prefix must be in place before hot points append after it.
+		// Block files are shard-agnostic (series re-hash onto the current
+		// shards at attach), so a re-shard carries them as-is.
+		if err := db.openBlocks(man); err != nil {
+			return err
+		}
+		if _, err := db.loadRotLayout(man, false); err != nil {
+			return err
 		}
 		if err := db.commitLayout(man.Epoch + 1); err != nil {
 			return err
@@ -512,31 +456,21 @@ func (db *DB) openDurable() error {
 			return err
 		}
 	}
-	// A crash after a migration's manifest commit can leave the old
-	// single-stream WAL behind; it is fully represented in the committed
-	// layout, so drop it.
-	if err := os.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("tsdb: removing migrated wal: %w", err)
-	}
 	db.removeStaleFiles()
 	return nil
 }
 
 // openReadOnly loads the committed layout without mutating the directory:
 // blocks attach and the WAL chains replay exactly as in the normal open,
-// but no active segment is created or truncated, no migration re-commits
-// a layout, and no stale files are reclaimed. That last point is load-
-// bearing for replication — a follower's puller stages files here between
-// reopens, and a reaping pass would delete them. Anything requiring a
-// layout the current code cannot serve verbatim (no manifest, or a v1
-// manifest needing migration) is refused rather than migrated: migration
-// writes files, and a read-only open owns none.
+// but no active segment is created or truncated, no layout is
+// (re-)committed, and no stale files are reclaimed. That last point is
+// load-bearing for replication — a follower's puller stages files here
+// between reopens, and a reaping pass would delete them. A directory
+// with no manifest is refused: initializing one writes files, and a
+// read-only open owns none.
 func (db *DB) openReadOnly(man manifest, ok bool) error {
 	if !ok {
-		return errors.New("tsdb: read-only open: no committed manifest")
-	}
-	if man.Version != manifestVersion {
-		return fmt.Errorf("tsdb: read-only open: manifest version %d requires migration by a writable open", man.Version)
+		return fmt.Errorf("tsdb: read-only open of %s: no committed manifest", db.dir)
 	}
 	db.man = man
 	db.epoch = man.Epoch
@@ -546,41 +480,9 @@ func (db *DB) openReadOnly(man manifest, ok bool) error {
 	// With the manifest's segment count matching ours, each shard's chain
 	// replays in parallel under the strict ownership checks; otherwise
 	// the sequential path re-hashes every record onto the current shards
-	// (the same read path the migration uses, minus the re-commit).
-	if _, err := db.loadRotLayout(man, man.Segments == len(db.shards)); err != nil {
-		return err
-	}
-	return nil
-}
-
-// replayLegacy loads the single-stream WAL of the pre-segment layout,
-// tolerating a truncated trailing record (crash). Per the migration
-// protocol the file is fsync'd and closed before any segment file is
-// written: its contents must be stable on disk while it remains the only
-// durable copy of the data.
-func (db *DB) replayLegacy(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("tsdb: opening wal for replay: %w", err)
-	}
-	_, replayErr := replayRecords(bufio.NewReaderSize(f, 1<<16), func(k SeriesKey, at time.Time, v float64) {
-		sh := db.shardFor(k)
-		db.applyReplayed(sh, k, at, v)
-	})
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if replayErr != nil {
-		return replayErr
-	}
-	if err != nil {
-		return fmt.Errorf("tsdb: legacy wal sync: %w", err)
-	}
-	return nil
+	// (the same read path a shard-count change uses, minus the re-commit).
+	_, err := db.loadRotLayout(man, man.Segments == len(db.shards))
+	return err
 }
 
 // applyReplayed stores one replayed point directly. Open owns the store
@@ -737,60 +639,6 @@ func (db *DB) loadCheckpointFile(name string) error {
 	return nil
 }
 
-// loadV1Layout restores the state a committed v1 (non-rotating) manifest
-// describes: bulk-load its checkpoint, then replay each wal-<i>.log from
-// its per-shard offset. Replay is sequential and records hash onto the
-// current shards (whose count may differ from the v1 layout's); the caller
-// re-commits a rotated layout afterwards, so no v1 file is opened for
-// appending.
-func (db *DB) loadV1Layout(man manifest) error {
-	if man.Checkpoint != "" {
-		if err := db.loadCheckpointFile(man.Checkpoint); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < man.Segments; i++ {
-		if err := db.replayV1Segment(i, man); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayV1Segment replays v1 segment i's records at logical offsets >=
-// man.Shards[i].Offset. Missing files, stale epochs, and malformed headers
-// make the segment count as empty — those states only arise from crashes
-// after a manifest commit, where the manifest's checkpoint already covers
-// the data.
-func (db *DB) replayV1Segment(i int, man manifest) error {
-	f, err := os.Open(filepath.Join(db.dir, segName(i)))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("tsdb: opening segment %d: %w", i, err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	head := make([]byte, legacySegHeaderLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil // truncated header: empty segment
-	}
-	h, ok := decodeLegacySegHeader(head)
-	if !ok || h.epoch != man.Epoch || h.index != i || h.count != man.Segments {
-		return nil // stale or foreign segment: covered by the checkpoint
-	}
-	if skip := int64(man.Shards[i].Offset) - int64(h.base); skip > 0 {
-		if _, err := io.CopyN(io.Discard, br, skip); err != nil {
-			return nil // segment shorter than the checkpoint cut: all covered
-		}
-	}
-	_, err = replayRecords(br, func(k SeriesKey, at time.Time, v float64) {
-		db.applyReplayed(db.shardFor(k), k, at, v)
-	})
-	return err
-}
-
 // rotSegOnDisk is one segment file a directory scan found for a shard.
 type rotSegOnDisk struct {
 	seq  uint64
@@ -838,7 +686,7 @@ func scanRotSegments(dir string, segments int) ([][]rotSegOnDisk, error) {
 	return out, nil
 }
 
-// loadRotLayout restores the store state a committed v2 manifest
+// loadRotLayout restores the store state a committed manifest
 // describes: bulk-load the checkpoint snapshot, then replay each shard's
 // segment chain. With parallel set (segment count == shard count), chains
 // replay on one goroutine each, writing only their own shard; otherwise
@@ -1144,14 +992,13 @@ func (db *DB) rotateLocked(sh *shard) error {
 }
 
 // commitLayout persists the store's current in-memory state as a brand-new
-// rotated layout at the given epoch: a checkpoint snapshot holding every
-// point (when the store is non-empty), then the manifest (the commit
-// point), then one fresh empty segment per shard at seq 1. Used by the
-// legacy migration, the v1-layout migration, the re-shard path, and
-// fresh-directory initialization. A crash before the manifest rename
-// leaves the previous layout (or the legacy WAL) fully authoritative; a
-// crash after it leaves at worst stale files from the old layout, which
-// the next open recreates or deletes.
+// layout at the given epoch: a checkpoint snapshot holding every point
+// (when the store is non-empty), then the manifest (the commit point),
+// then one fresh empty segment per shard at seq 1. Used by the re-shard
+// path and fresh-directory initialization. A crash before the manifest
+// rename leaves the previous layout (if any) fully authoritative; a crash
+// after it leaves at worst stale files from the old layout, which the
+// next open recreates or deletes.
 func (db *DB) commitLayout(epoch uint64) error {
 	n := len(db.shards)
 	m := manifest{
@@ -1214,11 +1061,11 @@ func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) error {
 }
 
 // removeStaleFiles deletes files the committed layout does not own:
-// temp files, checkpoints the manifest no longer references, v1 segment
-// files superseded by the rotated layout, and rotating segment files that
-// are neither a shard's active segment nor one of its retained sealed
-// segments — leftovers of crashed rotations, checkpoints, migrations, and
-// re-shards. Runs at the end of Open, single-threaded. Best-effort.
+// temp files, checkpoints the manifest no longer references, orphan block
+// files, and segment files that are neither a shard's active segment nor
+// one of its retained sealed segments — leftovers of crashed rotations,
+// checkpoints, first opens, and re-shards. Files it does not recognize
+// are left alone. Runs at the end of Open, single-threaded. Best-effort.
 func (db *DB) removeStaleFiles() {
 	ents, err := os.ReadDir(db.dir)
 	if err != nil {
@@ -1241,7 +1088,7 @@ func (db *DB) removeStaleFiles() {
 		var i int
 		var seq uint64
 		switch {
-		case name == db.man.Checkpoint || name == manifestName || name == legacyWALName:
+		case name == db.man.Checkpoint || name == manifestName:
 		case strings.HasSuffix(name, ".tmp"):
 			os.Remove(filepath.Join(db.dir, name))
 		case scanRotSegName(name, &i, &seq):
@@ -1255,8 +1102,6 @@ func (db *DB) removeStaleFiles() {
 			if !liveBlocks[seq] {
 				os.Remove(filepath.Join(db.dir, name))
 			}
-		case scanSegIndex(name, &i):
-			os.Remove(filepath.Join(db.dir, name))
 		case strings.HasPrefix(name, "checkpoint-"):
 			os.Remove(filepath.Join(db.dir, name))
 		}

@@ -1,23 +1,26 @@
 package tsdb
 
-// Tests for the segmented WAL layout: legacy migration (including crash
-// idempotency), shard-count changes, checkpointing (including the
-// crash-point matrix across every durable step of the protocol), and the
-// differential guarantee that segmented recovery equals legacy
-// single-stream recovery for the same append sequence.
+// Tests for the segmented WAL layout: refusal of layouts this build does
+// not read, first-open crash leftovers, shard-count changes, and
+// checkpointing (the crash-point matrix across every durable step of the
+// protocol lives in rotation_test.go).
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// legacyEntries is a deterministic multi-series append sequence used by
-// the migration and differential tests.
+// legacyEntries is a deterministic multi-series append sequence shared by
+// the recovery, rotation and maintenance tests.
 func legacyEntries(n int) []Entry {
 	out := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
@@ -30,18 +33,6 @@ func legacyEntries(n int) []Entry {
 		out = append(out, Entry{Key: k, At: t0.Add(time.Duration(i) * time.Minute), Value: float64(i % 9)})
 	}
 	return out
-}
-
-// writeLegacyWAL writes entries as a pre-segment single-stream points.wal.
-func writeLegacyWAL(t *testing.T, dir string, entries []Entry) {
-	t.Helper()
-	var buf []byte
-	for _, e := range entries {
-		buf = appendRecord(buf, e.Key.String(), e.At, e.Value)
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyWALName), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // contents flattens a store into key -> points for equality checks.
@@ -71,127 +62,144 @@ func assertSameContents(t *testing.T, got, want map[SeriesKey][]Point) {
 	}
 }
 
-func TestLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	entries := legacyEntries(300)
-	writeLegacyWAL(t, dir, entries)
-
-	db, err := OpenSharded(dir, 8)
+// dirState lists every file under dir with its SHA-256, so two calls
+// compare equal only if nothing was created, truncated, rewritten, renamed
+// or removed in between.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel+"/"] = "dir"
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		out[rel] = fmt.Sprintf("%x", sha256.Sum256(raw))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.PointCount() != len(entries) {
-		t.Fatalf("migrated %d points, want %d", db.PointCount(), len(entries))
+	return out
+}
+
+// TestUnsupportedLayoutRefused opens directories holding layouts this
+// build does not read. Each open — writable or read-only — must fail with
+// an error naming the directory and the layout, and must leave every file
+// exactly as it was: no fresh layout committed over the old data, no
+// stale-file reaping, no silently empty archive.
+func TestUnsupportedLayoutRefused(t *testing.T) {
+	var walBytes []byte
+	for _, e := range legacyEntries(50) {
+		walBytes = appendRecord(walBytes, e.Key.String(), e.At, e.Value)
+	}
+	layouts := []struct {
+		name  string
+		files map[string][]byte
+		want  string // the layout the error must name
+	}{
+		{
+			name:  "points.wal without manifest",
+			files: map[string][]byte{"points.wal": walBytes},
+			want:  "points.wal",
+		},
+		{
+			name: "manifest version 1",
+			files: map[string][]byte{
+				manifestName:             []byte(`{"version":1,"epoch":5,"segments":2,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","offsets":[0,0]}`),
+				"wal-00000.log":          append([]byte("SLWALSG1"), walBytes...),
+				"wal-00001.log":          append([]byte("SLWALSG1"), walBytes...),
+				"checkpoint-000001.snap": []byte("v1 checkpoint"),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
+			},
+			want: "manifest version 1",
+		},
+		{
+			name: "manifest version 3",
+			files: map[string][]byte{
+				manifestName:           []byte(`{"version":3,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
+				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+			},
+			want: "manifest version 3",
+		},
+	}
+	for _, lay := range layouts {
+		for _, readOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/readOnly=%v", lay.name, readOnly), func(t *testing.T) {
+				dir := t.TempDir()
+				for name, raw := range lay.files {
+					if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := dirState(t, dir)
+				db, err := OpenWithOptions(dir, Options{Shards: 2, ReadOnly: readOnly, MaintenanceInterval: -1})
+				if err == nil {
+					n := db.PointCount()
+					db.Close()
+					t.Fatalf("open succeeded, serving %d points from a layout it cannot read", n)
+				}
+				if !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), lay.want) {
+					t.Errorf("error %q does not name both the directory %s and the layout %q", err, dir, lay.want)
+				}
+				if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+					t.Errorf("refused open changed the directory:\n before %v\n after  %v", before, after)
+				}
+			})
+		}
+	}
+}
+
+// TestFirstOpenCrashLeftoversOpenFresh is the case beside the refusals
+// that must keep working: no MANIFEST, but segment and checkpoint temp
+// files from a first open that crashed before its manifest rename. Nothing
+// was ever committed, so the directory opens as a fresh store and appends
+// persist.
+func TestFirstOpenCrashLeftoversOpenFresh(t *testing.T) {
+	dir := t.TempDir()
+	for name, raw := range map[string]string{
+		rotSegName(0, 1):           "partial garbage",
+		checkpointName(1) + ".tmp": "also garbage",
+		manifestName + ".tmp":      "unrenamed manifest",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := OpenSharded(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.PointCount() != 0 {
+		t.Fatalf("fresh open holds %d points", db.PointCount())
+	}
+	entries := legacyEntries(200)
+	if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
+		t.Fatalf("stored %d, err %v", n, err)
 	}
 	want := contents(db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The legacy file is gone, the manifest and segments are in place.
-	if _, err := os.Stat(filepath.Join(dir, legacyWALName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("legacy WAL still present after migration (err=%v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Errorf("no manifest after migration: %v", err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := os.Stat(filepath.Join(dir, rotSegName(i, 1))); err != nil {
-			t.Errorf("segment %d missing after migration: %v", i, err)
+	for _, tmp := range []string{checkpointName(1) + ".tmp", manifestName + ".tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, tmp)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("leftover %s not reaped (err=%v)", tmp, err)
 		}
 	}
-
-	// Reopening the migrated layout yields the same archive, and appends
-	// continue to work and persist.
-	re, err := OpenSharded(dir, 8)
+	re, err := OpenSharded(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer re.Close()
 	assertSameContents(t, contents(re), want)
-	extra := Entry{Key: entries[0].Key, At: t0.Add(1000 * time.Minute), Value: 42}
-	if err := re.Append(extra.Key, extra.At, extra.Value); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re2, err := OpenSharded(dir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if re2.PointCount() != len(entries)+1 {
-		t.Fatalf("after reopen: %d points, want %d", re2.PointCount(), len(entries)+1)
-	}
-}
-
-// TestLegacyMigrationCrashPoints verifies the migration commit protocol:
-// any crash before the manifest rename re-runs the migration from the
-// untouched legacy WAL; a crash after it must not re-apply the legacy
-// file. Both replays must produce exactly the legacy contents.
-func TestLegacyMigrationCrashPoints(t *testing.T) {
-	entries := legacyEntries(200)
-
-	t.Run("before-manifest", func(t *testing.T) {
-		// Crash state: partially written segment and checkpoint files
-		// exist, but no manifest — the legacy WAL is still authoritative.
-		dir := t.TempDir()
-		writeLegacyWAL(t, dir, entries)
-		if err := os.WriteFile(filepath.Join(dir, rotSegName(0, 1)), []byte("partial garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, checkpointName(1)), []byte("also garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if db.PointCount() != len(entries) {
-			t.Fatalf("recovered %d points, want %d", db.PointCount(), len(entries))
-		}
-		want := contents(db)
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// And the redo must itself be idempotent.
-		re, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		assertSameContents(t, contents(re), want)
-	})
-
-	t.Run("after-manifest", func(t *testing.T) {
-		// Crash state: migration committed, but the legacy WAL was not
-		// yet removed. Reopening must not double-apply it.
-		dir := t.TempDir()
-		writeLegacyWAL(t, dir, entries)
-		db, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := contents(db)
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Resurrect the legacy file, with different trailing content so a
-		// wrongful replay would be visible as extra points.
-		writeLegacyWAL(t, dir, legacyEntries(250))
-		re, err := OpenSharded(dir, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		if re.PointCount() != len(entries) {
-			t.Fatalf("reopen after leftover legacy WAL: %d points, want %d", re.PointCount(), len(entries))
-		}
-		assertSameContents(t, contents(re), want)
-		if _, err := os.Stat(filepath.Join(dir, legacyWALName)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("stale legacy WAL not cleaned up (err=%v)", err)
-		}
-	})
 }
 
 // TestShardCountChange reopens a directory with different shard counts;
@@ -311,46 +319,6 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 // The checkpoint/rotation crash matrix lives in rotation_test.go
 // (TestRotationCrashMatrix): every protocol boundary × crash before/after
 // fsync, verified against the differential reference store.
-
-// TestDifferentialSegmentedVsLegacyRecovery feeds the same append
-// sequence through (a) a legacy single-stream WAL recovered via
-// migration and (b) the segmented WAL recovered via replay, and demands
-// bit-identical archives.
-func TestDifferentialSegmentedVsLegacyRecovery(t *testing.T) {
-	entries := legacyEntries(500)
-
-	legacyDir := t.TempDir()
-	writeLegacyWAL(t, legacyDir, entries)
-	legacyDB, err := OpenSharded(legacyDir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacyDB.Close()
-
-	segDir := t.TempDir()
-	segDB, err := OpenSharded(segDir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := segDB.Append(e.Key, e.At, e.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := segDB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segRe, err := OpenSharded(segDir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer segRe.Close()
-
-	assertSameContents(t, contents(segRe), contents(legacyDB))
-	if segRe.PointCount() != len(entries) || legacyDB.PointCount() != len(entries) {
-		t.Fatalf("point counts %d / %d, want %d", segRe.PointCount(), legacyDB.PointCount(), len(entries))
-	}
-}
 
 // TestSegmentCrashedTailThenAppend corrupts a segment's tail, reopens
 // (dropping the torn record), appends new points, and verifies the new
