@@ -60,6 +60,11 @@ type Service struct {
 	// layer (see admission.go).
 	flight    flightGroup
 	admission *Admission
+	// respPlainBytes counts the JSON the body encoder produced for query
+	// and latest responses, respWireBytes what those responses put on the
+	// wire: the compressed bytes of gzip'd ones (a stored body once per
+	// response it serves), the JSON itself for identity clients.
+	respPlainBytes, respWireBytes obs.Counter
 	// follower, when set, marks the service a read replica: writes and
 	// replication-source endpoints are refused, and reads carry a
 	// staleness bound (see replication.go).
@@ -117,6 +122,10 @@ func (s *Service) registerMetrics() {
 		"Entries the result cache holds.", func() float64 { return float64(s.cache.entries()) })
 	s.reg.GaugeFunc("spotlake_cache_body_bytes",
 		"Total size of the gzip response bodies stored on cache entries.", func() float64 { return float64(s.cache.bodyBytes()) })
+	s.reg.RegisterCounter("spotlake_response_plain_bytes_total",
+		"JSON bytes the body encoder produced for query and latest responses.", &s.respPlainBytes)
+	s.reg.RegisterCounter("spotlake_response_wire_bytes_total",
+		"Body bytes query and latest responses sent, after compression; stored-body hits included.", &s.respWireBytes)
 	tsdb.RegisterMetrics(s.reg, s.store)
 	s.reg.GaugeFunc("spotlake_replication_epoch",
 		"The serving store's replication epoch (0 on memory-only stores).", func() float64 {

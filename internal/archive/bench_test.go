@@ -1,7 +1,10 @@
 package archive
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -190,4 +193,139 @@ func BenchmarkLatestFanOut(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchPage is one export page as the benchmark's archive serves it: 6
+// series holding 5000 change-only points between them — on a 10-minute
+// grid, a point only where the 1–10 value moved, one tick in four.
+func benchPage() []SeriesResult {
+	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+	const points, perSeries = 5000, 900
+	var page []SeriesResult
+	rnd := uint32(1)
+	for n := 0; n < points; {
+		sr := SeriesResult{Key: tsdb.SeriesKey{
+			Dataset: tsdb.DatasetPlacementScore, Type: fmt.Sprintf("m5.%dxlarge", 1+len(page)), Region: "us-east-1", AZ: "use1-az1"}}
+		for tick, v := 0, 5; len(sr.Points) < perSeries && n < points; tick++ {
+			rnd = rnd*1664525 + 1013904223
+			if tick > 0 && rnd>>30 != 0 {
+				continue
+			}
+			v = 1 + (v+int(rnd>>20)%9)%10
+			sr.Points = append(sr.Points, tsdb.Point{At: base.Add(time.Duration(tick) * 10 * time.Minute), Value: float64(v)})
+			n++
+		}
+		page = append(page, sr)
+	}
+	return page
+}
+
+// benchSlice is a region-wide slice of the same archive: 160 series (40
+// types in 4 zones) of 3 change-only points each, so mostly key text.
+func benchSlice() []SeriesResult {
+	base := time.Date(2022, 1, 9, 0, 0, 0, 0, time.UTC)
+	families := []string{"m5", "c5", "r5", "t3", "m6i", "c6i", "r6g", "i3", "g4dn", "x2gd"}
+	sizes := []string{"large", "xlarge", "2xlarge", "8xlarge"}
+	slice := make([]SeriesResult, 160)
+	rnd := uint32(7)
+	for i := range slice {
+		slice[i].Key = tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore,
+			Type: families[i/16] + "." + sizes[i/4%4], Region: "us-east-1", AZ: fmt.Sprintf("use1-az%d", 1+i%4)}
+		for tick := 0; len(slice[i].Points) < 3; tick++ {
+			if rnd = rnd*1664525 + 1013904223; rnd>>30 == 0 {
+				slice[i].Points = append(slice[i].Points, tsdb.Point{At: base.Add(time.Duration(tick) * 10 * time.Minute), Value: float64(1 + rnd>>20%10)})
+			}
+		}
+	}
+	return slice
+}
+
+// BenchmarkEncodePage measures the first serve of an export page stage
+// by stage: the body encoder alone, the encoding/json code it replaced
+// (the tests' reference), the encoder feeding the pooled gzip writer as a
+// streamed response does, and gzip alone at four levels over the page's
+// JSON and over a slice's — the table gzipLevel's comment quotes.
+func BenchmarkEncodePage(b *testing.B) {
+	page := benchPage()
+	run := func(name string, points int, wireBytes func() int, op func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(points), "ns/point")
+			b.ReportMetric(float64(wireBytes())/float64(points), "wire-B/point")
+		})
+	}
+	render := func(series []SeriesResult) (plain *bytes.Buffer, points int) {
+		plain = new(bytes.Buffer)
+		if err := writeSeriesJSON(plain, series, nil); err != nil {
+			b.Fatal(err)
+		}
+		for _, sr := range series {
+			points += len(sr.Points)
+		}
+		return plain, points
+	}
+	plain, points := render(page)
+	var wire countingDiscard
+	run("encode", points, plain.Len, func() error { return writeSeriesJSON(io.Discard, page, nil) })
+	run("encoding-json", points, plain.Len, func() error { return refSeriesJSON(io.Discard, page) })
+	run("encode+gzip", points, wire.last, func() error {
+		gz := gzipPool.Get().(*gzip.Writer)
+		defer gzipPool.Put(gz)
+		gz.Reset(wire.reset())
+		if err := writeSeriesJSON(gz, page, nil); err != nil {
+			return err
+		}
+		return gz.Close()
+	})
+	slicePlain, slicePoints := render(benchSlice())
+	for _, level := range []int{1, 2, 4, 6} {
+		gz, err := gzip.NewWriterLevel(nil, level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		compress := func(plain *bytes.Buffer) func() error {
+			return func() error {
+				gz.Reset(wire.reset())
+				if _, err := gz.Write(plain.Bytes()); err != nil {
+					return err
+				}
+				return gz.Close()
+			}
+		}
+		run(fmt.Sprintf("gzip/level=%d", level), points, wire.last, compress(plain))
+		run(fmt.Sprintf("gzip-slice/level=%d", level), slicePoints, wire.last, compress(slicePlain))
+	}
+}
+
+// countingDiscard drops what is written to it and remembers how much
+// that was since the last reset.
+type countingDiscard struct{ n int }
+
+func (c *countingDiscard) Write(b []byte) (int, error) { c.n += len(b); return len(b), nil }
+func (c *countingDiscard) reset() io.Writer            { c.n = 0; return c }
+func (c *countingDiscard) last() int                   { return c.n }
+
+// BenchmarkEncodeLatest measures the body encoder over a dashboard's
+// latest answer, 160 entries.
+func BenchmarkEncodeLatest(b *testing.B) {
+	entries := make([]LatestEntry, 160)
+	for i := range entries {
+		entries[i] = LatestEntry{
+			Key:   tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore, Type: fmt.Sprintf("m5.%dxlarge", i%20), Region: fmt.Sprintf("region-%d", i/20), AZ: "az1"},
+			At:    time.Date(2022, 1, 25, 0, 10*(i%6), 0, 0, time.UTC),
+			Value: float64(1 + i%10),
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := writeLatestJSON(io.Discard, entries, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(entries)), "ns/entry")
 }

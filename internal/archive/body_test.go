@@ -74,12 +74,16 @@ func fetchWire(t *testing.T, url string, gz bool) wireResponse {
 	return r
 }
 
-// renderSeries is the series body as the exported methods' values encode.
+// renderSeries is the series body as the exported methods' values encode
+// — and as encoding/json would have encoded them.
 func renderSeries(t *testing.T, series []SeriesResult) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var buf, ref bytes.Buffer
 	if err := writeSeriesJSON(&buf, series, nil); err != nil {
 		t.Fatal(err)
+	}
+	if err := refSeriesJSON(&ref, series); err != nil || !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+		t.Fatalf("the body encoder and encoding/json (%v) disagree on this archive's series", err)
 	}
 	return buf.Bytes()
 }
@@ -413,4 +417,66 @@ func TestCachePutInstallsFreshEntry(t *testing.T) {
 	if c.entries() != 0 || c.bodyBytes() != 0 {
 		t.Errorf("after purge: %d entries, %d body bytes", c.entries(), c.bodyBytes())
 	}
+}
+
+// TestResponseBytesCounters: the registry's two response-bytes counters
+// add up to what the clients were sent. A miss counts its JSON once and
+// its stored body once, the hit the stored body again and no JSON (the
+// encoder did not run), an identity client the JSON on both sides; a
+// result too large to store counts its JSON and the compressed stream as
+// it left, trailer included.
+func TestResponseBytesCounters(t *testing.T) {
+	counters := func(s *Service) (plain, wire int) {
+		return int(s.respPlainBytes.Value()), int(s.respWireBytes.Value())
+	}
+	for _, shape := range bodyShapes("dataset=sps", QueryRequest{Dataset: tsdb.DatasetPlacementScore}) {
+		t.Run(shape.name, func(t *testing.T) {
+			s, _ := buildArchive(t)
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			miss := fetchWire(t, srv.URL+shape.path, true)
+			if plain, wire := counters(s); plain != len(miss.plain) || wire != len(miss.wire) {
+				t.Fatalf("after the miss: plain %d, wire %d, want %d and %d", plain, wire, len(miss.plain), len(miss.wire))
+			}
+			fetchWire(t, srv.URL+shape.path, true)
+			if plain, wire := counters(s); plain != len(miss.plain) || wire != 2*len(miss.wire) {
+				t.Fatalf("after the hit: plain %d, wire %d, want %d and %d", plain, wire, len(miss.plain), 2*len(miss.wire))
+			}
+			fetchWire(t, srv.URL+shape.path, false)
+			if plain, wire := counters(s); plain != 2*len(miss.plain) || wire != 2*len(miss.wire)+len(miss.plain) {
+				t.Fatalf("after the identity response: plain %d, wire %d, want %d and %d",
+					plain, wire, 2*len(miss.plain), 2*len(miss.wire)+len(miss.plain))
+			}
+			got := counterValues(scrapeExposition(t, srv.URL))
+			if plain, wire := counters(s); got["spotlake_response_plain_bytes_total"] != float64(plain) || got["spotlake_response_wire_bytes_total"] != float64(wire) {
+				t.Errorf("the exposition reports %v and %v, the service counted %d and %d",
+					got["spotlake_response_plain_bytes_total"], got["spotlake_response_wire_bytes_total"], plain, wire)
+			}
+		})
+	}
+
+	t.Run("streamed gzip", func(t *testing.T) {
+		db, err := tsdb.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: "az0"}
+		batch := make([]tsdb.Entry, maxCachedPoints+1)
+		for i := range batch {
+			batch[i] = tsdb.Entry{Key: k, At: cacheT0.Add(time.Duration(i) * time.Minute), Value: float64(i % 7)}
+		}
+		if n, err := db.AppendBatch(batch); err != nil || n != len(batch) {
+			t.Fatalf("AppendBatch stored %d of %d: %v", n, len(batch), err)
+		}
+		s := NewService(db, catalog.Compact(1))
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		gz := fetchWire(t, srv.URL+"/api/v1/query?dataset=sps", true)
+		if gz.length != -1 {
+			t.Fatal("the oversized result was not streamed")
+		}
+		if plain, wire := counters(s); plain != len(gz.plain) || wire != len(gz.wire) {
+			t.Errorf("plain %d, wire %d, want %d and %d", plain, wire, len(gz.plain), len(gz.wire))
+		}
+	})
 }

@@ -55,10 +55,12 @@ type cacheEntry struct {
 	gens   []uint64
 	val    any
 
-	// body is val's response body, gzip'd; bodyLen repeats its length for
-	// the body-bytes gauge, which reads entries it does not serve.
+	// body is val's response body, gzip'd, and plainLen its length before
+	// compression; bodyLen repeats body's length for the body-bytes gauge,
+	// which reads entries it does not serve.
 	bodyOnce sync.Once
 	body     []byte
+	plainLen int
 	bodyErr  error
 	bodyLen  atomic.Int64
 }
@@ -84,30 +86,40 @@ func (e *cacheEntry) valid(epoch, keyGen uint64, genVec []uint64) bool {
 	return true
 }
 
-// gzipBody returns the entry's stored response body, running encode into
-// a gzip stream to build it on the first call; concurrent first calls
-// wait for that one encode. built reports whether this call ran the
-// encoder. A failed encode stores no bytes and every call reports the
-// error: the value cannot be rendered, now or later.
+// bodyScratch is what building one stored body works in: the JSON as the
+// encoder wrote it and its compressed form. Pooled, so that a build
+// allocates the entry's exact-size copy of the latter and nothing else.
+type bodyScratch struct{ plain, wire bytes.Buffer }
+
+var bodyScratchPool = sync.Pool{New: func() any { return new(bodyScratch) }}
+
+// gzipBody returns the entry's stored response body, running encode and
+// compressing what it wrote (in one Write, so the compressor sees whole
+// windows) to build it on the first call; concurrent first calls wait for
+// that one encode. built reports whether this call ran the encoder. A
+// failed encode stores no bytes and every call reports the error: the
+// value cannot be rendered, now or later.
 func (e *cacheEntry) gzipBody(encode func(io.Writer) error) (body []byte, built bool, err error) {
 	e.bodyOnce.Do(func() {
 		built = true
 		// Stands if encode panics out of the Once.
 		e.bodyErr = errors.New("archive: response encoder aborted")
-		var buf bytes.Buffer
-		gz := gzipPool.Get().(*gzip.Writer)
-		defer gzipPool.Put(gz)
-		gz.Reset(&buf)
-		encErr := encode(gz)
-		if cerr := gz.Close(); encErr == nil {
-			encErr = cerr
-		}
-		if e.bodyErr = encErr; encErr != nil {
+		sc := bodyScratchPool.Get().(*bodyScratch)
+		defer bodyScratchPool.Put(sc)
+		sc.plain.Reset()
+		sc.wire.Reset()
+		if e.bodyErr = encode(&sc.plain); e.bodyErr != nil {
 			return
 		}
-		// An exact-size copy: the buffer's spare capacity would otherwise
-		// stay pinned for the life of the entry.
-		e.body = bytes.Clone(buf.Bytes())
+		gz := gzipPool.Get().(*gzip.Writer)
+		defer gzipPool.Put(gz)
+		gz.Reset(&sc.wire)
+		_, _ = gz.Write(sc.plain.Bytes()) // a failed write is Close's error too
+		if e.bodyErr = gz.Close(); e.bodyErr != nil {
+			return
+		}
+		e.body = bytes.Clone(sc.wire.Bytes())
+		e.plainLen = sc.plain.Len()
 		e.bodyLen.Store(int64(len(e.body)))
 	})
 	return e.body, built, e.bodyErr

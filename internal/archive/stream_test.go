@@ -29,6 +29,12 @@ import (
 // silently.
 var _ http.Flusher = (*gzipResponseWriter)(nil)
 
+// streamSeriesJSON streams series as the query handler does when it has
+// no stored body to serve.
+func streamSeriesJSON(w http.ResponseWriter, status int, series []SeriesResult) {
+	streamJSON(w, status, func(w io.Writer, flush func()) error { return writeSeriesJSON(w, series, flush) })
+}
+
 func sampleSeries(n int) []SeriesResult {
 	out := make([]SeriesResult, n)
 	for i := range out {
@@ -178,7 +184,8 @@ func (f *failAfterWriter) Write(b []byte) (int, error) {
 // TestStreamSeriesJSONAbortsOnWriteError: the first failed write kills
 // the connection via http.ErrAbortHandler — a truncated array must
 // never be completed into something that parses — and nothing more is
-// written after the failure.
+// written after the failure. The encoder writes every streamFlushBytes,
+// so the body is one long enough for a third write.
 func TestStreamSeriesJSONAbortsOnWriteError(t *testing.T) {
 	w := &failAfterWriter{h: make(http.Header), budget: 2}
 	func() {
@@ -191,7 +198,7 @@ func TestStreamSeriesJSONAbortsOnWriteError(t *testing.T) {
 				t.Fatalf("panicked with %v, want http.ErrAbortHandler", r)
 			}
 		}()
-		streamSeriesJSON(w, http.StatusOK, sampleSeries(5))
+		streamSeriesJSON(w, http.StatusOK, sampleSeries(4*streamFlushBytes/100))
 	}()
 	if w.calls != w.budget+1 {
 		t.Errorf("writer saw %d calls, want exactly %d (budget + the failing one): the stream kept writing past the error", w.calls, w.budget+1)
@@ -231,7 +238,7 @@ func TestSetNextLinkClonesQuery(t *testing.T) {
 	q := r.URL.Query()
 	rec := httptest.NewRecorder()
 
-	setNextLink(rec, r, "X-Next-Cursor", "cursor", "tok2")
+	setNextLink(rec, r.URL, q, "X-Next-Cursor", "cursor", "tok2")
 
 	if got := q.Get("cursor"); got != "tok1" {
 		t.Errorf("handler's query map mutated: cursor = %q, want tok1", got)
@@ -261,7 +268,7 @@ func TestParseQueryRequestNamesBadTimeParam(t *testing.T) {
 		{"to", "2022-13-99"},
 	} {
 		r := httptest.NewRequest("GET", "/api/v1/query?dataset=sps&"+tc.param+"="+tc.value, nil)
-		_, err := parseQueryRequest(r)
+		_, err := parseQueryRequest(r.URL.Query())
 		if err == nil {
 			t.Fatalf("%s=%s parsed", tc.param, tc.value)
 		}
