@@ -18,19 +18,20 @@
 //
 // The store maintains itself: a daemon inside the tsdb (polling every
 // -maintenance-interval of wall time) checkpoints whenever the WAL grows
-// -checkpoint-bytes past the last checkpoint or any shard accumulates
-// -max-sealed-segments sealed WAL segments, and the sealed-chain cap is
-// additionally enforced on the append path, so no chain ever exceeds it.
-// Collection also checkpoints every -checkpoint-interval of simulated
-// time and once at the end, so a restart's replay is bounded by wall
-// clock, bytes written, and chain length. Set 0 to disable any trigger.
+// -checkpoint-bytes past the last checkpoint, and the same trigger is
+// enforced on the append path, so the replay tail — and with it each
+// shard's sealed-segment chain and hot-memory growth — never outruns it
+// by more than one tick. Collection also checkpoints every
+// -checkpoint-interval of simulated time and once at the end, so a
+// restart's replay is bounded by wall clock and by bytes written. Set 0
+// to disable either trigger.
 //
 // Usage:
 //
 //	spotlake-collector -data DIR [-days 30] [-frac 0.12] [-interval 10m]
 //	                   [-seed 22] [-exact] [-checkpoint-interval 24h]
 //	                   [-checkpoint-bytes 67108864] [-rotate-bytes 8388608]
-//	                   [-max-sealed-segments 64] [-maintenance-interval 1s]
+//	                   [-maintenance-interval 1s]
 package main
 
 import (
@@ -140,9 +141,9 @@ func run() error {
 	log.Printf("collected %d simulated days in %v", *days, time.Since(start).Round(time.Millisecond))
 	log.Printf("score ticks %d, advisor ticks %d, price ticks %d", st.ScoreTicks, st.AdvisorTicks, st.PriceTicks)
 	log.Printf("queries issued %d (errors %d), points stored %d", st.QueriesIssued, st.QueryErrors, st.PointsStored)
-	log.Printf("checkpoints: %d periodic (%d errors) + %d store-maintenance (%d by-bytes, %d chain-cap, %d errors) + 1 final",
+	log.Printf("checkpoints: %d periodic (%d errors) + %d store-maintenance (%d by-bytes, %d errors) + 1 final",
 		st.Checkpoints, st.CheckpointErrors,
-		st.MaintenanceCheckpoints, st.ForcedByBytes, st.ForcedByChainLength, st.MaintenanceErrors)
+		st.MaintenanceCheckpoints, st.ForcedByBytes, st.MaintenanceErrors)
 	log.Printf("archive: %d series, %d points in %s", db.SeriesCount(), db.PointCount(), *dataDir)
 	// One `metric:` row per registry sample on stdout, unprefixed and
 	// greppable: name=value, histogram buckets left out.

@@ -12,9 +12,9 @@
 // store flags (-rotate-bytes … -retain-raw) are tsdb.BindFlags', shared
 // with spotlake-collector. With -data set the store maintains itself:
 // its internal daemon (polling every -maintenance-interval) checkpoints
-// whenever the WAL grows -checkpoint-bytes past the last checkpoint or a
-// shard accumulates -max-sealed-segments sealed segments — covering the
-// bootstrap writer, not just collection ticks — and the server
+// whenever the WAL grows -checkpoint-bytes past the last checkpoint —
+// the one size trigger, enforced on the append path too, so it covers
+// the bootstrap writer, not just collection ticks — and the server
 // additionally checkpoints after bootstrap and every
 // -checkpoint-interval of simulated time. Restarts bulk-load the
 // checkpoint and replay only bounded per-shard chain tails.
@@ -47,8 +47,7 @@
 //	spotlake-server [-addr :8080] [-bootstrap-days 14] [-frac 0.12]
 //	                [-data DIR] [-tick 2s] [-seed 22]
 //	                [-checkpoint-interval 24h] [-checkpoint-bytes 67108864]
-//	                [-rotate-bytes 8388608] [-max-sealed-segments 64]
-//	                [-maintenance-interval 1s]
+//	                [-rotate-bytes 8388608] [-maintenance-interval 1s]
 //	                [-max-in-flight 256] [-queue-wait 100ms]
 //	                [-rate-limit 50] [-rate-burst 100] [-drain-timeout 15s]
 //	spotlake-server -follow http://primary:8080 -data DIR [-addr :8081]
@@ -108,14 +107,15 @@ func main() {
 		cat = catalog.Sample(*frac)
 	}
 
+	front := serveConfig{
+		addr: *addr, maxInFlight: *maxInFl, queueWait: *queueWait,
+		rateLimit: *rateLimit, rateBurst: *rateBurst, drainTimeout: *drainTO,
+	}
 	if *follow != "" {
 		runFollower(followerConfig{
-			addr: *addr, primaryURL: *follow, dataDir: *dataDir,
+			serveConfig: front, primaryURL: *follow, dataDir: *dataDir,
 			pollInterval: *pollIv, maxStaleness: *maxStale,
 			storeOpts: *storeOpts, multiCloud: *multiCloud,
-			maxInFlight: *maxInFl, queueWait: *queueWait,
-			rateLimit: *rateLimit, rateBurst: *rateBurst,
-			drainTimeout: *drainTO,
 		}, cat)
 		return
 	}
@@ -126,7 +126,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("opening archive store: %v", err)
 	}
-	defer db.Close()
 
 	cfg := collector.DefaultConfig()
 	// Recovered data (checkpoint + WAL) sits in simulated time after the
@@ -206,20 +205,40 @@ func main() {
 	if *multiCloud {
 		svc.AllowDatasets(multicloud.AllDatasets...)
 	}
-	svc.SetAdmission(archive.NewAdmission(archive.AdmissionConfig{
-		MaxInFlight: *maxInFl,
-		MaxQueue:    *maxInFl,
-		QueueWait:   *queueWait,
-		RatePerSec:  *rateLimit,
-		Burst:       *rateBurst,
-	}))
+	log.Printf("serving on %s (simulated time advances %v per %v; admission: %d in-flight, %.3g req/s per client; metrics at /api/v1/metrics)",
+		*addr, cfg.ScoreInterval, *tick, *maxInFl, *rateLimit)
+	serve(svc, front, db.Close)
+}
 
+// serveConfig is the HTTP front both roles share: where to listen, the
+// admission layer's traffic limits, and how long shutdown may drain.
+type serveConfig struct {
+	addr         string
+	maxInFlight  int
+	queueWait    time.Duration
+	rateLimit    float64
+	rateBurst    float64
+	drainTimeout time.Duration
+}
+
+// serve installs admission control on svc and serves it on cfg.addr until
+// the listener fails or SIGINT/SIGTERM arrives. closeStore is the role's
+// shutdown hook; it runs once no request is in flight, and flushes and
+// fsyncs the store's WAL tail (Close does not checkpoint).
+func serve(svc *archive.Service, cfg serveConfig, closeStore func() error) {
+	svc.SetAdmission(archive.NewAdmission(archive.AdmissionConfig{
+		MaxInFlight: cfg.maxInFlight,
+		MaxQueue:    cfg.maxInFlight,
+		QueueWait:   cfg.queueWait,
+		RatePerSec:  cfg.rateLimit,
+		Burst:       cfg.rateBurst,
+	}))
 	// A configured server, not bare ListenAndServe: without timeouts one
 	// slowloris client per goroutine holds connections (and memory) until
 	// the process dies. WriteTimeout bounds the whole response, so it is
 	// sized for the largest streamed window, not a socket write.
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              cfg.addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -228,47 +247,41 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	log.Printf("serving on %s (simulated time advances %v per %v; admission: %d in-flight, %.3g req/s per client; metrics at /api/v1/metrics)",
-		*addr, cfg.ScoreInterval, *tick, *maxInFl, *rateLimit)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
+	var listenErr error
 	select {
-	case err := <-errc:
-		// The listener died on its own; nothing to drain. Close the store
-		// explicitly — log.Fatalf skips deferred calls.
-		if closeErr := db.Close(); closeErr != nil {
-			log.Printf("closing store: %v", closeErr)
-		}
-		log.Fatalf("http: %v", err)
+	case listenErr = <-errc:
+		// The listener died on its own; nothing to drain.
 	case <-ctx.Done():
-		// Graceful shutdown: stop accepting, let in-flight requests
-		// finish (bounded), then the deferred db.Close checkpoints and
-		// closes the store with no readers left.
+		// Graceful shutdown: stop accepting and let in-flight requests
+		// finish (bounded), so the store closes with no readers left.
 		stop()
-		log.Printf("shutdown signal; draining in-flight requests (up to %v)", *drainTO)
-		sctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+		log.Printf("shutdown signal; draining in-flight requests (up to %v)", cfg.drainTimeout)
+		sctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			log.Printf("drain incomplete: %v", err)
 		}
 		log.Printf("drained; closing store")
 	}
+	if err := closeStore(); err != nil {
+		log.Printf("closing store: %v", err)
+	}
+	if listenErr != nil {
+		log.Fatalf("http: %v", listenErr)
+	}
 }
 
 // followerConfig carries the replica-mode settings out of flag parsing.
 type followerConfig struct {
-	addr         string
+	serveConfig
 	primaryURL   string
 	dataDir      string
 	pollInterval time.Duration
 	maxStaleness time.Duration
 	storeOpts    tsdb.Options // as parsed from the shared store flags
 	multiCloud   bool
-	maxInFlight  int
-	queueWait    time.Duration
-	rateLimit    float64
-	rateBurst    float64
-	drainTimeout time.Duration
 }
 
 // runFollower serves the read API as a replica of cfg.primaryURL: a
@@ -302,13 +315,6 @@ func runFollower(cfg followerConfig, cat *catalog.Catalog) {
 		svc.AllowDatasets(multicloud.AllDatasets...)
 	}
 	svc.SetFollower(cfg.primaryURL, cfg.maxStaleness)
-	svc.SetAdmission(archive.NewAdmission(archive.AdmissionConfig{
-		MaxInFlight: cfg.maxInFlight,
-		MaxQueue:    cfg.maxInFlight,
-		QueueWait:   cfg.queueWait,
-		RatePerSec:  cfg.rateLimit,
-		Burst:       cfg.rateBurst,
-	}))
 	puller, err := archive.NewPuller(svc, archive.PullerConfig{
 		PrimaryURL:   cfg.primaryURL,
 		Dir:          cfg.dataDir,
@@ -321,41 +327,13 @@ func runFollower(cfg followerConfig, cat *catalog.Catalog) {
 	}
 	puller.Start()
 
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           svc.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	log.Printf("follower of %s serving on %s (poll %v, max staleness %v; readiness at /readyz, metrics at /api/v1/metrics)",
 		cfg.primaryURL, cfg.addr, cfg.pollInterval, cfg.maxStaleness)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		puller.Stop()
-		if closeErr := svc.DB().Close(); closeErr != nil {
-			log.Printf("closing replica store: %v", closeErr)
-		}
-		log.Fatalf("http: %v", err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutdown signal; draining in-flight requests (up to %v)", cfg.drainTimeout)
-		sctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("drain incomplete: %v", err)
-		}
+	serve(svc, cfg.serveConfig, func() error {
 		// Stop the puller before closing the serving store: a pull
 		// completing after Close would swap a fresh store in with nobody
 		// left to close it.
 		puller.Stop()
-		if err := svc.DB().Close(); err != nil {
-			log.Printf("closing replica store: %v", err)
-		}
-	}
+		return svc.DB().Close()
+	})
 }

@@ -536,7 +536,6 @@ type StoreMeta struct {
 	ReplayedWALBytes        uint64                `json:"replayedWALBytes"`
 	RotateFailures          uint64                `json:"rotateFailures"`
 	SealedSegments          int                   `json:"sealedSegments"`
-	MaxSealedSegments       int                   `json:"maxSealedSegments"`
 	CheckpointAfterBytes    int64                 `json:"checkpointAfterBytes"`
 	MaintainerActive        bool                  `json:"maintainerActive"`
 	Maintenance             tsdb.MaintenanceStats `json:"maintenance"`
@@ -572,7 +571,6 @@ func (s *Service) Meta() Meta {
 			ReplayedWALBytes:        db.ReplayedWALBytes(),
 			RotateFailures:          db.RotateFailures(),
 			SealedSegments:          db.SealedSegments(),
-			MaxSealedSegments:       db.MaxSealedSegments(),
 			CheckpointAfterBytes:    db.CheckpointAfterBytes(),
 			MaintainerActive:        db.MaintainerActive(),
 			Maintenance:             db.MaintenanceStats(),

@@ -80,7 +80,6 @@ type Stats struct {
 	CheckpointErrors       int
 	MaintenanceCheckpoints uint64
 	ForcedByBytes          uint64
-	ForcedByChainLength    uint64
 	MaintenanceErrors      uint64
 }
 
@@ -141,7 +140,6 @@ func (c *Collector) Stats() Stats {
 	m := c.db.MaintenanceStats()
 	st.MaintenanceCheckpoints = m.Checkpoints
 	st.ForcedByBytes = m.ForcedByBytes
-	st.ForcedByChainLength = m.ForcedByChainLength
 	st.MaintenanceErrors = m.Errors
 	return st
 }

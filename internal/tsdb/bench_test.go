@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -122,59 +121,6 @@ func BenchmarkAppendBatch(b *testing.B) {
 			if n, err := db.AppendBatch(batch); err != nil || n != seriesN {
 				b.Fatalf("stored %d, err %v", n, err)
 			}
-		}
-	})
-}
-
-// BenchmarkSnapshotLoad compares restoring a populated store from a
-// snapshot against replaying the equivalent WAL.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	const seriesN, pointsN = 200, 200
-	build := func(dir string) *DB {
-		db, err := Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for s := 0; s < seriesN; s++ {
-			k := SeriesKey{Dataset: "sps", Type: fmt.Sprintf("t%d", s), Region: "us-east-1", AZ: "us-east-1a"}
-			for i := 0; i < pointsN; i++ {
-				if err := db.Append(k, t0.Add(time.Duration(i)*time.Minute), float64(i%7)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		return db
-	}
-	b.Run("snapshot", func(b *testing.B) {
-		db := build("")
-		var buf bytes.Buffer
-		if err := db.WriteSnapshot(&buf); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			db2, _ := Open("")
-			if _, err := db2.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("wal-replay", func(b *testing.B) {
-		dir := b.TempDir()
-		db := build(dir)
-		if err := db.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			db2, err := Open(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if db2.PointCount() != seriesN*pointsN {
-				b.Fatalf("replayed %d points", db2.PointCount())
-			}
-			db2.Close()
 		}
 	})
 }

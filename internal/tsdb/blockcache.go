@@ -139,8 +139,8 @@ func (db *DB) BlockCacheStats() BlockCacheStats {
 // coldBlockPoints returns one sealed block's decoded points, consulting
 // the cache first. The returned slice is shared and must not be
 // mutated. Decode failures (bit rot, a vanished file) are surfaced to
-// the caller; read paths count them and degrade to hot-only results
-// rather than panic — see coldErr.
+// the caller; read paths count them and fail the read with ErrColdRead
+// rather than serve a partial result — see coldReadErr.
 func (db *DB) coldBlockPoints(b *blockMeta) ([]Point, error) {
 	key := blockCacheKey{seq: b.seg.seq, off: b.off}
 	if pts, ok := db.bcache.get(key); ok {

@@ -3,11 +3,10 @@ package tsdb
 // Tests for the cold block tier: codec round trips, differential
 // equality between a sealed store and never-sealed references (including
 // cursor walks that cross the tier boundary, and under -race with a
-// concurrent writer), the seal-boundary crash matrix, the seal
-// maintenance trigger, and recovery/accounting invariants.
+// concurrent writer), the seal-boundary crash matrix, the bound the byte
+// trigger puts on hot growth, and recovery/accounting invariants.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -278,22 +277,6 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 		t.Fatal("reopen lost the sealed blocks")
 	}
 	compare("reopened")
-
-	// The exported snapshot must still be the complete archive: load it
-	// into a fresh memory store and compare.
-	var buf bytes.Buffer
-	if err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full, err := OpenSharded("", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
-	if _, err := full.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	assertSameContents(t, contents(full), refContents(ref))
 }
 
 // TestSealedConcurrentReadsExact runs (under -race) a writer appending
@@ -523,41 +506,118 @@ func TestSealCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestSealTriggerMaintenance proves SealAfterHotPoints drives the store
-// to seal on its own: no manual Checkpoint call, hot growth alone forces
-// one, and the trigger re-arms on the post-seal floor instead of
-// re-firing on the unsealable residual.
-func TestSealTriggerMaintenance(t *testing.T) {
+// TestSealAbortsOnUnreadableBlockFile damages the block file right after
+// its rename, before the manifest that would name it: the checkpoint must
+// read the file back, fail, and leave the old manifest authoritative —
+// nothing attached, nothing trimmed from memory, and a reopen (which
+// reaps the orphan) exact.
+func TestSealAbortsOnUnreadableBlockFile(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
-	opts.SealAfterHotPoints = 64
+	db, err := OpenWithOptions(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefDB()
+	a := sealEntries(400, 0)
+	if n, err := db.AppendBatch(a); err != nil || n != len(a) {
+		t.Fatalf("stored %d, err %v", n, err)
+	}
+	refApplyAll(t, ref, a)
+	want := refContents(ref)
+
+	db.testCrash = func(point string) error {
+		if point == "checkpoint:blocks:committed" {
+			// One flipped bit inside the index section, which sits just
+			// ahead of the footer.
+			path := filepath.Join(dir, blockFileName(1))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			raw[len(raw)-blockFooterLen-1] ^= 0x01
+			return os.WriteFile(path, raw, 0o644)
+		}
+		return nil
+	}
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("checkpoint committed a block file whose index does not read back")
+	}
+	db.testCrash = nil
+	if db.SealedBlocks() != 0 || db.ColdPointCount() != 0 || db.HotPointCount() != int64(len(a)) {
+		t.Fatalf("aborted seal attached state: %d blocks, %d cold points, %d hot points (want 0, 0, %d)",
+			db.SealedBlocks(), db.ColdPointCount(), db.HotPointCount(), len(a))
+	}
+	if len(db.man.Blocks) != 0 {
+		t.Fatalf("manifest names blocks %v after an aborted seal", db.man.Blocks)
+	}
+	assertSameContents(t, contents(db), want)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenWithOptions(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen after aborted seal: %v", err)
+	}
+	defer re.Close()
+	assertSameContents(t, contents(re), want)
+	// The store seals its way out: the retry overwrites the orphan.
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if re.SealedBlocks() == 0 {
+		t.Fatal("store lost the ability to seal")
+	}
+	assertSameContents(t, contents(re), want)
+}
+
+// TestSealTriggerMaintenance pins the bound the byte trigger puts on hot
+// memory, the one the hot-point knob used to promise: every stored point
+// is one WAL record, so with the daemon off and nothing calling
+// Checkpoint, hot points grown since the last checkpoint never exceed
+// (CheckpointAfterBytes + one batch) / record size — checked after every
+// append — and the checkpoints the trigger forces do seal.
+func TestSealTriggerMaintenance(t *testing.T) {
+	const threshold, batchLen = 4096, 8
+	dir := t.TempDir()
+	opts := sealedOpts()
+	opts.CheckpointAfterBytes = threshold
 	opts.MaintenanceInterval = -1 // append-path enforcement only: deterministic
 	db, err := OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if !db.SelfMaintains() {
-		t.Fatal("SealAfterHotPoints alone did not enable self-maintenance")
-	}
 	k := sealKeys()[0]
-	for i := 0; i < 600; i++ {
-		if err := db.Append(k, t0.Add(time.Duration(i)*time.Second), float64(i%3)); err != nil {
-			t.Fatal(err)
+	recSize := 22 + len(k.String())
+	bound := int64((threshold + batchLen*recSize) / recSize)
+	var floor int64 // hot points right after the last checkpoint
+	var checkpoints uint64
+	for i := 0; i < 1600; i += batchLen {
+		batch := make([]Entry, batchLen)
+		for j := range batch {
+			batch[j] = Entry{Key: k, At: t0.Add(time.Duration(i+j) * time.Second), Value: float64((i + j) % 3)}
+		}
+		if n, err := db.AppendBatch(batch); err != nil || n != batchLen {
+			t.Fatalf("batch at %d: stored %d, err %v", i, n, err)
+		}
+		hot := db.HotPointCount()
+		if cp := db.MaintenanceStats().Checkpoints; cp != checkpoints {
+			// Enforcement runs ahead of the store, so this batch is the
+			// growth since that checkpoint.
+			checkpoints, floor = cp, hot-batchLen
+		}
+		if grown := hot - floor; grown > bound {
+			t.Fatalf("after batch at %d: %d hot points grown since the last checkpoint, bound %d", i, grown, bound)
 		}
 	}
 	st := db.MaintenanceStats()
-	if st.ForcedBySeal == 0 || db.SealedBlocks() == 0 {
-		t.Fatalf("hot growth forced no seal: stats %+v, %d blocks", st, db.SealedBlocks())
+	if st.ForcedByBytes < 2 || st.ForcedByBytes != st.Checkpoints || st.Errors != 0 {
+		t.Fatalf("byte trigger did not drive maintenance: %+v", st)
 	}
-	if hot := db.HotPointCount(); hot >= 600 {
-		t.Fatalf("all %d points still hot after seal-triggered maintenance", hot)
-	}
-	// The floor re-armed: the residual alone must not keep the trigger
-	// hot, or every future append would force a useless checkpoint.
-	if db.sealTriggerHot() {
-		t.Fatalf("seal trigger still hot after checkpoint (hot=%d floor=%d)",
-			db.hotPts.Load(), db.sealFloor.Load())
+	if db.SealedBlocks() == 0 || db.HotPointCount() >= 1600 {
+		t.Fatalf("byte-triggered maintenance sealed nothing: %d blocks, %d of 1600 points hot",
+			db.SealedBlocks(), db.HotPointCount())
 	}
 }
 

@@ -11,12 +11,10 @@ func BindFlags(fs *flag.FlagSet) *Options {
 	o := &Options{}
 	fs.Int64Var(&o.RotateBytes, "rotate-bytes", DefaultRotateBytes, "seal and rotate a shard's WAL segment past this many bytes (negative disables rotation)")
 	fs.Int64Var(&o.CheckpointAfterBytes, "checkpoint-bytes", 64<<20, "checkpoint as soon as the WAL grows this many bytes past the last checkpoint (0 disables the size trigger)")
-	fs.IntVar(&o.MaxSealedSegments, "max-sealed-segments", 64, "checkpoint before any shard accumulates this many sealed WAL segments (0 disables the cap)")
 	fs.DurationVar(&o.MaintenanceInterval, "maintenance-interval", DefaultMaintenanceInterval, "store maintenance daemon poll period (negative disables the daemon)")
 	fs.IntVar(&o.HotTailPoints, "hot-tail", 0, "per-series points kept hot (uncompressed) ahead of the sealed block tier; 0 = default, negative disables sealing")
 	fs.IntVar(&o.BlockPoints, "block-points", 0, "points per compressed cold block (0 = default)")
 	fs.Int64Var(&o.BlockCacheBytes, "block-cache-bytes", 0, "decoded cold-block LRU cache budget in bytes (0 = default, negative disables)")
-	fs.Int64Var(&o.SealAfterHotPoints, "seal-after-hot-points", 0, "maintenance seals history once this many hot points accumulate past the last seal (0 disables the trigger)")
 	fs.Func("retain-raw", "per-dataset raw retention horizons, comma-separated <dataset>=<horizon> (e.g. price=90d,sps=720h); raw points past the horizon are dropped once 1h/1d rollups cover them (requires -data and sealing)", func(s string) (err error) {
 		o.RetainRaw = nil
 		if s != "" {

@@ -28,7 +28,6 @@ func TestBindFlagsDefaults(t *testing.T) {
 	want := Options{
 		RotateBytes:          DefaultRotateBytes,
 		CheckpointAfterBytes: 64 << 20,
-		MaxSealedSegments:    64,
 		MaintenanceInterval:  DefaultMaintenanceInterval,
 	}
 	if !reflect.DeepEqual(*got, want) {
@@ -36,16 +35,28 @@ func TestBindFlagsDefaults(t *testing.T) {
 	}
 }
 
+// TestBindFlagsNames pins the store's whole flag surface: exactly these
+// seven names, so a knob cannot appear (or vanish) unnoticed.
+func TestBindFlagsNames(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	BindFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // lexical order
+	want := []string{"block-cache-bytes", "block-points", "checkpoint-bytes", "hot-tail",
+		"maintenance-interval", "retain-raw", "rotate-bytes"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store flags:\n got  %v\n want %v", got, want)
+	}
+}
+
 func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 	got, err := parseStoreFlags(t,
 		"-rotate-bytes", "1001",
 		"-checkpoint-bytes", "1002",
-		"-max-sealed-segments", "1003",
 		"-maintenance-interval", "1004ms",
 		"-hot-tail", "1005",
 		"-block-points", "1006",
 		"-block-cache-bytes", "1007",
-		"-seal-after-hot-points", "1008",
 		"-retain-raw", "price=90d,sps=720h",
 	)
 	if err != nil {
@@ -54,12 +65,10 @@ func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 	want := Options{
 		RotateBytes:          1001,
 		CheckpointAfterBytes: 1002,
-		MaxSealedSegments:    1003,
 		MaintenanceInterval:  1004 * time.Millisecond,
 		HotTailPoints:        1005,
 		BlockPoints:          1006,
 		BlockCacheBytes:      1007,
-		SealAfterHotPoints:   1008,
 		RetainRaw:            map[string]time.Duration{"price": 90 * 24 * time.Hour, "sps": 720 * time.Hour},
 	}
 	if !reflect.DeepEqual(*got, want) {

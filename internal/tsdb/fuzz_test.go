@@ -165,14 +165,15 @@ func fuzzSnapshotSeed(seriesN, pointsN int) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	_ = db.WriteSnapshot(&buf)
+	_ = encodeSnapshot(&buf, db.capture())
 	return buf.Bytes()
 }
 
-// FuzzSnapshotCodec feeds arbitrary byte streams to LoadSnapshot. Corrupt
-// input must return an error — never panic, never allocate absurdly, never
-// silently drop series. Input that does load must re-encode to an
-// equivalent store (full round trip).
+// FuzzSnapshotCodec feeds arbitrary byte streams to decodeSnapshot, the
+// trust boundary for checkpoint files. Corrupt input must return an error
+// — never panic, never allocate absurdly, never hand back records
+// alongside it. Input that does decode must re-encode and decode back to
+// the same records (full round trip).
 func FuzzSnapshotCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagic))
@@ -188,31 +189,44 @@ func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(s2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, _ := OpenSharded("", 2)
-		n, err := db.LoadSnapshot(bytes.NewReader(data))
+		recs, err := decodeSnapshot(bytes.NewReader(data))
 		if err != nil {
-			// Malformed input must leave the store untouched.
-			if db.SeriesCount() != 0 || db.PointCount() != 0 {
-				t.Fatalf("failed load modified the store: %d series, %d points",
-					db.SeriesCount(), db.PointCount())
+			// Malformed input must not yield a partial record list a
+			// caller could apply.
+			if recs != nil {
+				t.Fatalf("failed decode returned %d records", len(recs))
 			}
 			return
 		}
-		if n < db.SeriesCount() {
-			t.Fatalf("loaded %d records but store has %d series", n, db.SeriesCount())
+		for _, rec := range recs {
+			for j := 1; j < len(rec.points); j++ {
+				if rec.points[j].At.Before(rec.points[j-1].At) {
+					t.Fatalf("decode accepted out-of-order points in %v", rec.key)
+				}
+			}
 		}
-		// Round trip: what loaded must encode and reload identically.
+		// Round trip: what decoded must encode and decode identically.
 		var buf bytes.Buffer
-		if err := db.WriteSnapshot(&buf); err != nil {
-			t.Fatalf("re-encode of loaded snapshot failed: %v", err)
+		if err := encodeSnapshot(&buf, recs); err != nil {
+			t.Fatalf("re-encode of decoded snapshot failed: %v", err)
 		}
-		db2, _ := OpenSharded("", 8)
-		if _, err := db2.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("reload of re-encoded snapshot failed: %v", err)
+		again, err := decodeSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("decode of re-encoded snapshot failed: %v", err)
 		}
-		if db2.SeriesCount() != db.SeriesCount() || db2.PointCount() != db.PointCount() {
-			t.Fatalf("round trip changed contents: %d/%d series, %d/%d points",
-				db.SeriesCount(), db2.SeriesCount(), db.PointCount(), db2.PointCount())
+		if len(again) != len(recs) {
+			t.Fatalf("round trip changed the record count: %d vs %d", len(again), len(recs))
+		}
+		for i := range recs {
+			if again[i].key != recs[i].key || len(again[i].points) != len(recs[i].points) {
+				t.Fatalf("round trip changed record %d: %v/%d points vs %v/%d", i,
+					again[i].key, len(again[i].points), recs[i].key, len(recs[i].points))
+			}
+			for j, p := range recs[i].points {
+				if q := again[i].points[j]; !q.At.Equal(p.At) || math.Float64bits(q.Value) != math.Float64bits(p.Value) {
+					t.Fatalf("round trip changed record %d point %d: %v vs %v", i, j, q, p)
+				}
+			}
 		}
 	})
 }

@@ -1,35 +1,47 @@
 package tsdb
 
-// Store-internal maintenance: the checkpoint daemon and the sealed-chain
-// cap.
+// Store-internal maintenance: the checkpoint daemon and the append
+// path's enforcement of the same triggers.
 //
-// PR 3 left checkpoint scheduling to callers — the collector checked
-// WALBytesSinceCheckpoint after each tick and called Checkpoint itself.
-// That leaves every non-collector writer (the server's bootstrap loop,
-// bulk snapshot restores, analysis tools appending directly) with an
-// unbounded replay tail, and sealed WAL segments are only ever reclaimed
-// when something happens to checkpoint. The maintainer moves both
-// responsibilities inside the store:
+// Checkpoint scheduling belongs to the store, not its callers: every
+// writer (the collector, the server's bootstrap loop, analysis tools
+// appending directly) gets a bounded replay tail, and sealed WAL segments
+// are reclaimed, without ever calling Checkpoint.
 //
-//   - A per-store daemon goroutine (started by OpenWithOptions when any
-//     maintenance trigger is configured, stopped by Close) polls every
-//     Options.MaintenanceInterval and checkpoints when either trigger
-//     fires: WALBytesSinceCheckpoint >= Options.CheckpointAfterBytes, or
-//     any shard's sealed-segment chain at or past
-//     Options.MaxSealedSegments.
+//   - Two triggers, defined once (triggerLive): the byte trigger,
+//     WALBytesSinceCheckpoint >= Options.CheckpointAfterBytes, and the
+//     retention trigger (rollup.go), some retained dataset's raw points
+//     droppable beyond what the last enforcement evaluated.
+//
+//   - A per-store daemon goroutine (started by OpenWithOptions when a
+//     trigger is configured, stopped by Close) polls every
+//     Options.MaintenanceInterval and checkpoints when one is live. It is
+//     what covers a store that goes idle above a threshold.
 //
 //   - Both triggers are additionally enforced synchronously on the
-//     append path: an append (or batch) that observes a shard at the cap,
-//     or the un-checkpointed WAL at or past the byte threshold,
-//     checkpoints before storing — so a store opened with
-//     MaxSealedSegments=N never holds more than N sealed segments per
-//     shard between appends, and the replay tail stays bounded by
+//     append path: an append (or batch) that observes a live trigger
+//     checkpoints before storing, so the replay tail stays bounded by
 //     CheckpointAfterBytes plus one batch even for writers that compress
 //     months of simulated time into one wall-clock second (where a
 //     wall-clock poll alone would let the tail grow by seconds of write
-//     rate). The checks are two atomic loads (a store-level
-//     shards-at-cap count and a store-level byte total), so the hot path
-//     pays nothing while neither trigger is hot.
+//     rate). The byte check is one atomic load of a store-level total,
+//     so the hot path pays nothing while the trigger is cold.
+//
+// # What the byte trigger bounds
+//
+// Every stored point is exactly one WAL record (22 + len(key) bytes), and
+// a checkpoint unlinks every sealed segment and seals every whole block
+// out of memory. So one bound on un-checkpointed WAL bytes is also the
+// bound on the two other things that grow between checkpoints, and the
+// store needs no knob for either. After a single-point append a shard
+// holds at most CheckpointAfterBytes/RotateBytes + 1 sealed segments:
+// every sealed segment but the oldest (whose prefix the last checkpoint
+// may cover) is RotateBytes or more of un-checkpointed records, the
+// append started below the threshold, and it seals at most one more (a
+// batch adds whatever it alone rotates; the count is exact when
+// RotateBytes divides the threshold, as the defaults do). And hot points
+// grown since the last checkpoint never exceed
+// (CheckpointAfterBytes + one batch) / record size.
 //
 // # Single-flight
 //
@@ -40,7 +52,7 @@ package tsdb
 // trigger: the daemon wakes, finds the counters already reset, and does
 // nothing, instead of queueing a redundant snapshot behind the manual
 // one. The append-path force never blocks behind an in-flight
-// checkpoint: whoever holds cpMu is already reclaiming the chain.
+// checkpoint: whoever holds cpMu is already reclaiming the tail.
 
 import (
 	"time"
@@ -49,8 +61,7 @@ import (
 // DefaultMaintenanceInterval is the daemon's poll period when Options
 // leaves MaintenanceInterval zero. The interval only bounds how long a
 // *quiesced* store can sit above a trigger threshold: the append path
-// enforces the chain cap synchronously and rotations wake the daemon
-// immediately, so a shorter interval buys little.
+// enforces the triggers synchronously, so a shorter interval buys little.
 const DefaultMaintenanceInterval = time.Second
 
 // maintenanceRetryBackoff is how long the append path stands down after
@@ -71,19 +82,11 @@ type MaintenanceStats struct {
 	// (WALBytesSinceCheckpoint >= CheckpointAfterBytes) was live when the
 	// checkpoint ran.
 	ForcedByBytes uint64 `json:"forcedByBytes"`
-	// ForcedByChainLength counts maintenance checkpoints whose
-	// sealed-chain trigger (some shard at or past MaxSealedSegments) was
-	// live when the checkpoint ran. A checkpoint with both triggers live
-	// counts in both.
-	ForcedByChainLength uint64 `json:"forcedByChainLength"`
-	// ForcedBySeal counts maintenance checkpoints whose hot-point trigger
-	// (hot points grown by SealAfterHotPoints since the last checkpoint)
-	// was live when the checkpoint ran.
-	ForcedBySeal uint64 `json:"forcedBySeal"`
 	// ForcedByRetention counts maintenance checkpoints whose retention
 	// trigger (some dataset's raw points droppable past its horizon,
 	// beyond what the last enforcement evaluated) was live when the
-	// checkpoint ran.
+	// checkpoint ran. A checkpoint with both triggers live counts in
+	// both.
 	ForcedByRetention uint64 `json:"forcedByRetention"`
 	// Errors counts maintenance checkpoints that failed. The daemon
 	// retries on its next tick; a climbing counter means the store cannot
@@ -94,12 +97,10 @@ type MaintenanceStats struct {
 // MaintenanceStats returns the cumulative maintainer counters.
 func (db *DB) MaintenanceStats() MaintenanceStats {
 	return MaintenanceStats{
-		Checkpoints:         db.maintCP.Value(),
-		ForcedByBytes:       db.maintByBytes.Value(),
-		ForcedByChainLength: db.maintByChain.Value(),
-		ForcedBySeal:        db.maintBySeal.Value(),
-		ForcedByRetention:   db.maintByRet.Value(),
-		Errors:              db.maintErrs.Value(),
+		Checkpoints:       db.maintCP.Value(),
+		ForcedByBytes:     db.maintByBytes.Value(),
+		ForcedByRetention: db.maintByRet.Value(),
+		Errors:            db.maintErrs.Value(),
 	}
 }
 
@@ -107,13 +108,10 @@ func (db *DB) MaintenanceStats() MaintenanceStats {
 // (0 = disabled).
 func (db *DB) CheckpointAfterBytes() int64 { return db.cpAfterBytes }
 
-// MaxSealedSegments returns the per-shard sealed-chain cap (0 = no cap).
-func (db *DB) MaxSealedSegments() int { return db.maxSealed }
-
 // SelfMaintains reports whether the store drives its own checkpoints:
 // it is durable and at least one maintenance trigger is configured.
 func (db *DB) SelfMaintains() bool {
-	return db.dir != "" && (db.cpAfterBytes > 0 || db.maxSealed > 0 || db.sealAfterHot > 0 || len(db.retain) > 0)
+	return db.dir != "" && (db.cpAfterBytes > 0 || len(db.retain) > 0)
 }
 
 // MaintainerActive reports whether the maintenance daemon goroutine is
@@ -135,24 +133,11 @@ func (db *DB) SealedSegments() int {
 // ShardSealedSegments returns shard i's sealed-chain length.
 func (db *DB) ShardSealedSegments(i int) int { return int(db.shards[i].sealedN.Load()) }
 
-// setSealed records shard sh's sealed-chain length and maintains the
-// store-level count of shards at or past the cap (the append path's
-// one-atomic-load trigger check). Called wherever sh.sealed changes:
-// under sh's write lock on the rotation and checkpoint-delete paths, or
-// single-threaded during Open — so per-shard transitions never race.
-func (db *DB) setSealed(sh *shard, n int) {
-	old := sh.sealedN.Swap(int64(n))
-	if db.maxSealed <= 0 {
-		return
-	}
-	was, now := old >= int64(db.maxSealed), n >= db.maxSealed
-	switch {
-	case now && !was:
-		db.chainOver.Add(1)
-	case was && !now:
-		db.chainOver.Add(-1)
-	}
-}
+// setSealed records shard sh's sealed-chain length behind
+// SealedSegments. Called wherever sh.sealed changes: under sh's write
+// lock on the rotation and checkpoint-delete paths, or single-threaded
+// during Open.
+func (db *DB) setSealed(sh *shard, n int) { sh.sealedN.Store(int64(n)) }
 
 // startMaintainer launches the daemon goroutine if the options call for
 // one. Runs at the end of OpenWithOptions, after recovery, so the daemon
@@ -169,8 +154,7 @@ func (db *DB) startMaintainer(interval time.Duration) {
 	go db.maintainLoop(interval)
 }
 
-// maintainLoop is the daemon: poll every interval, and additionally wake
-// immediately when a rotation pushes a chain to the cap (maintWake).
+// maintainLoop is the daemon: poll every interval until stopped.
 func (db *DB) maintainLoop(interval time.Duration) {
 	defer close(db.maintDone)
 	t := time.NewTicker(interval)
@@ -180,7 +164,6 @@ func (db *DB) maintainLoop(interval time.Duration) {
 		case <-db.maintStop:
 			return
 		case <-t.C:
-		case <-db.maintWake:
 		}
 		db.maintainOnce()
 	}
@@ -203,41 +186,25 @@ func (db *DB) maintainOnce() {
 	db.runMaintenanceCheckpointLocked()
 }
 
-// chainTriggerHot and byteTriggerHot are the single definition of the
-// two maintenance triggers; the daemon's poll, the under-lock re-check,
-// and the append path's fast check all call these, so the three sites
-// can never enforce different bounds.
-func (db *DB) chainTriggerHot() bool {
-	return db.maxSealed > 0 && db.chainOver.Load() > 0
-}
-
+// byteTriggerHot and retentionTriggerHot (rollup.go) are the single
+// definition of the two maintenance triggers; the daemon's poll, the
+// under-lock re-check, and the append path's fast check all go through
+// them, so the three sites can never enforce different bounds.
 func (db *DB) byteTriggerHot() bool {
 	return db.dir != "" && db.cpAfterBytes > 0 && db.cpBytesTotal.Load() >= uint64(db.cpAfterBytes)
 }
 
-// sealTriggerHot fires when hot memory has grown by SealAfterHotPoints
-// points since the last checkpoint re-armed the floor. Growth-relative,
-// not absolute: the unsealable residual (per-series hot tails and
-// partial blocks) stays resident forever, so an absolute threshold would
-// re-fire on every tick once the residual alone crossed it.
-func (db *DB) sealTriggerHot() bool {
-	return db.sealAfterHot > 0 && db.SealsCold() &&
-		db.hotPts.Load() >= db.sealFloor.Load()+db.sealAfterHot
-}
-
 // triggerLive reports whether any maintenance trigger currently fires.
 func (db *DB) triggerLive() bool {
-	return db.chainTriggerHot() || db.byteTriggerHot() || db.sealTriggerHot() || db.retentionTriggerHot()
+	return db.byteTriggerHot() || db.retentionTriggerHot()
 }
 
 // runMaintenanceCheckpointLocked re-checks the triggers and checkpoints.
 // The caller holds cpMu.
 func (db *DB) runMaintenanceCheckpointLocked() {
-	byChain := db.chainTriggerHot()
 	byBytes := db.byteTriggerHot()
-	bySeal := db.sealTriggerHot()
 	byRet := db.retentionTriggerHot()
-	if !byChain && !byBytes && !bySeal && !byRet {
+	if !byBytes && !byRet {
 		return
 	}
 	if err := db.checkpointLocked(); err != nil {
@@ -250,27 +217,20 @@ func (db *DB) runMaintenanceCheckpointLocked() {
 	if byBytes {
 		db.maintByBytes.Add(1)
 	}
-	if byChain {
-		db.maintByChain.Add(1)
-	}
-	if bySeal {
-		db.maintBySeal.Add(1)
-	}
 	if byRet {
 		db.maintByRet.Add(1)
 	}
 }
 
 // enforceMaintenance runs on the append path, before any shard lock is
-// taken: when some shard sits at the sealed-chain cap, or the
-// un-checkpointed WAL has reached the byte threshold, checkpoint now —
-// so the append about to happen cannot grow a chain past the cap, and
-// the replay tail cannot outrun the threshold by more than one batch no
-// matter how fast the writer is relative to the daemon's wall-clock
-// poll. TryLock is the single-flight: if a checkpoint is already in
-// flight (manual, daemon, or another appender's force), it will clear
-// the trigger — this append proceeds without stacking a second one
-// behind it.
+// taken: when a trigger is live — the un-checkpointed WAL has reached
+// the byte threshold, or retention has something to drop — checkpoint
+// now, so the replay tail cannot outrun the threshold by more than one
+// batch no matter how fast the writer is relative to the daemon's
+// wall-clock poll. TryLock is the single-flight: if a checkpoint is
+// already in flight (manual, daemon, or another appender's force), it
+// will clear the trigger — this append proceeds without stacking a
+// second one behind it.
 func (db *DB) enforceMaintenance() {
 	if !db.triggerLive() {
 		return
@@ -289,19 +249,6 @@ func (db *DB) enforceMaintenance() {
 		return
 	}
 	db.runMaintenanceCheckpointLocked()
-}
-
-// wakeMaintainer nudges the daemon outside its poll cadence; called by
-// rotation when a chain reaches the cap so an idle-after-burst store is
-// reclaimed promptly. Non-blocking: a pending wake is enough.
-func (db *DB) wakeMaintainer() {
-	if db.maintWake == nil {
-		return
-	}
-	select {
-	case db.maintWake <- struct{}{}:
-	default:
-	}
 }
 
 // stopMaintainer halts the daemon and waits for it to exit. An in-flight

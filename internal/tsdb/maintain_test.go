@@ -1,13 +1,12 @@
 package tsdb
 
-// Tests for the store-internal maintainer: the sealed-chain cap's hard
-// bound on the append path, the daemon reclaiming chains and byte tails
-// without caller cooperation, single-flight between the daemon and
-// manual Checkpoint under -race, and the daemon bounding the recovery
-// tail after a bulk snapshot restore.
+// Tests for the store-internal maintainer: the bound the byte trigger
+// puts on sealed-segment chains from the append path alone, the daemon
+// reclaiming the tail of a store left idle above the threshold,
+// single-flight between the daemon and manual Checkpoint under -race,
+// and the failure backoff.
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -27,37 +26,45 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
-// TestChainCapBoundsSealedSegments drives pointwise appends through a
-// store with MaxSealedSegments=3 and the daemon disabled, so the only
-// enforcement is the append path's synchronous check — and asserts no
-// shard's sealed chain ever exceeds the cap at any observable instant,
-// with no caller-invoked checkpoints at all.
+// TestChainCapBoundsSealedSegments pins the chain bound the byte trigger
+// implies, the one the sealed-segment knob used to promise: pointwise
+// appends with the daemon disabled — so the only enforcement is the
+// append path's synchronous check, and nothing calls Checkpoint — never
+// leave a shard holding more than CheckpointAfterBytes/RotateBytes + 1
+// sealed segments at any observable instant.
 func TestChainCapBoundsSealedSegments(t *testing.T) {
-	const chainCap = 3
+	const rotate, threshold = 512, 4 * 512
+	const chainCap = threshold/rotate + 1
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, Options{
-		Shards:              2,
-		RotateBytes:         512,
-		MaxSealedSegments:   chainCap,
-		MaintenanceInterval: -1, // no daemon: the append path alone must hold the bound
+		Shards:               2,
+		RotateBytes:          rotate,
+		CheckpointAfterBytes: threshold,
+		MaintenanceInterval:  -1, // no daemon: the append path alone must hold the bound
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	entries := legacyEntries(4000)
+	longest := 0
 	for n, e := range entries {
 		if err := db.Append(e.Key, e.At, e.Value); err != nil {
 			t.Fatalf("append %d: %v", n, err)
 		}
 		for i := 0; i < db.ShardCount(); i++ {
-			if got := db.ShardSealedSegments(i); got > chainCap {
-				t.Fatalf("after append %d: shard %d holds %d sealed segments, cap %d", n, i, got, chainCap)
+			got := db.ShardSealedSegments(i)
+			if got > chainCap {
+				t.Fatalf("after append %d: shard %d holds %d sealed segments, bound %d", n, i, got, chainCap)
 			}
+			longest = max(longest, got)
 		}
 	}
+	if longest < 2 {
+		t.Fatalf("chains never grew past %d segments; the bound was not exercised", longest)
+	}
 	st := db.MaintenanceStats()
-	if st.ForcedByChainLength == 0 {
-		t.Fatalf("4000 appends over 512-byte segments never hit the chain cap: %+v", st)
+	if st.ForcedByBytes == 0 || st.ForcedByBytes != st.Checkpoints {
+		t.Fatalf("4000 appends over a %d-byte threshold: %+v", threshold, st)
 	}
 	if st.Errors != 0 {
 		t.Fatalf("%d maintenance checkpoint errors", st.Errors)
@@ -76,58 +83,16 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 	}
 }
 
-// TestMaintainerDaemonReclaimsWedgedChains models the wedged-collector
-// scenario: nothing ever calls Checkpoint, and one oversized batch (the
-// equivalent of appends continuing while the checkpointing caller is
-// stuck) rotates shards well past the cap inside a single shard-lock
-// hold, where the append path cannot intervene. The rotation wake + the
-// daemon must bring every chain back under the cap on their own.
-func TestMaintainerDaemonReclaimsWedgedChains(t *testing.T) {
-	const chainCap = 2
-	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, Options{
-		Shards:              2,
-		RotateBytes:         256,
-		MaxSealedSegments:   chainCap,
-		MaintenanceInterval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	// One batch holding each shard's lock across many rotations: chains
-	// overshoot the cap with no per-append enforcement possible.
-	if _, err := db.AppendBatch(legacyEntries(200)); err != nil {
-		t.Fatal(err)
-	}
-	// The stats land after the chains drop (the checkpoint zeroes the
-	// sealed counters mid-protocol, the counters increment at the end),
-	// so the poll must wait for both.
-	waitFor(t, 5*time.Second, "daemon to reclaim sealed chains", func() bool {
-		for i := 0; i < db.ShardCount(); i++ {
-			if db.ShardSealedSegments(i) > chainCap {
-				return false
-			}
-		}
-		st := db.MaintenanceStats()
-		return st.Checkpoints > 0 && st.ForcedByChainLength > 0
-	})
-	if st := db.MaintenanceStats(); st.Errors != 0 {
-		t.Fatalf("%d maintenance checkpoint errors", st.Errors)
-	}
-}
-
 // TestDaemonVsManualCheckpointSingleFlight hammers a store with
 // concurrent appends, manual Checkpoint calls, and a fast maintenance
-// daemon whose both triggers are hot. Run under -race (CI does); the
-// assertions are no errors, and exact recovery afterwards.
+// daemon whose byte trigger keeps re-arming. Run under -race (CI does);
+// the assertions are no errors, and exact recovery afterwards.
 func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, Options{
 		Shards:               4,
 		RotateBytes:          512,
-		CheckpointAfterBytes: 4096,
-		MaxSealedSegments:    3,
+		CheckpointAfterBytes: 1024,
 		MaintenanceInterval:  time.Millisecond,
 	})
 	if err != nil {
@@ -290,27 +255,16 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	}
 }
 
-// TestBulkRestoreDaemonBoundsReplay loads a snapshot into a fresh
-// durable store — a writer that is not the collector, so before the
-// maintainer nothing would ever checkpoint the re-logged WAL — and
-// asserts the daemon folds the restore into a checkpoint, so the next
-// open replays almost nothing.
+// TestBulkRestoreDaemonBoundsReplay models a writer that dumps far more
+// than the threshold in one call and then goes idle — a bulk restore, or
+// appends continuing while whoever used to checkpoint is wedged. One
+// oversized batch holds each shard's lock across many rotations, where
+// the append path cannot intervene, and nothing appends afterwards, so
+// only the daemon can act: within its poll it must fold the tail into a
+// checkpoint, unlink every sealed segment, and leave the next open
+// almost nothing to replay.
 func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	const threshold = 16 << 10
-	src, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.AppendBatch(legacyEntries(2000)); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := src.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	wantPoints := src.PointCount()
-	src.Close()
-
 	dir := t.TempDir()
 	opts := Options{
 		Shards:               2,
@@ -322,22 +276,21 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadSnapshot(&snap); err != nil {
-		t.Fatal(err)
+	entries := legacyEntries(2000) // ~90KB: several rotations per shard
+	if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
+		t.Fatalf("stored %d, err %v", n, err)
 	}
-	if db.WALBytesSinceCheckpoint() < threshold {
-		t.Fatalf("restore re-logged only %d WAL bytes; the test needs > %d to arm the trigger",
-			db.WALBytesSinceCheckpoint(), threshold)
-	}
-	// Wait on the stats, not the byte counter: the checkpoint decrements
-	// the counter mid-protocol and bumps the stats only at the end, so a
-	// counter-based wait can observe the drop before the stats land.
-	waitFor(t, 5*time.Second, "daemon to checkpoint the restored tail", func() bool {
+	// Wait on the stats as well as the byte counter: a checkpoint
+	// decrements the counter mid-protocol and bumps the stats only at the
+	// end. (A daemon tick that lands mid-batch may cut one shard before the
+	// batch reaches it; the next tick then finishes the job.)
+	waitFor(t, 5*time.Second, "daemon to checkpoint the idle tail", func() bool {
 		st := db.MaintenanceStats()
-		return st.Checkpoints > 0 && st.ForcedByBytes > 0
+		return st.Checkpoints > 0 && st.ForcedByBytes > 0 &&
+			db.WALBytesSinceCheckpoint() < threshold && db.SealedSegments() == 0
 	})
-	if tail := db.WALBytesSinceCheckpoint(); tail >= threshold {
-		t.Fatalf("WAL tail still %d bytes after the daemon checkpoint (threshold %d)", tail, threshold)
+	if st := db.MaintenanceStats(); st.Errors != 0 {
+		t.Fatalf("%d maintenance checkpoint errors", st.Errors)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -350,7 +303,7 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	if got := re.ReplayedWALBytes(); got >= threshold {
 		t.Fatalf("reopen replayed %d WAL bytes; the daemon checkpoint should bound it below %d", got, threshold)
 	}
-	if re.PointCount() != wantPoints {
-		t.Fatalf("recovered %d points, want %d", re.PointCount(), wantPoints)
+	if re.PointCount() != len(entries) {
+		t.Fatalf("recovered %d points, want %d", re.PointCount(), len(entries))
 	}
 }

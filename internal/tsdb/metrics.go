@@ -56,7 +56,7 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) uint64 { return db.ReplayedWALBytes() })
 	counter("spotlake_store_rotate_failures_total", "Segment rotations that failed on the append path.",
 		func(db *DB) uint64 { return db.RotateFailures() })
-	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed and degraded to hot-only results.",
+	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed; each failed its read with ErrColdRead (HTTP 500 cold_read_failed), never a partial result.",
 		func(db *DB) uint64 { return db.ColdReadErrors() })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows).",
 		func(db *DB) uint64 { return db.ScannedPoints() })
@@ -65,10 +65,6 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) uint64 { return db.MaintenanceStats().Checkpoints })
 	counter("spotlake_maintenance_forced_by_bytes_total", "Maintenance checkpoints with the WAL byte trigger live.",
 		func(db *DB) uint64 { return db.MaintenanceStats().ForcedByBytes })
-	counter("spotlake_maintenance_forced_by_chain_total", "Maintenance checkpoints with the sealed-chain trigger live.",
-		func(db *DB) uint64 { return db.MaintenanceStats().ForcedByChainLength })
-	counter("spotlake_maintenance_forced_by_seal_total", "Maintenance checkpoints with the hot-point seal trigger live.",
-		func(db *DB) uint64 { return db.MaintenanceStats().ForcedBySeal })
 	counter("spotlake_maintenance_forced_by_retention_total", "Maintenance checkpoints with the retention trigger live.",
 		func(db *DB) uint64 { return db.MaintenanceStats().ForcedByRetention })
 	counter("spotlake_maintenance_errors_total", "Maintenance checkpoints that failed (retried on the next tick).",

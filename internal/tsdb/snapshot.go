@@ -1,9 +1,13 @@
 package tsdb
 
-// Snapshot format (version 1)
+// Checkpoint snapshot codec (version 1)
 //
-// A snapshot is a one-pass, re-loadable dump of every series in the store,
-// the fast alternative to replaying a WAL point by point:
+// This is the format of the checkpoint-*.snap file a checkpoint or layout
+// commit writes and Open bulk-loads (see wal.go): a one-pass dump of every
+// captured series, much faster to load than replaying the equivalent WAL
+// because points arrive grouped by series and are validated per record.
+// Nothing imports or exports a store through it — points enter a shard
+// only through the append path and recovery.
 //
 //	header:  8-byte magic "SLTSDBSN" | u16 version | u32 series count
 //	record:  u32 payload length | u32 CRC-32 (IEEE) of payload | payload
@@ -12,7 +16,7 @@ package tsdb
 //
 // All integers are little-endian. Every record is independently
 // length-prefixed and CRC-checked, so corruption is detected per series
-// and a load never panics on hostile input: it returns an error. Series
+// and a decode never panics on hostile input: it returns an error. Series
 // appear sorted by canonical key, so the same store state always encodes
 // to the same bytes (useful for tests and content-addressed storage).
 
@@ -79,44 +83,6 @@ func (db *DB) captureWith(fn func(i int, sh *shard) error) ([]snapshotSeries, er
 func (db *DB) capture() []snapshotSeries {
 	recs, _ := db.captureWith(nil)
 	return recs
-}
-
-// captureFull collects every series' complete history — sealed blocks
-// decoded and placed ahead of the hot tail — sorted by canonical key.
-// This is the capture behind WriteSnapshot, whose output
-// must be a self-contained re-loadable archive regardless of how the
-// store tiers it internally. An unreadable cold block fails the whole
-// capture (ErrColdRead): a snapshot with silently missing history would
-// look complete to every later restore.
-func (db *DB) captureFull() ([]snapshotSeries, error) {
-	var recs []snapshotSeries
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for k, s := range sh.series {
-			pts, err := db.getPointsLocked(s, 0, seriesTotal(s))
-			if err != nil {
-				sh.mu.RUnlock()
-				return nil, fmt.Errorf("tsdb: snapshot capture of %v: %w", k, err)
-			}
-			recs = append(recs, snapshotSeries{key: k, points: pts})
-		}
-		sh.mu.RUnlock()
-	}
-	sortSnapshotSeries(recs)
-	return recs, nil
-}
-
-// WriteSnapshot writes the whole store to w in snapshot format. Concurrent
-// appends during the write are safe: each series is captured atomically
-// under its shard lock, series listed at the start are never dropped, and
-// series created afterwards are simply not included.
-func (db *DB) WriteSnapshot(w io.Writer) error {
-	recs, err := db.captureFull()
-	if err != nil {
-		return err
-	}
-	return encodeSnapshot(w, recs)
 }
 
 // chunkSnapshotSeries splits any series whose record payload would exceed
@@ -277,119 +243,4 @@ func decodeSnapshot(r io.Reader) ([]snapshotSeries, error) {
 		return nil, errors.New("tsdb: snapshot: trailing data after last record")
 	}
 	return out, nil
-}
-
-// LoadSnapshot reads a snapshot from r into the store. The stream is fully
-// decoded and validated before anything is applied: on error the store is
-// left unmodified, and hostile input never panics. Loaded series merge
-// into existing ones as bulk appends (a record's first point must not
-// precede the series' current last point). When the store is durable,
-// loaded points are re-logged to the per-shard WAL segments — written and
-// flushed before the in-memory apply, so a later restart that replays the
-// segments alone still recovers the full archive, and a failed re-log
-// (e.g. disk full) leaves the in-memory store unmodified. A failed re-log
-// can leave a truncated final record in a segment; replay tolerates that,
-// but the archive should then be restored from the snapshot again after
-// freeing space. (Calling Checkpoint after a large restore folds the
-// re-logged records back into a snapshot and truncates the segments.)
-// LoadSnapshot must not run concurrently with appends to the same series
-// (it is a startup/restore operation). It returns the number of series
-// records applied.
-func (db *DB) LoadSnapshot(r io.Reader) (int, error) {
-	if db.readOnly {
-		return 0, errors.New("tsdb: read-only store rejects snapshot loads")
-	}
-	all, err := decodeSnapshot(r)
-	if err != nil {
-		return 0, err
-	}
-	if db.closed.Load() {
-		return 0, errors.New("tsdb: store is closed")
-	}
-	// Validate every merge first — against the store and against earlier
-	// records of the same key — so a failed load changes nothing.
-	lastAt := make(map[SeriesKey]time.Time)
-	for _, rec := range all {
-		if len(rec.points) == 0 {
-			continue
-		}
-		last, have := lastAt[rec.key]
-		if !have {
-			p, ok, err := db.Last(rec.key)
-			if err != nil {
-				return 0, fmt.Errorf("tsdb: snapshot overlap check for %v: %w", rec.key, err)
-			}
-			if ok {
-				last, have = p.At, true
-			}
-		}
-		if have && rec.points[0].At.Before(last) {
-			return 0, fmt.Errorf("tsdb: snapshot overlaps series %v: %v before %v", rec.key, rec.points[0].At, last)
-		}
-		lastAt[rec.key] = rec.points[len(rec.points)-1].At
-	}
-	// The re-log and the in-memory apply must form one atomic unit with
-	// respect to Checkpoint: a checkpoint cutting a shard between the two
-	// phases would record a WAL offset past the re-logged records while
-	// its snapshot lacks the points, and the next recovery would drop
-	// them. cpMu excludes checkpoints (and layout changes) for the
-	// duration; lock order (cpMu, then one shard at a time) matches
-	// Checkpoint's.
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.Durable() {
-		// Group records by shard and write each group to that shard's
-		// segment — all groups land durably before the in-memory apply.
-		bufs := make([][]byte, len(db.shards))
-		for _, rec := range all {
-			si := db.shardIndex(rec.key)
-			key := rec.key.String()
-			for _, p := range rec.points {
-				bufs[si] = appendRecord(bufs[si], key, p.At, p.Value)
-			}
-		}
-		for si, buf := range bufs {
-			if len(buf) == 0 {
-				continue
-			}
-			sh := &db.shards[si]
-			sh.mu.Lock()
-			if sh.wal == nil {
-				sh.mu.Unlock()
-				return 0, errors.New("tsdb: store is closed")
-			}
-			_, err := sh.wal.Write(buf)
-			if err == nil {
-				err = sh.wal.Flush()
-			}
-			if err == nil {
-				sh.walOff += uint64(len(buf))
-				sh.cpBytes.Add(uint64(len(buf)))
-				db.cpBytesTotal.Add(uint64(len(buf)))
-				if db.rotateBytes > 0 && sh.walOff-sh.walBase >= uint64(db.rotateBytes) {
-					// Best-effort: the records are already durable in the
-					// current segment; a failed rotation just leaves it
-					// oversized until a later append rotates it, counted
-					// like the append path's failures.
-					if rerr := db.rotateLocked(sh); rerr != nil {
-						db.rotateFails.Add(1)
-					}
-				}
-			}
-			sh.mu.Unlock()
-			if err != nil {
-				return 0, fmt.Errorf("tsdb: snapshot wal re-log: %w", err)
-			}
-		}
-	}
-	for _, rec := range all {
-		if len(rec.points) == 0 {
-			continue
-		}
-		sh := db.shardFor(rec.key)
-		sh.mu.Lock()
-		db.mergeSeries(sh, rec.key, rec.points...)
-		sh.mu.Unlock()
-	}
-	return len(all), nil
 }

@@ -3,6 +3,9 @@ package tsdb
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,115 +45,68 @@ func sameContents(t *testing.T, a, b *DB) {
 	}
 }
 
+// snapshotBytes encodes the store's captured series with the checkpoint
+// file's codec.
+func snapshotBytes(t testing.TB, db *DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeSnapshot(&buf, db.capture()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameRecords asserts decoded records carry exactly the captured series:
+// same keys in the same (canonical) order, same points. Consecutive
+// records of one key (chunks) count as one series.
+func sameRecords(t *testing.T, got, want []snapshotSeries) {
+	t.Helper()
+	var merged []snapshotSeries
+	for _, rec := range got {
+		if n := len(merged); n > 0 && merged[n-1].key == rec.key {
+			merged[n-1].points = append(merged[n-1].points, rec.points...)
+			continue
+		}
+		merged = append(merged, snapshotSeries{key: rec.key, points: append([]Point(nil), rec.points...)})
+	}
+	if len(merged) != len(want) {
+		t.Fatalf("decoded %d series, want %d", len(merged), len(want))
+	}
+	for i := range want {
+		if merged[i].key != want[i].key || len(merged[i].points) != len(want[i].points) {
+			t.Fatalf("series %d: %v with %d points, want %v with %d",
+				i, merged[i].key, len(merged[i].points), want[i].key, len(want[i].points))
+		}
+		for j, p := range want[i].points {
+			if q := merged[i].points[j]; !q.At.Equal(p.At) || q.Value != p.Value {
+				t.Fatalf("series %v point %d: %v, want %v", want[i].key, j, q, p)
+			}
+		}
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	db, _ := OpenSharded("", 8)
 	populate(t, db, 13, 47)
+	want := db.capture()
+	enc := snapshotBytes(t, db)
 
-	var buf bytes.Buffer
-	if err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Loading into a store with a different shard count must not matter.
-	db2, _ := OpenSharded("", 2)
-	n, err := db2.LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	recs, err := decodeSnapshot(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 13 {
-		t.Fatalf("loaded %d series records, want 13", n)
+	if len(recs) != 13 {
+		t.Fatalf("decoded %d series records, want 13", len(recs))
 	}
-	sameContents(t, db, db2)
+	sameRecords(t, recs, want)
 
-	// Deterministic encoding: the same state snapshots to the same bytes.
-	var buf2 bytes.Buffer
-	if err := db2.WriteSnapshot(&buf2); err != nil {
+	// Deterministic encoding: what decoded encodes back to the same bytes.
+	var again bytes.Buffer
+	if err := encodeSnapshot(&again, recs); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(enc, again.Bytes()) {
 		t.Error("snapshot encoding is not deterministic")
-	}
-}
-
-// TestSnapshotMerge: loading on top of existing data appends when times
-// advance and errors on overlap.
-func TestSnapshotMerge(t *testing.T) {
-	k := SeriesKey{Dataset: DatasetPrice, Type: "m5.large", Region: "r", AZ: "a"}
-	early, _ := Open("")
-	for i := 0; i < 5; i++ {
-		_ = early.Append(k, t0.Add(time.Duration(i)*time.Minute), float64(i))
-	}
-	late, _ := Open("")
-	for i := 10; i < 15; i++ {
-		_ = late.Append(k, t0.Add(time.Duration(i)*time.Minute), float64(i))
-	}
-	var lateSnap bytes.Buffer
-	if err := late.WriteSnapshot(&lateSnap); err != nil {
-		t.Fatal(err)
-	}
-
-	// early + late snapshot: fine, 10 points total.
-	if _, err := early.LoadSnapshot(bytes.NewReader(lateSnap.Bytes())); err != nil {
-		t.Fatalf("merge of later snapshot failed: %v", err)
-	}
-	if got := early.PointCount(); got != 10 {
-		t.Fatalf("merged store has %d points, want 10", got)
-	}
-	pts := noerr(early.Query(k, time.Time{}, t0.Add(time.Hour)))
-	for i := 1; i < len(pts); i++ {
-		if pts[i].At.Before(pts[i-1].At) {
-			t.Fatal("merged series out of order")
-		}
-	}
-
-	// late + late snapshot again: overlap (first snap point precedes the
-	// series' last point? equal times are allowed, earlier are not).
-	victim, _ := Open("")
-	for i := 12; i < 20; i++ {
-		_ = victim.Append(k, t0.Add(time.Duration(i)*time.Minute), float64(i))
-	}
-	if _, err := victim.LoadSnapshot(bytes.NewReader(lateSnap.Bytes())); err == nil {
-		t.Error("overlapping snapshot load succeeded")
-	}
-}
-
-// TestSnapshotRelogsToWAL: loading a snapshot into a WAL-backed store must
-// re-log the points, so a later open of the directory alone (WAL replay,
-// no snapshot) recovers the full archive.
-func TestSnapshotRelogsToWAL(t *testing.T) {
-	src, _ := Open("")
-	populate(t, src, 4, 11)
-	var snap bytes.Buffer
-	if err := src.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	// Live points on top of the restored data, then shut down.
-	k := db.Keys(KeyFilter{})[0]
-	if err := db.Append(k, t0.Add(time.Hour), 99); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// WAL-only restart: snapshot contents must still be there.
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := db2.PointCount(), 4*11+1; got != want {
-		t.Fatalf("after WAL-only reopen: %d points, want %d", got, want)
-	}
-	if p, ok := noerr2(db2.Last(k)); !ok || p.Value != 99 {
-		t.Fatalf("live point lost across reopen: %v %v", p, ok)
 	}
 }
 
@@ -179,43 +135,75 @@ func TestOversizedKeyRejected(t *testing.T) {
 }
 
 // TestSnapshotCorruption: every single-byte mutation of a valid snapshot
-// must either fail cleanly or (for float payload bytes) load the same
+// must either fail cleanly or (for float payload bytes) decode the same
 // series/point structure — never panic, never drop series silently.
 func TestSnapshotCorruption(t *testing.T) {
 	db, _ := Open("")
 	populate(t, db, 3, 9)
-	var buf bytes.Buffer
-	if err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := snapshotBytes(t, db)
 
 	// Truncations at every length must error (header is the only prefix
 	// that can decode: an empty store's snapshot is 14 bytes).
 	for cut := 0; cut < len(valid); cut++ {
-		db2, _ := Open("")
-		if _, err := db2.LoadSnapshot(bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("truncation at %d loaded successfully", cut)
+		if _, err := decodeSnapshot(bytes.NewReader(valid[:cut])); err == nil {
+			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
 	}
 
 	// Random byte flips: CRC (or structural validation) must catch
-	// everything that changes meaning; a load that does succeed must not
+	// everything that changes meaning; a decode that does succeed must not
 	// lose series or points.
 	rng := simrand.New(7).Stream("corrupt")
 	for trial := 0; trial < 300; trial++ {
 		mutated := bytes.Clone(valid)
 		pos := rng.Intn(len(mutated))
 		mutated[pos] ^= byte(1 + rng.Intn(255))
-		db2, _ := Open("")
-		n, err := db2.LoadSnapshot(bytes.NewReader(mutated))
+		recs, err := decodeSnapshot(bytes.NewReader(mutated))
 		if err != nil {
 			continue
 		}
-		if n != 3 || db2.SeriesCount() > 3 || db2.PointCount() > 27 {
-			t.Fatalf("mutation at %d silently changed structure: %d records, %d series, %d points",
-				pos, n, db2.SeriesCount(), db2.PointCount())
+		points := 0
+		for _, rec := range recs {
+			points += len(rec.points)
 		}
+		if len(recs) != 3 || points != 27 {
+			t.Fatalf("mutation at %d silently changed structure: %d records, %d points", pos, len(recs), points)
+		}
+	}
+}
+
+// TestCorruptCheckpointFailsOpen flips one byte of a committed
+// checkpoint-*.snap: the checkpoint is the only copy of the history it
+// covers, so Open must fail rather than serve a partial archive.
+func TestCorruptCheckpointFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, db, 3, 9)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	name := db.man.Checkpoint
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inside the first record's key bytes: only the record CRC guards them.
+	raw[len(snapshotMagic)+6+8+4] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if re, err := Open(dir); err == nil {
+		re.Close()
+		t.Fatalf("open served %d points over a corrupt checkpoint", re.PointCount())
+	} else if !strings.Contains(err.Error(), "loading checkpoint") {
+		t.Fatalf("open failed with %v, want the checkpoint load error", err)
 	}
 }
 
@@ -241,26 +229,46 @@ func TestSnapshotChunksOversizedSeries(t *testing.T) {
 			t.Fatalf("chunk payload %d exceeds limit %d", plen, limit)
 		}
 	}
-	// The chunked stream must decode back into an identical store.
+	// The chunked stream must decode back into the same series.
 	var buf bytes.Buffer
 	if err := encodeSnapshot(&buf, chunked); err != nil {
 		t.Fatal(err)
 	}
-	db2, _ := OpenSharded("", 4)
-	if _, err := db2.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	got, err := decodeSnapshot(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sameContents(t, db, db2)
+	if len(got) != len(chunked) {
+		t.Fatalf("decoded %d records, want the %d chunks", len(got), len(chunked))
+	}
+	sameRecords(t, got, recs)
 
-	// And the production encoder never emits a record above the cap the
-	// decoder enforces (spot-check via re-encode of this store).
+	// And recovery merges consecutive same-key records back in order: a
+	// checkpoint file holding the chunks loads into an identical store.
+	dir := t.TempDir()
+	durable, err := OpenSharded(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, durable, 2, 100)
+	if err := durable.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	name := durable.man.Checkpoint
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
-	if err := db.WriteSnapshot(&buf); err != nil {
+	if err := encodeSnapshot(&buf, chunked); err != nil {
 		t.Fatal(err)
 	}
-	db3, _ := OpenSharded("", 4)
-	if _, err := db3.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sameContents(t, db, db3)
+	re, err := OpenSharded(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sameContents(t, db, re)
 }

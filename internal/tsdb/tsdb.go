@@ -38,18 +38,12 @@
 // covered sealed segments instead of rewriting files. The store maintains
 // itself (see maintain.go): a daemon started by OpenWithOptions
 // checkpoints when the un-checkpointed WAL crosses
-// Options.CheckpointAfterBytes or a shard's sealed chain reaches
-// Options.MaxSealedSegments, and the chain cap is enforced synchronously
-// on the append path — no caller cooperation needed for bounded replay
-// tails or bounded sealed-segment disk use.
-//
-// # Snapshots
-//
-// Beyond the WAL, a populated store can be persisted as a one-pass binary
-// snapshot (see snapshot.go): a versioned, CRC-checked, length-prefixed
-// dump of every series. Loading a snapshot is much faster than replaying
-// an equivalent WAL because points arrive grouped by series and are
-// validated per record rather than per point.
+// Options.CheckpointAfterBytes, and the same trigger is enforced
+// synchronously on the append path — no caller cooperation needed for
+// bounded replay tails, and with them bounded sealed-segment disk use and
+// bounded hot-memory growth. The checkpoint file is a versioned,
+// CRC-checked, length-prefixed dump of every captured series (see
+// snapshot.go).
 package tsdb
 
 import (
@@ -161,9 +155,9 @@ type shard struct {
 	sealed  []sealedSeg
 	cpBytes atomic.Uint64
 
-	// sealedN mirrors len(sealed) atomically so the maintainer and the
-	// append path's chain-cap check can read chain lengths without the
-	// shard lock. Updated via DB.setSealed wherever sealed changes.
+	// sealedN mirrors len(sealed) atomically so SealedSegments can read
+	// chain lengths without the shard lock. Updated via DB.setSealed
+	// wherever sealed changes.
 	sealedN atomic.Int64
 }
 
@@ -191,31 +185,25 @@ type DB struct {
 
 	// Cold-tier state (see block.go). bcache is the store-wide LRU over
 	// decoded blocks; coldSegs the open block files (appended under cpMu
-	// at seal time, closed by Close under all shard locks). hotTail,
-	// blockPoints, and sealAfterHot are fixed at open. hotPts/coldPts
-	// mirror the resident-vs-sealed split of the per-shard point
-	// counters; sealedBlks and coldBytes count sealed blocks and their
-	// compressed on-disk bytes; coldErrs counts cold reads that failed
-	// (bit rot, vanished file) and were degraded to hot-only results.
-	// sealFloor is the store's hot point count right after the last
-	// checkpoint, so the seal trigger fires on hot growth since then
-	// rather than on an absolute size a full hot tail can never drop
-	// below. scanned counts points materialized by reads (hot copies and
+	// at seal time, closed by Close under all shard locks). hotTail and
+	// blockPoints are fixed at open. hotPts/coldPts mirror the
+	// resident-vs-sealed split of the per-shard point counters;
+	// sealedBlks and coldBytes count sealed blocks and their compressed
+	// on-disk bytes; coldErrs counts cold reads that failed (bit rot,
+	// vanished file) — each failed its caller's read with ErrColdRead.
+	// scanned counts points materialized by reads (hot copies and
 	// decoded-block windows) — the resolution tiers exist to shrink it,
 	// and the rollup tests assert the shrink through it.
-	bcache       *blockCache
-	coldSegs     []*coldSegment
-	hotTail      int
-	blockPoints  int
-	sealAfterHot int64
-	hotPts       atomic.Int64
-	coldPts      atomic.Int64
-	sealedBlks   atomic.Int64
-	coldBytes    atomic.Int64
-	coldErrs     obs.Counter
-	scanned      obs.Counter
-	sealFloor    atomic.Int64
-	maintBySeal  obs.Counter
+	bcache      *blockCache
+	coldSegs    []*coldSegment
+	hotTail     int
+	blockPoints int
+	hotPts      atomic.Int64
+	coldPts     atomic.Int64
+	sealedBlks  atomic.Int64
+	coldBytes   atomic.Int64
+	coldErrs    obs.Counter
+	scanned     obs.Counter
 
 	// replayedBytes counts the WAL record bytes the last Open replayed
 	// beyond the checkpoint cut — the observable size of the recovery
@@ -228,13 +216,10 @@ type DB struct {
 	// through their error returns.
 	rotateFails obs.Counter
 
-	// Maintenance state (see maintain.go). cpAfterBytes and maxSealed are
-	// the trigger thresholds, fixed at open; chainOver counts shards whose
-	// sealed chain sits at or past the cap (the append path's one-load
-	// trigger check). The channels belong to the daemon goroutine.
+	// Maintenance state (see maintain.go). cpAfterBytes is the byte
+	// trigger's threshold, fixed at open. The channels belong to the
+	// daemon goroutine.
 	cpAfterBytes int64
-	maxSealed    int
-	chainOver    atomic.Int64
 	// maintRetryAt (UnixNano) gates the append path's enforcement after
 	// a failed maintenance checkpoint: a trigger stays latched until a
 	// checkpoint succeeds, and without the gate every append would
@@ -246,12 +231,10 @@ type DB struct {
 	// counters remain authoritative for checkpoint's exact per-shard
 	// capture accounting; every site that moves one moves the other.
 	cpBytesTotal atomic.Uint64
-	maintWake    chan struct{}
 	maintStop    chan struct{}
 	maintDone    chan struct{}
 	maintCP      obs.Counter
 	maintByBytes obs.Counter
-	maintByChain obs.Counter
 	maintErrs    obs.Counter
 
 	// Rollup and retention state (see rollup.go). rollup is the nested
@@ -321,21 +304,18 @@ type Options struct {
 	// CheckpointAfterBytes, when positive on a durable store, makes the
 	// store checkpoint itself once WALBytesSinceCheckpoint crosses the
 	// threshold — regardless of who is writing (collector, bootstrap,
-	// bulk snapshot restore). Zero disables the store's own size trigger
-	// (callers may still schedule checkpoints themselves).
+	// analysis tools). It is the store's one size knob: every stored
+	// point is one WAL record, so the same threshold bounds the replay
+	// tail, each shard's sealed-segment chain (threshold / RotateBytes,
+	// plus one) and hot-memory growth between seals (threshold / record
+	// size). Zero disables the store's own size trigger (callers may
+	// still schedule checkpoints themselves).
 	CheckpointAfterBytes int64
-	// MaxSealedSegments, when positive on a durable store, caps each
-	// shard's sealed-segment chain: an append that observes a shard at
-	// the cap checkpoints first (reclaiming every covered segment), so no
-	// shard ever accumulates more than this many sealed segments even if
-	// nothing else calls Checkpoint. Zero means no cap.
-	MaxSealedSegments int
 	// MaintenanceInterval is the maintenance daemon's poll period: 0
 	// selects DefaultMaintenanceInterval, negative disables the daemon
-	// (the append-path chain-cap enforcement still applies). The daemon
-	// only starts when the store is durable and at least one of
-	// CheckpointAfterBytes / MaxSealedSegments / SealAfterHotPoints is
-	// set.
+	// (the append-path enforcement still applies). The daemon only
+	// starts when the store is durable and CheckpointAfterBytes or
+	// RetainRaw is set.
 	MaintenanceInterval time.Duration
 	// HotTailPoints is the per-series in-memory tail a checkpoint keeps
 	// when sealing history into compressed blocks: 0 selects
@@ -351,14 +331,6 @@ type Options struct {
 	// DefaultBlockCacheBytes, negative disables caching (cold reads
 	// decode every time).
 	BlockCacheBytes int64
-	// SealAfterHotPoints, when positive on a durable store with sealing
-	// enabled, checkpoints (and therefore seals) once the store-wide hot
-	// point count has grown by this many points since the last
-	// checkpoint — the memory-bound seal trigger that joins the
-	// byte/chain triggers in the maintenance daemon and the append-path
-	// enforcement. Zero disables the trigger (checkpoints triggered any
-	// other way still seal).
-	SealAfterHotPoints int64
 	// RetainRaw sets per-dataset retention horizons for raw points:
 	// once a dataset's rollups cover them, raw cold blocks wholly older
 	// than horizon behind the dataset's newest point are dropped by the
@@ -368,11 +340,11 @@ type Options struct {
 	RetainRaw map[string]time.Duration
 	// ReadOnly opens an existing durable layout without taking ownership
 	// of it: no segment files are created, truncated, or reclaimed, no
-	// layout commit or checkpoint ever runs, appends and snapshot
-	// loads are rejected, and the maintenance daemon stays off. The open
-	// fails if the directory holds no committed manifest. Replication
-	// followers use it to serve a replica whose files a puller replaces
-	// between reopens (see replication.go).
+	// layout commit or checkpoint ever runs, appends are rejected, and
+	// the maintenance daemon stays off. The open fails if the directory
+	// holds no committed manifest. Replication followers use it to serve
+	// a replica whose files a puller replaces between reopens (see
+	// replication.go).
 	ReadOnly bool
 	// noRollups marks the nested rollup store itself, which must not
 	// recurse into opening a rollup store of its own.
@@ -407,7 +379,6 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 		db.rotateBytes = DefaultRotateBytes
 	}
 	db.cpAfterBytes = o.CheckpointAfterBytes
-	db.maxSealed = o.MaxSealedSegments
 	db.hotTail = o.HotTailPoints
 	switch {
 	case db.hotTail == 0:
@@ -425,13 +396,11 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if db.blockPoints > maxBlockPoints {
 		db.blockPoints = maxBlockPoints
 	}
-	db.sealAfterHot = o.SealAfterHotPoints
 	cacheBytes := o.BlockCacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = DefaultBlockCacheBytes
 	}
 	db.bcache = newBlockCache(cacheBytes)
-	db.maintWake = make(chan struct{}, 1)
 	for i := range db.shards {
 		db.shards[i].idx = i
 		db.shards[i].series = make(map[SeriesKey]*series)
@@ -466,9 +435,6 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if err := db.openDurable(); err != nil {
 		return nil, err
 	}
-	// Arm the seal trigger relative to the recovered hot tail: what
-	// survived recovery unsealed is the residual, not growth.
-	db.sealFloor.Store(db.hotPts.Load())
 	switch {
 	case db.readOnly && !o.noRollups:
 		// A replica only has a rollup tier if the primary shipped one:
@@ -654,7 +620,7 @@ func validKey(k SeriesKey) error {
 var ErrUnencodablePoint = errors.New("tsdb: point cannot be encoded")
 
 // validPoint is the append entry points' check on the point itself,
-// beside validKey. WAL replay and snapshot loads do not run it: what an
+// beside validKey. WAL replay and checkpoint loads do not run it: what an
 // older build stored must still open.
 func validPoint(at time.Time, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -1439,8 +1405,8 @@ func (db *DB) PointCount() int {
 }
 
 // MaxTime returns the latest point timestamp anywhere in the store. ok is
-// false for an empty store. Snapshot-loading services use it to fast-forward
-// their clock past the restored data.
+// false for an empty store. Services resuming over a recovered archive use
+// it to fast-forward their clock past the restored data.
 func (db *DB) MaxTime() (time.Time, bool) {
 	var max time.Time
 	found := false

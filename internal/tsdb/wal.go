@@ -549,33 +549,44 @@ func (db *DB) openBlocks(man manifest) error {
 				sh.series[ent.key] = s
 				db.keyGen.Add(1)
 			}
-			if s.cold == nil {
-				s.cold = &coldSeries{}
-			}
-			if s.cold.n > 0 && ent.blocks[0].minAt.Before(s.cold.lastAt) {
+			if s.cold != nil && s.cold.n > 0 && ent.blocks[0].minAt.Before(s.cold.lastAt) {
 				// Later files must continue where earlier ones ended; the
 				// seal protocol never commits an overlap.
 				return fail(fmt.Errorf("tsdb: %s: blocks of %v overlap an earlier file", name, ent.key))
 			}
-			total := 0
-			var bytes int64
-			for _, b := range ent.blocks {
-				b.seg = seg
-				b.start = s.cold.n
-				s.cold.blocks = append(s.cold.blocks, b)
-				s.cold.n += int(b.count)
-				total += int(b.count)
-				bytes += int64(b.length)
-			}
-			s.cold.lastAt = ent.blocks[len(ent.blocks)-1].maxAt
+			total := db.attachBlocks(s, seg, ent.blocks)
 			sh.points += total
 			sh.gen.Add(uint64(total))
-			db.coldPts.Add(int64(total))
-			db.sealedBlks.Add(int64(len(ent.blocks)))
-			db.coldBytes.Add(bytes)
 		}
 	}
 	return nil
+}
+
+// attachBlocks appends one series' blocks, as read from block file seg's
+// index, to its cold tier — global start indices, the last cold
+// timestamp, the store's cold counters — and returns how many points
+// they hold. It is the one place blocks enter a series, at open and at
+// seal alike; the caller owns s (Open, single-threaded) or holds its
+// shard's write lock.
+func (db *DB) attachBlocks(s *series, seg *coldSegment, blocks []blockMeta) int {
+	if s.cold == nil {
+		s.cold = &coldSeries{}
+	}
+	total := 0
+	var bytes int64
+	for _, b := range blocks {
+		b.seg = seg
+		b.start = s.cold.n
+		s.cold.blocks = append(s.cold.blocks, b)
+		s.cold.n += int(b.count)
+		total += int(b.count)
+		bytes += int64(b.length)
+	}
+	s.cold.lastAt = blocks[len(blocks)-1].maxAt
+	db.coldPts.Add(int64(total))
+	db.sealedBlks.Add(int64(len(blocks)))
+	db.coldBytes.Add(bytes)
+	return total
 }
 
 // replayRecords reads WAL records from r until EOF, a truncated record, or
@@ -982,12 +993,6 @@ func (db *DB) rotateLocked(sh *shard) error {
 	sh.walSeq = seq
 	sh.walBase = sh.walOff
 	db.setSealed(sh, len(sh.sealed))
-	if db.maxSealed > 0 && len(sh.sealed) >= db.maxSealed {
-		// The chain just reached the cap. The next append will checkpoint
-		// before storing, but if the writer goes idle right here the wake
-		// lets the daemon reclaim the chain now instead of next poll.
-		db.wakeMaintainer()
-	}
 	return nil
 }
 
@@ -1140,10 +1145,10 @@ func (db *DB) Checkpoint() error {
 
 // checkpointLocked runs the checkpoint protocol; the caller holds cpMu.
 // Both the manual Checkpoint entry point and the maintainer (daemon tick
-// or append-path chain-cap force) funnel through here, each already
-// serialized on cpMu — the maintainer additionally re-checks its trigger
-// under the lock, so a manual checkpoint that got there first satisfies
-// it and no redundant snapshot is stacked behind it (single-flight).
+// or append-path force) funnel through here, each already serialized on
+// cpMu — the maintainer additionally re-checks its trigger under the
+// lock, so a manual checkpoint that got there first satisfies it and no
+// redundant snapshot is stacked behind it (single-flight).
 func (db *DB) checkpointLocked() error {
 	if db.closed.Load() {
 		return errors.New("tsdb: store is closed")
@@ -1211,18 +1216,18 @@ func (db *DB) checkpointLocked() error {
 	// tails, so the checkpoint snapshot below holds exactly what stays in
 	// memory — blocks and snapshot partition the history, never overlap.
 	// The block file must be durable before the manifest (the commit
-	// point) references it; the read handle is also opened before the
-	// commit, so an open failure aborts the whole checkpoint while the old
-	// manifest is still authoritative. Either abort leaves an orphan
-	// blocks file that the next successful seal overwrites (BlockSeq only
-	// advances on commit) and removeStaleFiles reaps at open.
+	// point) references it, and so must be readable: the file is opened
+	// and its index read back before the commit, so a file the next open
+	// could not attach aborts the whole checkpoint while the old manifest
+	// is still authoritative. Either abort leaves an orphan blocks file
+	// that the next successful seal overwrites (BlockSeq only advances on
+	// commit) and removeStaleFiles reaps at open.
 	var (
-		sealEntries []blockSealEntry
-		sealCounts  []int // points sealed out of recs[i]; parallel to recs
-		newSeg      *coldSegment
+		newSeg    *coldSegment
+		newBlocks []blockIndexEntry
 	)
 	if db.SealsCold() {
-		sealCounts = make([]int, len(recs))
+		var sealEntries []blockSealEntry
 		for i := range recs {
 			rec := &recs[i]
 			sealable := len(rec.points) - db.hotTail
@@ -1235,7 +1240,6 @@ func (db *DB) checkpointLocked() error {
 				ent.blocks = append(ent.blocks, encodeBlock(rec.points[off:off+db.blockPoints]))
 			}
 			sealEntries = append(sealEntries, ent)
-			sealCounts[i] = nseal
 			rec.points = rec.points[nseal:]
 		}
 		if len(sealEntries) > 0 {
@@ -1254,6 +1258,9 @@ func (db *DB) checkpointLocked() error {
 				return fmt.Errorf("tsdb: reopening sealed block file: %w", err)
 			}
 			st, err := f.Stat()
+			if err == nil {
+				newBlocks, err = readBlockIndex(f, st.Size())
+			}
 			if err != nil {
 				f.Close()
 				return fmt.Errorf("tsdb: sealed block file: %w", err)
@@ -1290,60 +1297,25 @@ func (db *DB) checkpointLocked() error {
 	}
 	old := db.man
 	db.man = m
-	// The manifest committed: attach the sealed blocks and drop the sealed
-	// prefixes from memory. Offsets and CRCs are recomputed exactly as
-	// writeBlockFileTo laid them out (same entry order, data starts at
-	// blockHeaderLen), so no re-read of the file is needed. Each series
-	// swaps under its shard lock; a reader between two swaps sees some
-	// series already trimmed and others not, which is fine — the cold
+	// The manifest committed: attach the sealed blocks, as the file's own
+	// index describes them, and drop the sealed prefixes from memory. Each
+	// series swaps under its shard lock; a reader between two swaps sees
+	// some series already trimmed and others not, which is fine — the cold
 	// blocks and the untrimmed hot slice are never both visible for one
 	// series.
 	if newSeg != nil {
 		db.coldSegs = append(db.coldSegs, newSeg)
-		off := uint64(blockHeaderLen)
-		si := 0
-		for i := range recs {
-			if sealCounts[i] == 0 {
-				continue
-			}
-			ent := &sealEntries[si]
-			si++
-			metas := make([]blockMeta, len(ent.blocks))
-			var bytes int64
-			for j, b := range ent.blocks {
-				metas[j] = blockMeta{
-					seg:    newSeg,
-					off:    off,
-					length: uint32(len(b.data)),
-					count:  b.count,
-					crc:    crc32.ChecksumIEEE(b.data),
-					minAt:  time.Unix(0, b.minAt).UTC(),
-					maxAt:  time.Unix(0, b.maxAt).UTC(),
-				}
-				off += uint64(len(b.data))
-				bytes += int64(len(b.data))
-			}
+		for _, ent := range newBlocks {
 			sh := db.shardFor(ent.key)
 			sh.mu.Lock()
 			s := sh.series[ent.key]
-			if s.cold == nil {
-				s.cold = &coldSeries{}
-			}
-			for j := range metas {
-				metas[j].start = s.cold.n
-				s.cold.blocks = append(s.cold.blocks, metas[j])
-				s.cold.n += int(metas[j].count)
-			}
-			s.cold.lastAt = metas[len(metas)-1].maxAt
+			sealed := db.attachBlocks(s, newSeg, ent.blocks)
 			// Copy the tail to a fresh slice so the sealed prefix's backing
 			// array is released to the GC — keeping the original array alive
 			// would defeat the memory bound sealing exists for.
-			s.points = append([]Point(nil), s.points[sealCounts[i]:]...)
+			s.points = append([]Point(nil), s.points[sealed:]...)
 			sh.mu.Unlock()
-			db.coldPts.Add(int64(sealCounts[i]))
-			db.hotPts.Add(int64(-sealCounts[i]))
-			db.sealedBlks.Add(int64(len(metas)))
-			db.coldBytes.Add(bytes)
+			db.hotPts.Add(int64(-sealed))
 		}
 	}
 	// The commit succeeded: the captured bytes no longer count toward the
@@ -1399,12 +1371,6 @@ func (db *DB) checkpointLocked() error {
 	if old.Checkpoint != "" && old.Checkpoint != m.Checkpoint {
 		os.Remove(filepath.Join(db.dir, old.Checkpoint))
 	}
-	// Re-arm the seal trigger relative to the hot points that remain: the
-	// residual (per-series tails plus partial blocks) can never seal, so an
-	// absolute threshold would re-fire forever once the residual alone
-	// crossed it. The floor makes the trigger count only growth since this
-	// checkpoint.
-	db.sealFloor.Store(db.hotPts.Load())
 
 	// With the checkpoint durable, extend the rollup tiers over the newly
 	// sealed blocks and, if horizons are configured, enforce retention. Both
