@@ -164,7 +164,8 @@ func (s *Service) storeRef() (*tsdb.DB, uint64) {
 // one. In-flight requests finish against the store they captured at
 // entry, so the caller must keep the returned store open until they have
 // drained (the follower's puller closes it after a grace period — a read
-// racing the close degrades to a cold-read error, never a wrong answer).
+// racing the close fails with the store's "closed" error, never a wrong
+// answer, and is not counted as a corrupt cold read).
 // The result cache is purged; the epoch bump keeps any racing put from
 // surviving into the new store's cache.
 func (s *Service) SwapDB(db *tsdb.DB) *tsdb.DB {

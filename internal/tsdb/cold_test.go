@@ -282,8 +282,11 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 // TestSealedConcurrentReadsExact runs (under -race) a writer appending
 // live points, a checkpointer sealing underneath it, and readers
 // asserting that an immutable historical window — one that crosses the
-// tier boundary as seals land — returns exactly the same points on every
-// read.
+// tier boundary as seals land — returns exactly the same answers on
+// every read, through every read primitive: points, cursor walks, step
+// lookups, window means, grids and the frozen prefix of the change
+// intervals are compared with values computed before the writer starts,
+// and Last with the point the writer stored at its timestamp.
 func TestSealedConcurrentReadsExact(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
@@ -304,6 +307,66 @@ func TestSealedConcurrentReadsExact(t *testing.T) {
 		want = append(want, p)
 	}
 	frozenEnd := want[frozen-1].At
+	// Every point the store will ever hold, indexed by second from t0.
+	const live = 3000
+	all := append([]Point(nil), want...)
+	for i := 0; i < live; i++ {
+		all = append(all, Point{At: frozenEnd.Add(time.Duration(i+1) * time.Second), Value: float64(i % 7)})
+	}
+
+	// Frozen answers, taken while every point is still hot.
+	type probe struct{ from, to time.Time }
+	probes := []probe{{t0, frozenEnd}, {t0.Add(-time.Minute), t0.Add(37 * time.Second)},
+		{t0.Add(37 * time.Second), t0.Add(211 * time.Second)}, {t0.Add(250 * time.Second), frozenEnd}}
+	var wantVals, wantMeans []float64
+	var wantGrids [][]float64
+	for _, p := range probes {
+		v, _ := noerr2(db.ValueAt(k, p.to))
+		m, _ := noerr2(db.WindowMean(k, p.from, p.to))
+		wantVals, wantMeans = append(wantVals, v), append(wantMeans, m)
+		wantGrids = append(wantGrids, noerr(db.Grid(k, p.from, p.to, 3*time.Second)))
+	}
+	wantIntervals := noerr(db.ChangeIntervals(k))
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	// stepReads re-asks every frozen question; "" means all answers hold.
+	stepReads := func() string {
+		for i, p := range probes {
+			if v, ok, err := db.ValueAt(k, p.to); err != nil || !ok || math.Float64bits(v) != math.Float64bits(wantVals[i]) {
+				return fmt.Sprintf("ValueAt(%v) = (%v, %v, %v), want %v", p.to, v, ok, err, wantVals[i])
+			}
+			if m, ok, err := db.WindowMean(k, p.from, p.to); err != nil || !ok || math.Float64bits(m) != math.Float64bits(wantMeans[i]) {
+				return fmt.Sprintf("WindowMean(%v, %v) = (%v, %v, %v), want %v", p.from, p.to, m, ok, err, wantMeans[i])
+			}
+			if g, err := db.Grid(k, p.from, p.to, 3*time.Second); err != nil || !sameBits(g, wantGrids[i]) {
+				return fmt.Sprintf("Grid(%v, %v) differs (err %v)", p.from, p.to, err)
+			}
+		}
+		ci, err := db.ChangeIntervals(k)
+		if err != nil || len(ci) < len(wantIntervals) {
+			return fmt.Sprintf("ChangeIntervals: %d intervals, err %v", len(ci), err)
+		}
+		for i := range wantIntervals {
+			if ci[i] != wantIntervals[i] {
+				return fmt.Sprintf("ChangeIntervals[%d] = %v, want %v", i, ci[i], wantIntervals[i])
+			}
+		}
+		p, ok, err := db.Last(k)
+		if i := int(p.At.Sub(t0) / time.Second); err != nil || !ok || i < frozen-1 || i >= len(all) ||
+			!p.At.Equal(all[i].At) || p.Value != all[i].Value {
+			return fmt.Sprintf("Last = (%v, %v, %v), not a stored point at or after the frozen end", p, ok, err)
+		}
+		return ""
+	}
 
 	var wg sync.WaitGroup
 	writerDone := make(chan struct{})
@@ -318,9 +381,8 @@ func TestSealedConcurrentReadsExact(t *testing.T) {
 	go func() { // writer: live appends beyond the frozen window
 		defer wg.Done()
 		defer close(writerDone)
-		for i := 0; i < 3000; i++ {
-			at := frozenEnd.Add(time.Duration(i+1) * time.Second)
-			if err := db.Append(k, at, float64(i%7)); err != nil {
+		for i, p := range all[frozen:] {
+			if err := db.Append(k, p.At, p.Value); err != nil {
 				report(fmt.Errorf("live append %d: %w", i, err))
 				return
 			}
@@ -364,6 +426,10 @@ func TestSealedConcurrentReadsExact(t *testing.T) {
 				}
 				if pts, _ := walkCursor(db, k, frozenEnd, 7); len(pts) != frozen {
 					report(fmt.Errorf("reader %d it %d: cursor walk returned %d points, want %d", r, it, len(pts), frozen))
+					return
+				}
+				if msg := stepReads(); msg != "" {
+					report(fmt.Errorf("reader %d it %d: %s", r, it, msg))
 					return
 				}
 			}

@@ -1,10 +1,11 @@
 package tsdb
 
-// Regression tests for the silent cold-read hole: getPointsLocked used to
+// Regression tests for the silent cold-read hole: the window copy used to
 // `continue` past a cold block whose decode failed, so a long-window
 // query over a corrupted (or unreadable) block file returned a silently
 // truncated result with a nil error. Every read path must surface
-// ErrColdRead instead.
+// ErrColdRead instead — and only for corruption: a read on a closed
+// store is not one.
 
 import (
 	"errors"
@@ -96,5 +97,42 @@ func TestColdReadErrorSurfaces(t *testing.T) {
 	}
 	if p, ok, err := db.Last(k); err != nil || !ok || p.Value != 99 {
 		t.Fatalf("Last = (%+v, %v, %v), want the hot-tail point", p, ok, err)
+	}
+}
+
+// TestClosedStoreColdReadIsNotCorruption reads sealed history after
+// Close. The block files are closed, not damaged: the reads must fail
+// without ErrColdRead and leave ColdReadErrors, the corruption
+// odometer, at zero.
+func TestClosedStoreColdReadIsNotCorruption(t *testing.T) {
+	// No block cache, so every cold read goes to the (closed) file.
+	opts := Options{Shards: 4, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: -1}
+	db, err := OpenWithOptions(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := SeriesKey{Dataset: DatasetPrice, Type: "m5.large", Region: "us-east-1", AZ: "us-east-1a"}
+	for i := 0; i < 100; i++ {
+		if err := db.Append(k, t0.Add(time.Duration(i)*time.Minute), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.SealedBlocks() == 0 {
+		t.Fatal("workload sealed nothing")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(k, time.Time{}, t0.Add(time.Hour)); err == nil || errors.Is(err, ErrColdRead) {
+		t.Fatalf("cold Query after Close: err = %v, want a closed-store error", err)
+	}
+	if _, _, err := db.ValueAt(k, t0.Add(time.Minute)); err == nil || errors.Is(err, ErrColdRead) {
+		t.Fatalf("cold ValueAt after Close: err = %v, want a closed-store error", err)
+	}
+	if n := db.ColdReadErrors(); n != 0 {
+		t.Fatalf("reads on a closed store counted %d cold read errors, want 0", n)
 	}
 }

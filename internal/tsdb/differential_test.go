@@ -64,6 +64,46 @@ func (r *refDB) valueAt(k SeriesKey, t time.Time) (float64, bool) {
 	return v, ok
 }
 
+// windowMean integrates the step function over [from, to) straight from
+// the point list: each point's value holds over [its time, the next
+// point's time), clipped to the window. Nonzero segments are summed in
+// time order, so the result matches the store's bit for bit.
+func (r *refDB) windowMean(k SeriesKey, from, to time.Time) (float64, bool) {
+	total, weight := 0.0, 0.0
+	pts := r.series[k]
+	for i, p := range pts {
+		start, end := p.At, to
+		if start.Before(from) {
+			start = from
+		}
+		if i+1 < len(pts) && pts[i+1].At.Before(to) {
+			end = pts[i+1].At
+		}
+		if end.After(start) {
+			d := end.Sub(start).Seconds()
+			total += p.Value * d
+			weight += d
+		}
+	}
+	if weight == 0 {
+		return 0, false
+	}
+	return total / weight, true
+}
+
+// grid samples valueAt at every instant, NaN before the first point.
+func (r *refDB) grid(k SeriesKey, from, to time.Time, step time.Duration) []float64 {
+	var out []float64
+	for t := from; !t.After(to); t = t.Add(step) {
+		v, ok := r.valueAt(k, t)
+		if !ok {
+			v = math.NaN()
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
 func (r *refDB) last(k SeriesKey) (Point, bool) {
 	pts := r.series[k]
 	if len(pts) == 0 {
@@ -129,6 +169,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					switch r.Intn(6) {
 					case 0, 1: // append (random time: may be rejected as out of order)
 						k, at, v := randKey(), randTime(), float64(r.Intn(8))
+						if p, ok := ref.last(k); ok && r.Intn(4) == 0 {
+							at = p.At // grow an equal-timestamp run
+						}
 						gotErr := db.Append(k, at, v)
 						wantErr := ref.append(k, at, v)
 						if (gotErr == nil) != (wantErr == nil) {
@@ -183,6 +226,39 @@ func TestDifferentialAgainstReference(t *testing.T) {
 						if gok2 != wok2 || (gok2 && (gp.Value != wp.Value || !gp.At.Equal(wp.At))) {
 							t.Fatalf("op %d: Last(%v) = (%v, %v), ref (%v, %v)", op, k, gp, gok2, wp, wok2)
 						}
+						// Step-walk folds over a window whose edges are
+						// random, before all data, or exactly on a stored
+						// point (possibly inside an equal-timestamp run).
+						edge := func() time.Time {
+							switch pts := ref.series[k]; r.Intn(3) {
+							case 0:
+								if len(pts) > 0 {
+									return pts[r.Intn(len(pts))].At
+								}
+							case 1:
+								return t0.Add(-time.Minute)
+							}
+							return randTime()
+						}
+						from, to := edge(), edge()
+						if to.Before(from) {
+							from, to = to, from
+						}
+						gm, gok3 := noerr2(db.WindowMean(k, from, to))
+						wm, wok3 := ref.windowMean(k, from, to)
+						if gok3 != wok3 || math.Float64bits(gm) != math.Float64bits(wm) {
+							t.Fatalf("op %d: WindowMean(%v, %v, %v) = (%v, %v), ref (%v, %v)", op, k, from, to, gm, gok3, wm, wok3)
+						}
+						step := time.Duration(60+r.Intn(900)) * time.Second
+						gg, wg := noerr(db.Grid(k, from, to, step)), ref.grid(k, from, to, step)
+						if len(gg) != len(wg) {
+							t.Fatalf("op %d: Grid(%v, %v, %v) length %d, ref %d", op, k, from, to, len(gg), len(wg))
+						}
+						for i := range wg {
+							if math.Float64bits(gg[i]) != math.Float64bits(wg[i]) {
+								t.Fatalf("op %d: Grid(%v, %v, %v)[%d] = %v, ref %v", op, k, from, to, i, gg[i], wg[i])
+							}
+						}
 					}
 				}
 
@@ -213,8 +289,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					from := t0
 					to := t0.Add(10000 * time.Second)
 					gm, gok := noerr2(db.WindowMean(k, from, to))
-					if gok && (math.IsNaN(gm) || math.IsInf(gm, 0)) {
-						t.Fatalf("series %v: WindowMean = %v", k, gm)
+					wm, wok := ref.windowMean(k, from, to)
+					if gok != wok || math.Float64bits(gm) != math.Float64bits(wm) {
+						t.Fatalf("series %v: WindowMean = (%v, %v), ref (%v, %v)", k, gm, gok, wm, wok)
 					}
 				}
 			}

@@ -74,7 +74,7 @@ func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
 	if db.closed.Load() {
-		return nil, errors.New("tsdb: store is closed")
+		return nil, errClosed
 	}
 	snap, err := db.replicationSnapshotLocked(false)
 	if err != nil {

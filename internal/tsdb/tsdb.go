@@ -637,7 +637,7 @@ func validPoint(at time.Time, v float64) error {
 // durable appends to different shards proceed fully in parallel.
 func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64) error {
 	if db.closed.Load() {
-		return errors.New("tsdb: store is closed")
+		return errClosed
 	}
 	// Guard memory as well as the WAL: a read-only store has no open
 	// segment (sh.wal is nil), so without this check an append would
@@ -690,17 +690,8 @@ func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64) erro
 // Append records a point. Appends must be time-ordered per series; an
 // append earlier than the series' last point is rejected.
 func (db *DB) Append(k SeriesKey, at time.Time, v float64) error {
-	if err := validKey(k); err != nil {
-		return err
-	}
-	if err := validPoint(at, v); err != nil {
-		return err
-	}
-	db.enforceMaintenance()
-	sh := db.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.appendLocked(sh, k, at, v)
+	_, err := db.appendOne(k, at, v, false)
+	return err
 }
 
 // AppendIfChanged records the point only when its value differs from the
@@ -709,6 +700,13 @@ func (db *DB) Append(k SeriesKey, at time.Time, v float64) error {
 // events, which both bounds storage and makes Figure 10's
 // time-between-changes analysis a direct read of the series.
 func (db *DB) AppendIfChanged(k SeriesKey, at time.Time, v float64) (bool, error) {
+	return db.appendOne(k, at, v, true)
+}
+
+// appendOne is the single-point body behind Append and AppendIfChanged,
+// as appendBatch is behind the batch pair: with dedup, a point whose
+// value equals its series' last value is skipped.
+func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool, error) {
 	if err := validKey(k); err != nil {
 		return false, err
 	}
@@ -719,11 +717,11 @@ func (db *DB) AppendIfChanged(k SeriesKey, at time.Time, v float64) (bool, error
 	sh := db.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if s := sh.series[k]; s != nil {
+	if dedup {
 		// A failed cold read of the last point (only reachable when the
 		// hot tail is empty) degrades to "assume changed": storing a
 		// possibly-duplicate value beats refusing the append.
-		if p, ok, err := db.lastPointLocked(s); err == nil && ok && p.Value == v {
+		if p, ok, err := db.last(viewLocked(sh.series[k])); err == nil && ok && p.Value == v {
 			return false, nil
 		}
 	}
@@ -800,12 +798,10 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 		for _, i := range order[lo:hi] {
 			e := &entries[i]
 			if dedup {
-				// As in AppendIfChanged: an unreadable last point means
+				// As in appendOne: an unreadable last point means
 				// "assume changed", never a rejected append.
-				if sr := sh.series[e.Key]; sr != nil {
-					if p, ok, err := db.lastPointLocked(sr); err == nil && ok && p.Value == e.Value {
-						continue
-					}
+				if p, ok, err := db.last(viewLocked(sh.series[e.Key])); err == nil && ok && p.Value == e.Value {
+					continue
 				}
 			}
 			if err := db.appendLocked(sh, e.Key, e.At, e.Value); err != nil {
@@ -837,35 +833,36 @@ func (db *DB) Query(k SeriesKey, from, to time.Time) ([]Point, error) {
 // best-effort tooling) may choose to; serving paths must surface it.
 var ErrColdRead = errors.New("tsdb: cold block read failed")
 
+// errClosed is what a closed store answers: appends and checkpoints, and
+// reads whose block file Close shut under them — a closed handle, not
+// corrupt data, so coldReadErr returns it uncounted.
+var errClosed = errors.New("tsdb: store is closed")
+
 // coldReadErr counts and wraps a failed cold block read. Every read
 // path funnels decode failures through here so ColdReadErrors stays an
 // accurate corruption odometer no matter which API tripped first.
 func (db *DB) coldReadErr(err error) error {
+	if db.closed.Load() {
+		return errClosed
+	}
 	db.coldErrs.Add(1)
 	return fmt.Errorf("%w: %w", ErrColdRead, err)
 }
 
 // The tier-merging read primitives. A series' points form one logical
 // time-ordered sequence indexed 0..total-1: the sealed (cold) points
-// first, then the hot in-memory tail. Every read path below — range and
+// first, then the hot in-memory tail. Every read below — range and
 // cursor windows, step lookups, window means, grids, intervals, the
-// rollup builder — resolves its window through these helpers, so hot
-// and cold tiers can never disagree about where a timestamp falls. The
-// caller holds the owning shard's lock throughout (except iterateView,
-// which works on a captured seriesView precisely so decoding can happen
-// outside the lock).
+// rollup builder — captures a seriesView under the owning shard's read
+// lock (view), releases it, and resolves its window through searchView
+// and iterateView alone, so hot and cold tiers can never disagree about
+// where a timestamp falls and no read decodes under a shard lock. The
+// one exception is append dedup's cold fallback (last under the write
+// lock), which live series never reach: seals keep a hot point.
 //
 // Cold blocks decode on demand through the block cache. A block that
 // fails to decode is counted in ColdReadErrors and the error propagates
 // to the caller as ErrColdRead — never a silently truncated answer.
-
-// seriesTotal returns the series' logical point count across both tiers.
-func seriesTotal(s *series) int {
-	if s.cold == nil {
-		return len(s.points)
-	}
-	return s.cold.n + len(s.points)
-}
 
 // seriesView is a stable read view of one series' two tiers, captured
 // under the owning shard's lock and safe to use after releasing it:
@@ -880,23 +877,37 @@ func seriesTotal(s *series) int {
 //     length. Appends write past that length and seals replace the
 //     slice with a fresh copy, so the captured window never mutates.
 //
-// This is the bounded iteration primitive shared by ChangeIntervals and
-// the rollup builder: both walk months-deep series block by block,
-// decoding one block at a time outside the shard lock, instead of
-// materializing the whole series under it.
+// An unknown series has the empty view, which every read answers as
+// "no points".
 type seriesView struct {
 	blocks []blockMeta
 	coldN  int
 	hot    []Point
 }
 
-// viewLocked captures a series view; the caller holds the shard lock.
+// viewLocked captures a series view (s may be nil); the caller holds the
+// shard lock.
 func viewLocked(s *series) seriesView {
-	v := seriesView{hot: s.points}
+	var v seriesView
+	if s == nil {
+		return v
+	}
+	v.hot = s.points
 	if s.cold != nil {
 		v.blocks = s.cold.blocks[:len(s.cold.blocks):len(s.cold.blocks)]
 		v.coldN = s.cold.n
 	}
+	return v
+}
+
+// view captures k's view under its shard's read lock and releases it:
+// the critical section is a map lookup and three slice-header copies.
+// No defer — it is on every read's path.
+func (db *DB) view(k SeriesKey) seriesView {
+	sh := db.shardFor(k)
+	sh.mu.RLock()
+	v := viewLocked(sh.series[k])
+	sh.mu.RUnlock()
 	return v
 }
 
@@ -953,19 +964,12 @@ func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []Point) error) 
 	return nil
 }
 
-// searchSeries returns the smallest global index whose point timestamp
+// searchView returns the smallest global index whose point timestamp
 // satisfies pred, or the total count when none does. pred must be
 // monotone in time (false then true), which both window predicates
 // (!Before(from), After(to)) are. Cold blocks are located by their
 // min/max timestamps alone; a block is decoded only when the boundary
 // falls strictly inside it.
-func (db *DB) searchSeries(s *series, pred func(time.Time) bool) (int, error) {
-	return db.searchView(viewLocked(s), pred)
-}
-
-// searchView is searchSeries on a captured view, usable after the shard
-// lock is released (the rollup builder locates its incremental window
-// this way without stalling writers).
 func (db *DB) searchView(v seriesView, pred func(time.Time) bool) (int, error) {
 	nb := len(v.blocks)
 	bi := sort.Search(nb, func(i int) bool { return pred(v.blocks[i].maxAt) })
@@ -983,88 +987,41 @@ func (db *DB) searchView(v seriesView, pred func(time.Time) bool) (int, error) {
 	return v.coldN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].At) }), nil
 }
 
-// getPointsLocked copies the global index window [lo, hi) into a fresh
-// slice, decoding whichever cold blocks it overlaps and finishing in
-// the hot tail.
-func (db *DB) getPointsLocked(s *series, lo, hi int) ([]Point, error) {
-	if total := seriesTotal(s); hi > total {
-		hi = total
+// last returns the view's most recent point. For live series the hot
+// tail always holds at least one point (seals keep a non-empty tail);
+// the cold fallback, the point at coldN-1, covers a tier state only
+// reachable through recovery of a partially written layout.
+func (db *DB) last(v seriesView) (p Point, ok bool, err error) {
+	if n := len(v.hot); n > 0 {
+		return v.hot[n-1], true, nil
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return nil, nil
-	}
-	out := make([]Point, 0, hi-lo)
-	err := db.iterateView(viewLocked(s), lo, hi, func(pts []Point) error {
-		out = append(out, pts...)
+	err = db.iterateView(v, v.coldN-1, v.coldN, func(pts []Point) error {
+		p, ok = pts[0], true
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return p, ok, err
 }
 
-// pointAtLocked returns the point at global index i; ok is false when i
-// is out of range.
-func (db *DB) pointAtLocked(s *series, i int) (Point, bool, error) {
-	coldN := 0
-	if cold := s.cold; cold != nil {
-		coldN = cold.n
-		if i >= 0 && i < coldN {
-			bi := sort.Search(len(cold.blocks), func(k int) bool {
-				return cold.blocks[k].start+int(cold.blocks[k].count) > i
-			})
-			b := &cold.blocks[bi]
-			pts, err := db.coldBlockPoints(b)
-			if err != nil {
-				return Point{}, false, db.coldReadErr(err)
-			}
-			return pts[i-b.start], true, nil
-		}
-	}
-	if i < coldN || i >= coldN+len(s.points) {
-		return Point{}, false, nil
-	}
-	return s.points[i-coldN], true, nil
-}
-
-// lastPointLocked returns the series' most recent point. For live series
-// the hot tail always holds at least one point (seals keep a non-empty
-// tail); the cold fallback covers a tier state only reachable through
-// recovery of a partially written layout.
-func (db *DB) lastPointLocked(s *series) (Point, bool, error) {
-	if n := len(s.points); n > 0 {
-		return s.points[n-1], true, nil
-	}
-	if s.cold == nil || s.cold.n == 0 {
-		return Point{}, false, nil
-	}
-	return db.pointAtLocked(s, s.cold.n-1)
-}
-
-// afterBounds returns the global index window [lo, hi) of the series'
-// points after the position (after, seq) and at or before `to`. The
-// caller holds the owning shard's lock. This is the seek primitive
-// behind keyset-cursor pagination: the position names the seq-th point
-// at timestamp `after` (every earlier point plus the first seq points at
-// exactly `after` are consumed), so a resumed read starts at a fixed
-// place in the append-only series, unlike an offset, which shifts when
-// earlier points arrive. The store accepts equal-timestamp appends, so a
-// bare timestamp cannot address a position inside such a run — the
-// sequence component is what lets a page boundary fall there without
-// dropping the run's remainder. Positions resolve identically whether
-// the addressed points are hot or have been sealed into cold blocks —
-// sealing never reorders or renumbers, so a cursor taken before a seal
-// resumes exactly where it left off after one. The position (from, 0) is
-// the plain window [from, to], so this is also the single source of
-// window semantics for range reads: a page's count pass and copy pass
-// agree exactly across both tiers, and a cold read error fails both
-// identically instead of letting them disagree silently.
-func (db *DB) afterBounds(s *series, after time.Time, seq int, to time.Time) (lo, hi int, err error) {
-	lo, err = db.searchSeries(s, func(t time.Time) bool { return !t.Before(after) })
+// afterBounds returns the view's global index window [lo, hi) of the
+// points after the position (after, seq) and at or before `to`. This is
+// the seek primitive behind keyset-cursor pagination: the position names
+// the seq-th point at timestamp `after` (every earlier point plus the
+// first seq points at exactly `after` are consumed), so a resumed read
+// starts at a fixed place in the append-only series, unlike an offset,
+// which shifts when earlier points arrive. The store accepts
+// equal-timestamp appends, so a bare timestamp cannot address a position
+// inside such a run — the sequence component is what lets a page
+// boundary fall there without dropping the run's remainder. Positions
+// resolve identically whether the addressed points are hot or have been
+// sealed into cold blocks — sealing never reorders or renumbers, so a
+// cursor taken before a seal resumes exactly where it left off after
+// one. The position (from, 0) is the plain window [from, to], so this is
+// also the single source of window semantics for range reads: a page's
+// count pass and copy pass agree exactly across both tiers, and a cold
+// read error fails both identically instead of letting them disagree
+// silently.
+func (db *DB) afterBounds(v seriesView, after time.Time, seq int, to time.Time) (lo, hi int, err error) {
+	lo, err = db.searchView(v, func(t time.Time) bool { return !t.Before(after) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1072,7 +1029,7 @@ func (db *DB) afterBounds(s *series, after time.Time, seq int, to time.Time) (lo
 		// seq consumes points at exactly `after`, never beyond its run:
 		// a forged or overshot count clamps to the run's end instead of
 		// eating later timestamps.
-		runEnd, err := db.searchSeries(s, func(t time.Time) bool { return t.After(after) })
+		runEnd, err := db.searchView(v, func(t time.Time) bool { return t.After(after) })
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1082,7 +1039,7 @@ func (db *DB) afterBounds(s *series, after time.Time, seq int, to time.Time) (lo
 			lo += seq
 		}
 	}
-	hi, err = db.searchSeries(s, func(t time.Time) bool { return t.After(to) })
+	hi, err = db.searchView(v, func(t time.Time) bool { return t.After(to) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1091,18 +1048,11 @@ func (db *DB) afterBounds(s *series, after time.Time, seq int, to time.Time) (lo
 
 // CountAfter returns how many points of the series lie after the
 // position (after, seq) — see afterBounds — and at or before `to`,
-// without copying any of them: two binary searches under the shard's
-// read lock. Cursor pagination uses it to size the remainder of a
-// series the cursor position has partially consumed.
+// without copying any of them: two binary searches over block metadata
+// and the hot tail. Cursor pagination uses it to size the remainder of
+// a series the cursor position has partially consumed.
 func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return 0, nil
-	}
-	lo, hi, err := db.afterBounds(s, after, seq, to)
+	lo, hi, err := db.afterBounds(db.view(k), after, seq, to)
 	if err != nil || lo >= hi {
 		return 0, err
 	}
@@ -1116,100 +1066,85 @@ func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (i
 // new points arrive — the property that keeps cursor pagination stable
 // under live collection, where a skipped offset would drift.
 func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return nil, nil
-	}
-	lo, hi, err := db.afterBounds(s, after, seq, to)
-	if err != nil {
-		return nil, err
-	}
+	v := db.view(k)
+	lo, hi, err := db.afterBounds(v, after, seq, to)
 	if max >= 0 && max < hi-lo {
 		hi = lo + max
 	}
-	return db.getPointsLocked(s, lo, hi)
+	if err != nil || lo >= hi {
+		return nil, err
+	}
+	out := make([]Point, 0, hi-lo)
+	err = db.iterateView(v, lo, hi, func(pts []Point) error {
+		out = append(out, pts...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// steps walks the series' step function over [from, to]: first the
+// point that carries the value into from (the latest at or before it),
+// if any, then every point in (from, to], oldest first, one decoded
+// block at a time. ValueAt, WindowMean and Grid are folds over it, so
+// none of them materializes its window.
+func (db *DB) steps(k SeriesKey, from, to time.Time, fn func(Point)) error {
+	v := db.view(k)
+	lo, err := db.searchView(v, func(t time.Time) bool { return t.After(from) })
+	if err != nil {
+		return err
+	}
+	hi, err := db.searchView(v, func(t time.Time) bool { return t.After(to) })
+	if err != nil {
+		return err
+	}
+	return db.iterateView(v, lo-1, hi, func(pts []Point) error {
+		for _, p := range pts {
+			fn(p)
+		}
+		return nil
+	})
 }
 
 // ValueAt returns the series' value at time t under step semantics: the
 // value of the latest point at or before t. ok is false before the first
 // point or for an unknown series.
 func (db *DB) ValueAt(k SeriesKey, t time.Time) (v float64, ok bool, err error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return 0, false, nil
-	}
-	i, err := db.searchSeries(s, func(at time.Time) bool { return at.After(t) })
-	if err != nil || i == 0 {
-		return 0, false, err
-	}
-	p, ok, err := db.pointAtLocked(s, i-1)
-	return p.Value, ok, err
+	err = db.steps(k, t, t, func(p Point) { v, ok = p.Value, true })
+	return v, ok, err
 }
 
 // WindowMean returns the time-weighted mean of the step function over
 // [from, to). ok is false when the series has no value anywhere in the
-// window.
+// window. The walk covers (from, to]: a point exactly at to closes the
+// last segment early and adds cur*0, so the sums are the [from, to)
+// ones bit for bit.
 func (db *DB) WindowMean(k SeriesKey, from, to time.Time) (mean float64, ok bool, err error) {
 	if !to.After(from) {
 		return 0, false, nil
 	}
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil || seriesTotal(s) == 0 {
-		return 0, false, nil
-	}
-	// Window bounds through the shared search: [i, j) are the points
-	// strictly inside (from, to); i-1, when present, carries the step
-	// value into the window.
-	i, err := db.searchSeries(s, func(t time.Time) bool { return t.After(from) })
-	if err != nil {
-		return 0, false, err
-	}
-	j, err := db.searchSeries(s, func(t time.Time) bool { return !t.Before(to) })
-	if err != nil {
-		return 0, false, err
-	}
-	var cur float64
-	var curSet bool
+	var cur, total, weight float64
+	curSet := false
 	cursor := from
-	if i > 0 {
-		p, ok, err := db.pointAtLocked(s, i-1)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok {
-			cur, curSet = p.Value, true
-		}
-	}
-	pts, err := db.getPointsLocked(s, i, j)
-	if err != nil {
-		return 0, false, err
-	}
-	total := 0.0
-	weight := 0.0
-	for _, p := range pts {
+	err = db.steps(k, from, to, func(p Point) {
 		if curSet {
 			d := p.At.Sub(cursor).Seconds()
 			total += cur * d
 			weight += d
 		}
-		cur = p.Value
-		curSet = true
-		cursor = p.At
+		cur, curSet = p.Value, true
+		if p.At.After(from) {
+			cursor = p.At
+		}
+	})
+	if err != nil || !curSet {
+		return 0, false, err
 	}
-	if curSet {
-		d := to.Sub(cursor).Seconds()
-		total += cur * d
-		weight += d
-	}
+	d := to.Sub(cursor).Seconds()
+	total += cur * d
+	weight += d
 	if weight == 0 {
 		return 0, false, nil
 	}
@@ -1217,83 +1152,42 @@ func (db *DB) WindowMean(k SeriesKey, from, to time.Time) (mean float64, ok bool
 }
 
 // Grid samples the step function at from, from+step, ... up to and
-// including to. Instants before the first point yield NaN. The whole
-// grid is computed under one shard read lock with one window fetch —
-// the same bounds Query uses — instead of a binary search per instant,
-// so hot and cold tiers resolve identically for every sample.
+// including to. Instants before the first point yield NaN. Every sample
+// comes from one step walk — the window bounds Query uses — instead of
+// a binary search per instant, so hot and cold tiers resolve
+// identically for every sample.
 func (db *DB) Grid(k SeriesKey, from, to time.Time, step time.Duration) ([]float64, error) {
 	if step <= 0 || to.Before(from) {
 		return nil, nil
 	}
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
 	var out []float64
-	if s == nil {
-		for t := from; !t.After(to); t = t.Add(step) {
-			out = append(out, math.NaN())
-		}
-		return out, nil
-	}
-	i, err := db.searchSeries(s, func(t time.Time) bool { return t.After(from) })
-	if err != nil {
-		return nil, err
-	}
-	var cur float64
-	var curSet bool
-	if i > 0 {
-		p, ok, err := db.pointAtLocked(s, i-1)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			cur, curSet = p.Value, true
-		}
-	}
-	hi, err := db.searchSeries(s, func(t time.Time) bool { return t.After(to) })
-	if err != nil {
-		return nil, err
-	}
-	pts, err := db.getPointsLocked(s, i, hi)
-	if err != nil {
-		return nil, err
-	}
-	pi := 0
-	for t := from; !t.After(to); t = t.Add(step) {
-		for pi < len(pts) && !pts[pi].At.After(t) {
-			cur, curSet = pts[pi].Value, true
-			pi++
-		}
-		if curSet {
+	t, cur := from, math.NaN()
+	err := db.steps(k, from, to, func(p Point) {
+		for ; p.At.After(t); t = t.Add(step) {
 			out = append(out, cur)
-		} else {
-			out = append(out, math.NaN())
 		}
+		cur = p.Value
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ; !t.After(to); t = t.Add(step) {
+		out = append(out, cur)
 	}
 	return out, nil
 }
 
 // ChangeIntervals returns the durations between consecutive points of the
 // series. When points are appended via AppendIfChanged these are the
-// value-change intervals of Figure 10.
-//
-// The series streams through iterateView on a view captured under the
-// shard lock and walked after releasing it: one decoded block resident
-// at a time, and a months-deep cold series no longer stalls writers for
-// the duration of a full decode (the intervals themselves are the only
-// full-length allocation).
+// value-change intervals of Figure 10. The series streams through
+// iterateView one decoded block at a time (the intervals themselves are
+// the only full-length allocation).
 func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	s := sh.series[k]
-	if s == nil || seriesTotal(s) < 2 {
-		sh.mu.RUnlock()
+	v := db.view(k)
+	total := v.total()
+	if total < 2 {
 		return nil, nil
 	}
-	v := viewLocked(s)
-	sh.mu.RUnlock()
-	total := v.total()
 	out := make([]time.Duration, 0, total-1)
 	var prev time.Time
 	first := true
@@ -1315,14 +1209,7 @@ func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
 
 // Last returns the most recent point of the series.
 func (db *DB) Last(k SeriesKey) (Point, bool, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return Point{}, false, nil
-	}
-	return db.lastPointLocked(s)
+	return db.last(db.view(k))
 }
 
 // KeyFilter selects series keys; empty fields match anything.
@@ -1521,8 +1408,9 @@ func (db *DB) Close() error {
 		}
 		sh.wal, sh.walF = nil, nil
 	}
-	// Block files close while every shard lock is held, so no cold read
-	// can be mid-decode against a closing handle.
+	// Reads decode outside the shard locks, so one may still hold a view
+	// naming these files: os.File refcounting lets an in-flight ReadAt
+	// finish, and a read starting after the close gets errClosed.
 	for _, seg := range db.coldSegs {
 		if err := seg.f.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("tsdb: close block file %d: %w", seg.seq, err)

@@ -1151,7 +1151,7 @@ func (db *DB) Checkpoint() error {
 // redundant snapshot is stacked behind it (single-flight).
 func (db *DB) checkpointLocked() error {
 	if db.closed.Load() {
-		return errors.New("tsdb: store is closed")
+		return errClosed
 	}
 	n := len(db.shards)
 	// Capture a per-shard cut: the chain's logical offset, the surviving
@@ -1164,7 +1164,7 @@ func (db *DB) checkpointLocked() error {
 	pres := make([]uint64, n)
 	recs, err := db.captureWith(func(i int, sh *shard) error {
 		if sh.wal == nil {
-			return errors.New("tsdb: store is closed")
+			return errClosed
 		}
 		if err := sh.wal.Flush(); err != nil {
 			return fmt.Errorf("tsdb: checkpoint flush: %w", err)
