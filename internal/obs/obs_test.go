@@ -115,6 +115,7 @@ func TestRegistryExpositionRoundTrip(t *testing.T) {
 	h.Observe(5 * time.Millisecond)
 	h.Observe(50 * time.Millisecond)
 	h.Observe(5 * time.Second)
+	reg.HistogramFunc("spotlake_test_swapped_seconds", "read through a func", h.Snapshot)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -131,6 +132,8 @@ func TestRegistryExpositionRoundTrip(t *testing.T) {
 		`spotlake_test_latency_seconds_bucket{le="0.1"} 2`,
 		`spotlake_test_latency_seconds_bucket{le="+Inf"} 3`,
 		"spotlake_test_latency_seconds_count 3",
+		`spotlake_test_swapped_seconds_bucket{le="0.1"} 2`,
+		"spotlake_test_swapped_seconds_count 3",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

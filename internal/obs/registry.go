@@ -29,6 +29,15 @@ type registered struct {
 	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
+	histFn    func() HistogramSnapshot
+}
+
+// histogram snapshots a histogram metric from whichever source it has.
+func (m *registered) histogram() HistogramSnapshot {
+	if m.histFn != nil {
+		return m.histFn()
+	}
+	return m.hist.Snapshot()
 }
 
 // Registry is a named collection of metrics. Registration is cheap and
@@ -135,6 +144,13 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.register(&registered{name: name, help: help, typ: TypeHistogram, hist: h})
 }
 
+// HistogramFunc registers a histogram whose state is read through fn at
+// scrape time, the histogram counterpart of CounterFunc. Every snapshot
+// fn returns must carry the same bounds.
+func (r *Registry) HistogramFunc(name, help string, fn func() HistogramSnapshot) {
+	r.register(&registered{name: name, help: help, typ: TypeHistogram, histFn: fn})
+}
+
 // snapshotMetrics captures the registration list so value reads run
 // outside the registry lock (a gaugeFn may itself take locks).
 func (r *Registry) snapshotMetrics() []*registered {
@@ -181,7 +197,7 @@ func (r *Registry) Samples() []Sample {
 			}
 			out = append(out, Sample{Name: m.name, Value: v})
 		case TypeHistogram:
-			s := m.hist.Snapshot()
+			s := m.histogram()
 			cum := uint64(0)
 			for i, b := range s.Bounds {
 				cum += s.Counts[i]
@@ -240,7 +256,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			b.WriteString(formatFloat(v))
 			b.WriteByte('\n')
 		case TypeHistogram:
-			s := m.hist.Snapshot()
+			s := m.histogram()
 			cum := uint64(0)
 			for i, bound := range s.Bounds {
 				cum += s.Counts[i]

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/simrand"
 )
 
 func BenchmarkAppend(b *testing.B) {
@@ -418,6 +420,50 @@ func BenchmarkSeal(b *testing.B) {
 	}
 	b.ReportMetric(float64(sealedPts)/b.Elapsed().Seconds(), "points/s")
 	b.ReportMetric(float64(sealedBytes)/float64(16*sealedPts), "compressed/raw")
+}
+
+// archiveBlockPoints builds n points shaped like one archive-v1 series
+// block: change-only on a 10-minute grid with one change in four ticks,
+// integer values 1–10, so dods land in the 16-bit bucket and values
+// reuse or redefine a short XOR window.
+func archiveBlockPoints(seed uint64, n int) []Point {
+	rng := simrand.New(seed)
+	pts := make([]Point, n)
+	at, v := t0, float64(1+rng.Intn(10))
+	for i := range pts {
+		pts[i] = Point{At: at, Value: v}
+		at = at.Add(10 * time.Minute)
+		for rng.Intn(4) != 0 {
+			at = at.Add(10 * time.Minute)
+		}
+		v = float64(1 + (int(v)+rng.Intn(9))%10) // any of the other nine values
+	}
+	return pts
+}
+
+// BenchmarkDecodeBlock measures the cold-decode stage alone: decodeBlock
+// over 64 distinct archive-shaped 512-point blocks per op, the work as
+// many block-cache misses pay. Reported alongside ns/op: ns per decoded
+// point and encoded bytes per point.
+func BenchmarkDecodeBlock(b *testing.B) {
+	blocks := make([]encodedBlock, 64)
+	var points, size int
+	for i := range blocks {
+		blocks[i] = encodeBlock(archiveBlockPoints(uint64(i+1), 512))
+		points += int(blocks[i].count)
+		size += len(blocks[i].data)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, eb := range blocks {
+			if _, err := decodeBlock(eb.data, int(eb.count)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(points), "ns/point")
+	b.ReportMetric(float64(size)/float64(points), "B/point")
 }
 
 // BenchmarkColdQuery measures windowed reads over deep history when that

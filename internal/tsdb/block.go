@@ -50,10 +50,14 @@ package tsdb
 // Regular collection cadences make dod 0 almost always (1 bit/point) and
 // step-function values repeat or share exponents, which is what buys the
 // tier its compression. The decoder takes the expected point count from
-// the (CRC-validated) index, bounds-checks every read, and returns
-// errors on truncated or bit-flipped input — never panics, never
-// allocates more than maxBlockPoints points (FuzzBlockDecode holds it to
-// that).
+// the (CRC-validated) index and reads the stream through a left-aligned
+// 64-bit accumulator refilled a word at a time (zero-padded past the
+// end), so fields cost a shift, not a loop over bits. Instead of
+// bounds-checking each bit it compares the bits consumed with
+// len(data)*8 before trusting what it read, and returns errors on
+// truncated or bit-flipped input — never panics, never allocates more
+// than maxBlockPoints points. FuzzBlockDecode holds it to that and to
+// agreement with the bit-at-a-time reference decoder it replaced.
 
 import (
 	"encoding/binary"
@@ -64,6 +68,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -140,53 +145,26 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 
 var errBlockTruncated = errors.New("tsdb: block truncated")
 
-// bitReader consumes bits MSB-first from a byte slice, erroring (never
-// panicking) past the end.
-type bitReader struct {
-	data []byte
-	// pos is the bit position of the next unread bit.
-	pos uint64
-}
-
-func (r *bitReader) readBit() (bool, error) {
-	i := r.pos >> 3
-	if i >= uint64(len(r.data)) {
-		return false, errBlockTruncated
+// refillBits tops up a block decoder's bit accumulator: acc holds nacc
+// unread stream bits left-aligned, and next is the next byte of data to
+// load. It loads a whole big-endian word while 8 bytes remain and single
+// bytes near the tail, zero-padding past the end, and returns at least 57
+// valid bits. Bits below the top nacc are always zero or the stream's own
+// next bits, so OR-ing a reload over them is idempotent. State passes by
+// value so the decoder's accumulator stays in registers.
+func refillBits(data []byte, acc uint64, nacc uint, next int) (uint64, uint, int) {
+	if next+8 <= len(data) {
+		acc |= binary.BigEndian.Uint64(data[next:]) >> nacc
+		k := (64 - nacc) >> 3
+		return acc, nacc + k<<3, next + int(k)
 	}
-	bit := r.data[i]>>(7-r.pos&7)&1 == 1
-	r.pos++
-	return bit, nil
-}
-
-// readBits reads n bits, MSB-first. n must be in [0, 64].
-func (r *bitReader) readBits(n uint) (uint64, error) {
-	if r.pos+uint64(n) > uint64(len(r.data))*8 {
-		return 0, errBlockTruncated
-	}
-	var v uint64
-	for n >= 8 {
-		i := r.pos >> 3
-		shift := r.pos & 7
-		b := r.data[i] << shift
-		if shift > 0 && i+1 < uint64(len(r.data)) {
-			b |= r.data[i+1] >> (8 - shift)
+	for ; nacc <= 56; nacc += 8 {
+		if next < len(data) {
+			acc |= uint64(data[next]) << (56 - nacc)
 		}
-		v = v<<8 | uint64(b)
-		r.pos += 8
-		n -= 8
+		next++
 	}
-	for n > 0 {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if bit {
-			v |= 1
-		}
-		n--
-	}
-	return v, nil
+	return acc, nacc, next
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -272,7 +250,10 @@ func encodeBlock(pts []Point) encodedBlock {
 // decodeBlock decompresses a block bitstream holding count points. It is
 // the trust boundary for on-disk block bytes: any count outside
 // [1, maxBlockPoints], truncation, or trailing garbage is an error, and
-// nothing larger than count points is ever allocated.
+// nothing larger than count points is ever allocated. Reads may run into
+// refillBits' zero padding; every check that acts on decoded bits first
+// confirms they lay within the stream, so truncation always reports
+// errBlockTruncated.
 func decodeBlock(data []byte, count int) ([]Point, error) {
 	if count < 1 || count > maxBlockPoints {
 		return nil, fmt.Errorf("tsdb: block point count %d out of range", count)
@@ -280,95 +261,87 @@ func decodeBlock(data []byte, count int) ([]Point, error) {
 	if len(data) > maxBlockBytes {
 		return nil, fmt.Errorf("tsdb: block length %d out of range", len(data))
 	}
-	r := bitReader{data: data}
-	pts := make([]Point, 0, count)
-	var prevT, prevDelta int64
-	var prevBits uint64
-	prevLead, prevSig := uint8(0xff), uint8(0)
-	for i := 0; i < count; i++ {
-		if i == 0 {
-			t, err := r.readBits(64)
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.readBits(64)
-			if err != nil {
-				return nil, err
-			}
-			prevT, prevBits = int64(t), v
-			pts = append(pts, Point{At: time.Unix(0, prevT).UTC(), Value: math.Float64frombits(v)})
-			continue
+	var acc uint64
+	var nacc uint
+	next := 0
+	// read consumes n bits, n in [1, 57], right-aligned. It inlines, which
+	// keeps acc, nacc and next in registers; wider fields take two reads.
+	read := func(n uint) uint64 {
+		if nacc < n {
+			acc, nacc, next = refillBits(data, acc, nacc, next)
 		}
-		// Timestamp: read the dod bucket prefix.
-		var dod int64
-		bit, err := r.readBit()
-		if err != nil {
-			return nil, err
+		v := acc >> (64 - n)
+		acc <<= n
+		nacc -= n
+		return v
+	}
+	overran := func() bool { return next*8-int(nacc) > len(data)*8 }
+
+	pts := make([]Point, count)
+	t := int64(read(32)<<32 | read(32))
+	vbits := read(32)<<32 | read(32)
+	if overran() {
+		return nil, errBlockTruncated
+	}
+	pts[0] = Point{At: time.Unix(0, t).UTC(), Value: math.Float64frombits(vbits)}
+	var delta int64
+	// lead == 0xff marks "no value window defined yet".
+	lead, sig := uint(0xff), uint(0)
+	for i := 1; i < count; i++ {
+		// Timestamp: the bucket prefix '0'/'10'/'110'/'1110'/'1111' is its
+		// count of leading ones, capped at 4; payloads are 16 bits a one.
+		if nacc < 4 {
+			acc, nacc, next = refillBits(data, acc, nacc, next)
 		}
-		if bit {
-			n := uint(16)
-			for _, wider := range []uint{32, 48, 64} {
-				more, err := r.readBit()
-				if err != nil {
-					return nil, err
-				}
-				if !more {
-					break
-				}
-				n = wider
-			}
-			z, err := r.readBits(n)
-			if err != nil {
-				return nil, err
-			}
-			dod = unzigzag(z)
+		ones := min(uint(bits.LeadingZeros64(^acc)), 4)
+		read(min(ones+1, 4))
+		switch ones {
+		case 0:
+		case 4:
+			delta += unzigzag(read(32)<<32 | read(32))
+		default:
+			delta += unzigzag(read(16 * ones))
 		}
-		prevDelta += dod
-		prevT += prevDelta
-		// Value: XOR control bits.
-		bit, err = r.readBit()
-		if err != nil {
-			return nil, err
-		}
-		if bit {
-			windowed, err := r.readBit()
-			if err != nil {
-				return nil, err
-			}
-			if windowed {
-				lead, err := r.readBits(5)
-				if err != nil {
-					return nil, err
+		// Value: XOR control bits, then a new 5+6-bit window or the old one.
+		if read(1) == 1 {
+			if read(1) == 1 {
+				w := read(11)
+				if overran() {
+					return nil, errBlockTruncated
 				}
-				sigRaw, err := r.readBits(6)
-				if err != nil {
-					return nil, err
+				lead, sig = uint(w>>6), uint(w&0x3f)
+				if sig == 0 {
+					sig = 64
 				}
-				prevLead = uint8(lead)
-				prevSig = uint8(sigRaw)
-				if prevSig == 0 {
-					prevSig = 64
+				if lead+sig > 64 {
+					return nil, fmt.Errorf("tsdb: block value window %d+%d overflows", lead, sig)
 				}
-				if int(prevLead)+int(prevSig) > 64 {
-					return nil, fmt.Errorf("tsdb: block value window %d+%d overflows", prevLead, prevSig)
+			} else if lead == 0xff {
+				if overran() {
+					return nil, errBlockTruncated
 				}
-			} else if prevLead == 0xff {
 				return nil, errors.New("tsdb: block reuses value window before defining one")
 			}
-			mbits, err := r.readBits(uint(prevSig))
-			if err != nil {
-				return nil, err
+			var m uint64
+			if sig > 57 {
+				m = read(sig-32)<<32 | read(32)
+			} else {
+				m = read(sig)
 			}
-			prevBits ^= mbits << (64 - prevLead - prevSig)
+			vbits ^= m << (64 - lead - sig)
 		}
-		pts = append(pts, Point{At: time.Unix(0, prevT).UTC(), Value: math.Float64frombits(prevBits)})
-		if pts[i].At.Before(pts[i-1].At) {
+		if overran() {
+			return nil, errBlockTruncated
+		}
+		prev := t
+		if t += delta; t < prev {
 			return nil, errors.New("tsdb: block timestamps out of order")
 		}
+		pts[i] = Point{At: time.Unix(0, t).UTC(), Value: math.Float64frombits(vbits)}
 	}
 	// Trailing data beyond the final byte's bit padding means the index's
 	// count disagrees with the stream — corruption either way.
-	if (r.pos+7)/8 != uint64(len(data)) {
+	if (next*8-int(nacc)+7)/8 != len(data) {
 		return nil, errors.New("tsdb: block has trailing data")
 	}
 	return pts, nil
@@ -596,20 +569,25 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 	return out, nil
 }
 
+// blockReadBufs recycles readBlockData's read buffers: decodeBlock copies
+// every point out, so nothing retains a buffer past its read.
+var blockReadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readBlockData reads and decodes one block's bytes from its segment,
 // verifying the index's CRC first so a bit flip in the data section is
 // reported as corruption rather than decoded into garbage points.
 func readBlockData(b *blockMeta) ([]Point, error) {
-	buf := make([]byte, b.length)
+	bp := blockReadBufs.Get().(*[]byte)
+	defer blockReadBufs.Put(bp)
+	if cap(*bp) < int(b.length) {
+		*bp = make([]byte, b.length)
+	}
+	buf := (*bp)[:b.length]
 	if _, err := b.seg.f.ReadAt(buf, int64(b.off)); err != nil {
 		return nil, fmt.Errorf("tsdb: block read: %w", err)
 	}
 	if crc32.ChecksumIEEE(buf) != b.crc {
 		return nil, errors.New("tsdb: block CRC mismatch")
 	}
-	pts, err := decodeBlock(buf, int(b.count))
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
+	return decodeBlock(buf, int(b.count))
 }

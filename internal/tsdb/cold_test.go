@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // sealKeys is a small key universe that gives each series enough depth
@@ -759,6 +761,57 @@ func TestSealAccountingAndReap(t *testing.T) {
 	}
 	if db2.SealedBlocks() != 0 || db2.ColdPointCount() != 0 {
 		t.Fatalf("disabled tier sealed %d blocks / %d points", db2.SealedBlocks(), db2.ColdPointCount())
+	}
+}
+
+// TestBlockDecodeMetrics pins the cold-decode stage's exposition: every
+// block-cache miss adds one spotlake_block_decode_seconds observation and
+// its block's points to spotlake_block_decoded_points_total, and hits add
+// nothing.
+func TestBlockDecodeMetrics(t *testing.T) {
+	db, err := OpenWithOptions(t.TempDir(), sealedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.AppendBatch(sealEntries(600, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, func() *DB { return db })
+	scrape := func() (decodes, points float64) {
+		for _, s := range reg.Samples() {
+			switch s.Name {
+			case "spotlake_block_decode_seconds_count":
+				decodes = s.Value
+			case "spotlake_block_decoded_points_total":
+				points = s.Value
+			}
+		}
+		return decodes, points
+	}
+	key := sealKeys()[0]
+	for round := 0; round < 2; round++ {
+		decodes0, points0 := scrape()
+		misses0 := db.BlockCacheStats().Misses
+		if _, err := db.Query(key, t0, t0.Add(24*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		decodes, points := scrape()
+		misses := db.BlockCacheStats().Misses - misses0
+		if decodes-decodes0 != float64(misses) {
+			t.Fatalf("round %d: %v decode observations for %d cache misses", round, decodes-decodes0, misses)
+		}
+		// sealedOpts blocks hold 1..8 points.
+		if got := points - points0; got < float64(misses) || got > float64(8*misses) {
+			t.Fatalf("round %d: %v points decoded from %d missed blocks", round, got, misses)
+		}
+		if round == 0 && misses == 0 {
+			t.Fatal("the first cold query missed no block")
+		}
 	}
 }
 

@@ -3,7 +3,10 @@ package tsdb
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +108,185 @@ func fuzzBlockSeed(n int, step time.Duration, v func(i int) float64) []byte {
 	return encodeBlock(pts).data
 }
 
+// bitReader consumes bits MSB-first from a byte slice, erroring (never
+// panicking) past the end. Only decodeBlockRef uses it.
+type bitReader struct {
+	data []byte
+	// pos is the bit position of the next unread bit.
+	pos uint64
+}
+
+func (r *bitReader) readBit() (bool, error) {
+	i := r.pos >> 3
+	if i >= uint64(len(r.data)) {
+		return false, errBlockTruncated
+	}
+	bit := r.data[i]>>(7-r.pos&7)&1 == 1
+	r.pos++
+	return bit, nil
+}
+
+// readBits reads n bits, MSB-first. n must be in [0, 64].
+func (r *bitReader) readBits(n uint) (uint64, error) {
+	if r.pos+uint64(n) > uint64(len(r.data))*8 {
+		return 0, errBlockTruncated
+	}
+	var v uint64
+	for n >= 8 {
+		i := r.pos >> 3
+		shift := r.pos & 7
+		b := r.data[i] << shift
+		if shift > 0 && i+1 < uint64(len(r.data)) {
+			b |= r.data[i+1] >> (8 - shift)
+		}
+		v = v<<8 | uint64(b)
+		r.pos += 8
+		n -= 8
+	}
+	for n > 0 {
+		bit, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		v <<= 1
+		if bit {
+			v |= 1
+		}
+		n--
+	}
+	return v, nil
+}
+
+// decodeBlockRef is the bit-at-a-time block decoder decodeBlock
+// replaced, kept verbatim as the differential oracle: every input must
+// make both error with the same message, or both return identical points.
+func decodeBlockRef(data []byte, count int) ([]Point, error) {
+	if count < 1 || count > maxBlockPoints {
+		return nil, fmt.Errorf("tsdb: block point count %d out of range", count)
+	}
+	if len(data) > maxBlockBytes {
+		return nil, fmt.Errorf("tsdb: block length %d out of range", len(data))
+	}
+	r := bitReader{data: data}
+	pts := make([]Point, 0, count)
+	var prevT, prevDelta int64
+	var prevBits uint64
+	prevLead, prevSig := uint8(0xff), uint8(0)
+	for i := 0; i < count; i++ {
+		if i == 0 {
+			t, err := r.readBits(64)
+			if err != nil {
+				return nil, err
+			}
+			v, err := r.readBits(64)
+			if err != nil {
+				return nil, err
+			}
+			prevT, prevBits = int64(t), v
+			pts = append(pts, Point{At: time.Unix(0, prevT).UTC(), Value: math.Float64frombits(v)})
+			continue
+		}
+		// Timestamp: read the dod bucket prefix.
+		var dod int64
+		bit, err := r.readBit()
+		if err != nil {
+			return nil, err
+		}
+		if bit {
+			n := uint(16)
+			for _, wider := range []uint{32, 48, 64} {
+				more, err := r.readBit()
+				if err != nil {
+					return nil, err
+				}
+				if !more {
+					break
+				}
+				n = wider
+			}
+			z, err := r.readBits(n)
+			if err != nil {
+				return nil, err
+			}
+			dod = unzigzag(z)
+		}
+		prevDelta += dod
+		prevT += prevDelta
+		// Value: XOR control bits.
+		bit, err = r.readBit()
+		if err != nil {
+			return nil, err
+		}
+		if bit {
+			windowed, err := r.readBit()
+			if err != nil {
+				return nil, err
+			}
+			if windowed {
+				lead, err := r.readBits(5)
+				if err != nil {
+					return nil, err
+				}
+				sigRaw, err := r.readBits(6)
+				if err != nil {
+					return nil, err
+				}
+				prevLead = uint8(lead)
+				prevSig = uint8(sigRaw)
+				if prevSig == 0 {
+					prevSig = 64
+				}
+				if int(prevLead)+int(prevSig) > 64 {
+					return nil, fmt.Errorf("tsdb: block value window %d+%d overflows", prevLead, prevSig)
+				}
+			} else if prevLead == 0xff {
+				return nil, errors.New("tsdb: block reuses value window before defining one")
+			}
+			mbits, err := r.readBits(uint(prevSig))
+			if err != nil {
+				return nil, err
+			}
+			prevBits ^= mbits << (64 - prevLead - prevSig)
+		}
+		pts = append(pts, Point{At: time.Unix(0, prevT).UTC(), Value: math.Float64frombits(prevBits)})
+		if pts[i].At.Before(pts[i-1].At) {
+			return nil, errors.New("tsdb: block timestamps out of order")
+		}
+	}
+	// Trailing data beyond the final byte's bit padding means the index's
+	// count disagrees with the stream — corruption either way.
+	if (r.pos+7)/8 != uint64(len(data)) {
+		return nil, errors.New("tsdb: block has trailing data")
+	}
+	return pts, nil
+}
+
+// checkDecodersAgree decodes data with decodeBlock and decodeBlockRef and
+// fails unless both error with the same message or both return the same
+// points: equal instants, bit-equal values, and time.UTC locations. It
+// returns decodeBlock's points (nil on error).
+func checkDecodersAgree(t testing.TB, data []byte, count int) []Point {
+	t.Helper()
+	got, err := decodeBlock(data, count)
+	want, refErr := decodeBlockRef(data, count)
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		t.Fatalf("decoders disagree on %d bytes, count %d: %v vs reference %v", len(data), count, err, refErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoders disagree on length: %d vs reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].At != want[i].At || got[i].At.Location() != time.UTC ||
+			math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+			t.Fatalf("decoders disagree at point %d: %v vs reference %v", i, got[i], want[i])
+		}
+	}
+	return got
+}
+
 // FuzzBlockDecode feeds hostile compressed blocks — truncated,
 // bit-flipped, or arbitrary bytes, with an adversarial point count — to
 // the block decoder that cold reads trust. Corrupt input must return an
@@ -112,7 +294,8 @@ func fuzzBlockSeed(n int, step time.Duration, v func(i int) float64) []byte {
 // timestamps. Input that does decode must survive a full re-encode /
 // re-decode round trip bit-exactly at the point level. (The bitstream
 // itself is not canonical: a hostile encoder may pick a wider dod bucket
-// than needed, which decodes fine but re-encodes narrower.)
+// than needed, which decodes fine but re-encodes narrower.) Every input
+// is also decoded by decodeBlockRef, and the two must agree.
 func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{}, 1)
 	f.Add([]byte{0xff}, 1)
@@ -124,10 +307,17 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add(s, 32)
 	s2 := fuzzBlockSeed(32, time.Minute, func(i int) float64 { return float64(i % 3) })
 	f.Add(s2[:len(s2)/2], 32)
+	for _, c := range decodeShapeCases() {
+		f.Add(encodeBlock(c.pts).data, len(c.pts))
+	}
+	// A stream whose last bit is a value's first '1' control bit: the zero
+	// padding past the end reads as "reuse the window" before any is
+	// defined, and must report truncation, as the reference does.
+	f.Add(append(make([]byte, 16), 0x01), 5)
 
 	f.Fuzz(func(t *testing.T, data []byte, count int) {
-		pts, err := decodeBlock(data, count)
-		if err != nil {
+		pts := checkDecodersAgree(t, data, count)
+		if pts == nil {
 			return
 		}
 		if len(pts) != count {
@@ -152,6 +342,79 @@ func FuzzBlockDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeShapeCases are the blocks the decoder table tests and seeds the
+// fuzzer with: archive-shaped blocks, one block per dod bucket width, a
+// 64-significant-bit value window that is then reused, and one point.
+func decodeShapeCases() []struct {
+	name string
+	pts  []Point
+} {
+	type shape = struct {
+		name string
+		pts  []Point
+	}
+	var out []shape
+	for seed := uint64(1); seed <= 3; seed++ {
+		out = append(out, shape{fmt.Sprintf("archive-%d", seed), archiveBlockPoints(seed, 512)})
+	}
+	// Each dod bucket: after a 1-minute cadence, one jump whose dod
+	// zigzags into the bucket, then the cadence again (a second dod of
+	// the same size back).
+	for _, jump := range []time.Duration{10 * time.Microsecond, time.Second, time.Hour, 200 * 24 * time.Hour} {
+		pts := make([]Point, 8)
+		at := t0
+		for i := range pts {
+			pts[i] = Point{At: at, Value: float64(i % 2)}
+			at = at.Add(time.Minute)
+			if i == 3 {
+				at = at.Add(jump)
+			}
+		}
+		out = append(out, shape{fmt.Sprintf("dod-jump-%v", jump), pts})
+	}
+	wide := []uint64{0, 0x8000000000000001, 0x0000000000000001, 0x8000000000000000, 0x8000000000000001}
+	pts := make([]Point, len(wide))
+	for i, b := range wide {
+		pts[i] = Point{At: t0.Add(time.Duration(i) * time.Second), Value: math.Float64frombits(b)}
+	}
+	out = append(out, shape{"window-64", pts})
+	out = append(out, shape{"single", []Point{{At: t0, Value: 3.25}}})
+	return out
+}
+
+// TestBlockDecodeTruncationPrefixes decodes every byte prefix of every
+// decodeShapeCases block with both decoders: they must agree on each
+// (same error, or same points), and the full block must round-trip.
+func TestBlockDecodeTruncationPrefixes(t *testing.T) {
+	buckets := map[uint]bool{}
+	for _, c := range decodeShapeCases() {
+		eb := encodeBlock(c.pts)
+		for n := 0; n < len(eb.data); n++ {
+			checkDecodersAgree(t, eb.data[:n], len(c.pts))
+		}
+		got := checkDecodersAgree(t, eb.data, len(c.pts))
+		if got == nil {
+			t.Fatalf("%s: full block failed to decode", c.name)
+		}
+		for i, p := range c.pts {
+			if got[i].At != p.At || math.Float64bits(got[i].Value) != math.Float64bits(p.Value) {
+				t.Fatalf("%s: point %d = %v, want %v", c.name, i, got[i], p)
+			}
+		}
+		for i := 2; i < len(c.pts); i++ {
+			dod := c.pts[i].At.Sub(c.pts[i-1].At) - c.pts[i-1].At.Sub(c.pts[i-2].At)
+			if z := zigzag(int64(dod)); z != 0 {
+				buckets[uint(bits.Len64(z)+15)/16*16] = true
+			}
+		}
+	}
+	for _, w := range []uint{16, 32, 48, 64} {
+		if !buckets[w] {
+			t.Errorf("no case exercises the %d-bit dod bucket", w)
+		}
+	}
 }
 
 // fuzzSnapshotSeed builds a valid snapshot to seed the corpus.

@@ -11,13 +11,13 @@ package tsdb
 
 import "repro/internal/obs"
 
-// RegisterMetrics registers the store's counters and gauges on reg under
-// the spotlake_store_*, spotlake_maintenance_*, spotlake_blockcache_*,
-// and spotlake_retention_* names. current returns the store to read at
-// scrape time; it may return nil (all series then read zero), and the
-// store it returns may change between scrapes — counters then restart
-// from the new store's history, which is the usual counter-reset story
-// scrape consumers already handle.
+// RegisterMetrics registers the store's counters, gauges and histogram on
+// reg under the spotlake_store_*, spotlake_maintenance_*,
+// spotlake_blockcache_*, spotlake_retention_* and spotlake_block_* names.
+// current returns the store to read at scrape time; it may return nil
+// (all series then read zero), and the store it returns may change
+// between scrapes — counters then restart from the new store's history,
+// which is the usual counter-reset story scrape consumers already handle.
 func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 	counter := func(name, help string, read func(db *DB) uint64) {
 		reg.CounterFunc(name, help, func() uint64 {
@@ -80,6 +80,16 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) float64 { return float64(db.BlockCacheStats().Bytes) })
 	gauge("spotlake_blockcache_max_bytes", "Configured block cache bound (0 = disabled).",
 		func(db *DB) float64 { return float64(db.BlockCacheStats().MaxBytes) })
+
+	reg.HistogramFunc("spotlake_block_decode_seconds", "Time a block-cache miss spends reading, CRC-checking and decoding one cold block.",
+		func() obs.HistogramSnapshot {
+			if db := current(); db != nil {
+				return db.bcache.decodeTime.Snapshot()
+			}
+			return obs.NewHistogram(blockDecodeBuckets).Snapshot()
+		})
+	counter("spotlake_block_decoded_points_total", "Points decoded from cold blocks on block-cache misses.",
+		func(db *DB) uint64 { return db.bcache.decoded.Value() })
 
 	counter("spotlake_retention_dropped_points_total", "Raw points dropped by retention across all datasets.",
 		func(db *DB) uint64 {

@@ -329,7 +329,8 @@ type Options struct {
 	BlockPoints int
 	// BlockCacheBytes bounds the decoded-block LRU cache: 0 selects
 	// DefaultBlockCacheBytes, negative disables caching (cold reads
-	// decode every time).
+	// decode every time). Each cached point is charged a nominal 16
+	// bytes, about half its resident 32 (see blockcache.go).
 	BlockCacheBytes int64
 	// RetainRaw sets per-dataset retention horizons for raw points:
 	// once a dataset's rollups cover them, raw cold blocks wholly older
