@@ -372,9 +372,9 @@ func (s *Service) cached(db *tsdb.DB, epoch uint64, ck string, req QueryRequest,
 		// Capture the generations before reading: a write racing the fan-out
 		// makes the cached entry stale immediately, never the reverse. The
 		// capture is the leader's own — coalesced followers share it. Rollup
-		// reads are guarded by the RAW store's generations too: rollup series
-		// only change at checkpoint time, and every checkpoint was preceded by
-		// the raw appends (gen bumps) whose points it rolls up.
+		// reads are guarded by the same generations: a series' buckets live
+		// in its raw series' shard, whose generation moves when a seal
+		// appends to them.
 		keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
 		keys, err := matchedKeys(db, req)
 		if err != nil {
@@ -547,14 +547,15 @@ type StoreMeta struct {
 	HotTailPoints           int                   `json:"hotTailPoints"`
 	ColdReadErrors          uint64                `json:"coldReadErrors"`
 	BlockCache              tsdb.BlockCacheStats  `json:"blockCache"`
-	// RollupTiers reports whether the store maintains 1h/1d rollup
-	// series (resolution= is servable beyond raw).
+	// RollupTiers reports whether the store keeps 1h/1d rollup tiers
+	// (resolution= is servable beyond raw): every sealing store does.
 	RollupTiers bool `json:"rollupTiers"`
 }
 
 // Meta returns the archive summary.
 func (s *Service) Meta() Meta {
 	db := s.store()
+	_, hasTiers := db.Tier(tsdb.Res1h, tsdb.AggMean)
 	m := Meta{
 		APIVersion: APIVersion,
 		Schema: SchemaMeta{
@@ -582,7 +583,7 @@ func (s *Service) Meta() Meta {
 			HotTailPoints:           db.HotTailPoints(),
 			ColdReadErrors:          db.ColdReadErrors(),
 			BlockCache:              db.BlockCacheStats(),
-			RollupTiers:             db.Rollups() != nil,
+			RollupTiers:             hasTiers,
 		},
 		Retention:   db.RetentionStats(),
 		Replication: s.replicationMeta(db),

@@ -264,7 +264,7 @@ func (s *Service) readPage(plan readPlan, req QueryRequest, keys []tsdb.SeriesKe
 		left := req.Limit
 		for i := range rest {
 			at, seq := startOf(i)
-			c, err := plan.db.CountAfter(plan.key(rest[i]), at, seq, to)
+			c, err := plan.src.CountAfter(rest[i], at, seq, to)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -289,7 +289,7 @@ func (s *Service) readPage(plan readPlan, req QueryRequest, keys []tsdb.SeriesKe
 	s.fanOut(len(spans), func(j int) {
 		sp := spans[j]
 		at, seq := startOf(sp.key)
-		slots[j], errs[j] = plan.db.QueryAfter(plan.key(rest[sp.key]), at, seq, to, sp.n)
+		slots[j], errs[j] = plan.src.QueryAfter(rest[sp.key], at, seq, to, sp.n)
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, 0, err

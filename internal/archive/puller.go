@@ -5,21 +5,17 @@ package archive
 // (/api/v1/replication/manifest), fetches the delta into the replica
 // directory, commits the shipped MANIFEST with the same atomic rename a
 // checkpoint uses, reopens the directory read-only, and swaps the fresh
-// store into the service. The commit point is the parent MANIFEST
-// rename and nothing else: a crash anywhere mid-pull leaves the old
-// manifest referencing only old files — a stale replica, never a torn
-// one. (The rollup manifest commits just before the parent's, the same
-// window the primary's own checkpoint has between the two renames.)
+// store into the service. The commit point is the MANIFEST rename and
+// nothing else: a crash anywhere mid-pull leaves the old manifest
+// referencing only old files — a stale replica, never a torn one.
 //
 // Delta logic: artifacts are immutable once listed (sealed WAL
-// segments, block files, checkpoint snapshots), so a file already
-// staged under the same name, size, and store epoch is not re-fetched.
-// The two exceptions re-fetch unconditionally: artifacts the listing
-// marks Mutable (the rollup store's active segments, which grow at
-// parent checkpoints), and WAL segments whose staging epoch is unknown
-// or different (across a re-shard, a same-named segment can carry
-// different bytes; block and checkpoint names are globally unique
-// forever, so they never need this).
+// segments, block files, checkpoint and rollup snapshots), so a file
+// already staged under the same name, size, and store epoch is not
+// re-fetched. The one exception re-fetches unconditionally: WAL segments
+// whose staging epoch is unknown or different (across a re-shard, a
+// same-named segment can carry different bytes; block and snapshot names
+// are globally unique forever, so they never need this).
 //
 // Every file request pins the listing's (epoch, checkpointSeq). If a
 // checkpoint lands on the primary mid-pull, the primary answers 409
@@ -307,28 +303,13 @@ func (p *Puller) syncCycle() error {
 		return fmt.Errorf("archive: replica dir: %w", err)
 	}
 	p.clearTempFiles(p.cfg.Dir)
-	if listing.RollupManifest != nil {
-		if err := os.MkdirAll(filepath.Join(p.cfg.Dir, "rollup"), 0o755); err != nil {
-			return fmt.Errorf("archive: replica rollup dir: %w", err)
-		}
-		p.clearTempFiles(filepath.Join(p.cfg.Dir, "rollup"))
-	}
-	// Validate both manifests before moving a byte: a listing the
-	// follower could never open is refused up front.
+	// Validate the manifest before moving a byte: a listing the follower
+	// could never open is refused up front.
 	if err := tsdb.ValidateReplicatedManifest(listing.Manifest); err != nil {
 		return fmt.Errorf("archive: primary shipped an unusable manifest: %w", err)
 	}
-	if listing.RollupManifest != nil {
-		if err := tsdb.ValidateReplicatedManifest(listing.RollupManifest); err != nil {
-			return fmt.Errorf("archive: primary shipped an unusable rollup manifest: %w", err)
-		}
-	}
 	staged := make(map[string]stagedArtifact, len(listing.Artifacts))
-	usedRollup := false
 	for _, a := range listing.Artifacts {
-		if strings.HasPrefix(a.Name, "rollup/") {
-			usedRollup = true
-		}
 		if p.haveStaged(a, listing.Epoch) {
 			staged[a.Name] = stagedArtifact{size: a.Size, epoch: listing.Epoch}
 			continue
@@ -345,16 +326,6 @@ func (p *Puller) syncCycle() error {
 	// references them — the checkpoint's own write-all-then-rename order.
 	if err := tsdb.SyncReplicaDir(p.cfg.Dir); err != nil {
 		return err
-	}
-	if usedRollup {
-		if err := tsdb.SyncReplicaDir(filepath.Join(p.cfg.Dir, "rollup")); err != nil {
-			return err
-		}
-	}
-	if listing.RollupManifest != nil {
-		if err := tsdb.CommitReplicatedManifest(filepath.Join(p.cfg.Dir, "rollup"), listing.RollupManifest); err != nil {
-			return err
-		}
 	}
 	if err := tsdb.CommitReplicatedManifest(p.cfg.Dir, listing.Manifest); err != nil {
 		return err
@@ -388,18 +359,14 @@ func (p *Puller) syncCycle() error {
 // haveStaged reports whether artifact a is already present from an
 // earlier pull and provably byte-identical to what the primary lists.
 func (p *Puller) haveStaged(a tsdb.ReplicationArtifact, epoch uint64) bool {
-	if a.Mutable {
-		return false
-	}
-	st, err := os.Stat(filepath.Join(p.cfg.Dir, filepath.FromSlash(a.Name)))
+	st, err := os.Stat(filepath.Join(p.cfg.Dir, a.Name))
 	if err != nil || st.Size() != a.Size {
 		return false
 	}
-	base := strings.TrimPrefix(a.Name, "rollup/")
-	if !strings.HasPrefix(base, "wal-") {
-		// Block files and checkpoint snapshots carry globally monotonic
-		// sequence numbers: a name is minted once, ever, so name+size
-		// identifies the bytes.
+	if !strings.HasPrefix(a.Name, "wal-") {
+		// Block files and checkpoint and rollup snapshots carry globally
+		// monotonic sequence numbers: a name is minted once, ever, so
+		// name+size identifies the bytes.
 		return true
 	}
 	// WAL segment names can recur across store epochs (a re-shard resets
@@ -428,7 +395,7 @@ func (p *Puller) fetchArtifact(a tsdb.ReplicationArtifact, epoch, seq uint64) (i
 	default:
 		return 0, fmt.Errorf("archive: fetching %s: %s", a.Name, readAPIError(resp))
 	}
-	target := filepath.Join(p.cfg.Dir, filepath.FromSlash(a.Name))
+	target := filepath.Join(p.cfg.Dir, a.Name)
 	tmp := target + pullTempSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -441,13 +408,8 @@ func (p *Puller) fetchArtifact(a tsdb.ReplicationArtifact, epoch, seq uint64) (i
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil && !a.Mutable && n != a.Size {
+	if err == nil && n != a.Size {
 		err = fmt.Errorf("short read: got %d bytes, listing said %d", n, a.Size)
-	}
-	if err == nil && a.Mutable && n < a.Size {
-		// Mutable artifacts only grow between listings; shrinkage means
-		// the primary's state moved in a way the pin should have caught.
-		err = fmt.Errorf("mutable artifact shrank: got %d bytes, listing said %d", n, a.Size)
 	}
 	if err != nil {
 		os.Remove(tmp)
@@ -478,23 +440,19 @@ func (p *Puller) clearTempFiles(dir string) {
 // recordObsolete scans the replica for artifact-named files the current
 // listing does not reference and queues them for deletion.
 func (p *Puller) recordObsolete(live map[string]stagedArtifact) {
-	scan := func(dir, prefix string) {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			return
+	ents, err := os.ReadDir(p.cfg.Dir)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if !tsdb.IsReplicationArtifactName(name) {
+			continue
 		}
-		for _, e := range ents {
-			name := prefix + e.Name()
-			if !tsdb.IsReplicationArtifactName(name) {
-				continue
-			}
-			if _, ok := live[name]; !ok {
-				p.obsolete[name] = struct{}{}
-			}
+		if _, ok := live[name]; !ok {
+			p.obsolete[name] = struct{}{}
 		}
 	}
-	scan(p.cfg.Dir, "")
-	scan(filepath.Join(p.cfg.Dir, "rollup"), "rollup/")
 }
 
 // retireOld closes replaced stores past their grace period and — once
@@ -521,7 +479,7 @@ func (p *Puller) retireOld(force bool) {
 			delete(p.obsolete, name)
 			continue
 		}
-		if err := os.Remove(filepath.Join(p.cfg.Dir, filepath.FromSlash(name))); err == nil || errors.Is(err, os.ErrNotExist) {
+		if err := os.Remove(filepath.Join(p.cfg.Dir, name)); err == nil || errors.Is(err, os.ErrNotExist) {
 			delete(p.obsolete, name)
 		}
 	}
@@ -554,8 +512,6 @@ func listingSignature(l *replListing) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|", l.Epoch, l.CheckpointSeq)
 	h.Write(l.Manifest)
-	h.Write([]byte{'|'})
-	h.Write(l.RollupManifest)
 	names := make([]string, 0, len(l.Artifacts))
 	byName := make(map[string]tsdb.ReplicationArtifact, len(l.Artifacts))
 	for _, a := range l.Artifacts {
@@ -565,7 +521,7 @@ func listingSignature(l *replListing) uint64 {
 	sort.Strings(names)
 	for _, n := range names {
 		a := byName[n]
-		fmt.Fprintf(h, "|%s:%d:%t", a.Name, a.Size, a.Mutable)
+		fmt.Fprintf(h, "|%s:%d", a.Name, a.Size)
 	}
 	return h.Sum64()
 }

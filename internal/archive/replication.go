@@ -6,9 +6,9 @@ package archive
 // internal/tsdb/replication.go for the contract) on two endpoints:
 //
 //	GET /api/v1/replication/manifest
-//	    A coherent listing: the committed MANIFEST bytes (parent and
-//	    rollup), the (epoch, checkpointSeq) position they were captured
-//	    at, and every artifact file with its size.
+//	    A coherent listing: the committed MANIFEST bytes, the (epoch,
+//	    checkpointSeq) position they were captured at, and every
+//	    artifact file with its size.
 //	GET /api/v1/replication/file/{name}?epoch=E&checkpointSeq=S
 //	    One artifact, served range-able via http.ServeContent. The
 //	    request pins the listing's position: if a checkpoint (which may
@@ -220,16 +220,15 @@ func (s *Service) handleReadyz(w http.ResponseWriter) {
 	_, _ = io.WriteString(w, "ready\n")
 }
 
-// replListing is the /api/v1/replication/manifest response: the parent
-// store's flattened artifact list (rollup files under "rollup/"), both
-// manifests verbatim, and the position the listing is coherent at.
+// replListing is the /api/v1/replication/manifest response: the store's
+// artifact list, its manifest verbatim, and the position the listing is
+// coherent at.
 type replListing struct {
-	APIVersion     string                     `json:"apiVersion"`
-	Epoch          uint64                     `json:"epoch"`
-	CheckpointSeq  uint64                     `json:"checkpointSeq"`
-	Manifest       []byte                     `json:"manifest"`
-	RollupManifest []byte                     `json:"rollupManifest,omitempty"`
-	Artifacts      []tsdb.ReplicationArtifact `json:"artifacts"`
+	APIVersion    string                     `json:"apiVersion"`
+	Epoch         uint64                     `json:"epoch"`
+	CheckpointSeq uint64                     `json:"checkpointSeq"`
+	Manifest      []byte                     `json:"manifest"`
+	Artifacts     []tsdb.ReplicationArtifact `json:"artifacts"`
 }
 
 func (s *Service) handleReplManifest(w http.ResponseWriter, r *http.Request) {
@@ -255,13 +254,6 @@ func (s *Service) handleReplManifest(w http.ResponseWriter, r *http.Request) {
 		CheckpointSeq: snap.CheckpointSeq,
 		Manifest:      snap.Manifest,
 		Artifacts:     snap.Artifacts,
-	}
-	if snap.Rollup != nil {
-		out.RollupManifest = snap.Rollup.Manifest
-		for _, a := range snap.Rollup.Artifacts {
-			a.Name = "rollup/" + a.Name
-			out.Artifacts = append(out.Artifacts, a)
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -324,8 +316,8 @@ func (s *Service) handleReplFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ServeContent gives Range/If-Modified-Since handling for free; the
-	// artifacts are immutable (or, for rollup actives, append-only), so
-	// ranged resumes of an interrupted download are always byte-correct.
+	// artifacts are immutable, so ranged resumes of an interrupted
+	// download are always byte-correct.
 	w.Header().Set("Content-Type", "application/octet-stream")
 	http.ServeContent(w, r, filepath.Base(name), st.ModTime(), f)
 }

@@ -2,22 +2,22 @@ package archive
 
 // Query-time resolution selection over the rollup tiers.
 //
-// The tsdb maintains downsampled rollup series (min/max/mean/last at 1h
-// and 1d) in a nested rollup store (see internal/tsdb/rollup.go). The
-// serving layer exposes them through `resolution=` on /api/v1/query:
-// `raw` reads the raw series as before, `1h`/`1d` read the matching
-// rollup series, and `auto` picks from the window span so long-horizon
-// dashboards get the cheap tier without asking. The aggregate defaults
-// to mean; `agg=` selects min/max/last.
+// The tsdb keeps downsampled rollup tiers (min/max/mean/last at 1h and
+// 1d) beside every raw series of a sealing store (see
+// internal/tsdb/rollup.go). The serving layer exposes them through
+// `resolution=` on /api/v1/query: `raw` reads the raw series as before,
+// `1h`/`1d` read the matching tier, and `auto` picks from the window span
+// so long-horizon dashboards get the cheap tier without asking. The
+// aggregate defaults to mean; `agg=` selects min/max/last.
 //
 // Resolution is normalized to its effective value ("raw", "1h", "1d")
 // before the cache key and cursor scope are built: an `auto` request
 // whose window resolves to 1h shares cache entries — and cursor tokens —
 // with the equivalent explicit request, instead of fragmenting both.
 //
-// Responses are keyed by the RAW series key regardless of resolution:
-// which physical series served the points is an implementation detail,
-// and clients correlate rollup pages against raw ones by the same key.
+// Responses are keyed by the raw series key regardless of resolution,
+// which is also the key a tier is read by, so clients correlate rollup
+// pages against raw ones by the same key.
 
 import (
 	"time"
@@ -33,25 +33,20 @@ const (
 	autoDaily  = 60 * 24 * time.Hour
 )
 
-// readPlan is a resolved read target: the store to read points from and
-// the key transform from the raw series key the request matched to the
-// physical series key holding the data.
+// pointSource is what a page reads points from: the raw store
+// (*tsdb.DB) or one of its rollup tiers (tsdb.Tier), both addressed by
+// raw series key and keyset position.
+type pointSource interface {
+	CountAfter(k tsdb.SeriesKey, after time.Time, seq int, to time.Time) (int, error)
+	QueryAfter(k tsdb.SeriesKey, after time.Time, seq int, to time.Time, max int) ([]tsdb.Point, error)
+}
+
+// readPlan is a resolved read target.
 type readPlan struct {
-	db *tsdb.DB
+	src pointSource
 	// res is the effective resolution ("raw", "1h", "1d") after auto
 	// resolution; the page carries it to the X-Resolution header.
 	res string
-	// rollup is the parsed resolution when res != "raw".
-	rollup time.Duration
-	agg    tsdb.Agg
-}
-
-// key maps a raw series key to the physical key the plan reads.
-func (p *readPlan) key(k tsdb.SeriesKey) tsdb.SeriesKey {
-	if p.res == "raw" {
-		return k
-	}
-	return tsdb.RollupKey(k, p.rollup, p.agg)
 }
 
 // resolveRead validates req's Resolution/Agg and resolves auto against
@@ -78,12 +73,12 @@ func resolveRead(db *tsdb.DB, req *QueryRequest, from, to time.Time) (readPlan, 
 	if res == "" {
 		res = "raw"
 	}
-	ro := db.Rollups()
+	_, tiers := db.Tier(tsdb.Res1h, agg)
 	switch res {
 	case "raw":
 	case "auto":
 		res = "raw"
-		if ro != nil {
+		if tiers {
 			switch span := to.Sub(from); {
 			case span >= autoDaily:
 				res = "1d"
@@ -92,7 +87,7 @@ func resolveRead(db *tsdb.DB, req *QueryRequest, from, to time.Time) (readPlan, 
 			}
 		}
 	case "1h", "1d":
-		if ro == nil {
+		if !tiers {
 			return readPlan{}, badParam("resolution", "archive: resolution %q is unavailable: this store has no rollup tiers (memory-only or sealing disabled)", res)
 		}
 	default:
@@ -100,8 +95,9 @@ func resolveRead(db *tsdb.DB, req *QueryRequest, from, to time.Time) (readPlan, 
 	}
 	req.Resolution = res
 	if res == "raw" {
-		return readPlan{db: db, res: "raw", agg: agg}, nil
+		return readPlan{src: db, res: "raw"}, nil
 	}
 	d, _ := tsdb.ParseResolution(res)
-	return readPlan{db: ro, res: res, rollup: d, agg: agg}, nil
+	tier, _ := db.Tier(d, agg)
+	return readPlan{src: tier, res: res}, nil
 }

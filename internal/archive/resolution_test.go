@@ -222,7 +222,8 @@ func TestResolutionHeaderNamesTheStoreThatAnswered(t *testing.T) {
 	defer srv.Close()
 
 	end := time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
-	daily, err := disk.Rollups().Query(tsdb.RollupKey(k, 24*time.Hour, tsdb.AggMean), time.Time{}, end)
+	tier, _ := disk.Tier(tsdb.Res1d, tsdb.AggMean)
+	daily, err := tier.Query(k, time.Time{}, end)
 	if err != nil || len(daily) == 0 || len(daily) == 5 {
 		t.Fatalf("the replica's 1d tier holds %d points (err %v): the two stores' answers cannot be told apart", len(daily), err)
 	}

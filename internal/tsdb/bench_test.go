@@ -591,7 +591,7 @@ func rollupBenchFill(b *testing.B, db *DB, days int) SeriesKey {
 
 // BenchmarkRollupQuery measures the same 90-day window served from each
 // resolution tier of one sealed store: the raw series against its 1h and
-// 1d mean rollups. The `scanned` metric carries the scan counts — the
+// 1d mean tiers. The `scanned` metric carries the scan counts — the
 // target is the 1h tier scanning >= 50x fewer points than raw.
 func BenchmarkRollupQuery(b *testing.B) {
 	const days = 90
@@ -605,73 +605,75 @@ func BenchmarkRollupQuery(b *testing.B) {
 	if err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
-	ro := db.Rollups()
+	hourly, _ := db.Tier(Res1h, AggMean)
+	daily, _ := db.Tier(Res1d, AggMean)
 	from, to := t0, t0.Add(days*24*time.Hour)
 	for _, tier := range []struct {
 		name string
-		db   *DB
-		key  SeriesKey
+		src  interface {
+			Query(SeriesKey, time.Time, time.Time) ([]Point, error)
+		}
 	}{
-		{"raw", db, k},
-		{"1h", ro, RollupKey(k, Res1h, AggMean)},
-		{"1d", ro, RollupKey(k, Res1d, AggMean)},
+		{"raw", db},
+		{"1h", hourly},
+		{"1d", daily},
 	} {
 		b.Run(tier.name, func(b *testing.B) {
 			var pts []Point
-			s0 := tier.db.ScannedPoints()
+			s0 := db.ScannedPoints()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pts = noerr(tier.db.Query(tier.key, from, to))
+				pts = noerr(tier.src.Query(k, from, to))
 				if len(pts) == 0 {
 					b.Fatal("empty window")
 				}
 			}
 			b.StopTimer()
-			scanned := (tier.db.ScannedPoints() - s0) / uint64(b.N)
+			scanned := (db.ScannedPoints() - s0) / uint64(b.N)
 			b.ReportMetric(float64(len(pts)), "points")
 			b.ReportMetric(float64(scanned), "scanned")
 		})
 	}
 }
 
-// BenchmarkRollupBuild measures the checkpoint that seals 30 days of raw
-// data, without rollup tiers (seal only) and with them (seal + the
-// incremental rollup build), so the build's marginal cost is the delta
-// between the two rows.
+// BenchmarkRollupBuild measures the checkpoint that first seals an
+// archive-v1-shaped store — 400 series of 896 change-only points
+// (archiveBlockPoints), one 512-point block each sealed behind the
+// default 256-point hot tail — the stage the rollup build rides on: fold
+// the sealed prefixes into 1h/1d buckets, write them as the rollup
+// snapshot beside the block file, commit. Reported alongside ns/op: the
+// buckets built and the rollup snapshot's bytes per bucket.
 func BenchmarkRollupBuild(b *testing.B) {
-	const days = 30
-	for _, cfg := range []struct {
-		name      string
-		noRollups bool
-	}{
-		{"seal-only", true},
-		{"seal+rollup", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var built int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				opts := Options{Shards: 2, RotateBytes: 8 << 20, HotTailPoints: 64, BlockPoints: 512, BlockCacheBytes: 4 << 20}
-				opts.noRollups = cfg.noRollups
-				db, err := OpenWithOptions(b.TempDir(), opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rollupBenchFill(b, db, days)
-				b.StartTimer()
-				if err := db.Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if ro := db.Rollups(); ro != nil {
-					built += int64(ro.PointCount())
-				}
-				db.Close()
+	const seriesN, perSeries = 400, 896
+	var buckets, snapBytes int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db, err := OpenWithOptions(b.TempDir(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s := 0; s < seriesN; s++ {
+			k := SeriesKey{Dataset: DatasetPlacementScore, Type: fmt.Sprintf("t%d.large", s), Region: "us-east-1", AZ: "us-east-1a"}
+			pts := archiveBlockPoints(uint64(s+1), perSeries)
+			batch := make([]Entry, len(pts))
+			for j, p := range pts {
+				batch[j] = Entry{Key: k, At: p.At, Value: p.Value}
 			}
-			if !cfg.noRollups && built == 0 {
-				b.Fatal("checkpoint built no rollup points")
+			if _, err := db.AppendBatch(batch); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(days*24*60)/b.Elapsed().Seconds()*float64(b.N), "raw-points/s")
-		})
+		}
+		b.StartTimer()
+		if err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		buckets, snapBytes = db.rollupBkts.Load(), db.rollupBytes.Load()
+		db.Close()
 	}
+	if buckets == 0 {
+		b.Fatal("checkpoint built no rollup buckets")
+	}
+	b.ReportMetric(float64(buckets), "buckets")
+	b.ReportMetric(float64(snapBytes)/float64(buckets), "rollup-B/bucket")
 }

@@ -4,16 +4,21 @@ package tsdb
 // its block cache / retention states) as obs.Counter fields — one atomic
 // per fact, incremented on the hot paths exactly as before. This file
 // registers func-backed views of them so a process-wide registry can
-// outlive any one store: followers swap stores on catch-up (SwapDB) and
-// a rollup-enabled store nests a second DB in-process, so metrics read
-// through a current() indirection instead of binding the counters of
-// whichever store existed at wiring time.
+// outlive any one store: followers swap stores on catch-up (SwapDB), so
+// metrics read through a current() indirection instead of binding the
+// counters of whichever store existed at wiring time.
 
 import "repro/internal/obs"
 
+// checkpointBuckets are the checkpoint wall-time bucket bounds in
+// seconds: from an idle store's few-millisecond checkpoint to a first
+// seal of a large archive.
+var checkpointBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+
 // RegisterMetrics registers the store's counters, gauges and histogram on
-// reg under the spotlake_store_*, spotlake_maintenance_*,
-// spotlake_blockcache_*, spotlake_retention_* and spotlake_block_* names.
+// reg under the spotlake_store_*, spotlake_checkpoint_*,
+// spotlake_maintenance_*, spotlake_blockcache_*, spotlake_rollup_*,
+// spotlake_retention_* and spotlake_block_* names.
 // current returns the store to read at scrape time; it may return nil
 // (all series then read zero), and the store it returns may change
 // between scrapes — counters then restart from the new store's history,
@@ -60,6 +65,18 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) uint64 { return db.ColdReadErrors() })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows).",
 		func(db *DB) uint64 { return db.ScannedPoints() })
+
+	reg.HistogramFunc("spotlake_checkpoint_seconds", "Wall time of committed checkpoints (manual or maintenance), from capture through rollup snapshot, manifest commit, WAL reclamation and retention.",
+		func() obs.HistogramSnapshot {
+			if db := current(); db != nil {
+				return db.cpTime.Snapshot()
+			}
+			return obs.NewHistogram(checkpointBuckets).Snapshot()
+		})
+	gauge("spotlake_rollup_buckets", "1h and 1d rollup buckets held in memory across every series.",
+		func(db *DB) float64 { return float64(db.rollupBkts.Load()) })
+	gauge("spotlake_rollup_snapshot_bytes", "Size of the committed rollup snapshot file (0 before the first seal finalizes a bucket).",
+		func(db *DB) float64 { return float64(db.rollupBytes.Load()) })
 
 	counter("spotlake_maintenance_checkpoints_total", "Checkpoints committed by the store's maintainer.",
 		func(db *DB) uint64 { return db.MaintenanceStats().Checkpoints })

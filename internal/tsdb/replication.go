@@ -4,15 +4,12 @@ package tsdb
 // followers.
 //
 // A durable store's committed state is entirely described by its MANIFEST
-// plus the files the manifest references: the checkpoint snapshot, the
-// sealed block files, the WAL segment chains, and the nested rollup
-// store's equivalents one directory down. All of those files are written
-// once and never modified in place (the one exception — the rollup
-// store's active segments — is append-only between parent checkpoints and
-// is flagged Mutable below), so a replica can be built by copying the
-// artifacts and atomically installing the manifest last: the exact
-// protocol the checkpoint itself uses, with HTTP in place of rename
-// ordering on one machine. A follower that crashes mid-copy holds an old
+// plus the files the manifest references: the checkpoint and rollup
+// snapshots, the sealed block files, and the WAL segment chains. All of
+// those files are written once and never modified in place, so a replica
+// can be built by copying the artifacts and atomically installing the
+// manifest last: the exact protocol the checkpoint itself uses, with HTTP
+// in place of rename ordering on one machine. A follower that crashes mid-copy holds an old
 // manifest referencing only old files — a stale replica, never a corrupt
 // one.
 //
@@ -28,34 +25,24 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // ReplicationArtifact names one file of a replication snapshot, relative
-// to the store directory (rollup-store artifacts carry a "rollup/"
-// prefix). Size is the file's on-disk size at capture time. Mutable marks
-// the only artifacts whose bytes can change under an unchanged name — the
-// rollup store's active WAL segments, which grow at parent checkpoints —
-// so a puller re-fetches them unconditionally instead of trusting a
-// name+size match.
+// to the store directory. Size is the file's on-disk size at capture
+// time; every artifact is immutable, so name and size identify its bytes.
 type ReplicationArtifact struct {
-	Name    string `json:"name"`
-	Size    int64  `json:"size"`
-	Mutable bool   `json:"mutable,omitempty"`
+	Name string `json:"name"`
+	Size int64  `json:"size"`
 }
 
 // ReplicationSnapshot is a coherent listing of a store's committed state:
 // the manifest bytes as committed (byte-identical to the MANIFEST file)
-// and every file a replica needs to serve that manifest. Rollup holds the
-// nested rollup store's snapshot when the store maintains one; its
-// artifact names are NOT prefixed (the parent-level flattening adds the
-// "rollup/" prefix — see flatten in the archive layer).
+// and every file a replica needs to serve that manifest.
 type ReplicationSnapshot struct {
 	Epoch         uint64                `json:"epoch"`
 	CheckpointSeq uint64                `json:"checkpointSeq"`
 	Manifest      json.RawMessage       `json:"manifest"`
 	Artifacts     []ReplicationArtifact `json:"artifacts"`
-	Rollup        *ReplicationSnapshot  `json:"rollup,omitempty"`
 }
 
 // ReplicationSnapshot captures a coherent artifact listing under the
@@ -64,9 +51,8 @@ type ReplicationSnapshot struct {
 // still seal new segments concurrently (they only take shard locks);
 // that is harmless — an extra sealed segment just appears in the listing,
 // and the chains stay coherent because sealing never changes committed
-// bytes. The rollup store is flushed first and is quiescent under the
-// parent's lock (all rollup writes happen inside parent checkpoints), so
-// its active segments are listed at a stable size.
+// bytes. Active segments are not listed: they take concurrent appends
+// and are covered by the next rotation or checkpoint instead.
 func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 	if db.dir == "" {
 		return nil, errors.New("tsdb: memory-only store has no replication artifacts")
@@ -76,32 +62,6 @@ func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 	if db.closed.Load() {
 		return nil, errClosed
 	}
-	snap, err := db.replicationSnapshotLocked(false)
-	if err != nil {
-		return nil, err
-	}
-	if db.rollup != nil {
-		if err := db.rollup.Flush(); err != nil {
-			return nil, fmt.Errorf("tsdb: flushing rollup store for replication: %w", err)
-		}
-		db.rollup.cpMu.Lock()
-		rs, rerr := db.rollup.replicationSnapshotLocked(true)
-		db.rollup.cpMu.Unlock()
-		if rerr != nil {
-			return nil, rerr
-		}
-		snap.Rollup = rs
-	}
-	return snap, nil
-}
-
-// replicationSnapshotLocked enumerates one store level; the caller holds
-// its cpMu. includeActive additionally lists each shard's active segment
-// (marked Mutable) — used for the rollup store, whose active tail is part
-// of committed rollup state, but not for the parent, whose active
-// segments take concurrent appends and are covered by the next rotation
-// or checkpoint instead.
-func (db *DB) replicationSnapshotLocked(includeActive bool) (*ReplicationSnapshot, error) {
 	raw, err := json.Marshal(db.man)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: encoding manifest for replication: %w", err)
@@ -111,44 +71,37 @@ func (db *DB) replicationSnapshotLocked(includeActive bool) (*ReplicationSnapsho
 		CheckpointSeq: db.man.CheckpointSeq,
 		Manifest:      raw,
 	}
-	add := func(name string, mutable bool) error {
+	add := func(name string) error {
 		st, err := os.Stat(filepath.Join(db.dir, name))
 		if err != nil {
 			return fmt.Errorf("tsdb: replication artifact %s: %w", name, err)
 		}
-		s.Artifacts = append(s.Artifacts, ReplicationArtifact{Name: name, Size: st.Size(), Mutable: mutable})
+		s.Artifacts = append(s.Artifacts, ReplicationArtifact{Name: name, Size: st.Size()})
 		return nil
 	}
-	if db.man.Checkpoint != "" {
-		if err := add(db.man.Checkpoint, false); err != nil {
+	for _, name := range []string{db.man.Checkpoint, db.man.Rollups} {
+		if name == "" {
+			continue
+		}
+		if err := add(name); err != nil {
 			return nil, err
 		}
 	}
 	for _, seq := range db.man.Blocks {
-		if err := add(blockFileName(seq), false); err != nil {
+		if err := add(blockFileName(seq)); err != nil {
 			return nil, err
 		}
 	}
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		sealed := make([]uint64, 0, len(sh.sealed)+1)
+		sealed := make([]uint64, 0, len(sh.sealed))
 		for _, sg := range sh.sealed {
 			sealed = append(sealed, sg.seq)
 		}
-		var active uint64
-		haveActive := includeActive && sh.walF != nil
-		if haveActive {
-			active = sh.walSeq
-		}
 		sh.mu.RUnlock()
 		for _, seq := range sealed {
-			if err := add(rotSegName(i, seq), false); err != nil {
-				return nil, err
-			}
-		}
-		if haveActive {
-			if err := add(rotSegName(i, active), true); err != nil {
+			if err := add(rotSegName(i, seq)); err != nil {
 				return nil, err
 			}
 		}
@@ -175,15 +128,11 @@ func (db *DB) ReadOnly() bool { return db.readOnly }
 
 // IsReplicationArtifactName reports whether name is a well-formed
 // artifact name a ReplicationSnapshot could list: a rotating WAL segment,
-// a checkpoint snapshot, or a block file, optionally under a single
-// "rollup/" prefix. Everything else — including any path that is not in
-// canonical spelling — is rejected, which is what makes the name safe to
-// join onto a directory for serving (no traversal, no reaching files the
-// protocol does not own).
+// a checkpoint or rollup snapshot, or a block file. Everything else —
+// including any path that is not in canonical spelling — is rejected,
+// which is what makes the name safe to join onto a directory for serving
+// (no traversal, no reaching files the protocol does not own).
 func IsReplicationArtifactName(name string) bool {
-	if rest, ok := strings.CutPrefix(name, "rollup/"); ok {
-		name = rest
-	}
 	var i int
 	var seq uint64
 	if scanRotSegName(name, &i, &seq) {
@@ -193,6 +142,9 @@ func IsReplicationArtifactName(name string) bool {
 		return true
 	}
 	if n, err := fmt.Sscanf(name, "checkpoint-%d.snap", &seq); err == nil && n == 1 && name == checkpointName(seq) {
+		return true
+	}
+	if n, err := fmt.Sscanf(name, "rollup-%d.snap", &seq); err == nil && n == 1 && name == rollupName(seq) {
 		return true
 	}
 	return false

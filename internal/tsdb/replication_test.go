@@ -10,56 +10,39 @@ import (
 )
 
 // copyReplica ships src's current ReplicationSnapshot into dstDir the
-// way the archive puller does: stage every artifact, fsync, commit the
-// rollup manifest (if any), then the parent manifest — the sole commit
-// point. Returns the snapshot it shipped.
+// way the archive puller does: stage every artifact, fsync, then commit
+// the manifest — the sole commit point. Returns the snapshot it shipped.
 func copyReplica(t *testing.T, src *DB, dstDir string) *ReplicationSnapshot {
 	t.Helper()
 	snap, err := src.ReplicationSnapshot()
 	if err != nil {
 		t.Fatalf("ReplicationSnapshot: %v", err)
 	}
-	stage := func(srcDir, dstDir string, arts []ReplicationArtifact) {
-		for _, a := range arts {
-			if !IsReplicationArtifactName(a.Name) {
-				t.Fatalf("snapshot listed non-artifact name %q", a.Name)
-			}
-			in, err := os.Open(filepath.Join(srcDir, a.Name))
-			if err != nil {
-				t.Fatalf("open artifact: %v", err)
-			}
-			out, err := os.Create(filepath.Join(dstDir, a.Name))
-			if err != nil {
-				t.Fatalf("stage artifact: %v", err)
-			}
-			n, err := io.Copy(out, in)
-			in.Close()
-			if err == nil {
-				err = out.Close()
-			}
-			if err != nil {
-				t.Fatalf("copy artifact %s: %v", a.Name, err)
-			}
-			if !a.Mutable && n != a.Size {
-				t.Fatalf("artifact %s: copied %d bytes, listing said %d", a.Name, n, a.Size)
-			}
-		}
-	}
 	if err := os.MkdirAll(dstDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	stage(src.Dir(), dstDir, snap.Artifacts)
-	if snap.Rollup != nil {
-		rdir := filepath.Join(dstDir, "rollup")
-		if err := os.MkdirAll(rdir, 0o755); err != nil {
-			t.Fatal(err)
+	for _, a := range snap.Artifacts {
+		if !IsReplicationArtifactName(a.Name) {
+			t.Fatalf("snapshot listed non-artifact name %q", a.Name)
 		}
-		stage(filepath.Join(src.Dir(), "rollup"), rdir, snap.Rollup.Artifacts)
-		if err := SyncReplicaDir(rdir); err != nil {
-			t.Fatal(err)
+		in, err := os.Open(filepath.Join(src.Dir(), a.Name))
+		if err != nil {
+			t.Fatalf("open artifact: %v", err)
 		}
-		if err := CommitReplicatedManifest(rdir, snap.Rollup.Manifest); err != nil {
-			t.Fatalf("committing rollup manifest: %v", err)
+		out, err := os.Create(filepath.Join(dstDir, a.Name))
+		if err != nil {
+			t.Fatalf("stage artifact: %v", err)
+		}
+		n, err := io.Copy(out, in)
+		in.Close()
+		if err == nil {
+			err = out.Close()
+		}
+		if err != nil {
+			t.Fatalf("copy artifact %s: %v", a.Name, err)
+		}
+		if n != a.Size {
+			t.Fatalf("artifact %s: copied %d bytes, listing said %d", a.Name, n, a.Size)
 		}
 	}
 	if err := SyncReplicaDir(dstDir); err != nil {
@@ -111,12 +94,31 @@ func assertStoresEqual(t *testing.T, a, b *DB) {
 			t.Fatalf("%v counts differ: %d vs %d", k, ca, cb)
 		}
 	}
-	ra, rb := a.Rollups(), b.Rollups()
-	if (ra == nil) != (rb == nil) {
-		t.Fatalf("rollup presence differs: %v vs %v", ra != nil, rb != nil)
+	if a.rollupBkts.Load() != b.rollupBkts.Load() {
+		t.Fatalf("rollup bucket counts differ: %d vs %d", a.rollupBkts.Load(), b.rollupBkts.Load())
 	}
-	if ra != nil {
-		assertStoresEqual(t, ra, rb)
+	for _, res := range rollupResolutions {
+		for _, agg := range rollupAggs {
+			ta, oka := a.Tier(res, agg)
+			tb, okb := b.Tier(res, agg)
+			if oka != okb {
+				t.Fatalf("%s/%s tier presence differs: %v vs %v", ResName(res), agg, oka, okb)
+			}
+			if !oka {
+				continue
+			}
+			for _, k := range ka {
+				pa, pb := noerr(ta.Query(k, time.Time{}, end)), noerr(tb.Query(k, time.Time{}, end))
+				if len(pa) != len(pb) {
+					t.Fatalf("%v %s/%s: %d vs %d buckets", k, ResName(res), agg, len(pa), len(pb))
+				}
+				for j := range pa {
+					if !pa[j].At.Equal(pb[j].At) || pa[j].Value != pb[j].Value {
+						t.Fatalf("%v %s/%s bucket %d: (%v,%v) vs (%v,%v)", k, ResName(res), agg, j, pa[j].At, pa[j].Value, pb[j].At, pb[j].Value)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -170,7 +172,7 @@ func TestReplicaDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	preSnap := noerr(db.ReplicationSnapshot())
-	// Stage the new artifacts without committing either manifest.
+	// Stage the new artifacts without committing the manifest.
 	for _, a := range preSnap.Artifacts {
 		src := noerr(os.ReadFile(filepath.Join(pdir, a.Name)))
 		if err := os.WriteFile(filepath.Join(rdir, a.Name), src, 0o644); err != nil {
@@ -259,9 +261,7 @@ func TestIsReplicationArtifactName(t *testing.T) {
 		"wal-00003-000421.log",
 		"blocks-000001.blk",
 		"checkpoint-000007.snap",
-		"rollup/wal-00000-000001.log",
-		"rollup/blocks-000002.blk",
-		"rollup/checkpoint-000001.snap",
+		"rollup-000007.snap",
 	}
 	for _, n := range valid {
 		if !IsReplicationArtifactName(n) {
@@ -271,8 +271,8 @@ func TestIsReplicationArtifactName(t *testing.T) {
 	invalid := []string{
 		"", "MANIFEST", "rollup/MANIFEST", "points.wal",
 		"../wal-00000-000001.log", "wal-00000-000001.log.tmp",
-		"rollup/rollup/blocks-000001.blk", "/etc/passwd",
-		"blocks-1.blk", "checkpoint-1.snap", "wal-0-1.log",
+		"rollup/blocks-000001.blk", "rollup/wal-00000-000001.log", "/etc/passwd",
+		"blocks-1.blk", "checkpoint-1.snap", "rollup-1.snap", "rollup-000001.snap.tmp", "wal-0-1.log",
 		"blocks-000001.blk/..", "foo/blocks-000001.blk",
 	}
 	for _, n := range invalid {
@@ -297,7 +297,7 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 
 // TestReplicationSnapshotCoherent: every listed artifact exists at its
 // listed size, the manifest matches the committed file byte for byte,
-// and only the rollup level lists mutable artifacts.
+// and the checkpoint and rollup snapshots the manifest names are listed.
 func TestReplicationSnapshotCoherent(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, rollupOpts())
@@ -319,34 +319,22 @@ func TestReplicationSnapshotCoherent(t *testing.T) {
 	if string(onDisk) != string(snap.Manifest) {
 		t.Error("snapshot manifest differs from the committed MANIFEST file")
 	}
-	check := func(base string, s *ReplicationSnapshot, allowMutable, wantCheckpoint bool) {
-		sawCheckpoint := false
-		for _, a := range s.Artifacts {
-			st, err := os.Stat(filepath.Join(base, a.Name))
-			if err != nil {
-				t.Fatalf("listed artifact missing: %v", err)
-			}
-			if st.Size() != a.Size {
-				t.Errorf("%s: size %d, listed %d", a.Name, st.Size(), a.Size)
-			}
-			if a.Mutable && !allowMutable {
-				t.Errorf("%s: parent level listed a mutable artifact", a.Name)
-			}
-			if strings.HasPrefix(a.Name, "checkpoint-") {
-				sawCheckpoint = true
-			}
+	listed := make(map[string]bool)
+	for _, a := range snap.Artifacts {
+		st, err := os.Stat(filepath.Join(dir, a.Name))
+		if err != nil {
+			t.Fatalf("listed artifact missing: %v", err)
 		}
-		if wantCheckpoint && !sawCheckpoint {
-			t.Error("no checkpoint snapshot in the listing after Checkpoint()")
+		if st.Size() != a.Size {
+			t.Errorf("%s: size %d, listed %d", a.Name, st.Size(), a.Size)
+		}
+		listed[a.Name] = true
+	}
+	for _, name := range []string{db.man.Checkpoint, db.man.Rollups} {
+		if !strings.HasSuffix(name, ".snap") || !listed[name] {
+			t.Errorf("manifest snapshot %q missing from the listing after Checkpoint()", name)
 		}
 	}
-	check(dir, snap, false, true)
-	if snap.Rollup == nil {
-		t.Fatal("no rollup snapshot from a rollup-bearing store")
-	}
-	// The rollup store checkpoints on its own cadence; a fresh one may
-	// hold only WAL segments, so no checkpoint file is required there.
-	check(filepath.Join(dir, "rollup"), snap.Rollup, true, false)
 	epoch, seq := db.ReplicationPosition()
 	if epoch != snap.Epoch || seq != snap.CheckpointSeq {
 		t.Errorf("position (%d,%d) != snapshot (%d,%d)", epoch, seq, snap.Epoch, snap.CheckpointSeq)

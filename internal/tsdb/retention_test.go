@@ -23,7 +23,6 @@ func retentionOpts() Options {
 // and 1d buckets present in the committed rollup tier.
 func assertNeverDropUncovered(t *testing.T, db *DB, ref map[SeriesKey][]Point) {
 	t.Helper()
-	ro := db.Rollups()
 	end := t0.Add(100000 * time.Hour)
 	for k, want := range ref {
 		got := noerr(db.Query(k, time.Time{}, end))
@@ -39,8 +38,8 @@ func assertNeverDropUncovered(t *testing.T, db *DB, ref map[SeriesKey][]Point) {
 		for _, p := range want[:len(want)-len(got)] {
 			for _, res := range rollupResolutions {
 				bs := time.Unix(0, bucketStart(p.At.UnixNano(), res)).UTC()
-				rk := RollupKey(k, res, AggMean)
-				cov := noerr(ro.Query(rk, bs, bs))
+				tier, _ := db.Tier(res, AggMean)
+				cov := noerr(tier.Query(k, bs, bs))
 				if len(cov) != 1 {
 					t.Fatalf("%v: raw point at %v was dropped but its %s bucket %v has no committed rollup",
 						k, p.At, ResName(res), bs)
@@ -170,7 +169,6 @@ func crashMatrixWorkload(t *testing.T, db *DB) map[SeriesKey][]Point {
 // not cover, and can still checkpoint its way forward.
 func TestRetentionCrashMatrix(t *testing.T) {
 	points := []string{
-		"retention:before-rollup-sync",
 		"retention:manifest:before-sync",
 		"retention:manifest:synced",
 		"retention:manifest:committed",

@@ -1,37 +1,34 @@
 package tsdb
 
-// Materialized rollup tiers and per-dataset raw retention.
+// Rollup tiers and per-dataset raw retention.
 //
 // Long-horizon queries (the paper's month-scale Figures 6/7 views) should
-// not pay to decode every raw tick: the maintenance cycle materializes
-// downsampled rollups — min/max/mean/last at 1h and 1d — as ordinary
-// series in a dedicated nested store at <dir>/rollup, built incrementally
-// from sealed history at checkpoint time. Query-time resolution selection
-// (internal/archive's resolution= parameter) then reads ~2k 1h buckets
-// for a 90-day window instead of ~130k raw points.
+// not pay to decode every raw tick: every sealing store keeps downsampled
+// rollups — min/max/mean/last at 1h and 1d — beside each raw series, in
+// memory, as one bucket array per resolution. Query-time resolution
+// selection (internal/archive's resolution= parameter) reads them through
+// Tier: ~2k 1h buckets for a 90-day window instead of ~130k raw points.
 //
 // # Build protocol
 //
-// The builder runs at the tail of every checkpoint, under cpMu, after the
-// seal attach. Only *finalized* buckets are materialized: appends are
-// monotone per series and every hot point sits at or after cold.lastAt,
-// so a bucket [t, t+res) is immutable exactly when t+res <= cold.lastAt —
-// equivalently, when t < bucketStart(lastAt). Finalized buckets therefore
-// contain only sealed points, and the build reads them through the same
-// seriesView iteration the query paths use, one decoded block resident at
-// a time, outside the shard locks.
+// A bucket [t, t+res) is final exactly when t < bucketStart(cold.lastAt):
+// appends are monotone per series and every hot point sits at or after
+// cold.lastAt. Only a seal moves cold.lastAt, so the build is part of the
+// checkpoint that seals. For each series it seals, the checkpoint folds
+// the points from the tier's next bucket up to the new frontier — the
+// sealed prefix it is about to encode, plus at most one frontier bucket
+// of earlier cold points — into new buckets (sealBuckets). It then writes
+// every series' tiers, old buckets and new, as one rollup snapshot
+// (rollup-<seq>.snap, codec below) before the manifest commit, and the
+// manifest names that snapshot beside the block file of the same seal.
+// Blocks and the buckets covering them become durable in one rename:
+// no crash leaves one without the other, so there is no catch-up build
+// at open and no per-bucket log. Readers see the new buckets only after
+// the commit, appended to each series' tiers under its shard lock.
 //
-// Restartability rides the rollup store's own contents: each of a series'
-// eight rollup series (4 aggregates x 2 resolutions) carries its own
-// high-water mark — its last bucket timestamp — and the build appends
-// only buckets strictly after it. The marks are per-aggregate, not
-// per-series: the four aggregate series hash to different rollup shards
-// and a batch append is not atomic across shards, so a crash mid-build
-// can persist an aggregate subset of a bucket; on retry each aggregate
-// resumes from its own mark and no equal-timestamp duplicate is ever
-// appended. Raw blocks are immutable, so rebuilding a bucket from the
-// same sealed points is bitwise deterministic (mean is summed in time
-// order), which is what the differential tests assert.
+// Mean divides a time-ordered sum, so refolding a bucket from the same
+// immutable points reproduces it bit for bit, which is what the
+// differential tests assert.
 //
 // # Retention protocol
 //
@@ -43,23 +40,43 @@ package tsdb
 //	coverage = min over the dataset's sealed series of bucketStart_1d(lastAt)
 //
 // so cut <= coverage <= every series' finalized frontier, and a dropped
-// block's points (all below cut) lie in finalized, already-built buckets.
-// Backfilled series drag coverage down and simply postpone the cut. The
-// enforcement order is: build rollups (same cpMu hold, so coverage is
-// exact, not a stale atomic), checkpoint the rollup store (covering
-// buckets are durable), commit the parent manifest carrying the cut and
-// the shrunk block-file list (the usual rename commit point), detach the
-// dropped blocks in memory under the shard locks, then unlink block files
-// that became entirely dead. Partially-dead files stay; their dropped
-// blocks are re-dropped at open by replaying the manifest's committed
-// cuts against freshly built coverage. File handles stay open until
-// Close, so a reader holding a pre-drop seriesView keeps working.
+// block's points (all below cut) lie in buckets that committed with the
+// seal that moved lastAt past them. Backfilled series drag coverage down
+// and simply postpone the cut. Enforcement runs after the checkpoint's
+// commit, under the same cpMu hold: commit the manifest carrying the cut
+// and the shrunk block-file list (the usual rename commit point), detach
+// the dropped blocks in memory under the shard locks, then unlink block
+// files that became entirely dead. Partially-dead files stay; their
+// dropped blocks are re-dropped at open by replaying the manifest's
+// committed cuts. File handles stay open until Close, so a reader holding
+// a pre-drop seriesView keeps working.
 //
 // Hot points are never dropped: retention is a cold-tier policy, and the
 // hot tail is bounded by sealing already.
+//
+// # Rollup snapshot format (version 1)
+//
+//	header:  8-byte magic "SLROLLUP" | u16 version | u32 series count
+//	record:  u32 payload length | u32 CRC-32 (IEEE) of payload | payload
+//	payload: u16 key length | canonical key bytes |
+//	         per resolution (1h, 1d): u32 bucket count |
+//	         bucket count × (varint start/res delta | 4 × f64 bits)
+//
+// Integers are little-endian. A bucket's start is a multiple of its
+// resolution, written as the signed varint difference of start/res from
+// the previous bucket's (from 0 for the first), so a full hour of 1h
+// buckets costs one byte of timestamp; the aggregates follow in Agg
+// order. Records appear sorted by canonical key, each independently
+// length-prefixed and CRC-checked, and a decode of hostile input returns
+// an error, never panics.
 
 import (
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -73,7 +90,7 @@ import (
 )
 
 // Rollup resolutions. Each finalized raw bucket of these widths is
-// materialized as four rollup series (see Agg).
+// materialized as one bucket holding every Agg.
 const (
 	Res1h = time.Hour
 	Res1d = 24 * time.Hour
@@ -149,14 +166,11 @@ func ParseAgg(s string) (Agg, bool) {
 	return 0, false
 }
 
-// RollupKey maps a raw series key to the rollup series holding one of its
-// aggregates at one resolution. The rollup series lives in the nested
-// rollup store, keyed by a dataset suffix ("price~1h~mean") — '~' cannot
-// collide with the canonical form's '|' separator, so rollup keys survive
-// the WAL and snapshot round trips like any other key.
-func RollupKey(k SeriesKey, res time.Duration, agg Agg) SeriesKey {
-	k.Dataset = k.Dataset + "~" + ResName(res) + "~" + agg.String()
-	return k
+// bucket is one finalized rollup bucket [start, start+res): the
+// aggregates of the raw points inside it, indexed by Agg.
+type bucket struct {
+	start int64 // unix nanoseconds, a multiple of the resolution
+	v     [len(rollupAggs)]float64
 }
 
 // bucketStart floors a unix-nano timestamp to its bucket's start.
@@ -169,8 +183,454 @@ func bucketStart(at int64, res time.Duration) int64 {
 	return at - m
 }
 
+// Tier is one rollup tier of a store — a resolution and an aggregate —
+// read by raw series key through the raw reads' positions: CountAfter,
+// QueryAfter and Query mean what they mean on DB, over the tier's
+// buckets instead of the series' points. Bucket timestamps are unique
+// per series, so a position's sequence can only skip the bucket at
+// exactly its timestamp.
+type Tier struct {
+	db  *DB
+	r   int // index into rollupResolutions
+	agg Agg
+}
+
+// Tier returns the tier holding agg at res. ok is false when res is not
+// a materialized resolution or the store keeps no rollups: buckets are
+// built as history seals, so only sealing stores have them.
+func (db *DB) Tier(res time.Duration, agg Agg) (Tier, bool) {
+	if !db.SealsCold() || int(agg) >= len(rollupAggs) {
+		return Tier{}, false
+	}
+	for r, d := range rollupResolutions {
+		if d == res {
+			return Tier{db: db, r: r, agg: agg}, true
+		}
+	}
+	return Tier{}, false
+}
+
+// buckets captures k's buckets at the tier's resolution under the shard's
+// read lock. New buckets are only ever appended past the captured length,
+// so the capture stays valid after the lock is released.
+func (t Tier) buckets(k SeriesKey) []bucket {
+	sh := t.db.shardFor(k)
+	sh.mu.RLock()
+	var bs []bucket
+	if s := sh.series[k]; s != nil {
+		bs = s.rollups[t.r]
+	}
+	sh.mu.RUnlock()
+	return bs[:len(bs):len(bs)]
+}
+
+// bucketBounds is afterBounds over a bucket array: the window [lo, hi) of
+// the buckets after the position (after, seq) and at or before to.
+func bucketBounds(bs []bucket, after time.Time, seq int, to time.Time) (lo, hi int) {
+	lo = sort.Search(len(bs), func(i int) bool { return !time.Unix(0, bs[i].start).Before(after) })
+	if seq > 0 && lo < len(bs) && time.Unix(0, bs[lo].start).Equal(after) {
+		lo++
+	}
+	hi = sort.Search(len(bs), func(i int) bool { return time.Unix(0, bs[i].start).After(to) })
+	return lo, hi
+}
+
+// CountAfter is DB.CountAfter over the tier's buckets.
+func (t Tier) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
+	lo, hi := bucketBounds(t.buckets(k), after, seq, to)
+	if lo >= hi {
+		return 0, nil
+	}
+	return hi - lo, nil
+}
+
+// QueryAfter is DB.QueryAfter over the tier's buckets: each bucket is one
+// point at its start carrying the tier's aggregate.
+func (t Tier) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
+	bs := t.buckets(k)
+	lo, hi := bucketBounds(bs, after, seq, to)
+	if max >= 0 && max < hi-lo {
+		hi = lo + max
+	}
+	if lo >= hi {
+		return nil, nil
+	}
+	out := make([]Point, hi-lo)
+	for i := range out {
+		b := &bs[lo+i]
+		out[i] = Point{At: time.Unix(0, b.start).UTC(), Value: b.v[t.agg]}
+	}
+	t.db.scanned.Add(uint64(len(out)))
+	return out, nil
+}
+
+// Query returns the tier's points within [from, to], oldest first.
+func (t Tier) Query(k SeriesKey, from, to time.Time) ([]Point, error) {
+	return t.QueryAfter(k, from, 0, to, -1)
+}
+
+// foldBuckets folds the view's points in [from, end) into res buckets.
+// from is a bucket start, or noCut for the series' first point.
+func (db *DB) foldBuckets(v seriesView, res time.Duration, from, end int64) ([]bucket, error) {
+	lo := 0
+	if from != noCut {
+		var err error
+		lo, err = db.searchView(v, func(t time.Time) bool { return t.UnixNano() >= from })
+		if err != nil {
+			return nil, err
+		}
+	}
+	hi, err := db.searchView(v, func(t time.Time) bool { return t.UnixNano() >= end })
+	if err != nil {
+		return nil, err
+	}
+	var (
+		out  []bucket
+		cur  bucket
+		sum  float64
+		n    int64
+		open bool
+	)
+	flush := func() {
+		if open {
+			cur.v[AggMean] = sum / float64(n)
+			out = append(out, cur)
+		}
+	}
+	err = db.iterateView(v, lo, hi, func(pts []Point) error {
+		for _, p := range pts {
+			bs := bucketStart(p.At.UnixNano(), res)
+			if !open || bs != cur.start {
+				flush()
+				cur = bucket{start: bs, v: [len(rollupAggs)]float64{p.Value, p.Value, 0, p.Value}}
+				sum, n, open = p.Value, 1, true
+				continue
+			}
+			if p.Value < cur.v[AggMin] {
+				cur.v[AggMin] = p.Value
+			}
+			if p.Value > cur.v[AggMax] {
+				cur.v[AggMax] = p.Value
+			}
+			sum += p.Value
+			cur.v[AggLast] = p.Value
+			n++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	flush()
+	return out, nil
+}
+
+// rollupGrowth is the buckets one seal finalizes for one series, per
+// resolution.
+type rollupGrowth struct {
+	key SeriesKey
+	add [len(rollupResolutions)][]bucket
+}
+
+// sealBuckets returns the buckets that sealing `sealed` — the captured
+// prefix of k's hot tail about to become cold — finalizes: per
+// resolution, from the tier's next bucket up to bucketStart of the new
+// cold frontier. ok is false when the seal finalizes nothing. The caller
+// holds cpMu, so k's cold blocks and tiers cannot change underfoot.
+func (db *DB) sealBuckets(k SeriesKey, sealed []Point) (g rollupGrowth, ok bool, err error) {
+	sh := db.shardFor(k)
+	sh.mu.RLock()
+	s := sh.series[k]
+	v := viewLocked(s)
+	tiers := s.rollups
+	sh.mu.RUnlock()
+	v.hot = sealed
+	lastAt := sealed[len(sealed)-1].At.UnixNano()
+	g.key = k
+	for r, res := range rollupResolutions {
+		next := int64(noCut)
+		if n := len(tiers[r]); n > 0 {
+			next = tiers[r][n-1].start + int64(res)
+		}
+		end := bucketStart(lastAt, res)
+		if next >= end {
+			continue
+		}
+		if g.add[r], err = db.foldBuckets(v, res, next, end); err != nil {
+			return g, false, fmt.Errorf("tsdb: rollup build for %v at %s: %w", k, ResName(res), err)
+		}
+		ok = ok || len(g.add[r]) > 0
+	}
+	return g, ok, nil
+}
+
+// rollupRecord is one series' tiers as the snapshot codec sees them:
+// committed buckets (old) followed by a seal's new ones (add, empty when
+// decoding).
+type rollupRecord struct {
+	key   SeriesKey
+	canon string
+	old   [len(rollupResolutions)][]bucket
+	add   [len(rollupResolutions)][]bucket
+}
+
+func rollupName(seq uint64) string { return fmt.Sprintf("rollup-%06d.snap", seq) }
+
+const (
+	rollupMagic   = "SLROLLUP"
+	rollupVersion = 1
+	// rollupBucketBytes is the smallest encoded bucket (one-byte varint);
+	// the decoder bounds a record's bucket counts by it before allocating.
+	rollupBucketBytes = 1 + 8*len(rollupAggs)
+)
+
+// writeRollupFile writes every series' committed tiers extended by grown
+// as the rollup snapshot name and returns its size. The caller holds
+// cpMu, so no tier changes while it runs; shard locks are held only to
+// copy slice headers.
+func (db *DB) writeRollupFile(name string, grown []rollupGrowth) (int64, error) {
+	byKey := make(map[SeriesKey]*rollupGrowth, len(grown))
+	for i := range grown {
+		byKey[grown[i].key] = &grown[i]
+	}
+	var recs []rollupRecord
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.RLock()
+		for k, s := range sh.series {
+			g := byKey[k]
+			if g == nil && s.rollupCount() == 0 {
+				continue
+			}
+			rec := rollupRecord{key: k, canon: k.String(), old: s.rollups}
+			if g != nil {
+				rec.add = g.add
+			}
+			recs = append(recs, rec)
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].canon < recs[j].canon })
+	path := filepath.Join(db.dir, name)
+	if err := atomicWriteFile(path, func(w io.Writer) error {
+		return encodeRollups(w, recs)
+	}, db.cpHook("checkpoint:rollups")); err != nil {
+		return 0, err
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0, fmt.Errorf("tsdb: rollup snapshot: %w", err)
+	}
+	return st.Size(), nil
+}
+
+// installRollups appends a committed seal's new buckets to their series'
+// tiers and records the committed snapshot's size. A rollup read answers
+// from its shard's generation like any read, so the shard's generation
+// moves with its buckets.
+func (db *DB) installRollups(grown []rollupGrowth, size int64) {
+	if len(grown) == 0 {
+		return
+	}
+	db.rollupBytes.Store(size)
+	for i := range grown {
+		g := &grown[i]
+		sh := db.shardFor(g.key)
+		sh.mu.Lock()
+		s := sh.series[g.key]
+		for r := range g.add {
+			s.rollups[r] = append(s.rollups[r], g.add[r]...)
+			db.rollupBkts.Add(int64(len(g.add[r])))
+		}
+		sh.gen.Add(1)
+		sh.mu.Unlock()
+	}
+}
+
+// loadRollupFile installs the committed rollup snapshot name into the
+// store's series at open (single-threaded). A series the snapshot names
+// but the raw tiers do not yet hold is created empty.
+func (db *DB) loadRollupFile(name string) error {
+	f, err := os.Open(filepath.Join(db.dir, name))
+	if err != nil {
+		return fmt.Errorf("tsdb: opening rollup snapshot: %w", err)
+	}
+	defer f.Close()
+	recs, err := decodeRollups(f)
+	if err != nil {
+		return fmt.Errorf("tsdb: loading rollup snapshot: %w", err)
+	}
+	for _, rec := range recs {
+		sh := db.shardFor(rec.key)
+		s := sh.series[rec.key]
+		if s == nil {
+			s = &series{}
+			sh.series[rec.key] = s
+			db.keyGen.Add(1)
+		}
+		s.rollups = rec.old
+		db.rollupBkts.Add(int64(s.rollupCount()))
+	}
+	if st, err := f.Stat(); err == nil {
+		db.rollupBytes.Store(st.Size())
+	}
+	return nil
+}
+
+// encodeRollups writes recs, sorted by canonical key, in rollup snapshot
+// format.
+func encodeRollups(w io.Writer, recs []rollupRecord) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	head := make([]byte, 0, len(rollupMagic)+6)
+	head = append(head, rollupMagic...)
+	head = binary.LittleEndian.AppendUint16(head, rollupVersion)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(recs)))
+	if _, err := bw.Write(head); err != nil {
+		return fmt.Errorf("tsdb: rollup snapshot write: %w", err)
+	}
+	var payload []byte
+	for i := range recs {
+		rec := &recs[i]
+		payload = binary.LittleEndian.AppendUint16(payload[:0], uint16(len(rec.canon)))
+		payload = append(payload, rec.canon...)
+		for r, res := range rollupResolutions {
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rec.old[r])+len(rec.add[r])))
+			prev := int64(0)
+			for _, part := range [2][]bucket{rec.old[r], rec.add[r]} {
+				for j := range part {
+					b := &part[j]
+					idx := b.start / int64(res)
+					payload = binary.AppendVarint(payload, idx-prev)
+					prev = idx
+					for _, x := range b.v {
+						payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(x))
+					}
+				}
+			}
+		}
+		if len(payload) > maxSnapshotPayload {
+			return fmt.Errorf("tsdb: rollup snapshot: %v needs %d bytes, over the %d-byte record bound", rec.key, len(payload), maxSnapshotPayload)
+		}
+		var rh [8]byte
+		binary.LittleEndian.PutUint32(rh[:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(rh[4:], crc32.ChecksumIEEE(payload))
+		if _, err := bw.Write(rh[:]); err != nil {
+			return fmt.Errorf("tsdb: rollup snapshot write: %w", err)
+		}
+		if _, err := bw.Write(payload); err != nil {
+			return fmt.Errorf("tsdb: rollup snapshot write: %w", err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("tsdb: rollup snapshot write: %w", err)
+	}
+	return nil
+}
+
+// decodeRollups parses and validates a whole rollup snapshot before
+// anything is installed: every record's CRC, strictly ascending keys,
+// strictly ascending bucket starts within each resolution, exact payload
+// lengths, and no trailing data.
+func decodeRollups(r io.Reader) ([]rollupRecord, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	head := make([]byte, len(rollupMagic)+6)
+	if _, err := io.ReadFull(br, head); err != nil {
+		return nil, fmt.Errorf("tsdb: rollup snapshot header: %w", err)
+	}
+	if string(head[:len(rollupMagic)]) != rollupMagic {
+		return nil, errors.New("tsdb: rollup snapshot: bad magic")
+	}
+	if v := binary.LittleEndian.Uint16(head[len(rollupMagic):]); v != rollupVersion {
+		return nil, fmt.Errorf("tsdb: rollup snapshot: unsupported version %d", v)
+	}
+	count := binary.LittleEndian.Uint32(head[len(rollupMagic)+2:])
+	out := make([]rollupRecord, 0, min(int(count), 4096))
+	var rh [8]byte
+	for i := uint32(0); i < count; i++ {
+		if _, err := io.ReadFull(br, rh[:]); err != nil {
+			return nil, fmt.Errorf("tsdb: rollup snapshot record %d header: %w", i, err)
+		}
+		plen := binary.LittleEndian.Uint32(rh[:4])
+		if plen < 2 || plen > maxSnapshotPayload {
+			return nil, fmt.Errorf("tsdb: rollup snapshot record %d: invalid payload length %d", i, plen)
+		}
+		payload := make([]byte, plen)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return nil, fmt.Errorf("tsdb: rollup snapshot record %d body: %w", i, err)
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rh[4:]) {
+			return nil, fmt.Errorf("tsdb: rollup snapshot record %d: CRC mismatch", i)
+		}
+		rec, err := decodeRollupRecord(payload)
+		if err != nil {
+			return nil, fmt.Errorf("tsdb: rollup snapshot record %d: %w", i, err)
+		}
+		if n := len(out); n > 0 && rec.canon <= out[n-1].canon {
+			return nil, fmt.Errorf("tsdb: rollup snapshot record %d (%v): keys not strictly ascending", i, rec.key)
+		}
+		out = append(out, rec)
+	}
+	var one [1]byte
+	if _, err := io.ReadFull(br, one[:]); err != io.EOF {
+		return nil, errors.New("tsdb: rollup snapshot: trailing data after last record")
+	}
+	return out, nil
+}
+
+// decodeRollupRecord parses one CRC-checked record payload.
+func decodeRollupRecord(p []byte) (rollupRecord, error) {
+	var rec rollupRecord
+	keyLen := int(binary.LittleEndian.Uint16(p))
+	if 2+keyLen > len(p) {
+		return rec, fmt.Errorf("key length %d overruns payload", keyLen)
+	}
+	rec.canon = string(p[2 : 2+keyLen])
+	k, err := ParseSeriesKey(rec.canon)
+	if err != nil {
+		return rec, err
+	}
+	rec.key = k
+	p = p[2+keyLen:]
+	for r, res := range rollupResolutions {
+		if len(p) < 4 {
+			return rec, fmt.Errorf("%v: truncated %s bucket count", k, ResName(res))
+		}
+		n := binary.LittleEndian.Uint32(p)
+		p = p[4:]
+		if uint64(n) > uint64(len(p)/rollupBucketBytes) {
+			return rec, fmt.Errorf("%v: %d %s buckets overrun payload", k, n, ResName(res))
+		}
+		bs := make([]bucket, n)
+		idx := int64(0)
+		for j := range bs {
+			d, w := binary.Varint(p)
+			if w <= 0 || len(p)-w < 8*len(rollupAggs) {
+				return rec, fmt.Errorf("%v: truncated %s bucket %d", k, ResName(res), j)
+			}
+			p = p[w:]
+			if j > 0 && d < 1 {
+				return rec, fmt.Errorf("%v: %s buckets not strictly ascending", k, ResName(res))
+			}
+			idx += d
+			if idx > math.MaxInt64/int64(res) || idx < math.MinInt64/int64(res) {
+				return rec, fmt.Errorf("%v: %s bucket %d outside the timestamp range", k, ResName(res), j)
+			}
+			bs[j].start = idx * int64(res)
+			for a := range bs[j].v {
+				bs[j].v[a] = math.Float64frombits(binary.LittleEndian.Uint64(p))
+				p = p[8:]
+			}
+		}
+		rec.old[r] = bs
+	}
+	if len(p) != 0 {
+		return rec, fmt.Errorf("%v: %d trailing payload bytes", k, len(p))
+	}
+	return rec, nil
+}
+
 // noCut marks an unknown timestamp in the retention atomics (no append
-// seen yet, no coverage built yet, no cut committed yet).
+// seen yet, no coverage computed yet, no cut committed yet).
 const noCut = math.MinInt64
 
 // retentionState is one retained dataset's live bookkeeping. All fields
@@ -182,8 +642,8 @@ type retentionState struct {
 	// maxAt is the dataset's newest raw timestamp (simulated time, not
 	// wall clock — the archive replays history far faster than reality).
 	maxAt atomic.Int64
-	// coverage is the dataset's rollup frontier as of the last build:
-	// every raw point below it lies in a materialized finalized bucket.
+	// coverage is the dataset's rollup frontier as of the last seal:
+	// every raw point below it lies in a committed finalized bucket.
 	coverage atomic.Int64
 	// cut is the committed retention cut (manifest Retain): raw cold
 	// blocks wholly below it have been dropped.
@@ -208,10 +668,10 @@ func casMax(a *atomic.Int64, v int64) {
 
 // cutEstimate returns the dataset's current retention cut candidate:
 // min(maxAt - horizon, coverage). ok is false until an append exists.
-// Unknown coverage (no build has run yet — e.g. a fresh store before its
+// Unknown coverage (nothing sealed yet — e.g. a fresh store before its
 // first checkpoint) is treated optimistically as unbounded so the
-// trigger can arm and drive the checkpoint that builds it; this cannot
-// over-drop, because enforcement evaluates after the build under the
+// trigger can arm and drive the checkpoint that seals; this cannot
+// over-drop, because enforcement evaluates after that seal under the
 // same lock, when coverage is real — and a dataset whose coverage is
 // still unknown then has no sealed blocks to drop at all.
 func (rs *retentionState) cutEstimate() (int64, bool) {
@@ -233,11 +693,6 @@ func (db *DB) noteAppend(ds string, at time.Time) {
 		casMax(&rs.maxAt, at.UnixNano())
 	}
 }
-
-// Rollups returns the nested store holding the materialized rollup
-// series, or nil when the store does not maintain rollups (memory-only,
-// sealing disabled, or the rollup store itself). Query it with RollupKey.
-func (db *DB) Rollups() *DB { return db.rollup }
 
 // RetentionCut returns the dataset's committed retention cut: raw points
 // before it may have been dropped (rollups still cover them). ok is false
@@ -263,8 +718,8 @@ type RetentionStat struct {
 	Horizon time.Duration
 	// Cut is the committed retention cut; zero when nothing was cut yet.
 	Cut time.Time
-	// CoveredThrough is the rollup coverage frontier from the last build;
-	// zero before the first build. The cut never passes it.
+	// CoveredThrough is the rollup coverage frontier as of the last seal;
+	// zero before the first. The cut never passes it.
 	CoveredThrough time.Time
 	// DroppedPoints counts raw points retention dropped since open.
 	DroppedPoints int64
@@ -330,35 +785,15 @@ func ParseRetainRaw(s string) (map[string]time.Duration, error) {
 	return out, nil
 }
 
-// rollupCoverage is one build's outcome: each sealed series' finalized
-// frontier at the coarsest resolution (every raw point below it lies in a
-// materialized bucket at every resolution), and the per-dataset minimum
-// that bounds the retention cut.
-type rollupCoverage struct {
-	perSeries  map[SeriesKey]int64
-	perDataset map[string]int64
-}
-
-// buildRollupsLocked incrementally materializes rollups for every sealed
-// series and returns the resulting coverage. The caller holds cpMu (the
-// checkpoint tail, or Open before the store is shared); shard locks are
-// taken only to capture views, so writers stall for a map walk, not for
-// block decodes.
-func (db *DB) buildRollupsLocked() (rollupCoverage, error) {
-	cov := rollupCoverage{
-		perSeries:  make(map[SeriesKey]int64),
-		perDataset: make(map[string]int64),
-	}
-	if db.rollup == nil {
-		return cov, nil
-	}
-	type job struct {
-		key    SeriesKey
-		canon  string
-		v      seriesView
-		lastAt int64
-	}
-	var jobs []job
+// coverageLocked returns each sealed series' rollup frontier,
+// bucketStart_1d(cold.lastAt) — the coarsest resolution's, so every raw
+// point below it lies in a committed bucket at every resolution — and
+// stores each retained dataset's minimum, the bound on its cut, into its
+// retention state. The caller holds cpMu (the checkpoint tail, or Open
+// before the store is shared).
+func (db *DB) coverageLocked() map[SeriesKey]int64 {
+	perSeries := make(map[SeriesKey]int64)
+	perDataset := make(map[string]int64)
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
@@ -366,142 +801,20 @@ func (db *DB) buildRollupsLocked() (rollupCoverage, error) {
 			if s.cold == nil || s.cold.n == 0 {
 				continue
 			}
-			jobs = append(jobs, job{key: k, canon: k.String(), v: viewLocked(s), lastAt: s.cold.lastAt.UnixNano()})
+			c := bucketStart(s.cold.lastAt.UnixNano(), Res1d)
+			perSeries[k] = c
+			if cur, ok := perDataset[k.Dataset]; !ok || c < cur {
+				perDataset[k.Dataset] = c
+			}
 		}
 		sh.mu.RUnlock()
 	}
-	// Canonical order makes the build deterministic — same series order,
-	// same batch order, same rollup WAL bytes — which the crash-matrix
-	// harness relies on to reproduce a mid-build crash exactly.
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].canon < jobs[j].canon })
-	for ji := range jobs {
-		if ji == len(jobs)/2 {
-			if err := db.failpoint("rollup:build:mid"); err != nil {
-				return cov, err
-			}
-		}
-		j := &jobs[ji]
-		seriesCov := int64(math.MaxInt64)
-		for _, res := range rollupResolutions {
-			finalEnd := bucketStart(j.lastAt, res)
-			if err := db.buildSeriesRollup(j.key, j.v, res, finalEnd); err != nil {
-				return cov, fmt.Errorf("tsdb: rollup build for %v at %s: %w", j.key, ResName(res), err)
-			}
-			if finalEnd < seriesCov {
-				seriesCov = finalEnd
-			}
-		}
-		cov.perSeries[j.key] = seriesCov
-		if cur, ok := cov.perDataset[j.key.Dataset]; !ok || seriesCov < cur {
-			cov.perDataset[j.key.Dataset] = seriesCov
-		}
-	}
 	for ds, rs := range db.retain {
-		if c, ok := cov.perDataset[ds]; ok {
+		if c, ok := perDataset[ds]; ok {
 			rs.coverage.Store(c)
 		}
 	}
-	return cov, nil
-}
-
-// buildSeriesRollup materializes one series' finalized buckets at one
-// resolution, resuming each aggregate from its own high-water mark.
-func (db *DB) buildSeriesRollup(k SeriesKey, v seriesView, res time.Duration, finalEnd int64) error {
-	ro := db.rollup
-	// next[i] is the first bucket start aggregate i still needs: one
-	// resolution past its last persisted bucket, or everything when the
-	// aggregate series does not exist yet.
-	var next [len(rollupAggs)]int64
-	startFrom := int64(math.MaxInt64)
-	for i, a := range rollupAggs {
-		p, ok, err := ro.Last(RollupKey(k, res, a))
-		if err != nil {
-			return err
-		}
-		if ok {
-			next[i] = p.At.UnixNano() + int64(res)
-		} else {
-			next[i] = noCut
-		}
-		if next[i] < startFrom {
-			startFrom = next[i]
-		}
-	}
-	if startFrom >= finalEnd {
-		return nil
-	}
-	lo := 0
-	if startFrom != noCut {
-		var err error
-		lo, err = db.searchView(v, func(t time.Time) bool { return t.UnixNano() >= startFrom })
-		if err != nil {
-			return err
-		}
-	}
-	hi, err := db.searchView(v, func(t time.Time) bool { return t.UnixNano() >= finalEnd })
-	if err != nil {
-		return err
-	}
-	if lo >= hi {
-		return nil
-	}
-	var (
-		batch []Entry
-		cur   struct {
-			start               int64
-			min, max, sum, last float64
-			n                   int64
-		}
-		open bool
-	)
-	flush := func() {
-		if !open {
-			return
-		}
-		open = false
-		at := time.Unix(0, cur.start).UTC()
-		// Mean divides a time-ordered sum: rebuilding the bucket from the
-		// same immutable points reproduces it bit for bit.
-		vals := [len(rollupAggs)]float64{cur.min, cur.max, cur.sum / float64(cur.n), cur.last}
-		for i, a := range rollupAggs {
-			if cur.start >= next[i] {
-				batch = append(batch, Entry{Key: RollupKey(k, res, a), At: at, Value: vals[i]})
-			}
-		}
-	}
-	err = db.iterateView(v, lo, hi, func(pts []Point) error {
-		for _, p := range pts {
-			bs := bucketStart(p.At.UnixNano(), res)
-			if !open || bs != cur.start {
-				flush()
-				cur.start = bs
-				cur.min, cur.max, cur.sum, cur.last, cur.n = p.Value, p.Value, p.Value, p.Value, 1
-				open = true
-				continue
-			}
-			if p.Value < cur.min {
-				cur.min = p.Value
-			}
-			if p.Value > cur.max {
-				cur.max = p.Value
-			}
-			cur.sum += p.Value
-			cur.last = p.Value
-			cur.n++
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	flush()
-	if len(batch) == 0 {
-		return nil
-	}
-	if _, err := ro.AppendBatch(batch); err != nil {
-		return err
-	}
-	return nil
+	return perSeries
 }
 
 // dropColdBelow drops, for every series, the prefix of sealed blocks
@@ -569,16 +882,16 @@ func (db *DB) dropColdBelow(cut func(SeriesKey) int64, onDrop func(ds string, pt
 }
 
 // enforceRetentionLocked evaluates every retained dataset against the
-// coverage the build just produced (same cpMu hold — never a stale
-// atomic) and, when raw cold blocks have fallen wholly below a dataset's
-// cut, drops them. Durable order: rollup-store checkpoint (the covering
-// buckets must survive a crash before any raw byte is condemned), parent
-// manifest commit carrying the new cuts and the shrunk block-file list
-// (the rename commit point), in-memory detach, then unlink of files with
-// no live blocks left. A crash between any two steps recovers to a state
-// where every surviving raw point is intact and every dropped one has a
-// durable rollup covering it.
-func (db *DB) enforceRetentionLocked(cov rollupCoverage) error {
+// coverage just computed (same cpMu hold — never a stale atomic) and,
+// when raw cold blocks have fallen wholly below a dataset's cut, drops
+// them. The buckets covering them committed with the seals that moved
+// the frontier past them, so the drop needs only its own commit. Durable
+// order: manifest commit carrying the new cuts and the shrunk block-file
+// list (the rename commit point), in-memory detach, then unlink of files
+// with no live blocks left. A crash between any two steps recovers to a
+// state where every surviving raw point is intact and every dropped one
+// has a durable rollup covering it.
+func (db *DB) enforceRetentionLocked() error {
 	cuts := make(map[string]int64)
 	for ds, rs := range db.retain {
 		est, ok := rs.cutEstimate()
@@ -623,15 +936,6 @@ func (db *DB) enforceRetentionLocked(cov rollupCoverage) error {
 	}
 	if !droppable {
 		return nil
-	}
-	if err := db.failpoint("retention:before-rollup-sync"); err != nil {
-		return err
-	}
-	// The rollup store checkpoints itself on its own byte trigger, but
-	// the drop below must not outrun durability: buckets covering the
-	// condemned blocks go to disk now.
-	if err := db.rollup.Checkpoint(); err != nil {
-		return fmt.Errorf("tsdb: retention rollup checkpoint: %w", err)
 	}
 	m := db.man
 	m.Retain = make(map[string]int64, len(db.man.Retain)+len(cuts))
@@ -713,11 +1017,11 @@ func (db *DB) enforceRetentionLocked(cov rollupCoverage) error {
 // after a drop (only entirely-dead files are unlinked and delisted), so
 // openBlocks re-attaches their dropped blocks; this replays the drop.
 // The guard is per-series, not just the committed cut: a block is
-// dropped only when the coverage just rebuilt proves every point in it
-// sits in a materialized bucket — a series backfilled after the cut
+// dropped only when the series' own coverage proves every point in it
+// sits in a committed bucket — a series backfilled after the cut
 // committed keeps its uncovered blocks even below the cut. The caller
-// holds cpMu with the open-time build's coverage in hand.
-func (db *DB) applyRetainCutsLocked(cov rollupCoverage) {
+// holds cpMu with the open-time coverage in hand.
+func (db *DB) applyRetainCutsLocked(cov map[SeriesKey]int64) {
 	if len(db.man.Retain) == 0 {
 		return
 	}
@@ -726,7 +1030,7 @@ func (db *DB) applyRetainCutsLocked(cov rollupCoverage) {
 		if !ok {
 			return noCut
 		}
-		sc, ok := cov.perSeries[k]
+		sc, ok := cov[k]
 		if !ok {
 			return noCut
 		}
@@ -775,11 +1079,11 @@ func (db *DB) initRetention(horizons map[string]time.Duration) {
 
 // retentionTriggerHot reports whether some retained dataset's cut
 // estimate has moved past its last enforcement evaluation — meaning a
-// checkpoint (whose tail runs build + enforcement) could advance the
-// cut. Comparing against lastEval rather than the committed cut keeps
-// the trigger cold when the estimate is ahead but nothing is droppable
-// yet; it re-arms only when new appends or new coverage move the
-// estimate again.
+// checkpoint (whose tail runs enforcement) could advance the cut.
+// Comparing against lastEval rather than the committed cut keeps the
+// trigger cold when the estimate is ahead but nothing is droppable yet;
+// it re-arms only when new appends or new coverage move the estimate
+// again.
 //
 // The comparison is quantized to 1d buckets: coverage only advances in
 // 1d steps and drops are block-granular, so a sub-day estimate advance

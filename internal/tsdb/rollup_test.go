@@ -1,13 +1,25 @@
 package tsdb
 
-// Differential tests for the rollup tiers: every rollup series must
-// bitwise-equal recomputing its aggregate from the raw points, across
-// the hot/cold boundary, across reopen, and after a crash mid-build.
+// Differential tests for the rollup tiers: every tier must bitwise-equal
+// recomputing its aggregate from the raw points, across the hot/cold
+// boundary, across reopen, and after a crash anywhere in the rollup
+// snapshot's write.
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // rollupOpts seals aggressively like sealedOpts but with block sizes
@@ -114,13 +126,9 @@ func assertRollupsMatch(t *testing.T, db *DB) {
 // were (correctly) built from.
 func assertRollupsMatchRef(t *testing.T, db *DB, ref map[SeriesKey][]Point) {
 	t.Helper()
-	ro := db.Rollups()
-	if ro == nil {
-		t.Fatal("store has no rollup tier")
-	}
 	end := t0.Add(100000 * time.Hour)
-	if ro.PointCount() == 0 {
-		t.Fatal("rollup tier is empty; the differential would pass vacuously")
+	if db.rollupBkts.Load() == 0 {
+		t.Fatal("rollup tiers are empty; the differential would pass vacuously")
 	}
 	for _, k := range db.Keys(KeyFilter{}) {
 		raw := ref[k]
@@ -131,8 +139,11 @@ func assertRollupsMatchRef(t *testing.T, db *DB, ref map[SeriesKey][]Point) {
 				finalEnd = bucketStart(lastCold.UnixNano(), res)
 			}
 			for _, agg := range rollupAggs {
-				rk := RollupKey(k, res, agg)
-				got := noerr(ro.Query(rk, time.Time{}, end))
+				tier, ok := db.Tier(res, agg)
+				if !ok {
+					t.Fatalf("store has no %s/%s tier", ResName(res), agg)
+				}
+				got := noerr(tier.Query(k, time.Time{}, end))
 				want := recomputeRollup(raw, res, agg, finalEnd)
 				if !sealed {
 					want = nil
@@ -180,8 +191,8 @@ func TestRollupDifferential(t *testing.T) {
 	}
 	assertRollupsMatch(t, db)
 
-	// Phase 3: reopen. Open runs a catch-up build; it must be a no-op
-	// here (idempotent), and everything must still match.
+	// Phase 3: reopen. The tiers come back from the committed rollup
+	// snapshot alone, and everything must still match.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,41 +210,75 @@ func TestRollupDifferential(t *testing.T) {
 	assertRollupsMatch(t, db)
 }
 
-// TestRollupCrashMidBuild crashes the checkpoint in the middle of the
-// rollup build fan-over (some series rolled up, some not) and proves the
-// reopen's catch-up build completes the job without duplicating the
-// buckets the crashed build already appended.
+// TestRollupCrashMidBuild crashes the checkpoint at every boundary of the
+// rollup snapshot's write — temp file written, synced, renamed — and at
+// the manifest commit that would adopt it. Blocks and buckets commit
+// together or not at all: the reopened store holds the pre-crash raw
+// contents, tiers that match them bitwise (the previous snapshot's, or
+// the new one's once the manifest committed), and seals its way forward.
 func TestRollupCrashMidBuild(t *testing.T) {
-	dir := t.TempDir()
-	opts := rollupOpts()
-	db, err := OpenWithOptions(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rollupEntries(1800, 0)
-	if n, err := db.AppendBatch(a); err != nil || n != len(a) {
-		t.Fatalf("stored %d, err %v", n, err)
-	}
-	db.testCrash = func(point string) error {
-		if point == "rollup:build:mid" {
-			return errCrashPoint
-		}
-		return nil
-	}
-	if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
-		t.Fatalf("checkpoint returned %v, want injected crash", err)
-	}
-	db.testCrash = nil
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, point := range []string{
+		"checkpoint:rollups:before-sync",
+		"checkpoint:rollups:synced",
+		"checkpoint:rollups:committed",
+		"checkpoint:manifest:synced",
+		"checkpoint:manifest:committed",
+	} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := rollupOpts()
+			db, err := OpenWithOptions(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := rollupEntries(1800, 0)
+			if n, err := db.AppendBatch(a); err != nil || n != len(a) {
+				t.Fatalf("stored %d, err %v", n, err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			b := rollupEntries(1200, 450)
+			if n, err := db.AppendBatch(b); err != nil || n != len(b) {
+				t.Fatalf("stored %d, err %v", n, err)
+			}
+			want := contents(db)
+			db.testCrash = func(p string) error {
+				if p == point {
+					return errCrashPoint
+				}
+				return nil
+			}
+			if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
+				t.Fatalf("checkpoint returned %v, want injected crash", err)
+			}
+			db.testCrash = nil
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	re, err := OpenWithOptions(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+			re, err := OpenWithOptions(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen after %s: %v", point, err)
+			}
+			assertSameContents(t, contents(re), want)
+			assertRollupsMatch(t, re)
+			if err := re.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after %s: %v", point, err)
+			}
+			assertRollupsMatch(t, re)
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re2, err := OpenWithOptions(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re2.Close()
+			assertSameContents(t, contents(re2), want)
+			assertRollupsMatch(t, re2)
+		})
 	}
-	defer re.Close()
-	assertRollupsMatch(t, re)
 }
 
 // TestRollupScanRatio is the acceptance bound: a 90-day window at 1h
@@ -270,10 +315,13 @@ func TestRollupScanRatio(t *testing.T) {
 	raw := noerr(db.Query(k, from, to))
 	rawScanned := db.ScannedPoints() - s0
 
-	ro := db.Rollups()
-	r0 := ro.ScannedPoints()
-	hourly := noerr(ro.Query(RollupKey(k, Res1h, AggMean), from, to))
-	rollScanned := ro.ScannedPoints() - r0
+	tier, ok := db.Tier(Res1h, AggMean)
+	if !ok {
+		t.Fatal("sealing store has no 1h tier")
+	}
+	r0 := db.ScannedPoints()
+	hourly := noerr(tier.Query(k, from, to))
+	rollScanned := db.ScannedPoints() - r0
 
 	if len(raw) != days*perDay {
 		t.Fatalf("raw window holds %d points, want %d", len(raw), days*perDay)
@@ -285,4 +333,286 @@ func TestRollupScanRatio(t *testing.T) {
 		t.Fatalf("raw scanned %d points vs 1h %d: ratio %.1fx, want >= 50x",
 			rawScanned, rollScanned, float64(rawScanned)/float64(rollScanned))
 	}
+}
+
+// rollupCodecRecords builds seriesN records of bucketsN buckets per
+// resolution, with gaps and negative starts so varint deltas and signs
+// both get exercised.
+func rollupCodecRecords(seriesN, bucketsN int) []rollupRecord {
+	recs := make([]rollupRecord, seriesN)
+	for i := range recs {
+		k := SeriesKey{Dataset: DatasetPrice, Type: fmt.Sprintf("m%d.large", i), Region: "us-east-1", AZ: "us-east-1a"}
+		recs[i] = rollupRecord{key: k, canon: k.String()}
+		for r, res := range rollupResolutions {
+			start := int64(res) * int64(i*7-3)
+			for j := 0; j < bucketsN; j++ {
+				start += int64(res) * int64(1+j%3*50)
+				recs[i].old[r] = append(recs[i].old[r], bucket{start: start, v: [len(rollupAggs)]float64{float64(j), float64(j) + 9, float64(j) + 0.3, -float64(i)}})
+			}
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].canon < recs[j].canon })
+	return recs
+}
+
+// TestRollupSnapshotRoundTrip: records decode to what was encoded, a
+// seal's add half lands after the committed buckets, and every
+// single-byte flip of the encoding is refused.
+func TestRollupSnapshotRoundTrip(t *testing.T) {
+	recs := rollupCodecRecords(3, 5)
+	split := recs[1]
+	for r := range split.old {
+		split.old[r], split.add[r] = split.old[r][:2], split.old[r][2:]
+	}
+	var whole, halves bytes.Buffer
+	if err := encodeRollups(&whole, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeRollups(&halves, []rollupRecord{recs[0], split, recs[2]}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(whole.Bytes(), halves.Bytes()) {
+		t.Fatal("old+add encodes differently from the same buckets committed")
+	}
+	got, err := decodeRollups(bytes.NewReader(whole.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i].key != recs[i].key || !reflect.DeepEqual(got[i].old, recs[i].old) {
+			t.Fatalf("record %d: got %v %v, want %v %v", i, got[i].key, got[i].old, recs[i].key, recs[i].old)
+		}
+	}
+	raw := whole.Bytes()
+	for i := range raw {
+		flipped := bytes.Clone(raw)
+		flipped[i] ^= 0x01
+		if _, err := decodeRollups(bytes.NewReader(flipped)); err == nil {
+			t.Fatalf("a flipped bit in byte %d of %d decoded cleanly", i, len(raw))
+		}
+	}
+	for n := range len(raw) {
+		if _, err := decodeRollups(bytes.NewReader(raw[:n])); err == nil {
+			t.Fatalf("a %d-byte prefix of a %d-byte snapshot decoded cleanly", n, len(raw))
+		}
+	}
+}
+
+// TestCorruptRollupSnapshotFailsOpen: the rollup snapshot is the only
+// copy of buckets retention may have dropped the raw points of, so a
+// damaged one refuses the open instead of serving tiers with holes.
+func TestCorruptRollupSnapshotFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenWithOptions(dir, rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AppendBatch(rollupEntries(1800, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	name := db.man.Rollups
+	if name == "" || db.rollupBytes.Load() == 0 {
+		t.Fatalf("a sealing checkpoint committed no rollup snapshot (%q, %d bytes)", name, db.rollupBytes.Load())
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if re, err := OpenWithOptions(dir, rollupOpts()); err == nil {
+		re.Close()
+		t.Fatal("open served a store over a corrupt rollup snapshot")
+	} else if !strings.Contains(err.Error(), "loading rollup snapshot") {
+		t.Fatalf("open failed with %v, want the rollup snapshot load error", err)
+	}
+}
+
+// TestCheckpointAndRollupMetrics: spotlake_checkpoint_seconds observes
+// each committed checkpoint (a crashed one is not observed), and the two
+// rollup gauges report the buckets every tier serves and the committed
+// snapshot's size on disk — after the build and again after a reopen
+// loads them back.
+func TestCheckpointAndRollupMetrics(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenWithOptions(dir, rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func(db *DB) map[string]float64 {
+		reg := obs.NewRegistry()
+		RegisterMetrics(reg, func() *DB { return db })
+		out := make(map[string]float64)
+		for _, s := range reg.Samples() {
+			out[s.Name] = s.Value
+		}
+		return out
+	}
+	check := func(db *DB, checkpoints float64) {
+		t.Helper()
+		m := scrape(db)
+		if got := m["spotlake_checkpoint_seconds_count"]; got != checkpoints {
+			t.Errorf("spotlake_checkpoint_seconds_count = %v, want %v", got, checkpoints)
+		}
+		served := 0
+		end := t0.Add(100000 * time.Hour)
+		for _, res := range rollupResolutions {
+			tier, _ := db.Tier(res, AggLast)
+			for _, k := range db.Keys(KeyFilter{}) {
+				served += len(noerr(tier.Query(k, time.Time{}, end)))
+			}
+		}
+		if served == 0 || m["spotlake_rollup_buckets"] != float64(served) {
+			t.Errorf("spotlake_rollup_buckets = %v, the tiers serve %d buckets", m["spotlake_rollup_buckets"], served)
+		}
+		st, err := os.Stat(filepath.Join(dir, db.man.Rollups))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m["spotlake_rollup_snapshot_bytes"] != float64(st.Size()) {
+			t.Errorf("spotlake_rollup_snapshot_bytes = %v, %s holds %d", m["spotlake_rollup_snapshot_bytes"], db.man.Rollups, st.Size())
+		}
+	}
+	if _, err := db.AppendBatch(rollupEntries(1800, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(db, 1)
+	if _, err := db.AppendBatch(rollupEntries(1200, 450)); err != nil {
+		t.Fatal(err)
+	}
+	db.testCrash = func(p string) error {
+		if p == "checkpoint:manifest:before-sync" {
+			return errCrashPoint
+		}
+		return nil
+	}
+	if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
+		t.Fatalf("checkpoint returned %v, want injected crash", err)
+	}
+	db.testCrash = nil
+	check(db, 1)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(db, 2)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenWithOptions(dir, rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, 0)
+}
+
+// TestRollupReadsDuringSeals reads every tier while a writer appends and
+// checkpoints: a bucket, once served, never changes, so every answer a
+// reader saw must be a prefix of the final tier, bit for bit. Run under
+// -race it also checks that seals append to the tiers readers capture
+// without a data race.
+func TestRollupReadsDuringSeals(t *testing.T) {
+	db, err := OpenWithOptions(t.TempDir(), rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.AppendBatch(rollupEntries(600, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	end := t0.Add(100000 * time.Hour)
+	type seen struct {
+		k   SeriesKey
+		r   int
+		pts []Point
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	observed := make([][]seen, 2)
+	for g := range observed {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, k := range sealKeys() {
+					for r, res := range rollupResolutions {
+						tier, _ := db.Tier(res, AggMean)
+						pts, err := tier.Query(k, time.Time{}, end)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if n, _ := tier.CountAfter(k, time.Time{}, 0, end); n < len(pts) {
+							t.Errorf("%v %s: CountAfter %d after Query served %d", k, ResName(res), n, len(pts))
+							return
+						}
+						observed[g] = append(observed[g], seen{k, r, pts})
+					}
+				}
+			}
+		}(g)
+	}
+	for round := 1; round <= 6; round++ {
+		if _, err := db.AppendBatch(rollupEntries(300, 150*round)); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	final := make(map[SeriesKey][len(rollupResolutions)][]Point)
+	for _, k := range sealKeys() {
+		var tiers [len(rollupResolutions)][]Point
+		for r, res := range rollupResolutions {
+			tier, _ := db.Tier(res, AggMean)
+			tiers[r] = noerr(tier.Query(k, time.Time{}, end))
+		}
+		final[k] = tiers
+	}
+	reads := 0
+	for _, obs := range observed {
+		for _, o := range obs {
+			want := final[o.k][o.r]
+			if len(o.pts) > len(want) {
+				t.Fatalf("%v %s: a reader saw %d buckets, the final tier holds %d", o.k, ResName(rollupResolutions[o.r]), len(o.pts), len(want))
+			}
+			for i, p := range o.pts {
+				if !p.At.Equal(want[i].At) || math.Float64bits(p.Value) != math.Float64bits(want[i].Value) {
+					t.Fatalf("%v %s bucket %d changed after it was served: %v then %v", o.k, ResName(rollupResolutions[o.r]), i, p, want[i])
+				}
+			}
+			reads++
+		}
+	}
+	if reads == 0 {
+		t.Fatal("readers made no reads")
+	}
+	assertRollupsMatch(t, db)
 }

@@ -54,7 +54,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -120,6 +119,19 @@ type series struct {
 	// index is cold.n + its offset in points; the read paths resolve the
 	// two tiers through the shared search/fetch helpers below.
 	cold *coldSeries
+	// rollups holds the series' finalized rollup buckets, one ascending
+	// array per rollupResolutions entry (see rollup.go). Seals append to
+	// them in place under the shard lock; readers capture a prefix.
+	rollups [len(rollupResolutions)][]bucket
+}
+
+// rollupCount returns how many rollup buckets the series holds.
+func (s *series) rollupCount() int {
+	n := 0
+	for _, bs := range s.rollups {
+		n += len(bs)
+	}
+	return n
 }
 
 // shard is one lock stripe: a mutex, its series, local statistics, and —
@@ -191,9 +203,10 @@ type DB struct {
 	// sealedBlks and coldBytes count sealed blocks and their compressed
 	// on-disk bytes; coldErrs counts cold reads that failed (bit rot,
 	// vanished file) — each failed its caller's read with ErrColdRead.
-	// scanned counts points materialized by reads (hot copies and
-	// decoded-block windows) — the resolution tiers exist to shrink it,
-	// and the rollup tests assert the shrink through it.
+	// scanned counts points materialized by reads (hot copies,
+	// decoded-block windows and rollup buckets) — the resolution tiers
+	// exist to shrink it, and the rollup tests assert the shrink through
+	// it.
 	bcache      *blockCache
 	coldSegs    []*coldSegment
 	hotTail     int
@@ -237,15 +250,16 @@ type DB struct {
 	maintByBytes obs.Counter
 	maintErrs    obs.Counter
 
-	// Rollup and retention state (see rollup.go). rollup is the nested
-	// store holding the materialized downsample series, nil when the
-	// store does not maintain rollups (memory-only, sealing disabled, or
-	// being a rollup store itself). retain maps retained datasets to
-	// their live retention state; nil when no retention is configured.
-	// Both are fixed at open.
-	rollup     *DB
-	retain     map[string]*retentionState
-	maintByRet obs.Counter
+	// Rollup and retention state (see rollup.go). The buckets themselves
+	// live in each series; rollupBkts counts them and rollupBytes is the
+	// committed rollup snapshot's size. retain maps retained datasets to
+	// their live retention state, nil when no retention is configured,
+	// fixed at open. cpTime times every committed checkpoint.
+	rollupBkts  atomic.Int64
+	rollupBytes atomic.Int64
+	retain      map[string]*retentionState
+	maintByRet  obs.Counter
+	cpTime      *obs.Histogram
 
 	// testCrash, when armed by the crash-matrix tests, aborts the
 	// rotation/checkpoint protocol at a named durable boundary. Nil in
@@ -347,9 +361,6 @@ type Options struct {
 	// a replica whose files a puller replaces between reopens (see
 	// replication.go).
 	ReadOnly bool
-	// noRollups marks the nested rollup store itself, which must not
-	// recurse into opening a rollup store of its own.
-	noRollups bool
 }
 
 // Open opens (or creates) a store with DefaultShardCount shards. With a
@@ -374,7 +385,7 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	for n < shards {
 		n <<= 1
 	}
-	db := &DB{shards: make([]shard, n), mask: uint32(n - 1)}
+	db := &DB{shards: make([]shard, n), mask: uint32(n - 1), cpTime: obs.NewHistogram(checkpointBuckets)}
 	db.rotateBytes = o.RotateBytes
 	if db.rotateBytes == 0 {
 		db.rotateBytes = DefaultRotateBytes
@@ -424,7 +435,7 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	}
 	db.dir = dir
 	if len(o.RetainRaw) > 0 {
-		if !db.SealsCold() || o.noRollups {
+		if !db.SealsCold() {
 			return nil, errors.New("tsdb: retention requires a durable store with sealing enabled")
 		}
 		for ds, h := range o.RetainRaw {
@@ -436,57 +447,13 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if err := db.openDurable(); err != nil {
 		return nil, err
 	}
-	switch {
-	case db.readOnly && !o.noRollups:
-		// A replica only has a rollup tier if the primary shipped one:
-		// open it read-only when its manifest exists, else serve raw only.
-		if _, err := os.Stat(filepath.Join(dir, "rollup", manifestName)); err == nil {
-			ro, err := OpenWithOptions(filepath.Join(dir, "rollup"), Options{
-				Shards:              4,
-				ReadOnly:            true,
-				MaintenanceInterval: -1,
-				noRollups:           true,
-			})
-			if err != nil {
-				db.Close()
-				return nil, fmt.Errorf("tsdb: opening rollup store: %w", err)
-			}
-			db.rollup = ro
-		}
-	case db.SealsCold() && !o.noRollups:
-		// The rollup tier is itself a store, nested one directory down:
-		// small and fixed shard count (few series, metadata-light), its
-		// own byte-triggered checkpoints via the append path (no daemon —
-		// the parent's maintenance cycle drives it), and the recursion
-		// guard so it does not open a rollup store of its own.
-		ro, err := OpenWithOptions(filepath.Join(dir, "rollup"), Options{
-			Shards:               4,
-			RotateBytes:          1 << 20,
-			CheckpointAfterBytes: 4 << 20,
-			MaintenanceInterval:  -1,
-			noRollups:            true,
-		})
-		if err != nil {
-			db.Close()
-			return nil, fmt.Errorf("tsdb: opening rollup store: %w", err)
-		}
-		db.rollup = ro
+	if len(o.RetainRaw) > 0 {
+		// Re-drop the blocks that partially-dead block files re-attached,
+		// before the store is shared.
 		db.initRetention(o.RetainRaw)
-		// Catch up before the store is shared: a crash mid-build or
-		// mid-retention left the raw tier authoritative; rebuilding here
-		// restores the rollup frontier idempotently (per-aggregate
-		// high-water marks), and the committed cuts then re-drop blocks
-		// that partially-dead block files re-attached.
 		db.cpMu.Lock()
-		cov, err := db.buildRollupsLocked()
-		if err == nil {
-			db.applyRetainCutsLocked(cov)
-		}
+		db.applyRetainCutsLocked(db.coverageLocked())
 		db.cpMu.Unlock()
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
 	}
 	if !db.readOnly {
 		db.startMaintainer(o.MaintenanceInterval)
@@ -854,7 +821,7 @@ func (db *DB) coldReadErr(err error) error {
 // time-ordered sequence indexed 0..total-1: the sealed (cold) points
 // first, then the hot in-memory tail. Every read below — range and
 // cursor windows, step lookups, window means, grids, intervals, the
-// rollup builder — captures a seriesView under the owning shard's read
+// rollup fold — captures a seriesView under the owning shard's read
 // lock (view), releases it, and resolves its window through searchView
 // and iterateView alone, so hot and cold tiers can never disagree about
 // where a timestamp falls and no read decodes under a shard lock. The
@@ -1369,16 +1336,8 @@ func (db *DB) Flush() error {
 // maintenance daemon, if any, is stopped first — an in-flight maintenance
 // checkpoint completes before any segment file is closed.
 func (db *DB) Close() error {
-	var rollupErr error
 	if db.closed.CompareAndSwap(false, true) {
 		db.stopMaintainer()
-		// The rollup store closes after the maintainer stops (an
-		// in-flight maintenance cycle may still be appending rollups)
-		// and before the parent's files: it is a plain nested store with
-		// its own WAL and manifest.
-		if db.rollup != nil {
-			rollupErr = db.rollup.Close()
-		}
 	}
 	for i := range db.shards {
 		db.shards[i].mu.Lock()
@@ -1418,9 +1377,6 @@ func (db *DB) Close() error {
 		}
 	}
 	db.coldSegs = nil
-	if firstErr == nil {
-		firstErr = rollupErr
-	}
 	return firstErr
 }
 
@@ -1445,10 +1401,10 @@ func (db *DB) ColdCompressedBytes() int64 { return db.coldBytes.Load() }
 func (db *DB) ColdReadErrors() uint64 { return db.coldErrs.Value() }
 
 // ScannedPoints returns how many points reads have materialized since
-// open: hot-tail copies plus decoded cold-block windows, across every
-// read API. The rollup tier exists to shrink this number for
-// long-window queries — a 90-day window served at 1h resolution scans
-// the rollup store's buckets, not every raw tick — and the scan-ratio
+// open: hot-tail copies, decoded cold-block windows and rollup buckets,
+// across every read API. The rollup tiers exist to shrink this number
+// for long-window queries — a 90-day window served at 1h resolution
+// scans its hourly buckets, not every raw tick — and the scan-ratio
 // tests assert that through this counter.
 func (db *DB) ScannedPoints() uint64 { return db.scanned.Value() }
 

@@ -17,7 +17,11 @@ package tsdb
 //	                         history a checkpoint sealed out of memory; the
 //	                         manifest lists the live ones, and they
 //	                         accumulate (never rewritten) until retention
-//	                         policies exist to drop them
+//	                         drops them
+//	rollup-000001.snap       the rollup snapshot the manifest references
+//	                         (rollup.go codec): every series' 1h/1d buckets,
+//	                         rewritten whole by each checkpoint that seals;
+//	                         at most one is live
 //
 // This is the only layout the store reads or writes.
 //
@@ -91,7 +95,7 @@ package tsdb
 // through DB.failpoint with a stable name (rotate:seal:*, rotate:create:*,
 // checkpoint:capture, checkpoint:segsync:*, checkpoint:blocks:* —
 // including checkpoint:blocks:data-written, frozen mid-file between the
-// data blocks and the index — checkpoint:snapshot:*,
+// data blocks and the index — checkpoint:rollups:*, checkpoint:snapshot:*,
 // checkpoint:manifest:*, checkpoint:delete:*). The crash-matrix test
 // harness arms a hook that aborts at exactly one of them — simulating a
 // crash before or after the fsync at that boundary — and asserts recovery
@@ -200,6 +204,10 @@ type manifest struct {
 	// crashed seal's orphan file is overwritten on retry, never adopted).
 	Blocks   []uint64 `json:"blocks,omitempty"`
 	BlockSeq uint64   `json:"blockSeq,omitempty"`
+	// Rollups is the live rollup snapshot's file name: the buckets of
+	// every finalized bucket below each sealed series' frontier, committed
+	// with the seal that finalized them. Empty until a seal finalizes one.
+	Rollups string `json:"rollups,omitempty"`
 	// Retain maps datasets to their committed retention cut (unix
 	// nanoseconds): raw cold blocks wholly below the cut have been
 	// dropped, with durable rollups covering them. Opens re-apply the
@@ -256,6 +264,9 @@ func parseManifest(raw []byte) (manifest, error) {
 	}
 	if m.Checkpoint != "" && (m.Checkpoint != filepath.Base(m.Checkpoint) || !strings.HasPrefix(m.Checkpoint, "checkpoint-")) {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: checkpoint name %q", m.Checkpoint)
+	}
+	if m.Rollups != "" && (m.Rollups != filepath.Base(m.Rollups) || !strings.HasPrefix(m.Rollups, "rollup-")) {
+		return manifest{}, fmt.Errorf("tsdb: malformed manifest: rollup snapshot name %q", m.Rollups)
 	}
 	if len(m.Shards) != m.Segments {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments, %d shard layouts", m.Segments, len(m.Shards))
@@ -408,6 +419,9 @@ func (db *DB) openDurable() error {
 		if _, err := os.Stat(filepath.Join(db.dir, "points.wal")); !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("tsdb: cannot open %s: unsupported layout: points.wal with no MANIFEST (a pre-manifest single-stream log, which this build does not read)", db.dir)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(db.dir, "rollup", manifestName)); err == nil {
+		return fmt.Errorf("tsdb: cannot open %s: unsupported layout: rollup/MANIFEST (a nested rollup store, which this build does not read; its rollups now live in rollup-*.snap)", db.dir)
 	}
 	if db.readOnly {
 		return db.openReadOnly(man, ok)
@@ -698,15 +712,20 @@ func scanRotSegments(dir string, segments int) ([][]rotSegOnDisk, error) {
 }
 
 // loadRotLayout restores the store state a committed manifest
-// describes: bulk-load the checkpoint snapshot, then replay each shard's
-// segment chain. With parallel set (segment count == shard count), chains
-// replay on one goroutine each, writing only their own shard; otherwise
-// (re-shard path) replay is sequential and records re-hash onto the new
-// shards. The returned chains tell openActiveSegments where each shard's
+// describes: bulk-load the checkpoint and rollup snapshots, then replay
+// each shard's segment chain. With parallel set (segment count == shard
+// count), chains replay on one goroutine each, writing only their own
+// shard; otherwise (re-shard path) replay is sequential and records
+// re-hash onto the new shards. The returned chains tell openActiveSegments where each shard's
 // append stream resumes.
 func (db *DB) loadRotLayout(man manifest, parallel bool) ([]shardChain, error) {
 	if man.Checkpoint != "" {
 		if err := db.loadCheckpointFile(man.Checkpoint); err != nil {
+			return nil, err
+		}
+	}
+	if man.Rollups != "" {
+		if err := db.loadRollupFile(man.Rollups); err != nil {
 			return nil, err
 		}
 	}
@@ -1013,6 +1032,7 @@ func (db *DB) commitLayout(epoch uint64) error {
 		CheckpointSeq: db.man.CheckpointSeq,
 		Blocks:        db.man.Blocks,
 		BlockSeq:      db.man.BlockSeq,
+		Rollups:       db.man.Rollups,
 		Retain:        db.man.Retain,
 		Shards:        make([]shardLayout, n),
 	}
@@ -1066,10 +1086,11 @@ func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) error {
 }
 
 // removeStaleFiles deletes files the committed layout does not own:
-// temp files, checkpoints the manifest no longer references, orphan block
-// files, and segment files that are neither a shard's active segment nor
-// one of its retained sealed segments — leftovers of crashed rotations,
-// checkpoints, first opens, and re-shards. Files it does not recognize
+// temp files, checkpoint and rollup snapshots the manifest no longer
+// references, orphan block files, and segment files that are neither a
+// shard's active segment nor one of its retained sealed segments —
+// leftovers of crashed rotations, checkpoints, first opens, and
+// re-shards. Files it does not recognize
 // are left alone. Runs at the end of Open, single-threaded. Best-effort.
 func (db *DB) removeStaleFiles() {
 	ents, err := os.ReadDir(db.dir)
@@ -1093,7 +1114,7 @@ func (db *DB) removeStaleFiles() {
 		var i int
 		var seq uint64
 		switch {
-		case name == db.man.Checkpoint || name == manifestName:
+		case name == db.man.Checkpoint || name == db.man.Rollups || name == manifestName:
 		case strings.HasSuffix(name, ".tmp"):
 			os.Remove(filepath.Join(db.dir, name))
 		case scanRotSegName(name, &i, &seq):
@@ -1107,7 +1128,7 @@ func (db *DB) removeStaleFiles() {
 			if !liveBlocks[seq] {
 				os.Remove(filepath.Join(db.dir, name))
 			}
-		case strings.HasPrefix(name, "checkpoint-"):
+		case strings.HasPrefix(name, "checkpoint-"), strings.HasPrefix(name, "rollup-"):
 			os.Remove(filepath.Join(db.dir, name))
 		}
 	}
@@ -1153,6 +1174,7 @@ func (db *DB) checkpointLocked() error {
 	if db.closed.Load() {
 		return errClosed
 	}
+	start := time.Now()
 	n := len(db.shards)
 	// Capture a per-shard cut: the chain's logical offset, the surviving
 	// segment list, and every series' point slice, atomically per shard.
@@ -1222,9 +1244,15 @@ func (db *DB) checkpointLocked() error {
 	// is still authoritative. Either abort leaves an orphan blocks file
 	// that the next successful seal overwrites (BlockSeq only advances on
 	// commit) and removeStaleFiles reaps at open.
+	//
+	// Each sealed prefix also finalizes rollup buckets (sealBuckets); they
+	// are folded here, from the captured points, and written below as the
+	// new rollup snapshot, so the same manifest commit makes the blocks and
+	// the buckets covering them durable.
 	var (
 		newSeg    *coldSegment
 		newBlocks []blockIndexEntry
+		grown     []rollupGrowth
 	)
 	if db.SealsCold() {
 		var sealEntries []blockSealEntry
@@ -1240,6 +1268,13 @@ func (db *DB) checkpointLocked() error {
 				ent.blocks = append(ent.blocks, encodeBlock(rec.points[off:off+db.blockPoints]))
 			}
 			sealEntries = append(sealEntries, ent)
+			g, ok, err := db.sealBuckets(rec.key, rec.points[:nseal])
+			if err != nil {
+				return err
+			}
+			if ok {
+				grown = append(grown, g)
+			}
 			rec.points = rec.points[nseal:]
 		}
 		if len(sealEntries) > 0 {
@@ -1275,6 +1310,7 @@ func (db *DB) checkpointLocked() error {
 		CheckpointSeq: db.man.CheckpointSeq + 1,
 		Blocks:        db.man.Blocks,
 		BlockSeq:      db.man.BlockSeq,
+		Rollups:       db.man.Rollups,
 		Retain:        db.man.Retain,
 		Shards:        layouts,
 	}
@@ -1283,13 +1319,18 @@ func (db *DB) checkpointLocked() error {
 		m.BlockSeq = newSeg.seq
 	}
 	m.Checkpoint = checkpointName(m.CheckpointSeq)
-	if err := db.writeCheckpointFile(m.Checkpoint, recs); err != nil {
-		if newSeg != nil {
-			newSeg.f.Close()
-		}
-		return err
+	var rollupSize int64
+	if len(grown) > 0 {
+		m.Rollups = rollupName(m.CheckpointSeq)
+		rollupSize, err = db.writeRollupFile(m.Rollups, grown)
 	}
-	if err := writeManifest(db.dir, m, db.cpHook("checkpoint:manifest")); err != nil {
+	if err == nil {
+		err = db.writeCheckpointFile(m.Checkpoint, recs)
+	}
+	if err == nil {
+		err = writeManifest(db.dir, m, db.cpHook("checkpoint:manifest"))
+	}
+	if err != nil {
 		if newSeg != nil {
 			newSeg.f.Close()
 		}
@@ -1318,6 +1359,7 @@ func (db *DB) checkpointLocked() error {
 			db.hotPts.Add(int64(-sealed))
 		}
 	}
+	db.installRollups(grown, rollupSize)
 	// The commit succeeded: the captured bytes no longer count toward the
 	// size-based checkpoint trigger. Appends that raced past the cut keep
 	// their contribution (atomic subtract, not a reset).
@@ -1371,22 +1413,20 @@ func (db *DB) checkpointLocked() error {
 	if old.Checkpoint != "" && old.Checkpoint != m.Checkpoint {
 		os.Remove(filepath.Join(db.dir, old.Checkpoint))
 	}
+	if old.Rollups != "" && old.Rollups != m.Rollups {
+		os.Remove(filepath.Join(db.dir, old.Rollups))
+	}
 
-	// With the checkpoint durable, extend the rollup tiers over the newly
-	// sealed blocks and, if horizons are configured, enforce retention. Both
-	// run under cpMu so cold state is stable; the coverage computed by the
-	// build feeds enforcement directly (never a stale snapshot), preserving
+	// With the seal and its buckets durable, enforce retention if
+	// horizons are configured: under cpMu cold state is stable, so the
+	// coverage computed here is exact (never a stale snapshot), preserving
 	// the "never drop raw a rollup doesn't cover" invariant.
-	if db.rollup != nil {
-		cov, err := db.buildRollupsLocked()
-		if err != nil {
+	if len(db.retain) > 0 {
+		db.coverageLocked()
+		if err := db.enforceRetentionLocked(); err != nil {
 			return err
 		}
-		if len(db.retain) > 0 {
-			if err := db.enforceRetentionLocked(cov); err != nil {
-				return err
-			}
-		}
 	}
+	db.cpTime.Observe(time.Since(start))
 	return nil
 }

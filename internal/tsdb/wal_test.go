@@ -130,12 +130,26 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			},
 			want: "manifest version 3",
 		},
+		{
+			name: "nested rollup store",
+			files: map[string][]byte{
+				manifestName:                  []byte(`{"version":2,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
+				"wal-00000-000001.log":        encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+				"rollup/" + manifestName:      []byte(`{"version":2,"epoch":1,"segments":4,"shards":[]}`),
+				"rollup/wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 4, epoch: 1, seq: 1}),
+				"MANIFEST.tmp":                []byte("temp file a reaping pass would delete"),
+			},
+			want: "rollup/MANIFEST",
+		},
 	}
 	for _, lay := range layouts {
 		for _, readOnly := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/readOnly=%v", lay.name, readOnly), func(t *testing.T) {
 				dir := t.TempDir()
 				for name, raw := range lay.files {
+					if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+						t.Fatal(err)
+					}
 					if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 						t.Fatal(err)
 					}
