@@ -426,12 +426,12 @@ func BenchmarkSeal(b *testing.B) {
 // block: change-only on a 10-minute grid with one change in four ticks,
 // integer values 1–10, so dods land in the 16-bit bucket and values
 // reuse or redefine a short XOR window.
-func archiveBlockPoints(seed uint64, n int) []Point {
+func archiveBlockPoints(seed uint64, n int) []sample {
 	rng := simrand.New(seed)
-	pts := make([]Point, n)
+	pts := make([]sample, n)
 	at, v := t0, float64(1+rng.Intn(10))
 	for i := range pts {
-		pts[i] = Point{At: at, Value: v}
+		pts[i] = sample{ns: at.UnixNano(), v: v}
 		at = at.Add(10 * time.Minute)
 		for rng.Intn(4) != 0 {
 			at = at.Add(10 * time.Minute)
@@ -469,7 +469,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 // BenchmarkColdQuery measures windowed reads over deep history when that
 // history lives in compressed cold blocks (decoded on demand through the
 // block cache) against the all-hot baseline where every point is a
-// resident []Point entry. The cold path pays decode on cache misses and
+// resident hot-tail sample. The cold path pays decode on cache misses and
 // a copy on hits; the baseline is the memory ceiling the block tier
 // exists to remove.
 func BenchmarkColdQuery(b *testing.B) {
@@ -512,8 +512,8 @@ func BenchmarkColdQuery(b *testing.B) {
 }
 
 // BenchmarkResidentHeap measures the steady-state heap of a recovered
-// archive under the two storage layouts: every point resident ([]Point
-// hot series) versus sealed history (compressed blocks on disk, only the
+// archive under the two storage layouts: every point resident (16 B
+// hot-tail samples) versus sealed history (compressed blocks on disk, only the
 // hot tail and block index resident), reported as heapB/point; the
 // target is a >= 4x drop for the cold-dominated layout. The build
 // runs inside the timed region on purpose: the expensive setup keeps the
@@ -657,7 +657,7 @@ func BenchmarkRollupBuild(b *testing.B) {
 			pts := archiveBlockPoints(uint64(s+1), perSeries)
 			batch := make([]Entry, len(pts))
 			for j, p := range pts {
-				batch[j] = Entry{Key: k, At: p.At, Value: p.Value}
+				batch[j] = Entry{Key: k, At: p.point().At, Value: p.v}
 			}
 			if _, err := db.AppendBatch(batch); err != nil {
 				b.Fatal(err)

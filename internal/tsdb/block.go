@@ -69,7 +69,6 @@ import (
 	"math/bits"
 	"os"
 	"sync"
-	"time"
 )
 
 const (
@@ -180,7 +179,7 @@ type encodedBlock struct {
 
 // encodeBlock compresses pts (time-ordered, 1..maxBlockPoints of them)
 // into one block bitstream.
-func encodeBlock(pts []Point) encodedBlock {
+func encodeBlock(pts []sample) encodedBlock {
 	var w bitWriter
 	w.data = make([]byte, 0, 16+len(pts)*2)
 	var prevT, prevDelta int64
@@ -188,8 +187,8 @@ func encodeBlock(pts []Point) encodedBlock {
 	// prevLead == 0xff marks "no reusable window yet".
 	prevLead, prevSig := uint8(0xff), uint8(0)
 	for i, p := range pts {
-		t := p.At.UnixNano()
-		v := math.Float64bits(p.Value)
+		t := p.ns
+		v := math.Float64bits(p.v)
 		if i == 0 {
 			w.writeBits(uint64(t), 64)
 			w.writeBits(v, 64)
@@ -242,8 +241,8 @@ func encodeBlock(pts []Point) encodedBlock {
 	return encodedBlock{
 		data:  w.data,
 		count: uint32(len(pts)),
-		minAt: pts[0].At.UnixNano(),
-		maxAt: pts[len(pts)-1].At.UnixNano(),
+		minAt: pts[0].ns,
+		maxAt: pts[len(pts)-1].ns,
 	}
 }
 
@@ -254,7 +253,7 @@ func encodeBlock(pts []Point) encodedBlock {
 // refillBits' zero padding; every check that acts on decoded bits first
 // confirms they lay within the stream, so truncation always reports
 // errBlockTruncated.
-func decodeBlock(data []byte, count int) ([]Point, error) {
+func decodeBlock(data []byte, count int) ([]sample, error) {
 	if count < 1 || count > maxBlockPoints {
 		return nil, fmt.Errorf("tsdb: block point count %d out of range", count)
 	}
@@ -277,13 +276,13 @@ func decodeBlock(data []byte, count int) ([]Point, error) {
 	}
 	overran := func() bool { return next*8-int(nacc) > len(data)*8 }
 
-	pts := make([]Point, count)
+	pts := make([]sample, count)
 	t := int64(read(32)<<32 | read(32))
 	vbits := read(32)<<32 | read(32)
 	if overran() {
 		return nil, errBlockTruncated
 	}
-	pts[0] = Point{At: time.Unix(0, t).UTC(), Value: math.Float64frombits(vbits)}
+	pts[0] = sample{ns: t, v: math.Float64frombits(vbits)}
 	var delta int64
 	// lead == 0xff marks "no value window defined yet".
 	lead, sig := uint(0xff), uint(0)
@@ -337,7 +336,7 @@ func decodeBlock(data []byte, count int) ([]Point, error) {
 		if t += delta; t < prev {
 			return nil, errors.New("tsdb: block timestamps out of order")
 		}
-		pts[i] = Point{At: time.Unix(0, t).UTC(), Value: math.Float64frombits(vbits)}
+		pts[i] = sample{ns: t, v: math.Float64frombits(vbits)}
 	}
 	// Trailing data beyond the final byte's bit padding means the index's
 	// count disagrees with the stream — corruption either way.
@@ -434,25 +433,26 @@ type coldSegment struct {
 
 // blockMeta locates one sealed block of a series: where its bytes live,
 // what they decode to, and where the block starts in the series' global
-// point index (cold points first, then the hot tail).
+// point index (cold points first, then the hot tail). minAt and maxAt
+// are unix nanoseconds, as the index stores them.
 type blockMeta struct {
 	seg    *coldSegment
 	off    uint64
 	length uint32
 	count  uint32
 	crc    uint32
-	minAt  time.Time
-	maxAt  time.Time
+	minAt  int64
+	maxAt  int64
 	start  int
 }
 
 // coldSeries is a series' sealed history: its block list in time order,
-// the total cold point count, and the last cold timestamp (the
-// out-of-order guard when the hot tail is empty).
+// the total cold point count, and the last cold timestamp in unix
+// nanoseconds (the out-of-order guard when the hot tail is empty).
 type coldSeries struct {
 	blocks []blockMeta
 	n      int
-	lastAt time.Time
+	lastAt int64
 }
 
 // blockIndexEntry is one series' decoded index entry from a block file.
@@ -549,7 +549,7 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 			if maxAt < minAt {
 				return nil, fmt.Errorf("tsdb: block file: block %d of %v time range inverted", bi, key)
 			}
-			if bi > 0 && minAt < blocks[bi-1].maxAt.UnixNano() {
+			if bi > 0 && minAt < blocks[bi-1].maxAt {
 				return nil, fmt.Errorf("tsdb: block file: blocks of %v out of order", key)
 			}
 			blocks[bi] = blockMeta{
@@ -557,8 +557,8 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 				length: length,
 				count:  count,
 				crc:    crc,
-				minAt:  time.Unix(0, minAt).UTC(),
-				maxAt:  time.Unix(0, maxAt).UTC(),
+				minAt:  minAt,
+				maxAt:  maxAt,
 			}
 		}
 		out = append(out, blockIndexEntry{key: key, blocks: blocks})
@@ -576,7 +576,7 @@ var blockReadBufs = sync.Pool{New: func() any { return new([]byte) }}
 // readBlockData reads and decodes one block's bytes from its segment,
 // verifying the index's CRC first so a bit flip in the data section is
 // reported as corruption rather than decoded into garbage points.
-func readBlockData(b *blockMeta) ([]Point, error) {
+func readBlockData(b *blockMeta) ([]sample, error) {
 	bp := blockReadBufs.Get().(*[]byte)
 	defer blockReadBufs.Put(bp)
 	if cap(*bp) < int(b.length) {

@@ -3,16 +3,15 @@ package tsdb
 // blockCache is the store-wide, size-bounded LRU over decoded cold
 // blocks. Cold reads decode whole blocks (the unit of compression), so
 // a window scan touching B blocks costs B decodes the first time and
-// map lookups afterwards. The bound is in nominal bytes of decoded
-// points, 16 per point. A decoded Point really occupies 32 bytes — a
-// 24-byte time.Time carrying a *Location, plus the float64 — and the GC
-// scans it for that pointer, so the cache's resident cost is about twice
-// its charge.
+// map lookups afterwards. The bound is in bytes of decoded samples, 16
+// per point, which is their real resident cost: a sample is unix-nanos
+// plus the float64, with no pointer, so the GC never scans a cached
+// block either.
 //
 // The cache is keyed by (block file sequence, block offset): block
 // files are immutable and never reused under the same sequence number,
 // so an entry can never go stale — eviction exists purely for the size
-// bound. Entries are whole decoded []Point slices shared read-only by
+// bound. Entries are whole decoded []sample slices shared read-only by
 // every reader (callers must not mutate them). A singleflight per key
 // is deliberately absent: duplicate concurrent decodes of one block
 // are harmless (last store wins) and rarer than the lock traffic a
@@ -27,9 +26,13 @@ import (
 )
 
 // DefaultBlockCacheBytes is the block cache's size bound when Options
-// leaves BlockCacheBytes zero: ~4M decoded cold points at the nominal 16
-// bytes each, about 128 MiB resident.
+// leaves BlockCacheBytes zero: ~4M decoded cold points at 16 bytes each,
+// about 64 MiB resident.
 const DefaultBlockCacheBytes = 64 << 20
+
+// sampleBytes is one decoded sample's resident size, the cache's charge
+// per point.
+const sampleBytes = 16
 
 type blockCacheKey struct {
 	seq uint64
@@ -38,7 +41,7 @@ type blockCacheKey struct {
 
 type blockCacheEntry struct {
 	key  blockCacheKey
-	pts  []Point
+	pts  []sample
 	cost int64
 }
 
@@ -69,7 +72,7 @@ func newBlockCache(max int64) *blockCache {
 		decodeTime: obs.NewHistogram(blockDecodeBuckets)}
 }
 
-func (c *blockCache) get(key blockCacheKey) ([]Point, bool) {
+func (c *blockCache) get(key blockCacheKey) ([]sample, bool) {
 	if c.max <= 0 {
 		c.misses.Add(1)
 		return nil, false
@@ -88,11 +91,11 @@ func (c *blockCache) get(key blockCacheKey) ([]Point, bool) {
 	return el.Value.(*blockCacheEntry).pts, true
 }
 
-func (c *blockCache) put(key blockCacheKey, pts []Point) {
+func (c *blockCache) put(key blockCacheKey, pts []sample) {
 	if c.max <= 0 {
 		return
 	}
-	cost := int64(len(pts)) * 16
+	cost := int64(len(pts)) * sampleBytes
 	if cost > c.max {
 		return // a block larger than the whole budget would just thrash
 	}
@@ -154,7 +157,7 @@ func (db *DB) BlockCacheStats() BlockCacheStats {
 // mutated. Decode failures (bit rot, a vanished file) are surfaced to
 // the caller; read paths count them and fail the read with ErrColdRead
 // rather than serve a partial result — see coldReadErr.
-func (db *DB) coldBlockPoints(b *blockMeta) ([]Point, error) {
+func (db *DB) coldBlockPoints(b *blockMeta) ([]sample, error) {
 	key := blockCacheKey{seq: b.seg.seq, off: b.off}
 	if pts, ok := db.bcache.get(key); ok {
 		return pts, nil

@@ -56,15 +56,16 @@ func sealEntries(n, startSec int) []Entry {
 // TestBlockCodecRoundTrip drives encodeBlock/decodeBlock over value and
 // timestamp shapes chosen to hit every dod bucket and XOR branch.
 func TestBlockCodecRoundTrip(t *testing.T) {
-	mk := func(n int, at func(i int) time.Time, v func(i int) float64) []Point {
-		pts := make([]Point, n)
+	mk := func(n int, at func(i int) time.Time, v func(i int) float64) []sample {
+		pts := make([]sample, n)
 		for i := range pts {
-			pts[i] = Point{At: at(i).UTC(), Value: v(i)}
+			pts[i] = sample{ns: at(i).UnixNano(), v: v(i)}
 		}
 		return pts
 	}
+	at := func(d time.Duration) int64 { return t0.Add(d).UnixNano() }
 	everySec := func(i int) time.Time { return t0.Add(time.Duration(i) * time.Second) }
-	cases := map[string][]Point{
+	cases := map[string][]sample{
 		"single":   mk(1, everySec, func(int) float64 { return 3.25 }),
 		"constant": mk(500, everySec, func(int) float64 { return 0.0912 }),
 		"steps":    mk(500, everySec, func(i int) float64 { return float64(i / 50) }),
@@ -75,11 +76,15 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		"dups": mk(64, func(i int) time.Time { return t0.Add(time.Duration(i/4) * time.Hour) },
 			func(i int) float64 { return float64(i % 3) }),
 		"extremes": {
-			{At: t0, Value: 0},
-			{At: t0.Add(time.Nanosecond), Value: math.Inf(1)},
-			{At: t0.Add(365 * 24 * time.Hour), Value: math.SmallestNonzeroFloat64},
-			{At: t0.Add(400 * 24 * time.Hour), Value: -math.MaxFloat64},
-			{At: t0.Add(400 * 24 * time.Hour), Value: math.Copysign(0, -1)},
+			{ns: at(0), v: 0},
+			{ns: at(time.Nanosecond), v: math.Inf(1)},
+			{ns: at(365 * 24 * time.Hour), v: math.SmallestNonzeroFloat64},
+			{ns: at(400 * 24 * time.Hour), v: -math.MaxFloat64},
+			{ns: at(400 * 24 * time.Hour), v: math.Copysign(0, -1)},
+		},
+		"range-limits": {
+			{ns: minInstant.UnixNano(), v: 1},
+			{ns: maxInstant.UnixNano(), v: 2},
 		},
 	}
 	for name, pts := range cases {
@@ -87,7 +92,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		if int(eb.count) != len(pts) {
 			t.Fatalf("%s: encoded count %d, want %d", name, eb.count, len(pts))
 		}
-		if eb.minAt != pts[0].At.UnixNano() || eb.maxAt != pts[len(pts)-1].At.UnixNano() {
+		if eb.minAt != pts[0].ns || eb.maxAt != pts[len(pts)-1].ns {
 			t.Fatalf("%s: encoded extent [%d, %d] disagrees with points", name, eb.minAt, eb.maxAt)
 		}
 		got, err := decodeBlock(eb.data, len(pts))
@@ -95,9 +100,9 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		for i := range pts {
-			if !got[i].At.Equal(pts[i].At) || math.Float64bits(got[i].Value) != math.Float64bits(pts[i].Value) {
+			if got[i].ns != pts[i].ns || math.Float64bits(got[i].v) != math.Float64bits(pts[i].v) {
 				t.Fatalf("%s: point %d = %v (bits %x), want %v (bits %x)",
-					name, i, got[i], math.Float64bits(got[i].Value), pts[i], math.Float64bits(pts[i].Value))
+					name, i, got[i], math.Float64bits(got[i].v), pts[i], math.Float64bits(pts[i].v))
 			}
 		}
 		// A grossly wrong count must error, not mis-decode or over-read.

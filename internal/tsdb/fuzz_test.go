@@ -101,9 +101,9 @@ func FuzzManifestDecode(f *testing.F) {
 // fuzzBlockSeed encodes one valid compressed block to seed the corpus.
 func fuzzBlockSeed(n int, step time.Duration, v func(i int) float64) []byte {
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	pts := make([]Point, n)
+	pts := make([]sample, n)
 	for i := range pts {
-		pts[i] = Point{At: base.Add(time.Duration(i) * step), Value: v(i)}
+		pts[i] = sample{ns: base.Add(time.Duration(i) * step).UnixNano(), v: v(i)}
 	}
 	return encodeBlock(pts).data
 }
@@ -158,9 +158,9 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 }
 
 // decodeBlockRef is the bit-at-a-time block decoder decodeBlock
-// replaced, kept verbatim as the differential oracle: every input must
-// make both error with the same message, or both return identical points.
-func decodeBlockRef(data []byte, count int) ([]Point, error) {
+// replaced, kept as the differential oracle: every input must make both
+// error with the same message, or both return identical samples.
+func decodeBlockRef(data []byte, count int) ([]sample, error) {
 	if count < 1 || count > maxBlockPoints {
 		return nil, fmt.Errorf("tsdb: block point count %d out of range", count)
 	}
@@ -168,7 +168,7 @@ func decodeBlockRef(data []byte, count int) ([]Point, error) {
 		return nil, fmt.Errorf("tsdb: block length %d out of range", len(data))
 	}
 	r := bitReader{data: data}
-	pts := make([]Point, 0, count)
+	pts := make([]sample, 0, count)
 	var prevT, prevDelta int64
 	var prevBits uint64
 	prevLead, prevSig := uint8(0xff), uint8(0)
@@ -183,7 +183,7 @@ func decodeBlockRef(data []byte, count int) ([]Point, error) {
 				return nil, err
 			}
 			prevT, prevBits = int64(t), v
-			pts = append(pts, Point{At: time.Unix(0, prevT).UTC(), Value: math.Float64frombits(v)})
+			pts = append(pts, sample{ns: prevT, v: math.Float64frombits(v)})
 			continue
 		}
 		// Timestamp: read the dod bucket prefix.
@@ -248,8 +248,8 @@ func decodeBlockRef(data []byte, count int) ([]Point, error) {
 			}
 			prevBits ^= mbits << (64 - prevLead - prevSig)
 		}
-		pts = append(pts, Point{At: time.Unix(0, prevT).UTC(), Value: math.Float64frombits(prevBits)})
-		if pts[i].At.Before(pts[i-1].At) {
+		pts = append(pts, sample{ns: prevT, v: math.Float64frombits(prevBits)})
+		if pts[i].ns < pts[i-1].ns {
 			return nil, errors.New("tsdb: block timestamps out of order")
 		}
 	}
@@ -263,9 +263,9 @@ func decodeBlockRef(data []byte, count int) ([]Point, error) {
 
 // checkDecodersAgree decodes data with decodeBlock and decodeBlockRef and
 // fails unless both error with the same message or both return the same
-// points: equal instants, bit-equal values, and time.UTC locations. It
-// returns decodeBlock's points (nil on error).
-func checkDecodersAgree(t testing.TB, data []byte, count int) []Point {
+// samples: equal unix nanoseconds and bit-equal values. It returns
+// decodeBlock's samples (nil on error).
+func checkDecodersAgree(t testing.TB, data []byte, count int) []sample {
 	t.Helper()
 	got, err := decodeBlock(data, count)
 	want, refErr := decodeBlockRef(data, count)
@@ -279,8 +279,7 @@ func checkDecodersAgree(t testing.TB, data []byte, count int) []Point {
 		t.Fatalf("decoders disagree on length: %d vs reference %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].At != want[i].At || got[i].At.Location() != time.UTC ||
-			math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+		if got[i].ns != want[i].ns || math.Float64bits(got[i].v) != math.Float64bits(want[i].v) {
 			t.Fatalf("decoders disagree at point %d: %v vs reference %v", i, got[i], want[i])
 		}
 	}
@@ -324,7 +323,7 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatalf("decode returned %d points for count %d", len(pts), count)
 		}
 		for i := 1; i < len(pts); i++ {
-			if pts[i].At.Before(pts[i-1].At) {
+			if pts[i].ns < pts[i-1].ns {
 				t.Fatalf("decode accepted out-of-order timestamps at %d", i)
 			}
 		}
@@ -336,8 +335,8 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatalf("re-decode of re-encoded block failed: %v", err)
 		}
 		for i := range pts {
-			if !again[i].At.Equal(pts[i].At) ||
-				math.Float64bits(again[i].Value) != math.Float64bits(pts[i].Value) {
+			if again[i].ns != pts[i].ns ||
+				math.Float64bits(again[i].v) != math.Float64bits(pts[i].v) {
 				t.Fatalf("round trip changed point %d: %v vs %v", i, again[i], pts[i])
 			}
 		}
@@ -349,11 +348,11 @@ func FuzzBlockDecode(f *testing.F) {
 // 64-significant-bit value window that is then reused, and one point.
 func decodeShapeCases() []struct {
 	name string
-	pts  []Point
+	pts  []sample
 } {
 	type shape = struct {
 		name string
-		pts  []Point
+		pts  []sample
 	}
 	var out []shape
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -363,10 +362,10 @@ func decodeShapeCases() []struct {
 	// zigzags into the bucket, then the cadence again (a second dod of
 	// the same size back).
 	for _, jump := range []time.Duration{10 * time.Microsecond, time.Second, time.Hour, 200 * 24 * time.Hour} {
-		pts := make([]Point, 8)
+		pts := make([]sample, 8)
 		at := t0
 		for i := range pts {
-			pts[i] = Point{At: at, Value: float64(i % 2)}
+			pts[i] = sample{ns: at.UnixNano(), v: float64(i % 2)}
 			at = at.Add(time.Minute)
 			if i == 3 {
 				at = at.Add(jump)
@@ -375,12 +374,12 @@ func decodeShapeCases() []struct {
 		out = append(out, shape{fmt.Sprintf("dod-jump-%v", jump), pts})
 	}
 	wide := []uint64{0, 0x8000000000000001, 0x0000000000000001, 0x8000000000000000, 0x8000000000000001}
-	pts := make([]Point, len(wide))
+	pts := make([]sample, len(wide))
 	for i, b := range wide {
-		pts[i] = Point{At: t0.Add(time.Duration(i) * time.Second), Value: math.Float64frombits(b)}
+		pts[i] = sample{ns: t0.Add(time.Duration(i) * time.Second).UnixNano(), v: math.Float64frombits(b)}
 	}
 	out = append(out, shape{"window-64", pts})
-	out = append(out, shape{"single", []Point{{At: t0, Value: 3.25}}})
+	out = append(out, shape{"single", []sample{{ns: t0.UnixNano(), v: 3.25}}})
 	return out
 }
 
@@ -399,13 +398,13 @@ func TestBlockDecodeTruncationPrefixes(t *testing.T) {
 			t.Fatalf("%s: full block failed to decode", c.name)
 		}
 		for i, p := range c.pts {
-			if got[i].At != p.At || math.Float64bits(got[i].Value) != math.Float64bits(p.Value) {
+			if got[i].ns != p.ns || math.Float64bits(got[i].v) != math.Float64bits(p.v) {
 				t.Fatalf("%s: point %d = %v, want %v", c.name, i, got[i], p)
 			}
 		}
 		for i := 2; i < len(c.pts); i++ {
-			dod := c.pts[i].At.Sub(c.pts[i-1].At) - c.pts[i-1].At.Sub(c.pts[i-2].At)
-			if z := zigzag(int64(dod)); z != 0 {
+			dod := (c.pts[i].ns - c.pts[i-1].ns) - (c.pts[i-1].ns - c.pts[i-2].ns)
+			if z := zigzag(dod); z != 0 {
 				buckets[uint(bits.Len64(z)+15)/16*16] = true
 			}
 		}
@@ -463,7 +462,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		for _, rec := range recs {
 			for j := 1; j < len(rec.points); j++ {
-				if rec.points[j].At.Before(rec.points[j-1].At) {
+				if rec.points[j].ns < rec.points[j-1].ns {
 					t.Fatalf("decode accepted out-of-order points in %v", rec.key)
 				}
 			}
@@ -486,7 +485,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 					again[i].key, len(again[i].points), recs[i].key, len(recs[i].points))
 			}
 			for j, p := range recs[i].points {
-				if q := again[i].points[j]; !q.At.Equal(p.At) || math.Float64bits(q.Value) != math.Float64bits(p.Value) {
+				if q := again[i].points[j]; q.ns != p.ns || math.Float64bits(q.v) != math.Float64bits(p.v) {
 					t.Fatalf("round trip changed record %d point %d: %v vs %v", i, j, q, p)
 				}
 			}

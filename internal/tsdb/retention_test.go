@@ -282,6 +282,19 @@ func TestRetentionTrigger(t *testing.T) {
 	}
 }
 
+// TestRetentionCutAtRangeStart: a horizon reaching back past the first
+// representable instant cuts nothing. maxAt - horizon underflows int64
+// there, and a wrapped estimate would sit far in the future, capped only
+// by coverage, dropping every covered raw block.
+func TestRetentionCutAtRangeStart(t *testing.T) {
+	rs := &retentionState{horizon: 1000 * 24 * time.Hour}
+	rs.maxAt.Store(minInstant.Add(24 * time.Hour).UnixNano())
+	rs.coverage.Store(minInstant.UnixNano())
+	if est, ok := rs.cutEstimate(); ok {
+		t.Fatalf("cutEstimate = %d, want none: nothing is older than the horizon", est)
+	}
+}
+
 // TestRetentionRequiresDurableSealingStore: configuration errors are
 // rejected at open, not silently ignored.
 func TestRetentionRequiresDurableSealingStore(t *testing.T) {

@@ -227,11 +227,12 @@ func (t Tier) buckets(k SeriesKey) []bucket {
 // bucketBounds is afterBounds over a bucket array: the window [lo, hi) of
 // the buckets after the position (after, seq) and at or before to.
 func bucketBounds(bs []bucket, after time.Time, seq int, to time.Time) (lo, hi int) {
-	lo = sort.Search(len(bs), func(i int) bool { return !time.Unix(0, bs[i].start).Before(after) })
-	if seq > 0 && lo < len(bs) && time.Unix(0, bs[lo].start).Equal(after) {
+	a, t := unixNanos(after), unixNanos(to)
+	lo = sort.Search(len(bs), func(i int) bool { return bs[i].start >= a })
+	if seq > 0 && lo < len(bs) && bs[lo].start == a {
 		lo++
 	}
-	hi = sort.Search(len(bs), func(i int) bool { return time.Unix(0, bs[i].start).After(to) })
+	hi = sort.Search(len(bs), func(i int) bool { return bs[i].start > t })
 	return lo, hi
 }
 
@@ -258,7 +259,7 @@ func (t Tier) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, ma
 	out := make([]Point, hi-lo)
 	for i := range out {
 		b := &bs[lo+i]
-		out[i] = Point{At: time.Unix(0, b.start).UTC(), Value: b.v[t.agg]}
+		out[i] = sample{ns: b.start, v: b.v[t.agg]}.point()
 	}
 	t.db.scanned.Add(uint64(len(out)))
 	return out, nil
@@ -275,12 +276,12 @@ func (db *DB) foldBuckets(v seriesView, res time.Duration, from, end int64) ([]b
 	lo := 0
 	if from != noCut {
 		var err error
-		lo, err = db.searchView(v, func(t time.Time) bool { return t.UnixNano() >= from })
+		lo, err = db.searchView(v, func(ns int64) bool { return ns >= from })
 		if err != nil {
 			return nil, err
 		}
 	}
-	hi, err := db.searchView(v, func(t time.Time) bool { return t.UnixNano() >= end })
+	hi, err := db.searchView(v, func(ns int64) bool { return ns >= end })
 	if err != nil {
 		return nil, err
 	}
@@ -297,23 +298,23 @@ func (db *DB) foldBuckets(v seriesView, res time.Duration, from, end int64) ([]b
 			out = append(out, cur)
 		}
 	}
-	err = db.iterateView(v, lo, hi, func(pts []Point) error {
+	err = db.iterateView(v, lo, hi, func(pts []sample) error {
 		for _, p := range pts {
-			bs := bucketStart(p.At.UnixNano(), res)
+			bs := bucketStart(p.ns, res)
 			if !open || bs != cur.start {
 				flush()
-				cur = bucket{start: bs, v: [len(rollupAggs)]float64{p.Value, p.Value, 0, p.Value}}
-				sum, n, open = p.Value, 1, true
+				cur = bucket{start: bs, v: [len(rollupAggs)]float64{p.v, p.v, 0, p.v}}
+				sum, n, open = p.v, 1, true
 				continue
 			}
-			if p.Value < cur.v[AggMin] {
-				cur.v[AggMin] = p.Value
+			if p.v < cur.v[AggMin] {
+				cur.v[AggMin] = p.v
 			}
-			if p.Value > cur.v[AggMax] {
-				cur.v[AggMax] = p.Value
+			if p.v > cur.v[AggMax] {
+				cur.v[AggMax] = p.v
 			}
-			sum += p.Value
-			cur.v[AggLast] = p.Value
+			sum += p.v
+			cur.v[AggLast] = p.v
 			n++
 		}
 		return nil
@@ -337,7 +338,7 @@ type rollupGrowth struct {
 // resolution, from the tier's next bucket up to bucketStart of the new
 // cold frontier. ok is false when the seal finalizes nothing. The caller
 // holds cpMu, so k's cold blocks and tiers cannot change underfoot.
-func (db *DB) sealBuckets(k SeriesKey, sealed []Point) (g rollupGrowth, ok bool, err error) {
+func (db *DB) sealBuckets(k SeriesKey, sealed []sample) (g rollupGrowth, ok bool, err error) {
 	sh := db.shardFor(k)
 	sh.mu.RLock()
 	s := sh.series[k]
@@ -345,7 +346,7 @@ func (db *DB) sealBuckets(k SeriesKey, sealed []Point) (g rollupGrowth, ok bool,
 	tiers := s.rollups
 	sh.mu.RUnlock()
 	v.hot = sealed
-	lastAt := sealed[len(sealed)-1].At.UnixNano()
+	lastAt := sealed[len(sealed)-1].ns
 	g.key = k
 	for r, res := range rollupResolutions {
 		next := int64(noCut)
@@ -667,7 +668,9 @@ func casMax(a *atomic.Int64, v int64) {
 }
 
 // cutEstimate returns the dataset's current retention cut candidate:
-// min(maxAt - horizon, coverage). ok is false until an append exists.
+// min(maxAt - horizon, coverage). ok is false until an append exists,
+// and while the horizon reaches back past the first representable
+// instant (maxAt - horizon would underflow: nothing is old enough).
 // Unknown coverage (nothing sealed yet — e.g. a fresh store before its
 // first checkpoint) is treated optimistically as unbounded so the
 // trigger can arm and drive the checkpoint that seals; this cannot
@@ -680,6 +683,9 @@ func (rs *retentionState) cutEstimate() (int64, bool) {
 		return 0, false
 	}
 	est := maxAt - int64(rs.horizon)
+	if est > maxAt {
+		return 0, false
+	}
 	if cov != noCut && cov < est {
 		est = cov
 	}
@@ -688,9 +694,9 @@ func (rs *retentionState) cutEstimate() (int64, bool) {
 
 // noteAppend records a raw append's timestamp for the dataset's retention
 // trigger. Called from the append path only when retention is configured.
-func (db *DB) noteAppend(ds string, at time.Time) {
+func (db *DB) noteAppend(ds string, ns int64) {
 	if rs := db.retain[ds]; rs != nil {
-		casMax(&rs.maxAt, at.UnixNano())
+		casMax(&rs.maxAt, ns)
 	}
 }
 
@@ -801,7 +807,7 @@ func (db *DB) coverageLocked() map[SeriesKey]int64 {
 			if s.cold == nil || s.cold.n == 0 {
 				continue
 			}
-			c := bucketStart(s.cold.lastAt.UnixNano(), Res1d)
+			c := bucketStart(s.cold.lastAt, Res1d)
 			perSeries[k] = c
 			if cur, ok := perDataset[k.Dataset]; !ok || c < cur {
 				perDataset[k.Dataset] = c
@@ -844,7 +850,7 @@ func (db *DB) dropColdBelow(cut func(SeriesKey) int64, onDrop func(ds string, pt
 			// Blocks are time-ordered and non-overlapping, so the
 			// droppable set is a prefix.
 			idx := 0
-			for idx < len(s.cold.blocks) && s.cold.blocks[idx].maxAt.UnixNano() < c {
+			for idx < len(s.cold.blocks) && s.cold.blocks[idx].maxAt < c {
 				idx++
 			}
 			if idx == 0 {
@@ -924,7 +930,7 @@ func (db *DB) enforceRetentionLocked() error {
 			if c == noCut || s.cold == nil || len(s.cold.blocks) == 0 {
 				continue
 			}
-			if s.cold.blocks[0].maxAt.UnixNano() < c {
+			if s.cold.blocks[0].maxAt < c {
 				droppable = true
 				break
 			}
@@ -962,7 +968,7 @@ func (db *DB) enforceRetentionLocked() error {
 			for bi := range s.cold.blocks {
 				b := &s.cold.blocks[bi]
 				predTotal[b.seg.seq]++
-				if c != noCut && b.maxAt.UnixNano() < c {
+				if c != noCut && b.maxAt < c {
 					predDropped[b.seg.seq]++
 				}
 			}
@@ -1069,9 +1075,9 @@ func (db *DB) initRetention(horizons map[string]time.Duration) {
 				continue
 			}
 			if n := len(s.points); n > 0 {
-				casMax(&rs.maxAt, s.points[n-1].At.UnixNano())
+				casMax(&rs.maxAt, s.points[n-1].ns)
 			} else if s.cold != nil && s.cold.n > 0 {
-				casMax(&rs.maxAt, s.cold.lastAt.UnixNano())
+				casMax(&rs.maxAt, s.cold.lastAt)
 			}
 		}
 	}

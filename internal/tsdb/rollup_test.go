@@ -55,7 +55,7 @@ func coldLastAt(db *DB, k SeriesKey) (time.Time, bool) {
 	if s == nil || s.cold == nil || s.cold.n == 0 {
 		return time.Time{}, false
 	}
-	return s.cold.lastAt, true
+	return time.Unix(0, s.cold.lastAt).UTC(), true
 }
 
 // recomputeRollup aggregates raw points into res buckets, keeping only

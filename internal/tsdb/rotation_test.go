@@ -566,7 +566,7 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	base := uint64(len(raw) - rotSegHeaderLen)
 	next := encodeRotHeader(rotHeader{index: 0, count: 1, epoch: epoch, seq: 1000000, base: base})
 	for i := 10; i < 20; i++ {
-		next = appendRecord(next, k.String(), t0.Add(time.Duration(i)*time.Minute), float64(i))
+		next = appendRecord(next, k.String(), t0.Add(time.Duration(i)*time.Minute).UnixNano(), float64(i))
 	}
 	if err := os.WriteFile(filepath.Join(dir, rotSegName(0, 1000000)), next, 0o644); err != nil {
 		t.Fatal(err)

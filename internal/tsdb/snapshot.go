@@ -28,7 +28,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"time"
 )
 
 const (
@@ -138,9 +137,9 @@ func encodeSnapshot(w io.Writer, recs []snapshotSeries) error {
 		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(pts)))
 		payload = append(payload, tmp[:4]...)
 		for _, p := range pts {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(p.At.UnixNano()))
+			binary.LittleEndian.PutUint64(tmp[:], uint64(p.ns))
 			payload = append(payload, tmp[:8]...)
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(p.Value))
+			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(p.v))
 			payload = append(payload, tmp[:8]...)
 		}
 		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(payload)))
@@ -166,7 +165,7 @@ type snapshotSeries struct {
 	// it once; the chunking and encoding passes reuse it instead of
 	// re-rendering the key (previously up to three times per record).
 	canon  string
-	points []Point
+	points []sample
 }
 
 // canonKey returns the cached canonical key form, rendering it only for
@@ -223,15 +222,15 @@ func decodeSnapshot(r io.Reader) ([]snapshotSeries, error) {
 		if int(plen) != 2+keyLen+4+16*int(npts) {
 			return nil, fmt.Errorf("tsdb: snapshot record %d: point count %d disagrees with payload length %d", i, npts, plen)
 		}
-		pts := make([]Point, npts)
+		pts := make([]sample, npts)
 		off := 2 + keyLen + 4
 		for j := range pts {
-			at := time.Unix(0, int64(binary.LittleEndian.Uint64(payload[off:]))).UTC()
+			ns := int64(binary.LittleEndian.Uint64(payload[off:]))
 			v := math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
-			if j > 0 && at.Before(pts[j-1].At) {
+			if j > 0 && ns < pts[j-1].ns {
 				return nil, fmt.Errorf("tsdb: snapshot record %d (%v): points out of order", i, k)
 			}
-			pts[j] = Point{At: at, Value: v}
+			pts[j] = sample{ns: ns, v: v}
 			off += 16
 		}
 		out = append(out, snapshotSeries{key: k, points: pts})

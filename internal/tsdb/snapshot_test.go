@@ -67,7 +67,7 @@ func sameRecords(t *testing.T, got, want []snapshotSeries) {
 			merged[n-1].points = append(merged[n-1].points, rec.points...)
 			continue
 		}
-		merged = append(merged, snapshotSeries{key: rec.key, points: append([]Point(nil), rec.points...)})
+		merged = append(merged, snapshotSeries{key: rec.key, points: append([]sample(nil), rec.points...)})
 	}
 	if len(merged) != len(want) {
 		t.Fatalf("decoded %d series, want %d", len(merged), len(want))
@@ -78,7 +78,7 @@ func sameRecords(t *testing.T, got, want []snapshotSeries) {
 				i, merged[i].key, len(merged[i].points), want[i].key, len(want[i].points))
 		}
 		for j, p := range want[i].points {
-			if q := merged[i].points[j]; !q.At.Equal(p.At) || q.Value != p.Value {
+			if q := merged[i].points[j]; q != p {
 				t.Fatalf("series %v point %d: %v, want %v", want[i].key, j, q, p)
 			}
 		}

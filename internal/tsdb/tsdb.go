@@ -96,10 +96,69 @@ func ParseSeriesKey(s string) (SeriesKey, error) {
 	return SeriesKey{Dataset: parts[0], Type: parts[1], Region: parts[2], AZ: parts[3]}, nil
 }
 
-// Point is one sample of a series.
+// Point is one sample of a series. Every read answers in UTC, whatever
+// zone the point was appended in.
 type Point struct {
 	At    time.Time
 	Value float64
+}
+
+// sample is a point at rest: unix nanoseconds and the value, 16 bytes
+// with no pointers, so the GC never scans a series' hot tail or a cached
+// decoded block. Every tier — the hot tail, the block cache, the block
+// and checkpoint codecs, WAL replay and the rollup fold — holds samples;
+// a Point is built only where one leaves the package (point).
+type sample struct {
+	ns int64
+	v  float64
+}
+
+func (s sample) point() Point { return Point{At: time.Unix(0, s.ns).UTC(), Value: s.v} }
+
+// minInstant and maxInstant bound the timestamps appends accept: whole
+// UTC years 1678 through 2261, inside the int64 unix-nanosecond range
+// (1677-09-21 … 2262-04-11) that every on-disk format stores. Trimming to
+// whole years keeps every rollup bucket start representable, and keeps
+// math.MinInt64 and math.MaxInt64 strictly outside every stored sample,
+// which is what lets unixNanos saturate window bounds exactly.
+var (
+	minInstant = time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC)
+	maxInstant = time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC).Add(-time.Nanosecond)
+)
+
+// Instants whose unix nanoseconds are the int64 limits: bounds beyond
+// them saturate in unixNanos.
+var (
+	minNanosInstant = time.Unix(0, math.MinInt64)
+	maxNanosInstant = time.Unix(0, math.MaxInt64)
+)
+
+// unixNanos converts a read's window bound to unix nanoseconds,
+// saturating at the int64 limits instead of wrapping as a bare UnixNano
+// would (the API's default window is year 1 … year 9999). No stored
+// sample sits at either limit, so a saturated bound orders against every
+// sample exactly as the bound itself does.
+func unixNanos(t time.Time) int64 {
+	switch {
+	case t.Before(minNanosInstant):
+		return math.MinInt64
+	case t.After(maxNanosInstant):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// subNanos is Time.Sub on unix nanoseconds: a - b, saturated at the
+// Duration limits when the difference overflows int64.
+func subNanos(a, b int64) time.Duration {
+	d := a - b
+	if (d < a) != (b > 0) {
+		if a < b {
+			return math.MinInt64
+		}
+		return math.MaxInt64
+	}
+	return time.Duration(d)
 }
 
 // Entry is one point addressed to a series, the unit of batched appends.
@@ -112,7 +171,7 @@ type Entry struct {
 type series struct {
 	// points is the in-memory tail of the series (all of it until the
 	// first seal). Sealed history lives compressed on disk behind cold.
-	points []Point
+	points []sample
 	// cold is the series' sealed history, nil until a checkpoint seals
 	// one: block metadata only — the points themselves stay on disk and
 	// decode on demand through the store's block cache. A point's global
@@ -343,8 +402,8 @@ type Options struct {
 	BlockPoints int
 	// BlockCacheBytes bounds the decoded-block LRU cache: 0 selects
 	// DefaultBlockCacheBytes, negative disables caching (cold reads
-	// decode every time). Each cached point is charged a nominal 16
-	// bytes, about half its resident 32 (see blockcache.go).
+	// decode every time). Each cached point is charged 16 bytes, what a
+	// decoded sample really occupies (see blockcache.go).
 	BlockCacheBytes int64
 	// RetainRaw sets per-dataset retention horizons for raw points:
 	// once a dataset's rollups cover them, raw cold blocks wholly older
@@ -549,13 +608,13 @@ func (db *DB) shardFor(k SeriesKey) *shard {
 }
 
 // walRecord layout: u32 crc | u16 keyLen | key bytes | i64 unixNano | f64 bits.
-func appendRecord(buf []byte, key string, at time.Time, v float64) []byte {
+func appendRecord(buf []byte, key string, ns int64, v float64) []byte {
 	payload := make([]byte, 0, 2+len(key)+16)
 	var tmp [8]byte
 	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(key)))
 	payload = append(payload, tmp[:2]...)
 	payload = append(payload, key...)
-	binary.LittleEndian.PutUint64(tmp[:], uint64(at.UnixNano()))
+	binary.LittleEndian.PutUint64(tmp[:], uint64(ns))
 	payload = append(payload, tmp[:]...)
 	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
 	payload = append(payload, tmp[:]...)
@@ -579,12 +638,16 @@ func validKey(k SeriesKey) error {
 	return nil
 }
 
-// ErrUnencodablePoint is wrapped by every append rejected because no
-// reader could be served the point: a NaN or infinite value, or a
-// timestamp outside years 0–9999, which JSON (RFC 3339) cannot render.
-// Stored, such a point would fail every later response whose window
-// covers it — after its status line is committed — and a NaN would be
-// stored again each tick, since it never equals the last value.
+// ErrUnencodablePoint is wrapped by every append rejected because the
+// point cannot be stored and served back unchanged: a NaN or infinite
+// value, which JSON cannot render — stored, it would fail every later
+// response whose window covers it, after its status line is committed,
+// and a NaN would be stored again each tick, since it never equals the
+// last value — or a timestamp outside years 1678 through 2261. The WAL,
+// checkpoint and block formats all store unix nanoseconds in an int64,
+// which cannot hold an instant outside 1677-09-21 … 2262-04-11: such a
+// point would be acknowledged, then come back centuries away after a
+// reopen or a seal (see minInstant for why the range is whole years).
 var ErrUnencodablePoint = errors.New("tsdb: point cannot be encoded")
 
 // validPoint is the append entry points' check on the point itself,
@@ -594,15 +657,16 @@ func validPoint(at time.Time, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("%w: value %v", ErrUnencodablePoint, v)
 	}
-	if y := at.Year(); y < 0 || y > 9999 {
-		return fmt.Errorf("%w: timestamp year %d outside 0..9999", ErrUnencodablePoint, y)
+	if at.Before(minInstant) || at.After(maxInstant) {
+		return fmt.Errorf("%w: timestamp %v outside years 1678..2261", ErrUnencodablePoint, at)
 	}
 	return nil
 }
 
 // appendLocked stores one point into sh, which the caller has write-locked.
 // The WAL write goes to the shard's own segment under the same lock, so
-// durable appends to different shards proceed fully in parallel.
+// durable appends to different shards proceed fully in parallel. The
+// caller has validated at, so its UnixNano is exact.
 func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64) error {
 	if db.closed.Load() {
 		return errClosed
@@ -619,22 +683,23 @@ func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64) erro
 		sh.series[k] = s
 		db.keyGen.Add(1)
 	}
+	ns := at.UnixNano()
 	if n := len(s.points); n > 0 {
-		if at.Before(s.points[n-1].At) {
-			return fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, s.points[n-1].At)
+		if last := s.points[n-1]; ns < last.ns {
+			return fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, last.point().At)
 		}
-	} else if s.cold != nil && at.Before(s.cold.lastAt) {
-		return fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, s.cold.lastAt)
+	} else if s.cold != nil && ns < s.cold.lastAt {
+		return fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, time.Unix(0, s.cold.lastAt).UTC())
 	}
-	s.points = append(s.points, Point{At: at, Value: v})
+	s.points = append(s.points, sample{ns: ns, v: v})
 	sh.points++
 	db.hotPts.Add(1)
 	sh.gen.Add(1)
 	if len(db.retain) > 0 {
-		db.noteAppend(k.Dataset, at)
+		db.noteAppend(k.Dataset, ns)
 	}
 	if sh.wal != nil {
-		rec := appendRecord(nil, k.String(), at, v)
+		rec := appendRecord(nil, k.String(), ns, v)
 		if _, err := sh.wal.Write(rec); err != nil {
 			return fmt.Errorf("tsdb: wal write: %w", err)
 		}
@@ -689,7 +754,7 @@ func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool,
 		// A failed cold read of the last point (only reachable when the
 		// hot tail is empty) degrades to "assume changed": storing a
 		// possibly-duplicate value beats refusing the append.
-		if p, ok, err := db.last(viewLocked(sh.series[k])); err == nil && ok && p.Value == v {
+		if p, ok, err := db.last(viewLocked(sh.series[k])); err == nil && ok && p.v == v {
 			return false, nil
 		}
 	}
@@ -768,7 +833,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 			if dedup {
 				// As in appendOne: an unreadable last point means
 				// "assume changed", never a rejected append.
-				if p, ok, err := db.last(viewLocked(sh.series[e.Key])); err == nil && ok && p.Value == e.Value {
+				if p, ok, err := db.last(viewLocked(sh.series[e.Key])); err == nil && ok && p.v == e.Value {
 					continue
 				}
 			}
@@ -850,7 +915,7 @@ func (db *DB) coldReadErr(err error) error {
 type seriesView struct {
 	blocks []blockMeta
 	coldN  int
-	hot    []Point
+	hot    []sample
 }
 
 // viewLocked captures a series view (s may be nil); the caller holds the
@@ -886,7 +951,7 @@ func (v seriesView) total() int { return v.coldN + len(v.hot) }
 // hot remainder — decoding each block on demand so at most one block's
 // points are materialized beyond what fn retains. An fn error aborts
 // the walk; a block decode failure aborts it with ErrColdRead.
-func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []Point) error) error {
+func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []sample) error) error {
 	if total := v.total(); hi > total {
 		hi = total
 	}
@@ -932,13 +997,13 @@ func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []Point) error) 
 	return nil
 }
 
-// searchView returns the smallest global index whose point timestamp
+// searchView returns the smallest global index whose unix-nano timestamp
 // satisfies pred, or the total count when none does. pred must be
 // monotone in time (false then true), which both window predicates
-// (!Before(from), After(to)) are. Cold blocks are located by their
+// (at or after from, after to) are. Cold blocks are located by their
 // min/max timestamps alone; a block is decoded only when the boundary
 // falls strictly inside it.
-func (db *DB) searchView(v seriesView, pred func(time.Time) bool) (int, error) {
+func (db *DB) searchView(v seriesView, pred func(ns int64) bool) (int, error) {
 	nb := len(v.blocks)
 	bi := sort.Search(nb, func(i int) bool { return pred(v.blocks[i].maxAt) })
 	if bi < nb {
@@ -950,20 +1015,20 @@ func (db *DB) searchView(v seriesView, pred func(time.Time) bool) (int, error) {
 		if err != nil {
 			return 0, db.coldReadErr(err)
 		}
-		return b.start + sort.Search(len(pts), func(i int) bool { return pred(pts[i].At) }), nil
+		return b.start + sort.Search(len(pts), func(i int) bool { return pred(pts[i].ns) }), nil
 	}
-	return v.coldN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].At) }), nil
+	return v.coldN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].ns) }), nil
 }
 
-// last returns the view's most recent point. For live series the hot
+// last returns the view's most recent sample. For live series the hot
 // tail always holds at least one point (seals keep a non-empty tail);
 // the cold fallback, the point at coldN-1, covers a tier state only
 // reachable through recovery of a partially written layout.
-func (db *DB) last(v seriesView) (p Point, ok bool, err error) {
+func (db *DB) last(v seriesView) (p sample, ok bool, err error) {
 	if n := len(v.hot); n > 0 {
 		return v.hot[n-1], true, nil
 	}
-	err = db.iterateView(v, v.coldN-1, v.coldN, func(pts []Point) error {
+	err = db.iterateView(v, v.coldN-1, v.coldN, func(pts []sample) error {
 		p, ok = pts[0], true
 		return nil
 	})
@@ -987,9 +1052,10 @@ func (db *DB) last(v seriesView) (p Point, ok bool, err error) {
 // also the single source of window semantics for range reads: a page's
 // count pass and copy pass agree exactly across both tiers, and a cold
 // read error fails both identically instead of letting them disagree
-// silently.
-func (db *DB) afterBounds(v seriesView, after time.Time, seq int, to time.Time) (lo, hi int, err error) {
-	lo, err = db.searchView(v, func(t time.Time) bool { return !t.Before(after) })
+// silently. The bounds are unix nanoseconds, converted once by the
+// caller through unixNanos.
+func (db *DB) afterBounds(v seriesView, after int64, seq int, to int64) (lo, hi int, err error) {
+	lo, err = db.searchView(v, func(ns int64) bool { return ns >= after })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -997,7 +1063,7 @@ func (db *DB) afterBounds(v seriesView, after time.Time, seq int, to time.Time) 
 		// seq consumes points at exactly `after`, never beyond its run:
 		// a forged or overshot count clamps to the run's end instead of
 		// eating later timestamps.
-		runEnd, err := db.searchView(v, func(t time.Time) bool { return t.After(after) })
+		runEnd, err := db.searchView(v, func(ns int64) bool { return ns > after })
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1007,7 +1073,7 @@ func (db *DB) afterBounds(v seriesView, after time.Time, seq int, to time.Time) 
 			lo += seq
 		}
 	}
-	hi, err = db.searchView(v, func(t time.Time) bool { return t.After(to) })
+	hi, err = db.searchView(v, func(ns int64) bool { return ns > to })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1020,7 +1086,7 @@ func (db *DB) afterBounds(v seriesView, after time.Time, seq int, to time.Time) 
 // and the hot tail. Cursor pagination uses it to size the remainder of
 // a series the cursor position has partially consumed.
 func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
-	lo, hi, err := db.afterBounds(db.view(k), after, seq, to)
+	lo, hi, err := db.afterBounds(db.view(k), unixNanos(after), seq, unixNanos(to))
 	if err != nil || lo >= hi {
 		return 0, err
 	}
@@ -1035,16 +1101,21 @@ func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (i
 // under live collection, where a skipped offset would drift.
 func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
 	v := db.view(k)
-	lo, hi, err := db.afterBounds(v, after, seq, to)
+	lo, hi, err := db.afterBounds(v, unixNanos(after), seq, unixNanos(to))
 	if max >= 0 && max < hi-lo {
 		hi = lo + max
 	}
 	if err != nil || lo >= hi {
 		return nil, err
 	}
-	out := make([]Point, 0, hi-lo)
-	err = db.iterateView(v, lo, hi, func(pts []Point) error {
-		out = append(out, pts...)
+	out := make([]Point, hi-lo)
+	n := 0
+	err = db.iterateView(v, lo, hi, func(pts []sample) error {
+		dst := out[n : n+len(pts)]
+		for i, p := range pts {
+			dst[i] = p.point()
+		}
+		n += len(pts)
 		return nil
 	})
 	if err != nil {
@@ -1060,17 +1131,18 @@ func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, ma
 // none of them materializes its window.
 func (db *DB) steps(k SeriesKey, from, to time.Time, fn func(Point)) error {
 	v := db.view(k)
-	lo, err := db.searchView(v, func(t time.Time) bool { return t.After(from) })
+	f, t := unixNanos(from), unixNanos(to)
+	lo, err := db.searchView(v, func(ns int64) bool { return ns > f })
 	if err != nil {
 		return err
 	}
-	hi, err := db.searchView(v, func(t time.Time) bool { return t.After(to) })
+	hi, err := db.searchView(v, func(ns int64) bool { return ns > t })
 	if err != nil {
 		return err
 	}
-	return db.iterateView(v, lo-1, hi, func(pts []Point) error {
+	return db.iterateView(v, lo-1, hi, func(pts []sample) error {
 		for _, p := range pts {
-			fn(p)
+			fn(p.point())
 		}
 		return nil
 	})
@@ -1157,14 +1229,14 @@ func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
 		return nil, nil
 	}
 	out := make([]time.Duration, 0, total-1)
-	var prev time.Time
+	var prev int64
 	first := true
-	err := db.iterateView(v, 0, total, func(pts []Point) error {
+	err := db.iterateView(v, 0, total, func(pts []sample) error {
 		for _, p := range pts {
 			if !first {
-				out = append(out, p.At.Sub(prev))
+				out = append(out, subNanos(p.ns, prev))
 			}
-			prev = p.At
+			prev = p.ns
 			first = false
 		}
 		return nil
@@ -1177,7 +1249,11 @@ func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
 
 // Last returns the most recent point of the series.
 func (db *DB) Last(k SeriesKey) (Point, bool, error) {
-	return db.last(db.view(k))
+	p, ok, err := db.last(db.view(k))
+	if !ok {
+		return Point{}, ok, err
+	}
+	return p.point(), ok, err
 }
 
 // KeyFilter selects series keys; empty fields match anything.
@@ -1263,27 +1339,30 @@ func (db *DB) PointCount() int {
 // false for an empty store. Services resuming over a recovered archive use
 // it to fast-forward their clock past the restored data.
 func (db *DB) MaxTime() (time.Time, bool) {
-	var max time.Time
+	var max int64
 	found := false
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			var at time.Time
+			var at int64
 			if n := len(s.points); n > 0 {
-				at = s.points[n-1].At
+				at = s.points[n-1].ns
 			} else if s.cold != nil && s.cold.n > 0 {
 				at = s.cold.lastAt // index metadata: no block decode needed
 			} else {
 				continue
 			}
-			if !found || at.After(max) {
+			if !found || at > max {
 				max, found = at, true
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return max, found
+	if !found {
+		return time.Time{}, false
+	}
+	return time.Unix(0, max).UTC(), true
 }
 
 // Flush forces buffered log records of every shard segment to stable

@@ -82,8 +82,10 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// TestUnencodablePointRejected: a value or timestamp JSON cannot render
-// is refused with ErrUnencodablePoint at all four append entry points,
+// TestUnencodablePointRejected: a value JSON cannot render, or a
+// timestamp outside years 1678–2261 (which unix nanoseconds cannot hold
+// or the accepted range trims), is refused with ErrUnencodablePoint at
+// all four append entry points,
 // stores nothing (not even the series), and leaves the good entries of
 // the same batch stored.
 func TestUnencodablePointRejected(t *testing.T) {
@@ -95,6 +97,15 @@ func TestUnencodablePointRejected(t *testing.T) {
 		{Key: k, At: t0, Value: math.Inf(-1)},
 		{Key: k, At: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
 		{Key: k, At: time.Date(-1, 12, 31, 0, 0, 0, 0, time.UTC), Value: 1},
+		// JSON renders these, but unix nanoseconds cannot hold them.
+		{Key: k, At: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
+		{Key: k, At: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), Value: 1},
+		{Key: k, At: time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
+		// Just outside the accepted range, including the int64 limits.
+		{Key: k, At: minInstant.Add(-time.Nanosecond), Value: 1},
+		{Key: k, At: maxInstant.Add(time.Nanosecond), Value: 1},
+		{Key: k, At: time.Unix(0, math.MinInt64), Value: 1},
+		{Key: k, At: time.Unix(0, math.MaxInt64), Value: 1},
 	}
 	for _, e := range bad {
 		if err := db.Append(e.Key, e.At, e.Value); !errors.Is(err, ErrUnencodablePoint) {
@@ -114,11 +125,11 @@ func TestUnencodablePointRejected(t *testing.T) {
 	if db.PointCount() != 0 || db.SeriesCount() != 0 {
 		t.Fatalf("rejected points left %d points in %d series", db.PointCount(), db.SeriesCount())
 	}
-	// The year bounds themselves are encodable, and a bad entry does not
-	// take its batch down with it.
+	// The range limits themselves are accepted, in any zone, and a bad
+	// entry does not take its batch down with it.
 	edge := []Entry{
-		{Key: key("a"), At: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
-		{Key: key("b"), At: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), Value: 2},
+		{Key: key("a"), At: minInstant, Value: 1},
+		{Key: key("b"), At: maxInstant.In(time.FixedZone("", -3600)), Value: 2},
 		bad[0],
 	}
 	if n, err := db.AppendBatch(edge); n != 2 || !errors.Is(err, ErrUnencodablePoint) {

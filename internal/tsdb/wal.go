@@ -502,15 +502,15 @@ func (db *DB) openReadOnly(man manifest, ok bool) error {
 // applyReplayed stores one replayed point directly. Open owns the store
 // exclusively, so no locks are taken; parallel chain replay is safe
 // because each goroutine only touches its own shard.
-func (db *DB) applyReplayed(sh *shard, k SeriesKey, at time.Time, v float64) {
-	db.mergeSeries(sh, k, Point{At: at, Value: v})
+func (db *DB) applyReplayed(sh *shard, k SeriesKey, ns int64, v float64) {
+	db.mergeSeries(sh, k, sample{ns: ns, v: v})
 }
 
 // mergeSeries bulk-appends points to a series, maintaining the shard's
 // point counter and generation and the store's key generation. The caller
 // must own sh — either exclusively (recovery during Open) or via its
 // write lock.
-func (db *DB) mergeSeries(sh *shard, k SeriesKey, pts ...Point) {
+func (db *DB) mergeSeries(sh *shard, k SeriesKey, pts ...sample) {
 	s := sh.series[k]
 	if s == nil {
 		s = &series{}
@@ -563,7 +563,7 @@ func (db *DB) openBlocks(man manifest) error {
 				sh.series[ent.key] = s
 				db.keyGen.Add(1)
 			}
-			if s.cold != nil && s.cold.n > 0 && ent.blocks[0].minAt.Before(s.cold.lastAt) {
+			if s.cold != nil && s.cold.n > 0 && ent.blocks[0].minAt < s.cold.lastAt {
 				// Later files must continue where earlier ones ended; the
 				// seal protocol never commits an overlap.
 				return fail(fmt.Errorf("tsdb: %s: blocks of %v overlap an earlier file", name, ent.key))
@@ -608,7 +608,7 @@ func (db *DB) attachBlocks(s *series, seg *coldSegment, blocks []blockMeta) int 
 // a crash mid-write). Malformed keys are skipped. It returns how many
 // bytes of complete, CRC-valid records were consumed, so callers can
 // truncate a crashed tail before appending after it.
-func replayRecords(r io.Reader, apply func(SeriesKey, time.Time, float64)) (int64, error) {
+func replayRecords(r io.Reader, apply func(k SeriesKey, ns int64, v float64)) (int64, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
@@ -635,13 +635,13 @@ func replayRecords(r io.Reader, apply func(SeriesKey, time.Time, float64)) (int6
 			return valid, nil // corrupt tail: stop replay
 		}
 		valid += int64(len(head) + len(body))
-		at := time.Unix(0, int64(binary.LittleEndian.Uint64(body[keyLen:keyLen+8]))).UTC()
+		ns := int64(binary.LittleEndian.Uint64(body[keyLen : keyLen+8]))
 		v := math.Float64frombits(binary.LittleEndian.Uint64(body[keyLen+8:]))
 		k, err := ParseSeriesKey(string(body[:keyLen]))
 		if err != nil {
 			continue
 		}
-		apply(k, at, v)
+		apply(k, ns, v)
 	}
 }
 
@@ -836,12 +836,12 @@ func (db *DB) replayShardChain(i int, man manifest, strict bool, segs []rotSegOn
 			}
 			start = offset
 		}
-		valid, err := replayRecords(br, func(k SeriesKey, at time.Time, v float64) {
+		valid, err := replayRecords(br, func(k SeriesKey, ns int64, v float64) {
 			sh := db.shardFor(k)
 			if strict && sh != &db.shards[i] {
 				return
 			}
-			db.applyReplayed(sh, k, at, v)
+			db.applyReplayed(sh, k, ns, v)
 		})
 		f.Close()
 		if err != nil {
@@ -1354,7 +1354,7 @@ func (db *DB) checkpointLocked() error {
 			// Copy the tail to a fresh slice so the sealed prefix's backing
 			// array is released to the GC — keeping the original array alive
 			// would defeat the memory bound sealing exists for.
-			s.points = append([]Point(nil), s.points[sealed:]...)
+			s.points = append([]sample(nil), s.points[sealed:]...)
 			sh.mu.Unlock()
 			db.hotPts.Add(int64(-sealed))
 		}

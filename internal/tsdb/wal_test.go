@@ -98,7 +98,7 @@ func dirState(t *testing.T, dir string) map[string]string {
 func TestUnsupportedLayoutRefused(t *testing.T) {
 	var walBytes []byte
 	for _, e := range legacyEntries(50) {
-		walBytes = appendRecord(walBytes, e.Key.String(), e.At, e.Value)
+		walBytes = appendRecord(walBytes, e.Key.String(), e.At.UnixNano(), e.Value)
 	}
 	layouts := []struct {
 		name  string
