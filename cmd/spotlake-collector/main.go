@@ -12,7 +12,7 @@
 // (MANIFEST, per-shard wal-<shard>-<seq>.log segment chains, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused, untouched. The store flags
-// (-rotate-bytes … -retain-raw) are tsdb.BindFlags', shared with
+// (-rotate-bytes … -block-cache-bytes) are tsdb.BindFlags', shared with
 // spotlake-server. The active segment of each shard seals and rotates
 // past -rotate-bytes.
 //

@@ -9,7 +9,7 @@
 // (MANIFEST, per-shard wal-<shard>-<seq>.log segment chains, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused at startup, untouched. The
-// store flags (-rotate-bytes … -retain-raw) are tsdb.BindFlags', shared
+// store flags (-rotate-bytes … -block-cache-bytes) are tsdb.BindFlags', shared
 // with spotlake-collector. With -data set the store maintains itself:
 // its internal daemon (polling every -maintenance-interval) checkpoints
 // whenever the WAL grows -checkpoint-bytes past the last checkpoint —
@@ -293,10 +293,9 @@ func runFollower(cfg followerConfig, cat *catalog.Catalog) {
 		log.Fatalf("-follow requires -data: the replica needs a directory to ship artifacts into")
 	}
 	// The replica opens with the same store flags a primary would, made
-	// read-only: no daemon, and no retention (a replica never drops what
-	// the primary shipped).
+	// read-only and without a daemon.
 	storeOpts := cfg.storeOpts
-	storeOpts.ReadOnly, storeOpts.MaintenanceInterval, storeOpts.RetainRaw = true, -1, nil
+	storeOpts.ReadOnly, storeOpts.MaintenanceInterval = true, -1
 	// Reopen an existing replica so restarts serve immediately; a fresh
 	// directory serves empty (gated stale) until the first pull lands.
 	var db *tsdb.DB

@@ -292,12 +292,13 @@ type QueryRequest struct {
 	Limit   int
 	Cursor  string
 	// Resolution selects the tier serving the points: "raw" (default),
-	// "1h" or "1d" (rollup tiers), or "auto" (picked from the window
-	// span — see resolution.go). Normalized to the effective value by
-	// resolveRead.
+	// "1h" or "1d" (buckets folded at read time), or "auto" (picked from
+	// the window span — see resolution.go). Normalized to the effective
+	// value by resolveRead.
 	Resolution string
 	// Agg selects the rollup aggregate ("min", "max", "mean", "last";
-	// default mean). Ignored at raw resolution.
+	// default mean). Ignored at raw resolution, where resolveRead
+	// normalizes it to the default.
 	Agg string
 }
 
@@ -372,9 +373,9 @@ func (s *Service) cached(db *tsdb.DB, epoch uint64, ck string, req QueryRequest,
 		// Capture the generations before reading: a write racing the fan-out
 		// makes the cached entry stale immediately, never the reverse. The
 		// capture is the leader's own — coalesced followers share it. Rollup
-		// reads are guarded by the same generations: a series' buckets live
-		// in its raw series' shard, whose generation moves when a seal
-		// appends to them.
+		// reads are guarded by the same generations: a bucket is folded
+		// from its series' points, whose shard generation every append
+		// moves.
 		keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
 		keys, err := matchedKeys(db, req)
 		if err != nil {
@@ -493,8 +494,8 @@ const APIVersion = "v1"
 // Meta summarizes the archive contents and the serving layer's health,
 // as versioned namespaced sections: `schema` (what data is queryable),
 // `store` (tsdb durability and the hot/cold split), `cache`, `admission`
-// (absent without a controller), `retention` (absent without -retain-raw),
-// and `replication` (role, epochs, staleness).
+// (absent without a controller), and `replication` (role, epochs,
+// staleness).
 type Meta struct {
 	APIVersion string     `json:"apiVersion"`
 	Schema     SchemaMeta `json:"schema"`
@@ -503,10 +504,6 @@ type Meta struct {
 	// Admission reports the traffic controller's counters and rolling
 	// handler-latency percentiles; absent when no controller is set.
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Retention lists the per-dataset raw retention horizons with each
-	// dataset's committed cut, rollup coverage, and points dropped so
-	// far; absent when no -retain-raw is configured.
-	Retention []tsdb.RetentionStat `json:"retention,omitempty"`
 	// Replication reports the serving role and, on a follower, how far
 	// behind the primary this replica may be.
 	Replication ReplicationMeta `json:"replication"`
@@ -547,15 +544,11 @@ type StoreMeta struct {
 	HotTailPoints           int                   `json:"hotTailPoints"`
 	ColdReadErrors          uint64                `json:"coldReadErrors"`
 	BlockCache              tsdb.BlockCacheStats  `json:"blockCache"`
-	// RollupTiers reports whether the store keeps 1h/1d rollup tiers
-	// (resolution= is servable beyond raw): every sealing store does.
-	RollupTiers bool `json:"rollupTiers"`
 }
 
 // Meta returns the archive summary.
 func (s *Service) Meta() Meta {
 	db := s.store()
-	_, hasTiers := db.Tier(tsdb.Res1h, tsdb.AggMean)
 	m := Meta{
 		APIVersion: APIVersion,
 		Schema: SchemaMeta{
@@ -583,9 +576,7 @@ func (s *Service) Meta() Meta {
 			HotTailPoints:           db.HotTailPoints(),
 			ColdReadErrors:          db.ColdReadErrors(),
 			BlockCache:              db.BlockCacheStats(),
-			RollupTiers:             hasTiers,
 		},
-		Retention:   db.RetentionStats(),
 		Replication: s.replicationMeta(db),
 	}
 	if s.admission != nil {

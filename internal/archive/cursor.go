@@ -88,7 +88,8 @@ func cursorScope(req QueryRequest) uint64 {
 	// point stream and must not resume a walk at another — the streams
 	// differ in both density and values. `auto` normalizes to the tier it
 	// picked, so auto-minted tokens interoperate with the equivalent
-	// explicit request.
+	// explicit request, and the aggregate to mean at raw, which ignores
+	// it, so `agg=` cannot split one raw stream into several scopes.
 	mix(req.Resolution)
 	mix(req.Agg)
 	return h.Sum64()
@@ -194,19 +195,6 @@ func (s *Service) queryCursor(req QueryRequest) (*CursorPage, *cacheEntry, error
 		// otherwise serve the cursor series' pre-window points.
 		if curAt.Before(from) || curAt.After(to) {
 			return nil, nil, fmt.Errorf("%w: token position lies outside the query window", ErrBadCursor)
-		}
-		// A raw-tier token can point into history that retention has since
-		// dropped (rolled up, then aged out). Resuming there would
-		// silently skip from the cut to the first surviving point —
-		// exactly the hole this walk was promised not to have — so the
-		// token expires instead; the client restarts at the current head
-		// or re-queries a rollup tier, which retention never drops.
-		if plan.res == "raw" {
-			if sk, err := tsdb.ParseSeriesKey(curKey); err == nil {
-				if cut, ok := db.RetentionCut(sk.Dataset); ok && curAt.Before(cut) {
-					return nil, nil, fmt.Errorf("%w: token position precedes dataset %q's raw retention horizon (raw points there have been rolled up and dropped); restart the walk or query resolution=1h/1d", ErrBadCursor, sk.Dataset)
-				}
-			}
 		}
 	}
 	// Concurrent identical cold page requests (many clients replaying the

@@ -10,7 +10,7 @@ package archive
 // referencing only old files — a stale replica, never a torn one.
 //
 // Delta logic: artifacts are immutable once listed (sealed WAL
-// segments, block files, checkpoint and rollup snapshots), so a file
+// segments, block files, checkpoint snapshots), so a file
 // already staged under the same name, size, and store epoch is not
 // re-fetched. The one exception re-fetches unconditionally: WAL segments
 // whose staging epoch is unknown or different (across a re-shard, a
@@ -333,7 +333,6 @@ func (p *Puller) syncCycle() error {
 	opts := p.cfg.StoreOptions
 	opts.ReadOnly = true
 	opts.MaintenanceInterval = -1
-	opts.RetainRaw = nil
 	db, err := tsdb.OpenWithOptions(p.cfg.Dir, opts)
 	if err != nil {
 		return fmt.Errorf("archive: reopening replica after apply: %w", err)
@@ -347,7 +346,7 @@ func (p *Puller) syncCycle() error {
 		p.retiring = append(p.retiring, retiringStore{db: old, deadline: time.Now().Add(p.cfg.Grace)})
 	}
 	// Files the new manifest no longer references (reclaimed segments,
-	// superseded checkpoints, retained-away blocks) are garbage — but the
+	// superseded checkpoints) are garbage — but the
 	// replaced store may still be reading them during its grace period,
 	// so deletion waits until every retiring store has closed.
 	p.recordObsolete(staged)
@@ -364,7 +363,7 @@ func (p *Puller) haveStaged(a tsdb.ReplicationArtifact, epoch uint64) bool {
 		return false
 	}
 	if !strings.HasPrefix(a.Name, "wal-") {
-		// Block files and checkpoint and rollup snapshots carry globally
+		// Block files and checkpoint snapshots carry globally
 		// monotonic sequence numbers: a name is minted once, ever, so
 		// name+size identifies the bytes.
 		return true

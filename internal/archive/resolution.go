@@ -1,22 +1,23 @@
 package archive
 
-// Query-time resolution selection over the rollup tiers.
+// Query-time resolution selection.
 //
-// The tsdb keeps downsampled rollup tiers (min/max/mean/last at 1h and
-// 1d) beside every raw series of a sealing store (see
-// internal/tsdb/rollup.go). The serving layer exposes them through
-// `resolution=` on /api/v1/query: `raw` reads the raw series as before,
-// `1h`/`1d` read the matching tier, and `auto` picks from the window span
-// so long-horizon dashboards get the cheap tier without asking. The
-// aggregate defaults to mean; `agg=` selects min/max/last.
+// `resolution=` on /api/v1/query picks what a page reads: `raw` reads the
+// raw series as before, `1h`/`1d` read 1h or 1d buckets that the tsdb
+// folds from the raw points at read time (see internal/tsdb/rollup.go), so
+// every store serves them, and `auto` picks from the window span so
+// long-horizon dashboards get buckets without asking. The aggregate
+// defaults to mean; `agg=` selects min/max/last.
 //
-// Resolution is normalized to its effective value ("raw", "1h", "1d")
+// Resolution and aggregate are normalized to their effective values
+// ("raw", "1h", "1d"; the aggregate to mean at raw, which ignores it)
 // before the cache key and cursor scope are built: an `auto` request
 // whose window resolves to 1h shares cache entries — and cursor tokens —
-// with the equivalent explicit request, instead of fragmenting both.
+// with the equivalent explicit request, and `agg=max` at raw shares them
+// with the bare raw request, instead of fragmenting both.
 //
 // Responses are keyed by the raw series key regardless of resolution,
-// which is also the key a tier is read by, so clients correlate rollup
+// which is also the key a tier is read by, so clients correlate bucket
 // pages against raw ones by the same key.
 
 import (
@@ -54,10 +55,7 @@ type readPlan struct {
 // at the query's entry — the plan must not outlive a swap into a
 // different store). It normalizes req.Resolution and req.Agg in place so
 // cache keys and cursor scopes are built from the effective values.
-// Unknown values fail naming the parameter; an explicit 1h/1d against a
-// store without rollup tiers fails too, while auto degrades to raw there
-// (the caller asked for "whatever is cheapest", and raw is all that
-// exists).
+// Unknown values fail naming the parameter.
 func resolveRead(db *tsdb.DB, req *QueryRequest, from, to time.Time) (readPlan, error) {
 	agg := tsdb.AggMean
 	if req.Agg != "" {
@@ -67,36 +65,30 @@ func resolveRead(db *tsdb.DB, req *QueryRequest, from, to time.Time) (readPlan, 
 		}
 		agg = a
 	}
-	req.Agg = agg.String()
 
 	res := req.Resolution
-	if res == "" {
-		res = "raw"
-	}
-	_, tiers := db.Tier(tsdb.Res1h, agg)
 	switch res {
-	case "raw":
-	case "auto":
+	case "", "raw":
 		res = "raw"
-		if tiers {
-			switch span := to.Sub(from); {
-			case span >= autoDaily:
-				res = "1d"
-			case span >= autoHourly:
-				res = "1h"
-			}
+	case "auto":
+		switch span := to.Sub(from); {
+		case span >= autoDaily:
+			res = "1d"
+		case span >= autoHourly:
+			res = "1h"
+		default:
+			res = "raw"
 		}
 	case "1h", "1d":
-		if !tiers {
-			return readPlan{}, badParam("resolution", "archive: resolution %q is unavailable: this store has no rollup tiers (memory-only or sealing disabled)", res)
-		}
 	default:
 		return readPlan{}, badParam("resolution", "archive: resolution must be one of raw, 1h, 1d, auto, got %q", req.Resolution)
 	}
 	req.Resolution = res
 	if res == "raw" {
-		return readPlan{src: db, res: "raw"}, nil
+		req.Agg = tsdb.AggMean.String()
+		return readPlan{src: db, res: res}, nil
 	}
+	req.Agg = agg.String()
 	d, _ := tsdb.ParseResolution(res)
 	tier, _ := db.Tier(d, agg)
 	return readPlan{src: tier, res: res}, nil

@@ -1,12 +1,12 @@
 package archive
 
-// Resolution selection, rollup serving, retention-expired cursors, and
-// the cold-read → 500 mapping, all of which need a disk-backed store
-// (the rollup tiers only exist when the store seals cold blocks).
+// Resolution selection, rollup serving and the cold-read → 500 mapping,
+// mostly over a disk-backed store whose buckets straddle sealed history
+// and the hot tail.
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,9 +26,8 @@ func diskOpts() tsdb.Options {
 	return tsdb.Options{Shards: 4, RotateBytes: 1 << 16, HotTailPoints: 4, BlockPoints: 64, BlockCacheBytes: 1 << 14}
 }
 
-// diskArchive builds a Service over a sealing disk store (rollup tiers
-// on) holding `days` of 10-minute price points on one series, sealed by
-// one checkpoint.
+// diskArchive builds a Service over a sealing disk store holding `days`
+// of 10-minute price points on one series, sealed by one checkpoint.
 func diskArchive(t *testing.T, dir string, opts tsdb.Options, days int) (*Service, *tsdb.DB, tsdb.SeriesKey) {
 	t.Helper()
 	db, err := tsdb.OpenWithOptions(dir, opts)
@@ -73,14 +72,14 @@ func TestResolutionValidation(t *testing.T) {
 		t.Fatalf("unknown agg: err = %v, want message naming the parameter", err)
 	}
 
-	// A memory-only store has no rollup tiers: explicit tiers are an
-	// error, auto quietly degrades to raw.
+	// A memory-only store folds buckets like any other: explicit tiers
+	// and auto serve them.
 	mem, _ := buildArchive(t)
-	if _, err := mem.Query(QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "1h"}); err == nil || !strings.Contains(err.Error(), "no rollup tiers") {
-		t.Fatalf("explicit 1h on memory store: err = %v, want rollup-tier error", err)
+	if res, err := mem.Query(QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "1h"}); err != nil || len(res) == 0 {
+		t.Fatalf("explicit 1h on memory store: %d series, err %v", len(res), err)
 	}
-	if res, err := servedResolution(mem, QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "auto"}); err != nil || res != "raw" {
-		t.Fatalf("auto on memory store = (%q, %v), want raw", res, err)
+	if res, err := servedResolution(mem, QueryRequest{Dataset: tsdb.DatasetPlacementScore, Resolution: "auto"}); err != nil || res != "1d" {
+		t.Fatalf("auto on memory store = (%q, %v), want 1d", res, err)
 	}
 }
 
@@ -108,17 +107,37 @@ func TestResolutionAutoRule(t *testing.T) {
 	}
 }
 
-// TestRollupQueryValues: rollup tiers serve real aggregates, keyed by the
-// raw series key.
+// naiveMeans folds time-ordered points into res buckets the obvious
+// way: one bucket per res-aligned interval holding a point, the mean of
+// its points summed in time order.
+func naiveMeans(pts []tsdb.Point, res time.Duration) []tsdb.Point {
+	var out []tsdb.Point
+	for i := 0; i < len(pts); {
+		start := pts[i].At.Truncate(res)
+		sum, j := 0.0, i
+		for ; j < len(pts) && pts[j].At.Truncate(res).Equal(start); j++ {
+			sum += pts[j].Value
+		}
+		out = append(out, tsdb.Point{At: start.UTC(), Value: sum / float64(j-i)})
+		i = j
+	}
+	return out
+}
+
+// TestRollupQueryValues: rollup tiers serve real aggregates of every
+// stored point, sealed and hot, keyed by the raw series key.
 func TestRollupQueryValues(t *testing.T) {
-	s, _, k := diskArchive(t, t.TempDir(), diskOpts(), 5)
+	s, db, k := diskArchive(t, t.TempDir(), diskOpts(), 5)
+	if db.ColdPointCount() == 0 || db.HotPointCount() == 0 {
+		t.Fatalf("the store holds %d cold and %d hot points; want both tiers", db.ColdPointCount(), db.HotPointCount())
+	}
 	rawRes, err := s.Query(QueryRequest{Dataset: tsdb.DatasetPrice})
 	if err != nil || len(rawRes) != 1 {
 		t.Fatalf("raw query: %d series, err %v", len(rawRes), err)
 	}
 	raw := rawRes[0].Points
 
-	for _, agg := range []string{"min", "mean"} {
+	for _, agg := range []string{"min", "max", "mean", "last"} {
 		res, err := s.Query(QueryRequest{Dataset: tsdb.DatasetPrice, Resolution: "1h", Agg: agg})
 		if err != nil || len(res) != 1 {
 			t.Fatalf("1h/%s query: %d series, err %v", agg, len(res), err)
@@ -127,13 +146,13 @@ func TestRollupQueryValues(t *testing.T) {
 			t.Fatalf("rollup result keyed by %v, want the raw key %v", res[0].Key, k)
 		}
 		pts := res[0].Points
-		if len(pts) < 3*24 {
-			t.Fatalf("1h/%s: only %d buckets for 5 days of data", agg, len(pts))
+		if len(pts) != 5*24 {
+			t.Fatalf("1h/%s: %d buckets for 5 days of data, want %d", agg, len(pts), 5*24)
 		}
 		for _, p := range pts {
 			bs, be := p.At, p.At.Add(time.Hour)
-			var sum float64
-			minV, n := 0.0, 0
+			var sum, minV, maxV, last float64
+			n := 0
 			for _, rp := range raw {
 				if rp.At.Before(bs) || !rp.At.Before(be) {
 					continue
@@ -141,20 +160,115 @@ func TestRollupQueryValues(t *testing.T) {
 				if n == 0 || rp.Value < minV {
 					minV = rp.Value
 				}
+				if n == 0 || rp.Value > maxV {
+					maxV = rp.Value
+				}
 				sum += rp.Value
+				last = rp.Value
 				n++
 			}
 			if n == 0 {
 				t.Fatalf("1h/%s bucket %v has no raw points", agg, bs)
 			}
-			want := minV
-			if agg == "mean" {
-				want = sum / float64(n)
-			}
+			want := map[string]float64{"min": minV, "max": maxV, "mean": sum / float64(n), "last": last}[agg]
 			if p.Value != want {
 				t.Fatalf("1h/%s bucket %v = %v, want %v", agg, bs, p.Value, want)
 			}
 		}
+	}
+}
+
+// TestAutoServesChangeOnlyArchive is the collector's shape: a durable
+// store of change-only series, about 20 points each over 30 days, far
+// too few for any series to seal. `auto` must answer with the same
+// series as raw, each bucket the naive fold of its raw points, over both
+// an unbounded window (1d) and a 30-day one (1h).
+func TestAutoServesChangeOnlyArchive(t *testing.T) {
+	db, err := tsdb.OpenWithOptions(t.TempDir(), tsdb.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const tick, ticks = 10 * time.Minute, 30 * 144
+	for j := 0; j < 50; j++ {
+		k := tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore, Type: fmt.Sprintf("m%d.large", j), Region: "us-east-1"}
+		for i, at := 0, (j*37)%200; at < ticks; i, at = i+1, at+150+(i*j*13)%120 {
+			if err := db.Append(k, simclock.Epoch.Add(time.Duration(at)*tick), float64(1+(i*7+j)%10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.PointCount(); db.ColdPointCount() != 0 || n < 50*15 || n > 50*25 {
+		t.Fatalf("the store holds %d points, %d of them sealed; want about 20 a series, none sealed", n, db.ColdPointCount())
+	}
+	s := NewService(db, catalog.Compact(2))
+	raw, err := s.Query(QueryRequest{Dataset: tsdb.DatasetPlacementScore})
+	if err != nil || len(raw) != 50 {
+		t.Fatalf("raw: %d series, err %v", len(raw), err)
+	}
+	for _, c := range []struct {
+		to  time.Time
+		res string
+		d   time.Duration
+	}{
+		{time.Time{}, "1d", tsdb.Res1d},
+		{simclock.Epoch.Add(ticks * tick), "1h", tsdb.Res1h},
+	} {
+		req := QueryRequest{Dataset: tsdb.DatasetPlacementScore, From: simclock.Epoch, To: c.to, Resolution: "auto"}
+		page, err := s.QueryCursor(req)
+		if err != nil || page.Resolution != c.res {
+			t.Fatalf("auto to %v: resolution %q, err %v; want %s", c.to, page.Resolution, err, c.res)
+		}
+		if len(page.Series) != len(raw) {
+			t.Fatalf("auto at %s: %d series, raw %d", c.res, len(page.Series), len(raw))
+		}
+		for i, sr := range page.Series {
+			if sr.Key != raw[i].Key {
+				t.Fatalf("auto at %s: series %d is %v, raw has %v", c.res, i, sr.Key, raw[i].Key)
+			}
+			if want := naiveMeans(raw[i].Points, c.d); !reflect.DeepEqual(sr.Points, want) {
+				t.Fatalf("auto at %s, %v: buckets %v, want %v", c.res, sr.Key, sr.Points, want)
+			}
+		}
+	}
+}
+
+// TestRawIgnoresAgg: agg= means nothing at raw, so a raw request that
+// names one shares the bare request's cache entry and cursor scope, and
+// a token minted by either spelling resumes the other.
+func TestRawIgnoresAgg(t *testing.T) {
+	s, _, _ := diskArchive(t, t.TempDir(), diskOpts(), 3)
+	bare := QueryRequest{Dataset: tsdb.DatasetPrice, Limit: 50}
+	named := bare
+	named.Resolution, named.Agg = "raw", "max"
+	p1, err := s.QueryCursor(bare)
+	if err != nil || p1.NextCursor == "" {
+		t.Fatalf("bare page: cursor %q, err %v", p1.NextCursor, err)
+	}
+	p2, err := s.QueryCursor(named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("after both spellings %+v, want one entry hit once", st)
+	}
+	if !reflect.DeepEqual(p1, p2) {
+		t.Fatal("agg=max at raw served a different page")
+	}
+	bare.Cursor, named.Cursor = p2.NextCursor, p1.NextCursor
+	r1, err := s.QueryCursor(bare)
+	if err != nil {
+		t.Fatalf("bare request resuming the named token: %v", err)
+	}
+	r2, err := s.QueryCursor(named)
+	if err != nil {
+		t.Fatalf("named request resuming the bare token: %v", err)
+	}
+	if len(r1.Series) == 0 || !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("resumed pages differ or are empty: %+v vs %+v", r1, r2)
 	}
 }
 
@@ -194,18 +308,13 @@ func TestResolutionHTTP(t *testing.T) {
 	if resp.StatusCode != 400 || !strings.Contains(body, "agg") {
 		t.Fatalf("unknown agg: status %d, body %q", resp.StatusCode, body)
 	}
-
-	// Retention state is part of /api/v1/meta.
-	resp, body = get("/api/v1/meta")
-	if resp.StatusCode != 200 || !strings.Contains(body, "rollupTiers") {
-		t.Fatalf("meta: status %d, body %q", resp.StatusCode, body)
-	}
 }
 
 // TestResolutionHeaderNamesTheStoreThatAnswered: a follower's SwapDB
-// between two `auto` requests — a bootstrap store without rollup tiers,
-// then a replica with them — changes the tier that serves, and each
-// response's X-Resolution names the tier its own body was read from.
+// between two `auto` requests — a bootstrap store holding five minutes
+// of points, then a replica holding three days — changes the store that
+// serves, and each response carries its own store's 1d buckets under
+// X-Resolution: 1d.
 func TestResolutionHeaderNamesTheStoreThatAnswered(t *testing.T) {
 	_, disk, k := diskArchive(t, t.TempDir(), diskOpts(), 3)
 	mem, err := tsdb.Open("")
@@ -221,19 +330,12 @@ func TestResolutionHeaderNamesTheStoreThatAnswered(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	end := time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
-	tier, _ := disk.Tier(tsdb.Res1d, tsdb.AggMean)
-	daily, err := tier.Query(k, time.Time{}, end)
-	if err != nil || len(daily) == 0 || len(daily) == 5 {
-		t.Fatalf("the replica's 1d tier holds %d points (err %v): the two stores' answers cannot be told apart", len(daily), err)
-	}
 	for _, step := range []struct {
 		store   *tsdb.DB
-		res     string
 		wantLen int
 	}{
-		{mem, "raw", 5},
-		{disk, "1d", len(daily)},
+		{mem, 1},
+		{disk, 3},
 	} {
 		s.SwapDB(step.store)
 		resp, err := http.Get(srv.URL + "/api/v1/query?dataset=price&resolution=auto")
@@ -244,10 +346,10 @@ func TestResolutionHeaderNamesTheStoreThatAnswered(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&series)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != 200 || len(series) != 1 {
-			t.Fatalf("auto on the %s store: status %d, %d series, err %v", step.res, resp.StatusCode, len(series), err)
+			t.Fatalf("auto: status %d, %d series, err %v", resp.StatusCode, len(series), err)
 		}
-		if got := resp.Header.Get("X-Resolution"); got != step.res || len(series[0].Points) != step.wantLen {
-			t.Errorf("X-Resolution %q over a body of %d points, want %q over %d", got, len(series[0].Points), step.res, step.wantLen)
+		if got := resp.Header.Get("X-Resolution"); got != "1d" || len(series[0].Points) != step.wantLen {
+			t.Errorf("X-Resolution %q over a body of %d points, want 1d over %d", got, len(series[0].Points), step.wantLen)
 		}
 	}
 }
@@ -302,75 +404,6 @@ func TestQueryIsTheUnlimitedPage(t *testing.T) {
 				t.Fatalf("%s: result differs from the store's %d points: %+v", name, len(want), got)
 			}
 		}
-	}
-}
-
-// TestCursorExpiresWhenRawRetained: a raw-tier cursor keeps working
-// across live appends, but expires with a 400 once retention drops the
-// history it points into — resuming would otherwise silently skip from
-// the cut to the first surviving point.
-func TestCursorExpiresWhenRawRetained(t *testing.T) {
-	opts := diskOpts()
-	opts.RetainRaw = map[string]time.Duration{tsdb.DatasetPrice: 24 * time.Hour}
-	s, db, k := diskArchive(t, t.TempDir(), opts, 3)
-
-	// Start the walk above the committed cut: below it raw existence is
-	// only block-granular luck, and tokens there are already expired.
-	cut1, ok := db.RetentionCut(tsdb.DatasetPrice)
-	if !ok {
-		t.Fatal("no retention cut after the build checkpoint")
-	}
-	req := QueryRequest{Dataset: tsdb.DatasetPrice, From: cut1.Add(2 * time.Hour), Limit: 4}
-	page, err := s.QueryCursor(req)
-	if err != nil || page.NextCursor == "" {
-		t.Fatalf("page 1: err %v, cursor %q", err, page.NextCursor)
-	}
-	token := page.NextCursor
-
-	// Live appends do not move the cursor (PR 5's guarantee holds).
-	more := make([]tsdb.Entry, 5*144)
-	for i := range more {
-		more[i] = tsdb.Entry{Key: k, At: simclock.Epoch.Add(time.Duration(3*144+i) * 10 * time.Minute), Value: 1}
-	}
-	if n, err := db.AppendBatch(more); err != nil || n != len(more) {
-		t.Fatalf("stored %d, err %v", n, err)
-	}
-	req.Cursor = token
-	if _, err := s.QueryCursor(req); err != nil {
-		t.Fatalf("cursor after append: %v", err)
-	}
-
-	// The append pushed the horizon far forward; the next checkpoint's
-	// retention pass drops the raw history under the token.
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if cut, ok := db.RetentionCut(tsdb.DatasetPrice); !ok || cut.IsZero() {
-		t.Fatal("no retention cut after checkpoint")
-	}
-	_, err = s.QueryCursor(req)
-	if !errors.Is(err, ErrBadCursor) || !strings.Contains(err.Error(), "retention horizon") {
-		t.Fatalf("cursor into retained-away raw: err = %v, want ErrBadCursor naming retention", err)
-	}
-
-	// HTTP: the expired token is the client's 400, not a 500.
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/v1/query?dataset=price&cursor=" + token +
-		"&from=" + req.From.Format(time.RFC3339))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 400 || !strings.Contains(string(body), "retention horizon") {
-		t.Fatalf("HTTP expired cursor: status %d, body %q", resp.StatusCode, body)
-	}
-
-	// Rollup tiers still cover the dropped window: the suggested recovery
-	// (re-query at 1h) works.
-	if _, err := s.Query(QueryRequest{Dataset: tsdb.DatasetPrice, Resolution: "1h"}); err != nil {
-		t.Fatalf("1h query after retention: %v", err)
 	}
 }
 

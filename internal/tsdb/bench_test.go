@@ -569,8 +569,8 @@ func BenchmarkResidentHeap(b *testing.B) {
 }
 
 // rollupBenchFill appends `days` of one-point-per-minute price data on a
-// single series and seals it, so the 1h rollup holds 24*days buckets and
-// the 1d rollup `days`.
+// single series, so the 1h rollup holds 24*days buckets and the 1d
+// rollup `days`.
 func rollupBenchFill(b *testing.B, db *DB, days int) SeriesKey {
 	b.Helper()
 	k := SeriesKey{Dataset: DatasetPrice, Type: "m5.xlarge", Region: "us-east-1", AZ: "us-east-1a"}
@@ -589,10 +589,10 @@ func rollupBenchFill(b *testing.B, db *DB, days int) SeriesKey {
 	return k
 }
 
-// BenchmarkRollupQuery measures the same 90-day window served from each
-// resolution tier of one sealed store: the raw series against its 1h and
-// 1d mean tiers. The `scanned` metric carries the scan counts — the
-// target is the 1h tier scanning >= 50x fewer points than raw.
+// BenchmarkRollupQuery measures the same 90-day window of one sealed
+// store read raw and folded into 1h and 1d mean buckets: the fold's cost
+// over the raw read that feeds it. The `scanned` metric carries the
+// points each read materializes.
 func BenchmarkRollupQuery(b *testing.B) {
 	const days = 90
 	opts := Options{Shards: 2, RotateBytes: 8 << 20, HotTailPoints: 64, BlockPoints: 512, BlockCacheBytes: 4 << 20}
@@ -634,46 +634,4 @@ func BenchmarkRollupQuery(b *testing.B) {
 			b.ReportMetric(float64(scanned), "scanned")
 		})
 	}
-}
-
-// BenchmarkRollupBuild measures the checkpoint that first seals an
-// archive-v1-shaped store — 400 series of 896 change-only points
-// (archiveBlockPoints), one 512-point block each sealed behind the
-// default 256-point hot tail — the stage the rollup build rides on: fold
-// the sealed prefixes into 1h/1d buckets, write them as the rollup
-// snapshot beside the block file, commit. Reported alongside ns/op: the
-// buckets built and the rollup snapshot's bytes per bucket.
-func BenchmarkRollupBuild(b *testing.B) {
-	const seriesN, perSeries = 400, 896
-	var buckets, snapBytes int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db, err := OpenWithOptions(b.TempDir(), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for s := 0; s < seriesN; s++ {
-			k := SeriesKey{Dataset: DatasetPlacementScore, Type: fmt.Sprintf("t%d.large", s), Region: "us-east-1", AZ: "us-east-1a"}
-			pts := archiveBlockPoints(uint64(s+1), perSeries)
-			batch := make([]Entry, len(pts))
-			for j, p := range pts {
-				batch[j] = Entry{Key: k, At: p.point().At, Value: p.v}
-			}
-			if _, err := db.AppendBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		if err := db.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		buckets, snapBytes = db.rollupBkts.Load(), db.rollupBytes.Load()
-		db.Close()
-	}
-	if buckets == 0 {
-		b.Fatal("checkpoint built no rollup buckets")
-	}
-	b.ReportMetric(float64(buckets), "buckets")
-	b.ReportMetric(float64(snapBytes)/float64(buckets), "rollup-B/bucket")
 }

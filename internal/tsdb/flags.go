@@ -15,12 +15,5 @@ func BindFlags(fs *flag.FlagSet) *Options {
 	fs.IntVar(&o.HotTailPoints, "hot-tail", 0, "per-series points kept hot (uncompressed) ahead of the sealed block tier; 0 = default, negative disables sealing")
 	fs.IntVar(&o.BlockPoints, "block-points", 0, "points per compressed cold block (0 = default)")
 	fs.Int64Var(&o.BlockCacheBytes, "block-cache-bytes", 0, "decoded cold-block LRU cache budget in bytes (0 = default, negative disables)")
-	fs.Func("retain-raw", "per-dataset raw retention horizons, comma-separated <dataset>=<horizon> (e.g. price=90d,sps=720h); raw points past the horizon are dropped once 1h/1d rollups cover them (requires -data and sealing)", func(s string) (err error) {
-		o.RetainRaw = nil
-		if s != "" {
-			o.RetainRaw, err = ParseRetainRaw(s)
-		}
-		return err
-	})
 	return o
 }

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -36,14 +35,14 @@ func TestBindFlagsDefaults(t *testing.T) {
 }
 
 // TestBindFlagsNames pins the store's whole flag surface: exactly these
-// seven names, so a knob cannot appear (or vanish) unnoticed.
+// six names, so a knob cannot appear (or vanish) unnoticed.
 func TestBindFlagsNames(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	BindFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // lexical order
 	want := []string{"block-cache-bytes", "block-points", "checkpoint-bytes", "hot-tail",
-		"maintenance-interval", "retain-raw", "rotate-bytes"}
+		"maintenance-interval", "rotate-bytes"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("store flags:\n got  %v\n want %v", got, want)
 	}
@@ -57,7 +56,6 @@ func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 		"-hot-tail", "1005",
 		"-block-points", "1006",
 		"-block-cache-bytes", "1007",
-		"-retain-raw", "price=90d,sps=720h",
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -69,21 +67,8 @@ func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 		HotTailPoints:        1005,
 		BlockPoints:          1006,
 		BlockCacheBytes:      1007,
-		RetainRaw:            map[string]time.Duration{"price": 90 * 24 * time.Hour, "sps": 720 * time.Hour},
 	}
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("parsed:\n got  %+v\n want %+v", *got, want)
-	}
-}
-
-func TestBindFlagsRetainRaw(t *testing.T) {
-	_, err := parseStoreFlags(t, "-retain-raw", "price=soon")
-	if err == nil || !strings.Contains(err.Error(), "-retain-raw") || !strings.Contains(err.Error(), "soon") {
-		t.Fatalf("malformed -retain-raw: Parse returned %v, want an error naming the flag and the bad horizon", err)
-	}
-	// An explicitly empty value means no retention, as it always has.
-	got, err := parseStoreFlags(t, "-retain-raw", "")
-	if err != nil || got.RetainRaw != nil {
-		t.Fatalf("empty -retain-raw: RetainRaw %v, err %v; want nil, nil", got.RetainRaw, err)
 	}
 }

@@ -492,73 +492,3 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 	})
 }
-
-// FuzzRollupSnapshot: the rollup snapshot decoder never panics on hostile
-// input, never returns records alongside an error, and whatever it
-// accepts — strictly ascending keys and bucket starts, each start a
-// multiple of its resolution — re-encodes and decodes to the same
-// buckets, bit for bit.
-func FuzzRollupSnapshot(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(rollupMagic))
-	for _, shape := range [][2]int{{0, 0}, {1, 1}, {2, 3}, {3, 5}} {
-		var buf bytes.Buffer
-		if err := encodeRollups(&buf, rollupCodecRecords(shape[0], shape[1])); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := decodeRollups(bytes.NewReader(data))
-		if err != nil {
-			if recs != nil {
-				t.Fatalf("failed decode returned %d records", len(recs))
-			}
-			return
-		}
-		for i, rec := range recs {
-			if i > 0 && rec.canon <= recs[i-1].canon {
-				t.Fatalf("decode accepted keys out of order at record %d", i)
-			}
-			for r, res := range rollupResolutions {
-				for j, b := range rec.old[r] {
-					if b.start%int64(res) != 0 || (j > 0 && b.start <= rec.old[r][j-1].start) {
-						t.Fatalf("%v %s bucket %d: start %d misaligned or out of order", rec.key, ResName(res), j, b.start)
-					}
-				}
-			}
-		}
-		var buf bytes.Buffer
-		if err := encodeRollups(&buf, recs); err != nil {
-			t.Fatalf("re-encode of decoded snapshot failed: %v", err)
-		}
-		again, err := decodeRollups(&buf)
-		if err != nil {
-			t.Fatalf("decode of re-encoded snapshot failed: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed the record count: %d vs %d", len(again), len(recs))
-		}
-		for i := range recs {
-			if again[i].key != recs[i].key {
-				t.Fatalf("round trip changed record %d's key: %v vs %v", i, again[i].key, recs[i].key)
-			}
-			for r := range recs[i].old {
-				a, b := again[i].old[r], recs[i].old[r]
-				if len(a) != len(b) {
-					t.Fatalf("round trip changed %v's bucket count: %d vs %d", recs[i].key, len(a), len(b))
-				}
-				for j := range a {
-					if a[j].start != b[j].start {
-						t.Fatalf("round trip moved %v bucket %d: %d vs %d", recs[i].key, j, a[j].start, b[j].start)
-					}
-					for x := range a[j].v {
-						if math.Float64bits(a[j].v[x]) != math.Float64bits(b[j].v[x]) {
-							t.Fatalf("round trip changed %v bucket %d aggregate %d", recs[i].key, j, x)
-						}
-					}
-				}
-			}
-		}
-	})
-}

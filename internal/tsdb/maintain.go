@@ -1,24 +1,22 @@
 package tsdb
 
 // Store-internal maintenance: the checkpoint daemon and the append
-// path's enforcement of the same triggers.
+// path's enforcement of the same trigger.
 //
 // Checkpoint scheduling belongs to the store, not its callers: every
 // writer (the collector, the server's bootstrap loop, analysis tools
 // appending directly) gets a bounded replay tail, and sealed WAL segments
 // are reclaimed, without ever calling Checkpoint.
 //
-//   - Two triggers, defined once (triggerLive): the byte trigger,
-//     WALBytesSinceCheckpoint >= Options.CheckpointAfterBytes, and the
-//     retention trigger (rollup.go), some retained dataset's raw points
-//     droppable beyond what the last enforcement evaluated.
+//   - One trigger, defined once (byteTriggerHot):
+//     WALBytesSinceCheckpoint >= Options.CheckpointAfterBytes.
 //
-//   - A per-store daemon goroutine (started by OpenWithOptions when a
+//   - A per-store daemon goroutine (started by OpenWithOptions when the
 //     trigger is configured, stopped by Close) polls every
-//     Options.MaintenanceInterval and checkpoints when one is live. It is
-//     what covers a store that goes idle above a threshold.
+//     Options.MaintenanceInterval and checkpoints when it is live. It is
+//     what covers a store that goes idle above the threshold.
 //
-//   - Both triggers are additionally enforced synchronously on the
+//   - The trigger is additionally enforced synchronously on the
 //     append path: an append (or batch) that observes a live trigger
 //     checkpoints before storing, so the replay tail stays bounded by
 //     CheckpointAfterBytes plus one batch even for writers that compress
@@ -60,8 +58,8 @@ import (
 
 // DefaultMaintenanceInterval is the daemon's poll period when Options
 // leaves MaintenanceInterval zero. The interval only bounds how long a
-// *quiesced* store can sit above a trigger threshold: the append path
-// enforces the triggers synchronously, so a shorter interval buys little.
+// *quiesced* store can sit above the trigger threshold: the append path
+// enforces the trigger synchronously, so a shorter interval buys little.
 const DefaultMaintenanceInterval = time.Second
 
 // maintenanceRetryBackoff is how long the append path stands down after
@@ -82,12 +80,6 @@ type MaintenanceStats struct {
 	// (WALBytesSinceCheckpoint >= CheckpointAfterBytes) was live when the
 	// checkpoint ran.
 	ForcedByBytes uint64 `json:"forcedByBytes"`
-	// ForcedByRetention counts maintenance checkpoints whose retention
-	// trigger (some dataset's raw points droppable past its horizon,
-	// beyond what the last enforcement evaluated) was live when the
-	// checkpoint ran. A checkpoint with both triggers live counts in
-	// both.
-	ForcedByRetention uint64 `json:"forcedByRetention"`
 	// Errors counts maintenance checkpoints that failed. The daemon
 	// retries on its next tick; a climbing counter means the store cannot
 	// write snapshots (disk full, permissions).
@@ -97,10 +89,9 @@ type MaintenanceStats struct {
 // MaintenanceStats returns the cumulative maintainer counters.
 func (db *DB) MaintenanceStats() MaintenanceStats {
 	return MaintenanceStats{
-		Checkpoints:       db.maintCP.Value(),
-		ForcedByBytes:     db.maintByBytes.Value(),
-		ForcedByRetention: db.maintByRet.Value(),
-		Errors:            db.maintErrs.Value(),
+		Checkpoints:   db.maintCP.Value(),
+		ForcedByBytes: db.maintByBytes.Value(),
+		Errors:        db.maintErrs.Value(),
 	}
 }
 
@@ -109,15 +100,13 @@ func (db *DB) MaintenanceStats() MaintenanceStats {
 func (db *DB) CheckpointAfterBytes() int64 { return db.cpAfterBytes }
 
 // SelfMaintains reports whether the store drives its own checkpoints:
-// it is durable and at least one maintenance trigger is configured.
-func (db *DB) SelfMaintains() bool {
-	return db.dir != "" && (db.cpAfterBytes > 0 || len(db.retain) > 0)
-}
+// it is durable and the byte trigger is configured.
+func (db *DB) SelfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 }
 
 // MaintainerActive reports whether the maintenance daemon goroutine is
-// running. Even without it, both triggers are still enforced on the
-// append path; the daemon additionally covers stores that go idle above
-// a threshold (nothing appending, so nothing to enforce on).
+// running. Even without it, the trigger is still enforced on the append
+// path; the daemon additionally covers stores that go idle above the
+// threshold (nothing appending, so nothing to enforce on).
 func (db *DB) MaintainerActive() bool { return db.maintStop != nil }
 
 // SealedSegments returns the total number of sealed WAL segments on disk
@@ -169,13 +158,13 @@ func (db *DB) maintainLoop(interval time.Duration) {
 	}
 }
 
-// maintainOnce checkpoints if a trigger is live. The trigger is
+// maintainOnce checkpoints if the trigger is live. The trigger is
 // re-evaluated after acquiring cpMu: a manual checkpoint (or an
 // append-path force) that committed while we blocked has already reset
 // the counters, and the daemon must not stack a redundant snapshot on
 // top of it.
 func (db *DB) maintainOnce() {
-	if db.closed.Load() || !db.triggerLive() {
+	if db.closed.Load() || !db.byteTriggerHot() {
 		return
 	}
 	db.cpMu.Lock()
@@ -186,25 +175,18 @@ func (db *DB) maintainOnce() {
 	db.runMaintenanceCheckpointLocked()
 }
 
-// byteTriggerHot and retentionTriggerHot (rollup.go) are the single
-// definition of the two maintenance triggers; the daemon's poll, the
-// under-lock re-check, and the append path's fast check all go through
-// them, so the three sites can never enforce different bounds.
+// byteTriggerHot is the single definition of the maintenance trigger;
+// the daemon's poll, the under-lock re-check, and the append path's fast
+// check all go through it, so the three sites can never enforce
+// different bounds.
 func (db *DB) byteTriggerHot() bool {
 	return db.dir != "" && db.cpAfterBytes > 0 && db.cpBytesTotal.Load() >= uint64(db.cpAfterBytes)
 }
 
-// triggerLive reports whether any maintenance trigger currently fires.
-func (db *DB) triggerLive() bool {
-	return db.byteTriggerHot() || db.retentionTriggerHot()
-}
-
-// runMaintenanceCheckpointLocked re-checks the triggers and checkpoints.
+// runMaintenanceCheckpointLocked re-checks the trigger and checkpoints.
 // The caller holds cpMu.
 func (db *DB) runMaintenanceCheckpointLocked() {
-	byBytes := db.byteTriggerHot()
-	byRet := db.retentionTriggerHot()
-	if !byBytes && !byRet {
+	if !db.byteTriggerHot() {
 		return
 	}
 	if err := db.checkpointLocked(); err != nil {
@@ -214,25 +196,19 @@ func (db *DB) runMaintenanceCheckpointLocked() {
 	}
 	db.maintRetryAt.Store(0)
 	db.maintCP.Add(1)
-	if byBytes {
-		db.maintByBytes.Add(1)
-	}
-	if byRet {
-		db.maintByRet.Add(1)
-	}
+	db.maintByBytes.Add(1)
 }
 
 // enforceMaintenance runs on the append path, before any shard lock is
-// taken: when a trigger is live — the un-checkpointed WAL has reached
-// the byte threshold, or retention has something to drop — checkpoint
-// now, so the replay tail cannot outrun the threshold by more than one
-// batch no matter how fast the writer is relative to the daemon's
-// wall-clock poll. TryLock is the single-flight: if a checkpoint is
+// taken: when the un-checkpointed WAL has reached the byte threshold,
+// checkpoint now, so the replay tail cannot outrun the threshold by more
+// than one batch no matter how fast the writer is relative to the
+// daemon's wall-clock poll. TryLock is the single-flight: if a checkpoint is
 // already in flight (manual, daemon, or another appender's force), it
 // will clear the trigger — this append proceeds without stacking a
 // second one behind it.
 func (db *DB) enforceMaintenance() {
-	if !db.triggerLive() {
+	if !db.byteTriggerHot() {
 		return
 	}
 	// After a failed attempt, stand down for the backoff window instead

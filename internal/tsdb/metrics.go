@@ -1,7 +1,7 @@
 package tsdb
 
 // Registry wiring for the store. The DB's counters live on the DB (and
-// its block cache / retention states) as obs.Counter fields — one atomic
+// its block cache) as obs.Counter fields — one atomic
 // per fact, incremented on the hot paths exactly as before. This file
 // registers func-backed views of them so a process-wide registry can
 // outlive any one store: followers swap stores on catch-up (SwapDB), so
@@ -17,8 +17,8 @@ var checkpointBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2
 
 // RegisterMetrics registers the store's counters, gauges and histogram on
 // reg under the spotlake_store_*, spotlake_checkpoint_*,
-// spotlake_maintenance_*, spotlake_blockcache_*, spotlake_rollup_*,
-// spotlake_retention_* and spotlake_block_* names.
+// spotlake_maintenance_*, spotlake_blockcache_* and spotlake_block_*
+// names.
 // current returns the store to read at scrape time; it may return nil
 // (all series then read zero), and the store it returns may change
 // between scrapes — counters then restart from the new store's history,
@@ -63,27 +63,21 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) uint64 { return db.RotateFailures() })
 	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed; each failed its read with ErrColdRead (HTTP 500 cold_read_failed), never a partial result.",
 		func(db *DB) uint64 { return db.ColdReadErrors() })
-	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows).",
+	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",
 		func(db *DB) uint64 { return db.ScannedPoints() })
 
-	reg.HistogramFunc("spotlake_checkpoint_seconds", "Wall time of committed checkpoints (manual or maintenance), from capture through rollup snapshot, manifest commit, WAL reclamation and retention.",
+	reg.HistogramFunc("spotlake_checkpoint_seconds", "Wall time of committed checkpoints (manual or maintenance), from capture through sealing, manifest commit and WAL reclamation.",
 		func() obs.HistogramSnapshot {
 			if db := current(); db != nil {
 				return db.cpTime.Snapshot()
 			}
 			return obs.NewHistogram(checkpointBuckets).Snapshot()
 		})
-	gauge("spotlake_rollup_buckets", "1h and 1d rollup buckets held in memory across every series.",
-		func(db *DB) float64 { return float64(db.rollupBkts.Load()) })
-	gauge("spotlake_rollup_snapshot_bytes", "Size of the committed rollup snapshot file (0 before the first seal finalizes a bucket).",
-		func(db *DB) float64 { return float64(db.rollupBytes.Load()) })
 
 	counter("spotlake_maintenance_checkpoints_total", "Checkpoints committed by the store's maintainer.",
 		func(db *DB) uint64 { return db.MaintenanceStats().Checkpoints })
 	counter("spotlake_maintenance_forced_by_bytes_total", "Maintenance checkpoints with the WAL byte trigger live.",
 		func(db *DB) uint64 { return db.MaintenanceStats().ForcedByBytes })
-	counter("spotlake_maintenance_forced_by_retention_total", "Maintenance checkpoints with the retention trigger live.",
-		func(db *DB) uint64 { return db.MaintenanceStats().ForcedByRetention })
 	counter("spotlake_maintenance_errors_total", "Maintenance checkpoints that failed (retried on the next tick).",
 		func(db *DB) uint64 { return db.MaintenanceStats().Errors })
 
@@ -107,13 +101,4 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		})
 	counter("spotlake_block_decoded_points_total", "Points decoded from cold blocks on block-cache misses.",
 		func(db *DB) uint64 { return db.bcache.decoded.Value() })
-
-	counter("spotlake_retention_dropped_points_total", "Raw points dropped by retention across all datasets.",
-		func(db *DB) uint64 {
-			var n uint64
-			for _, st := range db.RetentionStats() {
-				n += uint64(st.DroppedPoints)
-			}
-			return n
-		})
 }

@@ -4,8 +4,8 @@ package tsdb
 // followers.
 //
 // A durable store's committed state is entirely described by its MANIFEST
-// plus the files the manifest references: the checkpoint and rollup
-// snapshots, the sealed block files, and the WAL segment chains. All of
+// plus the files the manifest references: the checkpoint snapshot, the
+// sealed block files, and the WAL segment chains. All of
 // those files are written once and never modified in place, so a replica
 // can be built by copying the artifacts and atomically installing the
 // manifest last: the exact protocol the checkpoint itself uses, with HTTP
@@ -79,11 +79,8 @@ func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 		s.Artifacts = append(s.Artifacts, ReplicationArtifact{Name: name, Size: st.Size()})
 		return nil
 	}
-	for _, name := range []string{db.man.Checkpoint, db.man.Rollups} {
-		if name == "" {
-			continue
-		}
-		if err := add(name); err != nil {
+	if db.man.Checkpoint != "" {
+		if err := add(db.man.Checkpoint); err != nil {
 			return nil, err
 		}
 	}
@@ -128,7 +125,7 @@ func (db *DB) ReadOnly() bool { return db.readOnly }
 
 // IsReplicationArtifactName reports whether name is a well-formed
 // artifact name a ReplicationSnapshot could list: a rotating WAL segment,
-// a checkpoint or rollup snapshot, or a block file. Everything else —
+// a checkpoint snapshot, or a block file. Everything else —
 // including any path that is not in canonical spelling — is rejected,
 // which is what makes the name safe to join onto a directory for serving
 // (no traversal, no reaching files the protocol does not own).
@@ -141,13 +138,8 @@ func IsReplicationArtifactName(name string) bool {
 	if scanBlockFileName(name, &seq) {
 		return true
 	}
-	if n, err := fmt.Sscanf(name, "checkpoint-%d.snap", &seq); err == nil && n == 1 && name == checkpointName(seq) {
-		return true
-	}
-	if n, err := fmt.Sscanf(name, "rollup-%d.snap", &seq); err == nil && n == 1 && name == rollupName(seq) {
-		return true
-	}
-	return false
+	n, err := fmt.Sscanf(name, "checkpoint-%d.snap", &seq)
+	return err == nil && n == 1 && name == checkpointName(seq)
 }
 
 // ValidateReplicatedManifest checks that raw parses as a manifest of the

@@ -94,27 +94,18 @@ func assertStoresEqual(t *testing.T, a, b *DB) {
 			t.Fatalf("%v counts differ: %d vs %d", k, ca, cb)
 		}
 	}
-	if a.rollupBkts.Load() != b.rollupBkts.Load() {
-		t.Fatalf("rollup bucket counts differ: %d vs %d", a.rollupBkts.Load(), b.rollupBkts.Load())
-	}
-	for _, res := range rollupResolutions {
-		for _, agg := range rollupAggs {
-			ta, oka := a.Tier(res, agg)
-			tb, okb := b.Tier(res, agg)
-			if oka != okb {
-				t.Fatalf("%s/%s tier presence differs: %v vs %v", ResName(res), agg, oka, okb)
-			}
-			if !oka {
-				continue
-			}
+	for _, res := range testResolutions {
+		for _, agg := range testAggs {
+			ta, _ := a.Tier(res, agg)
+			tb, _ := b.Tier(res, agg)
 			for _, k := range ka {
 				pa, pb := noerr(ta.Query(k, time.Time{}, end)), noerr(tb.Query(k, time.Time{}, end))
 				if len(pa) != len(pb) {
-					t.Fatalf("%v %s/%s: %d vs %d buckets", k, ResName(res), agg, len(pa), len(pb))
+					t.Fatalf("%v %v/%s: %d vs %d buckets", k, res, agg, len(pa), len(pb))
 				}
 				for j := range pa {
 					if !pa[j].At.Equal(pb[j].At) || pa[j].Value != pb[j].Value {
-						t.Fatalf("%v %s/%s bucket %d: (%v,%v) vs (%v,%v)", k, ResName(res), agg, j, pa[j].At, pa[j].Value, pb[j].At, pb[j].Value)
+						t.Fatalf("%v %v/%s bucket %d: (%v,%v) vs (%v,%v)", k, res, agg, j, pa[j].At, pa[j].Value, pb[j].At, pb[j].Value)
 					}
 				}
 			}
@@ -125,9 +116,10 @@ func assertStoresEqual(t *testing.T, a, b *DB) {
 // TestReplicaDifferential is the tsdb-level convergence proof: after
 // every primary checkpoint, shipping the replication snapshot and
 // reopening read-only yields a store reference-equal to the primary's
-// committed state at the ship, across raw reads, counts, Last, and the
+// committed state at the ship, across raw reads, counts, Last, and every
 // rollup tier — including an incremental re-ship that only adds the
-// delta files.
+// delta files. The replica's buckets also equal a naive fold of every
+// point the primary holds.
 func TestReplicaDifferential(t *testing.T) {
 	pdir, rdir := t.TempDir(), t.TempDir()
 	db, err := OpenWithOptions(pdir, rollupOpts())
@@ -145,10 +137,13 @@ func TestReplicaDifferential(t *testing.T) {
 		return r
 	}
 
+	ref := make(map[SeriesKey][]Point)
 	for round, n := range []int{600, 600, 600} {
-		if _, err := db.AppendBatch(rollupEntries(n, round*n)); err != nil {
+		entries := rollupEntries(n, round*n)
+		if _, err := db.AppendBatch(entries); err != nil {
 			t.Fatal(err)
 		}
+		addRef(ref, entries)
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -158,6 +153,7 @@ func TestReplicaDifferential(t *testing.T) {
 			t.Fatal("replica does not report ReadOnly")
 		}
 		assertStoresEqual(t, db, replica)
+		assertRollupsMatch(t, replica, ref)
 		if err := replica.Close(); err != nil {
 			t.Fatalf("closing replica: %v", err)
 		}
@@ -250,9 +246,6 @@ func TestReadOnlyOpenRefusals(t *testing.T) {
 	if !HasCommittedManifest(dir) {
 		t.Error("HasCommittedManifest false for a committed directory")
 	}
-	if _, err := OpenWithOptions(dir, Options{ReadOnly: true, RetainRaw: map[string]time.Duration{DatasetPrice: time.Hour}}); err == nil {
-		t.Error("read-only open with retention succeeded")
-	}
 }
 
 func TestIsReplicationArtifactName(t *testing.T) {
@@ -261,7 +254,6 @@ func TestIsReplicationArtifactName(t *testing.T) {
 		"wal-00003-000421.log",
 		"blocks-000001.blk",
 		"checkpoint-000007.snap",
-		"rollup-000007.snap",
 	}
 	for _, n := range valid {
 		if !IsReplicationArtifactName(n) {
@@ -272,7 +264,7 @@ func TestIsReplicationArtifactName(t *testing.T) {
 		"", "MANIFEST", "rollup/MANIFEST", "points.wal",
 		"../wal-00000-000001.log", "wal-00000-000001.log.tmp",
 		"rollup/blocks-000001.blk", "rollup/wal-00000-000001.log", "/etc/passwd",
-		"blocks-1.blk", "checkpoint-1.snap", "rollup-1.snap", "rollup-000001.snap.tmp", "wal-0-1.log",
+		"blocks-1.blk", "checkpoint-1.snap", "rollup-000007.snap", "rollup-000001.snap.tmp", "wal-0-1.log",
 		"blocks-000001.blk/..", "foo/blocks-000001.blk",
 	}
 	for _, n := range invalid {
@@ -290,6 +282,13 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 	if err := CommitReplicatedManifest(dir, []byte(`{"version":1,"segments":1,"offsets":[0]}`)); err == nil {
 		t.Error("v1 manifest committed (needs migration, which a follower must never run)")
 	}
+	// Layouts of builds that materialized rollups or kept raw retention.
+	for field, value := range map[string]string{"rollups": `"rollup-000004.snap"`, "retain": `{"sps":1640995200000000000}`} {
+		raw := []byte(`{"version":2,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"` + field + `":` + value + `}`)
+		if err := CommitReplicatedManifest(dir, raw); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("manifest naming %q: commit returned %v, want an error naming the field", field, err)
+		}
+	}
 	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); !os.IsNotExist(err) {
 		t.Error("a rejected commit left a MANIFEST behind")
 	}
@@ -297,7 +296,8 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 
 // TestReplicationSnapshotCoherent: every listed artifact exists at its
 // listed size, the manifest matches the committed file byte for byte,
-// and the checkpoint and rollup snapshots the manifest names are listed.
+// the checkpoint snapshot the manifest names is listed, and a sealing
+// checkpoint leaves no rollup snapshot behind.
 func TestReplicationSnapshotCoherent(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, rollupOpts())
@@ -330,10 +330,14 @@ func TestReplicationSnapshotCoherent(t *testing.T) {
 		}
 		listed[a.Name] = true
 	}
-	for _, name := range []string{db.man.Checkpoint, db.man.Rollups} {
-		if !strings.HasSuffix(name, ".snap") || !listed[name] {
-			t.Errorf("manifest snapshot %q missing from the listing after Checkpoint()", name)
-		}
+	if name := db.man.Checkpoint; !strings.HasSuffix(name, ".snap") || !listed[name] {
+		t.Errorf("manifest snapshot %q missing from the listing after Checkpoint()", name)
+	}
+	if db.ColdPointCount() == 0 {
+		t.Fatal("the checkpoint sealed nothing")
+	}
+	if m, _ := filepath.Glob(filepath.Join(dir, "rollup-*")); len(m) != 0 {
+		t.Errorf("a sealing checkpoint wrote %v", m)
 	}
 	epoch, seq := db.ReplicationPosition()
 	if epoch != snap.Epoch || seq != snap.CheckpointSeq {

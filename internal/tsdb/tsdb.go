@@ -178,19 +178,6 @@ type series struct {
 	// index is cold.n + its offset in points; the read paths resolve the
 	// two tiers through the shared search/fetch helpers below.
 	cold *coldSeries
-	// rollups holds the series' finalized rollup buckets, one ascending
-	// array per rollupResolutions entry (see rollup.go). Seals append to
-	// them in place under the shard lock; readers capture a prefix.
-	rollups [len(rollupResolutions)][]bucket
-}
-
-// rollupCount returns how many rollup buckets the series holds.
-func (s *series) rollupCount() int {
-	n := 0
-	for _, bs := range s.rollups {
-		n += len(bs)
-	}
-	return n
 }
 
 // shard is one lock stripe: a mutex, its series, local statistics, and —
@@ -262,10 +249,8 @@ type DB struct {
 	// sealedBlks and coldBytes count sealed blocks and their compressed
 	// on-disk bytes; coldErrs counts cold reads that failed (bit rot,
 	// vanished file) — each failed its caller's read with ErrColdRead.
-	// scanned counts points materialized by reads (hot copies,
-	// decoded-block windows and rollup buckets) — the resolution tiers
-	// exist to shrink it, and the rollup tests assert the shrink through
-	// it.
+	// scanned counts points materialized by reads (hot copies and
+	// decoded-block windows, rollup folds included).
 	bcache      *blockCache
 	coldSegs    []*coldSegment
 	hotTail     int
@@ -309,16 +294,8 @@ type DB struct {
 	maintByBytes obs.Counter
 	maintErrs    obs.Counter
 
-	// Rollup and retention state (see rollup.go). The buckets themselves
-	// live in each series; rollupBkts counts them and rollupBytes is the
-	// committed rollup snapshot's size. retain maps retained datasets to
-	// their live retention state, nil when no retention is configured,
-	// fixed at open. cpTime times every committed checkpoint.
-	rollupBkts  atomic.Int64
-	rollupBytes atomic.Int64
-	retain      map[string]*retentionState
-	maintByRet  obs.Counter
-	cpTime      *obs.Histogram
+	// cpTime times every committed checkpoint.
+	cpTime *obs.Histogram
 
 	// testCrash, when armed by the crash-matrix tests, aborts the
 	// rotation/checkpoint protocol at a named durable boundary. Nil in
@@ -387,8 +364,7 @@ type Options struct {
 	// MaintenanceInterval is the maintenance daemon's poll period: 0
 	// selects DefaultMaintenanceInterval, negative disables the daemon
 	// (the append-path enforcement still applies). The daemon only
-	// starts when the store is durable and CheckpointAfterBytes or
-	// RetainRaw is set.
+	// starts when the store is durable and CheckpointAfterBytes is set.
 	MaintenanceInterval time.Duration
 	// HotTailPoints is the per-series in-memory tail a checkpoint keeps
 	// when sealing history into compressed blocks: 0 selects
@@ -405,13 +381,6 @@ type Options struct {
 	// decode every time). Each cached point is charged 16 bytes, what a
 	// decoded sample really occupies (see blockcache.go).
 	BlockCacheBytes int64
-	// RetainRaw sets per-dataset retention horizons for raw points:
-	// once a dataset's rollups cover them, raw cold blocks wholly older
-	// than horizon behind the dataset's newest point are dropped by the
-	// maintenance cycle. Requires a durable store with sealing enabled
-	// (raw points are only ever dropped from the cold tier, and never
-	// before a committed rollup covers them). Horizons must be positive.
-	RetainRaw map[string]time.Duration
 	// ReadOnly opens an existing durable layout without taking ownership
 	// of it: no segment files are created, truncated, or reclaimed, no
 	// layout commit or checkpoint ever runs, appends are rejected, and
@@ -480,39 +449,15 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 		if o.ReadOnly {
 			return nil, errors.New("tsdb: read-only open requires a durable directory")
 		}
-		if len(o.RetainRaw) > 0 {
-			return nil, errors.New("tsdb: retention requires a durable store with sealing enabled")
-		}
 		return db, nil
 	}
 	db.readOnly = o.ReadOnly
-	if db.readOnly && len(o.RetainRaw) > 0 {
-		return nil, errors.New("tsdb: a read-only store cannot enforce retention")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: creating dir: %w", err)
 	}
 	db.dir = dir
-	if len(o.RetainRaw) > 0 {
-		if !db.SealsCold() {
-			return nil, errors.New("tsdb: retention requires a durable store with sealing enabled")
-		}
-		for ds, h := range o.RetainRaw {
-			if ds == "" || h <= 0 {
-				return nil, fmt.Errorf("tsdb: invalid retention horizon %v for dataset %q", h, ds)
-			}
-		}
-	}
 	if err := db.openDurable(); err != nil {
 		return nil, err
-	}
-	if len(o.RetainRaw) > 0 {
-		// Re-drop the blocks that partially-dead block files re-attached,
-		// before the store is shared.
-		db.initRetention(o.RetainRaw)
-		db.cpMu.Lock()
-		db.applyRetainCutsLocked(db.coverageLocked())
-		db.cpMu.Unlock()
 	}
 	if !db.readOnly {
 		db.startMaintainer(o.MaintenanceInterval)
@@ -695,9 +640,6 @@ func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64) erro
 	sh.points++
 	db.hotPts.Add(1)
 	sh.gen.Add(1)
-	if len(db.retain) > 0 {
-		db.noteAppend(k.Dataset, ns)
-	}
 	if sh.wal != nil {
 		rec := appendRecord(nil, k.String(), ns, v)
 		if _, err := sh.wal.Write(rec); err != nil {
@@ -901,11 +843,9 @@ func (db *DB) coldReadErr(err error) error {
 // under the owning shard's lock and safe to use after releasing it:
 //
 //   - blocks is a full-expression slice of the cold block list. Seals
-//     only ever append to that list in place, and retention replaces
-//     the whole coldSeries with a fresh one, so the captured prefix is
+//     only ever append to that list in place, so the captured prefix is
 //     immutable. Block files themselves are immutable and their handles
-//     stay open until Close, so a view outlives even a concurrent
-//     retention drop.
+//     stay open until Close.
 //   - hot aliases the hot tail's backing array below the captured
 //     length. Appends write past that length and seals replace the
 //     slice with a fresh copy, so the captured window never mutates.
@@ -1480,11 +1420,9 @@ func (db *DB) ColdCompressedBytes() int64 { return db.coldBytes.Load() }
 func (db *DB) ColdReadErrors() uint64 { return db.coldErrs.Value() }
 
 // ScannedPoints returns how many points reads have materialized since
-// open: hot-tail copies, decoded cold-block windows and rollup buckets,
-// across every read API. The rollup tiers exist to shrink this number
-// for long-window queries — a 90-day window served at 1h resolution
-// scans its hourly buckets, not every raw tick — and the scan-ratio
-// tests assert that through this counter.
+// open: hot-tail copies and decoded cold-block windows, across every
+// read API. A rollup read counts the raw points it folds, not the
+// buckets it returns.
 func (db *DB) ScannedPoints() uint64 { return db.scanned.Value() }
 
 // HotTailPoints returns the per-series hot tail the store keeps when

@@ -16,12 +16,7 @@ package tsdb
 //	blocks-000001.blk ...    immutable compressed block files (block.go):
 //	                         history a checkpoint sealed out of memory; the
 //	                         manifest lists the live ones, and they
-//	                         accumulate (never rewritten) until retention
-//	                         drops them
-//	rollup-000001.snap       the rollup snapshot the manifest references
-//	                         (rollup.go codec): every series' 1h/1d buckets,
-//	                         rewritten whole by each checkpoint that seals;
-//	                         at most one is live
+//	                         accumulate, never rewritten
 //
 // This is the only layout the store reads or writes.
 //
@@ -83,9 +78,11 @@ package tsdb
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 2,
-// or a points.wal (the pre-manifest single-stream log) with no MANIFEST
-// beside it — fails Open with an error naming the directory and the
+// A directory this build cannot read — a MANIFEST whose version is not 2
+// or that carries a field this build does not know (a materialized rollup
+// snapshot's "rollups", raw retention's "retain"), a points.wal (the
+// pre-manifest single-stream log) with no MANIFEST beside it, or a nested
+// rollup/MANIFEST — fails Open with an error naming the directory and the
 // layout, before anything in the directory is created, truncated, renamed
 // or removed. It is never migrated and never served as an empty archive.
 //
@@ -95,7 +92,7 @@ package tsdb
 // through DB.failpoint with a stable name (rotate:seal:*, rotate:create:*,
 // checkpoint:capture, checkpoint:segsync:*, checkpoint:blocks:* —
 // including checkpoint:blocks:data-written, frozen mid-file between the
-// data blocks and the index — checkpoint:rollups:*, checkpoint:snapshot:*,
+// data blocks and the index — checkpoint:snapshot:*,
 // checkpoint:manifest:*, checkpoint:delete:*). The crash-matrix test
 // harness arms a hook that aborts at exactly one of them — simulating a
 // crash before or after the fsync at that boundary — and asserts recovery
@@ -104,6 +101,7 @@ package tsdb
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -204,16 +202,6 @@ type manifest struct {
 	// crashed seal's orphan file is overwritten on retry, never adopted).
 	Blocks   []uint64 `json:"blocks,omitempty"`
 	BlockSeq uint64   `json:"blockSeq,omitempty"`
-	// Rollups is the live rollup snapshot's file name: the buckets of
-	// every finalized bucket below each sealed series' frontier, committed
-	// with the seal that finalized them. Empty until a seal finalizes one.
-	Rollups string `json:"rollups,omitempty"`
-	// Retain maps datasets to their committed retention cut (unix
-	// nanoseconds): raw cold blocks wholly below the cut have been
-	// dropped, with durable rollups covering them. Opens re-apply the
-	// cuts because partially-dead block files stay in Blocks and
-	// re-attach their dropped blocks (see rollup.go).
-	Retain map[string]int64 `json:"retain,omitempty"`
 }
 
 func rotSegName(i int, seq uint64) string { return fmt.Sprintf("wal-%05d-%06d.log", i, seq) }
@@ -246,11 +234,16 @@ func syncDir(dir string) error {
 }
 
 // parseManifest decodes and validates a manifest. Any version other than
-// manifestVersion is rejected here, so every caller — writable and
-// read-only opens, replication's pre-commit check — refuses an unsupported
-// layout the same way. The validation must hold for every manifest
-// recovery trusts: hostile or corrupt input errors, never panics, never
-// makes recovery index out of range.
+// manifestVersion, and any field the manifest type does not declare, is
+// rejected here, so every caller — writable and read-only opens,
+// replication's pre-commit check — refuses an unsupported layout the same
+// way. An unknown field is how older layouts show: "rollups" named a
+// materialized rollup snapshot, and "retain" raw retention's cuts, whose
+// dropped blocks a store ignoring it would serve again from partially
+// dead block files. Like every unsupported layout, neither is migrated.
+// The validation must hold for every manifest recovery trusts: hostile or
+// corrupt input errors, never panics, never makes recovery index out of
+// range.
 func parseManifest(raw []byte) (manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -259,14 +252,19 @@ func parseManifest(raw []byte) (manifest, error) {
 	if m.Version != manifestVersion {
 		return manifest{}, fmt.Errorf("tsdb: unsupported manifest version %d (this build reads only version %d)", m.Version, manifestVersion)
 	}
+	// The strict pass can only fail on a field: the lenient one above
+	// already vetted the syntax and the types.
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(new(manifest)); err != nil {
+		field, _ := strings.CutPrefix(err.Error(), "json: unknown field ")
+		return manifest{}, fmt.Errorf("tsdb: unsupported layout: manifest field %s, which this build does not read", field)
+	}
 	if m.Segments <= 0 {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments", m.Segments)
 	}
 	if m.Checkpoint != "" && (m.Checkpoint != filepath.Base(m.Checkpoint) || !strings.HasPrefix(m.Checkpoint, "checkpoint-")) {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: checkpoint name %q", m.Checkpoint)
-	}
-	if m.Rollups != "" && (m.Rollups != filepath.Base(m.Rollups) || !strings.HasPrefix(m.Rollups, "rollup-")) {
-		return manifest{}, fmt.Errorf("tsdb: malformed manifest: rollup snapshot name %q", m.Rollups)
 	}
 	if len(m.Shards) != m.Segments {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments, %d shard layouts", m.Segments, len(m.Shards))
@@ -421,7 +419,7 @@ func (db *DB) openDurable() error {
 		}
 	}
 	if _, err := os.Stat(filepath.Join(db.dir, "rollup", manifestName)); err == nil {
-		return fmt.Errorf("tsdb: cannot open %s: unsupported layout: rollup/MANIFEST (a nested rollup store, which this build does not read; its rollups now live in rollup-*.snap)", db.dir)
+		return fmt.Errorf("tsdb: cannot open %s: unsupported layout: rollup/MANIFEST (a nested rollup store, which this build does not read)", db.dir)
 	}
 	if db.readOnly {
 		return db.openReadOnly(man, ok)
@@ -712,7 +710,7 @@ func scanRotSegments(dir string, segments int) ([][]rotSegOnDisk, error) {
 }
 
 // loadRotLayout restores the store state a committed manifest
-// describes: bulk-load the checkpoint and rollup snapshots, then replay
+// describes: bulk-load the checkpoint snapshot, then replay
 // each shard's segment chain. With parallel set (segment count == shard
 // count), chains replay on one goroutine each, writing only their own
 // shard; otherwise (re-shard path) replay is sequential and records
@@ -721,11 +719,6 @@ func scanRotSegments(dir string, segments int) ([][]rotSegOnDisk, error) {
 func (db *DB) loadRotLayout(man manifest, parallel bool) ([]shardChain, error) {
 	if man.Checkpoint != "" {
 		if err := db.loadCheckpointFile(man.Checkpoint); err != nil {
-			return nil, err
-		}
-	}
-	if man.Rollups != "" {
-		if err := db.loadRollupFile(man.Rollups); err != nil {
 			return nil, err
 		}
 	}
@@ -1032,8 +1025,6 @@ func (db *DB) commitLayout(epoch uint64) error {
 		CheckpointSeq: db.man.CheckpointSeq,
 		Blocks:        db.man.Blocks,
 		BlockSeq:      db.man.BlockSeq,
-		Rollups:       db.man.Rollups,
-		Retain:        db.man.Retain,
 		Shards:        make([]shardLayout, n),
 	}
 	for i := range m.Shards {
@@ -1086,8 +1077,8 @@ func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) error {
 }
 
 // removeStaleFiles deletes files the committed layout does not own:
-// temp files, checkpoint and rollup snapshots the manifest no longer
-// references, orphan block files, and segment files that are neither a
+// temp files, checkpoint snapshots the manifest no longer references,
+// orphan block files, and segment files that are neither a
 // shard's active segment nor one of its retained sealed segments —
 // leftovers of crashed rotations, checkpoints, first opens, and
 // re-shards. Files it does not recognize
@@ -1114,7 +1105,7 @@ func (db *DB) removeStaleFiles() {
 		var i int
 		var seq uint64
 		switch {
-		case name == db.man.Checkpoint || name == db.man.Rollups || name == manifestName:
+		case name == db.man.Checkpoint || name == manifestName:
 		case strings.HasSuffix(name, ".tmp"):
 			os.Remove(filepath.Join(db.dir, name))
 		case scanRotSegName(name, &i, &seq):
@@ -1128,7 +1119,7 @@ func (db *DB) removeStaleFiles() {
 			if !liveBlocks[seq] {
 				os.Remove(filepath.Join(db.dir, name))
 			}
-		case strings.HasPrefix(name, "checkpoint-"), strings.HasPrefix(name, "rollup-"):
+		case strings.HasPrefix(name, "checkpoint-"):
 			os.Remove(filepath.Join(db.dir, name))
 		}
 	}
@@ -1244,15 +1235,9 @@ func (db *DB) checkpointLocked() error {
 	// is still authoritative. Either abort leaves an orphan blocks file
 	// that the next successful seal overwrites (BlockSeq only advances on
 	// commit) and removeStaleFiles reaps at open.
-	//
-	// Each sealed prefix also finalizes rollup buckets (sealBuckets); they
-	// are folded here, from the captured points, and written below as the
-	// new rollup snapshot, so the same manifest commit makes the blocks and
-	// the buckets covering them durable.
 	var (
 		newSeg    *coldSegment
 		newBlocks []blockIndexEntry
-		grown     []rollupGrowth
 	)
 	if db.SealsCold() {
 		var sealEntries []blockSealEntry
@@ -1268,13 +1253,6 @@ func (db *DB) checkpointLocked() error {
 				ent.blocks = append(ent.blocks, encodeBlock(rec.points[off:off+db.blockPoints]))
 			}
 			sealEntries = append(sealEntries, ent)
-			g, ok, err := db.sealBuckets(rec.key, rec.points[:nseal])
-			if err != nil {
-				return err
-			}
-			if ok {
-				grown = append(grown, g)
-			}
 			rec.points = rec.points[nseal:]
 		}
 		if len(sealEntries) > 0 {
@@ -1310,8 +1288,6 @@ func (db *DB) checkpointLocked() error {
 		CheckpointSeq: db.man.CheckpointSeq + 1,
 		Blocks:        db.man.Blocks,
 		BlockSeq:      db.man.BlockSeq,
-		Rollups:       db.man.Rollups,
-		Retain:        db.man.Retain,
 		Shards:        layouts,
 	}
 	if newSeg != nil {
@@ -1319,14 +1295,7 @@ func (db *DB) checkpointLocked() error {
 		m.BlockSeq = newSeg.seq
 	}
 	m.Checkpoint = checkpointName(m.CheckpointSeq)
-	var rollupSize int64
-	if len(grown) > 0 {
-		m.Rollups = rollupName(m.CheckpointSeq)
-		rollupSize, err = db.writeRollupFile(m.Rollups, grown)
-	}
-	if err == nil {
-		err = db.writeCheckpointFile(m.Checkpoint, recs)
-	}
+	err = db.writeCheckpointFile(m.Checkpoint, recs)
 	if err == nil {
 		err = writeManifest(db.dir, m, db.cpHook("checkpoint:manifest"))
 	}
@@ -1359,7 +1328,6 @@ func (db *DB) checkpointLocked() error {
 			db.hotPts.Add(int64(-sealed))
 		}
 	}
-	db.installRollups(grown, rollupSize)
 	// The commit succeeded: the captured bytes no longer count toward the
 	// size-based checkpoint trigger. Appends that raced past the cut keep
 	// their contribution (atomic subtract, not a reset).
@@ -1412,20 +1380,6 @@ func (db *DB) checkpointLocked() error {
 	}
 	if old.Checkpoint != "" && old.Checkpoint != m.Checkpoint {
 		os.Remove(filepath.Join(db.dir, old.Checkpoint))
-	}
-	if old.Rollups != "" && old.Rollups != m.Rollups {
-		os.Remove(filepath.Join(db.dir, old.Rollups))
-	}
-
-	// With the seal and its buckets durable, enforce retention if
-	// horizons are configured: under cpMu cold state is stable, so the
-	// coverage computed here is exact (never a stale snapshot), preserving
-	// the "never drop raw a rollup doesn't cover" invariant.
-	if len(db.retain) > 0 {
-		db.coverageLocked()
-		if err := db.enforceRetentionLocked(); err != nil {
-			return err
-		}
 	}
 	db.cpTime.Observe(time.Since(start))
 	return nil

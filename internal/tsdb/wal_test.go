@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // legacyEntries is a deterministic multi-series append sequence shared by
@@ -140,6 +142,25 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 				"MANIFEST.tmp":                []byte("temp file a reaping pass would delete"),
 			},
 			want: "rollup/MANIFEST",
+		},
+		{
+			name: "manifest naming a rollup snapshot",
+			files: map[string][]byte{
+				manifestName:           []byte(`{"version":2,"epoch":1,"segments":1,"checkpointSeq":4,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"rollups":"rollup-000004.snap"}`),
+				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+				"rollup-000004.snap":   []byte("SLROLLUP"),
+				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
+			},
+			want: `manifest field "rollups"`,
+		},
+		{
+			name: "manifest naming retention cuts",
+			files: map[string][]byte{
+				manifestName:           []byte(`{"version":2,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"retain":{"sps":1640995200000000000}}`),
+				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
+			},
+			want: `manifest field "retain"`,
 		},
 	}
 	for _, lay := range layouts {
@@ -448,4 +469,63 @@ func TestCheckpointConcurrentWithAppends(t *testing.T) {
 		t.Fatalf("recovered %d points, want %d", got, writers*perWriter)
 	}
 	assertSameContents(t, contents(re), want)
+}
+
+// TestCheckpointMetrics: spotlake_checkpoint_seconds observes each
+// committed checkpoint, a crashed one is not observed, and a reopened
+// store starts from zero.
+func TestCheckpointMetrics(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenWithOptions(dir, rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(db *DB, want float64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		RegisterMetrics(reg, func() *DB { return db })
+		got := -1.0
+		for _, s := range reg.Samples() {
+			if s.Name == "spotlake_checkpoint_seconds_count" {
+				got = s.Value
+			}
+		}
+		if got != want {
+			t.Errorf("spotlake_checkpoint_seconds_count = %v, want %v", got, want)
+		}
+	}
+	if _, err := db.AppendBatch(rollupEntries(1800, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(db, 1)
+	if _, err := db.AppendBatch(rollupEntries(1200, 450)); err != nil {
+		t.Fatal(err)
+	}
+	db.testCrash = func(p string) error {
+		if p == "checkpoint:manifest:before-sync" {
+			return errCrashPoint
+		}
+		return nil
+	}
+	if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
+		t.Fatalf("checkpoint returned %v, want injected crash", err)
+	}
+	db.testCrash = nil
+	check(db, 1)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(db, 2)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenWithOptions(dir, rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, 0)
 }
