@@ -457,7 +457,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, eb := range blocks {
-			if _, err := decodeBlock(eb.data, int(eb.count)); err != nil {
+			if _, err := decodeBlock(nil, eb.data, int(eb.count), noHorizon); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -471,16 +471,21 @@ func BenchmarkDecodeBlock(b *testing.B) {
 // block cache) against the all-hot baseline where every point is a
 // resident hot-tail sample. The cold path pays decode on cache misses and
 // a copy on hits; the baseline is the memory ceiling the block tier
-// exists to remove.
+// exists to remove. cold-evicted reads windows a few points wide with
+// caching disabled, after one full pass over every block: each read
+// decodes its boundary block only through the window's end, and
+// decoded/returned reports the points decoded per point returned.
 func BenchmarkColdQuery(b *testing.B) {
-	const seriesN, perSeries, window = 8, 8192, 512
+	const seriesN, perSeries = 8, 8192
 	for _, cfg := range []struct {
-		name string
-		opts Options
-		seal bool
+		name   string
+		opts   Options
+		seal   bool
+		window int
 	}{
-		{"all-hot", Options{Shards: 4, HotTailPoints: -1}, false},
-		{"cold-blocks", Options{Shards: 4, HotTailPoints: 256, BlockPoints: 512}, true},
+		{"all-hot", Options{Shards: 4, HotTailPoints: -1}, false, 512},
+		{"cold-blocks", Options{Shards: 4, HotTailPoints: 256, BlockPoints: 512}, true, 512},
+		{"cold-evicted", Options{Shards: 4, HotTailPoints: 256, BlockPoints: 512, BlockCacheBytes: -1}, true, 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			db, err := OpenWithOptions(b.TempDir(), cfg.opts)
@@ -497,16 +502,27 @@ func BenchmarkColdQuery(b *testing.B) {
 					b.Fatal("checkpoint sealed nothing")
 				}
 			}
+			if cfg.opts.BlockCacheBytes < 0 {
+				// A block's first read in a process decodes it in full.
+				for _, k := range keys {
+					noerr(db.Query(k, t0, t0.Add(perSeries*time.Minute)))
+				}
+			}
+			decoded0 := db.bcache.decoded.Value()
+			returned := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Windows rotate through the sealed region, far behind the
-				// hot tail, so the cold variant reads blocks, not the tail.
-				from := t0.Add(time.Duration((i*613)%(perSeries-window-512)) * time.Minute)
-				pts := noerr(db.Query(keys[i%seriesN], from, from.Add(window*time.Minute)))
+				// hot tail, so the cold variants read blocks, not the tail.
+				from := t0.Add(time.Duration((i*613)%(perSeries-cfg.window-512)) * time.Minute)
+				pts := noerr(db.Query(keys[i%seriesN], from, from.Add(time.Duration(cfg.window)*time.Minute)))
 				if len(pts) == 0 {
 					b.Fatal("empty window")
 				}
+				returned += len(pts)
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(db.bcache.decoded.Value()-decoded0)/float64(returned), "decoded/returned")
 		})
 	}
 }

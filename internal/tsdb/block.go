@@ -7,8 +7,10 @@ package tsdb
 // cache instead of total history. Sealed points live on disk
 // Gorilla-style compressed — delta-of-delta timestamps and XOR-encoded
 // float values in one interleaved bitstream per fixed-size block — and
-// are decoded on demand, one block at a time, through the store's LRU
-// block cache (blockcache.go).
+// are decoded on demand, one block at a time: a read whose window ends
+// inside a block this process has decoded in full before stops decoding
+// at the first point past that end, and only whole decodes enter the
+// store's LRU block cache (blockcache.go).
 //
 // # File format (blocks-<seq>.blk)
 //
@@ -56,7 +58,10 @@ package tsdb
 // bounds-checking each bit it compares the bits consumed with
 // len(data)*8 before trusting what it read, and returns errors on
 // truncated or bit-flipped input — never panics, never allocates more
-// than maxBlockPoints points. FuzzBlockDecode holds it to that and to
+// than maxBlockPoints points. A decode given a horizon stops after the
+// first point past it, before the trailing-data check, so only a decode
+// without one (noHorizon) vouches for the whole stream. FuzzBlockDecode
+// holds it to that, to prefix agreement between the two, and to
 // agreement with the bit-at-a-time reference decoder it replaced.
 
 import (
@@ -69,6 +74,7 @@ import (
 	"math/bits"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -246,14 +252,24 @@ func encodeBlock(pts []sample) encodedBlock {
 	}
 }
 
-// decodeBlock decompresses a block bitstream holding count points. It is
-// the trust boundary for on-disk block bytes: any count outside
-// [1, maxBlockPoints], truncation, or trailing garbage is an error, and
-// nothing larger than count points is ever allocated. Reads may run into
-// refillBits' zero padding; every check that acts on decoded bits first
-// confirms they lay within the stream, so truncation always reports
-// errBlockTruncated.
-func decodeBlock(data []byte, count int) ([]sample, error) {
+// noHorizon is decodeBlock's horizon for a full decode: no timestamp
+// lies past it.
+const noHorizon int64 = math.MaxInt64
+
+// decodeBlock decompresses a block bitstream holding count points into
+// dst's storage when its capacity holds count points, or into a new
+// slice of exactly count. It is the trust boundary for on-disk block
+// bytes: any count outside [1, maxBlockPoints], truncation, or trailing
+// garbage is an error, and nothing larger than count points is ever
+// allocated. Reads may run into refillBits' zero padding; every check
+// that acts on decoded bits first confirms they lay within the stream,
+// so truncation always reports errBlockTruncated.
+//
+// Decoding stops after the first point whose timestamp is past horizon:
+// the result is then that prefix of the block, and the bits after it are
+// never read, so neither is the trailing-data check. With noHorizon the
+// whole block decodes and every check runs.
+func decodeBlock(dst []sample, data []byte, count int, horizon int64) ([]sample, error) {
 	if count < 1 || count > maxBlockPoints {
 		return nil, fmt.Errorf("tsdb: block point count %d out of range", count)
 	}
@@ -276,13 +292,20 @@ func decodeBlock(data []byte, count int) ([]sample, error) {
 	}
 	overran := func() bool { return next*8-int(nacc) > len(data)*8 }
 
-	pts := make([]sample, count)
+	pts := dst
+	if cap(pts) < count {
+		pts = make([]sample, count)
+	}
+	pts = pts[:count]
 	t := int64(read(32)<<32 | read(32))
 	vbits := read(32)<<32 | read(32)
 	if overran() {
 		return nil, errBlockTruncated
 	}
 	pts[0] = sample{ns: t, v: math.Float64frombits(vbits)}
+	if t > horizon {
+		return pts[:1:1], nil
+	}
 	var delta int64
 	// lead == 0xff marks "no value window defined yet".
 	lead, sig := uint(0xff), uint(0)
@@ -337,13 +360,16 @@ func decodeBlock(data []byte, count int) ([]sample, error) {
 			return nil, errors.New("tsdb: block timestamps out of order")
 		}
 		pts[i] = sample{ns: t, v: math.Float64frombits(vbits)}
+		if t > horizon {
+			return pts[: i+1 : i+1], nil
+		}
 	}
 	// Trailing data beyond the final byte's bit padding means the index's
 	// count disagrees with the stream — corruption either way.
 	if (next*8-int(nacc)+7)/8 != len(data) {
 		return nil, errors.New("tsdb: block has trailing data")
 	}
-	return pts, nil
+	return pts[:count:count], nil
 }
 
 // blockSealEntry is one series' staged contribution to a block file
@@ -425,22 +451,56 @@ func writeBlockFileTo(w io.Writer, entries []blockSealEntry, mid func() error) e
 // coldSegment is one open block file shared by every series with blocks
 // in it. Reads go through ReadAt, so concurrent block decodes never
 // contend on a seek position.
+//
+// decoded holds one bit per block of the file, indexed by blockMeta.ord:
+// set once this process has decoded the block in full, which ran the
+// trailing-data check that ties the stream to the index's point count.
+// Only such a block may be decoded to a window's end (see
+// coldBlockPoints); a fresh process starts with every bit clear.
 type coldSegment struct {
-	seq  uint64
-	f    *os.File
-	size int64
+	seq     uint64
+	f       *os.File
+	size    int64
+	decoded []atomic.Uint64
+}
+
+// newColdSegment wraps block file seq, open as f, whose index is entries.
+func newColdSegment(seq uint64, f *os.File, size int64, entries []blockIndexEntry) *coldSegment {
+	n := 0
+	for _, e := range entries {
+		n += len(e.blocks)
+	}
+	return &coldSegment{seq: seq, f: f, size: size, decoded: make([]atomic.Uint64, (n+63)/64)}
+}
+
+// decodedInFull reports whether block ord has been decoded in full.
+func (s *coldSegment) decodedInFull(ord uint32) bool {
+	return s.decoded[ord/64].Load()&(1<<(ord%64)) != 0
+}
+
+// markDecoded records a successful full decode of block ord.
+func (s *coldSegment) markDecoded(ord uint32) {
+	w, bit := &s.decoded[ord/64], uint64(1)<<(ord%64)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
 }
 
 // blockMeta locates one sealed block of a series: where its bytes live,
 // what they decode to, and where the block starts in the series' global
 // point index (cold points first, then the hot tail). minAt and maxAt
-// are unix nanoseconds, as the index stores them.
+// are unix nanoseconds, as the index stores them; ord is the block's
+// position in its file's index.
 type blockMeta struct {
 	seg    *coldSegment
 	off    uint64
 	length uint32
 	count  uint32
 	crc    uint32
+	ord    uint32
 	minAt  int64
 	maxAt  int64
 	start  int
@@ -514,6 +574,7 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 		return nil, errors.New("tsdb: block file: series count corrupt")
 	}
 	out := make([]blockIndexEntry, 0, nSeries)
+	ord := uint32(0)
 	for si := uint32(0); si < nSeries; si++ {
 		if pos+2 > len(idx) {
 			return nil, errors.New("tsdb: block file: index truncated")
@@ -557,9 +618,11 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 				length: length,
 				count:  count,
 				crc:    crc,
+				ord:    ord,
 				minAt:  minAt,
 				maxAt:  maxAt,
 			}
+			ord++
 		}
 		out = append(out, blockIndexEntry{key: key, blocks: blocks})
 	}
@@ -573,10 +636,11 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 // every point out, so nothing retains a buffer past its read.
 var blockReadBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// readBlockData reads and decodes one block's bytes from its segment,
-// verifying the index's CRC first so a bit flip in the data section is
-// reported as corruption rather than decoded into garbage points.
-func readBlockData(b *blockMeta) ([]sample, error) {
+// readBlockData reads one block's bytes from its segment, whole, and
+// decodes them through horizon into dst (see decodeBlock), verifying the
+// index's CRC first so a bit flip in the data section is reported as
+// corruption rather than decoded into garbage points.
+func readBlockData(b *blockMeta, dst []sample, horizon int64) ([]sample, error) {
 	bp := blockReadBufs.Get().(*[]byte)
 	defer blockReadBufs.Put(bp)
 	if cap(*bp) < int(b.length) {
@@ -589,5 +653,5 @@ func readBlockData(b *blockMeta) ([]sample, error) {
 	if crc32.ChecksumIEEE(buf) != b.crc {
 		return nil, errors.New("tsdb: block CRC mismatch")
 	}
-	return decodeBlock(buf, int(b.count))
+	return decodeBlock(dst, buf, int(b.count), horizon)
 }

@@ -1,12 +1,15 @@
 package tsdb
 
 // blockCache is the store-wide, size-bounded LRU over decoded cold
-// blocks. Cold reads decode whole blocks (the unit of compression), so
-// a window scan touching B blocks costs B decodes the first time and
-// map lookups afterwards. The bound is in bytes of decoded samples, 16
-// per point, which is their real resident cost: a sample is unix-nanos
-// plus the float64, with no pointer, so the GC never scans a cached
-// block either.
+// blocks. It holds whole blocks only, each admitted by a full decode: a
+// window scan touching B blocks costs B decodes the first time and map
+// lookups afterwards. A read whose window ends inside a block it misses
+// may decode just the block's prefix through that end (coldBlockPoints);
+// such a prefix serves that one read and is never admitted, so a block
+// that reads only ever cut short cannot churn whole blocks out. The bound
+// is in bytes of decoded samples, 16 per point, which is their real
+// resident cost: a sample is unix-nanos plus the float64, with no
+// pointer, so the GC never scans a cached block either.
 //
 // The cache is keyed by (block file sequence, block offset): block
 // files are immutable and never reused under the same sequence number,
@@ -56,7 +59,8 @@ type blockCache struct {
 	misses    obs.Counter
 	evictions obs.Counter
 	// The cold-decode stage: each miss observes its block's read, CRC
-	// check and decode once, and counts the points it decoded.
+	// check and decode once — a full decode or a window's prefix — and
+	// counts the points it decoded.
 	decodeTime *obs.Histogram
 	decoded    obs.Counter
 }
@@ -152,23 +156,79 @@ func (db *DB) BlockCacheStats() BlockCacheStats {
 	}
 }
 
-// coldBlockPoints returns one sealed block's decoded points, consulting
-// the cache first. The returned slice is shared and must not be
-// mutated. Decode failures (bit rot, a vanished file) are surfaced to
-// the caller; read paths count them and fail the read with ErrColdRead
-// rather than serve a partial result — see coldReadErr.
-func (db *DB) coldBlockPoints(b *blockMeta) ([]sample, error) {
+// coldRead is one read's state over the cold tier, kept on the read's
+// stack. horizon is the latest timestamp any of the read's searches or
+// copies needs (noHorizon for reads that want whole blocks): every
+// search predicate the read asks is true of the first point past it.
+// The one-slot memo (b, pts) keeps the last block the read fetched, so
+// a boundary block that two searches and the copy all land on is
+// fetched, and decoded, once per read. buf is the pooled storage of its
+// window decodes, which release returns once the read is done with pts.
+type coldRead struct {
+	horizon int64
+	b       *blockMeta
+	pts     []sample
+	buf     *[]sample
+}
+
+// windowBufs recycles window decodes' storage: a window's prefix lives
+// only as long as the read that decoded it.
+var windowBufs = sync.Pool{New: func() any { return new([]sample) }}
+
+// release returns the read's window-decode storage to the pool.
+func (r *coldRead) release() {
+	if r.buf != nil {
+		windowBufs.Put(r.buf)
+		r.buf = nil
+	}
+}
+
+// coldBlockPoints returns block b's decoded points for read r: from r's
+// memo, else the cache, else the block file. The returned slice is shared
+// and must not be mutated, nor used past r's next fetch or release.
+//
+// A miss reads the whole block and checks its CRC. When r's window ends
+// inside the block (r.horizon < maxAt) and this process has decoded the
+// block in full before, decoding stops at the first point past the
+// horizon; that prefix goes to r alone, never to the cache. Otherwise
+// the block decodes in full, which sets its decoded bit and admits it —
+// so a block's first read in a process always runs the trailing-data
+// check that a window decode skips.
+//
+// Decode failures (bit rot, a vanished file) are surfaced to the caller;
+// read paths count them and fail the read with ErrColdRead rather than
+// serve a partial result — see coldReadErr.
+func (db *DB) coldBlockPoints(b *blockMeta, r *coldRead) ([]sample, error) {
+	if r.b == b {
+		return r.pts, nil
+	}
 	key := blockCacheKey{seq: b.seg.seq, off: b.off}
-	if pts, ok := db.bcache.get(key); ok {
-		return pts, nil
+	pts, ok := db.bcache.get(key)
+	if !ok {
+		window := r.horizon < b.maxAt && b.seg.decodedInFull(b.ord)
+		var dst []sample
+		horizon := noHorizon
+		if window {
+			if r.buf == nil {
+				r.buf = windowBufs.Get().(*[]sample)
+			}
+			if cap(*r.buf) < int(b.count) {
+				*r.buf = make([]sample, b.count)
+			}
+			dst, horizon = *r.buf, r.horizon
+		}
+		start := time.Now()
+		var err error
+		if pts, err = readBlockData(b, dst, horizon); err != nil {
+			return nil, err
+		}
+		db.bcache.decodeTime.Observe(time.Since(start))
+		db.bcache.decoded.Add(uint64(len(pts)))
+		if !window {
+			b.seg.markDecoded(b.ord)
+			db.bcache.put(key, pts)
+		}
 	}
-	start := time.Now()
-	pts, err := readBlockData(b)
-	if err != nil {
-		return nil, err
-	}
-	db.bcache.decodeTime.Observe(time.Since(start))
-	db.bcache.decoded.Add(uint64(len(pts)))
-	db.bcache.put(key, pts)
+	r.b, r.pts = b, pts
 	return pts, nil
 }

@@ -95,7 +95,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		if eb.minAt != pts[0].ns || eb.maxAt != pts[len(pts)-1].ns {
 			t.Fatalf("%s: encoded extent [%d, %d] disagrees with points", name, eb.minAt, eb.maxAt)
 		}
-		got, err := decodeBlock(eb.data, len(pts))
+		got, err := decodeBlock(nil, eb.data, len(pts), noHorizon)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -109,7 +109,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		// (Off-by-one counts can hide inside the final byte's bit padding —
 		// which is why the count lives in the CRC-protected index, never
 		// in the stream itself.)
-		if _, err := decodeBlock(eb.data, len(pts)+64); err == nil {
+		if _, err := decodeBlock(nil, eb.data, len(pts)+64, noHorizon); err == nil {
 			t.Fatalf("%s: decode with inflated count succeeded", name)
 		}
 	}
@@ -120,6 +120,15 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 func sealedOpts() Options {
 	return Options{Shards: 4, RotateBytes: 2048, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
 }
+
+// blockCacheCases are the block-cache sizes the differential tests run
+// under: sealedOpts' evicting cache, and none, where every read of a
+// block after its first full decode ends its decode at the read's
+// horizon.
+var blockCacheCases = []struct {
+	name  string
+	bytes int64
+}{{"evicting-cache", sealedOpts().BlockCacheBytes}, {"no-cache", -1}}
 
 // walkCursor pages through the series with QueryAfter, advancing a
 // keyset cursor exactly the way the archive's pagination does, and
@@ -149,11 +158,19 @@ func walkCursor(db *DB, k SeriesKey, to time.Time, page int) ([]Point, int) {
 // TestSealedStoreMatchesReference drives a sealing store, a never-sealed
 // memory store, and the naive reference through the same workload with
 // interleaved checkpoints, and demands every read path agree exactly —
-// including float paths (same arithmetic, so bitwise equality) and
-// cursor walks whose pages straddle the hot/cold boundary.
+// including float paths (same arithmetic, so bitwise equality), rollup
+// folds, and cursor walks whose pages straddle the hot/cold boundary —
+// under each of blockCacheCases.
 func TestSealedStoreMatchesReference(t *testing.T) {
+	for _, c := range blockCacheCases {
+		t.Run(c.name, func(t *testing.T) { sealedStoreMatchesReference(t, c.bytes) })
+	}
+}
+
+func sealedStoreMatchesReference(t *testing.T, cacheBytes int64) {
 	dir := t.TempDir()
 	opts := sealedOpts()
+	opts.BlockCacheBytes = cacheBytes
 	db, err := OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +234,21 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 				if gok2 != wok2 || math.Float64bits(gm) != math.Float64bits(wm) {
 					t.Fatalf("%s: %v WindowMean[%d] = (%v,%v), want (%v,%v)", stage, k, i, gm, gok2, wm, wok2)
 				}
+				// Rollup folds over the same windows, and a cursor resume
+				// that skips the bucket at its position.
+				for _, res := range []time.Duration{time.Hour, 24 * time.Hour} {
+					gt, _ := db.Tier(res, AggMean)
+					wt, _ := mem.Tier(res, AggMean)
+					if g, w := noerr(gt.Query(k, from, to)), noerr(wt.Query(k, from, to)); !samePoints(g, w) {
+						t.Fatalf("%s: %v %v tier window[%d] = %v, want %v", stage, k, res, i, g, w)
+					}
+					if g, w := noerr(gt.CountAfter(k, from, 1, end)), noerr(wt.CountAfter(k, from, 1, end)); g != w {
+						t.Fatalf("%s: %v %v tier CountAfter[%d] = %d, want %d", stage, k, res, i, g, w)
+					}
+					if g, w := noerr(gt.QueryAfter(k, from, 1, end, 2)), noerr(wt.QueryAfter(k, from, 1, end, 2)); !samePoints(g, w) {
+						t.Fatalf("%s: %v %v tier resume[%d] = %v, want %v", stage, k, res, i, g, w)
+					}
+				}
 			}
 			gg := noerr(db.Grid(k, all[0].At, all[len(all)-1].At, 97*time.Second))
 			wg := noerr(mem.Grid(k, all[0].At, all[len(all)-1].At, 97*time.Second))
@@ -265,7 +297,7 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 		t.Fatalf("hot %d + cold %d != total %d", hot, db.ColdPointCount(), total)
 	}
 	cs := db.BlockCacheStats()
-	if cs.Misses == 0 || cs.Hits == 0 {
+	if cs.Misses == 0 || cs.Hits == 0 && cacheBytes > 0 {
 		t.Fatalf("cold reads never exercised the block cache: %+v", cs)
 	}
 
@@ -293,10 +325,18 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 // every read, through every read primitive: points, cursor walks, step
 // lookups, window means, grids and the frozen prefix of the change
 // intervals are compared with values computed before the writer starts,
-// and Last with the point the writer stored at its timestamp.
+// and Last with the point the writer stored at its timestamp. It runs
+// under each of blockCacheCases.
 func TestSealedConcurrentReadsExact(t *testing.T) {
+	for _, c := range blockCacheCases {
+		t.Run(c.name, func(t *testing.T) { sealedConcurrentReadsExact(t, c.bytes) })
+	}
+}
+
+func sealedConcurrentReadsExact(t *testing.T, cacheBytes int64) {
 	dir := t.TempDir()
 	opts := sealedOpts()
+	opts.BlockCacheBytes = cacheBytes
 	db, err := OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)

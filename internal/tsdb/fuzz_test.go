@@ -267,7 +267,7 @@ func decodeBlockRef(data []byte, count int) ([]sample, error) {
 // decodeBlock's samples (nil on error).
 func checkDecodersAgree(t testing.TB, data []byte, count int) []sample {
 	t.Helper()
-	got, err := decodeBlock(data, count)
+	got, err := decodeBlock(nil, data, count, noHorizon)
 	want, refErr := decodeBlockRef(data, count)
 	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 		t.Fatalf("decoders disagree on %d bytes, count %d: %v vs reference %v", len(data), count, err, refErr)
@@ -295,32 +295,61 @@ func checkDecodersAgree(t testing.TB, data []byte, count int) []sample {
 // itself is not canonical: a hostile encoder may pick a wider dod bucket
 // than needed, which decodes fine but re-encodes narrower.) Every input
 // is also decoded by decodeBlockRef, and the two must agree.
+//
+// The fuzzed horizon drives a window decode of the same input beside
+// the full one. On any input it must not panic or allocate beyond the
+// count; wherever the full decode succeeds, it must return exactly the
+// full decode's prefix through the first point past the horizon, or all
+// of it when no point lies past.
 func FuzzBlockDecode(f *testing.F) {
-	f.Add([]byte{}, 1)
-	f.Add([]byte{0xff}, 1)
-	f.Add(fuzzBlockSeed(1, time.Second, func(int) float64 { return 1.5 }), 1)
-	f.Add(fuzzBlockSeed(64, time.Minute, func(i int) float64 { return float64(i % 5) }), 64)
-	f.Add(fuzzBlockSeed(128, time.Second, func(i int) float64 { return 0.01 * float64(i) }), 128)
+	mid := t0.Add(30 * time.Minute).UnixNano()
+	f.Add([]byte{}, 1, noHorizon)
+	f.Add([]byte{0xff}, 1, int64(0))
+	f.Add(fuzzBlockSeed(1, time.Second, func(int) float64 { return 1.5 }), 1, mid)
+	f.Add(fuzzBlockSeed(64, time.Minute, func(i int) float64 { return float64(i % 5) }), 64, mid)
+	f.Add(fuzzBlockSeed(128, time.Second, func(i int) float64 { return 0.01 * float64(i) }), 128, t0.UnixNano())
 	s := fuzzBlockSeed(32, time.Minute, func(i int) float64 { return float64(i % 3) })
 	s[len(s)/2] ^= 0x10
-	f.Add(s, 32)
+	f.Add(s, 32, mid)
 	s2 := fuzzBlockSeed(32, time.Minute, func(i int) float64 { return float64(i % 3) })
-	f.Add(s2[:len(s2)/2], 32)
+	f.Add(s2[:len(s2)/2], 32, mid)
 	for _, c := range decodeShapeCases() {
-		f.Add(encodeBlock(c.pts).data, len(c.pts))
+		f.Add(encodeBlock(c.pts).data, len(c.pts), c.pts[len(c.pts)/2].ns)
 	}
 	// A stream whose last bit is a value's first '1' control bit: the zero
 	// padding past the end reads as "reuse the window" before any is
 	// defined, and must report truncation, as the reference does.
-	f.Add(append(make([]byte, 16), 0x01), 5)
+	f.Add(append(make([]byte, 16), 0x01), 5, noHorizon)
+	// Trailing data a window decode stops short of: only the full decode
+	// may reject it.
+	f.Add(append(fuzzBlockSeed(16, time.Minute, func(i int) float64 { return float64(i % 2) }), 0xA5, 0x5A), 16, mid)
 
-	f.Fuzz(func(t *testing.T, data []byte, count int) {
+	f.Fuzz(func(t *testing.T, data []byte, count int, horizon int64) {
 		pts := checkDecodersAgree(t, data, count)
+		win, werr := decodeBlock(nil, data, count, horizon)
+		if werr == nil && (len(win) == 0 || cap(win) > count) {
+			t.Fatalf("window decode returned %d points in a %d-point slice for count %d", len(win), cap(win), count)
+		}
 		if pts == nil {
 			return
 		}
 		if len(pts) != count {
 			t.Fatalf("decode returned %d points for count %d", len(pts), count)
+		}
+		want := len(pts)
+		for i, p := range pts {
+			if p.ns > horizon {
+				want = i + 1
+				break
+			}
+		}
+		if werr != nil || len(win) != want {
+			t.Fatalf("window decode through %d = (%d points, %v), want the full decode's first %d", horizon, len(win), werr, want)
+		}
+		for i := range win {
+			if win[i].ns != pts[i].ns || math.Float64bits(win[i].v) != math.Float64bits(pts[i].v) {
+				t.Fatalf("window decode point %d = %v, full decode %v", i, win[i], pts[i])
+			}
 		}
 		for i := 1; i < len(pts); i++ {
 			if pts[i].ns < pts[i-1].ns {
@@ -330,7 +359,7 @@ func FuzzBlockDecode(f *testing.F) {
 		// Round trip: what decoded must re-encode and decode back to the
 		// same points, bit-for-bit on the float values.
 		back := encodeBlock(pts)
-		again, err := decodeBlock(back.data, len(pts))
+		again, err := decodeBlock(nil, back.data, len(pts), noHorizon)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded block failed: %v", err)
 		}

@@ -92,13 +92,13 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 	gauge("spotlake_blockcache_max_bytes", "Configured block cache bound (0 = disabled).",
 		func(db *DB) float64 { return float64(db.BlockCacheStats().MaxBytes) })
 
-	reg.HistogramFunc("spotlake_block_decode_seconds", "Time a block-cache miss spends reading, CRC-checking and decoding one cold block.",
+	reg.HistogramFunc("spotlake_block_decode_seconds", "Time a block-cache miss spends reading and CRC-checking one cold block and decoding it, in full or through the read's window end.",
 		func() obs.HistogramSnapshot {
 			if db := current(); db != nil {
 				return db.bcache.decodeTime.Snapshot()
 			}
 			return obs.NewHistogram(blockDecodeBuckets).Snapshot()
 		})
-	counter("spotlake_block_decoded_points_total", "Points decoded from cold blocks on block-cache misses.",
+	counter("spotlake_block_decoded_points_total", "Points decoded from cold blocks on block-cache misses: whole blocks, or a window's prefix.",
 		func(db *DB) uint64 { return db.bcache.decoded.Value() })
 }

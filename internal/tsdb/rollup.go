@@ -123,38 +123,63 @@ func (db *DB) Tier(res time.Duration, agg Agg) (Tier, bool) {
 // bounds captures k's view and returns the global index window [lo, hi)
 // of the points that fold into the buckets after the position
 // (after, seq) and starting at or before to. Both predicates are
-// monotone in time because bucketStart is.
-func (t Tier) bounds(k SeriesKey, after time.Time, seq int, to time.Time) (v seriesView, lo, hi int, err error) {
+// monotone in time because bucketStart is, and both are true of any
+// point past the last bucket served, whose last nanosecond bounds
+// becomes r's horizon.
+func (t Tier) bounds(k SeriesKey, after time.Time, seq int, to time.Time, r *coldRead) (v seriesView, lo, hi int, err error) {
 	v = t.db.view(k)
 	a, e := unixNanos(after), unixNanos(to)
-	lo, err = t.db.searchView(v, func(ns int64) bool {
+	// The sum wraps at the int64 limits, as bucketStart does, so it is
+	// exact unless the bucket's end lies past them.
+	m := max(a, e)
+	r.horizon = noHorizon
+	if end := bucketStart(m, t.res) + int64(t.res) - 1; end >= m {
+		r.horizon = end
+	}
+	lo, err = t.db.searchView(v, r, func(ns int64) bool {
 		s := bucketStart(ns, t.res)
 		return s > a || (s == a && seq == 0)
 	})
 	if err == nil {
-		hi, err = t.db.searchView(v, func(ns int64) bool { return bucketStart(ns, t.res) > e })
+		hi, err = t.db.searchView(v, r, func(ns int64) bool { return bucketStart(ns, t.res) > e })
 	}
 	return v, lo, hi, err
 }
 
-// CountAfter is DB.CountAfter over the tier's buckets.
+// CountAfter is DB.CountAfter over the tier's buckets: it counts the
+// bucket starts among the window's points without folding them.
 func (t Tier) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
-	v, lo, hi, err := t.bounds(k, after, seq, to)
+	var r coldRead
+	defer r.release()
+	v, lo, hi, err := t.bounds(k, after, seq, to, &r)
 	if err != nil || lo >= hi {
 		return 0, err
 	}
-	bs, err := t.db.foldBuckets(v, t.res, lo, hi, -1)
-	return len(bs), err
+	n, cur := 0, int64(0)
+	err = t.db.iterateView(v, &r, lo, hi, func(pts []sample) error {
+		for _, p := range pts {
+			if bs := bucketStart(p.ns, t.res); n == 0 || bs != cur {
+				n, cur = n+1, bs
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // QueryAfter is DB.QueryAfter over the tier's buckets: each bucket is one
 // point at its start carrying the tier's aggregate.
 func (t Tier) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
-	v, lo, hi, err := t.bounds(k, after, seq, to)
+	var r coldRead
+	defer r.release()
+	v, lo, hi, err := t.bounds(k, after, seq, to, &r)
 	if err != nil || lo >= hi {
 		return nil, err
 	}
-	bs, err := t.db.foldBuckets(v, t.res, lo, hi, max)
+	bs, err := t.db.foldBuckets(v, &r, t.res, lo, hi, max)
 	if err != nil || len(bs) == 0 {
 		return nil, err
 	}
@@ -173,9 +198,9 @@ func (t Tier) Query(k SeriesKey, from, to time.Time) ([]Point, error) {
 // errFoldFull stops foldBuckets' walk once it holds max buckets.
 var errFoldFull = errors.New("tsdb: fold holds max buckets")
 
-// foldBuckets folds the view's points [lo, hi) into res buckets, oldest
-// first, stopping after max of them (negative: all).
-func (db *DB) foldBuckets(v seriesView, res time.Duration, lo, hi, max int) ([]bucket, error) {
+// foldBuckets folds the view's points [lo, hi) into res buckets for read
+// r, oldest first, stopping after max of them (negative: all).
+func (db *DB) foldBuckets(v seriesView, r *coldRead, res time.Duration, lo, hi, max int) ([]bucket, error) {
 	var (
 		out  []bucket
 		cur  bucket
@@ -189,7 +214,7 @@ func (db *DB) foldBuckets(v seriesView, res time.Duration, lo, hi, max int) ([]b
 			out = append(out, cur)
 		}
 	}
-	err := db.iterateView(v, lo, hi, func(pts []sample) error {
+	err := db.iterateView(v, r, lo, hi, func(pts []sample) error {
 		for _, p := range pts {
 			bs := bucketStart(p.ns, res)
 			if !open || bs != cur.start {

@@ -835,9 +835,11 @@ func (db *DB) coldReadErr(err error) error {
 // one exception is append dedup's cold fallback (last under the write
 // lock), which live series never reach: seals keep a hot point.
 //
-// Cold blocks decode on demand through the block cache. A block that
-// fails to decode is counted in ColdReadErrors and the error propagates
-// to the caller as ErrColdRead — never a silently truncated answer.
+// Cold blocks decode on demand through the read's coldRead and the block
+// cache; a windowed read passes its horizon so a block its window ends
+// inside decodes only that far (coldBlockPoints). A block that fails to
+// decode is counted in ColdReadErrors and the error propagates to the
+// caller as ErrColdRead — never a silently truncated answer.
 
 // seriesView is a stable read view of one series' two tiers, captured
 // under the owning shard's lock and safe to use after releasing it:
@@ -888,10 +890,12 @@ func (v seriesView) total() int { return v.coldN + len(v.hot) }
 
 // iterateView streams the view's global index window [lo, hi) to fn in
 // consecutive chunks — one chunk per overlapping cold block, then the
-// hot remainder — decoding each block on demand so at most one block's
-// points are materialized beyond what fn retains. An fn error aborts
-// the walk; a block decode failure aborts it with ErrColdRead.
-func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []sample) error) error {
+// hot remainder — decoding each block on demand for read r so at most
+// one block's points are materialized beyond what fn retains; fn must
+// not keep a chunk past its call. hi must not lie past the first point
+// after r's horizon. An fn error aborts the walk; a block decode failure
+// aborts it with ErrColdRead.
+func (db *DB) iterateView(v seriesView, r *coldRead, lo, hi int, fn func(pts []sample) error) error {
 	if total := v.total(); hi > total {
 		hi = total
 	}
@@ -907,7 +911,7 @@ func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []sample) error)
 		})
 		for ; bi < len(v.blocks) && v.blocks[bi].start < hi; bi++ {
 			b := &v.blocks[bi]
-			pts, err := db.coldBlockPoints(b)
+			pts, err := db.coldBlockPoints(b, r)
 			if err != nil {
 				return db.coldReadErr(err)
 			}
@@ -940,10 +944,11 @@ func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []sample) error)
 // searchView returns the smallest global index whose unix-nano timestamp
 // satisfies pred, or the total count when none does. pred must be
 // monotone in time (false then true), which both window predicates
-// (at or after from, after to) are. Cold blocks are located by their
-// min/max timestamps alone; a block is decoded only when the boundary
-// falls strictly inside it.
-func (db *DB) searchView(v seriesView, pred func(ns int64) bool) (int, error) {
+// (at or after from, after to) are, and true of the first point past
+// r's horizon. Cold blocks are located by their min/max timestamps
+// alone; a block is decoded, for read r, only when the boundary falls
+// strictly inside it.
+func (db *DB) searchView(v seriesView, r *coldRead, pred func(ns int64) bool) (int, error) {
 	nb := len(v.blocks)
 	bi := sort.Search(nb, func(i int) bool { return pred(v.blocks[i].maxAt) })
 	if bi < nb {
@@ -951,11 +956,15 @@ func (db *DB) searchView(v seriesView, pred func(ns int64) bool) (int, error) {
 		if pred(b.minAt) {
 			return b.start, nil
 		}
-		pts, err := db.coldBlockPoints(b)
+		pts, err := db.coldBlockPoints(b, r)
 		if err != nil {
 			return 0, db.coldReadErr(err)
 		}
-		return b.start + sort.Search(len(pts), func(i int) bool { return pred(pts[i].ns) }), nil
+		i := sort.Search(len(pts), func(i int) bool { return pred(pts[i].ns) })
+		if i == len(pts) && i < int(b.count) {
+			panic("tsdb: searchView predicate false past the read's horizon")
+		}
+		return b.start + i, nil
 	}
 	return v.coldN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].ns) }), nil
 }
@@ -968,7 +977,8 @@ func (db *DB) last(v seriesView) (p sample, ok bool, err error) {
 	if n := len(v.hot); n > 0 {
 		return v.hot[n-1], true, nil
 	}
-	err = db.iterateView(v, v.coldN-1, v.coldN, func(pts []sample) error {
+	r := coldRead{horizon: noHorizon}
+	err = db.iterateView(v, &r, v.coldN-1, v.coldN, func(pts []sample) error {
 		p, ok = pts[0], true
 		return nil
 	})
@@ -993,9 +1003,11 @@ func (db *DB) last(v seriesView) (p sample, ok bool, err error) {
 // count pass and copy pass agree exactly across both tiers, and a cold
 // read error fails both identically instead of letting them disagree
 // silently. The bounds are unix nanoseconds, converted once by the
-// caller through unixNanos.
-func (db *DB) afterBounds(v seriesView, after int64, seq int, to int64) (lo, hi int, err error) {
-	lo, err = db.searchView(v, func(ns int64) bool { return ns >= after })
+// caller through unixNanos. Every point the read needs lies at or
+// before max(after, to), which becomes r's horizon.
+func (db *DB) afterBounds(v seriesView, r *coldRead, after int64, seq int, to int64) (lo, hi int, err error) {
+	r.horizon = max(after, to)
+	lo, err = db.searchView(v, r, func(ns int64) bool { return ns >= after })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1003,7 +1015,7 @@ func (db *DB) afterBounds(v seriesView, after int64, seq int, to int64) (lo, hi 
 		// seq consumes points at exactly `after`, never beyond its run:
 		// a forged or overshot count clamps to the run's end instead of
 		// eating later timestamps.
-		runEnd, err := db.searchView(v, func(ns int64) bool { return ns > after })
+		runEnd, err := db.searchView(v, r, func(ns int64) bool { return ns > after })
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1013,7 +1025,7 @@ func (db *DB) afterBounds(v seriesView, after int64, seq int, to int64) (lo, hi 
 			lo += seq
 		}
 	}
-	hi, err = db.searchView(v, func(ns int64) bool { return ns > to })
+	hi, err = db.searchView(v, r, func(ns int64) bool { return ns > to })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1026,7 +1038,9 @@ func (db *DB) afterBounds(v seriesView, after int64, seq int, to int64) (lo, hi 
 // and the hot tail. Cursor pagination uses it to size the remainder of
 // a series the cursor position has partially consumed.
 func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
-	lo, hi, err := db.afterBounds(db.view(k), unixNanos(after), seq, unixNanos(to))
+	var r coldRead
+	defer r.release()
+	lo, hi, err := db.afterBounds(db.view(k), &r, unixNanos(after), seq, unixNanos(to))
 	if err != nil || lo >= hi {
 		return 0, err
 	}
@@ -1041,7 +1055,9 @@ func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (i
 // under live collection, where a skipped offset would drift.
 func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
 	v := db.view(k)
-	lo, hi, err := db.afterBounds(v, unixNanos(after), seq, unixNanos(to))
+	var r coldRead
+	defer r.release()
+	lo, hi, err := db.afterBounds(v, &r, unixNanos(after), seq, unixNanos(to))
 	if max >= 0 && max < hi-lo {
 		hi = lo + max
 	}
@@ -1050,7 +1066,7 @@ func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, ma
 	}
 	out := make([]Point, hi-lo)
 	n := 0
-	err = db.iterateView(v, lo, hi, func(pts []sample) error {
+	err = db.iterateView(v, &r, lo, hi, func(pts []sample) error {
 		dst := out[n : n+len(pts)]
 		for i, p := range pts {
 			dst[i] = p.point()
@@ -1072,15 +1088,17 @@ func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, ma
 func (db *DB) steps(k SeriesKey, from, to time.Time, fn func(Point)) error {
 	v := db.view(k)
 	f, t := unixNanos(from), unixNanos(to)
-	lo, err := db.searchView(v, func(ns int64) bool { return ns > f })
+	r := coldRead{horizon: max(f, t)}
+	defer r.release()
+	lo, err := db.searchView(v, &r, func(ns int64) bool { return ns > f })
 	if err != nil {
 		return err
 	}
-	hi, err := db.searchView(v, func(ns int64) bool { return ns > t })
+	hi, err := db.searchView(v, &r, func(ns int64) bool { return ns > t })
 	if err != nil {
 		return err
 	}
-	return db.iterateView(v, lo-1, hi, func(pts []sample) error {
+	return db.iterateView(v, &r, lo-1, hi, func(pts []sample) error {
 		for _, p := range pts {
 			fn(p.point())
 		}
@@ -1171,7 +1189,8 @@ func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
 	out := make([]time.Duration, 0, total-1)
 	var prev int64
 	first := true
-	err := db.iterateView(v, 0, total, func(pts []sample) error {
+	r := coldRead{horizon: noHorizon}
+	err := db.iterateView(v, &r, 0, total, func(pts []sample) error {
 		for _, p := range pts {
 			if !first {
 				out = append(out, subNanos(p.ns, prev))

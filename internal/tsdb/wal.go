@@ -551,7 +551,7 @@ func (db *DB) openBlocks(man manifest) error {
 			f.Close()
 			return fail(fmt.Errorf("tsdb: %s: %w", name, err))
 		}
-		seg := &coldSegment{seq: seq, f: f, size: st.Size()}
+		seg := newColdSegment(seq, f, st.Size(), entries)
 		db.coldSegs = append(db.coldSegs, seg)
 		for _, ent := range entries {
 			sh := db.shardFor(ent.key)
@@ -1278,7 +1278,7 @@ func (db *DB) checkpointLocked() error {
 				f.Close()
 				return fmt.Errorf("tsdb: sealed block file: %w", err)
 			}
-			newSeg = &coldSegment{seq: seq, f: f, size: st.Size()}
+			newSeg = newColdSegment(seq, f, st.Size(), newBlocks)
 		}
 	}
 	m := manifest{
