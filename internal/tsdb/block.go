@@ -1,6 +1,7 @@
 package tsdb
 
-// Compressed immutable block tier (cold storage).
+// Compressed immutable block tier (cold storage), and the one encoding of
+// points at rest.
 //
 // A checkpoint seals history older than each series' hot tail into an
 // immutable block file, so resident memory is bounded by hot tail + block
@@ -12,7 +13,12 @@ package tsdb
 // at the first point past that end, and only whole decodes enter the
 // store's LRU block cache (blockcache.go).
 //
-// # File format (blocks-<seq>.blk)
+// The checkpoint file (checkpoint-<seq>.snap, see wal.go) is the same
+// format: each series' hot tail as blocks of up to maxBlockPoints points,
+// which an open decodes whole and validates before anything enters a
+// shard. So one point codec serves everything at rest but the WAL.
+//
+// # File format (blocks-<seq>.blk, checkpoint-<seq>.snap)
 //
 //	header: 8-byte magic "SLBLOCKS" | u16 version (1)
 //	data:   the compressed blocks, back to back, no framing (the index
@@ -25,14 +31,15 @@ package tsdb
 //	footer: u64 index offset | u32 index length | u32 index CRC |
 //	        8-byte magic "SLBLKIDX"
 //
-// All integers are little-endian. Series appear sorted by canonical key
-// and a series' blocks appear in time order, so identical seals encode
+// All integers are little-endian. Series appear in strictly ascending
+// canonical key order, a series' blocks appear in time order, and the
+// blocks tile the data section in index order, so identical seals encode
 // to identical bytes. The file is written once via the atomic
 // temp+fsync+rename sequence and never modified afterwards; the MANIFEST
 // lists the live block files, and the manifest rename is the commit
-// point (see wal.go). Opening a file parses only its index — blocks stay
-// on disk until a read decodes them — so recovery cost is O(index), not
-// O(history).
+// point (see wal.go). Opening a block file parses only its index —
+// blocks stay on disk until a read decodes them — so recovery cost is
+// O(index), not O(history).
 //
 // # Block encoding
 //
@@ -51,10 +58,13 @@ package tsdb
 //
 // Regular collection cadences make dod 0 almost always (1 bit/point) and
 // step-function values repeat or share exponents, which is what buys the
-// tier its compression. The decoder takes the expected point count from
-// the (CRC-validated) index and reads the stream through a left-aligned
-// 64-bit accumulator refilled a word at a time (zero-padded past the
-// end), so fields cost a shift, not a loop over bits. Instead of
+// tier its compression. The encoder writes through a 64-bit accumulator
+// that goes out a word at a time; TestBlockEncoderMatchesReference holds
+// it byte for byte to the bit-at-a-time writer it replaced. The decoder
+// takes the expected point count from the (CRC-validated) index and
+// reads the stream through a left-aligned 64-bit accumulator refilled a
+// word at a time (zero-padded past the end), so fields cost a shift, not
+// a loop over bits. Instead of
 // bounds-checking each bit it compares the bits consumed with
 // len(data)*8 before trusting what it read, and returns errors on
 // truncated or bit-flipped input — never panics, never allocates more
@@ -65,6 +75,8 @@ package tsdb
 // agreement with the bit-at-a-time reference decoder it replaced.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -92,9 +104,9 @@ const (
 	// point is 68 timestamp bits + 77 value bits ≈ 19 bytes; 32 covers it
 	// with slack for the two raw leading values.
 	maxBlockBytes = maxBlockPoints*32 + 64
-	// maxBlockIndexBytes bounds the index section of one block file, the
-	// same cap the snapshot codec uses per record, so a corrupt footer
-	// cannot ask for an absurd allocation.
+	// maxBlockIndexBytes bounds the index section of one block file
+	// (64 MiB, about 1.8 M blocks), so a corrupt footer cannot ask for an
+	// absurd allocation.
 	maxBlockIndexBytes = 1 << 26
 )
 
@@ -107,45 +119,42 @@ func scanBlockFileName(name string, seq *uint64) bool {
 	return err == nil && n == 1 && name == blockFileName(*seq)
 }
 
-// bitWriter appends bits MSB-first to a byte slice.
+// bitWriter appends bits MSB-first to a byte slice through a left-aligned
+// 64-bit accumulator that goes out a big-endian word at a time, the
+// writing twin of refillBits. bytes flushes the partial last word, zero
+// padded to a byte boundary.
 type bitWriter struct {
 	data []byte
-	// free is how many low bits of the last byte are still unset (0 when
-	// the stream ends on a byte boundary).
-	free uint8
-}
-
-func (w *bitWriter) writeBit(bit bool) {
-	if w.free == 0 {
-		w.data = append(w.data, 0)
-		w.free = 8
-	}
-	if bit {
-		w.data[len(w.data)-1] |= 1 << (w.free - 1)
-	}
-	w.free--
-}
-
-func (w *bitWriter) writeByte(b byte) {
-	if w.free == 0 {
-		w.data = append(w.data, b)
-		return
-	}
-	i := len(w.data) - 1
-	w.data[i] |= b >> (8 - w.free)
-	w.data = append(w.data, b<<w.free)
+	acc  uint64 // pending bits, left-aligned
+	n    uint   // how many bits of acc are pending, < 64
 }
 
 // writeBits writes the low n bits of v, MSB-first. n must be in [0, 64].
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n >= 8 {
-		n -= 8
-		w.writeByte(byte(v >> n))
+	if n < 64 {
+		v &= 1<<n - 1
 	}
-	for n > 0 {
-		n--
-		w.writeBit(v>>n&1 == 1)
+	free := 64 - w.n
+	if n < free {
+		w.acc |= v << (free - n)
+		w.n += n
+		return
 	}
+	// The word fills: emit it and keep the n-free bits that did not fit
+	// (a shift by 64 yields 0, so a write that fills it exactly keeps none).
+	w.data = binary.BigEndian.AppendUint64(w.data, w.acc|v>>(n-free))
+	w.n = n - free
+	w.acc = v << (64 - w.n)
+}
+
+// bytes returns the stream written so far, its last byte zero-padded.
+func (w *bitWriter) bytes() []byte {
+	for acc, n := w.acc, w.n; n > 0; n -= min(n, 8) {
+		w.data = append(w.data, byte(acc>>56))
+		acc <<= 8
+	}
+	w.acc, w.n = 0, 0
+	return w.data
 }
 
 var errBlockTruncated = errors.New("tsdb: block truncated")
@@ -184,10 +193,10 @@ type encodedBlock struct {
 }
 
 // encodeBlock compresses pts (time-ordered, 1..maxBlockPoints of them)
-// into one block bitstream.
+// into one block bitstream. A bucket prefix goes out with its payload in
+// one write wherever the two fit in 64 bits.
 func encodeBlock(pts []sample) encodedBlock {
-	var w bitWriter
-	w.data = make([]byte, 0, 16+len(pts)*2)
+	w := bitWriter{data: make([]byte, 0, 24+len(pts)*8)}
 	var prevT, prevDelta int64
 	var prevBits uint64
 	// prevLead == 0xff marks "no reusable window yet".
@@ -206,16 +215,13 @@ func encodeBlock(pts []sample) encodedBlock {
 		prevT, prevDelta = t, delta
 		switch z := zigzag(dod); {
 		case z == 0:
-			w.writeBit(false)
+			w.writeBits(0, 1)
 		case z < 1<<16:
-			w.writeBits(0b10, 2)
-			w.writeBits(z, 16)
+			w.writeBits(0b10<<16|z, 2+16)
 		case z < 1<<32:
-			w.writeBits(0b110, 3)
-			w.writeBits(z, 32)
+			w.writeBits(0b110<<32|z, 3+32)
 		case z < 1<<48:
-			w.writeBits(0b1110, 4)
-			w.writeBits(z, 48)
+			w.writeBits(0b1110<<48|z, 4+48)
 		default:
 			w.writeBits(0b1111, 4)
 			w.writeBits(z, 64)
@@ -223,7 +229,7 @@ func encodeBlock(pts []sample) encodedBlock {
 		xor := v ^ prevBits
 		prevBits = v
 		if xor == 0 {
-			w.writeBit(false)
+			w.writeBits(0, 1)
 			continue
 		}
 		lead := uint8(bits.LeadingZeros64(xor))
@@ -238,18 +244,30 @@ func encodeBlock(pts []sample) encodedBlock {
 			continue
 		}
 		sig := 64 - lead - trail
-		w.writeBits(0b11, 2)
-		w.writeBits(uint64(lead), 5)
-		w.writeBits(uint64(sig&0x3f), 6) // 64 significant bits encode as 0
+		// '11', 5 bits of leading zeros, 6 of significant bits (64 encodes
+		// as 0), then the bits.
+		w.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig&0x3f), 2+5+6)
 		w.writeBits(xor>>trail, uint(sig))
 		prevLead, prevSig = lead, sig
 	}
 	return encodedBlock{
-		data:  w.data,
+		data:  w.bytes(),
 		count: uint32(len(pts)),
 		minAt: pts[0].ns,
 		maxAt: pts[len(pts)-1].ns,
 	}
+}
+
+// encodeSeries compresses a series' time-ordered points into consecutive
+// blocks of per points, the last one possibly shorter.
+func encodeSeries(pts []sample, per int) []encodedBlock {
+	blocks := make([]encodedBlock, 0, (len(pts)+per-1)/per)
+	for len(pts) > 0 {
+		n := min(per, len(pts))
+		blocks = append(blocks, encodeBlock(pts[:n]))
+		pts = pts[n:]
+	}
+	return blocks
 }
 
 // noHorizon is decodeBlock's horizon for a full decode: no timestamp
@@ -381,71 +399,54 @@ type blockSealEntry struct {
 }
 
 // writeBlockFileTo writes a complete block file (header, blocks, index,
-// footer) to w. Entries must be sorted by canonical key. mid, when
-// non-nil, runs after the data blocks and before the index — the
+// footer) to w through a 64 KiB buffer. Entries must be sorted by
+// canonical key and hold at least one block each. mid, when non-nil, runs
+// after the data blocks have reached w and before the index — the
 // crash-matrix harness uses it to freeze a file with data but no index.
 func writeBlockFileTo(w io.Writer, entries []blockSealEntry, mid func() error) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
 	var tmp [8]byte
-	if _, err := io.WriteString(w, blockFileMagic); err != nil {
-		return err
-	}
+	bw.WriteString(blockFileMagic)
 	binary.LittleEndian.PutUint16(tmp[:2], blockFileVer)
-	if _, err := w.Write(tmp[:2]); err != nil {
-		return err
-	}
+	bw.Write(tmp[:2])
 	off := uint64(blockHeaderLen)
 	// The index is assembled while the data blocks stream out, then
 	// written in one piece so its CRC covers exactly the bytes on disk.
 	idx := make([]byte, 0, 64*len(entries))
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(entries)))
-	idx = append(idx, tmp[:4]...)
+	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(entries)))
 	for _, e := range entries {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(e.canon)))
-		idx = append(idx, tmp[:2]...)
+		idx = binary.LittleEndian.AppendUint16(idx, uint16(len(e.canon)))
 		idx = append(idx, e.canon...)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(e.blocks)))
-		idx = append(idx, tmp[:4]...)
+		idx = binary.LittleEndian.AppendUint32(idx, uint32(len(e.blocks)))
 		for _, b := range e.blocks {
-			if _, err := w.Write(b.data); err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint64(tmp[:], off)
-			idx = append(idx, tmp[:8]...)
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(b.data)))
-			idx = append(idx, tmp[:4]...)
-			binary.LittleEndian.PutUint32(tmp[:4], b.count)
-			idx = append(idx, tmp[:4]...)
-			binary.LittleEndian.PutUint64(tmp[:], uint64(b.minAt))
-			idx = append(idx, tmp[:8]...)
-			binary.LittleEndian.PutUint64(tmp[:], uint64(b.maxAt))
-			idx = append(idx, tmp[:8]...)
-			binary.LittleEndian.PutUint32(tmp[:4], crc32.ChecksumIEEE(b.data))
-			idx = append(idx, tmp[:4]...)
+			bw.Write(b.data)
+			idx = binary.LittleEndian.AppendUint64(idx, off)
+			idx = binary.LittleEndian.AppendUint32(idx, uint32(len(b.data)))
+			idx = binary.LittleEndian.AppendUint32(idx, b.count)
+			idx = binary.LittleEndian.AppendUint64(idx, uint64(b.minAt))
+			idx = binary.LittleEndian.AppendUint64(idx, uint64(b.maxAt))
+			idx = binary.LittleEndian.AppendUint32(idx, crc32.ChecksumIEEE(b.data))
 			off += uint64(len(b.data))
 		}
 	}
 	if mid != nil {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
 		if err := mid(); err != nil {
 			return err
 		}
 	}
-	if _, err := w.Write(idx); err != nil {
-		return err
-	}
+	bw.Write(idx)
 	binary.LittleEndian.PutUint64(tmp[:], off)
-	if _, err := w.Write(tmp[:8]); err != nil {
-		return err
-	}
+	bw.Write(tmp[:8])
 	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(idx)))
-	if _, err := w.Write(tmp[:4]); err != nil {
-		return err
-	}
+	bw.Write(tmp[:4])
 	binary.LittleEndian.PutUint32(tmp[:4], crc32.ChecksumIEEE(idx))
-	if _, err := w.Write(tmp[:4]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, blockIdxMagic)
-	return err
+	bw.Write(tmp[:4])
+	bw.WriteString(blockIdxMagic)
+	// A bufio.Writer's errors stick: Flush reports the first write that failed.
+	return bw.Flush()
 }
 
 // coldSegment is one open block file shared by every series with blocks
@@ -523,12 +524,14 @@ type blockIndexEntry struct {
 	blocks []blockMeta
 }
 
-// readBlockIndex opens a block file's index: header and footer are
-// validated, the index section is CRC-checked and parsed, and every
-// block's extent is bounds-checked against the data section. Blocks are
-// not decoded. Like the snapshot decoder this is a trust boundary:
-// corrupt input errors, never panics, never over-allocates.
-func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
+// readBlockIndex opens the index of a block file — sealed history or a
+// checkpoint — of size bytes: header and footer are validated, the index
+// section is CRC-checked and parsed, series must appear in strictly
+// ascending key order, and the blocks must tile the data section, back to
+// back in index order, as writeBlockFileTo lays them out. Blocks are not
+// decoded. This is a trust boundary: corrupt input errors, never panics,
+// never over-allocates.
+func readBlockIndex(f io.ReaderAt, size int64) ([]blockIndexEntry, error) {
 	if size < int64(blockHeaderLen+blockFooterLen) {
 		return nil, errors.New("tsdb: block file too short")
 	}
@@ -575,6 +578,8 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 	}
 	out := make([]blockIndexEntry, 0, nSeries)
 	ord := uint32(0)
+	next := uint64(blockHeaderLen) // where the next block must start
+	var prevKey []byte
 	for si := uint32(0); si < nSeries; si++ {
 		if pos+2 > len(idx) {
 			return nil, errors.New("tsdb: block file: index truncated")
@@ -584,10 +589,15 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 		if pos+keyLen+4 > len(idx) {
 			return nil, errors.New("tsdb: block file: index truncated")
 		}
-		key, err := ParseSeriesKey(string(idx[pos : pos+keyLen]))
+		rawKey := idx[pos : pos+keyLen]
+		key, err := ParseSeriesKey(string(rawKey))
 		if err != nil {
 			return nil, fmt.Errorf("tsdb: block file index: %w", err)
 		}
+		if si > 0 && bytes.Compare(rawKey, prevKey) <= 0 {
+			return nil, fmt.Errorf("tsdb: block file: series %v out of key order", key)
+		}
+		prevKey = rawKey
 		pos += keyLen
 		nBlocks := int(binary.LittleEndian.Uint32(idx[pos:]))
 		pos += 4
@@ -604,9 +614,10 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 			crc := binary.LittleEndian.Uint32(idx[pos+32:])
 			pos += blockIdxEntLen
 			if count < 1 || count > maxBlockPoints || length > maxBlockBytes ||
-				off < uint64(blockHeaderLen) || off+uint64(length) > idxOff {
+				off != next || off+uint64(length) > idxOff {
 				return nil, fmt.Errorf("tsdb: block file: block %d of %v out of bounds", bi, key)
 			}
+			next += uint64(length)
 			if maxAt < minAt {
 				return nil, fmt.Errorf("tsdb: block file: block %d of %v time range inverted", bi, key)
 			}
@@ -629,6 +640,9 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 	if pos != len(idx) {
 		return nil, errors.New("tsdb: block file: trailing index data")
 	}
+	if next != idxOff {
+		return nil, errors.New("tsdb: block file: data section and blocks disagree")
+	}
 	return out, nil
 }
 
@@ -636,18 +650,18 @@ func readBlockIndex(f *os.File, size int64) ([]blockIndexEntry, error) {
 // every point out, so nothing retains a buffer past its read.
 var blockReadBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// readBlockData reads one block's bytes from its segment, whole, and
+// readBlockData reads one block's bytes from its file r, whole, and
 // decodes them through horizon into dst (see decodeBlock), verifying the
 // index's CRC first so a bit flip in the data section is reported as
 // corruption rather than decoded into garbage points.
-func readBlockData(b *blockMeta, dst []sample, horizon int64) ([]sample, error) {
+func readBlockData(r io.ReaderAt, b *blockMeta, dst []sample, horizon int64) ([]sample, error) {
 	bp := blockReadBufs.Get().(*[]byte)
 	defer blockReadBufs.Put(bp)
 	if cap(*bp) < int(b.length) {
 		*bp = make([]byte, b.length)
 	}
 	buf := (*bp)[:b.length]
-	if _, err := b.seg.f.ReadAt(buf, int64(b.off)); err != nil {
+	if _, err := r.ReadAt(buf, int64(b.off)); err != nil {
 		return nil, fmt.Errorf("tsdb: block read: %w", err)
 	}
 	if crc32.ChecksumIEEE(buf) != b.crc {

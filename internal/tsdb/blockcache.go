@@ -219,7 +219,7 @@ func (db *DB) coldBlockPoints(b *blockMeta, r *coldRead) ([]sample, error) {
 		}
 		start := time.Now()
 		var err error
-		if pts, err = readBlockData(b, dst, horizon); err != nil {
+		if pts, err = readBlockData(b.seg.f, b, dst, horizon); err != nil {
 			return nil, err
 		}
 		db.bcache.decodeTime.Observe(time.Since(start))

@@ -2,14 +2,19 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/bits"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/simrand"
 )
 
 func FuzzParseSeriesKey(f *testing.F) {
@@ -59,10 +64,10 @@ func FuzzManifestDecode(f *testing.F) {
 	})
 	f.Add(v2)
 	f.Add([]byte(`{"version":1,"epoch":1,"segments":2,"checkpointSeq":0,"offsets":[0,42]}`)) // pre-rotation manifest: must be rejected
-	f.Add([]byte(`{"version":2,"segments":1,"shards":[]}`))
-	f.Add([]byte(`{"version":2,"segments":1,"shards":[{"offset":0,"segs":[]}]}`))
+	f.Add([]byte(`{"version":3,"segments":1,"shards":[]}`))
+	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[]}]}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))
-	f.Add([]byte(`{"version":2,"segments":1,"checkpoint":"../escape","shards":[{"segs":[{"seq":1}]}]}`))
+	f.Add([]byte(`{"version":3,"segments":1,"checkpoint":"../escape","shards":[{"segs":[{"seq":1}]}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -76,11 +81,11 @@ func FuzzManifestDecode(f *testing.F) {
 		if m.Version == manifestVersion {
 			for si, sl := range m.Shards {
 				if len(sl.Segs) == 0 {
-					t.Fatalf("accepted v2 manifest with empty segment list for shard %d", si)
+					t.Fatalf("accepted manifest with empty segment list for shard %d", si)
 				}
 				for j := 1; j < len(sl.Segs); j++ {
 					if sl.Segs[j].Seq <= sl.Segs[j-1].Seq || sl.Segs[j].Base < sl.Segs[j-1].Base {
-						t.Fatalf("accepted v2 manifest with non-ascending chain for shard %d", si)
+						t.Fatalf("accepted manifest with non-ascending chain for shard %d", si)
 					}
 				}
 			}
@@ -98,14 +103,31 @@ func FuzzManifestDecode(f *testing.F) {
 	})
 }
 
-// fuzzBlockSeed encodes one valid compressed block to seed the corpus.
-func fuzzBlockSeed(n int, step time.Duration, v func(i int) float64) []byte {
+// fuzzBlockPoints builds n points step apart, valued v(i).
+func fuzzBlockPoints(n int, step time.Duration, v func(i int) float64) []sample {
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	pts := make([]sample, n)
 	for i := range pts {
 		pts[i] = sample{ns: base.Add(time.Duration(i) * step).UnixNano(), v: v(i)}
 	}
-	return encodeBlock(pts).data
+	return pts
+}
+
+// fuzzBlockSeed encodes one valid compressed block to seed the corpus.
+func fuzzBlockSeed(n int, step time.Duration, v func(i int) float64) []byte {
+	return encodeBlock(fuzzBlockPoints(n, step, v)).data
+}
+
+// fuzzBlockSeedPoints are the points behind FuzzBlockDecode's valid
+// seeds, beside decodeShapeCases.
+func fuzzBlockSeedPoints() [][]sample {
+	return [][]sample{
+		fuzzBlockPoints(1, time.Second, func(int) float64 { return 1.5 }),
+		fuzzBlockPoints(64, time.Minute, func(i int) float64 { return float64(i % 5) }),
+		fuzzBlockPoints(128, time.Second, func(i int) float64 { return 0.01 * float64(i) }),
+		fuzzBlockPoints(32, time.Minute, func(i int) float64 { return float64(i % 3) }),
+		fuzzBlockPoints(16, time.Minute, func(i int) float64 { return float64(i % 2) }),
+	}
 }
 
 // bitReader consumes bits MSB-first from a byte slice, erroring (never
@@ -286,6 +308,168 @@ func checkDecodersAgree(t testing.TB, data []byte, count int) []sample {
 	return got
 }
 
+// bitWriterRef is the bit-at-a-time writer encodeBlock used before its
+// 64-bit accumulator, and encodeBlockRef is encodeBlock over it, both as
+// they were: the oracle that holds the encoder to byte-identical output.
+type bitWriterRef struct {
+	data []byte
+	// free is how many low bits of the last byte are still unset (0 when
+	// the stream ends on a byte boundary).
+	free uint8
+}
+
+func (w *bitWriterRef) writeBit(bit bool) {
+	if w.free == 0 {
+		w.data = append(w.data, 0)
+		w.free = 8
+	}
+	if bit {
+		w.data[len(w.data)-1] |= 1 << (w.free - 1)
+	}
+	w.free--
+}
+
+func (w *bitWriterRef) writeByte(b byte) {
+	if w.free == 0 {
+		w.data = append(w.data, b)
+		return
+	}
+	i := len(w.data) - 1
+	w.data[i] |= b >> (8 - w.free)
+	w.data = append(w.data, b<<w.free)
+}
+
+// writeBits writes the low n bits of v, MSB-first. n must be in [0, 64].
+func (w *bitWriterRef) writeBits(v uint64, n uint) {
+	for n >= 8 {
+		n -= 8
+		w.writeByte(byte(v >> n))
+	}
+	for n > 0 {
+		n--
+		w.writeBit(v>>n&1 == 1)
+	}
+}
+
+func encodeBlockRef(pts []sample) []byte {
+	var w bitWriterRef
+	var prevT, prevDelta int64
+	var prevBits uint64
+	prevLead, prevSig := uint8(0xff), uint8(0)
+	for i, p := range pts {
+		t := p.ns
+		v := math.Float64bits(p.v)
+		if i == 0 {
+			w.writeBits(uint64(t), 64)
+			w.writeBits(v, 64)
+			prevT, prevDelta, prevBits = t, 0, v
+			continue
+		}
+		delta := t - prevT
+		dod := delta - prevDelta
+		prevT, prevDelta = t, delta
+		switch z := zigzag(dod); {
+		case z == 0:
+			w.writeBit(false)
+		case z < 1<<16:
+			w.writeBits(0b10, 2)
+			w.writeBits(z, 16)
+		case z < 1<<32:
+			w.writeBits(0b110, 3)
+			w.writeBits(z, 32)
+		case z < 1<<48:
+			w.writeBits(0b1110, 4)
+			w.writeBits(z, 48)
+		default:
+			w.writeBits(0b1111, 4)
+			w.writeBits(z, 64)
+		}
+		xor := v ^ prevBits
+		prevBits = v
+		if xor == 0 {
+			w.writeBit(false)
+			continue
+		}
+		lead := uint8(bits.LeadingZeros64(xor))
+		if lead > 31 {
+			lead = 31
+		}
+		trail := uint8(bits.TrailingZeros64(xor))
+		if prevLead != 0xff && lead >= prevLead && trail >= 64-prevLead-prevSig {
+			w.writeBits(0b10, 2)
+			w.writeBits(xor>>(64-prevLead-prevSig), uint(prevSig))
+			continue
+		}
+		sig := 64 - lead - trail
+		w.writeBits(0b11, 2)
+		w.writeBits(uint64(lead), 5)
+		w.writeBits(uint64(sig&0x3f), 6)
+		w.writeBits(xor>>trail, uint(sig))
+		prevLead, prevSig = lead, sig
+	}
+	return w.data
+}
+
+// checkEncoderMatchesRef fails unless encodeBlock and encodeBlockRef
+// write the same bytes for pts.
+func checkEncoderMatchesRef(t testing.TB, pts []sample) {
+	t.Helper()
+	if got, want := encodeBlock(pts).data, encodeBlockRef(pts); !bytes.Equal(got, want) {
+		t.Fatalf("encodeBlock wrote %d bytes %x, reference %d bytes %x", len(got), got, len(want), want)
+	}
+}
+
+// TestBlockEncoderMatchesReference holds the accumulator writer to the
+// bit-at-a-time one: random write sequences of every width 0–64 (with
+// junk above the written bits), every FuzzBlockDecode and
+// decodeShapeCases block, archive-shaped blocks, and random blocks that
+// reach every dod bucket and value window case.
+func TestBlockEncoderMatchesReference(t *testing.T) {
+	rng := simrand.New(11).Stream("bitwriter")
+	for trial := 0; trial < 20000; trial++ {
+		var w bitWriter
+		var ref bitWriterRef
+		for n := rng.Intn(40); n > 0; n-- {
+			v, width := rng.Uint64(), uint(rng.Intn(65))
+			w.writeBits(v, width)
+			ref.writeBits(v, width)
+		}
+		if got := w.bytes(); !bytes.Equal(got, ref.data) {
+			t.Fatalf("trial %d: accumulator wrote %x, reference %x", trial, got, ref.data)
+		}
+	}
+	for _, c := range decodeShapeCases() {
+		checkEncoderMatchesRef(t, c.pts)
+	}
+	for _, pts := range fuzzBlockSeedPoints() {
+		checkEncoderMatchesRef(t, pts)
+	}
+	for seed := uint64(1); seed <= 64; seed++ {
+		checkEncoderMatchesRef(t, archiveBlockPoints(seed, 1+int(seed)*13))
+	}
+	steps := []int64{0, 1, 1 << 20, 1 << 40, 1 << 55}
+	for trial := 0; trial < 2000; trial++ {
+		pts := make([]sample, 1+rng.Intn(300))
+		ns, step := int64(rng.Uint64()>>2), int64(60e9)
+		v := math.Float64bits(float64(rng.Intn(10)))
+		for i := range pts {
+			pts[i] = sample{ns: ns, v: math.Float64frombits(v)}
+			if rng.Intn(8) == 0 {
+				step = int64(rng.Uint64() % uint64(steps[rng.Intn(len(steps))]+1))
+			}
+			ns += step
+			switch rng.Intn(4) {
+			case 0: // repeat
+			case 1:
+				v ^= rng.Uint64()
+			default:
+				v = math.Float64bits(float64(rng.Intn(10)) + 0.5*float64(rng.Intn(3)))
+			}
+		}
+		checkEncoderMatchesRef(t, pts)
+	}
+}
+
 // FuzzBlockDecode feeds hostile compressed blocks — truncated,
 // bit-flipped, or arbitrary bytes, with an adversarial point count — to
 // the block decoder that cold reads trust. Corrupt input must return an
@@ -356,8 +540,10 @@ func FuzzBlockDecode(f *testing.F) {
 				t.Fatalf("decode accepted out-of-order timestamps at %d", i)
 			}
 		}
-		// Round trip: what decoded must re-encode and decode back to the
-		// same points, bit-for-bit on the float values.
+		// Round trip: what decoded must re-encode — into the bytes the
+		// reference writer produces — and decode back to the same points,
+		// bit-for-bit on the float values.
+		checkEncoderMatchesRef(t, pts)
 		back := encodeBlock(pts)
 		again, err := decodeBlock(nil, back.data, len(pts), noHorizon)
 		if err != nil {
@@ -445,8 +631,8 @@ func TestBlockDecodeTruncationPrefixes(t *testing.T) {
 	}
 }
 
-// fuzzSnapshotSeed builds a valid snapshot to seed the corpus.
-func fuzzSnapshotSeed(seriesN, pointsN int) []byte {
+// fuzzCheckpointSeed builds a valid checkpoint file to seed the corpus.
+func fuzzCheckpointSeed(seriesN, pointsN int) []byte {
 	db, _ := OpenSharded("", 4)
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	for s := 0; s < seriesN; s++ {
@@ -456,68 +642,107 @@ func fuzzSnapshotSeed(seriesN, pointsN int) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	_ = encodeSnapshot(&buf, db.capture())
+	_ = writeCheckpoint(&buf, db.capture())
 	return buf.Bytes()
 }
 
-// FuzzSnapshotCodec feeds arbitrary byte streams to decodeSnapshot, the
-// trust boundary for checkpoint files. Corrupt input must return an error
-// — never panic, never allocate absurdly, never hand back records
-// alongside it. Input that does decode must re-encode and decode back to
-// the same records (full round trip).
-func FuzzSnapshotCodec(f *testing.F) {
+// withIndexCRC returns data with its footer's index CRC recomputed, when
+// the footer locates an index inside data, so fuzzed indexes reach the
+// structural checks behind the CRC.
+func withIndexCRC(data []byte) []byte {
+	if len(data) < blockHeaderLen+blockFooterLen {
+		return nil
+	}
+	foot := len(data) - blockFooterLen
+	off := binary.LittleEndian.Uint64(data[foot:])
+	n := uint64(binary.LittleEndian.Uint32(data[foot+8:]))
+	if off > uint64(foot) || n > uint64(foot)-off {
+		return nil
+	}
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[foot+12:], crc32.ChecksumIEEE(out[off:off+n]))
+	return out
+}
+
+// FuzzCheckpointFile feeds arbitrary bytes to readCheckpoint, the trust
+// boundary for checkpoint files and, through readBlockIndex, for block
+// file indexes: each input as given, and again with its index CRC made
+// to match. Corrupt input must return an error — never panic, never
+// allocate beyond what the input's size and one block's maxBlockPoints
+// account for, never hand back series alongside the error. A file that
+// loads must hold strictly key-ordered, time-ordered series, and must
+// write and load back point for point, bit for bit.
+func FuzzCheckpointFile(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(snapshotMagic))
-	f.Add(fuzzSnapshotSeed(0, 0))
-	f.Add(fuzzSnapshotSeed(1, 3))
-	f.Add(fuzzSnapshotSeed(3, 7))
+	f.Add([]byte(blockFileMagic))
+	f.Add(fuzzCheckpointSeed(0, 0))
+	f.Add(fuzzCheckpointSeed(1, 3))
+	f.Add(fuzzCheckpointSeed(3, 7))
 	// A couple of deliberate corruptions as starting points.
-	s := fuzzSnapshotSeed(2, 4)
+	s := fuzzCheckpointSeed(2, 4)
 	s[len(s)-1] ^= 0xff
 	f.Add(s)
-	s2 := fuzzSnapshotSeed(2, 4)
-	s2[9] ^= 0x01 // version byte
+	s2 := fuzzCheckpointSeed(2, 4)
+	s2[len(blockFileMagic)] ^= 0x01 // version byte
 	f.Add(s2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := decodeSnapshot(bytes.NewReader(data))
-		if err != nil {
-			// Malformed input must not yield a partial record list a
-			// caller could apply.
-			if recs != nil {
-				t.Fatalf("failed decode returned %d records", len(recs))
-			}
-			return
-		}
-		for _, rec := range recs {
-			for j := 1; j < len(rec.points); j++ {
-				if rec.points[j].ns < rec.points[j-1].ns {
-					t.Fatalf("decode accepted out-of-order points in %v", rec.key)
-				}
-			}
-		}
-		// Round trip: what decoded must encode and decode identically.
-		var buf bytes.Buffer
-		if err := encodeSnapshot(&buf, recs); err != nil {
-			t.Fatalf("re-encode of decoded snapshot failed: %v", err)
-		}
-		again, err := decodeSnapshot(&buf)
-		if err != nil {
-			t.Fatalf("decode of re-encoded snapshot failed: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed the record count: %d vs %d", len(again), len(recs))
-		}
-		for i := range recs {
-			if again[i].key != recs[i].key || len(again[i].points) != len(recs[i].points) {
-				t.Fatalf("round trip changed record %d: %v/%d points vs %v/%d", i,
-					again[i].key, len(again[i].points), recs[i].key, len(recs[i].points))
-			}
-			for j, p := range recs[i].points {
-				if q := again[i].points[j]; q.ns != p.ns || math.Float64bits(q.v) != math.Float64bits(p.v) {
-					t.Fatalf("round trip changed record %d point %d: %v vs %v", i, j, q, p)
-				}
-			}
+		checkCheckpointLoad(t, data)
+		if fixed := withIndexCRC(data); fixed != nil {
+			checkCheckpointLoad(t, fixed)
 		}
 	})
+}
+
+func checkCheckpointLoad(t *testing.T, data []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, err := loadSnapshot(data)
+	runtime.ReadMemStats(&after)
+	// The index is at most the input; points at most 4 per input byte
+	// (2 bits each) doubled by slice growth, plus one bad block's worth.
+	if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(8<<20+256*len(data)); alloc > bound {
+		t.Fatalf("loading %d bytes allocated %d, over %d", len(data), alloc, bound)
+	}
+	if err != nil {
+		if recs != nil {
+			t.Fatalf("failed load returned %d series", len(recs))
+		}
+		return
+	}
+	for i, rec := range recs {
+		if i > 0 && rec.canon <= recs[i-1].canon {
+			t.Fatalf("load accepted series out of key order: %q after %q", rec.canon, recs[i-1].canon)
+		}
+		if len(rec.points) == 0 {
+			t.Fatalf("load accepted series %v with no points", rec.key)
+		}
+		for j := 1; j < len(rec.points); j++ {
+			if rec.points[j].ns < rec.points[j-1].ns {
+				t.Fatalf("load accepted out-of-order points in %v", rec.key)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := writeCheckpoint(&buf, recs); err != nil {
+		t.Fatalf("write of a loaded checkpoint failed: %v", err)
+	}
+	again, err := loadSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatalf("load of a rewritten checkpoint failed: %v", err)
+	}
+	if len(again) != len(recs) {
+		t.Fatalf("round trip changed the series count: %d vs %d", len(again), len(recs))
+	}
+	for i := range recs {
+		if again[i].key != recs[i].key || len(again[i].points) != len(recs[i].points) {
+			t.Fatalf("round trip changed series %d: %v/%d points vs %v/%d", i,
+				again[i].key, len(again[i].points), recs[i].key, len(recs[i].points))
+		}
+		for j, p := range recs[i].points {
+			if q := again[i].points[j]; q.ns != p.ns || math.Float64bits(q.v) != math.Float64bits(p.v) {
+				t.Fatalf("round trip changed series %d point %d: %v vs %v", i, j, q, p)
+			}
+		}
+	}
 }

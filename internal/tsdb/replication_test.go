@@ -282,9 +282,15 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 	if err := CommitReplicatedManifest(dir, []byte(`{"version":1,"segments":1,"offsets":[0]}`)); err == nil {
 		t.Error("v1 manifest committed (needs migration, which a follower must never run)")
 	}
+	// Version 2 names a checkpoint of raw 16-byte points, which this build
+	// cannot load.
+	v2 := []byte(`{"version":2,"segments":1,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`)
+	if err := ValidateReplicatedManifest(v2); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("v2 manifest: validation returned %v, want an error naming version 2", err)
+	}
 	// Layouts of builds that materialized rollups or kept raw retention.
 	for field, value := range map[string]string{"rollups": `"rollup-000004.snap"`, "retain": `{"sps":1640995200000000000}`} {
-		raw := []byte(`{"version":2,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"` + field + `":` + value + `}`)
+		raw := []byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"` + field + `":` + value + `}`)
 		if err := CommitReplicatedManifest(dir, raw); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
 			t.Errorf("manifest naming %q: commit returned %v, want an error naming the field", field, err)
 		}

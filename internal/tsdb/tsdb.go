@@ -41,9 +41,9 @@
 // Options.CheckpointAfterBytes, and the same trigger is enforced
 // synchronously on the append path — no caller cooperation needed for
 // bounded replay tails, and with them bounded sealed-segment disk use and
-// bounded hot-memory growth. The checkpoint file is a versioned,
-// CRC-checked, length-prefixed dump of every captured series (see
-// snapshot.go).
+// bounded hot-memory growth. The checkpoint file holds every series' hot
+// points in the compressed block file format of the cold tier (see
+// block.go and wal.go).
 package tsdb
 
 import (

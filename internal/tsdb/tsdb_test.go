@@ -82,6 +82,30 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedKeyRejected: keys longer than the uint16 key-length fields
+// of the WAL and block file codecs must be rejected at append time, not
+// silently truncated into unreadable records.
+func TestOversizedKeyRejected(t *testing.T) {
+	db, _ := Open("")
+	big := make([]byte, 70000)
+	for i := range big {
+		big[i] = 'x'
+	}
+	k := SeriesKey{Dataset: string(big), Type: "t", Region: "r", AZ: "a"}
+	if err := db.Append(k, t0, 1); err == nil {
+		t.Error("oversized key accepted by Append")
+	}
+	if _, err := db.AppendIfChanged(k, t0, 1); err == nil {
+		t.Error("oversized key accepted by AppendIfChanged")
+	}
+	if n, err := db.AppendBatch([]Entry{{Key: k, At: t0, Value: 1}}); err == nil || n != 0 {
+		t.Errorf("oversized key accepted by AppendBatch: n=%d err=%v", n, err)
+	}
+	if db.PointCount() != 0 {
+		t.Error("oversized key stored points")
+	}
+}
+
 // TestUnencodablePointRejected: a value JSON cannot render, or a
 // timestamp outside years 1678–2261 (which unix nanoseconds cannot hold
 // or the accepted range trims), is refused with ErrUnencodablePoint at

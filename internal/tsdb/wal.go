@@ -10,9 +10,9 @@ package tsdb
 //	                         only to shard i's active (highest-seq) segment,
 //	                         under shard i's lock; a segment seals when it
 //	                         exceeds RotateBytes and the next seq opens
-//	checkpoint-000001.snap   the checkpoint snapshot the manifest references
-//	                         (snapshot.go codec); at most one is live; with
-//	                         sealing enabled it holds only the hot tails
+//	checkpoint-000001.snap   the checkpoint snapshot the manifest references:
+//	                         every series' hot tail, in the block file
+//	                         format (block.go); at most one is live
 //	blocks-000001.blk ...    immutable compressed block files (block.go):
 //	                         history a checkpoint sealed out of memory; the
 //	                         manifest lists the live ones, and they
@@ -78,8 +78,9 @@ package tsdb
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 2
-// or that carries a field this build does not know (a materialized rollup
+// A directory this build cannot read — a MANIFEST whose version is not 3
+// (version 2 wrote checkpoints as raw 16-byte points, "SLTSDBSN") or that
+// carries a field this build does not know (a materialized rollup
 // snapshot's "rollups", raw retention's "retain"), a points.wal (the
 // pre-manifest single-stream log) with no MANIFEST beside it, or a nested
 // rollup/MANIFEST — fails Open with an error naming the directory and the
@@ -111,6 +112,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -119,7 +121,7 @@ import (
 
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 2
+	manifestVersion = 3
 
 	// Segment header: magic | u32 shard index | u32 shard count |
 	// u64 epoch | u64 seq | u64 base offset.
@@ -152,19 +154,6 @@ func (db *DB) cpHook(prefix string) func(string) error {
 		return nil
 	}
 	return func(stage string) error { return db.testCrash(prefix + ":" + stage) }
-}
-
-// sortSnapshotSeries fills each record's canonical key form (unless the
-// caller already rendered it) and sorts by it. Keys are rendered once here
-// and reused by the chunking and encoding passes — String() inside a
-// comparator, or re-rendered per pass, would allocate per comparison.
-func sortSnapshotSeries(recs []snapshotSeries) {
-	for i := range recs {
-		if recs[i].canon == "" {
-			recs[i].canon = recs[i].key.String()
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].canon < recs[j].canon })
 }
 
 // segRef locates one segment of a shard's chain in the manifest: its
@@ -406,6 +395,9 @@ func decodeRotHeader(buf []byte) (rotHeader, bool) {
 // anything in it is touched (see "Unsupported layouts" above). It runs
 // single-threaded during Open, before the store is shared.
 func (db *DB) openDurable() error {
+	if _, err := os.Stat(filepath.Join(db.dir, "rollup", manifestName)); err == nil {
+		return fmt.Errorf("tsdb: cannot open %s: unsupported layout: rollup/MANIFEST (a nested rollup store, which this build does not read)", db.dir)
+	}
 	man, ok, err := readManifest(db.dir)
 	if err != nil {
 		return fmt.Errorf("tsdb: cannot open %s: %w", db.dir, err)
@@ -417,9 +409,6 @@ func (db *DB) openDurable() error {
 		if _, err := os.Stat(filepath.Join(db.dir, "points.wal")); !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("tsdb: cannot open %s: unsupported layout: points.wal with no MANIFEST (a pre-manifest single-stream log, which this build does not read)", db.dir)
 		}
-	}
-	if _, err := os.Stat(filepath.Join(db.dir, "rollup", manifestName)); err == nil {
-		return fmt.Errorf("tsdb: cannot open %s: unsupported layout: rollup/MANIFEST (a nested rollup store, which this build does not read)", db.dir)
 	}
 	if db.readOnly {
 		return db.openReadOnly(man, ok)
@@ -651,7 +640,11 @@ func (db *DB) loadCheckpointFile(name string) error {
 	if err != nil {
 		return fmt.Errorf("tsdb: opening checkpoint: %w", err)
 	}
-	recs, err := decodeSnapshot(f)
+	var recs []snapshotSeries
+	st, err := f.Stat()
+	if err == nil {
+		recs, err = readCheckpoint(f, st.Size())
+	}
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("tsdb: loading checkpoint: %w", err)
@@ -1068,11 +1061,118 @@ func (db *DB) commitLayout(epoch uint64) error {
 	return nil
 }
 
-// writeCheckpointFile writes recs as a snapshot to name inside the data
+// snapshotSeries is one series' points as a checkpoint captures, writes
+// and loads them. canon caches the key's canonical form, which orders
+// the series and names them in the file.
+type snapshotSeries struct {
+	key    SeriesKey
+	canon  string
+	points []sample
+}
+
+// captureWith collects every series' point slice, sorted by canonical
+// key. Each shard is captured atomically under its lock; points are
+// append-only, so everything below the captured lengths is immutable
+// afterwards and the result can be encoded without further locking. fn,
+// when non-nil, runs per shard while that shard's lock is held — it is
+// how checkpoint records the exact WAL cut (offset, segment list) that
+// matches the captured series, without duplicating this loop. An fn error
+// aborts the capture. A plain capture (fn == nil) only reads, so it takes
+// the shared lock and never stalls concurrent appends or queries; with fn
+// set the exclusive lock is taken, because fn mutates shard state (it
+// flushes the WAL writer and reads the cut offset).
+//
+// Only hot (in-memory) points are captured: on a store with sealed
+// history, cold blocks are carried by the manifest's block list and must
+// not be duplicated into checkpoint snapshots.
+func (db *DB) captureWith(fn func(i int, sh *shard) error) ([]snapshotSeries, error) {
+	var recs []snapshotSeries
+	for i := range db.shards {
+		sh := &db.shards[i]
+		if fn == nil {
+			sh.mu.RLock()
+		} else {
+			sh.mu.Lock()
+			if err := fn(i, sh); err != nil {
+				sh.mu.Unlock()
+				return nil, err
+			}
+		}
+		for k, s := range sh.series {
+			recs = append(recs, snapshotSeries{key: k, points: s.points})
+		}
+		if fn == nil {
+			sh.mu.RUnlock()
+		} else {
+			sh.mu.Unlock()
+		}
+	}
+	// Keys render once, outside the locks: String() inside the comparator
+	// would allocate per comparison.
+	for i := range recs {
+		recs[i].canon = recs[i].key.String()
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].canon < recs[j].canon })
+	return recs, nil
+}
+
+// capture is the fn-less captureWith, used by layout commits.
+func (db *DB) capture() []snapshotSeries {
+	recs, _ := db.captureWith(nil)
+	return recs
+}
+
+// writeCheckpoint writes recs, sorted by canonical key, to w as a block
+// file: each series' points become blocks of up to maxBlockPoints. A
+// series with no hot points (all of it sealed) has no entry.
+func writeCheckpoint(w io.Writer, recs []snapshotSeries) error {
+	entries := make([]blockSealEntry, 0, len(recs))
+	for _, rec := range recs {
+		if len(rec.points) > 0 {
+			entries = append(entries, blockSealEntry{key: rec.key, canon: rec.canon, blocks: encodeSeries(rec.points, maxBlockPoints)})
+		}
+	}
+	return writeBlockFileTo(w, entries, nil)
+}
+
+// readCheckpoint decodes and validates a whole checkpoint file of size
+// bytes before anything is applied to a store, so malformed input never
+// leaves a DB half-loaded. Beyond what readBlockIndex and decodeBlock
+// check, every block's first and last points must match its index
+// entry, which with the index's ordering keeps each series in time order
+// across its blocks. A series' points grow one decoded block at a time:
+// a bad block costs at most its own maxBlockPoints, whatever the index
+// claims for the blocks after it.
+func readCheckpoint(r io.ReaderAt, size int64) ([]snapshotSeries, error) {
+	entries, err := readBlockIndex(r, size)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]snapshotSeries, len(entries))
+	for i, e := range entries {
+		var pts []sample
+		for j := range e.blocks {
+			b := &e.blocks[j]
+			pts = slices.Grow(pts, int(b.count))
+			got, err := readBlockData(r, b, pts[len(pts):], noHorizon)
+			if err != nil {
+				return nil, fmt.Errorf("tsdb: checkpoint block %d of %v: %w", j, e.key, err)
+			}
+			if got[0].ns != b.minAt || got[len(got)-1].ns != b.maxAt {
+				return nil, fmt.Errorf("tsdb: checkpoint block %d of %v disagrees with its index", j, e.key)
+			}
+			pts = pts[:len(pts)+len(got)]
+		}
+		recs[i] = snapshotSeries{key: e.key, canon: e.key.String(), points: pts}
+	}
+	return recs, nil
+}
+
+// writeCheckpointFile writes recs as a checkpoint to name inside the data
 // directory (temp file, fsync, rename, directory fsync).
 func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) error {
 	return atomicWriteFile(filepath.Join(db.dir, name), func(w io.Writer) error {
-		return encodeSnapshot(w, recs)
+		return writeCheckpoint(w, recs)
 	}, db.cpHook("checkpoint:snapshot"))
 }
 
@@ -1248,11 +1348,7 @@ func (db *DB) checkpointLocked() error {
 				continue
 			}
 			nseal := sealable - sealable%db.blockPoints
-			ent := blockSealEntry{key: rec.key, canon: rec.canonKey()}
-			for off := 0; off < nseal; off += db.blockPoints {
-				ent.blocks = append(ent.blocks, encodeBlock(rec.points[off:off+db.blockPoints]))
-			}
-			sealEntries = append(sealEntries, ent)
+			sealEntries = append(sealEntries, blockSealEntry{key: rec.key, canon: rec.canon, blocks: encodeSeries(rec.points[:nseal], db.blockPoints)})
 			rec.points = rec.points[nseal:]
 		}
 		if len(sealEntries) > 0 {

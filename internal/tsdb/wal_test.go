@@ -125,12 +125,24 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 1",
 		},
 		{
-			name: "manifest version 3",
+			// Version 2 wrote each checkpoint as raw 16-byte points.
+			name: "manifest version 2",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":3,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
+				manifestName:             []byte(`{"version":2,"epoch":1,"segments":1,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
+				"wal-00000-000001.log":   encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+				"checkpoint-000001.snap": append([]byte("SLTSDBSN\x01\x00"), 0, 0, 0, 0),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
+			},
+			want: "manifest version 2",
+		},
+		{
+			name: "manifest version 4",
+			files: map[string][]byte{
+				manifestName:           []byte(`{"version":4,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
 				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
 			},
-			want: "manifest version 3",
+			want: "manifest version 4",
 		},
 		{
 			name: "nested rollup store",
@@ -146,7 +158,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming a rollup snapshot",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":2,"epoch":1,"segments":1,"checkpointSeq":4,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"rollups":"rollup-000004.snap"}`),
+				manifestName:           []byte(`{"version":3,"epoch":1,"segments":1,"checkpointSeq":4,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"rollups":"rollup-000004.snap"}`),
 				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
 				"rollup-000004.snap":   []byte("SLROLLUP"),
 				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
@@ -156,7 +168,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming retention cuts",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":2,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"retain":{"sps":1640995200000000000}}`),
+				manifestName:           []byte(`{"version":3,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"retain":{"sps":1640995200000000000}}`),
 				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
 				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
 			},
