@@ -9,18 +9,18 @@
 // of the resumed run folds it into a checkpoint).
 //
 // The -data directory is the only persistence, in the store's one layout
-// (MANIFEST, per-shard wal-<shard>-<seq>.log segment chains, checkpoint
+// (MANIFEST, per-shard wal-<shard>-<seq>.log segments, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused, untouched. The store flags
-// (-rotate-bytes … -block-cache-bytes) are tsdb.BindFlags', shared with
-// spotlake-server. The active segment of each shard seals and rotates
-// past -rotate-bytes.
+// (-checkpoint-bytes … -block-cache-bytes) are tsdb.BindFlags', shared
+// with spotlake-server. Each checkpoint rotates every shard onto a new
+// WAL segment and deletes the segments it covers.
 //
 // The store maintains itself: a daemon inside the tsdb (polling every
 // -maintenance-interval of wall time) checkpoints whenever the WAL grows
 // -checkpoint-bytes past the last checkpoint, and the same trigger is
-// enforced on the append path, so the replay tail — and with it each
-// shard's sealed-segment chain and hot-memory growth — never outruns it
+// enforced on the append path, so the replay tail — and with it the WAL
+// on disk and hot-memory growth — never outruns it
 // by more than one tick. Collection also checkpoints every
 // -checkpoint-interval of simulated time and once at the end, so a
 // restart's replay is bounded by wall clock and by bytes written. Set 0
@@ -30,8 +30,7 @@
 //
 //	spotlake-collector -data DIR [-days 30] [-frac 0.12] [-interval 10m]
 //	                   [-seed 22] [-exact] [-checkpoint-interval 24h]
-//	                   [-checkpoint-bytes 67108864] [-rotate-bytes 8388608]
-//	                   [-maintenance-interval 1s]
+//	                   [-checkpoint-bytes 67108864] [-maintenance-interval 1s]
 package main
 
 import (

@@ -6,18 +6,20 @@
 //
 // The -data directory is the only persistence: without it the archive
 // lives in memory and a restart bootstraps again. It holds one layout
-// (MANIFEST, per-shard wal-<shard>-<seq>.log segment chains, checkpoint
+// (MANIFEST, per-shard wal-<shard>-<seq>.log segments, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused at startup, untouched. The
-// store flags (-rotate-bytes … -block-cache-bytes) are tsdb.BindFlags', shared
-// with spotlake-collector. With -data set the store maintains itself:
-// its internal daemon (polling every -maintenance-interval) checkpoints
-// whenever the WAL grows -checkpoint-bytes past the last checkpoint —
-// the one size trigger, enforced on the append path too, so it covers
-// the bootstrap writer, not just collection ticks — and the server
+// store flags (-checkpoint-bytes … -block-cache-bytes) are
+// tsdb.BindFlags', shared with spotlake-collector. With -data set the
+// store maintains itself: its internal daemon (polling every
+// -maintenance-interval) checkpoints whenever the WAL grows
+// -checkpoint-bytes past the last checkpoint — the one size trigger,
+// enforced on the append path too, so it covers the bootstrap writer,
+// not just collection ticks — and the server
 // additionally checkpoints after bootstrap and every
 // -checkpoint-interval of simulated time. Restarts bulk-load the
-// checkpoint and replay only bounded per-shard chain tails.
+// checkpoint and replay only the segments written since, which each
+// checkpoint rotates and reclaims.
 //
 // The HTTP front is hardened for public traffic: the listener runs with
 // read/write/idle timeouts (a slowloris client cannot hold a goroutine
@@ -47,7 +49,7 @@
 //	spotlake-server [-addr :8080] [-bootstrap-days 14] [-frac 0.12]
 //	                [-data DIR] [-tick 2s] [-seed 22]
 //	                [-checkpoint-interval 24h] [-checkpoint-bytes 67108864]
-//	                [-rotate-bytes 8388608] [-maintenance-interval 1s]
+//	                [-maintenance-interval 1s]
 //	                [-max-in-flight 256] [-queue-wait 100ms]
 //	                [-rate-limit 50] [-rate-burst 100] [-drain-timeout 15s]
 //	spotlake-server -follow http://primary:8080 -data DIR [-addr :8081]

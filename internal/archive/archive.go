@@ -522,8 +522,8 @@ type SchemaMeta struct {
 
 // StoreMeta surfaces the tsdb's durability health: the size of the
 // un-checkpointed WAL tail a crash right now would replay, the tail the
-// last open actually replayed, rotation failures (climbing = the store
-// cannot create segment files), sealed segments awaiting reclamation,
+// last open actually replayed, swapped-out segments a failed checkpoint
+// left for the next one to reclaim,
 // the maintenance daemon's counters, and the hot/cold storage split —
 // resident tail points versus block-compressed history, the on-disk
 // size of that history, block-cache effectiveness, and cold read
@@ -532,7 +532,6 @@ type StoreMeta struct {
 	Durable                 bool                  `json:"durable"`
 	WALBytesSinceCheckpoint uint64                `json:"walBytesSinceCheckpoint"`
 	ReplayedWALBytes        uint64                `json:"replayedWALBytes"`
-	RotateFailures          uint64                `json:"rotateFailures"`
 	SealedSegments          int                   `json:"sealedSegments"`
 	CheckpointAfterBytes    int64                 `json:"checkpointAfterBytes"`
 	MaintainerActive        bool                  `json:"maintainerActive"`
@@ -564,7 +563,6 @@ func (s *Service) Meta() Meta {
 			Durable:                 db.Durable(),
 			WALBytesSinceCheckpoint: db.WALBytesSinceCheckpoint(),
 			ReplayedWALBytes:        db.ReplayedWALBytes(),
-			RotateFailures:          db.RotateFailures(),
 			SealedSegments:          db.SealedSegments(),
 			CheckpointAfterBytes:    db.CheckpointAfterBytes(),
 			MaintainerActive:        db.MaintainerActive(),

@@ -12,7 +12,7 @@ package archive
 //	GET /api/v1/replication/file/{name}?epoch=E&checkpointSeq=S
 //	    One artifact, served range-able via http.ServeContent. The
 //	    request pins the listing's position: if a checkpoint (which may
-//	    reclaim sealed segments and the old snapshot) or a re-shard
+//	    reclaim WAL segments and the old snapshot) or a re-shard
 //	    landed since, the primary answers 409 epoch_mismatch and the
 //	    follower re-lists; a file that vanished under an unchanged
 //	    position (impossible today, defensive tomorrow) answers 410.

@@ -29,7 +29,6 @@ func noerr2[T any](v T, err error) T {
 func replStoreOpts() tsdb.Options {
 	return tsdb.Options{
 		Shards:              4,
-		RotateBytes:         1 << 14,
 		HotTailPoints:       16,
 		BlockPoints:         64,
 		BlockCacheBytes:     1 << 16,

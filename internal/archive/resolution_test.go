@@ -23,7 +23,7 @@ import (
 )
 
 func diskOpts() tsdb.Options {
-	return tsdb.Options{Shards: 4, RotateBytes: 1 << 16, HotTailPoints: 4, BlockPoints: 64, BlockCacheBytes: 1 << 14}
+	return tsdb.Options{Shards: 4, HotTailPoints: 4, BlockPoints: 64, BlockCacheBytes: 1 << 14}
 }
 
 // diskArchive builds a Service over a sealing disk store holding `days`

@@ -100,17 +100,14 @@ func TestLowQuotaNeedsMoreAccounts(t *testing.T) {
 
 // TestPeriodicCheckpointing runs a short durable collection with periodic
 // checkpoints enabled and verifies (a) checkpoints actually fire, (b) the
-// sealed WAL segments they cover are deleted, bounding the on-disk tail,
-// and (c) a reopened store recovers the full archive.
+// WAL segments they cover are deleted, bounding the on-disk tail, and (c)
+// a reopened store recovers the full archive.
 func TestPeriodicCheckpointing(t *testing.T) {
 	dir := t.TempDir()
 	cat := catalog.Compact(2)
 	clk := simclock.NewAtEpoch()
 	cloud := cloudsim.New(cat, clk, 7, cloudsim.DefaultParams())
-	// A small rotation threshold so segments seal often enough for the
-	// periodic checkpoints to have sealed files to delete.
-	const rotateBytes = 4096
-	db, err := tsdb.OpenWithOptions(dir, tsdb.Options{RotateBytes: rotateBytes})
+	db, err := tsdb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +152,19 @@ func TestPeriodicCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterRun := walBytes()
-	// If periodic checkpoints had not deleted covered sealed segments,
-	// the chain would hold the whole run's volume (>30 record bytes per
+	// If periodic checkpoints had not deleted covered segments, the
+	// chain would hold the whole run's volume (>30 record bytes per
 	// stored point).
 	if fullVolume := int64(db.PointCount()) * 30; afterRun >= fullVolume {
 		t.Fatalf("segments hold %d bytes after run, >= uncompacted volume estimate %d", afterRun, fullVolume)
 	}
-	// A quiescent checkpoint deletes every remaining sealed segment; what
-	// survives is each shard's active segment, bounded by the rotation
-	// threshold plus one record of overshoot.
+	// A quiescent checkpoint rotates every shard and deletes every
+	// segment it covers; what survives is each shard's new, header-only
+	// segment.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if tail := walBytes(); tail > afterRun || tail > int64(db.ShardCount())*(rotateBytes+512) {
+	if tail := walBytes(); tail > afterRun || tail > int64(db.ShardCount())*64 {
 		t.Fatalf("quiescent checkpoint left %d segment bytes (was %d)", tail, afterRun)
 	}
 	points, series := db.PointCount(), db.SeriesCount()
@@ -196,7 +193,7 @@ func TestSizeBasedCheckpointTrigger(t *testing.T) {
 	clk := simclock.NewAtEpoch()
 	cloud := cloudsim.New(cat, clk, 11, cloudsim.DefaultParams())
 	const threshold = 16 << 10
-	opts := tsdb.Options{RotateBytes: 4096, CheckpointAfterBytes: threshold}
+	opts := tsdb.Options{CheckpointAfterBytes: threshold}
 	db, err := tsdb.OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)

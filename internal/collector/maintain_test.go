@@ -5,6 +5,8 @@ package collector
 // run: the collector carries no trigger of its own.
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -18,7 +20,9 @@ import (
 // simulated-time batch runs: with the daemon disabled (and it being
 // wall-clock anyway, useless against a writer compressing months into
 // seconds), the store's append-path enforcement alone must keep the
-// replay tail bounded by the threshold plus one tick.
+// replay tail bounded by the threshold plus one tick — and, since every
+// checkpoint rotates the WAL and unlinks what it covers, the WAL on disk
+// with it.
 func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	dir := t.TempDir()
 	cat := catalog.Compact(2)
@@ -26,7 +30,6 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	cloud := cloudsim.New(cat, clk, 11, cloudsim.DefaultParams())
 	const threshold = 16 << 10
 	db, err := tsdb.OpenWithOptions(dir, tsdb.Options{
-		RotateBytes:          4096,
 		CheckpointAfterBytes: threshold,
 		MaintenanceInterval:  -1, // daemon off: only the append path enforces
 	})
@@ -48,7 +51,31 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	}
 	// The append path checks the threshold before every tick's batch, so
 	// the tail is bounded by threshold + one tick's worth of overshoot.
-	if tail := db.WALBytesSinceCheckpoint(); tail >= 2*threshold {
+	tail := db.WALBytesSinceCheckpoint()
+	if tail >= 2*threshold {
 		t.Fatalf("WAL tail is %d bytes after the run, want < 2x the %d-byte threshold", tail, threshold)
+	}
+	// On disk: the un-checkpointed records plus one small header per
+	// shard's single segment, nothing the checkpoints covered.
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != db.ShardCount() {
+		t.Fatalf("%d segment files for %d shards", len(segs), db.ShardCount())
+	}
+	var onDisk int64
+	for _, p := range segs {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if headers := onDisk - int64(tail); headers < 0 || headers > int64(len(segs))*64 {
+		t.Fatalf("WAL files hold %d bytes for a %d-byte tail; the excess is not just headers", onDisk, tail)
 	}
 }

@@ -237,52 +237,18 @@ func BenchmarkWALWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkRotatedAppend measures the rotation check's cost on the hot
-// durable append path: rotation disabled (one ever-growing segment, the
-// pre-rotation behavior) against a small threshold that seals a segment
-// every ~1300 appends. Rotation must stay within a few percent of the
-// non-rotating baseline at the default threshold — the check is two
-// integer compares, and the seal's three fsyncs amortize over the ~190k
-// records that fill a default-sized segment. The 64KB variant is a
-// deliberate stress case showing the per-seal cost when thresholds are
-// set far too small (one seal per ~1300 appends).
-func BenchmarkRotatedAppend(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		rotate int64
-	}{
-		{"rotate=off", -1},
-		{"rotate=default", DefaultRotateBytes},
-		{"rotate=64KB", 64 << 10},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			db, err := OpenWithOptions(b.TempDir(), Options{Shards: 4, RotateBytes: cfg.rotate})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			k := SeriesKey{Dataset: "price", Type: "m5.xlarge", Region: "us-east-1", AZ: "us-east-1a"}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := db.Append(k, t0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCheckpointCompaction compares checkpoint cost over a large WAL
 // tail under the two compaction strategies. Both variants pay the same
-// snapshot write for the same data; "unlink" is the rotated store's real
-// checkpoint (compaction = manifest commit + unlink of sealed segments),
-// while "rewrite-baseline" adds the whole-file copy + fsync + rename per
-// segment that the pre-rotation compaction performed — the write
-// amplification that grew with tail size and motivated rotation.
+// snapshot write for the same data; "unlink" is the store's real
+// checkpoint (compaction = rotation + manifest commit + unlink of the
+// covered segments), while "rewrite-baseline" adds the whole-file copy +
+// fsync + rename per segment that the pre-rotation compaction performed —
+// the write amplification that grew with tail size and motivated
+// rotation.
 func BenchmarkCheckpointCompaction(b *testing.B) {
-	build := func(b *testing.B, dir string, rotate int64, tailBytes int) *DB {
+	build := func(b *testing.B, dir string, tailBytes int) *DB {
 		b.Helper()
-		db, err := OpenWithOptions(dir, Options{Shards: 1, RotateBytes: rotate})
+		db, err := OpenWithOptions(dir, Options{Shards: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +304,7 @@ func BenchmarkCheckpointCompaction(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir := b.TempDir()
-				db := build(b, dir, 1<<20, mb<<20)
+				db := build(b, dir, mb<<20)
 				b.StartTimer()
 				if err := db.Checkpoint(); err != nil {
 					b.Fatal(err)
@@ -351,7 +317,7 @@ func BenchmarkCheckpointCompaction(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir := b.TempDir()
-				db := build(b, dir, -1, mb<<20)
+				db := build(b, dir, mb<<20)
 				b.StartTimer()
 				if err := db.Checkpoint(); err != nil {
 					b.Fatal(err)
@@ -645,7 +611,7 @@ func rollupBenchFill(b *testing.B, db *DB, days int) SeriesKey {
 // points each read materializes.
 func BenchmarkRollupQuery(b *testing.B) {
 	const days = 90
-	opts := Options{Shards: 2, RotateBytes: 8 << 20, HotTailPoints: 64, BlockPoints: 512, BlockCacheBytes: 4 << 20}
+	opts := Options{Shards: 2, HotTailPoints: 64, BlockPoints: 512, BlockCacheBytes: 4 << 20}
 	db, err := OpenWithOptions(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)

@@ -118,7 +118,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 // sealedOpts are the tiny tiers the differential tests run under: a
 // 4-point hot tail, 8-point blocks, and a cache small enough to evict.
 func sealedOpts() Options {
-	return Options{Shards: 4, RotateBytes: 2048, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
+	return Options{Shards: 4, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
 }
 
 // blockCacheCases are the block-cache sizes the differential tests run

@@ -81,7 +81,7 @@ func appendToFirstColdBlock(t *testing.T, dir string) {
 }
 
 func TestColdReadErrorSurfaces(t *testing.T) {
-	opts := Options{Shards: 4, RotateBytes: 1 << 16, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
+	opts := Options{Shards: 4, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
 	// One series only, so the file's first block is guaranteed to be hers.
 	k := SeriesKey{Dataset: DatasetPrice, Type: "m5.large", Region: "us-east-1", AZ: "us-east-1a"}
 	entries := make([]Entry, 100)

@@ -9,7 +9,6 @@ import "flag"
 // (Shards, ReadOnly) stay zero for the caller to set.
 func BindFlags(fs *flag.FlagSet) *Options {
 	o := &Options{}
-	fs.Int64Var(&o.RotateBytes, "rotate-bytes", DefaultRotateBytes, "seal and rotate a shard's WAL segment past this many bytes (negative disables rotation)")
 	fs.Int64Var(&o.CheckpointAfterBytes, "checkpoint-bytes", 64<<20, "checkpoint as soon as the WAL grows this many bytes past the last checkpoint (0 disables the size trigger)")
 	fs.DurationVar(&o.MaintenanceInterval, "maintenance-interval", DefaultMaintenanceInterval, "store maintenance daemon poll period (negative disables the daemon)")
 	fs.IntVar(&o.HotTailPoints, "hot-tail", 0, "per-series points kept hot (uncompressed) ahead of the sealed block tier; 0 = default, negative disables sealing")

@@ -25,7 +25,6 @@ func TestBindFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{
-		RotateBytes:          DefaultRotateBytes,
 		CheckpointAfterBytes: 64 << 20,
 		MaintenanceInterval:  DefaultMaintenanceInterval,
 	}
@@ -35,14 +34,14 @@ func TestBindFlagsDefaults(t *testing.T) {
 }
 
 // TestBindFlagsNames pins the store's whole flag surface: exactly these
-// six names, so a knob cannot appear (or vanish) unnoticed.
+// five names, so a knob cannot appear (or vanish) unnoticed.
 func TestBindFlagsNames(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	BindFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // lexical order
 	want := []string{"block-cache-bytes", "block-points", "checkpoint-bytes", "hot-tail",
-		"maintenance-interval", "rotate-bytes"}
+		"maintenance-interval"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("store flags:\n got  %v\n want %v", got, want)
 	}
@@ -50,7 +49,6 @@ func TestBindFlagsNames(t *testing.T) {
 
 func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 	got, err := parseStoreFlags(t,
-		"-rotate-bytes", "1001",
 		"-checkpoint-bytes", "1002",
 		"-maintenance-interval", "1004ms",
 		"-hot-tail", "1005",
@@ -61,7 +59,6 @@ func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{
-		RotateBytes:          1001,
 		CheckpointAfterBytes: 1002,
 		MaintenanceInterval:  1004 * time.Millisecond,
 		HotTailPoints:        1005,

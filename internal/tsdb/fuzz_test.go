@@ -50,45 +50,36 @@ func FuzzParseSeriesKey(f *testing.F) {
 
 // FuzzManifestDecode feeds arbitrary bytes to the manifest parser that
 // recovery trusts. Corrupt or hostile input must return an error — never
-// panic, never yield a manifest violating the invariants replay indexes
-// by (segment count matching the shard-layout list, ascending per-shard
-// segment sequences, a plain-filename checkpoint reference). Accepted
-// manifests must re-marshal into something the parser accepts again.
+// panic, never yield a manifest violating the invariants recovery
+// allocates and indexes by (a segment count recovery can allocate for, a
+// nonzero first uncovered generation, a plain-filename checkpoint
+// reference). Accepted manifests must re-marshal into something the
+// parser accepts again.
 func FuzzManifestDecode(f *testing.F) {
-	v2, _ := json.Marshal(manifest{
-		Version: 2, Epoch: 3, Segments: 2, Checkpoint: checkpointName(4), CheckpointSeq: 4,
-		Shards: []shardLayout{
-			{Offset: 100, Segs: []segRef{{Seq: 1, Base: 0}, {Seq: 2, Base: 80}}},
-			{Offset: 0, Segs: []segRef{{Seq: 1, Base: 0}}},
-		},
+	v4, _ := json.Marshal(manifest{
+		Version: manifestVersion, Epoch: 3, Segments: 2, WALSeq: 7, Checkpoint: checkpointName(4), CheckpointSeq: 4,
+		Blocks: []uint64{1, 3}, BlockSeq: 3,
 	})
-	f.Add(v2)
+	f.Add(v4)
 	f.Add([]byte(`{"version":1,"epoch":1,"segments":2,"checkpointSeq":0,"offsets":[0,42]}`)) // pre-rotation manifest: must be rejected
-	f.Add([]byte(`{"version":3,"segments":1,"shards":[]}`))
-	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[]}]}`))
+	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`))
+	f.Add([]byte(`{"version":4,"segments":1000000000000,"walSeq":1}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))
-	f.Add([]byte(`{"version":3,"segments":1,"checkpoint":"../escape","shards":[{"segs":[{"seq":1}]}]}`))
+	f.Add([]byte(`{"version":4,"segments":1,"walSeq":1,"checkpoint":"../escape"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"version":4,"segments":1,"walSeq":0}`))
+	f.Add([]byte(`{"version":4,"segments":1,"walSeq":2,"shards":[{"offset":0,"segs":[{"seq":2,"base":0}]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
 			return
 		}
-		if m.Segments <= 0 || len(m.Shards) != m.Segments {
-			t.Fatalf("accepted manifest with %d segments but %d shard layouts", m.Segments, len(m.Shards))
+		if m.Segments <= 0 || m.Segments > maxShards {
+			t.Fatalf("accepted manifest with %d segments", m.Segments)
 		}
-		if m.Version == manifestVersion {
-			for si, sl := range m.Shards {
-				if len(sl.Segs) == 0 {
-					t.Fatalf("accepted manifest with empty segment list for shard %d", si)
-				}
-				for j := 1; j < len(sl.Segs); j++ {
-					if sl.Segs[j].Seq <= sl.Segs[j-1].Seq || sl.Segs[j].Base < sl.Segs[j-1].Base {
-						t.Fatalf("accepted manifest with non-ascending chain for shard %d", si)
-					}
-				}
-			}
+		if m.WALSeq == 0 {
+			t.Fatal("accepted manifest with walSeq 0")
 		}
 		if m.Checkpoint != "" && strings.ContainsAny(m.Checkpoint, "/\\") {
 			t.Fatalf("accepted checkpoint reference escaping the data dir: %q", m.Checkpoint)

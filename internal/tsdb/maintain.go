@@ -5,8 +5,8 @@ package tsdb
 //
 // Checkpoint scheduling belongs to the store, not its callers: every
 // writer (the collector, the server's bootstrap loop, analysis tools
-// appending directly) gets a bounded replay tail, and sealed WAL segments
-// are reclaimed, without ever calling Checkpoint.
+// appending directly) gets a bounded replay tail, and covered WAL
+// segments are reclaimed, without ever calling Checkpoint.
 //
 //   - One trigger, defined once (byteTriggerHot):
 //     WALBytesSinceCheckpoint >= Options.CheckpointAfterBytes.
@@ -28,16 +28,14 @@ package tsdb
 // # What the byte trigger bounds
 //
 // Every stored point is exactly one WAL record (22 + len(key) bytes), and
-// a checkpoint unlinks every sealed segment and seals every whole block
-// out of memory. So one bound on un-checkpointed WAL bytes is also the
-// bound on the two other things that grow between checkpoints, and the
-// store needs no knob for either. After a single-point append a shard
-// holds at most CheckpointAfterBytes/RotateBytes + 1 sealed segments:
-// every sealed segment but the oldest (whose prefix the last checkpoint
-// may cover) is RotateBytes or more of un-checkpointed records, the
-// append started below the threshold, and it seals at most one more (a
-// batch adds whatever it alone rotates; the count is exact when
-// RotateBytes divides the threshold, as the defaults do). And hot points
+// a checkpoint rotates every shard onto a new segment, unlinks every
+// segment it covers and seals every whole block out of memory. So one
+// bound on un-checkpointed WAL bytes is also the bound on the two other
+// things that grow between checkpoints, and the store needs no knob for
+// either. The WAL on disk is exactly the un-checkpointed records plus one
+// header per segment — after a committed checkpoint, one header-only
+// segment per shard — and never more than CheckpointAfterBytes plus one
+// batch past a checkpoint the append path could run. And hot points
 // grown since the last checkpoint never exceed
 // (CheckpointAfterBytes + one batch) / record size.
 //
@@ -109,8 +107,9 @@ func (db *DB) SelfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 
 // threshold (nothing appending, so nothing to enforce on).
 func (db *DB) MaintainerActive() bool { return db.maintStop != nil }
 
-// SealedSegments returns the total number of sealed WAL segments on disk
-// across all shards — files a checkpoint would reclaim.
+// SealedSegments returns the total number of swapped-out WAL segments on
+// disk that no committed checkpoint covers — what a checkpoint that
+// failed after its swap leaves behind, for the next one to reclaim.
 func (db *DB) SealedSegments() int {
 	n := 0
 	for i := range db.shards {
@@ -119,14 +118,11 @@ func (db *DB) SealedSegments() int {
 	return n
 }
 
-// ShardSealedSegments returns shard i's sealed-chain length.
-func (db *DB) ShardSealedSegments(i int) int { return int(db.shards[i].sealedN.Load()) }
-
-// setSealed records shard sh's sealed-chain length behind
-// SealedSegments. Called wherever sh.sealed changes: under sh's write
-// lock on the rotation and checkpoint-delete paths, or single-threaded
+// setSealed records behind SealedSegments how many of sh's segments lie
+// below its active one and at or above the manifest's walSeq. Called
+// wherever either moves: under cpMu in a checkpoint, or single-threaded
 // during Open.
-func (db *DB) setSealed(sh *shard, n int) { sh.sealedN.Store(int64(n)) }
+func (db *DB) setSealed(sh *shard) { sh.sealedN.Store(int64(sh.walSeq - db.man.WALSeq)) }
 
 // startMaintainer launches the daemon goroutine if the options call for
 // one. Runs at the end of OpenWithOptions, after recovery, so the daemon

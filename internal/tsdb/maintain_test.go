@@ -1,13 +1,15 @@
 package tsdb
 
-// Tests for the store-internal maintainer: the bound the byte trigger
-// puts on sealed-segment chains from the append path alone, the daemon
+// Tests for the store-internal maintainer: the one segment per shard the
+// byte trigger leaves from the append path alone, the daemon
 // reclaiming the tail of a store left idle above the threshold,
 // single-flight between the daemon and manual Checkpoint under -race,
 // and the failure backoff.
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -26,19 +28,17 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
-// TestChainCapBoundsSealedSegments pins the chain bound the byte trigger
-// implies, the one the sealed-segment knob used to promise: pointwise
-// appends with the daemon disabled — so the only enforcement is the
-// append path's synchronous check, and nothing calls Checkpoint — never
-// leave a shard holding more than CheckpointAfterBytes/RotateBytes + 1
-// sealed segments at any observable instant.
+// TestChainCapBoundsSealedSegments pins what the byte trigger leaves on
+// disk now that every checkpoint rotates the WAL: pointwise appends with
+// the daemon disabled — so the only enforcement is the append path's
+// synchronous check, and nothing calls Checkpoint — leave every shard
+// with exactly one segment file after each maintenance checkpoint
+// commits, and never an uncovered swapped-out one.
 func TestChainCapBoundsSealedSegments(t *testing.T) {
-	const rotate, threshold = 512, 4 * 512
-	const chainCap = threshold/rotate + 1
+	const threshold = 2048
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, Options{
 		Shards:               2,
-		RotateBytes:          rotate,
 		CheckpointAfterBytes: threshold,
 		MaintenanceInterval:  -1, // no daemon: the append path alone must hold the bound
 	})
@@ -46,21 +46,31 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := legacyEntries(4000)
-	longest := 0
+	seen := uint64(0)
 	for n, e := range entries {
 		if err := db.Append(e.Key, e.At, e.Value); err != nil {
 			t.Fatalf("append %d: %v", n, err)
 		}
+		if got := db.SealedSegments(); got != 0 {
+			t.Fatalf("after append %d: %d uncovered swapped-out segments", n, got)
+		}
+		cp := db.MaintenanceStats().Checkpoints
+		if cp == seen {
+			continue
+		}
+		seen = cp
 		for i := 0; i < db.ShardCount(); i++ {
-			got := db.ShardSealedSegments(i)
-			if got > chainCap {
-				t.Fatalf("after append %d: shard %d holds %d sealed segments, bound %d", n, i, got, chainCap)
+			segs, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("wal-%05d-*.log", i)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			longest = max(longest, got)
+			if len(segs) != 1 {
+				t.Fatalf("after checkpoint %d (append %d): shard %d holds segment files %v, want one", seen, n, i, segs)
+			}
 		}
 	}
-	if longest < 2 {
-		t.Fatalf("chains never grew past %d segments; the bound was not exercised", longest)
+	if seen < 2 {
+		t.Fatalf("%d maintenance checkpoints; the bound was not exercised", seen)
 	}
 	st := db.MaintenanceStats()
 	if st.ForcedByBytes == 0 || st.ForcedByBytes != st.Checkpoints {
@@ -91,7 +101,6 @@ func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, Options{
 		Shards:               4,
-		RotateBytes:          512,
 		CheckpointAfterBytes: 1024,
 		MaintenanceInterval:  time.Millisecond,
 	})
@@ -156,7 +165,6 @@ func TestMaintenanceBackoffOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, Options{
 		Shards:               2,
-		RotateBytes:          -1,
 		CheckpointAfterBytes: 2048,
 		MaintenanceInterval:  -1,
 	})
@@ -208,7 +216,6 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Shards:               2,
-		RotateBytes:          -1,
 		CheckpointAfterBytes: threshold,
 		MaintenanceInterval:  -1,
 	}
@@ -258,17 +265,16 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 // TestBulkRestoreDaemonBoundsReplay models a writer that dumps far more
 // than the threshold in one call and then goes idle — a bulk restore, or
 // appends continuing while whoever used to checkpoint is wedged. One
-// oversized batch holds each shard's lock across many rotations, where
-// the append path cannot intervene, and nothing appends afterwards, so
-// only the daemon can act: within its poll it must fold the tail into a
-// checkpoint, unlink every sealed segment, and leave the next open
+// oversized batch holds each shard's lock past the threshold, where the
+// append path cannot intervene, and nothing appends afterwards, so only
+// the daemon can act: within its poll it must fold the tail into a
+// checkpoint, unlink every segment it covers, and leave the next open
 // almost nothing to replay.
 func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	const threshold = 16 << 10
 	dir := t.TempDir()
 	opts := Options{
 		Shards:               2,
-		RotateBytes:          8 << 10,
 		CheckpointAfterBytes: threshold,
 		MaintenanceInterval:  2 * time.Millisecond,
 	}
@@ -276,7 +282,7 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := legacyEntries(2000) // ~90KB: several rotations per shard
+	entries := legacyEntries(2000) // ~90KB: several thresholds' worth
 	if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
 		t.Fatalf("stored %d, err %v", n, err)
 	}

@@ -53,14 +53,12 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) float64 { return float64(db.SealedBlocks()) })
 	gauge("spotlake_store_cold_compressed_bytes", "Compressed on-disk bytes of the cold tier.",
 		func(db *DB) float64 { return float64(db.ColdCompressedBytes()) })
-	gauge("spotlake_store_sealed_segments", "Sealed WAL segments awaiting checkpoint compaction.",
+	gauge("spotlake_store_sealed_segments", "Swapped-out WAL segments no committed checkpoint covers yet.",
 		func(db *DB) float64 { return float64(db.SealedSegments()) })
 	gauge("spotlake_store_wal_bytes_since_checkpoint", "WAL bytes appended since the last checkpoint (the recovery tail).",
 		func(db *DB) float64 { return float64(db.WALBytesSinceCheckpoint()) })
 	counter("spotlake_store_replayed_wal_bytes", "WAL record bytes the last open replayed beyond its checkpoint.",
 		func(db *DB) uint64 { return db.ReplayedWALBytes() })
-	counter("spotlake_store_rotate_failures_total", "Segment rotations that failed on the append path.",
-		func(db *DB) uint64 { return db.RotateFailures() })
 	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed; each failed its read with ErrColdRead (HTTP 500 cold_read_failed), never a partial result.",
 		func(db *DB) uint64 { return db.ColdReadErrors() })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",

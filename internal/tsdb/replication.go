@@ -5,8 +5,9 @@ package tsdb
 //
 // A durable store's committed state is entirely described by its MANIFEST
 // plus the files the manifest references: the checkpoint snapshot, the
-// sealed block files, and the WAL segment chains. All of
-// those files are written once and never modified in place, so a replica
+// sealed block files, and the WAL segments the checkpoint does not cover
+// yet. All of those files are written once and never modified in place
+// (a segment is listed only after a checkpoint swapped it out), so a replica
 // can be built by copying the artifacts and atomically installing the
 // manifest last: the exact protocol the checkpoint itself uses, with HTTP
 // in place of rename ordering on one machine. A follower that crashes mid-copy holds an old
@@ -47,12 +48,11 @@ type ReplicationSnapshot struct {
 
 // ReplicationSnapshot captures a coherent artifact listing under the
 // checkpoint lock: the manifest cannot be replaced, blocks cannot seal,
-// and sealed segments cannot be unlinked while it runs. Rotations may
-// still seal new segments concurrently (they only take shard locks);
-// that is harmless — an extra sealed segment just appears in the listing,
-// and the chains stay coherent because sealing never changes committed
-// bytes. Active segments are not listed: they take concurrent appends
-// and are covered by the next rotation or checkpoint instead.
+// and no segment can rotate or be unlinked while it runs. The listed
+// segments are those a checkpoint swapped out without covering them (one
+// that failed after its swap), from the manifest's walSeq up to each
+// shard's active segment. Active segments are not listed: they take
+// concurrent appends and are covered by the next checkpoint instead.
 func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 	if db.dir == "" {
 		return nil, errors.New("tsdb: memory-only store has no replication artifacts")
@@ -89,15 +89,9 @@ func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 			return nil, err
 		}
 	}
+	// walSeq only moves under cpMu, which we hold.
 	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		sealed := make([]uint64, 0, len(sh.sealed))
-		for _, sg := range sh.sealed {
-			sealed = append(sealed, sg.seq)
-		}
-		sh.mu.RUnlock()
-		for _, seq := range sealed {
+		for seq := db.man.WALSeq; seq < db.shards[i].walSeq; seq++ {
 			if err := add(rotSegName(i, seq)); err != nil {
 				return nil, err
 			}
@@ -124,7 +118,7 @@ func (db *DB) Dir() string { return db.dir }
 func (db *DB) ReadOnly() bool { return db.readOnly }
 
 // IsReplicationArtifactName reports whether name is a well-formed
-// artifact name a ReplicationSnapshot could list: a rotating WAL segment,
+// artifact name a ReplicationSnapshot could list: a WAL segment,
 // a checkpoint snapshot, or a block file. Everything else —
 // including any path that is not in canonical spelling — is rejected,
 // which is what makes the name safe to join onto a directory for serving

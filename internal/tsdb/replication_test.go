@@ -288,9 +288,14 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 	if err := ValidateReplicatedManifest(v2); err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Errorf("v2 manifest: validation returned %v, want an error naming version 2", err)
 	}
+	// Version 3 cut the checkpoint at logical offsets into live segments.
+	v3 := []byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`)
+	if err := ValidateReplicatedManifest(v3); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("v3 manifest: validation returned %v, want an error naming version 3", err)
+	}
 	// Layouts of builds that materialized rollups or kept raw retention.
 	for field, value := range map[string]string{"rollups": `"rollup-000004.snap"`, "retain": `{"sps":1640995200000000000}`} {
-		raw := []byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"` + field + `":` + value + `}`)
+		raw := []byte(`{"version":4,"segments":1,"walSeq":1,"` + field + `":` + value + `}`)
 		if err := CommitReplicatedManifest(dir, raw); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
 			t.Errorf("manifest naming %q: commit returned %v, want an error naming the field", field, err)
 		}

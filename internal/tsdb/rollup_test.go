@@ -22,7 +22,7 @@ var (
 // rollupOpts seals aggressively like sealedOpts but with block sizes
 // that put several blocks per series so folds cross block boundaries.
 func rollupOpts() Options {
-	return Options{Shards: 4, RotateBytes: 1 << 16, HotTailPoints: 4, BlockPoints: 16, BlockCacheBytes: 1 << 14}
+	return Options{Shards: 4, HotTailPoints: 4, BlockPoints: 16, BlockCacheBytes: 1 << 14}
 }
 
 // rollupEntries builds a multi-day workload over a few series: points

@@ -1,22 +1,23 @@
 package tsdb
 
-// Tests for the rotating WAL layout: the crash matrix over every durable
-// boundary of the rotation and checkpoint protocols (× crash before/after
-// the boundary's fsync), the zero-rewrite compaction guarantee, the
-// differential recovery property over random schedules, and the
-// size-based checkpoint trigger's replay-tail bound.
+// Tests for the WAL's segment generations: the crash matrix over every
+// durable boundary of the checkpoint protocol and the rotation inside it
+// (× crash before/after the boundary's fsync), the guarantee that a
+// committed checkpoint leaves none of the WAL it covers on disk, the
+// differential recovery property over random schedules with failing
+// checkpoints, and the size-based checkpoint trigger's replay-tail bound.
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/simrand"
 )
 
@@ -51,29 +52,30 @@ func refApplyAll(t *testing.T, r *refDB, entries []Entry) {
 	}
 }
 
-// forceRotate rotates shard si's active segment under its lock, the way
-// an append crossing RotateBytes would.
-func forceRotate(db *DB, si int) error {
-	sh := &db.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.rotateLocked(sh)
-}
-
 // matrixEnv is the per-cell state the disk mutations need: where the
 // crash-simulating harness must truncate or restore files to model
 // writes that never reached stable storage.
 type matrixEnv struct {
 	dir       string
-	si        int    // shard the rotation cells target
-	seqAtArm  uint64 // that shard's active seq when the fault was armed
-	prePath   string // that shard's active segment path
+	gen       uint64 // the generation the crashed checkpoint rotates to
+	prePath   string // shard 0's active segment when the fault was armed
 	preSize   int64  // its durable size before the at-risk record
 	recLen    int64  // the at-risk record's encoded length
+	tearOld   bool   // flush cell: shard 0's swapped-out segment still unsynced
 	preCopies map[string][]byte
 }
 
-// copySegments snapshots every rotating segment file's bytes, so the
+// tearAtRisk truncates the at-risk record in shard 0's pre-checkpoint
+// segment mid-record: the swap flushed it into the file but no fsync
+// carried it to the platter.
+func (env *matrixEnv) tearAtRisk(t *testing.T) {
+	t.Helper()
+	if err := os.Truncate(env.prePath, env.preSize+env.recLen-5); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copySegments snapshots every segment file's bytes, so the
 // delete-boundary cells can restore unlinks that "never hit the disk".
 func copySegments(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -116,55 +118,81 @@ func truncateHalf(t *testing.T, dir, pattern string) {
 }
 
 // TestRotationCrashMatrix enumerates every durable boundary of the
-// rotation and checkpoint protocols × crash before/after that boundary's
-// fsync, and demands that recovery after each simulated crash is exactly
-// equal to the differential reference store — and that a subsequent
-// checkpoint succeeds from the crashed state and recovery still holds.
+// checkpoint protocol — the rotation onto the next segment generation
+// (rotate:create:*, rotate:seal:*) and the commit that follows — × crash
+// before/after that boundary's fsync, and demands that recovery after
+// each simulated crash is exactly equal to the differential reference
+// store — and that a subsequent checkpoint succeeds from the crashed
+// state and recovery still holds.
 //
 // "Crash before fsync" cells additionally mutate the on-disk state after
 // the fault (truncating unsynced files, restoring unsynced unlinks),
 // because the injected abort alone cannot make the page cache forget.
 func TestRotationCrashMatrix(t *testing.T) {
 	cells := []struct {
+		name      string // the subtest; the failpoint it arms unless point is set
 		point     string
-		op        string // "rotate" or "checkpoint"
-		extra     bool   // rotation cells: append an unflushed record across the boundary
-		loseExtra bool   // the crash loses that record (mutate simulates it)
-		mutate    func(t *testing.T, env *matrixEnv)
+		loseExtra bool // the crash loses the at-risk record (mutate simulates it)
+		// during runs inside the crash hook, just before the abort.
+		during func(t *testing.T, db *DB, env *matrixEnv, ref *refDB)
+		mutate func(t *testing.T, env *matrixEnv)
 	}{
-		{point: "rotate:seal:before-sync", op: "rotate", extra: true, loseExtra: true,
+		{name: "rotate:create:before-sync",
 			mutate: func(t *testing.T, env *matrixEnv) {
-				// The seal's flush reached the file but not the platter:
-				// the record's tail is lost, leaving a torn record.
-				if err := os.Truncate(env.prePath, env.preSize+env.recLen-5); err != nil {
-					t.Fatal(err)
+				// The new segment's directory entry never persisted.
+				paths, err := filepath.Glob(filepath.Join(env.dir, fmt.Sprintf("wal-*-%06d.log", env.gen)))
+				if err != nil || len(paths) == 0 {
+					t.Fatalf("no generation-%d segment to lose (%v)", env.gen, err)
+				}
+				for _, p := range paths {
+					if err := os.Remove(p); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}},
-		{point: "rotate:seal:after-sync", op: "rotate", extra: true},
-		{point: "rotate:create:before-sync", op: "rotate", extra: true,
-			mutate: func(t *testing.T, env *matrixEnv) {
-				// The new segment's header never fully persisted.
-				stray := filepath.Join(env.dir, rotSegName(env.si, env.seqAtArm+1))
-				if err := os.Truncate(stray, 10); err != nil {
+		{name: "rotate:create:after-sync"},
+		// Fires inside the capture, right after shard 0 swapped: shard 0
+		// is on the new generation, every other shard still on the old.
+		{name: "rotate:seal:before-sync", loseExtra: true,
+			mutate: func(t *testing.T, env *matrixEnv) { env.tearAtRisk(t) }},
+		{name: "rotate:seal:after-sync"},
+		// A point acknowledged by Flush in the new segment, while the old
+		// one still waits for the checkpoint's fsync: Flush must have
+		// synced the old one too, or the torn old segment ends the chain
+		// in front of the acknowledged point.
+		{name: "rotate:seal:flush", point: "checkpoint:capture",
+			during: func(t *testing.T, db *DB, env *matrixEnv, ref *refDB) {
+				k := shard0Key(t, db)
+				y := Entry{Key: k, At: t0.Add(56000 * time.Minute), Value: 88}
+				if err := db.Append(y.Key, y.At, y.Value); err != nil {
 					t.Fatal(err)
 				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				refApplyAll(t, ref, []Entry{y})
+				env.tearOld = len(db.shards[0].unsynced) > 0
+			},
+			mutate: func(t *testing.T, env *matrixEnv) {
+				if env.tearOld {
+					env.tearAtRisk(t)
+				}
 			}},
-		{point: "rotate:create:after-sync", op: "rotate", extra: true},
-		{point: "checkpoint:capture", op: "checkpoint"},
-		{point: "checkpoint:segsync:after", op: "checkpoint"},
-		{point: "checkpoint:snapshot:before-sync", op: "checkpoint",
+		{name: "checkpoint:capture"},
+		{name: "checkpoint:segsync:after"},
+		{name: "checkpoint:snapshot:before-sync",
 			mutate: func(t *testing.T, env *matrixEnv) {
 				truncateHalf(t, env.dir, "checkpoint-*.snap.tmp")
 			}},
-		{point: "checkpoint:snapshot:synced", op: "checkpoint"},
-		{point: "checkpoint:snapshot:committed", op: "checkpoint"},
-		{point: "checkpoint:manifest:before-sync", op: "checkpoint",
+		{name: "checkpoint:snapshot:synced"},
+		{name: "checkpoint:snapshot:committed"},
+		{name: "checkpoint:manifest:before-sync",
 			mutate: func(t *testing.T, env *matrixEnv) {
 				truncateHalf(t, env.dir, manifestName+".tmp")
 			}},
-		{point: "checkpoint:manifest:committed", op: "checkpoint"},
-		{point: "checkpoint:delete:mid", op: "checkpoint"},
-		{point: "checkpoint:delete:before-sync", op: "checkpoint",
+		{name: "checkpoint:manifest:committed"},
+		{name: "checkpoint:delete:mid"},
+		{name: "checkpoint:delete:before-sync",
 			mutate: func(t *testing.T, env *matrixEnv) {
 				// The unlinks never became durable: every segment file that
 				// existed before the checkpoint is back.
@@ -177,14 +205,18 @@ func TestRotationCrashMatrix(t *testing.T) {
 					}
 				}
 			}},
-		{point: "checkpoint:delete:after-sync", op: "checkpoint"},
+		{name: "checkpoint:delete:after-sync"},
 	}
 
 	for _, cell := range cells {
 		cell := cell
-		t.Run(cell.point, func(t *testing.T) {
+		t.Run(cell.name, func(t *testing.T) {
+			point := cell.point
+			if point == "" {
+				point = cell.name
+			}
 			dir := t.TempDir()
-			opts := Options{Shards: 4, RotateBytes: 1024}
+			opts := Options{Shards: 4}
 			db, err := OpenWithOptions(dir, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -213,52 +245,44 @@ func TestRotationCrashMatrix(t *testing.T) {
 			// crash; afterwards, recovery is measured against the
 			// reference alone.
 			assertSameContents(t, contents(db), refContents(ref))
-			want := refContents(ref)
 
-			env := &matrixEnv{dir: dir}
-			if cell.op == "rotate" {
-				// Rotate the target shard onto a fresh segment first, so
-				// the at-risk record's durable prefix is exactly the new
-				// header — the torn-tail arithmetic stays deterministic.
-				k := a[0].Key
-				env.si = db.ShardIndexOf(k)
-				if err := forceRotate(db, env.si); err != nil {
-					t.Fatal(err)
-				}
-				env.seqAtArm = db.shards[env.si].walSeq
-				env.prePath = filepath.Join(dir, rotSegName(env.si, env.seqAtArm))
-				env.preSize = int64(rotSegHeaderLen)
-				env.recLen = int64(4 + 2 + len(k.String()) + 16)
-				if cell.extra {
-					x := Entry{Key: k, At: t0.Add(55000 * time.Minute), Value: 77}
-					if err := db.Append(x.Key, x.At, x.Value); err != nil {
-						t.Fatal(err)
-					}
-					if !cell.loseExtra {
-						refApplyAll(t, ref, []Entry{x})
-						want = refContents(ref)
-					}
-				}
+			// The at-risk record: one more point on shard 0, left in the
+			// write buffer. The checkpoint's swap flushes it into the
+			// segment it swaps out; only that segment's fsync makes it
+			// durable.
+			k := shard0Key(t, db)
+			env := &matrixEnv{dir: dir, gen: db.shards[0].walSeq + 1}
+			env.prePath = filepath.Join(dir, rotSegName(0, db.shards[0].walSeq))
+			st, err := os.Stat(env.prePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.preSize = st.Size()
+			env.recLen = int64(4 + 2 + len(k.String()) + 16)
+			x := Entry{Key: k, At: t0.Add(55000 * time.Minute), Value: 77}
+			if err := db.Append(x.Key, x.At, x.Value); err != nil {
+				t.Fatal(err)
+			}
+			if !cell.loseExtra {
+				refApplyAll(t, ref, []Entry{x})
 			}
 			env.preCopies = copySegments(t, dir)
 
-			// Arm the crash and fire the operation.
-			db.testCrash = func(point string) error {
-				if point == cell.point {
-					return errCrashPoint
+			// Arm the crash and fire the checkpoint.
+			db.testCrash = func(p string) error {
+				if p != point {
+					return nil
 				}
-				return nil
+				if cell.during != nil {
+					cell.during(t, db, env, ref)
+				}
+				return errCrashPoint
 			}
-			switch cell.op {
-			case "rotate":
-				err = forceRotate(db, env.si)
-			case "checkpoint":
-				err = db.Checkpoint()
-			}
-			if !errors.Is(err, errCrashPoint) {
-				t.Fatalf("%s: op returned %v, want injected crash", cell.point, err)
+			if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
+				t.Fatalf("%s: checkpoint returned %v, want injected crash", cell.name, err)
 			}
 			db.testCrash = nil
+			want := refContents(ref)
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -268,13 +292,13 @@ func TestRotationCrashMatrix(t *testing.T) {
 
 			re, err := OpenWithOptions(dir, opts)
 			if err != nil {
-				t.Fatalf("reopen after %s: %v", cell.point, err)
+				t.Fatalf("reopen after %s: %v", cell.name, err)
 			}
 			assertSameContents(t, contents(re), want)
 			// The store must checkpoint its way out of the crashed state,
 			// and still recover exactly afterwards.
 			if err := re.Checkpoint(); err != nil {
-				t.Fatalf("checkpoint after %s: %v", cell.point, err)
+				t.Fatalf("checkpoint after %s: %v", cell.name, err)
 			}
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
@@ -289,13 +313,46 @@ func TestRotationCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestCheckpointZeroRewrite proves compaction never rewrites a data file:
-// every segment file that survives a checkpoint is byte-identical to its
-// pre-checkpoint self (compaction = manifest commit + unlink of covered
-// sealed segments), and at least one sealed segment is actually unlinked.
+// shard0Key returns a key of the legacy workload that hashes to shard 0,
+// the shard the capture visits (and swaps) first.
+func shard0Key(t *testing.T, db *DB) SeriesKey {
+	t.Helper()
+	for _, e := range legacyEntries(600) {
+		if db.ShardIndexOf(e.Key) == 0 {
+			return e.Key
+		}
+	}
+	t.Fatal("no legacy key hashes to shard 0")
+	return SeriesKey{}
+}
+
+// walFileBytes sums the sizes of every WAL segment file in dir and
+// returns it with the file count.
+func walFileBytes(t *testing.T, dir string) (int64, int) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, p := range paths {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.Size()
+	}
+	return total, len(paths)
+}
+
+// TestCheckpointZeroRewrite proves that after a committed checkpoint no
+// WAL byte it covers is on disk, and that compaction never rewrote a
+// data file to get there: no segment file that existed before the
+// checkpoint survives it, and the WAL files hold exactly the records
+// appended since (WALBytesSinceCheckpoint) plus one header per segment.
 func TestCheckpointZeroRewrite(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, Options{Shards: 4, RotateBytes: 1024})
+	db, err := OpenWithOptions(dir, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,73 +364,85 @@ func TestCheckpointZeroRewrite(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	hash := func() map[string][32]byte {
-		t.Helper()
-		paths, err := filepath.Glob(filepath.Join(dir, "wal-*-*.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string][32]byte, len(paths))
-		for _, p := range paths {
-			raw, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[filepath.Base(p)] = sha256.Sum256(raw)
-		}
-		return out
-	}
-	before := hash()
-	if len(before) <= 4 {
-		t.Fatalf("workload produced only %d segment files; no rotation to compact", len(before))
-	}
+	before := copySegments(t, dir)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	after := hash()
-	if len(after) >= len(before) {
-		t.Fatalf("checkpoint deleted no sealed segments: %d files before, %d after", len(before), len(after))
-	}
-	for name, h := range after {
-		bh, ok := before[name]
-		if !ok {
-			t.Fatalf("checkpoint created segment file %s", name)
-		}
-		if h != bh {
-			t.Fatalf("checkpoint rewrote segment file %s", name)
+	after := copySegments(t, dir)
+	for name := range after {
+		if _, ok := before[name]; ok {
+			t.Fatalf("segment file %s survived the checkpoint that covers it", name)
 		}
 	}
+	check := func(when string) {
+		t.Helper()
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		onDisk, files := walFileBytes(t, dir)
+		if files != db.ShardCount() {
+			t.Fatalf("%s: %d segment files for %d shards", when, files, db.ShardCount())
+		}
+		if want := int64(db.WALBytesSinceCheckpoint()) + int64(files*rotSegHeaderLen); onDisk != want {
+			t.Fatalf("%s: WAL files hold %d bytes, want %d un-checkpointed record bytes plus %d headers",
+				when, onDisk, db.WALBytesSinceCheckpoint(), files)
+		}
+	}
+	check("after the checkpoint")
+	tail := laterEntries(100, 90000)
+	if n, err := db.AppendBatch(tail); err != nil || n != len(tail) {
+		t.Fatalf("stored %d, err %v", n, err)
+	}
+	check("after appending past it")
 }
 
-// TestRotatedDifferentialRecovery drives three stores — rotated (tiny
-// threshold), single-segment (rotation disabled, the PR 2 shape), and the
-// in-memory reference — through the same seeded random schedule of
-// append / checkpoint / reopen steps, and demands all three agree after
-// every reopen and at the end. Failures print the seed and op index; the
-// schedule is a pure function of the seed, so a failing case shrinks by
-// truncating the op count.
+// TestRotatedDifferentialRecovery drives three stores — one whose
+// checkpoints always succeed, one whose checkpoints fail at a random
+// protocol step about half the time (each failure a real error, so the
+// cleanup paths run: uncovered swapped-out segments, half-swapped
+// generations, filler segments), and the in-memory reference — through
+// the same seeded random schedule of append / checkpoint / reopen steps,
+// and demands all three agree after every reopen and at the end.
+// Failures print the seed and op index; the schedule is a pure function
+// of the seed, so a failing case shrinks by truncating the op count.
 func TestRotatedDifferentialRecovery(t *testing.T) {
 	datasets := []string{DatasetPlacementScore, DatasetPrice, DatasetInterruptFree}
 	types := []string{"m5.xlarge", "c5.large", "r5.2xlarge"}
 	regions := []string{"us-east-1", "eu-west-1"}
 	azs := []string{"a", "b"}
+	failPoints := []string{
+		"rotate:create:before-sync", "rotate:create:after-sync",
+		"rotate:seal:before-sync", "rotate:seal:after-sync",
+		"checkpoint:capture", "checkpoint:segsync:after",
+		"checkpoint:snapshot:before-sync", "checkpoint:manifest:before-sync",
+	}
+	injected := errors.New("injected checkpoint failure")
 
 	for _, seed := range []int{3, 17, 2210} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := simrand.New(uint64(seed))
 			r := rng.StreamN("rotdiff", seed)
-			dirRot, dirSingle := t.TempDir(), t.TempDir()
-			optRot := Options{Shards: 4, RotateBytes: 256}
-			optSingle := Options{Shards: 4, RotateBytes: -1}
-			dbRot, err := OpenWithOptions(dirRot, optRot)
-			if err != nil {
-				t.Fatal(err)
+			dirOK, dirFail := t.TempDir(), t.TempDir()
+			opts := Options{Shards: 4}
+			failAt := ""
+			open := func(dir string, failing bool) *DB {
+				t.Helper()
+				db, err := OpenWithOptions(dir, opts)
+				if err != nil {
+					t.Fatalf("seed %d: open: %v", seed, err)
+				}
+				if failing {
+					db.testCrash = func(p string) error {
+						if p == failAt {
+							return injected
+						}
+						return nil
+					}
+				}
+				return db
 			}
-			dbSingle, err := OpenWithOptions(dirSingle, optSingle)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dbOK, dbFail := open(dirOK, false), open(dirFail, true)
 			ref := newRefDB()
 
 			ts := 0
@@ -396,59 +465,61 @@ func TestRotatedDifferentialRecovery(t *testing.T) {
 							Value: float64(r.Intn(6)),
 						})
 					}
-					if n, err := dbRot.AppendBatch(batch); err != nil || n != len(batch) {
-						t.Fatalf("seed %d op %d: rotated stored %d, err %v", seed, op, n, err)
+					if n, err := dbOK.AppendBatch(batch); err != nil || n != len(batch) {
+						t.Fatalf("seed %d op %d: stored %d, err %v", seed, op, n, err)
 					}
-					if n, err := dbSingle.AppendBatch(batch); err != nil || n != len(batch) {
-						t.Fatalf("seed %d op %d: single stored %d, err %v", seed, op, n, err)
+					if n, err := dbFail.AppendBatch(batch); err != nil || n != len(batch) {
+						t.Fatalf("seed %d op %d: failing store stored %d, err %v", seed, op, n, err)
 					}
 					refApplyAll(t, ref, batch)
 				case v < 8: // checkpoint both
-					if err := dbRot.Checkpoint(); err != nil {
-						t.Fatalf("seed %d op %d: rotated checkpoint: %v", seed, op, err)
+					if err := dbOK.Checkpoint(); err != nil {
+						t.Fatalf("seed %d op %d: checkpoint: %v", seed, op, err)
 					}
-					if err := dbSingle.Checkpoint(); err != nil {
-						t.Fatalf("seed %d op %d: single checkpoint: %v", seed, op, err)
+					failAt = ""
+					if r.Intn(2) == 0 {
+						failAt = failPoints[r.Intn(len(failPoints))]
 					}
-				default: // crash-reopen both, then compare all three
-					if err := dbRot.Close(); err != nil {
+					err := dbFail.Checkpoint()
+					if failAt == "" && err != nil || failAt != "" && !errors.Is(err, injected) {
+						t.Fatalf("seed %d op %d: checkpoint failing at %q returned %v", seed, op, failAt, err)
+					}
+					failAt = ""
+				default: // reopen both, then compare all three
+					if err := dbOK.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if err := dbSingle.Close(); err != nil {
+					if err := dbFail.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if dbRot, err = OpenWithOptions(dirRot, optRot); err != nil {
-						t.Fatalf("seed %d op %d: rotated reopen: %v", seed, op, err)
-					}
-					if dbSingle, err = OpenWithOptions(dirSingle, optSingle); err != nil {
-						t.Fatalf("seed %d op %d: single reopen: %v", seed, op, err)
-					}
+					dbOK, dbFail = open(dirOK, false), open(dirFail, true)
 					want := refContents(ref)
-					assertSameContents(t, contents(dbRot), want)
-					assertSameContents(t, contents(dbSingle), want)
+					assertSameContents(t, contents(dbOK), want)
+					assertSameContents(t, contents(dbFail), want)
 				}
 			}
 			want := refContents(ref)
-			assertSameContents(t, contents(dbRot), want)
-			assertSameContents(t, contents(dbSingle), want)
-			if err := dbRot.Close(); err != nil {
+			assertSameContents(t, contents(dbOK), want)
+			assertSameContents(t, contents(dbFail), want)
+			// A checkpoint that commits reclaims everything a failed one
+			// left behind.
+			if err := dbFail.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if err := dbSingle.Close(); err != nil {
+			if n := dbFail.SealedSegments(); n != 0 {
+				t.Fatalf("seed %d: %d uncovered segments after a committed checkpoint", seed, n)
+			}
+			if err := dbOK.Close(); err != nil {
 				t.Fatal(err)
 			}
-			finalRot, err := OpenWithOptions(dirRot, optRot)
-			if err != nil {
+			if err := dbFail.Close(); err != nil {
 				t.Fatal(err)
 			}
-			defer finalRot.Close()
-			finalSingle, err := OpenWithOptions(dirSingle, optSingle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer finalSingle.Close()
-			assertSameContents(t, contents(finalRot), want)
-			assertSameContents(t, contents(finalSingle), want)
+			finalOK, finalFail := open(dirOK, false), open(dirFail, false)
+			defer finalOK.Close()
+			defer finalFail.Close()
+			assertSameContents(t, contents(finalOK), want)
+			assertSameContents(t, contents(finalFail), want)
 		})
 	}
 }
@@ -461,7 +532,7 @@ func TestRotatedDifferentialRecovery(t *testing.T) {
 func TestCheckpointAfterBytesBoundsReplayTail(t *testing.T) {
 	const threshold = 16 << 10
 	dir := t.TempDir()
-	opts := Options{Shards: 4, RotateBytes: 2048}
+	opts := Options{Shards: 4}
 	db, err := OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -529,12 +600,92 @@ func TestRotSegNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRotationFillsLaggingShard covers the one way shards' segment
+// sequences diverge: a crash while creating a generation, after shard 0's
+// new segment was durable but before shard 1's was. The reopen
+// leaves shard 0 on the new generation and shard 1 a step behind. The
+// next checkpoint must then give shard 1 a filler for the missing number:
+// if that checkpoint fails after its swap, the points appended afterwards
+// sit in a segment that recovery only reaches through a gap-free chain.
+func TestRotationFillsLaggingShard(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 4}
+	db, err := OpenWithOptions(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefDB()
+	apply := func(db *DB, entries []Entry) {
+		t.Helper()
+		if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
+			t.Fatalf("stored %d, err %v", n, err)
+		}
+		refApplyAll(t, ref, entries)
+	}
+	apply(db, legacyEntries(600))
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	apply(db, laterEntries(200, 50000))
+	gen := db.shards[0].walSeq + 1
+	creates := 0
+	db.testCrash = func(p string) error {
+		if p == "rotate:create:before-sync" {
+			if creates++; creates == 2 {
+				return errCrashPoint
+			}
+		}
+		return nil
+	}
+	if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
+		t.Fatalf("checkpoint returned %v, want injected crash", err)
+	}
+	db.testCrash = nil
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1's new segment never reached the directory.
+	if err := os.Remove(filepath.Join(dir, rotSegName(1, gen))); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenWithOptions(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.shards[0].walSeq != gen || re.shards[1].walSeq != gen-1 {
+		t.Fatalf("after the crash shards 0 and 1 are on segments %d and %d, want %d and %d",
+			re.shards[0].walSeq, re.shards[1].walSeq, gen, gen-1)
+	}
+	apply(re, laterEntries(200, 52000))
+	injected := errors.New("injected snapshot failure")
+	re.testCrash = func(p string) error {
+		if p == "checkpoint:snapshot:before-sync" {
+			return injected
+		}
+		return nil
+	}
+	if err := re.Checkpoint(); !errors.Is(err, injected) {
+		t.Fatalf("checkpoint returned %v, want the injected failure", err)
+	}
+	re.testCrash = nil
+	apply(re, laterEntries(200, 54000))
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re2, err := OpenWithOptions(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	assertSameContents(t, contents(re2), refContents(ref))
+}
+
 // TestRotationSeqPastMillionRecovers proves recovery walks a chain whose
 // sequence numbers outgrow the 6-digit name padding: a shard with
 // segments seq 999999 and seq 1000000 replays both and keeps appending.
 func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 1, RotateBytes: -1}
+	opts := Options{Shards: 1}
 	db, err := OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -548,8 +699,9 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Relabel the shard's only segment as seq 999999 and hand-roll a seq
-	// 1000000 continuation carrying ten more records.
+	// Relabel the shard's only segment as seq 999999, hand-roll a seq
+	// 1000000 continuation carrying ten more records, and point the
+	// manifest's first uncovered generation at the relabelled segment.
 	oldPath := filepath.Join(dir, rotSegName(0, 1))
 	raw, err := os.ReadFile(oldPath)
 	if err != nil {
@@ -563,12 +715,19 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if err := os.Remove(oldPath); err != nil {
 		t.Fatal(err)
 	}
-	base := uint64(len(raw) - rotSegHeaderLen)
-	next := encodeRotHeader(rotHeader{index: 0, count: 1, epoch: epoch, seq: 1000000, base: base})
+	next := encodeRotHeader(rotHeader{index: 0, count: 1, epoch: epoch, seq: 1000000})
 	for i := 10; i < 20; i++ {
 		next = appendRecord(next, k.String(), t0.Add(time.Duration(i)*time.Minute).UnixNano(), float64(i))
 	}
 	if err := os.WriteFile(filepath.Join(dir, rotSegName(0, 1000000)), next, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.WALSeq = 999999
+	if err := writeManifest(dir, man, nil); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenWithOptions(dir, opts)
@@ -581,45 +740,91 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if err := re.Append(k, t0.Add(30*time.Minute), 30); err != nil {
 		t.Fatal(err)
 	}
+	// A checkpoint rotates past the boundary and reclaims both.
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Append(k, t0.Add(31*time.Minute), 31); err != nil {
+		t.Fatal(err)
+	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 1 || filepath.Base(segs[0]) != rotSegName(0, 1000001) {
+		t.Fatalf("segment files %v after the checkpoint, want only %s", segs, rotSegName(0, 1000001))
 	}
 	re2, err := OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	if got := re2.PointCount(); got != 21 {
-		t.Fatalf("append after the seq-1000000 boundary lost: %d points, want 21", got)
+	if got := re2.PointCount(); got != 22 {
+		t.Fatalf("appends after the seq-1000000 boundary lost: %d points, want 22", got)
 	}
 }
 
-// TestRotationFailureDoesNotFailAppend pins the append contract when the
-// segment cannot rotate (e.g. disk full creating the next file): the
-// append itself succeeds — the record is durable in the still-active
-// segment — the failure shows up in RotateFailures, and recovery still
-// reproduces every point.
-func TestRotationFailureDoesNotFailAppend(t *testing.T) {
+// TestRotationFailureFailsCheckpoint pins what happens when the next
+// segment generation cannot be created (e.g. disk full): the rotation is
+// part of the checkpoint, so the checkpoint fails — returned to a manual
+// caller, counted in spotlake_maintenance_errors_total for the byte
+// trigger's — before any shard swapped. Appends continue on the old
+// segments, the old manifest stays authoritative, no half-created file is
+// left, and a reopen is exact.
+func TestRotationFailureFailsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 1, RotateBytes: 256}
+	opts := Options{Shards: 2, CheckpointAfterBytes: 2048, MaintenanceInterval: -1}
 	db, err := OpenWithOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, e := range legacyEntries(40) { // ~1.8KB: under the threshold
+		if err := db.Append(e.Key, e.At, e.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := []uint64{db.shards[0].walSeq, db.shards[1].walSeq}
+	noSpace := errors.New("injected: no space left on device")
 	db.testCrash = func(point string) error {
-		if strings.HasPrefix(point, "rotate:") {
-			return errCrashPoint
+		if point == "rotate:create:before-sync" {
+			return noSpace
 		}
 		return nil
 	}
-	k := legacyEntries(1)[0].Key
-	for i := 0; i < 100; i++ {
-		if err := db.Append(k, t0.Add(time.Duration(i)*time.Minute), float64(i)); err != nil {
-			t.Fatalf("append %d failed because rotation failed: %v", i, err)
+	if err := db.Checkpoint(); !errors.Is(err, noSpace) {
+		t.Fatalf("checkpoint with a failing segment create returned %v", err)
+	}
+	for _, e := range laterEntries(200, 1000) { // ~9KB: past the threshold
+		if err := db.Append(e.Key, e.At, e.Value); err != nil {
+			t.Fatalf("append failed because the checkpoint's rotation failed: %v", err)
 		}
 	}
-	if db.RotateFailures() == 0 {
-		t.Fatal("100 appends at a 256-byte threshold triggered no rotation attempts")
+	if st := db.MaintenanceStats(); st.Errors == 0 || st.Checkpoints != 0 {
+		t.Fatalf("byte trigger over a failing rotation: %+v, want errors and no checkpoint", st)
+	}
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, func() *DB { return db })
+	for _, smp := range reg.Samples() {
+		if smp.Name == "spotlake_maintenance_errors_total" && smp.Value == 0 {
+			t.Fatal("spotlake_maintenance_errors_total is 0 after a failed maintenance checkpoint")
+		}
+	}
+	for i, seq := range seqs {
+		if got := db.shards[i].walSeq; got != seq {
+			t.Fatalf("shard %d swapped from segment %d to %d through a failed rotation", i, seq, got)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 2 {
+		t.Fatalf("segment files %v, want the two active ones (no half-created generation)", segs)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(raw, committed) {
+		t.Fatalf("the manifest moved through failed checkpoints (err %v)", err)
 	}
 	db.testCrash = nil
 	want := contents(db)

@@ -28,20 +28,20 @@
 //
 // # Durability
 //
-// The write-ahead log is segmented per shard and rotates (see wal.go):
-// shard i appends to its active wal-<i>-<seq>.log under shard i's lock,
-// so durable appends to different shards never serialize against each
-// other, and the active segment seals and a new one opens once it exceeds
-// RotateBytes. A versioned MANIFEST names the layout; snapshots double as
+// The write-ahead log is segmented per shard (see wal.go): shard i
+// appends to its active wal-<i>-<seq>.log under shard i's lock, so
+// durable appends to different shards never serialize against each
+// other. A versioned MANIFEST names the layout; snapshots double as
 // checkpoints (Checkpoint) that bound recovery to "load snapshot + replay
-// per-shard segment-chain tails", and checkpoint compaction deletes
-// covered sealed segments instead of rewriting files. The store maintains
+// the segments written since", and each checkpoint rotates every shard
+// onto a new segment and deletes the ones it covers, instead of
+// rewriting files. The store maintains
 // itself (see maintain.go): a daemon started by OpenWithOptions
 // checkpoints when the un-checkpointed WAL crosses
 // Options.CheckpointAfterBytes, and the same trigger is enforced
 // synchronously on the append path — no caller cooperation needed for
-// bounded replay tails, and with them bounded sealed-segment disk use and
-// bounded hot-memory growth. The checkpoint file holds every series' hot
+// bounded replay tails, and with them bounded WAL disk use and bounded
+// hot-memory growth. The checkpoint file holds every series' hot
 // points in the compressed block file format of the cold tier (see
 // block.go and wal.go).
 package tsdb
@@ -181,7 +181,7 @@ type series struct {
 }
 
 // shard is one lock stripe: a mutex, its series, local statistics, and —
-// for durable stores — its own rotating WAL segment chain. Segment writes
+// for durable stores — its own WAL segment chain. Segment writes
 // happen under the shard's write lock, so the record order in the chain is
 // identical to shard i's memory order with no extra mutex, and appends to
 // different shards never serialize against a shared log.
@@ -191,31 +191,23 @@ type shard struct {
 	points int
 	gen    atomic.Uint64
 
-	// idx is this shard's index in db.shards, fixed at open; rotation
-	// needs it to name the next segment file without pointer arithmetic.
-	idx int
-
 	// Durable state, nil for memory-only stores. walSeq is the active
-	// segment's sequence number; walBase is the logical offset of its
-	// first record (records before it live in earlier segments or the
-	// latest checkpoint snapshot); walOff is the logical end offset, i.e.
-	// walBase + payload bytes appended since the file's header. Offsets
-	// count only record bytes, never headers. sealed lists the shard's
-	// sealed segments still on disk, oldest first — checkpoint unlinks
-	// the ones its snapshot fully covers. cpBytes counts record bytes
-	// appended since the last committed checkpoint, feeding the
-	// size-based checkpoint trigger.
-	wal     *bufio.Writer
-	walF    *os.File
-	walSeq  uint64
-	walBase uint64
-	walOff  uint64
-	sealed  []sealedSeg
-	cpBytes atomic.Uint64
+	// segment's sequence number; it moves only under cpMu, when a
+	// checkpoint swaps the shard onto the next generation. unsynced holds
+	// the swapped-out segments no fsync has reached yet: the checkpoint
+	// syncs them after its swap, and until it has, Flush and Close sync
+	// them too. cpBytes counts record bytes appended since the last
+	// committed checkpoint, feeding the size-based checkpoint trigger.
+	wal      *bufio.Writer
+	walF     *os.File
+	walSeq   uint64
+	unsynced []*os.File
+	cpBytes  atomic.Uint64
 
-	// sealedN mirrors len(sealed) atomically so SealedSegments can read
-	// chain lengths without the shard lock. Updated via DB.setSealed
-	// wherever sealed changes.
+	// sealedN counts the shard's swapped-out segments the committed
+	// manifest does not cover yet, so SealedSegments can read it without
+	// the shard lock. Updated via DB.setSealed wherever walSeq or the
+	// manifest moves.
 	sealedN atomic.Int64
 }
 
@@ -229,17 +221,15 @@ type DB struct {
 	// Durable layout state. dir is empty for memory-only stores. man is
 	// the manifest as last committed; cpMu serializes Checkpoint, layout
 	// commits, and manifest replacement. epoch mirrors man.Epoch but is
-	// written only while Open owns the store single-threaded, so the
-	// rotation fast path can read it under just a shard lock. readOnly
+	// written only while Open owns the store single-threaded. readOnly
 	// marks a store opened with Options.ReadOnly: it loads a committed
 	// layout without owning it (no appends, checkpoints, layout commits,
 	// or file reclamation).
-	dir         string
-	readOnly    bool
-	cpMu        sync.Mutex
-	man         manifest
-	epoch       uint64
-	rotateBytes int64
+	dir      string
+	readOnly bool
+	cpMu     sync.Mutex
+	man      manifest
+	epoch    uint64
 
 	// Cold-tier state (see block.go). bcache is the store-wide LRU over
 	// decoded blocks; coldSegs the open block files (appended under cpMu
@@ -267,12 +257,6 @@ type DB struct {
 	// tail that checkpointing (time- or size-triggered) bounds.
 	replayedBytes obs.Counter
 
-	// rotateFails counts segment rotations that failed on the append
-	// path. The appends themselves succeed (the record is durable in the
-	// still-active segment), so the failure is surfaced here instead of
-	// through their error returns.
-	rotateFails obs.Counter
-
 	// Maintenance state (see maintain.go). cpAfterBytes is the byte
 	// trigger's threshold, fixed at open. The channels belong to the
 	// daemon goroutine.
@@ -298,7 +282,7 @@ type DB struct {
 	cpTime *obs.Histogram
 
 	// testCrash, when armed by the crash-matrix tests, aborts the
-	// rotation/checkpoint protocol at a named durable boundary. Nil in
+	// checkpoint protocol at a named durable boundary. Nil in
 	// production.
 	testCrash func(point string) error
 }
@@ -321,14 +305,6 @@ func DefaultShardCount() int {
 	return s
 }
 
-// DefaultRotateBytes is the segment rotation threshold used when Options
-// leaves RotateBytes zero: the active WAL segment seals and a new one
-// opens once it holds this many record bytes. Small enough that a
-// checkpoint can reclaim most of a write-heavy tail by unlinking sealed
-// segments; large enough that rotation stays off the hot path for
-// ordinary collection cadences.
-const DefaultRotateBytes = 8 << 20
-
 // DefaultHotTailPoints is the per-series hot tail kept in memory when
 // Options leaves HotTailPoints zero. Checkpoint seals older points into
 // compressed blocks; the tail keeps recent-window queries, dedup checks,
@@ -347,19 +323,14 @@ type Options struct {
 	// <= 0 selects DefaultShardCount. A shard count of 1 reproduces the
 	// single-lock store, which the benchmarks use as baseline.
 	Shards int
-	// RotateBytes is the active segment's rotation threshold in record
-	// bytes: 0 selects DefaultRotateBytes, negative disables rotation
-	// (one ever-growing segment per shard, the pre-rotation behavior).
-	RotateBytes int64
 	// CheckpointAfterBytes, when positive on a durable store, makes the
 	// store checkpoint itself once WALBytesSinceCheckpoint crosses the
 	// threshold — regardless of who is writing (collector, bootstrap,
 	// analysis tools). It is the store's one size knob: every stored
 	// point is one WAL record, so the same threshold bounds the replay
-	// tail, each shard's sealed-segment chain (threshold / RotateBytes,
-	// plus one) and hot-memory growth between seals (threshold / record
-	// size). Zero disables the store's own size trigger (callers may
-	// still schedule checkpoints themselves).
+	// tail, the WAL bytes on disk and hot-memory growth between seals
+	// (threshold / record size). Zero disables the store's own size
+	// trigger (callers may still schedule checkpoints themselves).
 	CheckpointAfterBytes int64
 	// MaintenanceInterval is the maintenance daemon's poll period: 0
 	// selects DefaultMaintenanceInterval, negative disables the daemon
@@ -409,15 +380,12 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if shards <= 0 {
 		shards = DefaultShardCount()
 	}
+	shards = min(shards, maxShards)
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
 	db := &DB{shards: make([]shard, n), mask: uint32(n - 1), cpTime: obs.NewHistogram(checkpointBuckets)}
-	db.rotateBytes = o.RotateBytes
-	if db.rotateBytes == 0 {
-		db.rotateBytes = DefaultRotateBytes
-	}
 	db.cpAfterBytes = o.CheckpointAfterBytes
 	db.hotTail = o.HotTailPoints
 	switch {
@@ -442,7 +410,6 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	}
 	db.bcache = newBlockCache(cacheBytes)
 	for i := range db.shards {
-		db.shards[i].idx = i
 		db.shards[i].series = make(map[SeriesKey]*series)
 	}
 	if dir == "" {
@@ -472,10 +439,6 @@ func (db *DB) ShardCount() int { return len(db.shards) }
 // non-empty directory).
 func (db *DB) Durable() bool { return db.dir != "" }
 
-// RotateBytes returns the effective segment rotation threshold (negative
-// when rotation is disabled).
-func (db *DB) RotateBytes() int64 { return db.rotateBytes }
-
 // WALBytesSinceCheckpoint returns the WAL record bytes appended since the
 // last committed checkpoint — the size of the tail a restart would have
 // to replay. Size-based checkpoint schedulers compare it against their
@@ -490,14 +453,6 @@ func (db *DB) WALBytesSinceCheckpoint() uint64 {
 // tail. Zero for memory-only stores and for opens that bulk-loaded a
 // checkpoint covering everything.
 func (db *DB) ReplayedWALBytes() uint64 { return db.replayedBytes.Value() }
-
-// RotateFailures returns how many segment rotations have failed since
-// open. The affected appends succeeded (their records are durable in the
-// still-active segment, which keeps growing until a rotation succeeds);
-// a climbing counter means the store cannot create new segment files —
-// disk full or permissions — and checkpoints have stopped reclaiming
-// space.
-func (db *DB) RotateFailures() uint64 { return db.rotateFails.Value() }
 
 // ShardGeneration returns the generation counter of one shard; it
 // increases whenever a point is stored into that shard.
@@ -645,19 +600,8 @@ func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64) erro
 		if _, err := sh.wal.Write(rec); err != nil {
 			return fmt.Errorf("tsdb: wal write: %w", err)
 		}
-		sh.walOff += uint64(len(rec))
 		sh.cpBytes.Add(uint64(len(rec)))
 		db.cpBytesTotal.Add(uint64(len(rec)))
-		if db.rotateBytes > 0 && sh.walOff-sh.walBase >= uint64(db.rotateBytes) {
-			// Best-effort: the point is already stored and logged, so a
-			// rotation failure must not be reported as a failed append
-			// (callers would retry and duplicate the point). The active
-			// segment just keeps growing until a later append's rotation
-			// succeeds; RotateFailures exposes the misfires.
-			if err := db.rotateLocked(sh); err != nil {
-				db.rotateFails.Add(1)
-			}
-		}
 	}
 	return nil
 }
@@ -1328,13 +1272,16 @@ func (db *DB) MaxTime() (time.Time, bool) {
 // storage. Only the (cheap) buffer flush happens under each shard lock;
 // the fsyncs run outside the locks and concurrently across segments, so
 // readers and writers are never blocked behind disk latency and the wall
-// time stays near one fsync rather than one per shard. A segment rotated
-// or closed between the two steps is skipped: rotation (checkpoint
-// compaction) fsyncs the replacement itself, and a closing store syncs
-// in Close.
+// time stays near one fsync rather than one per shard. A checkpoint's
+// swapped-out segments are synced too until the checkpoint has synced
+// them: replay stops at a torn record, so a point acknowledged in the new
+// segment is only durable once the old one is. A file closed between the
+// two steps reports ErrClosed and is skipped: whoever closed it (the
+// checkpoint, or Close) synced it first.
 func (db *DB) Flush() error {
 	errs := make([]error, len(db.shards))
 	files := make([]*os.File, len(db.shards))
+	retired := make([][]*os.File, len(db.shards))
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.Lock()
@@ -1342,7 +1289,7 @@ func (db *DB) Flush() error {
 			if err := sh.wal.Flush(); err != nil {
 				errs[i] = err
 			} else {
-				files[i] = sh.walF
+				files[i], retired[i] = sh.walF, sh.unsynced
 			}
 		}
 		sh.mu.Unlock()
@@ -1355,6 +1302,11 @@ func (db *DB) Flush() error {
 		wg.Add(1)
 		go func(i int, f *os.File) {
 			defer wg.Done()
+			if len(retired[i]) > 0 {
+				if errs[i] = db.shards[i].syncRetired(retired[i]); errs[i] != nil {
+					return
+				}
+			}
 			if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
 				errs[i] = err
 			}
@@ -1395,16 +1347,18 @@ func (db *DB) Close() error {
 		// shutdown relies on (and Flush's out-of-lock sync treats a
 		// concurrently-closed file as "Close will have synced it").
 		err := sh.wal.Flush()
-		if err == nil {
-			err = sh.walF.Sync()
-		}
-		if cerr := sh.walF.Close(); err == nil {
-			err = cerr
+		for _, f := range append(sh.unsynced, sh.walF) {
+			if err == nil {
+				err = f.Sync()
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("tsdb: close shard %d: %w", i, err)
 		}
-		sh.wal, sh.walF = nil, nil
+		sh.wal, sh.walF, sh.unsynced = nil, nil, nil
 	}
 	// Reads decode outside the shard locks, so one may still hold a view
 	// naming these files: os.File refcounting lets an in-flight ReadAt

@@ -1,15 +1,14 @@
 package tsdb
 
-// Rotating write-ahead log segments and checkpointing.
+// WAL segment generations and checkpointing.
 //
 // # On-disk layout (data directory)
 //
 //	MANIFEST                 committed layout description (JSON, atomically
 //	                         replaced via temp file + rename)
-//	wal-00000-000001.log ... rotating WAL segments: appends to shard i go
-//	                         only to shard i's active (highest-seq) segment,
-//	                         under shard i's lock; a segment seals when it
-//	                         exceeds RotateBytes and the next seq opens
+//	wal-00000-000001.log ... WAL segments, one generation per checkpoint:
+//	                         appends to shard i go only to shard i's active
+//	                         (highest-seq) segment, under shard i's lock
 //	checkpoint-000001.snap   the checkpoint snapshot the manifest references:
 //	                         every series' hot tail, in the block file
 //	                         format (block.go); at most one is live
@@ -22,29 +21,27 @@ package tsdb
 //
 // # Segment format
 //
-//	header: 8-byte magic "SLWALSG2" | u32 shard index | u32 shard count |
-//	        u64 layout epoch | u64 sequence number | u64 base offset
+//	header: 8-byte magic "SLWALSG3" | u32 shard index | u32 shard count |
+//	        u64 layout epoch | u64 sequence number
 //	then:   a run of WAL records (see appendRecord): u32 crc | u16 keyLen |
 //	        key bytes | i64 unixNano | f64 bits
 //
-// Offsets are logical: they count record bytes since the epoch's stream
-// began, never header bytes. The header's base offset says where this
-// file's first record sits in that stream; within a shard, segments chain:
-// each segment's base equals the previous segment's end, so the chain is
-// reconstructible from headers and file sizes alone. Records below the
-// manifest's per-shard replay offset live in the checkpoint snapshot.
+// A segment lives for one checkpoint. Every record in a segment below the
+// manifest's walSeq is in the checkpoint; every record in a segment at or
+// above it is not. No offset into a file is ever recorded.
 //
 // # Rotation
 //
-// When a shard's active segment exceeds the store's RotateBytes, the
-// append that crossed the threshold seals it — flush, fsync, close — and
-// creates the next segment (seq+1, base = the current logical end), fsyncs
-// the file and the directory, then swaps the shard's writer over. No
-// manifest commit is involved: recovery discovers segments by scanning the
-// directory and walking each shard's seq-ordered, base-chained file list,
-// so the rotation fast path never serializes on store-wide state. A crash
-// between seal and create leaves the sealed segment as the append target;
-// a crash after create leaves an empty, fully durable new segment.
+// Only a checkpoint rotates the WAL. It creates the next generation of
+// segments (one per shard, header written, file and directory fsynced)
+// before it takes any shard lock, then, inside the capture that takes each
+// shard's lock once, flushes the shard's writer and swaps it onto the new
+// file — pointer work only. The swapped-out files are fsynced after the
+// locks are released; until then a Flush fsyncs them too, so a point a
+// Flush acknowledged in the new segment never sits behind a torn old one.
+// A shard whose segment sequence fell behind (a crash or a failure between
+// creating a generation and swapping onto it) gets header-only fillers for
+// the missing numbers, so every shard's sequence stays gap-free.
 //
 // # Commit protocol
 //
@@ -54,43 +51,45 @@ package tsdb
 // new MANIFEST into place, then clean up. A crash before the rename leaves
 // the old layout fully intact (or, on a first open, no layout: the next
 // open starts fresh over the leftovers); a crash after it leaves stale
-// files that the next open recognizes (wrong epoch, unreferenced
-// checkpoint) and ignores or deletes.
+// files that the next open recognizes (wrong epoch, covered sequence
+// number, unreferenced checkpoint) and ignores or deletes.
 //
-// Checkpoint compaction never rewrites a data file: sealed segments whose
-// whole range is covered by the new checkpoint snapshot are unlinked after
-// the manifest commit, and the active segment keeps its covered prefix on
-// disk (replay skips it via the manifest offset) until rotation seals it
-// and a later checkpoint deletes the whole file. Checkpoint cost is
-// therefore bounded by the snapshot write plus O(sealed segments) unlinks,
-// independent of how large the covered tail was.
+// A checkpoint commits the manifest naming the generation it rotated to,
+// then unlinks every segment below it. Checkpoint compaction never
+// rewrites a data file, and after it commits no WAL byte it covers is on
+// disk. A checkpoint that fails after its swap leaves the swapped-out
+// segments uncovered: they replay, ship to followers, and fall to the
+// next checkpoint that commits.
 //
 // # Recovery
 //
 // Open reads the manifest, bulk-loads the referenced checkpoint snapshot
-// (if any), then replays each shard's segment chain — one goroutine per
-// shard — applying only records at logical offsets >= the manifest's
-// per-shard replay offset. A torn record ends the chain (it is the
-// signature of a crash mid-write; nothing after it was acknowledged as
-// durable), and the torn bytes are truncated before the segment reopens
-// for appending. Recovery time is bounded by the bytes written since the
-// last checkpoint, not by the archive's full history.
+// (if any), then replays each shard's segments — one goroutine per shard —
+// in full and in sequence order, starting at the manifest's walSeq. A
+// missing sequence number, a foreign header or a torn record ends the
+// chain (a torn record is the signature of a crash mid-write; nothing
+// after it was acknowledged as durable), and the torn bytes are truncated
+// before the segment reopens for appending. Recovery time is bounded by
+// the bytes written since the last checkpoint, not by the archive's full
+// history.
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 3
-// (version 2 wrote checkpoints as raw 16-byte points, "SLTSDBSN") or that
-// carries a field this build does not know (a materialized rollup
-// snapshot's "rollups", raw retention's "retain"), a points.wal (the
-// pre-manifest single-stream log) with no MANIFEST beside it, or a nested
-// rollup/MANIFEST — fails Open with an error naming the directory and the
-// layout, before anything in the directory is created, truncated, renamed
-// or removed. It is never migrated and never served as an empty archive.
+// A directory this build cannot read — a MANIFEST whose version is not 4
+// (version 3 located the checkpoint cut by per-shard logical offsets into
+// live segments; version 2 wrote checkpoints as raw 16-byte points,
+// "SLTSDBSN") or that carries a field this build does not know (a
+// materialized rollup snapshot's "rollups", raw retention's "retain"), a
+// points.wal (the pre-manifest single-stream log) with no MANIFEST beside
+// it, or a nested rollup/MANIFEST — fails Open with an error naming the
+// directory and the layout, before anything in the directory is created,
+// truncated, renamed or removed. It is never migrated and never served as
+// an empty archive.
 //
 // # Crash points
 //
-// Every durable boundary of the rotation and checkpoint protocols runs
-// through DB.failpoint with a stable name (rotate:seal:*, rotate:create:*,
+// Every durable boundary of the checkpoint protocol runs through
+// DB.failpoint with a stable name (rotate:create:*, rotate:seal:*,
 // checkpoint:capture, checkpoint:segsync:*, checkpoint:blocks:* —
 // including checkpoint:blocks:data-written, frozen mid-file between the
 // data blocks and the index — checkpoint:snapshot:*,
@@ -121,12 +120,17 @@ import (
 
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 3
+	manifestVersion = 4
 
 	// Segment header: magic | u32 shard index | u32 shard count |
-	// u64 epoch | u64 seq | u64 base offset.
-	rotSegMagic     = "SLWALSG2"
-	rotSegHeaderLen = len(rotSegMagic) + 4 + 4 + 8 + 8 + 8
+	// u64 epoch | u64 seq.
+	rotSegMagic     = "SLWALSG3"
+	rotSegHeaderLen = len(rotSegMagic) + 4 + 4 + 8 + 8
+
+	// maxShards bounds a store's shard count, and with it the segment
+	// count a manifest may claim: recovery allocates per segment before it
+	// has read a file, and a segment name holds a five-digit shard index.
+	maxShards = 1 << 16
 )
 
 // errCrashPoint is returned by armed crash-point hooks; the crash-matrix
@@ -156,35 +160,19 @@ func (db *DB) cpHook(prefix string) func(string) error {
 	return func(stage string) error { return db.testCrash(prefix + ":" + stage) }
 }
 
-// segRef locates one segment of a shard's chain in the manifest: its
-// sequence number and the logical offset of its first record.
-type segRef struct {
-	Seq  uint64 `json:"seq"`
-	Base uint64 `json:"base"`
-}
-
-// shardLayout is one shard's entry in the manifest.
-type shardLayout struct {
-	// Offset is the logical offset from which replay must resume;
-	// everything below it is covered by the manifest's checkpoint.
-	Offset uint64 `json:"offset"`
-	// Segs lists the shard's segments at commit time, seq-ascending; the
-	// last entry is the active segment. Segments rotated in after the
-	// commit are discovered by directory scan and header chaining.
-	Segs []segRef `json:"segs"`
-}
-
 // manifest is the committed description of the durable layout.
 type manifest struct {
 	Version  int    `json:"version"`
 	Epoch    uint64 `json:"epoch"`
 	Segments int    `json:"segments"`
+	// WALSeq is the first WAL segment generation the checkpoint does not
+	// cover: recovery replays every segment at or above it, and every
+	// segment below it is covered and reclaimed.
+	WALSeq uint64 `json:"walSeq"`
 	// Checkpoint is the live checkpoint snapshot's file name; empty when
 	// no checkpoint has been taken in this layout.
 	Checkpoint    string `json:"checkpoint,omitempty"`
 	CheckpointSeq uint64 `json:"checkpointSeq"`
-	// Shards[i] is shard i's replay offset and segment list.
-	Shards []shardLayout `json:"shards,omitempty"`
 	// Blocks lists the live compressed block files by sequence number,
 	// ascending — the cold tier's committed contents. BlockSeq is the
 	// last block file sequence ever committed (it only grows, so a
@@ -195,7 +183,7 @@ type manifest struct {
 
 func rotSegName(i int, seq uint64) string { return fmt.Sprintf("wal-%05d-%06d.log", i, seq) }
 
-// scanRotSegName parses a rotating segment file name's shard index and
+// scanRotSegName parses a segment file name's shard index and
 // sequence number. The seq scan is width-free: %06d is only a minimum
 // width in rotSegName, so sequence numbers past 999999 print more digits
 // and a width-limited scan would silently drop those files — and the
@@ -249,25 +237,14 @@ func parseManifest(raw []byte) (manifest, error) {
 		field, _ := strings.CutPrefix(err.Error(), "json: unknown field ")
 		return manifest{}, fmt.Errorf("tsdb: unsupported layout: manifest field %s, which this build does not read", field)
 	}
-	if m.Segments <= 0 {
+	if m.Segments <= 0 || m.Segments > maxShards {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments", m.Segments)
+	}
+	if m.WALSeq == 0 {
+		return manifest{}, errors.New("tsdb: malformed manifest: walSeq 0")
 	}
 	if m.Checkpoint != "" && (m.Checkpoint != filepath.Base(m.Checkpoint) || !strings.HasPrefix(m.Checkpoint, "checkpoint-")) {
 		return manifest{}, fmt.Errorf("tsdb: malformed manifest: checkpoint name %q", m.Checkpoint)
-	}
-	if len(m.Shards) != m.Segments {
-		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments, %d shard layouts", m.Segments, len(m.Shards))
-	}
-	for si := range m.Shards {
-		segs := m.Shards[si].Segs
-		if len(segs) == 0 {
-			return manifest{}, fmt.Errorf("tsdb: malformed manifest: shard %d has no segments", si)
-		}
-		for j := 1; j < len(segs); j++ {
-			if segs[j].Seq <= segs[j-1].Seq || segs[j].Base < segs[j-1].Base {
-				return manifest{}, fmt.Errorf("tsdb: malformed manifest: shard %d segment list not ascending", si)
-			}
-		}
 	}
 	for j := range m.Blocks {
 		if j > 0 && m.Blocks[j] <= m.Blocks[j-1] {
@@ -355,13 +332,12 @@ func writeManifest(dir string, m manifest, hook func(stage string) error) error 
 	}, hook)
 }
 
-// rotHeader is a decoded rotating segment file header.
+// rotHeader is a decoded segment file header.
 type rotHeader struct {
 	index int
 	count int
 	epoch uint64
 	seq   uint64
-	base  uint64
 }
 
 func encodeRotHeader(h rotHeader) []byte {
@@ -371,7 +347,6 @@ func encodeRotHeader(h rotHeader) []byte {
 	binary.LittleEndian.PutUint32(buf[12:], uint32(h.count))
 	binary.LittleEndian.PutUint64(buf[16:], h.epoch)
 	binary.LittleEndian.PutUint64(buf[24:], h.seq)
-	binary.LittleEndian.PutUint64(buf[32:], h.base)
 	return buf
 }
 
@@ -384,7 +359,6 @@ func decodeRotHeader(buf []byte) (rotHeader, bool) {
 		count: int(binary.LittleEndian.Uint32(buf[12:])),
 		epoch: binary.LittleEndian.Uint64(buf[16:]),
 		seq:   binary.LittleEndian.Uint64(buf[24:]),
-		base:  binary.LittleEndian.Uint64(buf[32:]),
 	}, true
 }
 
@@ -661,27 +635,19 @@ type rotSegOnDisk struct {
 	path string
 }
 
-// sealedSeg is a shard's in-memory record of one sealed (no longer
-// written) segment still on disk: its sequence number and logical range.
-// Checkpoint deletes sealed segments whose end falls at or below the cut.
-type sealedSeg struct {
-	seq, base, end uint64
-}
-
 // shardChain is the outcome of replaying one shard's segment chain: the
-// sealed segments to retain, and the identity and extent of the segment
-// that should become the append target.
+// segment that should become the append target, its extent, and the
+// record bytes the chain replayed.
 type shardChain struct {
-	sealed   []sealedSeg
 	seq      uint64 // active segment sequence number
-	base     uint64 // active segment base offset
-	validEnd uint64 // logical end of its last complete, CRC-valid record
-	sizeEnd  uint64 // size-implied end (> validEnd when the tail is torn)
+	valid    int64  // record bytes of its complete, CRC-valid records
+	size     int64  // record bytes on disk (> valid when the tail is torn)
+	replayed uint64 // record bytes replayed across the whole chain
 	found    bool   // an active segment file exists on disk
 }
 
-// scanRotSegments lists every rotating segment file in the directory,
-// grouped by shard index (0..segments-1) and sorted by sequence number.
+// scanRotSegments lists every segment file in the directory, grouped by
+// shard index (0..segments-1) and sorted by sequence number.
 func scanRotSegments(dir string, segments int) ([][]rotSegOnDisk, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -746,25 +712,28 @@ func (db *DB) loadRotLayout(man manifest, parallel bool) ([]shardChain, error) {
 	return chains, nil
 }
 
-// replayShardChain walks shard i's seq-ordered segment files, applying
-// every record at logical offsets >= the manifest's replay offset. The
-// chain invariant — each segment's base equals the previous segment's
-// end — is checked from headers and file sizes; a break (gap, overlap, or
-// torn record) ends the chain there, because nothing past a break was
-// acknowledged as durable before a crash. Files with foreign or stale
-// headers are skipped (leftovers of crashed rotations and old epochs;
-// removeStaleFiles reaps them). When strict is set (parallel replay),
-// records that do not hash to shard i are dropped rather than applied, so
-// goroutines never cross shards.
+// replayShardChain replays shard i's segments in full and in sequence
+// order, starting at the manifest's walSeq; segments below it are
+// covered by the checkpoint and skipped unread (removeStaleFiles reaps
+// them). A missing sequence number, a file whose header names another
+// epoch, shard or layout, or a torn record ends the chain there, because
+// nothing past such a break was acknowledged as durable before a crash.
+// When strict is set (parallel replay), records that do not hash to shard
+// i are dropped rather than applied, so goroutines never cross shards.
 func (db *DB) replayShardChain(i int, man manifest, strict bool, segs []rotSegOnDisk) (shardChain, error) {
-	lay := man.Shards[i]
-	var c shardChain
-	offset := lay.Offset
+	c := shardChain{seq: man.WALSeq}
 	for _, sg := range segs {
-		f, err := os.Open(sg.path)
-		if errors.Is(err, os.ErrNotExist) {
+		if sg.seq < man.WALSeq {
 			continue
 		}
+		next := man.WALSeq
+		if c.found {
+			next = c.seq + 1
+		}
+		if sg.seq != next {
+			break
+		}
+		f, err := os.Open(sg.path)
 		if err != nil {
 			return c, fmt.Errorf("tsdb: opening segment %s: %w", filepath.Base(sg.path), err)
 		}
@@ -773,54 +742,16 @@ func (db *DB) replayShardChain(i int, man manifest, strict bool, segs []rotSegOn
 			f.Close()
 			return c, fmt.Errorf("tsdb: segment %s stat: %w", filepath.Base(sg.path), err)
 		}
+		br := bufio.NewReaderSize(f, 1<<16)
 		head := make([]byte, rotSegHeaderLen)
-		if _, err := io.ReadFull(f, head); err != nil {
+		if _, err := io.ReadFull(br, head); err != nil {
 			f.Close()
-			continue // truncated header: crashed creation, not part of the chain
+			break // truncated header: crashed creation
 		}
 		h, ok := decodeRotHeader(head)
 		if !ok || h.epoch != man.Epoch || h.index != i || h.count != man.Segments || h.seq != sg.seq {
 			f.Close()
-			continue // stale or foreign segment
-		}
-		if c.found && h.base != c.validEnd {
-			// Chain break: this segment does not continue the stream where
-			// the previous one ended (a gap from a lost file, or an overlap
-			// from a crashed rotation). Nothing from here on is reachable.
-			f.Close()
-			break
-		}
-		if c.found {
-			c.sealed = append(c.sealed, sealedSeg{seq: c.seq, base: c.base, end: c.validEnd})
-		}
-		c.seq, c.base, c.found = h.seq, h.base, true
-		c.sizeEnd = h.base
-		if st.Size() > int64(rotSegHeaderLen) {
-			c.sizeEnd = h.base + uint64(st.Size()-int64(rotSegHeaderLen))
-		}
-		if c.sizeEnd <= offset {
-			// Fully covered by the checkpoint: nothing to replay. The file
-			// sticks around as a sealed entry so the next checkpoint
-			// deletes it (it survived a crash between manifest commit and
-			// sealed-segment deletion).
-			c.validEnd = c.sizeEnd
-			f.Close()
-			continue
-		}
-		br := bufio.NewReaderSize(f, 1<<16)
-		start := h.base
-		if skip := int64(offset) - int64(h.base); skip > 0 {
-			if _, err := io.CopyN(io.Discard, br, skip); err != nil {
-				// sizeEnd > offset proved the file long enough for the
-				// skip, so this is a real read failure, not a short file.
-				// Records in [offset, sizeEnd) are the only copy of that
-				// range; refusing to open beats silently serving an
-				// archive with a hole the next checkpoint would make
-				// permanent.
-				f.Close()
-				return c, fmt.Errorf("tsdb: segment %s: skipping to checkpoint offset: %w", filepath.Base(sg.path), err)
-			}
-			start = offset
+			break // stale or foreign segment
 		}
 		valid, err := replayRecords(br, func(k SeriesKey, ns int64, v float64) {
 			sh := db.shardFor(k)
@@ -833,23 +764,13 @@ func (db *DB) replayShardChain(i int, man manifest, strict bool, segs []rotSegOn
 		if err != nil {
 			return c, err
 		}
-		c.validEnd = start + uint64(valid)
+		c.seq, c.found = sg.seq, true
+		c.valid, c.size = valid, st.Size()-int64(rotSegHeaderLen)
+		c.replayed += uint64(valid)
 		db.replayedBytes.Add(uint64(valid))
-		if c.validEnd < c.sizeEnd {
-			// Torn record: the signature of a crash mid-append. Nothing at
-			// or past it — in this segment or any later one — was durable.
-			break
+		if valid < c.size {
+			break // torn record: a crash mid-append
 		}
-	}
-	if !c.found {
-		// No usable segment on disk (fresh layout after a crash, or every
-		// file covered and deleted): resume the stream at the manifest cut
-		// under the last committed sequence number.
-		seq := uint64(1)
-		if n := len(lay.Segs); n > 0 {
-			seq = lay.Segs[n-1].Seq
-		}
-		c.seq, c.base, c.validEnd, c.sizeEnd = seq, offset, offset, offset
 	}
 	return c, nil
 }
@@ -858,34 +779,29 @@ func (db *DB) replayShardChain(i int, man manifest, strict bool, segs []rotSegOn
 // applying the chain replay's verdicts: a torn tail is truncated to the
 // last complete record first (appending after a crashed half-written tail
 // would strand the new records behind bytes replay refuses to cross), and
-// a missing or fully-covered active segment is (re)created rebased at the
-// manifest's replay offset. It must run after loadRotLayout with db.man
-// and db.epoch current.
+// a shard with no usable segment gets a fresh one at the manifest's
+// walSeq. It must run after loadRotLayout with db.man and db.epoch
+// current.
 func (db *DB) openActiveSegments(chains []shardChain) error {
 	n := len(db.shards)
 	for i := range db.shards {
 		sh := &db.shards[i]
 		c := chains[i]
-		offset := db.man.Shards[i].Offset
 		path := filepath.Join(db.dir, rotSegName(i, c.seq))
 		var f *os.File
 		var err error
-		if !c.found || c.validEnd < offset {
-			// Fresh, or the file's valid extent sits entirely below the
-			// checkpoint cut (external truncation): rebase an empty file
-			// onto the cut so the logical-to-physical mapping holds.
-			f, err = createRotSegmentFile(path, rotHeader{index: i, count: n, epoch: db.epoch, seq: c.seq, base: offset})
+		if !c.found {
+			f, err = createRotSegmentFile(path, rotHeader{index: i, count: n, epoch: db.epoch, seq: c.seq})
 			if err != nil {
 				return err
 			}
-			c.base, c.validEnd = offset, offset
 		} else {
 			f, err = os.OpenFile(path, os.O_RDWR, 0o644)
 			if err != nil {
 				return fmt.Errorf("tsdb: opening segment %s: %w", filepath.Base(path), err)
 			}
-			if c.sizeEnd > c.validEnd {
-				if err := f.Truncate(int64(rotSegHeaderLen) + int64(c.validEnd-c.base)); err != nil {
+			if c.size > c.valid {
+				if err := f.Truncate(int64(rotSegHeaderLen) + c.valid); err != nil {
 					f.Close()
 					return fmt.Errorf("tsdb: segment %s truncate: %w", filepath.Base(path), err)
 				}
@@ -902,26 +818,22 @@ func (db *DB) openActiveSegments(chains []shardChain) error {
 		sh.walF = f
 		sh.wal = bufio.NewWriterSize(f, 1<<16)
 		sh.walSeq = c.seq
-		sh.walBase = c.base
-		sh.walOff = c.validEnd
-		sh.sealed = c.sealed
-		db.setSealed(sh, len(sh.sealed))
-		// Seed the checkpoint byte counters with the replayed tail: the
-		// records between the manifest cut and the chain's valid end are
-		// exactly the bytes the next restart would replay again. Left at
-		// zero, a writer crashing just under the threshold every run
-		// would grow the tail without ever arming the size trigger.
-		if c.validEnd > offset {
-			tail := c.validEnd - offset
-			sh.cpBytes.Store(tail)
-			db.cpBytesTotal.Add(tail)
+		db.setSealed(sh)
+		// Seed the checkpoint byte counters with the replayed chain: those
+		// records are exactly the bytes the next restart would replay
+		// again. Left at zero, a writer crashing just under the threshold
+		// every run would grow the tail without ever arming the size
+		// trigger.
+		if c.replayed > 0 {
+			sh.cpBytes.Store(c.replayed)
+			db.cpBytesTotal.Add(c.replayed)
 		}
 	}
 	return syncDir(db.dir)
 }
 
-// createRotSegmentFile (re)creates an empty rotating segment file with the
-// given header, replacing whatever was at path, and fsyncs it.
+// createRotSegmentFile (re)creates an empty segment file with the given
+// header, replacing whatever was at path, and fsyncs it.
 func createRotSegmentFile(path string, h rotHeader) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -940,65 +852,91 @@ func createRotSegmentFile(path string, h rotHeader) (*os.File, error) {
 	return f, nil
 }
 
-// rotateLocked seals the shard's active segment and opens the next one in
-// the sequence. The caller holds sh.mu. Durable order: flush and fsync the
-// active file (seal — everything in it is now stable), create
-// wal-<shard>-<seq+1>.log with base = the current logical end, fsync the
-// file and the directory, then swap the shard's writer. A crash between
-// seal and create leaves the sealed segment as the append target on the
-// next open (recovery finds no higher seq); a crash after create leaves an
-// empty, fully durable new segment that recovery chains onto. On a real
-// (non-injected) failure the shard keeps appending to the current segment
-// and the half-created file, if any, is removed.
-func (db *DB) rotateLocked(sh *shard) error {
-	if err := sh.wal.Flush(); err != nil {
-		return fmt.Errorf("tsdb: rotate flush: %w", err)
-	}
-	if err := db.failpoint("rotate:seal:before-sync"); err != nil {
-		return err
-	}
-	if err := sh.walF.Sync(); err != nil {
-		return fmt.Errorf("tsdb: rotate seal sync: %w", err)
-	}
-	if err := db.failpoint("rotate:seal:after-sync"); err != nil {
-		return err
-	}
-	seq := sh.walSeq + 1
-	path := filepath.Join(db.dir, rotSegName(sh.idx, seq))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("tsdb: rotate create: %w", err)
-	}
-	_, err = f.Write(encodeRotHeader(rotHeader{index: sh.idx, count: len(db.shards), epoch: db.epoch, seq: seq, base: sh.walOff}))
-	if err == nil {
-		err = db.failpoint("rotate:create:before-sync")
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err == nil {
-		err = syncDir(db.dir)
-	}
-	if err == nil {
-		err = db.failpoint("rotate:create:after-sync")
-	}
-	if err != nil {
-		f.Close()
-		if !errors.Is(err, errCrashPoint) {
-			os.Remove(path)
+// createGeneration creates segment gen for every shard, before any shard
+// lock is taken: each file is created, its header written and the file
+// fsynced, then the directory is fsynced. A shard whose active sequence
+// is below gen-1 also gets header-only fillers for the numbers between,
+// so its chain stays gap-free. It returns each shard's gen file, open for
+// appending. On a real (non-injected) failure every file it created is
+// closed and removed: no shard has swapped onto one, and none holds a
+// record. The caller holds cpMu, which is what keeps walSeq still.
+func (db *DB) createGeneration(gen uint64) ([]*os.File, error) {
+	n := len(db.shards)
+	out := make([]*os.File, n)
+	var created []string
+	err := func() error {
+		for i := range db.shards {
+			for seq := db.shards[i].walSeq + 1; seq <= gen; seq++ {
+				path := filepath.Join(db.dir, rotSegName(i, seq))
+				created = append(created, path)
+				f, err := createRotSegmentFile(path, rotHeader{index: i, count: n, epoch: db.epoch, seq: seq})
+				if err != nil {
+					return err
+				}
+				if seq < gen {
+					f.Close()
+				} else {
+					out[i] = f
+				}
+				// The file is durable, its directory entry not yet.
+				if err := db.failpoint("rotate:create:before-sync"); err != nil {
+					return err
+				}
+			}
 		}
-		return err
+		if err := syncDir(db.dir); err != nil {
+			return err
+		}
+		return db.failpoint("rotate:create:after-sync")
+	}()
+	if err != nil {
+		closeFiles(out)
+		if !errors.Is(err, errCrashPoint) {
+			for _, p := range created {
+				os.Remove(p)
+			}
+		}
+		return nil, err
 	}
-	// Swap over. The sealed file's close error is ignored: its bytes were
-	// fsync'd above and nothing will write to it again.
-	sh.walF.Close()
-	sh.sealed = append(sh.sealed, sealedSeg{seq: sh.walSeq, base: sh.walBase, end: sh.walOff})
-	sh.walF = f
-	sh.wal.Reset(f)
-	sh.walSeq = seq
-	sh.walBase = sh.walOff
-	db.setSealed(sh, len(sh.sealed))
+	return out, nil
+}
+
+// syncRetired fsyncs swapped-out segments of sh, then drops them from
+// sh.unsynced and closes them. A file another syncer (a Flush, or a
+// closing store) already synced and closed reports ErrClosed, which
+// therefore means durable.
+func (sh *shard) syncRetired(files []*os.File) error {
+	for _, f := range files {
+		if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
+			return err
+		}
+	}
+	sh.mu.Lock()
+	var keep, gone []*os.File
+	for _, f := range sh.unsynced {
+		if slices.Contains(files, f) {
+			gone = append(gone, f)
+		} else {
+			keep = append(keep, f)
+		}
+	}
+	// Rebuilt, never edited in place: syncers iterate a copy of the slice
+	// header they took under the lock.
+	sh.unsynced = keep
+	sh.mu.Unlock()
+	// Their bytes are durable and nothing writes them again, so a close
+	// error changes nothing.
+	closeFiles(gone)
 	return nil
+}
+
+// closeFiles closes every non-nil file in fs.
+func closeFiles(fs []*os.File) {
+	for _, f := range fs {
+		if f != nil {
+			f.Close()
+		}
+	}
 }
 
 // commitLayout persists the store's current in-memory state as a brand-new
@@ -1015,13 +953,10 @@ func (db *DB) commitLayout(epoch uint64) error {
 		Version:       manifestVersion,
 		Epoch:         epoch,
 		Segments:      n,
+		WALSeq:        1,
 		CheckpointSeq: db.man.CheckpointSeq,
 		Blocks:        db.man.Blocks,
 		BlockSeq:      db.man.BlockSeq,
-		Shards:        make([]shardLayout, n),
-	}
-	for i := range m.Shards {
-		m.Shards[i] = shardLayout{Segs: []segRef{{Seq: 1, Base: 0}}}
 	}
 	if db.PointCount() > 0 {
 		m.CheckpointSeq++
@@ -1045,10 +980,7 @@ func (db *DB) commitLayout(epoch uint64) error {
 		sh.walF = f
 		sh.wal = bufio.NewWriterSize(f, 1<<16)
 		sh.walSeq = 1
-		sh.walBase = 0
-		sh.walOff = 0
-		sh.sealed = nil
-		db.setSealed(sh, 0)
+		db.setSealed(sh)
 		sh.cpBytes.Store(0)
 	}
 	db.cpBytesTotal.Store(0)
@@ -1075,12 +1007,12 @@ type snapshotSeries struct {
 // append-only, so everything below the captured lengths is immutable
 // afterwards and the result can be encoded without further locking. fn,
 // when non-nil, runs per shard while that shard's lock is held — it is
-// how checkpoint records the exact WAL cut (offset, segment list) that
-// matches the captured series, without duplicating this loop. An fn error
-// aborts the capture. A plain capture (fn == nil) only reads, so it takes
-// the shared lock and never stalls concurrent appends or queries; with fn
-// set the exclusive lock is taken, because fn mutates shard state (it
-// flushes the WAL writer and reads the cut offset).
+// how checkpoint swaps the shard onto a new segment at exactly the cut
+// that matches the captured series, without duplicating this loop. An fn
+// error aborts the capture. A plain capture (fn == nil) only reads, so it
+// takes the shared lock and never stalls concurrent appends or queries;
+// with fn set the exclusive lock is taken, because fn mutates shard state
+// (it flushes the WAL writer and swaps it).
 //
 // Only hot (in-memory) points are captured: on a store with sealed
 // history, cold blocks are carried by the manifest's block list and must
@@ -1178,23 +1110,15 @@ func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) error {
 
 // removeStaleFiles deletes files the committed layout does not own:
 // temp files, checkpoint snapshots the manifest no longer references,
-// orphan block files, and segment files that are neither a
-// shard's active segment nor one of its retained sealed segments —
-// leftovers of crashed rotations, checkpoints, first opens, and
-// re-shards. Files it does not recognize
-// are left alone. Runs at the end of Open, single-threaded. Best-effort.
+// orphan block files, and segment files outside a shard's chain — below
+// the manifest's walSeq (covered) or above the shard's active segment —
+// leftovers of crashed checkpoints, first opens, and re-shards. Files it
+// does not recognize are left alone. Runs at the end of Open,
+// single-threaded. Best-effort.
 func (db *DB) removeStaleFiles() {
 	ents, err := os.ReadDir(db.dir)
 	if err != nil {
 		return
-	}
-	live := make(map[string]bool, len(db.shards)*2)
-	for i := range db.shards {
-		sh := &db.shards[i]
-		live[rotSegName(i, sh.walSeq)] = true
-		for _, sg := range sh.sealed {
-			live[rotSegName(i, sg.seq)] = true
-		}
 	}
 	liveBlocks := make(map[uint64]bool, len(db.man.Blocks))
 	for _, seq := range db.man.Blocks {
@@ -1209,7 +1133,7 @@ func (db *DB) removeStaleFiles() {
 		case strings.HasSuffix(name, ".tmp"):
 			os.Remove(filepath.Join(db.dir, name))
 		case scanRotSegName(name, &i, &seq):
-			if !live[name] {
+			if i >= len(db.shards) || seq < db.man.WALSeq || seq > db.shards[i].walSeq {
 				os.Remove(filepath.Join(db.dir, name))
 			}
 		case scanBlockFileName(name, &seq):
@@ -1230,16 +1154,14 @@ func (db *DB) removeStaleFiles() {
 // bulk-loads the snapshot and replays only the records appended
 // afterwards — bounded recovery time regardless of archive age.
 //
-// The snapshot is cut per shard: each shard's contribution is captured
-// together with its segment chain's logical offset under that shard's
-// lock, so the pair is exact even while appends to other shards continue.
-// Durable order is: flush + fsync active segments (so everything at or
-// below the cut is on disk; sealed segments were fsync'd when they
-// sealed), write the snapshot file, commit the manifest referencing it,
-// then unlink the sealed segments the snapshot fully covers. No data file
-// is ever rewritten: compaction is the manifest commit plus unlinks, so
-// its cost is independent of how much history the snapshot absorbed. A
-// crash between any two steps recovers to a state containing every
+// The checkpoint rotates the WAL: it creates the next segment generation
+// first, then swaps each shard onto it under the same shard lock that
+// captures the shard's series, so the snapshot holds exactly the records
+// of the swapped-out segments, even while appends to other shards
+// continue. Durable order is: fsync the swapped-out segments, write the
+// snapshot file, commit the manifest naming the new generation, then
+// unlink every segment below it. No data file is ever rewritten. A crash
+// between any two steps recovers to a state containing every
 // acknowledged point.
 //
 // Checkpoint returns an error on memory-only stores.
@@ -1267,13 +1189,20 @@ func (db *DB) checkpointLocked() error {
 	}
 	start := time.Now()
 	n := len(db.shards)
-	// Capture a per-shard cut: the chain's logical offset, the surviving
-	// segment list, and every series' point slice, atomically per shard.
-	// Point slices are append-only, so everything below the captured
-	// length is immutable afterwards.
-	offs := make([]uint64, n)
-	files := make([]*os.File, n)
-	layouts := make([]shardLayout, n)
+	// walSeq only moves under cpMu, which we hold.
+	gen := uint64(0)
+	for i := range db.shards {
+		gen = max(gen, db.shards[i].walSeq+1)
+	}
+	next, err := db.createGeneration(gen)
+	if err != nil {
+		return err
+	}
+	// Capture a per-shard cut: swap the shard onto its new segment and
+	// take every series' point slice, atomically per shard. Point slices
+	// are append-only, so everything below the captured length is
+	// immutable afterwards.
+	retired := make([][]*os.File, n)
 	pres := make([]uint64, n)
 	recs, err := db.captureWith(func(i int, sh *shard) error {
 		if sh.wal == nil {
@@ -1282,37 +1211,34 @@ func (db *DB) checkpointLocked() error {
 		if err := sh.wal.Flush(); err != nil {
 			return fmt.Errorf("tsdb: checkpoint flush: %w", err)
 		}
-		offs[i] = sh.walOff
-		files[i] = sh.walF
+		sh.unsynced = append(sh.unsynced, sh.walF)
+		retired[i] = sh.unsynced
+		sh.walF, next[i] = next[i], nil
+		sh.wal.Reset(sh.walF)
+		sh.walSeq = gen
+		db.setSealed(sh)
 		pres[i] = sh.cpBytes.Load()
-		// The manifest lists exactly the active segment: every sealed
-		// segment's end was the shard's walOff when it sealed, so under
-		// this lock all of them sit at or below the cut — the snapshot
-		// covers them fully and the delete phase unlinks them. Segments
-		// rotated in after this commit are found by directory scan and
-		// base-chaining, never the manifest.
-		layouts[i] = shardLayout{Offset: offs[i], Segs: []segRef{{Seq: sh.walSeq, Base: sh.walBase}}}
-		return nil
+		return db.failpoint("rotate:seal:before-sync")
 	})
+	closeFiles(next)
 	if err != nil {
 		return err
 	}
 	if err := db.failpoint("checkpoint:capture"); err != nil {
 		return err
 	}
-	// Everything at or below the cut must be durable before a manifest
-	// can claim the snapshot supersedes it. The fsyncs run concurrently
-	// (as in Flush) so the stall under cpMu is one disk round trip, not
-	// one per shard. A file rotation sealed (and therefore fsync'd)
-	// between capture and here reports ErrClosed — already durable.
+	// Everything below the cut must be durable before a manifest can
+	// claim the snapshot supersedes it. The fsyncs run concurrently (as
+	// in Flush) so the stall under cpMu is one disk round trip, not one
+	// per shard.
 	syncErrs := make([]error, n)
 	var syncWG sync.WaitGroup
-	for i := range files {
+	for i := range retired {
 		syncWG.Add(1)
 		go func(i int) {
 			defer syncWG.Done()
-			if err := files[i].Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
-				syncErrs[i] = err
+			if syncErrs[i] = db.shards[i].syncRetired(retired[i]); syncErrs[i] == nil {
+				syncErrs[i] = db.failpoint("rotate:seal:after-sync")
 			}
 		}(i)
 	}
@@ -1382,9 +1308,9 @@ func (db *DB) checkpointLocked() error {
 		Epoch:         db.epoch,
 		Segments:      n,
 		CheckpointSeq: db.man.CheckpointSeq + 1,
+		WALSeq:        gen,
 		Blocks:        db.man.Blocks,
 		BlockSeq:      db.man.BlockSeq,
-		Shards:        layouts,
 	}
 	if newSeg != nil {
 		m.Blocks = append(append([]uint64(nil), db.man.Blocks...), newSeg.seq)
@@ -1437,10 +1363,9 @@ func (db *DB) checkpointLocked() error {
 	if captured != 0 {
 		db.cpBytesTotal.Add(^captured + 1)
 	}
-	// Compact: unlink every sealed segment the snapshot fully covers.
-	// Purely an optimization from here on — replay skips covered records
-	// via the manifest offset either way — so a crash mid-loop (some
-	// segments deleted, some not) is consistent.
+	// Compact: unlink every segment below the new generation. A crash
+	// mid-loop (some segments deleted, some not) is consistent: replay
+	// starts at the manifest's walSeq, and the next open reaps the rest.
 	removed := false
 	for i := range db.shards {
 		if i == n/2 {
@@ -1448,20 +1373,12 @@ func (db *DB) checkpointLocked() error {
 				return err
 			}
 		}
-		sh := &db.shards[i]
-		sh.mu.Lock()
-		keep := sh.sealed[:0]
-		for _, sg := range sh.sealed {
-			if sg.end <= offs[i] {
-				os.Remove(filepath.Join(db.dir, rotSegName(i, sg.seq)))
+		for seq := old.WALSeq; seq < gen; seq++ {
+			if os.Remove(filepath.Join(db.dir, rotSegName(i, seq))) == nil {
 				removed = true
-			} else {
-				keep = append(keep, sg)
 			}
 		}
-		sh.sealed = keep
-		db.setSealed(sh, len(keep))
-		sh.mu.Unlock()
+		db.setSealed(&db.shards[i])
 	}
 	if err := db.failpoint("checkpoint:delete:before-sync"); err != nil {
 		return err

@@ -137,12 +137,27 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 2",
 		},
 		{
-			name: "manifest version 4",
+			// Version 3 located the checkpoint cut by a logical offset into
+			// each shard's live segment, whose 40-byte header carried a
+			// base offset.
+			name: "manifest version 3",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":4,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
+				manifestName:             []byte(`{"version":3,"epoch":1,"segments":1,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
+				"wal-00000-000001.log":   append(append([]byte("SLWALSG2"), make([]byte, 32)...), walBytes...),
+				"wal-00000-000002.log":   []byte("segment above the chain a reaping pass would delete"),
+				"checkpoint-000001.snap": []byte("SLBLOCKS"),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
+			},
+			want: "manifest version 3",
+		},
+		{
+			name: "manifest version 5",
+			files: map[string][]byte{
+				manifestName:           []byte(`{"version":5,"epoch":1,"segments":1,"walSeq":1}`),
 				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
 			},
-			want: "manifest version 4",
+			want: "manifest version 5",
 		},
 		{
 			name: "nested rollup store",
@@ -158,7 +173,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming a rollup snapshot",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":3,"epoch":1,"segments":1,"checkpointSeq":4,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"rollups":"rollup-000004.snap"}`),
+				manifestName:           []byte(`{"version":4,"epoch":1,"segments":1,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
 				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
 				"rollup-000004.snap":   []byte("SLROLLUP"),
 				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
@@ -168,7 +183,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming retention cuts",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":3,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}],"retain":{"sps":1640995200000000000}}`),
+				manifestName:           []byte(`{"version":4,"epoch":1,"segments":1,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
 				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
 				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
 			},
@@ -290,14 +305,12 @@ func TestShardCountChange(t *testing.T) {
 	assertSameContents(t, contents(final), want)
 }
 
-// TestCheckpointBoundedRecovery checks that a checkpoint drops the sealed
-// segments it covers and that recovery (snapshot + chain tails) reproduces
-// the full archive.
+// TestCheckpointBoundedRecovery checks that a checkpoint drops every
+// segment it covers and that recovery (snapshot + the segments written
+// since) reproduces the full archive.
 func TestCheckpointBoundedRecovery(t *testing.T) {
 	dir := t.TempDir()
-	// A tiny rotation threshold so the workload seals several segments
-	// per shard before the checkpoint.
-	db, err := OpenWithOptions(dir, Options{Shards: 4, RotateBytes: 512})
+	db, err := OpenSharded(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,38 +318,30 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 	if n, err := db.AppendBatch(pre); err != nil || n != len(pre) {
 		t.Fatalf("stored %d, err %v", n, err)
 	}
-	sealedBefore := 0
-	for i := range db.shards {
-		sealedBefore += len(db.shards[i].sealed)
-	}
-	if sealedBefore == 0 {
-		t.Fatal("workload sealed no segments; rotation threshold too large for the test")
-	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Compaction must have unlinked every covered sealed segment: only
-	// each shard's active segment file remains, and the total tail left
-	// on disk is bounded by the rotation threshold per shard.
+	// Compaction must have unlinked every covered segment: each shard
+	// keeps only the new generation the checkpoint rotated it onto, which
+	// holds no record yet.
+	if n := db.SealedSegments(); n != 0 {
+		t.Errorf("%d uncovered swapped-out segments after a committed checkpoint", n)
+	}
 	for i := 0; i < 4; i++ {
-		sh := &db.shards[i]
-		if len(sh.sealed) != 0 {
-			t.Errorf("shard %d retains %d sealed segments after checkpoint", i, len(sh.sealed))
-		}
 		segs, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("wal-%05d-*.log", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != 1 {
-			t.Errorf("shard %d has %d segment files after checkpoint, want 1 (active only)", i, len(segs))
+		if len(segs) != 1 || filepath.Base(segs[0]) != rotSegName(i, 2) {
+			t.Errorf("shard %d has segment files %v after checkpoint, want only %s", i, segs, rotSegName(i, 2))
 		}
 		for _, p := range segs {
 			st, err := os.Stat(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Size() > int64(rotSegHeaderLen)+512+256 {
-				t.Errorf("segment %s is %d bytes after checkpoint; tail should be bounded by the rotation threshold", filepath.Base(p), st.Size())
+			if st.Size() != int64(rotSegHeaderLen) {
+				t.Errorf("segment %s is %d bytes after checkpoint; want the %d-byte header alone", filepath.Base(p), st.Size(), rotSegHeaderLen)
 			}
 		}
 	}
@@ -422,8 +427,9 @@ func TestSegmentCrashedTailThenAppend(t *testing.T) {
 }
 
 // TestCheckpointConcurrentWithAppends checkpoints repeatedly while
-// writers keep appending (run under -race in CI), then verifies recovery
-// holds every acknowledged point.
+// writers keep appending and flushing — each Flush racing a checkpoint
+// for the segments it swapped out — (run under -race in CI), then
+// verifies recovery holds every acknowledged point.
 func TestCheckpointConcurrentWithAppends(t *testing.T) {
 	const (
 		writers   = 4
@@ -445,6 +451,12 @@ func TestCheckpointConcurrentWithAppends(t *testing.T) {
 				if err := db.Append(k, t0.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
+				}
+				if i%25 == 0 {
+					if err := db.Flush(); err != nil {
+						t.Errorf("writer %d: flush: %v", w, err)
+						return
+					}
 				}
 			}
 		}(w)
