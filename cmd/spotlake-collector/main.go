@@ -9,12 +9,12 @@
 // of the resumed run folds it into a checkpoint).
 //
 // The -data directory is the only persistence, in the store's one layout
-// (MANIFEST, per-shard wal-<shard>-<seq>.log segments, checkpoint
+// (MANIFEST, the WAL's wal-<seq>.log segments, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused, untouched. The store flags
 // (-checkpoint-bytes … -block-cache-bytes) are tsdb.BindFlags', shared
-// with spotlake-server. Each checkpoint rotates every shard onto a new
-// WAL segment and deletes the segments it covers.
+// with spotlake-server. Each checkpoint rotates the WAL onto a new
+// segment and deletes the segments it covers.
 //
 // The store maintains itself: a daemon inside the tsdb (polling every
 // -maintenance-interval of wall time) checkpoints whenever the WAL grows
@@ -58,7 +58,7 @@ func main() {
 }
 
 // run is main's body behind an error return, so the deferred db.Close —
-// the flush + fsync of every shard's buffered WAL tail — runs on every
+// the flush + fsync of the buffered WAL tail — runs on every
 // exit after the store opens; log.Fatal would skip it.
 func run() error {
 	var (

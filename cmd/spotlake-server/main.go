@@ -6,7 +6,7 @@
 //
 // The -data directory is the only persistence: without it the archive
 // lives in memory and a restart bootstraps again. It holds one layout
-// (MANIFEST, per-shard wal-<shard>-<seq>.log segments, checkpoint
+// (MANIFEST, the WAL's wal-<seq>.log segments, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused at startup, untouched. The
 // store flags (-checkpoint-bytes … -block-cache-bytes) are
@@ -42,7 +42,7 @@
 // (a crash mid-pull is just a stale replica), and reopens the store
 // read-only. All read endpoints are served locally; past -max-staleness
 // without a confirmed sync they answer 503 stale_replica (meta stays
-// reachable and reports role, applied epoch, and seconds behind).
+// reachable and reports role, applied checkpoint, and seconds behind).
 //
 // Usage:
 //

@@ -127,23 +127,13 @@ func (s *Service) registerMetrics() {
 	s.reg.RegisterCounter("spotlake_response_wire_bytes_total",
 		"Body bytes query and latest responses sent, after compression; stored-body hits included.", &s.respWireBytes)
 	tsdb.RegisterMetrics(s.reg, s.store)
-	s.reg.GaugeFunc("spotlake_replication_epoch",
-		"The serving store's replication epoch (0 on memory-only stores).", func() float64 {
-			db := s.store()
-			if db == nil || !db.Durable() {
-				return 0
-			}
-			epoch, _ := db.ReplicationPosition()
-			return float64(epoch)
-		})
 	s.reg.GaugeFunc("spotlake_replication_checkpoint_seq",
 		"The serving store's committed checkpoint sequence.", func() float64 {
 			db := s.store()
 			if db == nil || !db.Durable() {
 				return 0
 			}
-			_, seq := db.ReplicationPosition()
-			return float64(seq)
+			return float64(db.ReplicationPosition())
 		})
 }
 
@@ -494,8 +484,8 @@ const APIVersion = "v1"
 // Meta summarizes the archive contents and the serving layer's health,
 // as versioned namespaced sections: `schema` (what data is queryable),
 // `store` (tsdb durability and the hot/cold split), `cache`, `admission`
-// (absent without a controller), and `replication` (role, epochs,
-// staleness).
+// (absent without a controller), and `replication` (role, checkpoint
+// positions, staleness).
 type Meta struct {
 	APIVersion string     `json:"apiVersion"`
 	Schema     SchemaMeta `json:"schema"`

@@ -43,9 +43,10 @@ const (
 	// ErrCodeNotPrimary: a replication-source endpoint was called on a
 	// follower; re-point the puller at the primary.
 	ErrCodeNotPrimary = "not_primary"
-	// ErrCodeEpochMismatch: the (epoch, checkpointSeq) a replication
-	// file request was pinned to is no longer current — a checkpoint or
-	// re-shard landed; re-list and retry.
+	// ErrCodeEpochMismatch: the checkpointSeq a replication file request
+	// was pinned to is a stale listing position — a checkpoint landed;
+	// re-list and retry. The code keeps its name because clients match
+	// on it.
 	ErrCodeEpochMismatch = "epoch_mismatch"
 	// ErrCodeGone: the requested replication artifact was reclaimed.
 	ErrCodeGone = "gone"

@@ -413,7 +413,7 @@ func TestPullerCycleMetrics(t *testing.T) {
 	}
 	// The applied position gauges mirror the primary's committed state.
 	pm := psvc.Meta()
-	if got := vals["spotlake_replication_applied_epoch"]; got != float64(pm.Replication.Epoch) {
-		t.Errorf("applied epoch gauge %v, primary at %d", got, pm.Replication.Epoch)
+	if got := vals["spotlake_replication_applied_checkpoint_seq"]; got != float64(pm.Replication.CheckpointSeq) {
+		t.Errorf("applied checkpoint gauge %v, primary at %d", got, pm.Replication.CheckpointSeq)
 	}
 }

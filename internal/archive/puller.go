@@ -9,18 +9,16 @@ package archive
 // nothing else: a crash anywhere mid-pull leaves the old manifest
 // referencing only old files — a stale replica, never a torn one.
 //
-// Delta logic: artifacts are immutable once listed (sealed WAL
-// segments, block files, checkpoint snapshots), so a file
-// already staged under the same name, size, and store epoch is not
-// re-fetched. The one exception re-fetches unconditionally: WAL segments
-// whose staging epoch is unknown or different (across a re-shard, a
-// same-named segment can carry different bytes; block and snapshot names
-// are globally unique forever, so they never need this).
+// Delta logic: artifacts are immutable once listed (swapped-out WAL
+// segments, block files, checkpoint snapshots), and the primary mints
+// each name once — segment, block and checkpoint sequence numbers only
+// grow — so a file already staged under the same name and size is not
+// re-fetched.
 //
-// Every file request pins the listing's (epoch, checkpointSeq). If a
-// checkpoint lands on the primary mid-pull, the primary answers 409
-// epoch_mismatch before it can serve a file the new position may have
-// reclaimed; the puller re-lists and starts over (bounded per cycle).
+// Every file request pins the listing's checkpointSeq. If a checkpoint
+// lands on the primary mid-pull, the primary answers 409 epoch_mismatch
+// before it can serve a file the new position may have reclaimed; the
+// puller re-lists and starts over (bounded per cycle).
 
 import (
 	"encoding/json"
@@ -85,7 +83,7 @@ type Puller struct {
 	cycleMu  sync.Mutex // serializes SyncOnce with the loop
 	lastSig  uint64     // signature of the last applied (or verified) listing
 	haveSig  bool
-	staged   map[string]stagedArtifact
+	staged   map[string]struct{} // every artifact the live manifest references
 	obsolete map[string]struct{} // artifact files to unlink once old stores retire
 	retiring []retiringStore
 
@@ -101,11 +99,6 @@ type Puller struct {
 	filesFetched obs.Counter
 	bytesShipped obs.Counter
 	cycleTime    *obs.Histogram
-}
-
-type stagedArtifact struct {
-	size  int64
-	epoch uint64
 }
 
 type retiringStore struct {
@@ -144,7 +137,7 @@ func NewPuller(svc *Service, cfg PullerConfig) (*Puller, error) {
 		cfg:       cfg,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-		staged:    make(map[string]stagedArtifact),
+		staged:    make(map[string]struct{}),
 		obsolete:  make(map[string]struct{}),
 		cycleTime: obs.NewHistogram(pullCycleBuckets),
 	}
@@ -296,7 +289,7 @@ func (p *Puller) syncCycle() error {
 	if p.haveSig && sig == p.lastSig {
 		// Nothing changed on the primary since the last apply: the
 		// replica provably holds the primary's committed state as of now.
-		p.svc.noteSync(listing.Epoch, listing.CheckpointSeq, time.Now())
+		p.svc.noteSync(listing.CheckpointSeq, time.Now())
 		return nil
 	}
 	if err := os.MkdirAll(p.cfg.Dir, 0o755); err != nil {
@@ -308,19 +301,18 @@ func (p *Puller) syncCycle() error {
 	if err := tsdb.ValidateReplicatedManifest(listing.Manifest); err != nil {
 		return fmt.Errorf("archive: primary shipped an unusable manifest: %w", err)
 	}
-	staged := make(map[string]stagedArtifact, len(listing.Artifacts))
+	staged := make(map[string]struct{}, len(listing.Artifacts))
 	for _, a := range listing.Artifacts {
-		if p.haveStaged(a, listing.Epoch) {
-			staged[a.Name] = stagedArtifact{size: a.Size, epoch: listing.Epoch}
+		staged[a.Name] = struct{}{}
+		if p.haveStaged(a) {
 			continue
 		}
-		n, err := p.fetchArtifact(a, listing.Epoch, listing.CheckpointSeq)
+		n, err := p.fetchArtifact(a, listing.CheckpointSeq)
 		if err != nil {
 			return err
 		}
 		p.filesFetched.Add(1)
 		p.bytesShipped.Add(uint64(n))
-		staged[a.Name] = stagedArtifact{size: n, epoch: listing.Epoch}
 	}
 	// Make the staged renames durable before committing a manifest that
 	// references them — the checkpoint's own write-all-then-rename order.
@@ -338,7 +330,7 @@ func (p *Puller) syncCycle() error {
 		return fmt.Errorf("archive: reopening replica after apply: %w", err)
 	}
 	old := p.svc.SwapDB(db)
-	p.svc.noteSync(listing.Epoch, listing.CheckpointSeq, time.Now())
+	p.svc.noteSync(listing.CheckpointSeq, time.Now())
 	p.lastSig, p.haveSig = sig, true
 	p.staged = staged
 	p.applied.Add(1)
@@ -350,35 +342,24 @@ func (p *Puller) syncCycle() error {
 	// replaced store may still be reading them during its grace period,
 	// so deletion waits until every retiring store has closed.
 	p.recordObsolete(staged)
-	p.cfg.Logf("replication: applied epoch %d checkpoint %d (%d artifacts)",
-		listing.Epoch, listing.CheckpointSeq, len(listing.Artifacts))
+	p.cfg.Logf("replication: applied checkpoint %d (%d artifacts)",
+		listing.CheckpointSeq, len(listing.Artifacts))
 	return nil
 }
 
 // haveStaged reports whether artifact a is already present from an
-// earlier pull and provably byte-identical to what the primary lists.
-func (p *Puller) haveStaged(a tsdb.ReplicationArtifact, epoch uint64) bool {
+// earlier pull at the listed size: the primary mints each name once, so
+// name and size identify the bytes.
+func (p *Puller) haveStaged(a tsdb.ReplicationArtifact) bool {
 	st, err := os.Stat(filepath.Join(p.cfg.Dir, a.Name))
-	if err != nil || st.Size() != a.Size {
-		return false
-	}
-	if !strings.HasPrefix(a.Name, "wal-") {
-		// Block files and checkpoint snapshots carry globally
-		// monotonic sequence numbers: a name is minted once, ever, so
-		// name+size identifies the bytes.
-		return true
-	}
-	// WAL segment names can recur across store epochs (a re-shard resets
-	// chains); only trust a file this puller staged under the same epoch.
-	rec, ok := p.staged[a.Name]
-	return ok && rec.size == a.Size && rec.epoch == epoch
+	return err == nil && st.Size() == a.Size
 }
 
 // fetchArtifact downloads one artifact into place (temp file + rename),
 // returning its size on disk.
-func (p *Puller) fetchArtifact(a tsdb.ReplicationArtifact, epoch, seq uint64) (int64, error) {
-	url := fmt.Sprintf("%s/api/v1/replication/file/%s?epoch=%d&checkpointSeq=%d",
-		p.cfg.PrimaryURL, a.Name, epoch, seq)
+func (p *Puller) fetchArtifact(a tsdb.ReplicationArtifact, seq uint64) (int64, error) {
+	url := fmt.Sprintf("%s/api/v1/replication/file/%s?checkpointSeq=%d",
+		p.cfg.PrimaryURL, a.Name, seq)
 	resp, err := p.cfg.Client.Get(url)
 	if err != nil {
 		return 0, fmt.Errorf("archive: fetching %s: %w", a.Name, err)
@@ -438,7 +419,7 @@ func (p *Puller) clearTempFiles(dir string) {
 
 // recordObsolete scans the replica for artifact-named files the current
 // listing does not reference and queues them for deletion.
-func (p *Puller) recordObsolete(live map[string]stagedArtifact) {
+func (p *Puller) recordObsolete(live map[string]struct{}) {
 	ents, err := os.ReadDir(p.cfg.Dir)
 	if err != nil {
 		return
@@ -509,7 +490,7 @@ func (p *Puller) fetchListing() (*replListing, error) {
 // signatures mean the replica built from one serves the other.
 func listingSignature(l *replListing) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|", l.Epoch, l.CheckpointSeq)
+	fmt.Fprintf(h, "%d|", l.CheckpointSeq)
 	h.Write(l.Manifest)
 	names := make([]string, 0, len(l.Artifacts))
 	byName := make(map[string]tsdb.ReplicationArtifact, len(l.Artifacts))

@@ -6,14 +6,15 @@ package archive
 // internal/tsdb/replication.go for the contract) on two endpoints:
 //
 //	GET /api/v1/replication/manifest
-//	    A coherent listing: the committed MANIFEST bytes, the (epoch,
-//	    checkpointSeq) position they were captured at, and every
+//	    A coherent listing: the committed MANIFEST bytes, the
+//	    checkpointSeq position they were captured at, and every
 //	    artifact file with its size.
-//	GET /api/v1/replication/file/{name}?epoch=E&checkpointSeq=S
+//	GET /api/v1/replication/file/{name}?checkpointSeq=S
 //	    One artifact, served range-able via http.ServeContent. The
 //	    request pins the listing's position: if a checkpoint (which may
-//	    reclaim WAL segments and the old snapshot) or a re-shard
-//	    landed since, the primary answers 409 epoch_mismatch and the
+//	    reclaim WAL segments and the old snapshot) landed since, the
+//	    primary answers 409 epoch_mismatch (the code's name predates
+//	    the position being the checkpoint sequence alone) and the
 //	    follower re-lists; a file that vanished under an unchanged
 //	    position (impossible today, defensive tomorrow) answers 410.
 //
@@ -51,10 +52,9 @@ type followerState struct {
 	// replica current (applied a delta or verified there was none);
 	// 0 = never synced.
 	lastSync atomic.Int64
-	// appliedEpoch/appliedSeq are the primary position of the last
-	// applied (or verified-current) listing.
-	appliedEpoch atomic.Uint64
-	appliedSeq   atomic.Uint64
+	// appliedSeq is the primary position of the last applied (or
+	// verified-current) listing.
+	appliedSeq atomic.Uint64
 }
 
 // SetFollower marks the service a read replica of primaryURL with the
@@ -65,9 +65,6 @@ type followerState struct {
 func (s *Service) SetFollower(primaryURL string, maxStaleness time.Duration) {
 	f := &followerState{primaryURL: primaryURL, maxStaleness: maxStaleness}
 	s.follower = f
-	s.reg.GaugeFunc("spotlake_replication_applied_epoch",
-		"Primary epoch of the last applied (or verified-current) listing.",
-		func() float64 { return float64(f.appliedEpoch.Load()) })
 	s.reg.GaugeFunc("spotlake_replication_applied_checkpoint_seq",
 		"Primary checkpoint sequence of the last applied listing.",
 		func() float64 { return float64(f.appliedSeq.Load()) })
@@ -98,12 +95,11 @@ func (s *Service) IsFollower() bool { return s.follower != nil }
 // verifying the replica is already current — either way the replica's
 // staleness clock resets, because its state is provably the primary's
 // committed state as of now.
-func (s *Service) noteSync(epoch, checkpointSeq uint64, at time.Time) {
+func (s *Service) noteSync(checkpointSeq uint64, at time.Time) {
 	f := s.follower
 	if f == nil {
 		return
 	}
-	f.appliedEpoch.Store(epoch)
 	f.appliedSeq.Store(checkpointSeq)
 	f.lastSync.Store(at.UnixNano())
 }
@@ -128,13 +124,11 @@ func (f *followerState) staleFor(now time.Time) (time.Duration, bool) {
 type ReplicationMeta struct {
 	// Role is "primary" or "follower".
 	Role string `json:"role"`
-	// Epoch and CheckpointSeq are the serving store's committed
-	// position (zero on memory-only stores, which have neither).
-	Epoch         uint64 `json:"epoch"`
+	// CheckpointSeq is the serving store's committed position (zero on
+	// memory-only stores, which have none).
 	CheckpointSeq uint64 `json:"checkpointSeq"`
 	// Follower-only fields.
 	PrimaryURL               string  `json:"primaryUrl,omitempty"`
-	LastAppliedEpoch         uint64  `json:"lastAppliedEpoch,omitempty"`
 	LastAppliedCheckpointSeq uint64  `json:"lastAppliedCheckpointSeq,omitempty"`
 	SecondsBehindPrimary     float64 `json:"secondsBehindPrimary,omitempty"`
 	MaxStalenessSeconds      float64 `json:"maxStalenessSeconds,omitempty"`
@@ -147,7 +141,7 @@ type ReplicationMeta struct {
 func (s *Service) replicationMeta(db *tsdb.DB) ReplicationMeta {
 	m := ReplicationMeta{Role: "primary"}
 	if db.Durable() {
-		m.Epoch, m.CheckpointSeq = db.ReplicationPosition()
+		m.CheckpointSeq = db.ReplicationPosition()
 	}
 	f := s.follower
 	if f == nil {
@@ -155,7 +149,6 @@ func (s *Service) replicationMeta(db *tsdb.DB) ReplicationMeta {
 	}
 	m.Role = "follower"
 	m.PrimaryURL = f.primaryURL
-	m.LastAppliedEpoch = f.appliedEpoch.Load()
 	m.LastAppliedCheckpointSeq = f.appliedSeq.Load()
 	m.MaxStalenessSeconds = f.maxStaleness.Seconds()
 	if last := f.lastSync.Load(); last > 0 {
@@ -225,7 +218,6 @@ func (s *Service) handleReadyz(w http.ResponseWriter) {
 // coherent at.
 type replListing struct {
 	APIVersion    string                     `json:"apiVersion"`
-	Epoch         uint64                     `json:"epoch"`
 	CheckpointSeq uint64                     `json:"checkpointSeq"`
 	Manifest      []byte                     `json:"manifest"`
 	Artifacts     []tsdb.ReplicationArtifact `json:"artifacts"`
@@ -250,7 +242,6 @@ func (s *Service) handleReplManifest(w http.ResponseWriter, r *http.Request) {
 	}
 	out := replListing{
 		APIVersion:    APIVersion,
-		Epoch:         snap.Epoch,
 		CheckpointSeq: snap.CheckpointSeq,
 		Manifest:      snap.Manifest,
 		Artifacts:     snap.Artifacts,
@@ -276,27 +267,20 @@ func (s *Service) handleReplFile(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("archive: %q is not a replication artifact name", name))
 		return
 	}
-	q := r.URL.Query()
-	wantEpoch, err1 := strconv.ParseUint(q.Get("epoch"), 10, 64)
-	wantSeq, err2 := strconv.ParseUint(q.Get("checkpointSeq"), 10, 64)
-	if err1 != nil || err2 != nil {
-		param := "epoch"
-		if err1 == nil {
-			param = "checkpointSeq"
-		}
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadParam, param,
-			errors.New("archive: file requests must pin the listing's epoch and checkpointSeq"))
+	wantSeq, err := strconv.ParseUint(r.URL.Query().Get("checkpointSeq"), 10, 64)
+	if err != nil {
+		writeAPIError(w, http.StatusBadRequest, ErrCodeBadParam, "checkpointSeq",
+			errors.New("archive: file requests must pin the listing's checkpointSeq"))
 		return
 	}
 	// The position check makes the listing's coherence span the whole
 	// pull: a checkpoint bumps checkpointSeq before it reclaims any file
 	// the old listing referenced, so a puller that pinned the old
 	// position learns it must re-list instead of racing the reclamation.
-	epoch, seq := db.ReplicationPosition()
-	if epoch != wantEpoch || seq != wantSeq {
+	if seq := db.ReplicationPosition(); seq != wantSeq {
 		writeAPIError(w, http.StatusConflict, ErrCodeEpochMismatch, "",
-			fmt.Errorf("archive: listing position (epoch %d, checkpoint %d) is stale; primary is at (epoch %d, checkpoint %d) — re-list",
-				wantEpoch, wantSeq, epoch, seq))
+			fmt.Errorf("archive: listing position (checkpoint %d) is stale; primary is at checkpoint %d — re-list",
+				wantSeq, seq))
 		return
 	}
 	f, err := os.Open(filepath.Join(db.Dir(), filepath.FromSlash(name)))

@@ -153,11 +153,9 @@ func assertConverged(t *testing.T, primary, follower *Service) {
 	if fm.Replication.Role != "follower" || pm.Replication.Role != "primary" {
 		t.Fatalf("roles: primary=%q follower=%q", pm.Replication.Role, fm.Replication.Role)
 	}
-	if fm.Replication.LastAppliedEpoch != pm.Replication.Epoch ||
-		fm.Replication.LastAppliedCheckpointSeq != pm.Replication.CheckpointSeq {
-		t.Fatalf("follower applied (%d,%d), primary at (%d,%d)",
-			fm.Replication.LastAppliedEpoch, fm.Replication.LastAppliedCheckpointSeq,
-			pm.Replication.Epoch, pm.Replication.CheckpointSeq)
+	if fm.Replication.LastAppliedCheckpointSeq != pm.Replication.CheckpointSeq {
+		t.Fatalf("follower applied checkpoint %d, primary at %d",
+			fm.Replication.LastAppliedCheckpointSeq, pm.Replication.CheckpointSeq)
 	}
 }
 
@@ -433,8 +431,8 @@ func TestReplicationEpochGuard(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	u := fmt.Sprintf("%s/api/v1/replication/file/%s?epoch=%d&checkpointSeq=%d",
-		psrv.URL, listing.Artifacts[0].Name, listing.Epoch, listing.CheckpointSeq)
+	u := fmt.Sprintf("%s/api/v1/replication/file/%s?checkpointSeq=%d",
+		psrv.URL, listing.Artifacts[0].Name, listing.CheckpointSeq)
 	resp := noerr2(http.Get(u))
 	var env apiError
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
@@ -454,7 +452,7 @@ func TestReplicationEpochGuard(t *testing.T) {
 	defer fsrv.Close()
 	for _, path := range []string{
 		"/api/v1/replication/manifest",
-		"/api/v1/replication/file/blocks-000001.blk?epoch=1&checkpointSeq=1",
+		"/api/v1/replication/file/blocks-000001.blk?checkpointSeq=1",
 	} {
 		resp := noerr2(http.Get(fsrv.URL + path))
 		var env apiError
@@ -531,9 +529,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{name: "unknown path", base: psrv.URL, path: "/api/v1/nope", status: 404, code: ErrCodeNotFound},
 		{name: "write rejected", method: "POST", base: psrv.URL, path: "/api/v1/query", status: 405, code: ErrCodeMethodNotAllowed},
 		{name: "write rejected on follower", method: "DELETE", base: fsrv.URL, path: "/api/v1/meta", status: 405, code: ErrCodeMethodNotAllowed},
-		{name: "repl bad name", base: psrv.URL, path: "/api/v1/replication/file/..%2FMANIFEST?epoch=1&checkpointSeq=1", status: 400, code: ErrCodeBadParam, param: "name"},
-		{name: "repl missing pin", base: psrv.URL, path: "/api/v1/replication/file/blocks-000001.blk", status: 400, code: ErrCodeBadParam, param: "epoch"},
-		{name: "repl stale pin", base: psrv.URL, path: "/api/v1/replication/file/blocks-000001.blk?epoch=9999&checkpointSeq=9999", status: 409, code: ErrCodeEpochMismatch},
+		{name: "repl bad name", base: psrv.URL, path: "/api/v1/replication/file/..%2FMANIFEST?checkpointSeq=1", status: 400, code: ErrCodeBadParam, param: "name"},
+		{name: "repl missing pin", base: psrv.URL, path: "/api/v1/replication/file/blocks-000001.blk", status: 400, code: ErrCodeBadParam, param: "checkpointSeq"},
+		{name: "repl stale pin", base: psrv.URL, path: "/api/v1/replication/file/blocks-000001.blk?checkpointSeq=9999", status: 409, code: ErrCodeEpochMismatch},
 		{name: "repl on follower", base: fsrv.URL, path: "/api/v1/replication/manifest", status: 403, code: ErrCodeNotPrimary},
 		{name: "stale follower read", base: fsrv.URL, path: "/api/v1/latest?dataset=sps", status: 503, code: ErrCodeStaleReplica, retryAfter: true},
 		{name: "rate limited", base: rlsrv.URL, path: "/api/v1/datasets", status: 429, code: ErrCodeRateLimited, retryAfter: true},

@@ -158,13 +158,12 @@ func TestPeriodicCheckpointing(t *testing.T) {
 	if fullVolume := int64(db.PointCount()) * 30; afterRun >= fullVolume {
 		t.Fatalf("segments hold %d bytes after run, >= uncompacted volume estimate %d", afterRun, fullVolume)
 	}
-	// A quiescent checkpoint rotates every shard and deletes every
-	// segment it covers; what survives is each shard's new, header-only
-	// segment.
+	// A quiescent checkpoint rotates the log and deletes every segment it
+	// covers; what survives is the new, header-only segment.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if tail := walBytes(); tail > afterRun || tail > int64(db.ShardCount())*64 {
+	if tail := walBytes(); tail > afterRun || tail > 64 {
 		t.Fatalf("quiescent checkpoint left %d segment bytes (was %d)", tail, afterRun)
 	}
 	points, series := db.PointCount(), db.SeriesCount()

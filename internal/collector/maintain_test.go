@@ -55,8 +55,8 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	if tail >= 2*threshold {
 		t.Fatalf("WAL tail is %d bytes after the run, want < 2x the %d-byte threshold", tail, threshold)
 	}
-	// On disk: the un-checkpointed records plus one small header per
-	// shard's single segment, nothing the checkpoints covered.
+	// On disk: the un-checkpointed records plus the small header of the
+	// store's one segment, nothing the checkpoints covered.
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != db.ShardCount() {
-		t.Fatalf("%d segment files for %d shards", len(segs), db.ShardCount())
+	if len(segs) != 1 {
+		t.Fatalf("segment files %v, want one", segs)
 	}
 	var onDisk int64
 	for _, p := range segs {

@@ -47,6 +47,22 @@ func sameContents(t *testing.T, a, b *DB) {
 	}
 }
 
+// capture collects every series' hot points, sorted by canonical key, as
+// a checkpoint would write them, without cutting the log.
+func (db *DB) capture() []snapshotSeries {
+	var recs []snapshotSeries
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.RLock()
+		for k, s := range sh.series {
+			recs = append(recs, snapshotSeries{key: k, points: s.points})
+		}
+		sh.mu.RUnlock()
+	}
+	sortSnapshot(recs)
+	return recs
+}
+
 // snapshotBytes writes the store's captured series as a checkpoint file.
 func snapshotBytes(t testing.TB, db *DB) []byte {
 	t.Helper()

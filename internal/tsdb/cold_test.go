@@ -424,11 +424,18 @@ func sealedConcurrentReadsExact(t *testing.T, cacheBytes int64) {
 		default:
 		}
 	}
+	// The writer waits halfway for the first checkpoint, so at least one
+	// seal lands while appends remain, however the goroutines are
+	// scheduled.
+	firstCP := make(chan struct{})
 	wg.Add(1)
 	go func() { // writer: live appends beyond the frozen window
 		defer wg.Done()
 		defer close(writerDone)
 		for i, p := range all[frozen:] {
+			if i == live/2 {
+				<-firstCP
+			}
 			if err := db.Append(k, p.At, p.Value); err != nil {
 				report(fmt.Errorf("live append %d: %w", i, err))
 				return
@@ -438,15 +445,19 @@ func sealedConcurrentReadsExact(t *testing.T, cacheBytes int64) {
 	wg.Add(1)
 	go func() { // checkpointer: seals repeatedly while reads and writes run
 		defer wg.Done()
-		for {
+		for n := 0; ; n++ {
+			err := db.Checkpoint()
+			if n == 0 {
+				close(firstCP)
+			}
+			if err != nil {
+				report(fmt.Errorf("concurrent checkpoint: %w", err))
+				return
+			}
 			select {
 			case <-writerDone:
 				return
 			default:
-			}
-			if err := db.Checkpoint(); err != nil {
-				report(fmt.Errorf("concurrent checkpoint: %w", err))
-				return
 			}
 		}
 	}()
@@ -795,7 +806,7 @@ func TestSealAccountingAndReap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.SealsCold() {
+	if db2.sealsCold() {
 		t.Fatal("negative HotTailPoints did not disable sealing")
 	}
 	if n, err := db2.AppendBatch(a); err != nil || n != len(a) {

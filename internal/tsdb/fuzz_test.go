@@ -51,32 +51,28 @@ func FuzzParseSeriesKey(f *testing.F) {
 // FuzzManifestDecode feeds arbitrary bytes to the manifest parser that
 // recovery trusts. Corrupt or hostile input must return an error — never
 // panic, never yield a manifest violating the invariants recovery
-// allocates and indexes by (a segment count recovery can allocate for, a
-// nonzero first uncovered generation, a plain-filename checkpoint
-// reference). Accepted manifests must re-marshal into something the
-// parser accepts again.
+// indexes by (a nonzero first uncovered generation, a plain-filename
+// checkpoint reference). Accepted manifests must re-marshal into
+// something the parser accepts again.
 func FuzzManifestDecode(f *testing.F) {
-	v4, _ := json.Marshal(manifest{
-		Version: manifestVersion, Epoch: 3, Segments: 2, WALSeq: 7, Checkpoint: checkpointName(4), CheckpointSeq: 4,
+	v5, _ := json.Marshal(manifest{
+		Version: manifestVersion, WALSeq: 7, Checkpoint: checkpointName(4), CheckpointSeq: 4,
 		Blocks: []uint64{1, 3}, BlockSeq: 3,
 	})
-	f.Add(v4)
-	f.Add([]byte(`{"version":1,"epoch":1,"segments":2,"checkpointSeq":0,"offsets":[0,42]}`)) // pre-rotation manifest: must be rejected
+	f.Add(v5)
+	f.Add([]byte(`{"version":4,"epoch":1,"segments":2,"walSeq":1}`)) // per-shard chains: must be rejected
 	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`))
-	f.Add([]byte(`{"version":4,"segments":1000000000000,"walSeq":1}`))
+	f.Add([]byte(`{"version":5,"walSeq":1,"segments":1000000000000}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))
-	f.Add([]byte(`{"version":4,"segments":1,"walSeq":1,"checkpoint":"../escape"}`))
+	f.Add([]byte(`{"version":5,"walSeq":1,"checkpoint":"../escape"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"version":4,"segments":1,"walSeq":0}`))
-	f.Add([]byte(`{"version":4,"segments":1,"walSeq":2,"shards":[{"offset":0,"segs":[{"seq":2,"base":0}]}]}`))
+	f.Add([]byte(`{"version":5,"walSeq":0}`))
+	f.Add([]byte(`{"version":5,"walSeq":2,"epoch":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
 			return
-		}
-		if m.Segments <= 0 || m.Segments > maxShards {
-			t.Fatalf("accepted manifest with %d segments", m.Segments)
 		}
 		if m.WALSeq == 0 {
 			t.Fatal("accepted manifest with walSeq 0")

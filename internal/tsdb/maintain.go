@@ -28,14 +28,14 @@ package tsdb
 // # What the byte trigger bounds
 //
 // Every stored point is exactly one WAL record (22 + len(key) bytes), and
-// a checkpoint rotates every shard onto a new segment, unlinks every
-// segment it covers and seals every whole block out of memory. So one
-// bound on un-checkpointed WAL bytes is also the bound on the two other
-// things that grow between checkpoints, and the store needs no knob for
-// either. The WAL on disk is exactly the un-checkpointed records plus one
-// header per segment — after a committed checkpoint, one header-only
-// segment per shard — and never more than CheckpointAfterBytes plus one
-// batch past a checkpoint the append path could run. And hot points
+// a checkpoint rotates the log onto a new segment, unlinks every segment
+// it covers and seals every whole block out of memory. So one bound on
+// un-checkpointed WAL bytes is also the bound on the two other things
+// that grow between checkpoints, and the store needs no knob for either.
+// The WAL on disk is exactly the un-checkpointed records plus one header
+// per segment — after a committed checkpoint, one header-only segment —
+// and never more than CheckpointAfterBytes plus one batch past a
+// checkpoint the append path could run. And hot points
 // grown since the last checkpoint never exceed
 // (CheckpointAfterBytes + one batch) / record size.
 //
@@ -97,9 +97,9 @@ func (db *DB) MaintenanceStats() MaintenanceStats {
 // (0 = disabled).
 func (db *DB) CheckpointAfterBytes() int64 { return db.cpAfterBytes }
 
-// SelfMaintains reports whether the store drives its own checkpoints:
+// selfMaintains reports whether the store drives its own checkpoints:
 // it is durable and the byte trigger is configured.
-func (db *DB) SelfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 }
+func (db *DB) selfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 }
 
 // MaintainerActive reports whether the maintenance daemon goroutine is
 // running. Even without it, the trigger is still enforced on the append
@@ -107,28 +107,22 @@ func (db *DB) SelfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 
 // threshold (nothing appending, so nothing to enforce on).
 func (db *DB) MaintainerActive() bool { return db.maintStop != nil }
 
-// SealedSegments returns the total number of swapped-out WAL segments on
-// disk that no committed checkpoint covers — what a checkpoint that
-// failed after its swap leaves behind, for the next one to reclaim.
-func (db *DB) SealedSegments() int {
-	n := 0
-	for i := range db.shards {
-		n += int(db.shards[i].sealedN.Load())
-	}
-	return n
-}
+// SealedSegments returns the number of swapped-out WAL segments on disk
+// that no committed checkpoint covers — what a checkpoint that failed
+// after its swap leaves behind, for the next one to reclaim.
+func (db *DB) SealedSegments() int { return int(db.sealedN.Load()) }
 
-// setSealed records behind SealedSegments how many of sh's segments lie
-// below its active one and at or above the manifest's walSeq. Called
-// wherever either moves: under cpMu in a checkpoint, or single-threaded
-// during Open.
-func (db *DB) setSealed(sh *shard) { sh.sealedN.Store(int64(sh.walSeq - db.man.WALSeq)) }
+// setSealed records behind SealedSegments how many segments lie below
+// the active one and at or above the manifest's walSeq. Called wherever
+// either moves: under cpMu in a checkpoint, or single-threaded during
+// Open.
+func (db *DB) setSealed() { db.sealedN.Store(int64(db.walSeq - db.man.WALSeq)) }
 
 // startMaintainer launches the daemon goroutine if the options call for
 // one. Runs at the end of OpenWithOptions, after recovery, so the daemon
 // only ever sees a fully open store.
 func (db *DB) startMaintainer(interval time.Duration) {
-	if !db.SelfMaintains() || interval < 0 {
+	if !db.selfMaintains() || interval < 0 {
 		return
 	}
 	if interval == 0 {

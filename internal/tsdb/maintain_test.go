@@ -1,14 +1,13 @@
 package tsdb
 
-// Tests for the store-internal maintainer: the one segment per shard the
-// byte trigger leaves from the append path alone, the daemon
+// Tests for the store-internal maintainer: the one segment the byte
+// trigger leaves from the append path alone, the daemon
 // reclaiming the tail of a store left idle above the threshold,
 // single-flight between the daemon and manual Checkpoint under -race,
 // and the failure backoff.
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -31,9 +30,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestChainCapBoundsSealedSegments pins what the byte trigger leaves on
 // disk now that every checkpoint rotates the WAL: pointwise appends with
 // the daemon disabled — so the only enforcement is the append path's
-// synchronous check, and nothing calls Checkpoint — leave every shard
-// with exactly one segment file after each maintenance checkpoint
-// commits, and never an uncovered swapped-out one.
+// synchronous check, and nothing calls Checkpoint — leave exactly one
+// segment file after each maintenance checkpoint commits, and never an
+// uncovered swapped-out one.
 func TestChainCapBoundsSealedSegments(t *testing.T) {
 	const threshold = 2048
 	dir := t.TempDir()
@@ -59,14 +58,12 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 			continue
 		}
 		seen = cp
-		for i := 0; i < db.ShardCount(); i++ {
-			segs, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("wal-%05d-*.log", i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(segs) != 1 {
-				t.Fatalf("after checkpoint %d (append %d): shard %d holds segment files %v, want one", seen, n, i, segs)
-			}
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) != 1 {
+			t.Fatalf("after checkpoint %d (append %d): segment files %v, want one", seen, n, segs)
 		}
 	}
 	if seen < 2 {
@@ -288,8 +285,8 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	}
 	// Wait on the stats as well as the byte counter: a checkpoint
 	// decrements the counter mid-protocol and bumps the stats only at the
-	// end. (A daemon tick that lands mid-batch may cut one shard before the
-	// batch reaches it; the next tick then finishes the job.)
+	// end. (A daemon tick that lands mid-batch cuts before the batch's
+	// later shard groups; the next tick then finishes the job.)
 	waitFor(t, 5*time.Second, "daemon to checkpoint the idle tail", func() bool {
 		st := db.MaintenanceStats()
 		return st.Checkpoints > 0 && st.ForcedByBytes > 0 &&

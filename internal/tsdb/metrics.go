@@ -62,7 +62,7 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed; each failed its read with ErrColdRead (HTTP 500 cold_read_failed), never a partial result.",
 		func(db *DB) uint64 { return db.ColdReadErrors() })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",
-		func(db *DB) uint64 { return db.ScannedPoints() })
+		func(db *DB) uint64 { return db.scannedPoints() })
 
 	reg.HistogramFunc("spotlake_checkpoint_seconds", "Wall time of committed checkpoints (manual or maintenance), from capture through sealing, manifest commit and WAL reclamation.",
 		func() obs.HistogramSnapshot {

@@ -40,7 +40,6 @@ type ReplicationArtifact struct {
 // the manifest bytes as committed (byte-identical to the MANIFEST file)
 // and every file a replica needs to serve that manifest.
 type ReplicationSnapshot struct {
-	Epoch         uint64                `json:"epoch"`
 	CheckpointSeq uint64                `json:"checkpointSeq"`
 	Manifest      json.RawMessage       `json:"manifest"`
 	Artifacts     []ReplicationArtifact `json:"artifacts"`
@@ -50,9 +49,9 @@ type ReplicationSnapshot struct {
 // checkpoint lock: the manifest cannot be replaced, blocks cannot seal,
 // and no segment can rotate or be unlinked while it runs. The listed
 // segments are those a checkpoint swapped out without covering them (one
-// that failed after its swap), from the manifest's walSeq up to each
-// shard's active segment. Active segments are not listed: they take
-// concurrent appends and are covered by the next checkpoint instead.
+// that failed after its swap), from the manifest's walSeq up to the
+// active segment. The active segment is not listed: it takes concurrent
+// appends and is covered by the next checkpoint instead.
 func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 	if db.dir == "" {
 		return nil, errors.New("tsdb: memory-only store has no replication artifacts")
@@ -67,7 +66,6 @@ func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 		return nil, fmt.Errorf("tsdb: encoding manifest for replication: %w", err)
 	}
 	s := &ReplicationSnapshot{
-		Epoch:         db.man.Epoch,
 		CheckpointSeq: db.man.CheckpointSeq,
 		Manifest:      raw,
 	}
@@ -90,25 +88,23 @@ func (db *DB) ReplicationSnapshot() (*ReplicationSnapshot, error) {
 		}
 	}
 	// walSeq only moves under cpMu, which we hold.
-	for i := range db.shards {
-		for seq := db.man.WALSeq; seq < db.shards[i].walSeq; seq++ {
-			if err := add(rotSegName(i, seq)); err != nil {
-				return nil, err
-			}
+	for seq := db.man.WALSeq; seq < db.walSeq; seq++ {
+		if err := add(rotSegName(seq)); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// ReplicationPosition reports the committed (epoch, checkpoint sequence)
-// pair under the checkpoint lock. File-serving endpoints compare it to
-// the position a client's listing was captured at: a mismatch means a
-// checkpoint (or re-shard) landed in between and the client must re-list
-// before the files it still wants are reclaimed under it.
-func (db *DB) ReplicationPosition() (epoch, checkpointSeq uint64) {
+// ReplicationPosition reports the committed checkpoint sequence under the
+// checkpoint lock. File-serving endpoints compare it to the position a
+// client's listing was captured at: a mismatch means a checkpoint landed
+// in between and the client must re-list before the files it still wants
+// are reclaimed under it.
+func (db *DB) ReplicationPosition() (checkpointSeq uint64) {
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
-	return db.man.Epoch, db.man.CheckpointSeq
+	return db.man.CheckpointSeq
 }
 
 // Dir returns the store's data directory; empty for memory-only stores.
@@ -124,9 +120,8 @@ func (db *DB) ReadOnly() bool { return db.readOnly }
 // which is what makes the name safe to join onto a directory for serving
 // (no traversal, no reaching files the protocol does not own).
 func IsReplicationArtifactName(name string) bool {
-	var i int
 	var seq uint64
-	if scanRotSegName(name, &i, &seq) {
+	if scanRotSegName(name, &seq) {
 		return true
 	}
 	if scanBlockFileName(name, &seq) {

@@ -250,8 +250,9 @@ func TestReadOnlyOpenRefusals(t *testing.T) {
 
 func TestIsReplicationArtifactName(t *testing.T) {
 	valid := []string{
-		"wal-00000-000001.log",
-		"wal-00003-000421.log",
+		"wal-000001.log",
+		"wal-000421.log",
+		"wal-1000000.log",
 		"blocks-000001.blk",
 		"checkpoint-000007.snap",
 	}
@@ -262,9 +263,10 @@ func TestIsReplicationArtifactName(t *testing.T) {
 	}
 	invalid := []string{
 		"", "MANIFEST", "rollup/MANIFEST", "points.wal",
-		"../wal-00000-000001.log", "wal-00000-000001.log.tmp",
-		"rollup/blocks-000001.blk", "rollup/wal-00000-000001.log", "/etc/passwd",
+		"../wal-000001.log", "wal-000001.log.tmp",
+		"rollup/blocks-000001.blk", "rollup/wal-000001.log", "/etc/passwd",
 		"blocks-1.blk", "checkpoint-1.snap", "rollup-000007.snap", "rollup-000001.snap.tmp", "wal-0-1.log",
+		"wal-00000-000001.log", "wal-1.log",
 		"blocks-000001.blk/..", "foo/blocks-000001.blk",
 	}
 	for _, n := range invalid {
@@ -293,9 +295,14 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 	if err := ValidateReplicatedManifest(v3); err == nil || !strings.Contains(err.Error(), "version 3") {
 		t.Errorf("v3 manifest: validation returned %v, want an error naming version 3", err)
 	}
+	// Version 4 kept one segment chain per shard under a layout epoch.
+	v4 := []byte(`{"version":4,"epoch":1,"segments":2,"walSeq":1}`)
+	if err := ValidateReplicatedManifest(v4); err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Errorf("v4 manifest: validation returned %v, want an error naming version 4", err)
+	}
 	// Layouts of builds that materialized rollups or kept raw retention.
 	for field, value := range map[string]string{"rollups": `"rollup-000004.snap"`, "retain": `{"sps":1640995200000000000}`} {
-		raw := []byte(`{"version":4,"segments":1,"walSeq":1,"` + field + `":` + value + `}`)
+		raw := []byte(`{"version":5,"walSeq":1,"` + field + `":` + value + `}`)
 		if err := CommitReplicatedManifest(dir, raw); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
 			t.Errorf("manifest naming %q: commit returned %v, want an error naming the field", field, err)
 		}
@@ -350,8 +357,7 @@ func TestReplicationSnapshotCoherent(t *testing.T) {
 	if m, _ := filepath.Glob(filepath.Join(dir, "rollup-*")); len(m) != 0 {
 		t.Errorf("a sealing checkpoint wrote %v", m)
 	}
-	epoch, seq := db.ReplicationPosition()
-	if epoch != snap.Epoch || seq != snap.CheckpointSeq {
-		t.Errorf("position (%d,%d) != snapshot (%d,%d)", epoch, seq, snap.Epoch, snap.CheckpointSeq)
+	if seq := db.ReplicationPosition(); seq != snap.CheckpointSeq {
+		t.Errorf("position %d != snapshot %d", seq, snap.CheckpointSeq)
 	}
 }

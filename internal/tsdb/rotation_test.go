@@ -9,7 +9,6 @@ package tsdb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -58,16 +57,17 @@ func refApplyAll(t *testing.T, r *refDB, entries []Entry) {
 type matrixEnv struct {
 	dir       string
 	gen       uint64 // the generation the crashed checkpoint rotates to
-	prePath   string // shard 0's active segment when the fault was armed
+	prePath   string // the active segment when the fault was armed
 	preSize   int64  // its durable size before the at-risk record
 	recLen    int64  // the at-risk record's encoded length
-	tearOld   bool   // flush cell: shard 0's swapped-out segment still unsynced
+	tearOld   bool   // flush cell: the swapped-out segment still unsynced
 	preCopies map[string][]byte
+	appended  chan error // swap cell: the append that waited for the cut
 }
 
-// tearAtRisk truncates the at-risk record in shard 0's pre-checkpoint
-// segment mid-record: the swap flushed it into the file but no fsync
-// carried it to the platter.
+// tearAtRisk truncates the at-risk record in the pre-checkpoint segment
+// mid-record: the swap flushed it into the file but no fsync carried it
+// to the platter.
 func (env *matrixEnv) tearAtRisk(t *testing.T) {
 	t.Helper()
 	if err := os.Truncate(env.prePath, env.preSize+env.recLen-5); err != nil {
@@ -79,7 +79,7 @@ func (env *matrixEnv) tearAtRisk(t *testing.T) {
 // delete-boundary cells can restore unlinks that "never hit the disk".
 func copySegments(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "wal-*-*.log"))
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,28 +133,63 @@ func TestRotationCrashMatrix(t *testing.T) {
 		name      string // the subtest; the failpoint it arms unless point is set
 		point     string
 		loseExtra bool // the crash loses the at-risk record (mutate simulates it)
-		// during runs inside the crash hook, just before the abort.
+		// uncovered makes an earlier checkpoint fail after its swap, so
+		// the crashed one covers two generations.
+		uncovered bool
+		// during runs inside the crash hook, just before the abort; after
+		// runs once the crashed checkpoint has returned.
 		during func(t *testing.T, db *DB, env *matrixEnv, ref *refDB)
+		after  func(t *testing.T, db *DB, env *matrixEnv, ref *refDB)
 		mutate func(t *testing.T, env *matrixEnv)
 	}{
 		{name: "rotate:create:before-sync",
 			mutate: func(t *testing.T, env *matrixEnv) {
 				// The new segment's directory entry never persisted.
-				paths, err := filepath.Glob(filepath.Join(env.dir, fmt.Sprintf("wal-*-%06d.log", env.gen)))
-				if err != nil || len(paths) == 0 {
-					t.Fatalf("no generation-%d segment to lose (%v)", env.gen, err)
-				}
-				for _, p := range paths {
-					if err := os.Remove(p); err != nil {
-						t.Fatal(err)
-					}
+				if err := os.Remove(filepath.Join(env.dir, rotSegName(env.gen))); err != nil {
+					t.Fatalf("no generation-%d segment to lose: %v", env.gen, err)
 				}
 			}},
 		{name: "rotate:create:after-sync"},
-		// Fires inside the capture, right after shard 0 swapped: shard 0
-		// is on the new generation, every other shard still on the old.
+		// Fires inside the cut, with every shard lock held, right after
+		// the swap: the at-risk record sits in the swapped-out segment,
+		// which no fsync has reached.
 		{name: "rotate:seal:before-sync", loseExtra: true,
 			mutate: func(t *testing.T, env *matrixEnv) { env.tearAtRisk(t) }},
+		// The same boundary, seen from a writer: the cut holds every shard
+		// lock, so an append started inside it waits, lands wholly in the
+		// new generation, and a Flush after it makes both segments
+		// durable.
+		{name: "rotate:swap:append-waits", point: "rotate:seal:before-sync",
+			during: func(t *testing.T, db *DB, env *matrixEnv, ref *refDB) {
+				for i := range db.shards {
+					if db.shards[i].mu.TryLock() {
+						db.shards[i].mu.Unlock()
+						t.Errorf("shard %d is not locked at the swap", i)
+					}
+				}
+				env.appended = make(chan error, 1)
+				go func() {
+					env.appended <- db.Append(matrixKey, t0.Add(56000*time.Minute), 88)
+				}()
+				select {
+				case err := <-env.appended:
+					t.Fatalf("an append completed inside the cut (err %v)", err)
+				case <-time.After(20 * time.Millisecond):
+				}
+			},
+			after: func(t *testing.T, db *DB, env *matrixEnv, ref *refDB) {
+				if err := <-env.appended; err != nil {
+					t.Fatal(err)
+				}
+				refApplyAll(t, ref, []Entry{{Key: matrixKey, At: t0.Add(56000 * time.Minute), Value: 88}})
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				st, err := os.Stat(filepath.Join(env.dir, rotSegName(env.gen)))
+				if err != nil || st.Size() <= int64(rotSegHeaderLen) {
+					t.Fatalf("the waiting append is not in generation %d (%v, %v)", env.gen, st, err)
+				}
+			}},
 		{name: "rotate:seal:after-sync"},
 		// A point acknowledged by Flush in the new segment, while the old
 		// one still waits for the checkpoint's fsync: Flush must have
@@ -162,8 +197,7 @@ func TestRotationCrashMatrix(t *testing.T) {
 		// in front of the acknowledged point.
 		{name: "rotate:seal:flush", point: "checkpoint:capture",
 			during: func(t *testing.T, db *DB, env *matrixEnv, ref *refDB) {
-				k := shard0Key(t, db)
-				y := Entry{Key: k, At: t0.Add(56000 * time.Minute), Value: 88}
+				y := Entry{Key: matrixKey, At: t0.Add(56000 * time.Minute), Value: 88}
 				if err := db.Append(y.Key, y.At, y.Value); err != nil {
 					t.Fatal(err)
 				}
@@ -171,7 +205,7 @@ func TestRotationCrashMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				refApplyAll(t, ref, []Entry{y})
-				env.tearOld = len(db.shards[0].unsynced) > 0
+				env.tearOld = len(db.unsynced) > 0
 			},
 			mutate: func(t *testing.T, env *matrixEnv) {
 				if env.tearOld {
@@ -191,7 +225,8 @@ func TestRotationCrashMatrix(t *testing.T) {
 				truncateHalf(t, env.dir, manifestName+".tmp")
 			}},
 		{name: "checkpoint:manifest:committed"},
-		{name: "checkpoint:delete:mid"},
+		// Between unlinking the two generations the checkpoint covers.
+		{name: "checkpoint:delete:mid", uncovered: true},
 		{name: "checkpoint:delete:before-sync",
 			mutate: func(t *testing.T, env *matrixEnv) {
 				// The unlinks never became durable: every segment file that
@@ -238,6 +273,19 @@ func TestRotationCrashMatrix(t *testing.T) {
 				t.Fatalf("stored %d, err %v", n, err)
 			}
 			refApplyAll(t, ref, b)
+			if cell.uncovered {
+				injected := errors.New("injected failure after the swap")
+				db.testCrash = func(p string) error {
+					if p == "checkpoint:capture" {
+						return injected
+					}
+					return nil
+				}
+				if err := db.Checkpoint(); !errors.Is(err, injected) {
+					t.Fatalf("checkpoint returned %v, want the injected failure", err)
+				}
+				db.testCrash = nil
+			}
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -246,13 +294,12 @@ func TestRotationCrashMatrix(t *testing.T) {
 			// reference alone.
 			assertSameContents(t, contents(db), refContents(ref))
 
-			// The at-risk record: one more point on shard 0, left in the
-			// write buffer. The checkpoint's swap flushes it into the
-			// segment it swaps out; only that segment's fsync makes it
-			// durable.
-			k := shard0Key(t, db)
-			env := &matrixEnv{dir: dir, gen: db.shards[0].walSeq + 1}
-			env.prePath = filepath.Join(dir, rotSegName(0, db.shards[0].walSeq))
+			// The at-risk record: one more point, left in the write
+			// buffer. The checkpoint's swap flushes it into the segment it
+			// swaps out; only that segment's fsync makes it durable.
+			k := matrixKey
+			env := &matrixEnv{dir: dir, gen: db.walSeq + 1}
+			env.prePath = filepath.Join(dir, rotSegName(db.walSeq))
 			st, err := os.Stat(env.prePath)
 			if err != nil {
 				t.Fatal(err)
@@ -282,6 +329,9 @@ func TestRotationCrashMatrix(t *testing.T) {
 				t.Fatalf("%s: checkpoint returned %v, want injected crash", cell.name, err)
 			}
 			db.testCrash = nil
+			if cell.after != nil {
+				cell.after(t, db, env, ref)
+			}
 			want := refContents(ref)
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
@@ -313,24 +363,15 @@ func TestRotationCrashMatrix(t *testing.T) {
 	}
 }
 
-// shard0Key returns a key of the legacy workload that hashes to shard 0,
-// the shard the capture visits (and swaps) first.
-func shard0Key(t *testing.T, db *DB) SeriesKey {
-	t.Helper()
-	for _, e := range legacyEntries(600) {
-		if db.ShardIndexOf(e.Key) == 0 {
-			return e.Key
-		}
-	}
-	t.Fatal("no legacy key hashes to shard 0")
-	return SeriesKey{}
-}
+// matrixKey is the series of the crash matrix's at-risk records: a key
+// of the legacy workload, whose points all lie before them.
+var matrixKey = legacyEntries(1)[0].Key
 
 // walFileBytes sums the sizes of every WAL segment file in dir and
 // returns it with the file count.
 func walFileBytes(t *testing.T, dir string) (int64, int) {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "wal-*-*.log"))
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +389,8 @@ func walFileBytes(t *testing.T, dir string) (int64, int) {
 // TestCheckpointZeroRewrite proves that after a committed checkpoint no
 // WAL byte it covers is on disk, and that compaction never rewrote a
 // data file to get there: no segment file that existed before the
-// checkpoint survives it, and the WAL files hold exactly the records
-// appended since (WALBytesSinceCheckpoint) plus one header per segment.
+// checkpoint survives it, and the WAL is one file holding exactly the
+// records appended since (WALBytesSinceCheckpoint) plus its header.
 func TestCheckpointZeroRewrite(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithOptions(dir, Options{Shards: 4})
@@ -380,8 +421,8 @@ func TestCheckpointZeroRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		onDisk, files := walFileBytes(t, dir)
-		if files != db.ShardCount() {
-			t.Fatalf("%s: %d segment files for %d shards", when, files, db.ShardCount())
+		if files != 1 {
+			t.Fatalf("%s: %d segment files, want one", when, files)
 		}
 		if want := int64(db.WALBytesSinceCheckpoint()) + int64(files*rotSegHeaderLen); onDisk != want {
 			t.Fatalf("%s: WAL files hold %d bytes, want %d un-checkpointed record bytes plus %d headers",
@@ -399,8 +440,8 @@ func TestCheckpointZeroRewrite(t *testing.T) {
 // TestRotatedDifferentialRecovery drives three stores — one whose
 // checkpoints always succeed, one whose checkpoints fail at a random
 // protocol step about half the time (each failure a real error, so the
-// cleanup paths run: uncovered swapped-out segments, half-swapped
-// generations, filler segments), and the in-memory reference — through
+// cleanup paths run: uncovered swapped-out segments, generations created
+// but never swapped onto), and the in-memory reference — through
 // the same seeded random schedule of append / checkpoint / reopen steps,
 // and demands all three agree after every reopen and at the end.
 // Failures print the seed and op index; the schedule is a pure function
@@ -578,111 +619,115 @@ func TestCheckpointAfterBytesBoundsReplayTail(t *testing.T) {
 // TestRotSegNameRoundTrip pins the segment file name round trip,
 // including sequence numbers past the %06d padding width — a
 // width-limited scan would silently drop (and later overwrite) segments
-// once a long-lived shard rotates past seq 999999.
+// once a long-lived store rotates past seq 999999.
 func TestRotSegNameRoundTrip(t *testing.T) {
 	for _, seq := range []uint64{1, 999999, 1000000, 1234567890} {
-		name := rotSegName(3, seq)
-		var i int
+		name := rotSegName(seq)
 		var got uint64
-		if !scanRotSegName(name, &i, &got) || i != 3 || got != seq {
-			t.Fatalf("round trip failed for seq %d (name %s): i=%d got=%d", seq, name, i, got)
+		if !scanRotSegName(name, &got) || got != seq {
+			t.Fatalf("round trip failed for seq %d (name %s): got=%d", seq, name, got)
 		}
 	}
 	for _, bad := range []string{
-		"wal-00000.log", "wal-0-1.log", "wal-00000-01.log",
-		"wal-000001-000001.log", "points.wal", "wal-00000-000001.log.tmp",
+		"wal-00000.log", "wal-0-1.log", "wal-01.log", "wal-00000-000001.log",
+		"wal-0000001.log", "points.wal", "wal-000001.log.tmp",
 	} {
-		var i int
 		var seq uint64
-		if scanRotSegName(bad, &i, &seq) {
+		if scanRotSegName(bad, &seq) {
 			t.Fatalf("scan accepted non-canonical name %q", bad)
 		}
 	}
 }
 
-// TestRotationFillsLaggingShard covers the one way shards' segment
-// sequences diverge: a crash while creating a generation, after shard 0's
-// new segment was durable but before shard 1's was. The reopen
-// leaves shard 0 on the new generation and shard 1 a step behind. The
-// next checkpoint must then give shard 1 a filler for the missing number:
-// if that checkpoint fails after its swap, the points appended afterwards
-// sit in a segment that recovery only reaches through a gap-free chain.
-func TestRotationFillsLaggingShard(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Shards: 4}
-	db, err := OpenWithOptions(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefDB()
-	apply := func(db *DB, entries []Entry) {
-		t.Helper()
-		if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
-			t.Fatalf("stored %d, err %v", n, err)
-		}
-		refApplyAll(t, ref, entries)
-	}
-	apply(db, legacyEntries(600))
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	apply(db, laterEntries(200, 50000))
-	gen := db.shards[0].walSeq + 1
-	creates := 0
-	db.testCrash = func(p string) error {
-		if p == "rotate:create:before-sync" {
-			if creates++; creates == 2 {
-				return errCrashPoint
+// TestRotationAfterCrashedGeneration covers a crash while a checkpoint
+// creates its generation, after the new segment was durable but before
+// its directory entry was — with the entry lost, and with it kept, which
+// leaves the header-only segment as the chain's active one at the next
+// open. The reopened store then runs a checkpoint that fails after its
+// swap, appends more, and must reopen exactly: the points appended after
+// the failed checkpoint sit in a segment recovery only reaches through a
+// gap-free chain.
+func TestRotationAfterCrashedGeneration(t *testing.T) {
+	for _, entryLost := range []bool{false, true} {
+		t.Run(fmt.Sprintf("entryLost=%v", entryLost), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Shards: 4}
+			db, err := OpenWithOptions(dir, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
+			ref := newRefDB()
+			apply := func(db *DB, entries []Entry) {
+				t.Helper()
+				if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
+					t.Fatalf("stored %d, err %v", n, err)
+				}
+				refApplyAll(t, ref, entries)
+			}
+			apply(db, legacyEntries(600))
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			apply(db, laterEntries(200, 50000))
+			gen := db.walSeq + 1
+			db.testCrash = func(p string) error {
+				if p == "rotate:create:before-sync" {
+					return errCrashPoint
+				}
+				return nil
+			}
+			if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
+				t.Fatalf("checkpoint returned %v, want injected crash", err)
+			}
+			db.testCrash = nil
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if entryLost {
+				if err := os.Remove(filepath.Join(dir, rotSegName(gen))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re, err := OpenWithOptions(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := gen
+			if entryLost {
+				want = gen - 1
+			}
+			if re.walSeq != want {
+				t.Fatalf("after the crash the log appends to segment %d, want %d", re.walSeq, want)
+			}
+			apply(re, laterEntries(200, 52000))
+			injected := errors.New("injected snapshot failure")
+			re.testCrash = func(p string) error {
+				if p == "checkpoint:snapshot:before-sync" {
+					return injected
+				}
+				return nil
+			}
+			if err := re.Checkpoint(); !errors.Is(err, injected) {
+				t.Fatalf("checkpoint returned %v, want the injected failure", err)
+			}
+			re.testCrash = nil
+			apply(re, laterEntries(200, 54000))
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re2, err := OpenWithOptions(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re2.Close()
+			assertSameContents(t, contents(re2), refContents(ref))
+		})
 	}
-	if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
-		t.Fatalf("checkpoint returned %v, want injected crash", err)
-	}
-	db.testCrash = nil
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Shard 1's new segment never reached the directory.
-	if err := os.Remove(filepath.Join(dir, rotSegName(1, gen))); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenWithOptions(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.shards[0].walSeq != gen || re.shards[1].walSeq != gen-1 {
-		t.Fatalf("after the crash shards 0 and 1 are on segments %d and %d, want %d and %d",
-			re.shards[0].walSeq, re.shards[1].walSeq, gen, gen-1)
-	}
-	apply(re, laterEntries(200, 52000))
-	injected := errors.New("injected snapshot failure")
-	re.testCrash = func(p string) error {
-		if p == "checkpoint:snapshot:before-sync" {
-			return injected
-		}
-		return nil
-	}
-	if err := re.Checkpoint(); !errors.Is(err, injected) {
-		t.Fatalf("checkpoint returned %v, want the injected failure", err)
-	}
-	re.testCrash = nil
-	apply(re, laterEntries(200, 54000))
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re2, err := OpenWithOptions(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	assertSameContents(t, contents(re2), refContents(ref))
 }
 
 // TestRotationSeqPastMillionRecovers proves recovery walks a chain whose
-// sequence numbers outgrow the 6-digit name padding: a shard with
-// segments seq 999999 and seq 1000000 replays both and keeps appending.
+// sequence numbers outgrow the 6-digit name padding: segments seq 999999
+// and seq 1000000 both replay, and the store keeps appending.
 func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 1}
@@ -699,27 +744,26 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Relabel the shard's only segment as seq 999999, hand-roll a seq
-	// 1000000 continuation carrying ten more records, and point the
-	// manifest's first uncovered generation at the relabelled segment.
-	oldPath := filepath.Join(dir, rotSegName(0, 1))
+	// Relabel the only segment as seq 999999, hand-roll a seq 1000000
+	// continuation carrying ten more records, and point the manifest's
+	// first uncovered generation at the relabelled segment.
+	oldPath := filepath.Join(dir, rotSegName(1))
 	raw, err := os.ReadFile(oldPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := binary.LittleEndian.Uint64(raw[16:])
-	binary.LittleEndian.PutUint64(raw[24:], 999999)
-	if err := os.WriteFile(filepath.Join(dir, rotSegName(0, 999999)), raw, 0o644); err != nil {
+	copy(raw, encodeRotHeader(999999))
+	if err := os.WriteFile(filepath.Join(dir, rotSegName(999999)), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(oldPath); err != nil {
 		t.Fatal(err)
 	}
-	next := encodeRotHeader(rotHeader{index: 0, count: 1, epoch: epoch, seq: 1000000})
+	next := encodeRotHeader(1000000)
 	for i := 10; i < 20; i++ {
 		next = appendRecord(next, k.String(), t0.Add(time.Duration(i)*time.Minute).UnixNano(), float64(i))
 	}
-	if err := os.WriteFile(filepath.Join(dir, rotSegName(0, 1000000)), next, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, rotSegName(1000000)), next, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	man, _, err := readManifest(dir)
@@ -750,8 +794,8 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 1 || filepath.Base(segs[0]) != rotSegName(0, 1000001) {
-		t.Fatalf("segment files %v after the checkpoint, want only %s", segs, rotSegName(0, 1000001))
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 1 || filepath.Base(segs[0]) != rotSegName(1000001) {
+		t.Fatalf("segment files %v after the checkpoint, want only %s", segs, rotSegName(1000001))
 	}
 	re2, err := OpenWithOptions(dir, opts)
 	if err != nil {
@@ -767,8 +811,8 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 // segment generation cannot be created (e.g. disk full): the rotation is
 // part of the checkpoint, so the checkpoint fails — returned to a manual
 // caller, counted in spotlake_maintenance_errors_total for the byte
-// trigger's — before any shard swapped. Appends continue on the old
-// segments, the old manifest stays authoritative, no half-created file is
+// trigger's — before the log swapped. Appends continue on the old
+// segment, the old manifest stays authoritative, no half-created file is
 // left, and a reopen is exact.
 func TestRotationFailureFailsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
@@ -789,7 +833,7 @@ func TestRotationFailureFailsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := []uint64{db.shards[0].walSeq, db.shards[1].walSeq}
+	seq := db.walSeq
 	noSpace := errors.New("injected: no space left on device")
 	db.testCrash = func(point string) error {
 		if point == "rotate:create:before-sync" {
@@ -815,13 +859,11 @@ func TestRotationFailureFailsCheckpoint(t *testing.T) {
 			t.Fatal("spotlake_maintenance_errors_total is 0 after a failed maintenance checkpoint")
 		}
 	}
-	for i, seq := range seqs {
-		if got := db.shards[i].walSeq; got != seq {
-			t.Fatalf("shard %d swapped from segment %d to %d through a failed rotation", i, seq, got)
-		}
+	if got := db.walSeq; got != seq {
+		t.Fatalf("the log swapped from segment %d to %d through a failed rotation", seq, got)
 	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 2 {
-		t.Fatalf("segment files %v, want the two active ones (no half-created generation)", segs)
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 1 {
+		t.Fatalf("segment files %v, want the active one (no half-created generation)", segs)
 	}
 	if raw, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(raw, committed) {
 		t.Fatalf("the manifest moved through failed checkpoints (err %v)", err)

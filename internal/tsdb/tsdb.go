@@ -20,22 +20,28 @@
 // computed by visiting shards one at a time without any global lock.
 // AppendBatch groups a tick's worth of points by shard so each shard lock
 // is taken once per batch instead of once per point. Every shard carries
-// its own monotonically increasing generation counter (ShardGeneration),
+// its own monotonically increasing generation counter (ShardGenerations),
 // bumped on every point stored into it, and the store tracks a separate
 // key-set generation (KeyGeneration) bumped whenever a new series is
 // created anywhere; read-side caches combine the two to detect staleness
-// at shard granularity instead of store granularity.
+// at shard granularity instead of store granularity. The shard count is
+// an in-memory choice: nothing on disk records it, so a directory opens
+// at any count without rewriting a file.
 //
 // # Durability
 //
-// The write-ahead log is segmented per shard (see wal.go): shard i
-// appends to its active wal-<i>-<seq>.log under shard i's lock, so
-// durable appends to different shards never serialize against each
-// other. A versioned MANIFEST names the layout; snapshots double as
-// checkpoints (Checkpoint) that bound recovery to "load snapshot + replay
-// the segments written since", and each checkpoint rotates every shard
-// onto a new segment and deletes the ones it covers, instead of
-// rewriting files. The store maintains
+// A durable store has one write-ahead log (see wal.go): every append
+// goes to the active wal-<seq>.log through one buffered writer behind the
+// log lock. Lock order is shard lock, then log lock: a batch encodes each
+// shard group's records into one buffer and writes it under that shard's
+// lock with one log-lock acquisition, so every series' record order in
+// the log is its order in memory. The store has one writer in practice
+// (the collector's tick), so the shared log costs it nothing. A versioned
+// MANIFEST names the layout; snapshots double as checkpoints (Checkpoint)
+// that bound recovery to "load snapshot + replay the segments written
+// since", and each checkpoint rotates the log onto a new segment and
+// deletes the ones it covers, instead of rewriting files. The store
+// maintains
 // itself (see maintain.go): a daemon started by OpenWithOptions
 // checkpoints when the un-checkpointed WAL crosses
 // Options.CheckpointAfterBytes, and the same trigger is enforced
@@ -55,6 +61,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -180,35 +187,12 @@ type series struct {
 	cold *coldSeries
 }
 
-// shard is one lock stripe: a mutex, its series, local statistics, and —
-// for durable stores — its own WAL segment chain. Segment writes
-// happen under the shard's write lock, so the record order in the chain is
-// identical to shard i's memory order with no extra mutex, and appends to
-// different shards never serialize against a shared log.
+// shard is one lock stripe: a mutex, its series and local statistics.
 type shard struct {
 	mu     sync.RWMutex
 	series map[SeriesKey]*series
 	points int
 	gen    atomic.Uint64
-
-	// Durable state, nil for memory-only stores. walSeq is the active
-	// segment's sequence number; it moves only under cpMu, when a
-	// checkpoint swaps the shard onto the next generation. unsynced holds
-	// the swapped-out segments no fsync has reached yet: the checkpoint
-	// syncs them after its swap, and until it has, Flush and Close sync
-	// them too. cpBytes counts record bytes appended since the last
-	// committed checkpoint, feeding the size-based checkpoint trigger.
-	wal      *bufio.Writer
-	walF     *os.File
-	walSeq   uint64
-	unsynced []*os.File
-	cpBytes  atomic.Uint64
-
-	// sealedN counts the shard's swapped-out segments the committed
-	// manifest does not cover yet, so SealedSegments can read it without
-	// the shard lock. Updated via DB.setSealed wherever walSeq or the
-	// manifest moves.
-	sealedN atomic.Int64
 }
 
 // DB is the time-series store. It is safe for concurrent use.
@@ -219,17 +203,30 @@ type DB struct {
 	closed atomic.Bool
 
 	// Durable layout state. dir is empty for memory-only stores. man is
-	// the manifest as last committed; cpMu serializes Checkpoint, layout
-	// commits, and manifest replacement. epoch mirrors man.Epoch but is
-	// written only while Open owns the store single-threaded. readOnly
-	// marks a store opened with Options.ReadOnly: it loads a committed
-	// layout without owning it (no appends, checkpoints, layout commits,
-	// or file reclamation).
+	// the manifest as last committed; cpMu serializes Checkpoint and
+	// manifest replacement. readOnly marks a store opened with
+	// Options.ReadOnly: it loads a committed layout without owning it (no
+	// appends, checkpoints, or file reclamation).
 	dir      string
 	readOnly bool
 	cpMu     sync.Mutex
 	man      manifest
-	epoch    uint64
+
+	// The log, nil on memory-only and read-only stores. logMu guards the
+	// writer and the files; it is taken after a shard lock, never before.
+	// walSeq, the active segment's sequence number, moves only under cpMu,
+	// in the checkpoint's cut. unsynced holds the swapped-out segments no
+	// fsync has reached yet: the checkpoint syncs them after its cut, and
+	// until it has, Flush and Close sync them too.
+	logMu    sync.Mutex
+	wal      *bufio.Writer
+	walF     *os.File
+	walSeq   uint64
+	unsynced []*os.File
+	// sealedN counts the swapped-out segments the committed manifest does
+	// not cover yet, so SealedSegments reads it without a lock. Updated
+	// via setSealed wherever walSeq or the manifest moves.
+	sealedN atomic.Int64
 
 	// Cold-tier state (see block.go). bcache is the store-wide LRU over
 	// decoded blocks; coldSegs the open block files (appended under cpMu
@@ -266,11 +263,10 @@ type DB struct {
 	// checkpoint succeeds, and without the gate every append would
 	// synchronously re-attempt a full snapshot against e.g. a full disk.
 	maintRetryAt atomic.Int64
-	// cpBytesTotal mirrors the sum of the per-shard cpBytes counters so
-	// the append path can evaluate the byte trigger with one atomic load
-	// (summing 256 shards per append would not be free). The per-shard
-	// counters remain authoritative for checkpoint's exact per-shard
-	// capture accounting; every site that moves one moves the other.
+	// cpBytesTotal counts WAL record bytes appended since the last
+	// committed checkpoint, feeding the byte trigger with one atomic load.
+	// It moves under logMu with every log write; a committed checkpoint
+	// subtracts the bytes its cut covered.
 	cpBytesTotal atomic.Uint64
 	maintStop    chan struct{}
 	maintDone    chan struct{}
@@ -321,7 +317,8 @@ const DefaultBlockPoints = 512
 type Options struct {
 	// Shards is the lock-stripe count, rounded up to a power of two;
 	// <= 0 selects DefaultShardCount. A shard count of 1 reproduces the
-	// single-lock store, which the benchmarks use as baseline.
+	// single-lock store, which the benchmarks use as baseline. Nothing on
+	// disk records it: a directory opens at any count.
 	Shards int
 	// CheckpointAfterBytes, when positive on a durable store, makes the
 	// store checkpoint itself once WALBytesSinceCheckpoint crosses the
@@ -454,10 +451,6 @@ func (db *DB) WALBytesSinceCheckpoint() uint64 {
 // checkpoint covering everything.
 func (db *DB) ReplayedWALBytes() uint64 { return db.replayedBytes.Value() }
 
-// ShardGeneration returns the generation counter of one shard; it
-// increases whenever a point is stored into that shard.
-func (db *DB) ShardGeneration(i int) uint64 { return db.shards[i].gen.Load() }
-
 // ShardGenerations returns a snapshot of every shard's generation counter,
 // indexed by shard. Each element is read atomically; the vector as a whole
 // is not an atomic cut, which is fine for staleness checks as long as the
@@ -507,20 +500,18 @@ func (db *DB) shardFor(k SeriesKey) *shard {
 	return &db.shards[db.shardIndex(k)]
 }
 
-// walRecord layout: u32 crc | u16 keyLen | key bytes | i64 unixNano | f64 bits.
+// appendRecord appends one WAL record to buf. Layout: u32 crc | u16 keyLen |
+// key bytes | i64 unixNano | f64 bits, the crc covering everything after it.
 func appendRecord(buf []byte, key string, ns int64, v float64) []byte {
-	payload := make([]byte, 0, 2+len(key)+16)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(key)))
-	payload = append(payload, tmp[:2]...)
-	payload = append(payload, key...)
-	binary.LittleEndian.PutUint64(tmp[:], uint64(ns))
-	payload = append(payload, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	payload = append(payload, tmp[:]...)
-	binary.LittleEndian.PutUint32(tmp[:4], crc32.ChecksumIEEE(payload))
-	buf = append(buf, tmp[:4]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = slices.Grow(buf, 4+2+len(key)+16)
+	buf = append(buf, 0, 0, 0, 0)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
+	buf = append(buf, key...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ns))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+4:]))
+	return buf
 }
 
 // maxKeyBytes bounds the canonical key form: both the WAL and the snapshot
@@ -563,46 +554,53 @@ func validPoint(at time.Time, v float64) error {
 	return nil
 }
 
-// appendLocked stores one point into sh, which the caller has write-locked.
-// The WAL write goes to the shard's own segment under the same lock, so
-// durable appends to different shards proceed fully in parallel. The
-// caller has validated at, so its UnixNano is exact.
-func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64) error {
+// appendLocked stores one point into sh, which the caller has
+// write-locked, and on a durable store appends the point's WAL record to
+// rec, which the caller hands to writeLog before it releases the lock.
+// The caller has validated at, so its UnixNano is exact.
+func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64, rec []byte) ([]byte, error) {
 	if db.closed.Load() {
-		return errClosed
+		return rec, errClosed
 	}
 	// Guard memory as well as the WAL: a read-only store has no open
-	// segment (sh.wal is nil), so without this check an append would
-	// "succeed" in memory and silently vanish at the next reopen.
+	// log, so without this check an append would "succeed" in memory and
+	// silently vanish at the next reopen.
 	if db.readOnly {
-		return errors.New("tsdb: read-only store rejects appends")
+		return rec, errors.New("tsdb: read-only store rejects appends")
 	}
-	s := sh.series[k]
-	if s == nil {
-		s = &series{}
-		sh.series[k] = s
-		db.keyGen.Add(1)
-	}
+	s := db.seriesLocked(sh, k)
 	ns := at.UnixNano()
 	if n := len(s.points); n > 0 {
 		if last := s.points[n-1]; ns < last.ns {
-			return fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, last.point().At)
+			return rec, fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, last.point().At)
 		}
 	} else if s.cold != nil && ns < s.cold.lastAt {
-		return fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, time.Unix(0, s.cold.lastAt).UTC())
+		return rec, fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, time.Unix(0, s.cold.lastAt).UTC())
 	}
 	s.points = append(s.points, sample{ns: ns, v: v})
 	sh.points++
 	db.hotPts.Add(1)
 	sh.gen.Add(1)
-	if sh.wal != nil {
-		rec := appendRecord(nil, k.String(), ns, v)
-		if _, err := sh.wal.Write(rec); err != nil {
-			return fmt.Errorf("tsdb: wal write: %w", err)
-		}
-		sh.cpBytes.Add(uint64(len(rec)))
-		db.cpBytesTotal.Add(uint64(len(rec)))
+	if db.dir != "" {
+		rec = appendRecord(rec, k.String(), ns, v)
 	}
+	return rec, nil
+}
+
+// writeLog hands rec, whole WAL records, to the log's buffer with one
+// log-lock acquisition. The caller holds the write lock of the shard
+// whose points rec records, which keeps every series' order in the log
+// its order in memory.
+func (db *DB) writeLog(rec []byte) error {
+	if len(rec) == 0 {
+		return nil
+	}
+	db.logMu.Lock()
+	defer db.logMu.Unlock()
+	if _, err := db.wal.Write(rec); err != nil {
+		return fmt.Errorf("tsdb: wal write: %w", err)
+	}
+	db.cpBytesTotal.Add(uint64(len(rec)))
 	return nil
 }
 
@@ -644,14 +642,19 @@ func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool,
 			return false, nil
 		}
 	}
-	if err := db.appendLocked(sh, k, at, v); err != nil {
+	rec, err := db.appendLocked(sh, k, at, v, nil)
+	if err == nil {
+		err = db.writeLog(rec)
+	}
+	if err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
 // AppendBatch stores the entries, grouping them by shard so each shard
-// lock is acquired once per batch rather than once per point. Entries keep
+// lock is acquired once per batch rather than once per point, and each
+// group's WAL records are written with one log-lock acquisition. Entries keep
 // their input order within a shard, so per-series time ordering of the
 // input is preserved. It returns how many points were stored and the first
 // error encountered; later entries are still attempted after an error.
@@ -707,6 +710,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 		fill[s]++
 	}
 	stored := 0
+	var rec []byte
 	for s := 0; s < ns; s++ {
 		lo, hi := pos[s], pos[s]+counts[s]
 		if lo == hi {
@@ -714,6 +718,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 		}
 		sh := &db.shards[s]
 		sh.mu.Lock()
+		rec = rec[:0]
 		for _, i := range order[lo:hi] {
 			e := &entries[i]
 			if dedup {
@@ -723,13 +728,17 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 					continue
 				}
 			}
-			if err := db.appendLocked(sh, e.Key, e.At, e.Value); err != nil {
+			var err error
+			if rec, err = db.appendLocked(sh, e.Key, e.At, e.Value, rec); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
 			stored++
+		}
+		if err := db.writeLog(rec); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		sh.mu.Unlock()
 	}
@@ -1268,61 +1277,39 @@ func (db *DB) MaxTime() (time.Time, bool) {
 	return time.Unix(0, max).UTC(), true
 }
 
-// Flush forces buffered log records of every shard segment to stable
-// storage. Only the (cheap) buffer flush happens under each shard lock;
-// the fsyncs run outside the locks and concurrently across segments, so
-// readers and writers are never blocked behind disk latency and the wall
-// time stays near one fsync rather than one per shard. A checkpoint's
-// swapped-out segments are synced too until the checkpoint has synced
-// them: replay stops at a torn record, so a point acknowledged in the new
-// segment is only durable once the old one is. A file closed between the
-// two steps reports ErrClosed and is skipped: whoever closed it (the
-// checkpoint, or Close) synced it first.
+// Flush hands the log's buffered records to the kernel and fsyncs them
+// to stable storage. It takes only the log lock, and only for the buffer
+// flush: the fsync runs outside it, so appends and reads never wait on
+// disk latency. A checkpoint's swapped-out segments are synced too until
+// the checkpoint has synced them: replay stops at a torn record, so a
+// point acknowledged in the new segment is only durable once the old one
+// is. A file closed between the two steps reports ErrClosed and is
+// skipped: whoever closed it (the checkpoint, or Close) synced it first.
 func (db *DB) Flush() error {
-	errs := make([]error, len(db.shards))
-	files := make([]*os.File, len(db.shards))
-	retired := make([][]*os.File, len(db.shards))
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.Lock()
-		if sh.wal != nil {
-			if err := sh.wal.Flush(); err != nil {
-				errs[i] = err
-			} else {
-				files[i], retired[i] = sh.walF, sh.unsynced
-			}
-		}
-		sh.mu.Unlock()
+	db.logMu.Lock()
+	if db.wal == nil {
+		db.logMu.Unlock()
+		return nil
 	}
-	var wg sync.WaitGroup
-	for i, f := range files {
-		if f == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, f *os.File) {
-			defer wg.Done()
-			if len(retired[i]) > 0 {
-				if errs[i] = db.shards[i].syncRetired(retired[i]); errs[i] != nil {
-					return
-				}
-			}
-			if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
-				errs[i] = err
-			}
-		}(i, f)
+	err := db.wal.Flush()
+	f, retired := db.walF, db.unsynced
+	db.logMu.Unlock()
+	if err == nil && len(retired) > 0 {
+		err = db.syncRetired(retired)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("tsdb: flush shard %d: %w", i, err)
+	if err == nil {
+		if err = f.Sync(); errors.Is(err, os.ErrClosed) {
+			err = nil
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("tsdb: flush: %w", err)
 	}
 	return nil
 }
 
 // Close flushes and closes the store. Further writes fail. Close quiesces
-// every shard so no append is mid-flight when its segment is closed. The
+// every shard so no append is mid-flight when the log is closed. The
 // maintenance daemon, if any, is stopped first — an in-flight maintenance
 // checkpoint completes before any segment file is closed.
 func (db *DB) Close() error {
@@ -1338,16 +1325,13 @@ func (db *DB) Close() error {
 		}
 	}()
 	var firstErr error
-	for i := range db.shards {
-		sh := &db.shards[i]
-		if sh.wal == nil {
-			continue
-		}
+	db.logMu.Lock()
+	if db.wal != nil {
 		// Flush AND fsync: Close is the durability boundary a clean
 		// shutdown relies on (and Flush's out-of-lock sync treats a
 		// concurrently-closed file as "Close will have synced it").
-		err := sh.wal.Flush()
-		for _, f := range append(sh.unsynced, sh.walF) {
+		err := db.wal.Flush()
+		for _, f := range append(db.unsynced, db.walF) {
 			if err == nil {
 				err = f.Sync()
 			}
@@ -1355,11 +1339,12 @@ func (db *DB) Close() error {
 				err = cerr
 			}
 		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("tsdb: close shard %d: %w", i, err)
+		if err != nil {
+			firstErr = fmt.Errorf("tsdb: close log: %w", err)
 		}
-		sh.wal, sh.walF, sh.unsynced = nil, nil, nil
+		db.wal, db.walF, db.unsynced = nil, nil, nil
 	}
+	db.logMu.Unlock()
 	// Reads decode outside the shard locks, so one may still hold a view
 	// naming these files: os.File refcounting lets an in-flight ReadAt
 	// finish, and a read starting after the close gets errClosed.
@@ -1392,16 +1377,16 @@ func (db *DB) ColdCompressedBytes() int64 { return db.coldBytes.Load() }
 // affected reads returned ErrColdRead rather than partial results.
 func (db *DB) ColdReadErrors() uint64 { return db.coldErrs.Value() }
 
-// ScannedPoints returns how many points reads have materialized since
+// scannedPoints returns how many points reads have materialized since
 // open: hot-tail copies and decoded cold-block windows, across every
 // read API. A rollup read counts the raw points it folds, not the
 // buckets it returns.
-func (db *DB) ScannedPoints() uint64 { return db.scanned.Value() }
+func (db *DB) scannedPoints() uint64 { return db.scanned.Value() }
 
 // HotTailPoints returns the per-series hot tail the store keeps when
 // sealing (-1 when sealing is disabled).
 func (db *DB) HotTailPoints() int { return db.hotTail }
 
-// SealsCold reports whether checkpoints seal history into the cold
+// sealsCold reports whether checkpoints seal history into the cold
 // tier: the store is durable and sealing was not disabled.
-func (db *DB) SealsCold() bool { return db.dir != "" && db.hotTail > 0 }
+func (db *DB) sealsCold() bool { return db.dir != "" && db.hotTail > 0 }

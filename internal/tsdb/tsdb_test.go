@@ -371,10 +371,8 @@ func TestReplayToleratesTruncatedTail(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the log by chopping 7 bytes off the one non-empty segment
-	// (all ten points share a series, hence a shard, hence a segment).
-	si := db.ShardIndexOf(k)
-	path := filepath.Join(dir, rotSegName(si, db.shards[si].walSeq))
+	// Corrupt the log by chopping 7 bytes off its one segment.
+	path := filepath.Join(dir, rotSegName(db.walSeq))
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,14 @@
 package tsdb
 
-// WAL segment generations and checkpointing.
+// The WAL's segment generations and checkpointing.
 //
 // # On-disk layout (data directory)
 //
 //	MANIFEST                 committed layout description (JSON, atomically
 //	                         replaced via temp file + rename)
-//	wal-00000-000001.log ... WAL segments, one generation per checkpoint:
-//	                         appends to shard i go only to shard i's active
-//	                         (highest-seq) segment, under shard i's lock
+//	wal-000001.log ...       the store's one WAL, one segment per checkpoint
+//	                         generation: every append goes to the active
+//	                         (highest-seq) segment under the log lock
 //	checkpoint-000001.snap   the checkpoint snapshot the manifest references:
 //	                         every series' hot tail, in the block file
 //	                         format (block.go); at most one is live
@@ -17,12 +17,12 @@ package tsdb
 //	                         manifest lists the live ones, and they
 //	                         accumulate, never rewritten
 //
-// This is the only layout the store reads or writes.
+// This is the only layout the store reads or writes. Nothing on disk
+// depends on the shard count: the shards are lock stripes in memory only.
 //
 // # Segment format
 //
-//	header: 8-byte magic "SLWALSG3" | u32 shard index | u32 shard count |
-//	        u64 layout epoch | u64 sequence number
+//	header: 8-byte magic "SLWALSG4" | u64 sequence number
 //	then:   a run of WAL records (see appendRecord): u32 crc | u16 keyLen |
 //	        key bytes | i64 unixNano | f64 bits
 //
@@ -32,51 +32,50 @@ package tsdb
 //
 // # Rotation
 //
-// Only a checkpoint rotates the WAL. It creates the next generation of
-// segments (one per shard, header written, file and directory fsynced)
-// before it takes any shard lock, then, inside the capture that takes each
-// shard's lock once, flushes the shard's writer and swaps it onto the new
-// file — pointer work only. The swapped-out files are fsynced after the
-// locks are released; until then a Flush fsyncs them too, so a point a
-// Flush acknowledged in the new segment never sits behind a torn old one.
-// A shard whose segment sequence fell behind (a crash or a failure between
-// creating a generation and swapping onto it) gets header-only fillers for
-// the missing numbers, so every shard's sequence stays gap-free.
+// Only a checkpoint rotates the WAL. It creates the next segment (header
+// written, file and directory fsynced) before it takes any lock. Then the
+// cut takes every shard lock in ascending order and the log lock, flushes
+// the log's buffer, swaps the log onto the new file and captures every
+// series' point slice: the swapped-out segments hold exactly the captured
+// points. They are fsynced after the locks are released; until then a
+// Flush fsyncs them too, so a point a Flush acknowledged in the new
+// segment never sits behind a torn old one.
 //
 // # Commit protocol
 //
-// The manifest rename is the only commit point. Its three users — the
-// first open of a fresh directory, a shard-count change, and a checkpoint
-// — follow the same order: write new data files and fsync them, rename the
-// new MANIFEST into place, then clean up. A crash before the rename leaves
-// the old layout fully intact (or, on a first open, no layout: the next
-// open starts fresh over the leftovers); a crash after it leaves stale
-// files that the next open recognizes (wrong epoch, covered sequence
-// number, unreferenced checkpoint) and ignores or deletes.
+// The manifest rename is the only commit point. Its two users — the first
+// open of a fresh directory and a checkpoint — follow the same order:
+// write new data files and fsync them, rename the new MANIFEST into
+// place, then clean up. A crash before the rename leaves the old layout
+// fully intact (or, on a first open, no layout: the next open starts
+// fresh over the leftovers); a crash after it leaves stale files that the
+// next open recognizes (covered sequence number, unreferenced checkpoint)
+// and deletes.
 //
 // A checkpoint commits the manifest naming the generation it rotated to,
 // then unlinks every segment below it. Checkpoint compaction never
 // rewrites a data file, and after it commits no WAL byte it covers is on
 // disk. A checkpoint that fails after its swap leaves the swapped-out
-// segments uncovered: they replay, ship to followers, and fall to the
+// segment uncovered: it replays, ships to followers, and falls to the
 // next checkpoint that commits.
 //
 // # Recovery
 //
 // Open reads the manifest, bulk-loads the referenced checkpoint snapshot
-// (if any), then replays each shard's segments — one goroutine per shard —
-// in full and in sequence order, starting at the manifest's walSeq. A
-// missing sequence number, a foreign header or a torn record ends the
-// chain (a torn record is the signature of a crash mid-write; nothing
-// after it was acknowledged as durable), and the torn bytes are truncated
-// before the segment reopens for appending. Recovery time is bounded by
-// the bytes written since the last checkpoint, not by the archive's full
-// history.
+// (if any), then replays the segments in one sequential pass, in
+// sequence order from the manifest's walSeq, applying each record to the
+// shard its key hashes to. A missing sequence number, a foreign header or
+// a torn record ends the chain (a torn record is the signature of a crash
+// mid-write; nothing after it was acknowledged as durable), and the torn
+// bytes are truncated before the segment reopens for appending. Recovery
+// time is bounded by the bytes written since the last checkpoint, not by
+// the archive's full history.
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 4
-// (version 3 located the checkpoint cut by per-shard logical offsets into
+// A directory this build cannot read — a MANIFEST whose version is not 5
+// (version 4 kept one segment chain per shard, under a layout epoch;
+// version 3 located the checkpoint cut by per-shard logical offsets into
 // live segments; version 2 wrote checkpoints as raw 16-byte points,
 // "SLTSDBSN") or that carries a field this build does not know (a
 // materialized rollup snapshot's "rollups", raw retention's "retain"), a
@@ -93,11 +92,13 @@ package tsdb
 // checkpoint:capture, checkpoint:segsync:*, checkpoint:blocks:* —
 // including checkpoint:blocks:data-written, frozen mid-file between the
 // data blocks and the index — checkpoint:snapshot:*,
-// checkpoint:manifest:*, checkpoint:delete:*). The crash-matrix test
-// harness arms a hook that aborts at exactly one of them — simulating a
-// crash before or after the fsync at that boundary — and asserts recovery
-// is exact against a reference store. No protocol change should land
-// without a matrix cell covering its new boundary.
+// checkpoint:manifest:*, checkpoint:delete:*). rotate:seal:before-sync
+// fires inside the cut, with every shard lock held; checkpoint:delete:mid
+// fires between unlinking two uncovered generations. The crash-matrix
+// test harness arms a hook that aborts at exactly one of them —
+// simulating a crash before or after the fsync at that boundary — and
+// asserts recovery is exact against a reference store. No protocol
+// change should land without a matrix cell covering its new boundary.
 
 import (
 	"bufio"
@@ -114,22 +115,18 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 4
+	manifestVersion = 5
 
-	// Segment header: magic | u32 shard index | u32 shard count |
-	// u64 epoch | u64 seq.
-	rotSegMagic     = "SLWALSG3"
-	rotSegHeaderLen = len(rotSegMagic) + 4 + 4 + 8 + 8
+	// Segment header: magic | u64 seq.
+	rotSegMagic     = "SLWALSG4"
+	rotSegHeaderLen = len(rotSegMagic) + 8
 
-	// maxShards bounds a store's shard count, and with it the segment
-	// count a manifest may claim: recovery allocates per segment before it
-	// has read a file, and a segment name holds a five-digit shard index.
+	// maxShards bounds a store's shard count.
 	maxShards = 1 << 16
 )
 
@@ -162,9 +159,7 @@ func (db *DB) cpHook(prefix string) func(string) error {
 
 // manifest is the committed description of the durable layout.
 type manifest struct {
-	Version  int    `json:"version"`
-	Epoch    uint64 `json:"epoch"`
-	Segments int    `json:"segments"`
+	Version int `json:"version"`
 	// WALSeq is the first WAL segment generation the checkpoint does not
 	// cover: recovery replays every segment at or above it, and every
 	// segment below it is covered and reclaimed.
@@ -181,17 +176,16 @@ type manifest struct {
 	BlockSeq uint64   `json:"blockSeq,omitempty"`
 }
 
-func rotSegName(i int, seq uint64) string { return fmt.Sprintf("wal-%05d-%06d.log", i, seq) }
+func rotSegName(seq uint64) string { return fmt.Sprintf("wal-%06d.log", seq) }
 
-// scanRotSegName parses a segment file name's shard index and
-// sequence number. The seq scan is width-free: %06d is only a minimum
-// width in rotSegName, so sequence numbers past 999999 print more digits
-// and a width-limited scan would silently drop those files — and the
-// acknowledged records in them — at the next recovery. The round trip
-// through rotSegName still rejects non-canonical spellings.
-func scanRotSegName(name string, i *int, seq *uint64) bool {
-	n, err := fmt.Sscanf(name, "wal-%05d-%d.log", i, seq)
-	return err == nil && n == 2 && name == rotSegName(*i, *seq)
+// scanRotSegName parses a segment file name's sequence number. The scan
+// is width-free: %06d is only a minimum width in rotSegName, so sequence
+// numbers past 999999 print more digits and a width-limited scan would
+// silently drop those files at the next open's reaping pass. The round
+// trip through rotSegName still rejects non-canonical spellings.
+func scanRotSegName(name string, seq *uint64) bool {
+	n, err := fmt.Sscanf(name, "wal-%d.log", seq)
+	return err == nil && n == 1 && name == rotSegName(*seq)
 }
 
 func checkpointName(s uint64) string { return fmt.Sprintf("checkpoint-%06d.snap", s) }
@@ -236,9 +230,6 @@ func parseManifest(raw []byte) (manifest, error) {
 	if err := dec.Decode(new(manifest)); err != nil {
 		field, _ := strings.CutPrefix(err.Error(), "json: unknown field ")
 		return manifest{}, fmt.Errorf("tsdb: unsupported layout: manifest field %s, which this build does not read", field)
-	}
-	if m.Segments <= 0 || m.Segments > maxShards {
-		return manifest{}, fmt.Errorf("tsdb: malformed manifest: %d segments", m.Segments)
 	}
 	if m.WALSeq == 0 {
 		return manifest{}, errors.New("tsdb: malformed manifest: walSeq 0")
@@ -332,41 +323,19 @@ func writeManifest(dir string, m manifest, hook func(stage string) error) error 
 	}, hook)
 }
 
-// rotHeader is a decoded segment file header.
-type rotHeader struct {
-	index int
-	count int
-	epoch uint64
-	seq   uint64
-}
-
-func encodeRotHeader(h rotHeader) []byte {
-	buf := make([]byte, rotSegHeaderLen)
-	copy(buf, rotSegMagic)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(h.index))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(h.count))
-	binary.LittleEndian.PutUint64(buf[16:], h.epoch)
-	binary.LittleEndian.PutUint64(buf[24:], h.seq)
-	return buf
-}
-
-func decodeRotHeader(buf []byte) (rotHeader, bool) {
-	if len(buf) < rotSegHeaderLen || string(buf[:len(rotSegMagic)]) != rotSegMagic {
-		return rotHeader{}, false
-	}
-	return rotHeader{
-		index: int(binary.LittleEndian.Uint32(buf[8:])),
-		count: int(binary.LittleEndian.Uint32(buf[12:])),
-		epoch: binary.LittleEndian.Uint64(buf[16:]),
-		seq:   binary.LittleEndian.Uint64(buf[24:]),
-	}, true
+// encodeRotHeader returns segment seq's header.
+func encodeRotHeader(seq uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte(rotSegMagic), seq)
 }
 
 // openDurable brings up the durable layout for db.dir: it initializes a
-// fresh directory, re-shards when the segment count no longer matches, and
-// otherwise loads the checkpoint and replays per-shard segment chains. A
-// directory holding a layout this build cannot read is refused before
-// anything in it is touched (see "Unsupported layouts" above). It runs
+// fresh directory, or loads the blocks and the checkpoint and replays the
+// WAL. A directory holding a layout this build cannot read is refused
+// before anything in it is touched (see "Unsupported layouts" above). A
+// read-only open stops after the replay: no active segment is created or
+// truncated and no stale file is reclaimed. That last point is
+// load-bearing for replication — a follower's puller stages files there
+// between reopens, and a reaping pass would delete them. It runs
 // single-threaded during Open, before the store is shared.
 func (db *DB) openDurable() error {
 	if _, err := os.Stat(filepath.Join(db.dir, "rollup", manifestName)); err == nil {
@@ -376,108 +345,65 @@ func (db *DB) openDurable() error {
 	if err != nil {
 		return fmt.Errorf("tsdb: cannot open %s: %w", db.dir, err)
 	}
-	if !ok {
+	var c logChain
+	if ok {
+		db.man = man
+		// Blocks attach before the snapshot and WAL tail load: the cold
+		// prefix must be in place before hot points append after it.
+		if err := db.openBlocks(man); err != nil {
+			return err
+		}
+		if man.Checkpoint != "" {
+			if err := db.loadCheckpointFile(man.Checkpoint); err != nil {
+				return err
+			}
+		}
+		if c, err = db.replayLog(); err != nil || db.readOnly {
+			return err
+		}
+	} else {
 		// Without a manifest the directory is taken for fresh and its
 		// leftovers overwritten — which would silently discard the
 		// archive a pre-manifest build kept in its single-stream log.
 		if _, err := os.Stat(filepath.Join(db.dir, "points.wal")); !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("tsdb: cannot open %s: unsupported layout: points.wal with no MANIFEST (a pre-manifest single-stream log, which this build does not read)", db.dir)
 		}
+		// Initializing writes files, and a read-only open owns none.
+		if db.readOnly {
+			return fmt.Errorf("tsdb: read-only open of %s: no committed manifest", db.dir)
+		}
+		// A fresh directory, or a first open that crashed before its
+		// manifest commit: commit an empty layout, then create its first
+		// segment over any leftover (removeStaleFiles reaps the rest).
+		db.man = manifest{Version: manifestVersion, WALSeq: 1}
+		if err := writeManifest(db.dir, db.man, nil); err != nil {
+			return err
+		}
+		c = logChain{seq: 1}
 	}
-	if db.readOnly {
-		return db.openReadOnly(man, ok)
-	}
-	switch {
-	case !ok:
-		// Fresh directory, or a first open that crashed before its
-		// manifest commit (stale segment/checkpoint temp files may exist
-		// — commitLayout overwrites them and removeStaleFiles reaps the
-		// rest).
-		if err := db.commitLayout(1); err != nil {
-			return err
-		}
-	case man.Segments != len(db.shards):
-		// A shard-count change: load the full state under the committed
-		// layout, then re-commit a fresh layout at a new epoch. A crash
-		// before the new manifest rename leaves the old manifest
-		// authoritative (the redo replays the same files); a crash after
-		// it leaves stale old-epoch files that removeStaleFiles deletes
-		// without replaying.
-		db.man = man
-		// Blocks attach before the snapshot and WAL tail load: the cold
-		// prefix must be in place before hot points append after it.
-		// Block files are shard-agnostic (series re-hash onto the current
-		// shards at attach), so a re-shard carries them as-is.
-		if err := db.openBlocks(man); err != nil {
-			return err
-		}
-		if _, err := db.loadRotLayout(man, false); err != nil {
-			return err
-		}
-		if err := db.commitLayout(man.Epoch + 1); err != nil {
-			return err
-		}
-	default:
-		db.man = man
-		db.epoch = man.Epoch
-		if err := db.openBlocks(man); err != nil {
-			return err
-		}
-		chains, err := db.loadRotLayout(man, true)
-		if err != nil {
-			return err
-		}
-		if err := db.openActiveSegments(chains); err != nil {
-			return err
-		}
+	if err := db.openActiveSegment(c); err != nil {
+		return err
 	}
 	db.removeStaleFiles()
 	return nil
 }
 
-// openReadOnly loads the committed layout without mutating the directory:
-// blocks attach and the WAL chains replay exactly as in the normal open,
-// but no active segment is created or truncated, no layout is
-// (re-)committed, and no stale files are reclaimed. That last point is
-// load-bearing for replication — a follower's puller stages files here
-// between reopens, and a reaping pass would delete them. A directory
-// with no manifest is refused: initializing one writes files, and a
-// read-only open owns none.
-func (db *DB) openReadOnly(man manifest, ok bool) error {
-	if !ok {
-		return fmt.Errorf("tsdb: read-only open of %s: no committed manifest", db.dir)
-	}
-	db.man = man
-	db.epoch = man.Epoch
-	if err := db.openBlocks(man); err != nil {
-		return err
-	}
-	// With the manifest's segment count matching ours, each shard's chain
-	// replays in parallel under the strict ownership checks; otherwise
-	// the sequential path re-hashes every record onto the current shards
-	// (the same read path a shard-count change uses, minus the re-commit).
-	_, err := db.loadRotLayout(man, man.Segments == len(db.shards))
-	return err
-}
-
-// applyReplayed stores one replayed point directly. Open owns the store
-// exclusively, so no locks are taken; parallel chain replay is safe
-// because each goroutine only touches its own shard.
-func (db *DB) applyReplayed(sh *shard, k SeriesKey, ns int64, v float64) {
-	db.mergeSeries(sh, k, sample{ns: ns, v: v})
-}
-
-// mergeSeries bulk-appends points to a series, maintaining the shard's
-// point counter and generation and the store's key generation. The caller
-// must own sh — either exclusively (recovery during Open) or via its
-// write lock.
-func (db *DB) mergeSeries(sh *shard, k SeriesKey, pts ...sample) {
+// seriesLocked returns k's series in sh, creating it — and bumping the
+// store's key generation — when it is new. The caller must own sh —
+// either exclusively (recovery during Open) or via its write lock.
+func (db *DB) seriesLocked(sh *shard, k SeriesKey) *series {
 	s := sh.series[k]
 	if s == nil {
 		s = &series{}
 		sh.series[k] = s
 		db.keyGen.Add(1)
 	}
+	return s
+}
+
+// mergeSeries bulk-appends points to s, a series of sh, maintaining the
+// shard's point counter and generation. The caller must own sh.
+func (db *DB) mergeSeries(sh *shard, s *series, pts ...sample) {
 	s.points = append(s.points, pts...)
 	sh.points += len(pts)
 	db.hotPts.Add(int64(len(pts)))
@@ -518,12 +444,7 @@ func (db *DB) openBlocks(man manifest) error {
 		db.coldSegs = append(db.coldSegs, seg)
 		for _, ent := range entries {
 			sh := db.shardFor(ent.key)
-			s := sh.series[ent.key]
-			if s == nil {
-				s = &series{}
-				sh.series[ent.key] = s
-				db.keyGen.Add(1)
-			}
+			s := db.seriesLocked(sh, ent.key)
 			if s.cold != nil && s.cold.n > 0 && ent.blocks[0].minAt < s.cold.lastAt {
 				// Later files must continue where earlier ones ended; the
 				// seal protocol never commits an overlap.
@@ -564,18 +485,16 @@ func (db *DB) attachBlocks(s *series, seg *coldSegment, blocks []blockMeta) int 
 	return total
 }
 
-// replayRecords reads WAL records from r until EOF, a truncated record, or
-// a CRC mismatch (all three end replay silently: they are the signature of
-// a crash mid-write). Malformed keys are skipped. It returns how many
-// bytes of complete, CRC-valid records were consumed, so callers can
-// truncate a crashed tail before appending after it.
-func replayRecords(r io.Reader, apply func(k SeriesKey, ns int64, v float64)) (int64, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
+// replayRecords reads WAL records from br until EOF, a truncated record,
+// or a CRC mismatch (all three end replay silently: they are the
+// signature of a crash mid-write), handing apply each record's key bytes,
+// which are valid only during the call. It returns how many bytes of
+// complete, CRC-valid records were consumed, so callers can truncate a
+// crashed tail before appending after it.
+func replayRecords(br *bufio.Reader, apply func(key []byte, ns int64, v float64)) (int64, error) {
 	valid := int64(0)
 	var head [6]byte
+	var body []byte
 	for {
 		if _, err := io.ReadFull(br, head[:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -585,24 +504,17 @@ func replayRecords(r io.Reader, apply func(k SeriesKey, ns int64, v float64)) (i
 		}
 		crc := binary.LittleEndian.Uint32(head[:4])
 		keyLen := int(binary.LittleEndian.Uint16(head[4:6]))
-		body := make([]byte, keyLen+16)
+		body = slices.Grow(body[:0], keyLen+16)[:keyLen+16]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return valid, nil // truncated record: ignore tail
 		}
-		full := make([]byte, 0, 2+len(body))
-		full = append(full, head[4:6]...)
-		full = append(full, body...)
-		if crc32.ChecksumIEEE(full) != crc {
+		if crc32.Update(crc32.ChecksumIEEE(head[4:6]), crc32.IEEETable, body) != crc {
 			return valid, nil // corrupt tail: stop replay
 		}
 		valid += int64(len(head) + len(body))
 		ns := int64(binary.LittleEndian.Uint64(body[keyLen : keyLen+8]))
 		v := math.Float64frombits(binary.LittleEndian.Uint64(body[keyLen+8:]))
-		k, err := ParseSeriesKey(string(body[:keyLen]))
-		if err != nil {
-			continue
-		}
-		apply(k, ns, v)
+		apply(body[:keyLen], ns, v)
 	}
 }
 
@@ -624,21 +536,15 @@ func (db *DB) loadCheckpointFile(name string) error {
 		return fmt.Errorf("tsdb: loading checkpoint: %w", err)
 	}
 	for _, rec := range recs {
-		db.mergeSeries(db.shardFor(rec.key), rec.key, rec.points...)
+		sh := db.shardFor(rec.key)
+		db.mergeSeries(sh, db.seriesLocked(sh, rec.key), rec.points...)
 	}
 	return nil
 }
 
-// rotSegOnDisk is one segment file a directory scan found for a shard.
-type rotSegOnDisk struct {
-	seq  uint64
-	path string
-}
-
-// shardChain is the outcome of replaying one shard's segment chain: the
-// segment that should become the append target, its extent, and the
-// record bytes the chain replayed.
-type shardChain struct {
+// logChain is what replaying the WAL found: the segment appends resume
+// in, its extent, and the record bytes the whole chain replayed.
+type logChain struct {
 	seq      uint64 // active segment sequence number
 	valid    int64  // record bytes of its complete, CRC-valid records
 	size     int64  // record bytes on disk (> valid when the tail is torn)
@@ -646,274 +552,180 @@ type shardChain struct {
 	found    bool   // an active segment file exists on disk
 }
 
-// scanRotSegments lists every segment file in the directory, grouped by
-// shard index (0..segments-1) and sorted by sequence number.
-func scanRotSegments(dir string, segments int) ([][]rotSegOnDisk, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: scanning segments: %w", err)
+// replayLog replays the WAL's segments in full and in sequence order,
+// starting at the manifest's walSeq; segments below it are covered by the
+// checkpoint and skipped unread (removeStaleFiles reaps them). Each
+// record goes to the shard its key hashes to, so the replay does not
+// depend on the shard count the segments were written under. A missing
+// sequence number, a file whose header names another sequence number or
+// layout, or a torn record ends the chain there, because nothing past
+// such a break was acknowledged as durable before a crash. The returned
+// chain tells openActiveSegment where the append stream resumes.
+func (db *DB) replayLog() (logChain, error) {
+	// Each key resolves once per open, not once per record: parsing and
+	// hashing it would dominate the replay. Open owns the store
+	// exclusively, so no locks are taken. Malformed keys are skipped.
+	type target struct {
+		sh *shard
+		s  *series
 	}
-	out := make([][]rotSegOnDisk, segments)
-	for _, e := range ents {
-		var i int
-		var seq uint64
-		if !scanRotSegName(e.Name(), &i, &seq) || i < 0 || i >= segments {
-			continue
-		}
-		out[i] = append(out[i], rotSegOnDisk{seq: seq, path: filepath.Join(dir, e.Name())})
-	}
-	for i := range out {
-		sort.Slice(out[i], func(a, b int) bool { return out[i][a].seq < out[i][b].seq })
-	}
-	return out, nil
-}
-
-// loadRotLayout restores the store state a committed manifest
-// describes: bulk-load the checkpoint snapshot, then replay
-// each shard's segment chain. With parallel set (segment count == shard
-// count), chains replay on one goroutine each, writing only their own
-// shard; otherwise (re-shard path) replay is sequential and records
-// re-hash onto the new shards. The returned chains tell openActiveSegments where each shard's
-// append stream resumes.
-func (db *DB) loadRotLayout(man manifest, parallel bool) ([]shardChain, error) {
-	if man.Checkpoint != "" {
-		if err := db.loadCheckpointFile(man.Checkpoint); err != nil {
-			return nil, err
-		}
-	}
-	found, err := scanRotSegments(db.dir, man.Segments)
-	if err != nil {
-		return nil, err
-	}
-	chains := make([]shardChain, man.Segments)
-	if !parallel {
-		for i := 0; i < man.Segments; i++ {
-			c, err := db.replayShardChain(i, man, false, found[i])
+	targets := make(map[string]target)
+	apply := func(key []byte, ns int64, v float64) {
+		t, ok := targets[string(key)]
+		if !ok {
+			k, err := ParseSeriesKey(string(key))
 			if err != nil {
-				return nil, err
+				return
 			}
-			chains[i] = c
+			t.sh = db.shardFor(k)
+			t.s = db.seriesLocked(t.sh, k)
+			targets[string(key)] = t
 		}
-		return chains, nil
+		db.mergeSeries(t.sh, t.s, sample{ns: ns, v: v})
 	}
-	errs := make([]error, man.Segments)
-	var wg sync.WaitGroup
-	for i := 0; i < man.Segments; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			chains[i], errs[i] = db.replayShardChain(i, man, true, found[i])
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return chains, nil
-}
-
-// replayShardChain replays shard i's segments in full and in sequence
-// order, starting at the manifest's walSeq; segments below it are
-// covered by the checkpoint and skipped unread (removeStaleFiles reaps
-// them). A missing sequence number, a file whose header names another
-// epoch, shard or layout, or a torn record ends the chain there, because
-// nothing past such a break was acknowledged as durable before a crash.
-// When strict is set (parallel replay), records that do not hash to shard
-// i are dropped rather than applied, so goroutines never cross shards.
-func (db *DB) replayShardChain(i int, man manifest, strict bool, segs []rotSegOnDisk) (shardChain, error) {
-	c := shardChain{seq: man.WALSeq}
-	for _, sg := range segs {
-		if sg.seq < man.WALSeq {
-			continue
+	c := logChain{seq: db.man.WALSeq}
+	for seq := db.man.WALSeq; ; seq++ {
+		name := rotSegName(seq)
+		f, err := os.Open(filepath.Join(db.dir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			return c, nil
 		}
-		next := man.WALSeq
-		if c.found {
-			next = c.seq + 1
-		}
-		if sg.seq != next {
-			break
-		}
-		f, err := os.Open(sg.path)
 		if err != nil {
-			return c, fmt.Errorf("tsdb: opening segment %s: %w", filepath.Base(sg.path), err)
+			return c, fmt.Errorf("tsdb: opening segment %s: %w", name, err)
 		}
 		st, err := f.Stat()
 		if err != nil {
 			f.Close()
-			return c, fmt.Errorf("tsdb: segment %s stat: %w", filepath.Base(sg.path), err)
+			return c, fmt.Errorf("tsdb: segment %s stat: %w", name, err)
 		}
 		br := bufio.NewReaderSize(f, 1<<16)
 		head := make([]byte, rotSegHeaderLen)
-		if _, err := io.ReadFull(br, head); err != nil {
+		if _, err := io.ReadFull(br, head); err != nil || !bytes.Equal(head, encodeRotHeader(seq)) {
 			f.Close()
-			break // truncated header: crashed creation
+			return c, nil // a crashed creation or a foreign file
 		}
-		h, ok := decodeRotHeader(head)
-		if !ok || h.epoch != man.Epoch || h.index != i || h.count != man.Segments || h.seq != sg.seq {
-			f.Close()
-			break // stale or foreign segment
-		}
-		valid, err := replayRecords(br, func(k SeriesKey, ns int64, v float64) {
-			sh := db.shardFor(k)
-			if strict && sh != &db.shards[i] {
-				return
-			}
-			db.applyReplayed(sh, k, ns, v)
-		})
+		valid, err := replayRecords(br, apply)
 		f.Close()
 		if err != nil {
 			return c, err
 		}
-		c.seq, c.found = sg.seq, true
-		c.valid, c.size = valid, st.Size()-int64(rotSegHeaderLen)
-		c.replayed += uint64(valid)
+		c = logChain{seq: seq, valid: valid, size: st.Size() - int64(rotSegHeaderLen), replayed: c.replayed + uint64(valid), found: true}
 		db.replayedBytes.Add(uint64(valid))
 		if valid < c.size {
-			break // torn record: a crash mid-append
+			return c, nil // torn record: a crash mid-append
 		}
 	}
-	return c, nil
 }
 
-// openActiveSegments opens each shard's active segment for appending,
-// applying the chain replay's verdicts: a torn tail is truncated to the
-// last complete record first (appending after a crashed half-written tail
-// would strand the new records behind bytes replay refuses to cross), and
-// a shard with no usable segment gets a fresh one at the manifest's
-// walSeq. It must run after loadRotLayout with db.man and db.epoch
-// current.
-func (db *DB) openActiveSegments(chains []shardChain) error {
-	n := len(db.shards)
-	for i := range db.shards {
-		sh := &db.shards[i]
-		c := chains[i]
-		path := filepath.Join(db.dir, rotSegName(i, c.seq))
-		var f *os.File
-		var err error
-		if !c.found {
-			f, err = createRotSegmentFile(path, rotHeader{index: i, count: n, epoch: db.epoch, seq: c.seq})
-			if err != nil {
-				return err
-			}
-		} else {
-			f, err = os.OpenFile(path, os.O_RDWR, 0o644)
-			if err != nil {
-				return fmt.Errorf("tsdb: opening segment %s: %w", filepath.Base(path), err)
-			}
-			if c.size > c.valid {
-				if err := f.Truncate(int64(rotSegHeaderLen) + c.valid); err != nil {
-					f.Close()
-					return fmt.Errorf("tsdb: segment %s truncate: %w", filepath.Base(path), err)
-				}
-				if err := f.Sync(); err != nil {
-					f.Close()
-					return fmt.Errorf("tsdb: segment %s sync: %w", filepath.Base(path), err)
-				}
-			}
-			if _, err := f.Seek(0, io.SeekEnd); err != nil {
+// openActiveSegment opens the chain's last segment for appending,
+// applying the replay's verdict: a torn tail is truncated to the last
+// complete record first (appending after a crashed half-written tail
+// would strand the new records behind bytes replay refuses to cross),
+// and a chain with no usable segment gets a fresh one at the manifest's
+// walSeq. It must run after replayLog with db.man current.
+func (db *DB) openActiveSegment(c logChain) error {
+	name := rotSegName(c.seq)
+	path := filepath.Join(db.dir, name)
+	var f *os.File
+	var err error
+	if !c.found {
+		if f, err = createRotSegmentFile(path, c.seq); err != nil {
+			return err
+		}
+	} else {
+		f, err = os.OpenFile(path, os.O_RDWR, 0o644)
+		if err != nil {
+			return fmt.Errorf("tsdb: opening segment %s: %w", name, err)
+		}
+		if c.size > c.valid {
+			if err := f.Truncate(int64(rotSegHeaderLen) + c.valid); err != nil {
 				f.Close()
-				return fmt.Errorf("tsdb: segment %s seek: %w", filepath.Base(path), err)
+				return fmt.Errorf("tsdb: segment %s truncate: %w", name, err)
+			}
+			if err := f.Sync(); err != nil {
+				f.Close()
+				return fmt.Errorf("tsdb: segment %s sync: %w", name, err)
 			}
 		}
-		sh.walF = f
-		sh.wal = bufio.NewWriterSize(f, 1<<16)
-		sh.walSeq = c.seq
-		db.setSealed(sh)
-		// Seed the checkpoint byte counters with the replayed chain: those
-		// records are exactly the bytes the next restart would replay
-		// again. Left at zero, a writer crashing just under the threshold
-		// every run would grow the tail without ever arming the size
-		// trigger.
-		if c.replayed > 0 {
-			sh.cpBytes.Store(c.replayed)
-			db.cpBytesTotal.Add(c.replayed)
+		if _, err := f.Seek(0, io.SeekEnd); err != nil {
+			f.Close()
+			return fmt.Errorf("tsdb: segment %s seek: %w", name, err)
 		}
 	}
+	db.walF = f
+	db.wal = bufio.NewWriterSize(f, 1<<16)
+	db.walSeq = c.seq
+	db.setSealed()
+	// Seed the checkpoint byte counter with the replayed chain: those
+	// records are exactly the bytes the next restart would replay again.
+	// Left at zero, a writer crashing just under the threshold every run
+	// would grow the tail without ever arming the size trigger.
+	db.cpBytesTotal.Store(c.replayed)
 	return syncDir(db.dir)
 }
 
-// createRotSegmentFile (re)creates an empty segment file with the given
+// createRotSegmentFile (re)creates an empty segment file with seq's
 // header, replacing whatever was at path, and fsyncs it.
-func createRotSegmentFile(path string, h rotHeader) (*os.File, error) {
+func createRotSegmentFile(path string, seq uint64) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: creating segment: %w", err)
 	}
-	if _, err := f.Write(encodeRotHeader(h)); err == nil {
-		err = f.Sync()
-	} else {
+	if _, err := f.Write(encodeRotHeader(seq)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tsdb: segment header write: %w", err)
 	}
-	if err != nil {
+	if err := f.Sync(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tsdb: segment header sync: %w", err)
 	}
 	return f, nil
 }
 
-// createGeneration creates segment gen for every shard, before any shard
-// lock is taken: each file is created, its header written and the file
-// fsynced, then the directory is fsynced. A shard whose active sequence
-// is below gen-1 also gets header-only fillers for the numbers between,
-// so its chain stays gap-free. It returns each shard's gen file, open for
-// appending. On a real (non-injected) failure every file it created is
-// closed and removed: no shard has swapped onto one, and none holds a
-// record. The caller holds cpMu, which is what keeps walSeq still.
-func (db *DB) createGeneration(gen uint64) ([]*os.File, error) {
-	n := len(db.shards)
-	out := make([]*os.File, n)
-	var created []string
-	err := func() error {
-		for i := range db.shards {
-			for seq := db.shards[i].walSeq + 1; seq <= gen; seq++ {
-				path := filepath.Join(db.dir, rotSegName(i, seq))
-				created = append(created, path)
-				f, err := createRotSegmentFile(path, rotHeader{index: i, count: n, epoch: db.epoch, seq: seq})
-				if err != nil {
-					return err
-				}
-				if seq < gen {
-					f.Close()
-				} else {
-					out[i] = f
-				}
-				// The file is durable, its directory entry not yet.
-				if err := db.failpoint("rotate:create:before-sync"); err != nil {
-					return err
-				}
-			}
+// createGeneration creates segment gen before any lock is taken: the file
+// is created, its header written and the file fsynced, then the directory
+// is fsynced. It returns the file, open for appending. On a real
+// (non-injected) failure the file is closed and removed: the log has not
+// swapped onto it, and it holds no record. The caller holds cpMu, which
+// is what keeps walSeq still.
+func (db *DB) createGeneration(gen uint64) (*os.File, error) {
+	path := filepath.Join(db.dir, rotSegName(gen))
+	f, err := createRotSegmentFile(path, gen)
+	if err == nil {
+		// The file is durable, its directory entry not yet.
+		err = db.failpoint("rotate:create:before-sync")
+		if err == nil {
+			err = syncDir(db.dir)
 		}
-		if err := syncDir(db.dir); err != nil {
-			return err
+		if err == nil {
+			err = db.failpoint("rotate:create:after-sync")
 		}
-		return db.failpoint("rotate:create:after-sync")
-	}()
+		if err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
-		closeFiles(out)
 		if !errors.Is(err, errCrashPoint) {
-			for _, p := range created {
-				os.Remove(p)
-			}
+			os.Remove(path)
 		}
 		return nil, err
 	}
-	return out, nil
+	return f, nil
 }
 
-// syncRetired fsyncs swapped-out segments of sh, then drops them from
-// sh.unsynced and closes them. A file another syncer (a Flush, or a
+// syncRetired fsyncs swapped-out segments, then drops them from
+// db.unsynced and closes them. A file another syncer (a Flush, or a
 // closing store) already synced and closed reports ErrClosed, which
 // therefore means durable.
-func (sh *shard) syncRetired(files []*os.File) error {
+func (db *DB) syncRetired(files []*os.File) error {
 	for _, f := range files {
 		if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
 			return err
 		}
 	}
-	sh.mu.Lock()
+	db.logMu.Lock()
 	var keep, gone []*os.File
-	for _, f := range sh.unsynced {
+	for _, f := range db.unsynced {
 		if slices.Contains(files, f) {
 			gone = append(gone, f)
 		} else {
@@ -922,73 +734,12 @@ func (sh *shard) syncRetired(files []*os.File) error {
 	}
 	// Rebuilt, never edited in place: syncers iterate a copy of the slice
 	// header they took under the lock.
-	sh.unsynced = keep
-	sh.mu.Unlock()
+	db.unsynced = keep
+	db.logMu.Unlock()
 	// Their bytes are durable and nothing writes them again, so a close
 	// error changes nothing.
-	closeFiles(gone)
-	return nil
-}
-
-// closeFiles closes every non-nil file in fs.
-func closeFiles(fs []*os.File) {
-	for _, f := range fs {
-		if f != nil {
-			f.Close()
-		}
-	}
-}
-
-// commitLayout persists the store's current in-memory state as a brand-new
-// layout at the given epoch: a checkpoint snapshot holding every point
-// (when the store is non-empty), then the manifest (the commit point),
-// then one fresh empty segment per shard at seq 1. Used by the re-shard
-// path and fresh-directory initialization. A crash before the manifest
-// rename leaves the previous layout (if any) fully authoritative; a crash
-// after it leaves at worst stale files from the old layout, which the
-// next open recreates or deletes.
-func (db *DB) commitLayout(epoch uint64) error {
-	n := len(db.shards)
-	m := manifest{
-		Version:       manifestVersion,
-		Epoch:         epoch,
-		Segments:      n,
-		WALSeq:        1,
-		CheckpointSeq: db.man.CheckpointSeq,
-		Blocks:        db.man.Blocks,
-		BlockSeq:      db.man.BlockSeq,
-	}
-	if db.PointCount() > 0 {
-		m.CheckpointSeq++
-		m.Checkpoint = checkpointName(m.CheckpointSeq)
-		if err := db.writeCheckpointFile(m.Checkpoint, db.capture()); err != nil {
-			return err
-		}
-	}
-	if err := writeManifest(db.dir, m, nil); err != nil {
-		return err
-	}
-	old := db.man
-	db.man = m
-	db.epoch = epoch
-	for i := range db.shards {
-		sh := &db.shards[i]
-		f, err := createRotSegmentFile(filepath.Join(db.dir, rotSegName(i, 1)), rotHeader{index: i, count: n, epoch: epoch, seq: 1})
-		if err != nil {
-			return err
-		}
-		sh.walF = f
-		sh.wal = bufio.NewWriterSize(f, 1<<16)
-		sh.walSeq = 1
-		db.setSealed(sh)
-		sh.cpBytes.Store(0)
-	}
-	db.cpBytesTotal.Store(0)
-	if err := syncDir(db.dir); err != nil {
-		return err
-	}
-	if old.Checkpoint != "" && old.Checkpoint != m.Checkpoint {
-		os.Remove(filepath.Join(db.dir, old.Checkpoint))
+	for _, f := range gone {
+		f.Close()
 	}
 	return nil
 }
@@ -1002,56 +753,64 @@ type snapshotSeries struct {
 	points []sample
 }
 
-// captureWith collects every series' point slice, sorted by canonical
-// key. Each shard is captured atomically under its lock; points are
+// cutLog is the checkpoint's cut. With every shard lock held (shared, in
+// ascending order, as Close takes them) and then the log lock, it flushes
+// the log's buffer, swaps the log onto next — generation gen — and
+// captures every series' point slice, unsorted. Every log
+// write happens under a shard's write lock, so the swapped-out segments
+// hold exactly the captured points, while reads go on. Points are
 // append-only, so everything below the captured lengths is immutable
-// afterwards and the result can be encoded without further locking. fn,
-// when non-nil, runs per shard while that shard's lock is held — it is
-// how checkpoint swaps the shard onto a new segment at exactly the cut
-// that matches the captured series, without duplicating this loop. An fn
-// error aborts the capture. A plain capture (fn == nil) only reads, so it
-// takes the shared lock and never stalls concurrent appends or queries;
-// with fn set the exclusive lock is taken, because fn mutates shard state
-// (it flushes the WAL writer and swaps it).
+// afterwards and the result can be encoded without further locking.
+// cutLog returns the captured series, the swapped-out segments no fsync
+// has reached (db.unsynced), and the record bytes the cut covers. It owns
+// next: a cut that fails before the swap closes it.
 //
 // Only hot (in-memory) points are captured: on a store with sealed
 // history, cold blocks are carried by the manifest's block list and must
 // not be duplicated into checkpoint snapshots.
-func (db *DB) captureWith(fn func(i int, sh *shard) error) ([]snapshotSeries, error) {
-	var recs []snapshotSeries
+func (db *DB) cutLog(gen uint64, next *os.File) (recs []snapshotSeries, retired []*os.File, covered uint64, err error) {
 	for i := range db.shards {
-		sh := &db.shards[i]
-		if fn == nil {
-			sh.mu.RLock()
-		} else {
-			sh.mu.Lock()
-			if err := fn(i, sh); err != nil {
-				sh.mu.Unlock()
-				return nil, err
-			}
+		db.shards[i].mu.RLock()
+	}
+	defer func() {
+		for i := range db.shards {
+			db.shards[i].mu.RUnlock()
 		}
-		for k, s := range sh.series {
+	}()
+	db.logMu.Lock()
+	if db.wal == nil {
+		err = errClosed
+	} else if ferr := db.wal.Flush(); ferr != nil {
+		err = fmt.Errorf("tsdb: checkpoint flush: %w", ferr)
+	}
+	if err != nil {
+		db.logMu.Unlock()
+		next.Close()
+		return nil, nil, 0, err
+	}
+	db.unsynced = append(db.unsynced, db.walF)
+	retired = db.unsynced
+	db.walF = next
+	db.wal.Reset(next)
+	db.walSeq = gen
+	covered = db.cpBytesTotal.Load()
+	db.logMu.Unlock()
+	db.setSealed()
+	for i := range db.shards {
+		for k, s := range db.shards[i].series {
 			recs = append(recs, snapshotSeries{key: k, points: s.points})
 		}
-		if fn == nil {
-			sh.mu.RUnlock()
-		} else {
-			sh.mu.Unlock()
-		}
 	}
-	// Keys render once, outside the locks: String() inside the comparator
-	// would allocate per comparison.
+	return recs, retired, covered, db.failpoint("rotate:seal:before-sync")
+}
+
+// sortSnapshot sorts recs by canonical key. Keys render once: String()
+// inside the comparator would allocate per comparison.
+func sortSnapshot(recs []snapshotSeries) {
 	for i := range recs {
 		recs[i].canon = recs[i].key.String()
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].canon < recs[j].canon })
-	return recs, nil
-}
-
-// capture is the fn-less captureWith, used by layout commits.
-func (db *DB) capture() []snapshotSeries {
-	recs, _ := db.captureWith(nil)
-	return recs
 }
 
 // writeCheckpoint writes recs, sorted by canonical key, to w as a block
@@ -1110,9 +869,9 @@ func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) error {
 
 // removeStaleFiles deletes files the committed layout does not own:
 // temp files, checkpoint snapshots the manifest no longer references,
-// orphan block files, and segment files outside a shard's chain — below
-// the manifest's walSeq (covered) or above the shard's active segment —
-// leftovers of crashed checkpoints, first opens, and re-shards. Files it
+// orphan block files, and segment files outside the chain — below the
+// manifest's walSeq (covered) or above the active segment — leftovers of
+// crashed checkpoints and first opens. Files it
 // does not recognize are left alone. Runs at the end of Open,
 // single-threaded. Best-effort.
 func (db *DB) removeStaleFiles() {
@@ -1126,14 +885,13 @@ func (db *DB) removeStaleFiles() {
 	}
 	for _, e := range ents {
 		name := e.Name()
-		var i int
 		var seq uint64
 		switch {
 		case name == db.man.Checkpoint || name == manifestName:
 		case strings.HasSuffix(name, ".tmp"):
 			os.Remove(filepath.Join(db.dir, name))
-		case scanRotSegName(name, &i, &seq):
-			if i >= len(db.shards) || seq < db.man.WALSeq || seq > db.shards[i].walSeq {
+		case scanRotSegName(name, &seq):
+			if seq < db.man.WALSeq || seq > db.walSeq {
 				os.Remove(filepath.Join(db.dir, name))
 			}
 		case scanBlockFileName(name, &seq):
@@ -1155,10 +913,10 @@ func (db *DB) removeStaleFiles() {
 // afterwards — bounded recovery time regardless of archive age.
 //
 // The checkpoint rotates the WAL: it creates the next segment generation
-// first, then swaps each shard onto it under the same shard lock that
-// captures the shard's series, so the snapshot holds exactly the records
-// of the swapped-out segments, even while appends to other shards
-// continue. Durable order is: fsync the swapped-out segments, write the
+// first, then swaps the log onto it in the cut that captures every
+// series (cutLog), so the snapshot holds exactly the records of the
+// swapped-out segments. Appends wait for the cut, reads do not. Durable
+// order is: fsync the swapped-out segments, write the
 // snapshot file, commit the manifest naming the new generation, then
 // unlink every segment below it. No data file is ever rewritten. A crash
 // between any two steps recovers to a state containing every
@@ -1188,63 +946,27 @@ func (db *DB) checkpointLocked() error {
 		return errClosed
 	}
 	start := time.Now()
-	n := len(db.shards)
 	// walSeq only moves under cpMu, which we hold.
-	gen := uint64(0)
-	for i := range db.shards {
-		gen = max(gen, db.shards[i].walSeq+1)
-	}
+	gen := db.walSeq + 1
 	next, err := db.createGeneration(gen)
 	if err != nil {
 		return err
 	}
-	// Capture a per-shard cut: swap the shard onto its new segment and
-	// take every series' point slice, atomically per shard. Point slices
-	// are append-only, so everything below the captured length is
-	// immutable afterwards.
-	retired := make([][]*os.File, n)
-	pres := make([]uint64, n)
-	recs, err := db.captureWith(func(i int, sh *shard) error {
-		if sh.wal == nil {
-			return errClosed
-		}
-		if err := sh.wal.Flush(); err != nil {
-			return fmt.Errorf("tsdb: checkpoint flush: %w", err)
-		}
-		sh.unsynced = append(sh.unsynced, sh.walF)
-		retired[i] = sh.unsynced
-		sh.walF, next[i] = next[i], nil
-		sh.wal.Reset(sh.walF)
-		sh.walSeq = gen
-		db.setSealed(sh)
-		pres[i] = sh.cpBytes.Load()
-		return db.failpoint("rotate:seal:before-sync")
-	})
-	closeFiles(next)
+	recs, retired, covered, err := db.cutLog(gen, next)
 	if err != nil {
 		return err
 	}
+	sortSnapshot(recs)
 	if err := db.failpoint("checkpoint:capture"); err != nil {
 		return err
 	}
 	// Everything below the cut must be durable before a manifest can
-	// claim the snapshot supersedes it. The fsyncs run concurrently (as
-	// in Flush) so the stall under cpMu is one disk round trip, not one
-	// per shard.
-	syncErrs := make([]error, n)
-	var syncWG sync.WaitGroup
-	for i := range retired {
-		syncWG.Add(1)
-		go func(i int) {
-			defer syncWG.Done()
-			if syncErrs[i] = db.shards[i].syncRetired(retired[i]); syncErrs[i] == nil {
-				syncErrs[i] = db.failpoint("rotate:seal:after-sync")
-			}
-		}(i)
-	}
-	syncWG.Wait()
-	if err := errors.Join(syncErrs...); err != nil {
+	// claim the snapshot supersedes it.
+	if err := db.syncRetired(retired); err != nil {
 		return fmt.Errorf("tsdb: checkpoint segment sync: %w", err)
+	}
+	if err := db.failpoint("rotate:seal:after-sync"); err != nil {
+		return err
 	}
 	if err := db.failpoint("checkpoint:segsync:after"); err != nil {
 		return err
@@ -1265,7 +987,7 @@ func (db *DB) checkpointLocked() error {
 		newSeg    *coldSegment
 		newBlocks []blockIndexEntry
 	)
-	if db.SealsCold() {
+	if db.sealsCold() {
 		var sealEntries []blockSealEntry
 		for i := range recs {
 			rec := &recs[i]
@@ -1305,8 +1027,6 @@ func (db *DB) checkpointLocked() error {
 	}
 	m := manifest{
 		Version:       manifestVersion,
-		Epoch:         db.epoch,
-		Segments:      n,
 		CheckpointSeq: db.man.CheckpointSeq + 1,
 		WALSeq:        gen,
 		Blocks:        db.man.Blocks,
@@ -1329,6 +1049,7 @@ func (db *DB) checkpointLocked() error {
 	}
 	old := db.man
 	db.man = m
+	db.setSealed()
 	// The manifest committed: attach the sealed blocks, as the file's own
 	// index describes them, and drop the sealed prefixes from memory. Each
 	// series swaps under its shard lock; a reader between two swaps sees
@@ -1350,35 +1071,24 @@ func (db *DB) checkpointLocked() error {
 			db.hotPts.Add(int64(-sealed))
 		}
 	}
-	// The commit succeeded: the captured bytes no longer count toward the
-	// size-based checkpoint trigger. Appends that raced past the cut keep
-	// their contribution (atomic subtract, not a reset).
-	var captured uint64
-	for i := range db.shards {
-		if pres[i] != 0 {
-			db.shards[i].cpBytes.Add(^pres[i] + 1)
-			captured += pres[i]
-		}
-	}
-	if captured != 0 {
-		db.cpBytesTotal.Add(^captured + 1)
-	}
-	// Compact: unlink every segment below the new generation. A crash
+	// The commit succeeded: the covered bytes no longer count toward the
+	// size-based checkpoint trigger. Appends past the cut keep their
+	// contribution (atomic subtract, not a reset).
+	db.cpBytesTotal.Add(-covered)
+	// Compact: unlink every segment below the new generation — more than
+	// one when an earlier checkpoint failed after its swap. A crash
 	// mid-loop (some segments deleted, some not) is consistent: replay
 	// starts at the manifest's walSeq, and the next open reaps the rest.
 	removed := false
-	for i := range db.shards {
-		if i == n/2 {
+	for seq := old.WALSeq; seq < gen; seq++ {
+		if seq > old.WALSeq {
 			if err := db.failpoint("checkpoint:delete:mid"); err != nil {
 				return err
 			}
 		}
-		for seq := old.WALSeq; seq < gen; seq++ {
-			if os.Remove(filepath.Join(db.dir, rotSegName(i, seq))) == nil {
-				removed = true
-			}
+		if os.Remove(filepath.Join(db.dir, rotSegName(seq))) == nil {
+			removed = true
 		}
-		db.setSealed(&db.shards[i])
 	}
 	if err := db.failpoint("checkpoint:delete:before-sync"); err != nil {
 		return err

@@ -1,7 +1,7 @@
 package tsdb
 
-// Tests for the segmented WAL layout: refusal of layouts this build does
-// not read, first-open crash leftovers, shard-count changes, and
+// Tests for the WAL layout: refusal of layouts this build does not read,
+// first-open crash leftovers, opens at another shard count, and
 // checkpointing (the crash-point matrix across every durable step of the
 // protocol lives in rotation_test.go).
 
@@ -102,6 +102,9 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 	for _, e := range legacyEntries(50) {
 		walBytes = appendRecord(walBytes, e.Key.String(), e.At.UnixNano(), e.Value)
 	}
+	// A version-4 segment header: magic | u32 shard index 0 | u32 shard
+	// count 1 | u64 epoch 1 | u64 seq 1.
+	v4Seg := append([]byte("SLWALSG3"), 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
 	layouts := []struct {
 		name  string
 		files map[string][]byte
@@ -129,7 +132,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			name: "manifest version 2",
 			files: map[string][]byte{
 				manifestName:             []byte(`{"version":2,"epoch":1,"segments":1,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
-				"wal-00000-000001.log":   encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+				"wal-00000-000001.log":   v4Seg,
 				"checkpoint-000001.snap": append([]byte("SLTSDBSN\x01\x00"), 0, 0, 0, 0),
 				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
 				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
@@ -152,20 +155,34 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 3",
 		},
 		{
-			name: "manifest version 5",
+			// Version 4 kept one segment chain per shard, its headers
+			// naming the shard, the shard count and a layout epoch.
+			name: "manifest version 4",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":5,"epoch":1,"segments":1,"walSeq":1}`),
-				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+				manifestName:             []byte(`{"version":4,"epoch":1,"segments":1,"walSeq":1,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap"}`),
+				"wal-00000-000001.log":   append(v4Seg, walBytes...),
+				"wal-00000-000002.log":   []byte("segment above the chain a reaping pass would delete"),
+				"checkpoint-000001.snap": []byte("SLBLOCKS"),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
 			},
-			want: "manifest version 5",
+			want: "manifest version 4",
+		},
+		{
+			name: "manifest version 6",
+			files: map[string][]byte{
+				manifestName:     []byte(`{"version":6,"walSeq":1}`),
+				"wal-000001.log": encodeRotHeader(1),
+			},
+			want: "manifest version 6",
 		},
 		{
 			name: "nested rollup store",
 			files: map[string][]byte{
 				manifestName:                  []byte(`{"version":2,"epoch":1,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`),
-				"wal-00000-000001.log":        encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
+				"wal-00000-000001.log":        v4Seg,
 				"rollup/" + manifestName:      []byte(`{"version":2,"epoch":1,"segments":4,"shards":[]}`),
-				"rollup/wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 4, epoch: 1, seq: 1}),
+				"rollup/wal-00000-000001.log": v4Seg,
 				"MANIFEST.tmp":                []byte("temp file a reaping pass would delete"),
 			},
 			want: "rollup/MANIFEST",
@@ -173,19 +190,19 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming a rollup snapshot",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":4,"epoch":1,"segments":1,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
-				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
-				"rollup-000004.snap":   []byte("SLROLLUP"),
-				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
+				manifestName:         []byte(`{"version":5,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
+				"wal-000001.log":     encodeRotHeader(1),
+				"rollup-000004.snap": []byte("SLROLLUP"),
+				"MANIFEST.tmp":       []byte("temp file a reaping pass would delete"),
 			},
 			want: `manifest field "rollups"`,
 		},
 		{
 			name: "manifest naming retention cuts",
 			files: map[string][]byte{
-				manifestName:           []byte(`{"version":4,"epoch":1,"segments":1,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
-				"wal-00000-000001.log": encodeRotHeader(rotHeader{index: 0, count: 1, epoch: 1, seq: 1}),
-				"MANIFEST.tmp":         []byte("temp file a reaping pass would delete"),
+				manifestName:     []byte(`{"version":5,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
+				"wal-000001.log": encodeRotHeader(1),
+				"MANIFEST.tmp":   []byte("temp file a reaping pass would delete"),
 			},
 			want: `manifest field "retain"`,
 		},
@@ -228,7 +245,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 func TestFirstOpenCrashLeftoversOpenFresh(t *testing.T) {
 	dir := t.TempDir()
 	for name, raw := range map[string]string{
-		rotSegName(0, 1):           "partial garbage",
+		rotSegName(1):              "partial garbage",
 		checkpointName(1) + ".tmp": "also garbage",
 		manifestName + ".tmp":      "unrenamed manifest",
 	} {
@@ -264,9 +281,31 @@ func TestFirstOpenCrashLeftoversOpenFresh(t *testing.T) {
 	assertSameContents(t, contents(re), want)
 }
 
-// TestShardCountChange reopens a directory with different shard counts;
-// the layout re-commits at the new count with no data loss, in both
-// directions.
+// statState lists every file under dir with its size and modification
+// time.
+func statState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		st, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fmt.Sprintf("%d bytes, mtime %d", st.Size(), st.ModTime().UnixNano())
+	}
+	return out
+}
+
+// TestShardCountChange opens one directory at 16, then 2, then 4 shards.
+// The shard count is an in-memory choice, so each open must leave every
+// file's name, size, mtime and bytes unchanged and serve identical
+// contents, and the appends made under each count must survive the next
+// reopen. A read-only open at a count other than the writer's must
+// likewise write nothing and serve what the writer flushed.
 func TestShardCountChange(t *testing.T) {
 	dir := t.TempDir()
 	entries := legacyEntries(400)
@@ -274,25 +313,60 @@ func TestShardCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
+	// A checkpoint and a WAL tail past it, so the opens below load both.
+	if n, err := db.AppendBatch(entries[:300]); err != nil || n != 300 {
+		t.Fatalf("stored %d, err %v", n, err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.AppendBatch(entries[300:]); err != nil || n != 100 {
 		t.Fatalf("stored %d, err %v", n, err)
 	}
 	want := contents(db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for round, shards := range []int{16, 2, 4} {
-		re, err := OpenSharded(dir, shards)
-		if err != nil {
-			t.Fatalf("reopen with %d shards: %v", shards, err)
+	unchanged := func(what string, open func() *DB) *DB {
+		t.Helper()
+		stats, sums := statState(t, dir), dirState(t, dir)
+		db := open()
+		if after := statState(t, dir); !reflect.DeepEqual(after, stats) {
+			t.Fatalf("%s changed the directory:\n before %v\n after  %v", what, stats, after)
 		}
-		assertSameContents(t, contents(re), want)
+		if after := dirState(t, dir); !reflect.DeepEqual(after, sums) {
+			t.Fatalf("%s rewrote a file", what)
+		}
+		assertSameContents(t, contents(db), want)
+		return db
+	}
+	for round, shards := range []int{16, 2, 4} {
+		re := unchanged(fmt.Sprintf("opening at %d shards", shards), func() *DB {
+			db, err := OpenSharded(dir, shards)
+			if err != nil {
+				t.Fatalf("reopen with %d shards: %v", shards, err)
+			}
+			return db
+		})
 		// Appends under the new count must persist across another reopen.
 		extra := Entry{Key: entries[0].Key, At: t0.Add(time.Duration(900+round) * time.Hour), Value: float64(shards)}
 		if err := re.Append(extra.Key, extra.At, extra.Value); err != nil {
 			t.Fatal(err)
 		}
 		want[extra.Key] = append(want[extra.Key], Point{At: extra.At, Value: extra.Value})
+		if err := re.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ro := unchanged(fmt.Sprintf("a read-only open at %d shards", 2*shards), func() *DB {
+			db, err := OpenWithOptions(dir, Options{Shards: 2 * shards, ReadOnly: true})
+			if err != nil {
+				t.Fatalf("read-only open with %d shards: %v", 2*shards, err)
+			}
+			return db
+		})
+		if err := ro.Close(); err != nil {
+			t.Fatal(err)
+		}
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -321,28 +395,26 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Compaction must have unlinked every covered segment: each shard
-	// keeps only the new generation the checkpoint rotated it onto, which
+	// Compaction must have unlinked every covered segment: the store
+	// keeps only the new generation the checkpoint rotated onto, which
 	// holds no record yet.
 	if n := db.SealedSegments(); n != 0 {
 		t.Errorf("%d uncovered swapped-out segments after a committed checkpoint", n)
 	}
-	for i := 0; i < 4; i++ {
-		segs, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("wal-%05d-*.log", i)))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || filepath.Base(segs[0]) != rotSegName(2) {
+		t.Errorf("segment files %v after checkpoint, want only %s", segs, rotSegName(2))
+	}
+	for _, p := range segs {
+		st, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != 1 || filepath.Base(segs[0]) != rotSegName(i, 2) {
-			t.Errorf("shard %d has segment files %v after checkpoint, want only %s", i, segs, rotSegName(i, 2))
-		}
-		for _, p := range segs {
-			st, err := os.Stat(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Size() != int64(rotSegHeaderLen) {
-				t.Errorf("segment %s is %d bytes after checkpoint; want the %d-byte header alone", filepath.Base(p), st.Size(), rotSegHeaderLen)
-			}
+		if st.Size() != int64(rotSegHeaderLen) {
+			t.Errorf("segment %s is %d bytes after checkpoint; want the %d-byte header alone", filepath.Base(p), st.Size(), rotSegHeaderLen)
 		}
 	}
 	// Tail appends after the checkpoint.
@@ -391,8 +463,7 @@ func TestSegmentCrashedTailThenAppend(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	si := db.ShardIndexOf(k)
-	path := filepath.Join(dir, rotSegName(si, db.shards[si].walSeq))
+	path := filepath.Join(dir, rotSegName(db.walSeq))
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
