@@ -91,8 +91,15 @@ func BenchmarkAppendParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendBatch compares per-point appends against one batched
-// call per tick (the collector's write shape: many series, one timestamp).
+// BenchmarkAppendBatch measures the write path at the collector's shape:
+// many series, one timestamp a tick. pointwise and batched append 256
+// series on a memory-only store, one call per point against one
+// AppendBatch per tick. collector-tick is the collector's real call: a
+// durable store holding 1600 catalog-shaped series (40 types × 10
+// regions × 4 AZs), warmed to 300 points a series, takes one
+// AppendBatchIfChanged of every series a tick, in which one value in four
+// changed. It reports ns/entry (an op is one tick) and, with -benchmem,
+// allocations per tick.
 func BenchmarkAppendBatch(b *testing.B) {
 	const seriesN = 256
 	keys := make([]SeriesKey, seriesN)
@@ -125,6 +132,66 @@ func BenchmarkAppendBatch(b *testing.B) {
 			}
 		}
 	})
+	b.Run("collector-tick", func(b *testing.B) {
+		catalog := catalogKeys()
+		db, err := Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		// Series j moves to a new value on the ticks where (tick+j)%4 is
+		// 0: a quarter of the catalog changes every tick.
+		batch := make([]Entry, len(catalog))
+		for j, k := range catalog {
+			batch[j].Key = k
+		}
+		tick := func(i int) int {
+			at := t0.Add(time.Duration(i) * 10 * time.Minute)
+			for j := range batch {
+				batch[j].At, batch[j].Value = at, float64((i+j)/4%9+1)
+			}
+			n, err := db.AppendBatchIfChanged(batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return n
+		}
+		const warmTicks = 1200
+		for i := 0; i < warmTicks; i++ {
+			tick(i)
+		}
+		if err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if n := tick(warmTicks + i); n != len(catalog)/4 {
+				b.Fatalf("tick %d stored %d points, want %d", i, n, len(catalog)/4)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(catalog)), "ns/entry")
+	})
+}
+
+// catalogKeys returns 1600 placement-score keys shaped like the
+// collector's catalog: 40 instance types in 10 regions, 4 AZs each.
+func catalogKeys() []SeriesKey {
+	families := []string{"m5", "c5", "r5", "t3", "g4dn", "p3", "i3", "x1e"}
+	sizes := []string{"large", "xlarge", "2xlarge", "4xlarge", "12xlarge"}
+	regions := []string{"us-east-1", "us-east-2", "us-west-2", "eu-west-1", "eu-central-1",
+		"ap-northeast-1", "ap-northeast-2", "ap-southeast-1", "ap-south-1", "sa-east-1"}
+	var keys []SeriesKey
+	for _, f := range families {
+		for _, sz := range sizes {
+			for _, r := range regions {
+				for _, az := range "abcd" {
+					keys = append(keys, SeriesKey{Dataset: DatasetPlacementScore, Type: f + "." + sz, Region: r, AZ: r + string(az)})
+				}
+			}
+		}
+	}
+	return keys
 }
 
 // BenchmarkAppendParallelDurable measures concurrent append throughput

@@ -54,9 +54,9 @@ func (db *DB) capture() []snapshotSeries {
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for k, s := range sh.series {
-			recs = append(recs, snapshotSeries{key: k, points: s.points})
-		}
+		sh.each(func(s *series) {
+			recs = append(recs, snapshotSeries{key: s.key, points: s.points})
+		})
 		sh.mu.RUnlock()
 	}
 	sortSnapshot(recs)

@@ -761,7 +761,7 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	}
 	next := encodeRotHeader(1000000)
 	for i := 10; i < 20; i++ {
-		next = appendRecord(next, k.String(), t0.Add(time.Duration(i)*time.Minute).UnixNano(), float64(i))
+		next = appendRecord(next, k, t0.Add(time.Duration(i)*time.Minute).UnixNano(), float64(i))
 	}
 	if err := os.WriteFile(filepath.Join(dir, rotSegName(1000000)), next, 0o644); err != nil {
 		t.Fatal(err)

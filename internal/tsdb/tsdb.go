@@ -12,21 +12,25 @@
 //
 // # Sharding
 //
-// The store is lock-striped: series keys hash (FNV-1a over the canonical
-// key form) onto a power-of-two number of shards near GOMAXPROCS, each
-// shard owning its own mutex, series map, and point counter. Collector
-// writes and archive reads touching different shards never contend, and
-// the aggregate statistics (SeriesCount, PointCount, Keys, MaxTime) are
-// computed by visiting shards one at a time without any global lock.
-// AppendBatch groups a tick's worth of points by shard so each shard lock
-// is taken once per batch instead of once per point. Every shard carries
-// its own monotonically increasing generation counter (ShardGenerations),
-// bumped on every point stored into it, and the store tracks a separate
-// key-set generation (KeyGeneration) bumped whenever a new series is
-// created anywhere; read-side caches combine the two to detect staleness
-// at shard granularity instead of store granularity. The shard count is
-// an in-memory choice: nothing on disk records it, so a directory opens
-// at any count without rewriting a file.
+// The store is lock-striped onto a power-of-two number of shards near
+// GOMAXPROCS, each shard owning its own mutex, series index, and point
+// counter. Every key is hashed once per operation (keyHash: hash/maphash
+// over its four fields, seeded afresh at each open); the hash's low bits
+// pick the shard, and the whole hash keys the shard's index, so finding a
+// series is one hash and one map probe. The seed makes placement a
+// property of one open: nothing may persist a shard index or a key hash.
+// Collector writes and archive reads touching different shards never
+// contend, and the aggregate statistics (SeriesCount, PointCount, Keys,
+// MaxTime) are computed by visiting shards one at a time without any
+// global lock. AppendBatch groups a tick's worth of points by shard so
+// each shard lock is taken once per batch instead of once per point.
+// Every shard carries its own monotonically increasing generation counter
+// (ShardGenerations), bumped by the points stored into it, and the store
+// tracks a separate key-set generation (KeyGeneration) bumped whenever a
+// new series is created anywhere; read-side caches combine the two to
+// detect staleness at shard granularity instead of store granularity.
+// The shard count is an in-memory choice: nothing on disk records it, so
+// a directory opens at any count without rewriting a file.
 //
 // # Durability
 //
@@ -58,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"os"
 	"runtime"
@@ -176,6 +181,10 @@ type Entry struct {
 }
 
 type series struct {
+	// key names the series. next is the shard's next series whose key
+	// has the same hash (see shard.find), nil almost always.
+	key  SeriesKey
+	next *series
 	// points is the in-memory tail of the series (all of it until the
 	// first seal). Sealed history lives compressed on disk behind cold.
 	points []sample
@@ -188,11 +197,65 @@ type series struct {
 }
 
 // shard is one lock stripe: a mutex, its series and local statistics.
+// The series live in slabs, in creation order: a slab is filled to its
+// capacity and never reallocated, so a *series stays valid, and a walk
+// over every series (each) reads memory in order. index maps a key hash
+// to the shard's series with that hash; the rare keys whose hashes
+// collide chain through series.next.
 type shard struct {
 	mu     sync.RWMutex
-	series map[SeriesKey]*series
+	slabs  [][]series
+	index  map[uint64]*series
 	points int
 	gen    atomic.Uint64
+}
+
+// slabSeries is the capacity of one slab of series.
+const slabSeries = 64
+
+// find returns the series keyed k, whose hash is h, or nil. The caller
+// holds sh's lock.
+func (sh *shard) find(h uint64, k SeriesKey) *series {
+	s := sh.index[h]
+	for s != nil && s.key != k {
+		s = s.next
+	}
+	return s
+}
+
+// add creates the series keyed k, whose hash is h, and returns it. The
+// caller holds sh's write lock and has checked that k is new.
+func (sh *shard) add(h uint64, k SeriesKey) *series {
+	n := len(sh.slabs)
+	if n == 0 || len(sh.slabs[n-1]) == slabSeries {
+		sh.slabs = append(sh.slabs, make([]series, 0, slabSeries))
+		n++
+	}
+	slab := append(sh.slabs[n-1], series{key: k, next: sh.index[h]})
+	sh.slabs[n-1] = slab
+	s := &slab[len(slab)-1]
+	sh.index[h] = s
+	return s
+}
+
+// each calls fn with every series of sh, in creation order. The caller
+// holds sh's lock.
+func (sh *shard) each(fn func(s *series)) {
+	for _, slab := range sh.slabs {
+		for i := range slab {
+			fn(&slab[i])
+		}
+	}
+}
+
+// seriesCount returns how many series sh holds. The caller holds sh's
+// lock.
+func (sh *shard) seriesCount() int {
+	n := 0
+	for _, slab := range sh.slabs {
+		n += len(slab)
+	}
+	return n
 }
 
 // DB is the time-series store. It is safe for concurrent use.
@@ -201,6 +264,9 @@ type DB struct {
 	mask   uint32
 	keyGen atomic.Uint64
 	closed atomic.Bool
+	// seed and hashMask define keyHash for this open.
+	seed     maphash.Seed
+	hashMask uint64
 
 	// Durable layout state. dir is empty for memory-only stores. man is
 	// the manifest as last committed; cpMu serializes Checkpoint and
@@ -383,6 +449,7 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 		n <<= 1
 	}
 	db := &DB{shards: make([]shard, n), mask: uint32(n - 1), cpTime: obs.NewHistogram(checkpointBuckets)}
+	db.seed, db.hashMask = maphash.MakeSeed(), keyHashMask
 	db.cpAfterBytes = o.CheckpointAfterBytes
 	db.hotTail = o.HotTailPoints
 	switch {
@@ -407,7 +474,7 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	}
 	db.bcache = newBlockCache(cacheBytes)
 	for i := range db.shards {
-		db.shards[i].series = make(map[SeriesKey]*series)
+		db.shards[i].index = make(map[uint64]*series)
 	}
 	if dir == "" {
 		if o.ReadOnly {
@@ -452,10 +519,13 @@ func (db *DB) WALBytesSinceCheckpoint() uint64 {
 func (db *DB) ReplayedWALBytes() uint64 { return db.replayedBytes.Value() }
 
 // ShardGenerations returns a snapshot of every shard's generation counter,
-// indexed by shard. Each element is read atomically; the vector as a whole
-// is not an atomic cut, which is fine for staleness checks as long as the
-// vector is captured before the guarded read (a racing write then makes
-// the cached result stale immediately, never the reverse).
+// indexed by shard. A shard's counter grows by the number of points each
+// append, batch shard group, recovery or load stores into it, bumped once
+// per group while the group's shard lock is held. Each element is read
+// atomically; the vector as a whole is not an atomic cut, which is fine
+// for staleness checks as long as the vector is captured before the
+// guarded read (a racing write then makes the cached result stale
+// immediately, never the reverse).
 func (db *DB) ShardGenerations() []uint64 {
 	out := make([]uint64, len(db.shards))
 	for i := range db.shards {
@@ -470,44 +540,54 @@ func (db *DB) ShardGenerations() []uint64 {
 // living in a shard the cached result never touched.
 func (db *DB) KeyGeneration() uint64 { return db.keyGen.Load() }
 
-// ShardIndexOf returns the shard index the key hashes to.
-func (db *DB) ShardIndexOf(k SeriesKey) int { return int(db.shardIndex(k)) }
+// ShardIndexOf returns the index of the shard k is placed in. Placement
+// holds for this open of the store only (the key hash is seeded at open),
+// so an index may guard in-memory state such as a cache entry but must
+// never be persisted or compared across opens.
+func (db *DB) ShardIndexOf(k SeriesKey) int { return int(uint32(db.keyHash(k)) & db.mask) }
 
-// shardIndex hashes the key (FNV-1a over the canonical form, without
-// materializing it) onto a shard index.
-func (db *DB) shardIndex(k SeriesKey) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint32(s[i])
-			h *= prime32
-		}
-		h ^= '|'
-		h *= prime32
-	}
-	mix(k.Dataset)
-	mix(k.Type)
-	mix(k.Region)
-	mix(k.AZ)
-	return h & db.mask
+// keyHashMask is ANDed into every key hash of a store opened while it is
+// set. It is all ones except in tests, which squeeze keys into a few
+// hash values to drive the collision chains.
+var keyHashMask = ^uint64(0)
+
+// keyHash hashes k's four fields with the store's seed. Its low bits pick
+// k's shard (locate) and the whole hash keys the shard's index. Like the
+// seed, the hash holds for this open only and is never written anywhere.
+func (db *DB) keyHash(k SeriesKey) uint64 {
+	const mul = 0x9e3779b97f4a7c15 // odd: each step is a bijection
+	h := maphash.String(db.seed, k.Dataset)
+	h = (h ^ maphash.String(db.seed, k.Type)) * mul
+	h = (h ^ maphash.String(db.seed, k.Region)) * mul
+	h = (h ^ maphash.String(db.seed, k.AZ)) * mul
+	return (h ^ h>>32) & db.hashMask
 }
 
-func (db *DB) shardFor(k SeriesKey) *shard {
-	return &db.shards[db.shardIndex(k)]
+// locate returns k's hash and the shard it picks.
+func (db *DB) locate(k SeriesKey) (uint64, *shard) {
+	h := db.keyHash(k)
+	return h, &db.shards[uint32(h)&db.mask]
 }
 
-// appendRecord appends one WAL record to buf. Layout: u32 crc | u16 keyLen |
-// key bytes | i64 unixNano | f64 bits, the crc covering everything after it.
-func appendRecord(buf []byte, key string, ns int64, v float64) []byte {
+// canonicalLen is the length of k's canonical form.
+func canonicalLen(k SeriesKey) int {
+	return len(k.Dataset) + len(k.Type) + len(k.Region) + len(k.AZ) + 3
+}
+
+// appendRecord appends one WAL record for key k to buf. Layout: u32 crc |
+// u16 keyLen | key bytes | i64 unixNano | f64 bits, the crc covering
+// everything after it. The key bytes are k's canonical form (String),
+// written in place.
+func appendRecord(buf []byte, k SeriesKey, ns int64, v float64) []byte {
 	start := len(buf)
-	buf = slices.Grow(buf, 4+2+len(key)+16)
+	keyLen := canonicalLen(k)
+	buf = slices.Grow(buf, 4+2+keyLen+16)
 	buf = append(buf, 0, 0, 0, 0)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
-	buf = append(buf, key...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(keyLen))
+	buf = append(append(buf, k.Dataset...), '|')
+	buf = append(append(buf, k.Type...), '|')
+	buf = append(append(buf, k.Region...), '|')
+	buf = append(buf, k.AZ...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(ns))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+4:]))
@@ -523,7 +603,7 @@ func validKey(k SeriesKey) error {
 	if k.Dataset == "" || k.Type == "" || k.Region == "" {
 		return fmt.Errorf("tsdb: incomplete series key %v", k)
 	}
-	if len(k.Dataset)+len(k.Type)+len(k.Region)+len(k.AZ)+3 > maxKeyBytes {
+	if canonicalLen(k) > maxKeyBytes {
 		return fmt.Errorf("tsdb: series key exceeds %d bytes", maxKeyBytes)
 	}
 	return nil
@@ -554,11 +634,13 @@ func validPoint(at time.Time, v float64) error {
 	return nil
 }
 
-// appendLocked stores one point into sh, which the caller has
-// write-locked, and on a durable store appends the point's WAL record to
-// rec, which the caller hands to writeLog before it releases the lock.
-// The caller has validated at, so its UnixNano is exact.
-func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64, rec []byte) ([]byte, error) {
+// appendLocked stores one point into s, k's series in sh (nil when k is
+// new; h is k's hash), which the caller has write-locked, and on a
+// durable store appends the point's WAL record to rec, which the caller
+// hands to writeLog before it releases the lock. The caller has
+// validated at, so its UnixNano is exact, and counts what it stored with
+// countLocked.
+func (db *DB) appendLocked(sh *shard, s *series, h uint64, k SeriesKey, at time.Time, v float64, rec []byte) ([]byte, error) {
 	if db.closed.Load() {
 		return rec, errClosed
 	}
@@ -568,7 +650,9 @@ func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64, rec 
 	if db.readOnly {
 		return rec, errors.New("tsdb: read-only store rejects appends")
 	}
-	s := db.seriesLocked(sh, k)
+	if s == nil {
+		s = db.seriesLocked(sh, h, k)
+	}
 	ns := at.UnixNano()
 	if n := len(s.points); n > 0 {
 		if last := s.points[n-1]; ns < last.ns {
@@ -578,13 +662,19 @@ func (db *DB) appendLocked(sh *shard, k SeriesKey, at time.Time, v float64, rec 
 		return rec, fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, time.Unix(0, s.cold.lastAt).UTC())
 	}
 	s.points = append(s.points, sample{ns: ns, v: v})
-	sh.points++
-	db.hotPts.Add(1)
-	sh.gen.Add(1)
 	if db.dir != "" {
-		rec = appendRecord(rec, k.String(), ns, v)
+		rec = appendRecord(rec, k, ns, v)
 	}
 	return rec, nil
+}
+
+// countLocked adds n hot points stored into sh to its point counter, its
+// generation and the store's hot count. The caller holds sh's write lock
+// (or owns the store, during Open).
+func (db *DB) countLocked(sh *shard, n int) {
+	sh.points += n
+	db.hotPts.Add(int64(n))
+	sh.gen.Add(uint64(n))
 }
 
 // writeLog hands rec, whole WAL records, to the log's buffer with one
@@ -631,25 +721,38 @@ func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool,
 		return false, err
 	}
 	db.enforceMaintenance()
-	sh := db.shardFor(k)
+	h, sh := db.locate(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if dedup {
-		// A failed cold read of the last point (only reachable when the
-		// hot tail is empty) degrades to "assume changed": storing a
-		// possibly-duplicate value beats refusing the append.
-		if p, ok, err := db.last(viewLocked(sh.series[k])); err == nil && ok && p.v == v {
-			return false, nil
-		}
+	s := sh.find(h, k)
+	if dedup && db.unchangedLocked(s, v) {
+		return false, nil
 	}
-	rec, err := db.appendLocked(sh, k, at, v, nil)
-	if err == nil {
-		err = db.writeLog(rec)
-	}
+	rec, err := db.appendLocked(sh, s, h, k, at, v, nil)
 	if err != nil {
 		return false, err
 	}
+	db.countLocked(sh, 1)
+	if err := db.writeLog(rec); err != nil {
+		return false, err
+	}
 	return true, nil
+}
+
+// unchangedLocked reports whether v equals the last value of s (nil for a
+// new series), the dedup check of the IfChanged appends; the caller holds
+// s's shard lock. A failed cold read of the last point (only reachable
+// when the hot tail is empty) degrades to "changed": storing a possibly
+// duplicate value beats refusing the append.
+func (db *DB) unchangedLocked(s *series, v float64) bool {
+	if s == nil {
+		return false
+	}
+	if n := len(s.points); n > 0 {
+		return s.points[n-1].v == v
+	}
+	p, ok, err := db.last(viewLocked(s))
+	return err == nil && ok && p.v == v
 }
 
 // AppendBatch stores the entries, grouping them by shard so each shard
@@ -675,9 +778,11 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 	db.enforceMaintenance()
 	// Stable counting sort of entry indices by shard: input order is
 	// preserved within a shard (so per-series time order survives), and
-	// no per-call maps are allocated. Invalid entries land in bucket ns.
+	// no per-call maps are allocated. Each valid entry's key is hashed
+	// here, once; invalid entries land in bucket ns.
 	ns := len(db.shards)
 	var firstErr error
+	hashes := make([]uint64, len(entries))
 	shardOf := make([]uint32, len(entries))
 	counts := make([]int, ns+1)
 	for i := range entries {
@@ -691,7 +796,8 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 				firstErr = err
 			}
 		} else {
-			si = db.shardIndex(entries[i].Key)
+			hashes[i] = db.keyHash(entries[i].Key)
+			si = uint32(hashes[i]) & db.mask
 		}
 		shardOf[i] = si
 		counts[si]++
@@ -719,23 +825,25 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 		sh := &db.shards[s]
 		sh.mu.Lock()
 		rec = rec[:0]
+		n := 0
 		for _, i := range order[lo:hi] {
-			e := &entries[i]
-			if dedup {
-				// As in appendOne: an unreadable last point means
-				// "assume changed", never a rejected append.
-				if p, ok, err := db.last(viewLocked(sh.series[e.Key])); err == nil && ok && p.v == e.Value {
-					continue
-				}
+			e, h := &entries[i], hashes[i]
+			se := sh.find(h, e.Key)
+			if dedup && db.unchangedLocked(se, e.Value) {
+				continue
 			}
 			var err error
-			if rec, err = db.appendLocked(sh, e.Key, e.At, e.Value, rec); err != nil {
+			if rec, err = db.appendLocked(sh, se, h, e.Key, e.At, e.Value, rec); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
-			stored++
+			n++
+		}
+		if n > 0 {
+			db.countLocked(sh, n)
+			stored += n
 		}
 		if err := db.writeLog(rec); err != nil && firstErr == nil {
 			firstErr = err
@@ -829,12 +937,12 @@ func viewLocked(s *series) seriesView {
 }
 
 // view captures k's view under its shard's read lock and releases it:
-// the critical section is a map lookup and three slice-header copies.
+// the critical section is one index probe and three slice-header copies.
 // No defer — it is on every read's path.
 func (db *DB) view(k SeriesKey) seriesView {
-	sh := db.shardFor(k)
+	h, sh := db.locate(k)
 	sh.mu.RLock()
-	v := viewLocked(sh.series[k])
+	v := viewLocked(sh.find(h, k))
 	sh.mu.RUnlock()
 	return v
 }
@@ -1193,11 +1301,11 @@ func (db *DB) Keys(f KeyFilter) []SeriesKey {
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for k := range sh.series {
-			if f.matches(k) {
-				out = append(out, k)
+		sh.each(func(s *series) {
+			if f.matches(s.key) {
+				out = append(out, s.key)
 			}
-		}
+		})
 		sh.mu.RUnlock()
 	}
 	canon := make([]string, len(out))
@@ -1228,7 +1336,7 @@ func (db *DB) SeriesCount() int {
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		n += len(sh.series)
+		n += sh.seriesCount()
 		sh.mu.RUnlock()
 	}
 	return n
@@ -1256,19 +1364,19 @@ func (db *DB) MaxTime() (time.Time, bool) {
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for _, s := range sh.series {
+		sh.each(func(s *series) {
 			var at int64
 			if n := len(s.points); n > 0 {
 				at = s.points[n-1].ns
 			} else if s.cold != nil && s.cold.n > 0 {
 				at = s.cold.lastAt // index metadata: no block decode needed
 			} else {
-				continue
+				return
 			}
 			if !found || at > max {
 				max, found = at, true
 			}
-		}
+		})
 		sh.mu.RUnlock()
 	}
 	if !found {

@@ -64,12 +64,12 @@ package tsdb
 // Open reads the manifest, bulk-loads the referenced checkpoint snapshot
 // (if any), then replays the segments in one sequential pass, in
 // sequence order from the manifest's walSeq, applying each record to the
-// shard its key hashes to. A missing sequence number, a foreign header or
-// a torn record ends the chain (a torn record is the signature of a crash
-// mid-write; nothing after it was acknowledged as durable), and the torn
-// bytes are truncated before the segment reopens for appending. Recovery
-// time is bounded by the bytes written since the last checkpoint, not by
-// the archive's full history.
+// shard this open places its key in. A missing sequence number, a
+// foreign header or a torn record ends the chain (a torn record is the
+// signature of a crash mid-write; nothing after it was acknowledged as
+// durable), and the torn bytes are truncated before the segment reopens
+// for appending. Recovery time is bounded by the bytes written since the
+// last checkpoint, not by the archive's full history.
 //
 // # Unsupported layouts
 //
@@ -388,14 +388,14 @@ func (db *DB) openDurable() error {
 	return nil
 }
 
-// seriesLocked returns k's series in sh, creating it — and bumping the
-// store's key generation — when it is new. The caller must own sh —
-// either exclusively (recovery during Open) or via its write lock.
-func (db *DB) seriesLocked(sh *shard, k SeriesKey) *series {
-	s := sh.series[k]
+// seriesLocked returns k's series in sh, whose hash is h, creating it —
+// and bumping the store's key generation — when it is new. The caller
+// must own sh — either exclusively (recovery during Open) or via its
+// write lock.
+func (db *DB) seriesLocked(sh *shard, h uint64, k SeriesKey) *series {
+	s := sh.find(h, k)
 	if s == nil {
-		s = &series{}
-		sh.series[k] = s
+		s = sh.add(h, k)
 		db.keyGen.Add(1)
 	}
 	return s
@@ -405,9 +405,7 @@ func (db *DB) seriesLocked(sh *shard, k SeriesKey) *series {
 // shard's point counter and generation. The caller must own sh.
 func (db *DB) mergeSeries(sh *shard, s *series, pts ...sample) {
 	s.points = append(s.points, pts...)
-	sh.points += len(pts)
-	db.hotPts.Add(int64(len(pts)))
-	sh.gen.Add(uint64(len(pts)))
+	db.countLocked(sh, len(pts))
 }
 
 // openBlocks opens every block file the manifest lists and attaches
@@ -443,8 +441,8 @@ func (db *DB) openBlocks(man manifest) error {
 		seg := newColdSegment(seq, f, st.Size(), entries)
 		db.coldSegs = append(db.coldSegs, seg)
 		for _, ent := range entries {
-			sh := db.shardFor(ent.key)
-			s := db.seriesLocked(sh, ent.key)
+			h, sh := db.locate(ent.key)
+			s := db.seriesLocked(sh, h, ent.key)
 			if s.cold != nil && s.cold.n > 0 && ent.blocks[0].minAt < s.cold.lastAt {
 				// Later files must continue where earlier ones ended; the
 				// seal protocol never commits an overlap.
@@ -536,8 +534,8 @@ func (db *DB) loadCheckpointFile(name string) error {
 		return fmt.Errorf("tsdb: loading checkpoint: %w", err)
 	}
 	for _, rec := range recs {
-		sh := db.shardFor(rec.key)
-		db.mergeSeries(sh, db.seriesLocked(sh, rec.key), rec.points...)
+		h, sh := db.locate(rec.key)
+		db.mergeSeries(sh, db.seriesLocked(sh, h, rec.key), rec.points...)
 	}
 	return nil
 }
@@ -555,12 +553,13 @@ type logChain struct {
 // replayLog replays the WAL's segments in full and in sequence order,
 // starting at the manifest's walSeq; segments below it are covered by the
 // checkpoint and skipped unread (removeStaleFiles reaps them). Each
-// record goes to the shard its key hashes to, so the replay does not
-// depend on the shard count the segments were written under. A missing
-// sequence number, a file whose header names another sequence number or
-// layout, or a torn record ends the chain there, because nothing past
-// such a break was acknowledged as durable before a crash. The returned
-// chain tells openActiveSegment where the append stream resumes.
+// record goes to the shard this open places its key in, so the replay
+// depends neither on the shard count nor on the key hash seed the
+// segments were written under. A missing sequence number, a file whose
+// header names another sequence number or layout, or a torn record ends
+// the chain there, because nothing past such a break was acknowledged as
+// durable before a crash. The returned chain tells openActiveSegment
+// where the append stream resumes.
 func (db *DB) replayLog() (logChain, error) {
 	// Each key resolves once per open, not once per record: parsing and
 	// hashing it would dominate the replay. Open owns the store
@@ -577,8 +576,9 @@ func (db *DB) replayLog() (logChain, error) {
 			if err != nil {
 				return
 			}
-			t.sh = db.shardFor(k)
-			t.s = db.seriesLocked(t.sh, k)
+			var h uint64
+			h, t.sh = db.locate(k)
+			t.s = db.seriesLocked(t.sh, h, k)
 			targets[string(key)] = t
 		}
 		db.mergeSeries(t.sh, t.s, sample{ns: ns, v: v})
@@ -797,9 +797,9 @@ func (db *DB) cutLog(gen uint64, next *os.File) (recs []snapshotSeries, retired 
 	db.logMu.Unlock()
 	db.setSealed()
 	for i := range db.shards {
-		for k, s := range db.shards[i].series {
-			recs = append(recs, snapshotSeries{key: k, points: s.points})
-		}
+		db.shards[i].each(func(s *series) {
+			recs = append(recs, snapshotSeries{key: s.key, points: s.points})
+		})
 	}
 	return recs, retired, covered, db.failpoint("rotate:seal:before-sync")
 }
@@ -1059,9 +1059,9 @@ func (db *DB) checkpointLocked() error {
 	if newSeg != nil {
 		db.coldSegs = append(db.coldSegs, newSeg)
 		for _, ent := range newBlocks {
-			sh := db.shardFor(ent.key)
+			h, sh := db.locate(ent.key)
 			sh.mu.Lock()
-			s := sh.series[ent.key]
+			s := sh.find(h, ent.key)
 			sealed := db.attachBlocks(s, newSeg, ent.blocks)
 			// Copy the tail to a fresh slice so the sealed prefix's backing
 			// array is released to the GC — keeping the original array alive

@@ -100,7 +100,7 @@ func dirState(t *testing.T, dir string) map[string]string {
 func TestUnsupportedLayoutRefused(t *testing.T) {
 	var walBytes []byte
 	for _, e := range legacyEntries(50) {
-		walBytes = appendRecord(walBytes, e.Key.String(), e.At.UnixNano(), e.Value)
+		walBytes = appendRecord(walBytes, e.Key, e.At.UnixNano(), e.Value)
 	}
 	// A version-4 segment header: magic | u32 shard index 0 | u32 shard
 	// count 1 | u64 epoch 1 | u64 seq 1.
