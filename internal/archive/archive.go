@@ -27,9 +27,9 @@ import (
 // paper service's response limits.
 const MaxSeriesPerQuery = 2000
 
-// queryCacheSize bounds the LRU result cache. Entries self-invalidate via
-// the store's generation counter, so the size only trades memory for hit
-// rate on repeated identical queries.
+// queryCacheSize bounds the LRU result cache. Entries self-invalidate
+// when a point is stored anywhere or the store is swapped, so the size
+// only trades memory for hit rate on repeated identical queries.
 const queryCacheSize = 128
 
 // maxCachedPoints bounds the size of a single cached query result.
@@ -38,9 +38,9 @@ const maxCachedPoints = 100_000
 // Service answers archive queries from the time-series store. Queries fan
 // out over matching series with a bounded worker pool sized to the machine,
 // and repeated identical queries are answered from an LRU cache guarded by
-// per-shard generations: an entry stays valid until a write lands in one
-// of the shards its series hash to (or a new series appears anywhere),
-// so collection ticks only evict the entries they actually affect.
+// the store's generation: an entry stays valid until a point is stored
+// anywhere or the store is swapped, so a collection tick evicts every
+// entry.
 type Service struct {
 	// dbv holds the store serving reads. It is swappable: a replication
 	// follower installs a freshly reopened replica via SwapDB after each
@@ -48,7 +48,7 @@ type Service struct {
 	// entry and runs entirely against that capture. dbEpoch counts swaps;
 	// cache entries record it so results computed against a replaced
 	// store can never validate against its successor (whose generation
-	// counters restart and could collide).
+	// counter restarts and could collide).
 	dbv      atomic.Pointer[tsdb.DB]
 	dbEpoch  atomic.Uint64
 	cat      *catalog.Catalog
@@ -113,7 +113,7 @@ func (s *Service) registerMetrics() {
 	s.reg.RegisterCounter("spotlake_cache_misses_total",
 		"Result cache misses (invalidations and coalesced included).", &s.cache.miss)
 	s.reg.RegisterCounter("spotlake_cache_invalidations_total",
-		"Cache entries evicted because a depended-on shard or the key set changed.", &s.cache.inval)
+		"Cache entries evicted because a point was stored, or the store swapped, since they were computed.", &s.cache.inval)
 	s.reg.RegisterCounter("spotlake_cache_coalesced_total",
 		"Cache misses that joined an identical in-flight computation.", &s.flight.coalesced)
 	s.reg.RegisterCounter("spotlake_cache_body_hits_total",
@@ -356,17 +356,16 @@ func (s *Service) Query(req QueryRequest) ([]SeriesResult, error) {
 // coalesced caller shares.
 func (s *Service) cached(db *tsdb.DB, epoch uint64, ck string, req QueryRequest,
 	compute func(keys []tsdb.SeriesKey) (val any, points int, err error)) (any, *cacheEntry, error) {
-	if e := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); e != nil {
+	if e := s.cache.get(ck, epoch, db.Generation()); e != nil {
 		return e.val, e, nil
 	}
 	return s.flight.do(ck, func() (any, *cacheEntry, error) {
-		// Capture the generations before reading: a write racing the fan-out
+		// Capture the generation before reading: a write racing the fan-out
 		// makes the cached entry stale immediately, never the reverse. The
 		// capture is the leader's own — coalesced followers share it. Rollup
-		// reads are guarded by the same generations: a bucket is folded
-		// from its series' points, whose shard generation every append
-		// moves.
-		keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
+		// reads are guarded by the same generation: a bucket is folded
+		// from its series' points, and every stored point moves it.
+		gen := db.Generation()
 		keys, err := matchedKeys(db, req)
 		if err != nil {
 			return nil, nil, err
@@ -381,8 +380,7 @@ func (s *Service) cached(db *tsdb.DB, epoch uint64, ck string, req QueryRequest,
 		if points > maxCachedPoints {
 			return val, nil, nil
 		}
-		dep, gens := depGenerations(db, keys, genVec)
-		return val, s.cache.put(ck, epoch, keyGen, dep, gens, val), nil
+		return val, s.cache.put(ck, epoch, gen, val), nil
 	})
 }
 
@@ -396,29 +394,6 @@ func firstErr(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// depGenerations maps the matched series keys to the sorted unique shard
-// indices they hash to, paired with those shards' generations from the
-// pre-read vector. These are exactly the shards whose writes can change
-// the result (key-set changes are guarded by the key generation).
-func depGenerations(db *tsdb.DB, keys []tsdb.SeriesKey, genVec []uint64) ([]uint32, []uint64) {
-	seen := make(map[uint32]struct{}, len(keys))
-	dep := make([]uint32, 0, len(keys))
-	for _, k := range keys {
-		si := uint32(db.ShardIndexOf(k))
-		if _, ok := seen[si]; ok {
-			continue
-		}
-		seen[si] = struct{}{}
-		dep = append(dep, si)
-	}
-	sort.Slice(dep, func(i, j int) bool { return dep[i] < dep[j] })
-	gens := make([]uint64, len(dep))
-	for j, si := range dep {
-		gens[j] = genVec[si]
-	}
-	return dep, gens
 }
 
 // LatestEntry is the current value of one series.

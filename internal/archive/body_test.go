@@ -382,16 +382,16 @@ func TestCachePutInstallsFreshEntry(t *testing.T) {
 	encode := func(s string) func(io.Writer) error {
 		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
 	}
-	old := c.put("k", 0, 0, nil, nil, "old")
+	old := c.put("k", 0, 0, "old")
 	oldBody, built, err := old.gzipBody(encode("old"))
 	if err != nil || !built {
 		t.Fatalf("first gzipBody: built %v, err %v", built, err)
 	}
-	fresh := c.put("k", 0, 1, nil, nil, "new")
-	if fresh == old || old.val != "old" || old.keyGen != 0 {
+	fresh := c.put("k", 0, 1, "new")
+	if fresh == old || old.val != "old" || old.gen != 0 {
 		t.Fatal("put over a live key updated the old entry in place")
 	}
-	if got := c.get("k", 0, 1, nil); got != fresh {
+	if got := c.get("k", 0, 1); got != fresh {
 		t.Fatal("get does not return the entry put installed")
 	}
 	if n := c.bodyBytes(); n != 0 {
@@ -408,8 +408,8 @@ func TestCachePutInstallsFreshEntry(t *testing.T) {
 		t.Errorf("cache holds %d entries, %d body bytes, want 1 and %d", c.entries(), c.bodyBytes(), len(freshBody))
 	}
 
-	c.put("k2", 0, 1, nil, nil, "x")
-	c.put("k3", 0, 1, nil, nil, "y") // evicts k, the least recently used
+	c.put("k2", 0, 1, "x")
+	c.put("k3", 0, 1, "y") // evicts k, the least recently used
 	if c.entries() != 2 || c.bodyBytes() != 0 {
 		t.Errorf("after eviction: %d entries, %d body bytes, want 2 and 0", c.entries(), c.bodyBytes())
 	}

@@ -13,13 +13,13 @@ import (
 )
 
 // resultCache is a small LRU over query results, keyed on the canonical
-// (filter, window) string. Invalidation is shard-granular: every entry
-// records the key-set generation plus the generation of each store shard
-// the cached result depends on (the shards its series hash to). A hit is
-// served only while all of those are unchanged, so the cache can never
-// return stale data — but a collection tick that writes only other shards
-// leaves the entry alive, where the old store-wide generation guard would
-// have thrown it away.
+// (filter, window) string. Every entry records the store generation it
+// was computed at (tsdb.DB.Generation, which any stored point moves) and
+// the store's swap epoch. A hit is served only while both are unchanged,
+// so the cache can never return stale data: any stored point, or a store
+// swap, invalidates every entry. A finer guard would keep nothing on the
+// traffic served here: a collector tick writes to every shard, and a
+// catalog sweep or region slice reads from every shard.
 //
 // An entry also holds what a client actually receives: the gzip'd JSON
 // body of its value, encoded by the first response that serves it and
@@ -41,19 +41,12 @@ type resultCache struct {
 type cacheEntry struct {
 	key string
 	// epoch is the service's store epoch the entry was computed under
-	// (bumped whenever SwapDB installs a new store). Generation counters
-	// are meaningless across stores — a freshly opened replica restarts
-	// them — so an entry from another epoch is stale by definition, even
-	// if the new store's counters happen to collide.
-	epoch uint64
-	// keyGen guards against series creation: a new series can match the
-	// cached filter while hashing to a shard the result never touched.
-	keyGen uint64
-	// shards (sorted, unique) are the store shards the result's series
-	// hash to; gens[j] is shards[j]'s generation when it was computed.
-	shards []uint32
-	gens   []uint64
-	val    any
+	// (bumped whenever SwapDB installs a new store), and gen that store's
+	// generation when the computation began. A freshly opened replica
+	// restarts its generation, so an entry from another epoch is stale by
+	// definition, even if the two counters happen to collide.
+	epoch, gen uint64
+	val        any
 
 	// body is val's response body, gzip'd, and plainLen its length before
 	// compression; bodyLen repeats body's length for the body-bytes gauge,
@@ -67,23 +60,6 @@ type cacheEntry struct {
 
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// valid reports whether the entry is current against the given store
-// epoch, key-set generation, and per-shard generation vector.
-func (e *cacheEntry) valid(epoch, keyGen uint64, genVec []uint64) bool {
-	if e.epoch != epoch {
-		return false
-	}
-	if e.keyGen != keyGen {
-		return false
-	}
-	for j, si := range e.shards {
-		if int(si) >= len(genVec) || e.gens[j] != genVec[si] {
-			return false
-		}
-	}
-	return true
 }
 
 // bodyScratch is what building one stored body works in: the JSON as the
@@ -125,10 +101,10 @@ func (e *cacheEntry) gzipBody(encode func(io.Writer) error) (body []byte, built 
 	return e.body, built, e.bodyErr
 }
 
-// get returns the entry cached for key if every shard it depends on is
-// still at the generation it was computed at, else nil; stale entries are
-// evicted on sight and counted as invalidations.
-func (c *resultCache) get(key string, epoch, keyGen uint64, genVec []uint64) *cacheEntry {
+// get returns the entry cached for key if it was computed at the given
+// store epoch and generation, else nil; stale entries are evicted on
+// sight and counted as invalidations.
+func (c *resultCache) get(key string, epoch, gen uint64) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -137,7 +113,7 @@ func (c *resultCache) get(key string, epoch, keyGen uint64, genVec []uint64) *ca
 		return nil
 	}
 	e := el.Value.(*cacheEntry)
-	if !e.valid(epoch, keyGen, genVec) {
+	if e.epoch != epoch || e.gen != gen {
 		c.ll.Remove(el)
 		delete(c.m, key)
 		c.inval.Add(1)
@@ -152,9 +128,9 @@ func (c *resultCache) get(key string, epoch, keyGen uint64, genVec []uint64) *ca
 // put installs a fresh entry for key and returns it. An entry already
 // under the key is replaced, never updated in place: requests may still
 // be serving it, and its stored body must not outlive the value and
-// generations it was encoded from.
-func (c *resultCache) put(key string, epoch, keyGen uint64, shards []uint32, gens []uint64, val any) *cacheEntry {
-	e := &cacheEntry{key: key, epoch: epoch, keyGen: keyGen, shards: shards, gens: gens, val: val}
+// generation it was encoded from.
+func (c *resultCache) put(key string, epoch, gen uint64, val any) *cacheEntry {
+	e := &cacheEntry{key: key, epoch: epoch, gen: gen, val: val}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -170,7 +146,7 @@ func (c *resultCache) put(key string, epoch, keyGen uint64, shards []uint32, gen
 }
 
 // purge drops every entry. SwapDB calls it so results computed against a
-// replaced store free their memory immediately; the epoch check in valid
+// replaced store free their memory immediately; the epoch check in get
 // is what guarantees correctness for entries a racing put adds afterward.
 func (c *resultCache) purge() {
 	c.mu.Lock()
@@ -198,8 +174,9 @@ func (c *resultCache) bodyBytes() (n int64) {
 }
 
 // CacheStats reports the result cache's cumulative counters and current
-// size. Invalidations counts entries evicted because a depended-on shard
-// (or the key set) changed; they are a subset of misses. Coalesced counts
+// size. Invalidations counts entries evicted because a point was stored
+// or the store was swapped since they were computed; they are a subset of
+// misses. Coalesced counts
 // misses that joined an identical in-flight computation instead of
 // computing (also a subset of misses — filled in by Service.CacheStats,
 // not here), so Misses - Coalesced is the number of store computations

@@ -3,10 +3,12 @@ package archive
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,143 +19,104 @@ import (
 
 var cacheT0 = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// twoShardKeys returns two fully-specified series keys that hash to
-// different shards of db.
-func twoShardKeys(t *testing.T, db *tsdb.DB) (tsdb.SeriesKey, tsdb.SeriesKey) {
-	t.Helper()
-	base := tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: "az0"}
-	for i := 1; i < 1000; i++ {
-		k := base
-		k.AZ = fmt.Sprintf("az%d", i)
-		if db.ShardIndexOf(k) != db.ShardIndexOf(base) {
-			return base, k
+// TestCacheInvalidation: a cached raw query, latest answer and cursor
+// page are hits until a point is stored anywhere in the store — on their
+// own series, on a series they do not read, or on a new series — and
+// stay hits across writes that store nothing: an IfChanged batch whose
+// values all equal their series' last, and a rejected out-of-order
+// append. Whatever it serves equals what an uncached service computes.
+func TestCacheInvalidation(t *testing.T) {
+	kA := tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: "az0"}
+	kB := kA
+	kB.AZ = "az1"
+	reqA := QueryRequest{Dataset: kA.Dataset, Type: kA.Type, Region: kA.Region, AZ: kA.AZ}
+	reads := []struct {
+		name string
+		read func(s *Service) (any, error)
+	}{
+		{"query", func(s *Service) (any, error) { return s.Query(reqA) }},
+		{"latest", func(s *Service) (any, error) { return s.Latest(reqA) }},
+		{"cursor page", func(s *Service) (any, error) {
+			req := reqA
+			req.Limit = 1
+			return s.QueryCursor(req)
+		}},
+	}
+	writes := []struct {
+		name       string
+		write      func(db *tsdb.DB) error
+		invalidate bool
+	}{
+		{"a point on the read series", func(db *tsdb.DB) error {
+			return db.Append(kA, cacheT0.Add(time.Minute), 3)
+		}, true},
+		{"a point on another series", func(db *tsdb.DB) error {
+			return db.Append(kB, cacheT0.Add(time.Minute), 4)
+		}, true},
+		{"a new series", func(db *tsdb.DB) error {
+			kNew := kA
+			kNew.Type = "c5.large"
+			return db.Append(kNew, cacheT0, 9)
+		}, true},
+		{"an IfChanged batch that stores nothing", func(db *tsdb.DB) error {
+			n, err := db.AppendBatchIfChanged([]tsdb.Entry{
+				{Key: kA, At: cacheT0.Add(time.Minute), Value: 1},
+				{Key: kB, At: cacheT0.Add(time.Minute), Value: 2},
+			})
+			if n != 0 {
+				return fmt.Errorf("stored %d points, want 0", n)
+			}
+			return err
+		}, false},
+		{"a rejected out-of-order append", func(db *tsdb.DB) error {
+			if err := db.Append(kA, cacheT0.Add(-time.Minute), 5); err == nil {
+				return errors.New("an out-of-order append was accepted")
+			}
+			return nil
+		}, false},
+	}
+	for _, r := range reads {
+		for _, w := range writes {
+			t.Run(r.name+"/"+w.name, func(t *testing.T) {
+				db, err := tsdb.OpenSharded("", 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.AppendBatch([]tsdb.Entry{{Key: kA, At: cacheT0, Value: 1}, {Key: kB, At: cacheT0, Value: 2}}); err != nil {
+					t.Fatal(err)
+				}
+				svc := NewService(db, catalog.Compact(1))
+				for i := 0; i < 2; i++ {
+					if _, err := r.read(svc); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := svc.CacheStats()
+				if before.Hits != 1 || before.Misses != 1 {
+					t.Fatalf("an identical repeat did not hit: %+v", before)
+				}
+				if err := w.write(db); err != nil {
+					t.Fatal(err)
+				}
+				got, err := r.read(svc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := svc.CacheStats()
+				if inval := st.Invalidations - before.Invalidations; w.invalidate && (inval != 1 || st.Hits != before.Hits) {
+					t.Errorf("the entry was not invalidated: %+v", st)
+				} else if !w.invalidate && (inval != 0 || st.Hits != before.Hits+1) {
+					t.Errorf("the entry did not survive: %+v", st)
+				}
+				want, err := r.read(NewService(db, catalog.Compact(1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("served %+v, an uncached service computes %+v", got, want)
+				}
+			})
 		}
-	}
-	t.Fatal("could not find keys in distinct shards")
-	return base, base
-}
-
-// TestPerShardCacheInvalidation is the acceptance test for shard-granular
-// caching: a write to one shard must not invalidate a cached query whose
-// series all live in other shards, while a write to a depended-on shard
-// (or a new series anywhere) must.
-func TestPerShardCacheInvalidation(t *testing.T) {
-	db, err := tsdb.OpenSharded("", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kA, kB := twoShardKeys(t, db)
-	if err := db.Append(kA, cacheT0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Append(kB, cacheT0, 2); err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(db, catalog.Compact(1))
-
-	reqA := QueryRequest{Dataset: kA.Dataset, Type: kA.Type, Region: kA.Region, AZ: kA.AZ}
-	if _, err := svc.Query(reqA); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.CacheStats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("after first query: %+v", st)
-	}
-	if _, err := svc.Query(reqA); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.CacheStats(); st.Hits != 1 {
-		t.Fatalf("identical repeat did not hit: %+v", st)
-	}
-
-	// A collection tick touching only kB's shard: the kA entry stays hot.
-	if err := db.Append(kB, cacheT0.Add(time.Minute), 3); err != nil {
-		t.Fatal(err)
-	}
-	res, err := svc.Query(reqA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.CacheStats(); st.Hits != 2 || st.Invalidations != 0 {
-		t.Fatalf("write to foreign shard invalidated the entry: %+v", st)
-	}
-	if len(res) != 1 || len(res[0].Points) != 1 {
-		t.Fatalf("cached result changed shape: %v", res)
-	}
-
-	// A write to kA's own shard must invalidate, and the recomputed
-	// result must include the new point (never stale data).
-	if err := db.Append(kA, cacheT0.Add(time.Minute), 4); err != nil {
-		t.Fatal(err)
-	}
-	res, err = svc.Query(reqA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.CacheStats(); st.Invalidations != 1 {
-		t.Fatalf("write to depended-on shard did not invalidate: %+v", st)
-	}
-	if len(res) != 1 || len(res[0].Points) != 2 {
-		t.Fatalf("recomputed result stale: %v", res)
-	}
-
-	// A brand-new series anywhere invalidates via the key generation: it
-	// could match a cached filter while hashing to an untracked shard.
-	if _, err := svc.Query(reqA); err != nil { // re-prime
-		t.Fatal(err)
-	}
-	kNew := kA
-	kNew.Type = "c5.large"
-	if err := db.Append(kNew, cacheT0, 9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Query(reqA); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.CacheStats(); st.Invalidations != 2 {
-		t.Fatalf("new series did not invalidate: %+v", st)
-	}
-}
-
-// TestLatestPerShardCache exercises the same shard-granular guard on the
-// Latest path.
-func TestLatestPerShardCache(t *testing.T) {
-	db, err := tsdb.OpenSharded("", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kA, kB := twoShardKeys(t, db)
-	if err := db.Append(kA, cacheT0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Append(kB, cacheT0, 2); err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(db, catalog.Compact(1))
-	reqA := QueryRequest{Dataset: kA.Dataset, Type: kA.Type, Region: kA.Region, AZ: kA.AZ}
-	if _, err := svc.Latest(reqA); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Append(kB, cacheT0.Add(time.Minute), 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Latest(reqA); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.CacheStats(); st.Hits != 1 || st.Invalidations != 0 {
-		t.Fatalf("latest entry did not survive foreign-shard write: %+v", st)
-	}
-	if err := db.Append(kA, cacheT0.Add(time.Minute), 7); err != nil {
-		t.Fatal(err)
-	}
-	out, err := svc.Latest(reqA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Value != 7 {
-		t.Fatalf("latest served stale value: %v", out)
-	}
-	if st := svc.CacheStats(); st.Invalidations != 1 {
-		t.Fatalf("own-shard write did not invalidate latest: %+v", st)
 	}
 }
 

@@ -156,10 +156,10 @@ type pageSpan struct {
 // QueryCursor returns the page of the query's point stream that starts
 // after req.Cursor's position (or at the stream's start for an empty
 // cursor), holding at most req.Limit points (0 = all remaining). The
-// page is cached under the cursor token and limit with the per-shard
-// generation guard, so a repeated page request hits while any write to
-// a depended-on shard invalidates. The result is stable under live
-// appends: the resume position is a fixed (key, timestamp) pair, so
+// page is cached under the cursor token and limit with the store
+// generation guard, so a repeated page request hits until a point is
+// stored anywhere or the store is swapped. The result is stable under
+// live appends: the resume position is a fixed (key, timestamp) pair, so
 // concurrent collection can only add points after it, never shift it.
 func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
 	page, _, err := s.queryCursor(req)

@@ -429,8 +429,8 @@ func TestCursorTokenValidation(t *testing.T) {
 }
 
 // TestQueryCursorCached: a repeated cursor page is served from the
-// generation-guarded cache, distinct cursors never collide, and a write
-// to a depended-on shard invalidates.
+// generation-guarded cache, distinct cursors never collide, and a stored
+// point invalidates.
 func TestQueryCursorCached(t *testing.T) {
 	s, db := buildCursorStore(t, 4, 20)
 	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore, Limit: 7}

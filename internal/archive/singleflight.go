@@ -11,7 +11,7 @@ package archive
 // leader and computes; every caller that arrives while the computation
 // is in flight blocks until the leader finishes and shares its result,
 // its error, and — because the leader's compute closure captures the
-// generation vector and publishes through the cache — its generation
+// store generation and publishes through the cache — its generation
 // capture and the cache entry it installed, so the HTTP layer encodes
 // the shared result once too. Coalesced callers are counted in
 // CacheStats.Coalesced, so store computations = Misses - Coalesced.

@@ -11,8 +11,8 @@ package tsdb
 // serves, so every store — memory-only, durable, sealing or not — serves
 // every bucket, the hot tail's included. Appends are monotone per series,
 // so only the bucket holding a series' newest point can still change; the
-// serving layer's result cache keys folded pages on the same shard
-// generations as raw ones.
+// serving layer's result cache guards folded pages with the same store
+// generation as raw ones.
 //
 // Folding the same points in the same order reproduces a bucket bit for
 // bit, so a bucket over sealed history reads the same whether its points

@@ -121,12 +121,8 @@ func TestConcurrentStress(t *testing.T) {
 	if got := db.SeriesCount(); got != writers*seriesPerWrite {
 		t.Errorf("SeriesCount = %d, want %d", got, writers*seriesPerWrite)
 	}
-	genSum := uint64(0)
-	for _, g := range db.ShardGenerations() {
-		genSum += g
-	}
-	if genSum != uint64(wantPoints) {
-		t.Errorf("sum of shard generations = %d, want %d", genSum, wantPoints)
+	if got := db.Generation(); got != uint64(wantPoints) {
+		t.Errorf("store generation = %d, want %d", got, wantPoints)
 	}
 	// Monotonic per-series ordering and full contents.
 	for w := 0; w < writers; w++ {

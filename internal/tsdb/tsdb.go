@@ -24,22 +24,22 @@
 // MaxTime) are computed by visiting shards one at a time without any
 // global lock. AppendBatch groups a tick's worth of points by shard so
 // each shard lock is taken once per batch instead of once per point.
-// Every shard carries its own monotonically increasing generation counter
-// (ShardGenerations), bumped by the points stored into it, and the store
-// tracks a separate key-set generation (KeyGeneration) bumped whenever a
-// new series is created anywhere; read-side caches combine the two to
-// detect staleness at shard granularity instead of store granularity.
-// The shard count is an in-memory choice: nothing on disk records it, so
-// a directory opens at any count without rewriting a file.
+// One store-wide counter (Generation), bumped by every point stored
+// anywhere, is what read-side caches check for staleness: a collector
+// tick writes to every shard and a catalog sweep or region slice reads
+// from every shard, so a finer guard would keep nothing. The shard count
+// is an in-memory choice: nothing on disk records it, so a directory
+// opens at any count without rewriting a file.
 //
 // # Durability
 //
 // A durable store has one write-ahead log (see wal.go): every append
 // goes to the active wal-<seq>.log through one buffered writer behind the
-// log lock. Lock order is shard lock, then log lock: a batch encodes each
-// shard group's records into one buffer and writes it under that shard's
-// lock with one log-lock acquisition, so every series' record order in
-// the log is its order in memory. The store has one writer in practice
+// log lock. An acknowledged append is process-crash safe on return and
+// power-loss safe after Flush. Lock order is shard lock, then log lock:
+// a batch encodes each shard group's records into one buffer and writes
+// it under that shard's lock with one log-lock acquisition, so every
+// series' record order in the log is its order in memory. The store has one writer in practice
 // (the collector's tick), so the shared log costs it nothing. A versioned
 // MANIFEST names the layout; snapshots double as checkpoints (Checkpoint)
 // that bound recovery to "load snapshot + replay the segments written
@@ -207,7 +207,6 @@ type shard struct {
 	slabs  [][]series
 	index  map[uint64]*series
 	points int
-	gen    atomic.Uint64
 }
 
 // slabSeries is the capacity of one slab of series.
@@ -262,7 +261,7 @@ func (sh *shard) seriesCount() int {
 type DB struct {
 	shards []shard
 	mask   uint32
-	keyGen atomic.Uint64
+	gen    atomic.Uint64
 	closed atomic.Bool
 	// seed and hashMask define keyHash for this open.
 	seed     maphash.Seed
@@ -518,33 +517,14 @@ func (db *DB) WALBytesSinceCheckpoint() uint64 {
 // checkpoint covering everything.
 func (db *DB) ReplayedWALBytes() uint64 { return db.replayedBytes.Value() }
 
-// ShardGenerations returns a snapshot of every shard's generation counter,
-// indexed by shard. A shard's counter grows by the number of points each
-// append, batch shard group, recovery or load stores into it, bumped once
-// per group while the group's shard lock is held. Each element is read
-// atomically; the vector as a whole is not an atomic cut, which is fine
-// for staleness checks as long as the vector is captured before the
-// guarded read (a racing write then makes the cached result stale
-// immediately, never the reverse).
-func (db *DB) ShardGenerations() []uint64 {
-	out := make([]uint64, len(db.shards))
-	for i := range db.shards {
-		out[i] = db.shards[i].gen.Load()
-	}
-	return out
-}
-
-// KeyGeneration returns a counter that increases whenever a new series is
-// created anywhere in the store. Filter-based caches must include it in
-// their staleness check: a new series can match an existing filter while
-// living in a shard the cached result never touched.
-func (db *DB) KeyGeneration() uint64 { return db.keyGen.Load() }
-
-// ShardIndexOf returns the index of the shard k is placed in. Placement
-// holds for this open of the store only (the key hash is seeded at open),
-// so an index may guard in-memory state such as a cache entry but must
-// never be persisted or compared across opens.
-func (db *DB) ShardIndexOf(k SeriesKey) int { return int(uint32(db.keyHash(k)) & db.mask) }
+// Generation returns a counter that grows by the points each append,
+// batch shard group or recovery stores, bumped under the storing shard's
+// lock. A new series stores its first point in the lock hold that
+// creates it, so the counter covers the key set too. A cache that
+// captures it before reading and serves a result only while it is
+// unchanged is never stale: a write racing the read makes the result
+// stale at once, never the reverse.
+func (db *DB) Generation() uint64 { return db.gen.Load() }
 
 // keyHashMask is ANDed into every key hash of a store opened while it is
 // set. It is all ones except in tests, which squeeze keys into a few
@@ -668,13 +648,13 @@ func (db *DB) appendLocked(sh *shard, s *series, h uint64, k SeriesKey, at time.
 	return rec, nil
 }
 
-// countLocked adds n hot points stored into sh to its point counter, its
-// generation and the store's hot count. The caller holds sh's write lock
+// countLocked adds n hot points stored into sh to its point counter, the
+// store's hot count and its generation. The caller holds sh's write lock
 // (or owns the store, during Open).
 func (db *DB) countLocked(sh *shard, n int) {
 	sh.points += n
 	db.hotPts.Add(int64(n))
-	sh.gen.Add(uint64(n))
+	db.gen.Add(uint64(n))
 }
 
 // writeLog hands rec, whole WAL records, to the log's buffer with one
@@ -694,8 +674,27 @@ func (db *DB) writeLog(rec []byte) error {
 	return nil
 }
 
+// flushLog hands the log's buffered records to write(2) before an append
+// returns: what a durable store acknowledges is process-crash safe. A
+// store closed since has no log left; Close flushed it.
+func (db *DB) flushLog() error {
+	if db.dir == "" {
+		return nil
+	}
+	db.logMu.Lock()
+	defer db.logMu.Unlock()
+	if db.wal == nil {
+		return nil
+	}
+	if err := db.wal.Flush(); err != nil {
+		return fmt.Errorf("tsdb: wal write: %w", err)
+	}
+	return nil
+}
+
 // Append records a point. Appends must be time-ordered per series; an
-// append earlier than the series' last point is rejected.
+// append earlier than the series' last point is rejected. Durability is
+// AppendBatch's.
 func (db *DB) Append(k SeriesKey, at time.Time, v float64) error {
 	_, err := db.appendOne(k, at, v, false)
 	return err
@@ -736,6 +735,9 @@ func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool,
 	if err := db.writeLog(rec); err != nil {
 		return false, err
 	}
+	if err := db.flushLog(); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
@@ -761,6 +763,10 @@ func (db *DB) unchangedLocked(s *series, v float64) bool {
 // their input order within a shard, so per-series time ordering of the
 // input is preserved. It returns how many points were stored and the first
 // error encountered; later entries are still attempted after an error.
+//
+// On a durable store a stored point is process-crash safe on return (the
+// batch's records reach write(2) once, after its last shard group) and
+// power-loss safe after Flush.
 func (db *DB) AppendBatch(entries []Entry) (int, error) {
 	return db.appendBatch(entries, false)
 }
@@ -849,6 +855,11 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 			firstErr = err
 		}
 		sh.mu.Unlock()
+	}
+	if stored > 0 {
+		if err := db.flushLog(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	return stored, firstErr
 }
@@ -1386,9 +1397,10 @@ func (db *DB) MaxTime() (time.Time, bool) {
 }
 
 // Flush hands the log's buffered records to the kernel and fsyncs them
-// to stable storage. It takes only the log lock, and only for the buffer
-// flush: the fsync runs outside it, so appends and reads never wait on
-// disk latency. A checkpoint's swapped-out segments are synced too until
+// to stable storage: an acknowledged append, process-crash safe on
+// return, is power-loss safe once Flush returns. It takes only the log
+// lock, and only for the buffer flush: the fsync runs outside it, so
+// appends and reads never wait on disk latency. A checkpoint's swapped-out segments are synced too until
 // the checkpoint has synced them: replay stops at a torn record, so a
 // point acknowledged in the new segment is only durable once the old one
 // is. A file closed between the two steps reports ErrClosed and is

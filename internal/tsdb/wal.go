@@ -388,21 +388,20 @@ func (db *DB) openDurable() error {
 	return nil
 }
 
-// seriesLocked returns k's series in sh, whose hash is h, creating it —
-// and bumping the store's key generation — when it is new. The caller
-// must own sh — either exclusively (recovery during Open) or via its
-// write lock.
+// seriesLocked returns k's series in sh, whose hash is h, creating it
+// when it is new. The caller must own sh — either exclusively (recovery
+// during Open) or via its write lock.
 func (db *DB) seriesLocked(sh *shard, h uint64, k SeriesKey) *series {
 	s := sh.find(h, k)
 	if s == nil {
 		s = sh.add(h, k)
-		db.keyGen.Add(1)
 	}
 	return s
 }
 
 // mergeSeries bulk-appends points to s, a series of sh, maintaining the
-// shard's point counter and generation. The caller must own sh.
+// shard's point counter and the store's generation. The caller must own
+// sh.
 func (db *DB) mergeSeries(sh *shard, s *series, pts ...sample) {
 	s.points = append(s.points, pts...)
 	db.countLocked(sh, len(pts))
@@ -448,9 +447,7 @@ func (db *DB) openBlocks(man manifest) error {
 				// seal protocol never commits an overlap.
 				return fail(fmt.Errorf("tsdb: %s: blocks of %v overlap an earlier file", name, ent.key))
 			}
-			total := db.attachBlocks(s, seg, ent.blocks)
-			sh.points += total
-			sh.gen.Add(uint64(total))
+			sh.points += db.attachBlocks(s, seg, ent.blocks)
 		}
 	}
 	return nil

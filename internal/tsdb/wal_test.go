@@ -497,6 +497,67 @@ func TestSegmentCrashedTailThenAppend(t *testing.T) {
 	}
 }
 
+// crashCopy copies every file of dir into a fresh directory and returns
+// it: what a process killed at this moment leaves on disk, since the
+// copy reads what reached write(2) whether or not it was fsynced.
+func crashCopy(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(out, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestAckedBatchSurvivesProcessCrash: an acknowledged append is
+// process-crash safe on return. A copy of an open durable store's
+// directory taken right after an AppendBatchIfChanged of a collector
+// tick's size returns (no Flush, no Close) reopens with every point the
+// batch stored, and one taken after a single Append with that point too.
+func TestAckedBatchSurvivesProcessCrash(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpen(t, dir)
+	defer db.Close()
+	batch := make([]Entry, 400)
+	for i := range batch {
+		batch[i] = Entry{Key: key(fmt.Sprintf("az%d", i)), At: t0, Value: float64(i)}
+	}
+	if n, err := db.AppendBatchIfChanged(batch); err != nil || n != len(batch) {
+		t.Fatalf("AppendBatchIfChanged stored %d of %d: %v", n, len(batch), err)
+	}
+	// check reopens a crash copy of dir and finds exactly want in it.
+	check := func(cut string, want []Entry) {
+		t.Helper()
+		re := mustOpen(t, crashCopy(t, dir))
+		defer re.Close()
+		if got := re.PointCount(); got != len(want) {
+			t.Errorf("after the %s: the crash copy reopened with %d points, want %d", cut, got, len(want))
+		}
+		for _, e := range want {
+			if p, ok, err := re.Last(e.Key); err != nil || !ok || !p.At.Equal(e.At) || p.Value != e.Value {
+				t.Errorf("after the %s: %v reads back %v (%v, %v), want %v at %v", cut, e.Key, p, ok, err, e.Value, e.At)
+				return
+			}
+		}
+	}
+	check("batch", batch)
+	single := Entry{Key: key("single"), At: t0, Value: -1}
+	if err := db.Append(single.Key, single.At, single.Value); err != nil {
+		t.Fatal(err)
+	}
+	check("single append", append(batch, single))
+}
+
 // TestCheckpointConcurrentWithAppends checkpoints repeatedly while
 // writers keep appending and flushing — each Flush racing a checkpoint
 // for the segments it swapped out — (run under -race in CI), then
