@@ -120,6 +120,87 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestPerShardCacheInvalidation: a point stored on any shard of the
+// store invalidates a cached raw query and cursor page, whichever shard
+// holds the series they read. See everyShardInvalidates.
+func TestPerShardCacheInvalidation(t *testing.T) {
+	t.Run("query", func(t *testing.T) {
+		everyShardInvalidates(t, func(s *Service, req QueryRequest) (any, error) { return s.Query(req) })
+	})
+	t.Run("cursor page", func(t *testing.T) {
+		everyShardInvalidates(t, func(s *Service, req QueryRequest) (any, error) {
+			req.Limit = 1
+			return s.QueryCursor(req)
+		})
+	})
+}
+
+// TestLatestPerShardCache is TestPerShardCacheInvalidation on the latest
+// path.
+func TestLatestPerShardCache(t *testing.T) {
+	everyShardInvalidates(t, func(s *Service, req QueryRequest) (any, error) { return s.Latest(req) })
+}
+
+// everyShardInvalidates appends one point to each of 64 series of an
+// 8-shard store in turn, the read series last, and checks that each one
+// invalidates the cached answer of read, that the recomputed answer equals
+// an uncached service's, and that an identical repeat hits again. Shard
+// placement is seeded per open, so the 64 series spread over all eight
+// shards with near certainty rather than by construction.
+func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest) (any, error)) {
+	t.Helper()
+	db, err := tsdb.OpenSharded("", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]tsdb.SeriesKey, 64)
+	seed := make([]tsdb.Entry, len(keys))
+	for i := range keys {
+		keys[i] = tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: fmt.Sprintf("az%d", (i+1)%len(keys))}
+		seed[i] = tsdb.Entry{Key: keys[i], At: cacheT0, Value: float64(i)}
+	}
+	if _, err := db.AppendBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	kA := keys[len(keys)-1]
+	req := QueryRequest{Dataset: kA.Dataset, Type: kA.Type, Region: kA.Region, AZ: kA.AZ}
+	svc := NewService(db, catalog.Compact(1))
+	for i := 0; i < 2; i++ {
+		if _, err := read(svc, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := svc.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("an identical repeat did not hit: %+v", st)
+	}
+	for i, k := range keys {
+		before := svc.CacheStats()
+		if err := db.Append(k, cacheT0.Add(time.Minute), float64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := read(svc, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := svc.CacheStats(); st.Invalidations != before.Invalidations+1 || st.Hits != before.Hits {
+			t.Fatalf("a point on %v did not invalidate: %+v", k, st)
+		}
+		want, err := read(NewService(db, catalog.Compact(1)), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after a point on %v served %+v, an uncached service computes %+v", k, got, want)
+		}
+		if _, err := read(svc, req); err != nil {
+			t.Fatal(err)
+		}
+		if st := svc.CacheStats(); st.Hits != before.Hits+1 {
+			t.Fatalf("the recomputed entry did not hit: %+v", st)
+		}
+	}
+}
+
 // TestMetaExposesCacheStats checks the /api/v1/meta response carries the
 // cache counters.
 func TestMetaExposesCacheStats(t *testing.T) {
