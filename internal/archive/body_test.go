@@ -225,7 +225,7 @@ func TestStoredBodyNeverStale(t *testing.T) {
 				}
 				prev = got.plain
 			}
-			step("an append to a depended-on shard", func() {
+			step("an append to the read series", func() {
 				if err := db.Append(k, cacheT0.Add(time.Minute), 2); err != nil {
 					t.Fatal(err)
 				}

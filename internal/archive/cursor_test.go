@@ -296,8 +296,8 @@ func TestCursorWalkConcurrentWriter(t *testing.T) {
 			for sIdx := 0; sIdx < nSeries; sIdx++ {
 				batch = append(batch, tsdb.Entry{Key: cursorStoreKey(sIdx), At: at, Value: float64(r)})
 			}
-			// A brand-new series every few rounds exercises the key-set
-			// generation guard under the walk.
+			// A brand-new series every few rounds: a new series moves the
+			// store generation under the walk.
 			if r%10 == 0 {
 				k := cursorStoreKey(nSeries + r/10)
 				batch = append(batch, tsdb.Entry{Key: k, At: at, Value: float64(r)})

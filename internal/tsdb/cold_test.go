@@ -697,10 +697,11 @@ func TestSealAbortsOnUnreadableBlockFile(t *testing.T) {
 
 // TestSealTriggerMaintenance pins the bound the byte trigger puts on hot
 // memory, the one the hot-point knob used to promise: every stored point
-// is one WAL record, so with the daemon off and nothing calling
-// Checkpoint, hot points grown since the last checkpoint never exceed
-// (CheckpointAfterBytes + one batch) / record size — checked after every
-// append — and the checkpoints the trigger forces do seal.
+// costs at least 10 WAL bytes (1-byte ID, 1-byte delta, 8-byte value),
+// so with the daemon off and nothing calling Checkpoint, hot points grown
+// since the last checkpoint never exceed (CheckpointAfterBytes + one
+// batch) / 10 B — checked after every append — and the checkpoints the
+// trigger forces do seal.
 func TestSealTriggerMaintenance(t *testing.T) {
 	const threshold, batchLen = 4096, 8
 	dir := t.TempDir()
@@ -713,7 +714,7 @@ func TestSealTriggerMaintenance(t *testing.T) {
 	}
 	defer db.Close()
 	k := sealKeys()[0]
-	recSize := 22 + len(k.String())
+	const recSize = 10 // the least WAL bytes a stored point costs
 	bound := int64((threshold + batchLen*recSize) / recSize)
 	var floor int64 // hot points right after the last checkpoint
 	var checkpoints uint64

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -55,20 +56,21 @@ func FuzzParseSeriesKey(f *testing.F) {
 // checkpoint reference). Accepted manifests must re-marshal into
 // something the parser accepts again.
 func FuzzManifestDecode(f *testing.F) {
-	v5, _ := json.Marshal(manifest{
+	v6, _ := json.Marshal(manifest{
 		Version: manifestVersion, WALSeq: 7, Checkpoint: checkpointName(4), CheckpointSeq: 4,
 		Blocks: []uint64{1, 3}, BlockSeq: 3,
 	})
-	f.Add(v5)
+	f.Add(v6)
+	f.Add([]byte(`{"version":5,"walSeq":1}`))                        // per-point WAL records: must be rejected
 	f.Add([]byte(`{"version":4,"epoch":1,"segments":2,"walSeq":1}`)) // per-shard chains: must be rejected
 	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`))
-	f.Add([]byte(`{"version":5,"walSeq":1,"segments":1000000000000}`))
+	f.Add([]byte(`{"version":6,"walSeq":1,"segments":1000000000000}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))
-	f.Add([]byte(`{"version":5,"walSeq":1,"checkpoint":"../escape"}`))
+	f.Add([]byte(`{"version":6,"walSeq":1,"checkpoint":"../escape"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"version":5,"walSeq":0}`))
-	f.Add([]byte(`{"version":5,"walSeq":2,"epoch":1}`))
+	f.Add([]byte(`{"version":6,"walSeq":0}`))
+	f.Add([]byte(`{"version":6,"walSeq":2,"epoch":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
@@ -731,5 +733,170 @@ func checkCheckpointLoad(t *testing.T, data []byte) {
 				t.Fatalf("round trip changed series %d point %d: %v vs %v", i, j, q, p)
 			}
 		}
+	}
+}
+
+// walRefEntry is one entry as the WAL replay reference decodes it.
+type walRefEntry struct {
+	id  uint64
+	def bool
+	key string
+	ns  int64
+	v   uint64
+}
+
+// replayRef decodes a segment's record bytes the slow, obvious way, as
+// the format in wal.go describes them: records until the bytes end or a
+// record is torn (short, longer than what is left, failing its crc). It
+// returns every entry of the records before that point, how many bytes
+// they take, and whether the record that follows is crc-valid but
+// malformed: undecodable, or naming an ID out of order or undefined.
+func replayRef(data []byte) (ents []walRefEntry, valid int, bad bool) {
+	next := uint64(0)
+	for {
+		rest := data[valid:]
+		if len(rest) < 8 {
+			return ents, valid, false
+		}
+		n := uint64(binary.LittleEndian.Uint32(rest[4:]))
+		if n > uint64(len(rest)-8) || crc32.ChecksumIEEE(rest[4:8+n]) != binary.LittleEndian.Uint32(rest) {
+			return ents, valid, false
+		}
+		r := bytes.NewReader(rest[8 : 8+n])
+		var rec []walRefEntry
+		base, err := binary.ReadVarint(r)
+		if err != nil {
+			return ents, valid, true
+		}
+		for r.Len() > 0 {
+			tag, err := binary.ReadUvarint(r)
+			if err != nil {
+				return ents, valid, true
+			}
+			e := walRefEntry{id: tag >> 1, def: tag&1 == 1}
+			if e.def {
+				keyLen, err := binary.ReadUvarint(r)
+				if err != nil || e.id != next || keyLen > uint64(r.Len()) {
+					return ents, valid, true
+				}
+				next++
+				key := make([]byte, keyLen)
+				r.Read(key)
+				e.key = string(key)
+			} else if e.id >= next {
+				return ents, valid, true
+			}
+			delta, err := binary.ReadVarint(r)
+			var v [8]byte
+			if err != nil || r.Len() < 8 {
+				return ents, valid, true
+			}
+			r.Read(v[:])
+			e.ns, e.v = base+delta, binary.LittleEndian.Uint64(v[:])
+			rec = append(rec, e)
+		}
+		ents = append(ents, rec...)
+		valid += 8 + int(n)
+	}
+}
+
+// replayCollect runs replayRecords over data as one segment's record
+// bytes and collects what it applies.
+func replayCollect(data []byte) ([]walRefEntry, int64, uint64, error) {
+	var got []walRefEntry
+	valid, ids, err := replayRecords(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), func(e *recEntry) {
+		got = append(got, walRefEntry{id: e.id, def: e.define, key: string(e.key), ns: e.ns, v: math.Float64bits(e.v)})
+	})
+	return got, valid, ids, err
+}
+
+// withRecordCRCs returns data with the crc of every record whose body
+// length fits recomputed, up to the first that does not, so fuzzed bodies
+// reach the decoder behind the crc.
+func withRecordCRCs(data []byte) []byte {
+	out := bytes.Clone(data)
+	for p := 0; len(out)-p >= 8; {
+		n := int(binary.LittleEndian.Uint32(out[p+4:]))
+		if n > len(out)-p-8 {
+			break
+		}
+		binary.LittleEndian.PutUint32(out[p:], crc32.ChecksumIEEE(out[p+4:p+8+n]))
+		p += 8 + n
+	}
+	return out
+}
+
+// FuzzWALReplay feeds arbitrary segment record bytes to replayRecords,
+// each input as given and again with its record crcs made to match,
+// seeded with golden group records and their corruptions. Replay must
+// never panic, never allocate past what the segment's bytes account for
+// (a hostile body length included), apply exactly the entries of the
+// records before the first torn or malformed one — nothing past it — and
+// return an error for a crc-valid record that is malformed or names an
+// undefined ID, as the reference decoder decides.
+func FuzzWALReplay(f *testing.F) {
+	one := walRecord(legacyEntries(1))
+	many := walRecord(append(legacyEntries(4), laterEntries(4, 100)...))
+	e := legacyEntries(2)
+	ns := e[1].At.UnixNano()
+	refs := append(bytes.Clone(many), finishRecord(appendRecordEntry(appendRecordEntry(beginRecord(nil, ns), 0, nil, ns, ns, 3), 1, nil, ns, ns-5, 4), 0)...)
+	f.Add([]byte{})
+	f.Add(one)
+	f.Add(many)
+	f.Add(refs)
+	f.Add(refs[:len(refs)-3])                                                          // torn tail
+	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 0, nil, ns, ns, 1), 0)) // undefined ID
+	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 2, &e[0].Key, ns, ns, 1), 0))
+	hostile := bytes.Clone(one)
+	binary.LittleEndian.PutUint32(hostile[4:], math.MaxUint32)
+	f.Add(hostile)
+	flipped := bytes.Clone(many)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWALReplay(t, data)
+		checkWALReplay(t, withRecordCRCs(data))
+	})
+}
+
+func checkWALReplay(t *testing.T, data []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, valid, ids, err := replayCollect(data)
+	runtime.ReadMemStats(&after)
+	// The body buffer is at most the input; entries take at least 10
+	// bytes of it and 64 of memory here and in replay, doubled by
+	// slice growth; keys are copied once.
+	if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+32*len(data)); alloc > bound {
+		t.Fatalf("replaying %d bytes allocated %d, over %d", len(data), alloc, bound)
+	}
+	want, wantValid, bad := replayRef(data)
+	if (err != nil) != bad {
+		t.Fatalf("replay error %v, reference says malformed: %v", err, bad)
+	}
+	if valid != int64(wantValid) {
+		t.Fatalf("replay consumed %d bytes, reference %d", valid, wantValid)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replay applied %d entries, reference %d", len(got), len(want))
+	}
+	defs := uint64(0)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d: replay applied %+v, reference %+v", i, got[i], want[i])
+		}
+		if want[i].def {
+			defs++
+		}
+	}
+	if ids != defs {
+		t.Fatalf("replay reports %d IDs defined, the applied entries define %d", ids, defs)
+	}
+	// Nothing past the valid prefix counts: replaying the prefix alone
+	// applies the same entries, cleanly.
+	again, againValid, _, err := replayCollect(data[:valid])
+	if err != nil || againValid != valid || len(again) != len(got) {
+		t.Fatalf("replaying the %d-byte valid prefix: %d entries, %d bytes, err %v; want %d entries", valid, len(again), againValid, err, len(got))
 	}
 }

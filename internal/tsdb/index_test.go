@@ -315,39 +315,116 @@ func TestKeyHashCollisions(t *testing.T) {
 	})
 }
 
-// TestAppendRecordBytes pins the WAL record appendRecord writes, key in
-// place from the SeriesKey's fields, to the bytes of the record encoded
-// from the key's canonical string.
+// TestAppendRecordBytes pins the WAL group record: one small record byte
+// for byte, then records holding defining and referencing entries, IDs
+// past one uvarint byte, zero, positive and negative deltas, multi-byte
+// UTF-8 keys and an exactly-maxKeyBytes key against a reference encoding
+// built from each key's canonical string. Every record decodes back to
+// its entries.
 func TestAppendRecordBytes(t *testing.T) {
-	reference := func(key string, ns int64, v float64) []byte {
-		body := binary.LittleEndian.AppendUint16(nil, uint16(len(key)))
-		body = append(body, key...)
-		body = binary.LittleEndian.AppendUint64(body, uint64(ns))
-		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
-		return append(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body)), body...)
+	k := SeriesKey{Dataset: "d", Type: "t", Region: "r", AZ: "a"}
+	rec := beginRecord([]byte("earlier records"), 1000)
+	rec = appendRecordEntry(rec, 0, &k, 1000, 1000, 1.5)
+	rec = appendRecordEntry(rec, 0, nil, 1000, 999, -2)
+	rec = finishRecord(rec, len("earlier records"))
+	body := []byte{
+		0xd0, 0x0f, // varint baseNs 1000
+		0x01, 0x07, 'd', '|', 't', '|', 'r', '|', 'a', // defines ID 0: "d|t|r|a"
+		0x00,                         // delta 0
+		0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // 1.5
+		0x00,                      // references ID 0
+		0x01,                      // delta -1
+		0, 0, 0, 0, 0, 0, 0, 0xc0, // -2
+	}
+	lenBody := append([]byte{byte(len(body)), 0, 0, 0}, body...)
+	want := append([]byte("earlier records"), binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(lenBody))...)
+	if want = append(want, lenBody...); !bytes.Equal(rec, want) {
+		t.Fatalf("record\n got  %x\n want %x", rec, want)
+	}
+
+	type ent struct {
+		id     uint64
+		key    string // empty: a referencing entry
+		ns     int64
+		v      float64
+		series SeriesKey
+	}
+	reference := func(base int64, ents []ent) []byte {
+		body := binary.AppendVarint(nil, base)
+		for _, e := range ents {
+			if e.key == "" {
+				body = binary.AppendUvarint(body, e.id<<1)
+			} else {
+				body = binary.AppendUvarint(body, e.id<<1|1)
+				body = binary.AppendUvarint(body, uint64(len(e.key)))
+				body = append(body, e.key...)
+			}
+			body = binary.AppendVarint(body, e.ns-base)
+			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.v))
+		}
+		head := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		return append(binary.LittleEndian.AppendUint32(nil, crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body)), append(head, body...)...)
 	}
 	long := SeriesKey{Dataset: DatasetPrice, Region: "us-east-1", AZ: "us-east-1a"}
 	long.Type = strings.Repeat("x", maxKeyBytes-len(long.Dataset)-len(long.Region)-len(long.AZ)-3)
-	for name, k := range map[string]SeriesKey{
-		"plain":         {Dataset: DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: "us-east-1a"},
-		"empty AZ":      {Dataset: DatasetInterruptFree, Type: "c5.large", Region: "eu-west-1"},
-		"UTF-8":         {Dataset: "preço", Type: "ç5.大型", Region: "東京-1", AZ: "ñ"},
-		"maxKeyBytes":   long,
-		"one-byte keys": {Dataset: "d", Type: "t", Region: "r", AZ: "a"},
+	if len(long.String()) != maxKeyBytes || validKey(long) != nil {
+		t.Fatalf("long key is %d bytes, want %d", len(long.String()), maxKeyBytes)
+	}
+	keys := []SeriesKey{
+		{Dataset: DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: "us-east-1a"},
+		{Dataset: DatasetInterruptFree, Type: "c5.large", Region: "eu-west-1"},
+		{Dataset: "preço", Type: "ç5.大型", Region: "東京-1", AZ: "ñ"},
+		long,
+	}
+	base := t0.UnixNano()
+	for name, ents := range map[string][]ent{
+		"one defining entry": {{id: 0, ns: base, v: 1, series: keys[0]}},
+		"define then reference": {
+			{id: 0, ns: base, v: 1, series: keys[0]},
+			{id: 1, ns: base + 7, v: -2.5, series: keys[1]},
+			{id: 0, ns: base + int64(time.Hour), v: 3, series: keys[0]},
+		},
+		"UTF-8 and maxKeyBytes": {
+			{id: 63, ns: base, v: 0.25, series: keys[2]},
+			{id: 64, ns: base - int64(time.Minute), v: 4, series: keys[3]},
+			{id: 64, ns: base + 1, v: 5, series: keys[3]},
+		},
+		"references only, two-byte IDs": {
+			{id: 1599, ns: base, v: 1, series: keys[0]},
+			{id: 200, ns: base, v: 2, series: keys[1]},
+		},
 	} {
-		if err := validKey(k); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		// The first entry of each ID defines it, unless the case is
+		// references only.
+		defined := map[uint64]bool{}
+		refsOnly := strings.HasPrefix(name, "references")
+		got := beginRecord(nil, ents[0].ns)
+		for i := range ents {
+			e := &ents[i]
+			var def *SeriesKey
+			if !refsOnly && !defined[e.id] {
+				defined[e.id], e.key, def = true, e.series.String(), &e.series
+			}
+			got = appendRecordEntry(got, e.id, def, ents[0].ns, e.ns, e.v)
 		}
-		for _, prefix := range [][]byte{nil, []byte("earlier records")} {
-			ns, v := t0.Add(time.Duration(len(name))*time.Hour).UnixNano(), -2.5
-			got := appendRecord(append([]byte(nil), prefix...), k, ns, v)
-			want := append(append([]byte(nil), prefix...), reference(k.String(), ns, v)...)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s (prefix %q): record differs from the canonical-key encoding", name, prefix)
+		got = finishRecord(got, 0)
+		if want := reference(ents[0].ns, ents); !bytes.Equal(got, want) {
+			t.Fatalf("%s: record differs from the canonical-key encoding", name)
+		}
+		// A defining case's first ID is the segment's next free one; a
+		// references-only record decodes in a segment that defined 1600.
+		next := ents[0].id
+		if refsOnly {
+			next = 1600
+		}
+		dec, _, err := decodeRecordBody(got[walRecordHeaderLen:], next, nil)
+		if err != nil || len(dec) != len(ents) {
+			t.Fatalf("%s: decoded %d of %d entries, err %v", name, len(dec), len(ents), err)
+		}
+		for i, e := range dec {
+			if e.id != ents[i].id || e.ns != ents[i].ns || e.v != ents[i].v || string(e.key) != ents[i].key {
+				t.Fatalf("%s: entry %d decodes to %+v", name, i, e)
 			}
 		}
-	}
-	if len(long.String()) != maxKeyBytes {
-		t.Fatalf("long key is %d bytes, want %d", len(long.String()), maxKeyBytes)
 	}
 }

@@ -27,17 +27,17 @@ package tsdb
 //
 // # What the byte trigger bounds
 //
-// Every stored point is exactly one WAL record (22 + len(key) bytes), and
-// a checkpoint rotates the log onto a new segment, unlinks every segment
-// it covers and seals every whole block out of memory. So one bound on
-// un-checkpointed WAL bytes is also the bound on the two other things
-// that grow between checkpoints, and the store needs no knob for either.
-// The WAL on disk is exactly the un-checkpointed records plus one header
-// per segment — after a committed checkpoint, one header-only segment —
-// and never more than CheckpointAfterBytes plus one batch past a
-// checkpoint the append path could run. And hot points
-// grown since the last checkpoint never exceed
-// (CheckpointAfterBytes + one batch) / record size.
+// Every stored point costs at least 10 WAL bytes (its entry in its shard
+// group's record: a 1-byte series ID, a 1-byte delta, the 8-byte value),
+// and a checkpoint rotates the log onto a new segment, unlinks every
+// segment it covers and seals every whole block out of memory. So one
+// bound on un-checkpointed WAL bytes is also the bound on the two other
+// things that grow between checkpoints, and the store needs no knob for
+// either. The WAL on disk is exactly the un-checkpointed records plus one
+// header per segment — after a committed checkpoint, one header-only
+// segment — and never more than CheckpointAfterBytes plus one batch past
+// a checkpoint the append path could run. And hot points grown since the
+// last checkpoint never exceed (CheckpointAfterBytes + one batch) / 10 B.
 //
 // # Single-flight
 //

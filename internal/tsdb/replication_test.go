@@ -302,7 +302,7 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 	}
 	// Layouts of builds that materialized rollups or kept raw retention.
 	for field, value := range map[string]string{"rollups": `"rollup-000004.snap"`, "retain": `{"sps":1640995200000000000}`} {
-		raw := []byte(`{"version":5,"walSeq":1,"` + field + `":` + value + `}`)
+		raw := []byte(`{"version":6,"walSeq":1,"` + field + `":` + value + `}`)
 		if err := CommitReplicatedManifest(dir, raw); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
 			t.Errorf("manifest naming %q: commit returned %v, want an error naming the field", field, err)
 		}

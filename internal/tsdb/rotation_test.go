@@ -305,11 +305,15 @@ func TestRotationCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.preSize = st.Size()
-			env.recLen = int64(4 + 2 + len(k.String()) + 16)
 			x := Entry{Key: k, At: t0.Add(55000 * time.Minute), Value: 77}
 			if err := db.Append(x.Key, x.At, x.Value); err != nil {
 				t.Fatal(err)
 			}
+			// The append reached write(2) before it returned.
+			if st, err = os.Stat(env.prePath); err != nil {
+				t.Fatal(err)
+			}
+			env.recLen = st.Size() - env.preSize
 			if !cell.loseExtra {
 				refApplyAll(t, ref, []Entry{x})
 			}
@@ -759,10 +763,11 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if err := os.Remove(oldPath); err != nil {
 		t.Fatal(err)
 	}
-	next := encodeRotHeader(1000000)
+	var tail []Entry
 	for i := 10; i < 20; i++ {
-		next = appendRecord(next, k, t0.Add(time.Duration(i)*time.Minute).UnixNano(), float64(i))
+		tail = append(tail, Entry{Key: k, At: t0.Add(time.Duration(i) * time.Minute), Value: float64(i)})
 	}
+	next := append(encodeRotHeader(1000000), walRecord(tail)...)
 	if err := os.WriteFile(filepath.Join(dir, rotSegName(1000000)), next, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@
 // goes to the active wal-<seq>.log through one buffered writer behind the
 // log lock. An acknowledged append is process-crash safe on return and
 // power-loss safe after Flush. Lock order is shard lock, then log lock:
-// a batch encodes each shard group's records into one buffer and writes
-// it under that shard's lock with one log-lock acquisition, so every
-// series' record order in the log is its order in memory. The store has one writer in practice
+// a batch writes each shard group as one record, naming each series by a
+// per-segment ID, under that shard's lock with one log-lock acquisition,
+// so every series' order in the log is its order in memory. The store has one writer in practice
 // (the collector's tick), so the shared log costs it nothing. A versioned
 // MANIFEST names the layout; snapshots double as checkpoints (Checkpoint)
 // that bound recovery to "load snapshot + replay the segments written
@@ -58,15 +58,12 @@ package tsdb
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/maphash"
 	"math"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -194,6 +191,11 @@ type series struct {
 	// index is cold.n + its offset in points; the read paths resolve the
 	// two tiers through the shared search/fetch helpers below.
 	cold *coldSeries
+	// walSeq and walID are the WAL segment the series was last defined
+	// in and the ID it has there (see writeLog). A series whose walSeq is
+	// not the active segment's defines itself again, under a new ID, at
+	// its next append; 0 is no segment.
+	walSeq, walID uint64
 }
 
 // shard is one lock stripe: a mutex, its series and local statistics.
@@ -288,6 +290,12 @@ type DB struct {
 	walF     *os.File
 	walSeq   uint64
 	unsynced []*os.File
+	// walNextID is the next series ID of the active segment and walBuf
+	// the records writeLog encodes, both guarded by logMu. The cut resets
+	// walNextID with every shard lock and logMu held; Open seeds it from
+	// the replayed active segment.
+	walNextID uint64
+	walBuf    []byte
 	// sealedN counts the swapped-out segments the committed manifest does
 	// not cover yet, so SealedSegments reads it without a lock. Updated
 	// via setSealed wherever walSeq or the manifest moves.
@@ -389,10 +397,11 @@ type Options struct {
 	// store checkpoint itself once WALBytesSinceCheckpoint crosses the
 	// threshold — regardless of who is writing (collector, bootstrap,
 	// analysis tools). It is the store's one size knob: every stored
-	// point is one WAL record, so the same threshold bounds the replay
-	// tail, the WAL bytes on disk and hot-memory growth between seals
-	// (threshold / record size). Zero disables the store's own size
-	// trigger (callers may still schedule checkpoints themselves).
+	// point costs at least 10 WAL bytes, so the same threshold bounds the
+	// replay tail, the WAL bytes on disk and hot-memory growth between
+	// seals ((threshold + one batch) / 10 B). Zero disables the store's
+	// own size trigger (callers may still schedule checkpoints
+	// themselves).
 	CheckpointAfterBytes int64
 	// MaintenanceInterval is the maintenance daemon's poll period: 0
 	// selects DefaultMaintenanceInterval, negative disables the daemon
@@ -554,29 +563,9 @@ func canonicalLen(k SeriesKey) int {
 	return len(k.Dataset) + len(k.Type) + len(k.Region) + len(k.AZ) + 3
 }
 
-// appendRecord appends one WAL record for key k to buf. Layout: u32 crc |
-// u16 keyLen | key bytes | i64 unixNano | f64 bits, the crc covering
-// everything after it. The key bytes are k's canonical form (String),
-// written in place.
-func appendRecord(buf []byte, k SeriesKey, ns int64, v float64) []byte {
-	start := len(buf)
-	keyLen := canonicalLen(k)
-	buf = slices.Grow(buf, 4+2+keyLen+16)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(keyLen))
-	buf = append(append(buf, k.Dataset...), '|')
-	buf = append(append(buf, k.Type...), '|')
-	buf = append(append(buf, k.Region...), '|')
-	buf = append(buf, k.AZ...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ns))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+4:]))
-	return buf
-}
-
-// maxKeyBytes bounds the canonical key form: both the WAL and the snapshot
-// codec store key lengths as uint16, so longer keys would silently
-// truncate into unreadable records.
+// maxKeyBytes bounds the canonical key form: the block and checkpoint
+// codecs store key lengths as uint16, so longer keys would silently
+// truncate into unreadable files.
 const maxKeyBytes = 1<<16 - 1
 
 func validKey(k SeriesKey) error {
@@ -614,21 +603,28 @@ func validPoint(at time.Time, v float64) error {
 	return nil
 }
 
+// walEntry is one stored point on its way to the log: appendLocked
+// collects a shard group's entries, writeLog encodes them.
+type walEntry struct {
+	s  *series
+	ns int64
+	v  float64
+}
+
 // appendLocked stores one point into s, k's series in sh (nil when k is
 // new; h is k's hash), which the caller has write-locked, and on a
-// durable store appends the point's WAL record to rec, which the caller
-// hands to writeLog before it releases the lock. The caller has
-// validated at, so its UnixNano is exact, and counts what it stored with
-// countLocked.
-func (db *DB) appendLocked(sh *shard, s *series, h uint64, k SeriesKey, at time.Time, v float64, rec []byte) ([]byte, error) {
+// durable store appends the point to ents, which the caller hands to
+// writeLog before it releases the lock. The caller has validated at, so
+// its UnixNano is exact, and counts what it stored with countLocked.
+func (db *DB) appendLocked(sh *shard, s *series, h uint64, k SeriesKey, at time.Time, v float64, ents []walEntry) ([]walEntry, error) {
 	if db.closed.Load() {
-		return rec, errClosed
+		return ents, errClosed
 	}
 	// Guard memory as well as the WAL: a read-only store has no open
 	// log, so without this check an append would "succeed" in memory and
 	// silently vanish at the next reopen.
 	if db.readOnly {
-		return rec, errors.New("tsdb: read-only store rejects appends")
+		return ents, errors.New("tsdb: read-only store rejects appends")
 	}
 	if s == nil {
 		s = db.seriesLocked(sh, h, k)
@@ -636,16 +632,16 @@ func (db *DB) appendLocked(sh *shard, s *series, h uint64, k SeriesKey, at time.
 	ns := at.UnixNano()
 	if n := len(s.points); n > 0 {
 		if last := s.points[n-1]; ns < last.ns {
-			return rec, fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, last.point().At)
+			return ents, fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, last.point().At)
 		}
 	} else if s.cold != nil && ns < s.cold.lastAt {
-		return rec, fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, time.Unix(0, s.cold.lastAt).UTC())
+		return ents, fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, time.Unix(0, s.cold.lastAt).UTC())
 	}
 	s.points = append(s.points, sample{ns: ns, v: v})
 	if db.dir != "" {
-		rec = appendRecord(rec, k, ns, v)
+		ents = append(ents, walEntry{s: s, ns: ns, v: v})
 	}
-	return rec, nil
+	return ents, nil
 }
 
 // countLocked adds n hot points stored into sh to its point counter, the
@@ -657,20 +653,41 @@ func (db *DB) countLocked(sh *shard, n int) {
 	db.gen.Add(uint64(n))
 }
 
-// writeLog hands rec, whole WAL records, to the log's buffer with one
-// log-lock acquisition. The caller holds the write lock of the shard
-// whose points rec records, which keeps every series' order in the log
-// its order in memory.
-func (db *DB) writeLog(rec []byte) error {
-	if len(rec) == 0 {
+// writeLog encodes ents, one shard group's stored points in order, as
+// one WAL record (more only past walRecordSplit body bytes) and hands it
+// to the log's buffer with one log-lock acquisition. The caller holds the
+// write lock of the shard whose points ents records, which keeps every
+// series' order in the log its order in memory. A series not yet defined
+// in the active segment defines itself here, under the log lock, with
+// the segment's next ID: IDs enter the log densely and in order, and a
+// series' definition always precedes its references.
+func (db *DB) writeLog(ents []walEntry) error {
+	if len(ents) == 0 {
 		return nil
 	}
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
-	if _, err := db.wal.Write(rec); err != nil {
+	start, base := 0, ents[0].ns
+	buf := beginRecord(db.walBuf[:0], base)
+	for _, e := range ents {
+		if len(buf)-start > walRecordSplit {
+			buf = finishRecord(buf, start)
+			start, base = len(buf), e.ns
+			buf = beginRecord(buf, base)
+		}
+		s := e.s
+		var def *SeriesKey
+		if s.walSeq != db.walSeq {
+			s.walSeq, s.walID, def = db.walSeq, db.walNextID, &s.key
+			db.walNextID++
+		}
+		buf = appendRecordEntry(buf, s.walID, def, base, e.ns, e.v)
+	}
+	db.walBuf = finishRecord(buf, start)
+	if _, err := db.wal.Write(db.walBuf); err != nil {
 		return fmt.Errorf("tsdb: wal write: %w", err)
 	}
-	db.cpBytesTotal.Add(uint64(len(rec)))
+	db.cpBytesTotal.Add(uint64(len(db.walBuf)))
 	return nil
 }
 
@@ -727,12 +744,13 @@ func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool,
 	if dedup && db.unchangedLocked(s, v) {
 		return false, nil
 	}
-	rec, err := db.appendLocked(sh, s, h, k, at, v, nil)
+	var one [1]walEntry
+	ents, err := db.appendLocked(sh, s, h, k, at, v, one[:0])
 	if err != nil {
 		return false, err
 	}
 	db.countLocked(sh, 1)
-	if err := db.writeLog(rec); err != nil {
+	if err := db.writeLog(ents); err != nil {
 		return false, err
 	}
 	if err := db.flushLog(); err != nil {
@@ -759,7 +777,7 @@ func (db *DB) unchangedLocked(s *series, v float64) bool {
 
 // AppendBatch stores the entries, grouping them by shard so each shard
 // lock is acquired once per batch rather than once per point, and each
-// group's WAL records are written with one log-lock acquisition. Entries keep
+// group is written as one WAL record with one log-lock acquisition. Entries keep
 // their input order within a shard, so per-series time ordering of the
 // input is preserved. It returns how many points were stored and the first
 // error encountered; later entries are still attempted after an error.
@@ -822,7 +840,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 		fill[s]++
 	}
 	stored := 0
-	var rec []byte
+	var ents []walEntry
 	for s := 0; s < ns; s++ {
 		lo, hi := pos[s], pos[s]+counts[s]
 		if lo == hi {
@@ -830,7 +848,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 		}
 		sh := &db.shards[s]
 		sh.mu.Lock()
-		rec = rec[:0]
+		ents = ents[:0]
 		n := 0
 		for _, i := range order[lo:hi] {
 			e, h := &entries[i], hashes[i]
@@ -839,7 +857,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 				continue
 			}
 			var err error
-			if rec, err = db.appendLocked(sh, se, h, e.Key, e.At, e.Value, rec); err != nil {
+			if ents, err = db.appendLocked(sh, se, h, e.Key, e.At, e.Value, ents); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -851,7 +869,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 			db.countLocked(sh, n)
 			stored += n
 		}
-		if err := db.writeLog(rec); err != nil && firstErr == nil {
+		if err := db.writeLog(ents); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		sh.mu.Unlock()

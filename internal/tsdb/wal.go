@@ -22,9 +22,23 @@ package tsdb
 //
 // # Segment format
 //
-//	header: 8-byte magic "SLWALSG4" | u64 sequence number
-//	then:   a run of WAL records (see appendRecord): u32 crc | u16 keyLen |
-//	        key bytes | i64 unixNano | f64 bits
+//	header: 8-byte magic "SLWALSG5" | u64 sequence number
+//	then:   a run of records, one per shard group an append or a batch
+//	        stored (see writeLog):
+//	          u32 crc | u32 bodyLen | body     crc over bodyLen and body
+//	        body: varint baseNs (the first entry's unix nanoseconds), then
+//	        per entry:
+//	          uvarint(id<<1 | defines)
+//	          [uvarint keyLen | canonical key]  only when defines is set
+//	          varint(ns - baseNs)               zigzag, wrapping
+//	          f64 bits
+//
+// A series is named by an ID that holds for one segment. The first entry
+// of a series in a segment defines it, carrying its key and taking the
+// segment's next ID (IDs run 0, 1, 2 … in log order); later entries carry
+// only the ID. A stored point therefore costs at least 10 bytes (1-byte
+// ID, 1-byte delta, 8-byte value): a collector tick, whose entries share
+// one timestamp and a handful of records, costs about 11.
 //
 // A segment lives for one checkpoint. Every record in a segment below the
 // manifest's walSeq is in the checkpoint; every record in a segment at or
@@ -63,27 +77,32 @@ package tsdb
 //
 // Open reads the manifest, bulk-loads the referenced checkpoint snapshot
 // (if any), then replays the segments in one sequential pass, in
-// sequence order from the manifest's walSeq, applying each record to the
-// shard this open places its key in. A missing sequence number, a
-// foreign header or a torn record ends the chain (a torn record is the
-// signature of a crash mid-write; nothing after it was acknowledged as
-// durable), and the torn bytes are truncated before the segment reopens
-// for appending. Recovery time is bounded by the bytes written since the
-// last checkpoint, not by the archive's full history.
+// sequence order from the manifest's walSeq, applying each entry to the
+// shard this open places its series' key in. A missing sequence number, a
+// foreign header or a torn record (short, past the segment's end, or
+// failing its crc) ends the chain (a torn record is the signature of a
+// crash mid-write; nothing after it was acknowledged as durable), and the
+// torn bytes are truncated before the segment reopens for appending. A
+// record that passes its crc but is malformed or names an ID its segment
+// never defined fails Open, naming the segment: the writer never produces
+// one. Appends resume in the last replayed segment at its next free ID.
+// Recovery time is bounded by the bytes written since the last
+// checkpoint, not by the archive's full history.
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 5
-// (version 4 kept one segment chain per shard, under a layout epoch;
-// version 3 located the checkpoint cut by per-shard logical offsets into
-// live segments; version 2 wrote checkpoints as raw 16-byte points,
-// "SLTSDBSN") or that carries a field this build does not know (a
-// materialized rollup snapshot's "rollups", raw retention's "retain"), a
-// points.wal (the pre-manifest single-stream log) with no MANIFEST beside
-// it, or a nested rollup/MANIFEST — fails Open with an error naming the
-// directory and the layout, before anything in the directory is created,
-// truncated, renamed or removed. It is never migrated and never served as
-// an empty archive.
+// A directory this build cannot read — a MANIFEST whose version is not 6
+// (version 5 wrote one WAL record per point, each carrying its series'
+// key, under segment magic "SLWALSG4"; version 4 kept one segment chain
+// per shard, under a layout epoch; version 3 located the checkpoint cut
+// by per-shard logical offsets into live segments; version 2 wrote
+// checkpoints as raw 16-byte points, "SLTSDBSN") or that carries a field
+// this build does not know (a materialized rollup snapshot's "rollups",
+// raw retention's "retain"), a points.wal (the pre-manifest single-stream
+// log) with no MANIFEST beside it, or a nested rollup/MANIFEST — fails
+// Open with an error naming the directory and the layout, before
+// anything in the directory is created, truncated, renamed or removed. It
+// is never migrated and never served as an empty archive.
 //
 // # Crash points
 //
@@ -120,11 +139,17 @@ import (
 
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 5
+	manifestVersion = 6
 
 	// Segment header: magic | u64 seq.
-	rotSegMagic     = "SLWALSG4"
+	rotSegMagic     = "SLWALSG5"
 	rotSegHeaderLen = len(rotSegMagic) + 8
+
+	// walRecordHeaderLen is a record's u32 crc and u32 body length.
+	walRecordHeaderLen = 8
+	// walRecordSplit is the body size past which writeLog ends a record
+	// and starts the next, so no body outgrows its u32 length.
+	walRecordSplit = 1 << 20
 
 	// maxShards bounds a store's shard count.
 	maxShards = 1 << 16
@@ -480,36 +505,139 @@ func (db *DB) attachBlocks(s *series, seg *coldSegment, blocks []blockMeta) int 
 	return total
 }
 
-// replayRecords reads WAL records from br until EOF, a truncated record,
-// or a CRC mismatch (all three end replay silently: they are the
-// signature of a crash mid-write), handing apply each record's key bytes,
-// which are valid only during the call. It returns how many bytes of
-// complete, CRC-valid records were consumed, so callers can truncate a
-// crashed tail before appending after it.
-func replayRecords(br *bufio.Reader, apply func(key []byte, ns int64, v float64)) (int64, error) {
-	valid := int64(0)
-	var head [6]byte
+// beginRecord starts a WAL record at the end of buf: room for its crc and
+// body length, then the body's base timestamp.
+func beginRecord(buf []byte, base int64) []byte {
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	return binary.AppendVarint(buf, base)
+}
+
+// appendRecordEntry appends one entry to the record whose base timestamp
+// is base: a point of the series with ID id, which it defines when k is
+// non-nil, writing k's canonical form in place. The delta wraps: two
+// points of one record may lie further apart than an int64 holds, and
+// the wrapped delta decodes back exactly.
+func appendRecordEntry(buf []byte, id uint64, k *SeriesKey, base, ns int64, v float64) []byte {
+	if k == nil {
+		buf = binary.AppendUvarint(buf, id<<1)
+	} else {
+		buf = binary.AppendUvarint(buf, id<<1|1)
+		buf = binary.AppendUvarint(buf, uint64(canonicalLen(*k)))
+		buf = append(append(buf, k.Dataset...), '|')
+		buf = append(append(buf, k.Type...), '|')
+		buf = append(append(buf, k.Region...), '|')
+		buf = append(buf, k.AZ...)
+	}
+	buf = binary.AppendVarint(buf, ns-base)
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// finishRecord fills in the crc and the body length of the record that
+// starts at buf[start].
+func finishRecord(buf []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(buf)-start-walRecordHeaderLen))
+	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+4:]))
+	return buf
+}
+
+// recEntry is one decoded record entry. key, set on a defining entry,
+// aliases the record's body.
+type recEntry struct {
+	id     uint64
+	define bool
+	key    []byte
+	ns     int64
+	v      float64
+}
+
+// errMalformedRecord marks a crc-valid record whose body does not decode.
+var errMalformedRecord = errors.New("malformed WAL record")
+
+// decodeRecordBody decodes a record's body into ents, checking every ID
+// against next, the segment's next free ID: a defining entry must take
+// exactly next, and a referencing one must name an ID below it. It
+// returns the entries and the next free ID after them.
+func decodeRecordBody(body []byte, next uint64, ents []recEntry) ([]recEntry, uint64, error) {
+	base, n := binary.Varint(body)
+	if n <= 0 {
+		return ents, next, errMalformedRecord
+	}
+	for p := n; p < len(body); {
+		var e recEntry
+		tag, n := binary.Uvarint(body[p:])
+		if n <= 0 {
+			return ents, next, errMalformedRecord
+		}
+		p += n
+		e.id, e.define = tag>>1, tag&1 == 1
+		if e.define {
+			if e.id != next {
+				return ents, next, fmt.Errorf("%w: entry defines series ID %d, next free ID is %d", errMalformedRecord, e.id, next)
+			}
+			next++
+			keyLen, n := binary.Uvarint(body[p:])
+			if n <= 0 || keyLen > uint64(len(body)-p-n) {
+				return ents, next, errMalformedRecord
+			}
+			p += n
+			e.key = body[p : p+int(keyLen)]
+			p += int(keyLen)
+		} else if e.id >= next {
+			return ents, next, fmt.Errorf("%w: entry names undefined series ID %d", errMalformedRecord, e.id)
+		}
+		delta, n := binary.Varint(body[p:])
+		if n <= 0 || len(body)-p-n < 8 {
+			return ents, next, errMalformedRecord
+		}
+		p += n
+		e.ns = base + delta
+		e.v = math.Float64frombits(binary.LittleEndian.Uint64(body[p:]))
+		p += 8
+		ents = append(ents, e)
+	}
+	return ents, next, nil
+}
+
+// replayRecords reads the records of one segment, whose record bytes
+// number size, from br. EOF, a short record, a body length past the
+// segment's end and a crc mismatch all end replay silently: they are the
+// signature of a crash mid-write. A crc-valid record that does not decode
+// or names an undefined ID is an error. Each record is decoded whole
+// before apply sees its entries, in order; a defining entry's key is
+// valid only during the call. replayRecords returns how many bytes of
+// complete, applied records it consumed, so callers can truncate a
+// crashed tail before appending after it, and the segment's next free ID.
+func replayRecords(br *bufio.Reader, size int64, apply func(e *recEntry)) (valid int64, ids uint64, err error) {
+	var head [walRecordHeaderLen]byte
 	var body []byte
+	var ents []recEntry
 	for {
 		if _, err := io.ReadFull(br, head[:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return valid, nil // clean end or truncated header: stop replay
+				return valid, ids, nil // clean end or truncated header: stop replay
 			}
-			return valid, fmt.Errorf("tsdb: replay: %w", err)
+			return valid, ids, fmt.Errorf("tsdb: replay: %w", err)
 		}
-		crc := binary.LittleEndian.Uint32(head[:4])
-		keyLen := int(binary.LittleEndian.Uint16(head[4:6]))
-		body = slices.Grow(body[:0], keyLen+16)[:keyLen+16]
+		n := int64(binary.LittleEndian.Uint32(head[4:]))
+		if n > size-valid-walRecordHeaderLen {
+			return valid, ids, nil // a length past the segment's end: torn
+		}
+		body = slices.Grow(body[:0], int(n))[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
-			return valid, nil // truncated record: ignore tail
+			return valid, ids, nil // truncated record: ignore tail
 		}
-		if crc32.Update(crc32.ChecksumIEEE(head[4:6]), crc32.IEEETable, body) != crc {
-			return valid, nil // corrupt tail: stop replay
+		if crc32.Update(crc32.ChecksumIEEE(head[4:]), crc32.IEEETable, body) != binary.LittleEndian.Uint32(head[:4]) {
+			return valid, ids, nil // corrupt tail: stop replay
 		}
-		valid += int64(len(head) + len(body))
-		ns := int64(binary.LittleEndian.Uint64(body[keyLen : keyLen+8]))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(body[keyLen+8:]))
-		apply(body[:keyLen], ns, v)
+		var next uint64
+		if ents, next, err = decodeRecordBody(body, ids, ents[:0]); err != nil {
+			return valid, ids, err
+		}
+		for i := range ents {
+			apply(&ents[i])
+		}
+		valid += walRecordHeaderLen + n
+		ids = next
 	}
 }
 
@@ -538,11 +666,13 @@ func (db *DB) loadCheckpointFile(name string) error {
 }
 
 // logChain is what replaying the WAL found: the segment appends resume
-// in, its extent, and the record bytes the whole chain replayed.
+// in, its extent and next free series ID, and the record bytes the whole
+// chain replayed.
 type logChain struct {
 	seq      uint64 // active segment sequence number
 	valid    int64  // record bytes of its complete, CRC-valid records
 	size     int64  // record bytes on disk (> valid when the tail is torn)
+	ids      uint64 // series IDs its valid records define
 	replayed uint64 // record bytes replayed across the whole chain
 	found    bool   // an active segment file exists on disk
 }
@@ -550,7 +680,7 @@ type logChain struct {
 // replayLog replays the WAL's segments in full and in sequence order,
 // starting at the manifest's walSeq; segments below it are covered by the
 // checkpoint and skipped unread (removeStaleFiles reaps them). Each
-// record goes to the shard this open places its key in, so the replay
+// series goes to the shard this open places its key in, so the replay
 // depends neither on the shard count nor on the key hash seed the
 // segments were written under. A missing sequence number, a file whose
 // header names another sequence number or layout, or a torn record ends
@@ -558,30 +688,34 @@ type logChain struct {
 // durable before a crash. The returned chain tells openActiveSegment
 // where the append stream resumes.
 func (db *DB) replayLog() (logChain, error) {
-	// Each key resolves once per open, not once per record: parsing and
-	// hashing it would dominate the replay. Open owns the store
-	// exclusively, so no locks are taken. Malformed keys are skipped.
+	// A key resolves once per definition, not once per entry: parsing and
+	// hashing it would dominate the replay. targets maps the segment's IDs
+	// to their series; a series defined in the segment appends resume in
+	// keeps its ID there. Open owns the store exclusively, so no locks are
+	// taken. A malformed key's entries are skipped.
 	type target struct {
 		sh *shard
 		s  *series
 	}
-	targets := make(map[string]target)
-	apply := func(key []byte, ns int64, v float64) {
-		t, ok := targets[string(key)]
-		if !ok {
-			k, err := ParseSeriesKey(string(key))
-			if err != nil {
-				return
+	var targets []target
+	var seq uint64
+	apply := func(e *recEntry) {
+		if e.define {
+			var t target
+			if k, err := ParseSeriesKey(string(e.key)); err == nil {
+				var h uint64
+				h, t.sh = db.locate(k)
+				t.s = db.seriesLocked(t.sh, h, k)
+				t.s.walSeq, t.s.walID = seq, e.id
 			}
-			var h uint64
-			h, t.sh = db.locate(k)
-			t.s = db.seriesLocked(t.sh, h, k)
-			targets[string(key)] = t
+			targets = append(targets, t)
 		}
-		db.mergeSeries(t.sh, t.s, sample{ns: ns, v: v})
+		if t := targets[e.id]; t.s != nil {
+			db.mergeSeries(t.sh, t.s, sample{ns: e.ns, v: e.v})
+		}
 	}
 	c := logChain{seq: db.man.WALSeq}
-	for seq := db.man.WALSeq; ; seq++ {
+	for seq = db.man.WALSeq; ; seq++ {
 		name := rotSegName(seq)
 		f, err := os.Open(filepath.Join(db.dir, name))
 		if errors.Is(err, os.ErrNotExist) {
@@ -601,12 +735,14 @@ func (db *DB) replayLog() (logChain, error) {
 			f.Close()
 			return c, nil // a crashed creation or a foreign file
 		}
-		valid, err := replayRecords(br, apply)
+		size := st.Size() - int64(rotSegHeaderLen)
+		targets = targets[:0]
+		valid, ids, err := replayRecords(br, size, apply)
 		f.Close()
 		if err != nil {
-			return c, err
+			return c, fmt.Errorf("tsdb: replaying segment %s: %w", name, err)
 		}
-		c = logChain{seq: seq, valid: valid, size: st.Size() - int64(rotSegHeaderLen), replayed: c.replayed + uint64(valid), found: true}
+		c = logChain{seq: seq, valid: valid, size: size, ids: ids, replayed: c.replayed + uint64(valid), found: true}
 		db.replayedBytes.Add(uint64(valid))
 		if valid < c.size {
 			return c, nil // torn record: a crash mid-append
@@ -651,7 +787,7 @@ func (db *DB) openActiveSegment(c logChain) error {
 	}
 	db.walF = f
 	db.wal = bufio.NewWriterSize(f, 1<<16)
-	db.walSeq = c.seq
+	db.walSeq, db.walNextID = c.seq, c.ids
 	db.setSealed()
 	// Seed the checkpoint byte counter with the replayed chain: those
 	// records are exactly the bytes the next restart would replay again.
@@ -752,8 +888,9 @@ type snapshotSeries struct {
 
 // cutLog is the checkpoint's cut. With every shard lock held (shared, in
 // ascending order, as Close takes them) and then the log lock, it flushes
-// the log's buffer, swaps the log onto next — generation gen — and
-// captures every series' point slice, unsorted. Every log
+// the log's buffer, swaps the log onto next — generation gen — whose
+// series IDs start again at 0, and captures every series' point slice,
+// unsorted. Every log
 // write happens under a shard's write lock, so the swapped-out segments
 // hold exactly the captured points, while reads go on. Points are
 // append-only, so everything below the captured lengths is immutable
@@ -789,7 +926,7 @@ func (db *DB) cutLog(gen uint64, next *os.File) (recs []snapshotSeries, retired 
 	retired = db.unsynced
 	db.walF = next
 	db.wal.Reset(next)
-	db.walSeq = gen
+	db.walSeq, db.walNextID = gen, 0
 	covered = db.cpBytesTotal.Load()
 	db.logMu.Unlock()
 	db.setSealed()

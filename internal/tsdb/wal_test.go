@@ -7,9 +7,12 @@ package tsdb
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +38,25 @@ func legacyEntries(n int) []Entry {
 		out = append(out, Entry{Key: k, At: t0.Add(time.Duration(i) * time.Minute), Value: float64(i % 9)})
 	}
 	return out
+}
+
+// walRecord encodes entries as one WAL record the way writeLog writes
+// them at the start of a segment: each key defines itself at its first
+// entry, under the next ID from 0.
+func walRecord(entries []Entry) []byte {
+	ids := make(map[SeriesKey]uint64)
+	base := entries[0].At.UnixNano()
+	rec := beginRecord(nil, base)
+	for _, e := range entries {
+		id, ok := ids[e.Key]
+		var def *SeriesKey
+		if !ok {
+			id, def = uint64(len(ids)), &e.Key
+			ids[e.Key] = id
+		}
+		rec = appendRecordEntry(rec, id, def, base, e.At.UnixNano(), e.Value)
+	}
+	return finishRecord(rec, 0)
 }
 
 // contents flattens a store into key -> points for equality checks.
@@ -98,9 +120,17 @@ func dirState(t *testing.T, dir string) map[string]string {
 // exactly as it was: no fresh layout committed over the old data, no
 // stale-file reaping, no silently empty archive.
 func TestUnsupportedLayoutRefused(t *testing.T) {
-	var walBytes []byte
+	walBytes := walRecord(legacyEntries(50))
+	// A version-5 segment: magic "SLWALSG4" | u64 seq 1, then one record a
+	// point, each carrying its key: u32 crc | u16 keyLen | key | i64 ns |
+	// f64 bits.
+	v5Seg := binary.LittleEndian.AppendUint64([]byte("SLWALSG4"), 1)
 	for _, e := range legacyEntries(50) {
-		walBytes = appendRecord(walBytes, e.Key, e.At.UnixNano(), e.Value)
+		body := binary.LittleEndian.AppendUint16(nil, uint16(len(e.Key.String())))
+		body = append(body, e.Key.String()...)
+		body = binary.LittleEndian.AppendUint64(body, uint64(e.At.UnixNano()))
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.Value))
+		v5Seg = append(binary.LittleEndian.AppendUint32(v5Seg, crc32.ChecksumIEEE(body)), body...)
 	}
 	// A version-4 segment header: magic | u32 shard index 0 | u32 shard
 	// count 1 | u64 epoch 1 | u64 seq 1.
@@ -169,12 +199,26 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 4",
 		},
 		{
-			name: "manifest version 6",
+			// Version 5 wrote one WAL record per point, each naming its
+			// series by key.
+			name: "manifest version 5",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":6,"walSeq":1}`),
+				manifestName:             []byte(`{"version":5,"walSeq":1,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap"}`),
+				"wal-000001.log":         v5Seg,
+				"wal-000003.log":         []byte("segment past the chain a reaping pass would delete"),
+				"checkpoint-000001.snap": []byte("SLBLOCKS"),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
+			},
+			want: "manifest version 5",
+		},
+		{
+			name: "manifest version 7",
+			files: map[string][]byte{
+				manifestName:     []byte(`{"version":7,"walSeq":1}`),
 				"wal-000001.log": encodeRotHeader(1),
 			},
-			want: "manifest version 6",
+			want: "manifest version 7",
 		},
 		{
 			name: "nested rollup store",
@@ -190,7 +234,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming a rollup snapshot",
 			files: map[string][]byte{
-				manifestName:         []byte(`{"version":5,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
+				manifestName:         []byte(`{"version":6,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
 				"wal-000001.log":     encodeRotHeader(1),
 				"rollup-000004.snap": []byte("SLROLLUP"),
 				"MANIFEST.tmp":       []byte("temp file a reaping pass would delete"),
@@ -200,7 +244,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming retention cuts",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":5,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
+				manifestName:     []byte(`{"version":6,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
 				"wal-000001.log": encodeRotHeader(1),
 				"MANIFEST.tmp":   []byte("temp file a reaping pass would delete"),
 			},
@@ -684,4 +728,227 @@ func TestCheckpointMetrics(t *testing.T) {
 	}
 	defer re.Close()
 	check(re, 0)
+}
+
+// TestWALBytesPerStoredPoint reports the WAL bytes a stored point costs at
+// the collector's shape: 1600 catalog series, one AppendBatchIfChanged a
+// tick, one value in four changed. Past the first tick, whose records
+// define every series, a point costs at most 12 bytes; a lone Append to
+// a series already defined in the segment costs at most 30.
+func TestWALBytesPerStoredPoint(t *testing.T) {
+	db := mustOpen(t, t.TempDir())
+	defer db.Close()
+	catalog := catalogKeys()
+	batch := make([]Entry, len(catalog))
+	tick := func(i int) int {
+		for j, k := range catalog {
+			batch[j] = Entry{Key: k, At: t0.Add(time.Duration(i) * 10 * time.Minute), Value: float64((i+j)/4%9 + 1)}
+		}
+		n, err := db.AppendBatchIfChanged(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	first := tick(0)
+	defined := db.WALBytesSinceCheckpoint()
+	const ticks = 24
+	stored := 0
+	for i := 1; i < ticks; i++ {
+		stored += tick(i)
+	}
+	if stored != (ticks-1)*len(catalog)/4 {
+		t.Fatalf("stored %d points past the first tick, want %d", stored, (ticks-1)*len(catalog)/4)
+	}
+	perPoint := float64(db.WALBytesSinceCheckpoint()-defined) / float64(stored)
+	t.Logf("first tick: %d points, %.1f WAL B/point; later ticks: %.2f WAL B/point",
+		first, float64(defined)/float64(first), perPoint)
+	if perPoint > 12 {
+		t.Errorf("%.2f WAL bytes per stored point past the first tick, want <= 12", perPoint)
+	}
+	before := db.WALBytesSinceCheckpoint()
+	if err := db.Append(catalog[0], t0.Add(ticks*10*time.Minute), 42); err != nil {
+		t.Fatal(err)
+	}
+	if rec := db.WALBytesSinceCheckpoint() - before; rec > 30 {
+		t.Errorf("a lone Append wrote a %d-byte record, want <= 30", rec)
+	}
+}
+
+// TestWALReopenContinuesSegment reopens a store over the segment it was
+// appending to, with no checkpoint between: the appends after each reopen
+// — to series the segment already defines and to new ones — continue its
+// IDs, and the next open replays all of it exactly as the reference
+// holds it. The cycle runs again after a torn tail whose lost record had
+// defined a series, so the truncated segment hands that ID out anew.
+func TestWALReopenContinuesSegment(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 4, MaintenanceInterval: -1}
+	ref := newRefDB()
+	open := func() *DB {
+		t.Helper()
+		db, err := OpenWithOptions(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.walSeq != 1 {
+			t.Fatalf("store appends to segment %d, want 1: nothing checkpointed", db.walSeq)
+		}
+		return db
+	}
+	apply := func(db *DB, entries []Entry) {
+		t.Helper()
+		if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
+			t.Fatalf("stored %d of %d, err %v", n, len(entries), err)
+		}
+		refApplyAll(t, ref, entries)
+	}
+	fresh := func(n, startMin int, dataset string) []Entry {
+		out := laterEntries(n, startMin)
+		for i := range out {
+			out[i].Key.Dataset = dataset
+		}
+		return out
+	}
+	db := open()
+	apply(db, legacyEntries(200))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	// A series the segment defined keeps its ID: its next record carries
+	// no key.
+	before := db.WALBytesSinceCheckpoint()
+	apply(db, laterEntries(1, 999))
+	if rec := db.WALBytesSinceCheckpoint() - before; rec > 30 {
+		t.Fatalf("the reopened store wrote a %d-byte record for a defined series, want <= 30", rec)
+	}
+	apply(db, append(laterEntries(100, 1000), fresh(100, 1000, "new")...))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	assertSameContents(t, contents(db), refContents(ref))
+
+	// The last record defines a series; tearing it loses that point.
+	apply(db, laterEntries(50, 2000))
+	lost := Entry{Key: SeriesKey{Dataset: "lost", Type: "m5.large", Region: "r0", AZ: "r0a"}, At: t0.Add(3000 * time.Minute), Value: 1}
+	if err := db.Append(lost.Key, lost.At, lost.Value); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, rotSegName(1))
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	assertSameContents(t, contents(db), refContents(ref))
+	apply(db, append(append(laterEntries(60, 4000), fresh(60, 4000, "newer")...), lost))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	defer db.Close()
+	assertSameContents(t, contents(db), refContents(ref))
+}
+
+// TestWALUndefinedIDRefused: a record that passes its crc but names a
+// series ID its segment never defined, or defines one out of order, is
+// not a torn tail. Open fails naming the segment, writable and read-only,
+// and leaves the directory as it was.
+func TestWALUndefinedIDRefused(t *testing.T) {
+	e := legacyEntries(1)[0]
+	ns := e.At.UnixNano()
+	for name, rec := range map[string][]byte{
+		"undefined ID": finishRecord(appendRecordEntry(beginRecord(nil, ns), 0, nil, ns, ns, 1), 0),
+		"ID defined out of order": finishRecord(
+			appendRecordEntry(beginRecord(nil, ns), 1, &e.Key, ns, ns, 1), 0),
+		"reference past the definitions": append(walRecord([]Entry{e}),
+			finishRecord(appendRecordEntry(beginRecord(nil, ns), 1, nil, ns, ns+1, 2), 0)...),
+	} {
+		for _, readOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/readOnly=%v", name, readOnly), func(t *testing.T) {
+				dir := t.TempDir()
+				if err := writeManifest(dir, manifest{Version: manifestVersion, WALSeq: 1}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, rotSegName(1)), append(encodeRotHeader(1), rec...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				before := dirState(t, dir)
+				db, err := OpenWithOptions(dir, Options{ReadOnly: readOnly, MaintenanceInterval: -1})
+				if err == nil {
+					db.Close()
+					t.Fatal("open succeeded over a record naming an undefined series ID")
+				}
+				if !strings.Contains(err.Error(), rotSegName(1)) {
+					t.Errorf("error %q does not name the segment", err)
+				}
+				if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+					t.Errorf("refused open changed the directory:\n before %v\n after  %v", before, after)
+				}
+			})
+		}
+	}
+}
+
+// TestWALConcurrentDefinitions: writers in every shard define new series
+// and reference defined ones at once, while checkpoints cut the log under
+// them, so IDs are handed out to concurrent shard groups in both the old
+// and the new segment. The WAL left after the last cut replays to exactly
+// what the store held.
+func TestWALConcurrentDefinitions(t *testing.T) {
+	const writers, ticks = 4, 120
+	dir := t.TempDir()
+	db, err := OpenSharded(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ticks; i++ {
+				// A new series every eighth tick; the older ones change too.
+				var batch []Entry
+				for s := 0; s <= i/8; s++ {
+					k := SeriesKey{Dataset: "price", Type: fmt.Sprintf("w%d.s%d", w, s), Region: "r", AZ: "a"}
+					batch = append(batch, Entry{Key: k, At: t0.Add(time.Duration(i) * time.Minute), Value: float64(i)})
+				}
+				if _, err := db.AppendBatch(batch); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 5; i++ {
+			if err := db.Checkpoint(); err != nil {
+				t.Errorf("concurrent checkpoint: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	want := contents(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	assertSameContents(t, contents(re), want)
 }
