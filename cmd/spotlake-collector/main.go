@@ -140,9 +140,8 @@ func run() error {
 	log.Printf("collected %d simulated days in %v", *days, time.Since(start).Round(time.Millisecond))
 	log.Printf("score ticks %d, advisor ticks %d, price ticks %d", st.ScoreTicks, st.AdvisorTicks, st.PriceTicks)
 	log.Printf("queries issued %d (errors %d), points stored %d", st.QueriesIssued, st.QueryErrors, st.PointsStored)
-	log.Printf("checkpoints: %d periodic (%d errors) + %d store-maintenance (%d by-bytes, %d errors) + 1 final",
-		st.Checkpoints, st.CheckpointErrors,
-		st.MaintenanceCheckpoints, st.ForcedByBytes, st.MaintenanceErrors)
+	log.Printf("checkpoints: %d periodic (%d errors) + 1 final; store maintenance in the spotlake_maintenance_* rows",
+		st.Checkpoints, st.CheckpointErrors)
 	log.Printf("archive: %d series, %d points in %s", db.SeriesCount(), db.PointCount(), *dataDir)
 	// One `metric:` row per registry sample on stdout, unprefixed and
 	// greppable: name=value, histogram buckets left out.

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/catalog"
 	"repro/internal/cloudsim"
 	"repro/internal/collector"
@@ -51,8 +50,6 @@ func main() {
 	}
 	clk.RunFor(7 * 24 * time.Hour)
 
-	svc := archive.NewService(db, cat)
-
 	// Enumerate live GPU pools with their current archive signals.
 	var candidates []candidate
 	for _, cl := range []catalog.Class{catalog.ClassG, catalog.ClassP} {
@@ -67,7 +64,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("GPU candidate pools: %d (archive holds %d series)\n", len(candidates), svc.Meta().Schema.SeriesCount)
+	fmt.Printf("GPU candidate pools: %d (archive holds %d series)\n", len(candidates), db.SeriesCount())
 
 	const workers = 6
 	// SpotLake strategy: both scores high, then cheapest, spread across

@@ -49,8 +49,7 @@ func main() {
 
 	// 3. Query the archive like a SpotLake user.
 	svc := archive.NewService(db, cat)
-	meta := svc.Meta()
-	fmt.Printf("archive: %d series, %d points\n", meta.Schema.SeriesCount, meta.Schema.PointCount)
+	fmt.Printf("archive: %d series, %d points\n", db.SeriesCount(), db.PointCount())
 
 	tn := cat.TypesOfClass(catalog.ClassM)[0].Name
 	results, err := svc.Query(archive.QueryRequest{

@@ -21,9 +21,9 @@ package archive
 // /readyz) are exempt so an overloaded server can still be observed;
 // every other endpoint pays the (two-atomic-loads) admission cost.
 // Admitted handler executions — and only those — record their latency
-// into a fixed-bucket obs.Histogram, from which Stats derives
-// bucket-exact p50/p99: the same numbers a scrape consumer computes
-// from spotlake_http_request_duration_seconds, and the signal an
+// into spotlake_http_request_duration_seconds, whose bucket-exact
+// p50/p99 meta reports as http.requestDurationSeconds: the same numbers
+// a scrape consumer computes from the exposition, and the signal an
 // operator (or a future latency-adaptive controller) watches under
 // load. Throttled and shed requests never touch the histogram — their
 // error writes are not handler executions, and folding them in would
@@ -84,8 +84,8 @@ type AdmissionConfig struct {
 }
 
 // Admission is the serving layer's traffic controller. One instance
-// fronts one Service's handler (see Service.SetAdmission); its counters
-// feed /api/v1/meta.
+// fronts one Service's handler (see Service.SetAdmission); its metrics
+// are meta's admission section.
 type Admission struct {
 	cfg   AdmissionConfig
 	slots chan struct{} // nil = unlimited
@@ -140,42 +140,12 @@ func (a *Admission) registerMetrics(reg *obs.Registry) {
 		"Admitted requests currently executing.", func() float64 { return float64(a.inFlight.Load()) })
 	reg.GaugeFunc("spotlake_admission_queued",
 		"Requests waiting for an in-flight slot.", func() float64 { return float64(a.queued.Load()) })
+	reg.GaugeFunc("spotlake_admission_max_in_flight",
+		"Configured in-flight cap (0 = unlimited).", func() float64 { return float64(a.cfg.MaxInFlight) })
+	reg.GaugeFunc("spotlake_admission_rate_per_sec",
+		"Configured per-client sustained request rate (0 = no throttling).", func() float64 { return a.cfg.RatePerSec })
 	reg.RegisterHistogram("spotlake_http_request_duration_seconds",
 		"Handler latency of admitted requests (throttled/shed rejections excluded).", a.lat)
-}
-
-// AdmissionStats is the controller's health snapshot, surfaced in
-// /api/v1/meta. Admitted/Throttled/Shed partition every non-exempt
-// request seen; P50/P99 are bucket-derived quantiles over all admitted
-// handler latencies (0 until the first completes) — identical by
-// construction to what histogram_quantile() computes from the
-// spotlake_http_request_duration_seconds exposition.
-type AdmissionStats struct {
-	Admitted    uint64  `json:"admitted"`
-	Throttled   uint64  `json:"throttled"`
-	Shed        uint64  `json:"shed"`
-	InFlight    int64   `json:"inFlight"`
-	Queued      int64   `json:"queued"`
-	MaxInFlight int     `json:"maxInFlight"`
-	RatePerSec  float64 `json:"ratePerSec"`
-	P50Ms       float64 `json:"p50Ms"`
-	P99Ms       float64 `json:"p99Ms"`
-}
-
-// Stats snapshots the controller.
-func (a *Admission) Stats() AdmissionStats {
-	snap := a.lat.Snapshot()
-	return AdmissionStats{
-		Admitted:    a.admitted.Value(),
-		Throttled:   a.throttled.Value(),
-		Shed:        a.shed.Value(),
-		InFlight:    a.inFlight.Load(),
-		Queued:      a.queued.Load(),
-		MaxInFlight: a.cfg.MaxInFlight,
-		RatePerSec:  a.cfg.RatePerSec,
-		P50Ms:       snap.Quantile(0.50) * 1e3,
-		P99Ms:       snap.Quantile(0.99) * 1e3,
-	}
 }
 
 // clientKey identifies the client for rate limiting: the first

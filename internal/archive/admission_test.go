@@ -21,6 +21,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cloudsim"
 	"repro/internal/collector"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/tsdb"
 )
@@ -54,7 +55,7 @@ func TestSingleflightColdQueryCoalesces(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	before := s.CacheStats()
+	coalesced0, misses0 := metric(t, s.reg, "spotlake_cache_coalesced_total"), metric(t, s.reg, "spotlake_cache_misses_total")
 
 	results := make([][]SeriesResult, clients)
 	errs := make([]error, clients)
@@ -80,20 +81,20 @@ func TestSingleflightColdQueryCoalesces(t *testing.T) {
 			t.Fatalf("client %d saw a different result than the leader", i)
 		}
 	}
-	st := s.CacheStats()
-	coalesced := st.Coalesced - before.Coalesced
-	misses := st.Misses - before.Misses
+	hits := metric(t, s.reg, "spotlake_cache_hits_total")
+	coalesced := metric(t, s.reg, "spotlake_cache_coalesced_total") - coalesced0
+	misses := metric(t, s.reg, "spotlake_cache_misses_total") - misses0
 	if coalesced != clients-1 {
-		t.Errorf("coalesced = %d, want %d", coalesced, clients-1)
+		t.Errorf("coalesced = %v, want %d", coalesced, clients-1)
 	}
 	if computations := misses - coalesced; computations != 1 {
-		t.Errorf("store computations (misses - coalesced) = %d, want exactly 1", computations)
+		t.Errorf("store computations (misses - coalesced) = %v, want exactly 1", computations)
 	}
 	// The leader published through the cache: a repeat is a plain hit.
 	if _, err := s.Query(req); err != nil {
 		t.Fatal(err)
 	}
-	if after := s.CacheStats(); after.Hits <= st.Hits {
+	if after := metric(t, s.reg, "spotlake_cache_hits_total"); after <= hits {
 		t.Error("post-flight repeat did not hit the cache")
 	}
 }
@@ -157,6 +158,8 @@ func TestFlightGroupLeaderPanicReleasesFollowers(t *testing.T) {
 // in-cap requests complete normally.
 func TestAdmissionInFlightCapSheds(t *testing.T) {
 	adm := NewAdmission(AdmissionConfig{MaxInFlight: 2, MaxQueue: 1, QueueWait: 50 * time.Millisecond})
+	reg := obs.NewRegistry()
+	adm.registerMetrics(reg)
 	release := make(chan struct{})
 	var once sync.Once
 	releaseAll := func() { once.Do(func() { close(release) }) }
@@ -230,12 +233,11 @@ func TestAdmissionInFlightCapSheds(t *testing.T) {
 		}
 	}
 
-	st := adm.Stats()
-	if st.Shed != 4 {
-		t.Errorf("shed = %d, want 4", st.Shed)
+	if shed := metric(t, reg, "spotlake_admission_shed_total"); shed != 4 {
+		t.Errorf("shed = %v, want 4", shed)
 	}
-	if st.Admitted != 2 {
-		t.Errorf("admitted = %d, want 2", st.Admitted)
+	if admitted := metric(t, reg, "spotlake_admission_admitted_total"); admitted != 2 {
+		t.Errorf("admitted = %v, want 2", admitted)
 	}
 }
 
@@ -243,6 +245,8 @@ func TestAdmissionInFlightCapSheds(t *testing.T) {
 // wait bound is admitted, not shed, once a slot opens.
 func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 	adm := NewAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueWait: 5 * time.Second})
+	reg := obs.NewRegistry()
+	adm.registerMetrics(reg)
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
 	srv := httptest.NewServer(withAdmission(adm, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -283,8 +287,8 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 	if code := <-second; code != http.StatusOK {
 		t.Fatalf("queued request got %d, want 200 after the slot freed", code)
 	}
-	if st := adm.Stats(); st.Admitted != 2 || st.Shed != 0 {
-		t.Errorf("stats = %+v, want 2 admitted, 0 shed", st)
+	if admitted, shed := metric(t, reg, "spotlake_admission_admitted_total"), metric(t, reg, "spotlake_admission_shed_total"); admitted != 2 || shed != 0 {
+		t.Errorf("%v admitted, %v shed, want 2 admitted, 0 shed", admitted, shed)
 	}
 }
 
@@ -293,6 +297,8 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 // and later arrivals (after refill) are unaffected.
 func TestAdmissionRateLimitThrottles(t *testing.T) {
 	adm := NewAdmission(AdmissionConfig{RatePerSec: 1, Burst: 2})
+	reg := obs.NewRegistry()
+	adm.registerMetrics(reg)
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	adm.now = func() time.Time { return now }
 	h := withAdmission(adm, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -338,8 +344,8 @@ func TestAdmissionRateLimitThrottles(t *testing.T) {
 	if rec := do("10.1.1.1:5003", ""); rec.Code != http.StatusOK {
 		t.Errorf("post-refill request got %d, want 200", rec.Code)
 	}
-	if st := adm.Stats(); st.Throttled != 1 {
-		t.Errorf("throttled = %d, want 1", st.Throttled)
+	if throttled := metric(t, reg, "spotlake_admission_throttled_total"); throttled != 1 {
+		t.Errorf("throttled = %v, want 1", throttled)
 	}
 }
 
@@ -381,7 +387,7 @@ func TestAdmissionMetaExemptAndSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m Meta
+	var m map[string]any
 	err = json.NewDecoder(resp.Body).Decode(&m)
 	resp.Body.Close()
 	if err != nil {
@@ -392,17 +398,15 @@ func TestAdmissionMetaExemptAndSurfaced(t *testing.T) {
 	}
 	<-adm.slots
 
-	if m.Admission == nil {
-		t.Fatal("meta carries no admission section")
+	if admitted, shed := metaAt(t, m, "admission.admitted"), metaAt(t, m, "admission.shed"); admitted != 1.0 || shed != 1.0 {
+		t.Errorf("admission section: %v admitted, %v shed, want 1 admitted, 1 shed", admitted, shed)
 	}
-	if m.Admission.Admitted != 1 || m.Admission.Shed != 1 {
-		t.Errorf("admission stats = %+v, want 1 admitted, 1 shed", m.Admission)
+	if got := metaAt(t, m, "admission.maxInFlight"); got != 1.0 {
+		t.Errorf("maxInFlight = %v, want 1", got)
 	}
-	if m.Admission.MaxInFlight != 1 {
-		t.Errorf("maxInFlight = %d, want 1", m.Admission.MaxInFlight)
-	}
-	if m.Admission.P50Ms <= 0 || m.Admission.P99Ms < m.Admission.P50Ms {
-		t.Errorf("latency percentiles p50=%v p99=%v, want 0 < p50 <= p99", m.Admission.P50Ms, m.Admission.P99Ms)
+	p50, p99 := metaAt(t, m, "http.requestDurationSeconds.p50").(float64), metaAt(t, m, "http.requestDurationSeconds.p99").(float64)
+	if p50 <= 0 || p99 < p50 {
+		t.Errorf("latency percentiles p50=%v p99=%v, want 0 < p50 <= p99", p50, p99)
 	}
 }
 
@@ -506,14 +510,13 @@ func TestAdmissionMixedTrafficLiveCollector(t *testing.T) {
 	close(stop)
 	colWG.Wait()
 
-	st := s.admission.Stats()
-	if st.Admitted == 0 {
+	if metric(t, s.reg, "spotlake_admission_admitted_total") == 0 {
 		t.Error("no requests admitted")
 	}
-	if st.InFlight != 0 {
-		t.Errorf("in-flight gauge = %d after drain, want 0 (leaked slot?)", st.InFlight)
+	if inFlight := metric(t, s.reg, "spotlake_admission_in_flight"); inFlight != 0 {
+		t.Errorf("in-flight gauge = %v after drain, want 0 (leaked slot?)", inFlight)
 	}
-	if cs := s.CacheStats(); cs.Hits == 0 {
+	if metric(t, s.reg, "spotlake_cache_hits_total") == 0 {
 		t.Error("hot traffic produced no cache hits")
 	}
 }

@@ -69,14 +69,11 @@ type Service struct {
 	// replication-source endpoints are refused, and reads carry a
 	// staleness bound (see replication.go).
 	follower *followerState
-	// puller, when set (followers with a running Puller), feeds the
-	// replication meta section's catch-up stats.
-	puller *Puller
-	// reg is the service's metrics registry — the single home of every
-	// counter the /api/v1/meta sections and the /api/v1/metrics
-	// exposition surface. Always non-nil; wired at construction with the
-	// cache, singleflight, and store metrics, extended by SetAdmission,
-	// SetFollower, and NewPuller.
+	// reg is the service's metrics registry: every value /api/v1/meta
+	// and /api/v1/metrics carry but meta's schema and replication role.
+	// Always non-nil; wired at construction with the cache, singleflight,
+	// response and store metrics, extended by SetAdmission, SetFollower,
+	// and NewPuller.
 	reg *obs.Registry
 }
 
@@ -174,19 +171,8 @@ func (s *Service) SetWorkers(n int) {
 	s.workers = n
 }
 
-// CacheStats reports the result cache's cumulative hits and misses plus
-// the singleflight group's coalesced-request count. A coalesced request
-// is a subset of the misses (it missed the cache, then piggybacked on an
-// identical in-flight computation), so actual store computations are
-// Misses - Coalesced.
-func (s *Service) CacheStats() CacheStats {
-	st := s.cache.stats()
-	st.Coalesced = s.flight.coalesced.Value()
-	return st
-}
-
 // SetAdmission installs an admission controller: Handler() wraps the API
-// in it, and Meta() surfaces its counters. Nil (the default) serves
+// in it, and its metrics join the registry. Nil (the default) serves
 // without admission control. The controller's counters and the handler
 // latency histogram register on the service registry; installing a
 // replacement controller re-points the metric names at it.
@@ -456,22 +442,29 @@ func (s *Service) latest(req QueryRequest) ([]LatestEntry, *cacheEntry, error) {
 // it top-level so clients can pin the shape they parse.
 const APIVersion = "v1"
 
-// Meta summarizes the archive contents and the serving layer's health,
-// as versioned namespaced sections: `schema` (what data is queryable),
-// `store` (tsdb durability and the hot/cold split), `cache`, `admission`
-// (absent without a controller), and `replication` (role, checkpoint
-// positions, staleness).
-type Meta struct {
-	APIVersion string     `json:"apiVersion"`
-	Schema     SchemaMeta `json:"schema"`
-	Cache      CacheStats `json:"cache"`
-	Store      StoreMeta  `json:"store"`
-	// Admission reports the traffic controller's counters and rolling
-	// handler-latency percentiles; absent when no controller is set.
-	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Replication reports the serving role and, on a follower, how far
-	// behind the primary this replica may be.
-	Replication ReplicationMeta `json:"replication"`
+// Meta is the /api/v1/meta body: the archive's contents and the serving
+// layer's health. Three parts are written here: `apiVersion`, `schema`
+// (what data is queryable) and the `replication` section's `role` plus a
+// follower's `primaryUrl`. Every other value is the service registry
+// rendered by obs's naming rule (see obs.Registry.Sections), so meta
+// and /api/v1/metrics carry the same facts: spotlake_cache_hits_total is
+// cache.hits, and a section exists while something registers in it
+// (`admission` and `http` only with a controller set).
+func (s *Service) Meta() map[string]any {
+	db := s.store()
+	m := map[string]any{"apiVersion": APIVersion, "schema": s.schema(db)}
+	sections := s.reg.Sections()
+	// The replication section always exists: registerMetrics puts the
+	// serving store's checkpoint sequence in it.
+	repl := sections["replication"]
+	repl["role"] = "primary"
+	if f := s.follower; f != nil {
+		repl["role"], repl["primaryUrl"] = "follower", f.primaryURL
+	}
+	for name, sec := range sections {
+		m[name] = sec
+	}
+	return m
 }
 
 // SchemaMeta describes the queryable data: series/point inventory and
@@ -485,69 +478,18 @@ type SchemaMeta struct {
 	AZs         int            `json:"azs"`
 }
 
-// StoreMeta surfaces the tsdb's durability health: the size of the
-// un-checkpointed WAL tail a crash right now would replay, the tail the
-// last open actually replayed, swapped-out segments a failed checkpoint
-// left for the next one to reclaim,
-// the maintenance daemon's counters, and the hot/cold storage split —
-// resident tail points versus block-compressed history, the on-disk
-// size of that history, block-cache effectiveness, and cold read
-// failures (climbing = block files are corrupt or unreadable).
-type StoreMeta struct {
-	Durable                 bool                  `json:"durable"`
-	WALBytesSinceCheckpoint uint64                `json:"walBytesSinceCheckpoint"`
-	ReplayedWALBytes        uint64                `json:"replayedWALBytes"`
-	SealedSegments          int                   `json:"sealedSegments"`
-	CheckpointAfterBytes    int64                 `json:"checkpointAfterBytes"`
-	MaintainerActive        bool                  `json:"maintainerActive"`
-	Maintenance             tsdb.MaintenanceStats `json:"maintenance"`
-	HotPoints               int64                 `json:"hotPoints"`
-	ColdPoints              int64                 `json:"coldPoints"`
-	SealedBlocks            int64                 `json:"sealedBlocks"`
-	ColdCompressedBytes     int64                 `json:"coldCompressedBytes"`
-	HotTailPoints           int                   `json:"hotTailPoints"`
-	ColdReadErrors          uint64                `json:"coldReadErrors"`
-	BlockCache              tsdb.BlockCacheStats  `json:"blockCache"`
-}
-
-// Meta returns the archive summary.
-func (s *Service) Meta() Meta {
-	db := s.store()
-	m := Meta{
-		APIVersion: APIVersion,
-		Schema: SchemaMeta{
-			SeriesCount: db.SeriesCount(),
-			PointCount:  db.PointCount(),
-			Datasets:    make(map[string]int),
-			Types:       s.cat.NumTypes(),
-			Regions:     s.cat.NumRegions(),
-			AZs:         s.cat.NumAZs(),
-		},
-		Cache: s.CacheStats(),
-		Store: StoreMeta{
-			Durable:                 db.Durable(),
-			WALBytesSinceCheckpoint: db.WALBytesSinceCheckpoint(),
-			ReplayedWALBytes:        db.ReplayedWALBytes(),
-			SealedSegments:          db.SealedSegments(),
-			CheckpointAfterBytes:    db.CheckpointAfterBytes(),
-			MaintainerActive:        db.MaintainerActive(),
-			Maintenance:             db.MaintenanceStats(),
-			HotPoints:               db.HotPointCount(),
-			ColdPoints:              db.ColdPointCount(),
-			SealedBlocks:            db.SealedBlocks(),
-			ColdCompressedBytes:     db.ColdCompressedBytes(),
-			HotTailPoints:           db.HotTailPoints(),
-			ColdReadErrors:          db.ColdReadErrors(),
-			BlockCache:              db.BlockCacheStats(),
-		},
-		Replication: s.replicationMeta(db),
-	}
-	if s.admission != nil {
-		st := s.admission.Stats()
-		m.Admission = &st
+// schema describes db, the store serving reads.
+func (s *Service) schema(db *tsdb.DB) SchemaMeta {
+	m := SchemaMeta{
+		SeriesCount: db.SeriesCount(),
+		PointCount:  db.PointCount(),
+		Datasets:    make(map[string]int),
+		Types:       s.cat.NumTypes(),
+		Regions:     s.cat.NumRegions(),
+		AZs:         s.cat.NumAZs(),
 	}
 	for _, ds := range s.Datasets() {
-		m.Schema.Datasets[ds] = len(db.Keys(tsdb.KeyFilter{Dataset: ds}))
+		m.Datasets[ds] = len(db.Keys(tsdb.KeyFilter{Dataset: ds}))
 	}
 	return m
 }

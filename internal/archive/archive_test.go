@@ -100,15 +100,15 @@ func TestLatest(t *testing.T) {
 
 func TestMeta(t *testing.T) {
 	s, cat := buildArchive(t)
-	m := s.Meta()
-	if m.Schema.SeriesCount == 0 || m.Schema.PointCount == 0 {
+	m := s.Meta()["schema"].(SchemaMeta)
+	if m.SeriesCount == 0 || m.PointCount == 0 {
 		t.Error("empty meta after collection")
 	}
-	if m.Schema.Types != cat.NumTypes() || m.Schema.Regions != 17 || m.Schema.AZs != 63 {
+	if m.Types != cat.NumTypes() || m.Regions != 17 || m.AZs != 63 {
 		t.Errorf("meta inventory = %+v", m)
 	}
-	if m.Schema.Datasets[tsdb.DatasetPlacementScore] != len(cat.Pools()) {
-		t.Errorf("sps series = %d, want %d", m.Schema.Datasets[tsdb.DatasetPlacementScore], len(cat.Pools()))
+	if m.Datasets[tsdb.DatasetPlacementScore] != len(cat.Pools()) {
+		t.Errorf("sps series = %d, want %d", m.Datasets[tsdb.DatasetPlacementScore], len(cat.Pools()))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("meta status %d", resp.StatusCode)
 	}
-	var meta Meta
+	var meta struct{ Schema SchemaMeta }
 	if err := json.Unmarshal(body, &meta); err != nil {
 		t.Fatalf("meta not JSON: %v", err)
 	}

@@ -92,7 +92,7 @@ func BenchmarkQueryCached(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if st := svc.CacheStats(); st.Hits == 0 {
+	if metric(b, svc.reg, "spotlake_cache_hits_total") == 0 {
 		b.Fatal("cache never hit")
 	}
 }
@@ -159,8 +159,8 @@ func BenchmarkHandlerCacheHit(b *testing.B) {
 		h.ServeHTTP(w, req)
 	}
 	b.StopTimer()
-	if st := svc.CacheStats(); w.status != http.StatusOK || st.BodyHits != uint64(b.N) {
-		b.Fatalf("status %d, %d of %d requests served from stored bytes", w.status, st.BodyHits, b.N)
+	if bodyHits := metric(b, svc.reg, "spotlake_cache_body_hits_total"); w.status != http.StatusOK || bodyHits != float64(b.N) {
+		b.Fatalf("status %d, %v of %d requests served from stored bytes", w.status, bodyHits, b.N)
 	}
 }
 

@@ -140,17 +140,18 @@ func TestStoredBodyIdenticalToStream(t *testing.T) {
 			srv := httptest.NewServer(s.Handler())
 			defer srv.Close()
 
+			cache := func(name string) float64 { return metric(t, s.reg, "spotlake_cache_"+name) }
 			miss := fetchWire(t, srv.URL+shape.path, true)
-			if st := s.CacheStats(); st.Misses != 1 || st.BodyHits != 0 || st.Entries != 1 || st.BodyBytes != int64(len(miss.wire)) {
-				t.Fatalf("after the miss: %+v, want 1 miss, 1 entry holding the %d bytes sent, no body hit", st, len(miss.wire))
+			if cache("misses_total") != 1 || cache("body_hits_total") != 0 || cache("entries") != 1 || cache("body_bytes") != float64(len(miss.wire)) {
+				t.Fatalf("after the miss: %v, want 1 miss, 1 entry holding the %d bytes sent, no body hit", s.reg.Sections()["cache"], len(miss.wire))
 			}
 			hit := fetchWire(t, srv.URL+shape.path, true)
-			if st := s.CacheStats(); st.Hits != 1 || st.BodyHits != 1 {
-				t.Fatalf("after the hit: %+v, want 1 hit served from stored bytes", st)
+			if cache("hits_total") != 1 || cache("body_hits_total") != 1 {
+				t.Fatalf("after the hit: %v, want 1 hit served from stored bytes", s.reg.Sections()["cache"])
 			}
 			identity := fetchWire(t, srv.URL+shape.path, false)
-			if st := s.CacheStats(); st.Hits != 2 || st.BodyHits != 1 {
-				t.Fatalf("after the identity hit: %+v, want a second hit that was streamed", st)
+			if cache("hits_total") != 2 || cache("body_hits_total") != 1 {
+				t.Fatalf("after the identity hit: %v, want a second hit that was streamed", s.reg.Sections()["cache"])
 			}
 			want := shape.render(t, s)
 
@@ -211,7 +212,7 @@ func TestStoredBodyNeverStale(t *testing.T) {
 				if primed := fetchWire(t, srv.URL+shape.path, true); !bytes.Equal(primed.plain, prev) {
 					t.Fatalf("before %s: the body changed with no write", what)
 				}
-				hits := s.CacheStats().BodyHits
+				hits := metric(t, s.reg, "spotlake_cache_body_hits_total")
 				change()
 				got := fetchWire(t, srv.URL+shape.path, true)
 				if want := shape.render(t, s); !bytes.Equal(got.plain, want) {
@@ -220,7 +221,7 @@ func TestStoredBodyNeverStale(t *testing.T) {
 				if bytes.Equal(got.plain, prev) {
 					t.Fatalf("after %s: the response still carries the old body %q", what, prev)
 				}
-				if st := s.CacheStats(); st.BodyHits != hits {
+				if metric(t, s.reg, "spotlake_cache_body_hits_total") != hits {
 					t.Fatalf("after %s: the response was served from stored bytes", what)
 				}
 				prev = got.plain
@@ -246,8 +247,8 @@ func TestStoredBodyNeverStale(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.SwapDB(db2)
-				if st := s.CacheStats(); st.Entries != 0 || st.BodyBytes != 0 {
-					t.Fatalf("SwapDB left %d entries holding %d body bytes", st.Entries, st.BodyBytes)
+				if entries, bodyBytes := metric(t, s.reg, "spotlake_cache_entries"), metric(t, s.reg, "spotlake_cache_body_bytes"); entries != 0 || bodyBytes != 0 {
+					t.Fatalf("SwapDB left %v entries holding %v body bytes", entries, bodyBytes)
 				}
 			})
 		})
@@ -288,20 +289,20 @@ func TestStoredBodyEncodedOncePerEntry(t *testing.T) {
 		return
 	}
 
-	st := s.CacheStats()
-	if reads := st.Misses - st.Coalesced; reads != 1 || st.Coalesced != clients-1 {
-		t.Errorf("%d store reads, %d coalesced, want 1 and %d", reads, st.Coalesced, clients-1)
+	cache := func(name string) float64 { return metric(t, s.reg, "spotlake_cache_"+name) }
+	if reads, coalesced := cache("misses_total")-cache("coalesced_total"), cache("coalesced_total"); reads != 1 || coalesced != clients-1 {
+		t.Errorf("%v store reads, %v coalesced, want 1 and %d", reads, coalesced, clients-1)
 	}
-	if st.BodyHits != clients-1 {
-		t.Errorf("%d of %d responses were served without encoding, want all but one", st.BodyHits, clients)
+	if bodyHits := cache("body_hits_total"); bodyHits != clients-1 {
+		t.Errorf("%v of %d responses were served without encoding, want all but one", bodyHits, clients)
 	}
 	for i := range bodies {
 		if !bytes.Equal(bodies[i].wire, bodies[0].wire) {
 			t.Fatalf("client %d received different bytes than client 0", i)
 		}
 	}
-	if st.Entries != 1 || st.BodyBytes != int64(len(bodies[0].wire)) {
-		t.Errorf("cache holds %d entries and %d body bytes, want 1 and %d", st.Entries, st.BodyBytes, len(bodies[0].wire))
+	if entries, bodyBytes := cache("entries"), cache("body_bytes"); entries != 1 || bodyBytes != float64(len(bodies[0].wire)) {
+		t.Errorf("cache holds %v entries and %v body bytes, want 1 and %d", entries, bodyBytes, len(bodies[0].wire))
 	}
 }
 
@@ -329,8 +330,8 @@ func TestStoredBodyEncodeFailure(t *testing.T) {
 	if body, built, err := e.gzipBody(nil); body != nil || built || err == nil {
 		t.Errorf("after a failed encode the entry reports body %d bytes, built %v, err %v", len(body), built, err)
 	}
-	if st := s.CacheStats(); st.BodyBytes != 0 || st.BodyHits != 0 {
-		t.Errorf("a failed encode left %+v", st)
+	if metric(t, s.reg, "spotlake_cache_body_bytes") != 0 || metric(t, s.reg, "spotlake_cache_body_hits_total") != 0 {
+		t.Errorf("a failed encode left %v", s.reg.Sections()["cache"])
 	}
 }
 
@@ -368,8 +369,8 @@ func TestOversizedResultStillStreams(t *testing.T) {
 	if !bytes.Equal(gz.plain, identity.plain) {
 		t.Error("gzip and identity bodies of the oversized result differ")
 	}
-	if st := s.CacheStats(); st.Entries != 0 || st.BodyBytes != 0 || st.BodyHits != 0 || st.Hits != 0 {
-		t.Errorf("oversized result touched the cache: %+v", st)
+	if cache := func(name string) float64 { return metric(t, s.reg, "spotlake_cache_"+name) }; cache("entries") != 0 || cache("body_bytes") != 0 || cache("body_hits_total") != 0 || cache("hits_total") != 0 {
+		t.Errorf("oversized result touched the cache: %v", s.reg.Sections()["cache"])
 	}
 }
 

@@ -26,10 +26,13 @@ import (
 // written as-is by every later one (see gzipBody). The bytes live and die
 // with the entry, so the guard that keeps values fresh keeps them fresh.
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	m     map[string]*list.Element
+	mu  sync.Mutex
+	cap int
+	ll  *list.List // front = most recently used
+	m   map[string]*list.Element
+	// hits, miss and inval are cache.hits, cache.misses and
+	// cache.invalidations (an entry evicted because a point was stored
+	// or the store swapped since it was computed; a subset of misses).
 	hits  obs.Counter
 	miss  obs.Counter
 	inval obs.Counter
@@ -171,31 +174,4 @@ func (c *resultCache) bodyBytes() (n int64) {
 		n += el.Value.(*cacheEntry).bodyLen.Load()
 	}
 	return n
-}
-
-// CacheStats reports the result cache's cumulative counters and current
-// size. Invalidations counts entries evicted because a point was stored
-// or the store was swapped since they were computed; they are a subset of
-// misses. Coalesced counts
-// misses that joined an identical in-flight computation instead of
-// computing (also a subset of misses — filled in by Service.CacheStats,
-// not here), so Misses - Coalesced is the number of store computations
-// performed. BodyHits counts responses written from an entry's stored
-// gzip bytes without encoding; Entries and BodyBytes are what the cache
-// holds now.
-type CacheStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Invalidations uint64 `json:"invalidations"`
-	Coalesced     uint64 `json:"coalesced"`
-	BodyHits      uint64 `json:"bodyHits"`
-	Entries       int    `json:"entries"`
-	BodyBytes     int64  `json:"bodyBytes"`
-}
-
-func (c *resultCache) stats() CacheStats {
-	return CacheStats{
-		Hits: c.hits.Value(), Misses: c.miss.Value(), Invalidations: c.inval.Value(),
-		BodyHits: c.bodyHits.Value(), Entries: c.entries(), BodyBytes: c.bodyBytes(),
-	}
 }

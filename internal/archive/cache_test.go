@@ -2,7 +2,6 @@ package archive
 
 import (
 	"compress/gzip"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -91,9 +90,10 @@ func TestCacheInvalidation(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				before := svc.CacheStats()
-				if before.Hits != 1 || before.Misses != 1 {
-					t.Fatalf("an identical repeat did not hit: %+v", before)
+				cache := func(name string) float64 { return metric(t, svc.reg, "spotlake_cache_"+name) }
+				hits, inval := cache("hits_total"), cache("invalidations_total")
+				if hits != 1 || cache("misses_total") != 1 {
+					t.Fatalf("an identical repeat did not hit: %v", svc.reg.Sections()["cache"])
 				}
 				if err := w.write(db); err != nil {
 					t.Fatal(err)
@@ -102,11 +102,10 @@ func TestCacheInvalidation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := svc.CacheStats()
-				if inval := st.Invalidations - before.Invalidations; w.invalidate && (inval != 1 || st.Hits != before.Hits) {
-					t.Errorf("the entry was not invalidated: %+v", st)
-				} else if !w.invalidate && (inval != 0 || st.Hits != before.Hits+1) {
-					t.Errorf("the entry did not survive: %+v", st)
+				if inval := cache("invalidations_total") - inval; w.invalidate && (inval != 1 || cache("hits_total") != hits) {
+					t.Errorf("the entry was not invalidated: %v", svc.reg.Sections()["cache"])
+				} else if !w.invalidate && (inval != 0 || cache("hits_total") != hits+1) {
+					t.Errorf("the entry did not survive: %v", svc.reg.Sections()["cache"])
 				}
 				want, err := r.read(NewService(db, catalog.Compact(1)))
 				if err != nil {
@@ -170,11 +169,12 @@ func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest)
 			t.Fatal(err)
 		}
 	}
-	if st := svc.CacheStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("an identical repeat did not hit: %+v", st)
+	cache := func(name string) float64 { return metric(t, svc.reg, "spotlake_cache_"+name) }
+	if cache("hits_total") != 1 || cache("misses_total") != 1 {
+		t.Fatalf("an identical repeat did not hit: %v", svc.reg.Sections()["cache"])
 	}
 	for i, k := range keys {
-		before := svc.CacheStats()
+		hits, inval := cache("hits_total"), cache("invalidations_total")
 		if err := db.Append(k, cacheT0.Add(time.Minute), float64(100+i)); err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +182,8 @@ func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := svc.CacheStats(); st.Invalidations != before.Invalidations+1 || st.Hits != before.Hits {
-			t.Fatalf("a point on %v did not invalidate: %+v", k, st)
+		if cache("invalidations_total") != inval+1 || cache("hits_total") != hits {
+			t.Fatalf("a point on %v did not invalidate: %v", k, svc.reg.Sections()["cache"])
 		}
 		want, err := read(NewService(db, catalog.Compact(1)), req)
 		if err != nil {
@@ -195,38 +195,9 @@ func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest)
 		if _, err := read(svc, req); err != nil {
 			t.Fatal(err)
 		}
-		if st := svc.CacheStats(); st.Hits != before.Hits+1 {
-			t.Fatalf("the recomputed entry did not hit: %+v", st)
+		if cache("hits_total") != hits+1 {
+			t.Fatalf("the recomputed entry did not hit: %v", svc.reg.Sections()["cache"])
 		}
-	}
-}
-
-// TestMetaExposesCacheStats checks the /api/v1/meta response carries the
-// cache counters.
-func TestMetaExposesCacheStats(t *testing.T) {
-	s, _ := buildArchive(t)
-	req := QueryRequest{Dataset: tsdb.DatasetPrice}
-	if _, err := s.Query(req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Query(req); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/v1/meta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		Cache CacheStats `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Cache.Hits == 0 || m.Cache.Misses == 0 {
-		t.Errorf("meta cache stats empty: %+v", m.Cache)
 	}
 }
 

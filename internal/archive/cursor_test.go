@@ -448,13 +448,13 @@ func TestQueryCursorCached(t *testing.T) {
 	if len(f0) == 0 || len(f1) == 0 || f0[0] == f1[0] {
 		t.Fatalf("pages collide: %+v vs %+v", f0, f1)
 	}
-	before := s.CacheStats()
+	hits := metric(t, s.reg, "spotlake_cache_hits_total")
 	again, err := s.QueryCursor(req1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheStats().Hits != before.Hits+1 {
-		t.Fatalf("repeated cursor page missed the cache: %+v -> %+v", before, s.CacheStats())
+	if after := metric(t, s.reg, "spotlake_cache_hits_total"); after != hits+1 {
+		t.Fatalf("repeated cursor page missed the cache: %v -> %v hits", hits, after)
 	}
 	if len(flatten(again.Series)) != len(f1) {
 		t.Fatal("cached cursor page differs from the original")
@@ -466,8 +466,8 @@ func TestQueryCursorCached(t *testing.T) {
 	if _, err := s.QueryCursor(req1); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Invalidations == 0 {
-		t.Fatalf("write did not invalidate the cursor page: %+v", st)
+	if metric(t, s.reg, "spotlake_cache_invalidations_total") == 0 {
+		t.Fatalf("write did not invalidate the cursor page: %v", s.reg.Sections()["cache"])
 	}
 }
 
@@ -646,13 +646,13 @@ func TestQueryPagedCacheKeyedByPage(t *testing.T) {
 	if n := len(flatten(p6.Series)); n != 6 {
 		t.Fatalf("limit 6 from the start returned %d points: cache key ignores the limit", n)
 	}
-	before := s.CacheStats()
+	hits := metric(t, s.reg, "spotlake_cache_hits_total")
 	again, err := s.QueryCursor(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheStats().Hits != before.Hits+1 {
-		t.Fatalf("repeated page request missed the cache: %+v -> %+v", before, s.CacheStats())
+	if after := metric(t, s.reg, "spotlake_cache_hits_total"); after != hits+1 {
+		t.Fatalf("repeated page request missed the cache: %v -> %v hits", hits, after)
 	}
 	if len(flatten(again.Series)) != len(f0) {
 		t.Fatal("cached page differs from the original")

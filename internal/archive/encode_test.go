@@ -306,8 +306,8 @@ func TestGoldenBodies(t *testing.T) {
 			miss := fetchWire(t, srv.URL+path, true)
 			hit := fetchWire(t, srv.URL+path, true)
 			identity := fetchWire(t, srv.URL+path, false)
-			if st := s.CacheStats(); st.Misses != 1 || st.BodyHits != 1 || st.Hits != 2 {
-				t.Fatalf("%+v, want a miss, a stored-body hit and a streamed hit", st)
+			if cache := func(name string) float64 { return metric(t, s.reg, "spotlake_cache_"+name) }; cache("misses_total") != 1 || cache("body_hits_total") != 1 || cache("hits_total") != 2 {
+				t.Fatalf("%v, want a miss, a stored-body hit and a streamed hit", s.reg.Sections()["cache"])
 			}
 			name := filepath.Join("testdata", file)
 			if *updateGolden {

@@ -42,6 +42,50 @@ func scrapeExposition(t *testing.T, srvURL string) []obs.Sample {
 	return samples
 }
 
+// metric reads one plain (non-bucket) sample of reg by its exposition
+// name; an unknown name fails the test.
+func metric(t testing.TB, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	for _, s := range reg.Samples() {
+		if s.Name == name && s.Le == "" {
+			return s.Value
+		}
+	}
+	t.Fatalf("registry has no metric %s", name)
+	return 0
+}
+
+// metaBody is s.Meta() as a client decodes it.
+func metaBody(t testing.TB, s *Service) map[string]any {
+	t.Helper()
+	raw, err := json.Marshal(s.Meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// metaAt reads a decoded meta body at a dotted path
+// ("http.requestDurationSeconds.p50"); a missing path fails the test.
+func metaAt(t testing.TB, m map[string]any, path string) any {
+	t.Helper()
+	var v any = m
+	for _, step := range strings.Split(path, ".") {
+		obj, ok := v.(map[string]any)
+		if !ok {
+			t.Fatalf("meta has no %s", path)
+		}
+		if v, ok = obj[step]; !ok {
+			t.Fatalf("meta has no %s", path)
+		}
+	}
+	return v
+}
+
 // counterValues extracts the plain (non-bucket) samples as name -> value.
 func counterValues(samples []obs.Sample) map[string]float64 {
 	m := make(map[string]float64, len(samples))
@@ -115,7 +159,7 @@ func TestMetricsScrapeConcurrentAgreement(t *testing.T) {
 					t.Errorf("meta: %v", err)
 					return
 				}
-				var m Meta
+				var m map[string]any
 				err = json.NewDecoder(resp.Body).Decode(&m)
 				resp.Body.Close()
 				if err != nil {
@@ -130,46 +174,23 @@ func TestMetricsScrapeConcurrentAgreement(t *testing.T) {
 	// Quiesced: meta and the exposition must agree exactly. The fetches
 	// below are exempt from admission, so they cannot perturb what they
 	// measure.
-	samples := scrapeExposition(t, srv.URL)
+	m, samples := metaAgreesWithScrape(t, srv.URL)
 	vals := counterValues(samples)
-	var m Meta
-	resp, err := http.Get(srv.URL + "/api/v1/meta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if m.Admission == nil {
-		t.Fatal("meta carries no admission section")
-	}
-	agree := func(name string, want float64) {
-		t.Helper()
-		got, ok := vals[name]
-		if !ok {
-			t.Errorf("exposition is missing %s", name)
-			return
-		}
-		if got != want {
-			t.Errorf("%s: exposition %v, meta %v", name, got, want)
+	for name, path := range map[string]string{
+		"spotlake_store_points": "schema.pointCount",
+		"spotlake_store_series": "schema.seriesCount",
+	} {
+		if got := metaAt(t, m, path); got != vals[name] {
+			t.Errorf("meta %s = %v, exposition %s = %v", path, got, name, vals[name])
 		}
 	}
-	agree("spotlake_admission_admitted_total", float64(m.Admission.Admitted))
-	agree("spotlake_admission_throttled_total", float64(m.Admission.Throttled))
-	agree("spotlake_admission_shed_total", float64(m.Admission.Shed))
-	agree("spotlake_cache_hits_total", float64(m.Cache.Hits))
-	agree("spotlake_cache_misses_total", float64(m.Cache.Misses))
-	agree("spotlake_cache_coalesced_total", float64(m.Cache.Coalesced))
-	agree("spotlake_cache_body_hits_total", float64(m.Cache.BodyHits))
-	agree("spotlake_cache_entries", float64(m.Cache.Entries))
-	agree("spotlake_cache_body_bytes", float64(m.Cache.BodyBytes))
-	if m.Cache.BodyHits == 0 || m.Cache.Entries == 0 || m.Cache.BodyBytes == 0 {
-		t.Errorf("repeated queries left the stored-body figures empty: %+v", m.Cache)
+	for _, name := range []string{"hits_total", "misses_total", "body_hits_total", "entries", "body_bytes"} {
+		if vals["spotlake_cache_"+name] == 0 {
+			t.Errorf("repeated queries left spotlake_cache_%s at 0: %v", name, metaAt(t, m, "cache"))
+		}
 	}
-	agree("spotlake_store_points", float64(m.Schema.PointCount))
-	agree("spotlake_store_series", float64(m.Schema.SeriesCount))
-	if m.Admission.Admitted == 0 {
+	admitted := vals["spotlake_admission_admitted_total"]
+	if admitted == 0 {
 		t.Error("no requests admitted during the load phase")
 	}
 
@@ -180,17 +201,97 @@ func TestMetricsScrapeConcurrentAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Count != m.Admission.Admitted {
-		t.Errorf("histogram count %d != admitted %d", snap.Count, m.Admission.Admitted)
+	if float64(snap.Count) != admitted {
+		t.Errorf("histogram count %d != admitted %v", snap.Count, admitted)
 	}
 	for _, q := range []struct {
 		p    float64
-		want float64
-	}{{0.50, m.Admission.P50Ms}, {0.99, m.Admission.P99Ms}} {
-		if got := snap.Quantile(q.p) * 1e3; math.Abs(got-q.want) > 1e-9 {
-			t.Errorf("q%v: scrape-derived %vms, meta %vms", q.p, got, q.want)
+		path string
+	}{{0.50, "http.requestDurationSeconds.p50"}, {0.99, "http.requestDurationSeconds.p99"}} {
+		if got, want := snap.Quantile(q.p), metaAt(t, m, q.path).(float64); math.Abs(got-want) > 1e-12 {
+			t.Errorf("q%v: scrape-derived %vs, meta %s %vs", q.p, got, q.path, want)
 		}
 	}
+}
+
+// rulePath is where the meta naming rule puts a metric: the word after
+// spotlake_ is the section, and the rest, less a trailing _total, is the
+// lowerCamel key.
+func rulePath(name string) string {
+	section, rest, _ := strings.Cut(strings.TrimPrefix(name, "spotlake_"), "_")
+	words := strings.Split(strings.TrimSuffix(rest, "_total"), "_")
+	for i := 1; i < len(words); i++ {
+		words[i] = strings.ToUpper(words[i][:1]) + words[i][1:]
+	}
+	return section + "." + strings.Join(words, "")
+}
+
+// metaAgreesWithScrape fetches srvURL's /api/v1/meta and then its
+// /api/v1/metrics, and checks the two against each other generically:
+// every sample the scrape carries is in meta at its rule-derived path
+// with the same value (a histogram's _count and _sum as its count and
+// sum), and meta holds no key outside apiVersion, schema and the
+// replication role that no metric accounts for. The one moving gauge,
+// replication.secondsBehind, may only have advanced by the time between
+// the two reads. It returns both, for the caller's own checks.
+func metaAgreesWithScrape(t *testing.T, srvURL string) (map[string]any, []obs.Sample) {
+	t.Helper()
+	start := time.Now()
+	resp, err := http.Get(srvURL + "/api/v1/meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := scrapeExposition(t, srvURL)
+	elapsed := time.Since(start).Seconds()
+
+	hist := map[string]bool{}
+	for _, s := range samples {
+		if s.Le != "" {
+			hist[strings.TrimSuffix(s.Name, "_bucket")] = true
+		}
+	}
+	accounted := map[string]bool{"replication.role": true, "replication.primaryUrl": true}
+	for _, s := range samples {
+		if s.Le != "" {
+			continue
+		}
+		name, field := s.Name, ""
+		for _, suffix := range []string{"_sum", "_count"} {
+			if base, ok := strings.CutSuffix(s.Name, suffix); ok && hist[base] {
+				name, field = base, "."+suffix[1:]
+			}
+		}
+		path := rulePath(name)
+		accounted[path] = true
+		got, ok := metaAt(t, m, path+field).(float64)
+		switch {
+		case !ok:
+			t.Errorf("meta %s%s is not a number", path, field)
+		case name == "spotlake_replication_seconds_behind":
+			if d := s.Value - got; d < 0 || d > elapsed {
+				t.Errorf("%s: exposition %v, meta %v, read %vs apart", name, s.Value, got, elapsed)
+			}
+		case got != s.Value:
+			t.Errorf("%s: exposition %v, meta %s%s %v", s.Name, s.Value, path, field, got)
+		}
+	}
+	for section, v := range m {
+		if section == "apiVersion" || section == "schema" {
+			continue
+		}
+		for key := range v.(map[string]any) {
+			if !accounted[section+"."+key] {
+				t.Errorf("meta carries %s.%s, which no metric accounts for", section, key)
+			}
+		}
+	}
+	return m, samples
 }
 
 // TestLatencyHistogramCountsOnlyAdmitted pins the histogram's contract:
@@ -200,6 +301,8 @@ func TestMetricsScrapeConcurrentAgreement(t *testing.T) {
 // latency distribution adaptive tuning reads.
 func TestLatencyHistogramCountsOnlyAdmitted(t *testing.T) {
 	adm := NewAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueue: 0, RatePerSec: 1, Burst: 2})
+	reg := obs.NewRegistry()
+	adm.registerMetrics(reg)
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	adm.now = func() time.Time { return now }
 	h := withAdmission(adm, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -238,12 +341,13 @@ func TestLatencyHistogramCountsOnlyAdmitted(t *testing.T) {
 	}
 	<-adm.slots
 
-	st := adm.Stats()
-	if st.Admitted != 2 || st.Throttled != 1 || st.Shed != 1 {
-		t.Fatalf("stats = %+v, want 2 admitted / 1 throttled / 1 shed", st)
+	admitted := metric(t, reg, "spotlake_admission_admitted_total")
+	throttled, shed := metric(t, reg, "spotlake_admission_throttled_total"), metric(t, reg, "spotlake_admission_shed_total")
+	if admitted != 2 || throttled != 1 || shed != 1 {
+		t.Fatalf("%v admitted / %v throttled / %v shed, want 2 admitted / 1 throttled / 1 shed", admitted, throttled, shed)
 	}
-	if snap := adm.lat.Snapshot(); snap.Count != st.Admitted {
-		t.Errorf("histogram observed %d requests, want exactly the %d admitted", snap.Count, st.Admitted)
+	if count := metric(t, reg, "spotlake_http_request_duration_seconds_count"); count != admitted {
+		t.Errorf("histogram observed %v requests, want exactly the %v admitted", count, admitted)
 	}
 }
 
@@ -361,15 +465,18 @@ func TestPullerCycleMetrics(t *testing.T) {
 	if err := puller.SyncOnce(); err != nil {
 		t.Fatalf("sync through injected 409: %v", err)
 	}
-	st := puller.StatsDetail()
-	if st.Cycles != 1 || st.Applied != 1 || st.Failures != 0 {
-		t.Fatalf("cycle counters = %+v, want 1 cycle, 1 applied, 0 failures", st)
+	cycles := func() float64 { return metric(t, fsvc.reg, "spotlake_replication_cycles_total") }
+	applied := func() float64 { return metric(t, fsvc.reg, "spotlake_replication_applied_total") }
+	fetched := func() float64 { return metric(t, fsvc.reg, "spotlake_replication_files_fetched_total") }
+	if c, a, f := cycles(), applied(), metric(t, fsvc.reg, "spotlake_replication_failures_total"); c != 1 || a != 1 || f != 0 {
+		t.Fatalf("%v cycles, %v applied, %v failures, want 1 cycle, 1 applied, 0 failures", c, a, f)
 	}
-	if st.Relists != 1 {
-		t.Errorf("relists = %d, want exactly the 1 injected 409", st.Relists)
+	if relists := metric(t, fsvc.reg, "spotlake_replication_relists_total"); relists != 1 {
+		t.Errorf("relists = %v, want exactly the 1 injected 409", relists)
 	}
-	if st.FilesFetched == 0 || st.BytesShipped == 0 {
-		t.Errorf("catch-up moved nothing? filesFetched=%d bytesShipped=%d", st.FilesFetched, st.BytesShipped)
+	files, shipped := fetched(), metric(t, fsvc.reg, "spotlake_replication_bytes_shipped_total")
+	if files == 0 || shipped == 0 {
+		t.Errorf("catch-up moved nothing? filesFetched=%v bytesShipped=%v", files, shipped)
 	}
 
 	// A no-op cycle (signature unchanged) still counts and observes, but
@@ -377,43 +484,42 @@ func TestPullerCycleMetrics(t *testing.T) {
 	if err := puller.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	st2 := puller.StatsDetail()
-	if st2.Cycles != 2 || st2.Applied != 1 || st2.FilesFetched != st.FilesFetched {
-		t.Fatalf("no-op cycle: %+v after %+v", st2, st)
+	if c, a, f := cycles(), applied(), fetched(); c != 2 || a != 1 || f != files {
+		t.Fatalf("no-op cycle: %v cycles, %v applied, %v files fetched, want 2, 1, %v", c, a, f, files)
 	}
 
-	// The same numbers through both public surfaces: the meta section and
-	// the exposition (exempt from the staleness gate, like meta).
-	m := fsvc.Meta()
-	if m.Replication.Puller == nil {
-		t.Fatal("follower meta carries no puller section")
-	}
-	if *m.Replication.Puller != puller.StatsDetail() {
-		t.Errorf("meta puller section %+v != stats %+v", *m.Replication.Puller, puller.StatsDetail())
-	}
-	samples := scrapeExposition(t, fsrv.URL)
+	// The same numbers through both public surfaces: the meta body and
+	// the exposition (exempt from the staleness gate, like meta) agree
+	// on every metric, and the cycle histogram's quantiles recomputed
+	// from the scrape are meta's.
+	m, samples := metaAgreesWithScrape(t, fsrv.URL)
 	vals := counterValues(samples)
-	for name, want := range map[string]uint64{
-		"spotlake_replication_cycles_total":        st2.Cycles,
-		"spotlake_replication_applied_total":       st2.Applied,
-		"spotlake_replication_relists_total":       st2.Relists,
-		"spotlake_replication_files_fetched_total": st2.FilesFetched,
-		"spotlake_replication_bytes_shipped_total": st2.BytesShipped,
+	for _, name := range []string{
+		"spotlake_replication_cycles_total", "spotlake_replication_applied_total", "spotlake_replication_relists_total",
+		"spotlake_replication_files_fetched_total", "spotlake_replication_bytes_shipped_total",
 	} {
-		if got, ok := vals[name]; !ok || got != float64(want) {
-			t.Errorf("%s = %v (present=%t), want %d", name, got, ok, want)
+		if got, ok := vals[name]; !ok || got != metric(t, fsvc.reg, name) {
+			t.Errorf("%s = %v (present=%t), want %v", name, got, ok, metric(t, fsvc.reg, name))
 		}
 	}
 	snap, err := obs.SnapshotFromSamples(samples, "spotlake_replication_cycle_seconds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Count != st2.Cycles {
-		t.Errorf("cycle histogram observed %d cycles, want %d", snap.Count, st2.Cycles)
+	if float64(snap.Count) != cycles() {
+		t.Errorf("cycle histogram observed %d cycles, want %v", snap.Count, cycles())
+	}
+	for _, q := range []struct {
+		p    float64
+		path string
+	}{{0.50, "replication.cycleSeconds.p50"}, {0.99, "replication.cycleSeconds.p99"}} {
+		if got, want := snap.Quantile(q.p), metaAt(t, m, q.path).(float64); math.Abs(got-want) > 1e-12 {
+			t.Errorf("q%v: scrape-derived %vs, meta %s %vs", q.p, got, q.path, want)
+		}
 	}
 	// The applied position gauges mirror the primary's committed state.
-	pm := psvc.Meta()
-	if got := vals["spotlake_replication_applied_checkpoint_seq"]; got != float64(pm.Replication.CheckpointSeq) {
-		t.Errorf("applied checkpoint gauge %v, primary at %d", got, pm.Replication.CheckpointSeq)
+	pm := metaBody(t, psvc)
+	if got, want := vals["spotlake_replication_applied_checkpoint_seq"], metaAt(t, pm, "replication.checkpointSeq"); got != want {
+		t.Errorf("applied checkpoint gauge %v, primary at %v", got, want)
 	}
 }

@@ -88,7 +88,7 @@ type Puller struct {
 	retiring []retiringStore
 
 	// Per-cycle catch-up metrics, registered on the service registry by
-	// NewPuller and surfaced in /api/v1/meta's replication section:
+	// NewPuller, so /api/v1/meta's replication section carries them:
 	// cycles run, deltas applied, failed cycles, 409 re-lists, artifact
 	// files actually fetched, artifact bytes shipped over the wire, and
 	// the cycle wall-time histogram.
@@ -142,7 +142,6 @@ func NewPuller(svc *Service, cfg PullerConfig) (*Puller, error) {
 		cycleTime: obs.NewHistogram(pullCycleBuckets),
 	}
 	p.registerMetrics(svc.Registry())
-	svc.puller = p
 	return p, nil
 }
 
@@ -214,43 +213,6 @@ func (p *Puller) Stop() {
 		_ = r.db.Close()
 	}
 	p.retiring = nil
-}
-
-// Stats reports cycle counters: total cycles run, deltas applied, and
-// failed cycles.
-func (p *Puller) Stats() (cycles, applied, failures uint64) {
-	return p.cycles.Value(), p.applied.Value(), p.failures.Value()
-}
-
-// PullerStats is the follower's catch-up health, surfaced as the
-// replication meta section's `puller` object: cycle counters, what the
-// cycles moved, and bucket-derived cycle wall-time percentiles — all
-// read from the same registry-registered state the
-// spotlake_replication_* exposition serves.
-type PullerStats struct {
-	Cycles          uint64  `json:"cycles"`
-	Applied         uint64  `json:"applied"`
-	Failures        uint64  `json:"failures"`
-	Relists         uint64  `json:"relists"`
-	FilesFetched    uint64  `json:"filesFetched"`
-	BytesShipped    uint64  `json:"bytesShipped"`
-	P50CycleSeconds float64 `json:"p50CycleSeconds"`
-	P99CycleSeconds float64 `json:"p99CycleSeconds"`
-}
-
-// StatsDetail snapshots the full per-cycle metric set.
-func (p *Puller) StatsDetail() PullerStats {
-	snap := p.cycleTime.Snapshot()
-	return PullerStats{
-		Cycles:          p.cycles.Value(),
-		Applied:         p.applied.Value(),
-		Failures:        p.failures.Value(),
-		Relists:         p.relists.Value(),
-		FilesFetched:    p.filesFetched.Value(),
-		BytesShipped:    p.bytesShipped.Value(),
-		P50CycleSeconds: snap.Quantile(0.50),
-		P99CycleSeconds: snap.Quantile(0.99),
-	}
 }
 
 // SyncOnce runs one replication cycle: list, fetch the delta, commit,

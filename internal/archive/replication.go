@@ -77,6 +77,9 @@ func (s *Service) SetFollower(primaryURL string, maxStaleness time.Duration) {
 			}
 			return time.Since(time.Unix(0, last)).Seconds()
 		})
+	s.reg.GaugeFunc("spotlake_replication_max_staleness_seconds",
+		"The staleness bound past which the replica sheds reads (0 = unbounded).",
+		func() float64 { return max(maxStaleness, 0).Seconds() })
 	s.reg.GaugeFunc("spotlake_replication_stale",
 		"1 when the replica is past its staleness bound and shedding reads.",
 		func() float64 {
@@ -118,48 +121,6 @@ func (f *followerState) staleFor(now time.Time) (time.Duration, bool) {
 	}
 	behind := now.Sub(time.Unix(0, last))
 	return behind, behind > f.maxStaleness
-}
-
-// ReplicationMeta is /api/v1/meta's `replication` section.
-type ReplicationMeta struct {
-	// Role is "primary" or "follower".
-	Role string `json:"role"`
-	// CheckpointSeq is the serving store's committed position (zero on
-	// memory-only stores, which have none).
-	CheckpointSeq uint64 `json:"checkpointSeq"`
-	// Follower-only fields.
-	PrimaryURL               string  `json:"primaryUrl,omitempty"`
-	LastAppliedCheckpointSeq uint64  `json:"lastAppliedCheckpointSeq,omitempty"`
-	SecondsBehindPrimary     float64 `json:"secondsBehindPrimary,omitempty"`
-	MaxStalenessSeconds      float64 `json:"maxStalenessSeconds,omitempty"`
-	Stale                    bool    `json:"stale,omitempty"`
-	// Puller carries the follower's per-cycle catch-up stats; absent on
-	// primaries and on followers without a running puller.
-	Puller *PullerStats `json:"puller,omitempty"`
-}
-
-func (s *Service) replicationMeta(db *tsdb.DB) ReplicationMeta {
-	m := ReplicationMeta{Role: "primary"}
-	if db.Durable() {
-		m.CheckpointSeq = db.ReplicationPosition()
-	}
-	f := s.follower
-	if f == nil {
-		return m
-	}
-	m.Role = "follower"
-	m.PrimaryURL = f.primaryURL
-	m.LastAppliedCheckpointSeq = f.appliedSeq.Load()
-	m.MaxStalenessSeconds = f.maxStaleness.Seconds()
-	if last := f.lastSync.Load(); last > 0 {
-		m.SecondsBehindPrimary = time.Since(time.Unix(0, last)).Seconds()
-	}
-	_, m.Stale = f.staleFor(time.Now())
-	if s.puller != nil {
-		st := s.puller.StatsDetail()
-		m.Puller = &st
-	}
-	return m
 }
 
 // withFollowerGate rejects reads on a replica past its staleness bound.

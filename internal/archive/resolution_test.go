@@ -252,8 +252,8 @@ func TestRawIgnoresAgg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
-		t.Fatalf("after both spellings %+v, want one entry hit once", st)
+	if cache := func(name string) float64 { return metric(t, s.reg, "spotlake_cache_"+name) }; cache("misses_total") != 1 || cache("hits_total") != 1 || cache("entries") != 1 {
+		t.Fatalf("after both spellings %v, want one entry hit once", s.reg.Sections()["cache"])
 	}
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatal("agg=max at raw served a different page")
@@ -389,15 +389,16 @@ func TestQueryIsTheUnlimitedPage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if st := s.CacheStats(); st.Misses != 1 || st.Hits != 0 || st.Entries != 1 {
-			t.Fatalf("%s: after the first call %+v, want one miss and one entry", name, st)
+		cache := func(name string) float64 { return metric(t, s.reg, "spotlake_cache_"+name) }
+		if cache("misses_total") != 1 || cache("hits_total") != 0 || cache("entries") != 1 {
+			t.Fatalf("%s: after the first call %v, want one miss and one entry", name, s.reg.Sections()["cache"])
 		}
 		second, err := calls[1](s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if st := s.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
-			t.Fatalf("%s: after the second call %+v, want a hit on the first call's entry", name, st)
+		if cache("misses_total") != 1 || cache("hits_total") != 1 || cache("entries") != 1 {
+			t.Fatalf("%s: after the second call %v, want a hit on the first call's entry", name, s.reg.Sections()["cache"])
 		}
 		for _, got := range [][]SeriesResult{first, second} {
 			if len(got) != 1 || got[0].Key != k || !reflect.DeepEqual(got[0].Points, want) {

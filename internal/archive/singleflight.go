@@ -14,7 +14,8 @@ package archive
 // store generation and publishes through the cache — its generation
 // capture and the cache entry it installed, so the HTTP layer encodes
 // the shared result once too. Coalesced callers are counted in
-// CacheStats.Coalesced, so store computations = Misses - Coalesced.
+// spotlake_cache_coalesced_total, a subset of the misses, so store
+// computations = misses - coalesced.
 
 import (
 	"fmt"

@@ -63,24 +63,18 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats are cumulative collection counters. The maintenance fields
-// mirror the store's own counters (tsdb.MaintenanceStats) so one Stats
-// read reports every checkpoint source: collector-driven (Checkpoints,
-// CheckpointErrors) and store-driven (MaintenanceCheckpoints split by
-// trigger, with MaintenanceErrors counting the store's failed attempts —
-// a climbing value means the replay tail is not actually being bounded).
+// Stats are cumulative collection counters. Checkpoints and
+// CheckpointErrors count the collector's own periodic checkpoints; the
+// store counts its maintainer's in its spotlake_maintenance_* metrics.
 type Stats struct {
-	ScoreTicks             int
-	AdvisorTicks           int
-	PriceTicks             int
-	QueriesIssued          int
-	PointsStored           int
-	QueryErrors            int
-	Checkpoints            int
-	CheckpointErrors       int
-	MaintenanceCheckpoints uint64
-	ForcedByBytes          uint64
-	MaintenanceErrors      uint64
+	ScoreTicks       int
+	AdvisorTicks     int
+	PriceTicks       int
+	QueriesIssued    int
+	PointsStored     int
+	QueryErrors      int
+	Checkpoints      int
+	CheckpointErrors int
 }
 
 // Collector drives the periodic collection tasks.
@@ -133,16 +127,8 @@ func (c *Collector) Plan() binpack.Plan { return c.plan }
 // Accounts returns the number of provisioned accounts.
 func (c *Collector) Accounts() int { return len(c.clients) }
 
-// Stats returns the cumulative counters, folding in the store's own
-// maintenance counters.
-func (c *Collector) Stats() Stats {
-	st := c.stats
-	m := c.db.MaintenanceStats()
-	st.MaintenanceCheckpoints = m.Checkpoints
-	st.ForcedByBytes = m.ForcedByBytes
-	st.MaintenanceErrors = m.Errors
-	return st
-}
+// Stats returns the cumulative counters.
+func (c *Collector) Stats() Stats { return c.stats }
 
 // flush stores one tick's batch of points. Batching lets the store group
 // the entries by shard and take each shard lock once per tick instead of

@@ -207,14 +207,14 @@ func TestSizeBasedCheckpointTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := col.Stats()
-	if m := db.MaintenanceStats(); m.ForcedByBytes < 2 {
-		t.Fatalf("size-triggered checkpoints fired %d times; the run writes several times the %d-byte threshold", m.ForcedByBytes, threshold)
+	if forced := storeMetric(t, db, "spotlake_maintenance_forced_by_bytes_total"); forced < 2 {
+		t.Fatalf("size-triggered checkpoints fired %v times; the run writes several times the %d-byte threshold", forced, threshold)
 	}
 	if st.Checkpoints != 0 {
 		t.Fatalf("%d interval checkpoints fired with the interval trigger disabled", st.Checkpoints)
 	}
-	if st.CheckpointErrors != 0 || st.MaintenanceErrors != 0 {
-		t.Fatalf("%d collector + %d store checkpoint errors", st.CheckpointErrors, st.MaintenanceErrors)
+	if errs := storeMetric(t, db, "spotlake_maintenance_errors_total"); st.CheckpointErrors != 0 || errs != 0 {
+		t.Fatalf("%d collector + %v store checkpoint errors", st.CheckpointErrors, errs)
 	}
 	// The un-checkpointed tail is at most the threshold plus one tick's
 	// worth of overshoot (the trigger runs before each tick's batch).

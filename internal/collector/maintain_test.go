@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cloudsim"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/tsdb"
 )
@@ -46,8 +47,9 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	if err := col.Run(6 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if m := db.MaintenanceStats(); m.ForcedByBytes == 0 {
-		t.Fatalf("append-path byte trigger never fired with the daemon disabled: %+v", m)
+	if storeMetric(t, db, "spotlake_maintenance_forced_by_bytes_total") == 0 {
+		t.Fatalf("append-path byte trigger never fired with the daemon disabled: %v maintenance checkpoints",
+			storeMetric(t, db, "spotlake_maintenance_checkpoints_total"))
 	}
 	// The append path checks the threshold before every tick's batch, so
 	// the tail is bounded by threshold + one tick's worth of overshoot.
@@ -78,4 +80,19 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	if headers := onDisk - int64(tail); headers < 0 || headers > int64(len(segs))*64 {
 		t.Fatalf("WAL files hold %d bytes for a %d-byte tail; the excess is not just headers", onDisk, tail)
 	}
+}
+
+// storeMetric reads one of db's registry metrics by its exposition name;
+// an unknown name fails the test.
+func storeMetric(t *testing.T, db *tsdb.DB, name string) float64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	tsdb.RegisterMetrics(reg, func() *tsdb.DB { return db })
+	for _, s := range reg.Samples() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	t.Fatalf("no metric %s", name)
+	return 0
 }

@@ -1,16 +1,21 @@
 // Package obs is SpotLake's observability primitive layer: a
 // dependency-free typed metrics kit — atomic counters, gauges, and
-// fixed-bucket latency histograms — plus a registry that exposes every
-// registered metric in Prometheus text exposition format.
+// fixed-bucket latency histograms — plus a registry that renders every
+// registered metric two ways: as Prometheus text exposition
+// (WritePrometheus) and as JSON sections (Sections), which is all of
+// /api/v1/meta but its hand-written schema and replication role.
 //
 // Design constraints, in order:
 //
 //   - One state, many surfaces. A subsystem owns exactly one Counter
-//     per fact; /api/v1/meta's JSON sections and /api/v1/metrics'
-//     exposition both read that same atomic, so the two can never
-//     disagree about anything but scrape timing. Zero values are ready
-//     to use: a struct embeds obs.Counter the way it used to embed
-//     atomic.Uint64, and registration is a separate wiring step.
+//     per fact, and the registry reads it through one function per
+//     metric for every surface, so the exposition and the JSON can
+//     never disagree about anything but scrape timing. One naming rule
+//     (jsonPath) places a metric in the JSON: spotlake_cache_hits_total
+//     is cache.hits, so a new metric reaches both surfaces by being
+//     registered. Zero values are ready to use: a struct embeds
+//     obs.Counter the way it used to embed atomic.Uint64, and
+//     registration is a separate wiring step.
 //
 //   - Hot-path cost is one atomic op. Counter.Add and
 //     Histogram.Observe take no locks; snapshots and exposition pay
@@ -29,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -223,8 +229,9 @@ func (s HistogramSnapshot) Mean() float64 {
 }
 
 // formatFloat renders a sample value the way the exposition format
-// expects: shortest round-trip representation, +Inf/-Inf/NaN spelled
-// Prometheus-style.
+// expects: whole numbers (every counter and bucket count) in full,
+// others in their shortest round-trip representation, +Inf/-Inf/NaN
+// spelled Prometheus-style.
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
@@ -233,6 +240,8 @@ func formatFloat(v float64) string {
 		return "-Inf"
 	case math.IsNaN(v):
 		return "NaN"
+	case v == math.Trunc(v) && math.Abs(v) < 1e15:
+		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

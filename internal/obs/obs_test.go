@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -260,4 +261,51 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSectionsNamingRule pins the JSON view's one rule: the word after
+// spotlake_ is the section, a trailing _total goes, the rest is
+// lowerCamel; counters are integers, gauges numbers, histograms
+// {count, sum, p50, p99} in their own unit; and a name the rule cannot
+// place, or one that lands on another's path, panics at registration.
+func TestSectionsNamingRule(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("spotlake_cache_body_hits_total", "").Add(7)
+	reg.Counter("spotlake_test_total", "").Add(2)
+	reg.GaugeFunc("spotlake_store_replayed_wal_bytes", "", func() float64 { return 1.5 })
+	h := reg.Histogram("spotlake_http_request_duration_seconds", "", []float64{0.01, 0.1})
+	h.Observe(5 * time.Millisecond)
+	h.Observe(50 * time.Millisecond)
+
+	body, err := json.Marshal(reg.Sections())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p99, _ := json.Marshal(h.Snapshot().Quantile(0.99))
+	want := `{"cache":{"bodyHits":7},"http":{"requestDurationSeconds":{"count":2,"sum":0.055,"p50":0.01,"p99":` + string(p99) + `}},` +
+		`"store":{"replayedWalBytes":1.5},"test":{"total":2}}`
+	if string(body) != want {
+		t.Errorf("sections = %s\nwant       %s", body, want)
+	}
+
+	for name, register := range map[string]func(){
+		"a collision":        func() { reg.Counter("spotlake_cache_body_hits", "") },
+		"a name without key": func() { reg.Counter("spotlake_cache", "") },
+		"a foreign prefix":   func() { reg.Counter("other_cache_hits_total", "") },
+		"an empty word":      func() { reg.Counter("spotlake_cache_body__hits", "") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering %s did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+	// Replacing a metric under its own name is not a collision.
+	reg.Counter("spotlake_cache_body_hits_total", "").Add(1)
+	if got := reg.Sections()["cache"]["bodyHits"]; got != uint64(1) {
+		t.Errorf("replaced counter renders %v, want 1", got)
+	}
 }

@@ -126,36 +126,6 @@ func (c *blockCache) put(key blockCacheKey, pts []sample) {
 	}
 }
 
-// BlockCacheStats are the cumulative block-cache counters plus its
-// current residency, surfaced through /api/v1/meta.
-type BlockCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	// Bytes is the decoded-point bytes currently resident; MaxBytes is
-	// the configured bound (0 = caching disabled).
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"maxBytes"`
-}
-
-// BlockCacheStats returns the block cache's counters and residency.
-func (db *DB) BlockCacheStats() BlockCacheStats {
-	c := db.bcache
-	if c == nil {
-		return BlockCacheStats{}
-	}
-	c.mu.Lock()
-	size := c.size
-	c.mu.Unlock()
-	return BlockCacheStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Evictions: c.evictions.Value(),
-		Bytes:     size,
-		MaxBytes:  max(c.max, 0),
-	}
-}
-
 // coldRead is one read's state over the cold tier, kept on the read's
 // stack. horizon is the latest timestamp any of the read's searches or
 // copies needs (noHorizon for reads that want whole blocks): every

@@ -296,9 +296,8 @@ func sealedStoreMatchesReference(t *testing.T, cacheBytes int64) {
 	if hot, total := db.HotPointCount(), int64(db.PointCount()); hot+db.ColdPointCount() != total {
 		t.Fatalf("hot %d + cold %d != total %d", hot, db.ColdPointCount(), total)
 	}
-	cs := db.BlockCacheStats()
-	if cs.Misses == 0 || cs.Hits == 0 && cacheBytes > 0 {
-		t.Fatalf("cold reads never exercised the block cache: %+v", cs)
+	if misses, hits := db.bcache.misses.Value(), db.bcache.hits.Value(); misses == 0 || hits == 0 && cacheBytes > 0 {
+		t.Fatalf("cold reads never exercised the block cache: %d misses, %d hits", misses, hits)
 	}
 
 	// Recovery: reopen from disk (index-only block open + hot snapshot +
@@ -727,7 +726,7 @@ func TestSealTriggerMaintenance(t *testing.T) {
 			t.Fatalf("batch at %d: stored %d, err %v", i, n, err)
 		}
 		hot := db.HotPointCount()
-		if cp := db.MaintenanceStats().Checkpoints; cp != checkpoints {
+		if cp := db.maintCP.Value(); cp != checkpoints {
 			// Enforcement runs ahead of the store, so this batch is the
 			// growth since that checkpoint.
 			checkpoints, floor = cp, hot-batchLen
@@ -736,9 +735,8 @@ func TestSealTriggerMaintenance(t *testing.T) {
 			t.Fatalf("after batch at %d: %d hot points grown since the last checkpoint, bound %d", i, grown, bound)
 		}
 	}
-	st := db.MaintenanceStats()
-	if st.ForcedByBytes < 2 || st.ForcedByBytes != st.Checkpoints || st.Errors != 0 {
-		t.Fatalf("byte trigger did not drive maintenance: %+v", st)
+	if forced, cp, errs := db.maintByBytes.Value(), db.maintCP.Value(), db.maintErrs.Value(); forced < 2 || forced != cp || errs != 0 {
+		t.Fatalf("byte trigger did not drive maintenance: %d forced by bytes, %d checkpoints, %d errors", forced, cp, errs)
 	}
 	if db.SealedBlocks() == 0 || db.HotPointCount() >= 1600 {
 		t.Fatalf("byte-triggered maintenance sealed nothing: %d blocks, %d of 1600 points hot",
@@ -853,12 +851,12 @@ func TestBlockDecodeMetrics(t *testing.T) {
 	key := sealKeys()[0]
 	for round := 0; round < 2; round++ {
 		decodes0, points0 := scrape()
-		misses0 := db.BlockCacheStats().Misses
+		misses0 := db.bcache.misses.Value()
 		if _, err := db.Query(key, t0, t0.Add(24*time.Hour)); err != nil {
 			t.Fatal(err)
 		}
 		decodes, points := scrape()
-		misses := db.BlockCacheStats().Misses - misses0
+		misses := db.bcache.misses.Value() - misses0
 		if decodes-decodes0 != float64(misses) {
 			t.Fatalf("round %d: %v decode observations for %d cache misses", round, decodes-decodes0, misses)
 		}

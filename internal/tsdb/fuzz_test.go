@@ -750,7 +750,9 @@ type walRefEntry struct {
 // record is torn (short, longer than what is left, failing its crc). It
 // returns every entry of the records before that point, how many bytes
 // they take, and whether the record that follows is crc-valid but
-// malformed: undecodable, or naming an ID out of order or undefined.
+// malformed: undecodable, naming an ID out of order or undefined, or
+// defining a series by a key that is not four "|"-separated fields with
+// the first three non-empty.
 func replayRef(data []byte) (ents []walRefEntry, valid int, bad bool) {
 	next := uint64(0)
 	for {
@@ -783,6 +785,9 @@ func replayRef(data []byte) (ents []walRefEntry, valid int, bad bool) {
 				key := make([]byte, keyLen)
 				r.Read(key)
 				e.key = string(key)
+				if f := strings.Split(e.key, "|"); len(f) != 4 || f[0] == "" || f[1] == "" || f[2] == "" {
+					return ents, valid, true
+				}
 			} else if e.id >= next {
 				return ents, valid, true
 			}
@@ -847,6 +852,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(refs[:len(refs)-3])                                                          // torn tail
 	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 0, nil, ns, ns, 1), 0)) // undefined ID
 	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 2, &e[0].Key, ns, ns, 1), 0))
+	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 0, &SeriesKey{Dataset: "a", Type: "b", Region: "c", AZ: "d|e"}, ns, ns, 1), 0)) // key does not parse
 	hostile := bytes.Clone(one)
 	binary.LittleEndian.PutUint32(hostile[4:], math.MaxUint32)
 	f.Add(hostile)

@@ -68,35 +68,6 @@ const DefaultMaintenanceInterval = time.Second
 // own retries.
 const maintenanceRetryBackoff = 5 * time.Second
 
-// MaintenanceStats are cumulative counters of the store-driven
-// checkpoints. Manual Checkpoint() calls are not counted here.
-type MaintenanceStats struct {
-	// Checkpoints is how many checkpoints the maintainer committed
-	// (daemon ticks and append-path forces together).
-	Checkpoints uint64 `json:"checkpoints"`
-	// ForcedByBytes counts maintenance checkpoints whose byte trigger
-	// (WALBytesSinceCheckpoint >= CheckpointAfterBytes) was live when the
-	// checkpoint ran.
-	ForcedByBytes uint64 `json:"forcedByBytes"`
-	// Errors counts maintenance checkpoints that failed. The daemon
-	// retries on its next tick; a climbing counter means the store cannot
-	// write snapshots (disk full, permissions).
-	Errors uint64 `json:"errors"`
-}
-
-// MaintenanceStats returns the cumulative maintainer counters.
-func (db *DB) MaintenanceStats() MaintenanceStats {
-	return MaintenanceStats{
-		Checkpoints:   db.maintCP.Value(),
-		ForcedByBytes: db.maintByBytes.Value(),
-		Errors:        db.maintErrs.Value(),
-	}
-}
-
-// CheckpointAfterBytes returns the store's own size trigger threshold
-// (0 = disabled).
-func (db *DB) CheckpointAfterBytes() int64 { return db.cpAfterBytes }
-
 // selfMaintains reports whether the store drives its own checkpoints:
 // it is durable and the byte trigger is configured.
 func (db *DB) selfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 }

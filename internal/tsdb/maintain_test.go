@@ -53,7 +53,7 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 		if got := db.SealedSegments(); got != 0 {
 			t.Fatalf("after append %d: %d uncovered swapped-out segments", n, got)
 		}
-		cp := db.MaintenanceStats().Checkpoints
+		cp := db.maintCP.Value()
 		if cp == seen {
 			continue
 		}
@@ -69,12 +69,11 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 	if seen < 2 {
 		t.Fatalf("%d maintenance checkpoints; the bound was not exercised", seen)
 	}
-	st := db.MaintenanceStats()
-	if st.ForcedByBytes == 0 || st.ForcedByBytes != st.Checkpoints {
-		t.Fatalf("4000 appends over a %d-byte threshold: %+v", threshold, st)
+	if forced, cp := db.maintByBytes.Value(), db.maintCP.Value(); forced == 0 || forced != cp {
+		t.Fatalf("4000 appends over a %d-byte threshold: %d checkpoints, %d forced by bytes", threshold, cp, forced)
 	}
-	if st.Errors != 0 {
-		t.Fatalf("%d maintenance checkpoint errors", st.Errors)
+	if errs := db.maintErrs.Value(); errs != 0 {
+		t.Fatalf("%d maintenance checkpoint errors", errs)
 	}
 	points := db.PointCount()
 	if err := db.Close(); err != nil {
@@ -135,8 +134,8 @@ func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 	appender.Wait()
 	close(stop)
 	checkpointer.Wait()
-	if st := db.MaintenanceStats(); st.Errors != 0 {
-		t.Fatalf("%d maintenance checkpoint errors", st.Errors)
+	if errs := db.maintErrs.Value(); errs != 0 {
+		t.Fatalf("%d maintenance checkpoint errors", errs)
 	}
 	points, series := db.PointCount(), db.SeriesCount()
 	if err := db.Close(); err != nil {
@@ -182,12 +181,11 @@ func TestMaintenanceBackoffOnFailure(t *testing.T) {
 			t.Fatalf("append failed under checkpoint failure: %v", err)
 		}
 	}
-	st := db.MaintenanceStats()
-	if st.Errors != 1 {
-		t.Fatalf("%d failed maintenance attempts across 500 appends, want exactly 1 (backoff)", st.Errors)
+	if errs := db.maintErrs.Value(); errs != 1 {
+		t.Fatalf("%d failed maintenance attempts across 500 appends, want exactly 1 (backoff)", errs)
 	}
-	if st.Checkpoints != 0 {
-		t.Fatalf("%d checkpoints committed through an always-failing hook", st.Checkpoints)
+	if cp := db.maintCP.Value(); cp != 0 {
+		t.Fatalf("%d checkpoints committed through an always-failing hook", cp)
 	}
 	// Clear the fault and the backoff window: the latched trigger must
 	// fire on the next append and clear the tail.
@@ -196,8 +194,8 @@ func TestMaintenanceBackoffOnFailure(t *testing.T) {
 	if err := db.Append(entries[0].Key, t0.Add(1000*time.Minute), 42); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.MaintenanceStats(); st.Checkpoints != 1 || st.ForcedByBytes != 1 {
-		t.Fatalf("latched trigger did not fire after the fault cleared: %+v", st)
+	if cp, forced := db.maintCP.Value(), db.maintByBytes.Value(); cp != 1 || forced != 1 {
+		t.Fatalf("latched trigger did not fire after the fault cleared: %d checkpoints, %d forced by bytes", cp, forced)
 	}
 	if tail := db.WALBytesSinceCheckpoint(); tail >= 2048 {
 		t.Fatalf("tail still %d bytes after recovery checkpoint", tail)
@@ -230,8 +228,8 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	if before == 0 || before >= threshold {
 		t.Fatalf("round 1 wrote %d WAL bytes; the test needs 0 < tail < %d", before, threshold)
 	}
-	if st := db.MaintenanceStats(); st.Checkpoints != 0 {
-		t.Fatalf("trigger fired below the threshold: %+v", st)
+	if cp := db.maintCP.Value(); cp != 0 {
+		t.Fatalf("trigger fired below the threshold: %d checkpoints", cp)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -251,8 +249,8 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := re.MaintenanceStats(); st.ForcedByBytes == 0 {
-		t.Fatalf("seeded byte trigger never fired across the threshold: %+v", st)
+	if re.maintByBytes.Value() == 0 {
+		t.Fatalf("seeded byte trigger never fired across the threshold: %d checkpoints", re.maintCP.Value())
 	}
 	if tail := re.WALBytesSinceCheckpoint(); tail >= threshold {
 		t.Fatalf("tail is %d bytes after the trigger fired (threshold %d)", tail, threshold)
@@ -288,12 +286,11 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	// end. (A daemon tick that lands mid-batch cuts before the batch's
 	// later shard groups; the next tick then finishes the job.)
 	waitFor(t, 5*time.Second, "daemon to checkpoint the idle tail", func() bool {
-		st := db.MaintenanceStats()
-		return st.Checkpoints > 0 && st.ForcedByBytes > 0 &&
+		return db.maintCP.Value() > 0 && db.maintByBytes.Value() > 0 &&
 			db.WALBytesSinceCheckpoint() < threshold && db.SealedSegments() == 0
 	})
-	if st := db.MaintenanceStats(); st.Errors != 0 {
-		t.Fatalf("%d maintenance checkpoint errors", st.Errors)
+	if errs := db.maintErrs.Value(); errs != 0 {
+		t.Fatalf("%d maintenance checkpoint errors", errs)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

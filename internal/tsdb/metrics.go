@@ -1,12 +1,13 @@
 package tsdb
 
 // Registry wiring for the store. The DB's counters live on the DB (and
-// its block cache) as obs.Counter fields — one atomic
-// per fact, incremented on the hot paths exactly as before. This file
-// registers func-backed views of them so a process-wide registry can
-// outlive any one store: followers swap stores on catch-up (SwapDB), so
-// metrics read through a current() indirection instead of binding the
-// counters of whichever store existed at wiring time.
+// its block cache) as obs.Counter fields — one atomic per fact,
+// incremented on the hot paths. This file registers func-backed views
+// of them, and of the store's configuration facts as gauges, so a
+// process-wide registry can outlive any one store: followers swap
+// stores on catch-up (SwapDB), so metrics read through a current()
+// indirection instead of binding the counters of whichever store
+// existed at wiring time.
 
 import "repro/internal/obs"
 
@@ -61,6 +62,14 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) uint64 { return db.ReplayedWALBytes() })
 	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed; each failed its read with ErrColdRead (HTTP 500 cold_read_failed), never a partial result.",
 		func(db *DB) uint64 { return db.ColdReadErrors() })
+	gauge("spotlake_store_durable", "1 when the store is backed by a data directory, 0 when memory-only.",
+		func(db *DB) float64 { return boolGauge(db.Durable()) })
+	gauge("spotlake_store_checkpoint_after_bytes", "The store's own checkpoint size trigger, in WAL bytes (0 = disabled).",
+		func(db *DB) float64 { return float64(db.cpAfterBytes) })
+	gauge("spotlake_store_maintainer_active", "1 while the maintenance daemon runs; the append path enforces the trigger either way.",
+		func(db *DB) float64 { return boolGauge(db.MaintainerActive()) })
+	gauge("spotlake_store_hot_tail_points", "Per-series hot tail a seal keeps resident (-1 = sealing disabled).",
+		func(db *DB) float64 { return float64(db.hotTail) })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",
 		func(db *DB) uint64 { return db.scannedPoints() })
 
@@ -72,23 +81,28 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 			return obs.NewHistogram(checkpointBuckets).Snapshot()
 		})
 
-	counter("spotlake_maintenance_checkpoints_total", "Checkpoints committed by the store's maintainer.",
-		func(db *DB) uint64 { return db.MaintenanceStats().Checkpoints })
+	counter("spotlake_maintenance_checkpoints_total", "Checkpoints committed by the store's maintainer (daemon ticks and append-path forces; manual checkpoints not counted).",
+		func(db *DB) uint64 { return db.maintCP.Value() })
 	counter("spotlake_maintenance_forced_by_bytes_total", "Maintenance checkpoints with the WAL byte trigger live.",
-		func(db *DB) uint64 { return db.MaintenanceStats().ForcedByBytes })
-	counter("spotlake_maintenance_errors_total", "Maintenance checkpoints that failed (retried on the next tick).",
-		func(db *DB) uint64 { return db.MaintenanceStats().Errors })
+		func(db *DB) uint64 { return db.maintByBytes.Value() })
+	counter("spotlake_maintenance_errors_total", "Maintenance checkpoints that failed (retried on the next tick); climbing means the store cannot write checkpoints.",
+		func(db *DB) uint64 { return db.maintErrs.Value() })
 
 	counter("spotlake_blockcache_hits_total", "Block cache hits.",
-		func(db *DB) uint64 { return db.BlockCacheStats().Hits })
+		func(db *DB) uint64 { return db.bcache.hits.Value() })
 	counter("spotlake_blockcache_misses_total", "Block cache misses.",
-		func(db *DB) uint64 { return db.BlockCacheStats().Misses })
+		func(db *DB) uint64 { return db.bcache.misses.Value() })
 	counter("spotlake_blockcache_evictions_total", "Block cache evictions under the size bound.",
-		func(db *DB) uint64 { return db.BlockCacheStats().Evictions })
+		func(db *DB) uint64 { return db.bcache.evictions.Value() })
 	gauge("spotlake_blockcache_bytes", "Decoded-point bytes resident in the block cache.",
-		func(db *DB) float64 { return float64(db.BlockCacheStats().Bytes) })
+		func(db *DB) float64 {
+			c := db.bcache
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return float64(c.size)
+		})
 	gauge("spotlake_blockcache_max_bytes", "Configured block cache bound (0 = disabled).",
-		func(db *DB) float64 { return float64(db.BlockCacheStats().MaxBytes) })
+		func(db *DB) float64 { return float64(max(db.bcache.max, 0)) })
 
 	reg.HistogramFunc("spotlake_block_decode_seconds", "Time a block-cache miss spends reading and CRC-checking one cold block and decoding it, in full or through the read's window end.",
 		func() obs.HistogramSnapshot {
@@ -99,4 +113,12 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		})
 	counter("spotlake_block_decoded_points_total", "Points decoded from cold blocks on block-cache misses: whole blocks, or a window's prefix.",
 		func(db *DB) uint64 { return db.bcache.decoded.Value() })
+}
+
+// boolGauge renders a yes/no fact as a gauge: 1 or 0.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

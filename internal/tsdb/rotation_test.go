@@ -854,8 +854,8 @@ func TestRotationFailureFailsCheckpoint(t *testing.T) {
 			t.Fatalf("append failed because the checkpoint's rotation failed: %v", err)
 		}
 	}
-	if st := db.MaintenanceStats(); st.Errors == 0 || st.Checkpoints != 0 {
-		t.Fatalf("byte trigger over a failing rotation: %+v, want errors and no checkpoint", st)
+	if errs, cp := db.maintErrs.Value(), db.maintCP.Value(); errs == 0 || cp != 0 {
+		t.Fatalf("byte trigger over a failing rotation: %d errors, %d checkpoints, want errors and no checkpoint", errs, cp)
 	}
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg, func() *DB { return db })

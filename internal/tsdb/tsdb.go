@@ -69,6 +69,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -98,11 +99,28 @@ func (k SeriesKey) String() string {
 
 // ParseSeriesKey parses the canonical key form.
 func ParseSeriesKey(s string) (SeriesKey, error) {
-	parts := strings.Split(s, "|")
-	if len(parts) != 4 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
+	c, ok := keyCuts(s)
+	if !ok {
 		return SeriesKey{}, fmt.Errorf("tsdb: malformed series key %q", s)
 	}
-	return SeriesKey{Dataset: parts[0], Type: parts[1], Region: parts[2], AZ: parts[3]}, nil
+	return SeriesKey{Dataset: s[:c[0]], Type: s[c[0]+1 : c[1]], Region: s[c[1]+1 : c[2]], AZ: s[c[2]+1:]}, nil
+}
+
+// keyCuts finds the three separators of a canonical key. ok is true only
+// when there are exactly three and the dataset, type and region between
+// them are non-empty: the keys ParseSeriesKey accepts.
+func keyCuts[S string | []byte](s S) (c [3]int, ok bool) {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] == '|' {
+			if n == len(c) {
+				return c, false
+			}
+			c[n] = i
+			n++
+		}
+	}
+	return c, n == len(c) && c[0] > 0 && c[1] > c[0]+1 && c[2] > c[1]+1
 }
 
 // Point is one sample of a series. Every read answers in UTC, whatever
@@ -568,12 +586,34 @@ func canonicalLen(k SeriesKey) int {
 // truncate into unreadable files.
 const maxKeyBytes = 1<<16 - 1
 
+// ErrInvalidKey is wrapped by every append rejected for its key: a
+// missing dataset, type or region, a canonical form longer than
+// maxKeyBytes, or a field holding "|" or invalid UTF-8. The WAL, the
+// checkpoint and the block index name a series by its canonical
+// "dataset|type|region|az" form, so a "|" inside a field would make the
+// key unreadable at the next open, and a response renders keys as JSON
+// strings, which cannot carry invalid UTF-8 back unchanged.
+var ErrInvalidKey = errors.New("tsdb: invalid series key")
+
+// validKey is the append entry points' per-entry check on the key.
 func validKey(k SeriesKey) error {
 	if k.Dataset == "" || k.Type == "" || k.Region == "" {
-		return fmt.Errorf("tsdb: incomplete series key %v", k)
+		return fmt.Errorf("%w: incomplete series key %v", ErrInvalidKey, k)
 	}
 	if canonicalLen(k) > maxKeyBytes {
-		return fmt.Errorf("tsdb: series key exceeds %d bytes", maxKeyBytes)
+		return fmt.Errorf("%w: series key exceeds %d bytes", ErrInvalidKey, maxKeyBytes)
+	}
+	return nil
+}
+
+// validKeyFields checks what validKey leaves to the append that creates
+// k's series, so an append to an existing series pays nothing for it:
+// that no field holds "|" or invalid UTF-8.
+func validKeyFields(k SeriesKey) error {
+	for _, f := range [...]string{k.Dataset, k.Type, k.Region, k.AZ} {
+		if strings.IndexByte(f, '|') >= 0 || !utf8.ValidString(f) {
+			return fmt.Errorf("%w: field %q holds \"|\" or invalid UTF-8", ErrInvalidKey, f)
+		}
 	}
 	return nil
 }
@@ -627,7 +667,10 @@ func (db *DB) appendLocked(sh *shard, s *series, h uint64, k SeriesKey, at time.
 		return ents, errors.New("tsdb: read-only store rejects appends")
 	}
 	if s == nil {
-		s = db.seriesLocked(sh, h, k)
+		if err := validKeyFields(k); err != nil {
+			return ents, err
+		}
+		s = sh.add(h, k)
 	}
 	ns := at.UnixNano()
 	if n := len(s.points); n > 0 {
@@ -1520,10 +1563,6 @@ func (db *DB) ColdReadErrors() uint64 { return db.coldErrs.Value() }
 // read API. A rollup read counts the raw points it folds, not the
 // buckets it returns.
 func (db *DB) scannedPoints() uint64 { return db.scanned.Value() }
-
-// HotTailPoints returns the per-series hot tail the store keeps when
-// sealing (-1 when sealing is disabled).
-func (db *DB) HotTailPoints() int { return db.hotTail }
 
 // sealsCold reports whether checkpoints seal history into the cold
 // tier: the store is durable and sealing was not disabled.

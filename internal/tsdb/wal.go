@@ -83,11 +83,12 @@ package tsdb
 // failing its crc) ends the chain (a torn record is the signature of a
 // crash mid-write; nothing after it was acknowledged as durable), and the
 // torn bytes are truncated before the segment reopens for appending. A
-// record that passes its crc but is malformed or names an ID its segment
-// never defined fails Open, naming the segment: the writer never produces
-// one. Appends resume in the last replayed segment at its next free ID.
-// Recovery time is bounded by the bytes written since the last
-// checkpoint, not by the archive's full history.
+// record that passes its crc but is malformed, names an ID its segment
+// never defined or defines a series by a key that does not parse fails
+// Open, naming the segment: the writer never produces one. Appends
+// resume in the last replayed segment at its next free ID. Recovery
+// time is bounded by the bytes written since the last checkpoint, not by
+// the archive's full history.
 //
 // # Unsupported layouts
 //
@@ -555,8 +556,9 @@ var errMalformedRecord = errors.New("malformed WAL record")
 
 // decodeRecordBody decodes a record's body into ents, checking every ID
 // against next, the segment's next free ID: a defining entry must take
-// exactly next, and a referencing one must name an ID below it. It
-// returns the entries and the next free ID after them.
+// exactly next and carry a key ParseSeriesKey accepts, and a referencing
+// one must name an ID below it. It returns the entries and the next free
+// ID after them.
 func decodeRecordBody(body []byte, next uint64, ents []recEntry) ([]recEntry, uint64, error) {
 	base, n := binary.Varint(body)
 	if n <= 0 {
@@ -582,6 +584,9 @@ func decodeRecordBody(body []byte, next uint64, ents []recEntry) ([]recEntry, ui
 			p += n
 			e.key = body[p : p+int(keyLen)]
 			p += int(keyLen)
+			if _, ok := keyCuts(e.key); !ok {
+				return ents, next, fmt.Errorf("%w: series ID %d defined by malformed key %q", errMalformedRecord, e.id, e.key)
+			}
 		} else if e.id >= next {
 			return ents, next, fmt.Errorf("%w: entry names undefined series ID %d", errMalformedRecord, e.id)
 		}
@@ -601,10 +606,10 @@ func decodeRecordBody(body []byte, next uint64, ents []recEntry) ([]recEntry, ui
 // replayRecords reads the records of one segment, whose record bytes
 // number size, from br. EOF, a short record, a body length past the
 // segment's end and a crc mismatch all end replay silently: they are the
-// signature of a crash mid-write. A crc-valid record that does not decode
-// or names an undefined ID is an error. Each record is decoded whole
-// before apply sees its entries, in order; a defining entry's key is
-// valid only during the call. replayRecords returns how many bytes of
+// signature of a crash mid-write. A crc-valid record that does not
+// decode, names an undefined ID or defines a malformed key is an error.
+// Each record is decoded whole before apply sees its entries, in order;
+// a defining entry's key is valid only during the call. replayRecords returns how many bytes of
 // complete, applied records it consumed, so callers can truncate a
 // crashed tail before appending after it, and the segment's next free ID.
 func replayRecords(br *bufio.Reader, size int64, apply func(e *recEntry)) (valid int64, ids uint64, err error) {
@@ -692,7 +697,7 @@ func (db *DB) replayLog() (logChain, error) {
 	// hashing it would dominate the replay. targets maps the segment's IDs
 	// to their series; a series defined in the segment appends resume in
 	// keeps its ID there. Open owns the store exclusively, so no locks are
-	// taken. A malformed key's entries are skipped.
+	// taken. decodeRecordBody has checked that every defining key parses.
 	type target struct {
 		sh *shard
 		s  *series
@@ -701,18 +706,14 @@ func (db *DB) replayLog() (logChain, error) {
 	var seq uint64
 	apply := func(e *recEntry) {
 		if e.define {
-			var t target
-			if k, err := ParseSeriesKey(string(e.key)); err == nil {
-				var h uint64
-				h, t.sh = db.locate(k)
-				t.s = db.seriesLocked(t.sh, h, k)
-				t.s.walSeq, t.s.walID = seq, e.id
-			}
+			k, _ := ParseSeriesKey(string(e.key))
+			h, sh := db.locate(k)
+			t := target{sh: sh, s: db.seriesLocked(sh, h, k)}
+			t.s.walSeq, t.s.walID = seq, e.id
 			targets = append(targets, t)
 		}
-		if t := targets[e.id]; t.s != nil {
-			db.mergeSeries(t.sh, t.s, sample{ns: e.ns, v: e.v})
-		}
+		t := targets[e.id]
+		db.mergeSeries(t.sh, t.s, sample{ns: e.ns, v: e.v})
 	}
 	c := logChain{seq: db.man.WALSeq}
 	for seq = db.man.WALSeq; ; seq++ {

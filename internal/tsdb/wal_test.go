@@ -859,9 +859,10 @@ func TestWALReopenContinuesSegment(t *testing.T) {
 }
 
 // TestWALUndefinedIDRefused: a record that passes its crc but names a
-// series ID its segment never defined, or defines one out of order, is
-// not a torn tail. Open fails naming the segment, writable and read-only,
-// and leaves the directory as it was.
+// series ID its segment never defined, defines one out of order, or
+// defines one by a key that does not parse ("a|b|c|d|e" has five
+// fields), is not a torn tail. Open fails naming the segment, writable
+// and read-only, and leaves the directory as it was.
 func TestWALUndefinedIDRefused(t *testing.T) {
 	e := legacyEntries(1)[0]
 	ns := e.At.UnixNano()
@@ -871,6 +872,8 @@ func TestWALUndefinedIDRefused(t *testing.T) {
 			appendRecordEntry(beginRecord(nil, ns), 1, &e.Key, ns, ns, 1), 0),
 		"reference past the definitions": append(walRecord([]Entry{e}),
 			finishRecord(appendRecordEntry(beginRecord(nil, ns), 1, nil, ns, ns+1, 2), 0)...),
+		"malformed key": finishRecord(appendRecordEntry(beginRecord(nil, ns), 0,
+			&SeriesKey{Dataset: "a", Type: "b", Region: "c", AZ: "d|e"}, ns, ns, 1), 0),
 	} {
 		for _, readOnly := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/readOnly=%v", name, readOnly), func(t *testing.T) {
@@ -885,7 +888,7 @@ func TestWALUndefinedIDRefused(t *testing.T) {
 				db, err := OpenWithOptions(dir, Options{ReadOnly: readOnly, MaintenanceInterval: -1})
 				if err == nil {
 					db.Close()
-					t.Fatal("open succeeded over a record naming an undefined series ID")
+					t.Fatalf("open succeeded over a %s record", name)
 				}
 				if !strings.Contains(err.Error(), rotSegName(1)) {
 					t.Errorf("error %q does not name the segment", err)
