@@ -2,6 +2,7 @@ package archive
 
 import (
 	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -198,6 +199,45 @@ func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest)
 		if cache("hits_total") != hits+1 {
 			t.Fatalf("the recomputed entry did not hit: %v", svc.reg.Sections()["cache"])
 		}
+	}
+}
+
+// TestMetaExposesCacheStats checks the /api/v1/meta response carries the
+// cache counters, and that they are the registry's spotlake_cache_*
+// counters under the meta naming rule.
+func TestMetaExposesCacheStats(t *testing.T) {
+	s, _ := buildArchive(t)
+	req := QueryRequest{Dataset: tsdb.DatasetPrice}
+	if _, err := s.Query(req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(req); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/api/v1/meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Cache struct {
+			Hits   float64 `json:"hits"`
+			Misses float64 `json:"misses"`
+		} `json:"cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Cache.Hits == 0 || m.Cache.Misses == 0 {
+		t.Errorf("meta cache stats empty: %+v", m.Cache)
+	}
+	if h := metric(t, s.reg, "spotlake_cache_hits_total"); m.Cache.Hits != h {
+		t.Errorf("meta cache.hits = %v, spotlake_cache_hits_total = %v", m.Cache.Hits, h)
+	}
+	if ms := metric(t, s.reg, "spotlake_cache_misses_total"); m.Cache.Misses != ms {
+		t.Errorf("meta cache.misses = %v, spotlake_cache_misses_total = %v", m.Cache.Misses, ms)
 	}
 }
 
