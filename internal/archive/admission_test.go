@@ -1,10 +1,10 @@
 package archive
 
-// Tests for the serving layer's traffic hardening: singleflight
-// coalescing of identical cold queries, the global in-flight cap with
-// bounded queueing and 503 shedding, per-client token-bucket throttling
-// with 429 + Retry-After, and a loadgen-shaped mixed-traffic run against
-// a live collector (meaningful under -race, which CI applies).
+// Tests for the serving layer's traffic hardening: the global in-flight
+// cap with bounded queueing and 503 shedding, per-client token-bucket
+// throttling with 429 + Retry-After, and a loadgen-shaped mixed-traffic
+// run against a live collector (meaningful under -race, which CI
+// applies).
 
 import (
 	"encoding/json"
@@ -12,8 +12,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -25,133 +23,6 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/tsdb"
 )
-
-// TestSingleflightColdQueryCoalesces: N concurrent identical cold
-// queries perform exactly one store computation; the rest coalesce onto
-// the leader and share its result. This is the acceptance shape — 32
-// requests, 1 computation, 31 coalesced.
-func TestSingleflightColdQueryCoalesces(t *testing.T) {
-	const clients = 32
-	s, _ := buildArchive(t)
-	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore}
-	// Query normalizes resolution/agg before building its cache key;
-	// mirror that so the barrier hooks the right flight.
-	normalized := req
-	normalized.Resolution, normalized.Agg = "raw", "mean"
-	ck := cacheKey("page", normalized)
-
-	// The leader blocks until every follower has provably joined its
-	// flight, so exactly clients-1 coalesce — no timing luck involved.
-	s.flight.leaderBarrier = func(key string) {
-		if key != ck {
-			return
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for s.flight.waiters(ck) < clients-1 {
-			if time.Now().After(deadline) {
-				t.Error("followers never joined the flight")
-				return
-			}
-			runtime.Gosched()
-		}
-	}
-	coalesced0, misses0 := metric(t, s.reg, "spotlake_cache_coalesced_total"), metric(t, s.reg, "spotlake_cache_misses_total")
-
-	results := make([][]SeriesResult, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.Query(req)
-		}(i)
-	}
-	wg.Wait()
-	s.flight.leaderBarrier = nil
-
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("client %d: %v", i, errs[i])
-		}
-		if len(results[i]) == 0 {
-			t.Fatalf("client %d: empty result", i)
-		}
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Fatalf("client %d saw a different result than the leader", i)
-		}
-	}
-	hits := metric(t, s.reg, "spotlake_cache_hits_total")
-	coalesced := metric(t, s.reg, "spotlake_cache_coalesced_total") - coalesced0
-	misses := metric(t, s.reg, "spotlake_cache_misses_total") - misses0
-	if coalesced != clients-1 {
-		t.Errorf("coalesced = %v, want %d", coalesced, clients-1)
-	}
-	if computations := misses - coalesced; computations != 1 {
-		t.Errorf("store computations (misses - coalesced) = %v, want exactly 1", computations)
-	}
-	// The leader published through the cache: a repeat is a plain hit.
-	if _, err := s.Query(req); err != nil {
-		t.Fatal(err)
-	}
-	if after := metric(t, s.reg, "spotlake_cache_hits_total"); after <= hits {
-		t.Error("post-flight repeat did not hit the cache")
-	}
-}
-
-// TestFlightGroupSharesErrorAndRecovers: followers share the leader's
-// error, and a finished key computes fresh on the next call.
-func TestFlightGroupSharesErrorAndRecovers(t *testing.T) {
-	var g flightGroup
-	boom := fmt.Errorf("boom")
-	calls := 0
-	if _, _, err := g.do("k", func() (any, *cacheEntry, error) { calls++; return nil, nil, boom }); err != boom {
-		t.Fatalf("leader error = %v, want boom", err)
-	}
-	if v, _, err := g.do("k", func() (any, *cacheEntry, error) { calls++; return 42, nil, nil }); err != nil || v != 42 {
-		t.Fatalf("fresh call after error = %v, %v", v, err)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2 (no result caching in the flight group)", calls)
-	}
-}
-
-// TestFlightGroupLeaderPanicReleasesFollowers: a panicking leader must
-// not leave followers blocked forever; they get an error instead.
-func TestFlightGroupLeaderPanicReleasesFollowers(t *testing.T) {
-	var g flightGroup
-	entered := make(chan struct{})
-	finish := make(chan struct{})
-	g.leaderBarrier = func(string) { close(entered); <-finish }
-
-	followerErr := make(chan error, 1)
-	go func() {
-		<-entered
-		g.leaderBarrier = nil
-		close(finish)
-		_, _, err := g.do("k", func() (any, *cacheEntry, error) { return nil, nil, nil })
-		followerErr <- err
-	}()
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("leader panic did not propagate")
-			}
-		}()
-		_, _, _ = g.do("k", func() (any, *cacheEntry, error) { panic("leader died") })
-	}()
-	// Whether the goroutine coalesced or ran fresh, it must complete.
-	select {
-	case err := <-followerErr:
-		_ = err // either a shared abort error or a fresh successful run
-	case <-time.After(5 * time.Second):
-		t.Fatal("follower still blocked after leader panic")
-	}
-	if g.waiters("k") != 0 {
-		t.Error("flight entry leaked after panic")
-	}
-}
 
 // TestAdmissionInFlightCapSheds: with every slot occupied and the queue
 // exhausted, new arrivals are shed with 503 + Retry-After while the

@@ -55,10 +55,7 @@ type Service struct {
 	datasets map[string]bool
 	workers  int
 	cache    *resultCache
-	// flight coalesces identical uncached computations onto one store
-	// read (see singleflight.go); admission, when set, gates the HTTP
-	// layer (see admission.go).
-	flight    flightGroup
+	// admission, when set, gates the HTTP layer (see admission.go).
 	admission *Admission
 	// respPlainBytes counts the JSON the body encoder produced for query
 	// and latest responses, respWireBytes what those responses put on the
@@ -71,9 +68,8 @@ type Service struct {
 	follower *followerState
 	// reg is the service's metrics registry: every value /api/v1/meta
 	// and /api/v1/metrics carry but meta's schema and replication role.
-	// Always non-nil; wired at construction with the cache, singleflight,
-	// response and store metrics, extended by SetAdmission, SetFollower,
-	// and NewPuller.
+	// Always non-nil; wired at construction with the cache, response and
+	// store metrics, extended by SetAdmission, SetFollower, and NewPuller.
 	reg *obs.Registry
 }
 
@@ -100,19 +96,17 @@ func NewService(db *tsdb.DB, cat *catalog.Catalog) *Service {
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
 // registerMetrics wires the construction-time metrics: the result cache
-// and singleflight counters (registered over the structs' own atomics —
-// one state, two surfaces) and the store's metrics through the s.store
-// indirection, so a follower's SwapDB re-points every store series at
-// the replica now serving.
+// counters (registered over the cache's own atomics — one state, two
+// surfaces) and the store's metrics through the s.store indirection, so
+// a follower's SwapDB re-points every store series at the replica now
+// serving.
 func (s *Service) registerMetrics() {
 	s.reg.RegisterCounter("spotlake_cache_hits_total",
 		"Result cache hits.", &s.cache.hits)
 	s.reg.RegisterCounter("spotlake_cache_misses_total",
-		"Result cache misses (invalidations and coalesced included).", &s.cache.miss)
+		"Result cache misses (invalidations included).", &s.cache.miss)
 	s.reg.RegisterCounter("spotlake_cache_invalidations_total",
 		"Cache entries evicted because a point was stored, or the store swapped, since they were computed.", &s.cache.inval)
-	s.reg.RegisterCounter("spotlake_cache_coalesced_total",
-		"Cache misses that joined an identical in-flight computation.", &s.flight.coalesced)
 	s.reg.RegisterCounter("spotlake_cache_body_hits_total",
 		"Responses written from a cache entry's stored gzip body, without encoding.", &s.cache.bodyHits)
 	s.reg.GaugeFunc("spotlake_cache_entries",
@@ -336,38 +330,36 @@ func (s *Service) Query(req QueryRequest) ([]SeriesResult, error) {
 // the one now holding the value, for the HTTP layer to serve stored bytes
 // from, or nil when the value was too large to cache.
 //
-// Cache misses go through the singleflight group: concurrent identical
-// cold requests collapse onto one store computation whose result (and
-// generation capture, via the cache entry the leader publishes) every
-// coalesced caller shares.
+// The store generation is captured once, before anything is read: the
+// hit is checked at it and a miss's result is published under it, so a
+// write racing the fan-out makes the entry stale at once, never the
+// reverse. Every miss reads the store itself; concurrent identical
+// misses each compute, and the last put replaces the others' entries.
+// Since an acknowledged append has already moved the generation, a
+// request sent after it never receives an answer that predates it.
+// Rollup reads are guarded by the same generation: a bucket is folded
+// from its series' points, and every stored point moves it.
 func (s *Service) cached(db *tsdb.DB, epoch uint64, ck string, req QueryRequest,
 	compute func(keys []tsdb.SeriesKey) (val any, points int, err error)) (any, *cacheEntry, error) {
-	if e := s.cache.get(ck, epoch, db.Generation()); e != nil {
+	gen := db.Generation()
+	if e := s.cache.get(ck, epoch, gen); e != nil {
 		return e.val, e, nil
 	}
-	return s.flight.do(ck, func() (any, *cacheEntry, error) {
-		// Capture the generation before reading: a write racing the fan-out
-		// makes the cached entry stale immediately, never the reverse. The
-		// capture is the leader's own — coalesced followers share it. Rollup
-		// reads are guarded by the same generation: a bucket is folded
-		// from its series' points, and every stored point moves it.
-		gen := db.Generation()
-		keys, err := matchedKeys(db, req)
-		if err != nil {
-			return nil, nil, err
-		}
-		val, points, err := compute(keys)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Oversized results are not cached: one-off bulk exports (or clients
-		// polling with a unique moving window) would otherwise pin up to 128
-		// full-archive copies in the LRU without ever hitting.
-		if points > maxCachedPoints {
-			return val, nil, nil
-		}
-		return val, s.cache.put(ck, epoch, gen, val), nil
-	})
+	keys, err := matchedKeys(db, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	val, points, err := compute(keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Oversized results are not cached: one-off bulk exports (or clients
+	// polling with a unique moving window) would otherwise pin up to 128
+	// full-archive copies in the LRU without ever hitting.
+	if points > maxCachedPoints {
+		return val, nil, nil
+	}
+	return val, s.cache.put(ck, epoch, gen, val), nil
 }
 
 // firstErr returns the first non-nil error of a fan-out's per-slot error

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,6 +202,130 @@ func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest)
 			t.Fatalf("the recomputed entry did not hit: %v", svc.reg.Sections()["cache"])
 		}
 	}
+}
+
+// TestReadSeesAcknowledgedAppends: on a primary, a /api/v1/query or
+// /api/v1/latest request sent after an append was acknowledged includes
+// that append. Readers send the same two requests side by side, so
+// identical misses overlap, while a writer appends one tick to every
+// series per AppendBatch and publishes the acknowledged tick count after
+// each return; a response must hold every tick published before its
+// request was sent.
+func TestReadSeesAcknowledgedAppends(t *testing.T) {
+	const series, ticks, readers = 8, 200, 8
+	db, err := tsdb.OpenSharded("", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	batch := make([]tsdb.Entry, series)
+	appendTick := func(tick int) error {
+		for i := range batch {
+			batch[i] = tsdb.Entry{
+				Key:   tsdb.SeriesKey{Dataset: tsdb.DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: fmt.Sprintf("az%d", i)},
+				At:    cacheT0.Add(time.Duration(tick) * time.Minute),
+				Value: float64(tick),
+			}
+		}
+		_, err := db.AppendBatch(batch)
+		return err
+	}
+	if err := appendTick(0); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewService(db, catalog.Compact(1)).Handler())
+	defer srv.Close()
+
+	var acked atomic.Int64 // ticks whose AppendBatch has returned
+	acked.Store(1)
+	// check sends one request and returns what its body lacks of the
+	// ticks acknowledged before it was sent.
+	check := func(path string, latest bool) error {
+		want := int(acked.Load())
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: status %d", path, resp.StatusCode)
+		}
+		lastAcked := cacheT0.Add(time.Duration(want-1) * time.Minute)
+		if latest {
+			var got []LatestEntry
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				return err
+			}
+			if len(got) != series {
+				return fmt.Errorf("%s: %d series, want %d", path, len(got), series)
+			}
+			for _, e := range got {
+				if e.At.Before(lastAcked) {
+					return fmt.Errorf("%s: %v latest at %v, but tick %v was acknowledged before the request", path, e.Key, e.At, lastAcked)
+				}
+			}
+			return nil
+		}
+		var got []SeriesResult
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			return err
+		}
+		if len(got) != series {
+			return fmt.Errorf("%s: %d series, want %d", path, len(got), series)
+		}
+		for _, r := range got {
+			if len(r.Points) < want {
+				return fmt.Errorf("%s: %v has %d points, but %d ticks were acknowledged before the request", path, r.Key, len(r.Points), want)
+			}
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	// progress carries one token per answered request; sized to the
+	// readers so a reader's non-blocking send rarely finds it full.
+	progress := make(chan struct{}, readers)
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				path, latest := "/api/v1/query?dataset=sps", false
+				if i%2 == 1 {
+					path, latest = "/api/v1/latest?dataset=sps", true
+				}
+				if err := check(path, latest); err != nil {
+					t.Error(err)
+					failed.Store(true)
+				}
+				select {
+				case progress <- struct{}{}:
+				default:
+				}
+			}
+		}(r)
+	}
+	// Each tick waits for a round of answers, so every tick overlaps
+	// reads, and most reads miss on a generation a tick just moved.
+	for tick := 1; tick < ticks && !failed.Load(); tick++ {
+		if err := appendTick(tick); err != nil {
+			t.Error(err)
+			break
+		}
+		acked.Store(int64(tick + 1))
+		for n := 0; n < readers; n++ {
+			<-progress
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestMetaExposesCacheStats checks the /api/v1/meta response carries the

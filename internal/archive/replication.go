@@ -48,6 +48,9 @@ import (
 type followerState struct {
 	primaryURL   string
 	maxStaleness time.Duration
+	// since is when SetFollower ran: until the first sync, how long the
+	// replica has gone without one is counted from it.
+	since time.Time
 	// lastSync is the UnixNano of the last cycle that confirmed the
 	// replica current (applied a delta or verified there was none);
 	// 0 = never synced.
@@ -63,19 +66,19 @@ type followerState struct {
 // applied-position and staleness gauges register on the service
 // registry.
 func (s *Service) SetFollower(primaryURL string, maxStaleness time.Duration) {
-	f := &followerState{primaryURL: primaryURL, maxStaleness: maxStaleness}
+	f := &followerState{primaryURL: primaryURL, maxStaleness: maxStaleness, since: time.Now()}
 	s.follower = f
 	s.reg.GaugeFunc("spotlake_replication_applied_checkpoint_seq",
 		"Primary checkpoint sequence of the last applied listing.",
 		func() float64 { return float64(f.appliedSeq.Load()) })
 	s.reg.GaugeFunc("spotlake_replication_seconds_behind",
-		"Seconds since the last confirmed sync with the primary (0 = never synced).",
+		"Seconds since the last confirmed sync with the primary (before the first, since the replica was set up).",
 		func() float64 {
-			last := f.lastSync.Load()
-			if last == 0 {
-				return 0
+			since := f.since
+			if last := f.lastSync.Load(); last != 0 {
+				since = time.Unix(0, last)
 			}
-			return time.Since(time.Unix(0, last)).Seconds()
+			return time.Since(since).Seconds()
 		})
 	s.reg.GaugeFunc("spotlake_replication_max_staleness_seconds",
 		"The staleness bound past which the replica sheds reads (0 = unbounded).",

@@ -406,6 +406,36 @@ func TestFollowerStalenessGate(t *testing.T) {
 	}
 }
 
+// TestSecondsBehindCountsFromSetup: a follower that has never synced
+// reports the seconds since it was set up, growing, not the 0 of one
+// that synced this instant; a sync restarts the count from when it
+// confirmed the replica current.
+func TestSecondsBehindCountsFromSetup(t *testing.T) {
+	psvc, cat, _, db := durablePrimary(t, t.TempDir())
+	defer db.Close()
+	psrv := httptest.NewServer(psvc.Handler())
+	defer psrv.Close()
+	fsvc, puller := newFollower(t, psrv.URL, cat, 0)
+	behind := func() float64 { return metric(t, fsvc.reg, "spotlake_replication_seconds_behind") }
+
+	first := behind()
+	if first <= 0 {
+		t.Fatalf("never-synced follower reads %v seconds behind, want > 0", first)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if later := behind(); later <= first {
+		t.Fatalf("never-synced follower read %v, then %v: the count did not grow", first, later)
+	}
+
+	start := time.Now()
+	if err := puller.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got, bound := behind(), time.Since(start).Seconds(); got >= bound {
+		t.Fatalf("right after a sync the follower reads %v seconds behind, not under the %v since the sync began", got, bound)
+	}
+}
+
 // TestReplicationEpochGuard: a file request pinned to a position the
 // primary has moved past answers 409 epoch_mismatch, and the follower
 // side of the pair refuses to serve replication at all.

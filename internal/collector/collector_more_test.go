@@ -207,8 +207,8 @@ func TestSizeBasedCheckpointTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := col.Stats()
-	if forced := storeMetric(t, db, "spotlake_maintenance_forced_by_bytes_total"); forced < 2 {
-		t.Fatalf("size-triggered checkpoints fired %v times; the run writes several times the %d-byte threshold", forced, threshold)
+	if cp := storeMetric(t, db, "spotlake_maintenance_checkpoints_total"); cp < 2 {
+		t.Fatalf("size-triggered checkpoints fired %v times; the run writes several times the %d-byte threshold", cp, threshold)
 	}
 	if st.Checkpoints != 0 {
 		t.Fatalf("%d interval checkpoints fired with the interval trigger disabled", st.Checkpoints)

@@ -188,10 +188,10 @@ func checkHistograms(samples []Sample, types map[string]MetricType) error {
 	return nil
 }
 
-// SnapshotFromSamples rebuilds a mergeable HistogramSnapshot for the
-// named histogram family out of parsed exposition samples — what a
-// scrape consumer needs to recompute the same bucket-derived quantiles
-// the server reports in /api/v1/meta.
+// SnapshotFromSamples rebuilds a HistogramSnapshot for the named
+// histogram family out of parsed exposition samples — what a scrape
+// consumer needs to recompute the same bucket-derived quantiles the
+// server reports in /api/v1/meta.
 func SnapshotFromSamples(samples []Sample, name string) (HistogramSnapshot, error) {
 	var snap HistogramSnapshot
 	var cums []float64

@@ -1,9 +1,10 @@
 // Package obs is SpotLake's observability primitive layer: a
-// dependency-free typed metrics kit — atomic counters, gauges, and
-// fixed-bucket latency histograms — plus a registry that renders every
-// registered metric two ways: as Prometheus text exposition
-// (WritePrometheus) and as JSON sections (Sections), which is all of
-// /api/v1/meta but its hand-written schema and replication role.
+// dependency-free typed metrics kit — atomic counters and fixed-bucket
+// latency histograms, with gauges read through a function — plus a
+// registry that renders every registered metric two ways: as Prometheus
+// text exposition (WritePrometheus) and as JSON sections (Sections),
+// which is all of /api/v1/meta but its hand-written schema and
+// replication role.
 //
 // Design constraints, in order:
 //
@@ -22,12 +23,10 @@
 //     whatever they pay, because they run at scrape rate, not request
 //     rate.
 //
-//   - Histograms are fixed-bucket and mergeable. Two snapshots with
-//     the same bounds add bucket-wise (replica fleets, per-class
-//     splits), and quantiles are derived from the buckets alone — the
-//     same p50/p99 any Prometheus histogram_quantile() over the
-//     exposition would compute, so the meta JSON and a dashboard over
-//     the scrape agree by construction.
+//   - Histograms are fixed-bucket. Quantiles are derived from the
+//     buckets alone — the same p50/p99 any Prometheus
+//     histogram_quantile() over the exposition would compute, so the
+//     meta JSON and a dashboard over the scrape agree by construction.
 package obs
 
 import (
@@ -43,32 +42,16 @@ import (
 // to use.
 type Counter struct{ v atomic.Uint64 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an instantaneous int64 value (in-flight requests, queue
-// depth, bytes resident). The zero value is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // DefLatencyBuckets are the default handler-latency bucket upper bounds
 // in seconds: roughly exponential from 500µs to 10s, the span between a
-// result-cache hit and a request worth shedding. Histograms across the
-// service share them so their snapshots merge.
+// result-cache hit and a request worth shedding; the HTTP layer's
+// request-duration histogram is built on them.
 var DefLatencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10,
@@ -76,7 +59,7 @@ var DefLatencyBuckets = []float64{
 
 // Histogram counts observations into fixed buckets. Observe is one
 // atomic add (plus a branch-free bucket search); everything derived —
-// quantiles, means, exposition lines — comes from Snapshot. Create with
+// quantiles, exposition lines — comes from Snapshot. Create with
 // NewHistogram; the zero value has no buckets and drops observations.
 type Histogram struct {
 	bounds []float64 // upper bounds, strictly increasing, seconds
@@ -116,17 +99,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNanos.Add(int64(d))
 }
 
-// Count returns the total number of observations (the sum of all
-// buckets, so it is consistent with any concurrently taken snapshot's
-// bucket view rather than a separately raced counter).
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Snapshot captures the histogram's buckets at one instant (per-bucket
 // atomically; the vector as a whole is only as coherent as any lock-free
 // multi-counter read — counts never decrease, so a racing Observe can at
@@ -153,26 +125,6 @@ type HistogramSnapshot struct {
 	Counts []uint64 // len(Bounds)+1; last is the +Inf bucket
 	Count  uint64
 	Sum    float64
-}
-
-// Merge adds other's buckets into s. The two snapshots must share
-// bucket bounds (merging across replicas or traffic classes only makes
-// sense bucket-wise).
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if len(s.Bounds) != len(other.Bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets", len(s.Bounds), len(other.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != other.Bounds[i] {
-			return fmt.Errorf("obs: merging histograms with mismatched bucket bound %v vs %v", s.Bounds[i], other.Bounds[i])
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	return nil
 }
 
 // Quantile returns the p-quantile (0 <= p <= 1) derived from the
@@ -217,15 +169,6 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 		cum += c
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns the average observed value in seconds (0 with no
-// observations). Unlike Quantile it is exact, not bucket-derived.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // formatFloat renders a sample value the way the exposition format

@@ -11,16 +11,17 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	var c Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(41)
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	reg := NewRegistry()
+	depth := 7.0
+	reg.GaugeFunc("spotlake_test_depth", "", func() float64 { return depth })
+	depth -= 3
+	if got := reg.Sections()["test"]["depth"]; got != 4.0 {
+		t.Fatalf("gauge = %v, want 4", got)
 	}
 }
 
@@ -76,43 +77,21 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(DefLatencyBuckets)
-	b := NewHistogram(DefLatencyBuckets)
-	a.Observe(2 * time.Millisecond)
-	b.Observe(200 * time.Millisecond)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if sa.Count != 2 {
-		t.Fatalf("merged count = %d, want 2", sa.Count)
-	}
-	if math.Abs(sa.Sum-0.202) > 1e-9 {
-		t.Fatalf("merged sum = %v, want 0.202", sa.Sum)
-	}
-	mismatch := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []uint64{0, 0, 0}}
-	if err := sa.Merge(mismatch); err == nil {
-		t.Fatal("merging mismatched bounds did not error")
-	}
-}
-
 func TestHistogramEmptyQuantile(t *testing.T) {
 	s := NewHistogram(DefLatencyBuckets).Snapshot()
 	if q := s.Quantile(0.99); q != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", q)
 	}
-	if m := s.Mean(); m != 0 {
-		t.Fatalf("empty histogram mean = %v, want 0", m)
-	}
 }
 
 func TestRegistryExpositionRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("spotlake_test_ops_total", "ops so far")
+	var c Counter
+	reg.RegisterCounter("spotlake_test_ops_total", "ops so far", &c)
 	c.Add(5)
 	reg.GaugeFunc("spotlake_test_depth", "current depth", func() float64 { return 3.5 })
-	h := reg.Histogram("spotlake_test_latency_seconds", "latency", []float64{0.01, 0.1})
+	h := NewHistogram([]float64{0.01, 0.1})
+	reg.RegisterHistogram("spotlake_test_latency_seconds", "latency", h)
 	h.Observe(5 * time.Millisecond)
 	h.Observe(50 * time.Millisecond)
 	h.Observe(5 * time.Second)
@@ -199,9 +178,11 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 
 func TestRegistryReplaceAndTypeConflict(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("spotlake_test_total", "v1").Add(3)
+	var c1, c2 Counter
+	c1.Add(3)
+	reg.RegisterCounter("spotlake_test_total", "v1", &c1)
 	// Re-registering the same name and type replaces the source.
-	c2 := reg.Counter("spotlake_test_total", "v2")
+	reg.RegisterCounter("spotlake_test_total", "v2", &c2)
 	c2.Add(9)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -220,8 +201,10 @@ func TestRegistryReplaceAndTypeConflict(t *testing.T) {
 
 func TestRegistryConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("spotlake_test_ops_total", "")
-	h := reg.Histogram("spotlake_test_lat_seconds", "", DefLatencyBuckets)
+	var c Counter
+	reg.RegisterCounter("spotlake_test_ops_total", "", &c)
+	h := NewHistogram(DefLatencyBuckets)
+	reg.RegisterHistogram("spotlake_test_lat_seconds", "", h)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -233,7 +216,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					c.Inc()
+					c.Add(1)
 					h.Observe(time.Millisecond)
 				}
 			}
@@ -270,10 +253,14 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 // place, or one that lands on another's path, panics at registration.
 func TestSectionsNamingRule(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("spotlake_cache_body_hits_total", "").Add(7)
-	reg.Counter("spotlake_test_total", "").Add(2)
+	var bodyHits, total, replaced Counter
+	bodyHits.Add(7)
+	total.Add(2)
+	reg.RegisterCounter("spotlake_cache_body_hits_total", "", &bodyHits)
+	reg.RegisterCounter("spotlake_test_total", "", &total)
 	reg.GaugeFunc("spotlake_store_replayed_wal_bytes", "", func() float64 { return 1.5 })
-	h := reg.Histogram("spotlake_http_request_duration_seconds", "", []float64{0.01, 0.1})
+	h := NewHistogram([]float64{0.01, 0.1})
+	reg.RegisterHistogram("spotlake_http_request_duration_seconds", "", h)
 	h.Observe(5 * time.Millisecond)
 	h.Observe(50 * time.Millisecond)
 
@@ -289,10 +276,10 @@ func TestSectionsNamingRule(t *testing.T) {
 	}
 
 	for name, register := range map[string]func(){
-		"a collision":        func() { reg.Counter("spotlake_cache_body_hits", "") },
-		"a name without key": func() { reg.Counter("spotlake_cache", "") },
-		"a foreign prefix":   func() { reg.Counter("other_cache_hits_total", "") },
-		"an empty word":      func() { reg.Counter("spotlake_cache_body__hits", "") },
+		"a collision":        func() { reg.RegisterCounter("spotlake_cache_body_hits", "", &Counter{}) },
+		"a name without key": func() { reg.RegisterCounter("spotlake_cache", "", &Counter{}) },
+		"a foreign prefix":   func() { reg.RegisterCounter("other_cache_hits_total", "", &Counter{}) },
+		"an empty word":      func() { reg.RegisterCounter("spotlake_cache_body__hits", "", &Counter{}) },
 	} {
 		func() {
 			defer func() {
@@ -304,7 +291,8 @@ func TestSectionsNamingRule(t *testing.T) {
 		}()
 	}
 	// Replacing a metric under its own name is not a collision.
-	reg.Counter("spotlake_cache_body_hits_total", "").Add(1)
+	replaced.Add(1)
+	reg.RegisterCounter("spotlake_cache_body_hits_total", "", &replaced)
 	if got := reg.Sections()["cache"]["bodyHits"]; got != uint64(1) {
 		t.Errorf("replaced counter renders %v, want 1", got)
 	}

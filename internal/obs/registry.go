@@ -122,13 +122,6 @@ func (r *Registry) register(name, help string, typ MetricType, read func() readi
 	r.ordered = append(r.ordered, m)
 }
 
-// Counter creates, registers, and returns a counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.RegisterCounter(name, help, c)
-	return c
-}
-
 // RegisterCounter registers an existing counter (one a subsystem struct
 // already owns) under name.
 func (r *Registry) RegisterCounter(name, help string, c *Counter) {
@@ -142,30 +135,10 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(name, help, TypeCounter, func() reading { return reading{count: fn()} })
 }
 
-// Gauge creates, registers, and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.RegisterGauge(name, help, g)
-	return g
-}
-
-// RegisterGauge registers an existing gauge under name.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	r.GaugeFunc(name, help, func() float64 { return float64(g.Value()) })
-}
-
 // GaugeFunc registers a gauge whose value is read through fn at scrape
 // time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, TypeGauge, func() reading { return reading{value: fn()} })
-}
-
-// Histogram creates, registers, and returns a histogram over the given
-// bucket bounds (seconds; see NewHistogram).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.RegisterHistogram(name, help, h)
-	return h
 }
 
 // RegisterHistogram registers an existing histogram under name.

@@ -157,7 +157,6 @@ func (db *DB) runMaintenanceCheckpointLocked() {
 	}
 	db.maintRetryAt.Store(0)
 	db.maintCP.Add(1)
-	db.maintByBytes.Add(1)
 }
 
 // enforceMaintenance runs on the append path, before any shard lock is

@@ -69,8 +69,8 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 	if seen < 2 {
 		t.Fatalf("%d maintenance checkpoints; the bound was not exercised", seen)
 	}
-	if forced, cp := db.maintByBytes.Value(), db.maintCP.Value(); forced == 0 || forced != cp {
-		t.Fatalf("4000 appends over a %d-byte threshold: %d checkpoints, %d forced by bytes", threshold, cp, forced)
+	if cp := db.maintCP.Value(); cp == 0 {
+		t.Fatalf("4000 appends over a %d-byte threshold: %d checkpoints", threshold, cp)
 	}
 	if errs := db.maintErrs.Value(); errs != 0 {
 		t.Fatalf("%d maintenance checkpoint errors", errs)
@@ -194,8 +194,8 @@ func TestMaintenanceBackoffOnFailure(t *testing.T) {
 	if err := db.Append(entries[0].Key, t0.Add(1000*time.Minute), 42); err != nil {
 		t.Fatal(err)
 	}
-	if cp, forced := db.maintCP.Value(), db.maintByBytes.Value(); cp != 1 || forced != 1 {
-		t.Fatalf("latched trigger did not fire after the fault cleared: %d checkpoints, %d forced by bytes", cp, forced)
+	if cp := db.maintCP.Value(); cp != 1 {
+		t.Fatalf("latched trigger did not fire after the fault cleared: %d checkpoints", cp)
 	}
 	if tail := db.WALBytesSinceCheckpoint(); tail >= 2048 {
 		t.Fatalf("tail still %d bytes after recovery checkpoint", tail)
@@ -249,7 +249,7 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if re.maintByBytes.Value() == 0 {
+	if re.maintCP.Value() == 0 {
 		t.Fatalf("seeded byte trigger never fired across the threshold: %d checkpoints", re.maintCP.Value())
 	}
 	if tail := re.WALBytesSinceCheckpoint(); tail >= threshold {
@@ -286,7 +286,7 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	// end. (A daemon tick that lands mid-batch cuts before the batch's
 	// later shard groups; the next tick then finishes the job.)
 	waitFor(t, 5*time.Second, "daemon to checkpoint the idle tail", func() bool {
-		return db.maintCP.Value() > 0 && db.maintByBytes.Value() > 0 &&
+		return db.maintCP.Value() > 0 &&
 			db.WALBytesSinceCheckpoint() < threshold && db.SealedSegments() == 0
 	})
 	if errs := db.maintErrs.Value(); errs != 0 {

@@ -83,8 +83,6 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 
 	counter("spotlake_maintenance_checkpoints_total", "Checkpoints committed by the store's maintainer (daemon ticks and append-path forces; manual checkpoints not counted).",
 		func(db *DB) uint64 { return db.maintCP.Value() })
-	counter("spotlake_maintenance_forced_by_bytes_total", "Maintenance checkpoints with the WAL byte trigger live.",
-		func(db *DB) uint64 { return db.maintByBytes.Value() })
 	counter("spotlake_maintenance_errors_total", "Maintenance checkpoints that failed (retried on the next tick); climbing means the store cannot write checkpoints.",
 		func(db *DB) uint64 { return db.maintErrs.Value() })
 

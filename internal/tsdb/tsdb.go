@@ -362,7 +362,6 @@ type DB struct {
 	maintStop    chan struct{}
 	maintDone    chan struct{}
 	maintCP      obs.Counter
-	maintByBytes obs.Counter
 	maintErrs    obs.Counter
 
 	// cpTime times every committed checkpoint.
