@@ -468,8 +468,9 @@ func BenchmarkSeal(b *testing.B) {
 
 // archiveBlockPoints builds n points shaped like one archive-v1 series
 // block: change-only on a 10-minute grid with one change in four ticks,
-// integer values 1–10, so dods land in the 16-bit bucket and values
-// reuse or redefine a short XOR window.
+// integer values 1–10, so the block's time unit is a tick (or a multiple
+// of one), dods land in the 9-bit bucket and values reuse or redefine a
+// short XOR window.
 func archiveBlockPoints(seed uint64, n int) []sample {
 	rng := simrand.New(seed)
 	pts := make([]sample, n)

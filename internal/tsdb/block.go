@@ -20,7 +20,8 @@ package tsdb
 //
 // # File format (blocks-<seq>.blk, checkpoint-<seq>.snap)
 //
-//	header: 8-byte magic "SLBLOCKS" | u16 version (1)
+//	header: 8-byte magic "SLBLOCKS" | u16 version (2; version 1 had no
+//	        time unit, see Block encoding)
 //	data:   the compressed blocks, back to back, no framing (the index
 //	        carries every block's offset/length/CRC)
 //	index:  u32 series count | per series:
@@ -47,32 +48,46 @@ package tsdb
 // bitstream, timestamps and values interleaved per point:
 //
 //   - point 0: 64 raw bits of unix-nanos, 64 raw bits of the float.
-//   - timestamps i>0: dod = (t[i]-t[i-1]) - (t[i-1]-t[i-2]) (the first
-//     delta's predecessor is 0), zigzag-encoded and bucketed:
-//     '0' for dod == 0; '10' + 16 bits; '110' + 32 bits; '1110' + 48
-//     bits; '1111' + 64 bits.
+//   - the block's time unit u, only when the block has more than one
+//     point: the GCD of its timestamp deltas, or 1 when every delta is 0.
+//     '0' for u == 1; else '1' + 5 bits e + 6 bits n-1 + n bits m, with
+//     u = m·10^e, e the most factors of ten u has (at most 19) and n the
+//     bit length of m.
+//   - timestamps i>0: dod = d[i] - d[i-1], where d[i] = (t[i]-t[i-1])/u
+//     counts whole units as an unsigned 64-bit number (the first delta's
+//     predecessor is 0) and the difference wraps, zigzag-encoded and
+//     bucketed: '0' for dod == 0; '10' + 7 bits; '110' + 16 bits;
+//     '1110' + 32 bits; '11110' + 48 bits; '11111' + 64 bits.
 //   - values i>0: xor = bits(v[i]) ^ bits(v[i-1]); '0' when xor == 0;
 //     '10' + the meaningful bits reusing the previous leading/sigbits
 //     window when it still fits; '11' + 5 bits leading-zero count +
 //     6 bits significant-bit count (64 encodes as 0) + the bits.
 //
-// Regular collection cadences make dod 0 almost always (1 bit/point) and
-// step-function values repeat or share exponents, which is what buys the
-// tier its compression. The encoder writes through a 64-bit accumulator
-// that goes out a word at a time; TestBlockEncoderMatchesReference holds
-// it byte for byte to the bit-at-a-time writer it replaced. The decoder
-// takes the expected point count from the (CRC-validated) index and
-// reads the stream through a left-aligned 64-bit accumulator refilled a
-// word at a time (zero-padded past the end), so fields cost a shift, not
-// a loop over bits. Instead of
-// bounds-checking each bit it compares the bits consumed with
+// A collector samples on a fixed cadence and stores only the samples
+// that changed, so every delta is a whole number of ticks: counted in
+// ticks, the dods of a change-only series are small and land in the
+// 9-bit bucket, where counted in nanoseconds they took 52 bits. No
+// timestamp costs more than one bit above the same buckets without a
+// unit, even with u == 1. Step-function values repeat or share
+// exponents, which buys the value half its compression.
+//
+// The encoder writes through a 64-bit accumulator that goes out a word
+// at a time; TestBlockEncoderMatchesReference holds it byte for byte to
+// a bit-at-a-time writer. The decoder takes the expected point count
+// from the (CRC-validated) index and reads the stream through a
+// left-aligned 64-bit accumulator refilled a word at a time (zero-padded
+// past the end), so fields cost a shift, not a loop over bits. Instead
+// of bounds-checking each bit it compares the bits consumed with
 // len(data)*8 before trusting what it read, and returns errors on
 // truncated or bit-flipped input — never panics, never allocates more
-// than maxBlockPoints points. A decode given a horizon stops after the
-// first point past it, before the trailing-data check, so only a decode
-// without one (noHorizon) vouches for the whole stream. FuzzBlockDecode
-// holds it to that, to prefix agreement between the two, and to
-// agreement with the bit-at-a-time reference decoder it replaced.
+// than maxBlockPoints points. A unit of 0, a unit or a delta·unit
+// product past 64 bits, and a running timestamp past the int64 range
+// are corruption: the decoder never wraps, so its timestamps ascend by
+// construction. A decode given a horizon stops after the first point
+// past it, before the trailing-data check, so only a decode without one
+// (noHorizon) vouches for the whole stream. FuzzBlockDecode holds it to
+// that, to prefix agreement between the two, and to agreement with a
+// bit-at-a-time reference decoder.
 
 import (
 	"bufio"
@@ -92,7 +107,7 @@ import (
 const (
 	blockFileMagic = "SLBLOCKS"
 	blockIdxMagic  = "SLBLKIDX"
-	blockFileVer   = 1
+	blockFileVer   = 2
 	blockHeaderLen = len(blockFileMagic) + 2
 	blockFooterLen = 8 + 4 + 4 + len(blockIdxMagic)
 	blockIdxEntLen = 8 + 4 + 4 + 8 + 8 + 4
@@ -101,8 +116,8 @@ const (
 	// count must not trigger a huge allocation.
 	maxBlockPoints = 1 << 16
 	// maxBlockBytes bounds one block's encoded length. The worst case per
-	// point is 68 timestamp bits + 77 value bits ≈ 19 bytes; 32 covers it
-	// with slack for the two raw leading values.
+	// point is 69 timestamp bits + 77 value bits ≈ 19 bytes; 32 covers it
+	// with slack for the two raw leading values and the time unit.
 	maxBlockBytes = maxBlockPoints*32 + 64
 	// maxBlockIndexBytes bounds the index section of one block file
 	// (64 MiB, about 1.8 M blocks), so a corrupt footer cannot ask for an
@@ -192,13 +207,94 @@ type encodedBlock struct {
 	maxAt int64
 }
 
+// pow10 holds 10^e for every e a time unit's field can mean; 10^19 is
+// the last power of ten below 2^64.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for e := 1; e < len(p); e++ {
+		p[e] = p[e-1] * 10
+	}
+	return p
+}()
+
+// unitDivider divides by a fixed unit without a divide instruction, for
+// dividends known to be multiples of it: a shift by the unit's factors
+// of two, then a multiply by the inverse of its odd part modulo 2^64.
+// The same inverse tests divisibility: an odd o divides x exactly when
+// x·inv mod 2^64 is at most (2^64-1)/o (Hacker's Delight, 10-16 and
+// 10-17).
+type unitDivider struct {
+	shift      uint
+	inv, limit uint64
+}
+
+func newUnitDivider(unit uint64) unitDivider {
+	shift := uint(bits.TrailingZeros64(unit))
+	odd := unit >> shift
+	// Newton's iteration: odd·odd ≡ 1 mod 8 holds 3 correct bits, and
+	// each step doubles them, past 64 in five.
+	inv := odd
+	for i := 0; i < 5; i++ {
+		inv *= 2 - odd*inv
+	}
+	return unitDivider{shift: shift, inv: inv, limit: math.MaxUint64 / odd}
+}
+
+// divides reports whether the unit divides x.
+func (u unitDivider) divides(x uint64) bool {
+	return uint(bits.TrailingZeros64(x)) >= u.shift && (x>>u.shift)*u.inv <= u.limit
+}
+
+// quo returns x / unit for x a multiple of the unit.
+func (u unitDivider) quo(x uint64) uint64 { return (x >> u.shift) * u.inv }
+
+// blockUnit returns the GCD of pts' timestamp deltas, or 1 when every
+// delta is 0 or pts holds one point, and its divider. It stops at the
+// first delta that brings the GCD to 1: no later delta can lower it.
+// Deltas the GCD already divides, nearly all of them, cost a multiply.
+func blockUnit(pts []sample) (uint64, unitDivider) {
+	g, div := uint64(0), newUnitDivider(1)
+	for i := 1; i < len(pts) && g != 1; i++ {
+		d := uint64(pts[i].ns - pts[i-1].ns)
+		if g != 0 && div.divides(d) {
+			continue
+		}
+		for d != 0 {
+			g, d = d, g%d
+		}
+		if g != 0 {
+			div = newUnitDivider(g)
+		}
+	}
+	return max(g, 1), div
+}
+
+// writeUnit writes a block's time unit: '0' for 1, else '1', the decimal
+// exponent e (5 bits), the bit length of the mantissa less one (6 bits)
+// and the mantissa, with unit = mantissa·10^e.
+func writeUnit(w *bitWriter, unit uint64) {
+	if unit == 1 {
+		w.writeBits(0, 1)
+		return
+	}
+	e := uint64(0)
+	for e < uint64(len(pow10)-1) && unit%10 == 0 {
+		unit /= 10
+		e++
+	}
+	n := uint(bits.Len64(unit))
+	w.writeBits(1<<11|e<<6|uint64(n-1), 12)
+	w.writeBits(unit, n)
+}
+
 // encodeBlock compresses pts (time-ordered, 1..maxBlockPoints of them)
 // into one block bitstream. A bucket prefix goes out with its payload in
 // one write wherever the two fit in 64 bits.
 func encodeBlock(pts []sample) encodedBlock {
-	w := bitWriter{data: make([]byte, 0, 24+len(pts)*8)}
-	var prevT, prevDelta int64
-	var prevBits uint64
+	w := bitWriter{data: make([]byte, 0, 24+len(pts)*4)}
+	unit, div := blockUnit(pts)
+	var prevT int64
+	var prevDelta, prevBits uint64
 	// prevLead == 0xff marks "no reusable window yet".
 	prevLead, prevSig := uint8(0xff), uint8(0)
 	for i, p := range pts {
@@ -207,23 +303,28 @@ func encodeBlock(pts []sample) encodedBlock {
 		if i == 0 {
 			w.writeBits(uint64(t), 64)
 			w.writeBits(v, 64)
-			prevT, prevDelta, prevBits = t, 0, v
+			if len(pts) > 1 {
+				writeUnit(&w, unit)
+			}
+			prevT, prevBits = t, v
 			continue
 		}
-		delta := t - prevT
-		dod := delta - prevDelta
+		delta := div.quo(uint64(t - prevT))
+		dod := int64(delta - prevDelta)
 		prevT, prevDelta = t, delta
 		switch z := zigzag(dod); {
 		case z == 0:
 			w.writeBits(0, 1)
+		case z < 1<<7:
+			w.writeBits(0b10<<7|z, 2+7)
 		case z < 1<<16:
-			w.writeBits(0b10<<16|z, 2+16)
+			w.writeBits(0b110<<16|z, 3+16)
 		case z < 1<<32:
-			w.writeBits(0b110<<32|z, 3+32)
+			w.writeBits(0b1110<<32|z, 4+32)
 		case z < 1<<48:
-			w.writeBits(0b1110<<48|z, 4+48)
+			w.writeBits(0b11110<<48|z, 5+48)
 		default:
-			w.writeBits(0b1111, 4)
+			w.writeBits(0b11111, 5)
 			w.writeBits(z, 64)
 		}
 		xor := v ^ prevBits
@@ -274,14 +375,26 @@ func encodeSeries(pts []sample, per int) []encodedBlock {
 // lies past it.
 const noHorizon int64 = math.MaxInt64
 
+// Errors decodeBlock reports for timestamps no encoder writes.
+var (
+	errBlockUnitZero     = errors.New("tsdb: block time unit 0 out of range")
+	errBlockUnitOverflow = errors.New("tsdb: block time unit overflows")
+	errBlockTimeOverflow = errors.New("tsdb: block timestamp overflows")
+)
+
+// dodWidths are the dod payload widths by the bucket prefix's count of
+// leading ones.
+var dodWidths = [6]uint{0, 7, 16, 32, 48, 64}
+
 // decodeBlock decompresses a block bitstream holding count points into
 // dst's storage when its capacity holds count points, or into a new
 // slice of exactly count. It is the trust boundary for on-disk block
-// bytes: any count outside [1, maxBlockPoints], truncation, or trailing
-// garbage is an error, and nothing larger than count points is ever
-// allocated. Reads may run into refillBits' zero padding; every check
-// that acts on decoded bits first confirms they lay within the stream,
-// so truncation always reports errBlockTruncated.
+// bytes: any count outside [1, maxBlockPoints], truncation, trailing
+// garbage, a time unit of 0 or past 64 bits, and a delta or timestamp
+// that would wrap are errors, and nothing larger than count points is
+// ever allocated. Reads may run into refillBits' zero padding; every
+// check that acts on decoded bits first confirms they lay within the
+// stream, so truncation always reports errBlockTruncated.
 //
 // Decoding stops after the first point whose timestamp is past horizon:
 // the result is then that prefix of the block, and the bits after it are
@@ -324,24 +437,52 @@ func decodeBlock(dst []sample, data []byte, count int, horizon int64) ([]sample,
 	if t > horizon {
 		return pts[:1:1], nil
 	}
-	var delta int64
+	unit := uint64(1)
+	if count > 1 && read(1) == 1 {
+		f := read(11)
+		e, n := f>>6, uint(f&0x3f)+1
+		var m uint64
+		if n > 57 {
+			m = read(n-32)<<32 | read(32)
+		} else {
+			m = read(n)
+		}
+		if overran() {
+			return nil, errBlockTruncated
+		}
+		if m == 0 {
+			return nil, errBlockUnitZero
+		}
+		if e >= uint64(len(pow10)) {
+			return nil, errBlockUnitOverflow
+		}
+		hi, lo := bits.Mul64(m, pow10[e])
+		if hi != 0 {
+			return nil, errBlockUnitOverflow
+		}
+		unit = lo
+	}
+	// delta counts the units from one timestamp to the next.
+	var delta uint64
 	// lead == 0xff marks "no value window defined yet".
 	lead, sig := uint(0xff), uint(0)
 	for i := 1; i < count; i++ {
-		// Timestamp: the bucket prefix '0'/'10'/'110'/'1110'/'1111' is its
-		// count of leading ones, capped at 4; payloads are 16 bits a one.
-		if nacc < 4 {
+		// Timestamp: the bucket prefix '0'/'10'/'110'/'1110'/'11110'/'11111'
+		// is its count of leading ones, capped at 5. A prefix and its
+		// payload come in one read but for the 64-bit bucket; '0' reads a
+		// zero-width payload.
+		if nacc < 5 {
 			acc, nacc, next = refillBits(data, acc, nacc, next)
 		}
-		ones := min(uint(bits.LeadingZeros64(^acc)), 4)
-		read(min(ones+1, 4))
-		switch ones {
-		case 0:
-		case 4:
-			delta += unzigzag(read(32)<<32 | read(32))
-		default:
-			delta += unzigzag(read(16 * ones))
+		var z uint64
+		if ones := min(uint(bits.LeadingZeros64(^acc)), 5); ones < 5 {
+			w := dodWidths[ones]
+			z = read(ones+1+w) & (1<<w - 1)
+		} else {
+			read(5)
+			z = read(32)<<32 | read(32)
 		}
+		delta += uint64(unzigzag(z))
 		// Value: XOR control bits, then a new 5+6-bit window or the old one.
 		if read(1) == 1 {
 			if read(1) == 1 {
@@ -373,10 +514,13 @@ func decodeBlock(dst []sample, data []byte, count int, horizon int64) ([]sample,
 		if overran() {
 			return nil, errBlockTruncated
 		}
-		prev := t
-		if t += delta; t < prev {
-			return nil, errors.New("tsdb: block timestamps out of order")
+		// The step in nanoseconds must fit 64 bits and the room left below
+		// MaxInt64, which itself fits a uint64 whatever t's sign.
+		hi, step := bits.Mul64(delta, unit)
+		if hi != 0 || step > math.MaxInt64-uint64(t) {
+			return nil, errBlockTimeOverflow
 		}
+		t += int64(step)
 		pts[i] = sample{ns: t, v: math.Float64frombits(vbits)}
 		if t > horizon {
 			return pts[: i+1 : i+1], nil

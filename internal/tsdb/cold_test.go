@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/simrand"
 )
 
 // sealKeys is a small key universe that gives each series enough depth
@@ -112,6 +113,49 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		if _, err := decodeBlock(nil, eb.data, len(pts)+64, noHorizon); err == nil {
 			t.Fatalf("%s: decode with inflated count succeeded", name)
 		}
+	}
+}
+
+// jitteredBlockPoints is archiveBlockPoints with up to a millisecond of
+// random jitter on each timestamp: a series whose block time unit is 1.
+func jitteredBlockPoints(seed uint64, n int) []sample {
+	pts := archiveBlockPoints(seed, n)
+	rng := simrand.New(seed).Stream("jitter")
+	for i := range pts {
+		pts[i].ns += int64(rng.Intn(1e6))
+	}
+	return pts
+}
+
+// TestBlockBytesPerStoredPoint pins what the block time unit buys and
+// costs, over 64 blocks of 512 points each:
+//   - archive-shaped change-only blocks (a 10-minute cadence, so a
+//     600 s unit) take at most 3.1 bytes a point; counted in
+//     nanoseconds, as block file version 1 did, they took 7.55;
+//   - jittered blocks (unit 1) take at most 1 bit a point more than
+//     version 1's 267 284 bytes, the widest bucket's extra prefix bit;
+//   - a one-point block is its two raw 64-bit fields and no unit.
+func TestBlockBytesPerStoredPoint(t *testing.T) {
+	measure := func(gen func(seed uint64, n int) []sample) (size, points int) {
+		for seed := uint64(1); seed <= 64; seed++ {
+			pts := gen(seed, 512)
+			size += len(encodeBlock(pts).data)
+			points += len(pts)
+		}
+		return size, points
+	}
+	size, points := measure(archiveBlockPoints)
+	if perPoint := float64(size) / float64(points); perPoint > 3.1 {
+		t.Errorf("archive-shaped blocks: %.3f B/point, want at most 3.1", perPoint)
+	}
+	const version1JitterBytes = 267284
+	size, points = measure(jitteredBlockPoints)
+	if limit := version1JitterBytes + points/8; size > limit {
+		t.Errorf("jittered blocks: %d bytes for %d points, want at most %d (version 1's %d plus a bit a point)",
+			size, points, limit, version1JitterBytes)
+	}
+	if n := len(encodeBlock([]sample{{ns: t0.UnixNano(), v: 1}}).data); n != 16 {
+		t.Errorf("one-point block: %d bytes, want 16", n)
 	}
 }
 

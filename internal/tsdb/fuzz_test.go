@@ -56,21 +56,22 @@ func FuzzParseSeriesKey(f *testing.F) {
 // checkpoint reference). Accepted manifests must re-marshal into
 // something the parser accepts again.
 func FuzzManifestDecode(f *testing.F) {
-	v6, _ := json.Marshal(manifest{
+	cur, _ := json.Marshal(manifest{
 		Version: manifestVersion, WALSeq: 7, Checkpoint: checkpointName(4), CheckpointSeq: 4,
 		Blocks: []uint64{1, 3}, BlockSeq: 3,
 	})
-	f.Add(v6)
+	f.Add(cur)
 	f.Add([]byte(`{"version":5,"walSeq":1}`))                        // per-point WAL records: must be rejected
 	f.Add([]byte(`{"version":4,"epoch":1,"segments":2,"walSeq":1}`)) // per-shard chains: must be rejected
 	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`))
-	f.Add([]byte(`{"version":6,"walSeq":1,"segments":1000000000000}`))
+	f.Add([]byte(`{"version":7,"walSeq":1,"segments":1000000000000}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))
-	f.Add([]byte(`{"version":6,"walSeq":1,"checkpoint":"../escape"}`))
+	f.Add([]byte(`{"version":7,"walSeq":1,"checkpoint":"../escape"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"version":6,"walSeq":0}`))
-	f.Add([]byte(`{"version":6,"walSeq":2,"epoch":1}`))
+	f.Add([]byte(`{"version":7,"walSeq":0}`))
+	f.Add([]byte(`{"version":7,"walSeq":2,"epoch":1}`))
+	f.Add([]byte(`{"version":6,"walSeq":1}`)) // unit-free block files: must be rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
@@ -168,9 +169,21 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// decodeBlockRef is the bit-at-a-time block decoder decodeBlock
-// replaced, kept as the differential oracle: every input must make both
-// error with the same message, or both return identical samples.
+// refUnit computes m·10^e for decodeBlockRef by repeated
+// multiplication, reporting whether it fits 64 bits.
+func refUnit(m, e uint64) (uint64, bool) {
+	for ; e > 0; e-- {
+		if m > math.MaxUint64/10 {
+			return 0, false
+		}
+		m *= 10
+	}
+	return m, true
+}
+
+// decodeBlockRef is a bit-at-a-time block decoder, kept as the
+// differential oracle: every input must make it and decodeBlock error
+// with the same message, or both return identical samples.
 func decodeBlockRef(data []byte, count int) ([]sample, error) {
 	if count < 1 || count > maxBlockPoints {
 		return nil, fmt.Errorf("tsdb: block point count %d out of range", count)
@@ -180,7 +193,8 @@ func decodeBlockRef(data []byte, count int) ([]sample, error) {
 	}
 	r := bitReader{data: data}
 	pts := make([]sample, 0, count)
-	var prevT, prevDelta int64
+	var prevT int64
+	var delta, unit uint64
 	var prevBits uint64
 	prevLead, prevSig := uint8(0xff), uint8(0)
 	for i := 0; i < count; i++ {
@@ -195,36 +209,61 @@ func decodeBlockRef(data []byte, count int) ([]sample, error) {
 			}
 			prevT, prevBits = int64(t), v
 			pts = append(pts, sample{ns: prevT, v: math.Float64frombits(v)})
-			continue
-		}
-		// Timestamp: read the dod bucket prefix.
-		var dod int64
-		bit, err := r.readBit()
-		if err != nil {
-			return nil, err
-		}
-		if bit {
-			n := uint(16)
-			for _, wider := range []uint{32, 48, 64} {
-				more, err := r.readBit()
-				if err != nil {
-					return nil, err
-				}
-				if !more {
-					break
-				}
-				n = wider
+			if count == 1 {
+				break
 			}
-			z, err := r.readBits(n)
+			// The time unit: '0' for 1, else '1' | 5-bit e | 6-bit n-1 |
+			// n-bit mantissa.
+			unit = 1
+			wide, err := r.readBit()
 			if err != nil {
 				return nil, err
 			}
-			dod = unzigzag(z)
+			if wide {
+				e, err := r.readBits(5)
+				if err != nil {
+					return nil, err
+				}
+				n, err := r.readBits(6)
+				if err != nil {
+					return nil, err
+				}
+				m, err := r.readBits(uint(n) + 1)
+				if err != nil {
+					return nil, err
+				}
+				if m == 0 {
+					return nil, errors.New("tsdb: block time unit 0 out of range")
+				}
+				u, ok := refUnit(m, e)
+				if !ok {
+					return nil, errors.New("tsdb: block time unit overflows")
+				}
+				unit = u
+			}
+			continue
 		}
-		prevDelta += dod
-		prevT += prevDelta
+		// Timestamp: the dod bucket prefix is up to five ones.
+		ones := 0
+		for ones < 5 {
+			bit, err := r.readBit()
+			if err != nil {
+				return nil, err
+			}
+			if !bit {
+				break
+			}
+			ones++
+		}
+		if ones > 0 {
+			z, err := r.readBits([]uint{7, 16, 32, 48, 64}[ones-1])
+			if err != nil {
+				return nil, err
+			}
+			delta += uint64(unzigzag(z))
+		}
 		// Value: XOR control bits.
-		bit, err = r.readBit()
+		bit, err := r.readBit()
 		if err != nil {
 			return nil, err
 		}
@@ -259,10 +298,17 @@ func decodeBlockRef(data []byte, count int) ([]sample, error) {
 			}
 			prevBits ^= mbits << (64 - prevLead - prevSig)
 		}
-		pts = append(pts, sample{ns: prevT, v: math.Float64frombits(prevBits)})
-		if pts[i].ns < pts[i-1].ns {
-			return nil, errors.New("tsdb: block timestamps out of order")
+		// The step is delta units; shifting by 2^63 maps int64 order onto
+		// uint64 order, so the sum overflows exactly when it carries.
+		if delta > math.MaxUint64/unit {
+			return nil, errors.New("tsdb: block timestamp overflows")
 		}
+		sum, carry := bits.Add64(uint64(prevT)^1<<63, delta*unit, 0)
+		if carry != 0 {
+			return nil, errors.New("tsdb: block timestamp overflows")
+		}
+		prevT = int64(sum ^ 1<<63)
+		pts = append(pts, sample{ns: prevT, v: math.Float64frombits(prevBits)})
 	}
 	// Trailing data beyond the final byte's bit padding means the index's
 	// count disagrees with the stream — corruption either way.
@@ -297,9 +343,9 @@ func checkDecodersAgree(t testing.TB, data []byte, count int) []sample {
 	return got
 }
 
-// bitWriterRef is the bit-at-a-time writer encodeBlock used before its
-// 64-bit accumulator, and encodeBlockRef is encodeBlock over it, both as
-// they were: the oracle that holds the encoder to byte-identical output.
+// bitWriterRef is a bit-at-a-time writer, and encodeBlockRef is
+// encodeBlock over it with a plain GCD: the oracle that holds the
+// encoder to byte-identical output.
 type bitWriterRef struct {
 	data []byte
 	// free is how many low bits of the last byte are still unset (0 when
@@ -342,8 +388,19 @@ func (w *bitWriterRef) writeBits(v uint64, n uint) {
 
 func encodeBlockRef(pts []sample) []byte {
 	var w bitWriterRef
-	var prevT, prevDelta int64
-	var prevBits uint64
+	var unit uint64
+	for i := 1; i < len(pts); i++ {
+		a, b := unit, uint64(pts[i].ns-pts[i-1].ns)
+		for b != 0 {
+			a, b = b, a%b
+		}
+		unit = a
+	}
+	if unit == 0 {
+		unit = 1
+	}
+	var prevT int64
+	var prevDelta, prevBits uint64
 	prevLead, prevSig := uint8(0xff), uint8(0)
 	for i, p := range pts {
 		t := p.ns
@@ -351,26 +408,44 @@ func encodeBlockRef(pts []sample) []byte {
 		if i == 0 {
 			w.writeBits(uint64(t), 64)
 			w.writeBits(v, 64)
-			prevT, prevDelta, prevBits = t, 0, v
+			if len(pts) > 1 {
+				if unit == 1 {
+					w.writeBit(false)
+				} else {
+					m, e := unit, uint64(0)
+					for e < 19 && m%10 == 0 {
+						m, e = m/10, e+1
+					}
+					n := uint(bits.Len64(m))
+					w.writeBit(true)
+					w.writeBits(e, 5)
+					w.writeBits(uint64(n-1), 6)
+					w.writeBits(m, n)
+				}
+			}
+			prevT, prevBits = t, v
 			continue
 		}
-		delta := t - prevT
-		dod := delta - prevDelta
+		delta := uint64(t-prevT) / unit
+		dod := int64(delta - prevDelta)
 		prevT, prevDelta = t, delta
 		switch z := zigzag(dod); {
 		case z == 0:
 			w.writeBit(false)
-		case z < 1<<16:
+		case z < 1<<7:
 			w.writeBits(0b10, 2)
+			w.writeBits(z, 7)
+		case z < 1<<16:
+			w.writeBits(0b110, 3)
 			w.writeBits(z, 16)
 		case z < 1<<32:
-			w.writeBits(0b110, 3)
+			w.writeBits(0b1110, 4)
 			w.writeBits(z, 32)
 		case z < 1<<48:
-			w.writeBits(0b1110, 4)
+			w.writeBits(0b11110, 5)
 			w.writeBits(z, 48)
 		default:
-			w.writeBits(0b1111, 4)
+			w.writeBits(0b11111, 5)
 			w.writeBits(z, 64)
 		}
 		xor := v ^ prevBits
@@ -437,13 +512,24 @@ func TestBlockEncoderMatchesReference(t *testing.T) {
 		checkEncoderMatchesRef(t, archiveBlockPoints(seed, 1+int(seed)*13))
 	}
 	steps := []int64{0, 1, 1 << 20, 1 << 40, 1 << 55}
+	// Half the trials step in whole units: a collector's cadences, odd
+	// and power-of-two units, and a large one.
+	units := []int64{7, 1 << 30, 1e9, 600e9, 3 << 50}
 	for trial := 0; trial < 2000; trial++ {
 		pts := make([]sample, 1+rng.Intn(300))
 		ns, step := int64(rng.Uint64()>>2), int64(60e9)
+		unit := int64(0)
+		if trial%2 == 0 {
+			unit = units[rng.Intn(len(units))]
+			ns = int64(rng.Uint64() >> 8)
+		}
 		v := math.Float64bits(float64(rng.Intn(10)))
 		for i := range pts {
 			pts[i] = sample{ns: ns, v: math.Float64frombits(v)}
-			if rng.Intn(8) == 0 {
+			switch {
+			case unit != 0:
+				step = unit * int64(rng.Intn(8))
+			case rng.Intn(8) == 0:
 				step = int64(rng.Uint64() % uint64(steps[rng.Intn(len(steps))]+1))
 			}
 			ns += step
@@ -459,15 +545,46 @@ func TestBlockEncoderMatchesReference(t *testing.T) {
 	}
 }
 
+// TestUnitDivider holds the divide-free quotient and divisibility test
+// to / and % for units of every shape and dividends on and off their
+// multiples.
+func TestUnitDivider(t *testing.T) {
+	rng := simrand.New(12).Stream("divider")
+	units := []uint64{1, 2, 3, 7, 10, 1 << 40, 1e9, 600e9, 3 << 50, math.MaxUint64, math.MaxUint64 - 1, 1 << 63}
+	for i := 0; i < 64; i++ {
+		units = append(units, rng.Uint64()>>uint(rng.Intn(64))|1<<uint(rng.Intn(3)))
+	}
+	for _, u := range units {
+		div := newUnitDivider(u)
+		for i := 0; i < 2000; i++ {
+			q := rng.Uint64() >> uint(rng.Intn(65))
+			if i%2 == 0 && u > 1 {
+				q %= math.MaxUint64/u + 1 // no wrap: x stays a true multiple
+			}
+			x := q * u
+			if i%3 == 0 {
+				x += rng.Uint64() % u
+			}
+			if got, want := div.divides(x), x%u == 0; got != want {
+				t.Fatalf("unit %d: divides(%d) = %v, want %v", u, x, got, want)
+			}
+			if x%u == 0 && div.quo(x) != x/u {
+				t.Fatalf("unit %d: quo(%d) = %d, want %d", u, x, div.quo(x), x/u)
+			}
+		}
+	}
+}
+
 // FuzzBlockDecode feeds hostile compressed blocks — truncated,
 // bit-flipped, or arbitrary bytes, with an adversarial point count — to
 // the block decoder that cold reads trust. Corrupt input must return an
 // error: never panic, never over-allocate, never decode out-of-order
-// timestamps. Input that does decode must survive a full re-encode /
-// re-decode round trip bit-exactly at the point level. (The bitstream
-// itself is not canonical: a hostile encoder may pick a wider dod bucket
-// than needed, which decodes fine but re-encodes narrower.) Every input
-// is also decoded by decodeBlockRef, and the two must agree.
+// or wrapped timestamps. Input that does decode must survive a full
+// re-encode / re-decode round trip bit-exactly at the point level. (The
+// bitstream itself is not canonical: a hostile encoder may pick a wider
+// dod bucket or a smaller time unit than needed, which decodes fine but
+// re-encodes narrower.) Every input is also decoded by decodeBlockRef,
+// and the two must agree.
 //
 // The fuzzed horizon drives a window decode of the same input beside
 // the full one. On any input it must not panic or allocate beyond the
@@ -496,6 +613,17 @@ func FuzzBlockDecode(f *testing.F) {
 	// Trailing data a window decode stops short of: only the full decode
 	// may reject it.
 	f.Add(append(fuzzBlockSeed(16, time.Minute, func(i int) float64 { return float64(i % 2) }), 0xA5, 0x5A), 16, mid)
+	// Time units: all-equal timestamps (unit 1), a 10-minute cadence
+	// (unit 600 s), unit 1 from one nanosecond of jitter, and the hostile
+	// units and steps decodeBlock must refuse rather than wrap.
+	f.Add(fuzzBlockSeed(6, 0, func(i int) float64 { return float64(i) }), 6, noHorizon)
+	f.Add(fuzzBlockSeed(32, 10*time.Minute, func(i int) float64 { return float64(i % 3) }), 32, mid)
+	jitter := fuzzBlockPoints(32, 10*time.Minute, func(i int) float64 { return float64(i % 3) })
+	jitter[7].ns++
+	f.Add(encodeBlock(jitter).data, 32, mid)
+	for _, c := range hostileUnitBlocks() {
+		f.Add(c.data, c.count, noHorizon)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, count int, horizon int64) {
 		pts := checkDecodersAgree(t, data, count)
@@ -548,8 +676,10 @@ func FuzzBlockDecode(f *testing.F) {
 }
 
 // decodeShapeCases are the blocks the decoder table tests and seeds the
-// fuzzer with: archive-shaped blocks, one block per dod bucket width, a
-// 64-significant-bit value window that is then reused, and one point.
+// fuzzer with: archive-shaped blocks, dod jumps in a unit of their own
+// and in unit 1 (between them every dod bucket width), all-equal
+// timestamps, steps wider than int64, a 64-significant-bit value window
+// that is then reused, and one point.
 func decodeShapeCases() []struct {
 	name string
 	pts  []sample
@@ -562,10 +692,14 @@ func decodeShapeCases() []struct {
 	for seed := uint64(1); seed <= 3; seed++ {
 		out = append(out, shape{fmt.Sprintf("archive-%d", seed), archiveBlockPoints(seed, 512)})
 	}
-	// Each dod bucket: after a 1-minute cadence, one jump whose dod
-	// zigzags into the bucket, then the cadence again (a second dod of
-	// the same size back).
-	for _, jump := range []time.Duration{10 * time.Microsecond, time.Second, time.Hour, 200 * 24 * time.Hour} {
+	// Dod jumps: after a 1-minute cadence, one jump, then the cadence
+	// again (a second dod of the same size back). Each block's unit is
+	// the GCD of a minute and the jump: for the first four a divisor of
+	// the jump; for the last four, prime to a minute, 1, so their dods
+	// reach every bucket counted in nanoseconds (the first delta, a
+	// minute, lands in the 48-bit one).
+	for _, jump := range []time.Duration{10 * time.Microsecond, time.Second, time.Hour, 200 * 24 * time.Hour,
+		7, 1001, 1000001, 200*24*time.Hour + 1} {
 		pts := make([]sample, 8)
 		at := t0
 		for i := range pts {
@@ -577,6 +711,18 @@ func decodeShapeCases() []struct {
 		}
 		out = append(out, shape{fmt.Sprintf("dod-jump-%v", jump), pts})
 	}
+	equal := make([]sample, 6)
+	for i := range equal {
+		equal[i] = sample{ns: t0.UnixNano(), v: float64(i)}
+	}
+	out = append(out, shape{"all-equal", equal})
+	// Steps past MaxInt64: the store's range spans 584 years, an int64
+	// 292.
+	lo, hi := minInstant.UnixNano(), maxInstant.UnixNano()
+	out = append(out, shape{"span", []sample{{ns: lo, v: 1}, {ns: hi, v: 2}}})
+	out = append(out, shape{"span-unit-1", []sample{{ns: lo, v: 1}, {ns: lo + 1, v: 2}, {ns: hi, v: 3}}})
+	// A unit of 10^19 ns, the widest exponent, and a step past MaxInt64.
+	out = append(out, shape{"unit-1e19", []sample{{ns: lo, v: 1}, {ns: int64(uint64(lo) + 1e19), v: 2}}})
 	wide := []uint64{0, 0x8000000000000001, 0x0000000000000001, 0x8000000000000000, 0x8000000000000001}
 	pts := make([]sample, len(wide))
 	for i, b := range wide {
@@ -606,17 +752,94 @@ func TestBlockDecodeTruncationPrefixes(t *testing.T) {
 				t.Fatalf("%s: point %d = %v, want %v", c.name, i, got[i], p)
 			}
 		}
-		for i := 2; i < len(c.pts); i++ {
-			dod := (c.pts[i].ns - c.pts[i-1].ns) - (c.pts[i-1].ns - c.pts[i-2].ns)
-			if z := zigzag(dod); z != 0 {
-				buckets[uint(bits.Len64(z)+15)/16*16] = true
+		unit, _ := blockUnit(c.pts)
+		var prev uint64
+		for i := 1; i < len(c.pts); i++ {
+			d := uint64(c.pts[i].ns-c.pts[i-1].ns) / unit
+			if z := zigzag(int64(d - prev)); z != 0 {
+				for _, w := range dodWidths[1:] {
+					if z < 1<<w || w == 64 {
+						buckets[w] = true
+						break
+					}
+				}
 			}
+			prev = d
 		}
 	}
-	for _, w := range []uint{16, 32, 48, 64} {
+	for _, w := range dodWidths[1:] {
 		if !buckets[w] {
 			t.Errorf("no case exercises the %d-bit dod bucket", w)
 		}
+	}
+}
+
+// hostileBlock is a hand-written block stream and its point count.
+type hostileBlock struct {
+	name  string
+	data  []byte
+	count int
+	want  error
+}
+
+// hostileUnitBlocks are streams no encoder writes, whose time unit or
+// steps decodeBlock must refuse as corruption: each starts with point 0
+// at t (value 0), then the unit field, then one or two points whose
+// values repeat.
+func hostileUnitBlocks() []hostileBlock {
+	block := func(t int64, unit func(w *bitWriter), dods ...uint64) []byte {
+		var w bitWriter
+		w.writeBits(uint64(t), 64)
+		w.writeBits(0, 64)
+		unit(&w)
+		for _, z := range dods {
+			w.writeBits(0b11111, 5)
+			w.writeBits(z, 64)
+			w.writeBits(0, 1) // value repeats
+		}
+		return w.bytes()
+	}
+	// wide writes a unit field m·10^e with an n-bit mantissa.
+	wide := func(e, n, m uint64) func(w *bitWriter) {
+		return func(w *bitWriter) {
+			w.writeBits(1<<11|e<<6|(n-1), 12)
+			w.writeBits(m, uint(n))
+		}
+	}
+	one := func(w *bitWriter) { w.writeBits(0, 1) }
+	base := t0.UnixNano()
+	return []hostileBlock{
+		{"unit-zero", block(base, wide(0, 1, 0), zigzag(1)), 2, errBlockUnitZero},
+		{"unit-past-64-bits", block(base, wide(19, 64, math.MaxUint64), zigzag(1)), 2, errBlockUnitOverflow},
+		{"unit-exponent-past-19", block(base, wide(20, 1, 1), zigzag(1)), 2, errBlockUnitOverflow},
+		// 10^19 units of 2: the product needs 65 bits.
+		{"delta-times-unit", block(base, wide(19, 1, 1), zigzag(2)), 2, errBlockTimeOverflow},
+		// A step that fits 64 bits but carries t past MaxInt64.
+		{"running-timestamp", block(math.MaxInt64-5, one, zigzag(10)), 2, errBlockTimeOverflow},
+		// A "negative" delta is 2^64-3 units: wrapped, it would read as
+		// t-3; refused, it cannot pass as a timestamp that ascends.
+		{"negative-delta", block(base, one, zigzag(-3)), 2, errBlockTimeOverflow},
+		// The second step overflows although the first fits.
+		{"second-step", block(math.MaxInt64-30, one, zigzag(10), zigzag(20)), 3, errBlockTimeOverflow},
+	}
+}
+
+// TestBlockDecodeRefusesWraps decodes hostileUnitBlocks with both
+// decoders, whole and through every horizon up to the point that
+// overflows: each must fail with its own error, never return a
+// timestamp that wrapped.
+func TestBlockDecodeRefusesWraps(t *testing.T) {
+	for _, c := range hostileUnitBlocks() {
+		t.Run(c.name, func(t *testing.T) {
+			checkDecodersAgree(t, c.data, c.count)
+			if _, err := decodeBlock(nil, c.data, c.count, noHorizon); !errors.Is(err, c.want) {
+				t.Fatalf("decode = %v, want %v", err, c.want)
+			}
+			// A window that ends at point 0 never reads the unit.
+			if got, err := decodeBlock(nil, c.data, c.count, math.MinInt64); err != nil || len(got) != 1 {
+				t.Fatalf("window decode through point 0 = (%d points, %v)", len(got), err)
+			}
+		})
 	}
 }
 

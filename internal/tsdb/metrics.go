@@ -60,6 +60,8 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) float64 { return float64(db.WALBytesSinceCheckpoint()) })
 	counter("spotlake_store_replayed_wal_bytes", "WAL record bytes the last open replayed beyond its checkpoint.",
 		func(db *DB) uint64 { return db.ReplayedWALBytes() })
+	counter("spotlake_store_wal_bytes_written_total", "Bytes this store wrote to WAL segments: records and segment headers.",
+		func(db *DB) uint64 { return db.walWritten.Value() })
 	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed; each failed its read with ErrColdRead (HTTP 500 cold_read_failed), never a partial result.",
 		func(db *DB) uint64 { return db.ColdReadErrors() })
 	gauge("spotlake_store_durable", "1 when the store is backed by a data directory, 0 when memory-only.",
@@ -80,6 +82,9 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 			}
 			return obs.NewHistogram(checkpointBuckets).Snapshot()
 		})
+
+	counter("spotlake_checkpoint_bytes_written_total", "Bytes of the checkpoint and block files that committed checkpoints wrote.",
+		func(db *DB) uint64 { return db.cpWritten.Value() })
 
 	counter("spotlake_maintenance_checkpoints_total", "Checkpoints committed by the store's maintainer (daemon ticks and append-path forces; manual checkpoints not counted).",
 		func(db *DB) uint64 { return db.maintCP.Value() })

@@ -345,6 +345,12 @@ type DB struct {
 	// tail that checkpointing (time- or size-triggered) bounds.
 	replayedBytes obs.Counter
 
+	// walWritten counts the bytes this store wrote to WAL segments:
+	// records and segment headers. cpWritten counts the bytes of the
+	// checkpoint and block files that committed checkpoints wrote.
+	walWritten obs.Counter
+	cpWritten  obs.Counter
+
 	// Maintenance state (see maintain.go). cpAfterBytes is the byte
 	// trigger's threshold, fixed at open. The channels belong to the
 	// daemon goroutine.
@@ -730,6 +736,7 @@ func (db *DB) writeLog(ents []walEntry) error {
 		return fmt.Errorf("tsdb: wal write: %w", err)
 	}
 	db.cpBytesTotal.Add(uint64(len(db.walBuf)))
+	db.walWritten.Add(uint64(len(db.walBuf)))
 	return nil
 }
 

@@ -92,9 +92,11 @@ package tsdb
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 6
-// (version 5 wrote one WAL record per point, each carrying its series'
-// key, under segment magic "SLWALSG4"; version 4 kept one segment chain
+// A directory this build cannot read — a MANIFEST whose version is not 7
+// (version 6 wrote block file version 1, whose timestamps count
+// nanoseconds without a block time unit; version 5 wrote one WAL record
+// per point, each carrying its series' key, under segment magic
+// "SLWALSG4"; version 4 kept one segment chain
 // per shard, under a layout epoch; version 3 located the checkpoint cut
 // by per-shard logical offsets into live segments; version 2 wrote
 // checkpoints as raw 16-byte points, "SLTSDBSN") or that carries a field
@@ -140,7 +142,7 @@ import (
 
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 6
+	manifestVersion = 7
 
 	// Segment header: magic | u64 seq.
 	rotSegMagic     = "SLWALSG5"
@@ -766,6 +768,7 @@ func (db *DB) openActiveSegment(c logChain) error {
 		if f, err = createRotSegmentFile(path, c.seq); err != nil {
 			return err
 		}
+		db.walWritten.Add(uint64(rotSegHeaderLen))
 	} else {
 		f, err = os.OpenFile(path, os.O_RDWR, 0o644)
 		if err != nil {
@@ -826,6 +829,7 @@ func (db *DB) createGeneration(gen uint64) (*os.File, error) {
 	path := filepath.Join(db.dir, rotSegName(gen))
 	f, err := createRotSegmentFile(path, gen)
 	if err == nil {
+		db.walWritten.Add(uint64(rotSegHeaderLen))
 		// The file is durable, its directory entry not yet.
 		err = db.failpoint("rotate:create:before-sync")
 		if err == nil {
@@ -995,11 +999,29 @@ func readCheckpoint(r io.ReaderAt, size int64) ([]snapshotSeries, error) {
 }
 
 // writeCheckpointFile writes recs as a checkpoint to name inside the data
-// directory (temp file, fsync, rename, directory fsync).
-func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) error {
-	return atomicWriteFile(filepath.Join(db.dir, name), func(w io.Writer) error {
-		return writeCheckpoint(w, recs)
+// directory (temp file, fsync, rename, directory fsync) and returns the
+// file's size.
+func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) (int64, error) {
+	var size int64
+	err := atomicWriteFile(filepath.Join(db.dir, name), func(w io.Writer) error {
+		cw := &countingWriter{w: w}
+		err := writeCheckpoint(cw, recs)
+		size = cw.n
+		return err
 	}, db.cpHook("checkpoint:snapshot"))
+	return size, err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // removeStaleFiles deletes files the committed layout does not own:
@@ -1172,7 +1194,7 @@ func (db *DB) checkpointLocked() error {
 		m.BlockSeq = newSeg.seq
 	}
 	m.Checkpoint = checkpointName(m.CheckpointSeq)
-	err = db.writeCheckpointFile(m.Checkpoint, recs)
+	cpSize, err := db.writeCheckpointFile(m.Checkpoint, recs)
 	if err == nil {
 		err = writeManifest(db.dir, m, db.cpHook("checkpoint:manifest"))
 	}
@@ -1185,6 +1207,10 @@ func (db *DB) checkpointLocked() error {
 	old := db.man
 	db.man = m
 	db.setSealed()
+	db.cpWritten.Add(uint64(cpSize))
+	if newSeg != nil {
+		db.cpWritten.Add(uint64(newSeg.size))
+	}
 	// The manifest committed: attach the sealed blocks, as the file's own
 	// index describes them, and drop the sealed prefixes from memory. Each
 	// series swaps under its shard lock; a reader between two swaps sees

@@ -6,6 +6,7 @@ package tsdb
 // protocol lives in rotation_test.go).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -132,6 +133,19 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.Value))
 		v5Seg = append(binary.LittleEndian.AppendUint32(v5Seg, crc32.ChecksumIEEE(body)), body...)
 	}
+	// A block file stamped version 1, the version stores of MANIFEST
+	// version 6 wrote their checkpoints and sealed blocks in. Its one
+	// block's bytes are filler: the manifest is refused before any
+	// block file is read, and the file's version would refuse it too.
+	var v1File bytes.Buffer
+	if err := writeBlockFileTo(&v1File, []blockSealEntry{{canon: "sps|m5.large|us-east-1|us-east-1a", blocks: []encodedBlock{{data: make([]byte, 17), count: 2, minAt: 1, maxAt: 2}}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	v1BlockFile := v1File.Bytes()
+	v1BlockFile[len(blockFileMagic)] = 1
+	if _, err := readBlockIndex(bytes.NewReader(v1BlockFile), int64(len(v1BlockFile))); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("a version-1 block file read as %v, want refused by its version", err)
+	}
 	// A version-4 segment header: magic | u32 shard index 0 | u32 shard
 	// count 1 | u64 epoch 1 | u64 seq 1.
 	v4Seg := append([]byte("SLWALSG3"), 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
@@ -213,12 +227,29 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 5",
 		},
 		{
-			name: "manifest version 7",
+			// Version 6 wrote block file version 1: timestamps in
+			// nanoseconds, no block time unit. Its WAL segments are this
+			// build's.
+			name: "manifest version 6",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":7,"walSeq":1}`),
+				manifestName:             []byte(`{"version":6,"walSeq":2,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","blocks":[1],"blockSeq":1}`),
+				"wal-000002.log":         append(encodeRotHeader(2), walBytes...),
+				"wal-000001.log":         []byte("covered segment a reaping pass would delete"),
+				"checkpoint-000001.snap": v1BlockFile,
+				"blocks-000001.blk":      v1BlockFile,
+				"blocks-000002.blk":      []byte("orphan block file a reaping pass would delete"),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
+			},
+			want: "manifest version 6",
+		},
+		{
+			name: "manifest version 8",
+			files: map[string][]byte{
+				manifestName:     []byte(`{"version":8,"walSeq":1}`),
 				"wal-000001.log": encodeRotHeader(1),
 			},
-			want: "manifest version 7",
+			want: "manifest version 8",
 		},
 		{
 			name: "nested rollup store",
@@ -234,7 +265,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming a rollup snapshot",
 			files: map[string][]byte{
-				manifestName:         []byte(`{"version":6,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
+				manifestName:         []byte(`{"version":7,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
 				"wal-000001.log":     encodeRotHeader(1),
 				"rollup-000004.snap": []byte("SLROLLUP"),
 				"MANIFEST.tmp":       []byte("temp file a reaping pass would delete"),
@@ -244,7 +275,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming retention cuts",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":6,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
+				manifestName:     []byte(`{"version":7,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
 				"wal-000001.log": encodeRotHeader(1),
 				"MANIFEST.tmp":   []byte("temp file a reaping pass would delete"),
 			},
@@ -252,17 +283,28 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		},
 	}
 	for _, lay := range layouts {
+		// A follower asks these two before it serves or installs a
+		// directory; both must refuse every layout an open refuses.
+		if raw, ok := lay.files[manifestName]; ok {
+			if err := ValidateReplicatedManifest(raw); err == nil {
+				t.Errorf("%s: ValidateReplicatedManifest accepted the manifest", lay.name)
+			}
+		}
+		t.Run(lay.name+"/HasCommittedManifest", func(t *testing.T) {
+			dir := t.TempDir()
+			writeFiles(t, dir, lay.files)
+			before := dirState(t, dir)
+			if HasCommittedManifest(dir) {
+				t.Error("HasCommittedManifest reports a layout this build cannot open as servable")
+			}
+			if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("HasCommittedManifest changed the directory:\n before %v\n after  %v", before, after)
+			}
+		})
 		for _, readOnly := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/readOnly=%v", lay.name, readOnly), func(t *testing.T) {
 				dir := t.TempDir()
-				for name, raw := range lay.files {
-					if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
+				writeFiles(t, dir, lay.files)
 				before := dirState(t, dir)
 				db, err := OpenWithOptions(dir, Options{Shards: 2, ReadOnly: readOnly, MaintenanceInterval: -1})
 				if err == nil {
@@ -277,6 +319,19 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 					t.Errorf("refused open changed the directory:\n before %v\n after  %v", before, after)
 				}
 			})
+		}
+	}
+}
+
+// writeFiles writes each file, creating its directory, under dir.
+func writeFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, raw := range files {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -728,6 +783,104 @@ func TestCheckpointMetrics(t *testing.T) {
 	}
 	defer re.Close()
 	check(re, 0)
+}
+
+// TestBytesWrittenCounters holds spotlake_store_wal_bytes_written_total
+// and spotlake_checkpoint_bytes_written_total to the files on disk: the
+// WAL counter is the size of every segment the store created, the
+// checkpoint counter the checkpoint and block files of every committed
+// checkpoint, a crashed checkpoint's files not counted; a reopened store
+// starts from zero.
+func TestBytesWrittenCounters(t *testing.T) {
+	dir := t.TempDir()
+	read := func(db *DB) (wal, cp float64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		RegisterMetrics(reg, func() *DB { return db })
+		for _, s := range reg.Samples() {
+			switch s.Name {
+			case "spotlake_store_wal_bytes_written_total":
+				wal = s.Value
+			case "spotlake_checkpoint_bytes_written_total":
+				cp = s.Value
+			}
+		}
+		return wal, cp
+	}
+	size := func(name string) float64 {
+		t.Helper()
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(st.Size())
+	}
+	// walSizes sums the segments on disk.
+	walSizes := func() float64 {
+		t.Helper()
+		var n float64
+		for seq := uint64(1); seq < 100; seq++ {
+			if _, err := os.Stat(filepath.Join(dir, rotSegName(seq))); err == nil {
+				n += size(rotSegName(seq))
+			}
+		}
+		return n
+	}
+	check := func(db *DB, wantWAL, wantCP float64) {
+		t.Helper()
+		if wal, cp := read(db); wal != wantWAL || cp != wantCP {
+			t.Fatalf("bytes written: WAL %v, checkpoint %v; files on disk say %v and %v", wal, cp, wantWAL, wantCP)
+		}
+	}
+	db, err := OpenWithOptions(dir, rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(db, float64(rotSegHeaderLen), 0)
+	var covered, cp float64 // WAL bytes in unlinked segments; checkpoint bytes
+	for round := 0; round < 3; round++ {
+		if _, err := db.AppendBatch(rollupEntries(900, 300*round)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check(db, covered+walSizes(), cp)
+		if round == 1 {
+			// A checkpoint that crashes before its manifest commits wrote
+			// files that do not count; its new segment does.
+			db.testCrash = func(p string) error {
+				if p == "checkpoint:manifest:before-sync" {
+					return errCrashPoint
+				}
+				return nil
+			}
+			if err := db.Checkpoint(); !errors.Is(err, errCrashPoint) {
+				t.Fatalf("checkpoint returned %v, want injected crash", err)
+			}
+			db.testCrash = nil
+			check(db, covered+walSizes(), cp)
+		}
+		covered += walSizes() // the checkpoint unlinks every segment but its new one
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		blocks := db.man.Blocks
+		if len(blocks) != round+1 {
+			t.Fatalf("round %d: %d block files, want a seal every checkpoint", round, len(blocks))
+		}
+		cp += size(db.man.Checkpoint) + size(blockFileName(blocks[len(blocks)-1]))
+		check(db, covered+walSizes(), cp)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenWithOptions(dir, rollupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, 0, 0)
 }
 
 // TestWALBytesPerStoredPoint reports the WAL bytes a stored point costs at
