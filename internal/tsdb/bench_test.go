@@ -486,10 +486,11 @@ func archiveBlockPoints(seed uint64, n int) []sample {
 	return pts
 }
 
-// BenchmarkDecodeBlock measures the cold-decode stage alone: decodeBlock
-// over 64 distinct archive-shaped 512-point blocks per op, the work as
-// many block-cache misses pay. Reported alongside ns/op: ns per decoded
-// point and encoded bytes per point.
+// BenchmarkDecodeBlock measures the decode stage alone: decodeBlock over
+// 64 distinct archive-shaped 512-point blocks per op, the work as many
+// block decodes pay, into one reused buffer as a read's window decodes
+// go. Reported alongside ns/op: ns per decoded point and encoded bytes
+// per point.
 func BenchmarkDecodeBlock(b *testing.B) {
 	blocks := make([]encodedBlock, 64)
 	var points, size int
@@ -498,11 +499,12 @@ func BenchmarkDecodeBlock(b *testing.B) {
 		points += int(blocks[i].count)
 		size += len(blocks[i].data)
 	}
+	buf := make([]sample, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, eb := range blocks {
-			if _, err := decodeBlock(nil, eb.data, int(eb.count), noHorizon); err != nil {
+			if _, err := decodeBlock(buf, eb.data, int(eb.count), noHorizon); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -598,13 +600,80 @@ func BenchmarkColdQuery(b *testing.B) {
 	}
 }
 
+// collectorFill appends ticks 10-minute ticks of seriesN change-only
+// series through AppendBatchIfChanged, the collector's shape: series j
+// changes value every 4 ticks, out of step with its neighbours, so about
+// a quarter of the offered entries are stored. It returns the keys and
+// the last tick's time.
+func collectorFill(b *testing.B, db *DB, seriesN, ticks int) ([]SeriesKey, time.Time) {
+	b.Helper()
+	keys := make([]SeriesKey, seriesN)
+	for i := range keys {
+		keys[i] = SeriesKey{Dataset: "sps", Type: fmt.Sprintf("t%d", i), Region: "us-east-1", AZ: "us-east-1a"}
+	}
+	batch := make([]Entry, seriesN)
+	var at time.Time
+	for t := 0; t < ticks; t++ {
+		at = t0.Add(time.Duration(t) * 10 * time.Minute)
+		for j, k := range keys {
+			batch[j] = Entry{Key: k, At: at, Value: float64(((t + j) / 4) % 5)}
+		}
+		if _, err := db.AppendBatchIfChanged(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return keys, at
+}
+
+// BenchmarkHotWindowRead measures the decode tax on recent windows: a
+// 7-day window ending at the newest tick, over 1600 collector-shaped
+// series of 30 days, rotating through the series. raw reads the store
+// before its first checkpoint, where every window point is a raw sample
+// (as every unsealed point was before checkpoints kept their blocks in
+// memory); encoded reads it after one, where the window lies in the
+// checkpoint's blocks held in memory and each read decodes its series'
+// block through the window's end. decoded/op is the points each read
+// decoded.
+func BenchmarkHotWindowRead(b *testing.B) {
+	const seriesN, ticks = 1600, 30 * 144
+	for _, checkpointed := range []bool{false, true} {
+		name := "raw"
+		if checkpointed {
+			name = "encoded"
+		}
+		b.Run(name, func(b *testing.B) {
+			db, err := OpenWithOptions(b.TempDir(), Options{Shards: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			keys, end := collectorFill(b, db, seriesN, ticks)
+			if checkpointed {
+				if err := db.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			from := end.Add(-7 * 24 * time.Hour)
+			decoded0 := db.bcache.decoded.Value()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pts := noerr(db.Query(keys[i%seriesN], from, end)); len(pts) == 0 {
+					b.Fatal("empty window")
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(db.bcache.decoded.Value()-decoded0)/float64(b.N), "decoded/op")
+		})
+	}
+}
+
 // BenchmarkResidentHeap measures the steady-state heap of a recovered
-// archive under the two storage layouts: every point resident (16 B
-// hot-tail samples) versus sealed history (compressed blocks on disk, only the
-// hot tail and block index resident), reported as heapB/point; the
-// target is a >= 4x drop for the cold-dominated layout. The build
-// runs inside the timed region on purpose: the expensive setup keeps the
-// calibration loop at a handful of iterations.
+// archive under the two storage layouts, reported as heapB/point:
+// all-hot keeps every point unsealed (the checkpoint's blocks, held in
+// memory), cold-sealed seals history into block files on disk, leaving
+// the unsealed tail and the block index resident. The build runs inside
+// the timed region on purpose: the expensive setup keeps the calibration
+// loop at a handful of iterations.
 func BenchmarkResidentHeap(b *testing.B) {
 	const seriesN, perSeries = 40, 8192
 	for _, cfg := range []struct {

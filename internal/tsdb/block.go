@@ -4,8 +4,8 @@ package tsdb
 // points at rest.
 //
 // A checkpoint seals history older than each series' hot tail into an
-// immutable block file, so resident memory is bounded by hot tail + block
-// cache instead of total history. Sealed points live on disk
+// immutable block file, so resident memory is bounded by the unsealed
+// points + block cache instead of total history. Sealed points live on disk
 // Gorilla-style compressed — delta-of-delta timestamps and XOR-encoded
 // float values in one interleaved bitstream per fixed-size block — and
 // are decoded on demand, one block at a time: a read whose window ends
@@ -14,9 +14,11 @@ package tsdb
 // store's LRU block cache (blockcache.go).
 //
 // The checkpoint file (checkpoint-<seq>.snap, see wal.go) is the same
-// format: each series' hot tail as blocks of up to maxBlockPoints points,
-// which an open decodes whole and validates before anything enters a
-// shard. So one point codec serves everything at rest but the WAL.
+// format: each series' unsealed points as blocks of up to maxBlockPoints
+// points, which an open decodes whole and validates before anything
+// enters a shard. The open then keeps the file's data section in memory
+// as those points' blocks, and reads decode them like any block, so one
+// point codec serves everything at rest but the WAL and the raw tail.
 //
 // # File format (blocks-<seq>.blk, checkpoint-<seq>.snap)
 //
@@ -602,11 +604,17 @@ func writeBlockFileTo(w io.Writer, entries []blockSealEntry, mid func() error) e
 // trailing-data check that ties the stream to the index's point count.
 // Only such a block may be decoded to a window's end (see
 // coldBlockPoints); a fresh process starts with every bit clear.
+//
+// A segment with no file (f nil) is the data section of the committed
+// checkpoint, held in memory as data: the unsealed points' blocks. Those
+// bytes were decoded in full when an open loaded them, or came from the
+// encoder, so a read decodes them to any window's end.
 type coldSegment struct {
 	seq     uint64
 	f       *os.File
 	size    int64
 	decoded []atomic.Uint64
+	data    []byte
 }
 
 // newColdSegment wraps block file seq, open as f, whose index is entries.
@@ -634,11 +642,12 @@ func (s *coldSegment) markDecoded(ord uint32) {
 	}
 }
 
-// blockMeta locates one sealed block of a series: where its bytes live,
-// what they decode to, and where the block starts in the series' global
-// point index (cold points first, then the hot tail). minAt and maxAt
-// are unix nanoseconds, as the index stores them; ord is the block's
-// position in its file's index.
+// blockMeta locates one block of a series: where its bytes live, what
+// they decode to, and where the block starts in the series' global point
+// index (block points first, then the raw tail). minAt and maxAt are unix
+// nanoseconds, as the index stores them; ord is the block's position in
+// its file's index. A block held in memory (seg.f nil) is off..off+length
+// of seg.data; crc and ord serve file blocks only.
 type blockMeta struct {
 	seg    *coldSegment
 	off    uint64
@@ -651,13 +660,14 @@ type blockMeta struct {
 	start  int
 }
 
-// coldSeries is a series' sealed history: its block list in time order,
-// the total cold point count, and the last cold timestamp in unix
-// nanoseconds (the out-of-order guard when the hot tail is empty).
-type coldSeries struct {
-	blocks []blockMeta
-	n      int
-	lastAt int64
+// blocksN returns how many points blocks hold: the global index just past
+// the last of them.
+func blocksN(blocks []blockMeta) int {
+	if len(blocks) == 0 {
+		return 0
+	}
+	b := &blocks[len(blocks)-1]
+	return b.start + int(b.count)
 }
 
 // blockIndexEntry is one series' decoded index entry from a block file.
@@ -795,9 +805,7 @@ func readBlockIndex(f io.ReaderAt, size int64) ([]blockIndexEntry, error) {
 var blockReadBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // readBlockData reads one block's bytes from its file r, whole, and
-// decodes them through horizon into dst (see decodeBlock), verifying the
-// index's CRC first so a bit flip in the data section is reported as
-// corruption rather than decoded into garbage points.
+// decodes them through horizon into dst (see checkedDecode).
 func readBlockData(r io.ReaderAt, b *blockMeta, dst []sample, horizon int64) ([]sample, error) {
 	bp := blockReadBufs.Get().(*[]byte)
 	defer blockReadBufs.Put(bp)
@@ -808,8 +816,19 @@ func readBlockData(r io.ReaderAt, b *blockMeta, dst []sample, horizon int64) ([]
 	if _, err := r.ReadAt(buf, int64(b.off)); err != nil {
 		return nil, fmt.Errorf("tsdb: block read: %w", err)
 	}
+	return checkedDecode(buf, b, dst, horizon)
+}
+
+// checkedDecode decodes block b's bytes, buf, through horizon into dst
+// (see decodeBlock), verifying the index's CRC first so a bit flip in the
+// data section is reported as corruption rather than decoded into
+// garbage points.
+func checkedDecode(buf []byte, b *blockMeta, dst []sample, horizon int64) ([]sample, error) {
 	if crc32.ChecksumIEEE(buf) != b.crc {
 		return nil, errors.New("tsdb: block CRC mismatch")
 	}
 	return decodeBlock(dst, buf, int(b.count), horizon)
 }
+
+// memBytes returns the encoded bytes of a block held in memory.
+func (b *blockMeta) memBytes() []byte { return b.seg.data[b.off : b.off+uint64(b.length)] }

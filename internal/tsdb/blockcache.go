@@ -58,9 +58,10 @@ type blockCache struct {
 	hits      obs.Counter
 	misses    obs.Counter
 	evictions obs.Counter
-	// The cold-decode stage: each miss observes its block's read, CRC
-	// check and decode once — a full decode or a window's prefix — and
-	// counts the points it decoded.
+	// The decode stage: each miss observes its block's read, CRC check
+	// and decode once — a full decode or a window's prefix — as does each
+	// read's decode of a block held in memory, and counts the points it
+	// decoded.
 	decodeTime *obs.Histogram
 	decoded    obs.Counter
 }
@@ -145,6 +146,18 @@ type coldRead struct {
 // only as long as the read that decoded it.
 var windowBufs = sync.Pool{New: func() any { return new([]sample) }}
 
+// window returns the read's pooled window-decode storage, with room for
+// count points.
+func (r *coldRead) window(count uint32) []sample {
+	if r.buf == nil {
+		r.buf = windowBufs.Get().(*[]sample)
+	}
+	if cap(*r.buf) < int(count) {
+		*r.buf = make([]sample, count)
+	}
+	return *r.buf
+}
+
 // release returns the read's window-decode storage to the pool.
 func (r *coldRead) release() {
 	if r.buf != nil {
@@ -156,6 +169,11 @@ func (r *coldRead) release() {
 // coldBlockPoints returns block b's decoded points for read r: from r's
 // memo, else the cache, else the block file. The returned slice is shared
 // and must not be mutated, nor used past r's next fetch or release.
+//
+// A block held in memory (one of the checkpoint's unsealed blocks)
+// decodes through r's horizon into r's window storage and bypasses the
+// cache: its bytes are resident already, and a decoded copy would cost
+// five times their memory.
 //
 // A miss reads the whole block and checks its CRC. When r's window ends
 // inside the block (r.horizon < maxAt) and this process has decoded the
@@ -172,6 +190,16 @@ func (db *DB) coldBlockPoints(b *blockMeta, r *coldRead) ([]sample, error) {
 	if r.b == b {
 		return r.pts, nil
 	}
+	if b.seg.f == nil {
+		start := time.Now()
+		pts, err := decodeBlock(r.window(b.count), b.memBytes(), int(b.count), r.horizon)
+		if err != nil {
+			return nil, err
+		}
+		db.observeDecode(start, len(pts))
+		r.b, r.pts = b, pts
+		return pts, nil
+	}
 	key := blockCacheKey{seq: b.seg.seq, off: b.off}
 	pts, ok := db.bcache.get(key)
 	if !ok {
@@ -179,21 +207,14 @@ func (db *DB) coldBlockPoints(b *blockMeta, r *coldRead) ([]sample, error) {
 		var dst []sample
 		horizon := noHorizon
 		if window {
-			if r.buf == nil {
-				r.buf = windowBufs.Get().(*[]sample)
-			}
-			if cap(*r.buf) < int(b.count) {
-				*r.buf = make([]sample, b.count)
-			}
-			dst, horizon = *r.buf, r.horizon
+			dst, horizon = r.window(b.count), r.horizon
 		}
 		start := time.Now()
 		var err error
 		if pts, err = readBlockData(b.seg.f, b, dst, horizon); err != nil {
 			return nil, err
 		}
-		db.bcache.decodeTime.Observe(time.Since(start))
-		db.bcache.decoded.Add(uint64(len(pts)))
+		db.observeDecode(start, len(pts))
 		if !window {
 			b.seg.markDecoded(b.ord)
 			db.bcache.put(key, pts)
@@ -201,4 +222,11 @@ func (db *DB) coldBlockPoints(b *blockMeta, r *coldRead) ([]sample, error) {
 	}
 	r.b, r.pts = b, pts
 	return pts, nil
+}
+
+// observeDecode records one read's block decode that began at start and
+// decoded n points.
+func (db *DB) observeDecode(start time.Time, n int) {
+	db.bcache.decodeTime.Observe(time.Since(start))
+	db.bcache.decoded.Add(uint64(n))
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -47,20 +50,47 @@ func sameContents(t *testing.T, a, b *DB) {
 	}
 }
 
-// capture collects every series' hot points, sorted by canonical key, as
-// a checkpoint would write them, without cutting the log.
+// snapshotSeries is one series' unsealed points as a checkpoint file
+// holds them. canon caches the key's canonical form, which orders the
+// series in the file.
+type snapshotSeries struct {
+	key    SeriesKey
+	canon  string
+	points []sample
+}
+
+// capture collects every series' unsealed points, sorted by canonical
+// key, as a checkpoint would write them, without cutting the log.
 func (db *DB) capture() []snapshotSeries {
 	var recs []snapshotSeries
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		sh.each(func(s *series) {
-			recs = append(recs, snapshotSeries{key: s.key, points: s.points})
+			c := cutSeries{s: s, blocks: s.blocks[s.sealed:], raw: s.points}
+			pts, err := c.merge(nil)
+			if err != nil {
+				panic(err)
+			}
+			recs = append(recs, snapshotSeries{key: s.key, canon: s.key.String(), points: pts})
 		})
 		sh.mu.RUnlock()
 	}
-	sortSnapshot(recs)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].canon < recs[j].canon })
 	return recs
+}
+
+// writeCheckpoint writes recs, sorted by canonical key, to w as a
+// checkpoint file: each series' points as blocks of up to maxBlockPoints,
+// as Checkpoint encodes them. A series with no points has no entry.
+func writeCheckpoint(w io.Writer, recs []snapshotSeries) error {
+	var entries []blockSealEntry
+	for _, rec := range recs {
+		if len(rec.points) > 0 {
+			entries = append(entries, blockSealEntry{key: rec.key, canon: rec.canon, blocks: encodeSeries(rec.points, maxBlockPoints)})
+		}
+	}
+	return writeBlockFileTo(w, entries, nil)
 }
 
 // snapshotBytes writes the store's captured series as a checkpoint file.
@@ -73,9 +103,26 @@ func snapshotBytes(t testing.TB, db *DB) []byte {
 	return buf.Bytes()
 }
 
-// loadSnapshot reads a checkpoint file held in memory.
+// loadSnapshot reads a checkpoint file held in memory through
+// readCheckpoint, as an open does, and decodes its series' points.
 func loadSnapshot(raw []byte) ([]snapshotSeries, error) {
-	return readCheckpoint(bytes.NewReader(raw), int64(len(raw)))
+	_, loaded, err := readCheckpoint(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]snapshotSeries, len(loaded))
+	for i, l := range loaded {
+		c := cutSeries{s: &series{key: l.key}, blocks: l.blocks}
+		pts, err := c.merge(nil)
+		if err != nil {
+			return nil, err
+		}
+		if end := pts[len(pts)-1]; end.ns != l.last.ns || math.Float64bits(end.v) != math.Float64bits(l.last.v) {
+			panic(fmt.Sprintf("series %v: readCheckpoint's last point %v, but its blocks end at %v", l.key, l.last, end))
+		}
+		recs[i] = snapshotSeries{key: l.key, canon: l.key.String(), points: pts}
+	}
+	return recs, nil
 }
 
 // sameRecords asserts loaded records carry exactly the captured series:

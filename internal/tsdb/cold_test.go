@@ -863,10 +863,11 @@ func TestSealAccountingAndReap(t *testing.T) {
 	}
 }
 
-// TestBlockDecodeMetrics pins the cold-decode stage's exposition: every
+// TestBlockDecodeMetrics pins the decode stage's exposition: every
 // block-cache miss adds one spotlake_block_decode_seconds observation and
-// its block's points to spotlake_block_decoded_points_total, and hits add
-// nothing.
+// its block's points to spotlake_block_decoded_points_total, hits add
+// nothing, and a read of an unsealed block, which memory holds, adds one
+// observation and its points without touching the cache.
 func TestBlockDecodeMetrics(t *testing.T) {
 	db, err := OpenWithOptions(t.TempDir(), sealedOpts())
 	if err != nil {
@@ -893,10 +894,14 @@ func TestBlockDecodeMetrics(t *testing.T) {
 		return decodes, points
 	}
 	key := sealKeys()[0]
+	h, sh := db.locate(key)
+	s := sh.find(h, key)
+	sealedEnd := time.Unix(0, s.blocks[s.sealed-1].maxAt)
+	unsealed := blocksN(s.blocks) - blocksN(s.blocks[:s.sealed])
 	for round := 0; round < 2; round++ {
 		decodes0, points0 := scrape()
 		misses0 := db.bcache.misses.Value()
-		if _, err := db.Query(key, t0, t0.Add(24*time.Hour)); err != nil {
+		if _, err := db.Query(key, t0, sealedEnd); err != nil {
 			t.Fatal(err)
 		}
 		decodes, points := scrape()
@@ -912,12 +917,30 @@ func TestBlockDecodeMetrics(t *testing.T) {
 			t.Fatal("the first cold query missed no block")
 		}
 	}
+	if len(s.blocks) != s.sealed+1 || len(s.points) != 0 {
+		t.Fatalf("checkpoint left %d blocks (%d sealed) and %d raw points; want one unsealed block and no raw point",
+			len(s.blocks), s.sealed, len(s.points))
+	}
+	for round := 0; round < 2; round++ {
+		decodes0, points0 := scrape()
+		hits0, misses0 := db.bcache.hits.Value(), db.bcache.misses.Value()
+		if _, err := db.Query(key, sealedEnd.Add(time.Nanosecond), t0.Add(24*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		decodes, points := scrape()
+		if db.bcache.hits.Value() != hits0 || db.bcache.misses.Value() != misses0 {
+			t.Fatalf("round %d: a read of the unsealed tail went through the block cache", round)
+		}
+		if decodes-decodes0 != 1 || points-points0 != float64(unsealed) {
+			t.Fatalf("round %d: the unsealed block (%d points) read as %v decodes of %v points", round, unsealed, decodes-decodes0, points-points0)
+		}
+	}
 }
 
 // TestSealedAppendOrderingGuard pins the out-of-order check against a
-// fully sealed series: with the hot slice empty after recovery... the
-// guard must fall back to the last sealed timestamp rather than accept a
-// point that travels back in time behind the blocks.
+// series with sealed history: the guard reads the series' newest point,
+// whichever tier holds it, and must not accept a point that travels back
+// in time behind the blocks.
 func TestSealedAppendOrderingGuard(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()

@@ -11,7 +11,7 @@ func BindFlags(fs *flag.FlagSet) *Options {
 	o := &Options{}
 	fs.Int64Var(&o.CheckpointAfterBytes, "checkpoint-bytes", 64<<20, "checkpoint as soon as the WAL grows this many bytes past the last checkpoint (0 disables the size trigger)")
 	fs.DurationVar(&o.MaintenanceInterval, "maintenance-interval", DefaultMaintenanceInterval, "store maintenance daemon poll period (negative disables the daemon)")
-	fs.IntVar(&o.HotTailPoints, "hot-tail", 0, "per-series points kept hot (uncompressed) ahead of the sealed block tier; 0 = default, negative disables sealing")
+	fs.IntVar(&o.HotTailPoints, "hot-tail", 0, "per-series points a seal keeps unsealed, in memory, ahead of the sealed block tier; 0 = default, negative disables sealing")
 	fs.IntVar(&o.BlockPoints, "block-points", 0, "points per compressed cold block (0 = default)")
 	fs.Int64Var(&o.BlockCacheBytes, "block-cache-bytes", 0, "decoded cold-block LRU cache budget in bytes (0 = default, negative disables)")
 	return o

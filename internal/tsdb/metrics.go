@@ -46,8 +46,10 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) float64 { return float64(db.SeriesCount()) })
 	gauge("spotlake_store_points", "Total points resident or sealed in the store.",
 		func(db *DB) float64 { return float64(db.PointCount()) })
-	gauge("spotlake_store_hot_points", "Points resident in the in-memory hot tier.",
+	gauge("spotlake_store_hot_points", "Unsealed points, held in memory: the last checkpoint's encoded blocks and the raw tails appended since.",
 		func(db *DB) float64 { return float64(db.HotPointCount()) })
+	gauge("spotlake_store_hot_bytes", "Memory the unsealed points hold: the raw tails' sample capacity at 16 B a sample, plus the checkpoint's encoded blocks.",
+		func(db *DB) float64 { return float64(db.hotBytes()) })
 	gauge("spotlake_store_cold_points", "Points sealed into compressed cold blocks.",
 		func(db *DB) float64 { return float64(db.ColdPointCount()) })
 	gauge("spotlake_store_sealed_blocks", "Sealed cold blocks on disk.",
@@ -70,7 +72,7 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) float64 { return float64(db.cpAfterBytes) })
 	gauge("spotlake_store_maintainer_active", "1 while the maintenance daemon runs; the append path enforces the trigger either way.",
 		func(db *DB) float64 { return boolGauge(db.MaintainerActive()) })
-	gauge("spotlake_store_hot_tail_points", "Per-series hot tail a seal keeps resident (-1 = sealing disabled).",
+	gauge("spotlake_store_hot_tail_points", "Per-series tail a seal keeps unsealed, in memory (-1 = sealing disabled).",
 		func(db *DB) float64 { return float64(db.hotTail) })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",
 		func(db *DB) uint64 { return db.scannedPoints() })
@@ -107,14 +109,14 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 	gauge("spotlake_blockcache_max_bytes", "Configured block cache bound (0 = disabled).",
 		func(db *DB) float64 { return float64(max(db.bcache.max, 0)) })
 
-	reg.HistogramFunc("spotlake_block_decode_seconds", "Time a block-cache miss spends reading and CRC-checking one cold block and decoding it, in full or through the read's window end.",
+	reg.HistogramFunc("spotlake_block_decode_seconds", "Time a read spends decoding one block, in full or through its window end: a block-cache miss reading and CRC-checking a cold block, or an unsealed block held in memory.",
 		func() obs.HistogramSnapshot {
 			if db := current(); db != nil {
 				return db.bcache.decodeTime.Snapshot()
 			}
 			return obs.NewHistogram(blockDecodeBuckets).Snapshot()
 		})
-	counter("spotlake_block_decoded_points_total", "Points decoded from cold blocks on block-cache misses: whole blocks, or a window's prefix.",
+	counter("spotlake_block_decoded_points_total", "Points reads decoded from blocks: cold blocks on block-cache misses, whole or a window's prefix, and unsealed blocks held in memory.",
 		func(db *DB) uint64 { return db.bcache.decoded.Value() })
 }
 

@@ -51,9 +51,9 @@
 // Options.CheckpointAfterBytes, and the same trigger is enforced
 // synchronously on the append path — no caller cooperation needed for
 // bounded replay tails, and with them bounded WAL disk use and bounded
-// hot-memory growth. The checkpoint file holds every series' hot
-// points in the compressed block file format of the cold tier (see
-// block.go and wal.go).
+// hot-memory growth. The checkpoint file holds every series' unsealed
+// points in the compressed block file format of the cold tier, and
+// memory keeps them as that file's bytes (see block.go and wal.go).
 package tsdb
 
 import (
@@ -130,9 +130,9 @@ type Point struct {
 	Value float64
 }
 
-// sample is a point at rest: unix nanoseconds and the value, 16 bytes
-// with no pointers, so the GC never scans a series' hot tail or a cached
-// decoded block. Every tier — the hot tail, the block cache, the block
+// sample is a decoded point: unix nanoseconds and the value, 16 bytes
+// with no pointers, so the GC never scans a series' raw tail or a cached
+// decoded block. Every tier — the raw tail, the block cache, the block
 // and checkpoint codecs, WAL replay and the rollup fold — holds samples;
 // a Point is built only where one leaves the package (point).
 type sample struct {
@@ -200,15 +200,21 @@ type series struct {
 	// has the same hash (see shard.find), nil almost always.
 	key  SeriesKey
 	next *series
-	// points is the in-memory tail of the series (all of it until the
-	// first seal). Sealed history lives compressed on disk behind cold.
+	// blocks holds the series' encoded points, oldest first: its sealed
+	// history, blocks[:sealed], whose bytes stay on disk and decode on
+	// demand through the store's block cache, then its unsealed points as
+	// the last checkpoint wrote them, whose bytes stay in memory (see
+	// coldSegment). points is the raw tail appended since that checkpoint:
+	// all of the series on a memory-only store. A point's global index is
+	// blocksN(blocks) + its offset in points; the read paths resolve the
+	// tiers through the shared search/fetch helpers below.
+	blocks []blockMeta
+	sealed int
 	points []sample
-	// cold is the series' sealed history, nil until a checkpoint seals
-	// one: block metadata only — the points themselves stay on disk and
-	// decode on demand through the store's block cache. A point's global
-	// index is cold.n + its offset in points; the read paths resolve the
-	// two tiers through the shared search/fetch helpers below.
-	cold *coldSeries
+	// last is the newest point, whichever tier holds it: Last, the dedup
+	// check and the out-of-order guard read it and never decode. Every
+	// series holds at least one point.
+	last sample
 	// walSeq and walID are the WAL segment the series was last defined
 	// in and the ID it has there (see writeLog). A series whose walSeq is
 	// not the active segment's defines itself again, under a new ID, at
@@ -397,10 +403,10 @@ func DefaultShardCount() int {
 	return s
 }
 
-// DefaultHotTailPoints is the per-series hot tail kept in memory when
+// DefaultHotTailPoints is the per-series tail a seal keeps unsealed when
 // Options leaves HotTailPoints zero. Checkpoint seals older points into
-// compressed blocks; the tail keeps recent-window queries, dedup checks,
-// and out-of-order validation entirely in memory.
+// compressed block files; the tail keeps recent-window reads off the
+// disk and the block cache, in memory as the checkpoint's own blocks.
 const DefaultHotTailPoints = 256
 
 // DefaultBlockPoints is the sealed block size (points per block) when
@@ -431,12 +437,12 @@ type Options struct {
 	// (the append-path enforcement still applies). The daemon only
 	// starts when the store is durable and CheckpointAfterBytes is set.
 	MaintenanceInterval time.Duration
-	// HotTailPoints is the per-series in-memory tail a checkpoint keeps
-	// when sealing history into compressed blocks: 0 selects
-	// DefaultHotTailPoints, negative disables sealing entirely (every
-	// point stays hot, the pre-block-tier behavior). The tail is never
-	// smaller than one point, so Last, dedup, and the out-of-order check
-	// stay in-memory for live series.
+	// HotTailPoints is the per-series tail a checkpoint keeps unsealed,
+	// in memory, when sealing history into compressed block files: 0
+	// selects DefaultHotTailPoints, negative disables sealing entirely
+	// (every point stays in memory, the pre-block-tier behavior). Last,
+	// dedup and the out-of-order check read each series' newest point,
+	// which it keeps whatever the tail's length.
 	HotTailPoints int
 	// BlockPoints is the sealed block size in points: 0 selects
 	// DefaultBlockPoints; values are clamped to [2, 65536].
@@ -545,7 +551,7 @@ func (db *DB) WALBytesSinceCheckpoint() uint64 {
 
 // ReplayedWALBytes returns how many WAL record bytes the Open that created
 // this store replayed beyond its checkpoint cut — the realized recovery
-// tail. Zero for memory-only stores and for opens that bulk-loaded a
+// tail. Zero for memory-only stores and for opens that loaded a
 // checkpoint covering everything.
 func (db *DB) ReplayedWALBytes() uint64 { return db.replayedBytes.Value() }
 
@@ -671,30 +677,26 @@ func (db *DB) appendLocked(sh *shard, s *series, h uint64, k SeriesKey, at time.
 	if db.readOnly {
 		return ents, errors.New("tsdb: read-only store rejects appends")
 	}
+	ns := at.UnixNano()
 	if s == nil {
 		if err := validKeyFields(k); err != nil {
 			return ents, err
 		}
 		s = sh.add(h, k)
+	} else if ns < s.last.ns {
+		return ents, fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, s.last.point().At)
 	}
-	ns := at.UnixNano()
-	if n := len(s.points); n > 0 {
-		if last := s.points[n-1]; ns < last.ns {
-			return ents, fmt.Errorf("tsdb: out-of-order append to %v: %v before %v", k, at, last.point().At)
-		}
-	} else if s.cold != nil && ns < s.cold.lastAt {
-		return ents, fmt.Errorf("tsdb: out-of-order append to %v: %v before sealed %v", k, at, time.Unix(0, s.cold.lastAt).UTC())
-	}
-	s.points = append(s.points, sample{ns: ns, v: v})
+	s.last = sample{ns: ns, v: v}
+	s.points = append(s.points, s.last)
 	if db.dir != "" {
 		ents = append(ents, walEntry{s: s, ns: ns, v: v})
 	}
 	return ents, nil
 }
 
-// countLocked adds n hot points stored into sh to its point counter, the
-// store's hot count and its generation. The caller holds sh's write lock
-// (or owns the store, during Open).
+// countLocked adds n unsealed points stored into sh to its point
+// counter, the store's hot count and its generation. The caller holds
+// sh's write lock (or owns the store, during Open).
 func (db *DB) countLocked(sh *shard, n int) {
 	sh.points += n
 	db.hotPts.Add(int64(n))
@@ -810,18 +812,9 @@ func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool,
 
 // unchangedLocked reports whether v equals the last value of s (nil for a
 // new series), the dedup check of the IfChanged appends; the caller holds
-// s's shard lock. A failed cold read of the last point (only reachable
-// when the hot tail is empty) degrades to "changed": storing a possibly
-// duplicate value beats refusing the append.
+// s's shard lock.
 func (db *DB) unchangedLocked(s *series, v float64) bool {
-	if s == nil {
-		return false
-	}
-	if n := len(s.points); n > 0 {
-		return s.points[n-1].v == v
-	}
-	p, ok, err := db.last(viewLocked(s))
-	return err == nil && ok && p.v == v
+	return s != nil && s.last.v == v
 }
 
 // AppendBatch stores the entries, grouping them by shard so each shard
@@ -964,38 +957,41 @@ func (db *DB) coldReadErr(err error) error {
 }
 
 // The tier-merging read primitives. A series' points form one logical
-// time-ordered sequence indexed 0..total-1: the sealed (cold) points
-// first, then the hot in-memory tail. Every read below — range and
-// cursor windows, step lookups, window means, grids, intervals, the
-// rollup fold — captures a seriesView under the owning shard's read
-// lock (view), releases it, and resolves its window through searchView
-// and iterateView alone, so hot and cold tiers can never disagree about
-// where a timestamp falls and no read decodes under a shard lock. The
-// one exception is append dedup's cold fallback (last under the write
-// lock), which live series never reach: seals keep a hot point.
+// time-ordered sequence indexed 0..total-1: the points in blocks first —
+// sealed ones on disk, then the checkpoint's unsealed ones in memory —
+// then the raw tail. Every read below — range and cursor windows, step
+// lookups, window means, grids, intervals, the rollup fold — captures a
+// seriesView under the owning shard's read lock (view), releases it, and
+// resolves its window through searchView and iterateView alone, so the
+// tiers can never disagree about where a timestamp falls and no read
+// decodes under a shard lock. Last and the append path read series.last
+// instead and never decode.
 //
-// Cold blocks decode on demand through the read's coldRead and the block
-// cache; a windowed read passes its horizon so a block its window ends
-// inside decodes only that far (coldBlockPoints). A block that fails to
-// decode is counted in ColdReadErrors and the error propagates to the
-// caller as ErrColdRead — never a silently truncated answer.
+// Blocks decode on demand through the read's coldRead — file blocks
+// through the block cache, blocks in memory straight from their bytes; a
+// windowed read passes its horizon so a block its window ends inside
+// decodes only that far (coldBlockPoints). A block that fails to decode
+// is counted in ColdReadErrors and the error propagates to the caller as
+// ErrColdRead — never a silently truncated answer.
 
-// seriesView is a stable read view of one series' two tiers, captured
-// under the owning shard's lock and safe to use after releasing it:
+// seriesView is a stable read view of one series' tiers, captured under
+// the owning shard's lock and safe to use after releasing it:
 //
-//   - blocks is a full-expression slice of the cold block list. Seals
-//     only ever append to that list in place, so the captured prefix is
-//     immutable. Block files themselves are immutable and their handles
-//     stay open until Close.
-//   - hot aliases the hot tail's backing array below the captured
-//     length. Appends write past that length and seals replace the
+//   - blocks is a full-expression slice of the series' block list. A
+//     checkpoint replaces that list with a fresh one and nothing writes
+//     into a list's published length, so the captured blocks are
+//     immutable. Block files are immutable and their handles stay open
+//     until Close; a block held in memory keeps its bytes alive for as
+//     long as a view names it.
+//   - hot aliases the raw tail's backing array below the captured
+//     length. Appends write past that length and checkpoints replace the
 //     slice with a fresh copy, so the captured window never mutates.
 //
 // An unknown series has the empty view, which every read answers as
 // "no points".
 type seriesView struct {
 	blocks []blockMeta
-	coldN  int
+	blockN int
 	hot    []sample
 }
 
@@ -1007,15 +1003,13 @@ func viewLocked(s *series) seriesView {
 		return v
 	}
 	v.hot = s.points
-	if s.cold != nil {
-		v.blocks = s.cold.blocks[:len(s.cold.blocks):len(s.cold.blocks)]
-		v.coldN = s.cold.n
-	}
+	v.blocks = s.blocks[:len(s.blocks):len(s.blocks)]
+	v.blockN = blocksN(v.blocks)
 	return v
 }
 
 // view captures k's view under its shard's read lock and releases it:
-// the critical section is one index probe and three slice-header copies.
+// the critical section is one index probe and two slice-header copies.
 // No defer — it is on every read's path.
 func (db *DB) view(k SeriesKey) seriesView {
 	h, sh := db.locate(k)
@@ -1025,11 +1019,11 @@ func (db *DB) view(k SeriesKey) seriesView {
 	return v
 }
 
-func (v seriesView) total() int { return v.coldN + len(v.hot) }
+func (v seriesView) total() int { return v.blockN + len(v.hot) }
 
 // iterateView streams the view's global index window [lo, hi) to fn in
-// consecutive chunks — one chunk per overlapping cold block, then the
-// hot remainder — decoding each block on demand for read r so at most
+// consecutive chunks — one chunk per overlapping block, then the raw
+// remainder — decoding each block on demand for read r so at most
 // one block's points are materialized beyond what fn retains; fn must
 // not keep a chunk past its call. hi must not lie past the first point
 // after r's horizon. An fn error aborts the walk; a block decode failure
@@ -1044,7 +1038,7 @@ func (db *DB) iterateView(v seriesView, r *coldRead, lo, hi int, fn func(pts []s
 	if lo >= hi {
 		return nil
 	}
-	if lo < v.coldN {
+	if lo < v.blockN {
 		bi := sort.Search(len(v.blocks), func(i int) bool {
 			return v.blocks[i].start+int(v.blocks[i].count) > lo
 		})
@@ -1067,13 +1061,13 @@ func (db *DB) iterateView(v seriesView, r *coldRead, lo, hi int, fn func(pts []s
 			}
 		}
 	}
-	if hi > v.coldN {
+	if hi > v.blockN {
 		from := 0
-		if lo > v.coldN {
-			from = lo - v.coldN
+		if lo > v.blockN {
+			from = lo - v.blockN
 		}
-		db.scanned.Add(uint64(hi - v.coldN - from))
-		if err := fn(v.hot[from : hi-v.coldN]); err != nil {
+		db.scanned.Add(uint64(hi - v.blockN - from))
+		if err := fn(v.hot[from : hi-v.blockN]); err != nil {
 			return err
 		}
 	}
@@ -1084,9 +1078,9 @@ func (db *DB) iterateView(v seriesView, r *coldRead, lo, hi int, fn func(pts []s
 // satisfies pred, or the total count when none does. pred must be
 // monotone in time (false then true), which both window predicates
 // (at or after from, after to) are, and true of the first point past
-// r's horizon. Cold blocks are located by their min/max timestamps
-// alone; a block is decoded, for read r, only when the boundary falls
-// strictly inside it.
+// r's horizon. Blocks are located by their min/max timestamps alone; a
+// block is decoded, for read r, only when the boundary falls strictly
+// inside it.
 func (db *DB) searchView(v seriesView, r *coldRead, pred func(ns int64) bool) (int, error) {
 	nb := len(v.blocks)
 	bi := sort.Search(nb, func(i int) bool { return pred(v.blocks[i].maxAt) })
@@ -1105,23 +1099,7 @@ func (db *DB) searchView(v seriesView, r *coldRead, pred func(ns int64) bool) (i
 		}
 		return b.start + i, nil
 	}
-	return v.coldN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].ns) }), nil
-}
-
-// last returns the view's most recent sample. For live series the hot
-// tail always holds at least one point (seals keep a non-empty tail);
-// the cold fallback, the point at coldN-1, covers a tier state only
-// reachable through recovery of a partially written layout.
-func (db *DB) last(v seriesView) (p sample, ok bool, err error) {
-	if n := len(v.hot); n > 0 {
-		return v.hot[n-1], true, nil
-	}
-	r := coldRead{horizon: noHorizon}
-	err = db.iterateView(v, &r, v.coldN-1, v.coldN, func(pts []sample) error {
-		p, ok = pts[0], true
-		return nil
-	})
-	return p, ok, err
+	return v.blockN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].ns) }), nil
 }
 
 // afterBounds returns the view's global index window [lo, hi) of the
@@ -1134,10 +1112,10 @@ func (db *DB) last(v seriesView) (p sample, ok bool, err error) {
 // equal-timestamp appends, so a bare timestamp cannot address a position
 // inside such a run — the sequence component is what lets a page
 // boundary fall there without dropping the run's remainder. Positions
-// resolve identically whether the addressed points are hot or have been
-// sealed into cold blocks — sealing never reorders or renumbers, so a
-// cursor taken before a seal resumes exactly where it left off after
-// one. The position (from, 0) is the plain window [from, to], so this is
+// resolve identically whether the addressed points are raw, encoded in
+// memory or sealed into cold blocks — checkpoints never reorder or
+// renumber, so a cursor taken before a seal resumes exactly where it left
+// off after one. The position (from, 0) is the plain window [from, to], so this is
 // also the single source of window semantics for range reads: a page's
 // count pass and copy pass agree exactly across both tiers, and a cold
 // read error fails both identically instead of letting them disagree
@@ -1173,8 +1151,8 @@ func (db *DB) afterBounds(v seriesView, r *coldRead, after int64, seq int, to in
 
 // CountAfter returns how many points of the series lie after the
 // position (after, seq) — see afterBounds — and at or before `to`,
-// without copying any of them: two binary searches over block metadata
-// and the hot tail. Cursor pagination uses it to size the remainder of
+// without copying any of them: binary searches over block metadata and
+// the raw tail, decoding at most the blocks the window's ends fall in. Cursor pagination uses it to size the remainder of
 // a series the cursor position has partially consumed.
 func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
 	var r coldRead
@@ -1193,10 +1171,15 @@ func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (i
 // new points arrive — the property that keeps cursor pagination stable
 // under live collection, where a skipped offset would drift.
 func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
-	v := db.view(k)
+	return db.queryAfter(db.view(k), unixNanos(after), seq, unixNanos(to), max)
+}
+
+// queryAfter is QueryAfter over a captured view, with its bounds in unix
+// nanoseconds.
+func (db *DB) queryAfter(v seriesView, after int64, seq int, to int64, max int) ([]Point, error) {
 	var r coldRead
 	defer r.release()
-	lo, hi, err := db.afterBounds(v, &r, unixNanos(after), seq, unixNanos(to))
+	lo, hi, err := db.afterBounds(v, &r, after, seq, to)
 	if max >= 0 && max < hi-lo {
 		hi = lo + max
 	}
@@ -1345,13 +1328,22 @@ func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
 	return out, nil
 }
 
-// Last returns the most recent point of the series.
+// Last returns the most recent point of the series. It reads the
+// series' last point under its shard's read lock and decodes nothing, so
+// its error is always nil.
 func (db *DB) Last(k SeriesKey) (Point, bool, error) {
-	p, ok, err := db.last(db.view(k))
-	if !ok {
-		return Point{}, ok, err
+	h, sh := db.locate(k)
+	sh.mu.RLock()
+	s := sh.find(h, k)
+	var p sample
+	if s != nil {
+		p = s.last
 	}
-	return p.point(), ok, err
+	sh.mu.RUnlock()
+	if s == nil {
+		return Point{}, false, nil
+	}
+	return p.point(), true, nil
 }
 
 // KeyFilter selects series keys; empty fields match anything.
@@ -1443,16 +1435,8 @@ func (db *DB) MaxTime() (time.Time, bool) {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		sh.each(func(s *series) {
-			var at int64
-			if n := len(s.points); n > 0 {
-				at = s.points[n-1].ns
-			} else if s.cold != nil && s.cold.n > 0 {
-				at = s.cold.lastAt // index metadata: no block decode needed
-			} else {
-				return
-			}
-			if !found || at > max {
-				max, found = at, true
+			if !found || s.last.ns > max {
+				max, found = s.last.ns, true
 			}
 		})
 		sh.mu.RUnlock()
@@ -1544,9 +1528,28 @@ func (db *DB) Close() error {
 	return firstErr
 }
 
-// HotPointCount returns how many points are resident in memory (the hot
-// tails of every series).
+// HotPointCount returns how many points are unsealed: held in memory, as
+// the last checkpoint's blocks or the raw tails appended since.
 func (db *DB) HotPointCount() int64 { return db.hotPts.Load() }
+
+// hotBytes returns the memory the unsealed points hold: the raw tails'
+// sample capacity, 16 bytes a sample, plus the encoded bytes of the
+// checkpoint's blocks. Shards are visited one at a time.
+func (db *DB) hotBytes() int64 {
+	var n int64
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.RLock()
+		sh.each(func(s *series) {
+			n += int64(cap(s.points)) * sampleBytes
+			for _, b := range s.blocks[s.sealed:] {
+				n += int64(b.length)
+			}
+		})
+		sh.mu.RUnlock()
+	}
+	return n
+}
 
 // ColdPointCount returns how many points have been sealed into
 // compressed blocks on disk.
@@ -1565,7 +1568,7 @@ func (db *DB) ColdCompressedBytes() int64 { return db.coldBytes.Load() }
 func (db *DB) ColdReadErrors() uint64 { return db.coldErrs.Value() }
 
 // scannedPoints returns how many points reads have materialized since
-// open: hot-tail copies and decoded cold-block windows, across every
+// open: raw-tail copies and decoded block windows, across every
 // read API. A rollup read counts the raw points it folds, not the
 // buckets it returns.
 func (db *DB) scannedPoints() uint64 { return db.scanned.Value() }

@@ -10,7 +10,7 @@ package tsdb
 //	                         generation: every append goes to the active
 //	                         (highest-seq) segment under the log lock
 //	checkpoint-000001.snap   the checkpoint snapshot the manifest references:
-//	                         every series' hot tail, in the block file
+//	                         every series' unsealed points, in the block file
 //	                         format (block.go); at most one is live
 //	blocks-000001.blk ...    immutable compressed block files (block.go):
 //	                         history a checkpoint sealed out of memory; the
@@ -50,8 +50,8 @@ package tsdb
 // written, file and directory fsynced) before it takes any lock. Then the
 // cut takes every shard lock in ascending order and the log lock, flushes
 // the log's buffer, swaps the log onto the new file and captures every
-// series' point slice: the swapped-out segments hold exactly the captured
-// points. They are fsynced after the locks are released; until then a
+// series' unsealed points: the swapped-out segments hold exactly the
+// captured raw points. They are fsynced after the locks are released; until then a
 // Flush fsyncs them too, so a point a Flush acknowledged in the new
 // segment never sits behind a torn old one.
 //
@@ -75,7 +75,7 @@ package tsdb
 //
 // # Recovery
 //
-// Open reads the manifest, bulk-loads the referenced checkpoint snapshot
+// Open reads the manifest, loads the referenced checkpoint snapshot
 // (if any), then replays the segments in one sequential pass, in
 // sequence order from the manifest's walSeq, applying each entry to the
 // shard this open places its series' key in. A missing sequence number, a
@@ -386,7 +386,10 @@ func (db *DB) openDurable() error {
 				return err
 			}
 		}
-		if c, err = db.replayLog(); err != nil || db.readOnly {
+		if c, err = db.replayLog(); err == nil {
+			err = db.lastSealed()
+		}
+		if err != nil || db.readOnly {
 			return err
 		}
 	} else {
@@ -427,12 +430,13 @@ func (db *DB) seriesLocked(sh *shard, h uint64, k SeriesKey) *series {
 	return s
 }
 
-// mergeSeries bulk-appends points to s, a series of sh, maintaining the
-// shard's point counter and the store's generation. The caller must own
-// sh.
-func (db *DB) mergeSeries(sh *shard, s *series, pts ...sample) {
-	s.points = append(s.points, pts...)
-	db.countLocked(sh, len(pts))
+// replaySample appends a replayed point to s, a series of sh, maintaining
+// its last point, the shard's point counter and the store's generation.
+// The caller must own sh.
+func (db *DB) replaySample(sh *shard, s *series, p sample) {
+	s.points = append(s.points, p)
+	s.last = p
+	db.countLocked(sh, 1)
 }
 
 // openBlocks opens every block file the manifest lists and attaches
@@ -470,7 +474,7 @@ func (db *DB) openBlocks(man manifest) error {
 		for _, ent := range entries {
 			h, sh := db.locate(ent.key)
 			s := db.seriesLocked(sh, h, ent.key)
-			if s.cold != nil && s.cold.n > 0 && ent.blocks[0].minAt < s.cold.lastAt {
+			if n := len(s.blocks); n > 0 && ent.blocks[0].minAt < s.blocks[n-1].maxAt {
 				// Later files must continue where earlier ones ended; the
 				// seal protocol never commits an overlap.
 				return fail(fmt.Errorf("tsdb: %s: blocks of %v overlap an earlier file", name, ent.key))
@@ -481,30 +485,30 @@ func (db *DB) openBlocks(man manifest) error {
 	return nil
 }
 
-// attachBlocks appends one series' blocks, as read from block file seg's
-// index, to its cold tier — global start indices, the last cold
-// timestamp, the store's cold counters — and returns how many points
-// they hold. It is the one place blocks enter a series, at open and at
-// seal alike; the caller owns s (Open, single-threaded) or holds its
-// shard's write lock.
+// attachBlocks appends one series' blocks, as read from seg's index, to
+// its block list with their global start indices, and returns how many
+// points they hold. The blocks of a block file are sealed history and
+// count toward the store's cold counters; those of the checkpoint held in
+// memory come after every sealed block. It is the one place blocks enter
+// a series, at open and at checkpoint alike; the caller owns s (Open,
+// single-threaded) or holds its shard's write lock.
 func (db *DB) attachBlocks(s *series, seg *coldSegment, blocks []blockMeta) int {
-	if s.cold == nil {
-		s.cold = &coldSeries{}
-	}
+	n := blocksN(s.blocks)
 	total := 0
 	var bytes int64
 	for _, b := range blocks {
 		b.seg = seg
-		b.start = s.cold.n
-		s.cold.blocks = append(s.cold.blocks, b)
-		s.cold.n += int(b.count)
+		b.start = n + total
+		s.blocks = append(s.blocks, b)
 		total += int(b.count)
 		bytes += int64(b.length)
 	}
-	s.cold.lastAt = blocks[len(blocks)-1].maxAt
-	db.coldPts.Add(int64(total))
-	db.sealedBlks.Add(int64(len(blocks)))
-	db.coldBytes.Add(bytes)
+	if seg.f != nil {
+		s.sealed = len(s.blocks)
+		db.coldPts.Add(int64(total))
+		db.sealedBlks.Add(int64(len(blocks)))
+		db.coldBytes.Add(bytes)
+	}
 	return total
 }
 
@@ -648,18 +652,23 @@ func replayRecords(br *bufio.Reader, size int64, apply func(e *recEntry)) (valid
 	}
 }
 
-// loadCheckpointFile bulk-loads the named checkpoint snapshot into the
-// store. The checkpoint is the only copy of the truncated history:
-// refusing to open without it beats silently serving a partial archive.
+// loadCheckpointFile loads the named checkpoint snapshot into the store:
+// its data section stays in memory, and each series' blocks in it follow
+// the series' sealed ones. The checkpoint is the only copy of the
+// truncated history: refusing to open without it beats silently serving
+// a partial archive.
 func (db *DB) loadCheckpointFile(name string) error {
 	f, err := os.Open(filepath.Join(db.dir, name))
 	if err != nil {
 		return fmt.Errorf("tsdb: opening checkpoint: %w", err)
 	}
-	var recs []snapshotSeries
+	var (
+		seg  *coldSegment
+		recs []checkpointSeries
+	)
 	st, err := f.Stat()
 	if err == nil {
-		recs, err = readCheckpoint(f, st.Size())
+		seg, recs, err = readCheckpoint(f, st.Size())
 	}
 	f.Close()
 	if err != nil {
@@ -667,9 +676,36 @@ func (db *DB) loadCheckpointFile(name string) error {
 	}
 	for _, rec := range recs {
 		h, sh := db.locate(rec.key)
-		db.mergeSeries(sh, db.seriesLocked(sh, h, rec.key), rec.points...)
+		s := db.seriesLocked(sh, h, rec.key)
+		db.countLocked(sh, db.attachBlocks(s, seg, rec.blocks))
+		s.last = rec.last
 	}
 	return nil
+}
+
+// lastSealed sets the last point of every series whose points are all
+// sealed, from its newest sealed block: no checkpoint or WAL entry named
+// the series, so nothing else did. A seal always leaves at least one point
+// unsealed, so this is the repair of a layout no checkpoint writes, and
+// it costs a well-formed open one pass over the series. Runs
+// single-threaded during Open, after the replay.
+func (db *DB) lastSealed() error {
+	var err error
+	for i := range db.shards {
+		db.shards[i].each(func(s *series) {
+			if err != nil || len(s.points) > 0 || s.sealed == 0 || s.sealed < len(s.blocks) {
+				return
+			}
+			r := coldRead{horizon: noHorizon}
+			var pts []sample
+			if pts, err = db.coldBlockPoints(&s.blocks[s.sealed-1], &r); err != nil {
+				err = fmt.Errorf("tsdb: newest sealed point of %v: %w", s.key, db.coldReadErr(err))
+				return
+			}
+			s.last = pts[len(pts)-1]
+		})
+	}
+	return err
 }
 
 // logChain is what replaying the WAL found: the segment appends resume
@@ -715,7 +751,7 @@ func (db *DB) replayLog() (logChain, error) {
 			targets = append(targets, t)
 		}
 		t := targets[e.id]
-		db.mergeSeries(t.sh, t.s, sample{ns: e.ns, v: e.v})
+		db.replaySample(t.sh, t.s, sample{ns: e.ns, v: e.v})
 	}
 	c := logChain{seq: db.man.WALSeq}
 	for seq = db.man.WALSeq; ; seq++ {
@@ -882,32 +918,42 @@ func (db *DB) syncRetired(files []*os.File) error {
 	return nil
 }
 
-// snapshotSeries is one series' points as a checkpoint captures, writes
-// and loads them. canon caches the key's canonical form, which orders
-// the series and names them in the file.
-type snapshotSeries struct {
-	key    SeriesKey
+// cutSeries is one series as the checkpoint's cut captures it, and what
+// the checkpoint makes of it. blocks and raw are its unsealed points at
+// the cut: the last checkpoint's blocks, held in memory, and the raw tail
+// appended since. The checkpoint merges the two and encodes them again:
+// seal holds the whole blocks it seals and cp the rest, which the new
+// checkpoint file holds; once the file is written, sealed and mem locate
+// them in the block file and in memory. canon caches the key's canonical
+// form, which orders the series and names them in the files.
+type cutSeries struct {
+	sh     *shard
+	s      *series
 	canon  string
-	points []sample
+	blocks []blockMeta
+	raw    []sample
+	seal   []encodedBlock
+	cp     []encodedBlock
+	sealed []blockMeta
+	mem    []blockMeta
 }
 
 // cutLog is the checkpoint's cut. With every shard lock held (shared, in
 // ascending order, as Close takes them) and then the log lock, it flushes
 // the log's buffer, swaps the log onto next — generation gen — whose
-// series IDs start again at 0, and captures every series' point slice,
-// unsorted. Every log
+// series IDs start again at 0, and captures every series' unsealed points
+// (the last checkpoint's blocks and the raw tail), unsorted. Every log
 // write happens under a shard's write lock, so the swapped-out segments
 // hold exactly the captured points, while reads go on. Points are
-// append-only, so everything below the captured lengths is immutable
-// afterwards and the result can be encoded without further locking.
-// cutLog returns the captured series, the swapped-out segments no fsync
-// has reached (db.unsynced), and the record bytes the cut covers. It owns
-// next: a cut that fails before the swap closes it.
+// append-only and block lists are replaced, never edited, so everything
+// captured is immutable afterwards and the result can be encoded without
+// further locking. cutLog returns the captured series, the swapped-out
+// segments no fsync has reached (db.unsynced), and the record bytes the
+// cut covers. It owns next: a cut that fails before the swap closes it.
 //
-// Only hot (in-memory) points are captured: on a store with sealed
-// history, cold blocks are carried by the manifest's block list and must
-// not be duplicated into checkpoint snapshots.
-func (db *DB) cutLog(gen uint64, next *os.File) (recs []snapshotSeries, retired []*os.File, covered uint64, err error) {
+// Sealed blocks are not captured: the manifest's block list carries them,
+// and they must not be duplicated into checkpoint snapshots.
+func (db *DB) cutLog(gen uint64, next *os.File) (cut []cutSeries, retired []*os.File, covered uint64, err error) {
 	for i := range db.shards {
 		db.shards[i].mu.RLock()
 	}
@@ -936,76 +982,99 @@ func (db *DB) cutLog(gen uint64, next *os.File) (recs []snapshotSeries, retired 
 	db.logMu.Unlock()
 	db.setSealed()
 	for i := range db.shards {
-		db.shards[i].each(func(s *series) {
-			recs = append(recs, snapshotSeries{key: s.key, points: s.points})
+		sh := &db.shards[i]
+		sh.each(func(s *series) {
+			cut = append(cut, cutSeries{sh: sh, s: s, blocks: s.blocks[s.sealed:len(s.blocks):len(s.blocks)], raw: s.points})
 		})
 	}
-	return recs, retired, covered, db.failpoint("rotate:seal:before-sync")
+	return cut, retired, covered, db.failpoint("rotate:seal:before-sync")
 }
 
-// sortSnapshot sorts recs by canonical key. Keys render once: String()
+// sortCut sorts the cut by canonical key. Keys render once: String()
 // inside the comparator would allocate per comparison.
-func sortSnapshot(recs []snapshotSeries) {
-	for i := range recs {
-		recs[i].canon = recs[i].key.String()
+func sortCut(cut []cutSeries) {
+	for i := range cut {
+		cut[i].canon = cut[i].s.key.String()
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].canon < recs[j].canon })
+	sort.Slice(cut, func(i, j int) bool { return cut[i].canon < cut[j].canon })
 }
 
-// writeCheckpoint writes recs, sorted by canonical key, to w as a block
-// file: each series' points become blocks of up to maxBlockPoints. A
-// series with no hot points (all of it sealed) has no entry.
-func writeCheckpoint(w io.Writer, recs []snapshotSeries) error {
-	entries := make([]blockSealEntry, 0, len(recs))
-	for _, rec := range recs {
-		if len(rec.points) > 0 {
-			entries = append(entries, blockSealEntry{key: rec.key, canon: rec.canon, blocks: encodeSeries(rec.points, maxBlockPoints)})
+// merge appends c's captured unsealed points to pts, in order: its blocks
+// decoded in full, then its raw tail.
+func (c *cutSeries) merge(pts []sample) ([]sample, error) {
+	for i := range c.blocks {
+		b := &c.blocks[i]
+		pts = slices.Grow(pts, int(b.count))
+		got, err := decodeBlock(pts[len(pts):], b.memBytes(), int(b.count), noHorizon)
+		if err != nil {
+			return nil, fmt.Errorf("tsdb: checkpoint: unsealed block %d of %v: %w", i, c.s.key, err)
 		}
+		pts = pts[:len(pts)+len(got)]
 	}
-	return writeBlockFileTo(w, entries, nil)
+	return append(pts, c.raw...), nil
 }
 
-// readCheckpoint decodes and validates a whole checkpoint file of size
+// checkpointSeries is one series as a checkpoint file holds it: its
+// blocks, in the data section readCheckpoint keeps in memory, and its
+// newest point.
+type checkpointSeries struct {
+	key    SeriesKey
+	blocks []blockMeta
+	last   sample
+}
+
+// readCheckpoint reads and validates a whole checkpoint file of size
 // bytes before anything is applied to a store, so malformed input never
-// leaves a DB half-loaded. Beyond what readBlockIndex and decodeBlock
-// check, every block's first and last points must match its index
-// entry, which with the index's ordering keeps each series in time order
-// across its blocks. A series' points grow one decoded block at a time:
+// leaves a DB half-loaded. It returns the file's data section, read into
+// memory as a segment every returned block points into, and each
+// series' blocks and newest point. Every block is CRC-checked and decoded
+// in full, and its first and last points must match its index entry,
+// which with the index's ordering keeps each series in time order across
+// its blocks. One block's points are decoded at a time, into one buffer:
 // a bad block costs at most its own maxBlockPoints, whatever the index
 // claims for the blocks after it.
-func readCheckpoint(r io.ReaderAt, size int64) ([]snapshotSeries, error) {
+func readCheckpoint(r io.ReaderAt, size int64) (*coldSegment, []checkpointSeries, error) {
 	entries, err := readBlockIndex(r, size)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	recs := make([]snapshotSeries, len(entries))
+	// The blocks tile the data section, back to back from the header
+	// (readBlockIndex checked it).
+	end := uint64(blockHeaderLen)
+	if n := len(entries); n > 0 {
+		bs := entries[n-1].blocks
+		end = bs[len(bs)-1].off + uint64(bs[len(bs)-1].length)
+	}
+	seg := &coldSegment{data: make([]byte, end-uint64(blockHeaderLen))}
+	if _, err := r.ReadAt(seg.data, int64(blockHeaderLen)); err != nil {
+		return nil, nil, fmt.Errorf("tsdb: checkpoint data: %w", err)
+	}
+	recs := make([]checkpointSeries, len(entries))
+	var pts []sample
 	for i, e := range entries {
-		var pts []sample
 		for j := range e.blocks {
 			b := &e.blocks[j]
-			pts = slices.Grow(pts, int(b.count))
-			got, err := readBlockData(r, b, pts[len(pts):], noHorizon)
-			if err != nil {
-				return nil, fmt.Errorf("tsdb: checkpoint block %d of %v: %w", j, e.key, err)
+			b.seg, b.off = seg, b.off-uint64(blockHeaderLen)
+			if pts, err = checkedDecode(b.memBytes(), b, pts, noHorizon); err != nil {
+				return nil, nil, fmt.Errorf("tsdb: checkpoint block %d of %v: %w", j, e.key, err)
 			}
-			if got[0].ns != b.minAt || got[len(got)-1].ns != b.maxAt {
-				return nil, fmt.Errorf("tsdb: checkpoint block %d of %v disagrees with its index", j, e.key)
+			if pts[0].ns != b.minAt || pts[len(pts)-1].ns != b.maxAt {
+				return nil, nil, fmt.Errorf("tsdb: checkpoint block %d of %v disagrees with its index", j, e.key)
 			}
-			pts = pts[:len(pts)+len(got)]
 		}
-		recs[i] = snapshotSeries{key: e.key, canon: e.key.String(), points: pts}
+		recs[i] = checkpointSeries{key: e.key, blocks: e.blocks, last: pts[len(pts)-1]}
 	}
-	return recs, nil
+	return seg, recs, nil
 }
 
-// writeCheckpointFile writes recs as a checkpoint to name inside the data
-// directory (temp file, fsync, rename, directory fsync) and returns the
-// file's size.
-func (db *DB) writeCheckpointFile(name string, recs []snapshotSeries) (int64, error) {
+// writeCheckpointFile writes entries, sorted by canonical key, as a
+// checkpoint to name inside the data directory (temp file, fsync, rename,
+// directory fsync) and returns the file's size.
+func (db *DB) writeCheckpointFile(name string, entries []blockSealEntry) (int64, error) {
 	var size int64
 	err := atomicWriteFile(filepath.Join(db.dir, name), func(w io.Writer) error {
 		cw := &countingWriter{w: w}
-		err := writeCheckpoint(cw, recs)
+		err := writeBlockFileTo(cw, entries, nil)
 		size = cw.n
 		return err
 	}, db.cpHook("checkpoint:snapshot"))
@@ -1022,6 +1091,68 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
+}
+
+// packCheckpoint copies the checkpoint's blocks, in file order, into one
+// buffer, the file's data section, which memory keeps once the checkpoint
+// commits: each cut series' cp blocks are re-sliced onto it (so the file
+// is written from it), and mem locates them there. It returns the
+// segment holding the buffer.
+func packCheckpoint(cut []cutSeries) *coldSegment {
+	size := 0
+	for i := range cut {
+		for _, b := range cut[i].cp {
+			size += len(b.data)
+		}
+	}
+	seg := &coldSegment{data: make([]byte, 0, size)}
+	for i := range cut {
+		c := &cut[i]
+		c.mem = make([]blockMeta, len(c.cp))
+		for j := range c.cp {
+			b := &c.cp[j]
+			off := len(seg.data)
+			seg.data = append(seg.data, b.data...)
+			b.data = seg.data[off:len(seg.data):len(seg.data)]
+			c.mem[j] = blockMeta{off: uint64(off), length: uint32(len(b.data)), count: b.count, minAt: b.minAt, maxAt: b.maxAt}
+		}
+	}
+	return seg
+}
+
+// assignSealed hands each cut series that sealed its blocks as the
+// sealed block file's index describes them: the file holds the sealing
+// series in cut order.
+func assignSealed(cut []cutSeries, index []blockIndexEntry) error {
+	for i := range cut {
+		if c := &cut[i]; len(c.seal) > 0 {
+			if len(index) == 0 || index[0].key != c.s.key || len(index[0].blocks) != len(c.seal) {
+				return fmt.Errorf("index disagrees with the seal of %v", c.s.key)
+			}
+			c.sealed, index = index[0].blocks, index[1:]
+		}
+	}
+	return nil
+}
+
+// swapLocked replaces c's captured unsealed points with what the
+// committed checkpoint made of them: its sealed blocks, in block file
+// seg, and its checkpoint blocks, held in memory by mem. The points
+// appended since the cut stay raw, copied to a fresh slice so the
+// captured tail's backing array is released to the GC. The block list is
+// rebuilt, never edited, so a view captured before the swap keeps its
+// own. It returns how many points it sealed; the caller holds c's shard
+// write lock.
+func (db *DB) swapLocked(c *cutSeries, seg, mem *coldSegment) int {
+	s := c.s
+	s.blocks = append(make([]blockMeta, 0, s.sealed+len(c.sealed)+len(c.mem)), s.blocks[:s.sealed]...)
+	sealed := 0
+	if len(c.sealed) > 0 {
+		sealed = db.attachBlocks(s, seg, c.sealed)
+	}
+	db.attachBlocks(s, mem, c.mem)
+	s.points = append([]sample(nil), s.points[len(c.raw):]...)
+	return sealed
 }
 
 // removeStaleFiles deletes files the committed layout does not own:
@@ -1066,7 +1197,7 @@ func (db *DB) removeStaleFiles() {
 
 // Checkpoint persists the store's current state as a snapshot inside the
 // data directory and drops the WAL segments it covers, so the next open
-// bulk-loads the snapshot and replays only the records appended
+// loads the snapshot and replays only the records appended
 // afterwards — bounded recovery time regardless of archive age.
 //
 // The checkpoint rotates the WAL: it creates the next segment generation
@@ -1109,11 +1240,11 @@ func (db *DB) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	recs, retired, covered, err := db.cutLog(gen, next)
+	cut, retired, covered, err := db.cutLog(gen, next)
 	if err != nil {
 		return err
 	}
-	sortSnapshot(recs)
+	sortCut(cut)
 	if err := db.failpoint("checkpoint:capture"); err != nil {
 		return err
 	}
@@ -1128,12 +1259,12 @@ func (db *DB) checkpointLocked() error {
 	if err := db.failpoint("checkpoint:segsync:after"); err != nil {
 		return err
 	}
-	// Seal: carve whole blocks off each captured series' prefix, keeping
-	// at least hotTail points hot (and with it the in-memory dedup and
-	// out-of-order state). recs is rewritten in place to the post-seal hot
-	// tails, so the checkpoint snapshot below holds exactly what stays in
-	// memory — blocks and snapshot partition the history, never overlap.
-	// The block file must be durable before the manifest (the commit
+	// Merge each captured series' unsealed points, then seal: carve whole
+	// blocks off the merged prefix, keeping at least hotTail points
+	// unsealed, and encode the rest for the checkpoint snapshot, which so
+	// holds exactly what stays unsealed — blocks and snapshot partition
+	// the history, never overlap. One series' points are decoded at a
+	// time. The block file must be durable before the manifest (the commit
 	// point) references it, and so must be readable: the file is opened
 	// and its index read back before the commit, so a file the next open
 	// could not attach aborts the whole checkpoint while the old manifest
@@ -1141,46 +1272,55 @@ func (db *DB) checkpointLocked() error {
 	// that the next successful seal overwrites (BlockSeq only advances on
 	// commit) and removeStaleFiles reaps at open.
 	var (
-		newSeg    *coldSegment
-		newBlocks []blockIndexEntry
+		pts                  []sample
+		sealEntries, entries []blockSealEntry
 	)
-	if db.sealsCold() {
-		var sealEntries []blockSealEntry
-		for i := range recs {
-			rec := &recs[i]
-			sealable := len(rec.points) - db.hotTail
-			if sealable < db.blockPoints {
-				continue
-			}
-			nseal := sealable - sealable%db.blockPoints
-			sealEntries = append(sealEntries, blockSealEntry{key: rec.key, canon: rec.canon, blocks: encodeSeries(rec.points[:nseal], db.blockPoints)})
-			rec.points = rec.points[nseal:]
+	for i := range cut {
+		c := &cut[i]
+		if pts, err = c.merge(pts[:0]); err != nil {
+			return err
 		}
-		if len(sealEntries) > 0 {
-			seq := db.man.BlockSeq + 1
-			path := filepath.Join(db.dir, blockFileName(seq))
-			err := atomicWriteFile(path, func(w io.Writer) error {
-				return writeBlockFileTo(w, sealEntries, func() error {
-					return db.failpoint("checkpoint:blocks:data-written")
-				})
-			}, db.cpHook("checkpoint:blocks"))
-			if err != nil {
-				return err
-			}
-			f, err := os.Open(path)
-			if err != nil {
-				return fmt.Errorf("tsdb: reopening sealed block file: %w", err)
-			}
-			st, err := f.Stat()
-			if err == nil {
-				newBlocks, err = readBlockIndex(f, st.Size())
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("tsdb: sealed block file: %w", err)
-			}
-			newSeg = newColdSegment(seq, f, st.Size(), newBlocks)
+		nseal := 0
+		if sealable := len(pts) - db.hotTail; db.sealsCold() && sealable >= db.blockPoints {
+			nseal = sealable - sealable%db.blockPoints
+			c.seal = encodeSeries(pts[:nseal], db.blockPoints)
+			sealEntries = append(sealEntries, blockSealEntry{key: c.s.key, canon: c.canon, blocks: c.seal})
 		}
+		if len(pts) > nseal {
+			c.cp = encodeSeries(pts[nseal:], maxBlockPoints)
+			entries = append(entries, blockSealEntry{key: c.s.key, canon: c.canon, blocks: c.cp})
+		}
+	}
+	mem := packCheckpoint(cut)
+	var newSeg *coldSegment
+	if len(sealEntries) > 0 {
+		seq := db.man.BlockSeq + 1
+		path := filepath.Join(db.dir, blockFileName(seq))
+		err := atomicWriteFile(path, func(w io.Writer) error {
+			return writeBlockFileTo(w, sealEntries, func() error {
+				return db.failpoint("checkpoint:blocks:data-written")
+			})
+		}, db.cpHook("checkpoint:blocks"))
+		if err != nil {
+			return err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("tsdb: reopening sealed block file: %w", err)
+		}
+		st, err := f.Stat()
+		var index []blockIndexEntry
+		if err == nil {
+			index, err = readBlockIndex(f, st.Size())
+		}
+		if err == nil {
+			err = assignSealed(cut, index)
+		}
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("tsdb: sealed block file: %w", err)
+		}
+		newSeg = newColdSegment(seq, f, st.Size(), index)
 	}
 	m := manifest{
 		Version:       manifestVersion,
@@ -1194,7 +1334,7 @@ func (db *DB) checkpointLocked() error {
 		m.BlockSeq = newSeg.seq
 	}
 	m.Checkpoint = checkpointName(m.CheckpointSeq)
-	cpSize, err := db.writeCheckpointFile(m.Checkpoint, recs)
+	cpSize, err := db.writeCheckpointFile(m.Checkpoint, entries)
 	if err == nil {
 		err = writeManifest(db.dir, m, db.cpHook("checkpoint:manifest"))
 	}
@@ -1211,26 +1351,21 @@ func (db *DB) checkpointLocked() error {
 	if newSeg != nil {
 		db.cpWritten.Add(uint64(newSeg.size))
 	}
-	// The manifest committed: attach the sealed blocks, as the file's own
-	// index describes them, and drop the sealed prefixes from memory. Each
-	// series swaps under its shard lock; a reader between two swaps sees
-	// some series already trimmed and others not, which is fine — the cold
-	// blocks and the untrimmed hot slice are never both visible for one
-	// series.
+	// The manifest committed: every captured series swaps its unsealed
+	// points for the sealed blocks, as the block file's own index
+	// describes them, and the checkpoint's blocks, held in memory, under
+	// its shard lock. A reader between two swaps sees some series already
+	// swapped and others not, which is fine — one series' old and new
+	// points are never both visible.
 	if newSeg != nil {
 		db.coldSegs = append(db.coldSegs, newSeg)
-		for _, ent := range newBlocks {
-			h, sh := db.locate(ent.key)
-			sh.mu.Lock()
-			s := sh.find(h, ent.key)
-			sealed := db.attachBlocks(s, newSeg, ent.blocks)
-			// Copy the tail to a fresh slice so the sealed prefix's backing
-			// array is released to the GC — keeping the original array alive
-			// would defeat the memory bound sealing exists for.
-			s.points = append([]sample(nil), s.points[sealed:]...)
-			sh.mu.Unlock()
-			db.hotPts.Add(int64(-sealed))
-		}
+	}
+	for i := range cut {
+		c := &cut[i]
+		c.sh.mu.Lock()
+		sealed := db.swapLocked(c, newSeg, mem)
+		c.sh.mu.Unlock()
+		db.hotPts.Add(int64(-sealed))
 	}
 	// The commit succeeded: the covered bytes no longer count toward the
 	// size-based checkpoint trigger. Appends past the cut keep their
