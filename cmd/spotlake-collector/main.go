@@ -12,25 +12,24 @@
 // (MANIFEST, the WAL's wal-<seq>.log segments, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused, untouched. The store flags
-// (-checkpoint-bytes … -block-cache-bytes) are tsdb.BindFlags', shared
+// (-checkpoint-bytes, -block-cache-bytes) are tsdb.BindFlags', shared
 // with spotlake-server. Each checkpoint rotates the WAL onto a new
 // segment and deletes the segments it covers.
 //
-// The store maintains itself: a daemon inside the tsdb (polling every
-// -maintenance-interval of wall time) checkpoints whenever the WAL grows
+// The store maintains itself: a daemon inside the tsdb (polling once a
+// second of wall time) checkpoints whenever the WAL grows
 // -checkpoint-bytes past the last checkpoint, and the same trigger is
 // enforced on the append path, so the replay tail — and with it the WAL
-// on disk and hot-memory growth — never outruns it
-// by more than one tick. Collection also checkpoints every
-// -checkpoint-interval of simulated time and once at the end, so a
-// restart's replay is bounded by wall clock and by bytes written. Set 0
-// to disable either trigger.
+// on disk and hot-memory growth — never outruns it by more than one
+// tick. Collection also checkpoints every -checkpoint-interval of
+// simulated time and once at the end, so a restart's replay is bounded
+// by wall clock and by bytes written. Set 0 to disable either trigger.
 //
 // Usage:
 //
 //	spotlake-collector -data DIR [-days 30] [-frac 0.12] [-interval 10m]
 //	                   [-seed 22] [-exact] [-checkpoint-interval 24h]
-//	                   [-checkpoint-bytes 67108864] [-maintenance-interval 1s]
+//	                   [-checkpoint-bytes 67108864]
 package main
 
 import (

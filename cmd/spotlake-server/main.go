@@ -9,14 +9,13 @@
 // (MANIFEST, the WAL's wal-<seq>.log segments, checkpoint
 // snapshot, sealed block files — see internal/tsdb/README.md); a
 // directory in any other layout is refused at startup, untouched. The
-// store flags (-checkpoint-bytes … -block-cache-bytes) are
+// store flags (-checkpoint-bytes, -block-cache-bytes) are
 // tsdb.BindFlags', shared with spotlake-collector. With -data set the
-// store maintains itself: its internal daemon (polling every
-// -maintenance-interval) checkpoints whenever the WAL grows
-// -checkpoint-bytes past the last checkpoint — the one size trigger,
-// enforced on the append path too, so it covers the bootstrap writer,
-// not just collection ticks — and the server
-// additionally checkpoints after bootstrap and every
+// store maintains itself: its internal daemon (polling once a second)
+// checkpoints whenever the WAL grows -checkpoint-bytes past the last
+// checkpoint — the one size trigger, enforced on the append path too,
+// so it covers the bootstrap writer, not just collection ticks — and
+// the server additionally checkpoints after bootstrap and every
 // -checkpoint-interval of simulated time. Restarts bulk-load the
 // checkpoint and replay only the segments written since, which each
 // checkpoint rotates and reclaims.
@@ -49,7 +48,6 @@
 //	spotlake-server [-addr :8080] [-bootstrap-days 14] [-frac 0.12]
 //	                [-data DIR] [-tick 2s] [-seed 22]
 //	                [-checkpoint-interval 24h] [-checkpoint-bytes 67108864]
-//	                [-maintenance-interval 1s]
 //	                [-max-in-flight 256] [-queue-wait 100ms]
 //	                [-rate-limit 50] [-rate-burst 100] [-drain-timeout 15s]
 //	spotlake-server -follow http://primary:8080 -data DIR [-addr :8081]
@@ -295,9 +293,9 @@ func runFollower(cfg followerConfig, cat *catalog.Catalog) {
 		log.Fatalf("-follow requires -data: the replica needs a directory to ship artifacts into")
 	}
 	// The replica opens with the same store flags a primary would, made
-	// read-only and without a daemon.
+	// read-only (which also keeps the maintenance daemon off).
 	storeOpts := cfg.storeOpts
-	storeOpts.ReadOnly, storeOpts.MaintenanceInterval = true, -1
+	storeOpts.ReadOnly = true
 	// Reopen an existing replica so restarts serve immediately; a fresh
 	// directory serves empty (gated stale) until the first pull lands.
 	var db *tsdb.DB

@@ -15,9 +15,9 @@ import (
 )
 
 // benchDB builds a store with many series so query fan-out has real work.
-func benchDB(b *testing.B, shards int) *tsdb.DB {
+func benchDB(b *testing.B) *tsdb.DB {
 	b.Helper()
-	db, err := tsdb.OpenSharded("", shards)
+	db, err := tsdb.Open("")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,20 +42,14 @@ func benchDB(b *testing.B, shards int) *tsdb.DB {
 }
 
 // BenchmarkQueryFanOut measures a broad archive query (every sps series)
-// across worker-pool sizes and shard counts. Identical repeated queries
+// across worker-pool sizes. Identical repeated queries
 // are excluded from caching here by alternating the window each iteration.
 func BenchmarkQueryFanOut(b *testing.B) {
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	for _, cfg := range []struct{ shards, workers int }{
-		{1, 1},
-		{tsdb.DefaultShardCount(), 1},
-		{tsdb.DefaultShardCount(), 4},
-		{tsdb.DefaultShardCount(), 16},
-	} {
-		name := fmt.Sprintf("shards=%d/workers=%d", cfg.shards, cfg.workers)
-		b.Run(name, func(b *testing.B) {
-			svc := NewService(benchDB(b, cfg.shards), catalog.Compact(1))
-			svc.SetWorkers(cfg.workers)
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			svc := NewService(benchDB(b), catalog.Compact(1))
+			svc.SetWorkers(workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// A unique window per iteration so the result cache never hits.
@@ -76,7 +70,7 @@ func BenchmarkQueryFanOut(b *testing.B) {
 // generation-guarded LRU cache (paper: the archive is read-heavy and many
 // users ask for the same popular series).
 func BenchmarkQueryCached(b *testing.B) {
-	svc := NewService(benchDB(b, tsdb.DefaultShardCount()), catalog.Compact(1))
+	svc := NewService(benchDB(b), catalog.Compact(1))
 	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore}
 	if _, err := svc.Query(req); err != nil {
 		b.Fatal(err)
@@ -103,7 +97,7 @@ func BenchmarkQueryCached(b *testing.B) {
 // iteration so the result cache never hits and the located page itself
 // is identical work.
 func BenchmarkQueryCursor(b *testing.B) {
-	db := benchDB(b, tsdb.DefaultShardCount())
+	db := benchDB(b)
 	svc := NewService(db, catalog.Compact(1))
 	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore, Limit: 100}
 	keys := db.Keys(tsdb.KeyFilter{Dataset: tsdb.DatasetPlacementScore})
@@ -146,7 +140,7 @@ func BenchmarkQueryCursor(b *testing.B) {
 // Handler() — mux, gzip layer, request parsing, cache lookup and the
 // write of the entry's stored body (200 series x 500 points).
 func BenchmarkHandlerCacheHit(b *testing.B) {
-	svc := NewService(benchDB(b, tsdb.DefaultShardCount()), catalog.Compact(1))
+	svc := NewService(benchDB(b), catalog.Compact(1))
 	h := svc.Handler()
 	req := httptest.NewRequest("GET", "/api/v1/query?dataset="+tsdb.DatasetPlacementScore, nil)
 	req.Header.Set("Accept-Encoding", "gzip")
@@ -179,7 +173,7 @@ func (w *discardResponseWriter) Write(b []byte) (int, error) { return len(b), ni
 // whole archive, the dashboard's hot path.
 func BenchmarkLatestFanOut(b *testing.B) {
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	db := benchDB(b, tsdb.DefaultShardCount())
+	db := benchDB(b)
 	svc := NewService(db, catalog.Compact(1))
 	k := tsdb.SeriesKey{Dataset: tsdb.DatasetPrice, Type: "tick", Region: "r0", AZ: "r0a"}
 	b.ResetTimer()

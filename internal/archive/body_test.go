@@ -191,7 +191,7 @@ func TestStoredBodyNeverStale(t *testing.T) {
 	req := QueryRequest{Dataset: k.Dataset, Type: k.Type}
 	for _, shape := range bodyShapes("dataset=sps&type=m5.xlarge", req) {
 		t.Run(shape.name, func(t *testing.T) {
-			db, err := tsdb.OpenSharded("", 8)
+			db, err := tsdb.Open("")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestStoredBodyNeverStale(t *testing.T) {
 				}
 			})
 			step("SwapDB", func() {
-				db2, err := tsdb.OpenSharded("", 8)
+				db2, err := tsdb.Open("")
 				if err != nil {
 					t.Fatal(err)
 				}

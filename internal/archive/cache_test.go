@@ -80,7 +80,7 @@ func TestCacheInvalidation(t *testing.T) {
 	for _, r := range reads {
 		for _, w := range writes {
 			t.Run(r.name+"/"+w.name, func(t *testing.T) {
-				db, err := tsdb.OpenSharded("", 8)
+				db, err := tsdb.Open("")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +151,7 @@ func TestLatestPerShardCache(t *testing.T) {
 // shards with near certainty rather than by construction.
 func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest) (any, error)) {
 	t.Helper()
-	db, err := tsdb.OpenSharded("", 8)
+	db, err := tsdb.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func everyShardInvalidates(t *testing.T, read func(s *Service, req QueryRequest)
 // request was sent.
 func TestReadSeesAcknowledgedAppends(t *testing.T) {
 	const series, ticks, readers = 8, 200, 8
-	db, err := tsdb.OpenSharded("", 4)
+	db, err := tsdb.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,8 +249,10 @@ func FuzzBodyEncoder(f *testing.F) {
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/archive/testdata/*.golden.json from the bodies served")
 
 // goldenArchive is a small disk archive with both tiers in play: three
-// series of 80 ten-minute points sealed into cold blocks by a checkpoint,
-// then six more points each in the hot tail, the last off the grid.
+// series of 800 ten-minute points, of which a checkpoint seals each
+// one's first 512 (the rest stay within the 256-point hot tail), then six
+// more points each, unsealed; the last point of each batch is off the
+// grid.
 func goldenArchive(t *testing.T) *Service {
 	t.Helper()
 	db, err := tsdb.OpenWithOptions(t.TempDir(), diskOpts())
@@ -279,11 +281,11 @@ func goldenArchive(t *testing.T) *Service {
 			t.Fatalf("stored %d of %d: %v", n, len(batch), err)
 		}
 	}
-	appendTicks(0, 80)
+	appendTicks(0, 800)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	appendTicks(80, 86)
+	appendTicks(800, 806)
 	if db.SealedBlocks() == 0 {
 		t.Fatal("the checkpoint sealed nothing: the golden archive has no cold tier")
 	}
@@ -296,7 +298,10 @@ func goldenArchive(t *testing.T) *Service {
 // identity stream.
 func TestGoldenBodies(t *testing.T) {
 	for file, path := range map[string]string{
-		"query_page.golden.json": "/api/v1/query?dataset=sps&region=us-east-1&limit=100&cursor=",
+		// From tick 510: the first series' last 296 points, crossing its
+		// cold/hot boundary at tick 512, then the next series' first four,
+		// across the same boundary.
+		"query_page.golden.json": "/api/v1/query?dataset=sps&region=us-east-1&from=2022-01-04T13:00:00Z&limit=300&cursor=",
 		"latest.golden.json":     "/api/v1/latest?dataset=sps",
 	} {
 		t.Run(file, func(t *testing.T) {

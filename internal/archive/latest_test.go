@@ -17,8 +17,7 @@ import (
 // decoding one: spotlake_block_decoded_points_total does not move.
 func TestLatestServedWithoutDecode(t *testing.T) {
 	dir := t.TempDir()
-	opts := tsdb.Options{Shards: 4, HotTailPoints: 4, BlockPoints: 8, MaintenanceInterval: -1}
-	db, err := tsdb.OpenWithOptions(dir, opts)
+	db, err := tsdb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,9 @@ func TestLatestServedWithoutDecode(t *testing.T) {
 	// series' last stored point.
 	want := make(map[tsdb.SeriesKey]tsdb.Point)
 	at := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	for n := 0; n < 200; n++ {
+	// A quarter of the series change every tick: 1000 points, past the
+	// 256 + 512 that seal one block.
+	for n := 0; n < 1000; n++ {
 		batch := make([]tsdb.Entry, seriesN)
 		for i, k := range keys {
 			batch[i] = tsdb.Entry{Key: k, At: at, Value: float64(n / (i%4 + 1) % 6)}
@@ -75,7 +76,7 @@ func TestLatestServedWithoutDecode(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if db, err = tsdb.OpenWithOptions(dir, opts); err != nil {
+	if db, err = tsdb.Open(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()

@@ -61,9 +61,9 @@ type PullerConfig struct {
 	// Client is the HTTP client for primary requests (default: a client
 	// with a 2-minute overall timeout).
 	Client *http.Client
-	// StoreOptions carries serving-side knobs (block cache budget, shard
-	// count) for replica reopens. ReadOnly is forced on and the
-	// maintenance daemon off regardless of what it says.
+	// StoreOptions carries serving-side knobs (the block cache budget)
+	// for replica reopens. ReadOnly is forced on regardless of what it
+	// says, which also keeps the maintenance daemon off.
 	StoreOptions tsdb.Options
 	// Logf, when set, receives one line per applied delta and per failed
 	// cycle.
@@ -286,7 +286,6 @@ func (p *Puller) syncCycle() error {
 	}
 	opts := p.cfg.StoreOptions
 	opts.ReadOnly = true
-	opts.MaintenanceInterval = -1
 	db, err := tsdb.OpenWithOptions(p.cfg.Dir, opts)
 	if err != nil {
 		return fmt.Errorf("archive: reopening replica after apply: %w", err)

@@ -27,18 +27,27 @@ func noerr2[T any](v T, err error) T {
 }
 
 func replStoreOpts() tsdb.Options {
-	return tsdb.Options{
-		Shards:              4,
-		HotTailPoints:       16,
-		BlockPoints:         64,
-		BlockCacheBytes:     1 << 16,
-		MaintenanceInterval: -1,
+	return tsdb.Options{BlockCacheBytes: 1 << 16}
+}
+
+// deepHistory is a price series that no collector run writes: 1000
+// points on a 10-minute grid ending before the simulation's epoch, more
+// than the 256 + 512 a series needs to seal a block, so a checkpoint
+// leaves it on both sides of the hot/cold boundary.
+func deepHistory() []tsdb.Entry {
+	k := tsdb.SeriesKey{Dataset: tsdb.DatasetPrice, Type: "x1.deep", Region: "us-east-1", AZ: "us-east-1a"}
+	entries := make([]tsdb.Entry, 1000)
+	for i := range entries {
+		at := simclock.Epoch.Add(-time.Duration(len(entries)-i) * 10 * time.Minute)
+		entries[i] = tsdb.Entry{Key: k, At: at, Value: float64(i%7) / 4}
 	}
+	return entries
 }
 
 // durablePrimary builds a checkpointed durable archive in dir with real
-// collected contents (all three datasets), returning
-// the serving Service and the collector for appending more later.
+// collected contents (all three datasets) on top of deepHistory, whose
+// older points the checkpoint seals, returning the serving Service and
+// the collector for appending more later.
 func durablePrimary(t *testing.T, dir string) (*Service, *catalog.Catalog, *collector.Collector, *tsdb.DB) {
 	t.Helper()
 	cat := catalog.Compact(2)
@@ -46,6 +55,9 @@ func durablePrimary(t *testing.T, dir string) (*Service, *catalog.Catalog, *coll
 	cloud := cloudsim.New(cat, clk, 99, cloudsim.DefaultParams())
 	db, err := tsdb.OpenWithOptions(dir, replStoreOpts())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AppendBatch(deepHistory()); err != nil {
 		t.Fatal(err)
 	}
 	col, err := collector.New(cloud, db, collector.DefaultConfig())
@@ -57,6 +69,9 @@ func durablePrimary(t *testing.T, dir string) (*Service, *catalog.Catalog, *coll
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if db.ColdPointCount() == 0 {
+		t.Fatal("the primary's checkpoint sealed nothing")
 	}
 	return NewService(db, cat), cat, col, db
 }

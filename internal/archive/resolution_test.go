@@ -23,8 +23,13 @@ import (
 )
 
 func diskOpts() tsdb.Options {
-	return tsdb.Options{Shards: 4, HotTailPoints: 4, BlockPoints: 64, BlockCacheBytes: 1 << 14}
+	return tsdb.Options{BlockCacheBytes: 1 << 14}
 }
+
+// sealDays is the fewest days of diskArchive's one series whose
+// checkpoint seals: 6 × 144 = 864 points, more than the 256-point hot
+// tail plus one 512-point block.
+const sealDays = 6
 
 // diskArchive builds a Service over a sealing disk store holding `days`
 // of 10-minute price points on one series, sealed by one checkpoint.
@@ -127,7 +132,7 @@ func naiveMeans(pts []tsdb.Point, res time.Duration) []tsdb.Point {
 // TestRollupQueryValues: rollup tiers serve real aggregates of every
 // stored point, sealed and hot, keyed by the raw series key.
 func TestRollupQueryValues(t *testing.T) {
-	s, db, k := diskArchive(t, t.TempDir(), diskOpts(), 5)
+	s, db, k := diskArchive(t, t.TempDir(), diskOpts(), sealDays)
 	if db.ColdPointCount() == 0 || db.HotPointCount() == 0 {
 		t.Fatalf("the store holds %d cold and %d hot points; want both tiers", db.ColdPointCount(), db.HotPointCount())
 	}
@@ -146,8 +151,8 @@ func TestRollupQueryValues(t *testing.T) {
 			t.Fatalf("rollup result keyed by %v, want the raw key %v", res[0].Key, k)
 		}
 		pts := res[0].Points
-		if len(pts) != 5*24 {
-			t.Fatalf("1h/%s: %d buckets for 5 days of data, want %d", agg, len(pts), 5*24)
+		if len(pts) != sealDays*24 {
+			t.Fatalf("1h/%s: %d buckets for %d days of data, want %d", agg, len(pts), sealDays, sealDays*24)
 		}
 		for _, p := range pts {
 			bs, be := p.At, p.At.Add(time.Hour)
@@ -184,7 +189,7 @@ func TestRollupQueryValues(t *testing.T) {
 // series as raw, each bucket the naive fold of its raw points, over both
 // an unbounded window (1d) and a 30-day one (1h).
 func TestAutoServesChangeOnlyArchive(t *testing.T) {
-	db, err := tsdb.OpenWithOptions(t.TempDir(), tsdb.Options{Shards: 4})
+	db, err := tsdb.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +365,13 @@ func TestResolutionHeaderNamesTheStoreThatAnswered(t *testing.T) {
 // straddles the cold/hot boundary, and whichever is called second hits
 // the entry the first installed.
 func TestQueryIsTheUnlimitedPage(t *testing.T) {
-	_, db, k := diskArchive(t, t.TempDir(), diskOpts(), 3)
+	_, db, k := diskArchive(t, t.TempDir(), diskOpts(), sealDays)
 	hot, cold := int(db.HotPointCount()), int(db.ColdPointCount())
-	if hot == 0 || cold < 30 || hot+cold != 3*144 {
+	if hot == 0 || cold < 30 || hot+cold != sealDays*144 {
 		t.Fatalf("the store holds %d hot and %d cold points: no boundary to straddle", hot, cold)
 	}
 	window := hot + 30
-	from := simclock.Epoch.Add(time.Duration(3*144-window) * 10 * time.Minute)
+	from := simclock.Epoch.Add(time.Duration(sealDays*144-window) * 10 * time.Minute)
 	want, err := db.Query(k, from, time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC))
 	if err != nil || len(want) != window {
 		t.Fatalf("reference read: %d points, err %v", len(want), err)
@@ -413,7 +418,7 @@ func TestQueryIsTheUnlimitedPage(t *testing.T) {
 func TestColdReadHTTP500(t *testing.T) {
 	dir := t.TempDir()
 	opts := diskOpts()
-	_, db, _ := diskArchive(t, dir, opts, 2)
+	_, db, _ := diskArchive(t, dir, opts, sealDays)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,25 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cloudsim"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/tsdb"
 )
+
+// storeMetric reads one of db's registry metrics by its exposition name;
+// an unknown name fails the test.
+func storeMetric(t *testing.T, db *tsdb.DB, name string) float64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	tsdb.RegisterMetrics(reg, func() *tsdb.DB { return db })
+	for _, s := range reg.Samples() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	t.Fatalf("no metric %s", name)
+	return 0
+}
 
 func TestExactPackingPlan(t *testing.T) {
 	cat := catalog.Compact(2)

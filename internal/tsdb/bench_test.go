@@ -71,9 +71,9 @@ func BenchmarkWindowMean(b *testing.B) {
 // multi-core runner the sharded variants scale with cores while shards=1
 // serializes on its one mutex.
 func BenchmarkAppendParallel(b *testing.B) {
-	for _, shards := range []int{1, DefaultShardCount()} {
+	for _, shards := range []int{1, defaultShards()} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			db, _ := OpenSharded("", shards)
+			db, _ := openTuned("", tuning{shards: shards})
 			var seq atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -206,9 +206,9 @@ func catalogKeys() []SeriesKey {
 // in-memory half of concurrent appends overlap. The store's real writers
 // append one batch at a time, so this measures a load it does not serve.
 func BenchmarkAppendParallelDurable(b *testing.B) {
-	for _, shards := range []int{1, DefaultShardCount()} {
+	for _, shards := range []int{1, defaultShards()} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			db, err := OpenSharded(b.TempDir(), shards)
+			db, err := openTuned(b.TempDir(), tuning{shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -320,7 +320,7 @@ func BenchmarkWALWrite(b *testing.B) {
 func BenchmarkCheckpointCompaction(b *testing.B) {
 	build := func(b *testing.B, dir string, tailBytes int) *DB {
 		b.Helper()
-		db, err := OpenWithOptions(dir, Options{Shards: 1})
+		db, err := openTuned(dir, tuning{shards: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -438,7 +438,7 @@ func BenchmarkSeal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := b.TempDir()
-		db, err := OpenWithOptions(dir, Options{Shards: 4, HotTailPoints: 64, BlockPoints: 512})
+		db, err := openTuned(dir, tuning{shards: 4, hotTail: 64})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -552,16 +552,16 @@ func BenchmarkColdQuery(b *testing.B) {
 	const seriesN, perSeries = 8, 8192
 	for _, cfg := range []struct {
 		name   string
-		opts   Options
+		opts   tuning
 		seal   bool
 		window int
 	}{
-		{"all-hot", Options{Shards: 4, HotTailPoints: -1}, false, 512},
-		{"cold-blocks", Options{Shards: 4, HotTailPoints: 256, BlockPoints: 512}, true, 512},
-		{"cold-evicted", Options{Shards: 4, HotTailPoints: 256, BlockPoints: 512, BlockCacheBytes: -1}, true, 4},
+		{"all-hot", tuning{shards: 4, hotTail: perSeries}, false, 512},
+		{"cold-blocks", tuning{shards: 4}, true, 512},
+		{"cold-evicted", tuning{Options: Options{BlockCacheBytes: -1}, shards: 4}, true, 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			db, err := OpenWithOptions(b.TempDir(), cfg.opts)
+			db, err := openTuned(b.TempDir(), cfg.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -642,7 +642,7 @@ func BenchmarkHotWindowRead(b *testing.B) {
 			name = "encoded"
 		}
 		b.Run(name, func(b *testing.B) {
-			db, err := OpenWithOptions(b.TempDir(), Options{Shards: 4})
+			db, err := openTuned(b.TempDir(), tuning{shards: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -678,15 +678,15 @@ func BenchmarkResidentHeap(b *testing.B) {
 	const seriesN, perSeries = 40, 8192
 	for _, cfg := range []struct {
 		name string
-		opts Options
+		opts tuning
 	}{
-		{"all-hot", Options{Shards: 4, HotTailPoints: -1}},
-		{"cold-sealed", Options{Shards: 4}},
+		{"all-hot", tuning{shards: 4, hotTail: perSeries}},
+		{"cold-sealed", tuning{shards: 4}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dir := b.TempDir()
-				db, err := OpenWithOptions(dir, cfg.opts)
+				db, err := openTuned(dir, cfg.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -700,7 +700,7 @@ func BenchmarkResidentHeap(b *testing.B) {
 				runtime.GC()
 				var before runtime.MemStats
 				runtime.ReadMemStats(&before)
-				db, err = OpenWithOptions(dir, cfg.opts)
+				db, err = openTuned(dir, cfg.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -751,8 +751,8 @@ func rollupBenchFill(b *testing.B, db *DB, days int) SeriesKey {
 // points each read materializes.
 func BenchmarkRollupQuery(b *testing.B) {
 	const days = 90
-	opts := Options{Shards: 2, HotTailPoints: 64, BlockPoints: 512, BlockCacheBytes: 4 << 20}
-	db, err := OpenWithOptions(b.TempDir(), opts)
+	opts := tuning{Options: Options{BlockCacheBytes: 4 << 20}, shards: 2, hotTail: 64}
+	db, err := openTuned(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func sameRecords(t *testing.T, got, want []snapshotSeries) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	db, _ := OpenSharded("", 8)
+	db, _ := openTuned("", tuning{shards: 8})
 	populate(t, db, 13, 47)
 	want := db.capture()
 	enc := snapshotBytes(t, db)
@@ -266,7 +266,8 @@ func TestCorruptCheckpointFailsOpen(t *testing.T) {
 }
 
 // TestSnapshotChunksOversizedSeries checks that a series longer than one
-// block holds — here 70 000 hot points on a store that never seals — is
+// block holds — here 70 000 hot points on a store whose hot tail is
+// longer than the series, so it never seals — is
 // checkpointed as several blocks of at most maxBlockPoints and reopens
 // exactly.
 func TestSnapshotChunksOversizedSeries(t *testing.T) {
@@ -276,13 +277,13 @@ func TestSnapshotChunksOversizedSeries(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{Key: k, At: t0.Add(time.Duration(i) * time.Second), Value: float64(i % 97)}
 	}
-	ref, _ := OpenSharded("", 4)
+	ref, _ := openTuned("", tuning{shards: 4})
 	if _, err := ref.AppendBatch(entries); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	opts := Options{Shards: 4, HotTailPoints: -1, MaintenanceInterval: -1}
-	db, err := OpenWithOptions(dir, opts)
+	opts := tuning{shards: 4, hotTail: n}
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestSnapshotChunksOversizedSeries(t *testing.T) {
 	if total != n {
 		t.Fatalf("checkpoint blocks hold %d points, want %d", total, n)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

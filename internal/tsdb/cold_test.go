@@ -161,8 +161,8 @@ func TestBlockBytesPerStoredPoint(t *testing.T) {
 
 // sealedOpts are the tiny tiers the differential tests run under: a
 // 4-point hot tail, 8-point blocks, and a cache small enough to evict.
-func sealedOpts() Options {
-	return Options{Shards: 4, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
+func sealedOpts() tuning {
+	return tuning{Options: Options{BlockCacheBytes: 1 << 12}, shards: 4, hotTail: 4, blockPoints: 8}
 }
 
 // blockCacheCases are the block-cache sizes the differential tests run
@@ -215,11 +215,11 @@ func sealedStoreMatchesReference(t *testing.T, cacheBytes int64) {
 	dir := t.TempDir()
 	opts := sealedOpts()
 	opts.BlockCacheBytes = cacheBytes
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := OpenWithOptions("", opts)
+	mem, err := openTuned("", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func sealedStoreMatchesReference(t *testing.T, cacheBytes int64) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err = OpenWithOptions(dir, opts)
+	db, err = openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func sealedConcurrentReadsExact(t *testing.T, cacheBytes int64) {
 	dir := t.TempDir()
 	opts := sealedOpts()
 	opts.BlockCacheBytes = cacheBytes
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +599,7 @@ func TestSealCrashMatrix(t *testing.T) {
 		t.Run(cell.point, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := sealedOpts()
-			db, err := OpenWithOptions(dir, opts)
+			db, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -647,7 +647,7 @@ func TestSealCrashMatrix(t *testing.T) {
 				cell.mutate(t, env)
 			}
 
-			re, err := OpenWithOptions(dir, opts)
+			re, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatalf("reopen after %s: %v", cell.point, err)
 			}
@@ -663,7 +663,7 @@ func TestSealCrashMatrix(t *testing.T) {
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re2, err := OpenWithOptions(dir, opts)
+			re2, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -681,7 +681,7 @@ func TestSealCrashMatrix(t *testing.T) {
 func TestSealAbortsOnUnreadableBlockFile(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,7 +722,7 @@ func TestSealAbortsOnUnreadableBlockFile(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatalf("reopen after aborted seal: %v", err)
 	}
@@ -750,8 +750,8 @@ func TestSealTriggerMaintenance(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
 	opts.CheckpointAfterBytes = threshold
-	opts.MaintenanceInterval = -1 // append-path enforcement only: deterministic
-	db, err := OpenWithOptions(dir, opts)
+	opts.noDaemon = true // append-path enforcement only: deterministic
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,12 +790,12 @@ func TestSealTriggerMaintenance(t *testing.T) {
 
 // TestSealAccountingAndReap pins the bookkeeping around a seal: manifest
 // carries the block list, counters survive reopen, orphan block files
-// from a crashed seal are reaped, and a disabled tier (negative
-// HotTailPoints) never seals.
+// from a crashed seal are reaped, and a hot tail longer than every
+// series never seals.
 func TestSealAccountingAndReap(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,7 +820,7 @@ func TestSealAccountingAndReap(t *testing.T) {
 	if err := os.WriteFile(orphan, []byte("orphan of a crashed seal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -840,18 +840,15 @@ func TestSealAccountingAndReap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sealing disabled: the same workload keeps everything hot.
+	// A tail longer than every series: the same workload stays unsealed.
 	dir2 := t.TempDir()
 	off := sealedOpts()
-	off.HotTailPoints = -1
-	db2, err := OpenWithOptions(dir2, off)
+	off.hotTail = len(a)
+	db2, err := openTuned(dir2, off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.sealsCold() {
-		t.Fatal("negative HotTailPoints did not disable sealing")
-	}
 	if n, err := db2.AppendBatch(a); err != nil || n != len(a) {
 		t.Fatalf("stored %d, err %v", n, err)
 	}
@@ -859,7 +856,7 @@ func TestSealAccountingAndReap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if db2.SealedBlocks() != 0 || db2.ColdPointCount() != 0 {
-		t.Fatalf("disabled tier sealed %d blocks / %d points", db2.SealedBlocks(), db2.ColdPointCount())
+		t.Fatalf("a tail longer than the series sealed %d blocks / %d points", db2.SealedBlocks(), db2.ColdPointCount())
 	}
 }
 
@@ -869,7 +866,7 @@ func TestSealAccountingAndReap(t *testing.T) {
 // nothing, and a read of an unsealed block, which memory holds, adds one
 // observation and its points without touching the cache.
 func TestBlockDecodeMetrics(t *testing.T) {
-	db, err := OpenWithOptions(t.TempDir(), sealedOpts())
+	db, err := openTuned(t.TempDir(), sealedOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -944,7 +941,7 @@ func TestBlockDecodeMetrics(t *testing.T) {
 func TestSealedAppendOrderingGuard(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func appendToFirstColdBlock(t *testing.T, dir string) {
 }
 
 func TestColdReadErrorSurfaces(t *testing.T) {
-	opts := Options{Shards: 4, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
+	opts := tuning{Options: Options{BlockCacheBytes: 1 << 12}, shards: 4, hotTail: 4, blockPoints: 8}
 	// One series only, so the file's first block is guaranteed to be hers.
 	k := SeriesKey{Dataset: DatasetPrice, Type: "m5.large", Region: "us-east-1", AZ: "us-east-1a"}
 	entries := make([]Entry, 100)
@@ -95,7 +95,7 @@ func TestColdReadErrorSurfaces(t *testing.T) {
 	// check + decode.
 	sealed := func(t *testing.T, corrupt func(*testing.T, string)) *DB {
 		dir := t.TempDir()
-		db, err := OpenWithOptions(dir, opts)
+		db, err := openTuned(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestColdReadErrorSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		corrupt(t, dir)
-		db, err = OpenWithOptions(dir, opts)
+		db, err = openTuned(dir, opts)
 		if err != nil {
 			t.Fatalf("reopen after data-section corruption must succeed (index is intact): %v", err)
 		}
@@ -202,8 +202,8 @@ func coldReadsFail(t *testing.T, db *DB, k SeriesKey, n int) {
 // odometer, at zero.
 func TestClosedStoreColdReadIsNotCorruption(t *testing.T) {
 	// No block cache, so every cold read goes to the (closed) file.
-	opts := Options{Shards: 4, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: -1}
-	db, err := OpenWithOptions(t.TempDir(), opts)
+	opts := tuning{Options: Options{BlockCacheBytes: -1}, shards: 4, hotTail: 4, blockPoints: 8}
+	db, err := openTuned(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

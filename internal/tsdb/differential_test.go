@@ -149,7 +149,7 @@ func runDifferential(t *testing.T, shards int, mask uint64) {
 	rng := simrand.New(2022)
 	for trial := 0; trial < 20; trial++ {
 		r := rng.StreamN("diff", shards*1000+trial)
-		db := openMasked(t, "", Options{Shards: shards}, mask)
+		db := openMasked(t, "", tuning{shards: shards}, mask)
 		ref := newRefDB()
 
 		// A small key universe forces collisions on series,

@@ -5,7 +5,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func parseStoreFlags(t *testing.T, args ...string) (*Options, error) {
@@ -24,24 +23,21 @@ func TestBindFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Options{
-		CheckpointAfterBytes: 64 << 20,
-		MaintenanceInterval:  DefaultMaintenanceInterval,
-	}
+	want := Options{CheckpointAfterBytes: 64 << 20}
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("defaults:\n got  %+v\n want %+v", *got, want)
 	}
 }
 
 // TestBindFlagsNames pins the store's whole flag surface: exactly these
-// five names, so a knob cannot appear (or vanish) unnoticed.
+// two names, so a knob cannot appear (or vanish) unnoticed. The hot tail,
+// block size, shard count and daemon poll are constants.
 func TestBindFlagsNames(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	BindFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // lexical order
-	want := []string{"block-cache-bytes", "block-points", "checkpoint-bytes", "hot-tail",
-		"maintenance-interval"}
+	want := []string{"block-cache-bytes", "checkpoint-bytes"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("store flags:\n got  %v\n want %v", got, want)
 	}
@@ -50,9 +46,6 @@ func TestBindFlagsNames(t *testing.T) {
 func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 	got, err := parseStoreFlags(t,
 		"-checkpoint-bytes", "1002",
-		"-maintenance-interval", "1004ms",
-		"-hot-tail", "1005",
-		"-block-points", "1006",
 		"-block-cache-bytes", "1007",
 	)
 	if err != nil {
@@ -60,9 +53,6 @@ func TestBindFlagsEachFlagLandsInItsField(t *testing.T) {
 	}
 	want := Options{
 		CheckpointAfterBytes: 1002,
-		MaintenanceInterval:  1004 * time.Millisecond,
-		HotTailPoints:        1005,
-		BlockPoints:          1006,
 		BlockCacheBytes:      1007,
 	}
 	if !reflect.DeepEqual(*got, want) {

@@ -845,7 +845,7 @@ func TestBlockDecodeRefusesWraps(t *testing.T) {
 
 // fuzzCheckpointSeed builds a valid checkpoint file to seed the corpus.
 func fuzzCheckpointSeed(seriesN, pointsN int) []byte {
-	db, _ := OpenSharded("", 4)
+	db, _ := openTuned("", tuning{shards: 4})
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	for s := 0; s < seriesN; s++ {
 		k := SeriesKey{Dataset: "sps", Type: "m5.xlarge", Region: "us-east-1", AZ: string(rune('a' + s))}

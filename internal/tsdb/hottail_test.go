@@ -48,7 +48,7 @@ func TestViewSurvivesCheckpointSwap(t *testing.T) {
 func viewSurvivesCheckpointSwap(t *testing.T, cacheBytes int64) {
 	opts := sealedOpts()
 	opts.BlockCacheBytes = cacheBytes
-	db, err := OpenWithOptions(t.TempDir(), opts)
+	db, err := openTuned(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func viewSurvivesCheckpointSwap(t *testing.T, cacheBytes int64) {
 func TestLastNeverDecodes(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestLastNeverDecodes(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if db, err = OpenWithOptions(dir, opts); err != nil {
+	if db, err = openTuned(dir, opts); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
@@ -284,7 +284,7 @@ func TestLastNeverDecodes(t *testing.T) {
 func TestLastOfSealedOnlySeries(t *testing.T) {
 	dir := t.TempDir()
 	opts := sealedOpts()
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestLastOfSealedOnlySeries(t *testing.T) {
 	if err := writeManifest(dir, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	if db, err = OpenWithOptions(dir, opts); err != nil {
+	if db, err = openTuned(dir, opts); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
@@ -344,8 +344,8 @@ func checkpointDataBytes(t *testing.T, db *DB) int64 {
 // each point stored since the checkpoint.
 func TestHotBytesBound(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 4, HotTailPoints: 32, BlockPoints: 64, MaintenanceInterval: -1}
-	db, err := OpenWithOptions(dir, opts)
+	opts := tuning{shards: 4, hotTail: 32, blockPoints: 64}
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestHotBytesBound(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if db, err = OpenWithOptions(dir, opts); err != nil {
+	if db, err = openTuned(dir, opts); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()

@@ -18,11 +18,11 @@ import (
 // mask is read at open, so it holds for this store alone. ^0 is a plain
 // open; a small mask squeezes every key into a few hash values, so most
 // series sit on a collision chain.
-func openMasked(t testing.TB, dir string, o Options, mask uint64) *DB {
+func openMasked(t testing.TB, dir string, o tuning, mask uint64) *DB {
 	t.Helper()
 	old := keyHashMask
 	keyHashMask = mask
-	db, err := OpenWithOptions(dir, o)
+	db, err := openTuned(dir, o)
 	keyHashMask = old
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestAppendBatchIfChangedMatchesPointwise(t *testing.T) {
 func checkBatchIfChanged(t *testing.T, shards int, mask uint64) {
 	t.Helper()
 	r := simrand.New(38).StreamN("batch-if-changed", shards)
-	o := Options{Shards: shards, HotTailPoints: 4, BlockPoints: 8}
+	o := tuning{shards: shards, hotTail: 4, blockPoints: 8}
 	dirB, dirP := t.TempDir(), t.TempDir()
 	batchDB := openMasked(t, dirB, o, mask)
 	pointDB := openMasked(t, dirP, o, ^uint64(0))
@@ -240,7 +240,7 @@ func TestKeyHashCollisions(t *testing.T) {
 	}
 	t.Run("checkpoint-reopen", func(t *testing.T) {
 		dir := t.TempDir()
-		o := Options{Shards: 8, HotTailPoints: 4, BlockPoints: 8}
+		o := tuning{shards: 8, hotTail: 4, blockPoints: 8}
 		db := openMasked(t, dir, o, squeezed)
 		ref := newRefDB()
 		var keys []SeriesKey

@@ -12,8 +12,8 @@ package tsdb
 //     WALBytesSinceCheckpoint >= Options.CheckpointAfterBytes.
 //
 //   - A per-store daemon goroutine (started by OpenWithOptions when the
-//     trigger is configured, stopped by Close) polls every
-//     Options.MaintenanceInterval and checkpoints when it is live. It is
+//     trigger is configured on a writable store, stopped by Close) polls
+//     every maintenanceInterval and checkpoints when it is live. It is
 //     what covers a store that goes idle above the threshold.
 //
 //   - The trigger is additionally enforced synchronously on the
@@ -54,11 +54,11 @@ import (
 	"time"
 )
 
-// DefaultMaintenanceInterval is the daemon's poll period when Options
-// leaves MaintenanceInterval zero. The interval only bounds how long a
-// *quiesced* store can sit above the trigger threshold: the append path
-// enforces the trigger synchronously, so a shorter interval buys little.
-const DefaultMaintenanceInterval = time.Second
+// maintenanceInterval is the daemon's poll period. It only bounds how
+// long a *quiesced* store can sit above the trigger threshold: the append
+// path enforces the trigger synchronously, so a shorter interval buys
+// little.
+const maintenanceInterval = time.Second
 
 // maintenanceRetryBackoff is how long the append path stands down after
 // a failed maintenance checkpoint. A latched trigger only clears when a
@@ -89,25 +89,23 @@ func (db *DB) SealedSegments() int { return int(db.sealedN.Load()) }
 // Open.
 func (db *DB) setSealed() { db.sealedN.Store(int64(db.walSeq - db.man.WALSeq)) }
 
-// startMaintainer launches the daemon goroutine if the options call for
-// one. Runs at the end of OpenWithOptions, after recovery, so the daemon
-// only ever sees a fully open store.
-func (db *DB) startMaintainer(interval time.Duration) {
-	if !db.selfMaintains() || interval < 0 {
+// startMaintainer launches the daemon goroutine if the store maintains
+// itself. Runs at the end of an open, after recovery, so the daemon only
+// ever sees a fully open store.
+func (db *DB) startMaintainer() {
+	if !db.selfMaintains() {
 		return
-	}
-	if interval == 0 {
-		interval = DefaultMaintenanceInterval
 	}
 	db.maintStop = make(chan struct{})
 	db.maintDone = make(chan struct{})
-	go db.maintainLoop(interval)
+	go db.maintainLoop()
 }
 
-// maintainLoop is the daemon: poll every interval until stopped.
-func (db *DB) maintainLoop(interval time.Duration) {
+// maintainLoop is the daemon: poll every maintenanceInterval until
+// stopped.
+func (db *DB) maintainLoop() {
 	defer close(db.maintDone)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(maintenanceInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -36,11 +36,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestChainCapBoundsSealedSegments(t *testing.T) {
 	const threshold = 2048
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, Options{
-		Shards:               2,
-		CheckpointAfterBytes: threshold,
-		MaintenanceInterval:  -1, // no daemon: the append path alone must hold the bound
-	})
+	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2, noDaemon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +86,14 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 }
 
 // TestDaemonVsManualCheckpointSingleFlight hammers a store with
-// concurrent appends, manual Checkpoint calls, and a fast maintenance
-// daemon whose byte trigger keeps re-arming. Run under -race (CI does);
-// the assertions are no errors, and exact recovery afterwards.
+// concurrent appends, manual Checkpoint calls, and daemon polls whose
+// byte trigger keeps re-arming: the daemon runs, and a third goroutine
+// polls as it does (maintainOnce) without its one-second wait. Run under
+// -race (CI does); the assertions are no errors, and exact recovery
+// afterwards.
 func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, Options{
-		Shards:               4,
-		CheckpointAfterBytes: 1024,
-		MaintenanceInterval:  time.Millisecond,
-	})
+	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: 1024}, shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +110,7 @@ func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 			}
 		}
 	}()
-	checkpointer.Add(1)
-	go func() {
+	poll := func(checkpoint func() error) {
 		defer checkpointer.Done()
 		for {
 			select {
@@ -125,12 +118,15 @@ func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 				return
 			default:
 			}
-			if err := db.Checkpoint(); err != nil {
-				t.Errorf("manual checkpoint: %v", err)
+			if err := checkpoint(); err != nil {
+				t.Errorf("checkpoint: %v", err)
 				return
 			}
 		}
-	}()
+	}
+	checkpointer.Add(2)
+	go poll(db.Checkpoint)
+	go poll(func() error { db.maintainOnce(); return nil })
 	appender.Wait()
 	close(stop)
 	checkpointer.Wait()
@@ -159,11 +155,7 @@ func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 // then the backoff window gates the rest.
 func TestMaintenanceBackoffOnFailure(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, Options{
-		Shards:               2,
-		CheckpointAfterBytes: 2048,
-		MaintenanceInterval:  -1,
-	})
+	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: 2048}, shards: 2, noDaemon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +201,8 @@ func TestMaintenanceBackoffOnFailure(t *testing.T) {
 func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	const threshold = 8 << 10
 	dir := t.TempDir()
-	opts := Options{
-		Shards:               2,
-		CheckpointAfterBytes: threshold,
-		MaintenanceInterval:  -1,
-	}
-	db, err := OpenWithOptions(dir, opts)
+	opts := tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2, noDaemon: true}
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +222,7 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,16 +252,13 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 // append path cannot intervene, and nothing appends afterwards, so only
 // the daemon can act: within its poll it must fold the tail into a
 // checkpoint, unlink every segment it covers, and leave the next open
-// almost nothing to replay.
+// almost nothing to replay. The daemon polls once a second, so the test
+// takes one to two seconds.
 func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	const threshold = 16 << 10
 	dir := t.TempDir()
-	opts := Options{
-		Shards:               2,
-		CheckpointAfterBytes: threshold,
-		MaintenanceInterval:  2 * time.Millisecond,
-	}
-	db, err := OpenWithOptions(dir, opts)
+	opts := tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2}
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +280,7 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

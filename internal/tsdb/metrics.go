@@ -72,7 +72,7 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) float64 { return float64(db.cpAfterBytes) })
 	gauge("spotlake_store_maintainer_active", "1 while the maintenance daemon runs; the append path enforces the trigger either way.",
 		func(db *DB) float64 { return boolGauge(db.MaintainerActive()) })
-	gauge("spotlake_store_hot_tail_points", "Per-series tail a seal keeps unsealed, in memory (-1 = sealing disabled).",
+	gauge("spotlake_store_hot_tail_points", "Per-series tail a seal keeps unsealed, in memory (a constant: 256).",
 		func(db *DB) float64 { return float64(db.hotTail) })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",
 		func(db *DB) uint64 { return db.scannedPoints() })

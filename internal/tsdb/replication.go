@@ -110,9 +110,6 @@ func (db *DB) ReplicationPosition() (checkpointSeq uint64) {
 // Dir returns the store's data directory; empty for memory-only stores.
 func (db *DB) Dir() string { return db.dir }
 
-// ReadOnly reports whether the store was opened with Options.ReadOnly.
-func (db *DB) ReadOnly() bool { return db.readOnly }
-
 // IsReplicationArtifactName reports whether name is a well-formed
 // artifact name a ReplicationSnapshot could list: a WAL segment,
 // a checkpoint snapshot, or a block file. Everything else —

@@ -122,7 +122,7 @@ func assertStoresEqual(t *testing.T, a, b *DB) {
 // point the primary holds.
 func TestReplicaDifferential(t *testing.T) {
 	pdir, rdir := t.TempDir(), t.TempDir()
-	db, err := OpenWithOptions(pdir, rollupOpts())
+	db, err := openTuned(pdir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReplicaDifferential(t *testing.T) {
 
 	open := func() *DB {
 		t.Helper()
-		r, err := OpenWithOptions(rdir, Options{Shards: 4, ReadOnly: true, MaintenanceInterval: -1})
+		r, err := openTuned(rdir, tuning{Options: Options{ReadOnly: true}, shards: 4})
 		if err != nil {
 			t.Fatalf("read-only open: %v", err)
 		}
@@ -149,8 +149,8 @@ func TestReplicaDifferential(t *testing.T) {
 		}
 		copyReplica(t, db, rdir)
 		replica := open()
-		if !replica.ReadOnly() {
-			t.Fatal("replica does not report ReadOnly")
+		if !replica.readOnly {
+			t.Fatal("replica is not read-only")
 		}
 		assertStoresEqual(t, db, replica)
 		assertRollupsMatch(t, replica, ref)
@@ -189,7 +189,7 @@ func TestReplicaDifferential(t *testing.T) {
 // a read-only open.
 func TestReadOnlyStoreRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, sealedOpts())
+	db, err := openTuned(dir, sealedOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReadOnlyStoreRejectsWrites(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := OpenWithOptions(dir, Options{Shards: 4, ReadOnly: true, MaintenanceInterval: -1})
+	ro, err := openTuned(dir, tuning{Options: Options{ReadOnly: true}, shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,18 +224,18 @@ func TestReadOnlyStoreRejectsWrites(t *testing.T) {
 
 // TestReadOnlyOpenRefusals: the open paths a replica must never take.
 func TestReadOnlyOpenRefusals(t *testing.T) {
-	if _, err := OpenWithOptions("", Options{ReadOnly: true}); err == nil {
+	if _, err := openTuned("", tuning{Options: Options{ReadOnly: true}}); err == nil {
 		t.Error("memory-only read-only open succeeded")
 	}
 	empty := t.TempDir()
-	if _, err := OpenWithOptions(empty, Options{ReadOnly: true}); err == nil {
+	if _, err := openTuned(empty, tuning{Options: Options{ReadOnly: true}}); err == nil {
 		t.Error("read-only open of a manifest-less directory succeeded")
 	}
 	if HasCommittedManifest(empty) {
 		t.Error("HasCommittedManifest true for an empty directory")
 	}
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, sealedOpts())
+	db, err := openTuned(dir, sealedOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 // checkpoint leaves no rollup snapshot behind.
 func TestReplicationSnapshotCoherent(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, rollupOpts())
+	db, err := openTuned(dir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ var (
 
 // rollupOpts seals aggressively like sealedOpts but with block sizes
 // that put several blocks per series so folds cross block boundaries.
-func rollupOpts() Options {
-	return Options{Shards: 4, HotTailPoints: 4, BlockPoints: 16, BlockCacheBytes: 1 << 14}
+func rollupOpts() tuning {
+	return tuning{Options: Options{BlockCacheBytes: 1 << 14}, shards: 4, hotTail: 4, blockPoints: 16}
 }
 
 // rollupEntries builds a multi-day workload over a few series: points
@@ -141,7 +141,7 @@ func assertRollupsMatch(t *testing.T, db *DB, ref map[SeriesKey][]Point) {
 // memory-only store fed the same points. No seal leaves a rollup file.
 func TestRollupDifferential(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, rollupOpts())
+	db, err := openTuned(dir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRollupDifferential(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err = OpenWithOptions(dir, rollupOpts())
+	db, err = openTuned(dir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRollupDifferential(t *testing.T) {
 // -race it also checks that folds read views appends and seals replace
 // without a data race.
 func TestRollupReadsDuringSeals(t *testing.T) {
-	db, err := OpenWithOptions(t.TempDir(), rollupOpts())
+	db, err := openTuned(t.TempDir(), rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

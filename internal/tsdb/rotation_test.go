@@ -251,8 +251,8 @@ func TestRotationCrashMatrix(t *testing.T) {
 				point = cell.name
 			}
 			dir := t.TempDir()
-			opts := Options{Shards: 4}
-			db, err := OpenWithOptions(dir, opts)
+			opts := tuning{shards: 4}
+			db, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +344,7 @@ func TestRotationCrashMatrix(t *testing.T) {
 				cell.mutate(t, env)
 			}
 
-			re, err := OpenWithOptions(dir, opts)
+			re, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatalf("reopen after %s: %v", cell.name, err)
 			}
@@ -357,7 +357,7 @@ func TestRotationCrashMatrix(t *testing.T) {
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re2, err := OpenWithOptions(dir, opts)
+			re2, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +397,7 @@ func walFileBytes(t *testing.T, dir string) (int64, int) {
 // records appended since (WALBytesSinceCheckpoint) plus its header.
 func TestCheckpointZeroRewrite(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, Options{Shards: 4})
+	db, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +469,11 @@ func TestRotatedDifferentialRecovery(t *testing.T) {
 			rng := simrand.New(uint64(seed))
 			r := rng.StreamN("rotdiff", seed)
 			dirOK, dirFail := t.TempDir(), t.TempDir()
-			opts := Options{Shards: 4}
+			opts := tuning{shards: 4}
 			failAt := ""
 			open := func(dir string, failing bool) *DB {
 				t.Helper()
-				db, err := OpenWithOptions(dir, opts)
+				db, err := openTuned(dir, opts)
 				if err != nil {
 					t.Fatalf("seed %d: open: %v", seed, err)
 				}
@@ -577,8 +577,8 @@ func TestRotatedDifferentialRecovery(t *testing.T) {
 func TestCheckpointAfterBytesBoundsReplayTail(t *testing.T) {
 	const threshold = 16 << 10
 	dir := t.TempDir()
-	opts := Options{Shards: 4}
-	db, err := OpenWithOptions(dir, opts)
+	opts := tuning{shards: 4}
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestCheckpointAfterBytesBoundsReplayTail(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,8 +655,8 @@ func TestRotationAfterCrashedGeneration(t *testing.T) {
 	for _, entryLost := range []bool{false, true} {
 		t.Run(fmt.Sprintf("entryLost=%v", entryLost), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Shards: 4}
-			db, err := OpenWithOptions(dir, opts)
+			opts := tuning{shards: 4}
+			db, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -692,7 +692,7 @@ func TestRotationAfterCrashedGeneration(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			re, err := OpenWithOptions(dir, opts)
+			re, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -719,7 +719,7 @@ func TestRotationAfterCrashedGeneration(t *testing.T) {
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re2, err := OpenWithOptions(dir, opts)
+			re2, err := openTuned(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -734,8 +734,8 @@ func TestRotationAfterCrashedGeneration(t *testing.T) {
 // and seq 1000000 both replay, and the store keeps appending.
 func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 1}
-	db, err := OpenWithOptions(dir, opts)
+	opts := tuning{shards: 1}
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +779,7 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if err := writeManifest(dir, man, nil); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -802,7 +802,7 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 1 || filepath.Base(segs[0]) != rotSegName(1000001) {
 		t.Fatalf("segment files %v after the checkpoint, want only %s", segs, rotSegName(1000001))
 	}
-	re2, err := OpenWithOptions(dir, opts)
+	re2, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,8 +821,8 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 // left, and a reopen is exact.
 func TestRotationFailureFailsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 2, CheckpointAfterBytes: 2048, MaintenanceInterval: -1}
-	db, err := OpenWithOptions(dir, opts)
+	opts := tuning{Options: Options{CheckpointAfterBytes: 2048}, shards: 2, noDaemon: true}
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -878,7 +878,7 @@ func TestRotationFailureFailsCheckpoint(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, opts)
+	re, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,9 @@ func checkServed(t *testing.T, stage string, db *DB, k SeriesKey, appended []Poi
 // a reopen of the same directory.
 func sealReopen(t *testing.T, k SeriesKey, pts []Point, fn func(stage string, db *DB)) {
 	t.Helper()
-	opts := Options{Shards: 2, HotTailPoints: 1, BlockPoints: 2}
+	opts := tuning{shards: 2, hotTail: 1, blockPoints: 2}
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, opts)
+	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func sealReopen(t *testing.T, k SeriesKey, pts []Point, fn func(stage string, db
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err = OpenWithOptions(dir, opts)
+	db, err = openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

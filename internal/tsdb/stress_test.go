@@ -19,7 +19,7 @@ func TestConcurrentStress(t *testing.T) {
 		perWriter      = 400
 		seriesPerWrite = 4 // each writer owns this many series
 	)
-	db, err := OpenSharded("", 8)
+	db, err := openTuned("", tuning{shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestConcurrentStress(t *testing.T) {
 // races the WAL: late appends fail cleanly instead of writing to a closed
 // file.
 func TestConcurrentStressClose(t *testing.T) {
-	db, err := OpenSharded(t.TempDir(), 4)
+	db, err := openTuned(t.TempDir(), tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

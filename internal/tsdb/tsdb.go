@@ -385,68 +385,46 @@ type DB struct {
 	testCrash func(point string) error
 }
 
-// DefaultShardCount is the shard count used by Open: the smallest power of
-// two >= GOMAXPROCS, clamped to [8, 256]. The floor keeps lock striping
-// effective on small machines; the ceiling bounds per-shard overhead.
-func DefaultShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	s := 1
-	for s < n {
+// defaultShards is the lock-stripe count a store opens with: the
+// smallest power of two >= GOMAXPROCS, clamped to [8, 256]. The floor
+// keeps lock striping effective on small machines; the ceiling bounds
+// per-shard overhead. Nothing on disk records it: a directory opens at
+// any count.
+func defaultShards() int {
+	s := 8
+	for s < runtime.GOMAXPROCS(0) && s < 256 {
 		s <<= 1
-	}
-	if s < 8 {
-		s = 8
-	}
-	if s > 256 {
-		s = 256
 	}
 	return s
 }
 
-// DefaultHotTailPoints is the per-series tail a seal keeps unsealed when
-// Options leaves HotTailPoints zero. Checkpoint seals older points into
-// compressed block files; the tail keeps recent-window reads off the
-// disk and the block cache, in memory as the checkpoint's own blocks.
-const DefaultHotTailPoints = 256
+// hotTailPoints is the per-series tail a checkpoint keeps unsealed, in
+// memory as the checkpoint's own blocks, when it seals older points into
+// compressed block files: it keeps recent-window reads off the disk and
+// the block cache. Last, dedup and the out-of-order check read each
+// series' newest point, which it keeps whatever the tail's length.
+const hotTailPoints = 256
 
-// DefaultBlockPoints is the sealed block size (points per block) when
-// Options leaves BlockPoints zero. Bigger blocks compress better and
-// shrink the in-memory index; smaller blocks make narrow cold reads
-// decode less. Only whole blocks seal — a partial remainder stays hot.
-const DefaultBlockPoints = 512
+// blockPoints is the sealed block size in points. Bigger blocks
+// compress better and shrink the in-memory index; smaller blocks make
+// narrow cold reads decode less. Only whole blocks seal — a partial
+// remainder stays unsealed. A series so seals its first block once it
+// holds hotTailPoints + blockPoints points.
+const blockPoints = 512
 
-// Options configures OpenWithOptions.
+// Options configures OpenWithOptions: what a deployment sets.
 type Options struct {
-	// Shards is the lock-stripe count, rounded up to a power of two;
-	// <= 0 selects DefaultShardCount. A shard count of 1 reproduces the
-	// single-lock store, which the benchmarks use as baseline. Nothing on
-	// disk records it: a directory opens at any count.
-	Shards int
 	// CheckpointAfterBytes, when positive on a durable store, makes the
 	// store checkpoint itself once WALBytesSinceCheckpoint crosses the
 	// threshold — regardless of who is writing (collector, bootstrap,
 	// analysis tools). It is the store's one size knob: every stored
 	// point costs at least 10 WAL bytes, so the same threshold bounds the
 	// replay tail, the WAL bytes on disk and hot-memory growth between
-	// seals ((threshold + one batch) / 10 B). Zero disables the store's
-	// own size trigger (callers may still schedule checkpoints
-	// themselves).
+	// seals ((threshold + one batch) / 10 B). A writable store with the
+	// trigger set also runs a maintenance daemon that polls it every
+	// maintenanceInterval. Zero disables the store's own size trigger
+	// (callers may still schedule checkpoints themselves).
 	CheckpointAfterBytes int64
-	// MaintenanceInterval is the maintenance daemon's poll period: 0
-	// selects DefaultMaintenanceInterval, negative disables the daemon
-	// (the append-path enforcement still applies). The daemon only
-	// starts when the store is durable and CheckpointAfterBytes is set.
-	MaintenanceInterval time.Duration
-	// HotTailPoints is the per-series tail a checkpoint keeps unsealed,
-	// in memory, when sealing history into compressed block files: 0
-	// selects DefaultHotTailPoints, negative disables sealing entirely
-	// (every point stays in memory, the pre-block-tier behavior). Last,
-	// dedup and the out-of-order check read each series' newest point,
-	// which it keeps whatever the tail's length.
-	HotTailPoints int
-	// BlockPoints is the sealed block size in points: 0 selects
-	// DefaultBlockPoints; values are clamped to [2, 65536].
-	BlockPoints int
 	// BlockCacheBytes bounds the decoded-block LRU cache: 0 selects
 	// DefaultBlockCacheBytes, negative disables caching (cold reads
 	// decode every time). Each cached point is charged 16 bytes, what a
@@ -462,50 +440,38 @@ type Options struct {
 	ReadOnly bool
 }
 
-// Open opens (or creates) a store with DefaultShardCount shards. With a
-// non-empty dir, points are persisted to an append-only log inside it and
-// replayed on open. With an empty dir the store is memory-only.
+// tuning is everything an open fixes: the caller's Options and the
+// store's geometry. Every exported open uses the production geometry
+// (defaultShards, hotTailPoints, blockPoints, the daemon on); the
+// package's tests shrink it to reach seals and lock-stripe edges at
+// small sizes.
+type tuning struct {
+	Options
+	shards      int  // lock stripes, a power of two
+	hotTail     int  // per-series points a seal keeps unsealed
+	blockPoints int  // points per sealed block, in [2, maxBlockPoints]
+	noDaemon    bool // only the append path enforces the byte trigger
+}
+
+// Open opens (or creates) a store. With a non-empty dir, points are
+// persisted to an append-only log inside it and replayed on open. With
+// an empty dir the store is memory-only.
 func Open(dir string) (*DB, error) {
 	return OpenWithOptions(dir, Options{})
 }
 
-// OpenSharded opens a store with an explicit shard count; see Options.
-func OpenSharded(dir string, shards int) (*DB, error) {
-	return OpenWithOptions(dir, Options{Shards: shards})
+// OpenWithOptions opens a store with the deployment's Options.
+func OpenWithOptions(dir string, o Options) (*DB, error) {
+	return tuning{Options: o, shards: defaultShards(), hotTail: hotTailPoints, blockPoints: blockPoints}.open(dir)
 }
 
-// OpenWithOptions opens a store with explicit tuning.
-func OpenWithOptions(dir string, o Options) (*DB, error) {
-	shards := o.Shards
-	if shards <= 0 {
-		shards = DefaultShardCount()
-	}
-	shards = min(shards, maxShards)
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	db := &DB{shards: make([]shard, n), mask: uint32(n - 1), cpTime: obs.NewHistogram(checkpointBuckets)}
+// open opens a store at t.
+func (t tuning) open(dir string) (*DB, error) {
+	db := &DB{shards: make([]shard, t.shards), mask: uint32(t.shards - 1), cpTime: obs.NewHistogram(checkpointBuckets)}
 	db.seed, db.hashMask = maphash.MakeSeed(), keyHashMask
-	db.cpAfterBytes = o.CheckpointAfterBytes
-	db.hotTail = o.HotTailPoints
-	switch {
-	case db.hotTail == 0:
-		db.hotTail = DefaultHotTailPoints
-	case db.hotTail < 0:
-		db.hotTail = -1 // sealing disabled
-	}
-	db.blockPoints = o.BlockPoints
-	if db.blockPoints <= 0 {
-		db.blockPoints = DefaultBlockPoints
-	}
-	if db.blockPoints < 2 {
-		db.blockPoints = 2
-	}
-	if db.blockPoints > maxBlockPoints {
-		db.blockPoints = maxBlockPoints
-	}
-	cacheBytes := o.BlockCacheBytes
+	db.cpAfterBytes = t.CheckpointAfterBytes
+	db.hotTail, db.blockPoints = t.hotTail, t.blockPoints
+	cacheBytes := t.BlockCacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = DefaultBlockCacheBytes
 	}
@@ -514,12 +480,12 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 		db.shards[i].index = make(map[uint64]*series)
 	}
 	if dir == "" {
-		if o.ReadOnly {
+		if t.ReadOnly {
 			return nil, errors.New("tsdb: read-only open requires a durable directory")
 		}
 		return db, nil
 	}
-	db.readOnly = o.ReadOnly
+	db.readOnly = t.ReadOnly
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: creating dir: %w", err)
 	}
@@ -527,14 +493,11 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if err := db.openDurable(); err != nil {
 		return nil, err
 	}
-	if !db.readOnly {
-		db.startMaintainer(o.MaintenanceInterval)
+	if !db.readOnly && !t.noDaemon {
+		db.startMaintainer()
 	}
 	return db, nil
 }
-
-// ShardCount returns the number of lock stripes.
-func (db *DB) ShardCount() int { return len(db.shards) }
 
 // Durable reports whether the store persists to disk (opened with a
 // non-empty directory).
@@ -764,7 +727,7 @@ func (db *DB) flushLog() error {
 // append earlier than the series' last point is rejected. Durability is
 // AppendBatch's.
 func (db *DB) Append(k SeriesKey, at time.Time, v float64) error {
-	_, err := db.appendOne(k, at, v, false)
+	_, err := db.appendBatch([]Entry{{Key: k, At: at, Value: v}}, false)
 	return err
 }
 
@@ -774,40 +737,8 @@ func (db *DB) Append(k SeriesKey, at time.Time, v float64) error {
 // events, which both bounds storage and makes Figure 10's
 // time-between-changes analysis a direct read of the series.
 func (db *DB) AppendIfChanged(k SeriesKey, at time.Time, v float64) (bool, error) {
-	return db.appendOne(k, at, v, true)
-}
-
-// appendOne is the single-point body behind Append and AppendIfChanged,
-// as appendBatch is behind the batch pair: with dedup, a point whose
-// value equals its series' last value is skipped.
-func (db *DB) appendOne(k SeriesKey, at time.Time, v float64, dedup bool) (bool, error) {
-	if err := validKey(k); err != nil {
-		return false, err
-	}
-	if err := validPoint(at, v); err != nil {
-		return false, err
-	}
-	db.enforceMaintenance()
-	h, sh := db.locate(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.find(h, k)
-	if dedup && db.unchangedLocked(s, v) {
-		return false, nil
-	}
-	var one [1]walEntry
-	ents, err := db.appendLocked(sh, s, h, k, at, v, one[:0])
-	if err != nil {
-		return false, err
-	}
-	db.countLocked(sh, 1)
-	if err := db.writeLog(ents); err != nil {
-		return false, err
-	}
-	if err := db.flushLog(); err != nil {
-		return false, err
-	}
-	return true, nil
+	n, err := db.appendBatch([]Entry{{Key: k, At: at, Value: v}}, true)
+	return n > 0, err
 }
 
 // unchangedLocked reports whether v equals the last value of s (nil for a
@@ -845,14 +776,16 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 	// Stable counting sort of entry indices by shard: input order is
 	// preserved within a shard (so per-series time order survives), and
 	// no per-call maps are allocated. Each valid entry's key is hashed
-	// here, once; invalid entries land in bucket ns.
+	// here, once; invalid entries land in bucket ns. One allocation
+	// holds each entry's shard, the entry indices in shard order, and
+	// end[s], first shard s's count, then where its run of order ends.
 	ns := len(db.shards)
 	var firstErr error
 	hashes := make([]uint64, len(entries))
-	shardOf := make([]uint32, len(entries))
-	counts := make([]int, ns+1)
+	idx := make([]int32, 2*len(entries)+ns+1)
+	shardOf, order, end := idx[:len(entries)], idx[len(entries):2*len(entries)], idx[2*len(entries):]
 	for i := range entries {
-		si := uint32(ns)
+		si := int32(ns)
 		err := validKey(entries[i].Key)
 		if err == nil {
 			err = validPoint(entries[i].At, entries[i].Value)
@@ -863,36 +796,34 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 			}
 		} else {
 			hashes[i] = db.keyHash(entries[i].Key)
-			si = uint32(hashes[i]) & db.mask
+			si = int32(uint32(hashes[i]) & db.mask)
 		}
 		shardOf[i] = si
-		counts[si]++
+		end[si]++
 	}
-	pos := make([]int, ns+1)
-	sum := 0
-	for s := 0; s <= ns; s++ {
-		pos[s] = sum
-		sum += counts[s]
+	var sum int32
+	for s := range end {
+		end[s], sum = sum, sum+end[s]
 	}
-	order := make([]int32, len(entries))
-	fill := append([]int(nil), pos...)
-	for i := range entries {
-		s := shardOf[i]
-		order[fill[s]] = int32(i)
-		fill[s]++
+	for i, s := range shardOf {
+		order[end[s]] = int32(i)
+		end[s]++
 	}
 	stored := 0
-	var ents []walEntry
+	var entsBuf [8]walEntry
+	ents := entsBuf[:0]
+	var lo int32
 	for s := 0; s < ns; s++ {
-		lo, hi := pos[s], pos[s]+counts[s]
-		if lo == hi {
+		run := order[lo:end[s]]
+		lo = end[s]
+		if len(run) == 0 {
 			continue
 		}
 		sh := &db.shards[s]
 		sh.mu.Lock()
 		ents = ents[:0]
 		n := 0
-		for _, i := range order[lo:hi] {
+		for _, i := range run {
 			e, h := &entries[i], hashes[i]
 			se := sh.find(h, e.Key)
 			if dedup && db.unchangedLocked(se, e.Value) {
@@ -1572,7 +1503,3 @@ func (db *DB) ColdReadErrors() uint64 { return db.coldErrs.Value() }
 // read API. A rollup read counts the raw points it folds, not the
 // buckets it returns.
 func (db *DB) scannedPoints() uint64 { return db.scanned.Value() }
-
-// sealsCold reports whether checkpoints seal history into the cold
-// tier: the store is durable and sealing was not disabled.
-func (db *DB) sealsCold() bool { return db.dir != "" && db.hotTail > 0 }

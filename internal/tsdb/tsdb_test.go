@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,6 +15,24 @@ var t0 = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func key(az string) SeriesKey {
 	return SeriesKey{Dataset: DatasetPlacementScore, Type: "m5.xlarge", Region: "us-east-1", AZ: az}
+}
+
+// openTuned opens dir at t, each zero geometry field at its production
+// value: defaultShards, hotTailPoints, blockPoints.
+func openTuned(dir string, t tuning) (*DB, error) {
+	if t.shards == 0 {
+		t.shards = defaultShards()
+	}
+	if t.shards&(t.shards-1) != 0 {
+		return nil, fmt.Errorf("tsdb: %d shards is not a power of two", t.shards)
+	}
+	if t.hotTail == 0 {
+		t.hotTail = hotTailPoints
+	}
+	if t.blockPoints == 0 {
+		t.blockPoints = blockPoints
+	}
+	return t.open(dir)
 }
 
 func mustOpen(t *testing.T, dir string) *DB {

@@ -153,9 +153,6 @@ const (
 	// walRecordSplit is the body size past which writeLog ends a record
 	// and starts the next, so no body outgrows its u32 length.
 	walRecordSplit = 1 << 20
-
-	// maxShards bounds a store's shard count.
-	maxShards = 1 << 16
 )
 
 // errCrashPoint is returned by armed crash-point hooks; the crash-matrix
@@ -1281,7 +1278,7 @@ func (db *DB) checkpointLocked() error {
 			return err
 		}
 		nseal := 0
-		if sealable := len(pts) - db.hotTail; db.sealsCold() && sealable >= db.blockPoints {
+		if sealable := len(pts) - db.hotTail; sealable >= db.blockPoints {
 			nseal = sealable - sealable%db.blockPoints
 			c.seal = encodeSeries(pts[:nseal], db.blockPoints)
 			sealEntries = append(sealEntries, blockSealEntry{key: c.s.key, canon: c.canon, blocks: c.seal})

@@ -306,7 +306,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 				dir := t.TempDir()
 				writeFiles(t, dir, lay.files)
 				before := dirState(t, dir)
-				db, err := OpenWithOptions(dir, Options{Shards: 2, ReadOnly: readOnly, MaintenanceInterval: -1})
+				db, err := openTuned(dir, tuning{Options: Options{ReadOnly: readOnly}, shards: 2})
 				if err == nil {
 					n := db.PointCount()
 					db.Close()
@@ -352,7 +352,7 @@ func TestFirstOpenCrashLeftoversOpenFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db, err := OpenSharded(dir, 4)
+	db, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestFirstOpenCrashLeftoversOpenFresh(t *testing.T) {
 			t.Errorf("leftover %s not reaped (err=%v)", tmp, err)
 		}
 	}
-	re, err := OpenSharded(dir, 4)
+	re, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func statState(t *testing.T, dir string) map[string]string {
 func TestShardCountChange(t *testing.T) {
 	dir := t.TempDir()
 	entries := legacyEntries(400)
-	db, err := OpenSharded(dir, 4)
+	db, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestShardCountChange(t *testing.T) {
 	}
 	for round, shards := range []int{16, 2, 4} {
 		re := unchanged(fmt.Sprintf("opening at %d shards", shards), func() *DB {
-			db, err := OpenSharded(dir, shards)
+			db, err := openTuned(dir, tuning{shards: shards})
 			if err != nil {
 				t.Fatalf("reopen with %d shards: %v", shards, err)
 			}
@@ -457,7 +457,7 @@ func TestShardCountChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		ro := unchanged(fmt.Sprintf("a read-only open at %d shards", 2*shards), func() *DB {
-			db, err := OpenWithOptions(dir, Options{Shards: 2 * shards, ReadOnly: true})
+			db, err := openTuned(dir, tuning{Options: Options{ReadOnly: true}, shards: 2 * shards})
 			if err != nil {
 				t.Fatalf("read-only open with %d shards: %v", 2*shards, err)
 			}
@@ -470,7 +470,7 @@ func TestShardCountChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	final, err := OpenSharded(dir, 4)
+	final, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestShardCountChange(t *testing.T) {
 // since) reproduces the full archive.
 func TestCheckpointBoundedRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenSharded(dir, 4)
+	db, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenSharded(dir, 4)
+	re, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 // before appending, not stranded in front of the new records.
 func TestSegmentCrashedTailThenAppend(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenSharded(dir, 4)
+	db, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestSegmentCrashedTailThenAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenSharded(dir, 4)
+	re, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func TestSegmentCrashedTailThenAppend(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := OpenSharded(dir, 4)
+	re2, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +667,7 @@ func TestCheckpointConcurrentWithAppends(t *testing.T) {
 		perWriter = 300
 	)
 	dir := t.TempDir()
-	db, err := OpenSharded(dir, 4)
+	db, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,7 +715,7 @@ func TestCheckpointConcurrentWithAppends(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenSharded(dir, 4)
+	re, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,7 +731,7 @@ func TestCheckpointConcurrentWithAppends(t *testing.T) {
 // store starts from zero.
 func TestCheckpointMetrics(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWithOptions(dir, rollupOpts())
+	db, err := openTuned(dir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,7 +777,7 @@ func TestCheckpointMetrics(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, rollupOpts())
+	re, err := openTuned(dir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,7 +832,7 @@ func TestBytesWrittenCounters(t *testing.T) {
 			t.Fatalf("bytes written: WAL %v, checkpoint %v; files on disk say %v and %v", wal, cp, wantWAL, wantCP)
 		}
 	}
-	db, err := OpenWithOptions(dir, rollupOpts())
+	db, err := openTuned(dir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -875,7 +875,7 @@ func TestBytesWrittenCounters(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWithOptions(dir, rollupOpts())
+	re, err := openTuned(dir, rollupOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -936,11 +936,11 @@ func TestWALBytesPerStoredPoint(t *testing.T) {
 // defined a series, so the truncated segment hands that ID out anew.
 func TestWALReopenContinuesSegment(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 4, MaintenanceInterval: -1}
+	opts := tuning{shards: 4}
 	ref := newRefDB()
 	open := func() *DB {
 		t.Helper()
-		db, err := OpenWithOptions(dir, opts)
+		db, err := openTuned(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1038,7 +1038,7 @@ func TestWALUndefinedIDRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := dirState(t, dir)
-				db, err := OpenWithOptions(dir, Options{ReadOnly: readOnly, MaintenanceInterval: -1})
+				db, err := openTuned(dir, tuning{Options: Options{ReadOnly: readOnly}})
 				if err == nil {
 					db.Close()
 					t.Fatalf("open succeeded over a %s record", name)
@@ -1062,7 +1062,7 @@ func TestWALUndefinedIDRefused(t *testing.T) {
 func TestWALConcurrentDefinitions(t *testing.T) {
 	const writers, ticks = 4, 120
 	dir := t.TempDir()
-	db, err := OpenSharded(dir, 4)
+	db, err := openTuned(dir, tuning{shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1101,7 +1101,7 @@ func TestWALConcurrentDefinitions(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenSharded(dir, 2)
+	re, err := openTuned(dir, tuning{shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
