@@ -469,8 +469,8 @@ func BenchmarkSeal(b *testing.B) {
 // archiveBlockPoints builds n points shaped like one archive-v1 series
 // block: change-only on a 10-minute grid with one change in four ticks,
 // integer values 1–10, so the block's time unit is a tick (or a multiple
-// of one), dods land in the 9-bit bucket and values reuse or redefine a
-// short XOR window.
+// of one), dods land in the 9-bit bucket, and the block takes scaled
+// mode at scale 0, its value changes in the 6-bit bucket.
 func archiveBlockPoints(seed uint64, n int) []sample {
 	rng := simrand.New(seed)
 	pts := make([]sample, n)
@@ -486,57 +486,86 @@ func archiveBlockPoints(seed uint64, n int) []sample {
 	return pts
 }
 
+// priceBlockPoints returns n change-only points like archiveBlockPoints
+// whose values are full-mantissa prices, as the simulator's od × frac
+// makes them: blocks of them stay in XOR mode.
+func priceBlockPoints(seed uint64, n int) []sample {
+	pts := archiveBlockPoints(seed, n)
+	rng := simrand.New(seed).Stream("price")
+	od := []float64{0.0832, 0.192, 0.384, 1.536}[seed%4]
+	for i := range pts {
+		pts[i].v = od * (0.25 + 0.5*rng.Float64())
+	}
+	return pts
+}
+
+// blockBenchShapes are the value shapes the block codec benchmarks run
+// over, 64 distinct 512-point blocks each: archive-shaped integer scores
+// (scaled mode) and full-mantissa prices (XOR mode).
+var blockBenchShapes = []struct {
+	name string
+	gen  func(seed uint64, n int) []sample
+}{{"scaled", archiveBlockPoints}, {"xor", priceBlockPoints}}
+
 // BenchmarkDecodeBlock measures the decode stage alone: decodeBlock over
-// 64 distinct archive-shaped 512-point blocks per op, the work as many
-// block decodes pay, into one reused buffer as a read's window decodes
-// go. Reported alongside ns/op: ns per decoded point and encoded bytes
-// per point.
+// 64 distinct 512-point blocks per op of each value shape, the work as
+// many block decodes pay, into one reused buffer as a read's window
+// decodes go. Reported alongside ns/op: ns per decoded point and encoded
+// bytes per point.
 func BenchmarkDecodeBlock(b *testing.B) {
-	blocks := make([]encodedBlock, 64)
-	var points, size int
-	for i := range blocks {
-		blocks[i] = encodeBlock(archiveBlockPoints(uint64(i+1), 512))
-		points += int(blocks[i].count)
-		size += len(blocks[i].data)
-	}
-	buf := make([]sample, 512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, eb := range blocks {
-			if _, err := decodeBlock(buf, eb.data, int(eb.count), noHorizon); err != nil {
-				b.Fatal(err)
+	for _, shape := range blockBenchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			blocks := make([]encodedBlock, 64)
+			var points, size int
+			for i := range blocks {
+				blocks[i] = encodeBlock(shape.gen(uint64(i+1), 512))
+				points += int(blocks[i].count)
+				size += len(blocks[i].data)
 			}
-		}
+			buf := make([]sample, 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, eb := range blocks {
+					if _, err := decodeBlock(buf, eb.data, int(eb.count), noHorizon); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(points), "ns/point")
+			b.ReportMetric(float64(size)/float64(points), "B/point")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(points), "ns/point")
-	b.ReportMetric(float64(size)/float64(points), "B/point")
 }
 
 // encodedSink keeps BenchmarkEncodeBlock's result live.
 var encodedSink encodedBlock
 
 // BenchmarkEncodeBlock measures the block encoder alone: encodeBlock
-// over the same 64 archive-shaped 512-point blocks BenchmarkDecodeBlock
-// decodes, the work every seal and every checkpoint's hot tails pay.
-// Reported alongside ns/op: ns per encoded point and bytes per point.
+// over the same blocks BenchmarkDecodeBlock decodes, the work every seal
+// and every checkpoint's hot tails pay. Reported alongside ns/op: ns per
+// encoded point and bytes per point.
 func BenchmarkEncodeBlock(b *testing.B) {
-	blocks := make([][]sample, 64)
-	var points, size int
-	for i := range blocks {
-		blocks[i] = archiveBlockPoints(uint64(i+1), 512)
-		points += len(blocks[i])
-		size += len(encodeBlock(blocks[i]).data)
+	for _, shape := range blockBenchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			blocks := make([][]sample, 64)
+			var points, size int
+			for i := range blocks {
+				blocks[i] = shape.gen(uint64(i+1), 512)
+				points += len(blocks[i])
+				size += len(encodeBlock(blocks[i]).data)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, pts := range blocks {
+					encodedSink = encodeBlock(pts)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(points), "ns/point")
+			b.ReportMetric(float64(size)/float64(points), "B/point")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pts := range blocks {
-			encodedSink = encodeBlock(pts)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(points), "ns/point")
-	b.ReportMetric(float64(size)/float64(points), "B/point")
 }
 
 // BenchmarkColdQuery measures windowed reads over deep history when that

@@ -6,8 +6,9 @@ package tsdb
 // A checkpoint seals history older than each series' hot tail into an
 // immutable block file, so resident memory is bounded by the unsealed
 // points + block cache instead of total history. Sealed points live on disk
-// Gorilla-style compressed — delta-of-delta timestamps and XOR-encoded
-// float values in one interleaved bitstream per fixed-size block — and
+// compressed — delta-of-delta timestamps and values as decimal mantissa
+// deltas or Gorilla's XOR, in one interleaved bitstream per fixed-size
+// block — and
 // are decoded on demand, one block at a time: a read whose window ends
 // inside a block this process has decoded in full before stops decoding
 // at the first point past that end, and only whole decodes enter the
@@ -22,8 +23,8 @@ package tsdb
 //
 // # File format (blocks-<seq>.blk, checkpoint-<seq>.snap)
 //
-//	header: 8-byte magic "SLBLOCKS" | u16 version (2; version 1 had no
-//	        time unit, see Block encoding)
+//	header: 8-byte magic "SLBLOCKS" | u16 version (3; version 1 had no
+//	        time unit, version 2 no value mode, see Block encoding)
 //	data:   the compressed blocks, back to back, no framing (the index
 //	        carries every block's offset/length/CRC)
 //	index:  u32 series count | per series:
@@ -55,23 +56,37 @@ package tsdb
 //     '0' for u == 1; else '1' + 5 bits e + 6 bits n-1 + n bits m, with
 //     u = m·10^e, e the most factors of ten u has (at most 19) and n the
 //     bit length of m.
+//   - the block's value mode, after the unit: '0' for XOR mode, or '1' +
+//     5 bits e (at most 18) for scaled mode, in which every value v of the
+//     block, point 0's too, is float64(m)/10^e bit for bit for a mantissa
+//     m = v·10^e rounded half to even with |m| < 2^53. e is the smallest
+//     exponent that serves every value; -0.0, NaN and ±Inf serve none.
 //   - timestamps i>0: dod = d[i] - d[i-1], where d[i] = (t[i]-t[i-1])/u
 //     counts whole units as an unsigned 64-bit number (the first delta's
 //     predecessor is 0) and the difference wraps, zigzag-encoded and
 //     bucketed: '0' for dod == 0; '10' + 7 bits; '110' + 16 bits;
 //     '1110' + 32 bits; '11110' + 48 bits; '11111' + 64 bits.
-//   - values i>0: xor = bits(v[i]) ^ bits(v[i-1]); '0' when xor == 0;
-//     '10' + the meaningful bits reusing the previous leading/sigbits
-//     window when it still fits; '11' + 5 bits leading-zero count +
-//     6 bits significant-bit count (64 encodes as 0) + the bits.
+//   - values i>0, scaled mode: the mantissa's delta m[i] - m[i-1],
+//     zigzag-encoded in buckets of the timestamps' shape, narrower: '0';
+//     '10' + 4 bits; '110' + 8; '1110' + 16; '11110' + 32; '11111' + 64.
+//   - values i>0, XOR mode: xor = bits(v[i]) ^ bits(v[i-1]); '0' when
+//     xor == 0; '10' + the meaningful bits reusing the previous
+//     leading/sigbits window when it still fits; '11' + 5 bits
+//     leading-zero count + 6 bits significant-bit count (64 encodes as 0)
+//     + the bits.
 //
 // A collector samples on a fixed cadence and stores only the samples
 // that changed, so every delta is a whole number of ticks: counted in
 // ticks, the dods of a change-only series are small and land in the
 // 9-bit bucket, where counted in nanoseconds they took 52 bits. No
 // timestamp costs more than one bit above the same buckets without a
-// unit, even with u == 1. Step-function values repeat or share
-// exponents, which buys the value half its compression.
+// unit, even with u == 1. Its values are few-valued decimals — 1–10
+// placement scores, interruption-free scores in halves, whole-percent
+// savings — whose mantissa deltas fit the 6-bit bucket, where their
+// float XORs take 13 to 30 bits. The encoder counts both modes' value
+// bits and takes scaled mode only when it is shorter, mode field
+// included, so no block is longer than its XOR-only stream plus the one
+// mode bit; full-mantissa prices stay in XOR mode.
 //
 // The encoder writes through a 64-bit accumulator that goes out a word
 // at a time; TestBlockEncoderMatchesReference holds it byte for byte to
@@ -85,9 +100,14 @@ package tsdb
 // than maxBlockPoints points. A unit of 0, a unit or a delta·unit
 // product past 64 bits, and a running timestamp past the int64 range
 // are corruption: the decoder never wraps, so its timestamps ascend by
-// construction. A decode given a horizon stops after the first point
-// past it, before the trailing-data check, so only a decode without one
-// (noHorizon) vouches for the whole stream. FuzzBlockDecode holds it to
+// construction. So are a value scale past 18, a first value with no
+// mantissa at its block's scale and a mantissa sum past ±(2^53-1),
+// which a wrapped int64 sum can reach only where the exact one does.
+// Each bucketed field costs one lookup of its top five bits in a table
+// (buckets.codes) that gives the field's whole length and payload width.
+// A decode given a horizon stops after the first point past it, before
+// the trailing-data check, so only a decode without one (noHorizon)
+// vouches for the whole stream. FuzzBlockDecode holds it to
 // that, to prefix agreement between the two, and to agreement with a
 // bit-at-a-time reference decoder.
 
@@ -109,7 +129,7 @@ import (
 const (
 	blockFileMagic = "SLBLOCKS"
 	blockIdxMagic  = "SLBLKIDX"
-	blockFileVer   = 2
+	blockFileVer   = 3
 	blockHeaderLen = len(blockFileMagic) + 2
 	blockFooterLen = 8 + 4 + 4 + len(blockIdxMagic)
 	blockIdxEntLen = 8 + 4 + 4 + 8 + 8 + 4
@@ -118,8 +138,9 @@ const (
 	// count must not trigger a huge allocation.
 	maxBlockPoints = 1 << 16
 	// maxBlockBytes bounds one block's encoded length. The worst case per
-	// point is 69 timestamp bits + 77 value bits ≈ 19 bytes; 32 covers it
-	// with slack for the two raw leading values and the time unit.
+	// point is 69 timestamp bits + 77 value bits in XOR mode (69 in scaled
+	// mode) ≈ 19 bytes; 32 covers it with slack for the two raw leading
+	// values, the time unit (at most 76 bits) and the value mode (6).
 	maxBlockBytes = maxBlockPoints*32 + 64
 	// maxBlockIndexBytes bounds the index section of one block file
 	// (64 MiB, about 1.8 M blocks), so a corrupt footer cannot ask for an
@@ -289,72 +310,272 @@ func writeUnit(w *bitWriter, unit uint64) {
 	w.writeBits(unit, n)
 }
 
-// encodeBlock compresses pts (time-ordered, 1..maxBlockPoints of them)
-// into one block bitstream. A bucket prefix goes out with its payload in
-// one write wherever the two fit in 64 bits.
-func encodeBlock(pts []sample) encodedBlock {
-	w := bitWriter{data: make([]byte, 0, 24+len(pts)*4)}
-	unit, div := blockUnit(pts)
-	var prevT int64
-	var prevDelta, prevBits uint64
-	// prevLead == 0xff marks "no reusable window yet".
-	prevLead, prevSig := uint8(0xff), uint8(0)
-	for i, p := range pts {
-		t := p.ns
-		v := math.Float64bits(p.v)
-		if i == 0 {
-			w.writeBits(uint64(t), 64)
-			w.writeBits(v, 64)
-			if len(pts) > 1 {
-				writeUnit(&w, unit)
-			}
-			prevT, prevBits = t, v
-			continue
-		}
-		delta := div.quo(uint64(t - prevT))
-		dod := int64(delta - prevDelta)
-		prevT, prevDelta = t, delta
-		switch z := zigzag(dod); {
-		case z == 0:
-			w.writeBits(0, 1)
-		case z < 1<<7:
-			w.writeBits(0b10<<7|z, 2+7)
-		case z < 1<<16:
-			w.writeBits(0b110<<16|z, 3+16)
-		case z < 1<<32:
-			w.writeBits(0b1110<<32|z, 4+32)
-		case z < 1<<48:
-			w.writeBits(0b11110<<48|z, 5+48)
-		default:
-			w.writeBits(0b11111, 5)
-			w.writeBits(z, 64)
-		}
-		xor := v ^ prevBits
-		prevBits = v
-		if xor == 0 {
-			w.writeBits(0, 1)
-			continue
-		}
-		lead := uint8(bits.LeadingZeros64(xor))
-		if lead > 31 {
-			lead = 31 // 5-bit field; extra leading zeros ride in the payload
-		}
-		trail := uint8(bits.TrailingZeros64(xor))
-		if prevLead != 0xff && lead >= prevLead && trail >= 64-prevLead-prevSig {
-			// The previous window still covers every meaningful bit.
-			w.writeBits(0b10, 2)
-			w.writeBits(xor>>(64-prevLead-prevSig), uint(prevSig))
-			continue
-		}
-		sig := 64 - lead - trail
-		// '11', 5 bits of leading zeros, 6 of significant bits (64 encodes
-		// as 0), then the bits.
-		w.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig&0x3f), 2+5+6)
-		w.writeBits(xor>>trail, uint(sig))
-		prevLead, prevSig = lead, sig
+// Value modes. A multi-point block writes its values in scaled mode when
+// every one of them is a decimal of at most scaleMax places and the
+// mantissas' deltas cost fewer bits than XOR mode's stream, else in XOR
+// mode.
+const (
+	// scaleXOR is blockEncoder.scale for a block in XOR mode.
+	scaleXOR = -1
+	// scaleMax is the largest decimal exponent of scaled mode.
+	scaleMax = 18
+	// maxMantissa bounds a scaled value's mantissa: |m| <= 2^53-1, where
+	// every integer converts to a float64 exactly.
+	maxMantissa = 1<<53 - 1
+)
+
+// scalePow holds 10^e for every exponent scaled mode may take, each
+// exact in a float64.
+var scalePow = func() (p [scaleMax + 1]float64) {
+	for e := range p {
+		p[e] = float64(pow10[e])
 	}
+	return p
+}()
+
+// scaledMantissa returns the mantissa m of v at scale pow = 10^e:
+// float64(m)/pow is v bit for bit and |m| <= maxMantissa. ok is false
+// when v·pow rounds to no such m; -0.0, NaN and ±Inf never have one.
+func scaledMantissa(v, pow float64) (m int64, ok bool) {
+	x := math.RoundToEven(v * pow)
+	if !(math.Abs(x) <= maxMantissa) {
+		return 0, false
+	}
+	m = int64(x)
+	return m, math.Float64bits(float64(m)/pow) == math.Float64bits(v)
+}
+
+// buckets is one table of prefix buckets for a zigzagged field: bucket k
+// < 5 is k ones and a zero, then a widths[k]-bit payload; bucket 5 is
+// '11111' and 64 bits. A field takes the narrowest bucket that holds it.
+type buckets struct {
+	widths [6]uint
+	// For a field n bits long, prefix[n] is its bucket's prefix shifted
+	// above the payload, and size[n] the bits prefix and payload take.
+	prefix [65]uint64
+	size   [65]uint8
+	// codes maps a field's top five bits to the bits its prefix and
+	// payload take (low byte) and the payload's width (high byte), or to
+	// 0 for bucket 5, which the decoder reads in two.
+	codes [32]uint16
+}
+
+func newBuckets(widths [6]uint) (b buckets) {
+	b.widths = widths
+	k := uint(0)
+	for n := range b.prefix {
+		for uint(n) > widths[k] {
+			k++
+		}
+		b.size[n] = uint8(min(k+1, 5) + widths[k])
+		if k < 5 {
+			b.prefix[n] = (1<<(k+1) - 2) << widths[k]
+		}
+	}
+	for top := range b.codes {
+		if k := uint(bits.LeadingZeros8(^uint8(top << 3))); k < 5 {
+			b.codes[top] = uint16(widths[k])<<8 | uint16(k+1+widths[k])
+		}
+	}
+	return b
+}
+
+var (
+	// dodBuckets hold a timestamp's delta of deltas.
+	dodBuckets = newBuckets([6]uint{0, 7, 16, 32, 48, 64})
+	// valueBuckets hold a scaled value's mantissa delta.
+	valueBuckets = newBuckets([6]uint{0, 4, 8, 16, 32, 64})
+)
+
+// field returns z in its bucket: the prefix above the payload, and the
+// bits the two take. Past 64 bits, as in bucket 5, the field does not fit
+// one write, and writeBucket takes it.
+func (b *buckets) field(z uint64) (uint64, uint) {
+	n := bits.Len64(z)
+	return b.prefix[n] | z, uint(b.size[n])
+}
+
+// writeBucket writes z in its bucket of b.
+func (w *bitWriter) writeBucket(b *buckets, z uint64) {
+	if code, n := b.field(z); n <= 64 {
+		w.writeBits(code, n)
+		return
+	}
+	w.writeBits(0b11111, 5)
+	w.writeBits(z, 64)
+}
+
+// xorWindow is XOR mode's state between two values: the last value's
+// bits and the leading-zero / significant-bit window of the last XOR
+// that defined one (lead 0xff marks none yet).
+type xorWindow struct {
+	bits      uint64
+	lead, sig uint8
+}
+
+// next moves the window past v and returns v's fields: a control code of
+// cn bits, then a payload of pn bits.
+func (x *xorWindow) next(v uint64) (code uint64, cn uint, payload uint64, pn uint) {
+	xor := v ^ x.bits
+	x.bits = v
+	if xor == 0 {
+		return 0, 1, 0, 0
+	}
+	// A 5-bit field: extra leading zeros ride in the payload.
+	lead := min(uint8(bits.LeadingZeros64(xor)), 31)
+	trail := uint8(bits.TrailingZeros64(xor))
+	// The previous window still covers every meaningful bit; lead, at
+	// most 31, is below the 0xff of no window.
+	if lead >= x.lead && trail >= 64-x.lead-x.sig {
+		return 0b10, 2, xor >> (64 - x.lead - x.sig), uint(x.sig)
+	}
+	sig := 64 - lead - trail
+	x.lead, x.sig = lead, sig
+	// '11', 5 bits of leading zeros, 6 of significant bits (64 encodes as
+	// 0), then the bits.
+	return 0b11<<11 | uint64(lead)<<6 | uint64(sig&0x3f), 2 + 5 + 6, xor >> trail, uint(sig)
+}
+
+// blockScale returns the smallest decimal exponent e at which every value
+// of pts has a mantissa (see scaledMantissa), and the bits the zigzagged
+// deltas of those mantissas take in their buckets; e is scaleXOR when no
+// exponent up to scaleMax serves. A value that needs a larger exponent
+// than the scan's restarts it at the first one that serves that value, so
+// a block of one scale costs one pass.
+func blockScale(pts []sample) (e, nbits int) {
+scan:
+	for {
+		pow := scalePow[e]
+		var prev int64
+		nbits = 0
+		for i, p := range pts {
+			m, ok := scaledMantissa(p.v, pow)
+			if !ok {
+				for e++; e <= scaleMax; e++ {
+					if _, ok := scaledMantissa(p.v, scalePow[e]); ok {
+						continue scan
+					}
+				}
+				return scaleXOR, 0
+			}
+			if i > 0 {
+				nbits += int(valueBuckets.size[bits.Len64(zigzag(m-prev))])
+			}
+			prev = m
+		}
+		return e, nbits
+	}
+}
+
+// blockValueMode returns the value mode of a block of pts, more than one
+// point: scaled mode's exponent when its mode field and deltas take fewer
+// bits than XOR mode's, else scaleXOR. Either way the block is at most
+// its XOR-mode stream plus the one-bit mode field.
+func blockValueMode(pts []sample) int {
+	e, scaled := blockScale(pts)
+	if e == scaleXOR {
+		return scaleXOR
+	}
+	scaled += 1 + 5
+	xor := 1
+	win := xorWindow{bits: math.Float64bits(pts[0].v), lead: 0xff}
+	for _, p := range pts[1:] {
+		_, cn, _, pn := win.next(math.Float64bits(p.v))
+		if xor += int(cn + pn); xor > scaled {
+			return e
+		}
+	}
+	return scaleXOR
+}
+
+// blockEncoder is one block's encoder state: the time unit and value mode
+// chosen for the whole block, and what the last point written leaves for
+// the next one.
+type blockEncoder struct {
+	w    bitWriter
+	unit unitDivider
+	// scale is the value mode: scaleXOR, or scaled mode's exponent e, and
+	// pow is 10^e.
+	scale     int
+	pow       float64
+	prevT     int64
+	prevDelta uint64
+	xor       xorWindow // XOR mode: the last value and window
+	prevM     int64     // scaled mode: the last value's mantissa
+}
+
+// startBlock begins a block of pts (time-ordered, 1..maxBlockPoints of
+// them), writing its first point raw and, when it has more than one, its
+// time unit and value mode. The caller writes pts[1:] in order.
+func startBlock(pts []sample, buf []byte) blockEncoder {
+	e := blockEncoder{w: bitWriter{data: buf}, scale: scaleXOR}
+	p := pts[0]
+	e.w.writeBits(uint64(p.ns), 64)
+	e.w.writeBits(math.Float64bits(p.v), 64)
+	e.prevT, e.xor = p.ns, xorWindow{bits: math.Float64bits(p.v), lead: 0xff}
+	if len(pts) == 1 {
+		return e
+	}
+	var unit uint64
+	unit, e.unit = blockUnit(pts)
+	writeUnit(&e.w, unit)
+	if e.scale = blockValueMode(pts); e.scale == scaleXOR {
+		e.w.writeBits(0, 1)
+	} else {
+		e.w.writeBits(1<<5|uint64(e.scale), 1+5)
+		e.pow = scalePow[e.scale]
+		e.prevM, _ = scaledMantissa(p.v, e.pow)
+	}
+	return e
+}
+
+// write appends pts after the points written so far: every delta a whole
+// number of the block's unit and, in scaled mode, every value with a
+// mantissa at the block's scale. The loop works on local copies of the
+// state, which measured faster than e's fields.
+func (e *blockEncoder) write(pts []sample) {
+	w, prevT, prevDelta, prevM, xor := e.w, e.prevT, e.prevDelta, e.prevM, e.xor
+	for _, p := range pts {
+		delta := e.unit.quo(uint64(p.ns - prevT))
+		zt := zigzag(int64(delta - prevDelta))
+		tc, tn := dodBuckets.field(zt)
+		prevT, prevDelta = p.ns, delta
+		if e.scale != scaleXOR {
+			m := int64(math.RoundToEven(p.v * e.pow))
+			zv := zigzag(m - prevM)
+			prevM = m
+			// Timestamp and value in one write, but for the widest buckets.
+			if vc, vn := valueBuckets.field(zv); tn+vn <= 64 {
+				w.writeBits(tc<<vn|vc, tn+vn)
+			} else {
+				w.writeBucket(&dodBuckets, zt)
+				w.writeBucket(&valueBuckets, zv)
+			}
+			continue
+		}
+		if tn <= 64 {
+			w.writeBits(tc, tn)
+		} else {
+			w.writeBucket(&dodBuckets, zt)
+		}
+		// The value's control bits and payload in one write where they fit.
+		if code, cn, payload, pn := xor.next(math.Float64bits(p.v)); cn+pn <= 64 {
+			w.writeBits(code<<pn|payload, cn+pn)
+		} else {
+			w.writeBits(code, cn)
+			w.writeBits(payload, pn)
+		}
+	}
+	e.w, e.prevT, e.prevDelta, e.prevM, e.xor = w, prevT, prevDelta, prevM, xor
+}
+
+// encodeBlock compresses pts (time-ordered, 1..maxBlockPoints of them)
+// into one block bitstream.
+func encodeBlock(pts []sample) encodedBlock {
+	e := startBlock(pts, make([]byte, 0, 24+len(pts)*4))
+	e.write(pts[1:])
 	return encodedBlock{
-		data:  w.bytes(),
+		data:  e.w.bytes(),
 		count: uint32(len(pts)),
 		minAt: pts[0].ns,
 		maxAt: pts[len(pts)-1].ns,
@@ -377,26 +598,27 @@ func encodeSeries(pts []sample, per int) []encodedBlock {
 // lies past it.
 const noHorizon int64 = math.MaxInt64
 
-// Errors decodeBlock reports for timestamps no encoder writes.
+// Errors decodeBlock reports for timestamps and values no encoder writes.
 var (
-	errBlockUnitZero     = errors.New("tsdb: block time unit 0 out of range")
-	errBlockUnitOverflow = errors.New("tsdb: block time unit overflows")
-	errBlockTimeOverflow = errors.New("tsdb: block timestamp overflows")
+	errBlockUnitZero         = errors.New("tsdb: block time unit 0 out of range")
+	errBlockUnitOverflow     = errors.New("tsdb: block time unit overflows")
+	errBlockTimeOverflow     = errors.New("tsdb: block timestamp overflows")
+	errBlockScaleRange       = errors.New("tsdb: block value scale out of range")
+	errBlockScaleFirst       = errors.New("tsdb: block first value has no mantissa at its scale")
+	errBlockMantissaOverflow = errors.New("tsdb: block value mantissa overflows")
 )
-
-// dodWidths are the dod payload widths by the bucket prefix's count of
-// leading ones.
-var dodWidths = [6]uint{0, 7, 16, 32, 48, 64}
 
 // decodeBlock decompresses a block bitstream holding count points into
 // dst's storage when its capacity holds count points, or into a new
 // slice of exactly count. It is the trust boundary for on-disk block
 // bytes: any count outside [1, maxBlockPoints], truncation, trailing
-// garbage, a time unit of 0 or past 64 bits, and a delta or timestamp
-// that would wrap are errors, and nothing larger than count points is
-// ever allocated. Reads may run into refillBits' zero padding; every
-// check that acts on decoded bits first confirms they lay within the
-// stream, so truncation always reports errBlockTruncated.
+// garbage, a time unit of 0 or past 64 bits, a delta or timestamp that
+// would wrap, a value scale past scaleMax, a first value with no mantissa
+// at its block's scale and a mantissa past maxMantissa are errors, and
+// nothing larger than count points is ever allocated. Reads may run into
+// refillBits' zero padding; every check that acts on decoded bits first
+// confirms they lay within the stream, so truncation always reports
+// errBlockTruncated.
 //
 // Decoding stops after the first point whose timestamp is past horizon:
 // the result is then that prefix of the block, and the bits after it are
@@ -435,58 +657,100 @@ func decodeBlock(dst []sample, data []byte, count int, horizon int64) ([]sample,
 	if overran() {
 		return nil, errBlockTruncated
 	}
-	pts[0] = sample{ns: t, v: math.Float64frombits(vbits)}
+	v := math.Float64frombits(vbits)
+	pts[0] = sample{ns: t, v: v}
 	if t > horizon {
 		return pts[:1:1], nil
 	}
 	unit := uint64(1)
-	if count > 1 && read(1) == 1 {
-		f := read(11)
-		e, n := f>>6, uint(f&0x3f)+1
-		var m uint64
-		if n > 57 {
-			m = read(n-32)<<32 | read(32)
-		} else {
-			m = read(n)
+	// Scaled mode: m is the last value's mantissa at scale pow; pow 0
+	// marks XOR mode.
+	var pow float64
+	var m int64
+	if count > 1 {
+		if read(1) == 1 {
+			f := read(11)
+			e, n := f>>6, uint(f&0x3f)+1
+			var mu uint64
+			if n > 57 {
+				mu = read(n-32)<<32 | read(32)
+			} else {
+				mu = read(n)
+			}
+			if overran() {
+				return nil, errBlockTruncated
+			}
+			if mu == 0 {
+				return nil, errBlockUnitZero
+			}
+			if e >= uint64(len(pow10)) {
+				return nil, errBlockUnitOverflow
+			}
+			hi, lo := bits.Mul64(mu, pow10[e])
+			if hi != 0 {
+				return nil, errBlockUnitOverflow
+			}
+			unit = lo
 		}
-		if overran() {
-			return nil, errBlockTruncated
+		if read(1) == 1 {
+			e := read(5)
+			if overran() {
+				return nil, errBlockTruncated
+			}
+			if e > scaleMax {
+				return nil, errBlockScaleRange
+			}
+			pow = scalePow[e]
+			var ok bool
+			if m, ok = scaledMantissa(v, pow); !ok {
+				return nil, errBlockScaleFirst
+			}
 		}
-		if m == 0 {
-			return nil, errBlockUnitZero
-		}
-		if e >= uint64(len(pow10)) {
-			return nil, errBlockUnitOverflow
-		}
-		hi, lo := bits.Mul64(m, pow10[e])
-		if hi != 0 {
-			return nil, errBlockUnitOverflow
-		}
-		unit = lo
 	}
 	// delta counts the units from one timestamp to the next.
 	var delta uint64
 	// lead == 0xff marks "no value window defined yet".
 	lead, sig := uint(0xff), uint(0)
 	for i := 1; i < count; i++ {
-		// Timestamp: the bucket prefix '0'/'10'/'110'/'1110'/'11110'/'11111'
-		// is its count of leading ones, capped at 5. A prefix and its
-		// payload come in one read but for the 64-bit bucket; '0' reads a
-		// zero-width payload.
+		// Timestamp: the top five bits, which hold the bucket prefix
+		// '0'/'10'/'110'/'1110'/'11110'/'11111', look up the field's length
+		// and payload width. A prefix and its payload come in one read but
+		// for the 64-bit bucket; '0' reads a zero-width payload.
 		if nacc < 5 {
 			acc, nacc, next = refillBits(data, acc, nacc, next)
 		}
 		var z uint64
-		if ones := min(uint(bits.LeadingZeros64(^acc)), 5); ones < 5 {
-			w := dodWidths[ones]
-			z = read(ones+1+w) & (1<<w - 1)
+		if c := dodBuckets.codes[acc>>59]; c != 0 {
+			z = read(uint(c&0xff)) & (1<<(c>>8) - 1)
 		} else {
 			read(5)
 			z = read(32)<<32 | read(32)
 		}
 		delta += uint64(unzigzag(z))
-		// Value: XOR control bits, then a new 5+6-bit window or the old one.
-		if read(1) == 1 {
+		if pow != 0 {
+			// Value, scaled mode: the mantissa's delta, bucketed as the
+			// timestamp's dod is.
+			if nacc < 5 {
+				acc, nacc, next = refillBits(data, acc, nacc, next)
+			}
+			if c := valueBuckets.codes[acc>>59]; c != 0 {
+				z = read(uint(c&0xff)) & (1<<(c>>8) - 1)
+			} else {
+				read(5)
+				z = read(32)<<32 | read(32)
+			}
+			// A wrapped sum lands in range only where the exact one does.
+			m += unzigzag(z)
+			if uint64(m+maxMantissa) > 2*maxMantissa {
+				if overran() {
+					return nil, errBlockTruncated
+				}
+				return nil, errBlockMantissaOverflow
+			}
+			v = float64(m) / pow
+		} else if read(1) == 1 {
+			// Value, XOR mode: control bits, then a new 5+6-bit window or
+			// the old one.
 			if read(1) == 1 {
 				w := read(11)
 				if overran() {
@@ -505,13 +769,14 @@ func decodeBlock(dst []sample, data []byte, count int, horizon int64) ([]sample,
 				}
 				return nil, errors.New("tsdb: block reuses value window before defining one")
 			}
-			var m uint64
+			var x uint64
 			if sig > 57 {
-				m = read(sig-32)<<32 | read(32)
+				x = read(sig-32)<<32 | read(32)
 			} else {
-				m = read(sig)
+				x = read(sig)
 			}
-			vbits ^= m << (64 - lead - sig)
+			vbits ^= x << (64 - lead - sig)
+			v = math.Float64frombits(vbits)
 		}
 		if overran() {
 			return nil, errBlockTruncated
@@ -523,7 +788,7 @@ func decodeBlock(dst []sample, data []byte, count int, horizon int64) ([]sample,
 			return nil, errBlockTimeOverflow
 		}
 		t += int64(step)
-		pts[i] = sample{ns: t, v: math.Float64frombits(vbits)}
+		pts[i] = sample{ns: t, v: v}
 		if t > horizon {
 			return pts[: i+1 : i+1], nil
 		}

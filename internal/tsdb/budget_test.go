@@ -216,9 +216,9 @@ func TestCollectorShapeBudget(t *testing.T) {
 		margin    float64
 	}{
 		{"WAL bytes written per point", walPerPoint, 45.1274, counted},
-		{"checkpoint bytes written per point", cpPerPoint, 210.0384, counted},
-		{"bytes at rest per point", restPerPoint, 16.5537, counted},
-		{"2N-day / N-day bytes written", growth, 2.0665, counted},
+		{"checkpoint bytes written per point", cpPerPoint, 205.2680, counted},
+		{"bytes at rest per point", restPerPoint, 15.9360, counted},
+		{"2N-day / N-day bytes written", growth, 2.0494, counted},
 		{"heap per series after a read-only open", heapPerSeries, 420, heap},
 	} {
 		if f.got > f.want*f.margin {

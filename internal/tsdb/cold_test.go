@@ -127,17 +127,22 @@ func jitteredBlockPoints(seed uint64, n int) []sample {
 	return pts
 }
 
-// TestBlockBytesPerStoredPoint pins what the block time unit buys and
-// costs, over 64 blocks of 512 points each:
+// TestBlockBytesPerStoredPoint pins what the block time unit and value
+// mode buy and cost, over 64 blocks of 512 points each:
 //   - archive-shaped change-only blocks (a 10-minute cadence, so a
-//     600 s unit) take at most 3.1 bytes a point; counted in
-//     nanoseconds, as block file version 1 did, they took 7.55;
-//   - jittered blocks (unit 1) take at most 1 bit a point more than
-//     version 1's 267 284 bytes, the widest bucket's extra prefix bit;
-//   - a one-point block is its two raw 64-bit fields and no unit.
+//     600 s unit, and integer values, so scaled mode) take at most 1.83
+//     bytes a point; with every value XORed, as block file version 2
+//     did, they took 2.97, and counted in nanoseconds, as version 1 did,
+//     7.55;
+//   - jittered blocks (unit 1) take at most 1 bit a point and 1 bit a
+//     block more than version 1's 267 284 bytes: the widest dod bucket's
+//     extra prefix bit and the mode bit;
+//   - a one-point block is its two raw 64-bit fields, with no unit and
+//     no value mode.
 func TestBlockBytesPerStoredPoint(t *testing.T) {
+	const blocks = 64
 	measure := func(gen func(seed uint64, n int) []sample) (size, points int) {
-		for seed := uint64(1); seed <= 64; seed++ {
+		for seed := uint64(1); seed <= blocks; seed++ {
 			pts := gen(seed, 512)
 			size += len(encodeBlock(pts).data)
 			points += len(pts)
@@ -145,13 +150,13 @@ func TestBlockBytesPerStoredPoint(t *testing.T) {
 		return size, points
 	}
 	size, points := measure(archiveBlockPoints)
-	if perPoint := float64(size) / float64(points); perPoint > 3.1 {
-		t.Errorf("archive-shaped blocks: %.3f B/point, want at most 3.1", perPoint)
+	if perPoint := float64(size) / float64(points); perPoint > 1.83 {
+		t.Errorf("archive-shaped blocks: %.3f B/point, want at most 1.83", perPoint)
 	}
 	const version1JitterBytes = 267284
 	size, points = measure(jitteredBlockPoints)
-	if limit := version1JitterBytes + points/8; size > limit {
-		t.Errorf("jittered blocks: %d bytes for %d points, want at most %d (version 1's %d plus a bit a point)",
+	if limit := version1JitterBytes + (points+blocks)/8; size > limit {
+		t.Errorf("jittered blocks: %d bytes for %d points, want at most %d (version 1's %d plus a bit a point and a block)",
 			size, points, limit, version1JitterBytes)
 	}
 	if n := len(encodeBlock([]sample{{ns: t0.UnixNano(), v: 1}}).data); n != 16 {

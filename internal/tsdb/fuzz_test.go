@@ -64,14 +64,15 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add([]byte(`{"version":5,"walSeq":1}`))                        // per-point WAL records: must be rejected
 	f.Add([]byte(`{"version":4,"epoch":1,"segments":2,"walSeq":1}`)) // per-shard chains: must be rejected
 	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`))
-	f.Add([]byte(`{"version":7,"walSeq":1,"segments":1000000000000}`))
+	f.Add([]byte(`{"version":8,"walSeq":1,"segments":1000000000000}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))
-	f.Add([]byte(`{"version":7,"walSeq":1,"checkpoint":"../escape"}`))
+	f.Add([]byte(`{"version":8,"walSeq":1,"checkpoint":"../escape"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"version":7,"walSeq":0}`))
-	f.Add([]byte(`{"version":7,"walSeq":2,"epoch":1}`))
+	f.Add([]byte(`{"version":8,"walSeq":0}`))
+	f.Add([]byte(`{"version":8,"walSeq":2,"epoch":1}`))
 	f.Add([]byte(`{"version":6,"walSeq":1}`)) // unit-free block files: must be rejected
+	f.Add([]byte(`{"version":7,"walSeq":1}`)) // XOR-only block values: must be rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
@@ -181,6 +182,46 @@ func refUnit(m, e uint64) (uint64, bool) {
 	return m, true
 }
 
+// refPow computes 10^e for the reference codec by repeated
+// multiplication, exact in a float64 for every e up to 22.
+func refPow(e int) float64 {
+	p := 1.0
+	for ; e > 0; e-- {
+		p *= 10
+	}
+	return p
+}
+
+// refMantissa is a value's mantissa at scale 10^e as the block format
+// defines it: v·10^e rounded half to even, when that lies within
+// ±(2^53-1) and divides back to v bit for bit.
+func refMantissa(v float64, e int) (int64, bool) {
+	x := math.RoundToEven(v * refPow(e))
+	if math.IsNaN(x) || x > 1<<53-1 || x < -(1<<53-1) {
+		return 0, false
+	}
+	m := int64(x)
+	return m, math.Float64bits(float64(m)/refPow(e)) == math.Float64bits(v)
+}
+
+// readBucketRef reads one bucketed field: a prefix of up to five ones,
+// ended by a zero below five, then the payload its count of ones selects
+// from widths.
+func readBucketRef(r *bitReader, widths []uint) (uint64, error) {
+	ones := 0
+	for ones < 5 {
+		bit, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		if !bit {
+			break
+		}
+		ones++
+	}
+	return r.readBits(widths[ones])
+}
+
 // decodeBlockRef is a bit-at-a-time block decoder, kept as the
 // differential oracle: every input must make it and decodeBlock error
 // with the same message, or both return identical samples.
@@ -197,6 +238,7 @@ func decodeBlockRef(data []byte, count int) ([]sample, error) {
 	var delta, unit uint64
 	var prevBits uint64
 	prevLead, prevSig := uint8(0xff), uint8(0)
+	scale, prevM := scaleXOR, int64(0)
 	for i := 0; i < count; i++ {
 		if i == 0 {
 			t, err := r.readBits(64)
@@ -241,33 +283,50 @@ func decodeBlockRef(data []byte, count int) ([]sample, error) {
 				}
 				unit = u
 			}
+			// The value mode: '0' for XOR, else '1' | 5-bit scale e.
+			scaled, err := r.readBit()
+			if err != nil {
+				return nil, err
+			}
+			if scaled {
+				e, err := r.readBits(5)
+				if err != nil {
+					return nil, err
+				}
+				if e > scaleMax {
+					return nil, errors.New("tsdb: block value scale out of range")
+				}
+				scale = int(e)
+				m, ok := refMantissa(math.Float64frombits(prevBits), scale)
+				if !ok {
+					return nil, errors.New("tsdb: block first value has no mantissa at its scale")
+				}
+				prevM = m
+			}
 			continue
 		}
-		// Timestamp: the dod bucket prefix is up to five ones.
-		ones := 0
-		for ones < 5 {
-			bit, err := r.readBit()
-			if err != nil {
-				return nil, err
-			}
-			if !bit {
-				break
-			}
-			ones++
-		}
-		if ones > 0 {
-			z, err := r.readBits([]uint{7, 16, 32, 48, 64}[ones-1])
-			if err != nil {
-				return nil, err
-			}
-			delta += uint64(unzigzag(z))
-		}
-		// Value: XOR control bits.
-		bit, err := r.readBit()
+		// Timestamp: the dod's bucket.
+		z, err := readBucketRef(&r, []uint{0, 7, 16, 32, 48, 64})
 		if err != nil {
 			return nil, err
 		}
-		if bit {
+		delta += uint64(unzigzag(z))
+		if scale != scaleXOR {
+			// Value, scaled mode: the mantissa's zigzagged delta in a
+			// bucket of up to five ones.
+			z, err := readBucketRef(&r, []uint{0, 4, 8, 16, 32, 64})
+			if err != nil {
+				return nil, err
+			}
+			prevM += unzigzag(z)
+			if prevM > 1<<53-1 || prevM < -(1<<53-1) {
+				return nil, errors.New("tsdb: block value mantissa overflows")
+			}
+			prevBits = math.Float64bits(float64(prevM) / refPow(scale))
+		} else if bit, err := r.readBit(); err != nil {
+			return nil, err
+		} else if bit {
+			// Value, XOR mode.
 			windowed, err := r.readBit()
 			if err != nil {
 				return nil, err
@@ -344,8 +403,9 @@ func checkDecodersAgree(t testing.TB, data []byte, count int) []sample {
 }
 
 // bitWriterRef is a bit-at-a-time writer, and encodeBlockRef is
-// encodeBlock over it with a plain GCD: the oracle that holds the
-// encoder to byte-identical output.
+// encodeBlock over it with a plain GCD, a plain scale search and the
+// value mode chosen by writing both: the oracle that holds the encoder
+// to byte-identical output.
 type bitWriterRef struct {
 	data []byte
 	// free is how many low bits of the last byte are still unset (0 when
@@ -386,7 +446,60 @@ func (w *bitWriterRef) writeBits(v uint64, n uint) {
 	}
 }
 
+// bitLen is how many bits w holds.
+func (w *bitWriterRef) bitLen() int { return 8*len(w.data) - int(w.free) }
+
+// writeBucketRef writes z in the narrowest bucket of widths that holds
+// it: as many ones as the bucket's rank, a zero below rank five, then
+// the payload.
+func (w *bitWriterRef) writeBucketRef(z uint64, widths []uint) {
+	k := 0
+	for k < 5 && widths[k] < 64 && z >= 1<<widths[k] {
+		k++
+	}
+	for range k {
+		w.writeBit(true)
+	}
+	if k < 5 {
+		w.writeBit(false)
+	}
+	w.writeBits(z, widths[k])
+}
+
+// refScale returns the smallest scale up to scaleMax at which every value
+// of pts has a mantissa, or scaleXOR.
+func refScale(pts []sample) int {
+	for e := 0; e <= scaleMax; e++ {
+		all := true
+		for _, p := range pts {
+			if _, ok := refMantissa(p.v, e); !ok {
+				all = false
+				break
+			}
+		}
+		if all {
+			return e
+		}
+	}
+	return scaleXOR
+}
+
+// encodeBlockRef writes pts in both value modes, scaled mode where
+// refScale allows it, and keeps the shorter stream, XOR mode on a tie.
 func encodeBlockRef(pts []sample) []byte {
+	w := encodeBlockRefMode(pts, scaleXOR)
+	if e := refScale(pts); len(pts) > 1 && e != scaleXOR {
+		if s := encodeBlockRefMode(pts, e); s.bitLen() < w.bitLen() {
+			w = s
+		}
+	}
+	return w.data
+}
+
+// encodeBlockRefMode writes pts with its values in the given mode:
+// scaleXOR, or scaled mode at that exponent, where every value of pts
+// has a mantissa.
+func encodeBlockRefMode(pts []sample, scale int) bitWriterRef {
 	var w bitWriterRef
 	var unit uint64
 	for i := 1; i < len(pts); i++ {
@@ -401,6 +514,7 @@ func encodeBlockRef(pts []sample) []byte {
 	}
 	var prevT int64
 	var prevDelta, prevBits uint64
+	var prevM int64
 	prevLead, prevSig := uint8(0xff), uint8(0)
 	for i, p := range pts {
 		t := p.ns
@@ -422,6 +536,13 @@ func encodeBlockRef(pts []sample) []byte {
 					w.writeBits(uint64(n-1), 6)
 					w.writeBits(m, n)
 				}
+				if scale == scaleXOR {
+					w.writeBit(false)
+				} else {
+					w.writeBit(true)
+					w.writeBits(uint64(scale), 5)
+					prevM, _ = refMantissa(p.v, scale)
+				}
 			}
 			prevT, prevBits = t, v
 			continue
@@ -429,24 +550,12 @@ func encodeBlockRef(pts []sample) []byte {
 		delta := uint64(t-prevT) / unit
 		dod := int64(delta - prevDelta)
 		prevT, prevDelta = t, delta
-		switch z := zigzag(dod); {
-		case z == 0:
-			w.writeBit(false)
-		case z < 1<<7:
-			w.writeBits(0b10, 2)
-			w.writeBits(z, 7)
-		case z < 1<<16:
-			w.writeBits(0b110, 3)
-			w.writeBits(z, 16)
-		case z < 1<<32:
-			w.writeBits(0b1110, 4)
-			w.writeBits(z, 32)
-		case z < 1<<48:
-			w.writeBits(0b11110, 5)
-			w.writeBits(z, 48)
-		default:
-			w.writeBits(0b11111, 5)
-			w.writeBits(z, 64)
+		w.writeBucketRef(zigzag(dod), []uint{0, 7, 16, 32, 48, 64})
+		if scale != scaleXOR {
+			m, _ := refMantissa(p.v, scale)
+			w.writeBucketRef(zigzag(m-prevM), []uint{0, 4, 8, 16, 32, 64})
+			prevM = m
+			continue
 		}
 		xor := v ^ prevBits
 		prevBits = v
@@ -471,7 +580,7 @@ func encodeBlockRef(pts []sample) []byte {
 		w.writeBits(xor>>trail, uint(sig))
 		prevLead, prevSig = lead, sig
 	}
-	return w.data
+	return w
 }
 
 // checkEncoderMatchesRef fails unless encodeBlock and encodeBlockRef
@@ -575,6 +684,121 @@ func TestUnitDivider(t *testing.T) {
 	}
 }
 
+// TestBlockValueModeProperty encodes random streams of the value shapes a
+// store holds — integer steps, halves, six-decimal prices and
+// full-mantissa prices like the simulator's od × frac — salted with -0.0,
+// NaN payloads, ±Inf, subnormals and ±2^53. Every block must match the
+// reference encoder byte for byte, decode bit for bit with both decoders,
+// and be no longer than its XOR-mode stream: the XOR-only encoding plus
+// the one-bit mode field. Unsalted integer, half and six-decimal blocks
+// must mostly take scaled mode.
+func TestBlockValueModeProperty(t *testing.T) {
+	rng := simrand.New(47).Stream("value-mode")
+	special := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1: // a NaN with a random payload and sign
+			return math.Float64frombits(0x7ff0000000000001 | rng.Uint64()&0x800fffffffffffff)
+		case 2:
+			return math.Inf(1 - 2*rng.Intn(2))
+		case 3: // a subnormal
+			return math.Float64frombits(rng.Uint64() & 0x800fffffffffffff)
+		case 4:
+			return float64(1-2*rng.Intn(2)) * (1 << 53)
+		default:
+			return float64(1-2*rng.Intn(2)) * maxMantissa
+		}
+	}
+	ods := []float64{0.0832, 0.192, 0.384, 1.536, 4.608}
+	const kinds = 4
+	var multi, scaled [kinds]int
+	for trial := 0; trial < 2000; trial++ {
+		kind, salted := trial%kinds, trial%3 == 0
+		pts := make([]sample, 1+rng.Intn(300))
+		ns, v := t0.UnixNano(), float64(1+rng.Intn(10))
+		for i := range pts {
+			switch kind {
+			case 0: // integer steps
+				v += float64(rng.Intn(7) - 3)
+			case 1: // halves
+				v = 1 + float64(rng.Intn(5))/2
+			case 2: // six-decimal prices
+				v = float64(int64(rng.Intn(2e7))-1e6) / 1e6
+			default: // full-mantissa prices
+				v = ods[rng.Intn(len(ods))] * rng.Float64()
+			}
+			pts[i] = sample{ns: ns, v: v}
+			if salted && rng.Intn(20) == 0 {
+				pts[i].v = special()
+			}
+			ns += 600e9 * int64(rng.Intn(4))
+		}
+		checkEncoderMatchesRef(t, pts)
+		eb := encodeBlock(pts)
+		got := checkDecodersAgree(t, eb.data, len(pts))
+		for i, p := range pts {
+			if got[i].ns != p.ns || math.Float64bits(got[i].v) != math.Float64bits(p.v) {
+				t.Fatalf("trial %d point %d: decoded %v (%#x), want %v (%#x)", trial, i, got[i], math.Float64bits(got[i].v), p, math.Float64bits(p.v))
+			}
+		}
+		xor := encodeBlockRefMode(pts, scaleXOR)
+		if len(eb.data) > (xor.bitLen()+7)/8 {
+			t.Fatalf("trial %d: %d bytes, over the XOR-mode stream's %d bits", trial, len(eb.data), xor.bitLen())
+		}
+		if len(pts) > 1 && !salted {
+			multi[kind]++
+			if e := refScale(pts); e != scaleXOR && bytes.Equal(eb.data, encodeBlockRefMode(pts, e).data) {
+				scaled[kind]++
+			}
+		}
+	}
+	for kind, name := range []string{"integer", "half", "six-decimal"} {
+		if 2*scaled[kind] < multi[kind] {
+			t.Errorf("%s blocks: %d of %d in scaled mode, want most", name, scaled[kind], multi[kind])
+		}
+	}
+	t.Logf("blocks in scaled mode by shape (integer, half, six-decimal, full-mantissa): %v of %v", scaled, multi)
+}
+
+// TestScaledMantissa pins which values have a mantissa at a scale.
+func TestScaledMantissa(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		e    int
+		m    int64
+		fits bool
+	}{
+		{3, 0, 3, true},
+		{2.5, 0, 0, false},
+		{2.5, 1, 25, true},
+		{2.5, 2, 250, true},
+		{0.123456, 6, 123456, true},
+		{0.123456, 5, 0, false},
+		{-3.5, 1, -35, true},
+		{maxMantissa, 0, maxMantissa, true},
+		{-maxMantissa, 0, -maxMantissa, true},
+		{1 << 53, 0, 0, false},
+		{-(1 << 53), 0, 0, false},
+		{maxMantissa, 1, 0, false},
+		{math.Nextafter(0.3, 1), 17, 0, false},
+		{math.Copysign(0, -1), 0, 0, false},
+		{0, 0, 0, true},
+		{math.NaN(), 0, 0, false},
+		{math.Inf(1), 0, 0, false},
+		{math.Inf(-1), 3, 0, false},
+		{5e-324, 18, 0, false},
+	} {
+		m, ok := scaledMantissa(c.v, scalePow[c.e])
+		if ok != c.fits || ok && m != c.m {
+			t.Errorf("scaledMantissa(%v, 1e%d) = %d, %v; want %d, %v", c.v, c.e, m, ok, c.m, c.fits)
+		}
+		if refM, refOK := refMantissa(c.v, c.e); refOK != ok || ok && refM != m {
+			t.Errorf("refMantissa(%v, %d) = %d, %v; scaledMantissa %d, %v", c.v, c.e, refM, refOK, m, ok)
+		}
+	}
+}
+
 // FuzzBlockDecode feeds hostile compressed blocks — truncated,
 // bit-flipped, or arbitrary bytes, with an adversarial point count — to
 // the block decoder that cold reads trust. Corrupt input must return an
@@ -622,6 +846,16 @@ func FuzzBlockDecode(f *testing.F) {
 	jitter[7].ns++
 	f.Add(encodeBlock(jitter).data, 32, mid)
 	for _, c := range hostileUnitBlocks() {
+		f.Add(c.data, c.count, noHorizon)
+	}
+	// Value modes: scaled blocks of halves and of six-decimal prices, an
+	// XOR block of full-mantissa prices, and the hostile scales and
+	// mantissa deltas decodeBlock must refuse, an exponent past the table
+	// and deltas that wrap the mantissa among them.
+	f.Add(fuzzBlockSeed(40, 10*time.Minute, func(i int) float64 { return float64(i%6) / 2 }), 40, mid)
+	f.Add(fuzzBlockSeed(40, 10*time.Minute, func(i int) float64 { return float64(123456+i*i) / 1e6 }), 40, noHorizon)
+	f.Add(fuzzBlockSeed(40, 10*time.Minute, func(i int) float64 { return 0.0832 * (0.31 + float64(i)/97) }), 40, mid)
+	for _, c := range hostileValueBlocks() {
 		f.Add(c.data, c.count, noHorizon)
 	}
 
@@ -729,6 +963,21 @@ func decodeShapeCases() []struct {
 		pts[i] = sample{ns: t0.Add(time.Duration(i) * time.Second).UnixNano(), v: math.Float64frombits(b)}
 	}
 	out = append(out, shape{"window-64", pts})
+	// Scaled values on a 10-minute cadence: halves, six decimals with
+	// negative steps, the widest mantissas, and one mantissa delta per
+	// value bucket.
+	scaled := func(name string, vs ...float64) {
+		pts := make([]sample, len(vs))
+		for i, v := range vs {
+			pts[i] = sample{ns: t0.Add(time.Duration(i) * 10 * time.Minute).UnixNano(), v: v}
+		}
+		out = append(out, shape{name, pts})
+	}
+	scaled("halves", 1, 1.5, 3, 2.5, 2.5, 1, 2, 1.5)
+	scaled("six-decimals", 0.123456, 0.123457, 0.1, 12.000001, -3.5, -3.500001)
+	scaled("max-mantissa", maxMantissa, -maxMantissa, 1, maxMantissa)
+	// Small steps after the wide ones keep the block in scaled mode.
+	scaled("value-buckets", 0, 0, 3, 100, 30100, 1<<30+30100, 1<<52, -(1 << 52), 7, 1, 8, 2, 9, 3, 10, 4, 1, 5, 2, 6)
 	out = append(out, shape{"single", []sample{{ns: t0.UnixNano(), v: 3.25}}})
 	return out
 }
@@ -737,7 +986,15 @@ func decodeShapeCases() []struct {
 // decodeShapeCases block with both decoders: they must agree on each
 // (same error, or same points), and the full block must round-trip.
 func TestBlockDecodeTruncationPrefixes(t *testing.T) {
-	buckets := map[uint]bool{}
+	buckets, valueBucketsSeen := map[uint]bool{}, map[uint]bool{}
+	bucketOf := func(z uint64, widths []uint) uint {
+		for _, w := range widths {
+			if z < 1<<w || w == 64 {
+				return w
+			}
+		}
+		panic("no bucket")
+	}
 	for _, c := range decodeShapeCases() {
 		eb := encodeBlock(c.pts)
 		for n := 0; n < len(eb.data); n++ {
@@ -756,20 +1013,29 @@ func TestBlockDecodeTruncationPrefixes(t *testing.T) {
 		var prev uint64
 		for i := 1; i < len(c.pts); i++ {
 			d := uint64(c.pts[i].ns-c.pts[i-1].ns) / unit
-			if z := zigzag(int64(d - prev)); z != 0 {
-				for _, w := range dodWidths[1:] {
-					if z < 1<<w || w == 64 {
-						buckets[w] = true
-						break
-					}
-				}
-			}
+			buckets[bucketOf(zigzag(int64(d-prev)), dodBuckets.widths[:])] = true
 			prev = d
 		}
+		// The value buckets of blocks in scaled mode.
+		if e := refScale(c.pts); e != scaleXOR && bytes.Equal(eb.data, encodeBlockRefMode(c.pts, e).data) {
+			var prevM int64
+			for i, p := range c.pts {
+				m, _ := refMantissa(p.v, e)
+				if i > 0 {
+					valueBucketsSeen[bucketOf(zigzag(m-prevM), valueBuckets.widths[:])] = true
+				}
+				prevM = m
+			}
+		}
 	}
-	for _, w := range dodWidths[1:] {
+	for _, w := range dodBuckets.widths {
 		if !buckets[w] {
 			t.Errorf("no case exercises the %d-bit dod bucket", w)
+		}
+	}
+	for _, w := range valueBuckets.widths {
+		if !valueBucketsSeen[w] {
+			t.Errorf("no scaled case exercises the %d-bit value bucket", w)
 		}
 	}
 }
@@ -792,6 +1058,7 @@ func hostileUnitBlocks() []hostileBlock {
 		w.writeBits(uint64(t), 64)
 		w.writeBits(0, 64)
 		unit(&w)
+		w.writeBits(0, 1) // XOR mode
 		for _, z := range dods {
 			w.writeBits(0b11111, 5)
 			w.writeBits(z, 64)
@@ -824,18 +1091,57 @@ func hostileUnitBlocks() []hostileBlock {
 	}
 }
 
-// TestBlockDecodeRefusesWraps decodes hostileUnitBlocks with both
-// decoders, whole and through every horizon up to the point that
-// overflows: each must fail with its own error, never return a
-// timestamp that wrapped.
+// hostileValueBlocks are streams no encoder writes, whose value scale or
+// mantissas decodeBlock must refuse as corruption: each starts with point
+// 0 at t0 valued v0, unit 1 and scaled mode at scale e, then one point
+// per mantissa delta, each at t0 again and in the 64-bit bucket.
+func hostileValueBlocks() []hostileBlock {
+	block := func(v0 float64, e uint64, deltas ...int64) []byte {
+		var w bitWriter
+		w.writeBits(uint64(t0.UnixNano()), 64)
+		w.writeBits(math.Float64bits(v0), 64)
+		w.writeBits(0, 1)      // unit 1
+		w.writeBits(1<<5|e, 6) // scaled mode
+		for _, d := range deltas {
+			w.writeBits(0, 1) // dod 0
+			w.writeBits(0b11111, 5)
+			w.writeBits(zigzag(d), 64)
+		}
+		return w.bytes()
+	}
+	return []hostileBlock{
+		{"scale-past-table", block(1, scaleMax+1, 1), 2, errBlockScaleRange},
+		{"scale-31", block(1, 31, 1), 2, errBlockScaleRange},
+		// 0.1+0.2 in float64 arithmetic: one decimal place does not hold it.
+		{"first-value-off-scale", block(math.Nextafter(0.3, 1), 1, 1), 2, errBlockScaleFirst},
+		{"first-value-negative-zero", block(math.Copysign(0, -1), 0, 1), 2, errBlockScaleFirst},
+		{"first-value-nan", block(math.NaN(), 0, 1), 2, errBlockScaleFirst},
+		{"first-value-inf", block(math.Inf(-1), 0, 1), 2, errBlockScaleFirst},
+		{"first-value-2^53", block(1<<53, 0, -1), 2, errBlockScaleFirst},
+		{"mantissa-past-2^53", block(0, 0, maxMantissa+1), 2, errBlockMantissaOverflow},
+		{"mantissa-below-minus-2^53", block(-1, 0, -maxMantissa), 2, errBlockMantissaOverflow},
+		// Deltas that wrap the int64 sum: 5 + MaxInt64 wraps to a large
+		// negative mantissa, -5 + MinInt64 to a large positive one.
+		{"mantissa-wraps", block(5, 0, math.MaxInt64), 2, errBlockMantissaOverflow},
+		{"mantissa-wraps-negative", block(-5, 0, math.MinInt64), 2, errBlockMantissaOverflow},
+		// The second delta overflows although the first fits.
+		{"second-delta", block(0, 3, maxMantissa, 1), 3, errBlockMantissaOverflow},
+	}
+}
+
+// TestBlockDecodeRefusesWraps decodes hostileUnitBlocks and
+// hostileValueBlocks with both decoders, whole and through every horizon
+// up to the point that overflows: each must fail with its own error,
+// never return a timestamp or a mantissa that wrapped.
 func TestBlockDecodeRefusesWraps(t *testing.T) {
-	for _, c := range hostileUnitBlocks() {
+	for _, c := range append(hostileUnitBlocks(), hostileValueBlocks()...) {
 		t.Run(c.name, func(t *testing.T) {
 			checkDecodersAgree(t, c.data, c.count)
 			if _, err := decodeBlock(nil, c.data, c.count, noHorizon); !errors.Is(err, c.want) {
 				t.Fatalf("decode = %v, want %v", err, c.want)
 			}
-			// A window that ends at point 0 never reads the unit.
+			// A window that ends at point 0 never reads the unit or the
+			// value mode.
 			if got, err := decodeBlock(nil, c.data, c.count, math.MinInt64); err != nil || len(got) != 1 {
 				t.Fatalf("window decode through point 0 = (%d points, %v)", len(got), err)
 			}
@@ -855,6 +1161,13 @@ func fuzzCheckpointSeed(seriesN, pointsN int) []byte {
 	}
 	var buf bytes.Buffer
 	_ = writeCheckpoint(&buf, db.capture())
+	return buf.Bytes()
+}
+
+// checkpointFileOf writes a checkpoint file of one series held in blocks.
+func checkpointFileOf(blocks ...encodedBlock) []byte {
+	var buf bytes.Buffer
+	_ = writeBlockFileTo(&buf, []blockSealEntry{{canon: "sps|m5.large|us-east-1|us-east-1a", blocks: blocks}}, nil)
 	return buf.Bytes()
 }
 
@@ -897,6 +1210,15 @@ func FuzzCheckpointFile(f *testing.F) {
 	s2 := fuzzCheckpointSeed(2, 4)
 	s2[len(blockFileMagic)] ^= 0x01 // version byte
 	f.Add(s2)
+	// Checkpoints of scaled blocks (halves, six-decimal prices), of an
+	// XOR block, and of blocks whose value scale or mantissas the decoder
+	// refuses behind valid CRCs.
+	f.Add(checkpointFileOf(encodeBlock(fuzzBlockPoints(12, 10*time.Minute, func(i int) float64 { return 1 + float64(i%5)/2 }))))
+	f.Add(checkpointFileOf(encodeBlock(fuzzBlockPoints(12, 10*time.Minute, func(i int) float64 { return float64(52000+i*37) / 1e6 }))))
+	f.Add(checkpointFileOf(encodeBlock(fuzzBlockPoints(12, 10*time.Minute, func(i int) float64 { return 0.0832 * (0.31 + float64(i)/97) }))))
+	for _, c := range hostileValueBlocks() {
+		f.Add(checkpointFileOf(encodedBlock{data: c.data, count: uint32(c.count), minAt: t0.UnixNano(), maxAt: t0.UnixNano()}))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCheckpointLoad(t, data)

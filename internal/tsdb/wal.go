@@ -92,9 +92,11 @@ package tsdb
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 7
-// (version 6 wrote block file version 1, whose timestamps count
-// nanoseconds without a block time unit; version 5 wrote one WAL record
+// A directory this build cannot read — a MANIFEST whose version is not 8
+// (version 7 wrote block file version 2, whose values are all XORed
+// against the last, without a block value mode; version 6 wrote block
+// file version 1, whose timestamps count nanoseconds without a block time
+// unit; version 5 wrote one WAL record
 // per point, each carrying its series' key, under segment magic
 // "SLWALSG4"; version 4 kept one segment chain
 // per shard, under a layout epoch; version 3 located the checkpoint cut
@@ -142,7 +144,7 @@ import (
 
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 7
+	manifestVersion = 8
 
 	// Segment header: magic | u64 seq.
 	rotSegMagic     = "SLWALSG5"

@@ -143,8 +143,14 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 	}
 	v1BlockFile := v1File.Bytes()
 	v1BlockFile[len(blockFileMagic)] = 1
-	if _, err := readBlockIndex(bytes.NewReader(v1BlockFile), int64(len(v1BlockFile))); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Errorf("a version-1 block file read as %v, want refused by its version", err)
+	// Block file version 2, which MANIFEST version 7 wrote: a value per
+	// point XORed against the last, and no value mode after the time unit.
+	v2BlockFile := bytes.Clone(v1BlockFile)
+	v2BlockFile[len(blockFileMagic)] = 2
+	for v, file := range map[int][]byte{1: v1BlockFile, 2: v2BlockFile} {
+		if _, err := readBlockIndex(bytes.NewReader(file), int64(len(file))); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Errorf("a version-%d block file read as %v, want refused by its version", v, err)
+		}
 	}
 	// A version-4 segment header: magic | u32 shard index 0 | u32 shard
 	// count 1 | u64 epoch 1 | u64 seq 1.
@@ -244,12 +250,29 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 6",
 		},
 		{
-			name: "manifest version 8",
+			// Version 7 wrote block file version 2: every value XORed
+			// against the last, no value mode. Its WAL segments are this
+			// build's.
+			name: "manifest version 7",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":8,"walSeq":1}`),
+				manifestName:             []byte(`{"version":7,"walSeq":2,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","blocks":[1],"blockSeq":1}`),
+				"wal-000002.log":         append(encodeRotHeader(2), walBytes...),
+				"wal-000001.log":         []byte("covered segment a reaping pass would delete"),
+				"checkpoint-000001.snap": v2BlockFile,
+				"blocks-000001.blk":      v2BlockFile,
+				"blocks-000002.blk":      []byte("orphan block file a reaping pass would delete"),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
+			},
+			want: "manifest version 7",
+		},
+		{
+			name: "manifest version 9",
+			files: map[string][]byte{
+				manifestName:     []byte(`{"version":9,"walSeq":1}`),
 				"wal-000001.log": encodeRotHeader(1),
 			},
-			want: "manifest version 8",
+			want: "manifest version 9",
 		},
 		{
 			name: "nested rollup store",
@@ -265,7 +288,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming a rollup snapshot",
 			files: map[string][]byte{
-				manifestName:         []byte(`{"version":7,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
+				manifestName:         []byte(`{"version":8,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
 				"wal-000001.log":     encodeRotHeader(1),
 				"rollup-000004.snap": []byte("SLROLLUP"),
 				"MANIFEST.tmp":       []byte("temp file a reaping pass would delete"),
@@ -275,7 +298,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming retention cuts",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":7,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
+				manifestName:     []byte(`{"version":8,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
 				"wal-000001.log": encodeRotHeader(1),
 				"MANIFEST.tmp":   []byte("temp file a reaping pass would delete"),
 			},
