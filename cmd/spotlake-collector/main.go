@@ -21,15 +21,14 @@
 // -checkpoint-bytes past the last checkpoint, and the same trigger is
 // enforced on the append path, so the replay tail — and with it the WAL
 // on disk and hot-memory growth — never outruns it by more than one
-// tick. Collection also checkpoints every -checkpoint-interval of
-// simulated time and once at the end, so a restart's replay is bounded
-// by wall clock and by bytes written. Set 0 to disable either trigger.
+// tick. That byte trigger and one checkpoint at the end are all a batch
+// run takes: collection itself never checkpoints.
 //
 // Usage:
 //
 //	spotlake-collector -data DIR [-days 30] [-frac 0.12] [-interval 10m]
-//	                   [-seed 22] [-exact] [-checkpoint-interval 24h]
-//	                   [-checkpoint-bytes 67108864]
+//	                   [-seed 22] [-exact] [-checkpoint-bytes 67108864]
+//	                   [-block-cache-bytes N]
 package main
 
 import (
@@ -61,13 +60,12 @@ func main() {
 // exit after the store opens; log.Fatal would skip it.
 func run() error {
 	var (
-		dataDir    = flag.String("data", "", "archive data directory (required; the only persistence)")
-		days       = flag.Int("days", 30, "simulated days to collect")
-		frac       = flag.Float64("frac", 0.12, "catalog fraction (1.0 = all 547 types)")
-		interval   = flag.Duration("interval", 10*time.Minute, "collection cadence (paper: 10m)")
-		seed       = flag.Uint64("seed", 22, "simulation seed")
-		exact      = flag.Bool("exact", false, "use the exact branch-and-bound query packer instead of FFD")
-		cpInterval = flag.Duration("checkpoint-interval", 24*time.Hour, "simulated time between archive checkpoints (0 disables)")
+		dataDir  = flag.String("data", "", "archive data directory (required; the only persistence)")
+		days     = flag.Int("days", 30, "simulated days to collect")
+		frac     = flag.Float64("frac", 0.12, "catalog fraction (1.0 = all 547 types)")
+		interval = flag.Duration("interval", 10*time.Minute, "collection cadence (paper: 10m)")
+		seed     = flag.Uint64("seed", 22, "simulation seed")
+		exact    = flag.Bool("exact", false, "use the exact branch-and-bound query packer instead of FFD")
 	)
 	storeOpts := tsdb.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -114,7 +112,6 @@ func run() error {
 	cfg.AdvisorInterval = *interval
 	cfg.PriceInterval = *interval
 	cfg.ExactPacking = *exact
-	cfg.CheckpointInterval = *cpInterval
 	col, err := collector.New(cloud, db, cfg)
 	if err != nil {
 		return fmt.Errorf("building collector: %w", err)
@@ -139,8 +136,6 @@ func run() error {
 	log.Printf("collected %d simulated days in %v", *days, time.Since(start).Round(time.Millisecond))
 	log.Printf("score ticks %d, advisor ticks %d, price ticks %d", st.ScoreTicks, st.AdvisorTicks, st.PriceTicks)
 	log.Printf("queries issued %d (errors %d), points stored %d", st.QueriesIssued, st.QueryErrors, st.PointsStored)
-	log.Printf("checkpoints: %d periodic (%d errors) + 1 final; store maintenance in the spotlake_maintenance_* rows",
-		st.Checkpoints, st.CheckpointErrors)
 	log.Printf("archive: %d series, %d points in %s", db.SeriesCount(), db.PointCount(), *dataDir)
 	// One `metric:` row per registry sample on stdout, unprefixed and
 	// greppable: name=value, histogram buckets left out.

@@ -14,11 +14,12 @@
 // store maintains itself: its internal daemon (polling once a second)
 // checkpoints whenever the WAL grows -checkpoint-bytes past the last
 // checkpoint — the one size trigger, enforced on the append path too,
-// so it covers the bootstrap writer, not just collection ticks — and
-// the server additionally checkpoints after bootstrap and every
-// -checkpoint-interval of simulated time. Restarts bulk-load the
-// checkpoint and replay only the segments written since, which each
-// checkpoint rotates and reclaims.
+// so it covers the bootstrap writer, not just collection ticks. The
+// server additionally checkpoints once after bootstrap and then every
+// -checkpoint-interval of simulated time: that cadence is what publishes
+// live data to followers, which only see checkpointed data. Restarts
+// bulk-load the checkpoint and replay only the segments written since,
+// which each checkpoint rotates and reclaims.
 //
 // The HTTP front is hardened for public traffic: the listener runs with
 // read/write/idle timeouts (a slowloris client cannot hold a goroutine
@@ -87,7 +88,7 @@ func main() {
 		tick       = flag.Duration("tick", 2*time.Second, "wall-clock interval per live collection tick")
 		seed       = flag.Uint64("seed", 22, "simulation seed")
 		multiCloud = flag.Bool("multicloud", false, "also collect Azure and GCP spot datasets (Section 7)")
-		cpInterval = flag.Duration("checkpoint-interval", 24*time.Hour, "simulated time between archive checkpoints with -data (0 disables)")
+		cpInterval = flag.Duration("checkpoint-interval", 24*time.Hour, "with -data, simulated time between the live archive's checkpoints, the cadence that publishes new data to followers (0 disables)")
 		maxInFl    = flag.Int("max-in-flight", 256, "cap on concurrently executing requests; the excess queues briefly then is shed with 503 (0 = unlimited)")
 		queueWait  = flag.Duration("queue-wait", 100*time.Millisecond, "how long an over-cap request may wait for an in-flight slot before being shed")
 		rateLimit  = flag.Float64("rate-limit", 50, "per-client sustained requests/sec before 429 + Retry-After (0 disables throttling)")
@@ -139,7 +140,6 @@ func main() {
 		clk.RunFor(maxAt.Add(cfg.ScoreInterval).Sub(clk.Now()))
 	}
 
-	cfg.CheckpointInterval = *cpInterval
 	col, err := collector.New(cloud, db, cfg)
 	if err != nil {
 		log.Fatalf("building collector: %v", err)
@@ -188,6 +188,7 @@ func main() {
 		}
 		log.Printf("checkpointed archive in %s", *dataDir)
 	}
+	publishCheckpoints(clk, db, *cpInterval)
 
 	// Live mode: one goroutine owns the simulation and advances it one
 	// collection interval per wall tick; HTTP handlers only read the
@@ -208,6 +209,23 @@ func main() {
 	log.Printf("serving on %s (simulated time advances %v per %v; admission: %d in-flight, %.3g req/s per client; metrics at /api/v1/metrics)",
 		*addr, cfg.ScoreInterval, *tick, *maxInFl, *rateLimit)
 	serve(svc, front, db.Close)
+}
+
+// publishCheckpoints schedules the live archive's checkpoints on clk,
+// one every interval of simulated time. Followers only see checkpointed
+// data (ReplicationSnapshot never lists the active segment), so this is
+// their publication cadence; recovery needs only the store's byte
+// trigger. A memory-only store or an interval of 0 schedules nothing.
+func publishCheckpoints(clk *simclock.Clock, db *tsdb.DB, interval time.Duration) {
+	if interval <= 0 || !db.Durable() {
+		return
+	}
+	clk.SchedulePeriodic(interval, func(time.Time) bool {
+		if err := db.Checkpoint(); err != nil {
+			log.Printf("publication checkpoint failed: %v", err)
+		}
+		return true
+	})
 }
 
 // serveConfig is the HTTP front both roles share: where to listen, the

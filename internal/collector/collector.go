@@ -13,7 +13,6 @@ package collector
 
 import (
 	"fmt"
-	"log"
 	"time"
 
 	"repro/internal/awsapi"
@@ -44,11 +43,6 @@ type Config struct {
 	// semantics are identical either way because the datasets are step
 	// functions.
 	StoreAllSamples bool
-	// CheckpointInterval, when positive and the store is durable,
-	// checkpoints the archive (snapshot + WAL compaction) every interval
-	// of simulated time, bounding crash-recovery replay to at most one
-	// interval of collected data. Zero disables periodic checkpoints.
-	CheckpointInterval time.Duration
 }
 
 // DefaultConfig returns the paper's collection configuration.
@@ -63,18 +57,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats are cumulative collection counters. Checkpoints and
-// CheckpointErrors count the collector's own periodic checkpoints; the
-// store counts its maintainer's in its spotlake_maintenance_* metrics.
+// Stats are cumulative collection counters.
 type Stats struct {
-	ScoreTicks       int
-	AdvisorTicks     int
-	PriceTicks       int
-	QueriesIssued    int
-	PointsStored     int
-	QueryErrors      int
-	Checkpoints      int
-	CheckpointErrors int
+	ScoreTicks    int
+	AdvisorTicks  int
+	PriceTicks    int
+	QueriesIssued int
+	PointsStored  int
+	QueryErrors   int
 }
 
 // Collector drives the periodic collection tasks.
@@ -133,8 +123,9 @@ func (c *Collector) Stats() Stats { return c.stats }
 // flush stores one tick's batch of points. Batching lets the store group
 // the entries by shard and take each shard lock once per tick instead of
 // once per point (dedup per AppendIfChanged unless StoreAllSamples). The
-// store's own byte trigger (tsdb.Options.CheckpointAfterBytes) runs on
-// this append path, so a tick that crosses it checkpoints before storing.
+// store's byte trigger (tsdb.Options.CheckpointAfterBytes) is checked on
+// this append path before the batch lands, so the tick after the one
+// that crosses it checkpoints, unless the store's daemon gets there first.
 func (c *Collector) flush(entries []tsdb.Entry) (int, error) {
 	if c.cfg.StoreAllSamples {
 		return c.db.AppendBatch(entries)
@@ -271,22 +262,6 @@ func (c *Collector) Start() error {
 			return true
 		}),
 	)
-	if c.cfg.CheckpointInterval > 0 && c.db.Durable() {
-		c.tickers = append(c.tickers,
-			clk.SchedulePeriodic(c.cfg.CheckpointInterval, func(time.Time) bool {
-				if err := c.db.Checkpoint(); err != nil {
-					// Surface persistent failures (disk full, permissions)
-					// immediately: every miss grows the WAL tails and with
-					// them the next restart's replay time.
-					log.Printf("collector: periodic checkpoint failed: %v", err)
-					c.stats.CheckpointErrors++
-				} else {
-					c.stats.Checkpoints++
-				}
-				return true
-			}),
-		)
-	}
 	return nil
 }
 

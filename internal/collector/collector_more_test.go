@@ -1,7 +1,7 @@
 package collector
 
 import (
-	"os"
+	"flag"
 	"path/filepath"
 	"testing"
 	"time"
@@ -114,91 +114,43 @@ func TestLowQuotaNeedsMoreAccounts(t *testing.T) {
 	}
 }
 
-// TestPeriodicCheckpointing runs a short durable collection with periodic
-// checkpoints enabled and verifies (a) checkpoints actually fire, (b) the
-// WAL segments they cover are deleted, bounding the on-disk tail, and (c)
-// a reopened store recovers the full archive.
-func TestPeriodicCheckpointing(t *testing.T) {
+// TestRunBelowByteTriggerTakesNoCheckpoint runs a durable collection
+// with the binaries' default store flags and DefaultConfig: collection
+// itself never checkpoints, so a run that stays below the byte trigger
+// commits no checkpoint and leaves its whole WAL in one segment.
+func TestRunBelowByteTriggerTakesNoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	cat := catalog.Compact(2)
-	clk := simclock.NewAtEpoch()
-	cloud := cloudsim.New(cat, clk, 7, cloudsim.DefaultParams())
-	db, err := tsdb.Open(dir)
+	cloud := cloudsim.New(catalog.Compact(2), simclock.NewAtEpoch(), 7, cloudsim.DefaultParams())
+	opts := tsdb.BindFlags(flag.NewFlagSet("store", flag.ContinueOnError))
+	db, err := tsdb.OpenWithOptions(dir, *opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.CheckpointInterval = time.Hour
-	col, err := New(cloud, db, cfg)
+	defer db.Close()
+	col, err := New(cloud, db, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := col.Run(3 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	st := col.Stats()
-	if st.Checkpoints < 2 {
-		t.Fatalf("checkpoints fired %d times over 3h at 1h cadence", st.Checkpoints)
+	if tail := db.WALBytesSinceCheckpoint(); tail == 0 || tail >= uint64(opts.CheckpointAfterBytes) {
+		t.Fatalf("WAL tail %d bytes; the run must write some WAL and stay below the %d-byte trigger", tail, opts.CheckpointAfterBytes)
 	}
-	if st.CheckpointErrors != 0 {
-		t.Fatalf("%d checkpoint errors", st.CheckpointErrors)
+	if cp := storeMetric(t, db, "spotlake_checkpoint_seconds_count"); cp != 0 {
+		t.Fatalf("%v checkpoints committed below the byte trigger", cp)
 	}
-	// Truncation check: the segments hold only the tail collected since
-	// the last periodic checkpoint, so their total size must be far below
-	// the whole run's WAL volume. A quiescent checkpoint then cuts them
-	// to (near) empty.
-	walBytes := func() int64 {
-		t.Helper()
-		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("globbing segments: %v (%d files)", err, len(segs))
-		}
-		var total int64
-		for _, s := range segs {
-			fi, err := os.Stat(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += fi.Size()
-		}
-		return total
-	}
-	// Flush so buffered record bytes are in the files before measuring.
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	afterRun := walBytes()
-	// If periodic checkpoints had not deleted covered segments, the
-	// chain would hold the whole run's volume (>30 record bytes per
-	// stored point).
-	if fullVolume := int64(db.PointCount()) * 30; afterRun >= fullVolume {
-		t.Fatalf("segments hold %d bytes after run, >= uncompacted volume estimate %d", afterRun, fullVolume)
-	}
-	// A quiescent checkpoint rotates the log and deletes every segment it
-	// covers; what survives is the new, header-only segment.
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if tail := walBytes(); tail > afterRun || tail > 64 {
-		t.Fatalf("quiescent checkpoint left %d segment bytes (was %d)", tail, afterRun)
-	}
-	points, series := db.PointCount(), db.SeriesCount()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := tsdb.Open(dir)
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.PointCount() != points || re.SeriesCount() != series {
-		t.Fatalf("recovered %d points / %d series, want %d / %d",
-			re.PointCount(), re.SeriesCount(), points, series)
+	if len(segs) != 1 {
+		t.Fatalf("segment files %v, want one", segs)
 	}
 }
 
-// TestSizeBasedCheckpointTrigger runs a durable collection with only the
-// byte-count checkpoint trigger enabled and verifies (a) it fires as the
+// TestSizeBasedCheckpointTrigger runs a durable collection over a store
+// with a small byte trigger and verifies (a) it fires as the
 // WAL crosses the threshold, (b) the replay tail a restart faces stays
 // bounded by the threshold rather than the run length, and (c) recovery
 // is lossless.
@@ -213,24 +165,18 @@ func TestSizeBasedCheckpointTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.CheckpointInterval = 0 // size trigger only
-	col, err := New(cloud, db, cfg)
+	col, err := New(cloud, db, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := col.Run(6 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	st := col.Stats()
 	if cp := storeMetric(t, db, "spotlake_maintenance_checkpoints_total"); cp < 2 {
 		t.Fatalf("size-triggered checkpoints fired %v times; the run writes several times the %d-byte threshold", cp, threshold)
 	}
-	if st.Checkpoints != 0 {
-		t.Fatalf("%d interval checkpoints fired with the interval trigger disabled", st.Checkpoints)
-	}
-	if errs := storeMetric(t, db, "spotlake_maintenance_errors_total"); st.CheckpointErrors != 0 || errs != 0 {
-		t.Fatalf("%d collector + %v store checkpoint errors", st.CheckpointErrors, errs)
+	if errs := storeMetric(t, db, "spotlake_maintenance_errors_total"); errs != 0 {
+		t.Fatalf("%v store checkpoint errors", errs)
 	}
 	// The un-checkpointed tail is at most the threshold plus one tick's
 	// worth of overshoot (the trigger runs before each tick's batch).

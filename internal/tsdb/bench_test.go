@@ -449,7 +449,7 @@ func BenchmarkSeal(b *testing.B) {
 		}
 		b.StopTimer()
 		sealedPts += db.ColdPointCount()
-		sealedBytes += db.ColdCompressedBytes()
+		sealedBytes += db.coldCompressedBytes()
 		hotPts += db.HotPointCount()
 		st, err := os.Stat(filepath.Join(dir, db.man.Checkpoint))
 		if err != nil {

@@ -141,7 +141,9 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 // TestCollectorShapeBudget holds the store's costs at the collector's
 // shape to their measured values: 500 collector-shaped series, N = 7
 // simulated days and then N more, with one checkpoint per simulated day
-// and no byte trigger, as spotlake-collector runs below -checkpoint-bytes.
+// and no byte trigger. The daily checkpoint models spotlake-server's
+// publication cadence (-checkpoint-interval 24h) below -checkpoint-bytes;
+// a batch spotlake-collector run below it takes only its final one.
 // The writer has one shard, so each tick is one WAL record in offer order
 // and every counted byte repeats run to run; the read-only open has
 // eight, the default on up to eight CPUs, so the heap does not depend on

@@ -811,7 +811,7 @@ func TestSealAccountingAndReap(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	blocks, coldPts, coldBytes := db.SealedBlocks(), db.ColdPointCount(), db.ColdCompressedBytes()
+	blocks, coldPts, coldBytes := db.SealedBlocks(), db.ColdPointCount(), db.coldCompressedBytes()
 	if blocks == 0 || coldPts == 0 || coldBytes == 0 {
 		t.Fatalf("seal accounted nothing: %d blocks, %d points, %d bytes", blocks, coldPts, coldBytes)
 	}
@@ -835,7 +835,7 @@ func TestSealAccountingAndReap(t *testing.T) {
 	if got := re.ColdPointCount(); got != coldPts {
 		t.Fatalf("reopen restored %d cold points, want %d", got, coldPts)
 	}
-	if got := re.ColdCompressedBytes(); got != coldBytes {
+	if got := re.coldCompressedBytes(); got != coldBytes {
 		t.Fatalf("reopen restored %d cold bytes, want %d", got, coldBytes)
 	}
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {

@@ -141,11 +141,11 @@ func TestColdReadErrorSurfaces(t *testing.T) {
 		}
 		for round := 0; round < 3; round++ {
 			for name, read := range reads {
-				before := db.ColdReadErrors()
+				before := db.coldReadErrors()
 				if err := read(); !errors.Is(err, ErrColdRead) {
 					t.Fatalf("round %d: %s error = %v, want ErrColdRead", round, name, err)
 				}
-				if got := db.ColdReadErrors() - before; got != 1 {
+				if got := db.coldReadErrors() - before; got != 1 {
 					t.Fatalf("round %d: %s counted %d cold read errors, want 1", round, name, got)
 				}
 			}
@@ -198,7 +198,7 @@ func coldReadsFail(t *testing.T, db *DB, k SeriesKey, n int) {
 
 // TestClosedStoreColdReadIsNotCorruption reads sealed history after
 // Close. The block files are closed, not damaged: the reads must fail
-// without ErrColdRead and leave ColdReadErrors, the corruption
+// without ErrColdRead and leave coldReadErrors, the corruption
 // odometer, at zero.
 func TestClosedStoreColdReadIsNotCorruption(t *testing.T) {
 	// No block cache, so every cold read goes to the (closed) file.
@@ -228,7 +228,7 @@ func TestClosedStoreColdReadIsNotCorruption(t *testing.T) {
 	if _, _, err := db.ValueAt(k, t0.Add(time.Minute)); err == nil || errors.Is(err, ErrColdRead) {
 		t.Fatalf("cold ValueAt after Close: err = %v, want a closed-store error", err)
 	}
-	if n := db.ColdReadErrors(); n != 0 {
+	if n := db.coldReadErrors(); n != 0 {
 		t.Fatalf("reads on a closed store counted %d cold read errors, want 0", n)
 	}
 }

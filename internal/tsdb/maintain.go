@@ -72,18 +72,18 @@ const maintenanceRetryBackoff = 5 * time.Second
 // it is durable and the byte trigger is configured.
 func (db *DB) selfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 }
 
-// MaintainerActive reports whether the maintenance daemon goroutine is
+// maintainerActive reports whether the maintenance daemon goroutine is
 // running. Even without it, the trigger is still enforced on the append
 // path; the daemon additionally covers stores that go idle above the
 // threshold (nothing appending, so nothing to enforce on).
-func (db *DB) MaintainerActive() bool { return db.maintStop != nil }
+func (db *DB) maintainerActive() bool { return db.maintStop != nil }
 
-// SealedSegments returns the number of swapped-out WAL segments on disk
+// sealedSegments returns the number of swapped-out WAL segments on disk
 // that no committed checkpoint covers — what a checkpoint that failed
 // after its swap leaves behind, for the next one to reclaim.
-func (db *DB) SealedSegments() int { return int(db.sealedN.Load()) }
+func (db *DB) sealedSegments() int { return int(db.sealedN.Load()) }
 
-// setSealed records behind SealedSegments how many segments lie below
+// setSealed records behind sealedSegments how many segments lie below
 // the active one and at or above the manifest's walSeq. Called wherever
 // either moves: under cpMu in a checkpoint, or single-threaded during
 // Open.

@@ -46,7 +46,7 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 		if err := db.Append(e.Key, e.At, e.Value); err != nil {
 			t.Fatalf("append %d: %v", n, err)
 		}
-		if got := db.SealedSegments(); got != 0 {
+		if got := db.sealedSegments(); got != 0 {
 			t.Fatalf("after append %d: %d uncovered swapped-out segments", n, got)
 		}
 		cp := db.maintCP.Value()
@@ -272,7 +272,7 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	// later shard groups; the next tick then finishes the job.)
 	waitFor(t, 5*time.Second, "daemon to checkpoint the idle tail", func() bool {
 		return db.maintCP.Value() > 0 &&
-			db.WALBytesSinceCheckpoint() < threshold && db.SealedSegments() == 0
+			db.WALBytesSinceCheckpoint() < threshold && db.sealedSegments() == 0
 	})
 	if errs := db.maintErrs.Value(); errs != 0 {
 		t.Fatalf("%d maintenance checkpoint errors", errs)

@@ -55,9 +55,9 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 	gauge("spotlake_store_sealed_blocks", "Sealed cold blocks on disk.",
 		func(db *DB) float64 { return float64(db.SealedBlocks()) })
 	gauge("spotlake_store_cold_compressed_bytes", "Compressed on-disk bytes of the cold tier.",
-		func(db *DB) float64 { return float64(db.ColdCompressedBytes()) })
+		func(db *DB) float64 { return float64(db.coldCompressedBytes()) })
 	gauge("spotlake_store_sealed_segments", "Swapped-out WAL segments no committed checkpoint covers yet.",
-		func(db *DB) float64 { return float64(db.SealedSegments()) })
+		func(db *DB) float64 { return float64(db.sealedSegments()) })
 	gauge("spotlake_store_wal_bytes_since_checkpoint", "WAL bytes appended since the last checkpoint (the recovery tail).",
 		func(db *DB) float64 { return float64(db.WALBytesSinceCheckpoint()) })
 	counter("spotlake_store_replayed_wal_bytes", "WAL record bytes the last open replayed beyond its checkpoint.",
@@ -65,13 +65,13 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 	counter("spotlake_store_wal_bytes_written_total", "Bytes this store wrote to WAL segments: records and segment headers.",
 		func(db *DB) uint64 { return db.walWritten.Value() })
 	counter("spotlake_store_cold_read_errors_total", "Cold block reads that failed; each failed its read with ErrColdRead (HTTP 500 cold_read_failed), never a partial result.",
-		func(db *DB) uint64 { return db.ColdReadErrors() })
+		func(db *DB) uint64 { return db.coldReadErrors() })
 	gauge("spotlake_store_durable", "1 when the store is backed by a data directory, 0 when memory-only.",
 		func(db *DB) float64 { return boolGauge(db.Durable()) })
 	gauge("spotlake_store_checkpoint_after_bytes", "The store's own checkpoint size trigger, in WAL bytes (0 = disabled).",
 		func(db *DB) float64 { return float64(db.cpAfterBytes) })
 	gauge("spotlake_store_maintainer_active", "1 while the maintenance daemon runs; the append path enforces the trigger either way.",
-		func(db *DB) float64 { return boolGauge(db.MaintainerActive()) })
+		func(db *DB) float64 { return boolGauge(db.maintainerActive()) })
 	gauge("spotlake_store_hot_tail_points", "Per-series tail a seal keeps unsealed, in memory (a constant: 256).",
 		func(db *DB) float64 { return float64(db.hotTail) })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",

@@ -217,7 +217,7 @@ func TestReadOnlyStoreRejectsWrites(t *testing.T) {
 	if err := ro.Checkpoint(); err == nil {
 		t.Error("read-only store accepted a checkpoint")
 	}
-	if ro.MaintainerActive() {
+	if ro.maintainerActive() {
 		t.Error("read-only store runs a maintenance daemon")
 	}
 }

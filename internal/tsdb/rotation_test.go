@@ -551,7 +551,7 @@ func TestRotatedDifferentialRecovery(t *testing.T) {
 			if err := dbFail.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if n := dbFail.SealedSegments(); n != 0 {
+			if n := dbFail.sealedSegments(); n != 0 {
 				t.Fatalf("seed %d: %d uncovered segments after a committed checkpoint", seed, n)
 			}
 			if err := dbOK.Close(); err != nil {

@@ -321,7 +321,7 @@ type DB struct {
 	walNextID uint64
 	walBuf    []byte
 	// sealedN counts the swapped-out segments the committed manifest does
-	// not cover yet, so SealedSegments reads it without a lock. Updated
+	// not cover yet, so sealedSegments reads it without a lock. Updated
 	// via setSealed wherever walSeq or the manifest moves.
 	sealedN atomic.Int64
 
@@ -877,7 +877,7 @@ var ErrColdRead = errors.New("tsdb: cold block read failed")
 var errClosed = errors.New("tsdb: store is closed")
 
 // coldReadErr counts and wraps a failed cold block read. Every read
-// path funnels decode failures through here so ColdReadErrors stays an
+// path funnels decode failures through here so coldReadErrors stays an
 // accurate corruption odometer no matter which API tripped first.
 func (db *DB) coldReadErr(err error) error {
 	if db.closed.Load() {
@@ -902,7 +902,7 @@ func (db *DB) coldReadErr(err error) error {
 // through the block cache, blocks in memory straight from their bytes; a
 // windowed read passes its horizon so a block its window ends inside
 // decodes only that far (coldBlockPoints). A block that fails to decode
-// is counted in ColdReadErrors and the error propagates to the caller as
+// is counted in coldReadErrors and the error propagates to the caller as
 // ErrColdRead — never a silently truncated answer.
 
 // seriesView is a stable read view of one series' tiers, captured under
@@ -1489,14 +1489,14 @@ func (db *DB) ColdPointCount() int64 { return db.coldPts.Load() }
 // SealedBlocks returns how many compressed blocks the cold tier holds.
 func (db *DB) SealedBlocks() int64 { return db.sealedBlks.Load() }
 
-// ColdCompressedBytes returns the cold tier's compressed on-disk block
+// coldCompressedBytes returns the cold tier's compressed on-disk block
 // bytes (data sections only, excluding per-file index overhead).
-func (db *DB) ColdCompressedBytes() int64 { return db.coldBytes.Load() }
+func (db *DB) coldCompressedBytes() int64 { return db.coldBytes.Load() }
 
-// ColdReadErrors returns how many cold block reads have failed —
+// coldReadErrors returns how many cold block reads have failed —
 // nonzero means on-disk corruption or a vanished block file. The
 // affected reads returned ErrColdRead rather than partial results.
-func (db *DB) ColdReadErrors() uint64 { return db.coldErrs.Value() }
+func (db *DB) coldReadErrors() uint64 { return db.coldErrs.Value() }
 
 // scannedPoints returns how many points reads have materialized since
 // open: raw-tail copies and decoded block windows, across every

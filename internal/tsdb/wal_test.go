@@ -520,7 +520,7 @@ func TestCheckpointBoundedRecovery(t *testing.T) {
 	// Compaction must have unlinked every covered segment: the store
 	// keeps only the new generation the checkpoint rotated onto, which
 	// holds no record yet.
-	if n := db.SealedSegments(); n != 0 {
+	if n := db.sealedSegments(); n != 0 {
 		t.Errorf("%d uncovered swapped-out segments after a committed checkpoint", n)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
