@@ -217,7 +217,7 @@ func TestCollectorShapeBudget(t *testing.T) {
 		got, want float64
 		margin    float64
 	}{
-		{"WAL bytes written per point", walPerPoint, 45.1274, counted},
+		{"WAL bytes written per point", walPerPoint, 35.3951, counted},
 		{"checkpoint bytes written per point", cpPerPoint, 205.2680, counted},
 		{"bytes at rest per point", restPerPoint, 15.9360, counted},
 		{"2N-day / N-day bytes written", growth, 2.0494, counted},

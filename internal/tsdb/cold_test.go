@@ -745,11 +745,11 @@ func TestSealAbortsOnUnreadableBlockFile(t *testing.T) {
 
 // TestSealTriggerMaintenance pins the bound the byte trigger puts on hot
 // memory, the one the hot-point knob used to promise: every stored point
-// costs at least 10 WAL bytes (1-byte ID, 1-byte delta, 8-byte value),
-// so with the daemon off and nothing calling Checkpoint, hot points grown
-// since the last checkpoint never exceed (CheckpointAfterBytes + one
-// batch) / 10 B — checked after every append — and the checkpoints the
-// trigger forces do seal.
+// counts at least 10 bytes toward the trigger (pointCharge), however few
+// its WAL entry takes, so with the daemon off and nothing calling
+// Checkpoint, hot points grown since the last checkpoint never exceed
+// (CheckpointAfterBytes + one batch) / 10 B — checked after every append
+// — and the checkpoints the trigger forces do seal.
 func TestSealTriggerMaintenance(t *testing.T) {
 	const threshold, batchLen = 4096, 8
 	dir := t.TempDir()
@@ -762,7 +762,7 @@ func TestSealTriggerMaintenance(t *testing.T) {
 	}
 	defer db.Close()
 	k := sealKeys()[0]
-	const recSize = 10 // the least WAL bytes a stored point costs
+	const recSize = 10 // the least a stored point counts toward the trigger
 	bound := int64((threshold + batchLen*recSize) / recSize)
 	var floor int64 // hot points right after the last checkpoint
 	var checkpoints uint64

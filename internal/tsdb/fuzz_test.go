@@ -64,15 +64,16 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add([]byte(`{"version":5,"walSeq":1}`))                        // per-point WAL records: must be rejected
 	f.Add([]byte(`{"version":4,"epoch":1,"segments":2,"walSeq":1}`)) // per-shard chains: must be rejected
 	f.Add([]byte(`{"version":3,"segments":1,"shards":[{"offset":0,"segs":[{"seq":1,"base":0}]}]}`))
-	f.Add([]byte(`{"version":8,"walSeq":1,"segments":1000000000000}`))
+	f.Add([]byte(`{"version":9,"walSeq":1,"segments":1000000000000}`))
 	f.Add([]byte(`{"version":1,"segments":3,"offsets":[0]}`))
-	f.Add([]byte(`{"version":8,"walSeq":1,"checkpoint":"../escape"}`))
+	f.Add([]byte(`{"version":9,"walSeq":1,"checkpoint":"../escape"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"version":8,"walSeq":0}`))
-	f.Add([]byte(`{"version":8,"walSeq":2,"epoch":1}`))
+	f.Add([]byte(`{"version":9,"walSeq":0}`))
+	f.Add([]byte(`{"version":9,"walSeq":2,"epoch":1}`))
 	f.Add([]byte(`{"version":6,"walSeq":1}`)) // unit-free block files: must be rejected
 	f.Add([]byte(`{"version":7,"walSeq":1}`)) // XOR-only block values: must be rejected
+	f.Add([]byte(`{"version":8,"walSeq":1}`)) // 8-byte WAL values: must be rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
@@ -1292,29 +1293,35 @@ type walRefEntry struct {
 
 // replayRef decodes a segment's record bytes the slow, obvious way, as
 // the format in wal.go describes them: records until the bytes end or a
-// record is torn (short, longer than what is left, failing its crc). It
-// returns every entry of the records before that point, how many bytes
-// they take, and whether the record that follows is crc-valid but
-// malformed: undecodable, naming an ID out of order or undefined, or
-// defining a series by a key that is not four "|"-separated fields with
-// the first three non-empty.
+// record is torn (short, with a body length that is no uvarint of at most
+// five bytes or is longer than what is left, failing its crc). It returns
+// every entry of the records before that point, how many bytes they take,
+// and whether the record that follows is crc-valid but malformed:
+// undecodable, naming an ID out of order or undefined, defining a series
+// by a key that is not four "|"-separated fields with the first three
+// non-empty, or holding a value of an unknown form or a scale past 18.
 func replayRef(data []byte) (ents []walRefEntry, valid int, bad bool) {
-	next := uint64(0)
+	next, base := uint64(0), int64(0)
 	for {
 		rest := data[valid:]
-		if len(rest) < 8 {
+		if len(rest) < 5 {
 			return ents, valid, false
 		}
-		n := uint64(binary.LittleEndian.Uint32(rest[4:]))
-		if n > uint64(len(rest)-8) || crc32.ChecksumIEEE(rest[4:8+n]) != binary.LittleEndian.Uint32(rest) {
+		n, lenLen := binary.Uvarint(rest[4:min(len(rest), 9)])
+		if lenLen <= 0 || n > uint64(len(rest)-4-lenLen) {
 			return ents, valid, false
 		}
-		r := bytes.NewReader(rest[8 : 8+n])
+		head := 4 + lenLen
+		if crc32.ChecksumIEEE(rest[4:head+int(n)]) != binary.LittleEndian.Uint32(rest) {
+			return ents, valid, false
+		}
+		r := bytes.NewReader(rest[head : head+int(n)])
 		var rec []walRefEntry
-		base, err := binary.ReadVarint(r)
+		delta, err := binary.ReadVarint(r)
 		if err != nil {
 			return ents, valid, true
 		}
+		recBase := base + delta
 		for r.Len() > 0 {
 			tag, err := binary.ReadUvarint(r)
 			if err != nil {
@@ -1336,49 +1343,121 @@ func replayRef(data []byte) (ents []walRefEntry, valid int, bad bool) {
 			} else if e.id >= next {
 				return ents, valid, true
 			}
-			delta, err := binary.ReadVarint(r)
-			var v [8]byte
-			if err != nil || r.Len() < 8 {
+			field, err := binary.ReadUvarint(r)
+			if err != nil {
 				return ents, valid, true
 			}
-			r.Read(v[:])
-			e.ns, e.v = base+delta, binary.LittleEndian.Uint64(v[:])
+			e.ns = recBase + (int64(field>>3) ^ -int64(field>>2&1))
+			switch field & 3 {
+			case 0, 1:
+				exp := byte(0)
+				if field&3 == 1 {
+					if exp, err = r.ReadByte(); err != nil || exp > 18 {
+						return ents, valid, true
+					}
+				}
+				m, err := binary.ReadVarint(r)
+				if err != nil {
+					return ents, valid, true
+				}
+				e.v = math.Float64bits(float64(m) / math.Pow10(int(exp)))
+			case 2:
+				var v [8]byte
+				if r.Len() < 8 {
+					return ents, valid, true
+				}
+				r.Read(v[:])
+				e.v = binary.LittleEndian.Uint64(v[:])
+			default:
+				return ents, valid, true
+			}
 			rec = append(rec, e)
 		}
 		ents = append(ents, rec...)
-		valid += 8 + int(n)
+		valid += head + int(n)
+		base = recBase
 	}
+}
+
+// FuzzWALValue encodes any finite float64, -0 included, as one WAL entry
+// at a fuzzed delta from its record's base and decodes it back: the value
+// must come back bit for bit and the timestamp exactly, the value must
+// never take more than the 8 bytes of its raw form, and the entry never
+// more than the version-8 entry did (uvarint ID, varint delta, 8-byte
+// value) but for the one byte the form's two bits can add to a timestamp
+// field — none at the record's tick.
+func FuzzWALValue(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -7, 0.1, 2.5, 0.0416, 1e-18, 1.5e-17, 1.23456789012345e-4,
+		0.1234567890123456, math.Pi, 1<<53 - 1, 1 << 53, 1<<53 + 2, 900719925474099.1, 5e-324, math.MaxFloat64, -math.MaxFloat64} {
+		f.Add(math.Float64bits(v), int64(0))
+		f.Add(math.Float64bits(v), int64(-600e9))
+	}
+	f.Add(math.Float64bits(1), int64(math.MinInt64))
+	f.Add(math.Float64bits(1), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, vbits uint64, delta int64) {
+		v := math.Float64frombits(vbits)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		if zigzag(delta) >= walDeltaLimit {
+			delta >>= walFormBits
+		}
+		base := t0.UnixNano()
+		k := SeriesKey{Dataset: "d", Type: "t", Region: "r"}
+		rec := finishRecord(appendRecordEntry(beginRecord(nil, 0, base), 0, &k, base, base+delta, v), 0)
+		got, valid, _, err := replayCollect(rec)
+		if err != nil || valid != int64(len(rec)) || len(got) != 1 {
+			t.Fatalf("%v at delta %d: replayed %d entries of %d bytes out of %d, err %v", v, delta, len(got), valid, len(rec), err)
+		}
+		if got[0].v != vbits || got[0].ns != base+delta {
+			t.Fatalf("%v at delta %d: came back as %v at delta %d", v, delta, math.Float64frombits(got[0].v), got[0].ns-base)
+		}
+		for _, d := range []int64{0, delta} {
+			ent := appendRecordEntry(nil, 0, nil, base, base+d, v)
+			field := len(binary.AppendUvarint(nil, zigzag(d)<<walFormBits))
+			old := 1 + len(binary.AppendVarint(nil, d)) + 8
+			if valueBytes := len(ent) - 1 - field; valueBytes > 8 {
+				t.Fatalf("%v: the value takes %d bytes", v, valueBytes)
+			}
+			if grown := field - len(binary.AppendVarint(nil, d)); len(ent) > old+grown || (d == 0 && len(ent) > old) {
+				t.Fatalf("%v at delta %d: entry of %d bytes, the version-8 one %d", v, d, len(ent), old)
+			}
+		}
+	})
 }
 
 // replayCollect runs replayRecords over data as one segment's record
 // bytes and collects what it applies.
 func replayCollect(data []byte) ([]walRefEntry, int64, uint64, error) {
 	var got []walRefEntry
-	valid, ids, err := replayRecords(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), func(e *recEntry) {
+	valid, ids, _, err := replayRecords(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), func(e *recEntry) {
 		got = append(got, walRefEntry{id: e.id, def: e.define, key: string(e.key), ns: e.ns, v: math.Float64bits(e.v)})
 	})
 	return got, valid, ids, err
 }
 
 // withRecordCRCs returns data with the crc of every record whose body
-// length fits recomputed, up to the first that does not, so fuzzed bodies
-// reach the decoder behind the crc.
+// length decodes and fits recomputed, up to the first that does not, so
+// fuzzed bodies reach the decoder behind the crc.
 func withRecordCRCs(data []byte) []byte {
 	out := bytes.Clone(data)
-	for p := 0; len(out)-p >= 8; {
-		n := int(binary.LittleEndian.Uint32(out[p+4:]))
-		if n > len(out)-p-8 {
+	for p := 0; len(out)-p >= 5; {
+		n, lenLen := binary.Uvarint(out[p+4 : min(len(out), p+9)])
+		if lenLen <= 0 || n > uint64(len(out)-p-4-lenLen) {
 			break
 		}
-		binary.LittleEndian.PutUint32(out[p:], crc32.ChecksumIEEE(out[p+4:p+8+n]))
-		p += 8 + n
+		end := p + 4 + lenLen + int(n)
+		binary.LittleEndian.PutUint32(out[p:], crc32.ChecksumIEEE(out[p+4:end]))
+		p = end
 	}
 	return out
 }
 
 // FuzzWALReplay feeds arbitrary segment record bytes to replayRecords,
 // each input as given and again with its record crcs made to match,
-// seeded with golden group records and their corruptions. Replay must
+// seeded with golden group records — every value form among them — and
+// their corruptions: a torn tail, a body length torn inside its varint,
+// and a torn record between two whose bases chain across it. Replay must
 // never panic, never allocate past what the segment's bytes account for
 // (a hostile body length included), apply exactly the entries of the
 // records before the first torn or malformed one — nothing past it — and
@@ -1389,21 +1468,49 @@ func FuzzWALReplay(f *testing.F) {
 	many := walRecord(append(legacyEntries(4), laterEntries(4, 100)...))
 	e := legacyEntries(2)
 	ns := e[1].At.UnixNano()
-	refs := append(bytes.Clone(many), finishRecord(appendRecordEntry(appendRecordEntry(beginRecord(nil, ns), 0, nil, ns, ns, 3), 1, nil, ns, ns-5, 4), 0)...)
+	refs := append(bytes.Clone(many), finishRecord(appendRecordEntry(appendRecordEntry(beginRecord(nil, e[0].At.UnixNano(), ns), 0, nil, ns, ns, 3), 1, nil, ns, ns-5, 4), 0)...)
 	f.Add([]byte{})
 	f.Add(one)
 	f.Add(many)
 	f.Add(refs)
-	f.Add(refs[:len(refs)-3])                                                          // torn tail
-	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 0, nil, ns, ns, 1), 0)) // undefined ID
-	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 2, &e[0].Key, ns, ns, 1), 0))
-	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, ns), 0, &SeriesKey{Dataset: "a", Type: "b", Region: "c", AZ: "d|e"}, ns, ns, 1), 0)) // key does not parse
+	f.Add(refs[:len(refs)-3])                                                             // torn tail
+	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, 0, ns), 0, nil, ns, ns, 1), 0)) // undefined ID
+	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, 0, ns), 2, &e[0].Key, ns, ns, 1), 0))
+	f.Add(finishRecord(appendRecordEntry(beginRecord(nil, 0, ns), 0, &SeriesKey{Dataset: "a", Type: "b", Region: "c", AZ: "d|e"}, ns, ns, 1), 0)) // key does not parse
 	hostile := bytes.Clone(one)
-	binary.LittleEndian.PutUint32(hostile[4:], math.MaxUint32)
+	copy(hostile[4:], []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add(hostile)
 	flipped := bytes.Clone(many)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
+	// Every value form: integer (up to the largest mantissa), scaled (the
+	// smallest and the largest scale), raw. The key is long enough that
+	// the body length takes two bytes.
+	long := SeriesKey{Dataset: DatasetPrice, Type: strings.Repeat("x", 64), Region: "r0", AZ: "r0a"}
+	forms := beginRecord(nil, 0, ns)
+	for i, v := range []float64{7, -1234, 1<<53 - 1, 0.25, 0.0416, 1e-18, math.Pi, math.Copysign(0, -1), math.MaxFloat64, 5e-324, 900719925474099.1} {
+		var def *SeriesKey
+		if i == 0 {
+			def = &long
+		}
+		forms = appendRecordEntry(forms, 0, def, ns, ns+int64(i), v)
+	}
+	forms = finishRecord(forms, 0)
+	f.Add(forms)
+	// Cut inside the two-byte body length.
+	if forms[4] < 0x80 {
+		f.Fatal("the value-form record's body length takes one byte")
+	}
+	f.Add(forms[:5])
+	// Three records whose bases chain, the middle one torn: replay stops
+	// at it, and with its crc recomputed decodes the third from its base.
+	chain := bytes.Clone(forms)
+	mid := len(chain)
+	chain = finishRecord(appendRecordEntry(beginRecord(chain, ns, ns+int64(time.Hour)), 0, nil, ns+int64(time.Hour), ns+int64(time.Hour), 2.5), mid)
+	third := len(chain)
+	chain = finishRecord(appendRecordEntry(beginRecord(chain, ns+int64(time.Hour), ns-int64(time.Minute)), 0, nil, ns-int64(time.Minute), ns, 0.5), third)
+	chain[third-1] ^= 0x40
+	f.Add(chain)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkWALReplay(t, data)
@@ -1416,10 +1523,11 @@ func checkWALReplay(t *testing.T, data []byte) {
 	runtime.ReadMemStats(&before)
 	got, valid, ids, err := replayCollect(data)
 	runtime.ReadMemStats(&after)
-	// The body buffer is at most the input; entries take at least 10
-	// bytes of it and 64 of memory here and in replay, doubled by
-	// slice growth; keys are copied once.
-	if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+32*len(data)); alloc > bound {
+	// The body buffer is at most the input; entries take at least 3
+	// bytes of it (a 1-byte ID, timestamp field and value) and 104 of
+	// memory here and in replay, doubled by slice growth; keys are copied
+	// once.
+	if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+72*len(data)); alloc > bound {
 		t.Fatalf("replaying %d bytes allocated %d, over %d", len(data), alloc, bound)
 	}
 	want, wantValid, bad := replayRef(data)

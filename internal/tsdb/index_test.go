@@ -316,27 +316,32 @@ func TestKeyHashCollisions(t *testing.T) {
 }
 
 // TestAppendRecordBytes pins the WAL group record: one small record byte
-// for byte, then records holding defining and referencing entries, IDs
+// for byte, with a base delta from the previous record and all three
+// value forms, then records holding defining and referencing entries, IDs
 // past one uvarint byte, zero, positive and negative deltas, multi-byte
 // UTF-8 keys and an exactly-maxKeyBytes key against a reference encoding
 // built from each key's canonical string. Every record decodes back to
-// its entries.
+// its entries and its base.
 func TestAppendRecordBytes(t *testing.T) {
 	k := SeriesKey{Dataset: "d", Type: "t", Region: "r", AZ: "a"}
-	rec := beginRecord([]byte("earlier records"), 1000)
+	rec := beginRecord([]byte("earlier records"), 400, 1000)
 	rec = appendRecordEntry(rec, 0, &k, 1000, 1000, 1.5)
 	rec = appendRecordEntry(rec, 0, nil, 1000, 999, -2)
+	rec = appendRecordEntry(rec, 0, nil, 1000, 1003, math.Copysign(0, -1))
 	rec = finishRecord(rec, len("earlier records"))
 	body := []byte{
-		0xd0, 0x0f, // varint baseNs 1000
+		0xb0, 0x09, // varint base delta 600 (1000 - 400)
 		0x01, 0x07, 'd', '|', 't', '|', 'r', '|', 'a', // defines ID 0: "d|t|r|a"
-		0x00,                         // delta 0
-		0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // 1.5
+		0x01,       // delta 0, scaled form
+		0x01, 0x1e, // e 1, mantissa 15: 1.5
 		0x00,                      // references ID 0
-		0x01,                      // delta -1
-		0, 0, 0, 0, 0, 0, 0, 0xc0, // -2
+		0x04,                      // delta -1, integer form
+		0x03,                      // mantissa -2
+		0x00,                      // references ID 0
+		0x1a,                      // delta 3, raw form
+		0, 0, 0, 0, 0, 0, 0, 0x80, // -0
 	}
-	lenBody := append([]byte{byte(len(body)), 0, 0, 0}, body...)
+	lenBody := append([]byte{byte(len(body))}, body...)
 	want := append([]byte("earlier records"), binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(lenBody))...)
 	if want = append(want, lenBody...); !bytes.Equal(rec, want) {
 		t.Fatalf("record\n got  %x\n want %x", rec, want)
@@ -349,8 +354,8 @@ func TestAppendRecordBytes(t *testing.T) {
 		v      float64
 		series SeriesKey
 	}
-	reference := func(base int64, ents []ent) []byte {
-		body := binary.AppendVarint(nil, base)
+	reference := func(prev, base int64, ents []ent) []byte {
+		body := binary.AppendVarint(nil, base-prev)
 		for _, e := range ents {
 			if e.key == "" {
 				body = binary.AppendUvarint(body, e.id<<1)
@@ -359,10 +364,18 @@ func TestAppendRecordBytes(t *testing.T) {
 				body = binary.AppendUvarint(body, uint64(len(e.key)))
 				body = append(body, e.key...)
 			}
-			body = binary.AppendVarint(body, e.ns-base)
-			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.v))
+			form, exp, m := walValue(e.v)
+			body = binary.AppendUvarint(body, zigzag(e.ns-base)<<2|form)
+			switch form {
+			case walValueInt:
+				body = binary.AppendVarint(body, m)
+			case walValueScaled:
+				body = binary.AppendVarint(append(body, byte(exp)), m)
+			default:
+				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.v))
+			}
 		}
-		head := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		head := binary.AppendUvarint(nil, uint64(len(body)))
 		return append(binary.LittleEndian.AppendUint32(nil, crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body)), append(head, body...)...)
 	}
 	long := SeriesKey{Dataset: DatasetPrice, Region: "us-east-1", AZ: "us-east-1a"}
@@ -382,12 +395,12 @@ func TestAppendRecordBytes(t *testing.T) {
 		"define then reference": {
 			{id: 0, ns: base, v: 1, series: keys[0]},
 			{id: 1, ns: base + 7, v: -2.5, series: keys[1]},
-			{id: 0, ns: base + int64(time.Hour), v: 3, series: keys[0]},
+			{id: 0, ns: base + int64(time.Hour), v: 0.0416, series: keys[0]},
 		},
 		"UTF-8 and maxKeyBytes": {
 			{id: 63, ns: base, v: 0.25, series: keys[2]},
 			{id: 64, ns: base - int64(time.Minute), v: 4, series: keys[3]},
-			{id: 64, ns: base + 1, v: 5, series: keys[3]},
+			{id: 64, ns: base + 1, v: math.Pi, series: keys[3]},
 		},
 		"references only, two-byte IDs": {
 			{id: 1599, ns: base, v: 1, series: keys[0]},
@@ -395,10 +408,12 @@ func TestAppendRecordBytes(t *testing.T) {
 		},
 	} {
 		// The first entry of each ID defines it, unless the case is
-		// references only.
+		// references only. The record follows one based 10 minutes
+		// earlier.
 		defined := map[uint64]bool{}
 		refsOnly := strings.HasPrefix(name, "references")
-		got := beginRecord(nil, ents[0].ns)
+		prev := ents[0].ns - int64(10*time.Minute)
+		got := beginRecord(nil, prev, ents[0].ns)
 		for i := range ents {
 			e := &ents[i]
 			var def *SeriesKey
@@ -408,7 +423,7 @@ func TestAppendRecordBytes(t *testing.T) {
 			got = appendRecordEntry(got, e.id, def, ents[0].ns, e.ns, e.v)
 		}
 		got = finishRecord(got, 0)
-		if want := reference(ents[0].ns, ents); !bytes.Equal(got, want) {
+		if want := reference(prev, ents[0].ns, ents); !bytes.Equal(got, want) {
 			t.Fatalf("%s: record differs from the canonical-key encoding", name)
 		}
 		// A defining case's first ID is the segment's next free one; a
@@ -417,12 +432,13 @@ func TestAppendRecordBytes(t *testing.T) {
 		if refsOnly {
 			next = 1600
 		}
-		dec, _, err := decodeRecordBody(got[walRecordHeaderLen:], next, nil)
-		if err != nil || len(dec) != len(ents) {
-			t.Fatalf("%s: decoded %d of %d entries, err %v", name, len(dec), len(ents), err)
+		_, lenLen := binary.Uvarint(got[walCRCLen:])
+		dec, recBase, _, err := decodeRecordBody(got[walCRCLen+lenLen:], prev, next, nil)
+		if err != nil || len(dec) != len(ents) || recBase != ents[0].ns {
+			t.Fatalf("%s: decoded %d of %d entries at base %d, err %v", name, len(dec), len(ents), recBase, err)
 		}
 		for i, e := range dec {
-			if e.id != ents[i].id || e.ns != ents[i].ns || e.v != ents[i].v || string(e.key) != ents[i].key {
+			if e.id != ents[i].id || e.ns != ents[i].ns || math.Float64bits(e.v) != math.Float64bits(ents[i].v) || string(e.key) != ents[i].key {
 				t.Fatalf("%s: entry %d decodes to %+v", name, i, e)
 			}
 		}

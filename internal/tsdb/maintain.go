@@ -8,8 +8,9 @@ package tsdb
 // appending directly) gets a bounded replay tail, and covered WAL
 // segments are reclaimed, without ever calling Checkpoint.
 //
-//   - One trigger, defined once (byteTriggerHot):
-//     WALBytesSinceCheckpoint >= Options.CheckpointAfterBytes.
+//   - One trigger, defined once (byteTriggerHot): the WAL bytes or
+//     pointCharge times the points appended since the last checkpoint
+//     reach Options.CheckpointAfterBytes.
 //
 //   - A per-store daemon goroutine (started by OpenWithOptions when the
 //     trigger is configured on a writable store, stopped by Close) polls
@@ -27,16 +28,17 @@ package tsdb
 //
 // # What the byte trigger bounds
 //
-// Every stored point costs at least 10 WAL bytes (its entry in its shard
-// group's record: a 1-byte series ID, a 1-byte delta, the 8-byte value),
-// and a checkpoint rotates the log onto a new segment, unlinks every
-// segment it covers and seals every whole block out of memory. So one
-// bound on un-checkpointed WAL bytes is also the bound on the two other
-// things that grow between checkpoints, and the store needs no knob for
-// either. The WAL on disk is exactly the un-checkpointed records plus one
-// header per segment — after a committed checkpoint, one header-only
-// segment — and never more than CheckpointAfterBytes plus one batch past
-// a checkpoint the append path could run. And hot points grown since the
+// Every stored point counts at least pointCharge (10) bytes toward the
+// trigger, whatever its entry in the WAL takes (as little as 3 bytes: a
+// 1-byte series ID, a 1-byte timestamp field, a 1-byte value), and a
+// checkpoint rotates the log onto a new segment, unlinks every segment it
+// covers and seals every whole block out of memory. So the bound on
+// un-checkpointed WAL bytes is also the bound on the two other things
+// that grow between checkpoints, and the store needs no knob for either.
+// The WAL on disk is exactly the un-checkpointed records plus one header
+// per segment — after a committed checkpoint, one header-only segment —
+// and never more than CheckpointAfterBytes plus one batch past a
+// checkpoint the append path could run. And hot points grown since the
 // last checkpoint never exceed (CheckpointAfterBytes + one batch) / 10 B.
 //
 // # Single-flight
@@ -59,6 +61,11 @@ import (
 // path enforces the trigger synchronously, so a shorter interval buys
 // little.
 const maintenanceInterval = time.Second
+
+// pointCharge is what a stored point counts toward the byte trigger
+// beside its WAL bytes: the bound on hot points grown between checkpoints
+// is the threshold over it, however small the WAL's entries get.
+const pointCharge = 10
 
 // maintenanceRetryBackoff is how long the append path stands down after
 // a failed maintenance checkpoint. A latched trigger only clears when a
@@ -139,7 +146,11 @@ func (db *DB) maintainOnce() {
 // check all go through it, so the three sites can never enforce
 // different bounds.
 func (db *DB) byteTriggerHot() bool {
-	return db.dir != "" && db.cpAfterBytes > 0 && db.cpBytesTotal.Load() >= uint64(db.cpAfterBytes)
+	if db.dir == "" || db.cpAfterBytes <= 0 {
+		return false
+	}
+	t := uint64(db.cpAfterBytes)
+	return db.cpBytesTotal.Load() >= t || db.cpPointsTotal.Load()*pointCharge >= t
 }
 
 // runMaintenanceCheckpointLocked re-checks the trigger and checkpoints.

@@ -206,7 +206,7 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ~6.9KB: below the threshold, so nothing fires before the "crash".
+	// ~3.9KB: below the threshold, so nothing fires before the "crash".
 	for _, e := range legacyEntries(150) {
 		if err := db.Append(e.Key, e.At, e.Value); err != nil {
 			t.Fatal(err)
@@ -230,9 +230,12 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	if got := re.WALBytesSinceCheckpoint(); got != before {
 		t.Fatalf("reopen counts %d un-checkpointed WAL bytes, want the replayed tail %d", got, before)
 	}
+	if got := re.cpPointsTotal.Load(); got != 150 {
+		t.Fatalf("reopen counts %d un-checkpointed points, want the replayed 150", got)
+	}
 	// Round 2 crosses the threshold mid-way; the append path must fire
 	// off the seeded total, bounding the tail again.
-	for _, e := range laterEntries(150, 1000) {
+	for _, e := range laterEntries(400, 1000) {
 		if err := re.Append(e.Key, e.At, e.Value); err != nil {
 			t.Fatal(err)
 		}

@@ -302,11 +302,13 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 	}
 	// Version 5 named each WAL record's series by key; version 6 wrote
 	// block files whose timestamps had no time unit; version 7 wrote
-	// block files whose values had no value mode.
+	// block files whose values had no value mode; version 8 wrote WAL
+	// entries whose values took 8 raw bytes.
 	for v, raw := range map[string]string{
 		"version 5": `{"version":5,"walSeq":1}`,
 		"version 6": `{"version":6,"walSeq":2,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","blocks":[1],"blockSeq":1}`,
 		"version 7": `{"version":7,"walSeq":2,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap","blocks":[1],"blockSeq":1}`,
+		"version 8": `{"version":8,"walSeq":2,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap"}`,
 	} {
 		if err := ValidateReplicatedManifest([]byte(raw)); err == nil || !strings.Contains(err.Error(), v) {
 			t.Errorf("%s manifest: validation returned %v, want an error naming %s", v, err, v)
@@ -314,7 +316,7 @@ func TestCommitReplicatedManifestValidates(t *testing.T) {
 	}
 	// Layouts of builds that materialized rollups or kept raw retention.
 	for field, value := range map[string]string{"rollups": `"rollup-000004.snap"`, "retain": `{"sps":1640995200000000000}`} {
-		raw := []byte(`{"version":8,"walSeq":1,"` + field + `":` + value + `}`)
+		raw := []byte(`{"version":9,"walSeq":1,"` + field + `":` + value + `}`)
 		if err := CommitReplicatedManifest(dir, raw); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
 			t.Errorf("manifest naming %q: commit returned %v, want an error naming the field", field, err)
 		}

@@ -314,11 +314,13 @@ type DB struct {
 	walF     *os.File
 	walSeq   uint64
 	unsynced []*os.File
-	// walNextID is the next series ID of the active segment and walBuf
-	// the records writeLog encodes, both guarded by logMu. The cut resets
-	// walNextID with every shard lock and logMu held; Open seeds it from
-	// the replayed active segment.
+	// walNextID is the next series ID of the active segment, walBase the
+	// base timestamp of its last record and walBuf the records writeLog
+	// encodes, all guarded by logMu. The cut resets walNextID and walBase
+	// with every shard lock and logMu held; Open seeds them from the
+	// replayed active segment.
 	walNextID uint64
+	walBase   int64
 	walBuf    []byte
 	// sealedN counts the swapped-out segments the committed manifest does
 	// not cover yet, so sealedSegments reads it without a lock. Updated
@@ -366,15 +368,17 @@ type DB struct {
 	// checkpoint succeeds, and without the gate every append would
 	// synchronously re-attempt a full snapshot against e.g. a full disk.
 	maintRetryAt atomic.Int64
-	// cpBytesTotal counts WAL record bytes appended since the last
-	// committed checkpoint, feeding the byte trigger with one atomic load.
-	// It moves under logMu with every log write; a committed checkpoint
-	// subtracts the bytes its cut covered.
-	cpBytesTotal atomic.Uint64
-	maintStop    chan struct{}
-	maintDone    chan struct{}
-	maintCP      obs.Counter
-	maintErrs    obs.Counter
+	// cpBytesTotal and cpPointsTotal count the WAL record bytes and the
+	// points appended since the last committed checkpoint, feeding the
+	// byte trigger with an atomic load each. They move under logMu with
+	// every log write; a committed checkpoint subtracts what its cut
+	// covered.
+	cpBytesTotal  atomic.Uint64
+	cpPointsTotal atomic.Uint64
+	maintStop     chan struct{}
+	maintDone     chan struct{}
+	maintCP       obs.Counter
+	maintErrs     obs.Counter
 
 	// cpTime times every committed checkpoint.
 	cpTime *obs.Histogram
@@ -416,12 +420,13 @@ const blockPoints = 512
 type Options struct {
 	// CheckpointAfterBytes, when positive on a durable store, makes the
 	// store checkpoint itself once WALBytesSinceCheckpoint crosses the
-	// threshold — regardless of who is writing (collector, bootstrap,
-	// analysis tools). It is the store's one size knob: every stored
-	// point costs at least 10 WAL bytes, so the same threshold bounds the
-	// replay tail, the WAL bytes on disk and hot-memory growth between
-	// seals ((threshold + one batch) / 10 B). A writable store with the
-	// trigger set also runs a maintenance daemon that polls it every
+	// threshold, or once the points appended since count 10 bytes each
+	// to it (pointCharge) — regardless of who is writing (collector,
+	// bootstrap, analysis tools). It is the store's one size knob: the
+	// same threshold bounds the replay tail, the WAL bytes on disk and
+	// hot-memory growth between seals ((threshold + one batch) / 10 B),
+	// however few bytes the WAL spends on a point. A writable store with
+	// the trigger set also runs a maintenance daemon that polls it every
 	// maintenanceInterval. Zero disables the store's own size trigger
 	// (callers may still schedule checkpoints themselves).
 	CheckpointAfterBytes int64
@@ -667,7 +672,9 @@ func (db *DB) countLocked(sh *shard, n int) {
 }
 
 // writeLog encodes ents, one shard group's stored points in order, as
-// one WAL record (more only past walRecordSplit body bytes) and hands it
+// one WAL record (more only past walRecordSplit body bytes, or at a point
+// too far from the record's base for its timestamp field; see
+// walDeltaLimit) and hands it
 // to the log's buffer with one log-lock acquisition. The caller holds the
 // write lock of the shard whose points ents records, which keeps every
 // series' order in the log its order in memory. A series not yet defined
@@ -681,12 +688,13 @@ func (db *DB) writeLog(ents []walEntry) error {
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
 	start, base := 0, ents[0].ns
-	buf := beginRecord(db.walBuf[:0], base)
+	buf := beginRecord(db.walBuf[:0], db.walBase, base)
 	for _, e := range ents {
-		if len(buf)-start > walRecordSplit {
+		if len(buf)-start > walRecordSplit || zigzag(e.ns-base) >= walDeltaLimit {
 			buf = finishRecord(buf, start)
+			prev := base
 			start, base = len(buf), e.ns
-			buf = beginRecord(buf, base)
+			buf = beginRecord(buf, prev, base)
 		}
 		s := e.s
 		var def *SeriesKey
@@ -700,7 +708,9 @@ func (db *DB) writeLog(ents []walEntry) error {
 	if _, err := db.wal.Write(db.walBuf); err != nil {
 		return fmt.Errorf("tsdb: wal write: %w", err)
 	}
+	db.walBase = base
 	db.cpBytesTotal.Add(uint64(len(db.walBuf)))
+	db.cpPointsTotal.Add(uint64(len(ents)))
 	db.walWritten.Add(uint64(len(db.walBuf)))
 	return nil
 }

@@ -22,23 +22,36 @@ package tsdb
 //
 // # Segment format
 //
-//	header: 8-byte magic "SLWALSG5" | u64 sequence number
+//	header: 8-byte magic "SLWALSG6" | u64 sequence number
 //	then:   a run of records, one per shard group an append or a batch
 //	        stored (see writeLog):
-//	          u32 crc | u32 bodyLen | body     crc over bodyLen and body
-//	        body: varint baseNs (the first entry's unix nanoseconds), then
-//	        per entry:
+//	          u32 crc | uvarint bodyLen | body   crc over bodyLen's bytes and body
+//	        body: varint(baseNs - prevBaseNs), zigzag, wrapping: the first
+//	        entry's unix nanoseconds, from the segment's previous record's
+//	        (from 0 in its first record), then per entry:
 //	          uvarint(id<<1 | defines)
 //	          [uvarint keyLen | canonical key]  only when defines is set
-//	          varint(ns - baseNs)               zigzag, wrapping
-//	          f64 bits
+//	          uvarint(zigzag(ns - baseNs)<<2 | form)   the delta wrapping
+//	          value, by form:
+//	            0  varint m                 an integer: the value is m
+//	            1  u8 e | varint m          a decimal: the value is m/10^e
+//	            2  f64 bits                 any other value
 //
 // A series is named by an ID that holds for one segment. The first entry
 // of a series in a segment defines it, carrying its key and taking the
 // segment's next ID (IDs run 0, 1, 2 … in log order); later entries carry
-// only the ID. A stored point therefore costs at least 10 bytes (1-byte
-// ID, 1-byte delta, 8-byte value): a collector tick, whose entries share
-// one timestamp and a handful of records, costs about 11.
+// only the ID.
+//
+// A value takes the decimal form when scaledMantissa (block.go) finds its
+// mantissa m at the smallest e <= 18, so m/10^e converts back to the value
+// bit for bit, and the form takes at most 8 bytes; -0.0, a price with a
+// full 53-bit mantissa and every other value take the raw one. So no value
+// costs more than the 8 bytes a raw one does, and the form's two bits cost
+// an entry at the record's tick nothing: its timestamp field stays one
+// byte. A stored point costs at least 3 bytes (1-byte ID, timestamp field
+// and value): a collector tick, whose entries share one timestamp and a
+// handful of records and hold small decimals, costs about 4 (see
+// maintain.go for what the byte trigger charges it).
 //
 // A segment lives for one checkpoint. Every record in a segment below the
 // manifest's walSeq is in the checkpoint; every record in a segment at or
@@ -79,21 +92,26 @@ package tsdb
 // (if any), then replays the segments in one sequential pass, in
 // sequence order from the manifest's walSeq, applying each entry to the
 // shard this open places its series' key in. A missing sequence number, a
-// foreign header or a torn record (short, past the segment's end, or
-// failing its crc) ends the chain (a torn record is the signature of a
+// foreign header or a torn record (short, a body length that does not end
+// within 5 bytes or runs past the segment's end, or failing its crc) ends
+// the chain (a torn record is the signature of a
 // crash mid-write; nothing after it was acknowledged as durable), and the
 // torn bytes are truncated before the segment reopens for appending. A
 // record that passes its crc but is malformed, names an ID its segment
 // never defined or defines a series by a key that does not parse fails
 // Open, naming the segment: the writer never produces one. Appends
-// resume in the last replayed segment at its next free ID. Recovery
+// resume in the last replayed segment at its next free ID, their first
+// record's base a delta from its last valid record's. Recovery
 // time is bounded by the bytes written since the last checkpoint, not by
 // the archive's full history.
 //
 // # Unsupported layouts
 //
-// A directory this build cannot read — a MANIFEST whose version is not 8
-// (version 7 wrote block file version 2, whose values are all XORed
+// A directory this build cannot read — a MANIFEST whose version is not 9
+// (version 8 wrote WAL segments "SLWALSG5", whose entries carried every
+// value as 8 raw bytes, under a fixed 8-byte record header — u32 crc, u32
+// body length — and a full varint base timestamp in each record; version
+// 7 wrote block file version 2, whose values are all XORed
 // against the last, without a block value mode; version 6 wrote block
 // file version 1, whose timestamps count nanoseconds without a block time
 // unit; version 5 wrote one WAL record
@@ -144,18 +162,34 @@ import (
 
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 8
+	manifestVersion = 9
 
 	// Segment header: magic | u64 seq.
-	rotSegMagic     = "SLWALSG5"
+	rotSegMagic     = "SLWALSG6"
 	rotSegHeaderLen = len(rotSegMagic) + 8
 
-	// walRecordHeaderLen is a record's u32 crc and u32 body length.
-	walRecordHeaderLen = 8
+	// walCRCLen is a record's u32 crc. walLenReserve is the room
+	// beginRecord leaves after it for the body length, a uvarint of at
+	// most that many bytes; finishRecord moves the body down over what
+	// the length does not take.
+	walCRCLen     = 4
+	walLenReserve = binary.MaxVarintLen32
 	// walRecordSplit is the body size past which writeLog ends a record
-	// and starts the next, so no body outgrows its u32 length.
+	// and starts the next, so no body outgrows a 32-bit length.
 	walRecordSplit = 1 << 20
 )
+
+// An entry's value form, in the low two bits of its timestamp field.
+const (
+	walValueInt    = 0 // the zigzag varint of the value, an integer
+	walValueScaled = 1 // a byte e, then the zigzag varint of the mantissa at 10^e
+	walValueRaw    = 2 // the float64's 8 bytes
+	walFormBits    = 2 // the field's bits the form takes
+)
+
+// walDeltaLimit bounds an entry's zigzagged timestamp delta from its
+// record's base: the value form takes the field's two low bits.
+const walDeltaLimit = 1 << (64 - walFormBits)
 
 // errCrashPoint is returned by armed crash-point hooks; the crash-matrix
 // tests use it to abort the protocol at a precise durable boundary. Code
@@ -511,18 +545,20 @@ func (db *DB) attachBlocks(s *series, seg *coldSegment, blocks []blockMeta) int 
 	return total
 }
 
-// beginRecord starts a WAL record at the end of buf: room for its crc and
-// body length, then the body's base timestamp.
-func beginRecord(buf []byte, base int64) []byte {
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	return binary.AppendVarint(buf, base)
+// beginRecord starts a WAL record at the end of buf: room for its crc
+// and body length, then the body's base timestamp, base, as a delta from
+// prev, the base of the segment's previous record (0 for its first).
+func beginRecord(buf []byte, prev, base int64) []byte {
+	var head [walCRCLen + walLenReserve]byte
+	return binary.AppendVarint(append(buf, head[:]...), base-prev)
 }
 
 // appendRecordEntry appends one entry to the record whose base timestamp
 // is base: a point of the series with ID id, which it defines when k is
-// non-nil, writing k's canonical form in place. The delta wraps: two
-// points of one record may lie further apart than an int64 holds, and
-// the wrapped delta decodes back exactly.
+// non-nil, writing k's canonical form in place. The delta from base
+// wraps, and its zigzag form must be below walDeltaLimit (writeLog starts
+// a new record for a point further away): the wrapped delta decodes back
+// exactly.
 func appendRecordEntry(buf []byte, id uint64, k *SeriesKey, base, ns int64, v float64) []byte {
 	if k == nil {
 		buf = binary.AppendUvarint(buf, id<<1)
@@ -534,15 +570,50 @@ func appendRecordEntry(buf []byte, id uint64, k *SeriesKey, base, ns int64, v fl
 		buf = append(append(buf, k.Region...), '|')
 		buf = append(buf, k.AZ...)
 	}
-	buf = binary.AppendVarint(buf, ns-base)
+	form, e, m := walValue(v)
+	buf = binary.AppendUvarint(buf, zigzag(ns-base)<<walFormBits|form)
+	switch form {
+	case walValueScaled:
+		buf = append(buf, byte(e))
+		fallthrough
+	case walValueInt:
+		return binary.AppendVarint(buf, m)
+	}
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-// finishRecord fills in the crc and the body length of the record that
-// starts at buf[start].
+// walValue returns v's value form in a WAL entry and, for the decimal
+// forms, its exponent e and mantissa m: the smallest e <= scaleMax at
+// which scaledMantissa finds one, so float64(m)/10^e is v bit for bit.
+// A value with no such e, -0.0 among them, and a scaled one whose e byte
+// and mantissa would take more than 8 bytes take the raw form.
+func walValue(v float64) (form uint64, e int, m int64) {
+	for ; e <= scaleMax; e++ {
+		var ok bool
+		if m, ok = scaledMantissa(v, scalePow[e]); !ok {
+			continue
+		}
+		if e == 0 {
+			// |m| <= maxMantissa: a varint of at most 8 bytes.
+			return walValueInt, 0, m
+		}
+		if zigzag(m) < 1<<49 { // a varint of at most 7 bytes
+			return walValueScaled, e, m
+		}
+		break
+	}
+	return walValueRaw, 0, 0
+}
+
+// finishRecord fills in the body length and the crc of the record that
+// starts at buf[start], moving the body down to follow the length.
 func finishRecord(buf []byte, start int) []byte {
-	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(buf)-start-walRecordHeaderLen))
-	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+4:]))
+	bodyAt := start + walCRCLen + walLenReserve
+	n := len(buf) - bodyAt
+	at := walCRCLen + binary.PutUvarint(buf[start+walCRCLen:], uint64(n))
+	copy(buf[start+at:], buf[bodyAt:])
+	buf = buf[:start+at+n]
+	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+walCRCLen:]))
 	return buf
 }
 
@@ -559,95 +630,141 @@ type recEntry struct {
 // errMalformedRecord marks a crc-valid record whose body does not decode.
 var errMalformedRecord = errors.New("malformed WAL record")
 
-// decodeRecordBody decodes a record's body into ents, checking every ID
+// decodeRecordBody decodes a record's body into ents, given prev, the
+// base timestamp of the segment's previous record, and checking every ID
 // against next, the segment's next free ID: a defining entry must take
 // exactly next and carry a key ParseSeriesKey accepts, and a referencing
-// one must name an ID below it. It returns the entries and the next free
-// ID after them.
-func decodeRecordBody(body []byte, next uint64, ents []recEntry) ([]recEntry, uint64, error) {
-	base, n := binary.Varint(body)
+// one must name an ID below it. It returns the entries, the record's
+// base and the next free ID after them.
+func decodeRecordBody(body []byte, prev int64, next uint64, ents []recEntry) ([]recEntry, int64, uint64, error) {
+	d, n := binary.Varint(body)
 	if n <= 0 {
-		return ents, next, errMalformedRecord
+		return ents, prev, next, errMalformedRecord
 	}
+	base := prev + d
 	for p := n; p < len(body); {
 		var e recEntry
 		tag, n := binary.Uvarint(body[p:])
 		if n <= 0 {
-			return ents, next, errMalformedRecord
+			return ents, base, next, errMalformedRecord
 		}
 		p += n
 		e.id, e.define = tag>>1, tag&1 == 1
 		if e.define {
 			if e.id != next {
-				return ents, next, fmt.Errorf("%w: entry defines series ID %d, next free ID is %d", errMalformedRecord, e.id, next)
+				return ents, base, next, fmt.Errorf("%w: entry defines series ID %d, next free ID is %d", errMalformedRecord, e.id, next)
 			}
 			next++
 			keyLen, n := binary.Uvarint(body[p:])
 			if n <= 0 || keyLen > uint64(len(body)-p-n) {
-				return ents, next, errMalformedRecord
+				return ents, base, next, errMalformedRecord
 			}
 			p += n
 			e.key = body[p : p+int(keyLen)]
 			p += int(keyLen)
 			if _, ok := keyCuts(e.key); !ok {
-				return ents, next, fmt.Errorf("%w: series ID %d defined by malformed key %q", errMalformedRecord, e.id, e.key)
+				return ents, base, next, fmt.Errorf("%w: series ID %d defined by malformed key %q", errMalformedRecord, e.id, e.key)
 			}
 		} else if e.id >= next {
-			return ents, next, fmt.Errorf("%w: entry names undefined series ID %d", errMalformedRecord, e.id)
+			return ents, base, next, fmt.Errorf("%w: entry names undefined series ID %d", errMalformedRecord, e.id)
 		}
-		delta, n := binary.Varint(body[p:])
-		if n <= 0 || len(body)-p-n < 8 {
-			return ents, next, errMalformedRecord
+		field, n := binary.Uvarint(body[p:])
+		if n <= 0 {
+			return ents, base, next, errMalformedRecord
 		}
 		p += n
-		e.ns = base + delta
-		e.v = math.Float64frombits(binary.LittleEndian.Uint64(body[p:]))
-		p += 8
+		e.ns = base + unzigzag(field>>walFormBits)
+		switch form := field & (1<<walFormBits - 1); form {
+		case walValueInt, walValueScaled:
+			pow := 1.0
+			if form == walValueScaled {
+				if p == len(body) || body[p] > scaleMax {
+					return ents, base, next, errMalformedRecord
+				}
+				pow = scalePow[body[p]]
+				p++
+			}
+			m, n := binary.Varint(body[p:])
+			if n <= 0 {
+				return ents, base, next, errMalformedRecord
+			}
+			p += n
+			e.v = float64(m) / pow
+		case walValueRaw:
+			if len(body)-p < 8 {
+				return ents, base, next, errMalformedRecord
+			}
+			e.v = math.Float64frombits(binary.LittleEndian.Uint64(body[p:]))
+			p += 8
+		default:
+			return ents, base, next, errMalformedRecord
+		}
 		ents = append(ents, e)
 	}
-	return ents, next, nil
+	return ents, base, next, nil
 }
 
 // replayRecords reads the records of one segment, whose record bytes
-// number size, from br. EOF, a short record, a body length past the
-// segment's end and a crc mismatch all end replay silently: they are the
-// signature of a crash mid-write. A crc-valid record that does not
-// decode, names an undefined ID or defines a malformed key is an error.
-// Each record is decoded whole before apply sees its entries, in order;
-// a defining entry's key is valid only during the call. replayRecords returns how many bytes of
+// number size, from br. EOF, a short record, a body length that does not
+// end within walLenReserve bytes or runs past the segment's end, and a
+// crc mismatch all end replay silently: they are the signature of a crash
+// mid-write. A crc-valid record that does not decode, names an undefined
+// ID or defines a malformed key is an error. Each record is decoded whole
+// before apply sees its entries, in order; a defining entry's key is
+// valid only during the call. replayRecords returns how many bytes of
 // complete, applied records it consumed, so callers can truncate a
-// crashed tail before appending after it, and the segment's next free ID.
-func replayRecords(br *bufio.Reader, size int64, apply func(e *recEntry)) (valid int64, ids uint64, err error) {
-	var head [walRecordHeaderLen]byte
+// crashed tail before appending after it, the segment's next free ID and
+// the base timestamp of its last applied record, from which appends that
+// continue the segment count theirs.
+func replayRecords(br *bufio.Reader, size int64, apply func(e *recEntry)) (valid int64, ids uint64, base int64, err error) {
+	var head [walCRCLen + walLenReserve]byte
 	var body []byte
 	var ents []recEntry
 	for {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
+		if _, err := io.ReadFull(br, head[:walCRCLen]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return valid, ids, nil // clean end or truncated header: stop replay
+				return valid, ids, base, nil // clean end or truncated header: stop replay
 			}
-			return valid, ids, fmt.Errorf("tsdb: replay: %w", err)
+			return valid, ids, base, fmt.Errorf("tsdb: replay: %w", err)
 		}
-		n := int64(binary.LittleEndian.Uint32(head[4:]))
-		if n > size-valid-walRecordHeaderLen {
-			return valid, ids, nil // a length past the segment's end: torn
+		h := walCRCLen
+		for {
+			if h == len(head) {
+				return valid, ids, base, nil // a length that never ends: torn
+			}
+			c, err := br.ReadByte()
+			if err == io.EOF {
+				return valid, ids, base, nil // truncated length: stop replay
+			} else if err != nil {
+				return valid, ids, base, fmt.Errorf("tsdb: replay: %w", err)
+			}
+			head[h] = c
+			h++
+			if c < 0x80 {
+				break
+			}
+		}
+		n, _ := binary.Uvarint(head[walCRCLen:h])
+		if rest := size - valid - int64(h); rest < 0 || n > uint64(rest) {
+			return valid, ids, base, nil // a length past the segment's end: torn
 		}
 		body = slices.Grow(body[:0], int(n))[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
-			return valid, ids, nil // truncated record: ignore tail
+			return valid, ids, base, nil // truncated record: ignore tail
 		}
-		if crc32.Update(crc32.ChecksumIEEE(head[4:]), crc32.IEEETable, body) != binary.LittleEndian.Uint32(head[:4]) {
-			return valid, ids, nil // corrupt tail: stop replay
+		if crc32.Update(crc32.ChecksumIEEE(head[walCRCLen:h]), crc32.IEEETable, body) != binary.LittleEndian.Uint32(head[:]) {
+			return valid, ids, base, nil // corrupt tail: stop replay
 		}
 		var next uint64
-		if ents, next, err = decodeRecordBody(body, ids, ents[:0]); err != nil {
-			return valid, ids, err
+		var recBase int64
+		if ents, recBase, next, err = decodeRecordBody(body, base, ids, ents[:0]); err != nil {
+			return valid, ids, base, err
 		}
 		for i := range ents {
 			apply(&ents[i])
 		}
-		valid += walRecordHeaderLen + n
-		ids = next
+		valid += int64(h) + int64(n)
+		ids, base = next, recBase
 	}
 }
 
@@ -708,14 +825,16 @@ func (db *DB) lastSealed() error {
 }
 
 // logChain is what replaying the WAL found: the segment appends resume
-// in, its extent and next free series ID, and the record bytes the whole
-// chain replayed.
+// in, its extent, next free series ID and last record's base timestamp,
+// and the record bytes and points the whole chain replayed.
 type logChain struct {
 	seq      uint64 // active segment sequence number
 	valid    int64  // record bytes of its complete, CRC-valid records
 	size     int64  // record bytes on disk (> valid when the tail is torn)
 	ids      uint64 // series IDs its valid records define
+	base     int64  // base timestamp of its last valid record
 	replayed uint64 // record bytes replayed across the whole chain
+	points   uint64 // points replayed across the whole chain
 	found    bool   // an active segment file exists on disk
 }
 
@@ -740,8 +859,9 @@ func (db *DB) replayLog() (logChain, error) {
 		s  *series
 	}
 	var targets []target
-	var seq uint64
+	var seq, points uint64
 	apply := func(e *recEntry) {
+		points++
 		if e.define {
 			k, _ := ParseSeriesKey(string(e.key))
 			h, sh := db.locate(k)
@@ -775,12 +895,12 @@ func (db *DB) replayLog() (logChain, error) {
 		}
 		size := st.Size() - int64(rotSegHeaderLen)
 		targets = targets[:0]
-		valid, ids, err := replayRecords(br, size, apply)
+		valid, ids, base, err := replayRecords(br, size, apply)
 		f.Close()
 		if err != nil {
 			return c, fmt.Errorf("tsdb: replaying segment %s: %w", name, err)
 		}
-		c = logChain{seq: seq, valid: valid, size: size, ids: ids, replayed: c.replayed + uint64(valid), found: true}
+		c = logChain{seq: seq, valid: valid, size: size, ids: ids, base: base, replayed: c.replayed + uint64(valid), points: points, found: true}
 		db.replayedBytes.Add(uint64(valid))
 		if valid < c.size {
 			return c, nil // torn record: a crash mid-append
@@ -826,13 +946,14 @@ func (db *DB) openActiveSegment(c logChain) error {
 	}
 	db.walF = f
 	db.wal = bufio.NewWriterSize(f, 1<<16)
-	db.walSeq, db.walNextID = c.seq, c.ids
+	db.walSeq, db.walNextID, db.walBase = c.seq, c.ids, c.base
 	db.setSealed()
-	// Seed the checkpoint byte counter with the replayed chain: those
-	// records are exactly the bytes the next restart would replay again.
-	// Left at zero, a writer crashing just under the threshold every run
-	// would grow the tail without ever arming the size trigger.
+	// Seed the checkpoint counters with the replayed chain: those records
+	// are exactly the bytes and points the next restart would replay
+	// again. Left at zero, a writer crashing just under the threshold
+	// every run would grow the tail without ever arming the size trigger.
 	db.cpBytesTotal.Store(c.replayed)
+	db.cpPointsTotal.Store(c.points)
 	return syncDir(db.dir)
 }
 
@@ -947,12 +1068,13 @@ type cutSeries struct {
 // append-only and block lists are replaced, never edited, so everything
 // captured is immutable afterwards and the result can be encoded without
 // further locking. cutLog returns the captured series, the swapped-out
-// segments no fsync has reached (db.unsynced), and the record bytes the
-// cut covers. It owns next: a cut that fails before the swap closes it.
+// segments no fsync has reached (db.unsynced), and the record bytes and
+// points the cut covers. It owns next: a cut that fails before the swap
+// closes it.
 //
 // Sealed blocks are not captured: the manifest's block list carries them,
 // and they must not be duplicated into checkpoint snapshots.
-func (db *DB) cutLog(gen uint64, next *os.File) (cut []cutSeries, retired []*os.File, covered uint64, err error) {
+func (db *DB) cutLog(gen uint64, next *os.File) (cut []cutSeries, retired []*os.File, covered, coveredPts uint64, err error) {
 	for i := range db.shards {
 		db.shards[i].mu.RLock()
 	}
@@ -970,14 +1092,14 @@ func (db *DB) cutLog(gen uint64, next *os.File) (cut []cutSeries, retired []*os.
 	if err != nil {
 		db.logMu.Unlock()
 		next.Close()
-		return nil, nil, 0, err
+		return nil, nil, 0, 0, err
 	}
 	db.unsynced = append(db.unsynced, db.walF)
 	retired = db.unsynced
 	db.walF = next
 	db.wal.Reset(next)
-	db.walSeq, db.walNextID = gen, 0
-	covered = db.cpBytesTotal.Load()
+	db.walSeq, db.walNextID, db.walBase = gen, 0, 0
+	covered, coveredPts = db.cpBytesTotal.Load(), db.cpPointsTotal.Load()
 	db.logMu.Unlock()
 	db.setSealed()
 	for i := range db.shards {
@@ -986,7 +1108,7 @@ func (db *DB) cutLog(gen uint64, next *os.File) (cut []cutSeries, retired []*os.
 			cut = append(cut, cutSeries{sh: sh, s: s, blocks: s.blocks[s.sealed:len(s.blocks):len(s.blocks)], raw: s.points})
 		})
 	}
-	return cut, retired, covered, db.failpoint("rotate:seal:before-sync")
+	return cut, retired, covered, coveredPts, db.failpoint("rotate:seal:before-sync")
 }
 
 // sortCut sorts the cut by canonical key. Keys render once: String()
@@ -1239,7 +1361,7 @@ func (db *DB) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	cut, retired, covered, err := db.cutLog(gen, next)
+	cut, retired, covered, coveredPts, err := db.cutLog(gen, next)
 	if err != nil {
 		return err
 	}
@@ -1366,10 +1488,11 @@ func (db *DB) checkpointLocked() error {
 		c.sh.mu.Unlock()
 		db.hotPts.Add(int64(-sealed))
 	}
-	// The commit succeeded: the covered bytes no longer count toward the
-	// size-based checkpoint trigger. Appends past the cut keep their
-	// contribution (atomic subtract, not a reset).
+	// The commit succeeded: the covered bytes and points no longer count
+	// toward the size-based checkpoint trigger. Appends past the cut keep
+	// their contribution (atomic subtract, not a reset).
 	db.cpBytesTotal.Add(-covered)
+	db.cpPointsTotal.Add(-coveredPts)
 	// Compact: unlink every segment below the new generation — more than
 	// one when an earlier checkpoint failed after its swap. A crash
 	// mid-loop (some segments deleted, some not) is consistent: replay

@@ -47,7 +47,7 @@ func legacyEntries(n int) []Entry {
 func walRecord(entries []Entry) []byte {
 	ids := make(map[SeriesKey]uint64)
 	base := entries[0].At.UnixNano()
-	rec := beginRecord(nil, base)
+	rec := beginRecord(nil, 0, base)
 	for _, e := range entries {
 		id, ok := ids[e.Key]
 		var def *SeriesKey
@@ -152,6 +152,22 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			t.Errorf("a version-%d block file read as %v, want refused by its version", v, err)
 		}
 	}
+	// A version-8 segment: magic "SLWALSG5" | u64 seq 2, then one group
+	// record: u32 crc | u32 bodyLen | varint base, and per entry the
+	// uvarint ID tag, the key on a defining entry, the varint delta and
+	// the value's 8 raw bytes.
+	v8Body := binary.AppendVarint(nil, t0.UnixNano())
+	for i, e := range legacyEntries(3) {
+		v8Body = binary.AppendUvarint(v8Body, uint64(i)<<1|1)
+		v8Body = binary.AppendUvarint(v8Body, uint64(len(e.Key.String())))
+		v8Body = append(v8Body, e.Key.String()...)
+		v8Body = binary.AppendVarint(v8Body, e.At.UnixNano()-t0.UnixNano())
+		v8Body = binary.LittleEndian.AppendUint64(v8Body, math.Float64bits(e.Value))
+	}
+	v8Head := binary.LittleEndian.AppendUint32(nil, uint32(len(v8Body)))
+	v8Seg := binary.LittleEndian.AppendUint64([]byte("SLWALSG5"), 2)
+	v8Seg = binary.LittleEndian.AppendUint32(v8Seg, crc32.Update(crc32.ChecksumIEEE(v8Head), crc32.IEEETable, v8Body))
+	v8Seg = append(append(v8Seg, v8Head...), v8Body...)
 	// A version-4 segment header: magic | u32 shard index 0 | u32 shard
 	// count 1 | u64 epoch 1 | u64 seq 1.
 	v4Seg := append([]byte("SLWALSG3"), 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
@@ -267,12 +283,27 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 7",
 		},
 		{
-			name: "manifest version 9",
+			// Version 8 wrote WAL segments "SLWALSG5": 8 raw bytes a value,
+			// a fixed 8-byte record header and a full base timestamp. Its
+			// block files are this build's.
+			name: "manifest version 8",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":9,"walSeq":1}`),
+				manifestName:             []byte(`{"version":8,"walSeq":2,"checkpointSeq":1,"checkpoint":"checkpoint-000001.snap"}`),
+				"wal-000002.log":         v8Seg,
+				"wal-000001.log":         []byte("covered segment a reaping pass would delete"),
+				"checkpoint-000001.snap": []byte("SLBLOCKS"),
+				"checkpoint-000002.snap": []byte("unreferenced checkpoint a reaping pass would delete"),
+				"MANIFEST.tmp":           []byte("temp file a reaping pass would delete"),
+			},
+			want: "manifest version 8",
+		},
+		{
+			name: "manifest version 10",
+			files: map[string][]byte{
+				manifestName:     []byte(`{"version":10,"walSeq":1}`),
 				"wal-000001.log": encodeRotHeader(1),
 			},
-			want: "manifest version 9",
+			want: "manifest version 10",
 		},
 		{
 			name: "nested rollup store",
@@ -288,7 +319,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming a rollup snapshot",
 			files: map[string][]byte{
-				manifestName:         []byte(`{"version":8,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
+				manifestName:         []byte(`{"version":9,"walSeq":1,"checkpointSeq":4,"rollups":"rollup-000004.snap"}`),
 				"wal-000001.log":     encodeRotHeader(1),
 				"rollup-000004.snap": []byte("SLROLLUP"),
 				"MANIFEST.tmp":       []byte("temp file a reaping pass would delete"),
@@ -298,7 +329,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 		{
 			name: "manifest naming retention cuts",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":8,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
+				manifestName:     []byte(`{"version":9,"walSeq":1,"retain":{"sps":1640995200000000000}}`),
 				"wal-000001.log": encodeRotHeader(1),
 				"MANIFEST.tmp":   []byte("temp file a reaping pass would delete"),
 			},
@@ -908,11 +939,18 @@ func TestBytesWrittenCounters(t *testing.T) {
 
 // TestWALBytesPerStoredPoint reports the WAL bytes a stored point costs at
 // the collector's shape: 1600 catalog series, one AppendBatchIfChanged a
-// tick, one value in four changed. Past the first tick, whose records
-// define every series, a point costs at most 12 bytes; a lone Append to
-// a series already defined in the segment costs at most 30.
+// tick, one value in four changed. The store has eight shards, the
+// default on up to eight CPUs, so a tick is eight records on any machine.
+// Past the first tick, whose records define every series, a point costs
+// 4.11 bytes (a 2-byte ID past the first 64, a 1-byte timestamp field
+// and value, and the records' headers), gated at 4.5, about 10 % over; a
+// lone Append to a series already defined in the segment writes a 14- or
+// 15-byte record (its ID takes one byte or two), gated at 16.
 func TestWALBytesPerStoredPoint(t *testing.T) {
-	db := mustOpen(t, t.TempDir())
+	db, err := openTuned(t.TempDir(), tuning{shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer db.Close()
 	catalog := catalogKeys()
 	batch := make([]Entry, len(catalog))
@@ -939,15 +977,15 @@ func TestWALBytesPerStoredPoint(t *testing.T) {
 	perPoint := float64(db.WALBytesSinceCheckpoint()-defined) / float64(stored)
 	t.Logf("first tick: %d points, %.1f WAL B/point; later ticks: %.2f WAL B/point",
 		first, float64(defined)/float64(first), perPoint)
-	if perPoint > 12 {
-		t.Errorf("%.2f WAL bytes per stored point past the first tick, want <= 12", perPoint)
+	if perPoint > 4.5 {
+		t.Errorf("%.2f WAL bytes per stored point past the first tick, want <= 4.5", perPoint)
 	}
 	before := db.WALBytesSinceCheckpoint()
 	if err := db.Append(catalog[0], t0.Add(ticks*10*time.Minute), 42); err != nil {
 		t.Fatal(err)
 	}
-	if rec := db.WALBytesSinceCheckpoint() - before; rec > 30 {
-		t.Errorf("a lone Append wrote a %d-byte record, want <= 30", rec)
+	if rec := db.WALBytesSinceCheckpoint() - before; rec > 16 {
+		t.Errorf("a lone Append wrote a %d-byte record, want <= 16", rec)
 	}
 }
 
@@ -1034,6 +1072,189 @@ func TestWALReopenContinuesSegment(t *testing.T) {
 	assertSameContents(t, contents(db), refContents(ref))
 }
 
+// TestWALValueForms pins the value form walValue picks and what it
+// costs at the edges: integers up to the largest mantissa, decimals at
+// the smallest and the largest scale and at the widest mantissa the
+// scaled form takes, and the values that have no decimal form —
+// subnormals, ±MaxFloat64, -0, integers past 2^53-1, full-mantissa
+// prices. Each round-trips bit for bit through a record.
+func TestWALValueForms(t *testing.T) {
+	for _, c := range []struct {
+		v     float64
+		form  uint64
+		e     int
+		m     int64
+		bytes int // the value's bytes after the timestamp field
+	}{
+		{0, walValueInt, 0, 0, 1},
+		{7, walValueInt, 0, 7, 1},
+		{-1234, walValueInt, 0, -1234, 2},
+		{1<<53 - 1, walValueInt, 0, 1<<53 - 1, 8},
+		{-(1<<53 - 1), walValueInt, 0, -(1<<53 - 1), 8},
+		{-2.5, walValueScaled, 1, -25, 2},
+		{0.0416, walValueScaled, 4, 416, 3},
+		{1e-18, walValueScaled, 18, 1, 2},
+		{1.5e-17, walValueScaled, 18, 15, 2},
+		{1.23456789012345e-4, walValueScaled, 18, 123456789012345, 8},
+		{0.1234567890123456, walValueRaw, 0, 0, 8},
+		{900719925474099.1, walValueRaw, 0, 0, 8}, // (2^53-1)/10
+		{1 << 53, walValueRaw, 0, 0, 8},
+		{1<<53 + 2, walValueRaw, 0, 0, 8},
+		{math.Copysign(0, -1), walValueRaw, 0, 0, 8},
+		{5e-324, walValueRaw, 0, 0, 8},                  // the smallest subnormal
+		{2.2250738585072009e-308, walValueRaw, 0, 0, 8}, // the largest subnormal
+		{math.MaxFloat64, walValueRaw, 0, 0, 8},
+		{-math.MaxFloat64, walValueRaw, 0, 0, 8},
+		{math.Pi, walValueRaw, 0, 0, 8},
+		{1e22, walValueRaw, 0, 0, 8},
+	} {
+		form, e, m := walValue(c.v)
+		if form != c.form || e != c.e || m != c.m {
+			t.Errorf("%v: form %d, e %d, m %d; want form %d, e %d, m %d", c.v, form, e, m, c.form, c.e, c.m)
+			continue
+		}
+		ns := t0.UnixNano()
+		k := SeriesKey{Dataset: "d", Type: "t", Region: "r"}
+		ent := appendRecordEntry(nil, 0, nil, ns, ns, c.v)
+		if got := len(ent) - 2; got != c.bytes { // a 1-byte ID and timestamp field
+			t.Errorf("%v: the value takes %d bytes, want %d", c.v, got, c.bytes)
+		}
+		rec := finishRecord(appendRecordEntry(beginRecord(nil, 0, ns), 0, &k, ns, ns, c.v), 0)
+		got, _, _, err := replayCollect(rec)
+		if err != nil || len(got) != 1 || got[0].ns != ns || got[0].v != math.Float64bits(c.v) {
+			t.Errorf("%v: replayed %+v, err %v", c.v, got, err)
+		}
+	}
+}
+
+// TestWALTornTailBaseChain tears a segment's last record in each way a
+// crash can — inside its body length, inside its body, and as a crc
+// mismatch — where the records before it chain their base timestamps
+// backwards and forwards. The reopen truncates the torn record and the
+// appends that follow, some earlier than every base before them, count
+// their bases from the last valid record's: the next reopen holds
+// exactly what the reference does, and the replay seeds the trigger with
+// exactly the segment's record bytes and points.
+func TestWALTornTailBaseChain(t *testing.T) {
+	key := func(ds string, i int) SeriesKey {
+		return SeriesKey{Dataset: ds, Type: fmt.Sprintf("t%d", i), Region: "r", AZ: "a"}
+	}
+	at := func(min int) time.Time { return t0.Add(time.Duration(min) * time.Minute) }
+	for _, tear := range []string{"body length", "body", "crc"} {
+		t.Run(tear, func(t *testing.T) {
+			dir := t.TempDir()
+			ref := newRefDB()
+			apply := func(db *DB, entries []Entry) {
+				t.Helper()
+				if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
+					t.Fatalf("stored %d of %d, err %v", n, len(entries), err)
+				}
+				refApplyAll(t, ref, entries)
+			}
+			open := func() *DB {
+				t.Helper()
+				db, err := openTuned(dir, tuning{shards: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+			db := open()
+			// Series whose points lie hours apart, so consecutive records'
+			// bases move both ways.
+			for i, min := range []int{600, 60, 900, 0, 1200} {
+				apply(db, []Entry{{Key: key("sps", i), At: at(min), Value: float64(i)}, {Key: key("sps", i), At: at(min + 10), Value: 2.5}})
+			}
+			// The last record, one new series' 40 points: its body length
+			// takes two bytes.
+			var lost []Entry
+			for j := 0; j < 40; j++ {
+				lost = append(lost, Entry{Key: key("lost", 0), At: at(300 + j), Value: float64(j) / 4})
+			}
+			before := db.WALBytesSinceCheckpoint()
+			if _, err := db.AppendBatch(lost); err != nil {
+				t.Fatal(err)
+			}
+			recLen := int64(db.WALBytesSinceCheckpoint() - before)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, rotSegName(1))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recAt := int64(len(raw)) - recLen
+			if raw[recAt+walCRCLen] < 0x80 {
+				t.Fatalf("the last record's body length takes one byte")
+			}
+			switch tear {
+			case "body length":
+				err = os.Truncate(path, recAt+walCRCLen+1)
+			case "body":
+				err = os.Truncate(path, int64(len(raw))-3)
+			case "crc":
+				raw[len(raw)-1] ^= 0x01
+				err = os.WriteFile(path, raw, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			db = open()
+			if got, want := db.WALBytesSinceCheckpoint(), uint64(recAt)-uint64(rotSegHeaderLen); got != want {
+				t.Fatalf("reopen counts %d WAL bytes, want the %d before the torn record", got, want)
+			}
+			if got := db.cpPointsTotal.Load(); got != 10 {
+				t.Fatalf("reopen counts %d points, want the 10 before the torn record", got)
+			}
+			assertSameContents(t, contents(db), refContents(ref))
+			// Earlier than every base so far, then the lost points again,
+			// then series already defined.
+			apply(db, []Entry{{Key: key("new", 0), At: at(-600), Value: 0.0416}})
+			apply(db, lost)
+			for i := range 5 {
+				apply(db, []Entry{{Key: key("sps", i), At: at(2000 + i), Value: math.Pi}})
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db = open()
+			defer db.Close()
+			assertSameContents(t, contents(db), refContents(ref))
+		})
+	}
+}
+
+// TestWALFarApartPoints: one batch's points of one series, centuries
+// apart, too far from one record's base for the timestamp field's 62
+// bits, start records of their own, and a reopen replays them exactly.
+func TestWALFarApartPoints(t *testing.T) {
+	dir := t.TempDir()
+	k := SeriesKey{Dataset: "d", Type: "t", Region: "r"}
+	var batch []Entry
+	for _, year := range []int{1679, 1700, 1800, 2000, 2200, 2260} {
+		batch = append(batch, Entry{Key: k, At: time.Date(year, 1, 1, 0, 0, 0, 0, time.UTC), Value: float64(year) / 10})
+	}
+	db := mustOpen(t, dir)
+	if n, err := db.AppendBatch(batch); err != nil || n != len(batch) {
+		t.Fatalf("stored %d of %d, err %v", n, len(batch), err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := mustOpen(t, dir)
+	defer re.Close()
+	got, err := re.Query(k, time.Time{}, time.Date(2261, 1, 1, 0, 0, 0, 0, time.UTC))
+	if err != nil || len(got) != len(batch) {
+		t.Fatalf("replayed %d points, err %v; want %d", len(got), err, len(batch))
+	}
+	for i, p := range got {
+		if !p.At.Equal(batch[i].At) || p.Value != batch[i].Value {
+			t.Fatalf("point %d replayed as %v, want %v", i, p, batch[i])
+		}
+	}
+}
+
 // TestWALUndefinedIDRefused: a record that passes its crc but names a
 // series ID its segment never defined, defines one out of order, or
 // defines one by a key that does not parse ("a|b|c|d|e" has five
@@ -1043,12 +1264,12 @@ func TestWALUndefinedIDRefused(t *testing.T) {
 	e := legacyEntries(1)[0]
 	ns := e.At.UnixNano()
 	for name, rec := range map[string][]byte{
-		"undefined ID": finishRecord(appendRecordEntry(beginRecord(nil, ns), 0, nil, ns, ns, 1), 0),
+		"undefined ID": finishRecord(appendRecordEntry(beginRecord(nil, 0, ns), 0, nil, ns, ns, 1), 0),
 		"ID defined out of order": finishRecord(
-			appendRecordEntry(beginRecord(nil, ns), 1, &e.Key, ns, ns, 1), 0),
+			appendRecordEntry(beginRecord(nil, 0, ns), 1, &e.Key, ns, ns, 1), 0),
 		"reference past the definitions": append(walRecord([]Entry{e}),
-			finishRecord(appendRecordEntry(beginRecord(nil, ns), 1, nil, ns, ns+1, 2), 0)...),
-		"malformed key": finishRecord(appendRecordEntry(beginRecord(nil, ns), 0,
+			finishRecord(appendRecordEntry(beginRecord(nil, ns, ns), 1, nil, ns, ns+1, 2), 0)...),
+		"malformed key": finishRecord(appendRecordEntry(beginRecord(nil, 0, ns), 0,
 			&SeriesKey{Dataset: "a", Type: "b", Region: "c", AZ: "d|e"}, ns, ns, 1), 0),
 	} {
 		for _, readOnly := range []bool{false, true} {
