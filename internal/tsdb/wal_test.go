@@ -298,12 +298,14 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 			want: "manifest version 8",
 		},
 		{
-			name: "manifest version 10",
+			// A version newer than this build's. The name does not carry
+			// the number, so a version bump does not rename the case.
+			name: "manifest version newer than this build",
 			files: map[string][]byte{
-				manifestName:     []byte(`{"version":10,"walSeq":1}`),
+				manifestName:     []byte(fmt.Sprintf(`{"version":%d,"walSeq":1}`, manifestVersion+1)),
 				"wal-000001.log": encodeRotHeader(1),
 			},
-			want: "manifest version 10",
+			want: fmt.Sprintf("manifest version %d", manifestVersion+1),
 		},
 		{
 			name: "nested rollup store",
