@@ -16,13 +16,12 @@
 // with spotlake-server. Each checkpoint rotates the WAL onto a new
 // segment and deletes the segments it covers.
 //
-// The store maintains itself: a daemon inside the tsdb (polling once a
-// second of wall time) checkpoints whenever the WAL grows
-// -checkpoint-bytes past the last checkpoint, and the same trigger is
-// enforced on the append path, so the replay tail — and with it the WAL
-// on disk and hot-memory growth — never outruns it by more than one
-// tick. That byte trigger and one checkpoint at the end are all a batch
-// run takes: collection itself never checkpoints.
+// The store maintains itself: the tick whose append grows the WAL
+// -checkpoint-bytes past the last checkpoint runs a checkpoint before it
+// returns, so the replay tail — and with it the WAL on disk and
+// hot-memory growth — is below the threshold whenever a tick is done.
+// That byte trigger and one checkpoint at the end are all a batch run
+// takes: collection itself never checkpoints.
 //
 // Usage:
 //

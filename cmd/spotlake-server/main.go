@@ -11,10 +11,10 @@
 // directory in any other layout is refused at startup, untouched. The
 // store flags (-checkpoint-bytes, -block-cache-bytes) are
 // tsdb.BindFlags', shared with spotlake-collector. With -data set the
-// store maintains itself: its internal daemon (polling once a second)
-// checkpoints whenever the WAL grows -checkpoint-bytes past the last
-// checkpoint — the one size trigger, enforced on the append path too,
-// so it covers the bootstrap writer, not just collection ticks. The
+// store maintains itself: the append that grows the WAL -checkpoint-bytes
+// past the last checkpoint runs a checkpoint before it returns — the one
+// size trigger, enforced on the append path, so it covers the bootstrap
+// writer, not just collection ticks. The
 // server additionally checkpoints once after bootstrap and then every
 // -checkpoint-interval of simulated time: that cadence is what publishes
 // live data to followers, which only see checkpointed data. Restarts
@@ -311,7 +311,7 @@ func runFollower(cfg followerConfig, cat *catalog.Catalog) {
 		log.Fatalf("-follow requires -data: the replica needs a directory to ship artifacts into")
 	}
 	// The replica opens with the same store flags a primary would, made
-	// read-only (which also keeps the maintenance daemon off).
+	// read-only (so its byte trigger never checkpoints the replica).
 	storeOpts := cfg.storeOpts
 	storeOpts.ReadOnly = true
 	// Reopen an existing replica so restarts serve immediately; a fresh

@@ -63,7 +63,7 @@ type PullerConfig struct {
 	Client *http.Client
 	// StoreOptions carries serving-side knobs (the block cache budget)
 	// for replica reopens. ReadOnly is forced on regardless of what it
-	// says, which also keeps the maintenance daemon off.
+	// says, so the byte trigger never checkpoints the replica.
 	StoreOptions tsdb.Options
 	// Logf, when set, receives one line per applied delta and per failed
 	// cycle.

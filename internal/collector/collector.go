@@ -124,8 +124,8 @@ func (c *Collector) Stats() Stats { return c.stats }
 // the entries by shard and take each shard lock once per tick instead of
 // once per point (dedup per AppendIfChanged unless StoreAllSamples). The
 // store's byte trigger (tsdb.Options.CheckpointAfterBytes) is checked on
-// this append path before the batch lands, so the tick after the one
-// that crosses it checkpoints, unless the store's daemon gets there first.
+// this append path after the batch lands, so the tick that crosses it
+// checkpoints before flush returns.
 func (c *Collector) flush(entries []tsdb.Entry) (int, error) {
 	if c.cfg.StoreAllSamples {
 		return c.db.AppendBatch(entries)

@@ -1,8 +1,8 @@
 package tsdb
 
 // Tests at the collector's shape: a seeded synthetic load standing in
-// for spotlake-collector's writes, the byte trigger's bound under it
-// with the daemon off, and the store's byte and memory budget.
+// for spotlake-collector's writes, the byte trigger's bound under it,
+// and the store's byte and memory budget.
 
 import (
 	"fmt"
@@ -89,17 +89,16 @@ func storeMetric(t testing.TB, db *DB, name string) float64 {
 	return 0
 }
 
-// TestStoreByteTriggerHoldsWithoutDaemon pins the byte bound for
-// simulated-time batch runs: with the daemon off (and it being
-// wall-clock anyway, useless against a writer compressing months into
-// seconds), the store's append-path enforcement alone must keep the
-// replay tail bounded by the threshold plus one tick — and, since every
+// TestStoreByteTriggerHolds pins the byte bound for simulated-time batch
+// runs, whose writers compress months into seconds: the tick that
+// crosses the threshold checkpoints before it returns, so the replay
+// tail is below the threshold after every tick — and, since every
 // checkpoint rotates the WAL and unlinks what it covers, the WAL on disk
 // with it. Six simulated hours of 3000 collector-shaped series.
-func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
+func TestStoreByteTriggerHolds(t *testing.T) {
 	dir := t.TempDir()
 	const threshold = 16 << 10
-	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: threshold}, noDaemon: true})
+	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: threshold}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +106,14 @@ func TestStoreByteTriggerHoldsWithoutDaemon(t *testing.T) {
 	load := newCollectorLoad(11, 3000)
 	for i := 0; i < 6*6; i++ {
 		load.step(t, db)
+		if tail := db.WALBytesSinceCheckpoint(); tail >= threshold {
+			t.Fatalf("after tick %d: WAL tail %d bytes, want < the %d-byte threshold", i, tail, threshold)
+		}
 	}
 	if storeMetric(t, db, "spotlake_maintenance_checkpoints_total") == 0 {
-		t.Fatal("append-path byte trigger never fired with the daemon off: 0 maintenance checkpoints")
+		t.Fatal("append-path byte trigger never fired: 0 maintenance checkpoints")
 	}
-	// The append path checks the threshold before every tick's batch, so
-	// the tail is bounded by threshold + one tick's worth of overshoot.
 	tail := db.WALBytesSinceCheckpoint()
-	if tail >= 2*threshold {
-		t.Fatalf("WAL tail is %d bytes after the run, want < 2x the %d-byte threshold", tail, threshold)
-	}
 	// On disk: the un-checkpointed records plus the small header of the
 	// store's one segment, nothing the checkpoints covered.
 	if err := db.Flush(); err != nil {

@@ -746,16 +746,16 @@ func TestSealAbortsOnUnreadableBlockFile(t *testing.T) {
 // TestSealTriggerMaintenance pins the bound the byte trigger puts on hot
 // memory, the one the hot-point knob used to promise: every stored point
 // counts at least 10 bytes toward the trigger (pointCharge), however few
-// its WAL entry takes, so with the daemon off and nothing calling
-// Checkpoint, hot points grown since the last checkpoint never exceed
-// (CheckpointAfterBytes + one batch) / 10 B — checked after every append
-// — and the checkpoints the trigger forces do seal.
+// its WAL entry takes, and the batch that crosses the trigger
+// checkpoints before it returns, so with nothing calling Checkpoint, hot
+// points grown since the last checkpoint stay below
+// CheckpointAfterBytes / 10 B after every batch — and the checkpoints
+// the trigger forces do seal.
 func TestSealTriggerMaintenance(t *testing.T) {
 	const threshold, batchLen = 4096, 8
 	dir := t.TempDir()
 	opts := sealedOpts()
 	opts.CheckpointAfterBytes = threshold
-	opts.noDaemon = true // append-path enforcement only: deterministic
 	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -763,8 +763,7 @@ func TestSealTriggerMaintenance(t *testing.T) {
 	defer db.Close()
 	k := sealKeys()[0]
 	const recSize = 10 // the least a stored point counts toward the trigger
-	bound := int64((threshold + batchLen*recSize) / recSize)
-	var floor int64 // hot points right after the last checkpoint
+	var floor int64    // hot points right after the last checkpoint
 	var checkpoints uint64
 	for i := 0; i < 1600; i += batchLen {
 		batch := make([]Entry, batchLen)
@@ -776,12 +775,12 @@ func TestSealTriggerMaintenance(t *testing.T) {
 		}
 		hot := db.HotPointCount()
 		if cp := db.maintCP.Value(); cp != checkpoints {
-			// Enforcement runs ahead of the store, so this batch is the
-			// growth since that checkpoint.
-			checkpoints, floor = cp, hot-batchLen
+			// Enforcement runs after the batch stored, so the checkpoint
+			// covered all of it.
+			checkpoints, floor = cp, hot
 		}
-		if grown := hot - floor; grown > bound {
-			t.Fatalf("after batch at %d: %d hot points grown since the last checkpoint, bound %d", i, grown, bound)
+		if grown := hot - floor; grown*recSize >= threshold {
+			t.Fatalf("after batch at %d: %d hot points grown since the last checkpoint, want < %d/%d", i, grown, threshold, recSize)
 		}
 	}
 	if cp, errs := db.maintCP.Value(), db.maintErrs.Value(); cp < 2 || errs != 0 {

@@ -31,7 +31,7 @@ func TestBindFlagsDefaults(t *testing.T) {
 
 // TestBindFlagsNames pins the store's whole flag surface: exactly these
 // two names, so a knob cannot appear (or vanish) unnoticed. The hot tail,
-// block size, shard count and daemon poll are constants.
+// block size and shard count are constants.
 func TestBindFlagsNames(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	BindFlags(fs)

@@ -1,7 +1,7 @@
 package tsdb
 
-// Store-internal maintenance: the checkpoint daemon and the append
-// path's enforcement of the same trigger.
+// Store-internal maintenance: the append path's enforcement of the
+// byte trigger.
 //
 // Checkpoint scheduling belongs to the store, not its callers: every
 // writer (the collector, the server's bootstrap loop, analysis tools
@@ -12,19 +12,21 @@ package tsdb
 //     pointCharge times the points appended since the last checkpoint
 //     reach Options.CheckpointAfterBytes.
 //
-//   - A per-store daemon goroutine (started by OpenWithOptions when the
-//     trigger is configured on a writable store, stopped by Close) polls
-//     every maintenanceInterval and checkpoints when it is live. It is
-//     what covers a store that goes idle above the threshold.
+//   - One enforcement site: the end of every append (or batch), after
+//     its records reach the log. The batch that crosses the trigger
+//     checkpoints before it returns, so a store whose last append
+//     succeeded is not left idle above the threshold, and the replay
+//     tail stays bounded by CheckpointAfterBytes plus one batch even for
+//     writers that compress months of simulated time into one
+//     wall-clock second. The byte check is one atomic load of a
+//     store-level total, so the hot path pays nothing while the trigger
+//     is cold. No goroutine and no clock: a store that nobody appends to
+//     has nothing new to checkpoint.
 //
-//   - The trigger is additionally enforced synchronously on the
-//     append path: an append (or batch) that observes a live trigger
-//     checkpoints before storing, so the replay tail stays bounded by
-//     CheckpointAfterBytes plus one batch even for writers that compress
-//     months of simulated time into one wall-clock second (where a
-//     wall-clock poll alone would let the tail grow by seconds of write
-//     rate). The byte check is one atomic load of a store-level total,
-//     so the hot path pays nothing while the trigger is cold.
+// Two cases leave a tail above the threshold until the next append:
+// a failed checkpoint (the retry waits out maintenanceRetryBackoff), and
+// a batch that finds another checkpoint in flight whose cut preceded the
+// batch's records.
 //
 // # What the byte trigger bounds
 //
@@ -39,28 +41,22 @@ package tsdb
 // per segment — after a committed checkpoint, one header-only segment —
 // and never more than CheckpointAfterBytes plus one batch past a
 // checkpoint the append path could run. And hot points grown since the
-// last checkpoint never exceed (CheckpointAfterBytes + one batch) / 10 B.
+// last checkpoint never exceed (CheckpointAfterBytes + one batch) / 10 B,
+// nor CheckpointAfterBytes / 10 B once the batch has returned.
 //
 // # Single-flight
 //
-// Every checkpoint — manual Checkpoint(), daemon, append-path force —
-// serializes on cpMu, and the maintenance paths re-check their trigger
-// *after* acquiring it (daemon) or only TryLock and skip (append path).
-// A manual checkpoint that lands first therefore satisfies the daemon's
-// trigger: the daemon wakes, finds the counters already reset, and does
-// nothing, instead of queueing a redundant snapshot behind the manual
-// one. The append-path force never blocks behind an in-flight
-// checkpoint: whoever holds cpMu is already reclaiming the tail.
+// Every checkpoint — manual Checkpoint(), the append path's, a server's
+// publication — serializes on cpMu. The append path only TryLocks and
+// skips: whoever holds cpMu is already reclaiming the tail, and the
+// append never blocks behind it. Under the lock it re-checks the
+// trigger, so a manual checkpoint that landed first satisfies it and no
+// redundant snapshot is stacked on top. Close takes cpMu too, so it
+// waits out whichever checkpoint is in flight.
 
 import (
 	"time"
 )
-
-// maintenanceInterval is the daemon's poll period. It only bounds how
-// long a *quiesced* store can sit above the trigger threshold: the append
-// path enforces the trigger synchronously, so a shorter interval buys
-// little.
-const maintenanceInterval = time.Second
 
 // pointCharge is what a stored point counts toward the byte trigger
 // beside its WAL bytes: the bound on hot points grown between checkpoints
@@ -71,19 +67,8 @@ const pointCharge = 10
 // a failed maintenance checkpoint. A latched trigger only clears when a
 // checkpoint succeeds, so without the backoff a persistent failure
 // (disk full, unwritable directory) would make every append re-attempt
-// a full snapshot write synchronously. The daemon's ticker paces its
-// own retries.
+// a full snapshot write synchronously.
 const maintenanceRetryBackoff = 5 * time.Second
-
-// selfMaintains reports whether the store drives its own checkpoints:
-// it is durable and the byte trigger is configured.
-func (db *DB) selfMaintains() bool { return db.dir != "" && db.cpAfterBytes > 0 }
-
-// maintainerActive reports whether the maintenance daemon goroutine is
-// running. Even without it, the trigger is still enforced on the append
-// path; the daemon additionally covers stores that go idle above the
-// threshold (nothing appending, so nothing to enforce on).
-func (db *DB) maintainerActive() bool { return db.maintStop != nil }
 
 // sealedSegments returns the number of swapped-out WAL segments on disk
 // that no committed checkpoint covers — what a checkpoint that failed
@@ -96,55 +81,11 @@ func (db *DB) sealedSegments() int { return int(db.sealedN.Load()) }
 // Open.
 func (db *DB) setSealed() { db.sealedN.Store(int64(db.walSeq - db.man.WALSeq)) }
 
-// startMaintainer launches the daemon goroutine if the store maintains
-// itself. Runs at the end of an open, after recovery, so the daemon only
-// ever sees a fully open store.
-func (db *DB) startMaintainer() {
-	if !db.selfMaintains() {
-		return
-	}
-	db.maintStop = make(chan struct{})
-	db.maintDone = make(chan struct{})
-	go db.maintainLoop()
-}
-
-// maintainLoop is the daemon: poll every maintenanceInterval until
-// stopped.
-func (db *DB) maintainLoop() {
-	defer close(db.maintDone)
-	t := time.NewTicker(maintenanceInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.maintStop:
-			return
-		case <-t.C:
-		}
-		db.maintainOnce()
-	}
-}
-
-// maintainOnce checkpoints if the trigger is live. The trigger is
-// re-evaluated after acquiring cpMu: a manual checkpoint (or an
-// append-path force) that committed while we blocked has already reset
-// the counters, and the daemon must not stack a redundant snapshot on
-// top of it.
-func (db *DB) maintainOnce() {
-	if db.closed.Load() || !db.byteTriggerHot() {
-		return
-	}
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.closed.Load() {
-		return
-	}
-	db.runMaintenanceCheckpointLocked()
-}
-
 // byteTriggerHot is the single definition of the maintenance trigger;
-// the daemon's poll, the under-lock re-check, and the append path's fast
-// check all go through it, so the three sites can never enforce
-// different bounds.
+// the append path's fast check and its re-check under cpMu both go
+// through it. A read-only store never counts toward it: only a writable
+// open seeds the counters with its replayed tail, and its appends are
+// rejected before they count.
 func (db *DB) byteTriggerHot() bool {
 	if db.dir == "" || db.cpAfterBytes <= 0 {
 		return false
@@ -153,29 +94,12 @@ func (db *DB) byteTriggerHot() bool {
 	return db.cpBytesTotal.Load() >= t || db.cpPointsTotal.Load()*pointCharge >= t
 }
 
-// runMaintenanceCheckpointLocked re-checks the trigger and checkpoints.
-// The caller holds cpMu.
-func (db *DB) runMaintenanceCheckpointLocked() {
-	if !db.byteTriggerHot() {
-		return
-	}
-	if err := db.checkpointLocked(); err != nil {
-		db.maintErrs.Add(1)
-		db.maintRetryAt.Store(time.Now().Add(maintenanceRetryBackoff).UnixNano())
-		return
-	}
-	db.maintRetryAt.Store(0)
-	db.maintCP.Add(1)
-}
-
-// enforceMaintenance runs on the append path, before any shard lock is
-// taken: when the un-checkpointed WAL has reached the byte threshold,
-// checkpoint now, so the replay tail cannot outrun the threshold by more
-// than one batch no matter how fast the writer is relative to the
-// daemon's wall-clock poll. TryLock is the single-flight: if a checkpoint is
-// already in flight (manual, daemon, or another appender's force), it
-// will clear the trigger — this append proceeds without stacking a
-// second one behind it.
+// enforceMaintenance runs at the end of every append, after its records
+// reached the log and with no shard lock held: when the un-checkpointed
+// WAL has reached the byte threshold, checkpoint now. TryLock is the
+// single-flight: if a checkpoint is already in flight (manual, a
+// publication, or another appender's), this append returns without
+// stacking a second one behind it.
 func (db *DB) enforceMaintenance() {
 	if !db.byteTriggerHot() {
 		return
@@ -190,19 +114,14 @@ func (db *DB) enforceMaintenance() {
 		return
 	}
 	defer db.cpMu.Unlock()
-	if db.closed.Load() {
+	if db.closed.Load() || !db.byteTriggerHot() {
 		return
 	}
-	db.runMaintenanceCheckpointLocked()
-}
-
-// stopMaintainer halts the daemon and waits for it to exit. An in-flight
-// maintenance checkpoint completes first, so the caller (Close) never
-// closes segment files out from under it.
-func (db *DB) stopMaintainer() {
-	if db.maintStop == nil {
+	if err := db.checkpointLocked(); err != nil {
+		db.maintErrs.Add(1)
+		db.maintRetryAt.Store(time.Now().Add(maintenanceRetryBackoff).UnixNano())
 		return
 	}
-	close(db.maintStop)
-	<-db.maintDone
+	db.maintRetryAt.Store(0)
+	db.maintCP.Add(1)
 }

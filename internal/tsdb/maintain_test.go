@@ -1,42 +1,29 @@
 package tsdb
 
-// Tests for the store-internal maintainer: the one segment the byte
-// trigger leaves from the append path alone, the daemon
-// reclaiming the tail of a store left idle above the threshold,
-// single-flight between the daemon and manual Checkpoint under -race,
-// and the failure backoff.
+// Tests for the append path's enforcement of the byte trigger: the one
+// segment it leaves, the oversized batch that checkpoints before it
+// returns, single-flight against manual Checkpoint under -race, the
+// failure backoff, and Close waiting out an in-flight checkpoint.
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out after %v waiting for %s", d, what)
-}
-
 // TestChainCapBoundsSealedSegments pins what the byte trigger leaves on
-// disk now that every checkpoint rotates the WAL: pointwise appends with
-// the daemon disabled — so the only enforcement is the append path's
-// synchronous check, and nothing calls Checkpoint — leave exactly one
-// segment file after each maintenance checkpoint commits, and never an
-// uncovered swapped-out one.
+// disk now that every checkpoint rotates the WAL: pointwise appends, with
+// nothing calling Checkpoint, leave the tail below the threshold after
+// every append, exactly one segment file after each maintenance
+// checkpoint commits, and never an uncovered swapped-out one.
 func TestChainCapBoundsSealedSegments(t *testing.T) {
 	const threshold = 2048
 	dir := t.TempDir()
-	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2, noDaemon: true})
+	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +35,9 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 		}
 		if got := db.sealedSegments(); got != 0 {
 			t.Fatalf("after append %d: %d uncovered swapped-out segments", n, got)
+		}
+		if tail := db.WALBytesSinceCheckpoint(); tail >= threshold {
+			t.Fatalf("after append %d: tail %d bytes, threshold %d", n, tail, threshold)
 		}
 		cp := db.maintCP.Value()
 		if cp == seen {
@@ -85,13 +75,12 @@ func TestChainCapBoundsSealedSegments(t *testing.T) {
 	}
 }
 
-// TestDaemonVsManualCheckpointSingleFlight hammers a store with
-// concurrent appends, manual Checkpoint calls, and daemon polls whose
-// byte trigger keeps re-arming: the daemon runs, and a third goroutine
-// polls as it does (maintainOnce) without its one-second wait. Run under
-// -race (CI does); the assertions are no errors, and exact recovery
-// afterwards.
-func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
+// TestAppendVsManualCheckpointSingleFlight hammers a store with
+// concurrent appends, whose byte trigger keeps re-arming, manual
+// Checkpoint calls, and a third goroutine driving the append path's
+// enforcement (enforceMaintenance) on its own. Run under -race (CI
+// does); the assertions are no errors, and exact recovery afterwards.
+func TestAppendVsManualCheckpointSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: 1024}, shards: 4})
 	if err != nil {
@@ -126,7 +115,7 @@ func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 	}
 	checkpointer.Add(2)
 	go poll(db.Checkpoint)
-	go poll(func() error { db.maintainOnce(); return nil })
+	go poll(func() error { db.enforceMaintenance(); return nil })
 	appender.Wait()
 	close(stop)
 	checkpointer.Wait()
@@ -155,7 +144,7 @@ func TestDaemonVsManualCheckpointSingleFlight(t *testing.T) {
 // then the backoff window gates the rest.
 func TestMaintenanceBackoffOnFailure(t *testing.T) {
 	dir := t.TempDir()
-	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: 2048}, shards: 2, noDaemon: true})
+	db, err := openTuned(dir, tuning{Options: Options{CheckpointAfterBytes: 2048}, shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +190,7 @@ func TestMaintenanceBackoffOnFailure(t *testing.T) {
 func TestReplayTailSeedsByteTrigger(t *testing.T) {
 	const threshold = 8 << 10
 	dir := t.TempDir()
-	opts := tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2, noDaemon: true}
+	opts := tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2}
 	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -234,30 +223,29 @@ func TestReplayTailSeedsByteTrigger(t *testing.T) {
 		t.Fatalf("reopen counts %d un-checkpointed points, want the replayed 150", got)
 	}
 	// Round 2 crosses the threshold mid-way; the append path must fire
-	// off the seeded total, bounding the tail again.
-	for _, e := range laterEntries(400, 1000) {
+	// off the seeded total, keeping the tail below the threshold after
+	// every append.
+	for n, e := range laterEntries(400, 1000) {
 		if err := re.Append(e.Key, e.At, e.Value); err != nil {
 			t.Fatal(err)
+		}
+		if tail := re.WALBytesSinceCheckpoint(); tail >= threshold {
+			t.Fatalf("after append %d: tail %d bytes, threshold %d", n, tail, threshold)
 		}
 	}
 	if re.maintCP.Value() == 0 {
 		t.Fatalf("seeded byte trigger never fired across the threshold: %d checkpoints", re.maintCP.Value())
 	}
-	if tail := re.WALBytesSinceCheckpoint(); tail >= threshold {
-		t.Fatalf("tail is %d bytes after the trigger fired (threshold %d)", tail, threshold)
-	}
 }
 
-// TestBulkRestoreDaemonBoundsReplay models a writer that dumps far more
-// than the threshold in one call and then goes idle — a bulk restore, or
-// appends continuing while whoever used to checkpoint is wedged. One
-// oversized batch holds each shard's lock past the threshold, where the
-// append path cannot intervene, and nothing appends afterwards, so only
-// the daemon can act: within its poll it must fold the tail into a
-// checkpoint, unlink every segment it covers, and leave the next open
-// almost nothing to replay. The daemon polls once a second, so the test
-// takes one to two seconds.
-func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
+// TestOversizedBatchCheckpointsBeforeReturning models a writer that
+// dumps far more than the threshold in one call and then goes idle — a
+// bulk restore. The batch holds each shard's lock past the threshold,
+// where no checkpoint can cut, so the append checkpoints after its last
+// shard group, before it returns: by then the tail is folded into a
+// checkpoint, every segment it covers is unlinked, and the next open has
+// almost nothing to replay. Nothing waits and nothing polls.
+func TestOversizedBatchCheckpointsBeforeReturning(t *testing.T) {
 	const threshold = 16 << 10
 	dir := t.TempDir()
 	opts := tuning{Options: Options{CheckpointAfterBytes: threshold}, shards: 2}
@@ -269,14 +257,10 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	if n, err := db.AppendBatch(entries); err != nil || n != len(entries) {
 		t.Fatalf("stored %d, err %v", n, err)
 	}
-	// Wait on the stats as well as the byte counter: a checkpoint
-	// decrements the counter mid-protocol and bumps the stats only at the
-	// end. (A daemon tick that lands mid-batch cuts before the batch's
-	// later shard groups; the next tick then finishes the job.)
-	waitFor(t, 5*time.Second, "daemon to checkpoint the idle tail", func() bool {
-		return db.maintCP.Value() > 0 &&
-			db.WALBytesSinceCheckpoint() < threshold && db.sealedSegments() == 0
-	})
+	if cp, tail, sealed := db.maintCP.Value(), db.WALBytesSinceCheckpoint(), db.sealedSegments(); cp == 0 || tail >= threshold || sealed != 0 {
+		t.Fatalf("oversized batch returned with %d checkpoints, a %d-byte tail (threshold %d), %d uncovered segments",
+			cp, tail, threshold, sealed)
+	}
 	if errs := db.maintErrs.Value(); errs != 0 {
 		t.Fatalf("%d maintenance checkpoint errors", errs)
 	}
@@ -289,9 +273,78 @@ func TestBulkRestoreDaemonBoundsReplay(t *testing.T) {
 	}
 	defer re.Close()
 	if got := re.ReplayedWALBytes(); got >= threshold {
-		t.Fatalf("reopen replayed %d WAL bytes; the daemon checkpoint should bound it below %d", got, threshold)
+		t.Fatalf("reopen replayed %d WAL bytes; the batch's checkpoint should bound it below %d", got, threshold)
 	}
 	if re.PointCount() != len(entries) {
 		t.Fatalf("recovered %d points, want %d", re.PointCount(), len(entries))
 	}
+}
+
+// TestCloseWaitsForInFlightCheckpoint holds a sealing checkpoint at its
+// manifest commit while Close starts. Close must not return until the
+// checkpoint has finished, and must then close what the checkpoint
+// opened: no block file is left in coldSegs, and no descriptor of the
+// store's directory stays open.
+func TestCloseWaitsForInFlightCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, err := openTuned(dir, sealedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AppendBatch(sealEntries(64, 0)); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	db.testCrash = func(p string) error {
+		if p == "checkpoint:manifest:before-sync" {
+			close(held)
+			<-release
+		}
+		return nil
+	}
+	cpErr, closeErr := make(chan error, 1), make(chan error, 1)
+	go func() { cpErr <- db.Checkpoint() }()
+	<-held
+	go func() { closeErr <- db.Close() }()
+	select {
+	case err := <-closeErr:
+		close(release)
+		<-cpErr
+		t.Fatalf("Close returned (%v) while a checkpoint was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-cpErr; err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := <-closeErr; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if db.SealedBlocks() == 0 {
+		t.Fatal("the checkpoint sealed nothing; the test needs it to open a block file")
+	}
+	if n := len(db.coldSegs); n != 0 {
+		t.Fatalf("%d block files still open in coldSegs after Close", n)
+	}
+	if open := openFilesUnder(t, dir); len(open) != 0 {
+		t.Fatalf("files still open after Close: %v", open)
+	}
+}
+
+// openFilesUnder lists this process's open descriptors naming a file
+// under dir, read from /proc/self/fd; the test skips where there is none.
+func openFilesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to list open files: %v", err)
+	}
+	var out []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			out = append(out, target)
+		}
+	}
+	return out
 }

@@ -70,10 +70,6 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 		func(db *DB) float64 { return boolGauge(db.Durable()) })
 	gauge("spotlake_store_checkpoint_after_bytes", "The store's own checkpoint size trigger, in WAL bytes (0 = disabled).",
 		func(db *DB) float64 { return float64(db.cpAfterBytes) })
-	gauge("spotlake_store_maintainer_active", "1 while the maintenance daemon runs; the append path enforces the trigger either way.",
-		func(db *DB) float64 { return boolGauge(db.maintainerActive()) })
-	gauge("spotlake_store_hot_tail_points", "Per-series tail a seal keeps unsealed, in memory (a constant: 256).",
-		func(db *DB) float64 { return float64(db.hotTail) })
 	counter("spotlake_store_scanned_points_total", "Points materialized by reads (hot copies and decoded block windows, rollup folds included).",
 		func(db *DB) uint64 { return db.scannedPoints() })
 
@@ -88,9 +84,9 @@ func RegisterMetrics(reg *obs.Registry, current func() *DB) {
 	counter("spotlake_checkpoint_bytes_written_total", "Bytes of the checkpoint and block files that committed checkpoints wrote.",
 		func(db *DB) uint64 { return db.cpWritten.Value() })
 
-	counter("spotlake_maintenance_checkpoints_total", "Checkpoints committed by the store's maintainer (daemon ticks and append-path forces; manual checkpoints not counted).",
+	counter("spotlake_maintenance_checkpoints_total", "Checkpoints the byte trigger committed, each run by the append that crossed it (manual checkpoints not counted).",
 		func(db *DB) uint64 { return db.maintCP.Value() })
-	counter("spotlake_maintenance_errors_total", "Maintenance checkpoints that failed (retried on the next tick); climbing means the store cannot write checkpoints.",
+	counter("spotlake_maintenance_errors_total", "Maintenance checkpoints that failed (retried by the first append after a 5 s backoff); climbing means the store cannot write checkpoints.",
 		func(db *DB) uint64 { return db.maintErrs.Value() })
 
 	counter("spotlake_blockcache_hits_total", "Block cache hits.",

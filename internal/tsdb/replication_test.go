@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,7 +187,9 @@ func TestReplicaDifferential(t *testing.T) {
 }
 
 // TestReadOnlyStoreRejectsWrites locks down the whole write surface of
-// a read-only open.
+// a read-only open, the byte trigger's included: opened with a 1-byte
+// trigger over a WAL tail past it, the rejected appends must not
+// checkpoint the replica, so no file in its directory changes.
 func TestReadOnlyStoreRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
 	db, err := openTuned(dir, sealedOpts())
@@ -199,14 +202,21 @@ func TestReadOnlyStoreRejectsWrites(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := db.AppendBatch(sealEntries(16, 64)); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := openTuned(dir, tuning{Options: Options{ReadOnly: true}, shards: 4})
+	before := dirState(t, dir)
+	ro, err := openTuned(dir, tuning{Options: Options{ReadOnly: true, CheckpointAfterBytes: 1}, shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ro.Close()
+	if tail := ro.ReplayedWALBytes(); tail <= 1 {
+		t.Fatalf("replica replayed a %d-byte tail; the test needs one past its 1-byte trigger", tail)
+	}
 	k := sealKeys()[0]
 	if err := ro.Append(k, t0.Add(time.Hour*100000), 1); err == nil {
 		t.Error("read-only store accepted an append")
@@ -217,8 +227,11 @@ func TestReadOnlyStoreRejectsWrites(t *testing.T) {
 	if err := ro.Checkpoint(); err == nil {
 		t.Error("read-only store accepted a checkpoint")
 	}
-	if ro.maintainerActive() {
-		t.Error("read-only store runs a maintenance daemon")
+	if cp, errs := ro.maintCP.Value(), ro.maintErrs.Value(); cp != 0 || errs != 0 {
+		t.Errorf("appends to a replica ran the byte trigger: %d checkpoints, %d errors", cp, errs)
+	}
+	if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("rejected writes changed the replica's directory:\nbefore %v\nafter  %v", before, after)
 	}
 }
 

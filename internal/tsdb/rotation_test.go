@@ -821,7 +821,7 @@ func TestRotationSeqPastMillionRecovers(t *testing.T) {
 // left, and a reopen is exact.
 func TestRotationFailureFailsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	opts := tuning{Options: Options{CheckpointAfterBytes: 2048}, shards: 2, noDaemon: true}
+	opts := tuning{Options: Options{CheckpointAfterBytes: 2048}, shards: 2}
 	db, err := openTuned(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -45,15 +45,14 @@
 // that bound recovery to "load snapshot + replay the segments written
 // since", and each checkpoint rotates the log onto a new segment and
 // deletes the ones it covers, instead of rewriting files. The store
-// maintains
-// itself (see maintain.go): a daemon started by OpenWithOptions
-// checkpoints when the un-checkpointed WAL crosses
-// Options.CheckpointAfterBytes, and the same trigger is enforced
-// synchronously on the append path — no caller cooperation needed for
-// bounded replay tails, and with them bounded WAL disk use and bounded
-// hot-memory growth. The checkpoint file holds every series' unsealed
-// points in the compressed block file format of the cold tier, and
-// memory keeps them as that file's bytes (see block.go and wal.go).
+// maintains itself (see maintain.go): the append that carries the
+// un-checkpointed WAL across Options.CheckpointAfterBytes checkpoints
+// before it returns — no caller cooperation and no background goroutine
+// needed for bounded replay tails, and with them bounded WAL disk use
+// and bounded hot-memory growth. The checkpoint file holds every
+// series' unsealed points in the compressed block file format of the
+// cold tier, and memory keeps them as that file's bytes (see block.go
+// and wal.go).
 package tsdb
 
 import (
@@ -360,8 +359,8 @@ type DB struct {
 	cpWritten  obs.Counter
 
 	// Maintenance state (see maintain.go). cpAfterBytes is the byte
-	// trigger's threshold, fixed at open. The channels belong to the
-	// daemon goroutine.
+	// trigger's threshold, fixed at open. maintCP and maintErrs count
+	// the checkpoints the append path committed and the ones that failed.
 	cpAfterBytes int64
 	// maintRetryAt (UnixNano) gates the append path's enforcement after
 	// a failed maintenance checkpoint: a trigger stays latched until a
@@ -375,8 +374,6 @@ type DB struct {
 	// covered.
 	cpBytesTotal  atomic.Uint64
 	cpPointsTotal atomic.Uint64
-	maintStop     chan struct{}
-	maintDone     chan struct{}
 	maintCP       obs.Counter
 	maintErrs     obs.Counter
 
@@ -425,10 +422,10 @@ type Options struct {
 	// bootstrap, analysis tools). It is the store's one size knob: the
 	// same threshold bounds the replay tail, the WAL bytes on disk and
 	// hot-memory growth between seals ((threshold + one batch) / 10 B),
-	// however few bytes the WAL spends on a point. A writable store with
-	// the trigger set also runs a maintenance daemon that polls it every
-	// maintenanceInterval. Zero disables the store's own size trigger
-	// (callers may still schedule checkpoints themselves).
+	// however few bytes the WAL spends on a point. The append that
+	// crosses it runs the checkpoint before it returns. Zero disables the
+	// store's own size trigger (callers may still schedule checkpoints
+	// themselves).
 	CheckpointAfterBytes int64
 	// BlockCacheBytes bounds the decoded-block LRU cache: 0 selects
 	// DefaultBlockCacheBytes, negative disables caching (cold reads
@@ -437,8 +434,8 @@ type Options struct {
 	BlockCacheBytes int64
 	// ReadOnly opens an existing durable layout without taking ownership
 	// of it: no segment files are created, truncated, or reclaimed, no
-	// layout commit or checkpoint ever runs, appends are rejected, and
-	// the maintenance daemon stays off. The open fails if the directory
+	// layout commit or checkpoint ever runs (the byte trigger's
+	// included), and appends are rejected. The open fails if the directory
 	// holds no committed manifest. Replication followers use it to serve
 	// a replica whose files a puller replaces between reopens (see
 	// replication.go).
@@ -447,15 +444,13 @@ type Options struct {
 
 // tuning is everything an open fixes: the caller's Options and the
 // store's geometry. Every exported open uses the production geometry
-// (defaultShards, hotTailPoints, blockPoints, the daemon on); the
-// package's tests shrink it to reach seals and lock-stripe edges at
-// small sizes.
+// (defaultShards, hotTailPoints, blockPoints); the package's tests
+// shrink it to reach seals and lock-stripe edges at small sizes.
 type tuning struct {
 	Options
-	shards      int  // lock stripes, a power of two
-	hotTail     int  // per-series points a seal keeps unsealed
-	blockPoints int  // points per sealed block, in [2, maxBlockPoints]
-	noDaemon    bool // only the append path enforces the byte trigger
+	shards      int // lock stripes, a power of two
+	hotTail     int // per-series points a seal keeps unsealed
+	blockPoints int // points per sealed block, in [2, maxBlockPoints]
 }
 
 // Open opens (or creates) a store. With a non-empty dir, points are
@@ -497,9 +492,6 @@ func (t tuning) open(dir string) (*DB, error) {
 	db.dir = dir
 	if err := db.openDurable(); err != nil {
 		return nil, err
-	}
-	if !db.readOnly && !t.noDaemon {
-		db.startMaintainer()
 	}
 	return db, nil
 }
@@ -782,7 +774,6 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	db.enforceMaintenance()
 	// Stable counting sort of entry indices by shard: input order is
 	// preserved within a shard (so per-series time order survives), and
 	// no per-call maps are allocated. Each valid entry's key is hashed
@@ -862,6 +853,7 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 			firstErr = err
 		}
 	}
+	db.enforceMaintenance()
 	return stored, firstErr
 }
 
@@ -1420,14 +1412,14 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// Close flushes and closes the store. Further writes fail. Close quiesces
-// every shard so no append is mid-flight when the log is closed. The
-// maintenance daemon, if any, is stopped first — an in-flight maintenance
-// checkpoint completes before any segment file is closed.
+// Close flushes and closes the store. Further writes fail. Close waits
+// out an in-flight checkpoint, so none commits on a closed store or
+// opens a block file Close does not close, and then quiesces every
+// shard so no append is mid-flight when the log is closed.
 func (db *DB) Close() error {
-	if db.closed.CompareAndSwap(false, true) {
-		db.stopMaintainer()
-	}
+	db.closed.Store(true)
+	db.cpMu.Lock()
+	defer db.cpMu.Unlock()
 	for i := range db.shards {
 		db.shards[i].mu.Lock()
 	}

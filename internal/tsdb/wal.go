@@ -1345,11 +1345,11 @@ func (db *DB) Checkpoint() error {
 }
 
 // checkpointLocked runs the checkpoint protocol; the caller holds cpMu.
-// Both the manual Checkpoint entry point and the maintainer (daemon tick
-// or append-path force) funnel through here, each already serialized on
-// cpMu — the maintainer additionally re-checks its trigger under the
-// lock, so a manual checkpoint that got there first satisfies it and no
-// redundant snapshot is stacked behind it (single-flight).
+// Both the manual Checkpoint entry point and the append that crosses
+// the byte trigger funnel through here, each serialized on cpMu — the
+// append path additionally re-checks its trigger under the lock, so a
+// manual checkpoint that got there first satisfies it and no redundant
+// snapshot is stacked behind it (single-flight).
 func (db *DB) checkpointLocked() error {
 	if db.closed.Load() {
 		return errClosed
